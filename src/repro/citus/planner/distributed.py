@@ -19,10 +19,11 @@ from ...engine.expr import EvalContext, Row, evaluate
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, UnsupportedDistributedQuery
 from ...sql import ast as A
-from ..sharding import analyze_statement, collect_table_names
+from ..sharding import analyze_statement, statement_facts
 from ..tracing import partition_key_for
 from .fast_path import try_fast_path
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
+from .plan_cache import _normalize_statement
 from .pushdown import plan_pushdown_dml, plan_pushdown_select
 from .router import try_router
 from .tasks import Task, rewrite_to_shard, task_sql_for_shard
@@ -35,8 +36,14 @@ def make_planner_hook(ext):
         cache = ext.metadata.cache
         if not cache.tables:
             return None
-        names = collect_table_names(stmt)
-        if not any(name in cache.tables for name in names):
+        # A statement mentioning no Citus table (every shard statement a
+        # worker with synced metadata receives, for one) is recognised from
+        # its memoized facts without re-walking the AST.
+        facts = statement_facts(stmt)
+        if facts.local_in is cache:
+            return None
+        if not any(name in cache.tables for name in facts.tables):
+            facts.local_in = cache
             return None
         ext.stats["distributed_queries"] += 1
         ext.stat_counters.incr("planner_total")
@@ -78,16 +85,13 @@ def make_planner_hook(ext):
             session._citus_tier = tier
             session._citus_tenant = tenant
         if tracing:
-            _trace_planning(ext, tracer, session, stmt, params, plan,
-                            tier, cache_hit, tenant)
+            _trace_planning(tracer, session, stmt, plan, tier, cache_hit, tenant)
         return plan
 
     return planner_hook
 
 
 def _statement_fingerprint(stmt) -> str:
-    from .plan_cache import _normalize_statement
-
     norm = _normalize_statement(stmt)
     if norm is not None:
         return norm[2]
@@ -104,8 +108,8 @@ def _finish_search(ext, stmt, search: PlanSearch) -> None:
     ext.plan_searches.append(search)
 
 
-def _trace_planning(ext, tracer, session, stmt, params, plan, tier,
-                    cache_hit: bool, tenant) -> None:
+def _trace_planning(tracer, session, stmt, plan, tier, cache_hit: bool,
+                    tenant) -> None:
     """Attach the plan span and statement-level attribution to the active
     trace. Planning consumes no simulated time, so the span is an instant
     marker carrying the cascade's decisions."""

@@ -40,7 +40,7 @@ from ...engine.expr import BoundParams
 from ...engine.lru import LRUCache
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
-from ..sharding import analyze_statement, prune_shards
+from ..sharding import UNSET, analyze_statement, prune_shards, statement_facts
 from .fast_path import _MISS, _insert_dist_value, _single_dist_value
 from .tasks import Task, rewrite_to_shard
 
@@ -113,32 +113,21 @@ def _eligible(stmt) -> bool:
     return False
 
 
-_INELIGIBLE = object()
-
-# Normalization is memoized by statement identity: the engine's statement
-# cache returns the same AST object for repeated SQL text, so the walk and
-# fingerprint run once per distinct statement. Entries hold a strong
-# reference to the statement so its id() cannot be recycled underneath us.
-_NORM_CACHE = LRUCache(1024)
-
-
 def _normalize_statement(stmt):
-    """Return (template, consts, fingerprint) or None when ineligible."""
-    key = id(stmt)
-    memo = _NORM_CACHE.get(key)
-    if memo is not None and memo[0] is stmt:
-        result = memo[1]
-        return None if result is _INELIGIBLE else result
-    if not _eligible(stmt):
-        _NORM_CACHE.put(key, (stmt, _INELIGIBLE))
-        return None
-    consts: dict = {}
-    template = _normalize_value(stmt, consts)
-    parts: list = []
-    _fingerprint(template, parts)
-    result = (template, consts, "\x00".join(parts))
-    _NORM_CACHE.put(key, (stmt, result))
-    return result
+    """Return (template, consts, fingerprint) or None when ineligible.
+
+    Memoized on the statement's :class:`~..sharding.StatementFacts`, so the
+    walk and fingerprint run once per distinct statement."""
+    facts = statement_facts(stmt)
+    if facts.norm is UNSET:
+        facts.norm = None
+        if _eligible(stmt):
+            consts: dict = {}
+            template = _normalize_value(stmt, consts)
+            parts: list = []
+            _fingerprint(template, parts)
+            facts.norm = (template, consts, "\x00".join(parts))
+    return facts.norm
 
 
 def make_bound(params, consts: dict) -> BoundParams:

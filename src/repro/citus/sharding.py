@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine.datum import hash_value
+from ..engine.lru import LRUCache
 from ..sql import ast as A
 from .metadata import RANGE, DistributedTable, MetadataCache
 
@@ -432,6 +433,47 @@ def collect_table_names(stmt) -> set[str]:
         elif isinstance(node, A.Copy):
             names.add(node.table)
     return names
+
+
+UNSET = object()
+
+
+class StatementFacts:
+    """What the coordinator derives from a statement's AST alone, computed
+    once per AST instead of once per execution: the table set, the plan
+    cache's normalization (template, constants, fingerprint) and the
+    tenant extractor, plus the verdict that the statement mentions no
+    Citus table. The verdict and the tenant extractor depend on the Citus
+    metadata, so each remembers the :class:`MetadataCache` it was derived
+    from; ``MetadataStore.reload`` swaps in a new cache object on every
+    metadata change, which invalidates them by identity."""
+
+    __slots__ = ("stmt", "tables", "local_in", "norm", "tenant_in",
+                 "tenant_plan")
+
+    def __init__(self, stmt):
+        self.stmt = stmt
+        self.tables = tuple(collect_table_names(stmt))
+        self.local_in = None  # MetadataCache holding none of ``tables``
+        self.norm = UNSET  # filled by plan_cache._normalize_statement
+        self.tenant_in = None  # MetadataCache ``tenant_plan`` is valid for
+        self.tenant_plan = None  # filled by tracing.partition_key_for
+
+
+# Keyed by statement identity: the engine's statement cache returns the
+# same AST object for repeated SQL text, and cached distributed plans ship
+# the same shard-statement objects. Each entry references its statement,
+# so the id() cannot be recycled underneath it.
+_FACTS = LRUCache(2048)
+
+
+def statement_facts(stmt) -> StatementFacts:
+    key = id(stmt)
+    facts = _FACTS.get(key)
+    if facts is None or facts.stmt is not stmt:
+        facts = StatementFacts(stmt)
+        _FACTS.put(key, facts)
+    return facts
 
 
 def prune_shards(table: DistributedTable, where, params=None, alias: str | None = None):

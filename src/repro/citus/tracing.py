@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from ..engine.expr import BoundParams
 from ..engine.stats import LogHistogram
 from ..sql import ast as A
+from .sharding import statement_facts
 
 #: Statement types that never appear in citus_stat_statements (transaction
 #: control and introspection noise, mirroring real pg_stat_statements
@@ -595,14 +596,9 @@ def trace_for(holder, clock) -> Tracer:
 # --------------------------------------------------------- tenant extraction
 
 
-# Tenant extraction is memoized by statement identity (the engine's
-# statement cache returns the same AST object for repeated SQL text), so
-# the WHERE-clause walk runs once per distinct statement and metadata
-# generation; per execution only a pre-compiled value lookup remains.
-# A plain dict (wholesale clear at the cap) beats an LRU here: entries
-# are tiny and the id-keyed hit path must cost one dict.get, nothing more.
-_TENANT_EXPR_CACHE: dict = {}
-_TENANT_CACHE_CAP = 4096
+# Tenant extraction is memoized on the statement's StatementFacts, so the
+# WHERE-clause walk runs once per distinct statement and metadata state;
+# per execution only a pre-compiled value lookup remains.
 
 #: Resolver kinds a tenant expression compiles to (see _compile_tenant_plan).
 _K_VALUE, _K_NAMED, _K_POSITIONAL, _K_EXPR = 0, 1, 2, 3
@@ -688,20 +684,16 @@ def partition_key_for(ext, stmt, params):
     (the ``partition_key`` attribute of citus_stat_statements), or None
     for multi-shard statements."""
     global _MISS, _const_of
-    generation = ext.metadata.generation
-    key = id(stmt)
-    memo = _TENANT_EXPR_CACHE.get(key)
-    if memo is not None and memo[0] is stmt and memo[1] == generation:
-        plan = memo[2]
-    else:
+    cache = ext.metadata.cache
+    facts = statement_facts(stmt)
+    if facts.tenant_in is not cache:
         try:
-            exprs = _find_tenant_exprs(ext.metadata.cache, stmt)
+            exprs = _find_tenant_exprs(cache, stmt)
         except Exception:
             exprs = None
-        plan = _compile_tenant_plan(exprs)
-        if len(_TENANT_EXPR_CACHE) >= _TENANT_CACHE_CAP:
-            _TENANT_EXPR_CACHE.clear()
-        _TENANT_EXPR_CACHE[key] = (stmt, generation, plan)
+        facts.tenant_plan = _compile_tenant_plan(exprs)
+        facts.tenant_in = cache
+    plan = facts.tenant_plan
     if plan is None:
         return None
     named = positional = None

@@ -8,6 +8,7 @@ exactly as the real extension ships ``pg_dist_*`` catalog tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -82,6 +83,23 @@ class Table:
         return any(c.name == name for c in self.columns)
 
 
+class RelationBinding:
+    """How the rows of one table bind under one alias: the column names,
+    their ``alias.column`` forms, and the relation-level shape the executor
+    hands to star expansion and join planning. Depends only on the table's
+    column list, so every prepared scan of ``(table, alias)`` shares one
+    (see :meth:`Catalog.binding`)."""
+
+    __slots__ = ("alias", "names", "qualified", "columns", "keys")
+
+    def __init__(self, table: Table, alias: str):
+        self.alias = alias
+        self.names = table.column_names()
+        self.qualified = [f"{alias}.{n}" for n in self.names]
+        self.columns = [(alias, n) for n in self.names]  # RelOutput.columns
+        self.keys = set(self.names) | set(self.qualified)  # RelOutput.keys
+
+
 @dataclass
 class SQLFunction:
     """A function callable from SQL — used both for builtins with catalog
@@ -125,12 +143,39 @@ class Sequence:
         self._next = value + 1
 
 
+_EPOCHS = itertools.count(1)
+_MAX_BINDINGS = 1024
+
+
 class Catalog:
     def __init__(self):
         self.tables: dict[str, Table] = {}
         self.sequences: dict[str, Sequence] = {}
         self.functions: dict[str, SQLFunction] = {}
         self.procedures: dict[str, Procedure] = {}
+        self._bindings: dict[tuple, RelationBinding] = {}
+        self.bump_epoch()
+
+    def bump_epoch(self) -> None:
+        """Invalidate everything prepared against the table and index
+        definitions (the executor's statement shapes). Called on CREATE /
+        DROP / ALTER of a table or index. Epochs come from one process-wide
+        counter, so no two catalogs (say, an instance before and after
+        crash recovery) ever share one."""
+        self.epoch = next(_EPOCHS)
+        self._bindings.clear()
+
+    def binding(self, table: Table, alias: str) -> RelationBinding:
+        """The shared binding of ``table`` under ``alias``, valid until the
+        next epoch bump."""
+        key = (table.name, alias)
+        binding = self._bindings.get(key)
+        if binding is None:
+            if len(self._bindings) >= _MAX_BINDINGS:
+                # Aliases come from SQL text; never grow without bound.
+                self._bindings.clear()
+            binding = self._bindings[key] = RelationBinding(table, alias)
+        return binding
 
     # ------------------------------------------------------------- tables
 
@@ -140,6 +185,7 @@ class Catalog:
                 return False
             raise CatalogError(f"table {table.name!r} already exists")
         self.tables[table.name] = table
+        self.bump_epoch()
         for col in table.columns:
             if col.is_serial:
                 self.sequences[f"{table.name}_{col.name}_seq"] = Sequence(
@@ -153,6 +199,7 @@ class Catalog:
                 return False
             raise CatalogError(f"table {name!r} does not exist")
         del self.tables[name]
+        self.bump_epoch()
         for seq_name in [s for s in self.sequences if s.startswith(name + "_")]:
             del self.sequences[seq_name]
         return True
@@ -175,12 +222,14 @@ class Catalog:
                 return False
             raise CatalogError(f"index {index.name!r} already exists")
         table.indexes[index.name] = index
+        self.bump_epoch()
         return True
 
     def drop_index(self, name: str, if_exists: bool = False) -> bool:
         for table in self.tables.values():
             if name in table.indexes:
                 del table.indexes[name]
+                self.bump_epoch()
                 return True
         if if_exists:
             return False

@@ -15,8 +15,14 @@ handler. ``evaluate`` remains the fallback for anything unknown.
 Compiled closures are cached by expression identity in a bounded LRU; the
 statement cache returns the same AST per SQL text, so a statement compiles
 once across executions. Trivial nodes (literals, columns, parameters) are
-compiled on the fly without caching — star expansion materializes fresh
-``ColumnRef`` objects per statement and would churn the cache.
+compiled on the fly without entering that cache — star expansion
+materializes fresh ``ColumnRef`` objects and would churn it; column
+lookups instead share one closure per ``(qualifier, name)``.
+
+The same LRU holds the executor's *prepared shapes* (:func:`get_prepared`):
+what a statement or FROM item needs that depends only on its AST and the
+catalog — index candidates, expanded targets, assignment slots — keyed by
+``(AST identity, catalog epoch)``, so DDL orphans them and they age out.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .functions import SCALAR_FUNCTIONS, is_aggregate
 from .lru import LRUCache
 
 _COMPILE_CACHE = LRUCache(4096)
+_COLUMN_LOOKUPS = LRUCache(1024)
 _compile_count = 0
 
 
@@ -45,8 +52,15 @@ def get_compiled(expr):
         value = expr.value
         return lambda ctx: value
     if kind is A.ColumnRef:
-        table, name = expr.table, expr.name
-        return lambda ctx: ctx.lookup_column(table, name)
+        # A column lookup depends only on (qualifier, name), so every
+        # reference to the same column shares one closure.
+        ref = (expr.table, expr.name)
+        fn = _COLUMN_LOOKUPS.get(ref)
+        if fn is None:
+            table, name = ref
+            fn = lambda ctx: ctx.lookup_column(table, name)  # noqa: E731
+            _COLUMN_LOOKUPS.put(ref, fn)
+        return fn
     if kind is A.Param:
         return lambda ctx: _param(expr, ctx)
     key = id(expr)
@@ -59,6 +73,21 @@ def get_compiled(expr):
     # The strong reference to the AST keeps id(expr) from being recycled.
     _COMPILE_CACHE.put(key, (expr, fn))
     return fn
+
+
+def get_prepared(node, epoch: int, build):
+    """The prepared shape of ``node`` (a statement or FROM item) under the
+    catalog state ``epoch``: ``build()`` runs on the first execution and
+    after any DDL, every other execution reuses its result. Epochs are
+    unique across catalogs (see ``Catalog.epoch``), so instances sharing a
+    parsed AST never share a shape."""
+    key = (id(node), epoch)
+    memo = _COMPILE_CACHE.get(key)
+    if memo is not None and memo[0] is node:
+        return memo[1]
+    shape = build()
+    _COMPILE_CACHE.put(key, (node, shape))
+    return shape
 
 
 def _build(expr):

@@ -32,12 +32,14 @@ from ..errors import (
 )
 from ..sql import ast as A
 from ..sql.deparse import deparse
-from .catalog import IndexDef, Table
+from .catalog import Catalog, IndexDef, RelationBinding, Table
 from .datum import cast_value, compare_values, sort_key, to_text
-from .compile import get_compiled
+from .compile import get_compiled, get_prepared
 from .expr import EvalContext, Row, evaluate
 from .functions import SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate
-from .index import BTreeIndex, GinIndex
+from .index import BTreeIndex, GinIndex, index_insert
+from .mvcc import COMMITTED, tuple_visible
+from .window import compute_window_values, contains_window_function
 
 
 @dataclass
@@ -136,6 +138,214 @@ class RelOutput:
     keys: set = field(default_factory=set)  # resolvable reference keys
 
 
+# --------------------------------------------------------------------------
+# prepared shapes: analyse once, execute many
+# --------------------------------------------------------------------------
+#
+# Everything below depends only on a statement's AST and the catalog, so it
+# is computed on the first execution and kept in the compile cache
+# (compile.get_prepared) until DDL bumps the catalog epoch. Executing a
+# shape evaluates its key expressions against the parameters, probes the
+# indexes and runs the compiled closures.
+
+
+class ScanShape:
+    """A scan of one base table under one WHERE clause: the column
+    bindings, the compiled predicate, and the index candidates together
+    with the expressions that supply their keys."""
+
+    __slots__ = ("binding", "predicate", "terms", "btrees", "gin")
+
+    def __init__(self, table: Table, binding: RelationBinding, where):
+        self.binding = binding
+        alias = binding.alias
+        self.predicate = get_compiled(where) if where is not None else None
+        # (column, op, value_fn, high_fn): ``column op value`` conjuncts
+        # whose value does not depend on the scanned row. ``op`` is already
+        # flipped for ``value op column``; BETWEEN carries both bounds.
+        self.terms: list[tuple] = []
+        #: (index name, its column names) for every B-tree index whose
+        #: leading column some term constrains.
+        self.btrees: list[tuple] = []
+        #: (index name, needle) of the trigram index serving an
+        #: ``ILIKE '%needle%'`` conjunct, if any.
+        self.gin = None
+        if where is None or not table.indexes:
+            return
+        patterns: list[tuple[str, str]] = []  # (indexed expr text, needle)
+        for c in _split_and(where):
+            if isinstance(c, A.BinaryOp) and c.op in _FLIPPED:
+                left, right, op = c.left, c.right, c.op
+                if isinstance(right, A.ColumnRef) and not isinstance(left, A.ColumnRef):
+                    left, right, op = right, left, _FLIPPED[op]
+                if (isinstance(left, A.ColumnRef) and left.table in (None, alias)
+                        and not _references_columns(right)):
+                    self.terms.append((left.name, op, get_compiled(right), None))
+            elif isinstance(c, A.BetweenExpr) and isinstance(c.operand, A.ColumnRef):
+                if not c.negated and c.operand.table in (None, alias):
+                    self.terms.append((c.operand.name, "between",
+                                       get_compiled(c.low), get_compiled(c.high)))
+            elif isinstance(c, A.BinaryOp) and c.op in ("like", "ilike"):
+                if isinstance(c.right, A.Literal) and isinstance(c.right.value, str):
+                    pattern = c.right.value
+                    if pattern.startswith("%") and pattern.endswith("%"):
+                        needle = pattern.strip("%")
+                        if "%" not in needle and "_" not in needle:
+                            patterns.append((_normalized_expr_text(c.left, alias), needle))
+        constrained = {term[0] for term in self.terms}
+        for index in table.indexes.values():
+            if isinstance(index.data, GinIndex):
+                if self.gin is None:
+                    index_text = _normalized_expr_text(index.exprs[0], alias)
+                    for expr_text, needle in patterns:
+                        # A needle too short for trigrams cannot use the index.
+                        if (expr_text == index_text
+                                and index.data.search_substring(needle) is not None):
+                            self.gin = (index.name, needle)
+                            break
+                continue
+            if not isinstance(index.data, BTreeIndex):
+                continue
+            index_cols = [e.name for e in index.exprs if isinstance(e, A.ColumnRef)]
+            if len(index_cols) != len(index.exprs) or not index_cols:
+                continue
+            if index_cols[0] in constrained:
+                self.btrees.append((index.name, index_cols))
+
+    def probe(self, table: Table, ctx: EvalContext):
+        """Pick an index for this execution's parameter values. Returns
+        (description, tids) or None for a sequential scan.
+
+        The candidate TIDs are a superset of the matching rows; the caller
+        re-applies the full WHERE clause (index recheck). A trigram match
+        wins; otherwise the longest B-tree equality prefix, then a B-tree
+        range, fewest TIDs breaking ties.
+        """
+        if self.gin is not None:
+            name, needle = self.gin
+            tids = table.indexes[name].data.search_substring(needle)
+            return (f"Bitmap Heap Scan using {name}", sorted(tids))
+        if not self.btrees:
+            return None
+        const_eq: dict[str, object] = {}
+        ranges: dict[str, dict] = {}
+        for col, op, value_fn, high_fn in self.terms:
+            try:
+                value = value_fn(ctx)
+                high = high_fn(ctx) if high_fn is not None else None
+            except Exception:
+                continue  # e.g. an unbound parameter: the term cannot prune
+            if op == "between":
+                ranges[col] = {"low": value, "low_inc": True,
+                               "high": high, "high_inc": True}
+            elif value is None:
+                continue
+            elif op == "=":
+                const_eq[col] = value
+            elif op in (">", ">="):
+                bound = ranges.setdefault(col, {})
+                bound["low"] = value
+                bound["low_inc"] = op == ">="
+            else:
+                bound = ranges.setdefault(col, {})
+                bound["high"] = value
+                bound["high_inc"] = op == "<="
+        best = None
+        for name, index_cols in self.btrees:
+            data = table.indexes[name].data
+            prefix = []
+            for col in index_cols:
+                if col in const_eq:
+                    prefix.append(const_eq[col])
+                else:
+                    break
+            if prefix:
+                tids = data.scan_equal(prefix)
+                score = len(prefix) * 1000 - len(tids)
+            else:
+                bound = ranges.get(index_cols[0])
+                if not bound:
+                    continue
+                tids = data.scan_range(
+                    bound.get("low"), bound.get("high"),
+                    bound.get("low_inc", True), bound.get("high_inc", True),
+                )
+                score = -len(tids)
+            if best is None or score > best[0]:
+                best = (score, (f"Index Scan using {name}", tids))
+        return best[1] if best else None
+
+
+class SelectShape:
+    """The projection side of one SELECT: compiled WHERE, window /
+    aggregate flags, and the star-expanded target list with its output
+    names and compiled expressions."""
+
+    __slots__ = ("select", "predicate", "has_windows", "has_aggs",
+                 "has_star", "streamable", "_star_columns", "_targets")
+
+    def __init__(self, select: A.Select):
+        self.select = select
+        self.predicate = get_compiled(select.where) if select.where is not None else None
+        exprs = [entry.expr if isinstance(entry, A.TargetEntry) else entry
+                 for entry in select.targets]
+        plain = [e for e in exprs if not isinstance(e, A.Star)]
+        self.has_star = len(plain) != len(exprs)
+        self.has_windows = any(contains_window_function(e) for e in plain)
+        self.has_aggs = _has_aggregates(plain, select.having)
+        #: Can run as a lazy scan -> filter -> project pipeline (given that
+        #: the FROM item resolves to a base table at execution time).
+        self.streamable = not (
+            select.ctes or select.set_ops or select.group_by
+            or select.distinct or select.order_by or select.for_update
+            or select.having is not None or self.has_windows or self.has_aggs
+        ) and len(select.from_items) == 1 and isinstance(
+            select.from_items[0], A.TableRef)
+        self._star_columns = None
+        self._targets = None
+
+    def targets(self, rel_columns: list):
+        """``(targets, output names, compiled targets)`` with every star
+        expanded over ``rel_columns``. The compiled list is None when the
+        targets go through window / aggregate evaluation instead."""
+        memo = self._targets
+        if memo is None or (self.has_star
+                            and self._star_columns is not rel_columns
+                            and self._star_columns != rel_columns):
+            targets = _expand_stars(self.select.targets, rel_columns)
+            fns = None
+            if not (self.has_windows or self.has_aggs or self.select.group_by):
+                fns = [get_compiled(t.expr) for t in targets]
+            memo = self._targets = (targets, _output_names(targets), fns)
+            self._star_columns = rel_columns
+        return memo
+
+
+class DmlShape:
+    """An UPDATE or DELETE: its target scan, the assignment slots
+    ``(column position, type, compiled value)`` and the RETURNING list
+    ``(output names, compiled targets)``."""
+
+    __slots__ = ("scan", "assignments", "returning")
+
+    def __init__(self, stmt, table: Table, catalog: Catalog):
+        self.scan = ScanShape(
+            table, catalog.binding(table, stmt.alias or stmt.table), stmt.where)
+        self.assignments = []
+        for col_name, expr in getattr(stmt, "assignments", ()):
+            idx = table.column_index(col_name)
+            self.assignments.append(
+                (idx, table.columns[idx].type_name, get_compiled(expr)))
+        self.returning = None
+        if stmt.returning:
+            targets = _expand_returning(stmt.returning, table)
+            self.returning = (_output_names(targets),
+                              [get_compiled(t.expr) for t in targets])
+
+
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+
+
 class LocalExecutor:
     """Executes statements against one instance's catalog and storage."""
 
@@ -145,17 +355,26 @@ class LocalExecutor:
         self.catalog = session.instance.catalog
         self._subquery_cache: dict[int, list] = {}
         self._correlated_subqueries: set[int] = set()
+        # The subquery callback handed to every EvalContext, built once per
+        # params object rather than once per row.
+        self._subquery_run = None
+        self._subquery_params = None
 
     # ------------------------------------------------------------ helpers
 
     def _ctx(self, row: Row, params, outer: EvalContext | None = None) -> EvalContext:
-        return EvalContext(
-            row=row,
-            params=params,
-            session=self.session,
-            subquery_executor=self._subquery_executor(params),
-            outer=outer,
-        )
+        run = self._subquery_run
+        if run is None or params is not self._subquery_params:
+            run = self._subquery_run = self._subquery_executor(params)
+            self._subquery_params = params
+        return EvalContext(row, params, self.session, run, outer)
+
+    def _prepared(self, node, build):
+        """``node``'s prepared shape under the current catalog state."""
+        return get_prepared(node, self.catalog.epoch, build)
+
+    def _select_shape(self, select: A.Select) -> SelectShape:
+        return self._prepared(select, lambda: SelectShape(select))
 
     def _subquery_executor(self, params):
         # Uncorrelated subqueries execute once (PostgreSQL's InitPlan);
@@ -246,43 +465,19 @@ class LocalExecutor:
         return EngineCursor(result.columns, iter(result.rows))
 
     def _cursor_streamable(self, select: A.Select) -> bool:
-        if (select.ctes or select.set_ops or select.group_by
-                or select.distinct or select.order_by or select.for_update
-                or select.having is not None):
+        if not self._select_shape(select).streamable:
             return False
-        if len(select.from_items) != 1:
-            return False
-        ref = select.from_items[0]
-        if not isinstance(ref, A.TableRef):
-            return False
-        if ref.name in self.session.temp_results:
-            return False
-        if self.catalog.tables.get(ref.name) is None:
-            return False
-        from .window import contains_window_function
-
-        for entry in select.targets:
-            expr = entry.expr if isinstance(entry, A.TargetEntry) else entry
-            if isinstance(expr, A.Star):
-                continue
-            if contains_window_function(expr):
-                return False
-            for node in _walk_skip_subqueries(expr):
-                if isinstance(node, A.FuncCall) and is_aggregate(node.name):
-                    return False
-        return True
+        name = select.from_items[0].name
+        return (name not in self.session.temp_results
+                and self.catalog.tables.get(name) is not None)
 
     def _simple_select_cursor(self, select: A.Select, params, outer) -> EngineCursor:
         ref = select.from_items[0]
-        alias = ref.ref_name
         table = self.catalog.get_table(ref.name)
         self.session.acquire_table_lock(table.name, "AccessShare")
-        names = table.column_names()
-        rel = RelOutput(columns=[(alias, n) for n in names], rows=[])
-        targets = _expand_stars(select.targets, rel)
-        columns = _output_names(targets)
-        predicate = get_compiled(select.where) if select.where is not None else None
-        target_fns = [get_compiled(t.expr) for t in targets]
+        scan = self._scan_shape(ref, table, select.where)
+        _targets, columns, target_fns = self._select_shape(select).targets(scan.binding.columns)
+        predicate = scan.predicate
         ctx0 = self._ctx(Row(), params, outer)
         offset = int(evaluate(select.offset, ctx0)) if select.offset is not None else 0
         limit = None
@@ -297,8 +492,7 @@ class LocalExecutor:
                 return
             emitted = 0
             skipped = 0
-            for row in self._scan_table_iter(table, alias, params, outer,
-                                             select.where, snapshot):
+            for row in self._scan_table_iter(table, scan, params, outer, snapshot):
                 ctx = self._ctx(row, params, outer)
                 if predicate is not None and predicate(ctx) is not True:
                     continue
@@ -313,31 +507,27 @@ class LocalExecutor:
         return EngineCursor(columns, rows())
 
     def _run_select_core(self, select, params, outer, cte_env):
+        shape = self._select_shape(select)
         rel = self._resolve_from(select.from_items, params, outer, cte_env,
                                  where=select.where)
-        # WHERE
-        if select.where is not None:
-            predicate = get_compiled(select.where)
+        predicate = shape.predicate
+        if predicate is not None:
             rel.rows = [
                 row for row in rel.rows
                 if predicate(self._ctx(row, params, outer)) is True
             ]
-        targets = _expand_stars(select.targets, rel)
-        columns = _output_names(targets)
-        from .window import contains_window_function
-
-        has_windows = any(contains_window_function(t.expr) for t in targets)
-        if has_windows:
+        targets, columns, target_fns = shape.targets(rel.columns)
+        if shape.has_windows:
             targets = self._compute_windows(select, targets, rel, params, outer)
-        has_aggs = self._has_aggregates(targets, select)
-        if select.group_by or has_aggs:
-            if has_windows:
+        if select.group_by or shape.has_aggs:
+            if shape.has_windows:
                 raise DataError(
                     "window functions combined with aggregation are not supported"
                 )
             pairs = self._aggregate(select, targets, rel, params, outer)
         else:
-            target_fns = [get_compiled(t.expr) for t in targets]
+            if shape.has_windows:
+                target_fns = [get_compiled(t.expr) for t in targets]
             pairs = []
             for row in rel.rows:
                 ctx = self._ctx(row, params, outer)
@@ -347,8 +537,6 @@ class LocalExecutor:
     def _compute_windows(self, select, targets, rel, params, outer):
         """Evaluate window functions over the filtered input and replace
         each window call with a reference to its per-row result."""
-        from .window import compute_window_values
-
         window_nodes: list = []
 
         def visit(node):
@@ -366,18 +554,6 @@ class LocalExecutor:
             for row, value in zip(rel.rows, values):
                 row.bind(None, f"__win_{index}", value)
         return rewritten
-
-    def _has_aggregates(self, targets, select) -> bool:
-        # Aggregates inside subqueries belong to the subquery's own level.
-        for entry in targets:
-            for node in _walk_skip_subqueries(entry.expr):
-                if isinstance(node, A.FuncCall) and is_aggregate(node.name):
-                    return True
-        if select.having is not None:
-            for node in _walk_skip_subqueries(select.having):
-                if isinstance(node, A.FuncCall) and is_aggregate(node.name):
-                    return True
-        return False
 
     # -------------------------------------------------------- aggregation
 
@@ -620,69 +796,79 @@ class LocalExecutor:
             return _rows_to_rel(alias, names, rows)
         table = self.catalog.get_table(ref.name)
         self.session.acquire_table_lock(table.name, "AccessShare")
-        return self._scan_table(table, alias, params, outer, where)
+        scan = self._scan_shape(ref, table, where)
+        return RelOutput(scan.binding.columns,
+                         self._scan_table(table, scan, params, outer),
+                         scan.binding.keys)
 
-    def _scan_table(self, table: Table, alias: str, params, outer,
-                    where: A.Expr | None = None) -> RelOutput:
-        names = table.column_names()
-        snapshot = self.session.snapshot()
+    def _scan_shape(self, ref: A.TableRef, table: Table, where) -> ScanShape:
+        """The prepared scan of a FROM-clause table reference. ``where`` is
+        a function of the reference's position in its statement (the
+        statement's WHERE for a lone FROM item, else None), so the
+        reference alone keys the shape."""
+        return self._prepared(ref, lambda: ScanShape(
+            table, self.catalog.binding(table, ref.ref_name), where))
+
+    def _index_tuples(self, table: Table, scan: ScanShape, params, outer, snapshot):
+        """Visible tuples from the best index for this execution, or None
+        when the scan has to be sequential. Charges the index-scan stats."""
+        if not scan.btrees and scan.gin is None:
+            return None
+        path = scan.probe(table, self._ctx(Row(), params, outer))
+        if path is None:
+            return None
+        # Indexes are not MVCC-aware: recheck visibility at the heap.
         clog = self.instance.xids.clog
-        from .mvcc import tuple_visible
+        get = table.heap.get
+        tuples = []
+        for tid in path[1]:
+            tup = get(tid)
+            if tup is not None and tuple_visible(tup.header, snapshot, clog):
+                tuples.append(tup)
+        stats = self.session.stats
+        stats["index_lookups"] += 1
+        stats["tuples_scanned"] += len(tuples)
+        stats["pages_read"] += max(1, len(tuples))
+        return tuples
 
-        path = self.choose_access_path(table, alias, where, params, outer)
-        if path is not None:
-            kind, tids = path
-            tuples = []
-            for tid in tids:
-                tup = table.heap.get(tid)
-                if tup is not None and tuple_visible(tup.header, snapshot, clog):
-                    tuples.append(tup)
-            self.session.stats["index_lookups"] += 1
-            self.session.stats["tuples_scanned"] += len(tuples)
-            self.session.stats["pages_read"] += max(1, len(tuples))
-        else:
-            tuples = list(table.heap.scan(snapshot, clog))
+    def _scan_table(self, table: Table, scan: ScanShape, params, outer) -> list:
+        """The table's visible rows (index candidates when an index serves
+        the scan's WHERE; the caller re-applies the predicate), bound."""
+        snapshot = self.session.snapshot()
+        tuples = self._index_tuples(table, scan, params, outer, snapshot)
+        if tuples is None:
+            tuples = list(table.heap.scan(snapshot, self.instance.xids.clog))
             self.session.stats["tuples_scanned"] += len(tuples)
             self.session.stats["pages_read"] += table.heap.page_count
+        binding, table_name = scan.binding, table.name
+        alias = binding.alias
         rows = []
         for tup in tuples:
             row = Row()
-            row.bind_row(alias, names, tup.values)
-            row.provenance[alias] = (table.name, tup.row_id, tup.tid)
+            row.bind_relation(binding, tup.values)
+            row.provenance[alias] = (table_name, tup.row_id, tup.tid)
             rows.append(row)
-        keys = set(names) | {f"{alias}.{n}" for n in names}
-        return RelOutput(columns=[(alias, n) for n in names], rows=rows, keys=keys)
+        return rows
 
-    def _scan_table_iter(self, table: Table, alias: str, params, outer,
-                         where: A.Expr | None, snapshot):
+    def _scan_table_iter(self, table: Table, scan: ScanShape, params, outer,
+                         snapshot):
         """Lazily yield bound rows from a table scan, charging scan stats
         incrementally so an early-terminated cursor only pays for what it
         actually read."""
-        names = table.column_names()
-        clog = self.instance.xids.clog
-        from .mvcc import tuple_visible
-
+        binding, table_name = scan.binding, table.name
+        alias = binding.alias
         stats = self.session.stats
 
         def bind(tup) -> Row:
             row = Row()
-            row.bind_row(alias, names, tup.values)
-            row.provenance[alias] = (table.name, tup.row_id, tup.tid)
+            row.bind_relation(binding, tup.values)
+            row.provenance[alias] = (table_name, tup.row_id, tup.tid)
             return row
 
-        path = self.choose_access_path(table, alias, where, params, outer)
-        if path is not None:
-            # Index scans are already bounded by selectivity; resolve the
-            # TIDs eagerly so the stats match the materializing scan.
-            _kind, tids = path
-            tuples = []
-            for tid in tids:
-                tup = table.heap.get(tid)
-                if tup is not None and tuple_visible(tup.header, snapshot, clog):
-                    tuples.append(tup)
-            stats["index_lookups"] += 1
-            stats["tuples_scanned"] += len(tuples)
-            stats["pages_read"] += max(1, len(tuples))
+        # Index scans are already bounded by selectivity; the TIDs are
+        # resolved eagerly so the stats match the materializing scan.
+        tuples = self._index_tuples(table, scan, params, outer, snapshot)
+        if tuples is not None:
             for tup in tuples:
                 yield bind(tup)
             return
@@ -691,98 +877,12 @@ class LocalExecutor:
         tuples_per_page = max(1, len(table.heap.tuples) // max(table.heap.page_count, 1))
         stats["pages_read"] += 1
         seen = 0
-        for tup in table.heap.scan(snapshot, clog):
+        for tup in table.heap.scan(snapshot, self.instance.xids.clog):
             seen += 1
             stats["tuples_scanned"] += 1
             if seen % tuples_per_page == 0:
                 stats["pages_read"] += 1
             yield bind(tup)
-
-    # ------------------------------------------------- access path choice
-
-    def choose_access_path(self, table: Table, alias: str, where, params, outer):
-        """Pick an index for the scan. Returns (description, tids) or None.
-
-        The returned candidate TIDs are a superset of the matching rows;
-        the caller re-applies the full WHERE clause (index recheck).
-        """
-        if where is None or not table.indexes:
-            return None
-        conjuncts = _split_and(where)
-        const_eq: dict[str, object] = {}
-        ranges: dict[str, dict] = {}
-        patterns: list[tuple[str, str]] = []  # (indexed expr text, needle)
-        ctx = self._ctx(Row(), params, outer)
-        for c in conjuncts:
-            if isinstance(c, A.BinaryOp) and c.op in ("=", "<", "<=", ">", ">="):
-                col, value = _const_comparison(c, alias, ctx)
-                if col is None:
-                    continue
-                if c.op == "=":
-                    const_eq[col] = value
-                else:
-                    bound = ranges.setdefault(col, {})
-                    if c.op in (">", ">="):
-                        bound["low"] = value
-                        bound["low_inc"] = c.op == ">="
-                    else:
-                        bound["high"] = value
-                        bound["high_inc"] = c.op == "<="
-            elif isinstance(c, A.BetweenExpr) and isinstance(c.operand, A.ColumnRef):
-                if not c.negated and c.operand.table in (None, alias):
-                    try:
-                        low = evaluate(c.low, ctx)
-                        high = evaluate(c.high, ctx)
-                    except Exception:
-                        continue
-                    ranges[c.operand.name] = {
-                        "low": low, "low_inc": True, "high": high, "high_inc": True
-                    }
-            elif isinstance(c, A.BinaryOp) and c.op in ("like", "ilike"):
-                if isinstance(c.right, A.Literal) and isinstance(c.right.value, str):
-                    pattern = c.right.value
-                    if pattern.startswith("%") and pattern.endswith("%"):
-                        needle = pattern.strip("%")
-                        if "%" not in needle and "_" not in needle:
-                            patterns.append((_normalized_expr_text(c.left, alias), needle))
-        # Prefer B-tree equality, then GIN, then B-tree range.
-        best = None
-        for index in table.indexes.values():
-            if isinstance(index.data, GinIndex):
-                index_text = _normalized_expr_text(index.exprs[0], alias)
-                for expr_text, needle in patterns:
-                    if expr_text == index_text:
-                        tids = index.data.search_substring(needle)
-                        if tids is not None:
-                            return (f"Bitmap Heap Scan using {index.name}", sorted(tids))
-                continue
-            if not isinstance(index.data, BTreeIndex):
-                continue
-            index_cols = [e.name for e in index.exprs if isinstance(e, A.ColumnRef)]
-            if len(index_cols) != len(index.exprs) or not index_cols:
-                continue
-            prefix = []
-            for col in index_cols:
-                if col in const_eq:
-                    prefix.append(const_eq[col])
-                else:
-                    break
-            if prefix:
-                tids = index.data.scan_equal(prefix)
-                score = len(prefix) * 1000 - len(tids)
-                if best is None or score > best[0]:
-                    best = (score, (f"Index Scan using {index.name}", tids))
-                continue
-            bound = ranges.get(index_cols[0])
-            if bound:
-                tids = index.data.scan_range(
-                    bound.get("low"), bound.get("high"),
-                    bound.get("low_inc", True), bound.get("high_inc", True),
-                )
-                score = -len(tids)
-                if best is None or score > best[0]:
-                    best = (score, (f"Index Scan using {index.name}", tids))
-        return best[1] if best else None
 
     # -------------------------------------------------------------- joins
 
@@ -955,8 +1055,6 @@ class LocalExecutor:
             for tup in candidates:
                 if tup is None:
                     continue
-                from .mvcc import tuple_visible
-
                 if not tuple_visible(tup.header, snapshot, clog):
                     continue
                 existing = dict(zip(names, tup.values))
@@ -1018,19 +1116,10 @@ class LocalExecutor:
         self.session.track_write(table.name)
 
     def _index_insert(self, table: Table, tup):
-        names = table.column_names()
         for index in table.indexes.values():
             if index.data is None:
                 continue
-            row = Row()
-            row.bind_row(table.name, names, tup.values)
-            row.bind_row(None, names, tup.values)
-            ctx = self._ctx(row, None)
-            values = [evaluate(e, ctx) for e in index.exprs]
-            if isinstance(index.data, GinIndex):
-                index.data.insert(values[0], tup.tid)
-            else:
-                index.data.insert(values, tup.tid)
+            index_insert(table, index, tup)
             self.session.stats["index_writes"] += 1
 
     def _index_for_columns(self, table: Table, cols: list[str]) -> IndexDef | None:
@@ -1058,8 +1147,6 @@ class LocalExecutor:
             index = self._index_for_columns(ref_table, ref_cols)
             found = False
             if index is not None:
-                from .mvcc import tuple_visible
-
                 for tid in index.data.scan_equal(values):
                     tup = ref_table.heap.get(tid)
                     if tup is not None and tuple_visible(tup.header, snapshot, clog):
@@ -1081,65 +1168,77 @@ class LocalExecutor:
                     f"insert on {table.name!r} violates foreign key to {fk.ref_table!r}"
                 )
 
+    def _dml_target_rows(self, table: Table, scan: ScanShape, params) -> list:
+        """Rows an UPDATE / DELETE acts on, with every row lock held. All
+        locks are taken before anything is mutated, so a lock wait (parked
+        statement) can re-run the statement from scratch without
+        double-applying its effects."""
+        rows = self._scan_table(table, scan, params, None)
+        predicate = scan.predicate
+        if predicate is not None:
+            rows = [row for row in rows
+                    if predicate(self._ctx(row, params)) is True]
+        alias = scan.binding.alias
+        for row in rows:
+            self.session.acquire_row_lock(table.name, row.provenance[alias][1])
+        return rows
+
+    def _current_version(self, table: Table, row_id: int):
+        """Re-read a locked row's newest version (simplified EvalPlanQual
+        under READ COMMITTED); None when the row is gone — deleted by a
+        transaction that committed while this one waited for the lock."""
+        clog = self.instance.xids.clog
+        current = table.heap.latest_version(row_id, clog)
+        if current is None:
+            return None
+        xmax = current.header.xmax
+        if (xmax is not None and xmax != self.session.xid
+                and clog.status(xmax) == COMMITTED):
+            return None
+        return current
+
     def execute_update(self, stmt: A.Update, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
-        alias = stmt.alias or stmt.table
-        rel = self._scan_table(table, alias, params, None, stmt.where)
-        predicate = get_compiled(stmt.where) if stmt.where is not None else None
-        target_rows = []
-        for row in rel.rows:
-            if predicate is None or predicate(self._ctx(row, params)) is True:
-                target_rows.append(row)
+        shape = self._prepared(stmt, lambda: DmlShape(stmt, table, self.catalog))
+        scan = shape.scan
+        binding = scan.binding
+        alias = binding.alias
+        assigned = [idx for idx, _type_name, _fn in shape.assignments]
         updated = 0
         returned = []
-        names = table.column_names()
-        # Two-phase: acquire every row lock before mutating anything, so a
-        # lock wait (parked statement) can re-run the statement from scratch
-        # without double-applying assignments.
-        assignments = [
-            (table.column_index(col_name), get_compiled(expr))
-            for col_name, expr in stmt.assignments
-        ]
-        for row in target_rows:
-            _table_name, row_id, _tid = row.provenance[alias]
-            self.session.acquire_row_lock(table.name, row_id)
-        for row in target_rows:
-            _table_name, row_id, tid = row.provenance[alias]
-            # Re-read the newest version after acquiring the lock
-            # (simplified EvalPlanQual under READ COMMITTED).
-            current = table.heap.latest_version(row_id, self.instance.xids.clog)
-            if current is None or (
-                current.header.xmax is not None
-                and current.header.xmax != self.session.xid
-            ) and self.instance.xids.clog.status(current.header.xmax) == "committed":
+        for row in self._dml_target_rows(table, scan, params):
+            current = self._current_version(table, row.provenance[alias][1])
+            if current is None:
                 continue
             ctx = self._ctx(row, params)
             new_values = list(current.values)
-            for idx, assign_fn in assignments:
-                new_values[idx] = cast_value(assign_fn(ctx), table.columns[idx].type_name)
+            for idx, type_name, assign_fn in shape.assignments:
+                new_values[idx] = cast_value(assign_fn(ctx), type_name)
             self._check_not_null(table, new_values)
             self._check_foreign_keys(table, new_values)
-            self._check_update_unique(table, current, new_values)
+            self._check_update_unique(table, current, new_values, assigned)
             self._do_update(table, current, new_values)
             updated += 1
-            if stmt.returning:
+            if shape.returning:
                 out = Row()
-                out.bind_row(alias, names, new_values)
-                returned.append(
-                    [evaluate(t.expr, self._ctx(out, params))
-                     for t in _expand_returning(stmt.returning, table)]
-                )
-        cols = _output_names(_expand_returning(stmt.returning, table)) if stmt.returning else []
+                out.bind_relation(binding, new_values)
+                out_ctx = self._ctx(out, params)
+                returned.append([fn(out_ctx) for fn in shape.returning[1]])
+        cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="UPDATE")
         result.rowcount = updated
         return result
 
-    def _check_update_unique(self, table, current, new_values):
-        names = table.column_names()
-        old_map = dict(zip(names, current.values))
-        new_map = dict(zip(names, new_values))
-        changed = {n for n in names if _group_key(old_map[n]) != _group_key(new_map[n])}
+    def _check_update_unique(self, table, current, new_values, assigned):
+        """Unique-constraint check for an UPDATE that assigned the column
+        positions ``assigned``: only a changed key column can conflict."""
+        changed = {
+            table.columns[idx].name for idx in assigned
+            if _group_key(current.values[idx]) != _group_key(new_values[idx])
+        }
+        if not changed:
+            return
         for cols in self._unique_key_sets(table):
             if not changed.intersection(cols):
                 continue
@@ -1152,37 +1251,21 @@ class LocalExecutor:
     def execute_delete(self, stmt: A.Delete, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
-        alias = stmt.alias or stmt.table
-        rel = self._scan_table(table, alias, params, None, stmt.where)
+        shape = self._prepared(stmt, lambda: DmlShape(stmt, table, self.catalog))
+        alias = shape.scan.binding.alias
         deleted = 0
         returned = []
-        names = table.column_names()
-        predicate = get_compiled(stmt.where) if stmt.where is not None else None
-        target_rows = [
-            row for row in rel.rows
-            if predicate is None or predicate(self._ctx(row, params)) is True
-        ]
-        for row in target_rows:
-            _table_name, row_id, _tid = row.provenance[alias]
-            self.session.acquire_row_lock(table.name, row_id)
-        for row in target_rows:
-            _table_name, row_id, tid = row.provenance[alias]
-            current = table.heap.latest_version(row_id, self.instance.xids.clog)
-            if current is None or (
-                current.header.xmax is not None
-                and current.header.xmax != self.session.xid
-                and self.instance.xids.clog.status(current.header.xmax) == "committed"
-            ):
+        for row in self._dml_target_rows(table, shape.scan, params):
+            current = self._current_version(table, row.provenance[alias][1])
+            if current is None:
                 continue
             self._check_referencing_keys(table, current.values)
             self._do_delete(table, current)
             deleted += 1
-            if stmt.returning:
-                returned.append(
-                    [evaluate(t.expr, self._ctx(row, params))
-                     for t in _expand_returning(stmt.returning, table)]
-                )
-        cols = _output_names(_expand_returning(stmt.returning, table)) if stmt.returning else []
+            if shape.returning:
+                ctx = self._ctx(row, params)
+                returned.append([fn(ctx) for fn in shape.returning[1]])
+        cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="DELETE")
         result.rowcount = deleted
         return result
@@ -1226,10 +1309,8 @@ class LocalExecutor:
     def explain(self, stmt, params) -> list[str]:
         if isinstance(stmt, A.Select):
             lines = []
-            self._explain_from(stmt, lines)
-            if stmt.group_by or self._has_aggregates(
-                [t for t in stmt.targets if isinstance(t, A.TargetEntry)], stmt
-            ):
+            self._explain_from(stmt, params, lines)
+            if stmt.group_by or self._select_shape(stmt).has_aggs:
                 lines.insert(0, "HashAggregate")
             if stmt.order_by:
                 lines.insert(0, "Sort")
@@ -1244,7 +1325,7 @@ class LocalExecutor:
             return [f"Delete on {stmt.table}"]
         return [type(stmt).__name__]
 
-    def _explain_from(self, select: A.Select, lines: list[str]) -> None:
+    def _explain_from(self, select: A.Select, params, lines: list[str]) -> None:
         single_table = len(select.from_items) == 1 and isinstance(
             select.from_items[0], A.TableRef
         )
@@ -1255,12 +1336,8 @@ class LocalExecutor:
                     path = None
                     if single_table and select.where is not None:
                         table = self.catalog.get_table(item.name)
-                        try:
-                            path = self.choose_access_path(
-                                table, item.ref_name, select.where, None, None
-                            )
-                        except Exception:
-                            path = None
+                        scan = self._scan_shape(item, table, select.where)
+                        path = scan.probe(table, self._ctx(Row(), params, None))
                     if path is not None:
                         lines.append(f"{path[0]} on {item.name}")
                     else:
@@ -1273,7 +1350,7 @@ class LocalExecutor:
                 describe(item.right)
             elif isinstance(item, A.SubqueryRef):
                 lines.append(f"Subquery Scan on {item.alias}")
-                self._explain_from(item.query, lines)
+                self._explain_from(item.query, params, lines)
             elif isinstance(item, A.FunctionRef):
                 lines.append(f"Function Scan on {item.func.name}")
 
@@ -1343,22 +1420,37 @@ def _contains_aggref(expr) -> bool:
     return any(isinstance(n, _AggRef) for n in A.walk(expr))
 
 
-def _walk_skip_subqueries(expr):
-    """Pre-order walk that does not descend into SubqueryExpr nodes."""
+def _has_aggregates(exprs, having) -> bool:
+    """Whether a target list (or HAVING) aggregates at this query level.
+    Aggregates inside subqueries belong to the subquery's own level, and
+    an aggregate called as a window function (``sum(x) OVER ...``) is
+    evaluated by the window pass, not by grouping."""
+    return any(
+        isinstance(node, A.FuncCall) and is_aggregate(node.name)
+        for expr in (*exprs, having)
+        for node in _walk_skip_subqueries(expr, skip_windows=True)
+    )
+
+
+def _walk_skip_subqueries(expr, skip_windows: bool = False):
+    """Pre-order walk that does not descend into SubqueryExpr nodes (nor,
+    with ``skip_windows``, into window function calls)."""
     if isinstance(expr, A.SubqueryExpr):
+        return
+    if skip_windows and isinstance(expr, A.FuncCall) and expr.over is not None:
         return
     if isinstance(expr, A.Node):
         yield expr
-        import dataclasses
-
-        for f in dataclasses.fields(expr):
-            value = getattr(expr, f.name)
+        for name, may_hold_nodes in A.node_fields(type(expr)):
+            if not may_hold_nodes:
+                continue
+            value = getattr(expr, name)
             if isinstance(value, A.Node):
-                yield from _walk_skip_subqueries(value)
+                yield from _walk_skip_subqueries(value, skip_windows)
             elif isinstance(value, (list, tuple)):
                 for v in value:
                     if isinstance(v, A.Node):
-                        yield from _walk_skip_subqueries(v)
+                        yield from _walk_skip_subqueries(v, skip_windows)
 
 
 def _transform_keep_identity(expr, fn):
@@ -1371,16 +1463,18 @@ def _transform_keep_identity(expr, fn):
     result = fn(expr)
     if result is not expr:
         return result
-    import dataclasses
-
-    for f in dataclasses.fields(expr) if isinstance(expr, A.Node) else []:
-        value = getattr(expr, f.name)
+    if not isinstance(expr, A.Node):
+        return expr
+    for name, may_hold_nodes in A.node_fields(type(expr)):
+        if not may_hold_nodes:
+            continue
+        value = getattr(expr, name)
         if isinstance(value, A.Node):
-            setattr(expr, f.name, _transform_keep_identity(value, fn))
+            setattr(expr, name, _transform_keep_identity(value, fn))
         elif isinstance(value, list):
             setattr(
                 expr,
-                f.name,
+                name,
                 [
                     _transform_keep_identity(v, fn) if isinstance(v, A.Node) else v
                     for v in value
@@ -1389,7 +1483,7 @@ def _transform_keep_identity(expr, fn):
         elif isinstance(value, tuple):
             setattr(
                 expr,
-                f.name,
+                name,
                 tuple(
                     _transform_keep_identity(v, fn) if isinstance(v, A.Node) else v
                     for v in value
@@ -1411,14 +1505,12 @@ def _group_key(value):
     return ("v", to_text(value), type(value).__name__)
 
 
-def _expand_stars(targets, rel: RelOutput | None):
+def _expand_stars(targets, rel_columns: list):
     expanded = []
     for entry in targets:
         expr = entry.expr if isinstance(entry, A.TargetEntry) else entry
         if isinstance(expr, A.Star):
-            if rel is None:
-                raise SyntaxErrorSQL("SELECT * requires a FROM clause")
-            for alias, name in rel.columns:
+            for alias, name in rel_columns:
                 if expr.table is None or expr.table == alias:
                     expanded.append(A.TargetEntry(A.ColumnRef(name, table=alias), name))
         else:
@@ -1635,27 +1727,6 @@ class _Reversed:
 
     def __eq__(self, other):
         return self.key == other.key
-
-
-def _const_comparison(cond: A.BinaryOp, alias: str, ctx):
-    """For ``col op const`` / ``const op col`` conjuncts over this relation,
-    return (column_name, constant_value); (None, None) otherwise."""
-    left, right, op = cond.left, cond.right, cond.op
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-    if isinstance(right, A.ColumnRef) and not isinstance(left, A.ColumnRef):
-        left, right = right, left
-        op = flipped[op]
-    if not isinstance(left, A.ColumnRef) or left.table not in (None, alias):
-        return None, None
-    if _references_columns(right):
-        return None, None
-    try:
-        value = evaluate(right, ctx)
-    except Exception:
-        return None, None
-    if value is None:
-        return None, None
-    return left.name, value
 
 
 def _references_columns(expr) -> bool:

@@ -73,6 +73,13 @@ class Row:
         for name, value in zip(names, values):
             self.bind(alias, name, value)
 
+    def bind_relation(self, binding, values: list) -> None:
+        """:meth:`bind_row` for the first relation bound to a row, with
+        the ``alias.column`` keys precomputed (a catalog
+        ``RelationBinding``)."""
+        self.qualified.update(zip(binding.qualified, values))
+        self.unqualified.update(zip(binding.names, values))
+
     def merge(self, other: "Row") -> "Row":
         merged = Row()
         merged.qualified.update(self.qualified)

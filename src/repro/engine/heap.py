@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .datum import to_text
-from .mvcc import CommitLog, HeapTupleHeader, Snapshot, tuple_visible
+from .mvcc import ABORTED, COMMITTED, CommitLog, HeapTupleHeader, Snapshot, tuple_visible
 
 PAGE_SIZE = 8192
 TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
@@ -27,6 +27,9 @@ class HeapTuple:
     row_id: int
     values: list
     header: HeapTupleHeader
+    #: The next-older stored version of the same logical row (its version
+    #: chain, newest first); maintained by :class:`Heap`.
+    older: "HeapTuple | None" = field(default=None, repr=False, compare=False)
 
     def width(self) -> int:
         return TUPLE_OVERHEAD + sum(_value_width(v) for v in self.values)
@@ -53,6 +56,9 @@ class Heap:
         self.name = name
         self.tuples: list[HeapTuple] = []
         self._by_tid: dict[int, HeapTuple] = {}
+        # row_id -> newest stored version; older versions hang off
+        # HeapTuple.older, so a row's chain costs one dict slot.
+        self._newest: dict[int, HeapTuple] = {}
         self._next_tid = 1
         self._next_row_id = 1
         self.live_bytes = 0
@@ -65,7 +71,9 @@ class Heap:
         if row_id is None:
             row_id = self._next_row_id
             self._next_row_id += 1
-        tup = HeapTuple(self._next_tid, row_id, list(values), HeapTupleHeader(xmin))
+        tup = HeapTuple(self._next_tid, row_id, list(values), HeapTupleHeader(xmin),
+                        self._newest.get(row_id))
+        self._newest[row_id] = tup
         self._next_tid += 1
         self.tuples.append(tup)
         self._by_tid[tup.tid] = tup
@@ -95,34 +103,37 @@ class Heap:
             if tuple_visible(tup.header, snapshot, clog):
                 yield tup
 
+    def versions(self, row_id: int):
+        """Stored versions of one logical row, newest first."""
+        tup = self._newest.get(row_id)
+        while tup is not None:
+            yield tup
+            tup = tup.older
+
     def latest_version(self, row_id: int, clog: CommitLog | None = None) -> HeapTuple | None:
         """The newest non-aborted version of a logical row (used by UPDATE
         re-checks after lock waits). Versions inserted by aborted
-        transactions are skipped — they are not part of the live chain."""
-        from .mvcc import ABORTED
-
-        newest = None
-        for tup in self.tuples:
-            if tup.row_id != row_id:
-                continue
-            if clog is not None and clog.status(tup.header.xmin) == ABORTED:
-                continue
-            newest = tup
-        return newest
+        transactions are skipped — they are not part of the live chain.
+        Walks only the row's own version chain."""
+        tup = self._newest.get(row_id)
+        if clog is not None:
+            while tup is not None and clog.status(tup.header.xmin) == ABORTED:
+                tup = tup.older
+        return tup
 
     # ------------------------------------------------------------- vacuum
 
-    def vacuum(self, oldest_active_xid: int, clog: CommitLog) -> int:
+    def vacuum(self, oldest_active_xid: int, clog: CommitLog) -> list[int]:
         """Remove tuple versions no transaction can see anymore.
 
         Mirrors PostgreSQL autovacuum: a version is dead when its xmax
         committed before the oldest active xid, or its xmin aborted.
-        Returns the number of versions reclaimed.
+        Returns the TIDs of the reclaimed versions, so the caller can prune
+        the index entries pointing at them.
         """
-        from .mvcc import ABORTED, COMMITTED
-
         keep: list[HeapTuple] = []
-        removed = 0
+        reclaimed: list[int] = []
+        newest: dict[int, HeapTuple] = {}
         for tup in self.tuples:
             xmin_status = clog.status(tup.header.xmin)
             dead = False
@@ -133,16 +144,19 @@ class Heap:
                 if xmax_status == COMMITTED and tup.header.xmax < oldest_active_xid:
                     dead = True
             if dead:
-                removed += 1
-                width = tup.width()
-                self.live_bytes -= width
+                reclaimed.append(tup.tid)
+                self.live_bytes -= tup.width()
                 del self._by_tid[tup.tid]
             else:
+                # Re-link the chains over the survivors only.
+                tup.older = newest.get(tup.row_id)
+                newest[tup.row_id] = tup
                 keep.append(tup)
         self.tuples = keep
+        self._newest = newest
         self.dead_tuples = 0
         self.dead_bytes = 0
-        return removed
+        return reclaimed
 
     def note_dead(self, tup: HeapTuple) -> None:
         self.dead_tuples += 1

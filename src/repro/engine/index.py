@@ -16,7 +16,10 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 
+from ..sql import ast as A
+from .compile import get_compiled
 from .datum import sort_key, to_text
+from .expr import EvalContext, Row
 
 
 class BTreeIndex:
@@ -53,6 +56,11 @@ class BTreeIndex:
                 del self._entries[pos]
                 return
             pos += 1
+
+    def prune(self, dead_tids: set[int]) -> None:
+        """Drop every entry pointing at a reclaimed TID, in one pass."""
+        self._entries = [e for e in self._entries if e[1] not in dead_tids]
+        self._keys = [key for key, _ in self._entries]
 
     def scan_equal(self, values) -> list[int]:
         """TIDs whose leading columns equal ``values`` (may be a prefix)."""
@@ -122,6 +130,15 @@ class GinIndex:
                 postings.discard(tid)
                 self.entry_count -= 1
 
+    def prune(self, dead_tids: set[int]) -> None:
+        """Drop the postings of every reclaimed TID."""
+        for tid in dead_tids:
+            self.delete(None, tid)
+
+    def __len__(self) -> int:
+        """Number of indexed TIDs."""
+        return len(self._tid_keys)
+
     def search_substring(self, needle: str) -> set[int] | None:
         """Candidate TIDs that may contain ``needle`` (ILIKE '%needle%').
 
@@ -150,3 +167,32 @@ def _substring_trigrams(needle: str) -> set[str]:
         for i in range(len(word) - 2):
             grams.add(word[i : i + 3])
     return grams
+
+
+def index_key_values(table, index, values: list) -> list:
+    """The key of one heap row in ``index``.
+
+    Plain-column indexes read the row's values by position; expression
+    (and GIN) indexes evaluate their compiled expression over the row.
+    """
+    key = []
+    ctx = None
+    for expr in index.exprs:
+        if type(expr) is A.ColumnRef and expr.table in (None, table.name):
+            key.append(values[table.column_index(expr.name)])
+            continue
+        if ctx is None:
+            row = Row()
+            row.bind_row(table.name, table.column_names(), values)
+            ctx = EvalContext(row=row)
+        key.append(get_compiled(expr)(ctx))
+    return key
+
+
+def index_insert(table, index, tup) -> None:
+    """Add one heap tuple version to ``index``."""
+    key = index_key_values(table, index, tup.values)
+    if isinstance(index.data, GinIndex):
+        index.data.insert(key[0], tup.tid)
+    else:
+        index.data.insert(key, tup.tid)

@@ -41,7 +41,7 @@ from .catalog import Catalog, Column, ForeignKey, IndexDef, Table
 from .datum import cast_value
 from .executor import LocalExecutor, QueryResult
 from .hooks import BackgroundWorker, HookRegistry
-from .index import BTreeIndex, GinIndex
+from .index import BTreeIndex, GinIndex, index_insert
 from .locks import LockManager, WouldBlock
 from .lru import LRUCache
 from .mvcc import XidManager
@@ -927,10 +927,8 @@ class Session:
 
     def create_table_from_ast(self, stmt: A.CreateTable) -> bool:
         table = build_table(stmt)
-        created = self.instance.catalog.create_table(table, stmt.if_not_exists)
-        if created:
-            _create_constraint_indexes(table)
-        return created
+        _create_constraint_indexes(table)
+        return self.instance.catalog.create_table(table, stmt.if_not_exists)
 
     def create_index_from_ast(self, stmt: A.CreateIndex) -> bool:
         table = self.instance.catalog.get_table(stmt.table)
@@ -942,19 +940,8 @@ class Session:
         return created
 
     def _backfill_index(self, table: Table, index: IndexDef) -> None:
-        from .expr import EvalContext, Row, evaluate
-
-        names = table.column_names()
         for tup in table.heap.tuples:
-            row = Row()
-            row.bind_row(table.name, names, tup.values)
-            row.bind_row(None, names, tup.values)
-            ctx = EvalContext(row=row, session=self)
-            values = [evaluate(e, ctx) for e in index.exprs]
-            if isinstance(index.data, GinIndex):
-                index.data.insert(values[0], tup.tid)
-            else:
-                index.data.insert(values, tup.tid)
+            index_insert(table, index, tup)
 
     def _alter_table(self, stmt: A.AlterTable) -> None:
         table = self.instance.catalog.get_table(stmt.table)
@@ -985,6 +972,7 @@ class Session:
             )
         else:
             raise SyntaxErrorSQL(f"unsupported ALTER TABLE action {stmt.action!r}")
+        self.instance.catalog.bump_epoch()
 
     def _vacuum(self, stmt: A.Vacuum) -> QueryResult:
         oldest = min(self.instance.xids.active, default=self.instance.xids.next_xid)
@@ -995,7 +983,14 @@ class Session:
         )
         removed = 0
         for table in tables:
-            removed += table.heap.vacuum(oldest, self.instance.xids.clog)
+            dead_tids = set(table.heap.vacuum(oldest, self.instance.xids.clog))
+            if dead_tids:
+                # Indexes are not MVCC-aware: entries of reclaimed versions
+                # would otherwise pile up and be rechecked on every probe.
+                for index in table.indexes.values():
+                    if index.data is not None:
+                        index.data.prune(dead_tids)
+            removed += len(dead_tids)
         result = QueryResult([], [], command="VACUUM")
         result.rowcount = removed
         return result

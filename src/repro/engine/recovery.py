@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..sql import parse
 from .datum import cast_value
+from .index import index_insert
 from .locks import LockManager
 from .mvcc import XidManager
 from .wal import WriteAheadLog
@@ -105,14 +106,14 @@ def _write_records(instance, records, xid: int, lock_rows: bool = False) -> None
             values = _cast_row(table, record.payload["values"])
             tup = table.heap.insert(values, xid, row_id=row_id)
             table.heap._next_row_id = max(table.heap._next_row_id, row_id + 1)
-            _reindex(instance, table, tup)
+            _reindex(table, tup)
         elif record.kind == "update":
             old = table.heap.latest_version(row_id)
             if old is not None:
                 table.heap.mark_deleted(old.tid, xid)
             values = _cast_row(table, record.payload["values"])
             tup = table.heap.insert(values, xid, row_id=row_id)
-            _reindex(instance, table, tup)
+            _reindex(table, tup)
         elif record.kind == "delete":
             old = table.heap.latest_version(row_id)
             if old is not None:
@@ -125,19 +126,7 @@ def _cast_row(table, values) -> list:
     return [cast_value(v, col.type_name) for v, col in zip(values, table.columns)]
 
 
-def _reindex(instance, table, tup) -> None:
-    from .expr import EvalContext, Row, evaluate
-    from .index import GinIndex
-
-    names = table.column_names()
+def _reindex(table, tup) -> None:
     for index in table.indexes.values():
-        if index.data is None:
-            continue
-        row = Row()
-        row.bind_row(table.name, names, tup.values)
-        row.bind_row(None, names, tup.values)
-        values = [evaluate(e, EvalContext(row=row)) for e in index.exprs]
-        if isinstance(index.data, GinIndex):
-            index.data.insert(values[0], tup.tid)
-        else:
-            index.data.insert(values, tup.tid)
+        if index.data is not None:
+            index_insert(table, index, tup)

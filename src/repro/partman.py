@@ -232,9 +232,9 @@ def install_partman(instance) -> PartmanExtension:
                 return _PartitionedScanPlan(ext, stmt, children, ref.ref_name)
             # A parent anywhere else (join right side, subquery) would read
             # the empty shell silently: refuse instead.
-            from .citus.sharding import collect_table_names
+            from .citus.sharding import statement_facts
 
-            if any(name in ext.parents for name in collect_table_names(stmt)):
+            if any(name in ext.parents for name in statement_facts(stmt).tables):
                 raise MetadataError(
                     "partitioned parents are supported as the leading FROM"
                     " table in this reproduction"

@@ -434,12 +434,36 @@ class CallProcedure(Statement):
     args: list = field(default_factory=list)
 
 
+#: Annotations of fields that can never hold a Node (directly or inside a
+#: list/tuple); ``walk`` and ``transform`` skip them.
+_SCALAR_ANNOTATIONS = frozenset((
+    "str", "bool", "int", "dict",
+    "Optional[str]", "Optional[bool]", "Optional[int]",
+))
+_FIELDS: dict[type, tuple] = {}
+
+
+def node_fields(cls) -> tuple:
+    """``(name, may_hold_nodes)`` per dataclass field, computed once per
+    node class instead of calling ``dataclasses.fields`` per visited node."""
+    slots = _FIELDS.get(cls)
+    if slots is None:
+        slots = _FIELDS[cls] = tuple(
+            (f.name, f.type not in _SCALAR_ANNOTATIONS)
+            for f in dataclasses.fields(cls)
+        )
+    return slots
+
+
 def walk(node):
     """Yield every Node in the tree rooted at ``node`` (pre-order)."""
     if isinstance(node, Node):
         yield node
-        for f in dataclasses.fields(node):
-            yield from walk(getattr(node, f.name))
+        for name, may_hold_nodes in node_fields(type(node)):
+            if may_hold_nodes:
+                child = getattr(node, name)
+                if child is not None:
+                    yield from walk(child)
     elif isinstance(node, (list, tuple)):
         for item in node:
             yield from walk(item)
@@ -453,8 +477,9 @@ def transform(node, fn):
     """
     if isinstance(node, Node):
         kwargs = {}
-        for f in dataclasses.fields(node):
-            kwargs[f.name] = transform(getattr(node, f.name), fn)
+        for name, may_hold_nodes in node_fields(type(node)):
+            value = getattr(node, name)
+            kwargs[name] = transform(value, fn) if may_hold_nodes else value
         return fn(type(node)(**kwargs))
     if isinstance(node, list):
         return [transform(v, fn) for v in node]

@@ -7,16 +7,23 @@ corpus exercised by ``test_expr_functions.py`` (three-valued logic,
 comparisons, arithmetic, string/date functions, CASE, casts, IN/BETWEEN,
 LIKE) plus Hypothesis-generated operand combinations, asserting identical
 results *and* identical errors (same exception type and message).
+
+The executor additionally caches a *prepared shape* per statement AST
+(``compile.get_prepared``): the same corpus runs as SELECT targets, WHERE
+predicates and UPDATE assignments, asserting that the shape-building first
+execution, the shape-reusing second execution and a freshly parsed
+statement all agree with the interpreter.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import PostgresInstance
 from repro.engine.compile import get_compiled
 from repro.engine.expr import EvalContext, Row, evaluate
 from repro.errors import DataError
-from repro.sql import parse_expression
+from repro.sql import parse, parse_expression
 
 
 def both(text, **bindings):
@@ -134,6 +141,61 @@ class TestCorpusParity:
 
     def test_bad_cast_is_the_same_error(self):
         assert both("CAST('oops' AS int)")[0] == "err"
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except DataError as exc:
+        return ("err", type(exc).__name__, str(exc))
+
+
+def shape_cached_and_first_execution_agree(session, sql):
+    """Run one AST twice (first execution builds the prepared shape, the
+    second reuses it) and a fresh parse once; all three outcomes must be
+    equal. Returns the outcome."""
+    stmt = parse(sql)[0]
+    first = _outcome(lambda: session.execute_parsed(stmt).rows)
+    cached = _outcome(lambda: session.execute_parsed(stmt).rows)
+    fresh = _outcome(lambda: session.execute_parsed(parse(sql)[0]).rows)
+    assert first == cached == fresh, f"{sql!r}: {first} / {cached} / {fresh}"
+    return first
+
+
+class TestShapeCachedParity:
+    """Every corpus expression as a statement, in each position a prepared
+    shape compiles: target list, WHERE (scan predicate) and UPDATE SET."""
+
+    @pytest.fixture
+    def one(self):
+        session = PostgresInstance("parity").connect()
+        session.execute("CREATE TABLE one (id int PRIMARY KEY, x int, out text)")
+        return session
+
+    @pytest.mark.parametrize("text,bindings", CORPUS,
+                             ids=[c[0] for c in CORPUS])
+    def test_statement_matches_interpreter(self, one, text, bindings):
+        one.execute("INSERT INTO one VALUES (1, :x, NULL)", {"x": bindings.get("x")})
+        interpreted = both(text, **bindings)
+
+        selected = shape_cached_and_first_execution_agree(
+            one, f"SELECT {text} AS r FROM one WHERE id = 1")
+        if interpreted[0] == "ok":
+            assert selected == ("ok", [[interpreted[1]]])
+        else:
+            assert selected == interpreted
+
+        filtered = shape_cached_and_first_execution_agree(
+            one, f"SELECT id FROM one WHERE ({text}) IS NOT DISTINCT FROM ({text})")
+        assert filtered == (("ok", [[1]]) if interpreted[0] == "ok" else interpreted)
+
+        assigned = shape_cached_and_first_execution_agree(
+            one, f"UPDATE one SET out = CAST(({text}) AS text) WHERE id = 1 RETURNING out")
+        if interpreted[0] == "ok":
+            expected = both(f"CAST(({text}) AS text)", **bindings)
+            assert assigned == ("ok", [[expected[1]]])
+        else:
+            assert assigned == interpreted
 
 
 scalars = st.one_of(

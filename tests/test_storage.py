@@ -2,13 +2,14 @@
 lock manager, WAL."""
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import PostgresInstance
 from repro.engine.heap import Heap
 from repro.engine.index import BTreeIndex, GinIndex, trigrams
 from repro.engine.locks import LockManager, WouldBlock, find_cycle
-from repro.engine.mvcc import Snapshot, XidManager, tuple_visible
+from repro.engine.mvcc import ABORTED, Snapshot, XidManager, tuple_visible
 from repro.engine.wal import WriteAheadLog
 
 
@@ -109,7 +110,7 @@ class TestHeapVacuum:
         heap.insert([2], w2, row_id=t1.row_id)
         xids.finish(w2, True)
         removed = heap.vacuum(xids.next_xid, xids.clog)
-        assert removed == 1
+        assert len(removed) == 1
         assert len(heap.tuples) == 1
         assert heap.tuples[0].values == [2]
 
@@ -124,7 +125,7 @@ class TestHeapVacuum:
         heap.mark_deleted(t1.tid, w2)
         xids.finish(w2, True)
         removed = heap.vacuum(old_reader, xids.clog)
-        assert removed == 0  # xmax >= oldest active: keep
+        assert removed == []  # xmax >= oldest active: keep
 
     def test_page_accounting(self):
         heap = Heap("t")
@@ -134,6 +135,179 @@ class TestHeapVacuum:
             heap.insert([i, "x" * 100], w)
         assert heap.total_bytes > 100 * 100
         assert heap.page_count >= 2
+
+
+def brute_force_latest(heap, row_id, clog=None):
+    """``Heap.latest_version`` as it was before version chains: a scan of
+    every stored tuple. The reference the chain walk is checked against."""
+    newest = None
+    for tup in heap.tuples:
+        if tup.row_id != row_id:
+            continue
+        if clog is not None and clog.status(tup.header.xmin) == ABORTED:
+            continue
+        newest = tup
+    return newest
+
+
+def assert_chains_match_heap(heap, clog):
+    """Every row's chain is exactly its stored versions, newest first, and
+    ``latest_version`` agrees with the brute-force scan with and without
+    abort filtering — including for rows vacuum removed entirely."""
+    for row_id in range(1, heap._next_row_id + 1):
+        stored = [tup for tup in heap.tuples if tup.row_id == row_id]
+        chain = list(heap.versions(row_id))
+        assert [id(t) for t in chain] == [id(t) for t in reversed(stored)]
+        assert heap.latest_version(row_id) is brute_force_latest(heap, row_id)
+        assert heap.latest_version(row_id, clog) is brute_force_latest(heap, row_id, clog)
+
+
+_chain_ops = st.one_of(
+    st.tuples(st.just("insert"), st.integers(1, 12), st.booleans()),
+    st.tuples(st.just("update"), st.integers(1, 12), st.booleans()),
+    st.tuples(st.just("delete"), st.integers(1, 12), st.booleans()),
+    st.tuples(st.just("vacuum"), st.just(0), st.just(True)),
+    st.tuples(st.just("crash"), st.just(0), st.just(True)),
+)
+
+
+class TestVersionChains:
+    def test_latest_version_skips_aborted_only_with_a_clog(self):
+        xids = XidManager()
+        heap = Heap("t")
+        w1 = xids.allocate()
+        first = heap.insert([1], w1)
+        xids.finish(w1, True)
+        w2 = xids.allocate()
+        second = heap.insert([2], w2, row_id=first.row_id)
+        xids.finish(w2, False)
+        assert heap.latest_version(first.row_id) is second
+        assert heap.latest_version(first.row_id, xids.clog) is first
+        assert heap.latest_version(first.row_id + 1) is None
+
+    def test_vacuum_relinks_chains_over_survivors(self):
+        xids = XidManager()
+        heap = Heap("t")
+        w = xids.allocate()
+        v1 = heap.insert([1], w)
+        xids.finish(w, True)
+        for value in (2, 3):
+            w = xids.allocate()
+            heap.mark_deleted(heap.latest_version(v1.row_id).tid, w)
+            heap.insert([value], w, row_id=v1.row_id)
+            xids.finish(w, True)
+        assert [t.values for t in heap.versions(v1.row_id)] == [[3], [2], [1]]
+        assert len(heap.vacuum(xids.next_xid, xids.clog)) == 2
+        assert [t.values for t in heap.versions(v1.row_id)] == [[3]]
+        assert_chains_match_heap(heap, xids.clog)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_chain_ops, max_size=25))
+    def test_property_chains_equal_brute_force_scan(self, ops):
+        """Random insert / update / delete / abort / vacuum / crash-recovery
+        sequences through the engine: after every step the chains and
+        ``latest_version`` equal a brute-force scan of ``heap.tuples``, so
+        no chain ever references a vacuumed tuple or misses a replayed one."""
+        pg = PostgresInstance("chains")
+        session = pg.connect()
+        session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        next_key = 1
+        for op, arg, commit in ops:
+            if op == "vacuum":
+                session.execute("VACUUM t")
+            elif op == "crash":
+                pg.crash()
+                pg.restart()
+                session = pg.connect()
+            else:
+                session.execute("BEGIN")
+                if op == "insert":
+                    session.execute("INSERT INTO t VALUES (:k, 0)", {"k": next_key})
+                    next_key += 1
+                elif op == "update":
+                    session.execute("UPDATE t SET v = v + 1 WHERE k <= :k", {"k": arg})
+                else:
+                    session.execute("DELETE FROM t WHERE k = :k", {"k": arg})
+                session.execute("COMMIT" if commit else "ROLLBACK")
+            assert_chains_match_heap(pg.catalog.get_table("t").heap, pg.xids.clog)
+
+    def test_update_and_delete_never_scan_the_heap_for_a_version(self):
+        """Clock-free complexity check: on a heap carrying 20k dead
+        versions, single-row and 2k-row UPDATEs and a 2k-row DELETE reach
+        their target versions through the index and the version chains;
+        nothing iterates ``heap.tuples`` (which ``latest_version`` used to
+        do once per target row)."""
+
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountingList.iterations += 1
+                return super().__iter__()
+
+        pg = PostgresInstance("complexity")
+        session = pg.connect()
+        session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        session.copy_rows("t", [[k, 0] for k in range(1, 2001)])
+        for _ in range(10):
+            session.execute("UPDATE t SET v = v + 1 WHERE k >= 1")
+        heap = pg.catalog.get_table("t").heap
+        assert heap.dead_tuples == 20_000
+        heap.tuples = CountingList(heap.tuples)
+        one = session.execute("UPDATE t SET v = v + 1 WHERE k = 77")
+        many = session.execute("UPDATE t SET v = v + 1 WHERE k >= 1")
+        gone = session.execute("DELETE FROM t WHERE k >= 1")
+        assert (one.rowcount, many.rowcount, gone.rowcount) == (1, 2000, 2000)
+        assert CountingList.iterations == 0
+        assert type(heap.tuples) is CountingList
+
+
+class TestVacuumPrunesIndexes:
+    """VACUUM must drop the index entries of the versions it reclaims:
+    after it, every index holds exactly one entry per stored tuple."""
+
+    def _churn(self, session):
+        session.execute("CREATE TABLE t (k int PRIMARY KEY, v int, body text)")
+        session.execute("CREATE INDEX t_body_trgm ON t USING gin (body gin_trgm_ops)")
+        session.copy_rows("t", [[k, 0, f"message number {k}"] for k in range(1, 101)])
+        for _ in range(5):
+            session.execute("UPDATE t SET v = v + 1")
+        session.execute("DELETE FROM t WHERE k <= 50")
+
+    def test_btree_and_gin_hold_one_entry_per_stored_tuple(self, pg, session):
+        self._churn(session)
+        table = pg.catalog.get_table("t")
+        assert len(table.indexes["t_pkey"].data) == 600  # one per version ever
+        before = session.execute("SELECT k, v FROM t ORDER BY k").rows
+        assert session.execute("VACUUM t").rowcount == 550
+        assert len(table.heap.tuples) == 50
+        live_tids = {tup.tid for tup in table.heap.tuples}
+        for name in ("t_pkey", "t_body_trgm"):
+            assert len(table.indexes[name].data) == 50, name
+        assert set(table.indexes["t_pkey"].data.scan_all()) == live_tids
+        assert table.indexes["t_body_trgm"].data.search_substring("number") == live_tids
+        # Scans read the same rows, and probes no longer wade through dead TIDs.
+        assert session.execute("SELECT k, v FROM t ORDER BY k").rows == before
+        assert table.indexes["t_pkey"].data.scan_equal([77]) == [
+            tup.tid for tup in table.heap.tuples if tup.values[0] == 77]
+
+    def test_versions_an_open_snapshot_may_need_keep_their_entries(self, pg, session):
+        session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        session.copy_rows("t", [[k, 0] for k in range(1, 11)])
+        session.execute("UPDATE t SET v = 1")  # reclaimable: 10 dead versions
+        reader = pg.connect()
+        reader.execute("BEGIN")
+        reader.execute("INSERT INTO t VALUES (99, 0)")  # holds an xid open
+        session.execute("UPDATE t SET v = 2")  # deleted after the reader began
+        session.execute("VACUUM t")
+        table = pg.catalog.get_table("t")
+        # 10 live + 10 not yet reclaimable + the reader's uncommitted row.
+        assert len(table.heap.tuples) == 21
+        assert len(table.indexes["t_pkey"].data) == 21
+        reader.execute("COMMIT")
+        session.execute("VACUUM t")
+        assert len(table.heap.tuples) == len(table.indexes["t_pkey"].data) == 11
 
 
 class TestBTreeIndex:
