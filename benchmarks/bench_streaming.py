@@ -27,7 +27,18 @@ Usage::
 ``--baseline`` compares limit_scan streaming throughput against a
 checked-in baseline JSON and exits non-zero on a >30% regression, and
 independently fails if ``rows_buffered_peak`` for the order_by_limit
-shape exceeds the batch_size × shard_count ceiling (the CI smoke job).
+shape exceeds the batch_size × shard_count ceiling, or if streaming runs
+below 0.95x of the materializing plane (by median statement time) on
+order_by_limit or full_scan_order — "no shape where streaming loses" is the precondition
+for deleting the fallback (the CI smoke job).
+
+The parity ratio is a wall-clock measurement of two planes that do the
+same worker-side work, so on order_by_limit it sits at 1.0 and a single
+measurement strays below 0.95 about one time in ten on a shared host
+(measured spread 0.87-1.02). A shape therefore only counts as lost when
+it is below the floor in each of ``PARITY_ATTEMPTS`` measurements: a real
+loss repeats, a noisy neighbour does not. The clock-free part of the
+guarantee (``rows_buffered_peak``) is gated on a single measurement.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -44,6 +56,14 @@ from repro import make_cluster  # noqa: E402
 
 #: Fraction of baseline limit_scan throughput below which --baseline fails.
 REGRESSION_FLOOR = 0.70
+#: Streaming / materialized throughput below which a shape "loses".
+PARITY_FLOOR = 0.95
+PARITY_SHAPES = ("order_by_limit", "full_scan_order")
+#: A shape loses only if it is below PARITY_FLOOR this many times in a row.
+PARITY_ATTEMPTS = 3
+#: Each plane is timed in this many chunks, alternating with the other, so
+#: that host drift during a shape lands on both planes alike.
+CHUNKS = 4
 
 ROWS = 10_000
 SHARDS = 8
@@ -69,14 +89,36 @@ QUERIES = {
 }
 
 
-def _bench_query(session, sql: str, iterations: int) -> dict:
-    session.execute(sql)  # warm-up: parse + plan cache
-    start = time.perf_counter()
-    for _ in range(iterations):
-        session.execute(sql)
-    elapsed = time.perf_counter() - start
-    return {"statements": iterations, "seconds": elapsed,
-            "stmts_per_sec": iterations / elapsed}
+def _bench_planes(session, ext, sql: str, iterations: int) -> tuple[dict, dict]:
+    """``(streaming, materialized)`` timings of ``iterations`` executions
+    of ``sql`` on each plane, in alternating chunks. ``median_ms`` is the
+    per-statement median, which a collector pause landing in one plane's
+    chunk does not move."""
+    durations: dict[bool, list] = {True: [], False: []}
+    per_chunk = max(1, iterations // CHUNKS)
+    report = None
+    for chunk in range(2 * CHUNKS):
+        streaming = chunk % 2 == 0
+        ext.config.enable_streaming_pipeline = streaming
+        if chunk < 2:
+            session.execute(sql)  # warm-up: parse + plan cache, per plane
+        for _ in range(per_chunk):
+            start = time.perf_counter()
+            session.execute(sql)
+            durations[streaming].append(time.perf_counter() - start)
+        if streaming:
+            report = ext.executor.last_report
+    ext.config.enable_streaming_pipeline = True
+    timings = []
+    for plane in (True, False):
+        seconds = sum(durations[plane])
+        timings.append({
+            "statements": len(durations[plane]), "seconds": seconds,
+            "stmts_per_sec": len(durations[plane]) / seconds,
+            "median_ms": statistics.median(durations[plane]) * 1e3})
+    timings[0]["rows_buffered_peak"] = report.rows_buffered_peak
+    timings[0]["tasks_skipped"] = report.tasks_skipped
+    return timings[0], timings[1]
 
 
 def run(quick: bool = False) -> dict:
@@ -89,18 +131,18 @@ def run(quick: bool = False) -> dict:
     ext = cluster.coordinator_ext
     results: dict = {}
     for name, sql in QUERIES.items():
-        ext.config.enable_streaming_pipeline = True
-        streaming = _bench_query(session, sql, iters[name])
-        report = ext.executor.last_report
-        streaming["rows_buffered_peak"] = report.rows_buffered_peak
-        streaming["tasks_skipped"] = report.tasks_skipped
-        ext.config.enable_streaming_pipeline = False
-        materialized = _bench_query(session, sql, iters[name])
-        ext.config.enable_streaming_pipeline = True
+        attempts = PARITY_ATTEMPTS if name in PARITY_SHAPES else 1
+        for attempt in range(1, attempts + 1):
+            streaming, materialized = _bench_planes(session, ext, sql, iters[name])
+            median_speedup = materialized["median_ms"] / streaming["median_ms"]
+            if median_speedup >= PARITY_FLOOR:
+                break
         results[name] = {
             "streaming": streaming,
             "materialized": materialized,
             "speedup": streaming["stmts_per_sec"] / materialized["stmts_per_sec"],
+            "median_speedup": median_speedup,
+            "measurements": attempt,
         }
     return {
         "config": {"workers": 2, "shard_count": SHARDS, "rows": ROWS,
@@ -117,7 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write results JSON to this path")
     parser.add_argument("--baseline",
                         help="baseline JSON; fail on >30%% limit_scan "
-                             "regression or unbounded merge buffer")
+                             "regression, unbounded merge buffer, or a "
+                             "shape where streaming loses")
     args = parser.parse_args(argv)
 
     report = run(quick=args.quick)
@@ -154,6 +197,16 @@ def main(argv=None) -> int:
         if report["results"]["limit_scan"]["speedup"] <= 1.0:
             print("FAIL: streaming no faster than materializing on LIMIT scan")
             failed = True
+        for name in PARITY_SHAPES:
+            ratio = report["results"][name]["median_speedup"]
+            tries = report["results"][name]["measurements"]
+            print(f"{name} parity: streaming at {ratio:.2f}x of materialized"
+                  f" (floor {PARITY_FLOOR:.2f}x, measurement {tries} of"
+                  f" {PARITY_ATTEMPTS})")
+            if ratio < PARITY_FLOOR:
+                print(f"FAIL: streaming loses to the materializing plane on {name}"
+                      f" in {PARITY_ATTEMPTS} of {PARITY_ATTEMPTS} measurements")
+                failed = True
         if failed:
             return 1
         print("OK: within regression budget, buffer bounded")

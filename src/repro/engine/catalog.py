@@ -83,23 +83,6 @@ class Table:
         return any(c.name == name for c in self.columns)
 
 
-class RelationBinding:
-    """How the rows of one table bind under one alias: the column names,
-    their ``alias.column`` forms, and the relation-level shape the executor
-    hands to star expansion and join planning. Depends only on the table's
-    column list, so every prepared scan of ``(table, alias)`` shares one
-    (see :meth:`Catalog.binding`)."""
-
-    __slots__ = ("alias", "names", "qualified", "columns", "keys")
-
-    def __init__(self, table: Table, alias: str):
-        self.alias = alias
-        self.names = table.column_names()
-        self.qualified = [f"{alias}.{n}" for n in self.names]
-        self.columns = [(alias, n) for n in self.names]  # RelOutput.columns
-        self.keys = set(self.names) | set(self.qualified)  # RelOutput.keys
-
-
 @dataclass
 class SQLFunction:
     """A function callable from SQL — used both for builtins with catalog
@@ -144,7 +127,6 @@ class Sequence:
 
 
 _EPOCHS = itertools.count(1)
-_MAX_BINDINGS = 1024
 
 
 class Catalog:
@@ -153,7 +135,6 @@ class Catalog:
         self.sequences: dict[str, Sequence] = {}
         self.functions: dict[str, SQLFunction] = {}
         self.procedures: dict[str, Procedure] = {}
-        self._bindings: dict[tuple, RelationBinding] = {}
         self.bump_epoch()
 
     def bump_epoch(self) -> None:
@@ -163,19 +144,6 @@ class Catalog:
         counter, so no two catalogs (say, an instance before and after
         crash recovery) ever share one."""
         self.epoch = next(_EPOCHS)
-        self._bindings.clear()
-
-    def binding(self, table: Table, alias: str) -> RelationBinding:
-        """The shared binding of ``table`` under ``alias``, valid until the
-        next epoch bump."""
-        key = (table.name, alias)
-        binding = self._bindings.get(key)
-        if binding is None:
-            if len(self._bindings) >= _MAX_BINDINGS:
-                # Aliases come from SQL text; never grow without bound.
-                self._bindings.clear()
-            binding = self._bindings[key] = RelationBinding(table, alias)
-        return binding
 
     # ------------------------------------------------------------- tables
 

@@ -12,12 +12,21 @@ same primitives the interpreter uses (``apply_binary``, ``cast_value``,
 functions, UDFs and subqueries — delegates to the interpreter's own
 handler. ``evaluate`` remains the fallback for anything unknown.
 
-Compiled closures are cached by expression identity in a bounded LRU; the
-statement cache returns the same AST per SQL text, so a statement compiles
-once across executions. Trivial nodes (literals, columns, parameters) are
-compiled on the fly without entering that cache — star expansion
-materializes fresh ``ColumnRef`` objects and would churn it; column
-lookups instead share one closure per ``(qualifier, name)``.
+Column references compile to slot reads. ``get_compiled(expr, layout)``
+resolves every reference ``layout`` has *now*, to a bare ``values[slot]`` —
+the caller promises to run the closure only over rows of that layout, which
+is what a prepared shape knows about its own loops. A reference the layout
+lacks (an outer query's column), and every reference compiled without a
+layout, resolves on first use and remembers the answer in a one-entry
+inline cache keyed by the context's layout; names no enclosing scope has
+raise exactly what the interpreter raises.
+
+Compiled closures are cached by expression (and layout) identity in a
+bounded LRU; the statement cache returns the same AST per SQL text, so a
+statement compiles once across executions. Trivial nodes (literals,
+columns, parameters, slots) are compiled on the fly without entering that
+cache — star expansion materializes fresh ``ColumnRef`` objects and would
+churn it.
 
 The same LRU holds the executor's *prepared shapes* (:func:`get_prepared`):
 what a statement or FROM item needs that depends only on its AST and the
@@ -30,12 +39,14 @@ from __future__ import annotations
 from ..errors import DataError
 from ..sql import ast as A
 from .datum import cast_value, compare_values
-from .expr import _func_call, _param, _subquery, apply_binary, evaluate
+from .expr import (
+    AmbiguousColumn, RowLayout, SlotRef, _func_call, _param, _subquery,
+    apply_binary, evaluate, lookup_column,
+)
 from .functions import SCALAR_FUNCTIONS, is_aggregate
 from .lru import LRUCache
 
 _COMPILE_CACHE = LRUCache(4096)
-_COLUMN_LOOKUPS = LRUCache(1024)
 _compile_count = 0
 
 
@@ -45,33 +56,50 @@ def compile_count() -> int:
     return _compile_count
 
 
-def get_compiled(expr):
-    """A closure ``fn(ctx)`` evaluating ``expr``; cached per AST object."""
+def slot_of(expr, layout: RowLayout):
+    """The slot ``expr`` reads when it is nothing but a read of one slot of
+    a ``layout`` row, else None. Lets a loop index the row itself instead
+    of calling a closure."""
+    kind = type(expr)
+    if kind is SlotRef:
+        return expr.index
+    if kind is A.ColumnRef:
+        try:
+            return layout.resolve(expr)
+        except AmbiguousColumn:
+            return None  # raised when (if) the reference is evaluated
+    return None
+
+
+def get_compiled(expr, layout: RowLayout | None = None):
+    """A closure ``fn(ctx)`` evaluating ``expr``; cached per AST object
+    (and per layout when compiled against one)."""
     kind = type(expr)
     if kind is A.Literal:
         value = expr.value
         return lambda ctx: value
     if kind is A.ColumnRef:
-        # A column lookup depends only on (qualifier, name), so every
-        # reference to the same column shares one closure.
-        ref = (expr.table, expr.name)
-        fn = _COLUMN_LOOKUPS.get(ref)
-        if fn is None:
-            table, name = ref
-            fn = lambda ctx: ctx.lookup_column(table, name)  # noqa: E731
-            _COLUMN_LOOKUPS.put(ref, fn)
-        return fn
+        return _build_column(expr, layout)
+    if kind is SlotRef:
+        index = expr.index
+        return lambda ctx: ctx.values[index]
     if kind is A.Param:
         return lambda ctx: _param(expr, ctx)
-    key = id(expr)
+    # The third element keeps these keys apart from get_prepared's pairs.
+    key = id(expr) if layout is None else (id(expr), id(layout), None)
     memo = _COMPILE_CACHE.get(key)
-    if memo is not None and memo[0] is expr:
-        return memo[1]
+    if memo is not None and memo[0] is expr and memo[1] is layout:
+        return memo[2]
     global _compile_count
     _compile_count += 1
-    fn = _build(expr)
-    # The strong reference to the AST keeps id(expr) from being recycled.
-    _COMPILE_CACHE.put(key, (expr, fn))
+    builder = _BUILDERS.get(kind)
+    if builder is None:
+        # Unknown node: the interpreter raises the canonical error.
+        fn = lambda ctx: evaluate(expr, ctx)  # noqa: E731
+    else:
+        fn = builder(expr, layout)
+    # The strong references keep id(expr) / id(layout) from being recycled.
+    _COMPILE_CACHE.put(key, (expr, layout, fn))
     return fn
 
 
@@ -90,34 +118,48 @@ def get_prepared(node, epoch: int, build):
     return shape
 
 
-def _build(expr):
-    builder = _BUILDERS.get(type(expr))
-    if builder is None:
-        # Unknown node: the interpreter raises the canonical error.
-        return lambda ctx: evaluate(expr, ctx)
-    return builder(expr)
-
-
 # ---------------------------------------------------------------- builders
 
 
-def _build_cast(node: A.Cast):
-    operand = get_compiled(node.operand)
+def _build_column(ref: A.ColumnRef, layout: RowLayout | None):
+    if layout is not None:
+        slot = slot_of(ref, layout)
+        if slot is not None:
+            return lambda ctx: ctx.values[slot]
+    # Resolved on first use per layout: the one-entry inline cache.
+    hit_layout = None
+    hit_slot = 0
+
+    def run(ctx):
+        nonlocal hit_layout, hit_slot
+        if ctx.layout is hit_layout:
+            return ctx.values[hit_slot]
+        slot = ctx.layout.resolve(ref)
+        if slot is None:
+            return lookup_column(ref, ctx.outer)
+        hit_layout, hit_slot = ctx.layout, slot
+        return ctx.values[slot]
+
+    return run
+
+
+def _build_cast(node: A.Cast, layout):
+    operand = get_compiled(node.operand, layout)
     type_name = node.type_name
     return lambda ctx: cast_value(operand(ctx), type_name)
 
 
-def _build_is_null(node: A.IsNull):
-    operand = get_compiled(node.operand)
+def _build_is_null(node: A.IsNull, layout):
+    operand = get_compiled(node.operand, layout)
     if node.negated:
         return lambda ctx: operand(ctx) is not None
     return lambda ctx: operand(ctx) is None
 
 
-def _build_between(node: A.BetweenExpr):
-    operand = get_compiled(node.operand)
-    low = get_compiled(node.low)
-    high = get_compiled(node.high)
+def _build_between(node: A.BetweenExpr, layout):
+    operand = get_compiled(node.operand, layout)
+    low = get_compiled(node.low, layout)
+    high = get_compiled(node.high, layout)
     negated = node.negated
 
     def run(ctx):
@@ -132,9 +174,9 @@ def _build_between(node: A.BetweenExpr):
     return run
 
 
-def _build_in_list(node: A.InList):
-    operand = get_compiled(node.operand)
-    items = [get_compiled(item) for item in node.items]
+def _build_in_list(node: A.InList, layout):
+    operand = get_compiled(node.operand, layout)
+    items = [get_compiled(item, layout) for item in node.items]
     negated = node.negated
 
     def run(ctx):
@@ -155,11 +197,11 @@ def _build_in_list(node: A.InList):
     return run
 
 
-def _build_case(node: A.CaseExpr):
-    whens = [(get_compiled(c), get_compiled(r)) for c, r in node.whens]
-    else_fn = get_compiled(node.else_result) if node.else_result is not None else None
+def _build_case(node: A.CaseExpr, layout):
+    whens = [(get_compiled(c, layout), get_compiled(r, layout)) for c, r in node.whens]
+    else_fn = get_compiled(node.else_result, layout) if node.else_result is not None else None
     if node.operand is not None:
-        operand = get_compiled(node.operand)
+        operand = get_compiled(node.operand, layout)
 
         def run(ctx):
             value = operand(ctx)
@@ -181,13 +223,13 @@ def _build_case(node: A.CaseExpr):
     return run
 
 
-def _build_array(node: A.ArrayExpr):
-    elements = [get_compiled(e) for e in node.elements]
+def _build_array(node: A.ArrayExpr, layout):
+    elements = [get_compiled(e, layout) for e in node.elements]
     return lambda ctx: [e(ctx) for e in elements]
 
 
-def _build_unary(node: A.UnaryOp):
-    operand = get_compiled(node.operand)
+def _build_unary(node: A.UnaryOp, layout):
+    operand = get_compiled(node.operand, layout)
     if node.op == "not":
         def run(ctx):
             value = operand(ctx)
@@ -216,10 +258,10 @@ _COMPARISONS = {
 }
 
 
-def _build_binary(node: A.BinaryOp):
+def _build_binary(node: A.BinaryOp, layout):
     op = node.op
-    left = get_compiled(node.left)
-    right = get_compiled(node.right)
+    left = get_compiled(node.left, layout)
+    right = get_compiled(node.right, layout)
     if op == "and":
         def run(ctx):
             lv = left(ctx)
@@ -270,7 +312,7 @@ _SESSION_FNS = frozenset((
 ))
 
 
-def _build_func_call(node: A.FuncCall):
+def _build_func_call(node: A.FuncCall, layout):
     name = node.name.lower()
     if (
         node.over is not None
@@ -286,11 +328,11 @@ def _build_func_call(node: A.FuncCall):
         # names may resolve to catalog UDFs per-call: all interpreter turf.
         return lambda ctx: _func_call(node, ctx)
     fn = SCALAR_FUNCTIONS[name]
-    args = [get_compiled(a) for a in node.args]
+    args = [get_compiled(a, layout) for a in node.args]
     return lambda ctx: fn(*[a(ctx) for a in args])
 
 
-def _build_subquery(node: A.SubqueryExpr):
+def _build_subquery(node: A.SubqueryExpr, layout):
     return lambda ctx: _subquery(node, ctx)
 
 

@@ -225,12 +225,31 @@ def sort_key(value):
     if isinstance(value, bool):
         return (0, _TYPE_ORDER[bool], int(value))
     if isinstance(value, (int, float)):
-        return (0, _TYPE_ORDER[int], float(value))
+        # As is: int and float compare exactly with each other, and
+        # float(value) would collapse neighbouring bigints above 2**53.
+        return (0, _TYPE_ORDER[int], value)
     if isinstance(value, _dt.datetime):
         return (0, 3, value.isoformat())
     if isinstance(value, _dt.date):
         return (0, 3, _dt.datetime(value.year, value.month, value.day).isoformat())
     return (0, 4, to_text(value))
+
+
+def ordering(ascending: bool, nulls_first: bool | None):
+    """How one ORDER BY key sorts: ``(descending, key)`` for a stable
+    ``sort(key=..., reverse=descending)`` over ``key(value)``. A
+    multi-key ORDER BY is one such sort per key, last key first. NULLs go
+    where ``nulls_first`` says — by PostgreSQL's default last when
+    ascending, first when descending — whichever way the sort runs."""
+    if nulls_first is None:
+        nulls_first = not ascending
+    null_key = (0 if nulls_first == ascending else 1,)
+    rank = 1 - null_key[0]
+
+    def key(value):
+        return null_key if value is None else (rank, sort_key(value))
+
+    return not ascending, key
 
 
 def hash_value(value) -> int:

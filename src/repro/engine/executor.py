@@ -20,7 +20,9 @@ extension nests distributed plans inside PostgreSQL plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from operator import itemgetter
 
 from ..errors import (
     CatalogError,
@@ -32,11 +34,11 @@ from ..errors import (
 )
 from ..sql import ast as A
 from ..sql.deparse import deparse
-from .catalog import Catalog, IndexDef, RelationBinding, Table
-from .datum import cast_value, compare_values, sort_key, to_text
-from .compile import get_compiled, get_prepared
-from .expr import EvalContext, Row, evaluate
-from .functions import SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate
+from .catalog import IndexDef, Table
+from .datum import cast_value, compare_values, ordering, to_text
+from .compile import get_compiled, get_prepared, slot_of
+from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
+from .functions import _STAR, SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate
 from .index import BTreeIndex, GinIndex, index_insert
 from .mvcc import COMMITTED, tuple_visible
 from .window import compute_window_values, contains_window_function
@@ -131,11 +133,12 @@ class EngineCursor:
 
 @dataclass
 class RelOutput:
-    """Result of resolving a FROM item: bound rows plus shape metadata."""
+    """Result of resolving a FROM item: the layout its rows share and the
+    rows themselves, each a flat list of values (never mutated: a base
+    table's rows are the heap tuples' own lists)."""
 
-    columns: list  # list[(alias, column_name)]
-    rows: list  # list[Row]
-    keys: set = field(default_factory=set)  # resolvable reference keys
+    layout: RowLayout
+    rows: list  # list[list], or a lazy iterable of them
 
 
 # --------------------------------------------------------------------------
@@ -150,16 +153,17 @@ class RelOutput:
 
 
 class ScanShape:
-    """A scan of one base table under one WHERE clause: the column
-    bindings, the compiled predicate, and the index candidates together
-    with the expressions that supply their keys."""
+    """A scan of one base table under one WHERE clause: the layout of the
+    rows it yields, the predicate compiled against it, and the index
+    candidates together with the expressions that supply their keys."""
 
-    __slots__ = ("binding", "predicate", "terms", "btrees", "gin")
+    __slots__ = ("layout", "predicate", "terms", "btrees", "gin")
 
-    def __init__(self, table: Table, binding: RelationBinding, where):
-        self.binding = binding
-        alias = binding.alias
-        self.predicate = get_compiled(where) if where is not None else None
+    def __init__(self, table: Table, alias: str, where, locking: bool = False):
+        self.layout = RowLayout.of(
+            alias, table.column_names(), table.name if locking else None)
+        self.predicate = (get_compiled(where, self.layout)
+                          if where is not None else None)
         # (column, op, value_fn, high_fn): ``column op value`` conjuncts
         # whose value does not depend on the scanned row. ``op`` is already
         # flipped for ``value op column``; BETWEEN carries both bounds.
@@ -277,48 +281,220 @@ class ScanShape:
 
 
 class SelectShape:
-    """The projection side of one SELECT: compiled WHERE, window /
-    aggregate flags, and the star-expanded target list with its output
-    names and compiled expressions."""
+    """What one SELECT is, independent of its input: window / aggregate
+    flags, whether it can stream, and — per input layout — the
+    :class:`BoundSelect` holding everything compiled."""
 
-    __slots__ = ("select", "predicate", "has_windows", "has_aggs",
-                 "has_star", "streamable", "_star_columns", "_targets")
+    __slots__ = ("select", "has_windows", "aggregates", "streamable",
+                 "join_plan", "_bound")
 
     def __init__(self, select: A.Select):
         self.select = select
-        self.predicate = get_compiled(select.where) if select.where is not None else None
         exprs = [entry.expr if isinstance(entry, A.TargetEntry) else entry
                  for entry in select.targets]
         plain = [e for e in exprs if not isinstance(e, A.Star)]
-        self.has_star = len(plain) != len(exprs)
         self.has_windows = any(contains_window_function(e) for e in plain)
-        self.has_aggs = _has_aggregates(plain, select.having)
+        #: Runs through the hash aggregate (GROUP BY or any aggregate call).
+        self.aggregates = bool(select.group_by) or _has_aggregates(
+            plain, select.having)
         #: Can run as a lazy scan -> filter -> project pipeline (given that
         #: the FROM item resolves to a base table at execution time).
         self.streamable = not (
-            select.ctes or select.set_ops or select.group_by
-            or select.distinct or select.order_by or select.for_update
-            or select.having is not None or self.has_windows or self.has_aggs
+            select.ctes or select.set_ops or select.distinct
+            or select.order_by or select.for_update
+            or select.having is not None
+            or self.has_windows or self.aggregates
         ) and len(select.from_items) == 1 and isinstance(
             select.from_items[0], A.TableRef)
-        self._star_columns = None
-        self._targets = None
+        #: ``(item layouts, join steps)`` of comma-separated FROM items:
+        #: see :func:`_comma_join_plan`; replanned when a layout changes.
+        self.join_plan = None
+        self._bound = None
 
-    def targets(self, rel_columns: list):
-        """``(targets, output names, compiled targets)`` with every star
-        expanded over ``rel_columns``. The compiled list is None when the
-        targets go through window / aggregate evaluation instead."""
-        memo = self._targets
-        if memo is None or (self.has_star
-                            and self._star_columns is not rel_columns
-                            and self._star_columns != rel_columns):
-            targets = _expand_stars(self.select.targets, rel_columns)
-            fns = None
-            if not (self.has_windows or self.has_aggs or self.select.group_by):
-                fns = [get_compiled(t.expr) for t in targets]
-            memo = self._targets = (targets, _output_names(targets), fns)
-            self._star_columns = rel_columns
-        return memo
+    def bound(self, layout: RowLayout) -> "BoundSelect":
+        """This SELECT compiled against input rows of ``layout``; rebuilt
+        only when the input layout changes (it is interned, so it does not
+        between executions of one statement under one catalog state)."""
+        bound = self._bound
+        if bound is None or bound.layout is not layout:
+            bound = self._bound = BoundSelect(self, layout)
+        return bound
+
+
+#: Where a sort key reads its value: the output row by position, or a
+#: closure evaluated over the input row.
+_OUT, _FN = range(2)
+
+
+class BoundSelect:
+    """One SELECT's per-row work compiled against the layout of its input
+    rows: WHERE, the star-expanded targets and their output names, and —
+    prepared here so that no execution walks, copies or deparses the AST —
+    the window rewrite, the aggregate operator and the ORDER BY keys.
+
+    Window and aggregate results are appended to the row they belong to
+    (slots ``layout.width`` onwards), and the calls that produced them
+    become :class:`SlotRef` reads in a copy of the targets."""
+
+    __slots__ = ("layout", "predicate", "columns", "target_fns",
+                 "target_slots", "window_calls", "agg", "scope",
+                 "sort_keys", "distinct_on")
+
+    def __init__(self, shape: SelectShape, layout: RowLayout):
+        select = shape.select
+        self.layout = layout
+        self.predicate = (get_compiled(select.where, layout)
+                          if select.where is not None else None)
+        targets = _expand_stars(select.targets, layout.columns)
+        self.columns = _output_names(targets)
+        self.window_calls: list[A.FuncCall] = []
+        if shape.has_windows:
+            targets = [A.TargetEntry(self._lift_windows(t.expr.copy()), t.alias)
+                       for t in targets]
+        self.agg = AggShape(select, targets, layout) if shape.aggregates else None
+        if self.agg is None:
+            self.target_fns = [get_compiled(t.expr, layout) for t in targets]
+            slots = [slot_of(t.expr, layout) for t in targets]
+            #: Set when every target is a bare slot read: the projection
+            #: is then one itemgetter call per row.
+            self.target_slots = slots if slots and None not in slots else None
+        else:
+            self.target_fns, self.target_slots = self.agg.target_fns, None
+        #: What ORDER BY / DISTINCT ON expressions read besides the output
+        #: row: the input row, or after a set operation nothing.
+        scope = self.scope = EMPTY_LAYOUT if select.set_ops else layout
+        self.sort_keys = [self._sort_key(sk, targets, scope)
+                          for sk in select.order_by]
+        self.distinct_on = [get_compiled(e, scope) for e in select.distinct_on]
+
+    def _lift_windows(self, expr):
+        def visit(node):
+            if isinstance(node, A.FuncCall) and node.over is not None:
+                self.window_calls.append(node)
+                return SlotRef(self.layout.width + len(self.window_calls) - 1)
+            return node
+
+        return _transform_keep_identity(expr, visit)
+
+    def _sort_key(self, sk: A.SortKey, targets, scope: RowLayout) -> tuple:
+        """``(source, arg, descending, key function)`` for one ORDER BY
+        entry: its value resolved once to an output position, an output
+        alias, an input slot or a compiled closure, and its direction and
+        NULL placement to a :func:`datum.ordering`."""
+        expr = sk.expr
+        source = arg = None
+        if (isinstance(expr, A.Literal) and isinstance(expr.value, int)
+                and 0 < expr.value <= len(targets)):
+            source, arg = _OUT, expr.value - 1
+        elif (self.agg is not None and scope is self.layout
+                and _has_aggregates([expr], None)):
+            # ORDER BY sum(x): one more aggregate slot on the group row.
+            expr = self.agg.lift(expr.copy())
+        elif isinstance(expr, A.ColumnRef):
+            by_alias = [i for i, t in enumerate(targets)
+                        if expr.table is None and t.alias == expr.name]
+            by_name = [i for i, t in enumerate(targets)
+                       if isinstance(t.expr, A.ColumnRef)
+                       and t.expr.name == expr.name]
+            if by_alias:
+                source, arg = _OUT, by_alias[0]
+            elif by_name and scope.slots.get(expr.key) is None:
+                # Not an input column: an output column by name.
+                source, arg = _OUT, by_name[0]
+        if source is None:
+            source, arg = _FN, get_compiled(expr, scope)
+        return (source, arg, *ordering(sk.ascending, sk.nulls_first))
+
+
+class AggShape:
+    """The hash aggregate of one SELECT over input rows of one layout.
+
+    A group's output row is its first input row's values followed by one
+    slot per aggregate call; targets, HAVING and aggregate ORDER BY keys
+    are compiled over that row with each call replaced by a
+    :class:`SlotRef` (in a copy: statements are cached and shared across
+    sessions, so the rewrite must never touch the original tree)."""
+
+    __slots__ = ("layout", "group_fns", "group_slot", "steps", "inits",
+                 "finishers", "target_fns", "having")
+
+    def __init__(self, select: A.Select, targets, layout: RowLayout):
+        self.layout = layout
+        # GROUP BY entries may be positional or alias references.
+        group_exprs = [_resolve_ref(g, targets) for g in select.group_by]
+        self.group_fns = [get_compiled(g, layout) for g in group_exprs]
+        #: GROUP BY one plain column, the common case: its slot.
+        self.group_slot = (slot_of(group_exprs[0], layout)
+                           if len(group_exprs) == 1 else None)
+        #: Per aggregate call, in slot order: ``(accumulate, star, argument
+        #: slot, argument closures, FILTER closure, distinct)``, the state
+        #: constructor, and ``partial`` or ``finalize``.
+        self.steps: list[tuple] = []
+        self.inits: list = []
+        self.finishers: list = []
+        self.target_fns = [get_compiled(self.lift(t.expr.copy()), layout)
+                           for t in targets]
+        self.having = (get_compiled(self.lift(select.having.copy()), layout)
+                       if select.having is not None else None)
+
+    def lift(self, expr):
+        """Replace the aggregate calls of ``expr`` (an expression this shape
+        owns) by reads of their slots, registering each call."""
+        def visit(node):
+            if isinstance(node, A.FuncCall) and is_aggregate(node.name):
+                self._register(node)
+                return SlotRef(self.layout.width + len(self.steps) - 1)
+            return node
+
+        return _transform_keep_identity(expr, visit)
+
+    def _register(self, node: A.FuncCall) -> None:
+        agg = get_aggregate(node.name)
+        layout = self.layout
+        star = len(node.args) == 1 and isinstance(node.args[0], A.Star)
+        arg_fns = [] if star else [get_compiled(a, layout) for a in node.args]
+        arg_slot = slot_of(node.args[0], layout) if len(arg_fns) == 1 else None
+        keep = get_compiled(node.filter, layout) if node.filter is not None else None
+        self.steps.append((agg.accumulate, star, arg_slot, arg_fns, keep,
+                           bool(node.distinct)))
+        self.inits.append(agg.init)
+        self.finishers.append(
+            agg.partial if node.agg_phase == "partial" else agg.finalize)
+
+
+class JoinShape:
+    """One join of two relations: the concatenated layout, the condition
+    (built here for USING and for equi-conjuncts picked out of a WHERE),
+    and — when the condition equi-joins the sides — the hash keys compiled
+    against each side's layout."""
+
+    __slots__ = ("left", "right", "layout", "conditional", "qual",
+                 "left_keys", "right_keys", "left_slot", "right_slot")
+
+    def __init__(self, left: RowLayout, right: RowLayout, condition):
+        self.left, self.right = left, right
+        self.layout = left.join(right)
+        self.conditional = condition is not None  # else: cross product
+        self.qual = self.left_keys = self.right_keys = None
+        self.left_slot = self.right_slot = None
+        if condition is None:
+            return
+        equi, residual = _extract_equi_keys(condition, left.slots, right.slots)
+        if equi is not None:
+            left_exprs, right_exprs = equi
+            self.left_keys = [get_compiled(k, left) for k in left_exprs]
+            self.right_keys = [get_compiled(k, right) for k in right_exprs]
+            if len(left_exprs) == 1:
+                # One plain column equals another, the common case: both
+                # sides key on the slot's value (never one side alone: the
+                # general key is a tuple).
+                slots = slot_of(left_exprs[0], left), slot_of(right_exprs[0], right)
+                if None not in slots:
+                    self.left_slot, self.right_slot = slots
+        if equi is None or residual:
+            # Matching hash keys already imply a condition made of nothing
+            # but the key equalities; anything more is rechecked per pair.
+            self.qual = get_compiled(condition, self.layout)
 
 
 class DmlShape:
@@ -328,19 +504,41 @@ class DmlShape:
 
     __slots__ = ("scan", "assignments", "returning")
 
-    def __init__(self, stmt, table: Table, catalog: Catalog):
-        self.scan = ScanShape(
-            table, catalog.binding(table, stmt.alias or stmt.table), stmt.where)
+    def __init__(self, stmt, table: Table):
+        self.scan = ScanShape(table, stmt.alias or stmt.table, stmt.where)
+        layout = self.scan.layout
         self.assignments = []
         for col_name, expr in getattr(stmt, "assignments", ()):
             idx = table.column_index(col_name)
             self.assignments.append(
-                (idx, table.columns[idx].type_name, get_compiled(expr)))
-        self.returning = None
-        if stmt.returning:
-            targets = _expand_returning(stmt.returning, table)
-            self.returning = (_output_names(targets),
-                              [get_compiled(t.expr) for t in targets])
+                (idx, table.columns[idx].type_name, get_compiled(expr, layout)))
+        self.returning = _compile_returning(stmt.returning, table, layout)
+
+
+class InsertShape:
+    """An INSERT's row-shaped parts: the RETURNING list over the new row,
+    and the ON CONFLICT DO UPDATE assignments over ``existing + proposed``
+    values — unqualified and table-qualified names read the existing row,
+    ``excluded.col`` the proposed one."""
+
+    __slots__ = ("layout", "returning", "conflict_layout", "conflict_updates")
+
+    def __init__(self, stmt: A.Insert, table: Table):
+        names = table.column_names()
+        layout = self.layout = RowLayout.of(table.name, names)
+        self.returning = _compile_returning(stmt.returning, table, layout)
+        self.conflict_layout = None
+        self.conflict_updates = []
+        if stmt.on_conflict is not None and stmt.on_conflict.action != "nothing":
+            slots = dict(layout.slots)
+            for i, name in enumerate(names):
+                slots[f"excluded.{name}"] = len(names) + i
+            both = self.conflict_layout = RowLayout(
+                layout.columns, slots, width=2 * len(names))
+            for col_name, expr in stmt.on_conflict.updates:
+                idx = table.column_index(col_name)
+                self.conflict_updates.append(
+                    (idx, table.columns[idx].type_name, get_compiled(expr, both)))
 
 
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
@@ -362,12 +560,17 @@ class LocalExecutor:
 
     # ------------------------------------------------------------ helpers
 
-    def _ctx(self, row: Row, params, outer: EvalContext | None = None) -> EvalContext:
+    def _ctx(self, layout: RowLayout, params,
+             outer: EvalContext | None = None) -> EvalContext:
+        """A context for one loop over rows of ``layout``; the loop points
+        ``ctx.values`` at each row in turn."""
         run = self._subquery_run
         if run is None or params is not self._subquery_params:
             run = self._subquery_run = self._subquery_executor(params)
             self._subquery_params = params
-        return EvalContext(row, params, self.session, run, outer)
+        ctx = EvalContext(None, params, self.session, run, outer)
+        ctx.layout = layout
+        return ctx
 
     def _prepared(self, node, build):
         """``node``'s prepared shape under the current catalog state."""
@@ -422,27 +625,30 @@ class LocalExecutor:
             names = cte.column_names or sub.columns
             cte_env[cte.name] = (names, sub.rows)
 
-        columns, pairs = self._run_select_core(select, params, outer, cte_env)
+        # (output values, input row) pairs: ORDER BY, DISTINCT ON and
+        # FOR UPDATE may still need the row an output row was made from.
+        bound, pairs = self._run_select_core(select, params, outer, cte_env)
 
         for op, rhs in select.set_ops:
             rhs_result = self.execute_select(rhs, params, outer=outer, cte_env=cte_env)
-            pairs = _apply_set_op(op, pairs, [(r, Row()) for r in rhs_result.rows])
+            pairs = _apply_set_op(op, pairs, [(r, None) for r in rhs_result.rows])
 
-        # ORDER BY over (values, row) pairs
         if select.order_by:
-            pairs = self._sort_pairs(pairs, select.order_by, select, columns, params, outer)
+            pairs = self._sort_pairs(pairs, bound, params, outer)
         if select.distinct:
-            pairs = _distinct_pairs(pairs, select.distinct_on, self, params, outer)
-        offset = int(evaluate(select.offset, self._ctx(Row(), params, outer))) if select.offset else 0
-        if offset:
-            pairs = pairs[offset:]
-        if select.limit is not None:
-            limit = evaluate(select.limit, self._ctx(Row(), params, outer))
-            if limit is not None:
-                pairs = pairs[: int(limit)]
+            pairs = self._distinct_pairs(pairs, bound, params, outer)
+        if select.offset is not None or select.limit is not None:
+            ctx0 = self._ctx(EMPTY_LAYOUT, params, outer)
+            offset = int(evaluate(select.offset, ctx0)) if select.offset is not None else 0
+            if offset:
+                pairs = pairs[offset:]
+            if select.limit is not None:
+                limit = evaluate(select.limit, ctx0)
+                if limit is not None:
+                    pairs = pairs[: int(limit)]
         if select.for_update:
-            self._lock_rows_for_update(pairs)
-        return QueryResult(columns, [values for values, _ in pairs])
+            self._lock_rows_for_update(pairs, bound.layout)
+        return QueryResult(bound.columns, [values for values, _ in pairs])
 
     # ------------------------------------------------------ cursor SELECT
 
@@ -476,317 +682,227 @@ class LocalExecutor:
         table = self.catalog.get_table(ref.name)
         self.session.acquire_table_lock(table.name, "AccessShare")
         scan = self._scan_shape(ref, table, select.where)
-        _targets, columns, target_fns = self._select_shape(select).targets(scan.binding.columns)
-        predicate = scan.predicate
-        ctx0 = self._ctx(Row(), params, outer)
-        offset = int(evaluate(select.offset, ctx0)) if select.offset is not None else 0
+        bound = self._select_shape(select).bound(scan.layout)
+        predicate = bound.predicate
+        ctx = self._ctx(scan.layout, params, outer)
+        offset = int(evaluate(select.offset, ctx)) if select.offset is not None else 0
         limit = None
         if select.limit is not None:
-            value = evaluate(select.limit, ctx0)
+            value = evaluate(select.limit, ctx)
             if value is not None:
                 limit = int(value)
         snapshot = self.session.snapshot()
+        project = _projection(bound, ctx)
 
         def rows():
             if limit is not None and limit <= 0:
                 return
             emitted = 0
             skipped = 0
-            for row in self._scan_table_iter(table, scan, params, outer, snapshot):
-                ctx = self._ctx(row, params, outer)
-                if predicate is not None and predicate(ctx) is not True:
-                    continue
+            for values in self._scan_table_iter(table, scan, params, outer, snapshot):
+                if predicate is not None:
+                    ctx.values = values
+                    if predicate(ctx) is not True:
+                        continue
                 if skipped < offset:
                     skipped += 1
                     continue
-                yield [fn(ctx) for fn in target_fns]
+                yield project(values)
                 emitted += 1
                 if limit is not None and emitted >= limit:
                     return
 
-        return EngineCursor(columns, rows())
+        return EngineCursor(bound.columns, rows())
 
     def _run_select_core(self, select, params, outer, cte_env):
+        """FROM → WHERE → (windows | aggregation) → projection. Returns the
+        select bound to its input layout and the (output, input) pairs."""
         shape = self._select_shape(select)
-        rel = self._resolve_from(select.from_items, params, outer, cte_env,
-                                 where=select.where)
-        predicate = shape.predicate
+        if shape.has_windows and shape.aggregates:
+            raise DataError(
+                "window functions combined with aggregation are not supported"
+            )
+        rel = self._resolve_from(select, shape, params, outer, cte_env)
+        bound = shape.bound(rel.layout)
+        ctx = self._ctx(rel.layout, params, outer)
+        rows = rel.rows
+        predicate = bound.predicate
         if predicate is not None:
-            rel.rows = [
-                row for row in rel.rows
-                if predicate(self._ctx(row, params, outer)) is True
-            ]
-        targets, columns, target_fns = shape.targets(rel.columns)
-        if shape.has_windows:
-            targets = self._compute_windows(select, targets, rel, params, outer)
-        if select.group_by or shape.has_aggs:
-            if shape.has_windows:
-                raise DataError(
-                    "window functions combined with aggregation are not supported"
-                )
-            pairs = self._aggregate(select, targets, rel, params, outer)
-        else:
-            if shape.has_windows:
-                target_fns = [get_compiled(t.expr) for t in targets]
-            pairs = []
-            for row in rel.rows:
-                ctx = self._ctx(row, params, outer)
-                pairs.append(([fn(ctx) for fn in target_fns], row))
-        return columns, pairs
-
-    def _compute_windows(self, select, targets, rel, params, outer):
-        """Evaluate window functions over the filtered input and replace
-        each window call with a reference to its per-row result."""
-        window_nodes: list = []
-
-        def visit(node):
-            if isinstance(node, A.FuncCall) and node.over is not None:
-                window_nodes.append(node)
-                return A.ColumnRef(f"__win_{len(window_nodes) - 1}")
-            return node
-
-        rewritten = [
-            A.TargetEntry(_transform_keep_identity(t.expr.copy(), visit), t.alias)
-            for t in targets
-        ]
-        for index, node in enumerate(window_nodes):
-            values = compute_window_values(self, node, rel.rows, params, outer)
-            for row, value in zip(rel.rows, values):
-                row.bind(None, f"__win_{index}", value)
-        return rewritten
+            kept = []
+            for values in rows:
+                ctx.values = values
+                if predicate(ctx) is True:
+                    kept.append(values)
+            rows = kept
+        if bound.agg is not None:
+            return bound, self._aggregate(bound.agg, rows, ctx)
+        if not isinstance(rows, list):
+            rows = list(rows)
+        if bound.window_calls:
+            results = [compute_window_values(call, rows, ctx)
+                       for call in bound.window_calls]
+            width = rel.layout.width
+            rows = [values[:width] + list(extra)
+                    for values, extra in zip(rows, zip(*results))]
+        project = _projection(bound, ctx)
+        return bound, [(project(values), values) for values in rows]
 
     # -------------------------------------------------------- aggregation
 
-    def _aggregate(self, select, targets, rel, params, outer):
-        # Resolve GROUP BY entries: positional and alias references.
-        group_exprs = []
-        for g in select.group_by:
-            group_exprs.append(_resolve_ref(g, targets))
-        # Collect aggregate nodes from targets + having, rewrite to refs.
-        agg_nodes: list[A.FuncCall] = []
+    def _aggregate(self, agg: AggShape, rows, ctx: EvalContext) -> list:
+        """Hash aggregation of ``rows`` (any iterable, consumed once):
+        (output values, group row) pairs in first-seen group order."""
+        steps, inits = agg.steps, agg.inits
+        group_fns, group_slot = agg.group_fns, agg.group_slot
+        # key -> [first input row, state per aggregate call...]
+        groups: dict = {}
+        seen: dict = {}  # (key, call position) -> DISTINCT argument keys
+        for values in rows:
+            ctx.values = values
+            if group_slot is not None:
+                key = _group_key(values[group_slot])
+            else:
+                key = tuple([_group_key(fn(ctx)) for fn in group_fns])
+            entry = groups.get(key)
+            if entry is None:
+                entry = groups[key] = [values]
+                entry.extend([init() for init in inits])
+            i = 0
+            for accumulate, star, slot, arg_fns, keep, distinct in steps:
+                i += 1
+                if keep is not None and keep(ctx) is not True:
+                    continue
+                if star:
+                    entry[i] = accumulate(entry[i], _STAR)
+                elif slot is not None and not distinct:
+                    entry[i] = accumulate(entry[i], values[slot])
+                else:
+                    args = [fn(ctx) for fn in arg_fns]
+                    if distinct:
+                        arg_key = tuple([_group_key(v) for v in args])
+                        seen_args = seen.setdefault((key, i), set())
+                        if arg_key in seen_args:
+                            continue
+                        seen_args.add(arg_key)
+                    entry[i] = accumulate(entry[i], *args)
 
-        def collect(expr):
-            def visit(node):
-                if isinstance(node, A.FuncCall) and is_aggregate(node.name):
-                    for i, existing in enumerate(agg_nodes):
-                        if existing is node:
-                            return _AggRef(i)
-                    agg_nodes.append(node)
-                    return _AggRef(len(agg_nodes) - 1)
-                return node
-
-            return _transform_keep_identity(expr, visit)
-
-        # Work on copies: statements are cached and shared across sessions,
-        # so the _AggRef rewrite must never touch the original tree.
-        rewritten_targets = [A.TargetEntry(collect(t.expr.copy()), t.alias) for t in targets]
-        having = collect(select.having.copy()) if select.having is not None else None
-        # ORDER BY may reference aggregates (ORDER BY sum(x) DESC): compute
-        # them per group and bind under a recognizable name for the sorter.
-        order_aggs = []
-        for sk in select.order_by:
-            if any(isinstance(n, A.FuncCall) and is_aggregate(n.name)
-                   for n in _walk_skip_subqueries(sk.expr)):
-                order_aggs.append((deparse(sk.expr), collect(sk.expr.copy())))
-
-        groups: dict[tuple, list] = {}
-        group_order: list[tuple] = []
-        representative: dict[tuple, Row] = {}
-        distinct_seen: dict[tuple, set] = {}
-        group_fns = [get_compiled(g) for g in group_exprs]
-        for row in rel.rows:
-            ctx = self._ctx(row, params, outer)
-            key = tuple(_group_key(fn(ctx)) for fn in group_fns)
-            if key not in groups:
-                groups[key] = [get_aggregate(n.name).init() for n in agg_nodes]
-                group_order.append(key)
-                representative[key] = row
-            states = groups[key]
-            for i, node in enumerate(agg_nodes):
-                states[i] = self._accumulate(node, states[i], ctx,
-                                             distinct_seen.setdefault((key, i), set())
-                                             if node.distinct else None)
-
-        if not groups and not select.group_by:
+        width = agg.layout.width
+        if not groups and not group_fns:
             # Aggregate over empty input: one row of aggregate defaults.
-            key = ()
-            groups[key] = [get_aggregate(n.name).init() for n in agg_nodes]
-            group_order.append(key)
-            representative[key] = Row()
+            groups[()] = [[None] * width] + [init() for init in inits]
 
         pairs = []
-        for key in group_order:
-            states = groups[key]
-            finals = []
-            for node, state in zip(agg_nodes, states):
-                agg = get_aggregate(node.name)
-                if node.agg_phase == "partial":
-                    finals.append(agg.partial(state))
-                else:
-                    finals.append(agg.finalize(state))
-            row = representative[key]
-            out_row = Row()
-            out_row.qualified.update(row.qualified)
-            out_row.unqualified.update(row.unqualified)
-            out_row._ambiguous |= row._ambiguous
-            ctx = self._ctx(out_row, params, outer)
-            ctx_agg = _AggContext(ctx, finals)
-            if having is not None and _eval_agg(having, ctx_agg) is not True:
+        having, target_fns, finishers = agg.having, agg.target_fns, agg.finishers
+        for entry in groups.values():
+            group_row = list(entry[0][:width])
+            group_row.extend([finish(state)
+                              for finish, state in zip(finishers, entry[1:])])
+            ctx.values = group_row
+            if having is not None and having(ctx) is not True:
                 continue
-            values = [_eval_agg(t.expr, ctx_agg) for t in rewritten_targets]
-            # Bind output aliases so ORDER BY can reference them.
-            for t, v in zip(rewritten_targets, values):
-                if t.alias:
-                    out_row.bind(None, t.alias, v)
-            for text, rewritten in order_aggs:
-                out_row.bind(None, f"__agg_order__{text}", _eval_agg(rewritten, ctx_agg))
-            pairs.append((values, out_row))
+            pairs.append(([fn(ctx) for fn in target_fns], group_row))
         return pairs
-
-    def _accumulate(self, node: A.FuncCall, state, ctx, distinct_seen: set | None = None):
-        agg = get_aggregate(node.name)
-        if node.filter is not None and evaluate(node.filter, ctx) is not True:
-            return state
-        args = node.args
-        if len(args) == 1 and isinstance(args[0], A.Star):
-            from .functions import _STAR
-
-            return agg.accumulate(state, _STAR)
-        values = [evaluate(a, ctx) for a in args]
-        if distinct_seen is not None:
-            key = tuple(_group_key(v) for v in values)
-            if key in distinct_seen:
-                return state
-            distinct_seen.add(key)
-        return agg.accumulate(state, *values)
 
     # ------------------------------------------------------------ sorting
 
-    def _sort_pairs(self, pairs, order_by, select, columns, params, outer):
-        def key_fn(pair):
-            values, row = pair
-            keys = []
-            for sk in order_by:
-                value = self._eval_sort_expr(sk.expr, values, row, select, params, outer)
-                # PostgreSQL default: NULLS LAST for ASC, NULLS FIRST for DESC.
-                nulls_first = sk.nulls_first
-                if nulls_first is None:
-                    nulls_first = not sk.ascending
-                null_rank = (0 if nulls_first else 1) if value is None else (
-                    1 if nulls_first else 0
-                )
-                value_key = sort_key(value)
-                if not sk.ascending:
-                    value_key = _Reversed(value_key)
-                keys.append((null_rank, value_key))
-            return keys
+    def _sort_pairs(self, pairs, bound: BoundSelect, params, outer) -> list:
+        """ORDER BY as one stable sort per key, last key first."""
+        ctx = self._ctx(bound.scope, params, outer)
+        for source, arg, descending, key in reversed(bound.sort_keys):
+            if source is _OUT:
+                column = [pair[0][arg] for pair in pairs]
+            else:
+                column = []
+                for pair in pairs:
+                    ctx.values = pair[1]
+                    column.append(arg(ctx))
+            keys = [key(value) for value in column]
+            order = sorted(range(len(pairs)), key=keys.__getitem__,
+                           reverse=descending)
+            pairs = [pairs[i] for i in order]
+        return pairs
 
-        return sorted(pairs, key=key_fn)
+    def _distinct_pairs(self, pairs, bound: BoundSelect, params, outer) -> list:
+        seen = set()
+        out = []
+        distinct_on = bound.distinct_on
+        if distinct_on:
+            ctx = self._ctx(bound.scope, params, outer)
+        for pair in pairs:
+            if distinct_on:
+                ctx.values = pair[1]
+                key = tuple([_group_key(fn(ctx)) for fn in distinct_on])
+            else:
+                key = tuple([_group_key(v) for v in pair[0]])
+            if key not in seen:
+                seen.add(key)
+                out.append(pair)
+        return out
 
-    def _eval_sort_expr(self, expr, values, row, select, params, outer):
-        if isinstance(expr, A.Literal) and isinstance(expr.value, int):
-            index = expr.value - 1
-            if 0 <= index < len(values):
-                return values[index]
-        # Aggregate sort keys were pre-computed per group by _aggregate.
-        agg_key = f"__agg_order__{deparse(expr)}"
-        if row.has(None, agg_key):
-            return row.lookup(None, agg_key)
-        if isinstance(expr, A.ColumnRef) and expr.table is None:
-            for i, entry in enumerate(select.targets):
-                if isinstance(entry, A.TargetEntry) and entry.alias == expr.name:
-                    return values[i]
-        try:
-            return evaluate(expr, self._ctx(row, params, outer))
-        except CatalogError:
-            # Reference to an output column by name.
-            for i, entry in enumerate(select.targets):
-                if (
-                    isinstance(entry, A.TargetEntry)
-                    and isinstance(entry.expr, A.ColumnRef)
-                    and isinstance(expr, A.ColumnRef)
-                    and entry.expr.name == expr.name
-                ):
-                    return values[i]
-            raise
-
-    def _lock_rows_for_update(self, pairs):
-        xid = self.session.ensure_xid()
+    def _lock_rows_for_update(self, pairs, layout: RowLayout):
+        self.session.ensure_xid()
         for _, row in pairs:
-            for table_name, row_id, _tid in row.provenance.values():
-                self.session.acquire_row_lock(table_name, row_id)
+            if row is None:
+                continue
+            for slot, table_name in layout.sources:
+                tup = row[slot]
+                if tup is not None:
+                    self.session.acquire_row_lock(table_name, tup.row_id)
 
     # ----------------------------------------------------- FROM resolution
 
-    def _resolve_from(self, from_items, params, outer, cte_env, where=None) -> RelOutput:
+    def _resolve_from(self, select: A.Select, shape: SelectShape, params,
+                      outer, cte_env) -> RelOutput:
+        from_items, where = select.from_items, select.where
         if not from_items:
-            row = Row()
-            return RelOutput(columns=[], rows=[row], keys=set())
+            return RelOutput(EMPTY_LAYOUT, [[]])
+        locking = bool(select.for_update)
         # Only push WHERE into the scan for the single-base-table case;
         # multi-relation queries re-filter above anyway.
         scan_where = where if len(from_items) == 1 else None
-        rel = self._resolve_item(from_items[0], params, outer, cte_env, scan_where)
+        rel = self._resolve_item(from_items[0], params, outer, cte_env,
+                                 locking, scan_where)
         if len(from_items) == 1:
             return rel
         # Comma-separated FROM items: plan as inner joins using any
         # applicable equi-join conjuncts from WHERE (hash joins instead of
         # raw cross products — TPC-H style "FROM a, b, c WHERE ..." relies
         # on this).
-        remaining = [self._resolve_item(item, params, outer, cte_env)
+        remaining = [self._resolve_item(item, params, outer, cte_env, locking)
                      for item in from_items[1:]]
-        conjuncts = _split_and(where) if where is not None else []
-        while remaining:
-            chosen = None
-            for i, right in enumerate(remaining):
-                condition = _equi_condition_between(conjuncts, rel.keys, right.keys)
-                if condition is not None:
-                    chosen = (i, condition)
-                    break
-            if chosen is None:
-                right = remaining.pop(0)
-                rel = _cross_join(rel, right)
-                continue
-            i, condition = chosen
-            right = remaining.pop(i)
-            equi = _extract_equi_keys(condition, rel.keys, right.keys)
-            if equi:
-                rel = self._hash_join("inner", rel, right, equi, condition, params, outer)
-            else:
-                rel = self._nested_loop("inner", rel, right, condition, params, outer)
+        layouts = [rel.layout, *(right.layout for right in remaining)]
+        plan = shape.join_plan
+        if plan is None or any(a is not b for a, b in zip(plan[0], layouts)):
+            plan = shape.join_plan = (layouts, _comma_join_plan(layouts, where))
+        for chosen, join in plan[1]:
+            rel = self._join("inner", rel, remaining.pop(chosen), join, params, outer)
         return rel
 
-    def _resolve_item(self, item, params, outer, cte_env, where=None) -> RelOutput:
+    def _resolve_item(self, item, params, outer, cte_env, locking=False,
+                      where=None) -> RelOutput:
         if isinstance(item, A.TableRef):
-            return self._scan_relation(item, params, outer, cte_env, where)
+            return self._scan_relation(item, params, outer, cte_env, locking, where)
         if isinstance(item, A.SubqueryRef):
             sub = self.execute_select(item.query, params, outer=outer, cte_env=cte_env)
             return _rows_to_rel(item.alias, sub.columns, sub.rows)
         if isinstance(item, A.FunctionRef):
             return self._scan_function(item, params, outer)
         if isinstance(item, A.JoinExpr):
-            return self._execute_join(item, params, outer, cte_env)
+            return self._execute_join(item, params, outer, cte_env, locking)
         raise SyntaxErrorSQL(f"unsupported FROM item {type(item).__name__}")
 
     def _scan_function(self, item: A.FunctionRef, params, outer) -> RelOutput:
         fn = SET_RETURNING_FUNCTIONS.get(item.func.name.lower())
         if fn is None:
             raise CatalogError(f"set-returning function {item.func.name}() does not exist")
-        ctx = self._ctx(Row(), params, outer)
+        ctx = self._ctx(EMPTY_LAYOUT, params, outer)
         args = [evaluate(a, ctx) for a in item.func.args]
-        values = fn(*args)
         col_name = item.column_names[0] if item.column_names else item.alias
-        rows = []
-        for v in values:
-            row = Row()
-            row.bind(item.alias, col_name, v)
-            rows.append(row)
-        return RelOutput(
-            columns=[(item.alias, col_name)],
-            rows=rows,
-            keys={col_name, f"{item.alias}.{col_name}"},
-        )
+        return RelOutput(RowLayout.of(item.alias, [col_name]),
+                         [[v] for v in fn(*args)])
 
-    def _scan_relation(self, ref: A.TableRef, params, outer, cte_env, where=None) -> RelOutput:
+    def _scan_relation(self, ref: A.TableRef, params, outer, cte_env,
+                       locking=False, where=None) -> RelOutput:
         alias = ref.ref_name
         if ref.name in cte_env:
             names, rows = cte_env[ref.name]
@@ -796,25 +912,30 @@ class LocalExecutor:
             return _rows_to_rel(alias, names, rows)
         table = self.catalog.get_table(ref.name)
         self.session.acquire_table_lock(table.name, "AccessShare")
-        scan = self._scan_shape(ref, table, where)
-        return RelOutput(scan.binding.columns,
-                         self._scan_table(table, scan, params, outer),
-                         scan.binding.keys)
+        scan = self._scan_shape(ref, table, where, locking)
+        tuples = self._scan_tuples(table, scan, params, outer)
+        if locking:
+            return RelOutput(scan.layout, [[*tup.values, tup] for tup in tuples])
+        return RelOutput(scan.layout, [tup.values for tup in tuples])
 
-    def _scan_shape(self, ref: A.TableRef, table: Table, where) -> ScanShape:
-        """The prepared scan of a FROM-clause table reference. ``where`` is
-        a function of the reference's position in its statement (the
-        statement's WHERE for a lone FROM item, else None), so the
-        reference alone keys the shape."""
-        return self._prepared(ref, lambda: ScanShape(
-            table, self.catalog.binding(table, ref.ref_name), where))
+    def _scan_shape(self, ref: A.TableRef, table: Table, where,
+                    locking: bool = False) -> ScanShape:
+        """The prepared scan of a FROM-clause table reference. ``where``
+        and ``locking`` are functions of the reference's position in its
+        statement (the statement's WHERE for a lone FROM item, else None;
+        whether the statement is FOR UPDATE), so the reference alone keys
+        the shape. Every caller must therefore pass the same pair."""
+        scan = self._prepared(ref, lambda: ScanShape(
+            table, ref.ref_name, where, locking))
+        assert bool(scan.layout.sources) == locking, "scan shape cached under other locking"
+        return scan
 
     def _index_tuples(self, table: Table, scan: ScanShape, params, outer, snapshot):
         """Visible tuples from the best index for this execution, or None
         when the scan has to be sequential. Charges the index-scan stats."""
         if not scan.btrees and scan.gin is None:
             return None
-        path = scan.probe(table, self._ctx(Row(), params, outer))
+        path = scan.probe(table, self._ctx(EMPTY_LAYOUT, params, outer))
         if path is None:
             return None
         # Indexes are not MVCC-aware: recheck visibility at the heap.
@@ -831,46 +952,30 @@ class LocalExecutor:
         stats["pages_read"] += max(1, len(tuples))
         return tuples
 
-    def _scan_table(self, table: Table, scan: ScanShape, params, outer) -> list:
-        """The table's visible rows (index candidates when an index serves
-        the scan's WHERE; the caller re-applies the predicate), bound."""
+    def _scan_tuples(self, table: Table, scan: ScanShape, params, outer) -> list:
+        """The table's visible heap tuples (index candidates when an index
+        serves the scan's WHERE; the caller re-applies the predicate). A
+        tuple's ``values`` list is the row, under ``scan.layout``."""
         snapshot = self.session.snapshot()
         tuples = self._index_tuples(table, scan, params, outer, snapshot)
         if tuples is None:
             tuples = list(table.heap.scan(snapshot, self.instance.xids.clog))
             self.session.stats["tuples_scanned"] += len(tuples)
             self.session.stats["pages_read"] += table.heap.page_count
-        binding, table_name = scan.binding, table.name
-        alias = binding.alias
-        rows = []
-        for tup in tuples:
-            row = Row()
-            row.bind_relation(binding, tup.values)
-            row.provenance[alias] = (table_name, tup.row_id, tup.tid)
-            rows.append(row)
-        return rows
+        return tuples
 
     def _scan_table_iter(self, table: Table, scan: ScanShape, params, outer,
                          snapshot):
-        """Lazily yield bound rows from a table scan, charging scan stats
+        """Lazily yield rows from a table scan, charging scan stats
         incrementally so an early-terminated cursor only pays for what it
         actually read."""
-        binding, table_name = scan.binding, table.name
-        alias = binding.alias
         stats = self.session.stats
-
-        def bind(tup) -> Row:
-            row = Row()
-            row.bind_relation(binding, tup.values)
-            row.provenance[alias] = (table_name, tup.row_id, tup.tid)
-            return row
-
         # Index scans are already bounded by selectivity; the TIDs are
         # resolved eagerly so the stats match the materializing scan.
         tuples = self._index_tuples(table, scan, params, outer, snapshot)
         if tuples is not None:
             for tup in tuples:
-                yield bind(tup)
+                yield tup.values
             return
         # Sequential scan: pages charged as tuples stream out (approximate
         # — visible-tuple density — so a LIMIT-stopped scan pays less).
@@ -882,81 +987,107 @@ class LocalExecutor:
             stats["tuples_scanned"] += 1
             if seen % tuples_per_page == 0:
                 stats["pages_read"] += 1
-            yield bind(tup)
+            yield tup.values
 
     # -------------------------------------------------------------- joins
 
-    def _execute_join(self, join: A.JoinExpr, params, outer, cte_env) -> RelOutput:
-        left = self._resolve_item(join.left, params, outer, cte_env)
-        right = self._resolve_item(join.right, params, outer, cte_env)
-        condition = join.condition
-        if join.using:
-            condition = _using_to_condition(join.using, left, right)
-        if join.join_type == "cross" or condition is None:
-            return _cross_join(left, right)
-        equi = _extract_equi_keys(condition, left.keys, right.keys)
-        if equi and join.join_type in ("inner", "left", "right", "full"):
-            return self._hash_join(join.join_type, left, right, equi, condition, params, outer)
-        return self._nested_loop(join.join_type, left, right, condition, params, outer)
+    def _execute_join(self, join: A.JoinExpr, params, outer, cte_env,
+                      locking=False) -> RelOutput:
+        left = self._resolve_item(join.left, params, outer, cte_env, locking)
+        right = self._resolve_item(join.right, params, outer, cte_env, locking)
 
-    def _hash_join(self, join_type, left, right, equi, condition, params, outer) -> RelOutput:
-        left_keys, right_keys = equi
-        if join_type == "right":
-            # Execute as a left join with sides swapped.
-            swapped = self._hash_join("left", right, left, (right_keys, left_keys),
-                                      condition, params, outer)
-            return swapped
-        table: dict[tuple, list[Row]] = {}
-        right_key_fns = [get_compiled(k) for k in right_keys]
-        left_key_fns = [get_compiled(k) for k in left_keys]
-        qual = get_compiled(condition)
-        for row in right.rows:
-            ctx = self._ctx(row, params, outer)
-            key = tuple(_group_key(fn(ctx)) for fn in right_key_fns)
-            if any(k == ("null",) for k in key):
-                continue
-            table.setdefault(key, []).append(row)
-        out_rows = []
-        matched_right: set[int] = set()
-        for lrow in left.rows:
-            lctx = self._ctx(lrow, params, outer)
-            key = tuple(_group_key(fn(lctx)) for fn in left_key_fns)
-            matches = table.get(key, [])
-            found = False
-            for rrow in matches:
-                merged = lrow.merge(rrow)
-                if qual(self._ctx(merged, params, outer)) is True:
-                    out_rows.append(merged)
-                    matched_right.add(id(rrow))
-                    found = True
-            if not found and join_type in ("left", "full"):
-                out_rows.append(_null_extend(lrow, right))
-        if join_type == "full":
-            for rrow in right.rows:
-                if id(rrow) not in matched_right:
-                    out_rows.append(_null_extend(rrow, left))
-        self.session.stats["join_rows"] += len(out_rows)
-        return RelOutput(left.columns + right.columns, out_rows, left.keys | right.keys)
+        def condition():
+            if join.join_type == "cross":
+                return None
+            if join.using:
+                return _using_to_condition(join.using, left.layout, right.layout)
+            return join.condition
 
-    def _nested_loop(self, join_type, left, right, condition, params, outer) -> RelOutput:
+        cell = self._prepared(join, lambda: [None])
+        shape = cell[0]
+        # Layouts are interned: the sides' only change with their columns.
+        if (shape is None or shape.left is not left.layout
+                or shape.right is not right.layout):
+            shape = cell[0] = JoinShape(left.layout, right.layout, condition())
+        return self._join(join.join_type, left, right, shape, params, outer)
+
+    def _join(self, join_type, left: RelOutput, right: RelOutput,
+              shape: JoinShape, params, outer) -> RelOutput:
+        """Hash join when the condition equi-joins the sides, else nested
+        loops; a join without a condition is the cross product. Output
+        rows are ``left values + right values``. The probe side is the
+        left one, except for RIGHT JOIN, which runs as a left join with
+        the sides' roles swapped."""
+        lrows, rrows = left.rows, right.rows
+        if not isinstance(rrows, list):
+            rrows = list(rrows)
+        qual = shape.qual
+        if not shape.conditional:
+            return RelOutput(shape.layout, [l + r for l in lrows for r in rrows])
+        swapped = join_type == "right"
+        if swapped:
+            probe_rows, build_rows = rrows, lrows
+            if not isinstance(build_rows, list):
+                build_rows = list(build_rows)
+        else:
+            probe_rows, build_rows = lrows, rrows
+        keep_probe = join_type in ("left", "right", "full")
+        probe_nulls = [None] * (shape.left.width if swapped else shape.right.width)
+        ctx = self._ctx(shape.layout, params, outer)
         out_rows = []
-        matched_right: set[int] = set()
-        qual = get_compiled(condition)
-        for lrow in left.rows:
+        matched: set[int] = set()  # ids of matched build rows (FULL JOIN)
+        track = join_type == "full"
+        hashed = shape.left_keys is not None
+        if hashed:
+            probe_key = self._join_keys(shape, not swapped, params, outer)
+            build_key = self._join_keys(shape, swapped, params, outer)
+            table: dict = {}
+            for row in build_rows:
+                key = build_key(row)
+                if key is not None:
+                    table.setdefault(key, []).append(row)
+            no_rows: list = []
+        for prow in probe_rows:
+            if hashed:
+                key = probe_key(prow)
+                candidates = table.get(key, no_rows) if key is not None else no_rows
+            else:
+                candidates = build_rows
             found = False
-            for rrow in right.rows:
-                merged = lrow.merge(rrow)
-                if qual(self._ctx(merged, params, outer)) is True:
-                    out_rows.append(merged)
-                    matched_right.add(id(rrow))
-                    found = True
-            if not found and join_type in ("left", "full"):
-                out_rows.append(_null_extend(lrow, right))
-        if join_type in ("right", "full"):
-            for rrow in right.rows:
-                if id(rrow) not in matched_right:
-                    out_rows.append(_null_extend(rrow, left))
-        return RelOutput(left.columns + right.columns, out_rows, left.keys | right.keys)
+            for brow in candidates:
+                merged = brow + prow if swapped else prow + brow
+                if qual is not None:
+                    ctx.values = merged
+                    if qual(ctx) is not True:
+                        continue
+                out_rows.append(merged)
+                found = True
+                if track:
+                    matched.add(id(brow))
+            if not found and keep_probe:
+                out_rows.append(probe_nulls + prow if swapped else prow + probe_nulls)
+        if track:
+            build_nulls = [None] * shape.left.width
+            out_rows.extend(build_nulls + brow for brow in build_rows
+                            if id(brow) not in matched)
+        if hashed:
+            self.session.stats["join_rows"] += len(out_rows)
+        return RelOutput(shape.layout, out_rows)
+
+    def _join_keys(self, shape: JoinShape, left_side: bool, params, outer):
+        """``key(row)`` for one side of a hash join: the hashable join key,
+        or None when a key column is NULL (NULL joins nothing)."""
+        slot = shape.left_slot if left_side else shape.right_slot
+        if slot is not None:
+            return lambda row: _group_key(row[slot])
+        fns = shape.left_keys if left_side else shape.right_keys
+        ctx = self._ctx(shape.left if left_side else shape.right, params, outer)
+
+        def key(row):
+            ctx.values = row
+            key = tuple([_group_key(fn(ctx)) for fn in fns])
+            return None if None in key else key
+        return key
 
     # ---------------------------------------------------------------- DML
 
@@ -972,8 +1103,10 @@ class LocalExecutor:
             columns = []
             value_rows = [[]]
         else:
-            ctx = self._ctx(Row(), params)
+            ctx = self._ctx(EMPTY_LAYOUT, params)
             value_rows = [[evaluate(v, ctx) for v in row] for row in stmt.rows]
+        shape = self._prepared(stmt, lambda: InsertShape(stmt, table))
+        returning_ctx = self._ctx(shape.layout, params)
         inserted = 0
         returned = []
         for values in value_rows:
@@ -990,31 +1123,31 @@ class LocalExecutor:
                     )
                 if stmt.on_conflict.action == "nothing":
                     continue
-                self._apply_conflict_update(table, conflict_tup, stmt.on_conflict, full, params)
+                self._apply_conflict_update(table, conflict_tup, shape, full, params)
                 inserted += 1
                 continue
             self._check_not_null(table, full)
             self._check_foreign_keys(table, full)
             tup = self._do_insert(table, full)
             inserted += 1
-            if stmt.returning:
-                returned.append(self._returning_row(table, full, stmt.returning, params))
-        cols = _output_names(_expand_returning(stmt.returning, table)) if stmt.returning else []
+            if shape.returning:
+                returning_ctx.values = full
+                returned.append([fn(returning_ctx) for fn in shape.returning[1]])
+        cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="INSERT")
         result.rowcount = inserted
         return result
 
     def _build_full_row(self, table: Table, columns, values) -> list:
-        by_name = dict(zip(columns, values))
         full = []
         for col in table.columns:
-            if col.name in by_name:
-                full.append(cast_value(by_name[col.name], col.type_name))
+            if col.name in columns:
+                full.append(cast_value(values[columns.index(col.name)], col.type_name))
             elif col.is_serial:
                 seq = self.catalog.get_sequence(f"{table.name}_{col.name}_seq")
                 full.append(seq.nextval())
             elif col.default is not None:
-                ctx = self._ctx(Row(), None)
+                ctx = self._ctx(EMPTY_LAYOUT, None)
                 full.append(cast_value(evaluate(col.default, ctx), col.type_name))
             else:
                 full.append(None)
@@ -1042,11 +1175,11 @@ class LocalExecutor:
         snapshot = self.session.snapshot()
         clog = self.instance.xids.clog
         names = table.column_names()
-        row_map = dict(zip(names, full))
         for cols in self._unique_key_sets(table):
-            key_values = [row_map.get(c) for c in cols]
+            key_values = _pick(full, names, cols)
             if any(v is None for v in key_values):
                 continue
+            positions = [names.index(c) for c in cols]
             index = self._index_for_columns(table, cols)
             if index is not None:
                 candidates = [table.heap.get(tid) for tid in index.data.scan_equal(key_values)]
@@ -1057,11 +1190,11 @@ class LocalExecutor:
                     continue
                 if not tuple_visible(tup.header, snapshot, clog):
                     continue
-                existing = dict(zip(names, tup.values))
+                existing = tup.values
                 if all(
-                    existing.get(c) is not None
-                    and compare_values(existing[c], row_map[c]) == 0
-                    for c in cols
+                    existing[p] is not None
+                    and compare_values(existing[p], v) == 0
+                    for p, v in zip(positions, key_values)
                 ):
                     if on_conflict is not None and on_conflict.columns:
                         if set(on_conflict.columns) != set(cols):
@@ -1071,19 +1204,14 @@ class LocalExecutor:
                     return tup
         return None
 
-    def _apply_conflict_update(self, table, conflict_tup, on_conflict, new_full, params):
-        names = table.column_names()
+    def _apply_conflict_update(self, table, conflict_tup, shape: InsertShape,
+                               new_full, params):
         self.session.acquire_row_lock(table.name, conflict_tup.row_id)
-        row = Row()
-        row.bind_row(table.name, names, conflict_tup.values)
-        excluded = Row()
-        excluded.bind_row("excluded", names, new_full)
-        merged = row.merge(excluded)
-        ctx = self._ctx(merged, params)
+        ctx = self._ctx(shape.conflict_layout, params)
+        ctx.values = conflict_tup.values + new_full
         updated = list(conflict_tup.values)
-        for col_name, expr in on_conflict.updates:
-            idx = table.column_index(col_name)
-            updated[idx] = cast_value(evaluate(expr, ctx), table.columns[idx].type_name)
+        for idx, type_name, assign_fn in shape.conflict_updates:
+            updated[idx] = cast_value(assign_fn(ctx), type_name)
         self._do_update(table, conflict_tup, updated)
 
     def _do_insert(self, table: Table, full: list):
@@ -1135,11 +1263,10 @@ class LocalExecutor:
         if not table.foreign_keys or not self.session.get_guc("foreign_key_checks", True):
             return
         names = table.column_names()
-        row_map = dict(zip(names, full))
         snapshot = self.session.snapshot()
         clog = self.instance.xids.clog
         for fk in table.foreign_keys:
-            values = [row_map.get(c) for c in fk.columns]
+            values = _pick(full, names, fk.columns)
             if any(v is None for v in values):
                 continue
             ref_table = self.catalog.get_table(fk.ref_table)
@@ -1168,20 +1295,23 @@ class LocalExecutor:
                     f"insert on {table.name!r} violates foreign key to {fk.ref_table!r}"
                 )
 
-    def _dml_target_rows(self, table: Table, scan: ScanShape, params) -> list:
-        """Rows an UPDATE / DELETE acts on, with every row lock held. All
-        locks are taken before anything is mutated, so a lock wait (parked
-        statement) can re-run the statement from scratch without
-        double-applying its effects."""
-        rows = self._scan_table(table, scan, params, None)
+    def _dml_target_rows(self, table: Table, scan: ScanShape, ctx) -> list:
+        """The heap tuples an UPDATE / DELETE acts on, with every row lock
+        held. All locks are taken before anything is mutated, so a lock
+        wait (parked statement) can re-run the statement from scratch
+        without double-applying its effects."""
+        tuples = self._scan_tuples(table, scan, ctx.params, None)
         predicate = scan.predicate
         if predicate is not None:
-            rows = [row for row in rows
-                    if predicate(self._ctx(row, params)) is True]
-        alias = scan.binding.alias
-        for row in rows:
-            self.session.acquire_row_lock(table.name, row.provenance[alias][1])
-        return rows
+            kept = []
+            for tup in tuples:
+                ctx.values = tup.values
+                if predicate(ctx) is True:
+                    kept.append(tup)
+            tuples = kept
+        for tup in tuples:
+            self.session.acquire_row_lock(table.name, tup.row_id)
+        return tuples
 
     def _current_version(self, table: Table, row_id: int):
         """Re-read a locked row's newest version (simplified EvalPlanQual
@@ -1200,18 +1330,17 @@ class LocalExecutor:
     def execute_update(self, stmt: A.Update, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
-        shape = self._prepared(stmt, lambda: DmlShape(stmt, table, self.catalog))
+        shape = self._prepared(stmt, lambda: DmlShape(stmt, table))
         scan = shape.scan
-        binding = scan.binding
-        alias = binding.alias
         assigned = [idx for idx, _type_name, _fn in shape.assignments]
         updated = 0
         returned = []
-        for row in self._dml_target_rows(table, scan, params):
-            current = self._current_version(table, row.provenance[alias][1])
+        ctx = self._ctx(scan.layout, params)
+        for tup in self._dml_target_rows(table, scan, ctx):
+            current = self._current_version(table, tup.row_id)
             if current is None:
                 continue
-            ctx = self._ctx(row, params)
+            ctx.values = tup.values
             new_values = list(current.values)
             for idx, type_name, assign_fn in shape.assignments:
                 new_values[idx] = cast_value(assign_fn(ctx), type_name)
@@ -1221,10 +1350,8 @@ class LocalExecutor:
             self._do_update(table, current, new_values)
             updated += 1
             if shape.returning:
-                out = Row()
-                out.bind_relation(binding, new_values)
-                out_ctx = self._ctx(out, params)
-                returned.append([fn(out_ctx) for fn in shape.returning[1]])
+                ctx.values = new_values
+                returned.append([fn(ctx) for fn in shape.returning[1]])
         cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="UPDATE")
         result.rowcount = updated
@@ -1251,19 +1378,19 @@ class LocalExecutor:
     def execute_delete(self, stmt: A.Delete, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
-        shape = self._prepared(stmt, lambda: DmlShape(stmt, table, self.catalog))
-        alias = shape.scan.binding.alias
+        shape = self._prepared(stmt, lambda: DmlShape(stmt, table))
         deleted = 0
         returned = []
-        for row in self._dml_target_rows(table, shape.scan, params):
-            current = self._current_version(table, row.provenance[alias][1])
+        ctx = self._ctx(shape.scan.layout, params)
+        for tup in self._dml_target_rows(table, shape.scan, ctx):
+            current = self._current_version(table, tup.row_id)
             if current is None:
                 continue
             self._check_referencing_keys(table, current.values)
             self._do_delete(table, current)
             deleted += 1
             if shape.returning:
-                ctx = self._ctx(row, params)
+                ctx.values = tup.values
                 returned.append([fn(ctx) for fn in shape.returning[1]])
         cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="DELETE")
@@ -1275,7 +1402,6 @@ class LocalExecutor:
         if not self.session.get_guc("foreign_key_checks", True):
             return
         names = table.column_names()
-        row_map = dict(zip(names, values))
         snapshot = self.session.snapshot()
         clog = self.instance.xids.clog
         for other in self.catalog.tables.values():
@@ -1285,7 +1411,7 @@ class LocalExecutor:
                 ref_cols = fk.ref_columns or table.primary_key
                 if not ref_cols:
                     continue
-                key = [row_map.get(c) for c in ref_cols]
+                key = _pick(values, names, ref_cols)
                 other_names = other.column_names()
                 positions = [other_names.index(c) for c in fk.columns]
                 for tup in other.heap.scan(snapshot, clog):
@@ -1297,20 +1423,13 @@ class LocalExecutor:
                             f"row in {table.name!r} is still referenced from {other.name!r}"
                         )
 
-    def _returning_row(self, table, full, returning, params):
-        names = table.column_names()
-        row = Row()
-        row.bind_row(table.name, names, full)
-        ctx = self._ctx(row, params)
-        return [evaluate(t.expr, ctx) for t in _expand_returning(returning, table)]
-
     # ------------------------------------------------------------ EXPLAIN
 
     def explain(self, stmt, params) -> list[str]:
         if isinstance(stmt, A.Select):
             lines = []
             self._explain_from(stmt, params, lines)
-            if stmt.group_by or self._select_shape(stmt).has_aggs:
+            if self._select_shape(stmt).aggregates:
                 lines.insert(0, "HashAggregate")
             if stmt.order_by:
                 lines.insert(0, "Sort")
@@ -1336,8 +1455,11 @@ class LocalExecutor:
                     path = None
                     if single_table and select.where is not None:
                         table = self.catalog.get_table(item.name)
-                        scan = self._scan_shape(item, table, select.where)
-                        path = scan.probe(table, self._ctx(Row(), params, None))
+                        # Same arguments as _resolve_from: the shape is
+                        # cached on the reference and execution reuses it.
+                        scan = self._scan_shape(item, table, select.where,
+                                                bool(select.for_update))
+                        path = scan.probe(table, self._ctx(EMPTY_LAYOUT, params, None))
                     if path is not None:
                         lines.append(f"{path[0]} on {item.name}")
                     else:
@@ -1363,63 +1485,6 @@ class LocalExecutor:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _AggRef(A.Expr):
-    index: int = 0
-
-
-class _AggContext:
-    __slots__ = ("ctx", "values")
-
-    def __init__(self, ctx, values):
-        self.ctx = ctx
-        self.values = values
-
-
-def _eval_agg(expr, agg_ctx: _AggContext):
-    if isinstance(expr, _AggRef):
-        return agg_ctx.values[expr.index]
-    if isinstance(expr, A.BinaryOp):
-        left_has = _contains_aggref(expr.left)
-        right_has = _contains_aggref(expr.right)
-        if left_has or right_has:
-            from .expr import apply_binary
-
-            if expr.op == "and":
-                lv = _eval_agg(expr.left, agg_ctx)
-                rv = _eval_agg(expr.right, agg_ctx)
-                if lv is False or rv is False:
-                    return False
-                return None if lv is None or rv is None else True
-            if expr.op == "or":
-                lv = _eval_agg(expr.left, agg_ctx)
-                rv = _eval_agg(expr.right, agg_ctx)
-                if lv is True or rv is True:
-                    return True
-                return None if lv is None or rv is None else False
-            return apply_binary(expr.op, _eval_agg(expr.left, agg_ctx),
-                                _eval_agg(expr.right, agg_ctx))
-    if isinstance(expr, A.Cast) and _contains_aggref(expr.operand):
-        return cast_value(_eval_agg(expr.operand, agg_ctx), expr.type_name)
-    if isinstance(expr, A.FuncCall) and _contains_aggref(expr):
-        from .functions import SCALAR_FUNCTIONS
-
-        fn = SCALAR_FUNCTIONS.get(expr.name.lower())
-        if fn is None:
-            raise DataError(f"function {expr.name}() does not exist")
-        return fn(*[_eval_agg(a, agg_ctx) for a in expr.args])
-    if isinstance(expr, A.UnaryOp) and _contains_aggref(expr.operand):
-        value = _eval_agg(expr.operand, agg_ctx)
-        if expr.op == "not":
-            return None if value is None else not value
-        return None if value is None else -value
-    return evaluate(expr, agg_ctx.ctx)
-
-
-def _contains_aggref(expr) -> bool:
-    return any(isinstance(n, _AggRef) for n in A.walk(expr))
-
-
 def _has_aggregates(exprs, having) -> bool:
     """Whether a target list (or HAVING) aggregates at this query level.
     Aggregates inside subqueries belong to the subquery's own level, and
@@ -1435,74 +1500,58 @@ def _has_aggregates(exprs, having) -> bool:
 def _walk_skip_subqueries(expr, skip_windows: bool = False):
     """Pre-order walk that does not descend into SubqueryExpr nodes (nor,
     with ``skip_windows``, into window function calls)."""
-    if isinstance(expr, A.SubqueryExpr):
+    if isinstance(expr, (list, tuple)):  # e.g. CASE's (condition, result) pairs
+        for item in expr:
+            yield from _walk_skip_subqueries(item, skip_windows)
+        return
+    if not isinstance(expr, A.Node) or isinstance(expr, A.SubqueryExpr):
         return
     if skip_windows and isinstance(expr, A.FuncCall) and expr.over is not None:
         return
-    if isinstance(expr, A.Node):
-        yield expr
-        for name, may_hold_nodes in A.node_fields(type(expr)):
-            if not may_hold_nodes:
-                continue
-            value = getattr(expr, name)
-            if isinstance(value, A.Node):
-                yield from _walk_skip_subqueries(value, skip_windows)
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    if isinstance(v, A.Node):
-                        yield from _walk_skip_subqueries(v, skip_windows)
+    yield expr
+    for name, may_hold_nodes in A.node_fields(type(expr)):
+        if may_hold_nodes:
+            yield from _walk_skip_subqueries(getattr(expr, name), skip_windows)
 
 
 def _transform_keep_identity(expr, fn):
-    """Like ast.transform but replaces nodes in place via visitation order
-    that preserves identity of untouched nodes (so aggregate collection can
-    key by node identity). Does not descend into subqueries: their
-    aggregates belong to the inner query level."""
-    if isinstance(expr, A.SubqueryExpr):
+    """Like ast.transform but replaces nodes in place, in a visitation
+    order that preserves the identity of untouched nodes. Does not descend
+    into subqueries: their aggregates belong to the inner query level."""
+    if isinstance(expr, list):
+        return [_transform_keep_identity(v, fn) for v in expr]
+    if isinstance(expr, tuple):
+        return tuple(_transform_keep_identity(v, fn) for v in expr)
+    if not isinstance(expr, A.Node) or isinstance(expr, A.SubqueryExpr):
         return expr
     result = fn(expr)
     if result is not expr:
         return result
-    if not isinstance(expr, A.Node):
-        return expr
     for name, may_hold_nodes in A.node_fields(type(expr)):
-        if not may_hold_nodes:
-            continue
-        value = getattr(expr, name)
-        if isinstance(value, A.Node):
-            setattr(expr, name, _transform_keep_identity(value, fn))
-        elif isinstance(value, list):
-            setattr(
-                expr,
-                name,
-                [
-                    _transform_keep_identity(v, fn) if isinstance(v, A.Node) else v
-                    for v in value
-                ],
-            )
-        elif isinstance(value, tuple):
-            setattr(
-                expr,
-                name,
-                tuple(
-                    _transform_keep_identity(v, fn) if isinstance(v, A.Node) else v
-                    for v in value
-                ),
-            )
+        if may_hold_nodes:
+            setattr(expr, name, _transform_keep_identity(getattr(expr, name), fn))
     return expr
 
 
+def _pick(values: list, names: list, wanted) -> list:
+    """The ``wanted`` columns' values out of a full row of ``names`` (None
+    for a column the table does not have)."""
+    return [values[names.index(c)] if c in names else None for c in wanted]
+
+
 def _group_key(value):
-    """Hashable representation of a value for grouping / distinct / join."""
-    if value is None:
-        return ("null",)
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, (int, float)):
-        return ("n", float(value))
+    """Hashable representation of a value for grouping / distinct / join:
+    equal keys are equal SQL values. Python already hashes and compares
+    ``1 == 1.0`` exactly, so numbers (bigints beyond 2**53 included), text
+    and dates stand for themselves; NULL is None."""
+    kind = type(value)
+    if kind is int or kind is str or value is None or kind is float:
+        return value
+    if kind is bool:
+        return ("b", value)  # True is not the number 1
     if isinstance(value, (dict, list)):
         return ("j", to_text(value))
-    return ("v", to_text(value), type(value).__name__)
+    return value
 
 
 def _expand_stars(targets, rel_columns: list):
@@ -1530,6 +1579,16 @@ def _expand_returning(returning, table: Table):
     return expanded
 
 
+def _compile_returning(returning, table: Table, layout: RowLayout):
+    """``(output names, compiled targets)`` of a RETURNING list over rows
+    of ``layout``; None without one."""
+    if not returning:
+        return None
+    targets = _expand_returning(returning, table)
+    return (_output_names(targets),
+            [get_compiled(t.expr, layout) for t in targets])
+
+
 def _output_names(targets) -> list[str]:
     names = []
     for entry in targets:
@@ -1548,47 +1607,56 @@ def _output_names(targets) -> list[str]:
 
 
 def _rows_to_rel(alias: str, columns: list[str], rows) -> RelOutput:
-    keys = set(columns) | {f"{alias}.{c}" for c in columns}
-    rel_columns = [(alias, c) for c in columns]
-    if not isinstance(rows, list):
-        # Lazy source (a streaming intermediate result): keep it lazy so a
-        # single-pass consumer — the coordinator's hash aggregate over
-        # ``citus_intermediate`` — never materializes the whole stream.
-        def bind_lazily():
-            for values in rows:
-                row = Row()
-                row.bind_row(alias, columns, values)
-                yield row
-
-        return RelOutput(columns=rel_columns, rows=bind_lazily(), keys=keys)
-    out_rows = []
-    for values in rows:
-        row = Row()
-        row.bind_row(alias, columns, values)
-        out_rows.append(row)
-    return RelOutput(columns=rel_columns, rows=out_rows, keys=keys)
+    """A relation over rows that already are value lists (a subquery's or
+    CTE's result, a streamed intermediate result). ``rows`` passes through
+    untouched, so a lazy source stays lazy and a single-pass consumer —
+    the coordinator's hash aggregate over ``citus_intermediate`` — never
+    materializes the whole stream."""
+    return RelOutput(RowLayout.of(alias, columns), rows)
 
 
-def _cross_join(left: RelOutput, right: RelOutput) -> RelOutput:
-    rows = [l.merge(r) for l in left.rows for r in right.rows]
-    return RelOutput(left.columns + right.columns, rows, left.keys | right.keys)
+def _projection(bound: BoundSelect, ctx: EvalContext):
+    """``project(values) -> output row`` (always a new list) for a SELECT
+    without aggregation."""
+    slots = bound.target_slots
+    if slots is None:
+        fns = bound.target_fns
+
+        def project(values):
+            ctx.values = values
+            return [fn(ctx) for fn in fns]
+
+        return project
+    if len(slots) == 1:  # itemgetter(one slot) returns a bare value
+        slot = slots[0]
+        return lambda values: [values[slot]]
+    getter = itemgetter(*slots)
+    return lambda values: list(getter(values))
 
 
-def _null_extend(row: Row, other: RelOutput) -> Row:
-    extended = Row()
-    extended.qualified.update(row.qualified)
-    extended.unqualified.update(row.unqualified)
-    extended._ambiguous |= row._ambiguous
-    extended.provenance.update(row.provenance)
-    for alias, name in other.columns:
-        extended.bind(alias, name, None)
-    return extended
+def _comma_join_plan(layouts, where) -> list:
+    """The joins of comma-separated FROM items, ``[(index into what is
+    still unjoined, JoinShape), ...]``: each step takes the first item some
+    equi-join conjunct of ``where`` connects to what is joined so far, or,
+    failing that, cross-joins the next one."""
+    conjuncts = _split_and(where) if where is not None else []
+    left, remaining = layouts[0], list(layouts[1:])
+    steps = []
+    while remaining:
+        chosen, condition = 0, None
+        for i, right in enumerate(remaining):
+            condition = _equi_condition_between(conjuncts, left.slots, right.slots)
+            if condition is not None:
+                chosen = i
+                break
+        join = JoinShape(left, remaining.pop(chosen), condition)
+        steps.append((chosen, join))
+        left = join.layout
+    return steps
 
 
-def _using_to_condition(using: list[str], left: RelOutput, right: RelOutput) -> A.Expr:
+def _using_to_condition(using: list[str], left: RowLayout, right: RowLayout) -> A.Expr:
     conds = []
-    left_aliases = {a for a, _ in left.columns}
-    right_aliases = {a for a, _ in right.columns}
     for name in using:
         lalias = next((a for a, n in left.columns if n == name), None)
         ralias = next((a for a, n in right.columns if n == name), None)
@@ -1601,7 +1669,7 @@ def _using_to_condition(using: list[str], left: RelOutput, right: RelOutput) -> 
     return cond
 
 
-def _equi_condition_between(conjuncts, left_keys: set, right_keys: set):
+def _equi_condition_between(conjuncts, left_keys, right_keys):
     """AND together the conjuncts that equi-join two relations; None when
     no conjunct connects them."""
     found = []
@@ -1626,25 +1694,26 @@ def _equi_condition_between(conjuncts, left_keys: set, right_keys: set):
     return condition
 
 
-def _extract_equi_keys(condition, left_keys: set, right_keys: set):
-    """If condition is a conjunction containing equi-join predicates, return
-    ([left_exprs], [right_exprs]) for the hash join, else None."""
-    conjuncts = _split_and(condition)
-    left_exprs, right_exprs = [], []
-    for c in conjuncts:
+def _extract_equi_keys(condition, left_keys, right_keys):
+    """Split a join condition for the hash join: ``(([left exprs], [right
+    exprs]) or None, [conjuncts that are not key equalities])``."""
+    left_exprs, right_exprs, residual = [], [], []
+    for c in _split_and(condition):
         if isinstance(c, A.BinaryOp) and c.op == "=":
             lrefs = _column_keys(c.left)
             rrefs = _column_keys(c.right)
-            if lrefs and rrefs:
-                if _subset(lrefs, left_keys) and _subset(rrefs, right_keys):
-                    left_exprs.append(c.left)
-                    right_exprs.append(c.right)
-                elif _subset(lrefs, right_keys) and _subset(rrefs, left_keys):
-                    left_exprs.append(c.right)
-                    right_exprs.append(c.left)
+            if _subset(lrefs, left_keys) and _subset(rrefs, right_keys):
+                left_exprs.append(c.left)
+                right_exprs.append(c.right)
+                continue
+            if _subset(lrefs, right_keys) and _subset(rrefs, left_keys):
+                left_exprs.append(c.right)
+                right_exprs.append(c.left)
+                continue
+        residual.append(c)
     if not left_exprs:
-        return None
-    return left_exprs, right_exprs
+        return None, residual
+    return (left_exprs, right_exprs), residual
 
 
 def _split_and(expr) -> list:
@@ -1663,43 +1732,43 @@ def _column_keys(expr) -> set:
     return keys
 
 
-def _subset(refs: set, keys: set) -> bool:
+def _subset(refs: set, keys) -> bool:
     return bool(refs) and all(r in keys for r in refs)
 
 
 def _apply_set_op(op: str, left_pairs, right_pairs):
+    """UNION / INTERSECT / EXCEPT over (output values, input row) pairs,
+    first-occurrence order preserved. The plain forms return distinct
+    rows; the ALL forms count multiplicities — INTERSECT ALL keeps
+    ``min(l, r)`` copies of a row, EXCEPT ALL ``max(l - r, 0)``."""
     if op == "union all":
         return left_pairs + right_pairs
-    left_keys = [tuple(_group_key(v) for v in values) for values, _ in left_pairs]
-    right_keys = [tuple(_group_key(v) for v in values) for values, _ in right_pairs]
-    if op == "union":
-        seen = set()
-        out = []
-        for (values, row), key in zip(left_pairs + right_pairs, left_keys + right_keys):
-            if key not in seen:
-                seen.add(key)
-                out.append((values, row))
-        return out
-    right_set = set(right_keys)
-    if op in ("intersect", "intersect all"):
-        return [p for p, k in zip(left_pairs, left_keys) if k in right_set]
-    if op in ("except", "except all"):
-        return [p for p, k in zip(left_pairs, left_keys) if k not in right_set]
-    raise SyntaxErrorSQL(f"unsupported set operation {op!r}")
+    kind, _, modifier = op.partition(" ")
+    if kind not in ("union", "intersect", "except") or modifier not in ("", "all"):
+        raise SyntaxErrorSQL(f"unsupported set operation {op!r}")
+    if kind == "union":
+        left_pairs, right_pairs = left_pairs + right_pairs, []
 
+    def row_key(pair):
+        return tuple([_group_key(v) for v in pair[0]])
 
-def _distinct_pairs(pairs, distinct_on, executor, params, outer):
-    seen = set()
+    right_counts = Counter(row_key(pair) for pair in right_pairs)
+    emitted = set()
     out = []
-    for values, row in pairs:
-        if distinct_on:
-            ctx = executor._ctx(row, params, outer)
-            key = tuple(_group_key(evaluate(e, ctx)) for e in distinct_on)
+    for pair in left_pairs:
+        key = row_key(pair)
+        if modifier == "all":
+            # Each right-hand copy pairs off with one left-hand copy.
+            in_right = right_counts[key] > 0
+            if in_right:
+                right_counts[key] -= 1
         else:
-            key = tuple(_group_key(v) for v in values)
-        if key not in seen:
-            seen.add(key)
-            out.append((values, row))
+            if key in emitted:
+                continue
+            emitted.add(key)
+            in_right = key in right_counts
+        if kind == "union" or in_right == (kind == "intersect"):
+            out.append(pair)
     return out
 
 
@@ -1717,6 +1786,9 @@ def _resolve_ref(expr, targets):
 
 
 class _Reversed:
+    """Inverts a sort key's order; the coordinator's MergeAppend builds its
+    heap keys with it (a heap cannot sort one key with ``reverse=True``)."""
+
     __slots__ = ("key",)
 
     def __init__(self, key):

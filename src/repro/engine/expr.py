@@ -1,9 +1,10 @@
 """Expression evaluation.
 
 An :class:`EvalContext` carries everything an expression can touch: the
-current row's column bindings, query parameters, the executing session
-(for volatile functions, sequences, UDFs), and a callback for executing
-subqueries with the outer row visible (correlated subqueries).
+current row (a shared :class:`RowLayout` plus flat values), query
+parameters, the executing session (for volatile functions, sequences,
+UDFs), and a callback for executing subqueries with the outer row visible
+(correlated subqueries).
 
 NULL propagation follows SQL three-valued logic: comparison/arithmetic
 operators yield NULL on NULL input; AND/OR implement Kleene logic.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import CatalogError, DataError
@@ -44,96 +45,143 @@ class AmbiguousColumn(DataError):
     pass
 
 
-class Row:
-    """Column bindings for one input row.
+class RowLayout:
+    """What every row of one relation has in common: which slot of the
+    row's flat ``values`` list each column reference names.
 
-    Stores qualified (``alias.col``) and unqualified (``col``) keys;
-    an unqualified key bound from two different relations becomes
-    ambiguous and raises on access, as PostgreSQL would.
+    ``slots`` maps both spellings of a reference (``alias.col`` and
+    ``col``) to a position; an unqualified name two relations supply is
+    in ``ambiguous`` and raises on resolution, as PostgreSQL would.
+    ``columns`` lists the visible ``(alias, name)`` pairs in star order.
+    ``sources`` names the hidden slots — ``(slot, table name)`` — that a
+    row-locking scan fills with the heap tuple each base relation's part
+    of the row came from (SELECT ... FOR UPDATE reads them).
+
+    A layout is immutable and shared: :meth:`of` returns the same object
+    for the same relation shape, a join shape concatenates its sides'
+    layouts once, and compiled column references resolve against a layout
+    once instead of per row.
     """
 
-    __slots__ = ("qualified", "unqualified", "_ambiguous", "provenance")
+    __slots__ = ("columns", "slots", "ambiguous", "sources", "width")
 
-    def __init__(self):
-        self.qualified: dict[str, object] = {}
-        self.unqualified: dict[str, object] = {}
-        self._ambiguous: set[str] = set()
-        # alias -> (table_name, row_id, tid) for rows scanned from base
-        # tables; consumed by UPDATE / DELETE / SELECT FOR UPDATE.
-        self.provenance: dict[str, tuple] = {}
+    def __init__(self, columns, slots, ambiguous=frozenset(), sources=(),
+                 width=None):
+        self.columns = columns
+        self.slots = slots
+        self.ambiguous = ambiguous
+        self.sources = sources
+        self.width = len(columns) if width is None else width
 
-    def bind(self, alias: str | None, name: str, value) -> None:
-        if alias:
-            self.qualified[f"{alias}.{name}"] = value
-        if name in self.unqualified and alias:
-            self._ambiguous.add(name)
-        self.unqualified[name] = value
+    @classmethod
+    def of(cls, alias: str | None, names, source_table: str | None = None):
+        """The layout of one relation's columns under ``alias``; with
+        ``source_table``, one more (hidden) slot for the row's heap tuple.
+        Interned: equal arguments return the identical layout, so what was
+        compiled against it is found again on the next execution."""
+        key = (alias, tuple(names), source_table)
+        layout = _LAYOUTS.get(key)
+        if layout is None:
+            layout = cls._build(alias, key[1], source_table)
+            _LAYOUTS.put(key, layout)
+        return layout
 
-    def bind_row(self, alias: str | None, names: list[str], values: list) -> None:
-        for name, value in zip(names, values):
-            self.bind(alias, name, value)
+    @classmethod
+    def _build(cls, alias, names, source_table):
+        slots: dict[str, int] = {}
+        ambiguous = set()
+        for slot, name in enumerate(names):
+            if alias:
+                slots[f"{alias}.{name}"] = slot
+                if name in slots:
+                    ambiguous.add(name)
+            slots[name] = slot
+        columns = [(alias, name) for name in names]
+        if source_table is None:
+            return cls(columns, slots, frozenset(ambiguous))
+        return cls(columns, slots, frozenset(ambiguous),
+                   ((len(columns), source_table),), len(columns) + 1)
 
-    def bind_relation(self, binding, values: list) -> None:
-        """:meth:`bind_row` for the first relation bound to a row, with
-        the ``alias.column`` keys precomputed (a catalog
-        ``RelationBinding``)."""
-        self.qualified.update(zip(binding.qualified, values))
-        self.unqualified.update(zip(binding.names, values))
+    def join(self, other: "RowLayout") -> "RowLayout":
+        """The layout of ``left.values + right.values``."""
+        shift = self.width
+        slots = dict(self.slots)
+        for key, slot in other.slots.items():
+            slots[key] = slot + shift
+        mine = {name for _alias, name in self.columns}
+        clashing = {name for _alias, name in other.columns if name in mine}
+        sources = self.sources + tuple(
+            (slot + shift, table) for slot, table in other.sources)
+        return RowLayout(self.columns + other.columns, slots,
+                         self.ambiguous | other.ambiguous | clashing,
+                         sources, shift + other.width)
 
-    def merge(self, other: "Row") -> "Row":
-        merged = Row()
-        merged.qualified.update(self.qualified)
-        merged.qualified.update(other.qualified)
-        merged.unqualified.update(self.unqualified)
-        merged._ambiguous |= self._ambiguous | other._ambiguous
-        for name, value in other.unqualified.items():
-            if name in self.unqualified:
-                merged._ambiguous.add(name)
-            merged.unqualified[name] = value
-        merged.provenance.update(self.provenance)
-        merged.provenance.update(other.provenance)
-        return merged
-
-    def lookup(self, table: str | None, name: str):
-        if table:
-            key = f"{table}.{name}"
-            if key in self.qualified:
-                return self.qualified[key]
-            raise CatalogError(f"column {key!r} does not exist")
-        if name in self.unqualified:
-            if name in self._ambiguous:
-                raise AmbiguousColumn(f"column reference {name!r} is ambiguous")
-            return self.unqualified[name]
-        raise CatalogError(f"column {name!r} does not exist")
-
-    def has(self, table: str | None, name: str) -> bool:
-        if table:
-            return f"{table}.{name}" in self.qualified
-        return name in self.unqualified
+    def resolve(self, ref: A.ColumnRef):
+        """The slot ``ref`` names, or None when this layout does not have
+        the column (the reference may belong to an outer query)."""
+        slot = self.slots.get(ref.key)
+        if slot is not None and ref.table is None and ref.name in self.ambiguous:
+            raise AmbiguousColumn(f"column reference {ref.name!r} is ambiguous")
+        return slot
 
 
-EMPTY_ROW = Row()
+_LAYOUTS = LRUCache(1024)
+EMPTY_LAYOUT = RowLayout([], {})
+
+
+class Row:
+    """One row standing alone: a layout and the values it names. The
+    executor's loops pass bare value lists and keep the layout on the
+    relation; a ``Row`` is how everything else (contexts with no input
+    row, tests) hands a row to an :class:`EvalContext`."""
+
+    __slots__ = ("layout", "values")
+
+    def __init__(self, layout: RowLayout = EMPTY_LAYOUT, values=()):
+        self.layout = layout
+        self.values = values
+
+    @classmethod
+    def of(cls, alias: str | None = None, **columns) -> "Row":
+        return cls(RowLayout.of(alias, list(columns)), list(columns.values()))
+
+
+class EvalContext:
+    """What an expression evaluates against. A per-row loop builds one
+    context for the loop's layout and re-points ``values`` at each row."""
+
+    __slots__ = ("layout", "values", "params", "session",
+                 "subquery_executor", "outer")
+
+    def __init__(self, row: Row | None = None, params=None, session=None,
+                 subquery_executor: Optional[Callable] = None,
+                 outer: Optional["EvalContext"] = None):
+        self.layout = row.layout if row is not None else EMPTY_LAYOUT
+        self.values = row.values if row is not None else ()
+        self.params = params  # list (for $n) or dict (for :name)
+        self.session = session  # Session, for volatile functions / UDFs
+        self.subquery_executor = subquery_executor  # (Select, EvalContext) -> rows
+        self.outer = outer
 
 
 @dataclass
-class EvalContext:
-    row: Row = field(default_factory=Row)
-    params: object = None  # list (for $n) or dict (for :name)
-    session: object = None  # Session, for volatile functions / UDFs
-    subquery_executor: Optional[Callable] = None  # (Select, EvalContext) -> rows
-    outer: Optional["EvalContext"] = None
+class SlotRef(A.Expr):
+    """A read of one slot of the current row by position: what the executor
+    puts where an aggregate or window call stood once its per-group /
+    per-row result has been appended to the row."""
 
-    def child(self, row: Row) -> "EvalContext":
-        return EvalContext(row, self.params, self.session, self.subquery_executor, self)
+    index: int = 0
 
-    def lookup_column(self, table, name):
-        ctx = self
-        while ctx is not None:
-            if ctx.row.has(table, name):
-                return ctx.row.lookup(table, name)
-            ctx = ctx.outer
-        # Raise with the nearest scope's error message.
-        return self.row.lookup(table, name)
+
+def lookup_column(ref: A.ColumnRef, ctx: EvalContext):
+    """``ref``'s value in the nearest enclosing scope that has the column."""
+    scope = ctx
+    while scope is not None:
+        slot = scope.layout.resolve(ref)
+        if slot is not None:
+            return scope.values[slot]
+        scope = scope.outer
+    raise CatalogError(f"column {ref.key!r} does not exist")
 
 
 def evaluate(expr, ctx: EvalContext):
@@ -171,8 +219,8 @@ def _param(node: A.Param, ctx):
     return params[node.name]
 
 
-def _column_ref(node: A.ColumnRef, ctx):
-    return ctx.lookup_column(node.table, node.name)
+def _slot_ref(node: SlotRef, ctx):
+    return ctx.values[node.index]
 
 
 def _cast(node: A.Cast, ctx):
@@ -506,7 +554,8 @@ def _subquery(node: A.SubqueryExpr, ctx):
 _EVAL = {
     A.Literal: _literal,
     A.Param: _param,
-    A.ColumnRef: _column_ref,
+    A.ColumnRef: lookup_column,
+    SlotRef: _slot_ref,
     A.Cast: _cast,
     A.IsNull: _is_null,
     A.BetweenExpr: _between,

@@ -19,7 +19,7 @@ from collections import defaultdict
 from ..sql import ast as A
 from .compile import get_compiled
 from .datum import sort_key, to_text
-from .expr import EvalContext, Row
+from .expr import EvalContext, Row, RowLayout
 
 
 class BTreeIndex:
@@ -182,10 +182,9 @@ def index_key_values(table, index, values: list) -> list:
             key.append(values[table.column_index(expr.name)])
             continue
         if ctx is None:
-            row = Row()
-            row.bind_row(table.name, table.column_names(), values)
-            ctx = EvalContext(row=row)
-        key.append(get_compiled(expr)(ctx))
+            layout = RowLayout.of(table.name, table.column_names())
+            ctx = EvalContext(Row(layout, values))
+        key.append(get_compiled(expr, ctx.layout)(ctx))
     return key
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from ..errors import DataError
 from ..sql import ast as A
-from .datum import sort_key
-from .functions import get_aggregate, is_aggregate
+from .compile import get_compiled
+from .datum import ordering, to_text
+from .functions import _STAR, get_aggregate, is_aggregate
 
 RANKING_FUNCTIONS = {"row_number", "rank", "dense_rank", "ntile"}
 NAVIGATION_FUNCTIONS = {"lag", "lead", "first_value", "last_value"}
@@ -35,87 +36,62 @@ def contains_window_function(expr) -> bool:
     )
 
 
-def compute_window_values(executor, node: A.FuncCall, rows, params, outer) -> list:
+def compute_window_values(node: A.FuncCall, rows: list, ctx) -> list:
     """Evaluate one window function over the input rows; returns a value
-    per row, aligned with ``rows`` order."""
-    from .expr import evaluate
-
+    per row, aligned with ``rows`` order. ``ctx`` is the caller's loop
+    context for the rows' layout; it is re-pointed at rows here."""
     name = node.name.lower()
     if not is_window_capable(name):
         raise DataError(f"{name}() is not a window function")
     window = node.over
+    layout = ctx.layout
 
-    def ctx_for(row):
-        return executor._ctx(row, params, outer)
+    def over(fn, i):
+        ctx.values = rows[i]
+        return fn(ctx)
 
     # Partition rows.
+    partition_fns = [get_compiled(e, layout) for e in window.partition_by]
     partitions: dict[tuple, list[int]] = {}
-    order_in_input = list(range(len(rows)))
-    for i in order_in_input:
-        ctx = ctx_for(rows[i])
-        key = tuple(
-            _hashable(evaluate(e, ctx)) for e in window.partition_by
-        )
+    for i in range(len(rows)):
+        key = tuple([_hashable(over(fn, i)) for fn in partition_fns])
         partitions.setdefault(key, []).append(i)
 
+    order_fns = [get_compiled(sk.expr, layout) for sk in window.order_by]
+    arg_fns = [get_compiled(a, layout) for a in node.args
+               if not isinstance(a, A.Star)]
     values: list = [None] * len(rows)
     for indices in partitions.values():
-        ordered = _order_partition(executor, indices, rows, window.order_by,
-                                   params, outer)
-        peer_groups = _peer_groups(executor, ordered, rows, window.order_by,
-                                   params, outer)
+        ordered = _order_partition(indices, window.order_by, order_fns, over)
+        peer_groups = _peer_groups(ordered, order_fns, over)
         if name in RANKING_FUNCTIONS:
-            _compute_ranking(name, node, executor, ordered, peer_groups, rows,
-                             values, params, outer)
+            _compute_ranking(name, arg_fns, over, ordered, peer_groups, values)
         elif name in NAVIGATION_FUNCTIONS:
-            _compute_navigation(name, node, executor, ordered, rows, values,
-                                params, outer)
+            _compute_navigation(name, arg_fns, over, ordered, values)
         else:
-            _compute_window_aggregate(node, executor, ordered, peer_groups,
-                                      rows, values, params, outer,
-                                      running=bool(window.order_by))
+            _compute_window_aggregate(node, arg_fns, over, ordered, peer_groups,
+                                      values, running=bool(window.order_by))
     return values
 
 
-def _order_partition(executor, indices, rows, order_by, params, outer):
-    from .expr import evaluate
-
-    if not order_by:
-        return list(indices)
-
-    def key_fn(i):
-        ctx = executor._ctx(rows[i], params, outer)
-        keys = []
-        for sk in order_by:
-            value = evaluate(sk.expr, ctx)
-            nulls_first = sk.nulls_first
-            if nulls_first is None:
-                nulls_first = not sk.ascending
-            null_rank = (0 if nulls_first else 1) if value is None else (
-                1 if nulls_first else 0
-            )
-            vk = sort_key(value)
-            if not sk.ascending:
-                from .executor import _Reversed
-
-                vk = _Reversed(vk)
-            keys.append((null_rank, vk))
-        return keys
-
-    return sorted(indices, key=key_fn)
+def _order_partition(indices, order_by, order_fns, over):
+    """The partition's row indices in window order: one stable sort per
+    ORDER BY key, last key first (a descending key sorts reversed)."""
+    ordered = list(indices)
+    for sk, fn in reversed(list(zip(order_by, order_fns))):
+        descending, key = ordering(sk.ascending, sk.nulls_first)
+        ordered.sort(key=lambda i: key(over(fn, i)), reverse=descending)
+    return ordered
 
 
-def _peer_groups(executor, ordered, rows, order_by, params, outer):
+def _peer_groups(ordered, order_fns, over):
     """Group consecutive rows with equal ORDER BY keys (rank peers)."""
-    from .expr import evaluate
-
-    if not order_by:
+    if not order_fns:
         return [list(ordered)]
     groups = []
     last_key = object()
     for i in ordered:
-        ctx = executor._ctx(rows[i], params, outer)
-        key = tuple(_hashable(evaluate(sk.expr, ctx)) for sk in order_by)
+        key = tuple([_hashable(over(fn, i)) for fn in order_fns])
         if key != last_key:
             groups.append([i])
             last_key = key
@@ -124,17 +100,13 @@ def _peer_groups(executor, ordered, rows, order_by, params, outer):
     return groups
 
 
-def _compute_ranking(name, node, executor, ordered, peer_groups, rows, values,
-                     params, outer):
-    from .expr import evaluate
-
+def _compute_ranking(name, arg_fns, over, ordered, peer_groups, values):
     if name == "row_number":
         for position, i in enumerate(ordered, start=1):
             values[i] = position
         return
     if name == "ntile":
-        ctx = executor._ctx(rows[ordered[0]], params, outer)
-        buckets = int(evaluate(node.args[0], ctx)) if node.args else 1
+        buckets = int(over(arg_fns[0], ordered[0])) if arg_fns else 1
         n = len(ordered)
         for position, i in enumerate(ordered):
             values[i] = min(position * buckets // n + 1, buckets)
@@ -150,67 +122,51 @@ def _compute_ranking(name, node, executor, ordered, peer_groups, rows, values,
         dense += 1
 
 
-def _compute_navigation(name, node, executor, ordered, rows, values, params, outer):
-    from .expr import evaluate
-
-    def arg_value(i, position):
-        ctx = executor._ctx(rows[i], params, outer)
-        return evaluate(node.args[position], ctx)
-
+def _compute_navigation(name, arg_fns, over, ordered, values):
     if name in ("first_value", "last_value"):
         source = ordered[0] if name == "first_value" else ordered[-1]
         for i in ordered:
-            values[i] = arg_value(source, 0)
+            values[i] = over(arg_fns[0], source)
         return
     offset = 1
     default = None
     for position, i in enumerate(ordered):
-        if len(node.args) > 1:
-            offset = int(arg_value(i, 1))
-        if len(node.args) > 2:
-            default = arg_value(i, 2)
+        if len(arg_fns) > 1:
+            offset = int(over(arg_fns[1], i))
+        if len(arg_fns) > 2:
+            default = over(arg_fns[2], i)
         target = position - offset if name == "lag" else position + offset
         if 0 <= target < len(ordered):
-            values[i] = arg_value(ordered[target], 0)
+            values[i] = over(arg_fns[0], ordered[target])
         else:
             values[i] = default
 
 
-def _compute_window_aggregate(node, executor, ordered, peer_groups, rows,
-                              values, params, outer, running: bool):
-    from .expr import evaluate
-
+def _compute_window_aggregate(node, arg_fns, over, ordered, peer_groups,
+                              values, running: bool):
     agg = get_aggregate(node.name)
+
+    def accumulate(state, i):
+        if not arg_fns:  # count(*) / no arguments
+            return agg.accumulate(state, _STAR)
+        return agg.accumulate(state, *[over(fn, i) for fn in arg_fns])
+
+    state = agg.init()
     if not running:
-        state = agg.init()
         for i in ordered:
-            ctx = executor._ctx(rows[i], params, outer)
-            state = _accumulate(agg, node, state, ctx)
+            state = accumulate(state, i)
         final = agg.finalize(state)
         for i in ordered:
             values[i] = final
         return
     # Running aggregate over peer groups (default frame).
-    state = agg.init()
     for group in peer_groups:
         for i in group:
-            ctx = executor._ctx(rows[i], params, outer)
-            state = _accumulate(agg, node, state, ctx)
+            state = accumulate(state, i)
         # All peers share the frame end at the last peer.
         snapshot = agg.finalize(_copy_state(state))
         for i in group:
             values[i] = snapshot
-
-
-def _accumulate(agg, node, state, ctx):
-    from .expr import evaluate
-    from .functions import _STAR
-
-    if len(node.args) == 1 and isinstance(node.args[0], A.Star):
-        return agg.accumulate(state, _STAR)
-    if not node.args:
-        return agg.accumulate(state, _STAR)
-    return agg.accumulate(state, *[evaluate(a, ctx) for a in node.args])
 
 
 def _copy_state(state):
@@ -222,8 +178,6 @@ def _copy_state(state):
 
 
 def _hashable(value):
-    from .datum import to_text
-
     if isinstance(value, (dict, list)):
         return to_text(value)
     return value

@@ -21,33 +21,67 @@ from hypothesis import strategies as st
 
 from repro import PostgresInstance
 from repro.engine.compile import get_compiled
-from repro.engine.expr import EvalContext, Row, evaluate
-from repro.errors import DataError
+from repro.engine.expr import EvalContext, Row, RowLayout, evaluate
+from repro.errors import CatalogError, DataError
 from repro.sql import parse, parse_expression
 
 
 def both(text, **bindings):
-    """Evaluate ``text`` interpreted and compiled; assert parity; return
-    the interpreted outcome tag."""
+    """Evaluate ``text`` interpreted, compiled with column references left
+    to the inline cache, and compiled against the row's layout (slot reads
+    resolved at compile time); assert parity; return the interpreted
+    outcome tag."""
+    return parity(text, Row.of(**bindings), bindings)
+
+
+def parity(text, row, bindings=None):
     expr = parse_expression(text)
-    row = Row()
-    for name, value in bindings.items():
-        row.bind(None, name, value)
     ctx = EvalContext(row=row)
 
     def run(fn):
         try:
             return ("ok", fn())
-        except DataError as exc:
+        except (DataError, CatalogError) as exc:
             return ("err", type(exc).__name__, str(exc))
 
     interpreted = run(lambda: evaluate(expr, ctx))
-    compiled = run(lambda: get_compiled(expr)(ctx))
-    assert compiled == interpreted, (
-        f"{text!r} with {bindings}: interpreted={interpreted} "
-        f"compiled={compiled}"
-    )
+    inline_cached = get_compiled(expr)
+    static = get_compiled(expr, row.layout)
+    for label, fn in (("inline-cached", inline_cached),
+                      ("inline-cached again", inline_cached),
+                      ("against layout", static)):
+        compiled = run(lambda: fn(ctx))
+        assert compiled == interpreted, (
+            f"{text!r} with {bindings}: interpreted={interpreted} "
+            f"{label}={compiled}"
+        )
+    # The same closures over a second row of another layout: the inline
+    # cache must re-resolve, and a nested scope must reach the first row.
+    if bindings is not None:
+        shifted = Row.of(**{"__pad": 0, **bindings})
+        assert run(lambda: inline_cached(EvalContext(row=shifted))) == interpreted
+    inner = EvalContext(row=Row(), outer=ctx)
+    assert run(lambda: inline_cached(inner)) == interpreted
+    assert run(lambda: get_compiled(expr, inner.layout)(inner)) == interpreted
     return interpreted
+
+
+class TestColumnResolutionParity:
+    """Unknown and ambiguous references fail alike — class and message —
+    whichever way the reference was resolved."""
+
+    def test_unknown_columns(self):
+        assert both("nope + 1", x=1) == (
+            "err", "CatalogError", "column 'nope' does not exist")
+        assert both("t.x", x=1) == (
+            "err", "CatalogError", "column 't.x' does not exist")
+
+    def test_ambiguous_and_qualified_after_a_join(self):
+        joined = RowLayout.of("a", ["x", "y"]).join(RowLayout.of("b", ["x"]))
+        row = Row(joined, [1, 2, 3])
+        assert parity("x + 1", row) == (
+            "err", "AmbiguousColumn", "column reference 'x' is ambiguous")
+        assert parity("a.x + b.x + y", row) == ("ok", 6)
 
 
 # The corpus from test_expr_functions.py, as (expression, bindings) pairs.

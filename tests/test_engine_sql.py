@@ -102,6 +102,114 @@ class TestSelectBasics:
         assert rows == [[3]]  # f in {2.5, 3.5, 5.0}
 
 
+BIG = 2**53  # beyond here float() collapses neighbouring integers
+
+
+class TestNeighbouringBigints:
+    """Grouping, hashing and ordering keys must keep bigints exact: built
+    through ``float`` they collapse 2**53 and 2**53 + 1 into one value."""
+
+    @pytest.fixture
+    def big(self, session):
+        session.execute("CREATE TABLE big (a bigint, tag text)")
+        session.execute(
+            f"INSERT INTO big VALUES ({BIG + 1}, 'odd'), ({BIG}, 'even'),"
+            f" ({BIG + 1}, 'odd again')")
+        session.execute("CREATE TABLE other (a bigint)")
+        session.execute(f"INSERT INTO other VALUES ({BIG})")
+        return session
+
+    def test_group_by(self, big):
+        rows = big.execute("SELECT a, count(*) FROM big GROUP BY a ORDER BY a").rows
+        assert rows == [[BIG, 1], [BIG + 1, 2]]
+
+    def test_distinct_and_count_distinct(self, big):
+        assert sorted(big.execute("SELECT DISTINCT a FROM big").rows) == [[BIG], [BIG + 1]]
+        assert big.execute("SELECT count(DISTINCT a) FROM big").scalar() == 2
+
+    def test_hash_join(self, big):
+        rows = big.execute(
+            "SELECT big.tag FROM big JOIN other ON big.a = other.a").rows
+        assert rows == [["even"]]
+
+    def test_set_operations(self, big):
+        assert big.execute(
+            "SELECT a FROM big INTERSECT SELECT a FROM other").rows == [[BIG]]
+        assert big.execute(
+            "SELECT a FROM big EXCEPT SELECT a FROM other").rows == [[BIG + 1]]
+        assert len(big.execute(
+            "SELECT a FROM big UNION SELECT a FROM other").rows) == 2
+
+    def test_order_by(self, big):
+        rows = big.execute("SELECT a, tag FROM big ORDER BY a DESC, tag").rows
+        assert rows == [[BIG + 1, "odd"], [BIG + 1, "odd again"], [BIG, "even"]]
+        assert big.execute("SELECT a FROM big ORDER BY a LIMIT 1").rows == [[BIG]]
+
+    def test_numeric_types_still_compare_across_types(self, session):
+        session.execute("CREATE TABLE n (i int, f float)")
+        session.execute("INSERT INTO n VALUES (1, 1.0), (2, 2.5), (1, 1.0)")
+        assert session.execute(
+            "SELECT count(*) FROM n a JOIN n b ON a.i = b.f").scalar() == 4
+        assert session.execute(
+            "SELECT i FROM n INTERSECT SELECT f FROM n").rows == [[1]]
+        assert session.execute(
+            "SELECT true UNION SELECT 1 UNION SELECT 1.0").rows == [[True], [1]]
+
+    def test_distributed_group_by(self, citus_session):
+        s = citus_session
+        s.execute("CREATE TABLE big (k int, a bigint)")
+        s.execute("SELECT create_distributed_table('big', 'k')")
+        s.execute("INSERT INTO big VALUES " + ", ".join(
+            f"({k}, {BIG + k % 2})" for k in range(1, 21)))
+        rows = s.execute("SELECT a, count(*) FROM big GROUP BY a ORDER BY a").rows
+        assert rows == [[BIG, 10], [BIG + 1, 10]]
+        assert s.execute("SELECT count(DISTINCT a) FROM big").scalar() == 2
+        assert s.execute(
+            "SELECT a FROM big ORDER BY a DESC, k LIMIT 1").rows == [[BIG + 1]]
+
+
+class TestSetOperations:
+    """All six operators, with duplicates and NULLs on both sides: the plain
+    forms return distinct rows, the ALL forms count multiplicities."""
+
+    @pytest.fixture
+    def lr(self, session):
+        session.execute("CREATE TABLE l (x int)")
+        session.execute("CREATE TABLE r (x int)")
+        session.execute("INSERT INTO l VALUES (3), (1), (1), (NULL), (2), (1), (NULL)")
+        session.execute("INSERT INTO r VALUES (1), (NULL), (1), (4), (4)")
+        return session
+
+    def run(self, session, op):
+        return [row[0] for row in session.execute(
+            f"SELECT x FROM l {op} SELECT x FROM r").rows]
+
+    def test_union_all(self, lr):
+        assert self.run(lr, "UNION ALL") == [3, 1, 1, None, 2, 1, None, 1, None, 1, 4, 4]
+
+    def test_union(self, lr):
+        assert self.run(lr, "UNION") == [3, 1, None, 2, 4]
+
+    def test_intersect(self, lr):
+        assert self.run(lr, "INTERSECT") == [1, None]
+
+    def test_intersect_all(self, lr):
+        # min(3, 2) ones, min(2, 1) NULLs
+        assert self.run(lr, "INTERSECT ALL") == [1, 1, None]
+
+    def test_except(self, lr):
+        assert self.run(lr, "EXCEPT") == [3, 2]
+
+    def test_except_all(self, lr):
+        # 3 - 2 ones and 2 - 1 NULLs survive, after the paired-off copies
+        assert self.run(lr, "EXCEPT ALL") == [3, 2, 1, None]
+
+    def test_order_by_applies_to_the_combined_result(self, lr):
+        rows = lr.execute(
+            "SELECT x FROM l EXCEPT ALL (SELECT x FROM r) ORDER BY x DESC").rows
+        assert rows == [[None], [3], [2], [1]]
+
+
 class TestAggregates:
     def test_count_sum_avg_min_max(self, s):
         row = s.execute(

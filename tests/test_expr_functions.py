@@ -14,15 +14,12 @@ from repro.engine.functions import (
     SCALAR_FUNCTIONS,
     get_aggregate,
 )
-from repro.errors import DataError
+from repro.errors import CatalogError, DataError
 from repro.sql import parse_expression
 
 
 def ev(text, **bindings):
-    row = Row()
-    for name, value in bindings.items():
-        row.bind(None, name, value)
-    return evaluate(parse_expression(text), EvalContext(row=row))
+    return evaluate(parse_expression(text), EvalContext(row=Row.of(**bindings)))
 
 
 class TestThreeValuedLogic:
@@ -240,25 +237,26 @@ class TestGenerateSeries:
 
 
 class TestRowScoping:
+    def _two_aliases(self):
+        from repro.engine.expr import RowLayout
+
+        layout = RowLayout.of("a", ["x"]).join(RowLayout.of("b", ["x"]))
+        return EvalContext(row=Row(layout, [1, 2]))
+
     def test_ambiguous_column_raises(self):
         from repro.engine.expr import AmbiguousColumn
 
-        row = Row()
-        row.bind("a", "x", 1)
-        row.bind("b", "x", 2)
-        with pytest.raises(AmbiguousColumn):
-            row.lookup(None, "x")
+        with pytest.raises(AmbiguousColumn, match="column reference 'x' is ambiguous"):
+            evaluate(parse_expression("x"), self._two_aliases())
 
     def test_qualified_lookup_still_works(self):
-        row = Row()
-        row.bind("a", "x", 1)
-        row.bind("b", "x", 2)
-        assert row.lookup("a", "x") == 1
-        assert row.lookup("b", "x") == 2
+        ctx = self._two_aliases()
+        assert evaluate(parse_expression("a.x"), ctx) == 1
+        assert evaluate(parse_expression("b.x"), ctx) == 2
 
     def test_outer_context_fallback(self):
-        outer_row = Row()
-        outer_row.bind("t", "k", 42)
-        outer = EvalContext(row=outer_row)
+        outer = EvalContext(row=Row.of("t", k=42))
         inner = EvalContext(row=Row(), outer=outer)
-        assert inner.lookup_column("t", "k") == 42
+        assert evaluate(parse_expression("t.k"), inner) == 42
+        with pytest.raises(CatalogError, match="column 't.nope' does not exist"):
+            evaluate(parse_expression("t.nope"), inner)

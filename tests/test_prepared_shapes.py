@@ -212,13 +212,13 @@ class TestShapeExecution:
 
     def test_subquery_callback_is_built_once_per_params_object(self, items):
         from repro.engine.executor import LocalExecutor
-        from repro.engine.expr import Row
+        from repro.engine.expr import EMPTY_LAYOUT
 
         executor = LocalExecutor(items)
         params = {"k": 1}
-        first = executor._ctx(Row(), params)
-        assert executor._ctx(Row(), params).subquery_executor is first.subquery_executor
-        other = executor._ctx(Row(), {"k": 1})
+        first = executor._ctx(EMPTY_LAYOUT, params)
+        assert executor._ctx(EMPTY_LAYOUT, params).subquery_executor is first.subquery_executor
+        other = executor._ctx(EMPTY_LAYOUT, {"k": 1})
         assert other.subquery_executor is not first.subquery_executor
 
 
