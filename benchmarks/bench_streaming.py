@@ -1,44 +1,32 @@
-"""Streaming data-plane benchmark: the pull-based tuple pipeline vs. the
-materializing fallback, through the real planner + executor code path.
+"""Streaming data-plane benchmark: the pull-based tuple pipeline, through
+the real planner + executor code path.
 
 Three query shapes, chosen to exercise the three coordinator merge
-strategies of the streaming pipeline:
+strategies of the pipeline:
 
-- **limit_scan** — ``SELECT … LIMIT k`` without ORDER BY: the streaming
-  plane dispatches tasks lazily, stops at the first satisfied batch, and
-  skips the remaining shards entirely (plus the worker-side lazy heap
+- **limit_scan** — ``SELECT … LIMIT k`` without ORDER BY: tasks are
+  dispatched lazily, the merge stops at the first satisfied batch, and the
+  remaining shards are skipped entirely (plus the worker-side lazy heap
   scan stops after k tuples);
 - **order_by_limit** — ``SELECT … ORDER BY col LIMIT k``: k-way
   merge-append over per-shard sorted streams, draining one batch per
-  stream instead of materializing every shard's full result;
-- **full_scan_order** — un-limited ``ORDER BY`` over the whole table:
-  throughput parity check (streaming must not slow the drain-everything
-  case down), plus the bounded-buffer guarantee.
+  stream;
+- **full_scan_order** — un-limited ``ORDER BY`` over the whole table: the
+  drain-everything case, plus the bounded-buffer guarantee.
 
-Each shape runs twice — ``citus.enable_streaming_pipeline`` on and off
-(toggled directly on the extension config) — and reports both
-throughputs and the speedup.
+(The materializing plane these shapes were once compared against is gone;
+its last numbers are the final ``trajectory`` entry of BENCH_streaming.json.)
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--quick]
         [--out results.json] [--baseline baseline.json]
 
-``--baseline`` compares limit_scan streaming throughput against a
-checked-in baseline JSON and exits non-zero on a >30% regression, and
-independently fails if ``rows_buffered_peak`` for the order_by_limit
-shape exceeds the batch_size × shard_count ceiling, or if streaming runs
-below 0.95x of the materializing plane (by median statement time) on
-order_by_limit or full_scan_order — "no shape where streaming loses" is the precondition
-for deleting the fallback (the CI smoke job).
-
-The parity ratio is a wall-clock measurement of two planes that do the
-same worker-side work, so on order_by_limit it sits at 1.0 and a single
-measurement strays below 0.95 about one time in ten on a shared host
-(measured spread 0.87-1.02). A shape therefore only counts as lost when
-it is below the floor in each of ``PARITY_ATTEMPTS`` measurements: a real
-loss repeats, a noisy neighbour does not. The clock-free part of the
-guarantee (``rows_buffered_peak``) is gated on a single measurement.
+``--baseline`` compares limit_scan throughput against a checked-in
+baseline JSON and exits non-zero on a >30% regression, and independently
+fails if ``rows_buffered_peak`` for the order_by_limit shape exceeds the
+batch_size × shard_count ceiling (clock-free, so gated on a single
+measurement) — the CI smoke job.
 """
 
 from __future__ import annotations
@@ -56,14 +44,6 @@ from repro import make_cluster  # noqa: E402
 
 #: Fraction of baseline limit_scan throughput below which --baseline fails.
 REGRESSION_FLOOR = 0.70
-#: Streaming / materialized throughput below which a shape "loses".
-PARITY_FLOOR = 0.95
-PARITY_SHAPES = ("order_by_limit", "full_scan_order")
-#: A shape loses only if it is below PARITY_FLOOR this many times in a row.
-PARITY_ATTEMPTS = 3
-#: Each plane is timed in this many chunks, alternating with the other, so
-#: that host drift during a shape lands on both planes alike.
-CHUNKS = 4
 
 ROWS = 10_000
 SHARDS = 8
@@ -89,36 +69,24 @@ QUERIES = {
 }
 
 
-def _bench_planes(session, ext, sql: str, iterations: int) -> tuple[dict, dict]:
-    """``(streaming, materialized)`` timings of ``iterations`` executions
-    of ``sql`` on each plane, in alternating chunks. ``median_ms`` is the
-    per-statement median, which a collector pause landing in one plane's
-    chunk does not move."""
-    durations: dict[bool, list] = {True: [], False: []}
-    per_chunk = max(1, iterations // CHUNKS)
-    report = None
-    for chunk in range(2 * CHUNKS):
-        streaming = chunk % 2 == 0
-        ext.config.enable_streaming_pipeline = streaming
-        if chunk < 2:
-            session.execute(sql)  # warm-up: parse + plan cache, per plane
-        for _ in range(per_chunk):
-            start = time.perf_counter()
-            session.execute(sql)
-            durations[streaming].append(time.perf_counter() - start)
-        if streaming:
-            report = ext.executor.last_report
-    ext.config.enable_streaming_pipeline = True
-    timings = []
-    for plane in (True, False):
-        seconds = sum(durations[plane])
-        timings.append({
-            "statements": len(durations[plane]), "seconds": seconds,
-            "stmts_per_sec": len(durations[plane]) / seconds,
-            "median_ms": statistics.median(durations[plane]) * 1e3})
-    timings[0]["rows_buffered_peak"] = report.rows_buffered_peak
-    timings[0]["tasks_skipped"] = report.tasks_skipped
-    return timings[0], timings[1]
+def _bench(session, ext, sql: str, iterations: int) -> dict:
+    """Timings of ``iterations`` executions of ``sql``. ``median_ms`` is
+    the per-statement median, which a collector pause does not move."""
+    session.execute(sql)  # warm-up: parse + plan cache
+    durations = []
+    for _ in range(iterations):
+        start = time.perf_counter()
+        session.execute(sql)
+        durations.append(time.perf_counter() - start)
+    report = ext.executor.last_report
+    seconds = sum(durations)
+    return {
+        "statements": iterations, "seconds": seconds,
+        "stmts_per_sec": iterations / seconds,
+        "median_ms": statistics.median(durations) * 1e3,
+        "rows_buffered_peak": report.rows_buffered_peak,
+        "tasks_skipped": report.tasks_skipped,
+    }
 
 
 def run(quick: bool = False) -> dict:
@@ -129,21 +97,8 @@ def run(quick: bool = False) -> dict:
     }
     cluster, session = _setup()
     ext = cluster.coordinator_ext
-    results: dict = {}
-    for name, sql in QUERIES.items():
-        attempts = PARITY_ATTEMPTS if name in PARITY_SHAPES else 1
-        for attempt in range(1, attempts + 1):
-            streaming, materialized = _bench_planes(session, ext, sql, iters[name])
-            median_speedup = materialized["median_ms"] / streaming["median_ms"]
-            if median_speedup >= PARITY_FLOOR:
-                break
-        results[name] = {
-            "streaming": streaming,
-            "materialized": materialized,
-            "speedup": streaming["stmts_per_sec"] / materialized["stmts_per_sec"],
-            "median_speedup": median_speedup,
-            "measurements": attempt,
-        }
+    results = {name: _bench(session, ext, sql, iters[name])
+               for name, sql in QUERIES.items()}
     return {
         "config": {"workers": 2, "shard_count": SHARDS, "rows": ROWS,
                    "batch_size": ext.config.stream_batch_size,
@@ -159,16 +114,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write results JSON to this path")
     parser.add_argument("--baseline",
                         help="baseline JSON; fail on >30%% limit_scan "
-                             "regression, unbounded merge buffer, or a "
-                             "shape where streaming loses")
+                             "regression or an unbounded merge buffer")
     args = parser.parse_args(argv)
 
     report = run(quick=args.quick)
     for name, r in report["results"].items():
-        s, m = r["streaming"], r["materialized"]
-        print(f"{name:>16}: streaming {s['stmts_per_sec']:>8.1f}"
-              f" vs materialized {m['stmts_per_sec']:>8.1f} stmts/sec"
-              f"  ({r['speedup']:.2f}x, peak buffer {s['rows_buffered_peak']})")
+        print(f"{name:>16}: {r['stmts_per_sec']:>8.1f} stmts/sec"
+              f"  (median {r['median_ms']:.2f} ms,"
+              f" peak buffer {r['rows_buffered_peak']})")
 
     if args.out:
         with open(args.out, "w") as f:
@@ -179,34 +132,21 @@ def main(argv=None) -> int:
         failed = False
         with open(args.baseline) as f:
             baseline = json.load(f)
-        base = baseline["results"]["limit_scan"]["streaming"]["stmts_per_sec"]
-        now = report["results"]["limit_scan"]["streaming"]["stmts_per_sec"]
+        base = baseline["results"]["limit_scan"]["stmts_per_sec"]
+        now = report["results"]["limit_scan"]["stmts_per_sec"]
         floor = base * REGRESSION_FLOOR
-        print(f"limit_scan (streaming): {now:.1f} vs baseline {base:.1f}"
+        print(f"limit_scan: {now:.1f} vs baseline {base:.1f}"
               f" (floor {floor:.1f})")
         if now < floor:
-            print("FAIL: streaming limit_scan throughput regressed >30%")
+            print("FAIL: limit_scan throughput regressed >30%")
             failed = True
         ceiling = report["config"]["batch_size"] * SHARDS
-        peak = report["results"]["order_by_limit"]["streaming"]["rows_buffered_peak"]
+        peak = report["results"]["order_by_limit"]["rows_buffered_peak"]
         print(f"order_by_limit peak buffer: {peak} (ceiling {ceiling})")
         if not 0 < peak <= ceiling:
             print("FAIL: coordinator merge buffer exceeded"
                   " batch_size x shard_count")
             failed = True
-        if report["results"]["limit_scan"]["speedup"] <= 1.0:
-            print("FAIL: streaming no faster than materializing on LIMIT scan")
-            failed = True
-        for name in PARITY_SHAPES:
-            ratio = report["results"][name]["median_speedup"]
-            tries = report["results"][name]["measurements"]
-            print(f"{name} parity: streaming at {ratio:.2f}x of materialized"
-                  f" (floor {PARITY_FLOOR:.2f}x, measurement {tries} of"
-                  f" {PARITY_ATTEMPTS})")
-            if ratio < PARITY_FLOOR:
-                print(f"FAIL: streaming loses to the materializing plane on {name}"
-                      f" in {PARITY_ATTEMPTS} of {PARITY_ATTEMPTS} measurements")
-                failed = True
         if failed:
             return 1
         print("OK: within regression budget, buffer bounded")

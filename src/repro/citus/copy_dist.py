@@ -7,14 +7,12 @@ for each of the shards and streams rows to the shards asynchronously,
 which means writes are partially parallelized across cores even with a
 single client."
 
-With ``citus.enable_streaming_writes`` (the default) routing is pipelined:
-each shard has a bounded COPY channel that flushes to its worker whenever
-it reaches ``citus.copy_flush_threshold`` rows, so the coordinator holds
-O(flush_threshold × shards) rows instead of the whole input. Every flush
-runs inside the write transaction — a mid-stream error (NULL distribution
-value, cast failure, worker error) rolls back all shards through the
-normal 1PC/2PC machinery. With the GUC off, the pre-streaming behavior is
-restored bit-for-bit: full per-shard batches shipped as one task each.
+Routing is pipelined: each shard has a bounded COPY channel that flushes
+to its worker whenever it reaches ``citus.copy_flush_threshold`` rows, so
+the coordinator holds O(flush_threshold × shards) rows instead of the whole
+input. Every flush runs inside the write transaction — a mid-stream error
+(NULL distribution value, cast failure, worker error) rolls back all shards
+through the normal 1PC/2PC machinery.
 
 Reference-table COPY replicates every row to all placements.
 """
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 from ..engine.datum import cast_value, hash_value
 from ..errors import NotNullViolation, SQLError
-from .planner.tasks import Task
 
 
 class ShardCopyRouter:
@@ -131,82 +128,30 @@ def distribute_rows(ext, session, table_name: str, rows, columns=None) -> int:
     """Route and apply rows of a COPY into a Citus table. Returns count.
 
     ``rows`` may be any iterable (including a generator fed by the
-    streaming read pipeline); on the streaming-writes path it is consumed
-    incrementally and never materialized in full.
+    streaming read pipeline); it is consumed incrementally and never
+    materialized in full.
     """
-    cache = ext.metadata.cache
-    dist = cache.get_table(table_name)
+    dist = ext.metadata.cache.get_table(table_name)
     shell = ext.instance.catalog.get_table(table_name)
     columns = list(columns or shell.column_names())
 
-    if getattr(ext.config, "enable_streaming_writes", True) and ext.cluster is not None:
-        router = ShardCopyRouter(ext, session, dist, shell, columns)
-        try:
-            route = router.route  # hot loop: one call per input row
-            for row in rows:
-                route(row)
-        except BaseException as exc:
-            router.abort()
-            # SQLErrors roll back through the engine's statement-failure
-            # path; a non-SQL error (e.g. the client's row iterator raised)
-            # bypasses it, so abort the flushed worker transactions here —
-            # otherwise the next statement would commit the partial COPY.
-            if not isinstance(exc, SQLError):
-                session._statement_failed(exc)
-            raise
-        total = router.finish()
-        session.stats["rows_copied"] += total
-        return total
-
-    if dist.is_reference:
-        return _copy_reference(ext, session, dist, shell, rows, columns)
-
-    dist_position = _dist_position(columns, dist)
-    dist_type = shell.column(dist.dist_column).type_name
-    column_types = [shell.column(c).type_name for c in columns]
-
-    batches: dict[int, list] = {}
-    total = 0
-    for row in rows:
-        values = [cast_value(v, t) for v, t in zip(row, column_types)]
-        dist_value = values[dist_position]
-        if dist_value is None:
-            raise NotNullViolation(
-                f"the distribution column {dist.dist_column!r} cannot be NULL in COPY"
-            )
-        index = dist.shard_index_for_value(dist_value)
-        batches.setdefault(index, []).append(values)
-        total += 1
-
-    tasks = []
-    for index, batch in sorted(batches.items()):
-        shard = dist.shards[index]
-        node = cache.placement_node(shard.shardid)
-        tasks.append(
-            Task(node, "", shard_group=(dist.colocation_id, index), returns_rows=False,
-                 copy_rows=batch, copy_table=shard.shard_name, copy_columns=columns)
-        )
-    ext.executor.execute_tasks(session, tasks, is_write=True)
+    router = ShardCopyRouter(ext, session, dist, shell, columns)
+    try:
+        route = router.route  # hot loop: one call per input row
+        for row in rows:
+            route(row)
+        total = router.finish()  # flushes every channel's remainder
+    except BaseException as exc:
+        router.abort()
+        # SQLErrors roll back through the engine's statement-failure
+        # path; a non-SQL error (e.g. the client's row iterator raised)
+        # bypasses it, so abort the flushed worker transactions here —
+        # otherwise the next statement would commit the partial COPY.
+        if not isinstance(exc, SQLError):
+            session._statement_failed(exc)
+        raise
     session.stats["rows_copied"] += total
     return total
-
-
-def _copy_reference(ext, session, dist, shell, rows, columns) -> int:
-    column_types = [shell.column(c).type_name for c in columns]
-    materialized = [
-        [cast_value(v, t) for v, t in zip(row, column_types)] for row in rows
-    ]
-    shard = dist.shards[0]
-    tasks = []
-    for node in ext.metadata.all_placements(shard.shardid):
-        tasks.append(
-            Task(node, "", shard_group=(dist.colocation_id, 0, node), returns_rows=False,
-                 copy_rows=materialized, copy_table=shard.shard_name,
-                 copy_columns=columns)
-        )
-    ext.executor.execute_tasks(session, tasks, is_write=True)
-    session.stats["rows_copied"] += len(materialized)
-    return len(materialized)
 
 
 def _dist_position(columns, dist) -> int:

@@ -13,10 +13,14 @@ Runs a distributed plan's tasks over per-worker connection pools with:
   touched a co-located shard group handles every later task on that group,
   preserving the visibility of uncommitted writes and locks.
 
-Execution is functionally sequential (single-threaded simulation) but the
-timeline is reconstructed as if parallel: each task's measured cost is
-charged to its connection, and the statement's elapsed time is the maximum
-over connections, which is what the simulated clock advances by.
+That policy, and the timeline it is reconstructed on (execution is
+functionally sequential; work is charged to the connection it ran on and a
+statement takes as long as its busiest connection), live in
+:class:`~.timeline.ConnectionTimeline`. This module drives it three ways:
+blocking tasks (:meth:`AdaptiveExecutor.execute_tasks` — fast path, router,
+multi-shard DML), per-task cursors (:class:`StreamingExecution` — every
+multi-shard SELECT) and per-shard COPY channels
+(:class:`CopyChannelExecution` — every COPY / re-routing INSERT..SELECT).
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...engine.locks import WouldBlock
-from ...errors import NodeUnavailable
 from .placement import SessionPools
+from .timeline import ConnectionTimeline
 
 
 @dataclass
@@ -39,13 +43,13 @@ class ExecutionReport:
     connections_reused: int = 0
     elapsed: float = 0.0
     per_node_connections: dict = field(default_factory=dict)
-    # Streaming pipeline telemetry (zero on the materializing path).
+    # Streaming SELECT telemetry (zero for blocking tasks).
     bytes_streamed: int = 0
     batches_fetched: int = 0
     rows_buffered_peak: int = 0
     early_terminations: int = 0
     tasks_skipped: int = 0
-    # Streaming write plane telemetry (zero on the materializing path).
+    # COPY channel telemetry (zero unless the statement routes rows).
     copy_flushes: int = 0
     copy_rows_routed: int = 0
     copy_bytes_streamed: int = 0
@@ -62,7 +66,6 @@ class AdaptiveExecutor:
 
     def execute_tasks(self, session, tasks, is_write: bool = False):
         """Run tasks, return a list of QueryResults aligned with tasks."""
-        pools = SessionPools.for_session(session, self.ext)
         report = ExecutionReport(task_count=len(tasks))
         counters = self.ext.stat_counters
         counters.incr("executor_statements")
@@ -75,28 +78,51 @@ class AdaptiveExecutor:
         for i, task in enumerate(tasks):
             by_node.setdefault(task.node, []).append(i)
 
-        # Tracing: collect per-task/per-connect timeline events (offsets
-        # into this statement's reconstructed-parallel timeline) and emit
-        # them as spans anchored at the statement's start time.
+        # Tracing: collect per-task timeline events (offsets into this
+        # statement's reconstructed-parallel timeline) and emit them as
+        # spans anchored at the statement's start time.
         tracer = self.ext.tracer
-        if tracer is None or not tracer.active or self.ext.cluster is None:
+        if tracer is None or not tracer.active:
             tracer = None
         events: list | None = [] if tracer is not None else None
         base = self.ext.cluster.clock.now() if tracer is not None else 0.0
+        timeline = ConnectionTimeline(self, session, report,
+                                      tracing=tracer is not None)
 
         graph = self.ext.txn_graph
         if graph is not None:
             graph.statement_begin()
 
-        node_elapsed = []
+        # Lock waits may only suspend single-task statements (router / fast
+        # path); multi-task statements surface waits as lock timeouts.
+        allow_block = len(tasks) == 1
+
+        def run(conn, i):
+            task = tasks[i]
+            bytes_before = conn.bytes_transferred
+            cost = self._execute_on(session, conn, task, results, i,
+                                    need_txn_block, allow_block, is_write)
+            start = timeline.charge(conn, cost)
+            if events is not None:
+                events.append((i, conn.node_name, start, cost,
+                               conn.bytes_transferred - bytes_before,
+                               task.shard_group))
+
         try:
             with counters.track("executor_statements_in_flight"):
                 for node, indexes in by_node.items():
-                    elapsed = self._run_node_tasks(
-                        session, pools, node, [(i, tasks[i]) for i in indexes],
-                        results, need_txn_block, report, is_write, events,
-                    )
-                    node_elapsed.append(elapsed)
+                    # Tasks pinned by transaction affinity run first, on
+                    # their own connections; the rest share the node's
+                    # slow-started pool.
+                    general = []
+                    for i in indexes:
+                        conn = timeline.pinned(node, tasks[i].shard_group)
+                        if conn is None:
+                            general.append(i)
+                        else:
+                            run(conn, i)
+                    for n, i in enumerate(general):
+                        run(timeline.pick(node, len(general) - n), i)
         except BaseException:
             # Failed (or parked-and-retried) statement: its accesses must
             # not count toward the transaction's co-access set.
@@ -105,152 +131,33 @@ class AdaptiveExecutor:
             raise
         finally:
             if tracer is not None:
+                timeline.emit_connect_spans(tracer, base)
                 self._emit_task_spans(tracer, base, events, results)
-        report.elapsed = max(node_elapsed, default=0.0)
-        if self.ext.cluster is not None:
-            self.ext.cluster.clock.advance(report.elapsed)
-        report.connections_used = sum(report.per_node_connections.values())
+        timeline.settle()
+        self.ext.cluster.clock.advance(report.elapsed)
         session.stats["citus_tasks"] += len(tasks)
-        session.stats["citus_connections"] += report.connections_opened
         self.last_report = report
         if graph is not None:
             graph.statement_done(session, report.elapsed)
         if not session.in_transaction and not need_txn_block:
-            # Shard-group affinity only matters within a transaction; drop
-            # it so cached connections don't accumulate stale pins.
-            for conn in pools.all_connections():
-                if not conn.in_txn_block:
-                    conn.accessed_groups.clear()
+            _clear_affinity(timeline.pools)
         return results
-
-    # ------------------------------------------------------- per node run
 
     def _emit_task_spans(self, tracer, base: float, events: list, results) -> None:
         """Turn recorded timeline events into spans. Offsets are relative
         to the statement start (``base``), matching the executor's
         reconstructed-parallel timeline."""
-        for event in events:
-            kind = event[0]
-            if kind == "connect":
-                _, node, start, end = event
-                tracer.add_span("connect", "network", base + start, base + end,
-                                node=node)
-            else:
-                _, i, node, start, cost, queued, nbytes, group = event
-                result = results[i]
-                rows = 0
-                if result is not None:
-                    rows = result.rowcount or len(result.rows)
-                tracer.add_span(
-                    "task", "executor", base + start, base + start + cost,
-                    node=node, index=i, rows=rows, bytes=nbytes,
-                    queued_ms=queued * 1000.0,
-                    shard_group=group, retries=0,
-                )
-
-    def _run_node_tasks(self, session, pools: SessionPools, node, indexed_tasks,
-                        results, need_txn_block, report, is_write=False,
-                        events: list | None = None) -> float:
-        # Phase 1: tasks with transaction affinity MUST run on the
-        # connection that already touched their shard group.
-        general: list = []
-        assigned: dict[int, list] = {}  # id(conn) -> [(i, task)]
-        for i, task in indexed_tasks:
-            conn = pools.connection_for_group(node, task.shard_group)
-            if conn is not None:
-                assigned.setdefault(id(conn), []).append((conn, i, task))
-            else:
-                general.append((i, task))
-
-        # Phase 2: timeline simulation with slow start for the general pool.
-        counters = self.ext.stat_counters
-        existing = pools.idle_connections(node)
-        conns = list(existing)
-        preexisting = {id(c) for c in conns} | set(assigned)
-        used_conn_ids: set[int] = set()
-        opened_this_statement = 0
-        busy: dict[int, float] = {id(c): 0.0 for c in conns}
-
-        def open_connection(now: float):
-            nonlocal opened_this_statement
-            # The shared pool limit never starves a statement of its first
-            # connection; beyond that, respect the limit strictly.
-            if not self.ext.try_reserve_shared_slot(node, force=not conns):
-                return None
-            try:
-                conn = pools.open_connection(node)
-            except NodeUnavailable:
-                self.ext.release_shared_slot(node)
-                raise
-            setup = self.ext.cluster.network.connection_setup_cost()
-            conns.append(conn)
-            busy[id(conn)] = now + setup
-            opened_this_statement += 1
-            report.connections_opened += 1
-            counters.incr("connections_opened", node=node)
-            session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-            if events is not None:
-                events.append(("connect", node, now, busy[id(conn)]))
-            return conn
-
-        # Lock waits may only suspend single-task statements (router / fast
-        # path); multi-task statements surface waits as lock timeouts.
-        allow_block = report.task_count == 1
-
-        # Run affinity-assigned tasks first on their own connections.
-        conn_ids = {id(c) for c in conns}
-        for bundle in assigned.values():
-            for conn, i, task in bundle:
-                start = busy.get(id(conn), 0.0)
-                bytes_before = conn.bytes_transferred
-                cost = self._execute_on(session, conn, task, results, i,
-                                        need_txn_block, allow_block, is_write)
-                if events is not None:
-                    events.append(("task", i, conn.node_name, start, cost, start,
-                                   conn.bytes_transferred - bytes_before,
-                                   task.shard_group))
-                busy[id(conn)] = start + cost
-                used_conn_ids.add(id(conn))
-                if id(conn) not in conn_ids:
-                    conns.append(conn)
-                    conn_ids.add(id(conn))
-
-        # General pool with slow start: connections may be opened as
-        # simulated time passes (n grows by 1 every interval).
-        if general and not conns:
-            open_connection(0.0)
-        pending = list(general)
-        while pending:
-            if not conns:
-                raise NodeUnavailable(f"no connection available to {node}")
-            # earliest-free connection
-            conn = min(conns, key=lambda c: busy[id(c)])
-            now = busy[id(conn)]
-            # Slow start: the connection-pool target grows by one every
-            # interval; the pool is increased by min(n, pending) (§3.6.1).
-            allowance = 1 + int(now / self.slow_start_interval)
-            target = min(allowance, len(pending) + sum(1 for c in conns if busy[id(c)] > now))
-            if len(conns) < target:
-                new_conn = open_connection(now)
-                if new_conn is not None:
-                    conn = new_conn
-                    now = busy[id(conn)]
-            i, task = pending.pop(0)
-            bytes_before = conn.bytes_transferred
-            cost = self._execute_on(session, conn, task, results, i,
-                                    need_txn_block, allow_block, is_write)
-            if events is not None:
-                events.append(("task", i, conn.node_name, now, cost, now,
-                               conn.bytes_transferred - bytes_before,
-                               task.shard_group))
-            busy[id(conn)] = now + cost
-            used_conn_ids.add(id(conn))
-        report.per_node_connections[node] = len(conns)
-        reused = len(used_conn_ids & preexisting)
-        if reused:
-            report.connections_reused += reused
-            counters.incr("connections_reused", reused, node=node)
-        return max(busy.values(), default=0.0)
+        for i, node, start, cost, nbytes, group in events:
+            result = results[i]
+            rows = 0
+            if result is not None:
+                rows = result.rowcount or len(result.rows)
+            tracer.add_span(
+                "task", "executor", base + start, base + start + cost,
+                node=node, index=i, rows=rows, bytes=nbytes,
+                queued_ms=start * 1000.0,
+                shard_group=group, retries=0,
+            )
 
     def _execute_on(self, session, conn, task, results, i, need_txn_block,
                     allow_block=False, is_write=False) -> float:
@@ -291,13 +198,7 @@ class AdaptiveExecutor:
         graph = self.ext.txn_graph
         bytes_before = conn.bytes_transferred if graph is not None else 0
         before = conn.elapsed
-        if task.copy_rows is not None:
-            count = conn.copy_rows(task.copy_table, task.copy_rows, task.copy_columns)
-            from ...engine.executor import QueryResult
-
-            result = QueryResult([], [], command="COPY")
-            result.rowcount = count
-        elif task.stmt is not None:
+        if task.stmt is not None:
             result = conn.execute_parsed(task.stmt, task.params,
                                          allow_block=allow_block)
         else:
@@ -308,41 +209,28 @@ class AdaptiveExecutor:
         rows = result.rowcount if result.rowcount else len(result.rows)
         cpu_cost = rows * self.ext.config.per_row_cpu_cost
         cost = (conn.elapsed - before) + cpu_cost
-        session.wait_events.record(
-            "Net", "RemoteCopy" if task.copy_rows is not None else "RemoteExecute",
-            cost, node=conn.node_name,
-        )
+        session.wait_events.record("Net", "RemoteExecute", cost,
+                                   node=conn.node_name)
         if graph is not None:
             graph.note_access(session, conn.node_name, task.shard_group,
                               is_write, conn.bytes_transferred - bytes_before)
         return cost
 
-
     # -------------------------------------------------------- streaming
 
     def open_task_streams(self, session, tasks):
-        """Streaming entry point for multi-shard SELECTs: returns a
-        :class:`StreamingExecution` whose per-task :class:`TaskStream`
-        handles pull row batches on demand, or None when streaming does
-        not apply (disabled by GUC, no tasks, or non-SELECT tasks) and the
-        caller must fall back to :meth:`execute_tasks`."""
-        config = self.ext.config
-        if not getattr(config, "enable_streaming_pipeline", True):
-            return None
-        if not tasks or self.ext.cluster is None:
-            return None
-        if any(t.copy_rows is not None or not t.returns_rows for t in tasks):
-            return None
+        """Entry point for multi-shard SELECTs: a :class:`StreamingExecution`
+        whose per-task :class:`TaskStream` handles pull row batches on
+        demand (none at all when every shard was pruned)."""
         return StreamingExecution(self, session, tasks,
-                                  batch_size=config.stream_batch_size)
+                                  batch_size=self.ext.config.stream_batch_size)
 
-    def open_copy_channels(self, session, expected_by_node=None):
-        """Write-side streaming entry point: a :class:`CopyChannelExecution`
-        that accepts incremental per-shard COPY flushes. The caller (the
-        ShardCopyRouter) decides *whether* streaming writes apply; this
-        only builds the execution."""
-        return CopyChannelExecution(self, session,
-                                    expected_by_node=expected_by_node)
+    def open_copy_channels(self, session, expected_by_node):
+        """Write-side entry point: a :class:`CopyChannelExecution` that
+        accepts incremental per-shard COPY flushes from the
+        ShardCopyRouter. ``expected_by_node`` counts the destination
+        channels placed on each node."""
+        return CopyChannelExecution(self, session, expected_by_node)
 
 
 class TaskStream:
@@ -389,9 +277,8 @@ class StreamingExecution:
     Execution stays functionally sequential (single-threaded simulation),
     but the timeline is reconstructed as if the shard streams drained in
     parallel: every dispatch/fetch charges simulated busy time to the
-    connection it ran on — slow start and connection affinity apply
-    exactly as on the blocking path — and :meth:`finish` advances the
-    clock by the maximum busy time over connections.
+    connection it ran on, and :meth:`finish` advances the clock by the
+    maximum busy time over connections.
     """
 
     def __init__(self, executor: AdaptiveExecutor, session, tasks, batch_size: int):
@@ -400,26 +287,26 @@ class StreamingExecution:
         self.session = session
         self.tasks = tasks
         self.batch_size = batch_size
-        self.pools = SessionPools.for_session(session, self.ext)
         self.counters = self.ext.stat_counters
         self.report = ExecutionReport(task_count=len(tasks))
         self.streams = [TaskStream(self, i, t) for i, t in enumerate(tasks)]
         self.need_txn_block = session.in_transaction
-        self._node_state: dict[str, dict] = {}
+        # Slow-start sizing: streams not yet dispatched, per node.
         self._unopened: dict[str, int] = {}
         for task in tasks:
             self._unopened[task.node] = self._unopened.get(task.node, 0) + 1
         self._early_noted = False
         self._finished = False
-        # Tracing: per-stream timeline events (dispatch, cursor batches,
-        # connects), emitted as spans in finish(). Only collected when a
+        # Tracing: per-stream timeline events (dispatch, cursor batches),
+        # emitted as spans in finish(). Only collected when a
         # trace/capture is active at statement start.
         tracer = self.ext.tracer
         self.tracer = tracer if (tracer is not None and tracer.active) else None
         self.trace_base = (self.ext.cluster.clock.now()
                            if self.tracer is not None else 0.0)
         self._trace_events: dict[int, dict] = {}
-        self._trace_connects: list[tuple] = []
+        self.timeline = ConnectionTimeline(executor, session, self.report,
+                                           tracing=self.tracer is not None)
         self.graph = self.ext.txn_graph
         if self.graph is not None:
             self.graph.statement_begin()
@@ -440,81 +327,16 @@ class StreamingExecution:
             self.report.early_terminations += 1
             self.counters.incr("early_terminations")
 
-    # ------------------------------------------------- per-node timeline
-
-    def _node(self, node: str) -> dict:
-        state = self._node_state.get(node)
-        if state is None:
-            conns = list(self.pools.idle_connections(node))
-            state = {
-                "conns": conns,
-                "busy": {id(c): 0.0 for c in conns},
-                "preexisting": {id(c) for c in conns},
-                "used": set(),
-            }
-            self._node_state[node] = state
-        return state
-
-    def _open_connection(self, node: str, state: dict, now: float):
-        if not self.ext.try_reserve_shared_slot(node, force=not state["conns"]):
-            return None
-        try:
-            conn = self.pools.open_connection(node)
-        except NodeUnavailable:
-            self.ext.release_shared_slot(node)
-            raise
-        setup = self.ext.cluster.network.connection_setup_cost()
-        state["conns"].append(conn)
-        state["busy"][id(conn)] = now + setup
-        self.report.connections_opened += 1
-        self.counters.incr("connections_opened", node=node)
-        self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-        if self.tracer is not None:
-            self._trace_connects.append((node, now, state["busy"][id(conn)]))
-        return conn
-
-    def _pick_connection(self, node: str, state: dict):
-        conns = state["conns"]
-        busy = state["busy"]
-        if not conns:
-            conn = self._open_connection(node, state, 0.0)
-            if conn is None:
-                raise NodeUnavailable(f"no connection available to {node}")
-            return conn
-        conn = min(conns, key=lambda c: busy[id(c)])
-        now = busy[id(conn)]
-        # Slow start, as on the blocking path: the pool target grows by
-        # one per interval of simulated time (§3.6.1).
-        allowance = 1 + int(now / self.executor.slow_start_interval)
-        in_use = sum(1 for c in conns if busy[id(c)] > now)
-        target = min(allowance, self._unopened.get(node, 0) + 1 + in_use)
-        if len(conns) < target:
-            new_conn = self._open_connection(node, state, now)
-            if new_conn is not None:
-                conn = new_conn
-        return conn
-
     # ------------------------------------------------------ stream plumbing
 
     def _open_stream(self, stream: TaskStream) -> None:
         task = stream.task
         node = task.node
-        state = self._node(node)
-        self._unopened[node] = max(0, self._unopened.get(node, 1) - 1)
-        conn = None
-        if task.shard_group is not None:
-            # Transaction affinity: the connection that already touched
-            # this co-located shard group must run the task.
-            conn = self.pools.connection_for_group(node, task.shard_group)
-            if conn is not None and id(conn) not in state["busy"]:
-                state["conns"].append(conn)
-                state["busy"][id(conn)] = 0.0
-                state["preexisting"].add(id(conn))
-        if conn is None:
-            conn = self._pick_connection(node, state)
+        timeline = self.timeline
+        conn = timeline.acquire(node, task.shard_group, self._unopened[node])
+        self._unopened[node] -= 1
         stream.conn = conn
         stream.opened = True
-        state["used"].add(id(conn))
         if self.need_txn_block:
             conn.begin_if_needed()
             self.session.remote_txns[id(conn)] = conn
@@ -538,11 +360,9 @@ class StreamingExecution:
         except Exception:
             self._stream_finished(stream, failed=True)
             raise
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + (conn.elapsed - before)
-        self.session.wait_events.record("Net", "RemoteDispatch",
-                                        conn.elapsed - before,
+        cost = conn.elapsed - before
+        start = timeline.charge(conn, cost)
+        self.session.wait_events.record("Net", "RemoteDispatch", cost,
                                         node=conn.node_name)
         if self.graph is not None:
             # Read access recorded at dispatch (bytes accrue per fetch), so
@@ -553,7 +373,7 @@ class StreamingExecution:
             self._trace_events[stream.index] = {
                 "node": conn.node_name,
                 "group": task.shard_group,
-                "open": (start, busy[id(conn)]),
+                "open": (start, start + cost),
                 "batches": [],
             }
 
@@ -572,13 +392,10 @@ class StreamingExecution:
         except Exception:
             self._stream_finished(stream, failed=True)
             raise
-        state = self._node(conn.node_name)
         cost = conn.elapsed - before
         if batch:
             cost += len(batch) * self.ext.config.per_row_cpu_cost
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + cost
+        start = self.timeline.charge(conn, cost)
         self.session.wait_events.record("Net", "RemoteFetch", cost,
                                         node=conn.node_name)
         if self.tracer is not None and stream.index in self._trace_events:
@@ -614,12 +431,10 @@ class StreamingExecution:
         conn = stream.conn
         before = conn.elapsed
         stream.cursor.close()
-        state = self._node(conn.node_name)
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
-        busy[id(conn)] = start + (conn.elapsed - before)
+        cost = conn.elapsed - before
+        start = self.timeline.charge(conn, cost)
         if self.tracer is not None and stream.index in self._trace_events:
-            self._trace_events[stream.index]["close"] = (start, busy[id(conn)])
+            self._trace_events[stream.index]["close"] = (start, start + cost)
         self._stream_finished(stream)
 
     def _stream_finished(self, stream: TaskStream, failed: bool = False,
@@ -644,9 +459,7 @@ class StreamingExecution:
         tasks the early-terminated merge never dispatched."""
         tracer = self.tracer
         base = self.trace_base
-        for node, start, end in self._trace_connects:
-            tracer.add_span("connect", "network", base + start, base + end,
-                            node=node)
+        self.timeline.emit_connect_spans(tracer, base)
         for stream in self.streams:
             events = self._trace_events.get(stream.index)
             if events is None:
@@ -702,22 +515,11 @@ class StreamingExecution:
                     # Teardown must settle gauges even over broken conns.
                     self._stream_finished(stream, failed=True)
         report = self.report
-        node_elapsed = [max(state["busy"].values(), default=0.0)
-                       for state in self._node_state.values()]
-        report.elapsed = max(node_elapsed, default=0.0)
-        for node, state in self._node_state.items():
-            report.per_node_connections[node] = len(state["conns"])
-            reused = len(state["used"] & state["preexisting"])
-            if reused:
-                report.connections_reused += reused
-                self.counters.incr("connections_reused", reused, node=node)
-        report.connections_used = sum(report.per_node_connections.values())
+        self.timeline.settle()
         if self.tracer is not None:
             self._emit_stream_spans()
-        if self.ext.cluster is not None:
-            self.ext.cluster.clock.advance(report.elapsed)
+        self.ext.cluster.clock.advance(report.elapsed)
         self.session.stats["citus_tasks"] += len(self.tasks)
-        self.session.stats["citus_connections"] += report.connections_opened
         self.counters.gauge_decr("executor_statements_in_flight")
         if report.rows_buffered_peak:
             self.counters.gauge_max("rows_buffered_peak",
@@ -729,11 +531,7 @@ class StreamingExecution:
             else:
                 self.graph.statement_done(self.session, report.elapsed)
         if not self.session.in_transaction and not self.need_txn_block:
-            # Shard-group affinity only matters within a transaction; drop
-            # it so cached connections don't accumulate stale pins.
-            for conn in self.pools.all_connections():
-                if not conn.in_txn_block:
-                    conn.accessed_groups.clear()
+            _clear_affinity(self.timeline.pools)
         return report
 
 
@@ -742,11 +540,10 @@ class CopyChannelExecution:
 
     The write-side counterpart of :class:`StreamingExecution`: the
     ShardCopyRouter hands over bounded row batches ("flushes") as its
-    channels fill, instead of one materialized batch per shard at the end.
-    Every flush runs inside a worker transaction block registered in
-    ``session.remote_txns`` — a mid-stream error aborts through the normal
-    statement-failure path and rolls back every shard, and the statement's
-    commit settles through the 1PC/2PC callbacks exactly as before.
+    channels fill. Every flush runs inside a worker transaction block
+    registered in ``session.remote_txns`` — a mid-stream error aborts
+    through the normal statement-failure path and rolls back every shard,
+    and the statement's commit settles through the 1PC/2PC callbacks.
 
     Connection affinity pins each shard group to the connection that took
     its first flush, so rows arrive at a shard in routing order and later
@@ -760,29 +557,24 @@ class CopyChannelExecution:
     which is exactly the pipelining win of §3.8.
     """
 
-    def __init__(self, executor: AdaptiveExecutor, session,
-                 expected_by_node=None):
+    def __init__(self, executor: AdaptiveExecutor, session, expected_by_node):
         self.executor = executor
         self.ext = executor.ext
         self.session = session
-        self.pools = SessionPools.for_session(session, self.ext)
         self.counters = self.ext.stat_counters
         self.report = ExecutionReport()
-        self._node_state: dict[str, dict] = {}
-        # Slow-start sizing hint: how many channels may still open per node
-        # (the count of destination shards placed there).
-        self._unopened: dict[str, int] = dict(expected_by_node or {})
+        # Slow-start sizing: how many channels may still open per node (the
+        # count of destination shards placed there).
+        self._unopened: dict[str, int] = dict(expected_by_node)
         self._channels: dict = {}  # channel key -> per-channel state
         self._finished = False
         # Clock position when routing began: everything the read side
         # advances between now and finish() overlaps the write timeline.
-        self._start_clock = (self.ext.cluster.clock.now()
-                             if self.ext.cluster is not None else 0.0)
+        self._start_clock = self.ext.cluster.clock.now()
         tracer = self.ext.tracer
         self.tracer = tracer if (tracer is not None and tracer.active) else None
-        self.trace_base = (self.ext.cluster.clock.now()
-                           if self.tracer is not None else 0.0)
-        self._trace_connects: list[tuple] = []
+        self.timeline = ConnectionTimeline(executor, session, self.report,
+                                           tracing=self.tracer is not None)
         self.graph = self.ext.txn_graph
         if self.graph is not None:
             self.graph.statement_begin()
@@ -798,78 +590,14 @@ class CopyChannelExecution:
         if n > self.report.copy_channel_peak_rows:
             self.report.copy_channel_peak_rows = n
 
-    # ------------------------------------------------- per-node timeline
-
-    def _node(self, node: str) -> dict:
-        state = self._node_state.get(node)
-        if state is None:
-            conns = list(self.pools.idle_connections(node))
-            state = {
-                "conns": conns,
-                "busy": {id(c): 0.0 for c in conns},
-                "preexisting": {id(c) for c in conns},
-                "used": set(),
-            }
-            self._node_state[node] = state
-        return state
-
-    def _open_connection(self, node: str, state: dict, now: float):
-        if not self.ext.try_reserve_shared_slot(node, force=not state["conns"]):
-            return None
-        try:
-            conn = self.pools.open_connection(node)
-        except NodeUnavailable:
-            self.ext.release_shared_slot(node)
-            raise
-        setup = self.ext.cluster.network.connection_setup_cost()
-        state["conns"].append(conn)
-        state["busy"][id(conn)] = now + setup
-        self.report.connections_opened += 1
-        self.counters.incr("connections_opened", node=node)
-        self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-        if self.tracer is not None:
-            self._trace_connects.append((node, now, state["busy"][id(conn)]))
-        return conn
-
-    def _pick_connection(self, node: str, state: dict):
-        conns = state["conns"]
-        busy = state["busy"]
-        if not conns:
-            conn = self._open_connection(node, state, 0.0)
-            if conn is None:
-                raise NodeUnavailable(f"no connection available to {node}")
-            return conn
-        conn = min(conns, key=lambda c: busy[id(c)])
-        now = busy[id(conn)]
-        # Slow start, as on the read side: the pool target grows by one per
-        # interval of simulated time (§3.6.1).
-        allowance = 1 + int(now / self.executor.slow_start_interval)
-        in_use = sum(1 for c in conns if busy[id(c)] > now)
-        target = min(allowance, self._unopened.get(node, 0) + 1 + in_use)
-        if len(conns) < target:
-            new_conn = self._open_connection(node, state, now)
-            if new_conn is not None:
-                conn = new_conn
-        return conn
-
     # ------------------------------------------------------------ channels
 
     def _channel(self, key, index, node, shard_group) -> dict:
         channel = self._channels.get(key)
         if channel is None:
-            state = self._node(node)
-            self._unopened[node] = max(0, self._unopened.get(node, 1) - 1)
-            conn = None
-            if shard_group is not None:
-                # Transaction affinity: the connection that already touched
-                # this co-located shard group must take every flush.
-                conn = self.pools.connection_for_group(node, shard_group)
-                if conn is not None and id(conn) not in state["busy"]:
-                    state["conns"].append(conn)
-                    state["busy"][id(conn)] = 0.0
-                    state["preexisting"].add(id(conn))
-            if conn is None:
-                conn = self._pick_connection(node, state)
+            conn = self.timeline.acquire(node, shard_group,
+                                         self._unopened[node])
+            self._unopened[node] -= 1
             if shard_group is not None:
                 conn.accessed_groups.add(shard_group)
             channel = {
@@ -879,7 +607,6 @@ class CopyChannelExecution:
                 "done": False,
             }
             self._channels[key] = channel
-            state["used"].add(id(conn))
             self.counters.gauge_incr("tasks_in_flight", node=node)
         return channel
 
@@ -898,9 +625,6 @@ class CopyChannelExecution:
         from ..txn.deadlock import assign_distributed_txn_ids
 
         assign_distributed_txn_ids(self.ext, self.session)
-        state = self._node(node)
-        busy = state["busy"]
-        start = busy.get(id(conn), 0.0)
         before = conn.elapsed
         bytes_before = conn.bytes_transferred
         try:
@@ -913,7 +637,7 @@ class CopyChannelExecution:
             raise
         nbytes = conn.bytes_transferred - bytes_before
         cost = (conn.elapsed - before) + len(rows) * self.ext.config.per_row_cpu_cost
-        busy[id(conn)] = start + cost
+        start = self.timeline.charge(conn, cost)
         self.session.wait_events.record("Net", "RemoteCopy", cost, node=node)
         channel["rows"] += len(rows)
         channel["bytes"] += nbytes
@@ -948,10 +672,8 @@ class CopyChannelExecution:
         plan's per-shard task list by ``index``) with nested per-flush
         children, plus ``connect`` spans."""
         tracer = self.tracer
-        base = self.trace_base
-        for node, start, end in self._trace_connects:
-            tracer.add_span("connect", "network", base + start, base + end,
-                            node=node)
+        base = self._start_clock
+        self.timeline.emit_connect_spans(tracer, base)
         from ..tracing import Span
 
         for channel in self._channels.values():
@@ -984,36 +706,26 @@ class CopyChannelExecution:
             self._channel_finished(channel)
         report = self.report
         report.task_count = len(self._channels)
-        node_elapsed = [max(state["busy"].values(), default=0.0)
-                        for state in self._node_state.values()]
-        report.elapsed = max(node_elapsed, default=0.0)
-        for node, state in self._node_state.items():
-            report.per_node_connections[node] = len(state["conns"])
-            reused = len(state["used"] & state["preexisting"])
-            if reused:
-                report.connections_reused += reused
-                self.counters.incr("connections_reused", reused, node=node)
-        report.connections_used = sum(report.per_node_connections.values())
+        self.timeline.settle()
+        clock = self.ext.cluster.clock
         if self.tracer is not None:
             self._emit_channel_spans()
             # Aggregate routing span: EXPLAIN ANALYZE lifts these actuals
             # onto the "Repartition:" line of the plan tree.
             self.tracer.add_span(
-                "route", "repartition", self.trace_base,
-                self.trace_base + report.elapsed,
+                "route", "repartition", self._start_clock,
+                self._start_clock + report.elapsed,
                 flushes=report.copy_flushes, rows=report.copy_rows_routed,
                 bytes=report.copy_bytes_streamed,
                 channel_peak_rows=report.copy_channel_peak_rows,
                 channels=len(self._channels),
             )
-        if self.ext.cluster is not None:
-            # Pipelining: the read side already advanced the clock while
-            # rows were being routed; only the write timeline's remainder
-            # beyond that overlap extends the statement.
-            overlapped = self.ext.cluster.clock.now() - self._start_clock
-            self.ext.cluster.clock.advance(max(0.0, report.elapsed - overlapped))
+        # Pipelining: the read side already advanced the clock while rows
+        # were being routed; only the write timeline's remainder beyond
+        # that overlap extends the statement.
+        overlapped = clock.now() - self._start_clock
+        clock.advance(max(0.0, report.elapsed - overlapped))
         self.session.stats["citus_tasks"] += len(self._channels)
-        self.session.stats["citus_connections"] += report.connections_opened
         self.counters.gauge_decr("executor_statements_in_flight")
         if report.copy_channel_peak_rows:
             self.counters.gauge_max("copy_channel_peak_rows",
@@ -1028,6 +740,14 @@ class CopyChannelExecution:
             else:
                 self.graph.statement_done(self.session, report.elapsed)
         return report
+
+
+def _clear_affinity(pools: SessionPools) -> None:
+    """Shard-group affinity only matters within a transaction; drop it so
+    cached connections don't accumulate stale pins."""
+    for conn in pools.all_connections():
+        if not conn.in_txn_block:
+            conn.accessed_groups.clear()
 
 
 def _multi_group(tasks) -> bool:

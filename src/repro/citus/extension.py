@@ -37,14 +37,10 @@ class CitusConfig:
     executor_slow_start_interval_ms: float = 10.0
     per_row_cpu_cost: float = 2e-6  # simulated seconds per result row
     enable_repartition_joins: bool = True
-    # Streaming tuple pipeline: multi-shard SELECTs pull row batches from
-    # per-task worker cursors instead of materializing whole shard results.
-    enable_streaming_pipeline: bool = True
+    # Multi-shard SELECTs pull row batches from per-task worker cursors.
     stream_batch_size: int = 256  # rows per cursor fetch round trip
-    # Streaming write data plane (§3.8): COPY / INSERT..SELECT route rows
-    # into per-shard COPY channels that flush to the workers incrementally
-    # instead of materializing whole per-shard batches on the coordinator.
-    enable_streaming_writes: bool = True
+    # COPY / INSERT..SELECT route rows into per-shard COPY channels (§3.8)
+    # that flush to the workers incrementally.
     copy_flush_threshold: int = 512  # rows per channel before a flush
     deadlock_detection_interval_s: float = 2.0
     recovery_interval_s: float = 2.0

@@ -14,12 +14,11 @@ Three strategies, chosen in this order:
    coordinator: run it as a regular distributed query, then distribute the
    result like a COPY.
 
-With ``citus.enable_streaming_writes`` the re-routing strategies are fully
-pipelined: the distributed SELECT is consumed through the PR-3 cursor
-machinery one batch at a time and fed straight into the ShardCopyRouter's
-per-shard COPY channels, so the coordinator never holds the intermediate
-result — its buffering is bounded by the read batch size plus
-``copy_flush_threshold × shards``.
+The re-routing strategies are fully pipelined: the distributed SELECT is
+consumed through the cursor machinery one batch at a time and fed straight
+into the ShardCopyRouter's per-shard COPY channels, so the coordinator
+never holds the intermediate result — its buffering is bounded by the read
+batch size plus ``copy_flush_threshold × shards``.
 """
 
 from __future__ import annotations
@@ -100,42 +99,22 @@ def _dest_key_from_source_key(stmt: A.Insert, dest, analysis) -> bool:
 # --------------------------------------------------- streaming SELECT feed
 
 
-def _streaming_writes(ext) -> bool:
-    return (getattr(ext.config, "enable_streaming_writes", True)
-            and ext.cluster is not None)
-
-
 def _select_row_stream(ext, session, select, params):
-    """The SELECT side of the write pipeline.
-
-    Streaming writes on: returns a lazy row iterator that pulls the
-    distributed SELECT through the cursor pipeline batch by batch (when the
-    plan supports it), so rows flow straight into the copy channels without
-    coordinator materialization. Off: materializes the whole result first,
-    exactly like the pre-streaming write plane.
-    """
-    if not _streaming_writes(ext):
-        return session._execute_statement(select, params, None).rows
-    return _select_rows(ext, session, select, params)
-
-
-def _select_rows(ext, session, select, params):
+    """The SELECT side of the write pipeline: a lazy row iterator. A
+    multi-shard pushdown SELECT is pulled through the cursor pipeline batch
+    by batch, so rows flow straight into the copy channels without
+    coordinator materialization; any other plan (router, join-order,
+    reference, local) executes whole and yields its rows."""
     plan = session.instance.hooks.call_planner(session, select, params)
     if plan is None:
-        result = session._execute_local_dml(select, params)
-        yield from result.rows
+        yield from session._execute_local_dml(select, params).rows
         return
     open_batches = getattr(plan, "execute_batches", None)
     if open_batches is not None:
-        source = open_batches(session, params)
-        if source is not None:
-            for batch in source:
-                yield from batch
-            return
-    # Not a streaming-capable plan (router, join-order, reference, or the
-    # pipeline GUC is off): materialized execution, same as before.
-    result = plan.execute(session, params)
-    yield from result.rows
+        for batch in open_batches(session, params):
+            yield from batch
+        return
+    yield from plan.execute(session, params).rows
 
 
 def _copy_target_tasks(ext, dest) -> list[Task]:
@@ -159,13 +138,10 @@ def _copy_target_tasks(ext, dest) -> list[Task]:
 
 
 def _repartition_info(ext, channel_count: int) -> dict:
-    if _streaming_writes(ext):
-        return {
-            "mode": "streaming",
-            "flush_threshold": ext.config.copy_flush_threshold,
-            "channels": channel_count,
-        }
-    return {"mode": "materialized", "channels": channel_count}
+    return {
+        "flush_threshold": ext.config.copy_flush_threshold,
+        "channels": channel_count,
+    }
 
 
 class PushdownInsertSelectPlan(CitusPlan):
@@ -223,8 +199,8 @@ class PushdownInsertSelectPlan(CitusPlan):
 class RepartitionInsertSelectPlan(CitusPlan):
     """Strategy 2: distributed SELECT whose per-shard results are re-routed
     by the destination's distribution column, without a coordinator merge
-    of the query itself. Streaming writes pipeline the SELECT's cursor
-    batches straight into the per-shard COPY channels."""
+    of the query itself: the SELECT's cursor batches flow straight into the
+    per-shard COPY channels."""
 
     tier = "insert_select"
     detail = "Insert..Select (repartition)"

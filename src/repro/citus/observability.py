@@ -149,8 +149,7 @@ class DistributedExplain:
             lines.append(line)
         route_actual = (self.analyze or {}).get("repartition")
         if self.repartition or route_actual:
-            mode = (self.repartition or {}).get("mode") or "streaming"
-            line = f"  Repartition: {mode}"
+            line = "  Repartition: streaming"
             detail = []
             threshold = (self.repartition or {}).get("flush_threshold")
             if threshold is not None:

@@ -14,7 +14,7 @@ executor for the merge step on the coordinator.
 from __future__ import annotations
 
 from ...engine.datum import cast_value, hash_value
-from ...engine.executor import LocalExecutor, QueryResult
+from ...engine.executor import QueryResult
 from ...engine.expr import EvalContext, Row, evaluate
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, UnsupportedDistributedQuery
@@ -426,13 +426,9 @@ class MultiTaskSelectPlan(CitusPlan):
             params = self.bound
         plan = self.plan
         execution = self.ext.executor.open_task_streams(session, plan.tasks)
-        if execution is None:
-            return self._execute_materialized(session, params)
         from .pushdown import run_streaming_concat, run_streaming_group_merge
 
-        tracer = self.ext.tracer
-        tracing = tracer is not None and tracer.active
-        merge_start = self.ext.cluster.clock.now() if tracing else 0.0
+        merge_start = self.ext.cluster.clock.now()
         result = None
         try:
             if plan.mode == "concat":
@@ -441,20 +437,25 @@ class MultiTaskSelectPlan(CitusPlan):
                 result = run_streaming_group_merge(plan, execution, session, params)
             return result
         finally:
-            report = execution.finish()
-            if tracing:
-                # The merge interleaves with the fetches it drives, so its
-                # span covers the statement's whole executor window (the
-                # clock advanced inside finish()).
-                tracer.add_span(
-                    "merge", "merge", merge_start,
-                    self.ext.cluster.clock.now(), strategy=self._merge_label(),
-                    rows=len(result.rows) if result is not None else 0,
-                    rows_buffered_peak=report.rows_buffered_peak,
-                    early_terminated=bool(report.early_terminations),
-                    tasks_skipped=report.tasks_skipped,
-                    streaming=True,
-                )
+            self._finish(execution, merge_start,
+                         len(result.rows) if result is not None else 0)
+
+    def _finish(self, execution, merge_start: float, rows: int) -> None:
+        """Settle the execution and record the merge span. The merge
+        interleaves with the fetches it drives, so its span covers the
+        statement's whole executor window (the clock advances inside
+        ``execution.finish()``)."""
+        report = execution.finish()
+        tracer = self.ext.tracer
+        if tracer is not None and tracer.active:
+            tracer.add_span(
+                "merge", "merge", merge_start,
+                self.ext.cluster.clock.now(), strategy=self._merge_label(),
+                rows=rows,
+                rows_buffered_peak=report.rows_buffered_peak,
+                early_terminated=bool(report.early_terminations),
+                tasks_skipped=report.tasks_skipped,
+            )
 
     def _merge_label(self) -> str:
         plan = self.plan
@@ -466,14 +467,10 @@ class MultiTaskSelectPlan(CitusPlan):
 
     def execute_batches(self, session, params):
         """Open this SELECT as a generator of visible row batches for a
-        streaming consumer (the INSERT..SELECT write pipeline). Returns
-        None when the streaming pipeline does not apply — the caller falls
-        back to materialized :meth:`execute`."""
+        streaming consumer (the INSERT..SELECT write pipeline)."""
         if self.bound is not None:
             params = self.bound
         execution = self.ext.executor.open_task_streams(session, self.plan.tasks)
-        if execution is None:
-            return None
         return self._batch_generator(execution, session, params)
 
     def _batch_generator(self, execution, session, params):
@@ -481,9 +478,7 @@ class MultiTaskSelectPlan(CitusPlan):
 
         plan = self.plan
         batch_size = self.ext.config.stream_batch_size
-        tracer = self.ext.tracer
-        tracing = tracer is not None and tracer.active
-        merge_start = self.ext.cluster.clock.now() if tracing else 0.0
+        merge_start = self.ext.cluster.clock.now()
         rows_out = 0
         try:
             if plan.mode == "concat":
@@ -507,89 +502,7 @@ class MultiTaskSelectPlan(CitusPlan):
                 rows_out += len(batch)
                 yield batch
         finally:
-            report = execution.finish()
-            if tracing:
-                tracer.add_span(
-                    "merge", "merge", merge_start,
-                    self.ext.cluster.clock.now(), strategy=self._merge_label(),
-                    rows=rows_out,
-                    rows_buffered_peak=report.rows_buffered_peak,
-                    early_terminated=bool(report.early_terminations),
-                    tasks_skipped=report.tasks_skipped,
-                    streaming=True,
-                )
-
-    def _execute_materialized(self, session, params):
-        """Fallback data plane (``citus.enable_streaming_pipeline = off``):
-        every per-shard result is fully buffered before the merge."""
-        results = self.ext.executor.execute_tasks(session, self.plan.tasks)
-        all_rows = []
-        columns = None
-        for result in results:
-            if result is None:
-                continue
-            if columns is None:
-                columns = result.columns
-            all_rows.extend(result.rows)
-        columns = columns or []
-        tracer = self.ext.tracer
-        if tracer is not None and tracer.active:
-            with tracer.span("merge", "merge", strategy=self._merge_label(),
-                             streaming=False,
-                             rows_buffered_peak=len(all_rows)) as span:
-                if self.plan.mode == "concat":
-                    result = self._finish_concat(session, params, columns, all_rows)
-                else:
-                    result = self._finish_merge(session, params, all_rows)
-                span.attrs["rows"] = len(result.rows)
-                return result
-        if self.plan.mode == "concat":
-            return self._finish_concat(session, params, columns, all_rows)
-        return self._finish_merge(session, params, all_rows)
-
-    def _finish_concat(self, session, params, columns, rows):
-        plan = self.plan
-        n_appended = plan.n_visible  # count of appended hidden sort columns
-        total_width = len(columns)
-        visible_width = total_width - n_appended
-
-        if plan.hidden_sort_keys:
-            from .pushdown import make_concat_sort_key
-
-            rows = sorted(rows, key=make_concat_sort_key(plan, visible_width))
-        if n_appended:
-            rows = [row[:visible_width] for row in rows]
-            columns = columns[:visible_width]
-        if plan.distinct:
-            seen = set()
-            deduped = []
-            for row in rows:
-                key = tuple(_hashable(v) for v in row)
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(row)
-            rows = deduped
-        ctx = EvalContext(row=Row(), params=params, session=session)
-        if plan.offset is not None:
-            rows = rows[int(evaluate(plan.offset, ctx)):]
-        if plan.limit is not None:
-            limit = evaluate(plan.limit, ctx)
-            if limit is not None:
-                rows = rows[: int(limit)]
-        return QueryResult(columns, rows)
-
-    def _finish_merge(self, session, params, worker_rows):
-        plan = self.plan
-        session.temp_results["citus_intermediate"] = (
-            plan.intermediate_columns, worker_rows,
-        )
-        try:
-            executor = LocalExecutor(session)
-            result = executor.execute_select(plan.master_query, params)
-        finally:
-            session.temp_results.pop("citus_intermediate", None)
-        result.columns = plan.visible_columns
-        return result
+            self._finish(execution, merge_start, rows_out)
 
     def explain_lines(self):
         lines = self._explain_header(
@@ -786,11 +699,3 @@ class LocalReferencePlan(CitusPlan):
             "task_count": 0,
             "coordinator": ["FULL STATEMENT (local replica)"],
         }
-
-
-def _hashable(value):
-    if isinstance(value, (dict, list)):
-        from ...engine.datum import to_text
-
-        return to_text(value)
-    return value

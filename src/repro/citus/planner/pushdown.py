@@ -232,25 +232,30 @@ def _group_by_contains_dist_column(select: A.Select, analysis: QueryAnalysis) ->
 def _plan_concat(ext, select, params, analysis, anchor, shard_indexes):
     cache = ext.metadata.cache
     worker = select.copy()
-    # Hidden sort keys are either ("pos", output_index) for positional
-    # ORDER BY, or ("appended", j) for sort expressions appended to the
-    # worker target list — resolved against the actual result width at
-    # execution time, because * targets expand only on the workers.
+    # Hidden sort keys are either ("pos", output_index) for an ORDER BY
+    # key that is an output column (by position or by alias), or
+    # ("appended", j) for sort expressions appended to the worker target
+    # list — resolved against the actual result width at execution time,
+    # because * targets expand only on the workers.
     hidden_sort = []
     visible = _visible_columns(select)
     n_appended = 0
     if worker.order_by:
         # Append hidden sort columns so the coordinator can re-sort the
         # concatenated rows, then push ORDER BY (+combined LIMIT) down.
-        for position, key in enumerate(worker.order_by):
+        for ordinal, key in enumerate(worker.order_by):
             expr = key.expr
             if isinstance(expr, A.Literal) and isinstance(expr.value, int):
+                position = expr.value - 1
+            else:
+                position, expr = _resolve_output_alias(select.targets, expr)
+            if position is not None:
                 hidden_sort.append(
-                    (("pos", expr.value - 1), key.ascending, key.nulls_first)
+                    (("pos", position), key.ascending, key.nulls_first)
                 )
             else:
                 worker.targets.append(
-                    A.TargetEntry(expr.copy(), f"worker_sort_{position}")
+                    A.TargetEntry(expr.copy(), f"worker_sort_{ordinal}")
                 )
                 hidden_sort.append(
                     (("appended", n_appended), key.ascending, key.nulls_first)
@@ -287,6 +292,24 @@ def _plan_concat(ext, select, params, analysis, anchor, shard_indexes):
         anchor_alias=anchor.alias,
         merge_strategy=merge_strategy,
     )
+
+
+def _resolve_output_alias(targets, expr):
+    """``(output position, sort expression)`` for one ORDER BY key. A bare
+    name that is a target's output alias (which wins over an input column
+    of the same name, and is not an expression a worker could evaluate as
+    a target) sorts on that target's position — or, when a ``*`` before it
+    leaves the position unknown until the workers expand it, on the
+    aliased target's own expression. Any other key: ``(None, expr)``."""
+    if not (isinstance(expr, A.ColumnRef) and expr.table is None):
+        return None, expr
+    after_star = False
+    for index, entry in enumerate(targets):
+        if isinstance(getattr(entry, "expr", entry), A.Star):
+            after_star = True
+        elif entry.alias == expr.name:
+            return (None, entry.expr) if after_star else (index, expr)
+    return None, expr
 
 
 def _classify_concat_clauses(select: A.Select) -> tuple[list, list]:
@@ -373,7 +396,12 @@ def _plan_merge(ext, select, params, analysis, anchor, shard_indexes):
             worker_agg = expr.copy()
             worker_agg.name = worker_name
             col = worker_column_for(worker_agg, partial_name=worker_name)
-            return A.FuncCall(merge_name, [A.ColumnRef(col)])
+            merged = A.FuncCall(merge_name, [A.ColumnRef(col)])
+            if expr.name.lower() == "count":
+                # sum() over no partials (every shard pruned) is NULL; a
+                # count is 0.
+                merged = A.FuncCall("coalesce", [merged, A.Literal(0)])
+            return merged
         if not _contains_aggregate(expr):
             col = worker_column_for(expr)
             if col not in group_worker_cols:
@@ -523,9 +551,8 @@ def _make_tasks(ext, worker_query, params, anchor, shard_indexes) -> list[Task]:
 
 
 def make_concat_sort_key(plan: PushdownSelect, visible_width: int):
-    """Row-key function for the coordinator merge, resolving hidden sort
-    keys against the worker result width. Shared by the streaming
-    MergeAppend and the materializing fallback so both orders agree."""
+    """Row-key function for the coordinator's MergeAppend, resolving hidden
+    sort keys against the worker result width."""
     from ...engine.datum import sort_key as value_sort_key
     from ...engine.executor import _Reversed
 
@@ -550,11 +577,19 @@ def make_concat_sort_key(plan: PushdownSelect, visible_width: int):
     return key_fn
 
 
-def concat_visible_columns(plan: PushdownSelect, streams) -> list:
+def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> list:
     """The visible output column names of a concat-mode plan: the first
     shard stream's shape (``*`` targets expand only on the workers) with
-    trailing hidden sort columns trimmed."""
-    first_columns = list(streams[0].columns) if streams else []
+    trailing hidden sort columns trimmed. With every shard pruned, the
+    coordinator's own (empty) shell tables give the same shape."""
+    if streams:
+        first_columns = list(streams[0].columns)
+    else:
+        from ...engine.executor import LocalExecutor
+
+        shape = plan.worker_query.copy()
+        shape.limit = A.Literal(0)
+        first_columns = LocalExecutor(session).execute_select(shape, params).columns
     n_appended = plan.n_visible
     visible_width = len(first_columns) - n_appended
     return first_columns[:visible_width] if n_appended else first_columns
@@ -566,10 +601,10 @@ def stream_concat_rows(plan: PushdownSelect, execution, session, params):
     write pipeline).
 
     With ORDER BY: k-way MergeAppend over the pre-sorted shard streams.
-    Without: plain concat in task order (matching the materializing path's
-    row order). Either way DISTINCT / OFFSET / LIMIT apply streamingly, and
-    a satisfied LIMIT closes the remaining streams — tasks whose stream was
-    never started are skipped without ever being dispatched.
+    Without: plain concat in task order. Either way DISTINCT / OFFSET /
+    LIMIT apply streamingly, and a satisfied LIMIT closes the remaining
+    streams — tasks whose stream was never started are skipped without ever
+    being dispatched.
     """
     from ...engine.expr import EvalContext, Row, evaluate
 
@@ -626,7 +661,7 @@ def run_streaming_concat(plan: PushdownSelect, execution, session, params):
     from ...engine.executor import QueryResult
 
     streams = execution.streams
-    columns = concat_visible_columns(plan, streams)
+    columns = concat_visible_columns(plan, streams, session, params)
     out_rows = list(stream_concat_rows(plan, execution, session, params))
     return QueryResult(columns, out_rows)
 
@@ -647,7 +682,7 @@ def _concat_rows(streams, execution):
 def _merge_append_rows(plan, streams, execution, visible_width):
     """K-way heap merge over pre-sorted shard streams. Buffering is bounded
     to one in-flight batch per stream; ties break by task order then arrival
-    order so the output matches the materializing path's stable sort."""
+    order, as a stable sort of the concatenated shard results would."""
     import heapq
     from collections import deque
 

@@ -23,10 +23,6 @@ class Task:
     # group must reuse the same connection within a transaction (§3.6.1).
     shard_group: tuple | None = None
     returns_rows: bool = True
-    # rows to ship with the task (used by COPY-style tasks)
-    copy_rows: list | None = None
-    copy_table: str | None = None
-    copy_columns: list | None = None
     # Pre-parsed rewritten statement. When set, the executor ships the AST
     # directly (no deparse → lex → parse round-trip) and ``sql`` is only
     # materialized lazily for EXPLAIN/observability via :meth:`sql_text`.

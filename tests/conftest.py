@@ -53,5 +53,19 @@ def find_keys_on_distinct_nodes(citus, table: str, count: int = 2) -> list[int]:
     raise AssertionError("could not find keys on distinct nodes")
 
 
+def counters_dict(session):
+    """citus_stat_counters() rows as {(name, node): value}."""
+    rows = session.execute("SELECT citus_stat_counters()").rows
+    out = {}
+    for (entries,) in rows:
+        for name, node, value in entries:
+            out[(name, node)] = value
+    return out
+
+
+def counter_total(session, name):
+    return sum(v for (n, _node), v in counters_dict(session).items() if n == name)
+
+
 def explain_text(session, sql: str, params=None) -> str:
     return "\n".join(r[0] for r in session.execute("EXPLAIN " + sql, params).rows)

@@ -11,9 +11,10 @@ repartitioning INSERT..SELECT rollup, and the TPC-H and gharchive suites
 
 import pytest
 
-from repro import PostgresInstance, make_cluster
-from repro.errors import CatalogError
+from repro import make_cluster
 from repro.workloads import gharchive, tpch
+
+from .oracle import load, normalized, oracle_session
 
 LAYOUTS = {"1x4": (1, 4), "4x16": (4, 16)}
 
@@ -29,10 +30,23 @@ ANALYTICS = {
                  " GROUP BY t.plan ORDER BY t.plan", None, (0,)),
     "filter_scan": ("SELECT k, tenant FROM events WHERE v = :f", {"f": 7}, None),
     "rollup_check": ("SELECT tenant, bucket, n, total FROM rollup", None, None),
+    # ORDER BY <output alias>: the coordinator sorts on the output column,
+    # no worker is asked to evaluate the alias as an expression.
+    "alias_order": ("SELECT k, v AS w FROM events ORDER BY w, k", None, (1, 0)),
+    "alias_order_desc_limit": ("SELECT k, v * 2 AS dbl FROM events"
+                               " ORDER BY dbl DESC, k LIMIT 10", None, (1, 0)),
+    # ... and after a *, where only the workers know the alias's position.
+    "alias_after_star": ("SELECT *, 100 - v AS z FROM events ORDER BY z, k",
+                         None, ()),
+    "alias_after_star_desc_limit": ("SELECT *, 100 - v AS z FROM events"
+                                    " ORDER BY z DESC, k LIMIT 10", None, ()),
+    "contradiction_count": ("SELECT count(*) FROM events WHERE k = 1 AND k = 2",
+                            None, None),
+    "contradiction_rows": ("SELECT k, v FROM events WHERE k = 1 AND k = 2",
+                           None, None),
 }
-ROLLUP = ("INSERT INTO rollup SELECT tenant, v, count(*), sum(v) FROM events"
-          " GROUP BY tenant, v")
-
+#: Queries whose filter no row can satisfy: an empty result is the point.
+EMPTY = {"contradiction_rows"}
 TPCH = {name: (sql, None, () if "ORDER BY" in sql else None)
         for name, sql in sorted(tpch.QUERIES.items())}
 GHARCHIVE = {
@@ -43,43 +57,10 @@ GHARCHIVE = {
 }
 QUERIES = {**ANALYTICS, **TPCH, **GHARCHIVE}
 
-#: The pushdown planner ships ``revenue AS worker_sort_0`` — an output
-#: alias used as a target expression — which no worker can evaluate once a
-#: group exists to evaluate it for. Found by this oracle; the fix belongs
-#: to the planner's sort-key pushdown.
-KNOWN_PLANNER_BUGS = {"Q3"}
-
-
-def load(session, distributed: bool) -> None:
-    session.execute("CREATE TABLE events (k int PRIMARY KEY, tenant int, v int, label text)")
-    session.execute("CREATE TABLE tenants (id int PRIMARY KEY, plan text)")
-    session.execute("CREATE TABLE rollup (tenant int, bucket int, n int, total int)")
-    if distributed:
-        session.execute("SELECT create_distributed_table('events', 'k')")
-        session.execute("SELECT create_reference_table('tenants')")
-        # Not co-located with events, so the INSERT..SELECT repartitions.
-        session.execute("SELECT create_distributed_table('rollup', 'tenant',"
-                        " colocate_with := 'none')")
-    session.copy_rows("events", [[k, (k * 31) % 40, (k * 7) % 50, f"label-{k % 97}"]
-                                 for k in range(1, 2001)])
-    session.copy_rows("tenants", [[t, f"plan{t % 4}"] for t in range(40)])
-    session.execute(ROLLUP)
-    tpch.create_schema(session, distributed=distributed)
-    tpch.load_data(session, tpch.TpchConfig(
-        customers=40, suppliers=40, orders=600, max_lines_per_order=5))
-    gharchive.create_schema(session, distributed=distributed)
-    gharchive.load_events(session, gharchive.ArchiveConfig(events=100))
-    session.execute(gharchive.TRANSFORM_QUERY)
-
-
-def normalized(rows):
-    """Float sums add up in shard order; compare them to 6 decimals."""
-    return [[round(v, 6) if isinstance(v, float) else v for v in row] for row in rows]
-
 
 @pytest.fixture(scope="module")
 def oracle():
-    session = PostgresInstance("oracle").connect()
+    session = oracle_session()
     load(session, distributed=False)
     return session
 
@@ -93,15 +74,12 @@ def cluster_session(request):
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_cluster_agrees_with_single_node(request, oracle, cluster_session, name):
-    if name in KNOWN_PLANNER_BUGS:
-        request.applymarker(pytest.mark.xfail(
-            strict=True, raises=CatalogError,
-            reason="pushed-down sort key references an output alias"))
+def test_cluster_agrees_with_single_node(oracle, cluster_session, name):
     sql, params, order_columns = QUERIES[name]
     expected = normalized(oracle.execute(sql, params).rows)
     got = normalized(cluster_session.execute(sql, params).rows)
-    assert len(expected) > 0, f"{name} returns nothing: the comparison is vacuous"
+    assert (len(expected) == 0) == (name in EMPTY), \
+        f"{name}: an unexpectedly empty result makes the comparison vacuous"
     assert sorted(got, key=repr) == sorted(expected, key=repr)
     if order_columns == ():
         assert got == expected  # the suite's ORDER BYs leave no ties here
@@ -109,3 +87,20 @@ def test_cluster_agrees_with_single_node(request, oracle, cluster_session, name)
         def keys(rows):
             return [[row[c] for c in order_columns] for row in rows]
         assert keys(got) == keys(expected)
+
+
+def test_every_shard_pruned_agrees_with_single_node(oracle, cluster_session):
+    """Two IN-lists on the distribution column whose shards do not meet
+    prune a multi-shard SELECT to zero tasks; the merge over no streams
+    must still return what a single node returns."""
+    disjoint = next(
+        f"k IN (1) AND k IN ({other})" for other in range(2, 100)
+        if "Task Count: 0" in cluster_session.execute(
+            "SELECT citus_explain('SELECT k FROM events"
+            f" WHERE k IN (1) AND k IN ({other})')").scalar())
+    for select in ("count(*), count(v), sum(v), min(v)", "k, v", "*",
+                   "k AS id, *"):
+        sql = f"SELECT {select} FROM events WHERE {disjoint}"
+        expected, got = oracle.execute(sql), cluster_session.execute(sql)
+        assert got.rows == expected.rows
+        assert got.columns == expected.columns

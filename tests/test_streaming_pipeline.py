@@ -10,8 +10,8 @@ Covers the pull-based data plane end to end:
 - executor/merge layer: bounded coordinator buffering (the acceptance
   criterion: ``rows_buffered_peak`` ≤ batch_size × shard_count for a
   multi-shard ORDER BY … LIMIT over ≥ 10k rows), LIMIT early-stop skipping
-  undispatched tasks, result parity with the materializing fallback, and
-  the new ``citus_stat_counters()`` entries;
+  undispatched tasks, result parity with a single-node oracle, and the
+  ``citus_stat_counters()`` entries;
 - the satellite regressions: parked statements while cursors are open, and
   ``accessed_groups`` affinity clearing after non-transactional statements.
 """
@@ -21,42 +21,29 @@ import pytest
 from repro import make_cluster
 from repro.errors import NodeUnavailable
 
-from .conftest import find_keys_on_distinct_nodes
+from .conftest import counter_total, counters_dict, find_keys_on_distinct_nodes
+from .oracle import normalized, oracle_session
 
 
-def counters_dict(session):
-    """citus_stat_counters() rows as {(name, node): value}."""
-    rows = session.execute("SELECT citus_stat_counters()").rows
-    out = {}
-    for (entries,) in rows:
-        for name, node, value in entries:
-            out[(name, node)] = value
-    return out
-
-
-def counter_total(session, name):
-    return sum(v for (n, _node), v in counters_dict(session).items() if n == name)
-
-
-@pytest.fixture
-def big(citus):
-    """10k rows across 8 shards on the 2-worker cluster."""
-    s = citus.coordinator_session()
+def load_events(s, distributed: bool):
     s.execute("CREATE TABLE events (k int PRIMARY KEY, v int, label text)")
-    s.execute("SELECT create_distributed_table('events', 'k')")
+    if distributed:
+        s.execute("SELECT create_distributed_table('events', 'k')")
     rows = [[k, k % 500, f"label-{k}"] for k in range(1, 10_001)]
     s.copy_rows("events", rows, ["k", "v", "label"])
     return s
 
 
-def run_materialized(citus, session, sql, params=None):
-    """Execute with the streaming pipeline disabled (the fallback plane)."""
-    ext = citus.coordinator_ext
-    ext.config.enable_streaming_pipeline = False
-    try:
-        return session.execute(sql, params)
-    finally:
-        ext.config.enable_streaming_pipeline = True
+@pytest.fixture
+def big(citus):
+    """10k rows across 8 shards on the 2-worker cluster."""
+    return load_events(citus.coordinator_session(), distributed=True)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The same 10k rows on one plain engine instance."""
+    return load_events(oracle_session(), distributed=False)
 
 
 # --------------------------------------------------------------- acceptance
@@ -157,13 +144,17 @@ class TestStreamingCounters:
 # ------------------------------------------------------------------ parity
 
 
+# Every ORDER BY below is a total order, so the single node's row sequence
+# is the only right answer — except the OFFSET query, which orders by v
+# alone and returns k: there only the sort keys (v = k % 500) are fixed.
+TIES = "SELECT k FROM events ORDER BY v OFFSET 5 LIMIT 10"
 PARITY_QUERIES = [
     "SELECT k, v FROM events ORDER BY v, k LIMIT 20",
     "SELECT k, v FROM events ORDER BY v DESC, k LIMIT 20",
     "SELECT k FROM events ORDER BY label DESC LIMIT 7",
     "SELECT k, v FROM events ORDER BY 2 DESC, 1 LIMIT 15",
     "SELECT k, v FROM events WHERE v < 30 ORDER BY v, k",
-    "SELECT k FROM events ORDER BY v OFFSET 5 LIMIT 10",
+    TIES,
     "SELECT DISTINCT v FROM events WHERE v < 40 ORDER BY v",
     "SELECT count(*), sum(v) FROM events",
     "SELECT v, count(*), sum(k) FROM events GROUP BY v ORDER BY v LIMIT 25",
@@ -172,27 +163,35 @@ PARITY_QUERIES = [
 ]
 
 
-class TestStreamingMaterializedParity:
+class TestSingleNodeParity:
+    """Multi-shard SELECTs return what a single node returns."""
+
     @pytest.mark.parametrize("sql", PARITY_QUERIES)
-    def test_same_rows_as_fallback(self, citus, big, sql):
+    def test_same_rows_as_single_node(self, big, oracle, sql):
         streamed = big.execute(sql)
-        materialized = run_materialized(citus, big, sql)
-        assert streamed.columns == materialized.columns
-        assert streamed.rows == materialized.rows
+        expected = oracle.execute(sql)
+        assert streamed.columns == expected.columns
+        if sql == TIES:
+            assert ([k % 500 for (k,) in streamed.rows]
+                    == [k % 500 for (k,) in expected.rows])
+        else:
+            assert normalized(streamed.rows) == normalized(expected.rows)
 
     def test_nulls_ordering_parity(self, citus):
-        s = citus.coordinator_session()
-        s.execute("CREATE TABLE n (k int PRIMARY KEY, v int)")
-        s.execute("SELECT create_distributed_table('n', 'k')")
-        for k in range(1, 41):
-            v = "NULL" if k % 5 == 0 else str(k % 7)
-            s.execute(f"INSERT INTO n VALUES ({k}, {v})")
+        sessions = citus.coordinator_session(), oracle_session()
+        for s in sessions:
+            s.execute("CREATE TABLE n (k int PRIMARY KEY, v int)")
+        sessions[0].execute("SELECT create_distributed_table('n', 'k')")
+        for s in sessions:
+            for k in range(1, 41):
+                v = "NULL" if k % 5 == 0 else str(k % 7)
+                s.execute(f"INSERT INTO n VALUES ({k}, {v})")
         for sql in [
             "SELECT v, k FROM n ORDER BY v, k",
             "SELECT v, k FROM n ORDER BY v DESC, k LIMIT 11",
             "SELECT v, k FROM n ORDER BY v NULLS FIRST, k",
         ]:
-            assert s.execute(sql).rows == run_materialized(citus, s, sql).rows
+            assert sessions[0].execute(sql).rows == sessions[1].execute(sql).rows
 
     def test_streaming_used_inside_transaction_block(self, citus, big):
         # Affinity + txn blocks still stream; results must see own writes.
@@ -483,22 +482,10 @@ class TestAffinityClearing:
         assert all(not c.accessed_groups for c in pools.all_connections())
 
 
-# ----------------------------------------------------------- fallback plane
+# ------------------------------------------------------------ blocking tasks
 
 
-class TestMaterializedFallback:
-    def test_disabled_pipeline_uses_execute_tasks(self, citus, big):
-        ext = citus.coordinator_ext
-        ext.config.enable_streaming_pipeline = False
-        try:
-            result = big.execute("SELECT k FROM events ORDER BY v LIMIT 5")
-            assert len(result.rows) == 5
-            report = ext.executor.last_report
-            assert report.batches_fetched == 0
-            assert report.bytes_streamed == 0
-        finally:
-            ext.config.enable_streaming_pipeline = True
-
+class TestBlockingTaskReport:
     def test_streaming_report_fields_default_zero(self, citus, big):
         # Single-task router queries use the blocking path.
         big.execute("SELECT v FROM events WHERE k = 1")

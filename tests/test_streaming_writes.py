@@ -6,8 +6,8 @@ Covers the per-shard COPY channel router end to end:
   INSERT..SELECT keeps the coordinator's write-side buffer at
   ``copy_flush_threshold × shard_count`` rows, not the total row count;
 - **parity**: all three INSERT..SELECT strategies and programmatic COPY
-  produce identical destination shard contents with
-  ``citus.enable_streaming_writes`` on and off;
+  leave the destination with what a single node holds, every row in the
+  shard its distribution key hashes to;
 - **atomicity**: a NULL distribution column or a client-side error after
   flushes have already been dispatched rolls back every shard write and
   leaves the gauges settled;
@@ -22,21 +22,10 @@ import pytest
 from repro import make_cluster
 from repro.errors import NotNullViolation, UniqueViolation
 
+from .conftest import counter_total, counters_dict
+from .oracle import oracle_session
+
 SHARDS = 8  # the conftest ``citus`` fixture's per-table shard count
-
-
-def counters_dict(session):
-    """citus_stat_counters() rows as {(name, node): value}."""
-    rows = session.execute("SELECT citus_stat_counters()").rows
-    out = {}
-    for (entries,) in rows:
-        for name, node, value in entries:
-            out[(name, node)] = value
-    return out
-
-
-def counter_total(session, name):
-    return sum(v for (n, _node), v in counters_dict(session).items() if n == name)
 
 
 def shard_rows(citus, table):
@@ -53,12 +42,12 @@ def shard_rows(citus, table):
     return out
 
 
-def make_tables(s, with_dest_pk=False):
+def make_tables(s, distributed=True):
     s.execute("CREATE TABLE src (k int PRIMARY KEY, v int, label text)")
-    s.execute("SELECT create_distributed_table('src', 'k')")
-    pk = " PRIMARY KEY" if with_dest_pk else ""
-    s.execute(f"CREATE TABLE dest (id int{pk}, val int)")
-    s.execute("SELECT create_distributed_table('dest', 'id')")
+    s.execute("CREATE TABLE dest (id int, val int)")
+    if distributed:
+        s.execute("SELECT create_distributed_table('src', 'k')")
+        s.execute("SELECT create_distributed_table('dest', 'id')")
 
 
 def load_src(s, n, null_v_at=None):
@@ -129,65 +118,69 @@ class TestBoundedPeak:
 # ------------------------------------------------------------------- parity
 
 
-def run_with_streaming(enabled, sql=None, copy_rows=None, n=3_000):
-    """Fresh identical cluster; run the write with the GUC set; return
-    (shard contents of dest, destination rowcount, copy_flushes total)."""
+def run_write(sql=None, copy_rows=None, n=3_000):
+    """Run the same write on a fresh cluster and on a single node. Returns
+    (the cluster, its copy_flushes, the single node's sorted dest rows)."""
     citus = make_cluster(workers=2, shard_count=SHARDS)
-    s = citus.coordinator_session()
+    s, oracle = citus.coordinator_session(), oracle_session()
     make_tables(s)
+    make_tables(oracle, distributed=False)
     load_src(s, n)
-    citus.coordinator_ext.config.enable_streaming_writes = enabled
+    load_src(oracle, n)
     before = counter_total(s, "copy_flushes")
-    if sql is not None:
-        s.execute(sql)
-    if copy_rows is not None:
-        s.copy_rows("dest", copy_rows, ["id", "val"])
+    for session in (s, oracle):
+        if sql is not None:
+            session.execute(sql)
+        if copy_rows is not None:
+            session.copy_rows("dest", copy_rows, ["id", "val"])
     flushes = counter_total(s, "copy_flushes") - before
-    count = s.execute("SELECT count(*) FROM dest").scalar()
-    return shard_rows(citus, "dest"), count, flushes
+    expected = sorted(tuple(r) for r in oracle.execute("SELECT * FROM dest").rows)
+    return citus, flushes, expected
 
 
-class TestStreamingOffParity:
+def assert_shards_hold(citus, table, expected):
+    """The shards of ``table`` together hold exactly ``expected``, each
+    row in the shard its distribution key (first column) hashes to."""
+    dist = citus.coordinator_ext.metadata.cache.get_table(table)
+    by_shard = shard_rows(citus, table)
+    assert sorted(r for rows in by_shard.values() for r in rows) == expected
+    for index, shard in enumerate(dist.shards):
+        assert all(dist.shard_index_for_value(row[0]) == index
+                   for row in by_shard[shard.shard_name])
+
+
+class TestSingleNodeParity:
+    """Streamed writes leave in the shards what a single node's table holds."""
+
     @pytest.mark.parametrize("strategy", sorted(STRATEGY_SQL))
     def test_insert_select_same_shard_contents(self, strategy):
-        sql = STRATEGY_SQL[strategy]
-        on_shards, on_count, on_flushes = run_with_streaming(True, sql=sql)
-        off_shards, off_count, off_flushes = run_with_streaming(False, sql=sql)
-        assert on_count == off_count > 0
-        assert on_shards == off_shards
-        assert off_flushes == 0
-        if strategy != "pushdown":  # pushdown never moves rows through COPY
-            assert on_flushes > 0
+        citus, flushes, expected = run_write(sql=STRATEGY_SQL[strategy])
+        assert len(expected) > 0
+        assert_shards_hold(citus, "dest", expected)
+        # pushdown never moves rows through COPY
+        assert (flushes > 0) == (strategy != "pushdown")
 
     def test_copy_same_shard_contents(self):
         rows = [[k, k * 3] for k in range(1, 3_001)]
-        on_shards, on_count, on_flushes = run_with_streaming(
-            True, copy_rows=rows, n=10)
-        off_shards, off_count, off_flushes = run_with_streaming(
-            False, copy_rows=rows, n=10)
-        assert on_count == off_count == 3_000
-        assert on_shards == off_shards
-        assert on_flushes > 0 and off_flushes == 0
-
-    def test_off_switch_restores_materialized_plane(self, citus, s):
-        ext = citus.coordinator_ext
-        ext.config.enable_streaming_writes = False
-        before = counter_total(s, "copy_flushes")
-        load_src(s, 1_000)
-        s.execute(STRATEGY_SQL["repartition"])
-        assert counter_total(s, "copy_flushes") == before
-        assert ("copy_channel_peak_rows", None) not in counters_dict(s)
-        assert s.execute("SELECT count(*) FROM dest").scalar() == 1_000
+        citus, flushes, expected = run_write(copy_rows=rows, n=10)
+        assert len(expected) == 3_000
+        assert_shards_hold(citus, "dest", expected)
+        assert flushes > 0
 
     def test_reference_table_copy_replicates_streaming(self, citus, s):
-        s.execute("CREATE TABLE dims (id int PRIMARY KEY, n text)")
+        oracle = oracle_session()
+        for session in (s, oracle):
+            session.execute("CREATE TABLE dims (id int PRIMARY KEY, n text)")
         s.execute("SELECT create_reference_table('dims')")
-        s.copy_rows("dims", [[i, f"d{i}"] for i in range(1, 41)])
+        for session in (s, oracle):
+            session.copy_rows("dims", [[i, f"d{i}"] for i in range(1, 41)])
+        expected = sorted(oracle.execute("SELECT * FROM dims").rows)
+        assert len(expected) == 40
         dist = citus.coordinator_ext.metadata.cache.get_table("dims")
         shard = dist.shards[0].shard_name
         for node in citus.cluster.node_names():
             check = citus.cluster.node(node).connect()
-            assert check.execute(f"SELECT count(*) FROM {shard}").scalar() == 40
+            assert sorted(check.execute(f"SELECT * FROM {shard}").rows) == expected
             check.close()
 
 
@@ -245,6 +238,18 @@ class TestMidStreamAtomicity:
         s.copy_rows("src", [[1, 1, "ok"], [2, 2, "ok"]], ["k", "v", "label"])
         assert s.execute("SELECT count(*) FROM src").scalar() == 2
 
+    def test_gauges_settle_when_the_last_flush_fails(self, citus, s):
+        """The channels' remainders flush after the last row is routed; a
+        worker error there must settle the statement like any other."""
+        s.execute("INSERT INTO src VALUES (40, 1, 'seed')")
+        rows = [[k, k, f"l{k}"] for k in range(1, 101)]  # k=40 collides
+        with pytest.raises(UniqueViolation):
+            s.copy_rows("src", rows, ["k", "v", "label"])  # 100 rows < threshold
+        counters = counters_dict(s)
+        assert all(v == 0 for (n, _), v in counters.items()
+                   if n in ("executor_statements_in_flight", "tasks_in_flight"))
+        assert s.execute("SELECT count(*) FROM src").scalar() == 1
+
     def test_duplicate_key_mid_stream_rolls_back(self, citus, s):
         citus.coordinator_ext.config.copy_flush_threshold = 4
         s.execute("INSERT INTO src VALUES (40, 1, 'seed')")
@@ -280,14 +285,6 @@ class TestObservability:
         assert f"Repartition: streaming (flush_threshold={threshold}," in text
         assert f"channels={SHARDS}" in text
         assert "strategy=repartition" in text
-
-    def test_explain_shows_materialized_when_off(self, citus, s):
-        citus.coordinator_ext.config.enable_streaming_writes = False
-        text = s.execute(
-            "SELECT citus_explain("
-            "'INSERT INTO dest (id, val) SELECT v, k FROM src')"
-        ).scalar()
-        assert "Repartition: materialized" in text
 
     def test_explain_analyze_reports_flush_actuals(self, citus, s):
         load_src(s, 2_000)

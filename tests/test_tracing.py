@@ -1,5 +1,5 @@
 """End-to-end distributed tracing, citus_stat_statements, and EXPLAIN
-ANALYZE: span-tree parity across executor planes, histogram percentile
+ANALYZE: the multi-shard span-tree shape, histogram percentile
 math, per-fingerprint telemetry, 2PC span nesting, slow-query log, and
 the Chrome trace export."""
 
@@ -74,51 +74,35 @@ class TestLogHistogram:
         assert a.percentile(99) == 0.6
 
 
-# --------------------------------------------------------- span parity
+# ---------------------------------------------------------- span shape
 
 
-def _run_traced_select(streaming: bool):
-    cc = make_cluster(
-        workers=2, shard_count=8,
-        config=CitusConfig(enable_streaming_pipeline=streaming),
-    )
+def test_multi_shard_select_span_shape():
+    """A multi-shard SELECT's span tree: one task span per shard on both
+    workers, one merge span, and statement bytes that are exactly the
+    cursor batches plus one dispatch message per task."""
+    cc = make_cluster(workers=2, shard_count=8)
     s = _setup_items(cc)
     s.execute("SELECT k, v FROM items ORDER BY k")
-    return cc.coordinator_ext.tracer.buffer[-1]
+    trace = cc.coordinator_ext.tracer.buffer[-1]
 
+    assert trace.tier == "pushdown"
+    assert trace.rows == 64
 
-def test_span_parity_streaming_vs_materialized():
-    """The same SQL yields the same span-tree shape on both executor
-    planes — tier, task count, task nodes, merge span, rows, and wire
-    bytes all match; only the per-batch cursor spans differ."""
-    t_stream = _run_traced_select(streaming=True)
-    t_mat = _run_traced_select(streaming=False)
+    tasks = trace.find("executor", "task")
+    assert len(tasks) == 8
+    assert {sp.node for sp in tasks} == {"worker1", "worker2"}
+    assert sorted(sp.attrs["index"] for sp in tasks) == list(range(8))
+    assert sum(sp.attrs["rows"] for sp in tasks) == 64
 
-    assert t_stream.tier == t_mat.tier == "pushdown"
-    assert t_stream.rows == t_mat.rows == 64
+    assert len(trace.find("merge")) == 1
 
-    stream_tasks = t_stream.find("executor", "task")
-    mat_tasks = t_mat.find("executor", "task")
-    assert len(stream_tasks) == len(mat_tasks) == 8
-    assert ({sp.node for sp in stream_tasks}
-            == {sp.node for sp in mat_tasks}
-            == {"worker1", "worker2"})
-    # Per-task row counts agree (same shards, same data).
-    by_index = lambda spans: sorted(
-        (sp.attrs["index"], sp.attrs["rows"]) for sp in spans
-    )
-    assert by_index(stream_tasks) == by_index(mat_tasks)
-
-    assert len(t_stream.find("merge")) == len(t_mat.find("merge")) == 1
-
-    # Both planes price the wire identically: the blocking plane charges
-    # each response at its actual row bytes, so statement-level totals
-    # match the cursor batches byte for byte.
-    assert t_stream.bytes == t_mat.bytes > 0
-
-    # Only the streaming plane has cursor batch spans.
-    assert t_stream.find("network", "batch")
-    assert not t_mat.find("network", "batch")
+    batches = trace.find("network", "batch")
+    dispatches = trace.find("network", "dispatch")
+    assert batches and len(dispatches) == 8
+    dispatch_bytes = 256  # RemoteConnection's request payload
+    assert trace.bytes == (sum(sp.attrs["bytes"] for sp in batches)
+                           + dispatch_bytes * len(dispatches))
 
 
 def test_task_spans_carry_queue_and_connection_detail(citus):
