@@ -474,30 +474,32 @@ class MultiTaskSelectPlan(CitusPlan):
         return self._batch_generator(execution, session, params)
 
     def _batch_generator(self, execution, session, params):
-        from .pushdown import stream_concat_rows
+        from .pushdown import stream_concat_runs
 
         plan = self.plan
-        batch_size = self.ext.config.stream_batch_size
+        batch_size = max(1, self.ext.config.stream_batch_size)
         merge_start = self.ext.cluster.clock.now()
         rows_out = 0
         try:
             if plan.mode == "concat":
-                source = stream_concat_rows(plan, execution, session, params)
+                runs = stream_concat_runs(plan, execution, session, params)
             else:
                 # Group-merge: the worker partials stream into the hash
                 # aggregate batch by batch; the (much smaller) aggregated
                 # output is then re-chunked for the consumer.
                 from .pushdown import run_streaming_group_merge
 
-                source = iter(run_streaming_group_merge(
-                    plan, execution, session, params).rows)
+                runs = [run_streaming_group_merge(
+                    plan, execution, session, params).rows]
+            # Re-chunk the runs: a batch leaves as soon as it is full,
+            # before the merge is asked for (and fetches for) its next run.
             batch = []
-            for row in source:
-                batch.append(row)
-                if len(batch) >= batch_size:
-                    rows_out += len(batch)
-                    yield batch
-                    batch = []
+            for run in runs:
+                batch.extend(run)
+                while len(batch) >= batch_size:
+                    rows_out += batch_size
+                    yield batch[:batch_size]
+                    del batch[:batch_size]
             if batch:
                 rows_out += len(batch)
                 yield batch

@@ -541,40 +541,54 @@ def _make_tasks(ext, worker_query, params, anchor, shard_indexes) -> list[Task]:
 # ------------------------------------------------- streaming merge operators
 #
 # The execution side of the two merge strategies, operating over the
-# adaptive executor's per-task streams (pull-based): k-way heap merge-append
-# for ORDER BY (workers push the sort down, so each shard stream arrives
-# pre-sorted), streaming concat with LIMIT early-stop, and an incremental
-# GROUP BY merge that feeds worker partials into the coordinator's hash
-# aggregate one batch at a time. The coordinator buffer stays bounded by
-# O(batch_size × stream_count); its peak is recorded via
-# ``execution.note_buffered`` (the ``rows_buffered_peak`` gauge).
+# adaptive executor's per-task streams (pull-based): run-draining k-way
+# merge-append for ORDER BY (workers push the sort down, so each shard
+# stream arrives pre-sorted), streaming concat with LIMIT early-stop, and
+# an incremental GROUP BY merge that feeds worker partials into the
+# coordinator's hash aggregate one batch at a time. Rows move through the
+# concat operators a *run* at a time (a list: one fetched batch, or every
+# buffered row the merge may emit before its next fetch). The coordinator
+# buffer stays bounded by O(batch_size × stream_count); its peak is
+# recorded via ``execution.note_buffered`` (the ``rows_buffered_peak``
+# gauge).
 
 
-def make_concat_sort_key(plan: PushdownSelect, visible_width: int):
-    """Row-key function for the coordinator's MergeAppend, resolving hidden
-    sort keys against the worker result width."""
-    from ...engine.datum import sort_key as value_sort_key
-    from ...engine.executor import _Reversed
+class _Reversed:
+    """Inverts a sort key's order, so that a descending key column can sit
+    in a composite key that is compared ascending (the MergeAppend bisects
+    and sorts whole-row keys; it cannot pass ``reverse=True`` per column)."""
 
-    specs = []
-    for position_spec, ascending, nulls_first in plan.hidden_sort_keys:
-        kind, index = position_spec
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+def merge_key_columns(plan: PushdownSelect, visible_width: int, width: int) -> list:
+    """The coordinator MergeAppend's key columns, one ``(row position,
+    descending, key function)`` per hidden sort key: positions resolved
+    against the worker result (``width`` columns, the first
+    ``visible_width`` of them visible), the key function a
+    :func:`datum.ordering` key made to compare ascending. A position past
+    the row is NULL in every row, so it orders nothing and is left out."""
+    from ...engine.datum import ordering
+
+    columns = []
+    for (kind, index), ascending, nulls_first in plan.hidden_sort_keys:
         position = index if kind == "pos" else visible_width + index
-        nf = nulls_first if nulls_first is not None else not ascending
-        specs.append((position, ascending, nf))
-
-    def key_fn(row):
-        keys = []
-        for position, ascending, nf in specs:
-            value = row[position] if position < len(row) else None
-            null_rank = (0 if nf else 1) if value is None else (1 if nf else 0)
-            value_key = value_sort_key(value)
-            if not ascending:
-                value_key = _Reversed(value_key)
-            keys.append((null_rank, value_key))
-        return keys
-
-    return key_fn
+        if position >= width:
+            continue
+        descending, key = ordering(ascending, nulls_first)
+        columns.append((position, descending,
+                        (lambda value, key=key: _Reversed(key(value)))
+                        if descending else key))
+    return columns
 
 
 def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> list:
@@ -595,17 +609,19 @@ def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> li
     return first_columns[:visible_width] if n_appended else first_columns
 
 
-def stream_concat_rows(plan: PushdownSelect, execution, session, params):
+def stream_concat_runs(plan: PushdownSelect, execution, session, params):
     """Streaming coordinator merge for concat-mode plans, as a generator
-    of visible rows (shared by the SELECT data plane and the INSERT..SELECT
-    write pipeline).
+    of non-empty runs (lists) of visible rows (shared by the SELECT data
+    plane and the INSERT..SELECT write pipeline).
 
     With ORDER BY: k-way MergeAppend over the pre-sorted shard streams.
-    Without: plain concat in task order. Either way DISTINCT / OFFSET /
-    LIMIT apply streamingly, and a satisfied LIMIT closes the remaining
-    streams — tasks whose stream was never started are skipped without ever
-    being dispatched.
+    Without: plain concat in task order. Either way hidden columns,
+    DISTINCT, OFFSET and LIMIT apply a run at a time; a satisfied LIMIT
+    stops before the next fetch and closes the remaining streams — tasks
+    whose stream was never started are skipped without ever being
+    dispatched.
     """
+    from ...engine.executor import _group_key
     from ...engine.expr import EvalContext, Row, evaluate
 
     streams = execution.streams
@@ -617,14 +633,15 @@ def stream_concat_rows(plan: PushdownSelect, execution, session, params):
         if value is not None:
             limit = int(value)
 
-    first_columns = list(streams[0].columns) if streams else []
+    width = len(streams[0].columns) if streams else 0
     n_appended = plan.n_visible
-    visible_width = len(first_columns) - n_appended
+    visible_width = width - n_appended
 
     if plan.hidden_sort_keys:
-        source = _merge_append_rows(plan, streams, execution, visible_width)
+        source = _merge_append_runs(
+            merge_key_columns(plan, visible_width, width), streams, execution)
     else:
-        source = _concat_rows(streams, execution)
+        source = _concat_runs(streams, execution)
 
     try:
         seen = set() if plan.distinct else None
@@ -632,21 +649,28 @@ def stream_concat_rows(plan: PushdownSelect, execution, session, params):
         emitted = 0
         satisfied = limit is not None and limit <= 0
         if not satisfied:
-            for row in source:
+            for run in source:
                 if n_appended:
-                    row = row[:visible_width]
+                    run = [row[:visible_width] for row in run]
                 if seen is not None:
-                    key = tuple(_stream_hashable(v) for v in row)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                    fresh = []
+                    for row in run:
+                        key = tuple([_group_key(v) for v in row])
+                        if key not in seen:
+                            seen.add(key)
+                            fresh.append(row)
+                    run = fresh
                 if skipped < offset:
-                    skipped += 1
-                    continue
-                yield row
-                emitted += 1
-                if limit is not None and emitted >= limit:
+                    drop = min(offset - skipped, len(run))
+                    skipped += drop
+                    run = run[drop:]
+                if limit is not None and emitted + len(run) >= limit:
+                    run = run[:limit - emitted]
                     satisfied = True
+                emitted += len(run)
+                if run:
+                    yield run
+                if satisfied:
                     break
         if satisfied and any(not s.done for s in streams):
             execution.note_early_termination()
@@ -656,63 +680,129 @@ def stream_concat_rows(plan: PushdownSelect, execution, session, params):
 
 
 def run_streaming_concat(plan: PushdownSelect, execution, session, params):
-    """Materializing wrapper over :func:`stream_concat_rows` — the SELECT
+    """Materializing wrapper over :func:`stream_concat_runs` — the SELECT
     statement path, which must return a full :class:`QueryResult`."""
     from ...engine.executor import QueryResult
 
     streams = execution.streams
     columns = concat_visible_columns(plan, streams, session, params)
-    out_rows = list(stream_concat_rows(plan, execution, session, params))
+    out_rows = []
+    for run in stream_concat_runs(plan, execution, session, params):
+        out_rows.extend(run)
     return QueryResult(columns, out_rows)
 
 
-def _concat_rows(streams, execution):
-    """Drain shard streams sequentially in task order, one batch at a time
-    (the coordinator holds at most one batch)."""
+def _concat_runs(streams, execution):
+    """Drain shard streams sequentially in task order, one batch — one
+    run — at a time (the coordinator holds at most one batch)."""
     for stream in streams:
         while True:
             batch = stream.fetch()
             if batch is None:
                 break
             execution.note_buffered(len(batch))
-            for row in batch:
-                yield row
+            yield batch
 
 
-def _merge_append_rows(plan, streams, execution, visible_width):
-    """K-way heap merge over pre-sorted shard streams. Buffering is bounded
-    to one in-flight batch per stream; ties break by task order then arrival
-    order, as a stable sort of the concatenated shard results would."""
-    import heapq
-    from collections import deque
+def _merge_append_runs(key_columns, streams, execution):
+    """K-way merge over pre-sorted shard streams, a run at a time.
+    Buffering is bounded to one in-flight batch per stream; ties break by
+    task order then arrival order, as a stable sort of the concatenated
+    shard results would.
 
-    key_fn = make_concat_sort_key(plan, visible_width)
-    pending = [deque() for _ in streams]
-    heap: list = []
+    Each fetched batch is decorated with its rows' sort keys once. The
+    *horizon* is the smallest ``(last buffered key, stream index)``: every
+    buffered row at or below it precedes anything a later fetch can bring,
+    so those prefixes — found by bisection, concatenated in task order and
+    stable-sorted (already-sorted runs, which timsort merges) — are the
+    next rows of the merge, and the horizon stream, now drained, is the one
+    to fetch from. That is the stream a row-at-a-time heap merge fetches
+    from at the same output position, so fetch order, buffered-row counts
+    and LIMIT early termination are those of the heap merge.
+
+    A key column whose values so far are all ints, or all strs sorted
+    ascending, is keyed by the values themselves (negated for descending
+    ints); the first batch that does not fit turns the column to
+    :func:`datum.ordering` keys and re-keys what is buffered.
+    """
+    from bisect import bisect_left, bisect_right
+
+    from ...engine.datum import plain_sort_type
+
+    #: Per key column: None until a batch is seen, then int / str while the
+    #: values are their own keys, False once generic.
+    kinds = [None] * len(key_columns)
+
+    def keys_of(batch) -> list:
+        """A sort key per row; a plain column the batch does not fit turns
+        generic first."""
+        per_column = []
+        for c, (position, descending, generic) in enumerate(key_columns):
+            column = [row[position] for row in batch]
+            kind = kinds[c]
+            if kind is not False:
+                found = plain_sort_type(column)
+                if found is str and descending:
+                    found = None
+                if kind is None:
+                    kind = kinds[c] = found or False
+                elif found is not kind:
+                    kind = kinds[c] = False
+            if kind is False:
+                column = [generic(value) for value in column]
+            elif descending:
+                column = [-value for value in column]
+            per_column.append(column)
+        if len(per_column) == 1:
+            return per_column[0]
+        # No key column at all: every row ties, task order decides.
+        return list(zip(*per_column)) or [()] * len(batch)
+
+    rows = [None] * len(streams)  # per live stream: the batch in flight,
+    keys = [None] * len(streams)  # its rows' keys,
+    start = [0] * len(streams)  # and how many of its rows are already out
+    live = []  # streams with buffered rows, in task order
     held = 0
-    seq = 0
 
-    def push_next(index):
-        nonlocal held, seq
-        rows = pending[index]
-        if not rows:
-            batch = streams[index].fetch()
-            if not batch:
-                return
-            rows.extend(batch)
-            held += len(batch)
-            execution.note_buffered(held)
-        row = rows.popleft()
-        heapq.heappush(heap, (key_fn(row), index, seq, row))
-        seq += 1
+    def load(index) -> bool:
+        """Buffer the stream's next batch; False once it is drained."""
+        nonlocal held
+        batch = streams[index].fetch()
+        if not batch:
+            return False
+        rows[index], start[index] = batch, 0
+        generic_before = kinds.count(False)
+        keys[index] = keys_of(batch)
+        if kinds.count(False) > generic_before:
+            for other in live:
+                if other != index:
+                    keys[other] = keys_of(rows[other])
+        held += len(batch)
+        execution.note_buffered(held)
+        return True
+
+    def last_key(index):
+        return keys[index][-1]
 
     for index in range(len(streams)):
-        push_next(index)
-    while heap:
-        _key, index, _seq, row = heapq.heappop(heap)
-        held -= 1
-        yield row
-        push_next(index)
+        if load(index):
+            live.append(index)
+    while live:
+        # min() keeps the first of equal keys: the lowest stream index.
+        horizon_stream = min(live, key=last_key)
+        horizon = last_key(horizon_stream)
+        run_rows, run_keys = [], []
+        for index in live:
+            cut = (bisect_right if index <= horizon_stream else bisect_left)(
+                keys[index], horizon, start[index])
+            run_rows += rows[index][start[index]:cut]
+            run_keys += keys[index][start[index]:cut]
+            start[index] = cut
+        held -= len(run_rows)
+        order = sorted(range(len(run_rows)), key=run_keys.__getitem__)
+        yield [run_rows[i] for i in order]
+        if not load(horizon_stream):
+            live.remove(horizon_stream)
 
 
 def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
@@ -740,14 +830,6 @@ def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
         session.temp_results.pop("citus_intermediate", None)
     result.columns = plan.visible_columns
     return result
-
-
-def _stream_hashable(value):
-    if isinstance(value, (dict, list)):
-        from ...engine.datum import to_text
-
-        return to_text(value)
-    return value
 
 
 # ------------------------------------------------------------ DML pushdown

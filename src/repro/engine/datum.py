@@ -252,6 +252,25 @@ def ordering(ascending: bool, nulls_first: bool | None):
     return not ascending, key
 
 
+def uniform_type(column):
+    """The exact type every value of ``column`` has (``bool`` is not
+    ``int``, NULL is ``NoneType``); None when they differ or there are
+    none. One pass in C, so a per-batch decision costs no per-value branch."""
+    kinds = set(map(type, column))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def plain_sort_type(column):
+    """``int`` or ``str`` when every value of ``column`` is exactly that
+    type, else None. Such values are their own sort keys: :func:`ordering`
+    maps them to ``(rank, (0, 1, v))`` / ``(rank, (0, 4, v))`` with one
+    rank and one prefix throughout, so the values order as the tuples do
+    and ``sorted`` compares machine ints or strs instead. NULLs, bools,
+    floats (NaN), dates, json and mixed columns are not plain."""
+    kind = uniform_type(column)
+    return kind if kind is int or kind is str else None
+
+
 def hash_value(value) -> int:
     """Deterministic 32-bit signed hash used for hash partitioning.
 

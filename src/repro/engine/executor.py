@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from ..errors import (
@@ -35,7 +36,7 @@ from ..errors import (
 from ..sql import ast as A
 from ..sql.deparse import deparse
 from .catalog import IndexDef, Table
-from .datum import cast_value, compare_values, ordering, to_text
+from .datum import cast_value, compare_values, ordering, plain_sort_type, to_text
 from .compile import get_compiled, get_prepared, slot_of
 from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
 from .functions import _STAR, SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate
@@ -99,20 +100,16 @@ class EngineCursor:
     def fetch(self, n: int) -> list:
         if self.closed or self.exhausted:
             return []
-        batch: list = []
+        n = max(int(n), 0)
         try:
-            for _ in range(max(int(n), 0)):
-                try:
-                    batch.append(next(self._iter))
-                except StopIteration:
-                    self.exhausted = True
-                    break
+            batch = list(islice(self._iter, n))
         except BaseException as exc:
             self.exhausted = True
             self._finish(exc)
             raise
         self.rows_fetched += len(batch)
-        if self.exhausted:
+        if len(batch) < n:
+            self.exhausted = True
             self._finish(None)
         return batch
 
@@ -816,7 +813,9 @@ class LocalExecutor:
                 for pair in pairs:
                     ctx.values = pair[1]
                     column.append(arg(ctx))
-            keys = [key(value) for value in column]
+            # Plain ints / strs are their own keys (datum.plain_sort_type).
+            keys = (column if plain_sort_type(column) is not None
+                    else [key(value) for value in column])
             order = sorted(range(len(pairs)), key=keys.__getitem__,
                            reverse=descending)
             pairs = [pairs[i] for i in order]
@@ -1783,22 +1782,6 @@ def _resolve_ref(expr, targets):
             if entry.alias == expr.name:
                 return entry.expr
     return expr
-
-
-class _Reversed:
-    """Inverts a sort key's order; the coordinator's MergeAppend builds its
-    heap keys with it (a heap cannot sort one key with ``reverse=True``)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return self.key == other.key
 
 
 def _references_columns(expr) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .datum import to_text
-from .mvcc import ABORTED, COMMITTED, CommitLog, HeapTupleHeader, Snapshot, tuple_visible
+from .mvcc import ABORTED, COMMITTED, CommitLog, HeapTupleHeader, Snapshot
 
 PAGE_SIZE = 8192
 TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
@@ -98,10 +98,28 @@ class Heap:
     # -------------------------------------------------------------- reads
 
     def scan(self, snapshot: Snapshot, clog: CommitLog):
-        """Yield tuples visible to the snapshot."""
+        """Yield tuples visible to the snapshot: :func:`mvcc.tuple_visible`
+        inlined, asking the snapshot about each distinct xid once
+        (``Snapshot.verdicts``). ``header.xmax`` is read fresh per tuple."""
+        verdicts = snapshot.verdicts
+        sees_xid = snapshot.sees_xid
         for tup in self.tuples:
-            if tuple_visible(tup.header, snapshot, clog):
-                yield tup
+            header = tup.header
+            xid = header.xmin
+            seen = verdicts.get(xid)
+            if seen is None:
+                seen = verdicts[xid] = sees_xid(xid, clog)
+            if not seen:
+                continue
+            xid = header.xmax
+            if xid is not None:
+                # Deleted, unless the deleter is invisible to us or aborted.
+                seen = verdicts.get(xid)
+                if seen is None:
+                    seen = verdicts[xid] = sees_xid(xid, clog)
+                if seen:
+                    continue
+            yield tup
 
     def versions(self, row_id: int):
         """Stored versions of one logical row, newest first."""

@@ -25,6 +25,16 @@ class Snapshot:
     in_progress: frozenset = frozenset()
     # The xid of the owning transaction; its own effects are always visible.
     own_xid: int = 0
+    #: xid -> :meth:`sees_xid`, filled by :meth:`Heap.scan`. The verdict
+    #: cannot change while the snapshot lives: the only xids the commit log
+    #: is asked about are below ``xmax`` and outside ``in_progress``, so
+    #: they had already committed or aborted when the snapshot was taken.
+    #: The three that must never be remembered as visible are invisible by
+    #: the snapshot's own fields, whatever the log says later — a writer
+    #: still running, a prepared 2PC writer awaiting COMMIT PREPARED (it
+    #: stays in ``XidManager.active``, hence in ``in_progress``), and an
+    #: xid at or past the ``xmax`` horizon.
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sees_xid(self, xid: int, clog: "CommitLog") -> bool:
         """Whether a transaction's effects are visible to this snapshot."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..engine.datum import uniform_type
 from ..engine.executor import EngineCursor
 from ..engine.locks import WouldBlock
 from ..errors import NodeUnavailable
@@ -20,11 +21,10 @@ from ..errors import NodeUnavailable
 _ROW_OVERHEAD = 2
 
 
-def estimate_row_bytes(row) -> int:
-    """Wire-size estimate of one result row — the per-batch payload the
-    bandwidth model charges, replacing the old flat 256-byte guess."""
-    total = _ROW_OVERHEAD
-    for value in row:
+def _values_bytes(values) -> int:
+    """Wire size of each value in turn: the per-value rule."""
+    total = 0
+    for value in values:
         if value is None or isinstance(value, bool):
             total += 1
         elif isinstance(value, (int, float)):
@@ -33,6 +33,43 @@ def estimate_row_bytes(row) -> int:
             total += len(value) + 1
         else:
             total += len(str(value)) + 1
+    return total
+
+
+def estimate_row_bytes(row) -> int:
+    """Wire-size estimate of one result row: framing plus each value by
+    the per-value rule. The reference that :func:`estimate_rows_bytes`
+    must add up to."""
+    return _ROW_OVERHEAD + _values_bytes(row)
+
+
+#: Wire width of the types whose values all cost the same.
+_FIXED_WIDTH = {int: 8, float: 8, bool: 1, type(None): 1}
+
+
+def estimate_rows_bytes(rows) -> int:
+    """Wire-size estimate of a batch of rows — the payload the bandwidth
+    model charges for a result set, a COPY chunk or a cursor batch. Exactly
+    the sum of :func:`estimate_row_bytes` over the rows, priced a column at
+    a time: a column whose values share one type needs no per-value branch.
+    Mixed or other-typed columns and ragged batches take the per-value
+    rule, a one-row result the per-row rule."""
+    count = len(rows)
+    if count == 1:
+        return estimate_row_bytes(rows[0])
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:  # ragged
+        return count * _ROW_OVERHEAD + sum(map(_values_bytes, rows))
+    total = count * _ROW_OVERHEAD
+    for column in columns:
+        kind = uniform_type(column)
+        if kind in _FIXED_WIDTH:
+            total += _FIXED_WIDTH[kind] * count
+        elif kind is str:
+            total += sum(map(len, column)) + count
+        else:
+            total += _values_bytes(column)
     return total
 
 
@@ -112,7 +149,7 @@ class RemoteConnection:
         The request is charged as one round trip up front — it crosses the
         wire whether or not the worker statement then fails — and the
         response rows are charged at their actual byte size
-        (``estimate_row_bytes``), so the blocking plane prices the wire
+        (``estimate_rows_bytes``), so the blocking plane prices the wire
         exactly like the streaming cursors do.
         """
         if self.closed:
@@ -151,7 +188,7 @@ class RemoteConnection:
         transfer term is added — no extra message)."""
         rows = getattr(result, "rows", None)
         if rows:
-            payload = sum(estimate_row_bytes(r) for r in rows)
+            payload = estimate_rows_bytes(rows)
             self.bytes_transferred += payload
             self.elapsed += self.network.note_transfer(payload)
         return result
@@ -200,7 +237,7 @@ class RemoteConnection:
         # shards asynchronously").
         if not hasattr(rows, "__len__"):
             rows = list(rows)
-        payload = sum(estimate_row_bytes(r) for r in rows) if rows else _ROW_OVERHEAD
+        payload = estimate_rows_bytes(rows) if rows else _ROW_OVERHEAD
         self.bytes_transferred += payload
         if pipelined:
             self.elapsed += self.network.note_transfer(payload)
@@ -268,7 +305,7 @@ class RemoteCursor:
             self.conn.elapsed += self.conn.network.note_round_trip(_ROW_OVERHEAD)
             self.last_payload = 0
             return None
-        payload = sum(estimate_row_bytes(r) for r in rows)
+        payload = estimate_rows_bytes(rows)
         self.conn.round_trips += 1
         self.conn.bytes_transferred += payload
         self.conn.elapsed += self.conn.network.note_round_trip(payload)

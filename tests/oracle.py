@@ -29,6 +29,11 @@ def load(session, distributed: bool) -> None:
     session.copy_rows("events", [[k, (k * 31) % 40, (k * 7) % 50, f"label-{k % 97}"]
                                  for k in range(1, 2001)])
     session.copy_rows("tenants", [[t, f"plan{t % 4}"] for t in range(40)])
+    # A bool and an int column whose values collide as Python objects.
+    session.execute("CREATE TABLE flags (k int PRIMARY KEY, b bool, n int)")
+    if distributed:
+        session.execute("SELECT create_distributed_table('flags', 'k')")
+    session.copy_rows("flags", [[k, k % 2 == 0, k % 2] for k in range(1, 41)])
     session.execute(ROLLUP)
     tpch.create_schema(session, distributed=distributed)
     tpch.load_data(session, tpch.TpchConfig(

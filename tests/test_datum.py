@@ -14,6 +14,8 @@ from repro.engine.datum import (
     hash_value,
     is_hash_distributable,
     normalize_type,
+    ordering,
+    plain_sort_type,
     sort_key,
     to_text,
 )
@@ -191,3 +193,37 @@ class TestCompareProperties:
         if None in ordered:
             first_none = ordered.index(None)
             assert all(v is None for v in ordered[first_none:])
+
+
+class TestPlainSortKeys:
+    """All-int and all-text columns sort on the values themselves; that
+    must be the order of :func:`ordering`'s generic keys, whichever way
+    the key sorts and wherever it puts NULLs."""
+
+    _columns = st.one_of(
+        st.lists(st.integers(-5, 5) | st.sampled_from([2**53, 2**53 + 1, -2**63])),
+        st.lists(st.sampled_from(["", "a", "B", "b", "ab", "é", "10", "9"])),
+        st.lists(st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                           st.sampled_from([0.5, 2.0, "a", "b"]))),
+    )
+
+    @given(_columns, st.booleans(), st.sampled_from([None, True, False]))
+    def test_property_plain_values_order_as_the_generic_keys(
+            self, column, ascending, nulls_first):
+        kind = plain_sort_type(column)
+        if kind is None:
+            assert not column or {type(v) for v in column} not in ({int}, {str})
+            return
+        assert {type(v) for v in column} == {kind}
+        descending, key = ordering(ascending, nulls_first)
+        generic = [key(v) for v in column]
+        positions = range(len(column))
+        assert sorted(positions, key=column.__getitem__, reverse=descending) \
+            == sorted(positions, key=generic.__getitem__, reverse=descending)
+
+    def test_what_is_not_plain(self):
+        assert plain_sort_type([1, 2, 2**70]) is int
+        assert plain_sort_type(["b", ""]) is str
+        for column in ([], [1, None], [True, False], [1, True], [1.0, 2.0],
+                       [1, 2.0], [1, "a"], [dt.date(2021, 1, 1)], [{"a": 1}]):
+            assert plain_sort_type(column) is None, column

@@ -40,6 +40,9 @@ ANALYTICS = {
                          None, ()),
     "alias_after_star_desc_limit": ("SELECT *, 100 - v AS z FROM events"
                                     " ORDER BY z DESC, k LIMIT 10", None, ()),
+    # DISTINCT on the coordinator: true is not the number 1.
+    "distinct_bool_vs_int": ("SELECT DISTINCT CASE WHEN k < 20 THEN b ELSE n END"
+                             " FROM flags", None, None),
     "contradiction_count": ("SELECT count(*) FROM events WHERE k = 1 AND k = 2",
                             None, None),
     "contradiction_rows": ("SELECT k, v FROM events WHERE k = 1 AND k = 2",

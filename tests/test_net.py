@@ -1,11 +1,16 @@
 """Unit tests for the cluster/network substrate: clock, latency accounting,
 node lifecycle, remote connections."""
 
+import datetime
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import InstanceSpec
 from repro.errors import NodeUnavailable
 from repro.net import Cluster, NetworkSpec, SimClock
+from repro.net.network import estimate_row_bytes, estimate_rows_bytes
 
 
 class TestSimClock:
@@ -32,6 +37,60 @@ class TestNetworkAccounting:
     def test_connection_setup_cost(self):
         cluster = Cluster(network_spec=NetworkSpec(connection_setup_ms=15))
         assert cluster.network.connection_setup_cost() == pytest.approx(0.015)
+
+
+_WIRE_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-1000, 1000),
+    "bigint": st.integers(-2**63, 2**63 - 1),
+    "float": st.floats(allow_nan=True),
+    "str": st.sampled_from(["", "a", "label-17", "é", "日本語", " " * 40]),
+    "json": st.sampled_from([{}, {"a": [1, "é"]}, {"k": None}]),
+    "list": st.sampled_from([[], [3, 10.5], ["x", None]]),  # avg_partial state
+    "date": st.sampled_from([datetime.date(2021, 6, 20),
+                             datetime.datetime(2021, 6, 20, 12, 30)]),
+}
+_ANY_WIRE_VALUE = st.one_of(*_WIRE_VALUES.values())
+
+
+@st.composite
+def _wire_batches(draw):
+    """Row batches with one-typed and mixed columns, square or ragged."""
+    columns = draw(st.lists(
+        st.sampled_from([*_WIRE_VALUES.values(), _ANY_WIRE_VALUE]), max_size=5))
+    rows = draw(st.lists(st.tuples(*columns).map(list), max_size=12))
+    if draw(st.booleans()):  # ragged: cut some rows short, pad others
+        for row in rows:
+            if draw(st.booleans()):
+                del row[draw(st.integers(0, len(row))):]
+            elif draw(st.booleans()):
+                row.append(draw(_ANY_WIRE_VALUE))
+    return rows
+
+
+class TestBatchPricing:
+    """A batch costs what its rows cost one by one: column pricing is a
+    cheaper way to add up, never a different price list."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_wire_batches())
+    def test_property_a_batch_costs_the_sum_of_its_rows(self, rows):
+        assert estimate_rows_bytes(rows) == sum(estimate_row_bytes(r) for r in rows)
+        as_tuples = [tuple(row) for row in rows]
+        assert estimate_rows_bytes(as_tuples) == estimate_rows_bytes(rows)
+
+    def test_named_cases(self):
+        assert estimate_rows_bytes([]) == 0
+        assert estimate_rows_bytes([[]]) == estimate_row_bytes([]) == 2
+        assert estimate_rows_bytes([[], []]) == 4
+        assert estimate_rows_bytes([[7, "ab", None]]) == 2 + 8 + 3 + 1
+        # One-typed columns: int, text (one non-ASCII), bool, NULL.
+        batch = [[1, "ab", True, None], [2**40, "é", False, None]]
+        assert estimate_rows_bytes(batch) == 2 * 2 + 16 + (3 + 2) + 2 + 2
+        # True is priced as a bool even in a column of ints.
+        assert estimate_rows_bytes([[1], [True]]) == 2 * 2 + 8 + 1
+        assert estimate_rows_bytes([[1, 2], [3]]) == (2 + 16) + (2 + 8)
 
 
 class TestClusterLifecycle:

@@ -263,6 +263,143 @@ class TestVersionChains:
         assert type(heap.tuples) is CountingList
 
 
+def assert_scan_matches_tuple_visible(heap, snapshot, clog):
+    """``Heap.scan`` (per-snapshot xid verdicts, inlined test) returns
+    exactly the tuples the reference rule admits, evaluated afresh."""
+    assert [t.tid for t in heap.scan(snapshot, clog)] == [
+        t.tid for t in heap.tuples if tuple_visible(t.header, snapshot, clog)]
+
+
+_WRITERS = 3
+_visibility_ops = st.one_of(
+    st.tuples(st.sampled_from(["insert", "commit", "abort", "prepare",
+                               "resolve", "snapshot"]),
+              st.integers(0, _WRITERS - 1), st.booleans()),
+    st.tuples(st.sampled_from(["update", "delete"]),
+              st.integers(0, _WRITERS - 1), st.integers(0, 5)),
+    st.tuples(st.just("vacuum"), st.just(0), st.just(True)),
+    st.tuples(st.just("reader_snapshot"), st.just(0), st.just(True)),
+)
+
+
+class TestScanVisibilityParity:
+    """A snapshot remembers its verdict on every xid it has met; the
+    verdict must therefore never change while the snapshot lives. The
+    reference, ``tuple_visible``, asks the commit log every time."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_visibility_ops, max_size=40))
+    def test_property_held_snapshots_scan_what_tuple_visible_admits(self, ops):
+        """Three interleaved writers (each on its own keys, so no lock
+        waits) insert / update / delete, commit / abort, PREPARE and
+        COMMIT / ROLLBACK PREPARED, with VACUUMs in between. Snapshots —
+        a bystander's, or a writer's own mid-transaction — are held across
+        all later steps; after every step each of them, and a fresh one,
+        scans what the reference admits."""
+        pg = PostgresInstance("visibility")
+        admin = pg.connect()
+        admin.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        heap, clog = pg.catalog.get_table("t").heap, pg.xids.clog
+        writers = [pg.connect() for _ in range(_WRITERS)]
+        inserted = [0] * _WRITERS  # writer w owns keys w, w + 3, w + 6, ...
+        prepared = [None] * _WRITERS  # gid awaiting resolution (locks held)
+        held = []
+        gids = 0
+        for op, w, arg in ops:
+            writer = writers[w]
+            if op == "insert" and prepared[w] is None:
+                writer.execute("BEGIN")
+                writer.execute("INSERT INTO t VALUES (:k, 0)",
+                               {"k": inserted[w] * _WRITERS + w})
+                inserted[w] += 1
+            elif op in ("update", "delete") and prepared[w] is None and inserted[w]:
+                writer.execute("BEGIN")
+                writer.execute("UPDATE t SET v = v + 1 WHERE k = :k"
+                               if op == "update" else "DELETE FROM t WHERE k = :k",
+                               {"k": arg % inserted[w] * _WRITERS + w})
+            elif op == "commit":
+                writer.execute("COMMIT")
+            elif op == "abort":
+                writer.execute("ROLLBACK")
+            elif op == "prepare" and writer.xid is not None:
+                gids += 1
+                prepared[w] = f"g{gids}"
+                writer.execute(f"PREPARE TRANSACTION '{prepared[w]}'")
+            elif op == "resolve" and prepared[w] is not None:
+                admin.execute(("COMMIT" if arg else "ROLLBACK")
+                              + f" PREPARED '{prepared[w]}'")
+                prepared[w] = None
+            elif op == "vacuum":
+                admin.execute("VACUUM t")
+            elif op == "snapshot":
+                held.append(writer.snapshot())  # sees its own writes
+            elif op == "reader_snapshot":
+                held.append(pg.xids.take_snapshot())
+            for snapshot in held + [pg.xids.take_snapshot()]:
+                assert_scan_matches_tuple_visible(heap, snapshot, clog)
+
+    def _keys(self, heap, snapshot, clog):
+        assert_scan_matches_tuple_visible(heap, snapshot, clog)
+        return sorted(t.values[0] for t in heap.scan(snapshot, clog))
+
+    def test_a_prepared_writer_stays_invisible_to_a_snapshot_that_met_it(self):
+        pg = PostgresInstance("prepared")
+        writer, other = pg.connect(), pg.connect()
+        writer.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        writer.execute("INSERT INTO t VALUES (1, 0), (2, 0)")
+        heap, clog = pg.catalog.get_table("t").heap, pg.xids.clog
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO t VALUES (3, 0)")
+        writer.execute("DELETE FROM t WHERE k = 1")
+        xid = writer.xid
+        writer.execute("PREPARE TRANSACTION 'g'")
+        during = pg.xids.take_snapshot()
+        assert self._keys(heap, during, clog) == [1, 2]
+        assert during.verdicts[xid] is False
+        other.execute("COMMIT PREPARED 'g'")
+        # The log now says committed; the snapshot predates that.
+        assert self._keys(heap, during, clog) == [1, 2]
+        assert during.verdicts[xid] is False
+        assert self._keys(heap, pg.xids.take_snapshot(), clog) == [2, 3]
+
+    def test_own_deletes_and_an_aborted_xmax(self):
+        pg = PostgresInstance("own")
+        writer = pg.connect()
+        writer.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        writer.execute("INSERT INTO t VALUES (1, 0), (2, 0)")
+        heap, clog = pg.catalog.get_table("t").heap, pg.xids.clog
+        writer.execute("BEGIN")
+        writer.execute("DELETE FROM t WHERE k = 1")
+        writer.execute("INSERT INTO t VALUES (3, 0)")
+        own, bystander = writer.snapshot(), pg.xids.take_snapshot()
+        assert self._keys(heap, own, clog) == [2, 3]
+        assert self._keys(heap, bystander, clog) == [1, 2]
+        writer.execute("ROLLBACK")
+        # Row 1 keeps the aborted deleter in xmax and is visible again.
+        assert heap.tuples[0].header.xmax is not None
+        assert self._keys(heap, pg.xids.take_snapshot(), clog) == [1, 2]
+        assert self._keys(heap, bystander, clog) == [1, 2]
+
+    def test_a_lazily_consumed_cursor_keeps_its_snapshot_across_a_commit(self):
+        from repro.sql import parse
+
+        pg = PostgresInstance("cursor")
+        reader, writer = pg.connect(), pg.connect()
+        reader.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        reader.copy_rows("t", [[k, 0] for k in range(1, 9)])
+        cursor = reader.execute_parsed_cursor(parse("SELECT k FROM t")[0])
+        assert cursor.fetch(3) == [[1], [2], [3]]
+        writer.execute("BEGIN")
+        writer.execute("DELETE FROM t WHERE k = 6")
+        writer.execute("INSERT INTO t VALUES (9, 0)")
+        writer.execute("COMMIT")
+        # Neither the committed delete nor the committed insert is seen.
+        assert cursor.fetch(100) == [[4], [5], [6], [7], [8]]
+        assert reader.execute("SELECT k FROM t ORDER BY k").rows == [
+            [1], [2], [3], [4], [5], [7], [8], [9]]
+
+
 class TestVacuumPrunesIndexes:
     """VACUUM must drop the index entries of the versions it reclaims:
     after it, every index holds exactly one entry per stored tuple."""

@@ -2,10 +2,16 @@
 
 A prepared statement shape is analysed once: a repeated execution must
 not deparse, copy or re-walk its AST, and must not build row layouts —
-those are per relation shape, never per row. Counting calls instead of
-timing them makes the bound exact and the test deterministic.
+those are per relation shape, never per row. Nor does the analytics read
+path pay per row for what a batch or a column can answer at once: the
+commit log is asked once per distinct xid, all-int and all-text sort
+columns are their own keys on workers and coordinator, the wire prices a
+batch by its columns, and the coordinator merge pushes nothing onto a
+heap. Counting calls instead of timing them makes the bound exact and the
+test deterministic.
 """
 
+import heapq
 import importlib
 import sys
 from collections import Counter
@@ -13,7 +19,11 @@ from collections import Counter
 import pytest
 
 from repro import PostgresInstance, make_cluster
+from repro.engine import datum
 from repro.engine.expr import RowLayout
+from repro.engine.heap import Heap
+from repro.engine.mvcc import CommitLog
+from repro.net import network
 from repro.sql import ast as A
 from repro.sql import parse
 
@@ -47,27 +57,55 @@ CLIENT_STATEMENTS = {
 }
 
 
+def _counter(counts, name, original):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Counts of ``deparse`` calls, AST copies and layouts built."""
     counts = Counter()
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
     # ``repro.sql.deparse`` the attribute is the function; patch it wherever
     # a ``from ... import deparse`` bound it.
     deparse = importlib.import_module("repro.sql.deparse").deparse
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("repro")
                 and vars(module).get("deparse") is deparse):
-            monkeypatch.setattr(module, "deparse", counting("deparse", deparse))
-    monkeypatch.setattr(A.Node, "copy", counting("copy", A.Node.copy))
+            monkeypatch.setattr(module, "deparse",
+                                _counter(counts, "deparse", deparse))
+    monkeypatch.setattr(A.Node, "copy", _counter(counts, "copy", A.Node.copy))
     monkeypatch.setattr(RowLayout, "__init__",
-                        counting("layouts", RowLayout.__init__))
+                        _counter(counts, "layouts", RowLayout.__init__))
+    return counts
+
+
+@pytest.fixture
+def row_work(monkeypatch):
+    """Counts of the per-row calls the read path must not make: commit-log
+    lookups (``clog_status``, against ``clog_budget`` = one per distinct
+    xid of each heap scanned, plus one), generic ``datum.sort_key`` keys,
+    per-row wire pricing and heap pushes."""
+    counts = Counter()
+    scan = Heap.scan
+
+    def budgeted_scan(heap, snapshot, clog):
+        xids = {t.header.xmin for t in heap.tuples}
+        xids.update(t.header.xmax for t in heap.tuples)
+        counts["clog_budget"] += len(xids - {None}) + 1
+        return scan(heap, snapshot, clog)
+
+    monkeypatch.setattr(Heap, "scan", budgeted_scan)
+    monkeypatch.setattr(CommitLog, "status",
+                        _counter(counts, "clog_status", CommitLog.status))
+    monkeypatch.setattr(datum, "sort_key",
+                        _counter(counts, "sort_key", datum.sort_key))
+    monkeypatch.setattr(network, "estimate_row_bytes",
+                        _counter(counts, "row_bytes", network.estimate_row_bytes))
+    monkeypatch.setattr(heapq, "heappush",
+                        _counter(counts, "heappush", heapq.heappush))
     return counts
 
 
@@ -141,3 +179,59 @@ def test_repeated_rounds_through_a_cluster_stay_within_bounds(work):
     assert work["layouts"] == 0, work
     assert work["copy"] == 0, work
     assert work["deparse"] < 100, work
+
+
+def churn(session):
+    """Leave more than one xid in the heaps without changing any result: a
+    committed UPDATE (dead versions carrying an xmax) and a rolled-back
+    DELETE (an aborted xmax on live rows)."""
+    session.execute("UPDATE events SET label = label WHERE k <= 50")
+    session.execute("BEGIN")
+    session.execute("DELETE FROM events WHERE k > 990")
+    session.execute("ROLLBACK")
+
+
+def assert_no_per_row_work(counts, shape):
+    assert 0 < counts["clog_status"] <= counts["clog_budget"], (shape, counts)
+    assert counts["sort_key"] == 0, (shape, counts)
+    assert counts["heappush"] == 0, (shape, counts)
+
+
+@pytest.mark.parametrize("shape", sorted(SHARD_STATEMENTS))
+def test_a_shard_statement_asks_the_commit_log_per_xid_and_sorts_on_plain_keys(
+        row_work, shape):
+    session = PostgresInstance("worker").connect()
+    load(session, distributed=False)
+    churn(session)
+    stmt = parse(SHARD_STATEMENTS[shape])[0]
+    row_work.clear()
+    assert session.execute_parsed(stmt, {"f": 7}).rows
+    assert_no_per_row_work(row_work, shape)
+    if shape in ("order_limit", "full_order"):
+        # A NULL in the sort column: the generic keys are taken, not skipped.
+        session.execute("UPDATE events SET v = NULL WHERE k = 500")
+        row_work.clear()
+        rows = session.execute_parsed(stmt, {"f": 7}).rows
+        assert row_work["sort_key"] > 0
+        assert (rows[-1][:2] == [500, None]) == (shape == "full_order")
+
+
+def test_a_round_through_a_cluster_pays_per_batch_not_per_row(row_work):
+    cluster = make_cluster(workers=4, shard_count=16)
+    session = cluster.coordinator_session()
+    load(session, distributed=True)
+    churn(session)
+    for shape, sql in CLIENT_STATEMENTS.items():
+        row_work.clear()
+        assert session.execute(sql, {"f": 7}).rows
+        assert_no_per_row_work(row_work, shape)
+        if shape != "filter_scan":
+            # Every shard answers with several rows (filter_scan's may
+            # answer with one, which the one-row rule prices).
+            assert row_work["row_bytes"] == 0, (shape, row_work)
+    session.execute("UPDATE events SET v = NULL WHERE k = 500")
+    for shape in ("order_limit", "full_order"):
+        row_work.clear()
+        rows = session.execute(CLIENT_STATEMENTS[shape], {"f": 7}).rows
+        assert row_work["sort_key"] > 0 and row_work["heappush"] == 0
+        assert (rows[-1] == [500, None]) == (shape == "full_order")
