@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Sample one ledger workload's measured phase: where does a round's time go?
+
+    python3 benchmarks/sample_profile.py --workload write_mix --seconds 8
+    python3 benchmarks/sample_profile.py --workload write_mix --root ../parent
+
+A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
+it adds nothing per call, so cheap-but-frequent functions keep their true
+share. Set-up, warm-up and the host canary are excluded. Prints self and
+inclusive shares by function and by module. Reads ``benchmarks/ledger`` of
+``--root`` (default: this checkout) and changes nothing in it; every sampled
+share quoted in README / ROADMAP comes from this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import os
+import signal
+import sys
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="write_mix")
+    parser.add_argument("--seed", type=int, default=31415)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--top", type=int, default=30)
+    parser.add_argument("--root", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    args = parser.parse_args()
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [root, os.path.join(root, "src")]
+    from benchmarks.ledger import phases
+    from benchmarks.ledger.workloads import WORKLOADS
+
+    self_fn, incl_fn = collections.Counter(), collections.Counter()
+    self_mod, incl_mod = collections.Counter(), collections.Counter()
+    total = 0
+
+    def sample(_signum, frame):
+        nonlocal total
+        stack = []
+        while frame is not None:
+            code = frame.f_code
+            stack.append((os.path.basename(code.co_filename), code.co_name))
+            frame = frame.f_back
+        if any(name == "canary_us" for _module, name in stack):
+            return
+        total += 1
+        self_fn[stack[0]] += 1
+        self_mod[stack[0][0]] += 1
+        incl_fn.update(set(stack))
+        incl_mod.update({module for module, _name in stack})
+
+    cls = WORKLOADS[args.workload]
+    workload = cls(args.seed, phases.op_count(cls, args.seconds))
+    workload.setup()
+    workload.warm_up()
+    signal.signal(signal.SIGPROF, sample)
+    signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
+    try:
+        workload.measure()
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+    workload.finish()
+
+    print(f"{args.workload}: {total} samples over {workload.ops} ops,"
+          f" failed {workload.failed} ({root})")
+    for title, counts in (("self, by function", self_fn),
+                          ("inclusive, by function", incl_fn),
+                          ("self, by module", self_mod),
+                          ("inclusive, by module", incl_mod)):
+        print(f"\n{title}")
+        for key, n in counts.most_common(args.top):
+            label = key if isinstance(key, str) else f"{key[0]}:{key[1]}"
+            print(f"  {100 * n / max(total, 1):5.1f} %  {n:6d}  {label}")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,7 @@ Reference-table COPY replicates every row to all placements.
 
 from __future__ import annotations
 
-from ..engine.datum import cast_value, hash_value
+from ..engine.datum import caster
 from ..errors import NotNullViolation, SQLError
 
 
@@ -41,7 +41,7 @@ class ShardCopyRouter:
         self.dist = dist
         self.columns = columns
         self.flush_threshold = max(1, int(ext.config.copy_flush_threshold))
-        self.column_types = [shell.column(c).type_name for c in columns]
+        self.casters = [caster(shell.column(c).type_name) for c in columns]
         if dist.is_reference:
             self.dist_position = None
             shard = dist.shards[0]
@@ -71,7 +71,7 @@ class ShardCopyRouter:
 
     def route(self, row) -> None:
         """Cast, route, and buffer one row; flush its channel when full."""
-        values = [cast_value(v, t) for v, t in zip(row, self.column_types)]
+        values = [cast(v) for cast, v in zip(self.casters, row)]
         position = self.dist_position
         if position is None:
             # Reference table: replicate to every placement channel.

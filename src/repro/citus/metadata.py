@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from ..engine.datum import hash_value as _hash
 from ..errors import MetadataError
 
 HASH = "h"
@@ -92,6 +93,11 @@ class DistributedTable:
     colocation_id: int
     shards: list[ShardInterval] = field(default_factory=list)  # ordered by min_value
 
+    def __post_init__(self):
+        # What routing bisects: the shard list is fixed once the cache
+        # entry is built (metadata changes rebuild the whole cache).
+        self._mins = [s.min_value for s in self.shards]
+
     @property
     def is_reference(self) -> bool:
         return self.method == REFERENCE
@@ -102,8 +108,7 @@ class DistributedTable:
 
     def shard_index_for_hash(self, hash_value: int) -> int:
         """Index of the shard whose [min,max] range covers the hash."""
-        mins = [s.min_value for s in self.shards]
-        index = bisect.bisect_right(mins, hash_value) - 1
+        index = bisect.bisect_right(self._mins, hash_value) - 1
         if index < 0 or hash_value > self.shards[index].max_value:
             raise MetadataError(f"hash {hash_value} outside shard ranges of {self.name!r}")
         return index
@@ -111,11 +116,8 @@ class DistributedTable:
     def shard_index_for_value(self, value) -> int:
         """Index of the shard owning a distribution column value,
         dispatching on the partition method (hash vs range)."""
-        from ..engine.datum import hash_value as _hash
-
         if self.method == RANGE:
-            mins = [s.min_value for s in self.shards]
-            index = bisect.bisect_right(mins, value) - 1
+            index = bisect.bisect_right(self._mins, value) - 1
             if index < 0 or value > self.shards[index].max_value:
                 raise MetadataError(
                     f"value {value!r} outside the shard ranges of {self.name!r}"

@@ -85,7 +85,8 @@ def get_compiled(expr, layout: RowLayout | None = None):
         return lambda ctx: ctx.values[index]
     if kind is A.Param:
         return lambda ctx: _param(expr, ctx)
-    # The third element keeps these keys apart from get_prepared's pairs.
+    # The None keeps these keys apart from get_prepared's (id, epoch,
+    # *variant), whose variant holds names.
     key = id(expr) if layout is None else (id(expr), id(layout), None)
     memo = _COMPILE_CACHE.get(key)
     if memo is not None and memo[0] is expr and memo[1] is layout:
@@ -103,13 +104,14 @@ def get_compiled(expr, layout: RowLayout | None = None):
     return fn
 
 
-def get_prepared(node, epoch: int, build):
-    """The prepared shape of ``node`` (a statement or FROM item) under the
-    catalog state ``epoch``: ``build()`` runs on the first execution and
-    after any DDL, every other execution reuses its result. Epochs are
-    unique across catalogs (see ``Catalog.epoch``), so instances sharing a
-    parsed AST never share a shape."""
-    key = (id(node), epoch)
+def get_prepared(node, epoch: int, build, variant: tuple = ()):
+    """The prepared shape of ``node`` (a statement, FROM item or table)
+    under the catalog state ``epoch``: ``build()`` runs on the first
+    execution and after any DDL, every other execution reuses its result.
+    Epochs are unique across catalogs (see ``Catalog.epoch``), so instances
+    sharing a parsed AST never share a shape. ``variant`` tells apart the
+    shapes one node has (a table's, per column list)."""
+    key = (id(node), epoch, *variant)
     memo = _COMPILE_CACHE.get(key)
     if memo is not None and memo[0] is node:
         return memo[1]

@@ -14,7 +14,7 @@ import io
 
 from ..errors import DataError
 from ..sql import ast as A
-from .datum import cast_value
+from .datum import caster
 from .executor import LocalExecutor, QueryResult
 
 
@@ -31,36 +31,15 @@ def execute_copy(session, stmt: A.Copy, copy_data) -> QueryResult:
 
 
 def copy_into(session, table_name: str, rows, columns=None) -> int:
-    """Append rows through the executor's insert path. Returns row count."""
-    table = session.instance.catalog.get_table(table_name)
-    session.acquire_table_lock(table_name, "RowExclusive")
-    executor = LocalExecutor(session)
-    columns = columns or table.column_names()
-    count = 0
-    for values in rows:
-        values = list(values)
-        if len(values) != len(columns):
-            raise DataError(
-                f"COPY row has {len(values)} values but {len(columns)} columns expected"
-            )
-        full = executor._build_full_row(table, columns, values)
-        executor._check_not_null(table, full)
-        if executor._find_conflict(table, full, None) is not None:
-            from ..errors import UniqueViolation
-
-            raise UniqueViolation(
-                f"duplicate key value violates unique constraint on {table_name!r}"
-            )
-        executor._check_foreign_keys(table, full)
-        executor._do_insert(table, full)
-        count += 1
+    """Append rows through the executor's append driver. Returns row count."""
+    count = _append(session, table_name, rows, columns, "COPY")
     session.stats["rows_copied"] += count
     return count
 
 
 def insert_rows(session, table_name: str, rows, columns=None) -> int:
-    """Append already-evaluated value rows through the executor's insert
-    path, with INSERT semantics (no ``rows_copied`` accounting).
+    """Append already-evaluated value rows through the executor's append
+    driver, with INSERT semantics (no ``rows_copied`` accounting).
 
     Used by the INSERT..SELECT coordinator strategy for local destinations:
     the source rows are plain values, so rebuilding per-row Literal AST
@@ -68,44 +47,29 @@ def insert_rows(session, table_name: str, rows, columns=None) -> int:
     a generator — the streaming write plane feeds it one source batch at a
     time.
     """
+    return _append(session, table_name, rows, columns, "INSERT")
+
+
+def _append(session, table_name: str, rows, columns, command: str) -> int:
     table = session.instance.catalog.get_table(table_name)
     session.acquire_table_lock(table_name, "RowExclusive")
     executor = LocalExecutor(session)
-    columns = list(columns or table.column_names())
-    count = 0
-    for values in rows:
-        values = list(values)
-        if len(values) != len(columns):
-            raise DataError(
-                f"INSERT has {len(values)} expressions"
-                f" but {len(columns)} target columns"
-            )
-        full = executor._build_full_row(table, columns, values)
-        if executor._find_conflict(table, full, None) is not None:
-            from ..errors import UniqueViolation
-
-            raise UniqueViolation(
-                f"duplicate key value violates unique constraint on {table_name!r}"
-            )
-        executor._check_not_null(table, full)
-        executor._check_foreign_keys(table, full)
-        executor._do_insert(table, full)
-        count += 1
-    return count
+    shape = executor._write_shape(table, columns or None)
+    return executor.append_rows(shape, rows, command)
 
 
 def _normalize_rows(copy_data, session, stmt: A.Copy):
     if isinstance(copy_data, str):
         table = session.instance.catalog.get_table(stmt.table)
         columns = stmt.columns or table.column_names()
-        types = [table.column(c).type_name for c in columns]
+        casters = [caster(table.column(c).type_name) for c in columns]
         reader = csv.reader(io.StringIO(copy_data))
         for record in reader:
             if not record:
                 continue
             yield [
-                None if text == "" else cast_value(text, type_name)
-                for text, type_name in zip(record, types)
+                None if text == "" else cast(text)
+                for text, cast in zip(record, casters)
             ]
     else:
         yield from copy_data

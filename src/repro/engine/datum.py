@@ -26,6 +26,7 @@ shard pruning on the coordinator and tuple routing during COPY must agree.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import struct
 import zlib
@@ -98,10 +99,15 @@ def is_hash_distributable(type_name: str) -> bool:
 
 def cast_value(value, type_name: str):
     """Cast ``value`` to the given SQL type, mimicking PostgreSQL's input
-    conversion. ``None`` passes through (SQL NULL is typeless)."""
+    conversion. ``None`` passes through (SQL NULL is typeless). The
+    reference for :func:`caster`, which is what per-row loops use."""
     if value is None:
         return None
-    t = normalize_type(type_name)
+    return _cast(value, normalize_type(type_name))
+
+
+def _cast(value, t: str):
+    """``cast_value`` of a non-NULL value to the *normalized* type ``t``."""
     if is_array_type(t):
         if not isinstance(value, list):
             raise DataError(f"cannot cast {value!r} to {t}")
@@ -130,10 +136,37 @@ def cast_value(value, type_name: str):
             return value
         if t == UUID:
             return str(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise DataError(f"invalid input for type {t}: {value!r}") from exc
     # Unknown type: pass through untouched (user-defined type).
     return value
+
+
+#: The Python type a value of each SQL type already has when no cast is
+#: needed: ``cast_value`` returns exactly such a value as it is (``bool``
+#: is not ``int``, a ``datetime`` is not a ``date``).
+_EXACT = {
+    INT: int, BIGINT: int, FLOAT: float, NUMERIC: float, TEXT: str,
+    UUID: str, BOOL: bool, DATE: _dt.date, TIMESTAMP: _dt.datetime,
+}
+
+
+@functools.lru_cache(maxsize=256)
+def caster(type_name: str):
+    """``cast(value) == cast_value(value, type_name)``, result type
+    included, with the type name resolved here instead of per value: a
+    value that already has the column's exact Python type (or is NULL)
+    is returned untouched, anything else — every array and json value
+    included — takes ``cast_value``'s path."""
+    t = normalize_type(type_name)
+    exact = _EXACT.get(t)
+
+    def cast(value):
+        if value is None or type(value) is exact:
+            return value
+        return _cast(value, t)
+
+    return cast
 
 
 def _cast_bool(value) -> bool:

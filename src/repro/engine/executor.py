@@ -35,13 +35,15 @@ from ..errors import (
 )
 from ..sql import ast as A
 from ..sql.deparse import deparse
-from .catalog import IndexDef, Table
-from .datum import cast_value, compare_values, ordering, plain_sort_type, to_text
+from .catalog import Table
+from .datum import caster, compare_values, ordering, plain_sort_type, to_text
 from .compile import get_compiled, get_prepared, slot_of
 from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
-from .functions import _STAR, SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate
-from .index import BTreeIndex, GinIndex, index_insert
-from .mvcc import COMMITTED, tuple_visible
+from .functions import (
+    _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate,
+)
+from .index import BTreeIndex, GinIndex, row_key_fn
+from .mvcc import COMMITTED
 from .window import compute_window_values, contains_window_function
 
 
@@ -410,25 +412,30 @@ class AggShape:
     slot per aggregate call; targets, HAVING and aggregate ORDER BY keys
     are compiled over that row with each call replaced by a
     :class:`SlotRef` (in a copy: statements are cached and shared across
-    sessions, so the rewrite must never touch the original tree)."""
+    sessions, so the rewrite must never touch the original tree).
 
-    __slots__ = ("layout", "group_fns", "group_slot", "steps", "inits",
-                 "finishers", "target_fns", "having")
+    The per-row work — group key, group lookup, every call's accumulate
+    step — is one generated function (:attr:`accumulate`), built from the
+    shape on first use."""
+
+    __slots__ = ("layout", "group_fns", "group_slots", "steps", "aggs",
+                 "inits", "finishers", "target_fns", "having", "_accumulate")
 
     def __init__(self, select: A.Select, targets, layout: RowLayout):
         self.layout = layout
         # GROUP BY entries may be positional or alias references.
         group_exprs = [_resolve_ref(g, targets) for g in select.group_by]
         self.group_fns = [get_compiled(g, layout) for g in group_exprs]
-        #: GROUP BY one plain column, the common case: its slot.
-        self.group_slot = (slot_of(group_exprs[0], layout)
-                           if len(group_exprs) == 1 else None)
+        #: Per GROUP BY entry: its slot when it is a plain column.
+        self.group_slots = [slot_of(g, layout) for g in group_exprs]
         #: Per aggregate call, in slot order: ``(accumulate, star, argument
-        #: slot, argument closures, FILTER closure, distinct)``, the state
-        #: constructor, and ``partial`` or ``finalize``.
+        #: slot, argument closures, FILTER closure, distinct)``, the
+        #: aggregate, the state constructor, and ``partial`` or ``finalize``.
         self.steps: list[tuple] = []
+        self.aggs: list = []
         self.inits: list = []
         self.finishers: list = []
+        self._accumulate = None
         self.target_fns = [get_compiled(self.lift(t.expr.copy()), layout)
                            for t in targets]
         self.having = (get_compiled(self.lift(select.having.copy()), layout)
@@ -454,9 +461,94 @@ class AggShape:
         keep = get_compiled(node.filter, layout) if node.filter is not None else None
         self.steps.append((agg.accumulate, star, arg_slot, arg_fns, keep,
                            bool(node.distinct)))
+        self.aggs.append(agg)
         self.inits.append(agg.init)
         self.finishers.append(
             agg.partial if node.agg_phase == "partial" else agg.finalize)
+        self._accumulate = None
+
+    @property
+    def accumulate(self):
+        """``accumulate(rows, ctx, groups, seen)``: fold ``rows`` into
+        ``groups`` (key -> [first input row, state per call...], first-seen
+        order; ``seen`` holds DISTINCT argument keys per (key, call)).
+
+        Generated once the shape is complete — :meth:`lift` registers
+        ORDER BY's aggregates after ``__init__`` — as one loop: group keys
+        read from slots, aggregates that have an ``inline`` form written
+        out over their argument slot, and FILTER, DISTINCT, expression
+        arguments and every other aggregate as calls from the same loop."""
+        if self._accumulate is None:
+            self._accumulate = _generate("accumulate", *self._accumulate_source())
+        return self._accumulate
+
+    def _accumulate_source(self) -> tuple:
+        env = {"group_key": _group_key, "PLAIN": _PLAIN_KEYS, "STAR": _STAR,
+               **INLINE_ENV}
+        body = []  # the loop's statements, one indent unit = one space
+        uses_ctx = False
+        keys = []
+        for i, (fn, slot) in enumerate(zip(self.group_fns, self.group_slots)):
+            if slot is not None:
+                body.append(f"k{i} = values[{slot}]")
+            else:
+                env[f"group{i}"], uses_ctx = fn, True
+                body.append(f"k{i} = group{i}(ctx)")
+            body += [f"if type(k{i}) not in PLAIN:", f" k{i} = group_key(k{i})"]
+            keys.append(f"k{i}")
+        inits = ["values"]
+        for i, agg in enumerate(self.aggs, 1):
+            if agg.inline is not None:
+                inits.append(agg.inline[0])
+            else:
+                env[f"init{i}"] = agg.init
+                inits.append(f"init{i}()")
+        body += [f"key = {keys[0] if len(keys) == 1 else '(' + ', '.join(keys) + ')'}",
+                 "entry = get(key)",
+                 "if entry is None:",
+                 f" entry = groups[key] = [{', '.join(inits)}]"]
+        for i, (step, agg) in enumerate(zip(self.steps, self.aggs), 1):
+            accumulate, star, slot, arg_fns, keep, distinct = step
+            state = f"entry[{i}]"
+            env[f"accumulate{i}"] = accumulate
+            for j, fn in enumerate(arg_fns):
+                env[f"arg{i}_{j}"] = fn
+            args = [f"arg{i}_{j}(ctx)" for j in range(len(arg_fns))]
+            inline = ([line.format(s=state) for line in agg.inline[1]]
+                      if agg.inline is not None else None)
+            if star and inline is not None:
+                # count(*): its statements do not read the argument.
+                lines = inline if agg.name == "count" else ["v = STAR", *inline]
+            elif star:
+                lines = [f"{state} = accumulate{i}({state}, STAR)"]
+            elif distinct:
+                uses_ctx = True
+                lines = [f"args = [{', '.join(args)}]",
+                         "arg_key = tuple([group_key(v) for v in args])",
+                         f"seen_args = seen.setdefault((key, {i}), set())",
+                         "if arg_key not in seen_args:",
+                         " seen_args.add(arg_key)",
+                         f" {state} = accumulate{i}({state}, *args)"]
+            elif len(args) == 1 and inline is not None:
+                uses_ctx = uses_ctx or slot is None
+                lines = [f"v = {f'values[{slot}]' if slot is not None else args[0]}",
+                         "if v is not None:", *(" " + line for line in inline)]
+            else:
+                uses_ctx = uses_ctx or slot is None
+                if slot is not None:
+                    args = [f"values[{slot}]"]
+                lines = [f"{state} = accumulate{i}({', '.join([state, *args])})"]
+            if keep is not None:
+                env[f"keep{i}"], uses_ctx = keep, True
+                lines = [f"if keep{i}(ctx) is True:", *(" " + line for line in lines)]
+            body += lines
+        if uses_ctx:
+            body.insert(0, "ctx.values = values")
+        source = ["def accumulate(rows, ctx, groups, seen):",
+                  " get = groups.get",
+                  " for values in rows:",
+                  *("  " + line for line in body)]
+        return "\n".join(source), env
 
 
 class JoinShape:
@@ -495,32 +587,44 @@ class JoinShape:
 
 
 class DmlShape:
-    """An UPDATE or DELETE: its target scan, the assignment slots
-    ``(column position, type, compiled value)`` and the RETURNING list
-    ``(output names, compiled targets)``."""
+    """An UPDATE or DELETE: its target scan, the table's full-row
+    :class:`WriteShape`, the assignment slots ``(column position, caster,
+    compiled value)`` and the RETURNING list ``(output names, compiled
+    targets)``."""
 
-    __slots__ = ("scan", "assignments", "returning")
+    __slots__ = ("scan", "write", "assignments", "probes_unique", "returning")
 
-    def __init__(self, stmt, table: Table):
+    def __init__(self, stmt, table: Table, write: "WriteShape"):
         self.scan = ScanShape(table, stmt.alias or stmt.table, stmt.where)
+        self.write = write
         layout = self.scan.layout
         self.assignments = []
         for col_name, expr in getattr(stmt, "assignments", ()):
             idx = table.column_index(col_name)
             self.assignments.append(
-                (idx, table.columns[idx].type_name, get_compiled(expr, layout)))
+                (idx, caster(table.columns[idx].type_name),
+                 get_compiled(expr, layout)))
+        assigned = {idx for idx, _cast, _fn in self.assignments}
+        #: Whether an assignment writes a column some unique key reads:
+        #: only then can an updated row collide.
+        self.probes_unique = any(
+            assigned.intersection(reads)
+            for _cols, _key, _index, reads in write.unique_keys)
         self.returning = _compile_returning(stmt.returning, table, layout)
 
 
 class InsertShape:
-    """An INSERT's row-shaped parts: the RETURNING list over the new row,
-    and the ON CONFLICT DO UPDATE assignments over ``existing + proposed``
-    values — unqualified and table-qualified names read the existing row,
-    ``excluded.col`` the proposed one."""
+    """An INSERT's row-shaped parts: the :class:`WriteShape` of its column
+    list, the RETURNING list over the new row, and the ON CONFLICT DO
+    UPDATE assignments over ``existing + proposed`` values — unqualified
+    and table-qualified names read the existing row, ``excluded.col`` the
+    proposed one."""
 
-    __slots__ = ("layout", "returning", "conflict_layout", "conflict_updates")
+    __slots__ = ("write", "layout", "returning", "conflict_layout",
+                 "conflict_updates")
 
-    def __init__(self, stmt: A.Insert, table: Table):
+    def __init__(self, stmt: A.Insert, table: Table, write: "WriteShape"):
+        self.write = write
         names = table.column_names()
         layout = self.layout = RowLayout.of(table.name, names)
         self.returning = _compile_returning(stmt.returning, table, layout)
@@ -535,7 +639,237 @@ class InsertShape:
             for col_name, expr in stmt.on_conflict.updates:
                 idx = table.column_index(col_name)
                 self.conflict_updates.append(
-                    (idx, table.columns[idx].type_name, get_compiled(expr, both)))
+                    (idx, caster(table.columns[idx].type_name),
+                     get_compiled(expr, both)))
+
+
+class WriteShape:
+    """How rows that supply ``columns`` are written to ``table``: what
+    INSERT, COPY, UPDATE and DELETE would otherwise look up per row,
+    resolved once per (table, column list, catalog epoch).
+
+    Keys are read through ``key(values) -> list`` functions
+    (:func:`index.row_key_fn`). Index *structures* are reached through
+    their ``IndexDef`` at the start of each statement run: TRUNCATE swaps
+    them without touching the catalog epoch.
+    """
+
+    __slots__ = ("table", "width", "build", "not_null", "unique_keys",
+                 "indexes", "foreign_keys", "referencing")
+
+    def __init__(self, table: Table, columns, catalog):
+        names = table.column_names()
+        position: dict[str, int] = {}
+        for i, name in enumerate(columns):
+            if name not in names:
+                raise CatalogError(
+                    f"column {name!r} of relation {table.name!r} does not exist")
+            if name in position:
+                raise CatalogError(f"column {name!r} specified more than once")
+            position[name] = i
+        self.table = table
+        #: Values an input row must have.
+        self.width = len(columns)
+        #: ``build(values, ctx) -> full row``.
+        self.build = _row_builder(table, position, catalog)
+        self.not_null = [(i, col.name) for i, col in enumerate(table.columns)
+                         if col.not_null]
+
+        def columns_key(owner: Table, cols):
+            return row_key_fn(owner, [A.ColumnRef(c) for c in cols])
+
+        #: ``(key's column names or expression texts, key function, the
+        #: IndexDef candidates come from or None for a heap scan, column
+        #: positions the key reads)``: the primary key, the unique
+        #: constraints, then every other unique index — keyed by the
+        #: index's own extractor, so expression indexes are enforced like
+        #: the rest.
+        self.unique_keys: list[tuple] = []
+
+        def add_unique(cols, key, index, exprs):
+            if any(known[0] == cols for known in self.unique_keys):
+                return
+            reads = frozenset(
+                names.index(node.name) for expr in exprs for node in A.walk(expr)
+                if isinstance(node, A.ColumnRef) and node.name in names)
+            self.unique_keys.append((cols, key, index, reads))
+
+        for cols in (table.primary_key, *table.unique_constraints):
+            if cols and all(c in names for c in cols):
+                add_unique(list(cols), columns_key(table, cols),
+                           _prefix_index(table, cols),
+                           [A.ColumnRef(c) for c in cols])
+        #: ``(IndexDef, what its ``insert`` takes of a row)`` of every
+        #: index: the key, or for GIN the one indexed value.
+        self.indexes: list[tuple] = []
+        for index in table.indexes.values():
+            gin = index.method == "gin"
+            key = row_key_fn(table, index.exprs)
+            self.indexes.append(
+                (index, (lambda values, key=key: key(values)[0]) if gin else key))
+            if index.unique:
+                cols = [e.name if type(e) is A.ColumnRef
+                        else _normalized_expr_text(e, table.name)
+                        for e in index.exprs]
+                add_unique(cols, key, None if gin else index, index.exprs)
+        #: Outgoing: ``(key function, referenced table's name, and — when
+        #: it exists — the Table, its probe index, its key function)``.
+        self.foreign_keys: list[tuple] = []
+        for fk in table.foreign_keys:
+            if not all(c in names for c in fk.columns):
+                continue  # a missing column reads as NULL: never checked
+            ref = catalog.tables.get(fk.ref_table)
+            target = (None, None, None)
+            if ref is not None:
+                ref_cols = fk.ref_columns or ref.primary_key
+                target = (ref, _prefix_index(ref, ref_cols),
+                          columns_key(ref, ref_cols))
+            self.foreign_keys.append(
+                (columns_key(table, fk.columns), fk.ref_table, *target))
+        #: Incoming (ON DELETE RESTRICT): ``(this table's referenced key,
+        #: referencing Table, its probe index, its key function)``.
+        self.referencing: list[tuple] = []
+        for other in catalog.tables.values():
+            for fk in other.foreign_keys:
+                ref_cols = fk.ref_columns or table.primary_key
+                if (fk.ref_table != table.name or not ref_cols
+                        or not all(c in names for c in ref_cols)
+                        or not all(other.has_column(c) for c in fk.columns)):
+                    continue
+                self.referencing.append(
+                    (columns_key(table, ref_cols), other,
+                     _prefix_index(other, fk.columns),
+                     columns_key(other, fk.columns)))
+
+    def index_targets(self) -> list:
+        """``(insert, key function)`` per index that has storage, for one
+        statement run."""
+        return [(index.data.insert, key)
+                for index, key in self.indexes if index.data is not None]
+
+    def check_not_null(self, full: list) -> None:
+        for position, name in self.not_null:
+            if full[position] is None:
+                raise NotNullViolation(
+                    f"null value in column {name!r} of relation {self.table.name!r}")
+
+    def find_conflict(self, full: list, snapshot, clog, skip_row=None,
+                      changed_from: list | None = None):
+        """``(visible tuple, key columns)`` of the first unique key on
+        which ``full`` collides with a row other than ``skip_row``, else
+        None. A key with a NULL in it never conflicts. With
+        ``changed_from`` (the row's previous values, for UPDATE) only keys
+        whose value changed are probed."""
+        table = self.table
+        for cols, key_fn, index, _reads in self.unique_keys:
+            key = key_fn(full)
+            if None in key:
+                continue
+            if changed_from is not None and _same_keys(key_fn(changed_from), key):
+                continue
+            tup = _first_match(table, index, key_fn, key, snapshot, clog, skip_row)
+            if tup is not None:
+                return tup, cols
+        return None
+
+    def check_foreign_keys(self, full: list, catalog, snapshot, clog) -> None:
+        for key_fn, ref_name, ref, index, ref_key_fn in self.foreign_keys:
+            key = key_fn(full)
+            if None in key:
+                continue
+            if ref is None:
+                catalog.get_table(ref_name)  # raises: it does not exist
+            if _first_match(ref, index, ref_key_fn, key, snapshot, clog) is None:
+                raise ForeignKeyViolation(
+                    f"insert on {self.table.name!r} violates foreign key"
+                    f" to {ref_name!r}")
+
+    def check_referencing(self, values: list, snapshot, clog) -> None:
+        """ON DELETE RESTRICT semantics for incoming foreign keys."""
+        for key_fn, other, index, other_key_fn in self.referencing:
+            key = key_fn(values)
+            if None in key:
+                continue
+            if _first_match(other, index, other_key_fn, key, snapshot, clog) is not None:
+                raise ForeignKeyViolation(
+                    f"row in {self.table.name!r} is still referenced"
+                    f" from {other.name!r}")
+
+
+def _generate(name: str, source: str, env: dict):
+    """The function ``name`` that ``source`` defines, with ``env`` as its
+    globals: how a shape turns what it resolved into one flat loop."""
+    exec(source, env)  # noqa: S102 - source is assembled from shape facts only
+    return env[name]
+
+
+def _row_builder(table: Table, position: dict, catalog):
+    """``build(values, ctx) -> full row`` for input rows that supply the
+    columns of ``position`` (name -> input position): one generated cell
+    per table column — the input value through the column type's caster,
+    the next serial, the cast DEFAULT (evaluated under ``ctx``), or NULL."""
+    cells, env = [], {}
+    for i, col in enumerate(table.columns):
+        if col.name in position:
+            env[f"cast{i}"] = caster(col.type_name)
+            cells.append(f"cast{i}(values[{position[col.name]}])")
+        elif col.is_serial:
+            sequence = catalog.get_sequence(f"{table.name}_{col.name}_seq")
+            env[f"next{i}"] = sequence.nextval
+            cells.append(f"next{i}()")
+        elif col.default is not None:
+            env[f"cast{i}"] = caster(col.type_name)
+            env[f"default{i}"] = get_compiled(col.default)
+            cells.append(f"cast{i}(default{i}(ctx))")
+        else:
+            cells.append("None")
+    return _generate(
+        "build", "def build(values, ctx):\n return [" + ", ".join(cells) + "]", env)
+
+
+def _prefix_index(table: Table, cols):
+    """The first non-GIN index whose leading plain columns are ``cols``:
+    where candidates for a key on those columns come from."""
+    for index in table.indexes.values():
+        if index.method == "gin" or index.data is None:
+            continue
+        leading = []
+        for expr in index.exprs:
+            if not isinstance(expr, A.ColumnRef):
+                break
+            leading.append(expr.name)
+        if leading[: len(cols)] == list(cols):
+            return index
+    return None
+
+
+def _same_keys(existing: list, key: list) -> bool:
+    """Whether a stored row's key equals ``key`` (which holds no NULL)."""
+    for e, v in zip(existing, key):
+        if e is None:
+            return False
+        kind = type(e)
+        if (e != v if kind is type(v) and (kind is int or kind is str)
+                else compare_values(e, v) != 0):
+            return False
+    return True
+
+
+def _first_match(table: Table, index, key_fn, key: list, snapshot, clog,
+                 skip_row=None):
+    """The first tuple of ``table`` visible to ``snapshot`` whose key
+    equals ``key``, not counting versions of row ``skip_row``. Candidates
+    come from ``index`` (an IndexDef over a prefix of the key) or, without
+    one, from a heap scan."""
+    heap = table.heap
+    if index is not None and index.data is not None:
+        candidates = heap.fetch(index.data.scan_equal(key), snapshot, clog)
+    else:
+        candidates = heap.scan(snapshot, clog)
+    for tup in candidates:
+        if tup.row_id != skip_row and _same_keys(key_fn(tup.values), key):
+            return tup
+    return None
 
 
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
@@ -749,44 +1083,14 @@ class LocalExecutor:
     def _aggregate(self, agg: AggShape, rows, ctx: EvalContext) -> list:
         """Hash aggregation of ``rows`` (any iterable, consumed once):
         (output values, group row) pairs in first-seen group order."""
-        steps, inits = agg.steps, agg.inits
-        group_fns, group_slot = agg.group_fns, agg.group_slot
         # key -> [first input row, state per aggregate call...]
         groups: dict = {}
-        seen: dict = {}  # (key, call position) -> DISTINCT argument keys
-        for values in rows:
-            ctx.values = values
-            if group_slot is not None:
-                key = _group_key(values[group_slot])
-            else:
-                key = tuple([_group_key(fn(ctx)) for fn in group_fns])
-            entry = groups.get(key)
-            if entry is None:
-                entry = groups[key] = [values]
-                entry.extend([init() for init in inits])
-            i = 0
-            for accumulate, star, slot, arg_fns, keep, distinct in steps:
-                i += 1
-                if keep is not None and keep(ctx) is not True:
-                    continue
-                if star:
-                    entry[i] = accumulate(entry[i], _STAR)
-                elif slot is not None and not distinct:
-                    entry[i] = accumulate(entry[i], values[slot])
-                else:
-                    args = [fn(ctx) for fn in arg_fns]
-                    if distinct:
-                        arg_key = tuple([_group_key(v) for v in args])
-                        seen_args = seen.setdefault((key, i), set())
-                        if arg_key in seen_args:
-                            continue
-                        seen_args.add(arg_key)
-                    entry[i] = accumulate(entry[i], *args)
+        agg.accumulate(rows, ctx, groups, {})
 
         width = agg.layout.width
-        if not groups and not group_fns:
+        if not groups and not agg.group_fns:
             # Aggregate over empty input: one row of aggregate defaults.
-            groups[()] = [[None] * width] + [init() for init in inits]
+            groups[()] = [[None] * width] + [init() for init in agg.inits]
 
         pairs = []
         having, target_fns, finishers = agg.having, agg.target_fns, agg.finishers
@@ -938,13 +1242,7 @@ class LocalExecutor:
         if path is None:
             return None
         # Indexes are not MVCC-aware: recheck visibility at the heap.
-        clog = self.instance.xids.clog
-        get = table.heap.get
-        tuples = []
-        for tid in path[1]:
-            tup = get(tid)
-            if tup is not None and tuple_visible(tup.header, snapshot, clog):
-                tuples.append(tup)
+        tuples = list(table.heap.fetch(path[1], snapshot, self.instance.xids.clog))
         stats = self.session.stats
         stats["index_lookups"] += 1
         stats["tuples_scanned"] += len(tuples)
@@ -1090,209 +1388,150 @@ class LocalExecutor:
 
     # ---------------------------------------------------------------- DML
 
+    def _write_shape(self, table: Table, columns=None) -> WriteShape:
+        """The table's prepared write shape for rows supplying ``columns``
+        (default: every column, in table order)."""
+        columns = tuple(columns) if columns is not None else tuple(
+            table.column_names())
+        return get_prepared(table, self.catalog.epoch, lambda: WriteShape(
+            table, columns, self.catalog), columns)
+
+    def _fk_checks(self) -> bool:
+        return bool(self.session.get_guc("foreign_key_checks", True))
+
     def execute_insert(self, stmt: A.Insert, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
-        columns = stmt.columns or table.column_names()
+        if stmt.select is None and not stmt.rows:
+            columns = []  # INSERT ... DEFAULT VALUES
+        else:
+            columns = stmt.columns or None
+        shape = self._prepared(stmt, lambda: InsertShape(
+            stmt, table, self._write_shape(table, columns)))
         if stmt.select is not None:
-            source = self.execute_select(stmt.select, params)
-            value_rows = source.rows
+            value_rows = self.execute_select(stmt.select, params).rows
         elif not stmt.rows:
-            # INSERT ... DEFAULT VALUES
-            columns = []
             value_rows = [[]]
         else:
             ctx = self._ctx(EMPTY_LAYOUT, params)
             value_rows = [[evaluate(v, ctx) for v in row] for row in stmt.rows]
-        shape = self._prepared(stmt, lambda: InsertShape(stmt, table))
-        returning_ctx = self._ctx(shape.layout, params)
-        inserted = 0
-        returned = []
-        for values in value_rows:
-            if len(values) != len(columns):
-                raise DataError(
-                    f"INSERT has {len(values)} expressions but {len(columns)} target columns"
-                )
-            full = self._build_full_row(table, columns, values)
-            conflict_tup = self._find_conflict(table, full, stmt.on_conflict)
-            if conflict_tup is not None:
-                if stmt.on_conflict is None:
+        on_conflict = stmt.on_conflict
+        resolve = emit = None
+        if on_conflict is not None:
+            def resolve(conflict_tup, cols, full):
+                if on_conflict.columns and set(on_conflict.columns) != set(cols):
                     raise UniqueViolation(
-                        f"duplicate key value violates unique constraint on {table.name!r}"
-                    )
-                if stmt.on_conflict.action == "nothing":
-                    continue
-                self._apply_conflict_update(table, conflict_tup, shape, full, params)
-                inserted += 1
-                continue
-            self._check_not_null(table, full)
-            self._check_foreign_keys(table, full)
-            tup = self._do_insert(table, full)
-            inserted += 1
-            if shape.returning:
+                        f"duplicate key violates unique constraint on {cols}")
+                if on_conflict.action == "nothing":
+                    return False
+                self._apply_conflict_update(conflict_tup, shape, full, params)
+                return True
+        returned = []
+        if shape.returning:
+            returning_ctx = self._ctx(shape.layout, params)
+            returning_fns = shape.returning[1]
+
+            def emit(full):
                 returning_ctx.values = full
-                returned.append([fn(returning_ctx) for fn in shape.returning[1]])
+                returned.append([fn(returning_ctx) for fn in returning_fns])
+        inserted = self.append_rows(shape.write, value_rows, "INSERT", resolve, emit)
         cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="INSERT")
         result.rowcount = inserted
         return result
 
-    def _build_full_row(self, table: Table, columns, values) -> list:
-        full = []
-        for col in table.columns:
-            if col.name in columns:
-                full.append(cast_value(values[columns.index(col.name)], col.type_name))
-            elif col.is_serial:
-                seq = self.catalog.get_sequence(f"{table.name}_{col.name}_seq")
-                full.append(seq.nextval())
-            elif col.default is not None:
-                ctx = self._ctx(EMPTY_LAYOUT, None)
-                full.append(cast_value(evaluate(col.default, ctx), col.type_name))
-            else:
-                full.append(None)
-        return full
+    def append_rows(self, shape: WriteShape, rows, command: str,
+                    resolve=None, emit=None) -> int:
+        """The append loop behind INSERT, COPY and ``insert_rows``: each
+        row of ``rows`` (any iterable of value sequences) is cast and
+        filled to a full row, checked — NOT NULL, then unique keys, then
+        foreign keys, PostgreSQL's order — and appended to heap, indexes
+        and WAL. Returns the number of rows written.
 
-    def _check_not_null(self, table: Table, full: list) -> None:
-        for col, value in zip(table.columns, full):
-            if col.not_null and value is None:
-                raise NotNullViolation(
-                    f"null value in column {col.name!r} of relation {table.name!r}"
-                )
+        A unique-key collision raises, unless ``resolve(existing tuple,
+        key columns, full row)`` settles it (ON CONFLICT): it returns
+        whether the row counts as written. ``emit(full row)`` sees every
+        appended row (RETURNING).
 
-    def _unique_key_sets(self, table: Table):
-        if table.primary_key:
-            yield table.primary_key
-        for cols in table.unique_constraints:
-            yield cols
-        for index in table.indexes.values():
-            if index.unique:
-                cols = [e.name for e in index.exprs if isinstance(e, A.ColumnRef)]
-                if len(cols) == len(index.exprs):
-                    yield cols
-
-    def _find_conflict(self, table: Table, full: list, on_conflict):
-        snapshot = self.session.snapshot()
+        All probes of one run share one snapshot, taken after the xid is
+        assigned (DESIGN.md, "Write shapes": nothing else runs inside a
+        statement run, and the run's own rows are visible through
+        ``own_xid``).
+        """
+        session, table = self.session, shape.table
+        xid = session.ensure_xid()
+        snapshot = session.snapshot()
         clog = self.instance.xids.clog
-        names = table.column_names()
-        for cols in self._unique_key_sets(table):
-            key_values = _pick(full, names, cols)
-            if any(v is None for v in key_values):
-                continue
-            positions = [names.index(c) for c in cols]
-            index = self._index_for_columns(table, cols)
-            if index is not None:
-                candidates = [table.heap.get(tid) for tid in index.data.scan_equal(key_values)]
-            else:
-                candidates = table.heap.tuples
-            for tup in candidates:
-                if tup is None:
-                    continue
-                if not tuple_visible(tup.header, snapshot, clog):
-                    continue
-                existing = tup.values
-                if all(
-                    existing[p] is not None
-                    and compare_values(existing[p], v) == 0
-                    for p, v in zip(positions, key_values)
-                ):
-                    if on_conflict is not None and on_conflict.columns:
-                        if set(on_conflict.columns) != set(cols):
+        width, build, check_not_null = shape.width, shape.build, shape.check_not_null
+        find_conflict = shape.find_conflict if shape.unique_keys else None
+        check_fks = (shape.check_foreign_keys
+                     if shape.foreign_keys and self._fk_checks() else None)
+        ctx = EvalContext(session=session)  # for DEFAULT expressions
+        heap_insert = table.heap.insert
+        targets = shape.index_targets()
+        wal_append = self.instance.wal.append_row
+        name = table.name
+        count = appended = 0
+        try:
+            for values in rows:
+                if len(values) != width:
+                    raise DataError(
+                        f"COPY row has {len(values)} values but {width}"
+                        " columns expected" if command == "COPY" else
+                        f"INSERT has {len(values)} expressions but {width}"
+                        " target columns")
+                full = build(values, ctx)
+                check_not_null(full)
+                if find_conflict is not None:
+                    conflict = find_conflict(full, snapshot, clog)
+                    if conflict is not None:
+                        if resolve is None:
                             raise UniqueViolation(
-                                f"duplicate key violates unique constraint on {cols}"
-                            )
-                    return tup
-        return None
+                                "duplicate key value violates unique constraint"
+                                f" on {name!r}")
+                        if resolve(*conflict, full):
+                            count += 1
+                        continue
+                if check_fks is not None:
+                    check_fks(full, self.catalog, snapshot, clog)
+                tup = heap_insert(full, xid)
+                _index_tuple(targets, tup)
+                wal_append(xid, "insert", name, tup.row_id, _wal_values(full))
+                appended += 1
+                if emit is not None:
+                    emit(full)
+        finally:
+            if appended:
+                session.written_tables.add(name)
+                session.stats["rows_written"] += appended
+                session.stats["index_writes"] += appended * len(targets)
+        return count + appended
 
-    def _apply_conflict_update(self, table, conflict_tup, shape: InsertShape,
+    def _apply_conflict_update(self, conflict_tup, shape: InsertShape,
                                new_full, params):
+        table = shape.write.table
         self.session.acquire_row_lock(table.name, conflict_tup.row_id)
         ctx = self._ctx(shape.conflict_layout, params)
         ctx.values = conflict_tup.values + new_full
         updated = list(conflict_tup.values)
-        for idx, type_name, assign_fn in shape.conflict_updates:
-            updated[idx] = cast_value(assign_fn(ctx), type_name)
-        self._do_update(table, conflict_tup, updated)
+        for idx, cast, assign_fn in shape.conflict_updates:
+            updated[idx] = cast(assign_fn(ctx))
+        self._do_update(shape.write, shape.write.index_targets(), conflict_tup,
+                        updated)
 
-    def _do_insert(self, table: Table, full: list):
-        xid = self.session.ensure_xid()
-        tup = table.heap.insert(full, xid)
-        self._index_insert(table, tup)
-        self.instance.wal.append(xid, "insert", {
-            "table": table.name, "row_id": tup.row_id, "values": _wal_values(full),
-        })
-        self.session.track_write(table.name)
-        return tup
-
-    def _do_update(self, table: Table, old_tup, new_values: list):
-        xid = self.session.ensure_xid()
-        table.heap.mark_deleted(old_tup.tid, xid)
-        table.heap.note_dead(old_tup)
-        new_tup = table.heap.insert(new_values, xid, row_id=old_tup.row_id)
-        self._index_insert(table, new_tup)
-        self.instance.wal.append(xid, "update", {
-            "table": table.name, "row_id": old_tup.row_id, "values": _wal_values(new_values),
-        })
-        self.session.track_write(table.name)
+    def _do_update(self, shape: WriteShape, targets, old_tup, new_values: list):
+        table, session = shape.table, self.session
+        xid = session.ensure_xid()
+        heap = table.heap
+        heap.mark_deleted(old_tup.tid, xid)
+        heap.note_dead(old_tup)
+        new_tup = heap.insert(new_values, xid, row_id=old_tup.row_id)
+        _index_tuple(targets, new_tup)
+        session.stats["index_writes"] += len(targets)
+        self.instance.wal.append_row(xid, "update", table.name, old_tup.row_id,
+                                     _wal_values(new_values))
+        session.track_write(table.name)
         return new_tup
-
-    def _do_delete(self, table: Table, tup):
-        xid = self.session.ensure_xid()
-        table.heap.mark_deleted(tup.tid, xid)
-        table.heap.note_dead(tup)
-        self.instance.wal.append(xid, "delete", {"table": table.name, "row_id": tup.row_id})
-        self.session.track_write(table.name)
-
-    def _index_insert(self, table: Table, tup):
-        for index in table.indexes.values():
-            if index.data is None:
-                continue
-            index_insert(table, index, tup)
-            self.session.stats["index_writes"] += 1
-
-    def _index_for_columns(self, table: Table, cols: list[str]) -> IndexDef | None:
-        for index in table.indexes.values():
-            if isinstance(index.data, GinIndex):
-                continue
-            index_cols = [e.name for e in index.exprs if isinstance(e, A.ColumnRef)]
-            if index_cols[: len(cols)] == list(cols):
-                return index
-        return None
-
-    def _check_foreign_keys(self, table: Table, full: list) -> None:
-        if not table.foreign_keys or not self.session.get_guc("foreign_key_checks", True):
-            return
-        names = table.column_names()
-        snapshot = self.session.snapshot()
-        clog = self.instance.xids.clog
-        for fk in table.foreign_keys:
-            values = _pick(full, names, fk.columns)
-            if any(v is None for v in values):
-                continue
-            ref_table = self.catalog.get_table(fk.ref_table)
-            ref_cols = fk.ref_columns or ref_table.primary_key
-            index = self._index_for_columns(ref_table, ref_cols)
-            found = False
-            if index is not None:
-                for tid in index.data.scan_equal(values):
-                    tup = ref_table.heap.get(tid)
-                    if tup is not None and tuple_visible(tup.header, snapshot, clog):
-                        found = True
-                        break
-            else:
-                ref_names = ref_table.column_names()
-                positions = [ref_names.index(c) for c in ref_cols]
-                for tup in ref_table.heap.scan(snapshot, clog):
-                    if all(
-                        tup.values[p] is not None
-                        and compare_values(tup.values[p], v) == 0
-                        for p, v in zip(positions, values)
-                    ):
-                        found = True
-                        break
-            if not found:
-                raise ForeignKeyViolation(
-                    f"insert on {table.name!r} violates foreign key to {fk.ref_table!r}"
-                )
 
     def _dml_target_rows(self, table: Table, scan: ScanShape, ctx) -> list:
         """The heap tuples an UPDATE / DELETE acts on, with every row lock
@@ -1326,27 +1565,46 @@ class LocalExecutor:
             return None
         return current
 
+    def _dml_shape(self, stmt, table: Table) -> DmlShape:
+        return self._prepared(stmt, lambda: DmlShape(
+            stmt, table, self._write_shape(table)))
+
     def execute_update(self, stmt: A.Update, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
-        shape = self._prepared(stmt, lambda: DmlShape(stmt, table))
-        scan = shape.scan
-        assigned = [idx for idx, _type_name, _fn in shape.assignments]
+        shape = self._dml_shape(stmt, table)
+        write, scan = shape.write, shape.scan
         updated = 0
         returned = []
         ctx = self._ctx(scan.layout, params)
-        for tup in self._dml_target_rows(table, scan, ctx):
+        targets = self._dml_target_rows(table, scan, ctx)
+        check_fks = bool(write.foreign_keys) and self._fk_checks()
+        snapshot = clog = None
+        if check_fks or shape.probes_unique:
+            # One snapshot for the statement's constraint probes (see
+            # append_rows); its earlier updates are visible through own_xid.
+            snapshot = self.session.snapshot()
+            clog = self.instance.xids.clog
+        index_targets = write.index_targets()
+        for tup in targets:
             current = self._current_version(table, tup.row_id)
             if current is None:
                 continue
             ctx.values = tup.values
             new_values = list(current.values)
-            for idx, type_name, assign_fn in shape.assignments:
-                new_values[idx] = cast_value(assign_fn(ctx), type_name)
-            self._check_not_null(table, new_values)
-            self._check_foreign_keys(table, new_values)
-            self._check_update_unique(table, current, new_values, assigned)
-            self._do_update(table, current, new_values)
+            for idx, cast, assign_fn in shape.assignments:
+                new_values[idx] = cast(assign_fn(ctx))
+            write.check_not_null(new_values)
+            if check_fks:
+                write.check_foreign_keys(new_values, self.catalog, snapshot, clog)
+            # Only a key whose value the assignments changed can collide.
+            if shape.probes_unique and write.find_conflict(
+                    new_values, snapshot, clog, current.row_id,
+                    current.values) is not None:
+                raise UniqueViolation(
+                    f"duplicate key value violates unique constraint on {table.name!r}"
+                )
+            self._do_update(write, index_targets, current, new_values)
             updated += 1
             if shape.returning:
                 ctx.values = new_values
@@ -1356,71 +1614,45 @@ class LocalExecutor:
         result.rowcount = updated
         return result
 
-    def _check_update_unique(self, table, current, new_values, assigned):
-        """Unique-constraint check for an UPDATE that assigned the column
-        positions ``assigned``: only a changed key column can conflict."""
-        changed = {
-            table.columns[idx].name for idx in assigned
-            if _group_key(current.values[idx]) != _group_key(new_values[idx])
-        }
-        if not changed:
-            return
-        for cols in self._unique_key_sets(table):
-            if not changed.intersection(cols):
-                continue
-            conflict = self._find_conflict(table, new_values, None)
-            if conflict is not None and conflict.row_id != current.row_id:
-                raise UniqueViolation(
-                    f"duplicate key value violates unique constraint on {table.name!r}"
-                )
-
     def execute_delete(self, stmt: A.Delete, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
-        self.session.acquire_table_lock(table.name, "RowExclusive")
-        shape = self._prepared(stmt, lambda: DmlShape(stmt, table))
-        deleted = 0
+        session = self.session
+        session.acquire_table_lock(table.name, "RowExclusive")
+        shape = self._dml_shape(stmt, table)
         returned = []
         ctx = self._ctx(shape.scan.layout, params)
-        for tup in self._dml_target_rows(table, shape.scan, ctx):
-            current = self._current_version(table, tup.row_id)
-            if current is None:
-                continue
-            self._check_referencing_keys(table, current.values)
-            self._do_delete(table, current)
-            deleted += 1
-            if shape.returning:
-                ctx.values = tup.values
-                returned.append([fn(ctx) for fn in shape.returning[1]])
+        targets = self._dml_target_rows(table, shape.scan, ctx)
+        check_referencing = snapshot = None
+        if shape.write.referencing and self._fk_checks():
+            check_referencing = shape.write.check_referencing
+            snapshot = session.snapshot()  # one per statement, as above
+        clog = self.instance.xids.clog
+        xid = session.ensure_xid()
+        heap, name = table.heap, table.name
+        wal_append = self.instance.wal.append_row
+        deleted = 0
+        try:
+            for tup in targets:
+                current = self._current_version(table, tup.row_id)
+                if current is None:
+                    continue
+                if check_referencing is not None:
+                    check_referencing(current.values, snapshot, clog)
+                heap.mark_deleted(current.tid, xid)
+                heap.note_dead(current)
+                wal_append(xid, "delete", name, current.row_id)
+                deleted += 1
+                if shape.returning:
+                    ctx.values = tup.values
+                    returned.append([fn(ctx) for fn in shape.returning[1]])
+        finally:
+            if deleted:
+                session.written_tables.add(name)
+                session.stats["rows_written"] += deleted
         cols = shape.returning[0] if shape.returning else []
         result = QueryResult(cols, returned, command="DELETE")
         result.rowcount = deleted
         return result
-
-    def _check_referencing_keys(self, table: Table, values: list) -> None:
-        """ON DELETE RESTRICT semantics for incoming foreign keys."""
-        if not self.session.get_guc("foreign_key_checks", True):
-            return
-        names = table.column_names()
-        snapshot = self.session.snapshot()
-        clog = self.instance.xids.clog
-        for other in self.catalog.tables.values():
-            for fk in other.foreign_keys:
-                if fk.ref_table != table.name:
-                    continue
-                ref_cols = fk.ref_columns or table.primary_key
-                if not ref_cols:
-                    continue
-                key = _pick(values, names, ref_cols)
-                other_names = other.column_names()
-                positions = [other_names.index(c) for c in fk.columns]
-                for tup in other.heap.scan(snapshot, clog):
-                    if all(
-                        tup.values[p] is not None and compare_values(tup.values[p], v) == 0
-                        for p, v in zip(positions, key)
-                    ):
-                        raise ForeignKeyViolation(
-                            f"row in {table.name!r} is still referenced from {other.name!r}"
-                        )
 
     # ------------------------------------------------------------ EXPLAIN
 
@@ -1532,10 +1764,16 @@ def _transform_keep_identity(expr, fn):
     return expr
 
 
-def _pick(values: list, names: list, wanted) -> list:
-    """The ``wanted`` columns' values out of a full row of ``names`` (None
-    for a column the table does not have)."""
-    return [values[names.index(c)] if c in names else None for c in wanted]
+def _index_tuple(targets, tup) -> None:
+    """Add one heap tuple version to every index of its table
+    (``WriteShape.index_targets``)."""
+    values, tid = tup.values, tup.tid
+    for insert, key_fn in targets:
+        insert(key_fn(values), tid)
+
+
+#: Types whose values are their own :func:`_group_key`.
+_PLAIN_KEYS = frozenset((int, str, float, type(None)))
 
 
 def _group_key(value):

@@ -42,6 +42,14 @@ class Aggregate:
     merge: Callable[[object, object], object]  # (state, partial) -> state
     # Name of the aggregate the *coordinator* applies over worker partials.
     merge_name: Optional[str] = None
+    #: ``(initial state as a literal, statements)``: what ``accumulate``
+    #: does with one non-NULL argument ``v`` (a NULL leaves the state as it
+    #: is), written out for the executor's generated aggregate loop with
+    #: ``{s}`` standing for the state. It may update a state list in place
+    #: (every group gets its own from the literal). Must agree with
+    #: ``init`` / ``accumulate``, which stay the reference and what window
+    #: aggregates, DISTINCT and multi-argument calls run.
+    inline: Optional[tuple] = None
 
 
 _STAR = object()
@@ -83,6 +91,7 @@ _register_agg(
         _identity,
         lambda s, p: s + (p or 0),
         merge_name="sum",
+        inline=("0", ("{s} += 1",)),
     )
 )
 
@@ -93,8 +102,11 @@ def _sum_accum(state, value):
     return value if state is None else state + value
 
 
+_SUM_INLINE = ("None", ("t = {s}",
+                        "{s} = v if t is None else t + v"))
 _register_agg(
-    Aggregate("sum", _sum_init, _sum_accum, _identity, _identity, _sum_accum, merge_name="sum")
+    Aggregate("sum", _sum_init, _sum_accum, _identity, _identity, _sum_accum,
+              merge_name="sum", inline=_SUM_INLINE)
 )
 
 
@@ -122,9 +134,13 @@ def _avg_merge(state, part):
     return [total, count + pcount]
 
 
+_AVG_INLINE = ("[None, 0]", ("t = {s}",
+                             "t[0] = v if t[0] is None else t[0] + v",
+                             "t[1] += 1"))
 _register_agg(Aggregate("avg", _avg_init, _avg_accum, _avg_final, _identity, _avg_merge,
-                        merge_name="avg_merge"))
-_register_agg(Aggregate("avg_partial", _avg_init, _avg_accum, _identity, _identity, _avg_merge))
+                        merge_name="avg_merge", inline=_AVG_INLINE))
+_register_agg(Aggregate("avg_partial", _avg_init, _avg_accum, _identity, _identity, _avg_merge,
+                        inline=_AVG_INLINE))
 _register_agg(
     Aggregate(
         "avg_merge",
@@ -153,10 +169,19 @@ def _max_accum(state, value):
     return state
 
 
+def _minmax_inline(op: str) -> tuple:
+    return ("None", ("t = {s}",
+                     f"if t is None or compare_values(v, t) {op} 0:",
+                     " {s} = v"))
+
+
+#: Names the ``inline`` statements use besides ``v`` and the state.
+INLINE_ENV = {"compare_values": compare_values}
+
 _register_agg(Aggregate("min", _minmax_init, _min_accum, _identity, _identity, _min_accum,
-                        merge_name="min"))
+                        merge_name="min", inline=_minmax_inline("<")))
 _register_agg(Aggregate("max", _minmax_init, _max_accum, _identity, _identity, _max_accum,
-                        merge_name="max"))
+                        merge_name="max", inline=_minmax_inline(">")))
 
 
 def _array_agg_accum(state, value):

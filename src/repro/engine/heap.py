@@ -21,7 +21,7 @@ PAGE_SIZE = 8192
 TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
 
 
-@dataclass
+@dataclass(slots=True)
 class HeapTuple:
     tid: int
     row_id: int
@@ -30,9 +30,10 @@ class HeapTuple:
     #: The next-older stored version of the same logical row (its version
     #: chain, newest first); maintained by :class:`Heap`.
     older: "HeapTuple | None" = field(default=None, repr=False, compare=False)
-
-    def width(self) -> int:
-        return TUPLE_OVERHEAD + sum(_value_width(v) for v in self.values)
+    #: Estimated stored size, computed once by :meth:`Heap.insert`; what
+    #: ``live_bytes`` grew by, so what dead-tuple accounting and vacuum
+    #: take back.
+    width: int = field(default=0, repr=False, compare=False)
 
 
 def _value_width(value) -> int:
@@ -47,6 +48,31 @@ def _value_width(value) -> int:
     if isinstance(value, (dict, list)):
         return len(to_text(value)) + 8
     return 16
+
+
+def _visible(tuples, snapshot: Snapshot, clog: CommitLog):
+    """Yield the ``tuples`` visible to the snapshot: :func:`mvcc.tuple_visible`
+    inlined, asking the snapshot about each distinct xid once
+    (``Snapshot.verdicts``). ``header.xmax`` is read fresh per tuple."""
+    verdicts = snapshot.verdicts
+    sees_xid = snapshot.sees_xid
+    for tup in tuples:
+        header = tup.header
+        xid = header.xmin
+        seen = verdicts.get(xid)
+        if seen is None:
+            seen = verdicts[xid] = sees_xid(xid, clog)
+        if not seen:
+            continue
+        xid = header.xmax
+        if xid is not None:
+            # Deleted, unless the deleter is invisible to us or aborted.
+            seen = verdicts.get(xid)
+            if seen is None:
+                seen = verdicts[xid] = sees_xid(xid, clog)
+            if seen:
+                continue
+        yield tup
 
 
 class Heap:
@@ -71,13 +97,18 @@ class Heap:
         if row_id is None:
             row_id = self._next_row_id
             self._next_row_id += 1
-        tup = HeapTuple(self._next_tid, row_id, list(values), HeapTupleHeader(xmin),
-                        self._newest.get(row_id))
+        values = list(values)
+        width = TUPLE_OVERHEAD
+        for value in values:
+            width += _value_width(value)
+        tid = self._next_tid
+        tup = HeapTuple(tid, row_id, values, HeapTupleHeader(xmin),
+                        self._newest.get(row_id), width)
         self._newest[row_id] = tup
-        self._next_tid += 1
+        self._next_tid = tid + 1
         self.tuples.append(tup)
-        self._by_tid[tup.tid] = tup
-        self.live_bytes += tup.width()
+        self._by_tid[tid] = tup
+        self.live_bytes += width
         return tup
 
     def mark_deleted(self, tid: int, xmax: int) -> HeapTuple:
@@ -98,28 +129,13 @@ class Heap:
     # -------------------------------------------------------------- reads
 
     def scan(self, snapshot: Snapshot, clog: CommitLog):
-        """Yield tuples visible to the snapshot: :func:`mvcc.tuple_visible`
-        inlined, asking the snapshot about each distinct xid once
-        (``Snapshot.verdicts``). ``header.xmax`` is read fresh per tuple."""
-        verdicts = snapshot.verdicts
-        sees_xid = snapshot.sees_xid
-        for tup in self.tuples:
-            header = tup.header
-            xid = header.xmin
-            seen = verdicts.get(xid)
-            if seen is None:
-                seen = verdicts[xid] = sees_xid(xid, clog)
-            if not seen:
-                continue
-            xid = header.xmax
-            if xid is not None:
-                # Deleted, unless the deleter is invisible to us or aborted.
-                seen = verdicts.get(xid)
-                if seen is None:
-                    seen = verdicts[xid] = sees_xid(xid, clog)
-                if seen:
-                    continue
-            yield tup
+        """Yield the tuples visible to the snapshot, in insertion order."""
+        return _visible(self.tuples, snapshot, clog)
+
+    def fetch(self, tids, snapshot: Snapshot, clog: CommitLog):
+        """Yield the visible tuples among ``tids`` — index candidates:
+        indexes are not MVCC-aware and may name reclaimed versions."""
+        return _visible(filter(None, map(self._by_tid.get, tids)), snapshot, clog)
 
     def versions(self, row_id: int):
         """Stored versions of one logical row, newest first."""
@@ -163,7 +179,7 @@ class Heap:
                     dead = True
             if dead:
                 reclaimed.append(tup.tid)
-                self.live_bytes -= tup.width()
+                self.live_bytes -= tup.width
                 del self._by_tid[tup.tid]
             else:
                 # Re-link the chains over the survivors only.
@@ -178,7 +194,7 @@ class Heap:
 
     def note_dead(self, tup: HeapTuple) -> None:
         self.dead_tuples += 1
-        self.dead_bytes += tup.width()
+        self.dead_bytes += tup.width
 
     # ---------------------------------------------------------- statistics
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
+from operator import itemgetter
 
 from ..sql import ast as A
 from .compile import get_compiled
@@ -169,23 +170,41 @@ def _substring_trigrams(needle: str) -> set[str]:
     return grams
 
 
-def index_key_values(table, index, values: list) -> list:
-    """The key of one heap row in ``index``.
-
-    Plain-column indexes read the row's values by position; expression
-    (and GIN) indexes evaluate their compiled expression over the row.
-    """
-    key = []
-    ctx = None
-    for expr in index.exprs:
+def row_key_fn(table, exprs):
+    """``key(values) -> list``: the values of ``exprs`` over one heap row
+    of ``table``, with everything resolved here, once: plain columns are
+    read by position, anything else through its compiled closure."""
+    parts = []  # a column position, or a compiled closure
+    layout = None
+    for expr in exprs:
         if type(expr) is A.ColumnRef and expr.table in (None, table.name):
-            key.append(values[table.column_index(expr.name)])
+            parts.append(table.column_index(expr.name))
             continue
-        if ctx is None:
+        if layout is None:
             layout = RowLayout.of(table.name, table.column_names())
-            ctx = EvalContext(Row(layout, values))
-        key.append(get_compiled(expr, ctx.layout)(ctx))
+        parts.append(get_compiled(expr, layout))
+    if layout is None:
+        if len(parts) == 1:  # itemgetter(one position) returns a bare value
+            position = parts[0]
+            return lambda values: [values[position]]
+        if not parts:
+            return lambda values: []
+        getter = itemgetter(*parts)
+        return lambda values: list(getter(values))
+    ctx = EvalContext(Row(layout))
+
+    def key(values):
+        ctx.values = values
+        return [values[part] if type(part) is int else part(ctx)
+                for part in parts]
+
     return key
+
+
+def index_key_values(table, index, values: list) -> list:
+    """The key of one heap row in ``index``; a loop over rows resolves
+    :func:`row_key_fn` once instead."""
+    return row_key_fn(table, index.exprs)(values)
 
 
 def index_insert(table, index, tup) -> None:

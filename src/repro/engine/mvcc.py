@@ -106,7 +106,7 @@ class XidManager:
         return Snapshot(self.next_xid, frozenset(self.active), own_xid)
 
 
-@dataclass
+@dataclass(slots=True)
 class HeapTupleHeader:
     """MVCC header carried by every heap tuple version."""
 

@@ -53,6 +53,22 @@ class WriteAheadLog:
         self.bytes_written += 64 + _payload_size(record.payload)
         return record
 
+    def append_row(self, xid: int, kind: str, table: str, row_id: int,
+                   values: list | None = None) -> WalRecord:
+        """:meth:`append` for a row change (insert / update carry the new
+        ``values``, delete does not), sized from its parts instead of by
+        walking the payload: the same record and the same byte count."""
+        payload = {"table": table, "row_id": row_id}
+        size = 72 + len(table)  # 64 + the row_id's 8
+        if values is not None:
+            payload["values"] = values
+            size += 8 * len(values)
+        record = WalRecord(self._next_lsn, xid, kind, payload)
+        self._next_lsn += 1
+        self._records.append(record)
+        self.bytes_written += size
+        return record
+
     @property
     def records(self) -> list[WalRecord]:
         return self._records

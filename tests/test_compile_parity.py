@@ -12,7 +12,10 @@ The executor additionally caches a *prepared shape* per statement AST
 (``compile.get_prepared``): the same corpus runs as SELECT targets, WHERE
 predicates and UPDATE assignments, asserting that the shape-building first
 execution, the shape-reusing second execution and a freshly parsed
-statement all agree with the interpreter.
+statement all agree with the interpreter. A fourth position is the
+executor's *generated aggregate loop* (``AggShape.accumulate``): the corpus
+as GROUP BY key, aggregate argument and FILTER, the three places where the
+generated code calls out to a compiled closure.
 """
 
 import pytest
@@ -230,6 +233,16 @@ class TestShapeCachedParity:
             assert assigned == ("ok", [[expected[1]]])
         else:
             assert assigned == interpreted
+
+        as_text = f"CAST(({text}) AS text)"
+        grouped = shape_cached_and_first_execution_agree(
+            one, f"SELECT {as_text}, min({as_text}), count(*) FILTER"
+                 f" (WHERE ({text}) IS NOT DISTINCT FROM ({text}))"
+                 f" FROM one GROUP BY {as_text}")
+        if interpreted[0] == "ok":
+            assert grouped == ("ok", [[expected[1], expected[1], 1]])
+        else:
+            assert grouped == interpreted
 
 
 scalars = st.one_of(

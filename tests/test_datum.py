@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.engine.datum import (
     cast_value,
+    caster,
     compare_values,
     hash_value,
     is_hash_distributable,
@@ -95,6 +96,91 @@ class TestCast:
     def test_invalid_int(self):
         with pytest.raises(DataError):
             cast_value("abc", "int")
+
+
+class IntLike(int):
+    """A subclass: not the column's *exact* type, so it takes the cast."""
+
+
+#: Every spelling the catalog may hand a caster, and a type nobody defined.
+CAST_TYPES = ["int", "INTEGER", "bigint", "float", "numeric", "text",
+              " varchar(10) ", "bool", "date", "timestamp", "timestamptz",
+              "jsonb", "uuid", "int[]", "text[]", "float[]", "jsonb[]", "geometry"]
+
+cast_inputs = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False),
+    st.just(float("inf")),
+    st.text(max_size=6),
+    st.sampled_from(["42", " 7 ", "3.5", "1e3", "t", "FALSE", "yes", "off", "maybe",
+                     "2020-01-31", "2020-01-31T10:30:00", "2020-01-31T10:30:00Z",
+                     '{"a": [1, 2]}', "[1, 2]", "{oops", "", IntLike(5)]),
+    st.dates(),
+    st.datetimes(),
+    st.lists(st.one_of(st.none(), st.integers(-5, 5), st.sampled_from(["1", "x", 2.5])),
+             max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+class TestCaster:
+    """``caster(t)(v)`` is ``cast_value(v, t)`` with the type resolved
+    once: same value, same Python type, same error."""
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            value = fn()
+        except DataError as exc:
+            return ("err", str(exc))
+        return ("ok", value, _types(value))
+
+    @given(value=cast_inputs, type_name=st.sampled_from(CAST_TYPES))
+    def test_equals_cast_value_including_the_result_type(self, value, type_name):
+        assert (self.outcome(lambda: caster(type_name)(value))
+                == self.outcome(lambda: cast_value(value, type_name)))
+
+    def test_an_exactly_typed_value_is_returned_untouched(self):
+        for type_name, value in [("int", 10**30), ("float", 2.5), ("text", "x" * 40),
+                                 ("date", dt.date(2020, 1, 31)),
+                                 ("timestamp", dt.datetime(2020, 1, 31, 10)),
+                                 ("jsonb", {"a": 1}), ("geometry", object())]:
+            assert caster(type_name)(value) is value
+
+    def test_near_misses_still_cast(self):
+        assert caster("int")(True) == 1 and type(caster("int")(True)) is int
+        assert type(caster("int")(IntLike(5))) is int
+        assert caster("date")(dt.datetime(2020, 1, 31, 10)) == dt.date(2020, 1, 31)
+        assert caster("bool")(1) is True
+        assert caster("float")(3) == 3.0 and type(caster("float")(3)) is float
+
+    @pytest.mark.parametrize("type_name, value", [
+        ("int", float("inf")), ("timestamp", 1e30), ("timestamp", float("inf"))])
+    def test_out_of_range_input_is_a_data_error(self, type_name, value):
+        with pytest.raises(DataError):
+            cast_value(value, type_name)
+        with pytest.raises(DataError):
+            caster(type_name)(value)
+
+    def test_the_type_name_is_normalized_once_per_caster(self, monkeypatch):
+        from repro.engine import datum
+
+        calls = []
+        original = datum.normalize_type
+        monkeypatch.setattr(datum, "normalize_type",
+                            lambda name: calls.append(name) or original(name))
+        cast = caster("Character Varying(12)")
+        assert [cast(v) for v in (1, "a", None, True, 2.5)] == ["1", "a", None, "t", "2.5"]
+        assert len(calls) <= 1  # none when the caster was already built
+
+
+def _types(value):
+    """The value's type, element types included for lists."""
+    if isinstance(value, list):
+        return [_types(v) for v in value]
+    return type(value)
 
 
 class TestCompare:

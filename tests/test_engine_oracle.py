@@ -107,3 +107,35 @@ def test_every_shard_pruned_agrees_with_single_node(oracle, cluster_session):
         expected, got = oracle.execute(sql), cluster_session.execute(sql)
         assert got.rows == expected.rows
         assert got.columns == expected.columns
+
+
+BAD_COLUMN_LISTS = {
+    "insert_unknown": lambda s: s.execute(
+        "INSERT INTO events (k, nope) VALUES (900001, 1)"),
+    "insert_twice": lambda s: s.execute(
+        "INSERT INTO events (k, k) VALUES (900001, 900002)"),
+    "copy_unknown": lambda s: s.copy_rows("events", [[900001, 1]], ["k", "nope"]),
+    "copy_twice": lambda s: s.copy_rows("events", [[900001, 900002]], ["k", "k"]),
+    "insert_select_unknown": lambda s: s.execute(
+        "INSERT INTO rollup (tenant, nope) SELECT tenant, v FROM events"),
+    "insert_select_twice": lambda s: s.execute(
+        "INSERT INTO rollup (tenant, tenant) SELECT tenant, v FROM events"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COLUMN_LISTS))
+def test_a_bad_column_list_raises_what_a_single_node_raises(
+        oracle, cluster_session, name):
+    """The write shape validates the column list on whichever node builds
+    it: same error class through every layout, and nothing written."""
+    from repro.errors import CatalogError
+
+    def counts(session):
+        return [session.execute(f"SELECT count(*) FROM {table}").scalar()
+                for table in ("events", "rollup")]
+
+    for session in (oracle, cluster_session):
+        before = counts(session)
+        with pytest.raises(CatalogError):
+            BAD_COLUMN_LISTS[name](session)
+        assert counts(session) == before

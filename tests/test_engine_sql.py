@@ -409,6 +409,118 @@ class TestDml:
             session.execute("UPDATE u SET k = 1 WHERE k = 2")
 
 
+class TestColumnLists:
+    """A statement's column list is validated once, by its write shape:
+    PostgreSQL's ``column "nope" of relation "t" does not exist`` and
+    ``column "k" specified more than once``. (Both used to succeed: the
+    unknown column's value was dropped, the duplicate's first one taken.)"""
+
+    @pytest.fixture
+    def cl(self, session):
+        session.execute("CREATE TABLE cl (k int PRIMARY KEY, v int)")
+        session.execute("CREATE TABLE src (a int, b int)")
+        session.execute("INSERT INTO src VALUES (1, 2)")
+        return session
+
+    UNKNOWN = "column 'nope' of relation 'cl' does not exist"
+    TWICE = "column 'k' specified more than once"
+
+    def test_insert_values(self, cl):
+        with pytest.raises(CatalogError) as unknown:
+            cl.execute("INSERT INTO cl (k, nope) VALUES (3, 4)")
+        assert str(unknown.value) == self.UNKNOWN
+        with pytest.raises(CatalogError) as twice:
+            cl.execute("INSERT INTO cl (k, k) VALUES (1, 2)")
+        assert str(twice.value) == self.TWICE
+        assert cl.execute("SELECT count(*) FROM cl").scalar() == 0
+
+    def test_copy(self, cl):
+        with pytest.raises(CatalogError) as unknown:
+            cl.copy_rows("cl", [[3, 4]], ["k", "nope"])
+        assert str(unknown.value) == self.UNKNOWN
+        with pytest.raises(CatalogError) as twice:
+            cl.copy_rows("cl", [[1, 2]], ["k", "k"])
+        assert str(twice.value) == self.TWICE
+        with pytest.raises(CatalogError):
+            cl.execute("COPY cl (k, nope) FROM STDIN WITH (FORMAT csv)",
+                       copy_data="3,4\n")
+        assert cl.execute("SELECT count(*) FROM cl").scalar() == 0
+
+    def test_insert_select(self, cl):
+        with pytest.raises(CatalogError) as unknown:
+            cl.execute("INSERT INTO cl (k, nope) SELECT a, b FROM src")
+        assert str(unknown.value) == self.UNKNOWN
+        with pytest.raises(CatalogError) as twice:
+            cl.execute("INSERT INTO cl (k, k) SELECT a, b FROM src")
+        assert str(twice.value) == self.TWICE
+        assert cl.execute("SELECT count(*) FROM cl").scalar() == 0
+
+    def test_a_valid_list_in_another_order_still_works(self, cl):
+        cl.execute("INSERT INTO cl (v, k) VALUES (10, 1)")
+        cl.copy_rows("cl", [[20, 2]], ["v", "k"])
+        cl.execute("INSERT INTO cl (v, k) SELECT b, a + 2 FROM src")
+        assert cl.execute("SELECT k, v FROM cl ORDER BY k").rows == [
+            [1, 10], [2, 20], [3, 2]]
+
+
+class TestUniqueKeys:
+    """Unique keys come from the index's own key extractor, so an
+    expression index is enforced like a column one."""
+
+    @pytest.fixture
+    def people(self, session):
+        session.execute("CREATE TABLE people (id int PRIMARY KEY, name text, n int)")
+        session.execute("CREATE UNIQUE INDEX people_lower ON people (lower(name))")
+        session.execute("INSERT INTO people VALUES (1, 'Abc', 1)")
+        return session
+
+    def test_insert_and_copy_collide_on_the_expression(self, people):
+        with pytest.raises(UniqueViolation):
+            people.execute("INSERT INTO people VALUES (2, 'ABC', 2)")
+        with pytest.raises(UniqueViolation):
+            people.copy_rows("people", [[3, "aBC", 3]])
+        people.execute("INSERT INTO people VALUES (4, 'abcd', 4)")
+        assert people.execute("SELECT count(*) FROM people").scalar() == 2
+
+    def test_null_keys_never_conflict(self, people):
+        people.execute("INSERT INTO people VALUES (2, NULL, 2), (3, NULL, 3)")
+        assert people.execute("SELECT count(*) FROM people").scalar() == 3
+
+    def test_on_conflict_sees_the_expression_key(self, people):
+        r = people.execute("INSERT INTO people VALUES (2, 'ABC', 2) ON CONFLICT DO NOTHING")
+        assert r.rowcount == 0
+        # A conflict on another key than the ON CONFLICT target raises.
+        with pytest.raises(UniqueViolation):
+            people.execute("INSERT INTO people VALUES (2, 'ABC', 2)"
+                           " ON CONFLICT (id) DO UPDATE SET n = 9")
+        assert people.execute("SELECT id, name, n FROM people").rows == [[1, "Abc", 1]]
+
+    def test_update_collides_on_the_expression(self, people):
+        people.execute("INSERT INTO people VALUES (2, 'xyz', 2)")
+        with pytest.raises(UniqueViolation):
+            people.execute("UPDATE people SET name = 'ABC' WHERE id = 2")
+        # Re-casing a row's own name is no conflict with itself.
+        people.execute("UPDATE people SET name = 'ABC' WHERE id = 1")
+        people.execute("UPDATE people SET n = n + 1")
+        assert people.execute("SELECT name, n FROM people ORDER BY id").rows == [
+            ["ABC", 2], ["xyz", 3]]
+
+    def test_update_checks_each_changed_key_on_its_own(self, session):
+        """The row's own unchanged primary key used to mask a collision on
+        a second unique key."""
+        session.execute("CREATE TABLE two (k int PRIMARY KEY, u int UNIQUE)")
+        session.execute("INSERT INTO two VALUES (1, 10), (2, 20)")
+        with pytest.raises(UniqueViolation):
+            session.execute("UPDATE two SET u = 10 WHERE k = 2")
+        session.execute("UPDATE two SET u = 30 WHERE k = 2")
+        # Swapping within one statement still collides mid-way, as in
+        # PostgreSQL without a deferrable constraint.
+        with pytest.raises(UniqueViolation):
+            session.execute("UPDATE two SET u = 40 - u")
+        assert session.execute("SELECT k, u FROM two ORDER BY k").rows == [
+            [1, 10], [2, 30]]
+
+
 class TestForeignKeys:
     @pytest.fixture
     def fk(self, session):

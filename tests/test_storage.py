@@ -265,9 +265,13 @@ class TestVersionChains:
 
 def assert_scan_matches_tuple_visible(heap, snapshot, clog):
     """``Heap.scan`` (per-snapshot xid verdicts, inlined test) returns
-    exactly the tuples the reference rule admits, evaluated afresh."""
-    assert [t.tid for t in heap.scan(snapshot, clog)] == [
-        t.tid for t in heap.tuples if tuple_visible(t.header, snapshot, clog)]
+    exactly the tuples the reference rule admits, evaluated afresh — and so
+    does ``Heap.fetch`` over index candidates: every TID ever handed out,
+    newest first, reclaimed ones included."""
+    admitted = [t.tid for t in heap.tuples if tuple_visible(t.header, snapshot, clog)]
+    assert [t.tid for t in heap.scan(snapshot, clog)] == admitted
+    candidates = range(heap._next_tid, 0, -1)
+    assert [t.tid for t in heap.fetch(candidates, snapshot, clog)] == admitted[::-1]
 
 
 _WRITERS = 3

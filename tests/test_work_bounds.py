@@ -7,8 +7,13 @@ path pay per row for what a batch or a column can answer at once: the
 commit log is asked once per distinct xid, all-int and all-text sort
 columns are their own keys on workers and coordinator, the wire prices a
 batch by its columns, and the coordinator merge pushes nothing onto a
-heap. Counting calls instead of timing them makes the bound exact and the
-test deterministic.
+heap. The write path is bound the same way: a COPY resolves its column
+types, column positions, constraints and snapshot per statement, a tuple
+version's width is computed once for insert, delete and vacuum, a DELETE
+looks for incoming foreign keys once, routing builds no list per row, and
+the ledger's aggregate statements never call an accumulator function.
+Counting calls instead of timing them makes the bound exact and the test
+deterministic.
 """
 
 import heapq
@@ -19,10 +24,12 @@ from collections import Counter
 import pytest
 
 from repro import PostgresInstance, make_cluster
-from repro.engine import datum
+from repro.engine import datum, heap as heap_module
+from repro.engine.catalog import Table
 from repro.engine.expr import RowLayout
+from repro.engine.functions import AGGREGATES
 from repro.engine.heap import Heap
-from repro.engine.mvcc import CommitLog
+from repro.engine.mvcc import CommitLog, XidManager
 from repro.net import network
 from repro.sql import ast as A
 from repro.sql import parse
@@ -235,3 +242,203 @@ def test_a_round_through_a_cluster_pays_per_batch_not_per_row(row_work):
         rows = session.execute(CLIENT_STATEMENTS[shape], {"f": 7}).rows
         assert row_work["sort_key"] > 0 and row_work["heappush"] == 0
         assert (rows[-1] == [500, None]) == (shape == "full_order")
+
+
+# ------------------------------------------------------------- write side
+
+COLUMNS = 4  # of ``events``
+
+
+def event_rows(first: int, count: int) -> list:
+    return [[k, k % 20, (k * 7) % 50, f"label-{k % 97}"]
+            for k in range(first, first + count)]
+
+
+@pytest.fixture
+def write_work(monkeypatch):
+    """Counts of what the write path may do per statement, not per row."""
+    counts = Counter()
+    # datum's own functions call it through the module global.
+    monkeypatch.setattr(datum, "normalize_type",
+                        _counter(counts, "normalize_type", datum.normalize_type))
+    monkeypatch.setattr(XidManager, "take_snapshot",
+                        _counter(counts, "snapshots", XidManager.take_snapshot))
+    monkeypatch.setattr(Table, "column_names",
+                        _counter(counts, "column_names", Table.column_names))
+    monkeypatch.setattr(Table, "column_index",
+                        _counter(counts, "column_index", Table.column_index))
+    monkeypatch.setattr(heap_module, "_value_width",
+                        _counter(counts, "value_width", heap_module._value_width))
+    return counts
+
+
+def empty_events(distributed: bool):
+    if distributed:
+        cluster = make_cluster(workers=4, shard_count=16)
+        session = cluster.coordinator_session()
+    else:
+        cluster, session = None, PostgresInstance("worker").connect()
+    session.execute("CREATE TABLE events (k int PRIMARY KEY, tenant int, v int, label text)")
+    if distributed:
+        session.execute("SELECT create_distributed_table('events', 'k')")
+    return cluster, session
+
+
+def test_a_copy_on_one_worker_resolves_everything_per_statement(write_work):
+    _cluster, session = empty_events(distributed=False)
+    write_work.clear()
+    assert session.copy_rows("events", event_rows(1, ROWS)) == ROWS
+    first = Counter(write_work)
+    # Types are resolved per column (less when a caster is already built),
+    # never per value; the probes of all 1,000 rows share one snapshot.
+    assert first["normalize_type"] <= COLUMNS, first
+    assert first["snapshots"] == 1, first
+    # Width: once per value at most (fixed-width types need no call).
+    assert first["value_width"] <= ROWS * COLUMNS, first
+    # A statement of ten rows asks the catalog exactly as often as one of
+    # a thousand did on top of building the shape.
+    write_work.clear()
+    session.copy_rows("events", event_rows(ROWS + 1, ROWS))
+    thousand = Counter(write_work)
+    write_work.clear()
+    session.copy_rows("events", event_rows(2 * ROWS + 1, 10))
+    ten = Counter(write_work)
+    for name in ("column_names", "column_index", "normalize_type", "snapshots"):
+        assert thousand[name] == ten[name] <= first[name], (name, thousand, ten)
+    assert thousand["column_names"] <= 2 and thousand["column_index"] == 0
+
+
+def test_delete_and_vacuum_reuse_the_width_and_take_one_snapshot(write_work):
+    _cluster, session = empty_events(distributed=False)
+    session.copy_rows("events", event_rows(1, ROWS))
+    inserted = write_work["value_width"]
+    write_work.clear()
+    assert session.execute("DELETE FROM events").rowcount == ROWS
+    assert write_work["snapshots"] == 1, write_work  # the scan's
+    assert write_work["column_names"] <= 3 and write_work["column_index"] == 0
+    session.execute("VACUUM events")
+    heap = session.instance.catalog.get_table("events").heap
+    assert (len(heap.tuples), heap.live_bytes, heap.dead_bytes) == (0, 0, 0)
+    # insert + delete + vacuum: every value was measured once, at insert.
+    assert write_work["value_width"] == 0 and inserted <= ROWS * COLUMNS
+
+
+def test_a_delete_walks_the_catalog_for_incoming_foreign_keys_once(monkeypatch):
+    session = PostgresInstance("worker").connect()
+    session.execute("CREATE TABLE owners (id int PRIMARY KEY)")
+    session.execute("CREATE TABLE pets (id int PRIMARY KEY, owner int REFERENCES owners (id))")
+    session.copy_rows("owners", [[i] for i in range(ROWS)])
+    session.copy_rows("pets", [[1, 7]])
+    walks = Counter()
+
+    class CountingTables(dict):
+        def values(self):
+            walks["tables"] += 1
+            return super().values()
+
+    catalog = session.instance.catalog
+    monkeypatch.setattr(catalog, "tables", CountingTables(catalog.tables))
+    assert session.execute("DELETE FROM owners WHERE id <> 7").rowcount == ROWS - 1
+    assert walks["tables"] <= 1, walks
+    with pytest.raises(Exception, match="still referenced from 'pets'"):
+        session.execute("DELETE FROM owners")
+    assert walks["tables"] <= 1, walks
+
+
+def test_a_copy_through_a_cluster_pays_per_flush_not_per_row(write_work):
+    cluster, session = empty_events(distributed=True)
+    write_work.clear()
+    assert session.copy_rows("events", event_rows(1, ROWS)) == ROWS
+    report = cluster.coordinator_ext.executor.last_report
+    flushes = report.copy_flushes
+    assert flushes == 16
+    # The router and sixteen shard statements share the casters of two
+    # distinct types; each shard statement takes one snapshot, and so does
+    # the INSERT of each connection's 2PC commit record.
+    assert write_work["normalize_type"] <= COLUMNS, write_work
+    assert write_work["snapshots"] <= flushes + report.connections_used, write_work
+    # ... whose two values are measured like any other row's: once.
+    assert (write_work["value_width"]
+            <= ROWS * COLUMNS + 2 * report.connections_used), write_work
+    first = Counter(write_work)
+    write_work.clear()
+    session.copy_rows("events", event_rows(ROWS + 1, ROWS))
+    assert write_work["column_names"] < first["column_names"]
+    assert write_work["column_names"] <= 3 * flushes, write_work
+    assert write_work["column_index"] <= COLUMNS, write_work  # the router's
+    assert write_work["normalize_type"] == 0, write_work
+    write_work.clear()
+    assert session.execute("DELETE FROM events WHERE k <= :k",
+                           {"k": ROWS}).rowcount == ROWS
+    report = cluster.coordinator_ext.executor.last_report
+    assert write_work["snapshots"] <= 16 + report.connections_used, write_work
+    write_work.clear()
+    session.execute("VACUUM events")
+    assert write_work["value_width"] == 0, write_work
+
+
+def test_routing_builds_no_list_per_row():
+    cluster = make_cluster(workers=2, shard_count=8)
+    session = cluster.coordinator_session()
+    session.execute("CREATE TABLE events (k int PRIMARY KEY, v int)")
+    session.execute("SELECT create_distributed_table('events', 'k')")
+    dist = cluster.coordinator_ext.metadata.cache.get_table("events")
+    iterations = Counter()
+
+    class CountingShards(list):
+        def __iter__(self):
+            iterations["shards"] += 1
+            return super().__iter__()
+
+    dist.shards = CountingShards(dist.shards)
+    indexes = {dist.shard_index_for_hash(datum.hash_value(k)) for k in range(200)}
+    indexes |= {dist.shard_index_for_value(k) for k in range(200)}
+    assert len(indexes) == 8
+    assert iterations["shards"] == 0
+
+
+#: The three aggregate statements of the ledger's workloads (the shard
+#: statements above, and the rollup of ``write_mix``).
+AGGREGATE_STATEMENTS = {
+    "group_agg": SHARD_STATEMENTS["group_agg"],
+    "ref_join": SHARD_STATEMENTS["ref_join"],
+    "rollup": "SELECT tenant, v, count(*), sum(v) FROM events GROUP BY tenant, v",
+}
+
+
+@pytest.fixture
+def accumulator_calls(monkeypatch):
+    """Calls of the accumulate functions the generated loop writes out."""
+    counts = Counter()
+    for name in ("count", "sum", "avg", "avg_partial"):
+        agg = AGGREGATES[name]
+        monkeypatch.setattr(agg, "accumulate",
+                            _counter(counts, name, agg.accumulate))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATE_STATEMENTS))
+def test_a_ledger_aggregate_calls_no_accumulator(accumulator_calls, name):
+    session = PostgresInstance("worker").connect()
+    load(session, distributed=False)
+    # Parsed after the patch: a fresh shape would pick the wrappers up.
+    rows = session.execute_parsed(parse(AGGREGATE_STATEMENTS[name])[0]).rows
+    assert len(rows) > 1
+    assert accumulator_calls == Counter(), accumulator_calls
+
+
+def test_ledger_aggregates_through_a_cluster_call_no_accumulator(accumulator_calls):
+    cluster = make_cluster(workers=4, shard_count=16)
+    session = cluster.coordinator_session()
+    load(session, distributed=True)
+    session.execute("CREATE TABLE rollup (tenant int, bucket int, n int, total int)")
+    session.execute("SELECT create_distributed_table('rollup', 'tenant',"
+                    " colocate_with := 'none')")
+    for name in ("group_agg", "ref_join"):
+        assert session.execute(CLIENT_STATEMENTS[name]).rows
+    assert session.execute("INSERT INTO rollup SELECT tenant, v, count(*), sum(v)"
+                           " FROM events GROUP BY tenant, v").rowcount > 1
+    # Worker partials and coordinator merges alike: count / sum over slots
+    # and avg's partial are written out (avg's *merge* is a call, of
+    # another function).
+    assert accumulator_calls == Counter(), accumulator_calls
