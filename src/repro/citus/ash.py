@@ -39,17 +39,18 @@ Report modes (the ``citus_ash()`` UDF):
   flamegraph.pl or speedscope.
 
 Cost model: with ``citus.enable_ash`` off the observer is detached, so
-every clock advance pays exactly one empty-list test inside ``SimClock``
-and every capture surface one ``ext.ash is None`` attribute test.
+every clock advance pays exactly one empty-list test inside ``SimClock``.
+The ring survives while the sampler is off, so switching it back on
+resumes with history intact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 
 from ..engine.waitevents import COUNT_PREFIX, wait_class_totals
+from .record import Ring
 
 #: Sample tuple layout (kept a plain tuple: the ring holds up to
 #: ``ash_buffer_size`` of them and dict samples would triple memory).
@@ -76,18 +77,14 @@ def top_frame(sample) -> tuple:
 
 
 class AshSampler:
-    """The cluster-shared Active Session History ring.
-
-    One instance per cluster (attached via :func:`ash_for`, the same
-    holder-attribute pattern as the stats registry, tracer, and txn
-    graph), reached from the UDFs and the metrics snapshot through
-    ``ext.ash`` — ``None`` when ``citus.enable_ash`` is off.
-    """
+    """The cluster-shared Active Session History ring — one per cluster,
+    owned by its :class:`~.telemetry.Telemetry`; ``enabled`` follows
+    ``citus.enable_ash``."""
 
     def __init__(self, clock, registry):
         self.clock = clock
         self.registry = registry
-        self.ring: deque = deque(maxlen=DEFAULT_BUFFER_SIZE)
+        self.ring = Ring(DEFAULT_BUFFER_SIZE)
         self.interval = 0.0
         self.enabled = False
         self.ext = None
@@ -106,9 +103,7 @@ class AshSampler:
                                 or getattr(ext, "is_coordinator", False)):
             self.ext = ext
         self.interval = float(interval)
-        buffer_size = max(1, int(buffer_size))
-        if self.ring.maxlen != buffer_size:
-            self.ring = deque(self.ring, maxlen=buffer_size)
+        self.ring.resize(buffer_size)
         self.enabled = bool(enabled) and self.clock is not None
         if self.enabled and not self._attached:
             self.clock.add_observer(self._on_advance)
@@ -140,11 +135,9 @@ class AshSampler:
         self._sampling = True
         try:
             rows = self._snapshot_rows()
-            ring = self.ring
             for index in range(first, last + 1):
                 t = index * interval
-                for row in rows:
-                    ring.append((t,) + row)
+                self.ring.extend([(t,) + row for row in rows])
             ticks = last - first + 1
             self.registry.incr("ash_sample_ticks", ticks)
             if rows:
@@ -377,7 +370,7 @@ class AshSampler:
             "# TYPE citus_ash_ring_samples gauge",
             f"citus_ash_ring_samples {len(self.ring)}",
             "# TYPE citus_ash_ring_capacity gauge",
-            f"citus_ash_ring_capacity {self.ring.maxlen}",
+            f"citus_ash_ring_capacity {self.ring.capacity}",
             "# TYPE citus_ash_sampling_interval_seconds gauge",
             f"citus_ash_sampling_interval_seconds {format_value(self.interval)}",
         ]
@@ -404,25 +397,3 @@ class AshSampler:
             lines.append("# TYPE citus_ash_wait_samples gauge")
             lines.extend(wait_lines)
         return lines
-
-
-_HOLDER_ATTR = "_citus_ash_sampler"
-
-
-def holder_has_sampler(holder) -> bool:
-    """True when a sampler already exists on ``holder`` — lets the
-    extension avoid constructing one at install time when
-    ``citus.enable_ash`` starts off (the benchmark's fully-detached
-    baseline), while a runtime re-enable finds its ring intact."""
-    return getattr(holder, _HOLDER_ATTR, None) is not None
-
-
-def ash_for(holder, clock, registry) -> AshSampler:
-    """The ASH sampler attached to ``holder`` (the cluster), creating it
-    on first use — the same holder-attribute pattern as ``stats_for``,
-    ``trace_for``, and ``txngraph_for``."""
-    sampler = getattr(holder, _HOLDER_ATTR, None)
-    if sampler is None:
-        sampler = AshSampler(clock, registry)
-        setattr(holder, _HOLDER_ATTR, sampler)
-    return sampler

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...engine.locks import WouldBlock
+from ..record import (BATCH, BEGIN, BLOCKED_TASK, CHANNELS, CLOSE, DISPATCH, FLUSH,
+                      STREAMS, TASK, TASKS)
 from .placement import SessionPools
 from .timeline import ConnectionTimeline
 
@@ -67,8 +69,7 @@ class AdaptiveExecutor:
     def execute_tasks(self, session, tasks, is_write: bool = False):
         """Run tasks, return a list of QueryResults aligned with tasks."""
         report = ExecutionReport(task_count=len(tasks))
-        counters = self.ext.stat_counters
-        counters.incr("executor_statements")
+        timeline = ConnectionTimeline(self, session, report, TASKS)
         need_txn_block = is_write and (session.in_transaction or _multi_group(tasks))
         if session.in_transaction:
             need_txn_block = True
@@ -78,143 +79,95 @@ class AdaptiveExecutor:
         for i, task in enumerate(tasks):
             by_node.setdefault(task.node, []).append(i)
 
-        # Tracing: collect per-task timeline events (offsets into this
-        # statement's reconstructed-parallel timeline) and emit them as
-        # spans anchored at the statement's start time.
-        tracer = self.ext.tracer
-        if tracer is None or not tracer.active:
-            tracer = None
-        events: list | None = [] if tracer is not None else None
-        base = self.ext.cluster.clock.now() if tracer is not None else 0.0
-        timeline = ConnectionTimeline(self, session, report,
-                                      tracing=tracer is not None)
-
-        graph = self.ext.txn_graph
-        if graph is not None:
-            graph.statement_begin()
-
         # Lock waits may only suspend single-task statements (router / fast
         # path); multi-task statements surface waits as lock timeouts.
         allow_block = len(tasks) == 1
 
         def run(conn, i):
-            task = tasks[i]
-            bytes_before = conn.bytes_transferred
-            cost = self._execute_on(session, conn, task, results, i,
-                                    need_txn_block, allow_block, is_write)
-            start = timeline.charge(conn, cost)
-            if events is not None:
-                events.append((i, conn.node_name, start, cost,
-                               conn.bytes_transferred - bytes_before,
-                               task.shard_group))
+            self._execute_task(session, timeline, conn, tasks[i], results, i,
+                               need_txn_block, allow_block, is_write)
 
         try:
-            with counters.track("executor_statements_in_flight"):
-                for node, indexes in by_node.items():
-                    # Tasks pinned by transaction affinity run first, on
-                    # their own connections; the rest share the node's
-                    # slow-started pool.
-                    general = []
-                    for i in indexes:
-                        conn = timeline.pinned(node, tasks[i].shard_group)
-                        if conn is None:
-                            general.append(i)
-                        else:
-                            run(conn, i)
-                    for n, i in enumerate(general):
-                        run(timeline.pick(node, len(general) - n), i)
-        except BaseException:
-            # Failed (or parked-and-retried) statement: its accesses must
-            # not count toward the transaction's co-access set.
-            if graph is not None:
-                graph.discard_statement(session)
+            for node, indexes in by_node.items():
+                # Tasks pinned by transaction affinity run first, on
+                # their own connections; the rest share the node's
+                # slow-started pool.
+                general = []
+                for i in indexes:
+                    conn = timeline.pinned(node, tasks[i].shard_group)
+                    if conn is None:
+                        general.append(i)
+                    else:
+                        run(conn, i)
+                for n, i in enumerate(general):
+                    run(timeline.pick(node, len(general) - n), i)
+        except BaseException as exc:
+            # Failed, or parked on a lock to be resolved (not re-run) later.
+            timeline.abandon(blocked=isinstance(exc, WouldBlock))
             raise
-        finally:
-            if tracer is not None:
-                timeline.emit_connect_spans(tracer, base)
-                self._emit_task_spans(tracer, base, events, results)
         timeline.settle()
-        self.ext.cluster.clock.advance(report.elapsed)
         session.stats["citus_tasks"] += len(tasks)
         self.last_report = report
-        if graph is not None:
-            graph.statement_done(session, report.elapsed)
         if not session.in_transaction and not need_txn_block:
             _clear_affinity(timeline.pools)
         return results
 
-    def _emit_task_spans(self, tracer, base: float, events: list, results) -> None:
-        """Turn recorded timeline events into spans. Offsets are relative
-        to the statement start (``base``), matching the executor's
-        reconstructed-parallel timeline."""
-        for i, node, start, cost, nbytes, group in events:
-            result = results[i]
-            rows = 0
-            if result is not None:
-                rows = result.rowcount or len(result.rows)
-            tracer.add_span(
-                "task", "executor", base + start, base + start + cost,
-                node=node, index=i, rows=rows, bytes=nbytes,
-                queued_ms=start * 1000.0,
-                shard_group=group, retries=0,
-            )
+    def _execute_task(self, session, timeline, conn, task, results, i,
+                      need_txn_block, allow_block, is_write) -> None:
+        node = conn.node_name
+        group = task.shard_group
+        # The in-flight gauge is settled on every way out, so a failing
+        # task (node crash, lock timeout, SQL error) can never leave it stuck.
+        timeline.begin(node)
+        before, bytes_before = conn.elapsed, conn.bytes_transferred
+        begin_bytes = 0
+        try:
+            if need_txn_block:
+                conn.begin_if_needed()
+                session.remote_txns[id(conn)] = conn
+                if is_write:
+                    conn.did_write = True
+                # Tag the worker transaction with the distributed txn id up
+                # front so deadlock detection can merge the lock graphs even
+                # while this statement is still waiting.
+                conn.session.ensure_xid()
+                from ..txn.deadlock import assign_distributed_txn_ids
 
-    def _execute_on(self, session, conn, task, results, i, need_txn_block,
-                    allow_block=False, is_write=False) -> float:
-        # The in-flight gauge is held via track() so that a failing task
-        # (node crash, lock timeout, SQL error) can never leave it stuck.
-        counters = self.ext.stat_counters
-        with counters.track("tasks_in_flight", node=conn.node_name):
-            try:
-                cost = self._execute_task(session, conn, task, results, i,
-                                          need_txn_block, allow_block, is_write)
-            except WouldBlock:
-                # Lock wait: the statement parks and retries wholesale —
-                # an executor suspension, not a task failure.
-                counters.incr("tasks_blocked", node=conn.node_name)
-                raise
-            except Exception:
-                counters.incr("tasks_failed", node=conn.node_name)
-                raise
-        counters.incr("tasks_executed", node=conn.node_name)
-        return cost
-
-    def _execute_task(self, session, conn, task, results, i, need_txn_block,
-                      allow_block=False, is_write=False) -> float:
-        if need_txn_block:
-            conn.begin_if_needed()
-            session.remote_txns[id(conn)] = conn
-            if is_write:
-                conn.did_write = True
-            # Tag the worker transaction with the distributed txn id up
-            # front so deadlock detection can merge the lock graphs even
-            # while this statement is still waiting.
-            conn.session.ensure_xid()
-            from ..txn.deadlock import assign_distributed_txn_ids
-
-            assign_distributed_txn_ids(self.ext, session)
-        if task.shard_group is not None:
-            conn.accessed_groups.add(task.shard_group)
-        graph = self.ext.txn_graph
-        bytes_before = conn.bytes_transferred if graph is not None else 0
-        before = conn.elapsed
-        if task.stmt is not None:
-            result = conn.execute_parsed(task.stmt, task.params,
-                                         allow_block=allow_block)
-        else:
-            result = conn.execute(task.sql, task.params, allow_block=allow_block)
+                assign_distributed_txn_ids(self.ext, session)
+                # The BEGIN's round trip is not on the task's timeline; its
+                # bytes are on the task's span.
+                begin_bytes = conn.bytes_transferred - bytes_before
+                before, bytes_before = conn.elapsed, conn.bytes_transferred
+            if group is not None:
+                conn.accessed_groups.add(group)
+            if task.stmt is not None:
+                result = conn.execute_parsed(task.stmt, task.params,
+                                             allow_block=allow_block)
+            else:
+                result = conn.execute(task.sql, task.params,
+                                      allow_block=allow_block)
+        except WouldBlock:
+            # Lock wait: the statement parks — an executor suspension, not
+            # a task failure. What it did so far is kept, and counts if the
+            # statement goes on to complete.
+            timeline.charge(conn, conn.elapsed - before, BLOCKED_TASK, i,
+                            group, is_write, 0,
+                            conn.bytes_transferred - bytes_before)
+            timeline.end(node, "blocked")
+            raise
+        except Exception:
+            timeline.end(node, "failed")
+            raise
+        timeline.end(node, "executed")
         results[i] = result
         # Per-task simulated cost: network latency accrued plus a CPU term
         # proportional to rows produced/affected.
         rows = result.rowcount if result.rowcount else len(result.rows)
-        cpu_cost = rows * self.ext.config.per_row_cpu_cost
-        cost = (conn.elapsed - before) + cpu_cost
-        session.wait_events.record("Net", "RemoteExecute", cost,
-                                   node=conn.node_name)
-        if graph is not None:
-            graph.note_access(session, conn.node_name, task.shard_group,
-                              is_write, conn.bytes_transferred - bytes_before)
-        return cost
+        cost = (conn.elapsed - before) + rows * self.ext.config.per_row_cpu_cost
+        if begin_bytes:
+            timeline.charge(conn, 0.0, BEGIN, i, group, False, 0, begin_bytes)
+        timeline.charge(conn, cost, TASK, i, group, is_write, rows,
+                        conn.bytes_transferred - bytes_before)
 
     # -------------------------------------------------------- streaming
 
@@ -287,7 +240,6 @@ class StreamingExecution:
         self.session = session
         self.tasks = tasks
         self.batch_size = batch_size
-        self.counters = self.ext.stat_counters
         self.report = ExecutionReport(task_count=len(tasks))
         self.streams = [TaskStream(self, i, t) for i, t in enumerate(tasks)]
         self.need_txn_block = session.in_transaction
@@ -297,21 +249,8 @@ class StreamingExecution:
             self._unopened[task.node] = self._unopened.get(task.node, 0) + 1
         self._early_noted = False
         self._finished = False
-        # Tracing: per-stream timeline events (dispatch, cursor batches),
-        # emitted as spans in finish(). Only collected when a
-        # trace/capture is active at statement start.
-        tracer = self.ext.tracer
-        self.tracer = tracer if (tracer is not None and tracer.active) else None
-        self.trace_base = (self.ext.cluster.clock.now()
-                           if self.tracer is not None else 0.0)
-        self._trace_events: dict[int, dict] = {}
         self.timeline = ConnectionTimeline(executor, session, self.report,
-                                           tracing=self.tracer is not None)
-        self.graph = self.ext.txn_graph
-        if self.graph is not None:
-            self.graph.statement_begin()
-        self.counters.incr("executor_statements")
-        self.counters.gauge_incr("executor_statements_in_flight")
+                                           STREAMS, tasks)
 
     # -------------------------------------------------- merge-side hooks
 
@@ -325,7 +264,7 @@ class StreamingExecution:
         if not self._early_noted:
             self._early_noted = True
             self.report.early_terminations += 1
-            self.counters.incr("early_terminations")
+            self.ext.stat_counters.incr("early_terminations")
 
     # ------------------------------------------------------ stream plumbing
 
@@ -346,36 +285,26 @@ class StreamingExecution:
             assign_distributed_txn_ids(self.ext, self.session)
         if task.shard_group is not None:
             conn.accessed_groups.add(task.shard_group)
-        self.counters.gauge_incr("tasks_in_flight", node=node)
+        timeline.begin(node)
         before = conn.elapsed
+        bytes_before = conn.bytes_transferred
         try:
             stream.cursor = conn.execute_cursor(
                 task.stmt, task.params, batch_size=self.batch_size, sql=task.sql,
             )
         except WouldBlock as block:
-            self._stream_finished(stream, failed=True, blocked=True)
+            self._stream_finished(stream, "blocked")
             from ...errors import LockTimeout
 
             raise LockTimeout(f"could not obtain lock: {block}") from None
         except Exception:
-            self._stream_finished(stream, failed=True)
+            self._stream_finished(stream, "failed")
             raise
-        cost = conn.elapsed - before
-        start = timeline.charge(conn, cost)
-        self.session.wait_events.record("Net", "RemoteDispatch", cost,
-                                        node=conn.node_name)
-        if self.graph is not None:
-            # Read access recorded at dispatch (bytes accrue per fetch), so
-            # even a zero-row shard stream appears in the access set.
-            self.graph.note_access(self.session, conn.node_name,
-                                   task.shard_group, False, 0)
-        if self.tracer is not None:
-            self._trace_events[stream.index] = {
-                "node": conn.node_name,
-                "group": task.shard_group,
-                "open": (start, start + cost),
-                "batches": [],
-            }
+        # The read is noted at dispatch (its bytes accrue per fetch), so
+        # even a zero-row shard stream appears in the access set.
+        timeline.charge(conn, conn.elapsed - before, DISPATCH, stream.index,
+                        task.shard_group, False, 0,
+                        conn.bytes_transferred - bytes_before)
 
     def _fetch(self, stream: TaskStream):
         conn = stream.conn
@@ -385,37 +314,22 @@ class StreamingExecution:
         except WouldBlock as block:
             # Multi-task statements never park; a remote lock wait during
             # a fetch surfaces as a lock timeout, like the blocking path.
-            self._stream_finished(stream, failed=True, blocked=True)
+            self._stream_finished(stream, "blocked")
             from ...errors import LockTimeout
 
             raise LockTimeout(f"could not obtain lock: {block}") from None
         except Exception:
-            self._stream_finished(stream, failed=True)
+            self._stream_finished(stream, "failed")
             raise
         cost = conn.elapsed - before
-        if batch:
-            cost += len(batch) * self.ext.config.per_row_cpu_cost
-        start = self.timeline.charge(conn, cost)
-        self.session.wait_events.record("Net", "RemoteFetch", cost,
-                                        node=conn.node_name)
-        if self.tracer is not None and stream.index in self._trace_events:
-            self._trace_events[stream.index]["batches"].append(
-                (start, start + cost,
-                 len(batch) if batch else 0,
-                 stream.cursor.last_payload if batch else 0)
-            )
+        rows = len(batch) if batch else 0
+        if rows:
+            cost += rows * self.ext.config.per_row_cpu_cost
+        self.timeline.charge(conn, cost, BATCH, stream.index,
+                             stream.task.shard_group, False, rows,
+                             stream.cursor.last_payload if rows else 0)
         if batch is None:
             self._stream_finished(stream)
-            return None
-        self.report.batches_fetched += 1
-        self.report.bytes_streamed += stream.cursor.last_payload
-        self.counters.incr("batches_fetched", node=conn.node_name)
-        self.counters.incr("bytes_streamed", stream.cursor.last_payload,
-                           node=conn.node_name)
-        if self.graph is not None:
-            self.graph.note_access(self.session, conn.node_name,
-                                   stream.task.shard_group, False,
-                                   stream.cursor.last_payload)
         return batch
 
     def _close_stream(self, stream: TaskStream) -> None:
@@ -426,78 +340,23 @@ class StreamingExecution:
             # task outright — no connection, no round trips, no worker CPU.
             stream.done = True
             self.report.tasks_skipped += 1
-            self.counters.incr("tasks_skipped", node=stream.task.node)
+            self.timeline.end(stream.task.node, "skipped")
             return
         conn = stream.conn
         before = conn.elapsed
         stream.cursor.close()
-        cost = conn.elapsed - before
-        start = self.timeline.charge(conn, cost)
-        if self.tracer is not None and stream.index in self._trace_events:
-            self._trace_events[stream.index]["close"] = (start, start + cost)
+        self.timeline.charge(conn, conn.elapsed - before, CLOSE, stream.index,
+                             stream.task.shard_group, False, 0, 0)
         self._stream_finished(stream)
 
-    def _stream_finished(self, stream: TaskStream, failed: bool = False,
-                         blocked: bool = False) -> None:
+    def _stream_finished(self, stream: TaskStream,
+                         outcome: str = "executed") -> None:
         if stream.done:
             return
         stream.done = True
-        stream.failed = failed
+        stream.failed = outcome != "executed"
         node = stream.conn.node_name if stream.conn is not None else stream.task.node
-        self.counters.gauge_decr("tasks_in_flight", node=node)
-        if blocked:
-            self.counters.incr("tasks_blocked", node=node)
-        elif failed:
-            self.counters.incr("tasks_failed", node=node)
-        else:
-            self.counters.incr("tasks_executed", node=node)
-
-    def _emit_stream_spans(self) -> None:
-        """Emit the collected streaming timeline as spans: one ``task``
-        span per dispatched stream with nested ``dispatch``/``batch``
-        children, plus ``connect`` spans and zero-duration markers for
-        tasks the early-terminated merge never dispatched."""
-        tracer = self.tracer
-        base = self.trace_base
-        self.timeline.emit_connect_spans(tracer, base)
-        for stream in self.streams:
-            events = self._trace_events.get(stream.index)
-            if events is None:
-                # Never dispatched (early-terminated merge skipped it).
-                tracer.add_span(
-                    "task", "executor", base, base, node=stream.task.node,
-                    index=stream.index, rows=0, bytes=0, batches=0,
-                    skipped=True, retries=0,
-                )
-                continue
-            open_start, open_end = events["open"]
-            end = open_end
-            cursor = stream.cursor
-            task_span = tracer.add_span(
-                "task", "executor", base + open_start, base + open_end,
-                node=events["node"], index=stream.index,
-                rows=cursor.rows_fetched if cursor is not None else 0,
-                bytes=(256 + cursor.bytes_fetched) if cursor is not None else 0,
-                batches=cursor.batches_fetched if cursor is not None else 0,
-                shard_group=events["group"], retries=0,
-            )
-            if task_span is None:
-                continue
-            from ..tracing import Span
-
-            task_span.add(Span("dispatch", "network", base + open_start,
-                               base + open_end, node=events["node"]))
-            for b_start, b_end, rows, nbytes in events["batches"]:
-                task_span.add(Span("batch", "network", base + b_start,
-                                   base + b_end, node=events["node"],
-                                   attrs={"rows": rows, "bytes": nbytes}))
-                end = max(end, b_end)
-            close = events.get("close")
-            if close is not None:
-                task_span.add(Span("close", "network", base + close[0],
-                                   base + close[1], node=events["node"]))
-                end = max(end, close[1])
-            task_span.end = base + end
+        self.timeline.end(node, outcome)
 
     # ------------------------------------------------------------ finish
 
@@ -513,26 +372,15 @@ class StreamingExecution:
                     self._close_stream(stream)
                 except Exception:
                     # Teardown must settle gauges even over broken conns.
-                    self._stream_finished(stream, failed=True)
-        report = self.report
-        self.timeline.settle()
-        if self.tracer is not None:
-            self._emit_stream_spans()
-        self.ext.cluster.clock.advance(report.elapsed)
+                    self._stream_finished(stream, "failed")
+        # A failed stream fails the statement: its accesses must not count
+        # toward the transaction's co-access set.
+        self.timeline.settle(ok=not any(s.failed for s in self.streams))
         self.session.stats["citus_tasks"] += len(self.tasks)
-        self.counters.gauge_decr("executor_statements_in_flight")
-        if report.rows_buffered_peak:
-            self.counters.gauge_max("rows_buffered_peak",
-                                    report.rows_buffered_peak)
-        self.executor.last_report = report
-        if self.graph is not None:
-            if any(stream.failed for stream in self.streams):
-                self.graph.discard_statement(self.session)
-            else:
-                self.graph.statement_done(self.session, report.elapsed)
+        self.executor.last_report = self.report
         if not self.session.in_transaction and not self.need_txn_block:
             _clear_affinity(self.timeline.pools)
-        return report
+        return self.report
 
 
 class CopyChannelExecution:
@@ -561,25 +409,17 @@ class CopyChannelExecution:
         self.executor = executor
         self.ext = executor.ext
         self.session = session
-        self.counters = self.ext.stat_counters
         self.report = ExecutionReport()
         # Slow-start sizing: how many channels may still open per node (the
         # count of destination shards placed there).
         self._unopened: dict[str, int] = dict(expected_by_node)
         self._channels: dict = {}  # channel key -> per-channel state
         self._finished = False
-        # Clock position when routing began: everything the read side
-        # advances between now and finish() overlaps the write timeline.
-        self._start_clock = self.ext.cluster.clock.now()
-        tracer = self.ext.tracer
-        self.tracer = tracer if (tracer is not None and tracer.active) else None
+        # The timeline's base is the clock position when routing began:
+        # everything the read side advances between now and finish()
+        # overlaps the write timeline.
         self.timeline = ConnectionTimeline(executor, session, self.report,
-                                           tracing=self.tracer is not None)
-        self.graph = self.ext.txn_graph
-        if self.graph is not None:
-            self.graph.statement_begin()
-        self.counters.incr("executor_statements")
-        self.counters.gauge_incr("executor_statements_in_flight")
+                                           CHANNELS)
 
     # --------------------------------------------------- router-side hooks
 
@@ -600,14 +440,10 @@ class CopyChannelExecution:
             self._unopened[node] -= 1
             if shard_group is not None:
                 conn.accessed_groups.add(shard_group)
-            channel = {
-                "index": index, "node": node, "group": shard_group,
-                "conn": conn, "rows": 0, "bytes": 0, "flushes": 0,
-                "events": [] if self.tracer is not None else None,
-                "done": False,
-            }
+            channel = {"index": index, "node": node, "conn": conn,
+                       "flushes": 0, "done": False, "failed": False}
             self._channels[key] = channel
-            self.counters.gauge_incr("tasks_in_flight", node=node)
+            self.timeline.begin(node)
         return channel
 
     def flush(self, key, index, node, shard_group, shard_name, columns,
@@ -633,66 +469,19 @@ class CopyChannelExecution:
             conn.copy_rows(shard_name, rows, columns,
                            pipelined=channel["flushes"] > 0)
         except Exception:
-            self._channel_finished(channel, failed=True)
+            self._channel_finished(channel, "failed")
             raise
-        nbytes = conn.bytes_transferred - bytes_before
-        cost = (conn.elapsed - before) + len(rows) * self.ext.config.per_row_cpu_cost
-        start = self.timeline.charge(conn, cost)
-        self.session.wait_events.record("Net", "RemoteCopy", cost, node=node)
-        channel["rows"] += len(rows)
-        channel["bytes"] += nbytes
         channel["flushes"] += 1
-        if channel["events"] is not None:
-            channel["events"].append((start, start + cost, len(rows), nbytes))
-        report = self.report
-        report.copy_flushes += 1
-        report.copy_rows_routed += len(rows)
-        report.copy_bytes_streamed += nbytes
-        self.counters.incr("copy_flushes", node=node)
-        self.counters.incr("copy_rows_routed", len(rows), node=node)
-        self.counters.incr("copy_bytes_streamed", nbytes, node=node)
-        if self.graph is not None:
-            self.graph.note_access(self.session, node, shard_group, True,
-                                   nbytes)
+        cost = (conn.elapsed - before) + len(rows) * self.ext.config.per_row_cpu_cost
+        self.timeline.charge(conn, cost, FLUSH, index, shard_group, True,
+                             len(rows), conn.bytes_transferred - bytes_before)
 
-    def _channel_finished(self, channel: dict, failed: bool = False) -> None:
+    def _channel_finished(self, channel: dict, outcome: str = "executed") -> None:
         if channel["done"]:
             return
         channel["done"] = True
-        channel["failed"] = failed
-        node = channel["node"]
-        self.counters.gauge_decr("tasks_in_flight", node=node)
-        if failed:
-            self.counters.incr("tasks_failed", node=node)
-        else:
-            self.counters.incr("tasks_executed", node=node)
-
-    def _emit_channel_spans(self) -> None:
-        """One ``task`` span per destination channel (matched back to the
-        plan's per-shard task list by ``index``) with nested per-flush
-        children, plus ``connect`` spans."""
-        tracer = self.tracer
-        base = self._start_clock
-        self.timeline.emit_connect_spans(tracer, base)
-        from ..tracing import Span
-
-        for channel in self._channels.values():
-            events = channel["events"] or []
-            first = events[0][0] if events else 0.0
-            last = events[-1][1] if events else 0.0
-            task_span = tracer.add_span(
-                "task", "executor", base + first, base + last,
-                node=channel["node"], index=channel["index"],
-                rows=channel["rows"], bytes=channel["bytes"],
-                batches=channel["flushes"], shard_group=channel["group"],
-                retries=0,
-            )
-            if task_span is None:
-                continue
-            for f_start, f_end, rows, nbytes in events:
-                task_span.add(Span("flush", "network", base + f_start,
-                                   base + f_end, node=channel["node"],
-                                   attrs={"rows": rows, "bytes": nbytes}))
+        channel["failed"] = outcome != "executed"
+        self.timeline.end(channel["node"], outcome)
 
     # ------------------------------------------------------------ finish
 
@@ -704,42 +493,18 @@ class CopyChannelExecution:
         self._finished = True
         for channel in self._channels.values():
             self._channel_finished(channel)
-        report = self.report
-        report.task_count = len(self._channels)
-        self.timeline.settle()
-        clock = self.ext.cluster.clock
-        if self.tracer is not None:
-            self._emit_channel_spans()
-            # Aggregate routing span: EXPLAIN ANALYZE lifts these actuals
-            # onto the "Repartition:" line of the plan tree.
-            self.tracer.add_span(
-                "route", "repartition", self._start_clock,
-                self._start_clock + report.elapsed,
-                flushes=report.copy_flushes, rows=report.copy_rows_routed,
-                bytes=report.copy_bytes_streamed,
-                channel_peak_rows=report.copy_channel_peak_rows,
-                channels=len(self._channels),
-            )
+        self.report.task_count = len(self._channels)
         # Pipelining: the read side already advanced the clock while rows
         # were being routed; only the write timeline's remainder beyond
-        # that overlap extends the statement.
-        overlapped = clock.now() - self._start_clock
-        clock.advance(max(0.0, report.elapsed - overlapped))
+        # that overlap extends the statement. A failed flush aborts the
+        # whole write through the session's statement-failure path; only a
+        # clean finish commits the statement's accesses.
+        self.timeline.settle(
+            ok=not any(c["failed"] for c in self._channels.values()),
+            overlapped=True)
         self.session.stats["citus_tasks"] += len(self._channels)
-        self.counters.gauge_decr("executor_statements_in_flight")
-        if report.copy_channel_peak_rows:
-            self.counters.gauge_max("copy_channel_peak_rows",
-                                    report.copy_channel_peak_rows)
-        self.executor.last_report = report
-        if self.graph is not None:
-            # A failed flush aborts the whole write through the session's
-            # statement-failure path (abort_txn clears the collector); only
-            # a clean finish commits the statement's accesses.
-            if any(c.get("failed") for c in self._channels.values()):
-                self.graph.discard_statement(self.session)
-            else:
-                self.graph.statement_done(self.session, report.elapsed)
-        return report
+        self.executor.last_report = self.report
+        return self.report
 
 
 def _clear_affinity(pools: SessionPools) -> None:

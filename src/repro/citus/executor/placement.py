@@ -20,6 +20,12 @@ class SessionPools:
         self.ext = ext
         self.session = session
         self.by_node: dict[str, list[RemoteConnection]] = {}
+        # The distributed transaction in flight has touched a shard (set
+        # when an executor run ends) and is committing in two phases (set
+        # by pre-commit); both cleared by the commit / abort callbacks
+        # that end the transaction.
+        self.touched = False
+        self.twopc = False
 
     @classmethod
     def for_session(cls, session, ext) -> "SessionPools":

@@ -7,30 +7,65 @@ Execution is single-threaded, so parallelism is reconstructed: each piece
 of work is charged to the connection it ran on, a connection is "free" at
 the end of what it has been charged so far, and the statement takes as
 long as its busiest connection.
+
+It is also the one place an executor run is *reported* from. The drivers
+say what happened — a task began or ended on a node (:meth:`begin` /
+:meth:`end`), a unit of connection work was done (:meth:`charge`), the run
+is over (:meth:`settle` / :meth:`abandon`) — and the counters, in-flight
+gauges, wait accounting and the run's entry in the statement record (see
+:mod:`..record`) all follow from that here.
 """
 
 from __future__ import annotations
 
 from ...errors import NodeUnavailable
+from ..record import (BATCH, BEGIN, BLOCKED, BLOCKED_TASK, CLOSE, CONNECT,
+                      DISPATCH, FAILED, FLUSH, OK, TASK, TASKS)
 from .placement import SessionPools
+
+#: The ``Net`` wait event a unit of each kind is accounted as (opening a
+#: transaction block, closing a cursor early and the task that hit a lock
+#: are not waits).
+_WAIT_EVENTS = {TASK: "RemoteExecute", DISPATCH: "RemoteDispatch",
+                BATCH: "RemoteFetch", FLUSH: "RemoteCopy", CLOSE: None,
+                BEGIN: None, BLOCKED_TASK: None}
+
+#: Counter a task's end is counted under (a skipped task never began).
+_OUTCOME_COUNTERS = {"executed": "tasks_executed", "failed": "tasks_failed",
+                     "blocked": "tasks_blocked", "skipped": "tasks_skipped"}
 
 
 class ConnectionTimeline:
     __slots__ = ("ext", "session", "pools", "report", "interval", "conns",
-                 "busy", "preexisting", "used", "connects")
+                 "busy", "preexisting", "used", "driver", "tasks", "base",
+                 "explicit", "units", "counters")
 
-    def __init__(self, executor, session, report, tracing: bool):
-        self.ext = executor.ext
+    def __init__(self, executor, session, report, driver: str, tasks=None):
+        ext = self.ext = executor.ext
         self.session = session
-        self.pools = SessionPools.for_session(session, self.ext)
+        self.pools = SessionPools.for_session(session, ext)
         self.report = report
         self.interval = executor.slow_start_interval
         self.conns: dict[str, list] = {}  # node -> connections in play
         self.busy: dict[int, float] = {}  # id(conn) -> time it is next free
         self.preexisting: set[int] = set()  # cached before this statement
         self.used: set[int] = set()
-        # (node, start, end) of every connection established, for spans.
-        self.connects: list | None = [] if tracing else None
+        self.driver = driver
+        self.tasks = tasks
+        self.base = ext.cluster.clock.now()
+        self.explicit = session.in_transaction
+        counters = self.counters = ext.stat_counters
+        # A blocking-task run has always counted itself before the window
+        # ring looks at the clock, the other two drivers after.
+        if driver is TASKS:
+            counters.incr("executor_statements")
+        #: One tuple per unit of connection work (None: nobody wants them).
+        self.units = ext.telemetry.execution_begin()
+        if driver is not TASKS:
+            counters.incr("executor_statements")
+        counters.gauge_incr("executor_statements_in_flight")
+
+    # ---------------------------------------------------------- connections
 
     def _node_conns(self, node: str) -> list:
         conns = self.conns.get(node)
@@ -98,35 +133,112 @@ class ConnectionTimeline:
         conns.append(conn)
         self.busy[id(conn)] = now + setup
         self.report.connections_opened += 1
-        ext.stat_counters.incr("connections_opened", node=node)
+        self.counters.incr("connections_opened", node=node)
         self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-        if self.connects is not None:
-            self.connects.append((node, now, now + setup))
+        if self.units is not None:
+            self.units.append((CONNECT, -1, node, None, False, now, setup, 0, 0))
         return conn
 
-    def charge(self, conn, cost: float) -> float:
-        """Occupy ``conn`` for ``cost`` simulated seconds from the moment it
-        is free; returns that moment."""
-        start = self.busy[id(conn)]
-        self.busy[id(conn)] = start + cost
-        return start
+    # ------------------------------------------------------------ reporting
 
-    def settle(self) -> None:
-        """Fill the report's connection telemetry; ``report.elapsed`` is
-        the busiest connection's time."""
+    def begin(self, node: str) -> None:
+        """A task (shard stream, COPY channel) is now in flight on ``node``."""
+        self.counters.gauge_incr("tasks_in_flight", node=node)
+
+    def end(self, node: str, outcome: str) -> None:
+        """The task ended: ``executed``, ``failed``, ``blocked`` (it hit a
+        lock and the statement parks or times out — an executor
+        suspension, not a task failure) or ``skipped`` (never begun: the
+        merge was satisfied without it)."""
+        counters = self.counters
+        if outcome != "skipped":
+            counters.gauge_decr("tasks_in_flight", node=node)
+        counters.incr(_OUTCOME_COUNTERS[outcome], node=node)
+
+    def charge(self, conn, cost: float, kind: int, index: int, shard_group,
+               is_write: bool, rows: int, nbytes: int) -> None:
+        """One unit of connection work: occupy ``conn`` for ``cost``
+        simulated seconds from the moment it is free, account the wait,
+        and keep the unit for the record."""
+        start = self.busy[id(conn)]
+        if kind != BLOCKED_TASK:  # parked, not run: the connection is free
+            self.busy[id(conn)] = start + cost
+        node = conn.node_name
+        wait_event = _WAIT_EVENTS[kind]
+        if wait_event is not None:
+            self.session.wait_events.record("Net", wait_event, cost, node=node)
+        if self.units is not None:
+            self.units.append((kind, index, node, shard_group, is_write,
+                               start, cost, rows, nbytes))
+        if kind == BATCH:
+            if rows:
+                report = self.report
+                report.batches_fetched += 1
+                report.bytes_streamed += nbytes
+                self.counters.incr("batches_fetched", node=node)
+                self.counters.incr("bytes_streamed", nbytes, node=node)
+        elif kind == FLUSH:
+            report = self.report
+            report.copy_flushes += 1
+            report.copy_rows_routed += rows
+            report.copy_bytes_streamed += nbytes
+            counters = self.counters
+            counters.incr("copy_flushes", node=node)
+            counters.incr("copy_rows_routed", rows, node=node)
+            counters.incr("copy_bytes_streamed", nbytes, node=node)
+
+    def settle(self, ok: bool = True, overlapped: bool = False) -> None:
+        """The run is over: fill the report's connection telemetry
+        (``report.elapsed`` is the busiest connection's time), advance the
+        clock by it — by what is left of it beyond the time that already
+        passed since the run began, when it ``overlapped`` the work that
+        fed it — and close the run's entry in the record. ``ok`` False: a
+        task failed on the way, so the run counts for nothing but its own
+        cost."""
         report = self.report
+        counters = self.counters
         reusable = self.used & self.preexisting
         for node, conns in self.conns.items():
             report.per_node_connections[node] = len(conns)
             reused = sum(1 for c in conns if id(c) in reusable)
             if reused:
                 report.connections_reused += reused
-                self.ext.stat_counters.incr("connections_reused", reused, node=node)
+                counters.incr("connections_reused", reused, node=node)
         report.connections_used = sum(report.per_node_connections.values())
         report.elapsed = max(self.busy.values(), default=0.0)
         self.session.stats["citus_connections"] += report.connections_opened
+        clock = self.ext.cluster.clock
+        if overlapped:
+            clock.advance(max(0.0, report.elapsed - (clock.now() - self.base)))
+        else:
+            clock.advance(report.elapsed)
+        counters.gauge_decr("executor_statements_in_flight")
+        if report.rows_buffered_peak:
+            counters.gauge_max("rows_buffered_peak", report.rows_buffered_peak)
+        if report.copy_channel_peak_rows:
+            counters.gauge_max("copy_channel_peak_rows",
+                               report.copy_channel_peak_rows)
+        self._close(OK if ok else FAILED)
 
-    def emit_connect_spans(self, tracer, base: float) -> None:
-        for node, start, end in self.connects:
-            tracer.add_span("connect", "network", base + start, base + end,
-                            node=node)
+    def abandon(self, blocked: bool) -> None:
+        """A blocking task raised: the statement fails (or, ``blocked``,
+        parks on the lock it hit) without the run being settled."""
+        self.counters.gauge_decr("executor_statements_in_flight")
+        self.report.elapsed = max(self.busy.values(), default=0.0)
+        self._close(BLOCKED if blocked else FAILED)
+
+    def _close(self, outcome: str) -> None:
+        units = self.units
+        if units is None:
+            return
+        session = self.session
+        # No transaction block, no local xid: the run never reaches the
+        # commit callbacks and its transaction ends with it. Otherwise
+        # they end it, and need to know it touched a shard.
+        autocommit = not (self.explicit or session.remote_txns
+                          or session.xid is not None)
+        if units and not autocommit and outcome is not FAILED:
+            self.pools.touched = True
+        self.ext.telemetry.execution_end(
+            self.driver, session, self.base, units, self.report, self.tasks,
+            outcome, self.explicit, autocommit)

@@ -11,11 +11,11 @@ does flows through those hooks; the engine knows nothing about Citus.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..engine.catalog import Procedure
-from ..engine.stats import StatsRegistry, stats_for
+from ..engine.stats import StatsRegistry
 from ..errors import MetadataError, ReproError
 from ..sql import ast as A
 from .ddl import DistributedDDL
@@ -23,6 +23,7 @@ from .executor.adaptive import AdaptiveExecutor
 from .metadata import FIRST_SHARD_ID, MetadataStore
 from .planner.distributed import make_planner_hook
 from .planner.plan_cache import PlanCache
+from .telemetry import GUCS as TELEMETRY_GUCS, SCOPES, telemetry_for
 from .txn.deadlock import detect_distributed_deadlocks
 from .txn.recovery import recover_prepared_transactions
 from .txn.twopc import TransactionCallbacks
@@ -60,15 +61,14 @@ class CitusConfig:
     # join_order) — a debugging/regression-gate lever, not a paper GUC.
     planner_disabled_tiers: str = ""
     # Distributed-transaction co-access graph + time-windowed statistics
-    # (citus_stat_txn_graph / citus_stat_windows). Off detaches the graph
-    # entirely: the executor and 2PC paths then pay one attribute test.
+    # (citus_stat_txn_graph / citus_stat_windows). Off: executor runs keep
+    # no access units and nothing is folded.
     enable_txn_graph: bool = True
     stat_window_seconds: float = 60.0  # width of one window bucket
     stat_window_buckets: int = 8  # ring retention (closed + current)
     # Active Session History (citus_ash): a deterministic wait/state
     # sampler driven by SimClock observers. Off detaches the observer, so
-    # every clock advance pays one empty-list test and capture surfaces
-    # one ``ext.ash is None`` attribute test.
+    # every clock advance pays one empty-list test.
     enable_ash: bool = True
     ash_sampling_interval: float = 1.0  # virtual seconds between samples
     ash_buffer_size: int = 65536  # ring capacity, in session-samples
@@ -109,23 +109,14 @@ class CitusExtension:
         self.ddl = DistributedDDL(self)
         self.executor = AdaptiveExecutor(self)
         self.txn_callbacks = TransactionCallbacks(self)
-        # Cluster-shared tracer, attached by install_citus. A plain
-        # attribute (not a property) so benchmarks can detach it entirely
-        # for an uninstrumented baseline.
-        self.tracer = None
-        # Cluster-shared co-access graph (citus.enable_txn_graph); None
-        # when disabled, so hot paths gate on a single attribute test.
-        self.txn_graph = None
-        # Cluster-shared Active Session History sampler
-        # (citus.enable_ash); None when disabled.
-        self.ash = None
+        # The cluster-shared telemetry object (repro.citus.telemetry): the
+        # registry, every statistics fold and ring, and the capture methods
+        # the planner, executor and transaction callbacks report through.
+        # The same object is ``instance.telemetry`` on every node.
+        holder = cluster if cluster is not None else self
+        self.telemetry = telemetry_for(
+            holder, cluster.clock if cluster is not None else None)
         self.stats: Counter = Counter()
-        # Ring buffer of PlanSearch records (citus.enable_plan_alternatives),
-        # newest last; drained by citus_plan_alternatives().
-        self.plan_searches: deque = deque(maxlen=128)
-        # citus_stat_counters_reset() baseline for the engine-level
-        # expression-compilation counter (a process-wide monotonic count).
-        self.expr_compile_baseline = 0
         self.failpoints: dict[str, bool] = {}
         self._utility_connections: dict[str, object] = {}
         self._shared_slots: Counter = Counter()  # outgoing conns per worker
@@ -140,8 +131,7 @@ class CitusExtension:
         """The cluster-wide stats registry (``citus_stat_*``): one registry
         per cluster, shared by every node's extension, so counters reflect
         the whole cluster regardless of which node incremented them."""
-        holder = self.cluster if self.cluster is not None else self
-        return stats_for(holder)
+        return self.telemetry.registry
 
     def all_node_names(self) -> list[str]:
         nodes = list(self.metadata.cache.nodes)
@@ -253,16 +243,14 @@ class CitusExtension:
     def run_maintenance(self) -> dict:
         """One maintenance-daemon cycle: 2PC recovery + distributed
         deadlock detection (§3.1's background worker)."""
-        if self.tracer is not None:
-            with self.tracer.operation("maintenance"):
-                return self._run_maintenance_inner()
-        return self._run_maintenance_inner()
-
-    def _run_maintenance_inner(self) -> dict:
-        self.stat_counters.incr("maintenance_cycles")
-        recovered = recover_prepared_transactions(self)
-        cancelled = detect_distributed_deadlocks(self)
-        return {"recovery": recovered, "deadlocks_cancelled": cancelled}
+        operation = self.telemetry.operation("maintenance")
+        try:
+            self.stat_counters.incr("maintenance_cycles")
+            recovered = recover_prepared_transactions(self)
+            cancelled = detect_distributed_deadlocks(self)
+            return {"recovery": recovered, "deadlocks_cancelled": cancelled}
+        finally:
+            self.telemetry.end_operation(operation)
 
     # ------------------------------------------------------ restore points
 
@@ -289,24 +277,9 @@ def install_citus(instance, cluster, config: CitusConfig | None = None,
         ext.metadata.reload(session)
     finally:
         session.close()
-    if cluster is not None:
-        # One tracer per cluster (like the stats registry): spans emitted
-        # by any node's executor, 2PC callbacks, or engine land in the
-        # same trace. Attached to the instance too so the engine's
-        # dispatch/executor layers can reach it without knowing Citus.
-        from .tracing import trace_for
-
-        tracer = trace_for(cluster, cluster.clock)
-        tracer.configure(
-            enabled=ext.config.enable_tracing,
-            buffer_size=ext.config.trace_buffer_size,
-            log_min_duration=ext.config.log_min_duration,
-        )
-        ext.tracer = tracer
-        instance.tracer = tracer
-    _configure_introspection(ext)
-    _configure_txngraph(ext)
-    _configure_ash(ext)
+    # One configuration for the whole cluster (CitusConfig is shared): it
+    # also attaches the telemetry object to every node installed so far.
+    ext.telemetry.configure(ext.config, ext)
     _register_udfs(ext)
     instance.hooks.planner_hooks.append(make_planner_hook(ext))
     instance.hooks.utility_hooks.append(_make_utility_hook(ext))
@@ -318,89 +291,6 @@ def install_citus(instance, cluster, config: CitusConfig | None = None,
         interval=ext.config.deadlock_detection_interval_s,
     )
     return ext
-
-
-# ------------------------------------------------------------ introspection
-
-
-def _configure_introspection(ext: CitusExtension) -> None:
-    """Point every node's engine-level wait-event accounting at the
-    cluster-wide stats registry and attach the shared tenant-stats table
-    (or detach both when ``citus.enable_introspection`` is off — the
-    engine then skips accounting entirely on the hot path)."""
-    from .introspection import tenant_stats_for
-
-    holder = ext.cluster if ext.cluster is not None else ext
-    if ext.config.enable_introspection:
-        registry = stats_for(holder)
-        tenants = tenant_stats_for(holder)
-    else:
-        registry = None
-        tenants = None
-    instances = (ext.cluster.nodes.values() if ext.cluster is not None
-                 else (ext.instance,))
-    for instance in instances:
-        instance.wait_registry = registry
-        instance.tenant_stats = tenants
-
-
-def _configure_txngraph(ext: CitusExtension) -> None:
-    """Attach (or detach) the cluster-shared transaction co-access graph
-    on every node's extension. CitusConfig is shared cluster-wide, so one
-    reconfiguration covers every node; when ``citus.enable_txn_graph`` is
-    off every extension's ``txn_graph`` is None and the executor/2PC
-    capture points reduce to one attribute test."""
-    from .txngraph import txngraph_for
-
-    holder = ext.cluster if ext.cluster is not None else ext
-    if ext.config.enable_txn_graph:
-        clock = ext.cluster.clock if ext.cluster is not None else None
-        graph = txngraph_for(holder, clock, stats_for(holder))
-        graph.configure(ext.config.stat_window_seconds,
-                        ext.config.stat_window_buckets)
-    else:
-        graph = None
-    instances = (ext.cluster.nodes.values() if ext.cluster is not None
-                 else (ext.instance,))
-    for instance in instances:
-        node_ext = instance.extensions.get("citus")
-        if node_ext is not None:
-            node_ext.txn_graph = graph
-    ext.txn_graph = graph
-
-
-def _configure_ash(ext: CitusExtension) -> None:
-    """Attach (or detach) the cluster-shared Active Session History
-    sampler. One sampler per cluster, hooked into the shared SimClock as
-    an observer; the config is shared cluster-wide so one reconfiguration
-    covers every node. When ``citus.enable_ash`` is off the observer is
-    detached (clock advances pay one empty-list test) and every node's
-    ``ext.ash`` is None — but the holder keeps the ring, so toggling the
-    GUC back on via citus_set_config resumes with history intact. A
-    single-node install (no cluster) has no shared clock to observe and
-    stays unsampled."""
-    from .ash import ash_for, holder_has_sampler
-
-    if ext.cluster is None:
-        ext.ash = None
-        return
-    holder = ext.cluster
-    sampler = None
-    if ext.config.enable_ash or holder_has_sampler(holder):
-        sampler = ash_for(holder, ext.cluster.clock, stats_for(holder))
-        sampler.configure(
-            enabled=ext.config.enable_ash,
-            interval=ext.config.ash_sampling_interval,
-            buffer_size=ext.config.ash_buffer_size,
-            ext=ext,
-        )
-        if not ext.config.enable_ash:
-            sampler = None
-    for instance in ext.cluster.nodes.values():
-        node_ext = instance.extensions.get("citus")
-        if node_ext is not None:
-            node_ext.ash = sampler
-    ext.ash = sampler
 
 
 def view_rows(records, columns, sort_key=None) -> list[list]:
@@ -571,22 +461,8 @@ def _register_udfs(ext: CitusExtension) -> None:
             raise MetadataError(f"unknown citus configuration {name!r}")
         current = getattr(ext.config, name)
         setattr(ext.config, name, type(current)(value))
-        if ext.tracer is not None and name in (
-            "enable_tracing", "trace_buffer_size", "log_min_duration"
-        ):
-            ext.tracer.configure(
-                enabled=ext.config.enable_tracing,
-                buffer_size=ext.config.trace_buffer_size,
-                log_min_duration=ext.config.log_min_duration,
-            )
-        if name == "enable_introspection":
-            _configure_introspection(ext)
-        if name in ("enable_txn_graph", "stat_window_seconds",
-                    "stat_window_buckets"):
-            _configure_txngraph(ext)
-        if name in ("enable_ash", "ash_sampling_interval",
-                    "ash_buffer_size"):
-            _configure_ash(ext)
+        if name in TELEMETRY_GUCS:
+            ext.telemetry.configure(ext.config, ext)
         return value
 
     def alter_table_set_access_method(session, table_name, method):
@@ -599,16 +475,14 @@ def _register_udfs(ext: CitusExtension) -> None:
     def citus_stat_counters(session, *rest):
         """Rows of the citus_stat_counters view: [name, node, value] for
         every cluster-wide counter and gauge."""
-        from collections import Counter as _Counter
-
         from ..engine.compile import compile_count
 
         snap = ext.stat_counters.snapshot()
         # Expression compilations happen in the engine layer (shared by all
         # nodes of this process); surfaced here relative to the last reset.
-        compiled = compile_count() - ext.expr_compile_baseline
+        compiled = compile_count() - ext.telemetry.compile_baseline
         if compiled:
-            snap.counters["expr_compile_count"] = _Counter({"": compiled})
+            snap.counters["expr_compile_count"] = Counter({"": compiled})
 
         def records():
             for kind in (snap.counters, snap.gauges):
@@ -617,21 +491,6 @@ def _register_udfs(ext: CitusExtension) -> None:
                         yield {"name": name, "node": node or None, "value": value}
 
         return view_rows(records(), ("name", "node", "value"))
-
-    def _reset_counters():
-        from ..engine.compile import compile_count
-
-        ext.stat_counters.reset()
-        ext.expr_compile_baseline = compile_count()
-
-    def _reset_statements():
-        if ext.tracer is not None:
-            ext.tracer.stat_statements.reset()
-
-    def _reset_tenants():
-        stats = ext.instance.tenant_stats
-        if stats is not None:
-            stats.reset()
 
     def citus_stat_counters_reset(session):
         """citus_stat_counters_reset(): zero the cluster-wide statistics.
@@ -647,8 +506,7 @@ def _register_udfs(ext: CitusExtension) -> None:
         epoch). Statement telemetry has its own reset:
         ``citus_stat_statements_reset()``.
         """
-        _reset_counters()
-        _reset_tenants()
+        ext.telemetry.reset({"counters", "tenants"})
         return True
 
     def citus_explain(session, sql, *rest):
@@ -669,36 +527,13 @@ def _register_udfs(ext: CitusExtension) -> None:
         tier, calls, total_ms, min_ms, max_ms, p50_ms, p95_ms, p99_ms,
         rows, bytes, plan_cache_hits], ordered by total time descending.
         Only statements planned by the distributed planner are tracked."""
-        if ext.tracer is None:
-            return []
-        return ext.tracer.stat_statements.rows()
+        return ext.telemetry.statement_rows()
 
     def citus_stat_statements_reset(session):
         """Clear statement telemetry, plus the tenant statistics derived
         from the same per-statement records."""
-        _reset_statements()
-        _reset_tenants()
+        ext.telemetry.reset({"statements", "tenants"})
         return True
-
-    def _reset_graph():
-        if ext.txn_graph is not None:
-            ext.txn_graph.reset_graph()
-
-    def _reset_windows():
-        if ext.txn_graph is not None:
-            ext.txn_graph.reset_windows()
-
-    def _reset_ash():
-        # The ring survives on the holder while citus.enable_ash is off
-        # (so a re-enable resumes with history); a reset must clear it
-        # either way, without creating a sampler that never existed.
-        from .ash import _HOLDER_ATTR
-
-        sampler = ext.ash
-        if sampler is None and ext.cluster is not None:
-            sampler = getattr(ext.cluster, _HOLDER_ATTR, None)
-        if sampler is not None:
-            sampler.reset()
 
     def citus_stat_reset(session, mode="all"):
         """citus_stat_reset([mode]): one reset to rule them all.
@@ -711,35 +546,23 @@ def _register_udfs(ext: CitusExtension) -> None:
         'ash' (the Active Session History sample ring behind
         citus_ash), or 'all' (the default — every scope above).
         """
-        if mode not in ("counters", "statements", "tenants", "graph",
-                        "windows", "ash", "all"):
+        if mode != "all" and mode not in SCOPES:
             raise MetadataError(
                 f"unknown citus_stat_reset mode {mode!r} "
                 "(expected counters, statements, tenants, graph, "
                 "windows, ash, or all)"
             )
-        if mode in ("counters", "all"):
-            _reset_counters()
-        if mode in ("statements", "all"):
-            _reset_statements()
-        if mode in ("tenants", "all"):
-            _reset_tenants()
-        if mode in ("graph", "all"):
-            _reset_graph()
-        if mode in ("windows", "all"):
-            _reset_windows()
-        if mode in ("ash", "all"):
-            _reset_ash()
+        ext.telemetry.reset(SCOPES if mode == "all" else {mode})
         return mode
 
     def citus_trace_export(session, *rest):
         """Buffered traces as Chrome trace-event JSON (load the string in
         chrome://tracing or Perfetto). Optional argument limits the export
         to the N most recent traces."""
-        if ext.tracer is None:
-            return '{"traceEvents": []}'
+        import json
+
         limit = int(rest[0]) if rest else None
-        return ext.tracer.export_chrome_json(limit)
+        return json.dumps(ext.telemetry.export_chrome(limit), default=str)
 
     def citus_plan_alternatives(session, *rest):
         """The candidate-plan pipeline's PlanSearch records as JSON.
@@ -774,17 +597,15 @@ def _register_udfs(ext: CitusExtension) -> None:
             except UnsupportedDistributedQuery as exc:
                 search.error = str(exc)
             return json.dumps(search.as_dict())
-        return json.dumps([s.as_dict() for s in ext.plan_searches])
+        return json.dumps([s.as_dict() for s in ext.telemetry.plan_searches])
 
     def citus_slow_queries(session, *rest):
         """Slow-query log entries (citus.log_min_duration gate): rows of
         [sql, duration_ms, tier, partition_key, rows, error]."""
-        if ext.tracer is None:
-            return []
         return [
             [e["sql"], e["duration_ms"], e["tier"], e["tenant"],
              e["rows"], e["error"]]
-            for e in ext.tracer.slow_log
+            for e in ext.telemetry.slow_queries()
         ]
 
     def citus_dist_stat_activity(session):
@@ -838,15 +659,13 @@ def _register_udfs(ext: CitusExtension) -> None:
         """Rows of the citus_stat_tenants view, busiest tenant first —
         [tenant_attribute, query_count, rows, total_query_time_ms,
         total_wait_time_ms]."""
-        stats = ext.instance.tenant_stats
-        if stats is None:
-            return []
         return view_rows(
             ({
                 "tenant_attribute": tenant, "query_count": calls,
                 "rows": rows, "total_query_time_ms": query_s * 1000.0,
                 "total_wait_time_ms": wait_s * 1000.0,
-            } for tenant, calls, rows, query_s, wait_s in stats.records()),
+            } for tenant, calls, rows, query_s, wait_s
+                in ext.telemetry.tenant_records()),
             ("tenant_attribute", "query_count", "rows",
              "total_query_time_ms", "total_wait_time_ms"),
         )
@@ -862,7 +681,7 @@ def _register_udfs(ext: CitusExtension) -> None:
         ring. Modes: 'vertices' → per-shard-group rows [shard, txns,
         writes, bytes, tenants, top_tenants]; 'json' → sorted-key JSON
         export with tenant-pair detail; 'dot' → GraphViz source."""
-        graph = ext.txn_graph
+        graph = ext.telemetry.txn_graph()
         mode = rest[0] if rest else None
         if graph is None:
             return "{}" if mode == "json" else (
@@ -887,9 +706,10 @@ def _register_udfs(ext: CitusExtension) -> None:
         p99_ms, txns, txns_multi_group, txns_cross_node, txns_2pc,
         edge_txns, counters], where counters is the sorted-key JSON of
         every cluster counter delta accrued during the bucket."""
-        if ext.txn_graph is None:
+        graph = ext.telemetry.txn_graph()
+        if graph is None:
             return []
-        return view_rows(ext.txn_graph.window_records(), (
+        return view_rows(graph.window_records(), (
             "bucket", "start_s", "end_s", "current", "statements",
             "p50_ms", "p95_ms", "p99_ms", "txns", "txns_multi_group",
             "txns_cross_node", "txns_2pc", "edge_txns", "counters",
@@ -916,7 +736,7 @@ def _register_udfs(ext: CitusExtension) -> None:
           (``node;wclass;event;...;fingerprint count`` lines) for
           flamegraph.pl / speedscope.
         """
-        sampler = ext.ash
+        sampler = ext.telemetry.ash if ext.telemetry.ash.enabled else None
         positional, _named = split_named_args(rest)
         mode = positional[0] if positional and positional[0] is not None \
             else "samples"
@@ -963,8 +783,9 @@ def _register_udfs(ext: CitusExtension) -> None:
         ))
 
     def citus_metrics_snapshot(session, *rest):
-        """All counters, gauges, wait-event totals, histograms, and
-        per-node health in Prometheus text exposition format."""
+        """All counters, gauges, wait-event totals, graph / window / ASH
+        families, ring health and per-node health in Prometheus text
+        exposition format."""
         from .metrics import metrics_snapshot
 
         return metrics_snapshot(ext)

@@ -16,6 +16,8 @@ unique cluster-wide and lets operators correlate a row in
 from __future__ import annotations
 
 from ..sql.deparse import deparse  # noqa: F401  (re-exported for the UDFs)
+from .planner.plan_cache import statement_fingerprint
+from .sharding import statement_facts
 
 GPID_STRIDE = 10_000_000_000
 
@@ -39,11 +41,12 @@ def global_pid(ext, node_name: str, backend_pid: int) -> int:
 class TenantStats:
     """Per-tenant resource accounting (citus_stat_tenants).
 
-    Keyed on the distribution-column value extracted from shard-key
-    filters by the planner hook; statements that touch many tenants (or
-    none, e.g. DDL) are not attributed. Wait seconds come from the
-    session's per-statement wait-event accumulator, so a tenant whose
-    queries spend their time blocked on locks shows that directly.
+    A fold over closed statement records, keyed on the distribution-column
+    value the planner hook extracted from shard-key filters; statements
+    that touch many tenants (or none, e.g. DDL) are not attributed. Wait
+    seconds come from the session's per-statement wait-event accumulator,
+    so a tenant whose queries spend their time blocked on locks shows that
+    directly.
     """
 
     __slots__ = ("entries",)
@@ -52,15 +55,17 @@ class TenantStats:
         # tenant -> [calls, rows, query_seconds, wait_seconds]
         self.entries: dict = {}
 
-    def record(self, tenant, rows: int, query_seconds: float,
-               wait_seconds: float) -> None:
+    def fold(self, record) -> None:
+        tenant = record.tenant
+        if tenant is None:
+            return
         entry = self.entries.get(tenant)
         if entry is None:
             entry = self.entries[tenant] = [0, 0, 0.0, 0.0]
         entry[0] += 1
-        entry[1] += rows
-        entry[2] += query_seconds
-        entry[3] += wait_seconds
+        entry[1] += record.rows or 0
+        entry[2] += record.end - record.start
+        entry[3] += record.wait_seconds
 
     def records(self) -> list[tuple]:
         """(tenant, calls, rows, query_seconds, wait_seconds), busiest
@@ -74,19 +79,6 @@ class TenantStats:
         self.entries.clear()
 
 
-_TENANT_ATTR = "_citus_tenant_stats"
-
-
-def tenant_stats_for(holder) -> TenantStats:
-    """The TenantStats attached to ``holder`` (the cluster, so every
-    node's sessions account into one shared table), creating it lazily."""
-    stats = getattr(holder, _TENANT_ATTR, None)
-    if stats is None:
-        stats = TenantStats()
-        setattr(holder, _TENANT_ATTR, stats)
-    return stats
-
-
 # ------------------------------------------------------------- activity
 
 
@@ -97,37 +89,6 @@ def _statement_text(stmt) -> str | None:
         return deparse(stmt)
     except Exception:
         return f"<{type(stmt).__name__}>"
-
-
-def _statement_fingerprint(stmt, session=None) -> str | None:
-    """Short stable digest of the statement's normalization template
-    (pg_stat_statements' queryid, in spirit). When ``session`` is given
-    the digest is memoized on it keyed by statement identity — the ASH
-    sampler fingerprints the same parked/last statement on every tick,
-    and renormalizing per sample would dominate sampling cost."""
-    if stmt is None:
-        return None
-    if session is not None:
-        cached = getattr(session, "_citus_fp_cache", None)
-        if cached is not None and cached[0] is stmt:
-            return cached[1]
-    from .planner.plan_cache import _normalize_statement
-
-    try:
-        norm = _normalize_statement(stmt)
-    except Exception:
-        norm = None
-    if norm is not None:
-        # The raw normalization template is NUL-separated and long; the
-        # view shows a short stable digest of it.
-        import hashlib
-
-        digest = hashlib.md5(norm[2].encode()).hexdigest()[:16]
-    else:
-        digest = f"{type(stmt).__name__}:{getattr(stmt, 'table', '')}"
-    if session is not None:
-        session._citus_fp_cache = (stmt, digest)
-    return digest
 
 
 def _cluster_instances(ext):
@@ -177,7 +138,9 @@ def activity_records(ext, with_query: bool = True) -> list[dict]:
                 "wait_event": wait.event if wait is not None else None,
                 "citus_tier": getattr(session, "_citus_tier", None),
                 "query": _statement_text(stmt) if with_query else None,
-                "query_fingerprint": _statement_fingerprint(stmt, session),
+                "query_fingerprint": (
+                    statement_fingerprint(statement_facts(stmt))[1]
+                    if stmt is not None else None),
                 "elapsed_ms": elapsed * 1000.0,
                 "session": session,
             })

@@ -8,8 +8,9 @@
   ``wait_time_us:Class.Event`` counters into
   ``citus_wait_events_total{class=...,event=...,node=...}`` and
   ``citus_wait_time_seconds_total{...}``,
-- latency/size histograms as Prometheus summaries (`_count`, `_sum`,
-  quantile gauges),
+- the co-access graph, window ring and ASH families, and for every
+  telemetry ring its capacity, high-water mark and drop count
+  (``citus_telemetry_ring_*{ring=...}``),
 - per-node health: up/down, open connections, parked-statement queue
   depth, and pgbouncer pool lease occupancy.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import re
 
-from ..engine.stats import stats_for
 from ..engine.waitevents import COUNT_PREFIX, TIME_PREFIX
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -56,8 +56,7 @@ def _parse_wait_key(name: str) -> tuple[str, str]:
 
 
 def metrics_snapshot(ext) -> str:
-    registry = stats_for(ext.cluster if ext.cluster is not None else ext)
-    snap = registry.snapshot()
+    snap = ext.stat_counters.snapshot()
     lines: list[str] = []
 
     # --- wait events (pulled out of the counter namespace first) ---
@@ -113,27 +112,8 @@ def metrics_snapshot(ext) -> str:
                 + f" {_format_value(snap.gauges[name][node])}"
             )
 
-    # --- histograms, as summaries ---
-    for name, hist in sorted(registry.histograms().items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        for q, p in (("0.5", 50), ("0.95", 95), ("0.99", 99)):
-            lines.append(
-                metric + _labels(quantile=q)
-                + f" {_format_value(hist.percentile(p))}"
-            )
-        lines.append(f"{metric}_sum {_format_value(hist.sum)}")
-        lines.append(f"{metric}_count {hist.count}")
-
-    # --- transaction co-access graph + window ring ---
-    graph = getattr(ext, "txn_graph", None)
-    if graph is not None:
-        lines.extend(graph.prometheus_lines(_format_value, _labels))
-
-    # --- active session history ring ---
-    sampler = getattr(ext, "ash", None)
-    if sampler is not None:
-        lines.extend(sampler.prometheus_lines(_format_value, _labels))
+    # --- co-access graph + window ring, ASH ring, ring health ---
+    lines.extend(ext.telemetry.prometheus_lines(_format_value, _labels))
 
     # --- per-node health ---
     nodes = ({ext.instance.name: ext.instance} if ext.cluster is None

@@ -336,8 +336,10 @@ def _annotate_cross_shard(ext, explained) -> None:
     """Attach the co-access graph's view of a multi-shard DML statement:
     how many shard groups/nodes this plan spans, and what fraction of
     recent transactions (the window ring) went multi-group/cross-node."""
-    graph = getattr(ext, "txn_graph", None) if ext is not None else None
-    if graph is None or not explained.is_write or explained.task_count <= 1:
+    if not explained.is_write or explained.task_count <= 1:
+        return
+    graph = ext.telemetry.txn_graph()
+    if graph is None:
         return
     groups = {t.shard_group for t in explained.tasks
               if t.shard_group is not None}
@@ -350,9 +352,9 @@ def run_explain_analyze(plan, session, stmt, params=None) -> list[str]:
     """Execute a distributed plan under a trace capture and render the
     EXPLAIN tree annotated with per-task and merge actuals.
 
-    The span tree is collected via :meth:`Tracer.capture`, which works
-    even while tracing is globally disabled; task spans are matched back
-    to the plan's task list by their ``index`` attribute.
+    The span tree is collected via :meth:`Telemetry.capture`, which works
+    whatever the telemetry switches say; task spans are matched back to
+    the plan's task list by their ``index`` attribute.
     """
     try:
         from ..sql.deparse import deparse
@@ -361,20 +363,15 @@ def run_explain_analyze(plan, session, stmt, params=None) -> list[str]:
     except Exception:
         sql = type(stmt).__name__
     explained = describe_plan(plan, sql)
-    ext = getattr(plan, "ext", None)
-    tracer = getattr(ext, "tracer", None) if ext is not None else None
-    if tracer is None:
-        # No tracer attached (detached for benchmarking): execute without
-        # per-task actuals.
+    ext = plan.ext
+    telemetry = ext.telemetry
+    start = telemetry.now()
+    capture = telemetry.capture("explain_analyze")
+    try:
         result = plan.execute(session, params)
-        rows = result.rowcount or len(result.rows)
-        explained.analyze = {"rows": rows, "total_ms": None}
-        _annotate_cross_shard(ext, explained)
-        return explained.as_text().splitlines()
-    start = tracer.clock.now()
-    with tracer.capture("explain_analyze") as root:
-        result = plan.execute(session, params)
-    total_ms = (tracer.clock.now() - start) * 1000.0
+    finally:
+        root = telemetry.end_capture(capture)
+    total_ms = (telemetry.now() - start) * 1000.0
     rows = result.rowcount or len(result.rows)
     analyze: dict = {"rows": rows, "total_ms": total_ms}
     tasks_skipped = 0

@@ -20,10 +20,8 @@ from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, UnsupportedDistributedQuery
 from ...sql import ast as A
 from ..sharding import analyze_statement, statement_facts
-from ..tracing import partition_key_for
 from .fast_path import try_fast_path
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
-from .plan_cache import _normalize_statement
 from .pushdown import plan_pushdown_dml, plan_pushdown_select
 from .router import try_router
 from .tasks import Task, rewrite_to_shard, task_sql_for_shard
@@ -46,102 +44,35 @@ def make_planner_hook(ext):
             facts.local_in = cache
             return None
         ext.stats["distributed_queries"] += 1
-        ext.stat_counters.incr("planner_total")
-        alternatives = ext.config.enable_plan_alternatives
-        plan = ext.plan_cache.lookup(session, stmt, params)
-        cache_hit = plan is not None
-        if plan is None:
-            search = PlanSearch() if alternatives else None
-            try:
+        plan = search = None
+        cache_hit = False
+        try:
+            plan = ext.plan_cache.lookup(session, stmt, params)
+            cache_hit = plan is not None
+            if cache_hit:
+                search = getattr(plan, "search", None)
+            else:
+                if ext.config.enable_plan_alternatives:
+                    search = PlanSearch()
                 plan = plan_statement(ext, session, stmt, params, search=search)
-            except UnsupportedDistributedQuery as exc:
-                # The search (with every tier's rejection reason) is still
-                # recorded so citus_plan_alternatives() can explain why the
-                # statement was unplannable.
                 if search is not None:
-                    search.error = str(exc)
-                    _finish_search(ext, stmt, search)
-                raise
+                    plan.search = search
+                ext.plan_cache.store(stmt, plan)
+        except UnsupportedDistributedQuery as exc:
+            # The search (with every tier's rejection reason) is still
+            # reported so citus_plan_alternatives() can explain why the
+            # statement was unplannable.
             if search is not None:
-                plan.search = search
-                _finish_search(ext, stmt, search)
-            ext.plan_cache.store(stmt, plan)
-        elif alternatives:
-            replayed = getattr(plan, "search", None)
-            if replayed is not None:
-                ext.plan_searches.append(replayed)
-        tier = getattr(plan, "tier", None)
-        if tier:
-            ext.stat_counters.incr(f"planner_{tier}")
-        tracer = ext.tracer
-        tracing = tracer is not None and tracer.active
-        tenant = None
-        if (tracing or ext.instance.tenant_stats is not None
-                or ext.txn_graph is not None):
-            # Tenant attribution works on the raw statement + params, so it
-            # is identical on plan-cache hits and misses — the cached fast
-            # path must still stamp the tenant id.
-            tenant = partition_key_for(ext, stmt, params)
-            session._citus_tier = tier
-            session._citus_tenant = tenant
-        if tracing:
-            _trace_planning(tracer, session, stmt, plan, tier, cache_hit, tenant)
+                search.error = str(exc)
+            raise
+        finally:
+            # Whatever was decided — tier, plan-cache hit, the search, or
+            # that no plan could be made — is reported once, here.
+            ext.telemetry.planned(ext, session, facts, params, plan, cache_hit,
+                                  search)
         return plan
 
     return planner_hook
-
-
-def _statement_fingerprint(stmt) -> str:
-    norm = _normalize_statement(stmt)
-    if norm is not None:
-        return norm[2]
-    # Plan-cache-ineligible shapes (multi-row INSERT, INSERT..SELECT)
-    # still deserve a stat_statements identity, keyed by shape+table.
-    return f"{type(stmt).__name__}:{getattr(stmt, 'table', '')}"
-
-
-def _finish_search(ext, stmt, search: PlanSearch) -> None:
-    """Stamp the statement identity onto a completed search and retain it
-    in the extension's ring buffer (citus_plan_alternatives())."""
-    if search.fingerprint is None:
-        search.fingerprint = _statement_fingerprint(stmt)
-    ext.plan_searches.append(search)
-
-
-def _trace_planning(tracer, session, stmt, plan, tier, cache_hit: bool,
-                    tenant) -> None:
-    """Attach the plan span and statement-level attribution to the active
-    trace. Planning consumes no simulated time, so the span is an instant
-    marker carrying the cascade's decisions."""
-    task_count = None
-    tasks = getattr(plan, "tasks", None)
-    if tasks is None:
-        inner = getattr(plan, "plan", None)
-        tasks = getattr(inner, "tasks", None)
-    if tasks is not None:
-        task_count = len(tasks)
-    attrs = {}
-    search = getattr(plan, "search", None)
-    if search is not None:
-        # Search attributes ride on the plan event, so the Chrome trace
-        # export shows what the cascade considered for every statement.
-        attrs = {
-            "tiers_tried": ",".join(search.tiers_tried),
-            "chosen_cost": search.chosen_cost,
-            "best_alternative_cost": search.best_alternative_cost,
-            "cost_ratio": search.cost_ratio,
-        }
-    tracer.event(
-        "plan", "planner", node=session.instance.name,
-        tier=tier, cached=cache_hit, tasks=task_count, **attrs,
-    )
-    fingerprint = _statement_fingerprint(stmt)
-    tracer.annotate(
-        tier=tier,
-        fingerprint=fingerprint,
-        tenant=tenant,
-        cached=cache_hit,
-    )
 
 
 def _tier_fast_path(ext, session, stmt, params, analysis, search):
@@ -446,11 +377,10 @@ class MultiTaskSelectPlan(CitusPlan):
         statement's whole executor window (the clock advances inside
         ``execution.finish()``)."""
         report = execution.finish()
-        tracer = self.ext.tracer
-        if tracer is not None and tracer.active:
-            tracer.add_span(
-                "merge", "merge", merge_start,
-                self.ext.cluster.clock.now(), strategy=self._merge_label(),
+        telemetry = self.ext.telemetry
+        if telemetry.traced is not None:
+            telemetry.event(
+                "merge", "merge", merge_start, strategy=self._merge_label(),
                 rows=rows,
                 rows_buffered_peak=report.rows_buffered_peak,
                 early_terminated=bool(report.early_terminations),

@@ -34,6 +34,7 @@ cache entry.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field as dc_field
 
 from ...engine.expr import BoundParams
@@ -128,6 +129,31 @@ def _normalize_statement(stmt):
             _fingerprint(template, parts)
             facts.norm = (template, consts, "\x00".join(parts))
     return facts.norm
+
+
+def statement_fingerprint(facts) -> tuple[str, str]:
+    """The statement's identity on the telemetry surfaces, as ``(template,
+    digest)``: the normalization template ``citus_stat_statements`` and the
+    plan-search ring key on, and the short stable digest of it
+    (pg_stat_statements' queryid, in spirit) that the activity view and ASH
+    show. Plan-cache-ineligible shapes (multi-row INSERT, INSERT..SELECT,
+    utility statements) are keyed by shape + table. Memoized on the
+    statement's :class:`~..sharding.StatementFacts`, like the normalization
+    it is made from."""
+    if facts.fingerprint is None:
+        stmt = facts.stmt
+        try:
+            norm = _normalize_statement(stmt)
+        except Exception:
+            norm = None
+        if norm is not None:
+            # The template is NUL-separated and long; views show a digest.
+            digest = hashlib.md5(norm[2].encode()).hexdigest()[:16]
+            facts.fingerprint = (norm[2], digest)
+        else:
+            shape = f"{type(stmt).__name__}:{getattr(stmt, 'table', '')}"
+            facts.fingerprint = (shape, shape)
+    return facts.fingerprint
 
 
 def make_bound(params, consts: dict) -> BoundParams:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine.datum import hash_value
+from ..engine.expr import BoundParams
 from ..engine.lru import LRUCache
 from ..sql import ast as A
 from .metadata import RANGE, DistributedTable, MetadataCache
@@ -441,23 +442,26 @@ UNSET = object()
 class StatementFacts:
     """What the coordinator derives from a statement's AST alone, computed
     once per AST instead of once per execution: the table set, the plan
-    cache's normalization (template, constants, fingerprint) and the
-    tenant extractor, plus the verdict that the statement mentions no
-    Citus table. The verdict and the tenant extractor depend on the Citus
-    metadata, so each remembers the :class:`MetadataCache` it was derived
-    from; ``MetadataStore.reload`` swaps in a new cache object on every
-    metadata change, which invalidates them by identity."""
+    cache's normalization (template, constants, fingerprint), the
+    statement's identity on the telemetry surfaces (that fingerprint and
+    its short digest) and the tenant extractor, plus the verdict that the
+    statement mentions no Citus table. The verdict and the tenant
+    extractor depend on the Citus metadata, so each remembers the
+    :class:`MetadataCache` it was derived from; ``MetadataStore.reload``
+    swaps in a new cache object on every metadata change, which
+    invalidates them by identity."""
 
-    __slots__ = ("stmt", "tables", "local_in", "norm", "tenant_in",
-                 "tenant_plan")
+    __slots__ = ("stmt", "tables", "local_in", "norm", "fingerprint",
+                 "tenant_in", "tenant_plan")
 
     def __init__(self, stmt):
         self.stmt = stmt
         self.tables = tuple(collect_table_names(stmt))
         self.local_in = None  # MetadataCache holding none of ``tables``
         self.norm = UNSET  # filled by plan_cache._normalize_statement
+        self.fingerprint = None  # filled by plan_cache.statement_fingerprint
         self.tenant_in = None  # MetadataCache ``tenant_plan`` is valid for
-        self.tenant_plan = None  # filled by tracing.partition_key_for
+        self.tenant_plan = None  # filled by partition_key_for
 
 
 # Keyed by statement identity: the engine's statement cache returns the
@@ -474,6 +478,135 @@ def statement_facts(stmt) -> StatementFacts:
         facts = StatementFacts(stmt)
         _FACTS.put(key, facts)
     return facts
+
+
+# --------------------------------------------------------- tenant extraction
+
+# Tenant extraction is memoized on the statement's StatementFacts, so the
+# WHERE-clause walk runs once per distinct statement and metadata state;
+# per execution only a pre-compiled value lookup remains.
+
+#: Resolver kinds a tenant expression compiles to (see _compile_tenant_plan).
+_K_VALUE, _K_NAMED, _K_POSITIONAL, _K_EXPR = 0, 1, 2, 3
+
+
+def _find_tenant_exprs(cache, stmt):
+    """Candidate AST expressions holding the statement's distribution-column
+    value (``dist_col = <expr>`` conjuncts, or the INSERT column), or None
+    when the statement is not single-tenant-shaped."""
+    from .planner.fast_path import _is_dist_ref
+
+    if isinstance(stmt, A.Insert):
+        dist = cache.tables.get(stmt.table)
+        if dist is None or dist.is_reference or stmt.select is not None:
+            return None
+        if len(stmt.rows) != 1 or not stmt.columns:
+            return None
+        try:
+            position = stmt.columns.index(dist.dist_column)
+        except ValueError:
+            return None
+        return (stmt.rows[0][position],)
+    if isinstance(stmt, A.Select):
+        if len(stmt.from_items) != 1 or not isinstance(
+            stmt.from_items[0], A.TableRef
+        ):
+            return None
+        dist = cache.tables.get(stmt.from_items[0].name)
+        if dist is None or dist.is_reference:
+            return None
+        where, alias = stmt.where, stmt.from_items[0].ref_name
+    elif isinstance(stmt, (A.Update, A.Delete)):
+        dist = cache.tables.get(stmt.table)
+        if dist is None or dist.is_reference:
+            return None
+        where, alias = stmt.where, stmt.alias or stmt.table
+    else:
+        return None
+    if where is None:
+        return None
+    exprs = []
+    for conjunct in _conjuncts(where):
+        if not (isinstance(conjunct, A.BinaryOp) and conjunct.op == "="):
+            continue
+        left, right = conjunct.left, conjunct.right
+        if _is_dist_ref(right, dist, alias):
+            left, right = right, left
+        if _is_dist_ref(left, dist, alias):
+            exprs.append(right)
+    return tuple(exprs) or None
+
+
+def _compile_tenant_plan(exprs):
+    """Lower candidate expressions into (kind, payload) resolver steps so
+    the per-execution path is a couple of inline dict lookups — no AST
+    dispatch, no _const_of call for the common literal/param shapes."""
+    if not exprs:
+        return None
+    plan = []
+    for expr in exprs:
+        if type(expr) is A.Literal:
+            plan.append((_K_VALUE, expr.value))
+        elif type(expr) is A.Param:
+            if expr.name is not None:
+                plan.append((_K_NAMED, expr.name))
+            elif expr.index is not None:
+                plan.append((_K_POSITIONAL, expr.index))
+        else:
+            # Casts and anything exotic fall back to full constant folding.
+            plan.append((_K_EXPR, expr))
+    return tuple(plan) or None
+
+
+# Lazily bound once on first use (fast_path imports this module); a
+# per-call ``from ... import`` re-runs the importlib machinery on every
+# statement.
+_MISS = _const_of = None
+
+
+def partition_key_for(cache: MetadataCache, facts: StatementFacts, params):
+    """The distribution-column value a single-tenant statement targets
+    (the ``partition_key`` attribute of citus_stat_statements), or None
+    for multi-shard statements."""
+    global _MISS, _const_of
+    if facts.tenant_in is not cache:
+        try:
+            exprs = _find_tenant_exprs(cache, facts.stmt)
+        except Exception:
+            exprs = None
+        facts.tenant_plan = _compile_tenant_plan(exprs)
+        facts.tenant_in = cache
+    plan = facts.tenant_plan
+    if plan is None:
+        return None
+    named = positional = None
+    params_type = type(params)
+    if params_type is dict:
+        named = params
+    elif params_type is BoundParams:
+        named = params.named
+        positional = params.positional
+    elif params_type is list or params_type is tuple:
+        positional = params
+    for kind, payload in plan:
+        if kind == _K_VALUE:
+            return payload
+        if kind == _K_NAMED:
+            if named is not None and payload in named:
+                return named[payload]
+        elif kind == _K_POSITIONAL:
+            if positional is not None and payload <= len(positional):
+                return positional[payload - 1]
+        else:
+            if _const_of is None:
+                from .planner.fast_path import _MISS, _const_of
+            try:
+                value = _const_of(payload, params)
+            except Exception:
+                return None
+            if value is not _MISS:
+                return value
+    return None
 
 
 def prune_shards(table: DistributedTable, where, params=None, alias: str | None = None):

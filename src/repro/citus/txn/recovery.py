@@ -17,18 +17,15 @@ from __future__ import annotations
 from ...errors import ReproError
 
 
-def _timed_recovery(tracer, conn, name: str, gid: str, fn) -> None:
-    """Run one recovery resolution, recording it as a 2pc span sized by
-    the connection's elapsed delta when a trace is being collected."""
-    if tracer is None:
-        fn()
-        return
+def _timed_recovery(telemetry, conn, name: str, gid: str, fn) -> None:
+    """Run one recovery resolution, reporting it as a 2pc span sized by
+    the connection's elapsed delta."""
     before = conn.elapsed
-    start = tracer.clock.now()
+    start = telemetry.now()
     try:
         fn()
     finally:
-        tracer.add_span(name, "2pc", start, start + (conn.elapsed - before),
+        telemetry.event(name, "2pc", start, start + (conn.elapsed - before),
                         node=conn.node_name, gid=gid)
 
 
@@ -69,16 +66,14 @@ def recover_prepared_transactions(ext) -> dict:
                     continue  # the coordinator transaction has not ended yet
                 known_gids.add(gid)
                 conn = ext.worker_connection(node)
-                tracer = ext.tracer
-                if tracer is None or not tracer.active:
-                    tracer = None
+                telemetry = ext.telemetry
                 if ext.metadata.commit_record_exists(session, gid):
-                    _timed_recovery(tracer, conn, "2pc.recover_commit", gid,
+                    _timed_recovery(telemetry, conn, "2pc.recover_commit", gid,
                                     lambda: conn.execute(f"COMMIT PREPARED '{gid}'"))
                     stats["committed"] += 1
                     counters.incr("recovery_committed", node=node)
                 else:
-                    _timed_recovery(tracer, conn, "2pc.recover_abort", gid,
+                    _timed_recovery(telemetry, conn, "2pc.recover_abort", gid,
                                     lambda: conn.execute(f"ROLLBACK PREPARED '{gid}'"))
                     stats["aborted"] += 1
                     counters.incr("recovery_aborted", node=node)

@@ -34,31 +34,23 @@ class TransactionCallbacks:
     def __init__(self, ext):
         self.ext = ext
 
-    def _tracer(self):
-        """The active tracer, or None when nothing is collecting. 2PC
-        spans get their extent from per-connection elapsed deltas — the
-        commit path never advances the cluster clock, so span times are
+    def _timed(self, session, conn, name: str, wait_event: str, fn, **attrs):
+        """Run ``fn()`` and report it as a commit phase: a TwoPC wait event
+        on the coordinator session and a 2pc span in the open statement
+        record, both sized by the connection's elapsed delta — the commit
+        path never advances the cluster clock, so phase times are
         reconstructed the same way the executor's timeline is."""
-        tracer = self.ext.tracer
-        if tracer is not None and tracer.active:
-            return tracer
-        return None
-
-    @staticmethod
-    def _timed(session, tracer, conn, name: str, wait_event: str, fn, **attrs):
-        """Run ``fn()``, record it as a TwoPC wait event on the coordinator
-        session (sized by the connection's elapsed delta), and — while a
-        trace is being collected — as a 2pc-phase span."""
         before = conn.elapsed
-        start = tracer.clock.now() if tracer is not None else 0.0
+        telemetry = self.ext.telemetry
+        start = telemetry.now()
         try:
             return fn()
         finally:
             delta = conn.elapsed - before
             session.wait_events.record("TwoPC", wait_event, delta,
                                        node=conn.node_name)
-            if tracer is not None:
-                tracer.add_span(name, "2pc", start, start + delta,
+            if telemetry.traced is not None:
+                telemetry.event(name, "2pc", start, start + delta,
                                 node=conn.node_name, **attrs)
 
     # ----------------------------------------------------------- pre-commit
@@ -81,18 +73,11 @@ class TransactionCallbacks:
             pools.end_transaction()
             return
         counters = self.ext.stat_counters
-        tracer = self._tracer()
-        graph = self.ext.txn_graph
-        access = graph.access_of(session) if graph is not None else None
-        access_attrs = (access.summary()
-                        if access is not None and tracer is not None else {})
         if len(writers) == 1:
             # Single worker transaction: delegate, no 2PC needed (§3.7.1).
             conn = writers[0]
-            if access is not None:
-                access.onepc = True
-            self._timed(session, tracer, conn, "commit.1pc", "Commit1PC",
-                        lambda: conn.execute("COMMIT"), **access_attrs)
+            self._timed(session, conn, "commit.1pc", "Commit1PC",
+                        lambda: conn.execute("COMMIT"))
             conn.in_txn_block = False
             session.stats["citus_1pc_commits"] += 1
             counters.incr("onepc_commits", node=conn.node_name)
@@ -103,14 +88,13 @@ class TransactionCallbacks:
         self.ext.stats["2pc_count"] += 1
         session.stats["citus_2pc_commits"] += 1
         counters.incr("twopc_transactions")
-        if access is not None:
-            access.twopc = True
+        pools.twopc = True
         participants = writers
         for conn in participants:
             gid = make_gid(self.ext.instance.name, session.backend_pid)
             try:
                 self._timed(
-                    session, tracer, conn, "2pc.prepare", "Prepare",
+                    session, conn, "2pc.prepare", "Prepare",
                     lambda c=conn, g=gid: c.execute(f"PREPARE TRANSACTION '{g}'"),
                     gid=gid,
                 )
@@ -133,9 +117,8 @@ class TransactionCallbacks:
         # Commit records: become durable together with the local commit.
         for _conn, gid in prepared:
             self.ext.metadata.write_commit_record(session, gid)
-        if tracer is not None:
-            tracer.event("2pc.commit_records", "2pc", records=len(prepared),
-                         **access_attrs)
+        self.ext.telemetry.event("2pc.commit_records", "2pc",
+                                 records=len(prepared))
         session._citus_prepared = prepared  # handed to post-commit
 
     # ---------------------------------------------------------- post-commit
@@ -143,14 +126,13 @@ class TransactionCallbacks:
     def post_commit(self, session) -> None:
         prepared = getattr(session, "_citus_prepared", None)
         if prepared:
-            tracer = self._tracer()
             for conn, gid in prepared:
                 if self.ext.failpoints.get("skip_commit_prepared"):
                     # Failure injection: leave the prepared transaction for
                     # the recovery daemon.
                     continue
                 self._timed(
-                    session, tracer, conn, "2pc.commit_prepared",
+                    session, conn, "2pc.commit_prepared",
                     "CommitPrepared",
                     lambda c=conn, g=gid: _best_effort(c, f"COMMIT PREPARED '{g}'"),
                     gid=gid,
@@ -162,24 +144,24 @@ class TransactionCallbacks:
         pools = getattr(session, SessionPools.ATTR, None)
         if pools is not None:
             pools.end_transaction()
-        graph = self.ext.txn_graph
-        if graph is not None:
-            # The transaction is durably committed everywhere: fold its
-            # access set (collected across every statement and tagged
-            # 1PC/2PC by pre-commit) into the co-access graph.
-            graph.fold(session)
+            if pools.touched:
+                # Durably committed everywhere: the transaction that
+                # touched those shards is over. (For an autocommit 2PC this
+                # is the commit of the first commit record, written on the
+                # same session — before the second phase.)
+                self.ext.telemetry.txn_end(session, True, pools.twopc)
+            pools.touched = pools.twopc = False
 
     # --------------------------------------------------------------- abort
 
     def abort(self, session) -> None:
-        tracer = self._tracer()
         prepared = getattr(session, "_citus_prepared", None)
         if prepared:
             # The local commit failed after phase one: without visible
             # commit records, recovery must abort these; do it eagerly.
             for conn, gid in prepared:
                 self._timed(
-                    session, tracer, conn, "2pc.rollback_prepared",
+                    session, conn, "2pc.rollback_prepared",
                     "RollbackPrepared",
                     lambda c=conn, g=gid: _best_effort(c, f"ROLLBACK PREPARED '{g}'"),
                     gid=gid,
@@ -192,13 +174,13 @@ class TransactionCallbacks:
         if pools is None:
             return
         for conn in pools.txn_connections():
-            self._timed(session, tracer, conn, "rollback", "Rollback",
+            self._timed(session, conn, "rollback", "Rollback",
                         lambda c=conn: _best_effort(c, "ROLLBACK"))
             conn.in_txn_block = False
         pools.end_transaction()
-        graph = self.ext.txn_graph
-        if graph is not None:
-            graph.abort_txn(session)
+        if pools.touched:
+            self.ext.telemetry.txn_end(session, False)
+        pools.touched = pools.twopc = False
 
 
 def _best_effort(conn, sql: str) -> None:

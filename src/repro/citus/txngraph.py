@@ -3,10 +3,12 @@
 The multi-tenant story (§2, §3.8) hinges on keeping transactions
 single-node; the substrate a co-location policy needs is an *observed*
 record of which shards transactions actually touch together. This module
-records, at distributed-transaction end (the 1PC and 2PC commit paths and
-the adaptive executor's autocommit statement end), the transaction's
-**access set** — (node, shard group, tenant distribution key, read/write
-role, bytes) — and folds it into a weighted co-access graph:
+folds closed statement records (:mod:`.record`) into that: a record's
+executor runs carry one unit per piece of connection work — (node, shard
+group, read/write, bytes) — and a transaction's **access set** is the
+union over its statements' runs, tagged with each statement's tenant. When
+the transaction ends (a ``TXN`` event from the 1PC/2PC callbacks, or an
+autocommit statement's own end) the set is folded into a weighted graph:
 
 - **vertex** = one co-located shard group, with lifetime txn/write/byte
   totals and a per-tenant touch count;
@@ -22,23 +24,27 @@ at bucket open), a latency histogram of executor statements that *ended*
 in it, and the co-access edges folded in it — so recent behavior is
 queryable separately from lifetime aggregates, and edge recency (the
 "recent" weight Lion-style policies want) falls out of the ring for free.
+Buckets roll eagerly (one compare where an executor run begins and ends
+and where a transaction ends — :meth:`~.telemetry.Telemetry.tick`); what
+goes *into* a bucket is folded later, addressed by the bucket index the
+event was stamped with.
 
 Everything is driven by virtual time and deterministic insertion order, so
 two same-seed runs serialize byte-for-byte identical graph and window
 dumps.
-
-Cost model: the graph is attached to the extension as a plain attribute
-(``ext.txn_graph``), ``None`` when ``citus.enable_txn_graph`` is off, so
-the executor's hot path pays exactly one attribute load + ``is None`` test
-per capture point when disabled.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, deque
 
 from ..engine.stats import LogHistogram, StatsRegistry
+from .record import (ABORT, BEGIN, BLOCKED, DISPATCH, E_ATTRS, E_CAT, E_NAME,
+                     E_START, EXECUTION, OK, TXN, U_BYTES, U_GROUP, U_KIND, U_NODE, U_WRITE,
+                     X_AUTOCOMMIT, X_BUCKET, X_EXPLICIT, X_OUTCOME, X_REPORT,
+                     X_SESSION, X_TENANT, X_UNITS, StatementRecord)
 
 #: Transactions touching more shard groups than this skip pairwise edge
 #: folding (the vertex totals still update) — a 32-shard analytical scan
@@ -57,50 +63,15 @@ def group_label(group) -> str:
     return f"c{group[0]}.s{group[1]}"
 
 
-class TxnAccessSet:
-    """Per-session collector: the access set of the transaction in flight.
+class _OpenTxn:
+    """The access set of one session's distributed transaction in flight:
+    ``(node, shard_group, tenant) -> [writes, bytes]``."""
 
-    ``pending`` holds the statement currently executing (discarded
-    wholesale if the statement fails or parks); ``txn`` accumulates the
-    committed statements of an explicit transaction block. Keys are
-    ``(node, shard_group, tenant)``; values are ``[reads, writes, bytes]``.
-    """
-
-    __slots__ = ("pending", "txn", "explicit", "twopc", "onepc")
+    __slots__ = ("entries", "explicit")
 
     def __init__(self):
-        self.pending: dict = {}
-        self.txn: dict = {}
+        self.entries: dict = {}
         self.explicit = False
-        self.twopc = False
-        self.onepc = False
-
-    def commit_statement(self) -> None:
-        """The statement succeeded: move its accesses into the txn set."""
-        if not self.pending:
-            return
-        txn = self.txn
-        for key, entry in self.pending.items():
-            kept = txn.get(key)
-            if kept is None:
-                txn[key] = entry
-            else:
-                kept[0] += entry[0]
-                kept[1] += entry[1]
-                kept[2] += entry[2]
-        self.pending = {}
-
-    def discard_statement(self) -> None:
-        self.pending = {}
-
-    def reset(self) -> None:
-        self.pending = {}
-        self.txn = {}
-        self.explicit = False
-        self.twopc = False
-        self.onepc = False
-
-    # ------------------------------------------------------------ summary
 
     def summary(self) -> dict:
         """Access-set attributes for 2PC/1PC trace spans: distinct nodes,
@@ -108,13 +79,12 @@ class TxnAccessSet:
         nodes: set = set()
         groups: set = set()
         tenants: set = set()
-        for source in (self.txn, self.pending):
-            for node, group, tenant in source:
-                nodes.add(node)
-                if group is not None:
-                    groups.add(group)
-                if tenant is not None:
-                    tenants.add(str(tenant))
+        for node, group, tenant in self.entries:
+            nodes.add(node)
+            if group is not None:
+                groups.add(group)
+            if tenant is not None:
+                tenants.add(str(tenant))
         return {
             "access_nodes": sorted(nodes)[:_SPAN_ATTR_CAP],
             "access_groups": sorted(group_label(g) for g in groups)[:_SPAN_ATTR_CAP],
@@ -166,6 +136,10 @@ class WindowRing:
         self.nbuckets = 0
         self.ring: deque = deque()
         self.current: _Bucket | None = None
+        #: While the clock reads less than this, it is still inside the
+        #: current bucket — the boundary test without the division (a hair
+        #: early, so that ``int(t / width)`` alone decides at the boundary).
+        self.safe_until = -math.inf
 
     def configure(self, width: float, nbuckets: int) -> None:
         width = float(width)
@@ -181,6 +155,7 @@ class WindowRing:
         with a fresh counter baseline (reset-mid-bucket semantics)."""
         self.ring = deque(maxlen=max(0, self.nbuckets - 1))
         self.current = None
+        self.safe_until = -math.inf
 
     # ------------------------------------------------------------ rolling
 
@@ -209,7 +184,19 @@ class WindowRing:
                 gap.closed = True
                 self.ring.append(gap)
         self.current = _Bucket(index, baseline=self.registry.snapshot())
+        self.safe_until = (index + 1) * self.width * (1.0 - 1e-9)
         return self.current
+
+    def at(self, index) -> _Bucket | None:
+        """The retained bucket with this index (what a fold addresses an
+        observation to), or None once it has left the ring."""
+        current = self.current
+        if current is not None and current.index == index:
+            return current
+        for bucket in self.ring:
+            if bucket.index == index:
+                return bucket
+        return None
 
     # ------------------------------------------------------------ reading
 
@@ -272,15 +259,8 @@ class _VertexStats:
 
 
 class TxnGraph:
-    """The cluster-shared co-access graph + window ring.
-
-    One instance per cluster (attached via :func:`txngraph_for`, like the
-    stats registry and tracer), reached from the executor and the 2PC
-    callbacks through ``ext.txn_graph`` — ``None`` when the GUC is off.
-    """
-
-    #: Session attribute holding the per-transaction access collector.
-    ATTR = "_citus_txn_access"
+    """The cluster-shared co-access graph + window ring: a fold over
+    closed statement records, run by :class:`~.telemetry.Telemetry`."""
 
     def __init__(self, clock, registry: StatsRegistry):
         self.clock = clock
@@ -289,6 +269,8 @@ class TxnGraph:
         self.edges: dict[tuple, _EdgeStats] = {}
         self.vertices: dict[tuple, _VertexStats] = {}
         self.wide_txns = 0
+        #: session key -> the transaction that session has in flight.
+        self.open: dict[tuple, _OpenTxn] = {}
 
     def configure(self, window_seconds: float, window_buckets: int) -> None:
         self.windows.configure(window_seconds, window_buckets)
@@ -296,83 +278,82 @@ class TxnGraph:
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
 
-    # ------------------------------------------------------------ capture
-
-    def access_of(self, session) -> TxnAccessSet | None:
-        return getattr(session, self.ATTR, None)
-
-    def note_access(self, session, node: str, group, is_write: bool,
-                    nbytes: int) -> None:
-        """Record one task/stream/flush touching a shard group. Called from
-        the executor's capture points only while the graph is enabled."""
-        acc = getattr(session, self.ATTR, None)
-        if acc is None:
-            acc = TxnAccessSet()
-            setattr(session, self.ATTR, acc)
-        if session.in_transaction:
-            acc.explicit = True
-        key = (node, group, getattr(session, "_citus_tenant", None))
-        entry = acc.pending.get(key)
-        if entry is None:
-            acc.pending[key] = [0 if is_write else 1, 1 if is_write else 0,
-                                nbytes]
-        else:
-            entry[1 if is_write else 0] += 1
-            entry[2] += nbytes
-
-    def statement_begin(self) -> None:
-        """Roll the window ring at statement start, so the statement's
-        counter increments accrue to the bucket containing its start."""
-        self.windows.roll(self._now())
-
-    def statement_done(self, session, elapsed: float) -> None:
-        """Executor statement end: observe its latency into the bucket
-        containing its end time, commit its accesses into the transaction
-        set, and — for autocommit statements that will never reach the
-        commit callbacks (no local xid, no registered worker transactions)
-        — fold the access set immediately."""
-        bucket = self.windows.roll(self._now())
-        if bucket is not None:
-            bucket.statements += 1
-            bucket.hist.observe(elapsed)
-        acc = getattr(session, self.ATTR, None)
-        if acc is None:
-            return
-        acc.commit_statement()
-        if (not session.in_transaction and not session.remote_txns
-                and session.xid is None):
-            self.fold(session)
-
-    def discard_statement(self, session) -> None:
-        acc = getattr(session, self.ATTR, None)
-        if acc is not None:
-            acc.discard_statement()
-
-    def abort_txn(self, session) -> None:
-        acc = getattr(session, self.ATTR, None)
-        if acc is None:
-            return
-        if acc.txn or acc.pending:
-            self.registry.incr("txngraph_txns_aborted")
-        acc.reset()
-
     # --------------------------------------------------------------- fold
 
-    def fold(self, session) -> None:
-        """Transaction end: classify the collected access set, update the
-        lifetime graph and the current window bucket, bump the shared
-        counters, and clear the collector."""
-        acc = getattr(session, self.ATTR, None)
-        if acc is None:
+    def fold(self, record: StatementRecord) -> None:
+        """One closed record, events in the order they happened: each
+        executor run that counts is observed into the window bucket it
+        ended in and its units join the session's transaction; a TXN event
+        (or an autocommit statement that never reaches the commit
+        callbacks) ends that transaction."""
+        for event in record.events:
+            cat = event[E_CAT]
+            if cat is TXN:
+                key, twopc, bucket = event[E_ATTRS]
+                self.end_txn(key, event[E_NAME] is not ABORT, twopc, bucket,
+                             record)
+                continue
+            if cat is not EXECUTION:
+                continue
+            payload = event[E_ATTRS]
+            outcome = payload[X_OUTCOME]
+            if outcome is BLOCKED and record.error is None:
+                # Parked on a lock, then completed: it ended when the
+                # statement did, after waiting that long.
+                bucket = record.bucket
+                elapsed = record.end - event[E_START]
+            elif outcome is OK:
+                bucket = payload[X_BUCKET]
+                elapsed = payload[X_REPORT].elapsed
+            else:
+                continue
+            slot = self.windows.at(bucket)
+            if slot is not None:
+                slot.statements += 1
+                slot.hist.observe(elapsed)
+            key = payload[X_SESSION]
+            txn = self.open.get(key)
+            if txn is None:
+                txn = self.open[key] = _OpenTxn()
+            if payload[X_EXPLICIT]:
+                txn.explicit = True
+            entries = txn.entries
+            tenant = payload[X_TENANT]
+            for unit in payload[X_UNITS]:
+                kind = unit[U_KIND]
+                if kind <= BEGIN:  # CONNECT, BEGIN: not accesses
+                    continue
+                access = (unit[U_NODE], unit[U_GROUP], tenant)
+                entry = entries.get(access)
+                if entry is None:
+                    entry = entries[access] = [0, 0]
+                if unit[U_WRITE]:
+                    entry[0] += 1
+                # A read is noted at dispatch; its bytes accrue per fetch.
+                if kind != DISPATCH:
+                    entry[1] += unit[U_BYTES]
+            if payload[X_AUTOCOMMIT]:
+                self.end_txn(key, True, False, bucket)
+
+    def end_txn(self, key, committed: bool, twopc: bool, bucket,
+                record: StatementRecord | None = None) -> None:
+        """The session's transaction ended: classify its access set,
+        update the lifetime graph and the window bucket it ended in, bump
+        the shared counters. An abort only counts itself. ``record`` is
+        the statement that ran the commit callbacks, whose commit spans
+        show the access summary."""
+        txn = self.open.pop(key, None)
+        if txn is None or not txn.entries:
             return
-        acc.commit_statement()
-        entries = acc.txn
-        if not entries:
-            acc.reset()
+        registry = self.registry
+        if not committed:
+            registry.incr("txngraph_txns_aborted")
             return
+        if record is not None and record.traced:
+            record.access = txn.summary()
         nodes: set = set()
         groups: dict[tuple, list] = {}  # group -> [writes, bytes, tenants set]
-        for (node, group, tenant), (reads, writes, nbytes) in entries.items():
+        for (node, group, tenant), (writes, nbytes) in txn.entries.items():
             nodes.add(node)
             if group is None:
                 continue
@@ -384,13 +365,10 @@ class TxnGraph:
             if tenant is not None:
                 info[2].add(str(tenant))
 
-        twopc = acc.twopc
         cross_node = len(nodes) > 1
         multi_group = len(groups) > 1
-        explicit = acc.explicit
         kind = "twopc" if twopc else ("cross_node" if cross_node
                                       else "single_node")
-        registry = self.registry
         registry.incr("txngraph_txns")
         if multi_group:
             registry.incr("txngraph_txns_multi_group")
@@ -398,20 +376,20 @@ class TxnGraph:
             registry.incr("txngraph_txns_cross_node")
         if twopc:
             registry.incr("txngraph_txns_2pc")
-        if explicit:
+        if txn.explicit:
             registry.incr("txngraph_txns_block")
             if multi_group:
                 registry.incr("txngraph_txns_block_multi_group")
 
-        bucket = self.windows.roll(self._now())
-        if bucket is not None:
-            bucket.txns += 1
+        slot = self.windows.at(bucket)
+        if slot is not None:
+            slot.txns += 1
             if multi_group:
-                bucket.multi_group += 1
+                slot.multi_group += 1
             if cross_node:
-                bucket.cross_node += 1
+                slot.cross_node += 1
             if twopc:
-                bucket.twopc += 1
+                slot.twopc += 1
 
         for group, (writes, nbytes, tenants) in groups.items():
             vertex = self.vertices.get(group)
@@ -449,9 +427,8 @@ class TxnGraph:
                                 ",".join(sorted(info_b[2])) or None)
                         if pair != (None, None):
                             edge.tenant_pairs[pair] += 1
-                        if bucket is not None:
-                            bucket.edges[key] += 1
-        acc.reset()
+                        if slot is not None:
+                            slot.edges[key] += 1
 
     # ------------------------------------------------------------ resets
 
@@ -628,17 +605,3 @@ class TxnGraph:
             lines.append("# TYPE citus_txn_window_statement_p99_seconds gauge")
             lines.extend(window_p99)
         return lines
-
-
-_HOLDER_ATTR = "_citus_txn_graph"
-
-
-def txngraph_for(holder, clock, registry: StatsRegistry) -> TxnGraph:
-    """The co-access graph attached to ``holder`` (the cluster), creating
-    it on first use — the same holder-attribute pattern as ``stats_for``
-    and ``trace_for``, so every node's extension folds into one graph."""
-    graph = getattr(holder, _HOLDER_ATTR, None)
-    if graph is None:
-        graph = TxnGraph(clock, registry)
-        setattr(holder, _HOLDER_ATTR, graph)
-    return graph

@@ -935,17 +935,20 @@ class LocalExecutor:
 
     def execute_select(self, select: A.Select, params, outer: EvalContext | None = None,
                        cte_env: dict | None = None) -> QueryResult:
-        tracer = self.instance.tracer
-        if tracer is not None and tracer.active:
-            # Inside a traced statement (or EXPLAIN ANALYZE capture), each
-            # engine-level select — the coordinator merge query, local-tier
-            # statements, InitPlans — shows up as its own span.
-            with tracer.span("select", "engine", node=self.instance.name) as span:
-                result = self._execute_select_impl(select, params, outer, cte_env)
-                if span is not None:
-                    span.attrs["rows"] = len(result.rows)
-                return result
-        return self._execute_select_impl(select, params, outer, cte_env)
+        telemetry = self.instance.telemetry
+        if telemetry is None or telemetry.traced is None:
+            return self._execute_select_impl(select, params, outer, cte_env)
+        # Inside a statement whose spans are kept (or an EXPLAIN ANALYZE
+        # capture), each engine-level select — the coordinator merge query,
+        # local-tier statements, InitPlans — shows up as its own span.
+        span = telemetry.enter("select", "engine", self.instance.name)
+        rows = None
+        try:
+            result = self._execute_select_impl(select, params, outer, cte_env)
+            rows = len(result.rows)
+            return result
+        finally:
+            telemetry.exit(span, rows)
 
     def _execute_select_impl(self, select: A.Select, params,
                              outer: EvalContext | None = None,

@@ -106,17 +106,19 @@ class PostgresInstance:
         self.is_up = True
         # Extensions record themselves here (CREATE EXTENSION equivalent).
         self.extensions: dict[str, object] = {}
-        # Statement tracer (repro.citus.tracing.Tracer); installed by the
-        # coordinator's extension, None on plain/worker instances.
-        self.tracer = None
+        # What records this node's statements, or None on a plain
+        # instance: an object with open() / leave() / close() / resume() /
+        # restore() for the statement lifetime and enter() / exit() /
+        # event() for spans inside it, whose ``current`` is the open
+        # statement record (None: none) and ``traced`` the same while span
+        # detail is wanted (install_citus attaches the cluster's
+        # repro.citus.telemetry.Telemetry to every node).
+        self.telemetry = None
         # Where sessions fold cumulative wait-event time (see
         # repro.engine.waitevents). Per-instance registry by default;
         # install_citus repoints every node at the shared cluster registry.
         # None disables wait accounting entirely.
         self.wait_registry = stats_for(self)
-        # Per-tenant call/row/time aggregation (repro.citus.introspection
-        # TenantStats); attached by install_citus, None on plain instances.
-        self.tenant_stats = None
 
     # -------------------------------------------------------- connections
 
@@ -158,52 +160,63 @@ class PostgresInstance:
         """Retry parked (lock-waiting) statements; returns how many made
         progress. Called after every lock release."""
         progressed = 0
+        telemetry = self.telemetry
         for parked in list(self._parked):
             if parked.done:
                 self._parked.remove(parked)
                 continue
-            remote = getattr(parked, "remote_handle", None)
-            if remote is not None:
-                # Waiting on a worker-side statement: poll, don't re-execute.
-                if not remote.done:
-                    continue
-                self._parked.remove(parked)
-                if remote.error is not None:
-                    parked.session._statement_failed(remote.error)
-                    parked.fail(remote.error)
-                else:
-                    parked.session._statement_succeeded()
-                    parked.succeed(remote.result)
-                progressed += 1
+            if telemetry is None:
+                progressed += self._retry(parked)
                 continue
-            if parked.session.xid in self.cancel_requests:
-                self.cancel_requests.discard(parked.session.xid)
-                self._parked.remove(parked)
-                parked.session._fail_transaction()
-                parked.fail(QueryCanceled(
-                    "canceling statement due to deadlock victim cancellation"
-                ))
-                progressed += 1
-                continue
+            # What happens on the statement's behalf from here on belongs
+            # to the record it was part of when it parked.
+            outer = telemetry.resume(parked.record)
             try:
-                result = parked.session._execute_statement(
-                    parked.stmt, parked.params, parked.copy_data
-                )
-            except WouldBlock as block:
-                parked.session._register_wait(block)
-                continue
-            except SQLError as exc:
-                self._parked.remove(parked)
-                parked.session._statement_failed(exc)
-                parked.fail(exc)
-                progressed += 1
-                continue
-            self._parked.remove(parked)
-            parked.session.locks_cleared_wait()
-            parked.session._statement_succeeded()
-            parked.succeed(result)
-            progressed += 1
+                progressed += self._retry(parked)
+            finally:
+                telemetry.restore(outer)
         return progressed
+
+    def _retry(self, parked: "_ParkedStatement") -> bool:
+        """Retry or resolve one parked statement; True if it progressed."""
+        remote = getattr(parked, "remote_handle", None)
+        if remote is not None:
+            # Waiting on a worker-side statement: poll, don't re-execute.
+            if not remote.done:
+                return False
+            self._parked.remove(parked)
+            if remote.error is not None:
+                parked.session._statement_failed(remote.error)
+                parked.fail(remote.error)
+            else:
+                parked.session._statement_succeeded()
+                parked.succeed(remote.result)
+            return True
+        if parked.session.xid in self.cancel_requests:
+            self.cancel_requests.discard(parked.session.xid)
+            self._parked.remove(parked)
+            parked.session._fail_transaction()
+            parked.fail(QueryCanceled(
+                "canceling statement due to deadlock victim cancellation"
+            ))
+            return True
+        try:
+            result = parked.session._execute_statement(
+                parked.stmt, parked.params, parked.copy_data
+            )
+        except WouldBlock as block:
+            parked.session._register_wait(block)
+            return False
+        except SQLError as exc:
+            self._parked.remove(parked)
+            parked.session._statement_failed(exc)
+            parked.fail(exc)
+            return True
+        self._parked.remove(parked)
+        parked.session.locks_cleared_wait()
+        parked.session._statement_succeeded()
+        parked.succeed(result)
+        return True
 
     def park(self, parked: "_ParkedStatement") -> None:
         self._parked.append(parked)
@@ -291,6 +304,9 @@ class _ParkedStatement:
     error: Optional[Exception] = None
     # Set when the wait is on a worker node: the worker-side parked handle.
     remote_handle: object = None
+    # The telemetry record the statement was part of when it parked (its
+    # own, or the coordinating statement's for a worker backend).
+    record: object = None
 
     def succeed(self, result):
         self.done = True
@@ -302,7 +318,7 @@ class _ParkedStatement:
     def fail(self, error):
         self.done = True
         self.error = error
-        self.session._finish_activity(None)
+        self.session._finish_activity(None, error)
         if self.on_done:
             self.on_done(self)
 
@@ -350,6 +366,9 @@ class Session:
         self.last_query_seconds = 0.0
         self._activity_depth = 0
         self._stmt_wait = None
+        # The statement record this session opened and its activity window
+        # will close (see PostgresInstance.telemetry); None: not recorded.
+        self.record = None
         # Stamped by the Citus planner hook for tenant/tier attribution.
         self._citus_tenant = None
         self._citus_tier = None
@@ -653,44 +672,51 @@ class Session:
             self.query_start_at = self.instance.now()
             self.state = "active"
             self.wait_events.statement_seconds = 0.0
-        # Statement tracing: when a tracer is installed (coordinator with
-        # the Citus extension) and either enabled or mid-capture, wrap the
-        # dispatch in a statement span. Worker instances carry no tracer,
-        # so the hot remote-execution path pays one attribute load.
+        # A top-level statement opens a record here and the activity window
+        # closes it; a dispatch inside one (a worker backend on this
+        # process, UDF-internal SQL) nests a span in that record. A plain
+        # instance, or a cluster recording nothing, pays the attribute
+        # loads only.
+        telemetry = self.instance.telemetry
+        mark = None
+        if telemetry is not None:
+            if telemetry.current is None:
+                if owns_activity and telemetry.recording:
+                    mark = telemetry.open(self, stmt)
+            elif telemetry.traced is not None:
+                mark = telemetry.enter(type(stmt).__name__, "statement",
+                                       self.instance.name)
         try:
-            tracer = self.instance.tracer
-            if tracer is None or not (tracer.enabled or tracer.active):
-                result = self._dispatch_inner(stmt, params, copy_data,
-                                              park_on_block)
-            else:
-                token = tracer.begin_statement(self, stmt)
-                try:
-                    result = self._dispatch_inner(stmt, params, copy_data,
-                                                  park_on_block)
-                except BaseException as exc:
-                    tracer.fail_statement(token, exc)
-                    raise
-                tracer.end_statement(token, result)
+            result = self._dispatch_inner(stmt, params, copy_data,
+                                          park_on_block)
         except _Parked:
             # The statement stays logically active while parked; the parked
-            # handle's succeed/fail finishes the activity window.
+            # handle's succeed/fail finishes the activity window (and with
+            # it the record, which spans the wait).
             self._activity_depth -= 1
+            if mark is not None:
+                telemetry.leave(mark)
             raise
-        except BaseException:
+        except BaseException as exc:
             self._activity_depth -= 1
+            if mark is not None:
+                telemetry.leave(mark)
             if owns_activity:
-                self._finish_activity(None)
+                self._finish_activity(None, exc)
             raise
         self._activity_depth -= 1
+        if mark is not None:
+            telemetry.leave(mark)
         if owns_activity:
             self._finish_activity(result)
         return result
 
-    def _finish_activity(self, result=None) -> None:
+    def _finish_activity(self, result=None, error=None) -> None:
         """Close the current statement's activity window: settle any live
-        wait, flip the reported state back to idle, and attribute the
-        statement to its tenant. Idempotent — parked-handle resolution and
-        the dispatch epilogue may both call it."""
+        wait, flip the reported state back to idle, and close the
+        statement's record with its result or error. Idempotent —
+        parked-handle resolution and the dispatch epilogue may both call
+        it."""
         if self.state != "active":
             return
         self._end_stmt_wait()
@@ -702,16 +728,9 @@ class Session:
             self.state = "idle in transaction"
         else:
             self.state = "idle"
-        tenant = self._citus_tenant
-        if tenant is not None:
-            self._citus_tenant = None
-            stats = self.instance.tenant_stats
-            if stats is not None:
-                rows = 0
-                if result is not None:
-                    rows = result.rowcount or len(result.rows)
-                stats.record(tenant, rows, self.last_query_seconds,
-                             self.wait_events.statement_seconds)
+        self._citus_tenant = None
+        if self.record is not None:
+            self.instance.telemetry.close(self, result, error)
 
     def _dispatch_inner(self, stmt: A.Statement, params, copy_data,
                         park_on_block=False):
@@ -733,6 +752,8 @@ class Session:
                     )
                 handle = _ParkedStatement(self, stmt, params, copy_data)
                 handle.remote_handle = remote_handle
+                if self.instance.telemetry is not None:
+                    handle.record = self.instance.telemetry.current
                 self.instance.park(handle)
                 self._check_local_deadlock()
                 raise _Parked(handle) from None

@@ -1,13 +1,13 @@
 """Cluster-wide statistics counters (the ``pg_stat_*`` / ``citus_stat_*``
 pattern).
 
-A :class:`StatsRegistry` holds monotonically increasing **counters**,
-up/down **gauges**, and log-bucketed **histograms**
-(:class:`LogHistogram`), optionally labelled by node name, so the
-distributed machinery can expose its internal decisions — which planner
-tier fired, how many tasks ran, how many connections slow-start opened,
-how many 2PC prepares each worker saw, how statement latency distributes —
-as structured, queryable numbers.
+A :class:`StatsRegistry` holds monotonically increasing **counters** and
+up/down **gauges**, optionally labelled by node name, so the distributed
+machinery can expose its internal decisions — which planner tier fired,
+how many tasks ran, how many connections slow-start opened, how many 2PC
+prepares each worker saw — as structured, queryable numbers.
+:class:`LogHistogram` is the log-bucketed latency histogram the statement
+and window statistics keep per entry.
 
 The registry is deliberately engine-level (it knows nothing about Citus):
 any subsystem may attach one to a shared holder object via
@@ -197,7 +197,6 @@ class StatsRegistry:
     def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Counter] = {}
-        self._histograms: dict[str, LogHistogram] = {}
         # Names registered through gauge_max: high-water marks, not live
         # levels, so reset() may safely zero them (live gauges it must not).
         self._peaks: set[str] = set()
@@ -233,13 +232,6 @@ class StatsRegistry:
         if value > per_node[key]:
             per_node[key] = value
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into the named log-bucketed histogram."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = LogHistogram()
-        hist.observe(value)
-
     @contextmanager
     def track(self, name: str, node: str | None = None):
         """Hold a gauge at +1 for the duration of a block.
@@ -271,8 +263,8 @@ class StatsRegistry:
     def reset(self) -> None:
         """Zero the accumulated statistics.
 
-        Counters, histograms, and high-water-mark gauges (anything ever
-        written through :meth:`gauge_max`, e.g. ``rows_buffered_peak``)
+        Counters and high-water-mark gauges (anything ever written
+        through :meth:`gauge_max`, e.g. ``rows_buffered_peak``)
         are cleared. **Live** up/down gauges — current pool slots,
         in-flight tasks, open sessions — are preserved: zeroing a level
         while its resource is still held would let the matching decrement
@@ -281,7 +273,6 @@ class StatsRegistry:
         """
         self._drain_pending()
         self._counters.clear()
-        self._histograms.clear()
         for name in self._peaks:
             self._gauges.pop(name, None)
 
@@ -295,12 +286,6 @@ class StatsRegistry:
 
     def per_node(self, name: str) -> dict[str, int]:
         return self.snapshot().per_node(name)
-
-    def histogram(self, name: str) -> LogHistogram | None:
-        return self._histograms.get(name)
-
-    def histograms(self) -> dict[str, LogHistogram]:
-        return dict(self._histograms)
 
     def snapshot(self) -> StatsSnapshot:
         self._drain_pending()

@@ -133,9 +133,9 @@ class WaitEventStack:
         if reg is not None:
             reg.gauge_decr(IN_PROGRESS_GAUGE, node=self.node)
             self._account(reg, we.wclass, we.event, elapsed, self.node)
-        tracer = self.instance.tracer
-        if tracer is not None and tracer.active:
-            tracer.add_span(f"wait.{we.wclass}.{we.event}", "wait",
+        telemetry = self.instance.telemetry
+        if telemetry is not None and telemetry.traced is not None:
+            telemetry.event(f"wait.{we.wclass}.{we.event}", "wait",
                             we.start, now, node=self.node)
 
     @contextmanager
@@ -172,8 +172,7 @@ class WaitEventStack:
     def _account(self, reg, wclass: str, event: str, seconds: float,
                  node: str) -> None:
         # Batch locally; the registry drains us before any read or reset.
-        # This keeps the per-statement cost to one small-dict update (the
-        # bench_waitevents <5% gate).
+        # This keeps the per-statement cost to one small-dict update.
         if self._enrolled_reg is not reg:
             self._flush_pending(self._enrolled_reg)
             reg.add_pending_source(self._flush_pending)

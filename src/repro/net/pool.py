@@ -52,36 +52,30 @@ class ConnectionPool:
         """Currently open client handles (high-water mark in ``peak_clients``)."""
         return self._client_count
 
-    def _tracer(self):
-        """The instance's tracer while it is collecting, else None (the
-        attribute only exists once a Citus cluster attached one)."""
-        tracer = getattr(self.instance, "tracer", None)
-        if tracer is not None and tracer.active:
-            return tracer
-        return None
+    def _event(self, name: str, **attrs) -> None:
+        """A pool event in the statement being recorded, if one is (the
+        instance has a telemetry object once a Citus cluster attached it)."""
+        telemetry = getattr(self.instance, "telemetry", None)
+        if telemetry is not None and telemetry.traced is not None:
+            telemetry.event(name, "pool", node=self._node, **attrs)
 
     def _acquire(self):
         with self.wait_events.waiting("Client", "PoolLease"):
             return self._lease_session()
 
     def _lease_session(self):
-        tracer = self._tracer()
         if self._idle:
             session = self._idle.pop()
             self.stats.incr("pool_session_reuses", node=self._node)
-            if tracer is not None:
-                tracer.event("pool.lease", "pool", node=self._node, reused=True)
+            self._event("pool.lease", reused=True)
         elif self._lease_count < self.pool_size:
             session = self.instance.connect("pgbouncer")
             self.stats.incr("pool_sessions_opened", node=self._node)
-            if tracer is not None:
-                tracer.event("pool.lease", "pool", node=self._node, reused=False)
+            self._event("pool.lease", reused=False)
         else:
             self.waits += 1
             self.stats.incr("pool_exhausted", node=self._node)
-            if tracer is not None:
-                tracer.event("pool.exhausted", "pool", node=self._node,
-                             pool_size=self.pool_size)
+            self._event("pool.exhausted", pool_size=self.pool_size)
             raise _PoolExhausted()
         self._lease_count += 1
         self.stats.gauge_incr("pool_leases", node=self._node)
@@ -91,9 +85,7 @@ class ConnectionPool:
     def _release(self, session) -> None:
         self._lease_count -= 1
         self.stats.gauge_decr("pool_leases", node=self._node)
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.event("pool.release", "pool", node=self._node)
+        self._event("pool.release")
         if session.in_transaction:
             session.rollback()
         self._idle.append(session)

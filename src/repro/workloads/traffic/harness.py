@@ -379,8 +379,8 @@ class TrafficHarness:
             # Turn "p99 breached" into "p99 breached while 62% of samples
             # sat in TwoPC.CommitPrepared on w2": embed the ASH rollup for
             # exactly the run window the failing rules were measured over.
-            sampler = getattr(self.citus.coordinator_ext, "ash", None)
-            if sampler is not None:
+            sampler = self.citus.coordinator_ext.telemetry.ash
+            if sampler.enabled:
                 report["ash"] = sampler.slo_diagnostics(
                     self._sim_start, self._sim_end
                 )

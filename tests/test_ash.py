@@ -109,9 +109,8 @@ class TestGating:
     def test_disable_detaches_observer_and_udf_goes_quiet(self, citus):
         s = citus.coordinator_session("probe")
         _set(s, "enable_ash", False)
-        assert citus.coordinator_ext.ash is None
         for node in citus.cluster.nodes.values():
-            assert node.extensions["citus"].ash is None
+            assert not node.extensions["citus"].telemetry.ash.enabled
         assert citus.cluster.clock._observers == []
         citus.cluster.clock.advance(5.0)
         assert _samples(s) == []
@@ -134,9 +133,11 @@ class TestGating:
     def test_detached_at_create_never_builds_a_sampler(self):
         citus = make_cluster(workers=2, shard_count=8,
                              config=CitusConfig(enable_ash=False))
-        assert citus.coordinator_ext.ash is None
+        sampler = citus.coordinator_ext.telemetry.ash
+        assert not sampler.enabled
         assert citus.cluster.clock._observers == []
-        assert not hasattr(citus.cluster, "_citus_ash_sampler")
+        citus.cluster.clock.advance(5.0)
+        assert len(sampler.ring) == 0
 
     def test_reset_scope_clears_ring_only(self, citus):
         s = citus.coordinator_session("probe")

@@ -9,6 +9,7 @@ import pytest
 from repro import PostgresInstance
 from repro.citus.api import make_cluster
 from repro.citus.introspection import GPID_STRIDE, global_pid
+from repro.citus.metrics import metrics_snapshot
 from repro.citus.rebalancer import MOVE_PHASES, progress_for
 from repro.engine.stats import stats_for
 from repro.engine.waitevents import IN_PROGRESS_GAUGE, wait_totals
@@ -84,13 +85,13 @@ def test_introspection_can_be_disabled(citus):
     session.execute("SELECT citus_set_config('enable_introspection', $1)",
                     [False])
     assert citus.coordinator.wait_registry is None
-    assert citus.coordinator.tenant_stats is None
     # Drop the totals accumulated while the cluster was built.
     session.execute("SELECT citus_stat_counters_reset()")
     session.execute("CREATE TABLE t0 (k int, v int)")
     session.execute("SELECT create_distributed_table('t0', 'k')")
     session.execute("INSERT INTO t0 (k, v) VALUES (1, 1)")
     assert not wait_totals(stats_for(citus.cluster))
+    assert _udf_rows(session, "citus_stat_tenants()") == []
     session.execute("SELECT citus_set_config('enable_introspection', $1)",
                     [True])
     session.execute("INSERT INTO t0 (k, v) VALUES (2, 2)")
@@ -285,6 +286,62 @@ def test_tenant_stats_include_wait_time_of_blocked_writer(citus):
     assert rows[3][4] >= 1500.0
 
 
+def test_a_parked_statement_is_one_statement_with_its_full_latency(citus):
+    """The writer that waited is one call of its fingerprint — not an
+    error plus a lost completion — in the statement view too, with the
+    same time the tenant table gives it."""
+    a = _make_table(citus)
+    b = citus.coordinator_session()
+    a.execute("SELECT citus_stat_reset()")
+    a.execute("BEGIN")
+    a.execute("UPDATE accounts SET v = 100 WHERE k = 3")
+    fut = b.execute_async("UPDATE accounts SET v = 200 WHERE k = 3")
+    citus.pump()
+    citus.cluster.clock.advance(1.5)
+    a.execute("COMMIT")
+    citus.pump()
+    assert fut.get().rowcount == 1
+    # Both updates share a fingerprint and a tenant: one row, two calls.
+    (row,) = [r for r in _udf_rows(a, "citus_stat_statements()")
+              if r[0].startswith("UPDATE accounts")]
+    assert row[3] == 2 and row[10] == 2  # two calls, a row each
+    assert row[6] >= 1500.0 - 1e-6  # max_ms spans the wait
+    tenant = {r[0]: r for r in _udf_rows(a, "citus_stat_tenants()")}[3]
+    assert tenant[1] == 2 and tenant[2] == 2
+    telemetry = citus.coordinator_ext.telemetry
+    (record,) = [r for r in telemetry.trace_records()
+                 if r.name == "Update" and r.duration >= 1.5 - 1e-9]
+    assert record.error is None and record.rows == 1
+
+
+def test_a_cancelled_parked_statement_is_one_statement_with_its_error(citus):
+    a = _make_table(citus)
+    b = citus.coordinator_session()
+    k1, k2 = find_keys_on_distinct_nodes(citus, "accounts")
+    a.execute("BEGIN")
+    a.execute(f"UPDATE accounts SET v = 1 WHERE k = {k1}")
+    b.execute("BEGIN")
+    b.execute(f"UPDATE accounts SET v = 2 WHERE k = {k2}")
+    a.execute("SELECT citus_stat_reset('statements')")
+    fa = a.execute_async(f"UPDATE accounts SET v = 11 WHERE k = {k2}")
+    fb = b.execute_async(f"UPDATE accounts SET v = 22 WHERE k = {k1}")
+    citus.cluster.clock.advance(0.75)
+    assert len(citus.run_maintenance()["deadlocks_cancelled"]) == 1
+    citus.pump()
+    assert fb.done and fb.error is not None  # the younger one is the victim
+    b.execute("ROLLBACK")
+    citus.pump()
+    assert fa.get().rowcount == 1
+    a.execute("COMMIT")
+    records = [r for r in citus.coordinator_ext.telemetry.trace_records()
+               if r.name == "Update" and r.duration >= 0.75 - 1e-9]
+    assert sorted(r.error or "" for r in records) == ["", "QueryCanceled"]
+    # One call each (same fingerprint, one row per tenant).
+    calls = {r[1]: r[3] for r in _udf_rows(a, "citus_stat_statements()")
+             if r[0].startswith("UPDATE accounts")}
+    assert calls == {k1: 1, k2: 1}
+
+
 # ------------------------------------------------------------------ resets
 
 
@@ -326,8 +383,11 @@ def test_metrics_snapshot_renders_prometheus_text(citus):
     assert 'citus_node_up{node="worker2"} 1' in lines
     assert any(l.startswith("citus_node_connections{") for l in lines)
     assert any(l.startswith("citus_planner_total_total") for l in lines)
-    # Deterministic: identical state renders byte-identically.
-    assert text == _udf_rows(session, "citus_metrics_snapshot()")
+    # Deterministic: identical state renders byte-identically. (Not
+    # through the UDF twice: a statement is itself recorded, which moves
+    # the trace ring's high-water mark.)
+    ext = citus.coordinator_ext
+    assert metrics_snapshot(ext) == metrics_snapshot(ext)
 
 
 def test_metrics_snapshot_reports_down_node(citus):

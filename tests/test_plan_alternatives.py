@@ -119,7 +119,7 @@ class TestUnsupportedShapes:
     def test_failed_statement_lands_in_ring_buffer(self, s, citus):
         with pytest.raises(UnsupportedDistributedQuery):
             s.execute(self.BAD_SQL)
-        last = citus.coordinator_ext.plan_searches[-1]
+        last = citus.coordinator_ext.telemetry.plan_searches[-1]
         assert last.error is not None
         assert last.chosen is None
 
@@ -130,8 +130,8 @@ class TestCacheReplay:
     def test_hit_replays_search(self, s, citus):
         s.execute("SELECT * FROM a WHERE k = 3")
         s.execute("SELECT * FROM a WHERE k = 5")
-        ext = citus.coordinator_ext
-        miss, hit = ext.plan_searches[-2], ext.plan_searches[-1]
+        searches = citus.coordinator_ext.telemetry.plan_searches
+        miss, hit = searches[-2], searches[-1]
         assert miss.cached is False
         assert hit.cached is True
         assert hit.chosen_tier == miss.chosen_tier == "fast_path"
@@ -153,9 +153,9 @@ class TestDisabledGuc:
     def test_no_search_recorded(self, s, citus):
         ext = citus.coordinator_ext
         ext.config.enable_plan_alternatives = False
-        before = len(ext.plan_searches)
+        before = len(ext.telemetry.plan_searches)
         s.execute("SELECT * FROM a WHERE k = 3")
-        assert len(ext.plan_searches) == before
+        assert len(ext.telemetry.plan_searches) == before
         assert explain(s, "SELECT * FROM a WHERE k = 4").considered == []
 
     def test_udf_reports_off(self, s, citus):

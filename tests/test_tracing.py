@@ -11,6 +11,7 @@ import pytest
 
 from repro import make_cluster
 from repro.citus.extension import CitusConfig
+from repro.citus.tracing import build_trace
 from repro.engine.stats import LogHistogram
 
 from .conftest import find_keys_on_distinct_nodes
@@ -84,10 +85,11 @@ def test_multi_shard_select_span_shape():
     cc = make_cluster(workers=2, shard_count=8)
     s = _setup_items(cc)
     s.execute("SELECT k, v FROM items ORDER BY k")
-    trace = cc.coordinator_ext.tracer.buffer[-1]
+    record = cc.coordinator_ext.telemetry.trace_records()[-1]
+    trace = build_trace(record)
 
-    assert trace.tier == "pushdown"
-    assert trace.rows == 64
+    assert record.tier == "pushdown"
+    assert record.rows == 64
 
     tasks = trace.find("executor", "task")
     assert len(tasks) == 8
@@ -101,7 +103,7 @@ def test_multi_shard_select_span_shape():
     dispatches = trace.find("network", "dispatch")
     assert batches and len(dispatches) == 8
     dispatch_bytes = 256  # RemoteConnection's request payload
-    assert trace.bytes == (sum(sp.attrs["bytes"] for sp in batches)
+    assert record.wire_bytes() == (sum(sp.attrs["bytes"] for sp in batches)
                            + dispatch_bytes * len(dispatches))
 
 
@@ -111,7 +113,7 @@ def test_task_spans_carry_queue_and_connection_detail(citus):
     # establishment cost lands inside this statement's trace.
     s = citus.coordinator_session()
     s.execute("SELECT count(*) FROM items")
-    trace = citus.coordinator_ext.tracer.buffer[-1]
+    trace = build_trace(citus.coordinator_ext.telemetry.trace_records()[-1])
     tasks = trace.find("executor", "task")
     assert len(tasks) == 8
     for sp in tasks:
@@ -198,7 +200,7 @@ def test_explain_analyze_works_while_tracing_disabled():
     cc = make_cluster(workers=2, shard_count=8,
                       config=CitusConfig(enable_tracing=False))
     s = _setup_items(cc)
-    assert not cc.coordinator_ext.tracer.buffer  # nothing recorded
+    assert not cc.coordinator_ext.telemetry.trace_records()  # nothing recorded
     text = "\n".join(
         r[0] for r in s.execute(
             "EXPLAIN ANALYZE SELECT count(*) FROM items"
@@ -208,8 +210,8 @@ def test_explain_analyze_works_while_tracing_disabled():
     # citus.enable_tracing GUC...
     assert "actual rows=" in text
     assert "Execution: rows=1 time=" in text
-    # ...without recording anything into the trace buffer.
-    assert not cc.coordinator_ext.tracer.buffer
+    # ...without recording anything into the trace ring.
+    assert not cc.coordinator_ext.telemetry.trace_records()
 
 
 def test_explain_analyze_udf(citus):
@@ -231,8 +233,8 @@ def test_2pc_spans_nest_under_the_commit_statement(citus):
     s.execute(f"UPDATE items SET v = 'x' WHERE k = {k1}")
     s.execute(f"UPDATE items SET v = 'y' WHERE k = {k2}")
     s.execute("COMMIT")
-    trace = citus.coordinator_ext.tracer.buffer[-1]
-    assert trace.root.name == "Commit"
+    trace = build_trace(citus.coordinator_ext.telemetry.trace_records()[-1])
+    assert trace.name == "Commit"
     prepares = trace.find("2pc", "2pc.prepare")
     commits = trace.find("2pc", "2pc.commit_prepared")
     assert len(prepares) == 2 and len(commits) == 2
@@ -252,7 +254,7 @@ def test_2pc_spans_nest_under_the_commit_statement(citus):
 def test_chrome_export_has_one_lane_per_node(citus):
     s = _setup_items(citus)
     s.execute("SELECT count(*) FROM items")
-    export = citus.coordinator_ext.tracer.export_chrome()
+    export = citus.coordinator_ext.telemetry.export_chrome()
     events = export["traceEvents"]
     lanes = {e["args"]["name"] for e in events if e["ph"] == "M"}
     assert "coordinator" in lanes
@@ -283,3 +285,27 @@ def test_slow_query_log_gated_by_log_min_duration(citus):
     before = len(s.execute("SELECT citus_slow_queries()").scalar())
     s.execute("SELECT count(*) FROM items")
     assert len(s.execute("SELECT citus_slow_queries()").scalar()) == before
+
+
+def test_slow_query_log_is_bounded_and_counts_what_it_dropped():
+    """The slow log is a ring of ``trace_buffer_size`` entries, like the
+    trace ring beside it: it stops growing at capacity and the metrics
+    snapshot says how many entries it evicted."""
+    cc = make_cluster(workers=2, shard_count=8,
+                      config=CitusConfig(trace_buffer_size=8,
+                                         log_min_duration=0.0))
+    s = _setup_items(cc)
+    logged_by_setup = cc.coordinator_ext.telemetry.slow_log.dropped \
+        + len(s.execute("SELECT citus_slow_queries()").scalar())
+    for k in range(20):
+        s.execute("SELECT v FROM items WHERE k = $1", [k])
+    entries = s.execute("SELECT citus_slow_queries()").scalar()
+    assert [e[3] for e in entries] == list(range(12, 20))  # the newest 8
+    metrics = s.execute("SELECT citus_metrics_snapshot()").scalar().splitlines()
+    # Everything logged (the 20 reads, the two surface reads before this
+    # one) beyond the eight kept was counted as dropped.
+    logged = logged_by_setup + 20 + 2
+    assert f'citus_telemetry_ring_dropped_total{{ring="slow_log"}} {logged - 8}' \
+        in metrics
+    assert 'citus_telemetry_ring_capacity{ring="slow_log"} 8' in metrics
+    assert 'citus_telemetry_ring_high_water{ring="slow_log"} 8' in metrics

@@ -11,7 +11,9 @@ import json
 import pytest
 
 from repro import make_cluster
+from repro.citus.executor.adaptive import ExecutionReport
 from repro.citus.extension import CitusConfig
+from repro.citus.record import EXECUTION, OK, TASK, TASKS, StatementRecord
 from repro.citus.txngraph import TxnGraph, WindowRing, group_label
 from repro.engine.datum import hash_value
 from repro.engine.stats import StatsRegistry
@@ -253,10 +255,12 @@ class TestDisabled:
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
         s.execute("COMMIT")
         s.execute("SELECT count(*) FROM accounts")
-        assert citus.coordinator_ext.txn_graph is None
         for ext in citus.extensions.values():
-            assert ext.txn_graph is None
-        assert not hasattr(s, TxnGraph.ATTR)
+            assert ext.telemetry.txn_graph() is None
+        # Nothing was folded behind the switch either.
+        graph = citus.coordinator_ext.telemetry.graph
+        assert not graph.vertices and not graph.open
+        assert graph.windows.current is None
         assert s.execute("SELECT citus_stat_txn_graph()").scalar() == []
         assert s.execute("SELECT citus_stat_txn_graph('json')").scalar() == "{}"
         assert s.execute("SELECT citus_stat_windows()").scalar() == []
@@ -267,11 +271,11 @@ class TestDisabled:
         s.execute("SELECT citus_set_config('enable_txn_graph', :v)",
                   {"v": False})
         for ext in citus.extensions.values():
-            assert ext.txn_graph is None
+            assert ext.telemetry.txn_graph() is None
         s.execute("SELECT citus_set_config('enable_txn_graph', :v)",
                   {"v": True})
         for ext in citus.extensions.values():
-            assert ext.txn_graph is not None
+            assert ext.telemetry.txn_graph() is not None
         s.execute("SELECT citus_stat_reset('all')")
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
         assert _graph_counters(s)["txngraph_txns"] == 1
@@ -288,16 +292,6 @@ class _Clock:
         return self.t
 
 
-class _Session:
-    """Bare session stand-in for driving TxnGraph directly."""
-
-    def __init__(self):
-        self.in_transaction = False
-        self.remote_txns = {}
-        self.xid = None
-        self._citus_tenant = None
-
-
 def _graph(width=60.0, nbuckets=4):
     clock = _Clock()
     graph = TxnGraph(clock, StatsRegistry())
@@ -305,15 +299,30 @@ def _graph(width=60.0, nbuckets=4):
     return graph, clock
 
 
+def _statement(graph, clock, group, nbytes, elapsed, began_at=None):
+    """Fold one autocommit single-task write that began at ``began_at``
+    and ended now — the record the executor's timeline and the session
+    leave behind, with the window ring rolled where they roll it."""
+    if began_at is not None:
+        graph.windows.roll(began_at)
+    bucket = graph.windows.roll(clock.t).index
+    start = clock.t if began_at is None else began_at
+    record = StatementRecord("statement", "Update", None, "coordinator",
+                             start, False)
+    unit = (TASK, 0, "w1", group, True, 0.0, elapsed, 1, nbytes)
+    record.events.append((
+        -1, TASKS, EXECUTION, start, start + elapsed, None,
+        ([unit], ExecutionReport(elapsed=elapsed), None,
+         ("coordinator", 1000), None, False, OK, bucket, True)))
+    record.end = clock.t
+    graph.fold(record)
+
+
 class TestWindowRing:
     def test_boundary_exact_statement_end_lands_in_the_new_bucket(self):
         graph, clock = _graph()
-        session = _Session()
-        clock.t = 10.0
-        graph.statement_begin()
-        graph.note_access(session, "w1", (1, 0), True, 64)
         clock.t = 60.0  # exactly on the first bucket boundary
-        graph.statement_done(session, 0.5)
+        _statement(graph, clock, (1, 0), 64, 0.5, began_at=10.0)
         buckets = graph.windows.buckets(clock.t)
         assert [b.index for b in buckets] == [0, 1]
         assert buckets[0].statements == 0  # closed bucket stayed empty
@@ -345,12 +354,8 @@ class TestWindowRing:
 
     def test_reset_mid_bucket_reopens_with_fresh_baseline(self):
         graph, clock = _graph()
-        session = _Session()
-        clock.t = 10.0
-        graph.statement_begin()
-        graph.note_access(session, "w1", (1, 0), True, 64)
         clock.t = 11.0
-        graph.statement_done(session, 0.5)
+        _statement(graph, clock, (1, 0), 64, 0.5, began_at=10.0)
         graph.reset_windows()
         clock.t = 12.0  # still inside bucket 0's interval
         buckets = graph.windows.buckets(clock.t)
@@ -360,14 +365,9 @@ class TestWindowRing:
 
     def test_per_bucket_counter_deltas(self):
         graph, clock = _graph()
-        session = _Session()
-        graph.statement_begin()
-        graph.note_access(session, "w1", (1, 0), True, 10)
-        graph.statement_done(session, 0.1)  # folds: txngraph_txns += 1
+        _statement(graph, clock, (1, 0), 10, 0.1)  # folds: txngraph_txns += 1
         clock.t = 65.0
-        graph.statement_begin()
-        graph.note_access(session, "w1", (1, 1), True, 10)
-        graph.statement_done(session, 0.1)
+        _statement(graph, clock, (1, 1), 10, 0.1)
         buckets = graph.windows.buckets(clock.t)
         first = graph.windows.bucket_counters(buckets[0])
         second = graph.windows.bucket_counters(buckets[-1])
@@ -457,12 +457,13 @@ class TestObservabilityIntegration:
     def test_2pc_spans_carry_access_set_attributes(self, citus):
         s = _setup_accounts(citus)
         k1, k2 = find_keys_on_distinct_nodes(citus, "accounts")
-        tracer = citus.coordinator_ext.tracer
-        with tracer.capture() as root:
-            s.execute("BEGIN")
-            s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k1})
-            s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k2})
-            s.execute("COMMIT")
+        telemetry = citus.coordinator_ext.telemetry
+        capture = telemetry.capture("test")
+        s.execute("BEGIN")
+        s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k1})
+        s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k2})
+        s.execute("COMMIT")
+        root = telemetry.end_capture(capture)
         events = root.find(cat="2pc", name="2pc.commit_records")
         assert events
         attrs = events[-1].attrs
@@ -472,11 +473,12 @@ class TestObservabilityIntegration:
 
     def test_1pc_span_carries_access_set_attributes(self, citus):
         s = _setup_accounts(citus)
-        tracer = citus.coordinator_ext.tracer
-        with tracer.capture() as root:
-            s.execute("BEGIN")
-            s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
-            s.execute("COMMIT")
+        telemetry = citus.coordinator_ext.telemetry
+        capture = telemetry.capture("test")
+        s.execute("BEGIN")
+        s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
+        s.execute("COMMIT")
+        root = telemetry.end_capture(capture)
         spans = root.find(cat="2pc", name="commit.1pc")
         assert spans
         assert spans[-1].attrs["access_groups"]

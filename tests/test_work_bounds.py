@@ -16,6 +16,7 @@ Counting calls instead of timing them makes the bound exact and the test
 deterministic.
 """
 
+import contextlib
 import heapq
 import importlib
 import sys
@@ -24,7 +25,12 @@ from collections import Counter
 import pytest
 
 from repro import PostgresInstance, make_cluster
-from repro.engine import datum, heap as heap_module
+from repro.citus import introspection, record as record_module, tracing, txngraph
+from repro.citus.extension import CitusConfig
+from repro.citus.record import (BATCH, CLOSE, CONNECT, DISPATCH, E_ATTRS, E_CAT,
+                                EXECUTION, X_UNITS)
+from repro.citus.telemetry import PENDING_MAX
+from repro.engine import datum, heap as heap_module, stats
 from repro.engine.catalog import Table
 from repro.engine.expr import RowLayout
 from repro.engine.functions import AGGREGATES
@@ -442,3 +448,130 @@ def test_ledger_aggregates_through_a_cluster_call_no_accumulator(accumulator_cal
     # and avg's partial are written out (avg's *merge* is a call, of
     # another function).
     assert accumulator_calls == Counter(), accumulator_calls
+
+
+# ------------------------------------------------------------- telemetry
+#
+# The statement path records; it does not aggregate. With the shipped
+# configuration a statement allocates one record and appends tuples to it:
+# no span objects, no histogram observation, no fold — those run when a
+# surface is read.
+
+
+@pytest.fixture
+def telemetry_work(monkeypatch):
+    """Counts of what telemetry constructs and calls while a statement
+    runs: span objects, statement records, histogram observations, fold
+    entry points, ``@contextmanager`` generators entered, registry writes."""
+    counts = Counter()
+
+    def count(owner, attr, name):
+        monkeypatch.setattr(owner, attr,
+                            _counter(counts, name, vars(owner)[attr]))
+
+    count(tracing.Span, "__init__", "spans")
+    count(record_module.StatementRecord, "__init__", "records")
+    count(stats.LogHistogram, "observe", "observes")
+    count(tracing.StatementStats, "fold", "folds")
+    count(introspection.TenantStats, "fold", "folds")
+    count(txngraph.TxnGraph, "fold", "folds")
+    count(txngraph.TxnGraph, "end_txn", "folds")
+    count(txngraph.WindowRing, "roll", "rolls")
+    count(contextlib._GeneratorContextManager, "__enter__", "generators")
+    for write in ("incr", "gauge_incr", "gauge_max"):
+        count(stats.StatsRegistry, write, "registry_writes")
+    return counts
+
+
+def _fast_path_cluster(config=None):
+    cluster = make_cluster(workers=4, shard_count=16, config=config)
+    session = cluster.coordinator_session()
+    session.execute("CREATE TABLE kv (k int PRIMARY KEY, v int)")
+    session.execute("SELECT create_distributed_table('kv', 'k')")
+    session.copy_rows("kv", [[k, k] for k in range(64)])
+    return cluster, session
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT v FROM kv WHERE k = $1",
+    "UPDATE kv SET v = v + 1 WHERE k = $1",
+])
+def test_a_warmed_fast_path_statement_records_once_and_folds_nothing(sql):
+    cluster, session = _fast_path_cluster()
+    telemetry = cluster.coordinator_ext.telemetry
+    for key in (1, 2, 3):  # plan cache, connections, prepared shapes
+        session.execute(sql, [key])
+    telemetry.drain()
+    # Patched only now, so the fixture's wrappers see one statement.
+    with pytest.MonkeyPatch.context() as patch:
+        counts = telemetry_work.__wrapped__(patch)
+        session.execute(sql, [4])
+        assert counts["records"] == 1
+        assert counts["spans"] == 0
+        assert counts["observes"] == 0
+        assert counts["folds"] == 0
+        assert counts["rolls"] == 0
+        assert counts["generators"] == 0
+        assert 0 < counts["registry_writes"] <= 11
+        assert len(telemetry.pending) == 1
+        # Reading a surface is what folds it.
+        rows = session.execute("SELECT citus_stat_statements()").scalar()
+        assert counts["folds"] > 0 and counts["observes"] > 0
+    assert any(row[1] == 4 for row in rows)
+
+
+def test_a_streaming_select_keeps_one_tuple_per_unit_of_connection_work():
+    cluster, session = _fast_path_cluster()
+    telemetry = cluster.coordinator_ext.telemetry
+    session.execute("SELECT k, v FROM kv ORDER BY k")  # warm the connections
+    telemetry.drain()
+    with pytest.MonkeyPatch.context() as patch:
+        counts = telemetry_work.__wrapped__(patch)
+        assert len(session.execute("SELECT k, v FROM kv ORDER BY k").rows) == 64
+        assert counts["records"] == 1
+        assert counts["spans"] == counts["folds"] == counts["observes"] == 0
+    (record,) = telemetry.pending
+    (execution,) = [e for e in record.events if e[E_CAT] is EXECUTION]
+    kinds = Counter(unit[0] for unit in execution[E_ATTRS][X_UNITS])
+    report = cluster.coordinator_ext.executor.last_report
+    assert kinds[DISPATCH] == 16  # one per shard stream
+    assert kinds[BATCH] >= report.batches_fetched >= 16
+    assert kinds[CONNECT] == 0 and kinds[CLOSE] == 0
+    # Besides the engine's own select span per worker statement (a sorted
+    # shard query is not a lazy cursor), the record holds per-statement
+    # events only: the plan, the run, the merge.
+    engine = [e for e in record.events if e[E_CAT] == "engine"]
+    assert len(engine) <= 16 + 1
+    assert len(record.events) - len(engine) <= 3
+
+
+def test_no_record_with_every_telemetry_switch_off(telemetry_work):
+    config = CitusConfig(enable_tracing=False, enable_introspection=False,
+                         enable_plan_alternatives=False,
+                         enable_txn_graph=False, enable_ash=False)
+    cluster, session = _fast_path_cluster(config)
+    session.execute("SELECT v FROM kv WHERE k = $1", [5])
+    session.execute("BEGIN")
+    session.execute("UPDATE kv SET v = 0 WHERE k = $1", [5])
+    session.execute("COMMIT")
+    session.execute("SELECT count(*) FROM kv")
+    assert telemetry_work["records"] == 0
+    assert telemetry_work["spans"] == telemetry_work["folds"] == 0
+    # EXPLAIN ANALYZE still gets its span tree.
+    text = session.execute("SELECT citus_explain_analyze("
+                           "'SELECT count(*) FROM kv')").scalar()
+    assert "actual rows=" in text
+    assert telemetry_work["records"] == 1 and telemetry_work["folds"] == 0
+
+
+def test_unfolded_records_never_exceed_the_pending_constant():
+    cluster, session = _fast_path_cluster()
+    telemetry = cluster.coordinator_ext.telemetry
+    assert PENDING_MAX <= 1024
+    for i in range(5_000):
+        session.execute("SELECT v FROM kv WHERE k = $1", [i % 64])
+        assert len(telemetry.pending) <= PENDING_MAX
+    assert telemetry.pending.high_water <= PENDING_MAX
+    assert telemetry.pending.dropped == 0
+    rows = session.execute("SELECT citus_stat_statements()").scalar()
+    assert sum(row[3] for row in rows if "SELECT v FROM kv" in row[0]) == 5_000
