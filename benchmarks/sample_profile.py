@@ -3,6 +3,7 @@
 
     python3 benchmarks/sample_profile.py --workload write_mix --seconds 8
     python3 benchmarks/sample_profile.py --workload write_mix --root ../parent
+    python3 benchmarks/sample_profile.py --workload traffic_mix --deciles
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -10,6 +11,12 @@ share. Set-up, warm-up and the host canary are excluded. Prints self and
 inclusive shares by function and by module. Reads ``benchmarks/ledger`` of
 ``--root`` (default: this checkout) and changes nothing in it; every sampled
 share quoted in README / ROADMAP comes from this script.
+
+``--deciles`` does not sample: it prints, per tenth of the measured phase, the
+mean wall time of an op and the mean / max number of candidates a B-tree
+equality probe returned (``BTreeIndex.scan_equal`` wrapped from outside).
+A cost that grows with run length shows as a slope here; ``host.drift_frac``
+sees it only in traced ledger runs.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=31415)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--top", type=int, default=30)
+    parser.add_argument("--deciles", action="store_true",
+                        help="per tenth of the run: mean op time and index"
+                        " candidates per probe, in place of the sample")
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     args = parser.parse_args()
@@ -58,6 +68,9 @@ def main() -> None:
     workload = cls(args.seed, phases.op_count(cls, args.seconds))
     workload.setup()
     workload.warm_up()
+    if args.deciles:
+        print_deciles(args.workload, workload, root)
+        return
     signal.signal(signal.SIGPROF, sample)
     signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
     try:
@@ -76,6 +89,40 @@ def main() -> None:
         for key, n in counts.most_common(args.top):
             label = key if isinstance(key, str) else f"{key[0]}:{key[1]}"
             print(f"  {100 * n / max(total, 1):5.1f} %  {n:6d}  {label}")
+
+
+def print_deciles(name: str, workload, root: str) -> None:
+    from repro.engine.index import BTreeIndex
+
+    probes = []  # (ops finished when it ran, candidates returned)
+    scan_equal = BTreeIndex.scan_equal
+
+    def counted(self, values):
+        tids = scan_equal(self, values)
+        probes.append((len(workload.walls), len(tids)))
+        return tids
+
+    BTreeIndex.scan_equal = counted
+    try:
+        workload.measure()
+    finally:
+        BTreeIndex.scan_equal = scan_equal
+    workload.finish()
+
+    walls = workload.walls
+    print(f"{name}: {len(walls)} ops, {len(probes)} equality probes,"
+          f" failed {workload.failed} ({root})")
+    print("tenth     ops  mean op us   probes  candidates/probe  max")
+
+    def row(label, lo: int, hi: int) -> None:
+        ops = walls[lo:hi]
+        counts = [n for op, n in probes if lo <= op < hi] or [0]
+        print(f"{label:>5} {len(ops):7d} {sum(ops) / max(len(ops), 1) / 1e3:11.1f}"
+              f" {len(counts):8d} {sum(counts) / len(counts):17.2f} {max(counts):4d}")
+
+    for tenth in range(10):
+        row(tenth + 1, len(walls) * tenth // 10, len(walls) * (tenth + 1) // 10)
+    row("all", 0, len(walls) + 1)  # + 1: probes after the last op, if any
 
 
 if __name__ == "__main__":

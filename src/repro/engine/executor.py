@@ -42,7 +42,7 @@ from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
 from .functions import (
     _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate,
 )
-from .index import BTreeIndex, GinIndex, row_key_fn
+from .index import BTreeIndex, GinIndex, index_delete, row_key_fn
 from .mvcc import COMMITTED
 from .window import compute_window_values, contains_window_function
 
@@ -86,13 +86,16 @@ class EngineCursor:
     terminates early. The optional ``on_finish(error)`` callback fires
     exactly once — on exhaustion, close, or a mid-iteration error — which
     is how the owning session defers statement completion until every open
-    cursor (portal) on it is done.
+    cursor (portal) on it is done. ``snapshot`` is the one a lazy scan
+    still reads under (None: the rows are already materialised); the
+    session keeps it pinned until the cursor finishes.
     """
 
     def __init__(self, columns, rows_iter, command: str = "SELECT",
-                 on_finish=None):
+                 on_finish=None, snapshot=None):
         self.columns = columns
         self.command = command
+        self.snapshot = snapshot
         self._iter = iter(rows_iter)
         self._on_finish = on_finish
         self.rows_fetched = 0
@@ -217,7 +220,8 @@ class ScanShape:
 
     def probe(self, table: Table, ctx: EvalContext):
         """Pick an index for this execution's parameter values. Returns
-        (description, tids) or None for a sequential scan.
+        (description, IndexDef, tids) or None for a sequential scan.
+        Read-only: EXPLAIN calls it too.
 
         The candidate TIDs are a superset of the matching rows; the caller
         re-applies the full WHERE clause (index recheck). A trigram match
@@ -226,8 +230,9 @@ class ScanShape:
         """
         if self.gin is not None:
             name, needle = self.gin
-            tids = table.indexes[name].data.search_substring(needle)
-            return (f"Bitmap Heap Scan using {name}", sorted(tids))
+            index = table.indexes[name]
+            tids = index.data.search_substring(needle)
+            return (f"Bitmap Heap Scan using {name}", index, sorted(tids))
         if not self.btrees:
             return None
         const_eq: dict[str, object] = {}
@@ -255,7 +260,8 @@ class ScanShape:
                 bound["high_inc"] = op == "<="
         best = None
         for name, index_cols in self.btrees:
-            data = table.indexes[name].data
+            index = table.indexes[name]
+            data = index.data
             prefix = []
             for col in index_cols:
                 if col in const_eq:
@@ -275,7 +281,7 @@ class ScanShape:
                 )
                 score = -len(tids)
             if best is None or score > best[0]:
-                best = (score, (f"Index Scan using {name}", tids))
+                best = (score, (f"Index Scan using {name}", index, tids))
         return best[1] if best else None
 
 
@@ -753,7 +759,7 @@ class WriteShape:
                 raise NotNullViolation(
                     f"null value in column {name!r} of relation {self.table.name!r}")
 
-    def find_conflict(self, full: list, snapshot, clog, skip_row=None,
+    def find_conflict(self, full: list, snapshot, xids, skip_row=None,
                       changed_from: list | None = None):
         """``(visible tuple, key columns)`` of the first unique key on
         which ``full`` collides with a row other than ``skip_row``, else
@@ -767,30 +773,30 @@ class WriteShape:
                 continue
             if changed_from is not None and _same_keys(key_fn(changed_from), key):
                 continue
-            tup = _first_match(table, index, key_fn, key, snapshot, clog, skip_row)
+            tup = _first_match(table, index, key_fn, key, snapshot, xids, skip_row)
             if tup is not None:
                 return tup, cols
         return None
 
-    def check_foreign_keys(self, full: list, catalog, snapshot, clog) -> None:
+    def check_foreign_keys(self, full: list, catalog, snapshot, xids) -> None:
         for key_fn, ref_name, ref, index, ref_key_fn in self.foreign_keys:
             key = key_fn(full)
             if None in key:
                 continue
             if ref is None:
                 catalog.get_table(ref_name)  # raises: it does not exist
-            if _first_match(ref, index, ref_key_fn, key, snapshot, clog) is None:
+            if _first_match(ref, index, ref_key_fn, key, snapshot, xids) is None:
                 raise ForeignKeyViolation(
                     f"insert on {self.table.name!r} violates foreign key"
                     f" to {ref_name!r}")
 
-    def check_referencing(self, values: list, snapshot, clog) -> None:
+    def check_referencing(self, values: list, snapshot, xids) -> None:
         """ON DELETE RESTRICT semantics for incoming foreign keys."""
         for key_fn, other, index, other_key_fn in self.referencing:
             key = key_fn(values)
             if None in key:
                 continue
-            if _first_match(other, index, other_key_fn, key, snapshot, clog) is not None:
+            if _first_match(other, index, other_key_fn, key, snapshot, xids) is not None:
                 raise ForeignKeyViolation(
                     f"row in {self.table.name!r} is still referenced"
                     f" from {other.name!r}")
@@ -855,17 +861,41 @@ def _same_keys(existing: list, key: list) -> bool:
     return True
 
 
-def _first_match(table: Table, index, key_fn, key: list, snapshot, clog,
+def _fetch_candidates(table: Table, index, tids: list, snapshot, xids) -> list:
+    """The tuples of ``table`` visible to ``snapshot`` among ``tids``, the
+    candidates ``index`` (an IndexDef) named: indexes are not MVCC-aware,
+    so visibility is rechecked at the heap. Every consumer of index
+    candidates comes through here.
+
+    When most of the candidates turned out invisible, those that are dead
+    to every snapshot (``Heap.is_dead`` under ``xids.horizon()``) lose
+    their entry in ``index``, so the next probe of the key does not fetch
+    and recheck them again — PostgreSQL's ``kill_prior_tuple``. Only the
+    index shrinks: the heap versions, their chains and every byte and page
+    count stay VACUUM's business (DESIGN.md, "Index entries die on access;
+    one horizon")."""
+    heap = table.heap
+    clog = xids.clog
+    visible = list(heap.fetch(tids, snapshot, clog))
+    if 2 * len(visible) < len(tids):
+        horizon = xids.horizon()
+        for tup in filter(None, map(heap.get, tids)):
+            if heap.is_dead(tup, horizon, clog):
+                index_delete(table, index, tup)
+    return visible
+
+
+def _first_match(table: Table, index, key_fn, key: list, snapshot, xids,
                  skip_row=None):
     """The first tuple of ``table`` visible to ``snapshot`` whose key
     equals ``key``, not counting versions of row ``skip_row``. Candidates
     come from ``index`` (an IndexDef over a prefix of the key) or, without
     one, from a heap scan."""
-    heap = table.heap
     if index is not None and index.data is not None:
-        candidates = heap.fetch(index.data.scan_equal(key), snapshot, clog)
+        candidates = _fetch_candidates(
+            table, index, index.data.scan_equal(key), snapshot, xids)
     else:
-        candidates = heap.scan(snapshot, clog)
+        candidates = table.heap.scan(snapshot, xids.clog)
     for tup in candidates:
         if tup.row_id != skip_row and _same_keys(key_fn(tup.values), key):
             return tup
@@ -1046,7 +1076,7 @@ class LocalExecutor:
                 if limit is not None and emitted >= limit:
                     return
 
-        return EngineCursor(bound.columns, rows())
+        return EngineCursor(bound.columns, rows(), snapshot=snapshot)
 
     def _run_select_core(self, select, params, outer, cte_env):
         """FROM → WHERE → (windows | aggregation) → projection. Returns the
@@ -1244,8 +1274,9 @@ class LocalExecutor:
         path = scan.probe(table, self._ctx(EMPTY_LAYOUT, params, outer))
         if path is None:
             return None
-        # Indexes are not MVCC-aware: recheck visibility at the heap.
-        tuples = list(table.heap.fetch(path[1], snapshot, self.instance.xids.clog))
+        _description, index, tids = path
+        tuples = _fetch_candidates(table, index, tids, snapshot,
+                                   self.instance.xids)
         stats = self.session.stats
         stats["index_lookups"] += 1
         stats["tuples_scanned"] += len(tuples)
@@ -1464,7 +1495,7 @@ class LocalExecutor:
         session, table = self.session, shape.table
         xid = session.ensure_xid()
         snapshot = session.snapshot()
-        clog = self.instance.xids.clog
+        xids = self.instance.xids
         width, build, check_not_null = shape.width, shape.build, shape.check_not_null
         find_conflict = shape.find_conflict if shape.unique_keys else None
         check_fks = (shape.check_foreign_keys
@@ -1486,7 +1517,7 @@ class LocalExecutor:
                 full = build(values, ctx)
                 check_not_null(full)
                 if find_conflict is not None:
-                    conflict = find_conflict(full, snapshot, clog)
+                    conflict = find_conflict(full, snapshot, xids)
                     if conflict is not None:
                         if resolve is None:
                             raise UniqueViolation(
@@ -1496,7 +1527,7 @@ class LocalExecutor:
                             count += 1
                         continue
                 if check_fks is not None:
-                    check_fks(full, self.catalog, snapshot, clog)
+                    check_fks(full, self.catalog, snapshot, xids)
                 tup = heap_insert(full, xid)
                 _index_tuple(targets, tup)
                 wal_append(xid, "insert", name, tup.row_id, _wal_values(full))
@@ -1582,12 +1613,12 @@ class LocalExecutor:
         ctx = self._ctx(scan.layout, params)
         targets = self._dml_target_rows(table, scan, ctx)
         check_fks = bool(write.foreign_keys) and self._fk_checks()
-        snapshot = clog = None
+        snapshot = None
+        xids = self.instance.xids
         if check_fks or shape.probes_unique:
             # One snapshot for the statement's constraint probes (see
             # append_rows); its earlier updates are visible through own_xid.
             snapshot = self.session.snapshot()
-            clog = self.instance.xids.clog
         index_targets = write.index_targets()
         for tup in targets:
             current = self._current_version(table, tup.row_id)
@@ -1599,10 +1630,10 @@ class LocalExecutor:
                 new_values[idx] = cast(assign_fn(ctx))
             write.check_not_null(new_values)
             if check_fks:
-                write.check_foreign_keys(new_values, self.catalog, snapshot, clog)
+                write.check_foreign_keys(new_values, self.catalog, snapshot, xids)
             # Only a key whose value the assignments changed can collide.
             if shape.probes_unique and write.find_conflict(
-                    new_values, snapshot, clog, current.row_id,
+                    new_values, snapshot, xids, current.row_id,
                     current.values) is not None:
                 raise UniqueViolation(
                     f"duplicate key value violates unique constraint on {table.name!r}"
@@ -1629,7 +1660,7 @@ class LocalExecutor:
         if shape.write.referencing and self._fk_checks():
             check_referencing = shape.write.check_referencing
             snapshot = session.snapshot()  # one per statement, as above
-        clog = self.instance.xids.clog
+        xids = self.instance.xids
         xid = session.ensure_xid()
         heap, name = table.heap, table.name
         wal_append = self.instance.wal.append_row
@@ -1640,7 +1671,7 @@ class LocalExecutor:
                 if current is None:
                     continue
                 if check_referencing is not None:
-                    check_referencing(current.values, snapshot, clog)
+                    check_referencing(current.values, snapshot, xids)
                 heap.mark_deleted(current.tid, xid)
                 heap.note_dead(current)
                 wal_append(xid, "delete", name, current.row_id)

@@ -157,27 +157,33 @@ class Heap:
 
     # ------------------------------------------------------------- vacuum
 
-    def vacuum(self, oldest_active_xid: int, clog: CommitLog) -> list[int]:
-        """Remove tuple versions no transaction can see anymore.
+    @staticmethod
+    def is_dead(tup: HeapTuple, horizon: int, clog: CommitLog) -> bool:
+        """Whether no snapshot can see this version, now or ever: its
+        inserter aborted (an xid the log does not know — a crash before
+        the commit record — reads as aborted), or its deleter committed
+        below ``horizon`` (:meth:`XidManager.horizon`). Monotone: once
+        true it stays true, which is what lets both VACUUM and an index
+        probe act on it without coordination."""
+        header = tup.header
+        if clog.status(header.xmin) == ABORTED:
+            return True
+        xmax = header.xmax
+        return (xmax is not None and xmax < horizon
+                and clog.status(xmax) == COMMITTED)
 
-        Mirrors PostgreSQL autovacuum: a version is dead when its xmax
-        committed before the oldest active xid, or its xmin aborted.
-        Returns the TIDs of the reclaimed versions, so the caller can prune
-        the index entries pointing at them.
+    def vacuum(self, horizon: int, clog: CommitLog) -> list[int]:
+        """Remove the versions that are dead to every snapshot
+        (:meth:`is_dead`), as PostgreSQL's autovacuum does. Returns the
+        TIDs of the reclaimed versions, so the caller can prune the index
+        entries still pointing at them.
         """
         keep: list[HeapTuple] = []
         reclaimed: list[int] = []
         newest: dict[int, HeapTuple] = {}
+        is_dead = self.is_dead
         for tup in self.tuples:
-            xmin_status = clog.status(tup.header.xmin)
-            dead = False
-            if xmin_status == ABORTED:
-                dead = True
-            elif tup.header.xmax is not None:
-                xmax_status = clog.status(tup.header.xmax)
-                if xmax_status == COMMITTED and tup.header.xmax < oldest_active_xid:
-                    dead = True
-            if dead:
+            if is_dead(tup, horizon, clog):
                 reclaimed.append(tup.tid)
                 self.live_bytes -= tup.width
                 del self._by_tid[tup.tid]

@@ -2,7 +2,10 @@
 
 Indexes map key values to heap TIDs. They are *not* MVCC-aware — like
 PostgreSQL, they may return TIDs of invisible tuple versions; the executor
-rechecks visibility (and for GIN, rechecks the predicate) against the heap.
+rechecks visibility (and for GIN, rechecks the predicate) against the heap,
+and deletes the entries of versions it finds dead to every snapshot
+(``executor._fetch_candidates``), so a much-updated row's key stays short
+between VACUUMs.
 
 The GIN index models ``pg_trgm``'s ``gin_trgm_ops``: the indexed expression
 is rendered to text, split into trigrams, and each trigram maps to the set
@@ -24,71 +27,70 @@ from .expr import EvalContext, Row, RowLayout
 
 
 class BTreeIndex:
-    """Sorted (key, tid) pairs with bisect-based range scans.
+    """One sorted list of ``(key, tid)`` pairs, searched by bisection.
 
     Multi-column keys are tuples; ordering uses :func:`sort_key` per column
     so heterogeneous values order consistently with the executor's ORDER BY.
+    Equal keys are ordered by tid, so an entry's place is found by one
+    bisection on the pair however many duplicates its key has. A probe
+    bisects with a 1-tuple ``(key prefix,)``, which sorts just before every
+    pair whose key starts with that prefix.
     """
 
     def __init__(self, n_columns: int):
         self.n_columns = n_columns
         self._entries: list[tuple[tuple, int]] = []  # (sortable_key, tid)
-        self._keys: list[tuple] = []  # parallel array for bisect
 
     @staticmethod
     def make_key(values) -> tuple:
-        return tuple(sort_key(v) for v in values)
+        return tuple(map(sort_key, values))
 
     def insert(self, values, tid: int) -> None:
-        key = self.make_key(values)
-        pos = bisect.bisect_left(self._keys, key)
-        # Keep equal keys ordered by tid for determinism.
-        while pos < len(self._keys) and self._keys[pos] == key and self._entries[pos][1] < tid:
-            pos += 1
-        self._keys.insert(pos, key)
-        self._entries.insert(pos, (key, tid))
+        bisect.insort(self._entries, (self.make_key(values), tid))
 
     def delete(self, values, tid: int) -> None:
-        key = self.make_key(values)
-        pos = bisect.bisect_left(self._keys, key)
-        while pos < len(self._keys) and self._keys[pos] == key:
-            if self._entries[pos][1] == tid:
-                del self._keys[pos]
-                del self._entries[pos]
-                return
-            pos += 1
+        """Drop the entry ``(key of values, tid)``; a no-op when it is not
+        (or no longer) there."""
+        entry = (self.make_key(values), tid)
+        entries = self._entries
+        pos = bisect.bisect_left(entries, entry)
+        if pos < len(entries) and entries[pos] == entry:
+            del entries[pos]
 
     def prune(self, dead_tids: set[int]) -> None:
         """Drop every entry pointing at a reclaimed TID, in one pass."""
         self._entries = [e for e in self._entries if e[1] not in dead_tids]
-        self._keys = [key for key, _ in self._entries]
 
     def scan_equal(self, values) -> list[int]:
         """TIDs whose leading columns equal ``values`` (may be a prefix)."""
         prefix = self.make_key(values)
-        lo = bisect.bisect_left(self._keys, prefix)
+        width = len(prefix)
+        entries = self._entries
         tids = []
-        for i in range(lo, len(self._keys)):
-            if self._keys[i][: len(prefix)] != prefix:
+        for i in range(bisect.bisect_left(entries, (prefix,)), len(entries)):
+            key, tid = entries[i]
+            if key[:width] != prefix:
                 break
-            tids.append(self._entries[i][1])
+            tids.append(tid)
         return tids
 
     def scan_range(self, low=None, high=None, low_inclusive=True, high_inclusive=True) -> list[int]:
         """TIDs with leading-column key in [low, high] (single-column ranges)."""
         low_key = sort_key(low) if low is not None else None
         high_key = sort_key(high) if high is not None else None
-        lo = bisect.bisect_left(self._keys, (low_key,)) if low_key is not None else 0
+        entries = self._entries
+        lo = bisect.bisect_left(entries, ((low_key,),)) if low_key is not None else 0
         tids = []
-        for i in range(lo, len(self._keys)):
-            first = self._keys[i][0]
+        for i in range(lo, len(entries)):
+            key, tid = entries[i]
+            first = key[0]
             if high_key is not None:
                 beyond = first > high_key if high_inclusive else first >= high_key
                 if beyond:
                     break
             if low_key is not None and not low_inclusive and first == low_key:
                 continue
-            tids.append(self._entries[i][1])
+            tids.append(tid)
         return tids
 
     def scan_all(self) -> list[int]:
@@ -207,10 +209,18 @@ def index_key_values(table, index, values: list) -> list:
     return row_key_fn(table, index.exprs)(values)
 
 
+def _entry_key(table, index, tup):
+    """What ``index.data`` files one heap tuple version under: its key,
+    or for GIN the one indexed value."""
+    key = index_key_values(table, index, tup.values)
+    return key[0] if isinstance(index.data, GinIndex) else key
+
+
 def index_insert(table, index, tup) -> None:
     """Add one heap tuple version to ``index``."""
-    key = index_key_values(table, index, tup.values)
-    if isinstance(index.data, GinIndex):
-        index.data.insert(key[0], tup.tid)
-    else:
-        index.data.insert(key, tup.tid)
+    index.data.insert(_entry_key(table, index, tup), tup.tid)
+
+
+def index_delete(table, index, tup) -> None:
+    """Drop one heap tuple version's entry from ``index``, if it is there."""
+    index.data.delete(_entry_key(table, index, tup), tup.tid)

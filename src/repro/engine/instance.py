@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from ..errors import (
@@ -256,6 +257,7 @@ class PostgresInstance:
             session.wait_events.clear()
         self.sessions.clear()
         self._parked.clear()
+        self.xids.pinned.clear()  # open cursors died with their sessions
         for xid in list(self.xids.active):
             # In-progress (non-prepared) transactions are implicitly aborted.
             if self.xids.clog.status(xid) == "in_progress":
@@ -481,10 +483,18 @@ class Session:
             self._statement_failed(None)
             raise
         self._open_cursors += 1
-        cursor._on_finish = self._cursor_finished
+        # A lazy scan reads under its snapshot long after this statement
+        # returned — across other sessions' commits, VACUUMs and probes:
+        # the horizon must not pass it until the cursor is done.
+        if cursor.snapshot is not None:
+            self.instance.xids.pinned.append(cursor.snapshot)
+        cursor._on_finish = partial(self._cursor_finished, cursor.snapshot)
         return cursor
 
-    def _cursor_finished(self, error=None) -> None:
+    def _cursor_finished(self, snapshot, error=None) -> None:
+        # By identity; a no-op after a crash (the pins died with it).
+        pinned = self.instance.xids.pinned
+        pinned[:] = [held for held in pinned if held is not snapshot]
         self._open_cursors = max(0, self._open_cursors - 1)
         if error is not None and self._cursor_error is None:
             self._cursor_error = error
@@ -996,7 +1006,7 @@ class Session:
         self.instance.catalog.bump_epoch()
 
     def _vacuum(self, stmt: A.Vacuum) -> QueryResult:
-        oldest = min(self.instance.xids.active, default=self.instance.xids.next_xid)
+        horizon = self.instance.xids.horizon()
         tables = (
             [self.instance.catalog.get_table(stmt.table)]
             if stmt.table
@@ -1004,10 +1014,10 @@ class Session:
         )
         removed = 0
         for table in tables:
-            dead_tids = set(table.heap.vacuum(oldest, self.instance.xids.clog))
+            dead_tids = set(table.heap.vacuum(horizon, self.instance.xids.clog))
             if dead_tids:
-                # Indexes are not MVCC-aware: entries of reclaimed versions
-                # would otherwise pile up and be rechecked on every probe.
+                # Entries no probe has killed yet must not outlive the
+                # version they name.
                 for index in table.indexes.values():
                     if index.data is not None:
                         index.data.prune(dead_tids)

@@ -78,6 +78,9 @@ class XidManager:
         self.next_xid = start
         self.clog = CommitLog()
         self.active: set[int] = set()
+        #: Snapshots that outlive the statement that took them — one per
+        #: open cursor, from open until the session is told it finished.
+        self.pinned: list[Snapshot] = []
 
     def allocate(self) -> int:
         xid = self.next_xid
@@ -104,6 +107,20 @@ class XidManager:
 
     def take_snapshot(self, own_xid: int = 0) -> Snapshot:
         return Snapshot(self.next_xid, frozenset(self.active), own_xid)
+
+    def horizon(self) -> int:
+        """The xid below which a committed delete is seen by every snapshot
+        that exists or can still be taken — the one place that says which
+        transactions may yet need an old version (PostgreSQL's
+        oldest-snapshot xmin). A snapshot taken from now on treats exactly
+        ``active`` as in progress (prepared xids stay in it until they are
+        resolved); a pinned one whatever was in progress when it was taken,
+        and nothing at or past its own ``xmax``. The value never
+        decreases: new xids and new snapshots start at or above it."""
+        oldest = min(self.active, default=self.next_xid)
+        for snapshot in self.pinned:
+            oldest = min(oldest, snapshot.xmax, *snapshot.in_progress)
+        return oldest
 
 
 @dataclass(slots=True)

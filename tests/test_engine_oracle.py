@@ -6,13 +6,19 @@ must return what the single node returns — equal row multisets, and equal
 sequences where the query orders its result. (ROADMAP item 4a's first
 slice: the ledger's ``analytics_scan`` shapes, ``write_mix``'s
 repartitioning INSERT..SELECT rollup, and the TPC-H and gharchive suites
-``bench_plan_quality`` plans.)
+``bench_plan_quality`` plans; then the OLTP statement suite of
+``traffic_mix`` — YCSB reads and updates, TPC-C PAYMENT / ORDER STATUS /
+STOCK LEVEL — compared statement by statement and by final table contents.)
 """
+
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro import make_cluster
-from repro.workloads import gharchive, tpch
+from repro.workloads import gharchive, tpcc, tpch, ycsb
+from repro.workloads.traffic import mixes
 
 from .oracle import load, normalized, oracle_session
 
@@ -139,3 +145,80 @@ def test_a_bad_column_list_raises_what_a_single_node_raises(
         with pytest.raises(CatalogError):
             BAD_COLUMN_LISTS[name](session)
         assert counts(session) == before
+
+
+# ---------------------------------------------------- OLTP statement suite
+
+OLTP_TABLES = {"warehouse": "w_id", "district": "d_w_id, d_id",
+               "customer": "c_w_id, c_d_id, c_id", "stock": "s_w_id, s_i_id",
+               "orders": "o_w_id, o_d_id, o_id", "usertable": "ycsb_key"}
+
+
+class RecordingClient:
+    """What the traffic mixes call a client: ``execute``; keeps every
+    statement's outcome so two runs can be compared statement by statement."""
+
+    def __init__(self, session):
+        self.session = session
+        self.outcomes = []
+
+    def execute(self, sql, params=None):
+        result = self.session.execute(sql, params)
+        self.outcomes.append((sql, result.rowcount, normalized(result.rows)))
+        return result
+
+
+def run_oltp_suite(session, distributed: bool):
+    """200 TPC-C payments on two warehouses (a quarter of them paying a
+    customer of the other one: 2PC on a cluster), with ORDER STATUS, STOCK
+    LEVEL and YCSB reads and updates in between — every PAYMENT rewrites
+    one of two warehouse rows and one of eight district rows, the statement
+    mix whose index probes kill the entries of dead versions."""
+    cfg = SimpleNamespace(tpcc_warehouses=2, cross_warehouse_fraction=0.25,
+                          ycsb_keys_per_tenant=4)
+    tpcc.create_schema(session, distributed=distributed)
+    tpcc.load_data(session, tpcc.TpccConfig(warehouses=2, items=20, seed=5))
+    session.copy_rows("orders", [
+        [w, d, o, (o * 3) % tpcc.CUSTOMERS_PER_DISTRICT + 1, "2021-06-20 00:00:00", o % 5 + 1]
+        for w in (1, 2) for d in range(1, tpcc.DISTRICTS_PER_WAREHOUSE + 1)
+        for o in range(1, 21)])
+    ycsb.create_schema(session, distributed=distributed)
+    ycsb.load_data(session, ycsb.YcsbConfig(records=32, seed=5))
+    client, rng = RecordingClient(session), random.Random(2021)
+    ycsb_a = mixes.MIXES["ycsb_a"].transaction
+    for i in range(200):
+        tenant = rng.randrange(8)
+        mixes._tpcc_payment(client, rng, tenant, cfg)
+        if i % 4 == 0:
+            mixes._tpcc_order_status(client, rng, tenant, cfg)
+        if i % 10 == 0:
+            mixes._tpcc_stock_level(client, rng, tenant, cfg)
+        ycsb_a(client, rng, tenant, cfg)
+    tables = {table: normalized(session.execute(
+        f"SELECT * FROM {table} ORDER BY {key}").rows)
+        for table, key in OLTP_TABLES.items()}
+    return client.outcomes, tables
+
+
+@pytest.fixture(scope="module")
+def oltp_oracle():
+    return run_oltp_suite(oracle_session(), distributed=False)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_the_oltp_statement_suite_agrees_with_single_node(oltp_oracle, layout):
+    workers, shards = LAYOUTS[layout]
+    session = make_cluster(workers=workers, shard_count=shards).coordinator_session()
+    outcomes, tables = run_oltp_suite(session, distributed=True)
+    expected_outcomes, expected_tables = oltp_oracle
+    assert len(outcomes) == len(expected_outcomes) > 1200
+    for got, expected in zip(outcomes, expected_outcomes):
+        assert got == expected
+    assert any(rows for sql, _n, rows in outcomes if "FROM orders" in sql)
+    assert any(rows[0][0] for sql, _n, rows in outcomes if "FROM stock" in sql)
+    for table in OLTP_TABLES:
+        assert tables[table] == expected_tables[table], table
+    # Not vacuous: the payments landed, and the hot rows were rewritten.
+    assert sum(row[3] for row in tables["warehouse"]) == pytest.approx(
+        sum(row[3] for row in tables["district"]))
+    assert sum(row[3] for row in tables["warehouse"]) > 200

@@ -403,6 +403,82 @@ class TestScanVisibilityParity:
         assert reader.execute("SELECT k FROM t ORDER BY k").rows == [
             [1], [2], [3], [4], [5], [7], [8], [9]]
 
+    @pytest.mark.parametrize("disturbance", ["vacuum", "probes", "both"])
+    @pytest.mark.parametrize("sql", [
+        "SELECT k, v FROM t WHERE k = 1",  # index path
+        "SELECT k, v FROM t",  # sequential path
+    ], ids=["index", "seq"])
+    def test_an_open_cursor_keeps_the_versions_it_can_see(self, sql, disturbance):
+        """A cursor's snapshot outlives its statement: neither VACUUM nor a
+        probe that kills index entries may take a version it can still see.
+        ``min(xids.active)`` alone is the cursor's *own* xid here, above
+        the updater it holds in progress, so the old version — the only one
+        the cursor sees — used to be reclaimed and the row vanished."""
+        from repro.sql import parse
+
+        pg = PostgresInstance("pinned")
+        reader, writer, other = pg.connect(), pg.connect(), pg.connect()
+        reader.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        reader.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        writer.execute("BEGIN")
+        writer.execute("UPDATE t SET v = 11 WHERE k = 1")
+        cursor = reader.execute_parsed_cursor(parse(sql)[0])
+        updater = writer.xid
+        assert reader.xid > updater and updater in cursor.snapshot.in_progress
+        writer.execute("COMMIT")
+        assert pg.xids.horizon() == updater  # pinned; min(active) is above
+        table = pg.catalog.get_table("t")
+        old = table.heap.tuples[0]
+        if disturbance != "vacuum":
+            # Enough committed versions for every probe to find most of its
+            # candidates invisible, which is what triggers a kill.
+            for v in range(12, 16):
+                other.execute("UPDATE t SET v = $1 WHERE k = 1", [v])
+            for _ in range(3):
+                assert other.execute("SELECT v FROM t WHERE k = 1").rows == [[15]]
+                other.execute("INSERT INTO t VALUES (1, 0) ON CONFLICT (k) DO NOTHING")
+        if disturbance != "probes":
+            assert other.execute("VACUUM t").rowcount == 0
+        assert old in table.heap.tuples
+        assert old.tid in table.indexes["t_pkey"].data.scan_equal([1])
+        expected = [[1, 10], [2, 20]][:cursor_rows(sql)]
+        assert cursor.fetch(10) == expected
+        # The cursor is done: the pin is gone, and so may the versions be.
+        assert pg.xids.pinned == [] and pg.xids.horizon() == pg.xids.next_xid
+        assert other.execute("SELECT v FROM t WHERE k = 1").rows == [
+            [11 if disturbance == "vacuum" else 15]]
+        if disturbance != "vacuum":  # five dead of six: that probe killed them
+            assert table.indexes["t_pkey"].data.scan_equal([1]) == [
+                table.heap.tuples[-1].tid]
+        assert other.execute("VACUUM t").rowcount >= 1
+        assert len(table.heap.tuples) == len(table.indexes["t_pkey"].data) == 2
+
+    def test_a_closed_or_crashed_cursor_unpins(self):
+        from repro.sql import parse
+
+        pg = PostgresInstance("unpin")
+        session = pg.connect()
+        session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        session.execute("INSERT INTO t VALUES (1, 10)")
+        stmt = parse("SELECT k FROM t")[0]
+        first, second = (session.execute_parsed_cursor(stmt) for _ in range(2))
+        assert len(pg.xids.pinned) == 2
+        first.close()
+        assert pg.xids.pinned == [second.snapshot]
+        # A materialised cursor holds no snapshot, so it pins nothing.
+        sorted_cursor = session.execute_parsed_cursor(
+            parse("SELECT k FROM t ORDER BY k")[0])
+        assert sorted_cursor.snapshot is None and len(pg.xids.pinned) == 1
+        pg.crash()
+        assert pg.xids.pinned == []
+        pg.restart()
+        second.close()  # its session is gone; must not disturb the new state
+        assert pg.xids.pinned == [] and pg.xids.horizon() == pg.xids.next_xid
+
+
+def cursor_rows(sql: str) -> int:
+    return 1 if "WHERE" in sql else 2
+
 
 class TestVacuumPrunesIndexes:
     """VACUUM must drop the index entries of the versions it reclaims:
@@ -419,7 +495,12 @@ class TestVacuumPrunesIndexes:
     def test_btree_and_gin_hold_one_entry_per_stored_tuple(self, pg, session):
         self._churn(session)
         table = pg.catalog.get_table("t")
-        assert len(table.indexes["t_pkey"].data) == 600  # one per version ever
+        # Probes kill entries of versions dead to every snapshot (the DELETE's
+        # range probe did): entries ⊆ stored tuples ⊇ what a snapshot can see.
+        entries = set(table.indexes["t_pkey"].data.scan_all())
+        assert entries <= {tup.tid for tup in table.heap.tuples}
+        assert entries >= {tup.tid for tup in table.heap.scan(
+            session.snapshot(), pg.xids.clog)}
         before = session.execute("SELECT k, v FROM t ORDER BY k").rows
         assert session.execute("VACUUM t").rowcount == 550
         assert len(table.heap.tuples) == 50
@@ -449,6 +530,248 @@ class TestVacuumPrunesIndexes:
         reader.execute("COMMIT")
         session.execute("VACUUM t")
         assert len(table.heap.tuples) == len(table.indexes["t_pkey"].data) == 11
+
+
+# ------------------------------------------------ index entries die on access
+
+_BODIES = ["apple pie", "apple tart", "berry pie", None]
+_NEEDLES = ["apple", "pie", "berry"]
+_KEYS = st.integers(1, 4)
+_SESSIONS = st.integers(0, 2)
+
+#: One schedule step: ``(op, session, a, b)``. Three sessions share a few
+#: keys of ``t (k PRIMARY KEY, v, body, n)`` — B-tree on ``k``, B-tree on the
+#: mutable ``v``, trigram GIN on ``body``, and ``n`` in no index. The four
+#: kinds are drawn equally often (repeats weight an op within its kind), so
+#: a schedule keeps transactions open across other sessions' probes.
+_index_steps = st.one_of(
+    st.tuples(st.sampled_from(["update_v", "update_v", "update_n", "update_key",
+                               "delete", "insert", "upsert"]),
+              _SESSIONS, _KEYS, _KEYS),
+    st.tuples(st.sampled_from(["begin", "begin", "commit", "commit", "rollback",
+                               "prepare"]),
+              _SESSIONS, st.just(0), st.just(0)),
+    st.tuples(st.sampled_from(["read_k", "read_k", "read_v", "range_k", "range_v",
+                               "read_body"]),
+              _SESSIONS, _KEYS, st.just(0)),
+    st.tuples(st.sampled_from(["open_index", "open_seq", "fetch", "fetch", "close",
+                               "vacuum", "vacuum", "commit_prepared",
+                               "commit_prepared", "rollback_prepared", "crash"]),
+              _SESSIONS, st.integers(0, 3), st.integers(1, 3)),
+)
+
+
+def _index_tids(index) -> set:
+    data = index.data
+    return set(data._tid_keys) if isinstance(data, GinIndex) else set(data.scan_all())
+
+
+def assert_indexes_cover_the_heap(pg, sessions):
+    """What must hold between a table's heap and its indexes whatever
+    probes have killed: entries name stored tuples under the key those
+    tuples have; every version that is not dead to every snapshot — in
+    particular every one the current, a session's or a pinned snapshot can
+    see, and the victim of a prepared deleter — has its entry in every
+    index."""
+    table = pg.catalog.get_table("t")
+    heap, xids = table.heap, pg.xids
+    horizon = xids.horizon()
+    snapshots = [xids.take_snapshot(), *xids.pinned,
+                 *(session.snapshot() for session in sessions)]
+    needed = {tup.tid for snapshot in snapshots
+              for tup in heap.scan(snapshot, xids.clog)}
+    prepared = {txn.xid for txn in pg.prepared_txns.values()}
+    needed |= {tup.tid for tup in heap.tuples if tup.header.xmax in prepared}
+    assert needed <= {tup.tid for tup in heap.tuples
+                      if not heap.is_dead(tup, horizon, xids.clog)}
+    for name, index in table.indexes.items():
+        tids = _index_tids(index)
+        assert tids <= set(heap._by_tid), name
+        assert needed <= tids, (name, sorted(needed - tids))
+        if isinstance(index.data, BTreeIndex):
+            position = table.column_index(index.exprs[0].name)
+            entries = index.data._entries
+            assert entries == sorted(entries), name
+            assert entries == sorted(
+                (BTreeIndex.make_key([heap.get(tid).values[position]]), tid)
+                for tid in tids), name
+
+
+def run_index_schedule(steps):
+    """Drive ``steps`` through one instance, checking after every step
+    that the indexes still cover the heap, that an indexed read returns
+    what the same predicate admits over ``Heap.scan`` under the same
+    snapshot, that an INSERT collides exactly when its key is visible, and
+    that a cursor returns what its snapshot admitted when it was opened."""
+    from repro.errors import SQLError, UniqueViolation
+    from repro.sql import parse
+
+    pg = PostgresInstance("schedule")
+    admin = pg.connect()
+    admin.execute("CREATE TABLE t (k int PRIMARY KEY, v int, body text, n int)")
+    admin.execute("CREATE INDEX t_v ON t (v)")
+    admin.execute("CREATE INDEX t_body ON t USING gin (body gin_trgm_ops)")
+    admin.copy_rows("t", [[k, k, _BODIES[k % 4], 0] for k in (1, 2, 3)])
+    admin.close()
+    sessions = [pg.connect() for _ in range(3)]
+    cursors = []  # [cursor, its session, rows it must return, rows so far]
+    gids = 0
+
+    def visible(session, keep):
+        table = pg.catalog.get_table("t")
+        return sorted(list(tup.values) for tup in table.heap.scan(
+            session.snapshot(), pg.xids.clog) if keep(tup.values))
+
+    reads = {
+        "read_k": ("SELECT * FROM t WHERE k = $1", lambda a: lambda r: r[0] == a),
+        "read_v": ("SELECT * FROM t WHERE v = $1", lambda a: lambda r: r[1] == a),
+        "range_k": ("SELECT * FROM t WHERE k <= $1", lambda a: lambda r: r[0] <= a),
+        "range_v": ("SELECT * FROM t WHERE v > $1", lambda a: lambda r: r[1] > a),
+    }
+    for op, s, a, b in steps:
+        session = sessions[s]
+        busy = any(owner is session for _c, owner, _e, _g in cursors)
+        try:
+            if op == "crash":
+                pg.crash()
+                pg.restart()
+                sessions = [pg.connect() for _ in range(3)]
+                cursors.clear()
+            elif op in ("fetch", "close"):
+                if cursors:
+                    entry = cursors[a % len(cursors)]
+                    cursor, _owner, expected, got = entry
+                    if op == "fetch":
+                        got.extend(cursor.fetch(b))
+                    else:
+                        cursor.close()
+                    if cursor.exhausted:
+                        assert sorted(got) == expected
+                    if cursor.exhausted or cursor.closed:
+                        cursors.remove(entry)
+            elif op in ("commit_prepared", "rollback_prepared"):
+                if pg.prepared_txns:
+                    gid = sorted(pg.prepared_txns)[a % len(pg.prepared_txns)]
+                    session.execute(f"{op.split('_')[0].upper()} PREPARED '{gid}'")
+            elif busy:
+                pass  # a session with a portal open only fetches and closes
+            elif op in ("open_index", "open_seq"):
+                # On an idle session, so nothing it writes later can show
+                # through the snapshot's own-xid rule.
+                if session.xid is None and not session.in_transaction:
+                    keep = (lambda r: r[0] <= 5) if op == "open_index" else (lambda r: True)
+                    sql = "SELECT * FROM t" + (" WHERE k <= 5" if op == "open_index" else "")
+                    cursor = session.execute_parsed_cursor(parse(sql)[0])
+                    assert cursor.snapshot in pg.xids.pinned
+                    cursors.append([cursor, session, visible(session, keep), []])
+            elif op in reads:
+                sql, keep = reads[op]
+                lookups = session.stats["index_lookups"]
+                rows = session.execute(sql, [a]).rows
+                assert session.stats["index_lookups"] == lookups + 1
+                assert sorted(rows) == visible(session, keep(a))
+            elif op == "read_body":
+                needle = _NEEDLES[a % len(_NEEDLES)]
+                lookups = session.stats["index_lookups"]
+                rows = session.execute(
+                    f"SELECT * FROM t WHERE body ILIKE '%{needle}%'").rows
+                assert session.stats["index_lookups"] == lookups + 1
+                assert sorted(rows) == visible(
+                    session, lambda r: r[2] is not None and needle in r[2])
+            elif op == "insert":
+                taken = bool(visible(session, lambda r: r[0] == a))
+                try:
+                    session.execute("INSERT INTO t VALUES ($1, $2, $3, 0)",
+                                    [a, b, _BODIES[b % 4]])
+                except UniqueViolation:
+                    assert taken
+                else:
+                    assert not taken
+            elif op == "upsert":
+                session.execute(
+                    "INSERT INTO t VALUES ($1, $2, $3, 0) ON CONFLICT (k)"
+                    " DO UPDATE SET v = excluded.v, body = excluded.body",
+                    [a, b, _BODIES[b % 4]])
+                assert visible(session, lambda r: r[0] == a)[0][:3] == [
+                    a, b, _BODIES[b % 4]]
+            elif op == "update_key":
+                session.execute("UPDATE t SET k = $2 WHERE k = $1", [a, b])
+            elif op == "update_v":
+                session.execute("UPDATE t SET v = $2, body = $3 WHERE k = $1",
+                                [a, b, _BODIES[b % 4]])
+            elif op == "update_n":
+                session.execute("UPDATE t SET n = n + 1 WHERE k = $1", [a])
+            elif op == "delete":
+                session.execute("DELETE FROM t WHERE k = $1", [a])
+            elif op == "prepare":
+                if session.in_transaction and session.xid is not None:
+                    gids += 1
+                    session.execute(f"PREPARE TRANSACTION 'g{gids}'")
+            else:
+                session.execute({"begin": "BEGIN", "commit": "COMMIT",
+                                 "rollback": "ROLLBACK", "vacuum": "VACUUM t"}[op])
+        except SQLError:
+            pass  # lock timeout, aborted block, duplicate key on UPDATE
+        assert_indexes_cover_the_heap(pg, sessions)
+        # What a cursor's snapshot admitted when it was taken is all still
+        # stored (and, by the above, indexed), fetched yet or not.
+        for cursor, _owner, expected, got in cursors:
+            stored = sorted(list(tup.values) for tup in pg.catalog.get_table(
+                "t").heap.scan(cursor.snapshot, pg.xids.clog))
+            assert [row for row in expected if row not in stored] == []
+            assert [row for row in got if row not in expected] == []
+    return pg
+
+
+class TestIndexEntriesDieOnAccess:
+    """Index probes delete the entries of versions that are dead to every
+    snapshot (DESIGN.md, "Index entries die on access; one horizon"). No
+    schedule of writers, 2PC, cursors, VACUUM, crashes and probes may make
+    an index miss a version some snapshot can see."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_index_steps, min_size=30, max_size=80))
+    def test_property_indexes_cover_the_heap_under_any_schedule(self, steps):
+        run_index_schedule(steps)
+
+    @pytest.mark.parametrize("steps", [
+        # a cursor that met the updater in progress; the updater commits;
+        # VACUUM, then a probe storm, with the cursor still unread
+        [("begin", 0, 0, 0), ("update_v", 0, 1, 2), ("open_index", 1, 0, 0),
+         ("commit", 0, 0, 0), ("vacuum", 2, 0, 0), ("fetch", 1, 0, 3)],
+        [("begin", 0, 0, 0), ("update_v", 0, 1, 2), ("open_seq", 1, 0, 0),
+         ("commit", 0, 0, 0), ("update_v", 0, 1, 3), ("update_v", 0, 1, 4),
+         ("read_k", 2, 1, 0), ("read_v", 2, 1, 0), ("read_body", 2, 0, 0),
+         ("fetch", 1, 0, 3)],
+        # an uncommitted insert probed from outside is not dead
+        [("begin", 0, 0, 0), ("insert", 0, 4, 1), ("read_k", 1, 4, 0),
+         ("insert", 1, 4, 2), ("commit", 0, 0, 0), ("read_k", 1, 4, 0)],
+        # kills are not state: replay re-inserts the entries, probes re-kill
+        [("update_v", 0, 1, 2), ("update_v", 0, 1, 3), ("read_k", 1, 1, 0),
+         ("crash", 0, 0, 0), ("read_k", 1, 1, 0), ("read_v", 1, 3, 0),
+         ("vacuum", 0, 0, 0)],
+        # an aborted key change leaves an entry under a key nobody has
+        [("begin", 0, 0, 0), ("update_key", 0, 1, 4), ("rollback", 0, 0, 0),
+         ("read_k", 1, 4, 0), ("insert", 1, 4, 1), ("range_k", 2, 4, 0)],
+    ], ids=["cursor-vacuum", "cursor-probes", "uncommitted-insert",
+            "crash-replay", "aborted-key-change"])
+    def test_named_schedules(self, steps):
+        run_index_schedule(steps)
+
+    def test_a_prepared_deleters_victim_keeps_its_entries(self):
+        steps = [("delete", 0, 2, 0), ("delete", 0, 3, 0), ("vacuum", 0, 0, 0),
+                 ("begin", 0, 0, 0), ("delete", 0, 1, 0), ("prepare", 0, 0, 0)]
+        probes = [("read_k", 1, 1, 0), ("read_v", 1, 1, 0), ("read_body", 1, 0, 0),
+                  ("insert", 1, 1, 1), ("vacuum", 1, 0, 0)] * 3
+        pg = run_index_schedule(steps + probes)
+        table = pg.catalog.get_table("t")
+        assert [len(index.data) for index in table.indexes.values()] == [1, 1, 1]
+        pg = run_index_schedule(
+            steps + probes + [("commit_prepared", 1, 0, 1)] + probes[:3])
+        table = pg.catalog.get_table("t")
+        assert [len(index.data) for index in table.indexes.values()] == [0, 0, 0]
+        assert len(table.heap.tuples) == 1  # the heap version is VACUUM's
 
 
 class TestBTreeIndex:

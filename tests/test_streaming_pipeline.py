@@ -453,6 +453,56 @@ class TestParkedStatementsWithOpenCursors:
         c2.close()
         assert ws._open_cursors == 0
 
+    def test_open_shard_streams_survive_a_worker_side_vacuum(self, citus4, monkeypatch):
+        """Every shard cursor of a streaming SELECT holds its snapshot from
+        dispatch to its last batch. An update the snapshots hold in
+        progress commits, and every worker VACUUMs and takes a storm of
+        index probes, between the dispatch and the first fetch: the old
+        versions are the only ones those snapshots can see and must still
+        be there (the workers' horizon used to be ``min(xids.active)``,
+        the reading backends' own xids, and every row vanished)."""
+        from repro.citus.executor.adaptive import StreamingExecution
+
+        s = citus4.coordinator_session("reader")
+        s.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        s.execute("SELECT create_distributed_table('t', 'k')")
+        s.copy_rows("t", [[k, k] for k in range(1, 81)])
+        writer = citus4.coordinator_session("writer")
+        writer.execute("BEGIN")
+        writer.execute("UPDATE t SET v = v + 1000")
+        workers = [node for name, node in citus4.cluster.nodes.items()
+                   if name.startswith("worker")]
+        assert len(workers) == 4
+        fetch = StreamingExecution._fetch
+        disturbed = []
+
+        def disturb_before_the_first_fetch(execution, stream):
+            if not disturbed:
+                disturbed.append(len(execution.streams))
+                for other in execution.streams:
+                    other.ensure_open()
+                writer.execute("COMMIT")
+                for _ in range(3):  # two more versions of every row, probed
+                    writer.execute("UPDATE t SET v = v + 1000 WHERE k > 0")
+                for instance in workers:
+                    admin = instance.connect()
+                    assert admin.execute("VACUUM").rowcount == 0
+                    admin.close()
+            return fetch(execution, stream)
+
+        monkeypatch.setattr(StreamingExecution, "_fetch",
+                            disturb_before_the_first_fetch)
+        # No ORDER BY: a sorting task materialises on the worker at dispatch
+        # and holds no snapshot; these scan lazily, through the index.
+        rows = s.execute("SELECT k, v FROM t WHERE k > 0").rows
+        assert disturbed == [16]
+        assert sorted(rows) == [[k, k] for k in range(1, 81)]
+        monkeypatch.undo()
+        assert s.execute("SELECT count(*), min(v - k) FROM t").rows == [[80, 4000]]
+        for instance in workers:
+            assert instance.xids.pinned == []
+            assert instance.connect().execute("VACUUM").rowcount > 0
+
 
 class TestAffinityClearing:
     def test_accessed_groups_cleared_after_streaming_select(self, citus, big):

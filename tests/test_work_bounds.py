@@ -12,8 +12,11 @@ types, column positions, constraints and snapshot per statement, a tuple
 version's width is computed once for insert, delete and vacuum, a DELETE
 looks for incoming foreign keys once, routing builds no list per row, and
 the ledger's aggregate statements never call an accumulator function.
-Counting calls instead of timing them makes the bound exact and the test
-deterministic.
+And a much-updated row does not tax its own index: probes examine a
+constant number of candidates however many versions the row has had, and
+a B-tree entry is placed and removed by bisection however many duplicates
+its key has. Counting calls instead of timing them makes the bound exact
+and the test deterministic.
 """
 
 import contextlib
@@ -35,6 +38,7 @@ from repro.engine.catalog import Table
 from repro.engine.expr import RowLayout
 from repro.engine.functions import AGGREGATES
 from repro.engine.heap import Heap
+from repro.engine.index import BTreeIndex
 from repro.engine.mvcc import CommitLog, XidManager
 from repro.net import network
 from repro.sql import ast as A
@@ -575,3 +579,117 @@ def test_unfolded_records_never_exceed_the_pending_constant():
     assert telemetry.pending.dropped == 0
     rows = session.execute("SELECT citus_stat_statements()").scalar()
     assert sum(row[3] for row in rows if "SELECT v FROM kv" in row[0]) == 5_000
+
+
+# ------------------------------------------- index entries die on access
+
+
+@pytest.fixture
+def probe_work(monkeypatch):
+    """Candidates per B-tree equality probe and TIDs handed to
+    ``Heap.fetch``, counted from outside (as the script that sized the
+    problem did): ``probes``, ``candidates``, the ``most`` any one probe
+    returned, ``fetched``."""
+    counts = Counter()
+    scan_equal, fetch = BTreeIndex.scan_equal, Heap.fetch
+
+    def counted_scan_equal(index, values):
+        tids = scan_equal(index, values)
+        counts["probes"] += 1
+        counts["candidates"] += len(tids)
+        counts["most"] = max(counts["most"], len(tids))
+        return tids
+
+    def counted_fetch(heap, tids, snapshot, clog):
+        counts["fetched"] += len(tids)
+        return fetch(heap, tids, snapshot, clog)
+
+    monkeypatch.setattr(BTreeIndex, "scan_equal", counted_scan_equal)
+    monkeypatch.setattr(Heap, "fetch", counted_fetch)
+    return counts
+
+
+def hot_row_table():
+    pg = PostgresInstance("hot")
+    session = pg.connect()
+    session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+    session.copy_rows("t", [[k, 0] for k in range(1, 101)])
+    return pg, session, pg.catalog.get_table("t").indexes["t_pkey"].data
+
+
+def test_probes_of_a_hot_row_examine_a_constant_number_of_candidates(probe_work):
+    pg, session, pkey = hot_row_table()
+    probe_work.clear()
+    for _ in range(500):
+        # Each UPDATE probes the key itself, so the kills happen on the way.
+        session.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+    assert probe_work["probes"] == 500 and probe_work["most"] <= 4, probe_work
+    assert probe_work["candidates"] == probe_work["fetched"] <= 3 * 500
+    assert len(pkey) <= 104
+    for sql in ("SELECT v FROM t WHERE k = 1",
+                "UPDATE t SET v = v + 1 WHERE k = 1",
+                "INSERT INTO t VALUES (1, 0) ON CONFLICT (k) DO UPDATE SET v = t.v + 1"):
+        probe_work.clear()
+        session.execute(sql)
+        assert probe_work["probes"] == 1, (sql, probe_work)
+        assert probe_work["candidates"] == probe_work["fetched"] <= 4, (sql, probe_work)
+    assert session.execute("SELECT v FROM t WHERE k = 1").rows == [[502]]
+    # The heap is VACUUM's: every version is still stored.
+    assert len(pg.catalog.get_table("t").heap.tuples) == 100 + 502
+
+
+def test_nothing_is_killed_under_an_open_xid_and_the_first_probe_after_it_kills(
+        probe_work):
+    pg, session, pkey = hot_row_table()
+    holder = pg.connect()
+    holder.execute("BEGIN")
+    holder.execute("INSERT INTO t VALUES (1000, 0)")  # holds an xid open
+    for _ in range(50):
+        session.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+    # Every version was deleted at or above the horizon: all 51 stay.
+    assert len(pkey) == 100 + 1 + 50
+    assert len(pkey.scan_equal([1])) == 51
+    holder.execute("COMMIT")
+    probe_work.clear()
+    assert session.execute("SELECT v FROM t WHERE k = 1").rows == [[50]]
+    assert probe_work["candidates"] == 51
+    assert len(pkey.scan_equal([1])) == 1 and len(pkey) == 101
+    probe_work.clear()
+    session.execute("SELECT v FROM t WHERE k = 1")
+    assert probe_work["candidates"] == probe_work["fetched"] == 1
+
+
+def test_a_duplicate_key_is_placed_and_removed_by_bisection(monkeypatch):
+    comparisons = Counter()
+
+    class CountedKey:
+        def __init__(self, value):
+            self.value = value
+
+        def __eq__(self, other):
+            comparisons["n"] += 1
+            return self.value == other.value
+
+        def __lt__(self, other):
+            comparisons["n"] += 1
+            return self.value < other.value
+
+    monkeypatch.setattr(BTreeIndex, "make_key", staticmethod(
+        lambda values: tuple(CountedKey(v) for v in values)))
+    index = BTreeIndex(1)
+    for key in (6, 8):
+        index.insert([key], key)
+    for tid in range(100, 600):
+        index.insert([7], tid)
+    # A pair comparison costs at most three key comparisons (equal? then
+    # which differs, then less?); 502 entries are ~9 bisection steps.
+    budget = 3 * 10
+    comparisons.clear()
+    index.insert([7], 600)  # the 501st duplicate, behind all the others
+    assert 0 < comparisons["n"] <= budget, comparisons
+    assert index.scan_equal([7])[-2:] == [599, 600]
+    comparisons.clear()
+    index.delete([7], 599)
+    index.delete([7], 599)  # gone already: a no-op
+    assert 0 < comparisons["n"] <= 2 * budget, comparisons
+    assert index.scan_equal([7])[-2:] == [598, 600] and len(index) == 502
