@@ -4,6 +4,7 @@
     python3 benchmarks/sample_profile.py --workload write_mix --seconds 8
     python3 benchmarks/sample_profile.py --workload write_mix --root ../parent
     python3 benchmarks/sample_profile.py --workload traffic_mix --deciles
+    python3 benchmarks/sample_profile.py --workload oltp_point --plain
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -17,6 +18,14 @@ mean wall time of an op and the mean / max number of candidates a B-tree
 equality probe returned (``BTreeIndex.scan_equal`` wrapped from outside).
 A cost that grows with run length shows as a slope here; ``host.drift_frac``
 sees it only in traced ledger runs.
+
+``--plain`` does not sample either: it replays the workload's op stream
+(its own ``load`` / ``run_op``, results checked as in the ledger) against a
+plain ``PostgresInstance``, Citus 0+1 and Citus 4+1 (32 shards, telemetry
+defaults) and prints the mean wall time of an op on each and the two ratios
+over plain — Fig. 6's "Citus 0+1 is only slightly slower" bar, functionally.
+For workloads that drive everything through ``self.session`` (``oltp_point``:
+one statement per op).
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ def main() -> None:
     parser.add_argument("--deciles", action="store_true",
                         help="per tenth of the run: mean op time and index"
                         " candidates per probe, in place of the sample")
+    parser.add_argument("--plain", action="store_true",
+                        help="mean op time on a plain PostgresInstance, Citus"
+                        " 0+1 and Citus 4+1, in place of the sample")
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     args = parser.parse_args()
@@ -65,6 +77,9 @@ def main() -> None:
         incl_mod.update({module for module, _name in stack})
 
     cls = WORKLOADS[args.workload]
+    if args.plain:
+        print_plain(cls, args.seed, phases.op_count(cls, args.seconds), root)
+        return
     workload = cls(args.seed, phases.op_count(cls, args.seconds))
     workload.setup()
     workload.warm_up()
@@ -123,6 +138,54 @@ def print_deciles(name: str, workload, root: str) -> None:
     for tenth in range(10):
         row(tenth + 1, len(walls) * tenth // 10, len(walls) * (tenth + 1) // 10)
     row("all", 0, len(walls) + 1)  # + 1: probes after the last op, if any
+
+
+class _Undistributed:
+    """A backend of a plain instance as a ledger workload's session: the
+    same session, deaf to ``create_distributed_table`` and friends."""
+
+    def __init__(self, session):
+        self._session = session
+
+    def execute(self, sql, params=None):
+        if sql.startswith(("SELECT create_distributed_table",
+                           "SELECT create_reference_table")):
+            return None
+        return self._session.execute(sql, params)
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+
+def print_plain(cls, seed: int, ops: int, root: str) -> None:
+    from repro import PostgresInstance, make_cluster
+
+    def plain():
+        instance = PostgresInstance("plain")
+        return _Undistributed(instance.connect("ledger")), instance
+
+    def citus(workers):
+        cluster = make_cluster(workers=workers, shard_count=32)
+        return cluster.coordinator_session("ledger"), cluster.cluster.clock
+
+    targets = (("plain", plain), ("citus 0+1", lambda: citus(0)),
+               ("citus 4+1", lambda: citus(4)))
+    print(f"{cls.name}: {ops} ops per target, seed {seed} ({root})")
+    print(f"{'target':<10} {'mean op us':>11} {'x plain':>8} {'failed':>7}")
+    base = None
+    for name, build in targets:
+        workload = cls(seed, ops)
+        workload.session, workload.clock = build()  # in place of setup()
+        workload.load()
+        workload.warm_up()
+        workload.measure()
+        workload.finish()
+        mean_us = sum(workload.walls) / len(workload.walls) / 1e3
+        base = base or mean_us
+        print(f"{name:<10} {mean_us:11.1f} {mean_us / base:8.2f}"
+              f" {workload.failed:7d}")
+        for error in workload.errors[:3]:
+            print(f"  FAILED CHECK: {error}")
 
 
 if __name__ == "__main__":

@@ -17,10 +17,15 @@ That policy, and the timeline it is reconstructed on (execution is
 functionally sequential; work is charged to the connection it ran on and a
 statement takes as long as its busiest connection), live in
 :class:`~.timeline.ConnectionTimeline`. This module drives it three ways:
-blocking tasks (:meth:`AdaptiveExecutor.execute_tasks` — fast path, router,
-multi-shard DML), per-task cursors (:class:`StreamingExecution` — every
-multi-shard SELECT) and per-shard COPY channels
-(:class:`CopyChannelExecution` — every COPY / re-routing INSERT..SELECT).
+blocking tasks (:meth:`AdaptiveExecutor.execute_tasks` — multi-shard DML,
+multi-row INSERT, reference writes), per-task cursors
+(:class:`StreamingExecution` — every multi-shard SELECT) and per-shard COPY
+channels (:class:`CopyChannelExecution` — every COPY / re-routing
+INSERT..SELECT). One task (fast path, router, anything pruned to a shard)
+needs none of it — one connection is its own timeline — and takes
+:meth:`AdaptiveExecutor.execute_task`, which reports the run exactly as the
+timeline would. Parking on a lock belongs to that driver alone, slow start
+to the others.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...engine.locks import WouldBlock
-from ..record import (BATCH, BEGIN, BLOCKED_TASK, CHANNELS, CLOSE, DISPATCH, FLUSH,
-                      STREAMS, TASK, TASKS)
+from ..record import (BATCH, BEGIN, BLOCKED, BLOCKED_TASK, CHANNELS, CLOSE,
+                      DISPATCH, FAILED, FLUSH, OK, STREAMS, TASK, TASKS)
+from ..txn.deadlock import assign_distributed_txn_ids
 from .placement import SessionPools
-from .timeline import ConnectionTimeline
+from .timeline import ConnectionTimeline, close_run, open_connection
 
 
 @dataclass
@@ -68,24 +74,135 @@ class AdaptiveExecutor:
 
     def execute_tasks(self, session, tasks, is_write: bool = False):
         """Run tasks, return a list of QueryResults aligned with tasks."""
+        if len(tasks) == 1:
+            return [self.execute_task(session, tasks[0], is_write)]
+        return self._execute_many(session, tasks, is_write)
+
+    def execute_task(self, session, task, is_write: bool = False):
+        """One task on one connection, as a straight line: the connection
+        transaction affinity pins, else the node's first idle cached one,
+        else a new one; BEGIN inside a transaction block; run; charge;
+        advance the clock. The report, units, counters, gauges and wait
+        events are the ones a :class:`ConnectionTimeline` of one task
+        produces, in its order. A lock wait on the worker parks the
+        statement (:class:`~repro.net.network.RemoteBlocked` propagates)."""
+        ext = self.ext
+        counters = ext.stat_counters
+        pools = SessionPools.for_session(session, ext)
+        report = ExecutionReport(task_count=1)
+        clock = ext.cluster.clock
+        base = clock.now()
+        explicit = session.in_transaction
+        # Counted before the window ring looks at the clock.
+        counters.incr("executor_statements")
+        units = ext.telemetry.execution_begin()
+        counters.gauge_incr("executor_statements_in_flight")
+        node, group = task.node, task.shard_group
+        free = 0.0  # when the connection is next free, from ``base``
+        outcome = FAILED
+        try:
+            idle = pools.idle_connections(node)
+            conn = idle[0] if idle else None
+            for cached in idle:
+                if group in cached.accessed_groups:
+                    conn = cached
+                    break
+            reused = conn is not None
+            if not reused:
+                conn, free = open_connection(ext, session, pools, node, True,
+                                             report, units, 0.0)
+            # The in-flight gauge is settled on every way out, so a failing
+            # task (node crash, SQL error) can never leave it stuck.
+            counters.gauge_incr("tasks_in_flight", node=node)
+            before, bytes_before = conn.elapsed, conn.bytes_transferred
+            begin_bytes = 0
+            try:
+                if explicit:
+                    _enter_txn_block(ext, session, conn, is_write)
+                    # The BEGIN's round trip is not on the task's timeline;
+                    # its bytes are on the task's span.
+                    begin_bytes = conn.bytes_transferred - bytes_before
+                    before, bytes_before = conn.elapsed, conn.bytes_transferred
+                if group is not None:
+                    conn.accessed_groups.add(group)
+                if task.stmt is not None:
+                    result = conn.execute_parsed(task.stmt, task.params,
+                                                 allow_block=True)
+                else:
+                    result = conn.execute(task.sql, task.params,
+                                          allow_block=True)
+            except WouldBlock:
+                # Lock wait: the statement parks — an executor suspension,
+                # not a task failure. What it did so far is kept, and counts
+                # if the statement goes on to complete; the connection stays
+                # free.
+                outcome = BLOCKED
+                if units is not None:
+                    units.append((BLOCKED_TASK, 0, node, group, is_write, free,
+                                  conn.elapsed - before, 0,
+                                  conn.bytes_transferred - bytes_before))
+                counters.gauge_decr("tasks_in_flight", node=node)
+                counters.incr("tasks_blocked", node=node)
+                raise
+            except Exception:
+                counters.gauge_decr("tasks_in_flight", node=node)
+                counters.incr("tasks_failed", node=node)
+                raise
+        except BaseException:
+            counters.gauge_decr("executor_statements_in_flight")
+            report.elapsed = free
+            close_run(ext, session, pools, TASKS, base, units, report, None,
+                      outcome, explicit)
+            raise
+        counters.gauge_decr("tasks_in_flight", node=node)
+        counters.incr("tasks_executed", node=node)
+        # Simulated cost: network latency accrued plus a CPU term
+        # proportional to rows produced/affected.
+        rows = result.rowcount if result.rowcount else len(result.rows)
+        cost = (conn.elapsed - before) + rows * ext.config.per_row_cpu_cost
+        session.wait_events.record("Net", "RemoteExecute", cost, node=node)
+        if units is not None:
+            if begin_bytes:
+                units.append((BEGIN, 0, node, group, False, free, 0.0, 0,
+                              begin_bytes))
+            units.append((TASK, 0, node, group, is_write, free, cost, rows,
+                          conn.bytes_transferred - bytes_before))
+        # Every idle cached connection of the node was in play.
+        report.connections_used = report.per_node_connections[node] = (
+            len(idle) + report.connections_opened)
+        if reused:
+            report.connections_reused = 1
+            counters.incr("connections_reused", 1, node=node)
+        report.elapsed = free + cost
+        session.stats["citus_connections"] += report.connections_opened
+        clock.advance(report.elapsed)
+        counters.gauge_decr("executor_statements_in_flight")
+        close_run(ext, session, pools, TASKS, base, units, report, None, OK,
+                  explicit)
+        session.stats["citus_tasks"] += 1
+        self.last_report = report
+        if not explicit and not conn.in_txn_block:
+            # Shard-group affinity only matters within a transaction.
+            conn.accessed_groups.clear()
+        return result
+
+    def _execute_many(self, session, tasks, is_write: bool) -> list:
+        """Blocking tasks over a :class:`ConnectionTimeline`: affinity-pinned
+        tasks on their own connections, the rest over each node's
+        slow-started pool. A lock wait surfaces as a lock timeout."""
         report = ExecutionReport(task_count=len(tasks))
         timeline = ConnectionTimeline(self, session, report, TASKS)
-        need_txn_block = is_write and (session.in_transaction or _multi_group(tasks))
-        if session.in_transaction:
-            need_txn_block = True
+        need_txn_block = session.in_transaction or (
+            is_write and _multi_group(tasks))
 
         results: list = [None] * len(tasks)
         by_node: dict[str, list[int]] = {}
         for i, task in enumerate(tasks):
             by_node.setdefault(task.node, []).append(i)
 
-        # Lock waits may only suspend single-task statements (router / fast
-        # path); multi-task statements surface waits as lock timeouts.
-        allow_block = len(tasks) == 1
-
         def run(conn, i):
             self._execute_task(session, timeline, conn, tasks[i], results, i,
-                               need_txn_block, allow_block, is_write)
+                               need_txn_block, is_write)
 
         try:
             for node, indexes in by_node.items():
@@ -101,19 +218,18 @@ class AdaptiveExecutor:
                         run(conn, i)
                 for n, i in enumerate(general):
                     run(timeline.pick(node, len(general) - n), i)
-        except BaseException as exc:
-            # Failed, or parked on a lock to be resolved (not re-run) later.
-            timeline.abandon(blocked=isinstance(exc, WouldBlock))
+        except BaseException:
+            timeline.abandon()
             raise
         timeline.settle()
         session.stats["citus_tasks"] += len(tasks)
         self.last_report = report
-        if not session.in_transaction and not need_txn_block:
+        if not need_txn_block:
             _clear_affinity(timeline.pools)
         return results
 
     def _execute_task(self, session, timeline, conn, task, results, i,
-                      need_txn_block, allow_block, is_write) -> None:
+                      need_txn_block, is_write) -> None:
         node = conn.node_name
         group = task.shard_group
         # The in-flight gauge is settled on every way out, so a failing
@@ -123,17 +239,7 @@ class AdaptiveExecutor:
         begin_bytes = 0
         try:
             if need_txn_block:
-                conn.begin_if_needed()
-                session.remote_txns[id(conn)] = conn
-                if is_write:
-                    conn.did_write = True
-                # Tag the worker transaction with the distributed txn id up
-                # front so deadlock detection can merge the lock graphs even
-                # while this statement is still waiting.
-                conn.session.ensure_xid()
-                from ..txn.deadlock import assign_distributed_txn_ids
-
-                assign_distributed_txn_ids(self.ext, session)
+                _enter_txn_block(self.ext, session, conn, is_write)
                 # The BEGIN's round trip is not on the task's timeline; its
                 # bytes are on the task's span.
                 begin_bytes = conn.bytes_transferred - bytes_before
@@ -141,20 +247,9 @@ class AdaptiveExecutor:
             if group is not None:
                 conn.accessed_groups.add(group)
             if task.stmt is not None:
-                result = conn.execute_parsed(task.stmt, task.params,
-                                             allow_block=allow_block)
+                result = conn.execute_parsed(task.stmt, task.params)
             else:
-                result = conn.execute(task.sql, task.params,
-                                      allow_block=allow_block)
-        except WouldBlock:
-            # Lock wait: the statement parks — an executor suspension, not
-            # a task failure. What it did so far is kept, and counts if the
-            # statement goes on to complete.
-            timeline.charge(conn, conn.elapsed - before, BLOCKED_TASK, i,
-                            group, is_write, 0,
-                            conn.bytes_transferred - bytes_before)
-            timeline.end(node, "blocked")
-            raise
+                result = conn.execute(task.sql, task.params)
         except Exception:
             timeline.end(node, "failed")
             raise
@@ -277,12 +372,7 @@ class StreamingExecution:
         stream.conn = conn
         stream.opened = True
         if self.need_txn_block:
-            conn.begin_if_needed()
-            self.session.remote_txns[id(conn)] = conn
-            conn.session.ensure_xid()
-            from ..txn.deadlock import assign_distributed_txn_ids
-
-            assign_distributed_txn_ids(self.ext, self.session)
+            _enter_txn_block(self.ext, self.session, conn)
         if task.shard_group is not None:
             conn.accessed_groups.add(task.shard_group)
         timeline.begin(node)
@@ -454,13 +544,7 @@ class CopyChannelExecution:
         conn = channel["conn"]
         # Every flush is transactional: a later error must be able to roll
         # back rows that already crossed the wire.
-        conn.begin_if_needed()
-        self.session.remote_txns[id(conn)] = conn
-        conn.did_write = True
-        conn.session.ensure_xid()
-        from ..txn.deadlock import assign_distributed_txn_ids
-
-        assign_distributed_txn_ids(self.ext, self.session)
+        _enter_txn_block(self.ext, self.session, conn, is_write=True)
         before = conn.elapsed
         bytes_before = conn.bytes_transferred
         try:
@@ -505,6 +589,20 @@ class CopyChannelExecution:
         self.session.stats["citus_tasks"] += len(self._channels)
         self.executor.last_report = self.report
         return self.report
+
+
+def _enter_txn_block(ext, session, conn, is_write: bool = False) -> None:
+    """What ``conn`` does next is part of the session's distributed
+    transaction: open its worker transaction block if it has none."""
+    conn.begin_if_needed()
+    session.remote_txns[id(conn)] = conn
+    if is_write:
+        conn.did_write = True
+    # Tag the worker transaction with the distributed txn id up front so
+    # deadlock detection can merge the lock graphs even while a statement
+    # is still waiting.
+    conn.session.ensure_xid()
+    assign_distributed_txn_ids(ext, session)
 
 
 def _clear_affinity(pools: SessionPools) -> None:

@@ -14,25 +14,69 @@ say what happened — a task began or ended on a node (:meth:`begin` /
 is over (:meth:`settle` / :meth:`abandon`) — and the counters, in-flight
 gauges, wait accounting and the run's entry in the statement record (see
 :mod:`..record`) all follow from that here.
+
+One task is its own timeline and builds none:
+:meth:`~.adaptive.AdaptiveExecutor.execute_task` reports the same way, in
+the same order, through the two pieces it shares with this class
+(:func:`open_connection`, :func:`close_run`);
+``tests/test_adaptive_executor.py`` holds the two to each other.
 """
 
 from __future__ import annotations
 
 from ...errors import NodeUnavailable
-from ..record import (BATCH, BEGIN, BLOCKED, BLOCKED_TASK, CLOSE, CONNECT,
-                      DISPATCH, FAILED, FLUSH, OK, TASK, TASKS)
+from ..record import (BATCH, BEGIN, CLOSE, CONNECT, DISPATCH, FAILED, FLUSH,
+                      OK, TASK, TASKS)
 from .placement import SessionPools
 
 #: The ``Net`` wait event a unit of each kind is accounted as (opening a
-#: transaction block, closing a cursor early and the task that hit a lock
-#: are not waits).
+#: transaction block and closing a cursor early are not waits).
 _WAIT_EVENTS = {TASK: "RemoteExecute", DISPATCH: "RemoteDispatch",
                 BATCH: "RemoteFetch", FLUSH: "RemoteCopy", CLOSE: None,
-                BEGIN: None, BLOCKED_TASK: None}
+                BEGIN: None}
 
 #: Counter a task's end is counted under (a skipped task never began).
 _OUTCOME_COUNTERS = {"executed": "tasks_executed", "failed": "tasks_failed",
                      "blocked": "tasks_blocked", "skipped": "tasks_skipped"}
+
+
+def open_connection(ext, session, pools, node: str, force: bool, report,
+                    units, now: float):
+    """Open a connection to ``node`` at ``now`` on the run's timeline and
+    account for it; ``(connection, set-up seconds)``, or None when the
+    shared pool limit says no — it never does to ``force``, a statement's
+    first connection to a node."""
+    if not ext.try_reserve_shared_slot(node, force=force):
+        return None
+    try:
+        conn = pools.open_connection(node)
+    except NodeUnavailable:
+        ext.release_shared_slot(node)
+        raise
+    setup = ext.cluster.network.connection_setup_cost()
+    report.connections_opened += 1
+    ext.stat_counters.incr("connections_opened", node=node)
+    session.wait_events.record("Net", "RemoteConnect", setup, node=node)
+    if units is not None:
+        units.append((CONNECT, -1, node, None, False, now, setup, 0, 0))
+    return conn, setup
+
+
+def close_run(ext, session, pools, driver: str, base: float, units, report,
+              tasks, outcome: str, explicit: bool) -> None:
+    """Close a run's entry in the statement record (``units`` None: nobody
+    keeps one)."""
+    if units is None:
+        return
+    # No transaction block, no local xid: the run never reaches the
+    # commit callbacks and its transaction ends with it. Otherwise
+    # they end it, and need to know it touched a shard.
+    autocommit = not (explicit or session.remote_txns
+                      or session.xid is not None)
+    if units and not autocommit and outcome is not FAILED:
+        pools.touched = True
+    ext.telemetry.execution_end(driver, session, base, units, report, tasks,
+                                outcome, explicit, autocommit)
 
 
 class ConnectionTimeline:
@@ -119,24 +163,15 @@ class ConnectionTimeline:
         return conn
 
     def _open(self, node: str, conns: list, now: float):
-        ext = self.ext
         # The shared pool limit never starves a statement of its first
         # connection to a node; beyond that it is strict.
-        if not ext.try_reserve_shared_slot(node, force=not conns):
+        opened = open_connection(self.ext, self.session, self.pools, node,
+                                 not conns, self.report, self.units, now)
+        if opened is None:
             return None
-        try:
-            conn = self.pools.open_connection(node)
-        except NodeUnavailable:
-            ext.release_shared_slot(node)
-            raise
-        setup = ext.cluster.network.connection_setup_cost()
+        conn, setup = opened
         conns.append(conn)
         self.busy[id(conn)] = now + setup
-        self.report.connections_opened += 1
-        self.counters.incr("connections_opened", node=node)
-        self.session.wait_events.record("Net", "RemoteConnect", setup, node=node)
-        if self.units is not None:
-            self.units.append((CONNECT, -1, node, None, False, now, setup, 0, 0))
         return conn
 
     # ------------------------------------------------------------ reporting
@@ -146,10 +181,9 @@ class ConnectionTimeline:
         self.counters.gauge_incr("tasks_in_flight", node=node)
 
     def end(self, node: str, outcome: str) -> None:
-        """The task ended: ``executed``, ``failed``, ``blocked`` (it hit a
-        lock and the statement parks or times out — an executor
-        suspension, not a task failure) or ``skipped`` (never begun: the
-        merge was satisfied without it)."""
+        """The task ended: ``executed``, ``failed``, ``blocked`` (a shard
+        stream hit a lock and the statement times out) or ``skipped``
+        (never begun: the merge was satisfied without it)."""
         counters = self.counters
         if outcome != "skipped":
             counters.gauge_decr("tasks_in_flight", node=node)
@@ -161,8 +195,7 @@ class ConnectionTimeline:
         simulated seconds from the moment it is free, account the wait,
         and keep the unit for the record."""
         start = self.busy[id(conn)]
-        if kind != BLOCKED_TASK:  # parked, not run: the connection is free
-            self.busy[id(conn)] = start + cost
+        self.busy[id(conn)] = start + cost
         node = conn.node_name
         wait_event = _WAIT_EVENTS[kind]
         if wait_event is not None:
@@ -220,25 +253,13 @@ class ConnectionTimeline:
                                report.copy_channel_peak_rows)
         self._close(OK if ok else FAILED)
 
-    def abandon(self, blocked: bool) -> None:
-        """A blocking task raised: the statement fails (or, ``blocked``,
-        parks on the lock it hit) without the run being settled."""
+    def abandon(self) -> None:
+        """A blocking task raised: the statement fails without the run
+        being settled."""
         self.counters.gauge_decr("executor_statements_in_flight")
         self.report.elapsed = max(self.busy.values(), default=0.0)
-        self._close(BLOCKED if blocked else FAILED)
+        self._close(FAILED)
 
     def _close(self, outcome: str) -> None:
-        units = self.units
-        if units is None:
-            return
-        session = self.session
-        # No transaction block, no local xid: the run never reaches the
-        # commit callbacks and its transaction ends with it. Otherwise
-        # they end it, and need to know it touched a shard.
-        autocommit = not (self.explicit or session.remote_txns
-                          or session.xid is not None)
-        if units and not autocommit and outcome is not FAILED:
-            self.pools.touched = True
-        self.ext.telemetry.execution_end(
-            self.driver, session, self.base, units, self.report, self.tasks,
-            outcome, self.explicit, autocommit)
+        close_run(self.ext, self.session, self.pools, self.driver, self.base,
+                  self.units, self.report, self.tasks, outcome, self.explicit)

@@ -19,10 +19,13 @@ from ...engine.expr import EvalContext, Row, evaluate
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, UnsupportedDistributedQuery
 from ...sql import ast as A
-from ..sharding import analyze_statement, statement_facts
+from ..sharding import NO_VALUE, analyze_statement, statement_facts
+from ..txn.deadlock import assign_distributed_txn_ids
 from .fast_path import try_fast_path
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
-from .pushdown import plan_pushdown_dml, plan_pushdown_select
+from .pushdown import (plan_pushdown_dml, plan_pushdown_select,
+                       run_streaming_concat, run_streaming_group_merge,
+                       stream_concat_runs)
 from .router import try_router
 from .tasks import Task, rewrite_to_shard, task_sql_for_shard
 
@@ -232,6 +235,10 @@ class CitusPlan(CustomScanPlan):
     #: The PlanSearch recorded while planning this statement (None when
     #: citus.enable_plan_alternatives is off).
     search = None
+    #: The distribution-column value the plan was routed on, when the
+    #: planner resolved one (a plan-cache fast-path replay); telemetry asks
+    #: ``partition_key_for`` itself for plans that carry none.
+    dist_value = NO_VALUE
 
     def __init__(self, ext):
         self.ext = ext
@@ -262,19 +269,19 @@ class CitusPlan(CustomScanPlan):
 class SingleTaskPlan(CitusPlan):
     """Fast path / router: the entire statement is one task."""
 
-    def __init__(self, ext, tasks, detail, tier, is_write=False):
+    def __init__(self, ext, tasks, detail, tier, is_write=False,
+                 dist_value=NO_VALUE):
         super().__init__(ext)
         self.tasks = tasks
         self.detail = detail
         self.tier = tier
         self.is_write = is_write
+        self.dist_value = dist_value
 
     def execute(self, session, params):
         results = self.ext.executor.execute_tasks(session, self.tasks,
                                                   is_write=self.is_write)
         if self.is_write and session.in_transaction:
-            from ..txn.deadlock import assign_distributed_txn_ids
-
             assign_distributed_txn_ids(self.ext, session)
         return results[0]
 
@@ -304,8 +311,6 @@ class MultiTaskDMLPlan(CitusPlan):
 
     def execute(self, session, params):
         results = self.ext.executor.execute_tasks(session, self.tasks, is_write=True)
-        from ..txn.deadlock import assign_distributed_txn_ids
-
         assign_distributed_txn_ids(self.ext, session)
         rows = []
         columns = []
@@ -357,8 +362,6 @@ class MultiTaskSelectPlan(CitusPlan):
             params = self.bound
         plan = self.plan
         execution = self.ext.executor.open_task_streams(session, plan.tasks)
-        from .pushdown import run_streaming_concat, run_streaming_group_merge
-
         merge_start = self.ext.cluster.clock.now()
         result = None
         try:
@@ -404,8 +407,6 @@ class MultiTaskSelectPlan(CitusPlan):
         return self._batch_generator(execution, session, params)
 
     def _batch_generator(self, execution, session, params):
-        from .pushdown import stream_concat_runs
-
         plan = self.plan
         batch_size = max(1, self.ext.config.stream_batch_size)
         merge_start = self.ext.cluster.clock.now()
@@ -417,8 +418,6 @@ class MultiTaskSelectPlan(CitusPlan):
                 # Group-merge: the worker partials stream into the hash
                 # aggregate batch by batch; the (much smaller) aggregated
                 # output is then re-chunked for the consumer.
-                from .pushdown import run_streaming_group_merge
-
                 runs = [run_streaming_group_merge(
                     plan, execution, session, params).rows]
             # Re-chunk the runs: a batch leaves as soon as it is full,
@@ -526,8 +525,6 @@ class InsertValuesPlan(CitusPlan):
             )
         results = self.ext.executor.execute_tasks(session, tasks, is_write=True)
         if session.in_transaction:
-            from ..txn.deadlock import assign_distributed_txn_ids
-
             assign_distributed_txn_ids(self.ext, session)
         total = sum(r.rowcount for r in results if r is not None)
         rows = [row for r in results if r is not None for row in r.rows]

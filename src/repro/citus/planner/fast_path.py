@@ -9,9 +9,9 @@ high-throughput CRUD workloads pay almost no planning overhead.
 
 from __future__ import annotations
 
-from ...engine.datum import hash_value
-from ...engine.expr import BoundParams
+from ...errors import NotNullViolation
 from ...sql import ast as A
+from ..sharding import NO_VALUE, dist_value_for, statement_facts
 from .tasks import Task, rewrite_to_shard
 
 
@@ -31,9 +31,10 @@ def try_fast_path(ext, stmt, params, search=None):
 
 def _try_fast_path(ext, stmt, params):
     cache = ext.metadata.cache
-    if isinstance(stmt, A.Insert):
-        return _fast_path_insert(ext, stmt, params, cache)
-    if isinstance(stmt, A.Select):
+    insert = isinstance(stmt, A.Insert)
+    if insert:
+        table_name = stmt.table
+    elif isinstance(stmt, A.Select):
         if (
             len(stmt.from_items) != 1
             or not isinstance(stmt.from_items[0], A.TableRef)
@@ -44,12 +45,8 @@ def _try_fast_path(ext, stmt, params):
             return None, ("shape", "needs a single-table FROM without"
                           " CTEs, set operations, or GROUP BY")
         table_name = stmt.from_items[0].name
-        alias = stmt.from_items[0].ref_name
-        where = stmt.where
     elif isinstance(stmt, (A.Update, A.Delete)):
         table_name = stmt.table
-        alias = stmt.alias or stmt.table
-        where = stmt.where
     else:
         return None, ("statement_kind",
                       f"{type(stmt).__name__} has no fast path")
@@ -57,119 +54,31 @@ def _try_fast_path(ext, stmt, params):
     dist = cache.tables.get(table_name)
     if dist is None or dist.is_reference:
         return None, ("table", f"{table_name!r} is not a hash-distributed table")
-    value = _single_dist_value(where, dist, alias, params)
-    if value is _MISS:
-        return None, ("no_dist_value", "no dist_column = constant filter")
-    if _contains_subquery(stmt):
+    no_value = ("no_dist_value", "no dist_column = constant filter")
+    if insert:
+        if stmt.select is not None or len(stmt.rows) != 1:
+            # INSERT..SELECT and multi-row inserts take other paths.
+            return None, ("shape", "INSERT..SELECT / multi-row insert")
+        no_value = ("no_dist_value",
+                    "positional insert or unresolvable distribution value")
+        # A positional insert resolves its columns on the multi-row path.
+        if stmt.columns and dist.dist_column not in stmt.columns:
+            raise NotNullViolation(
+                f"cannot perform an INSERT without the distribution column"
+                f" {dist.dist_column!r}"
+            )
+    value = dist_value_for(cache, statement_facts(stmt), params)
+    if value is NO_VALUE:
+        return None, no_value
+    if not insert and _contains_subquery(stmt):
         return None, ("subquery", "statement contains a subquery")
     shard_index = dist.shard_index_for_value(value)
-    shard = dist.shards[shard_index]
-    node = cache.placement_node(shard.shardid)
-    shard_stmt = rewrite_to_shard(stmt, cache, shard_index)
+    node = cache.placement_node(dist.shards[shard_index].shardid)
     returns = isinstance(stmt, A.Select) or bool(getattr(stmt, "returning", None))
     return [
         Task(node, None, params, shard_group=(dist.colocation_id, shard_index),
-             returns_rows=returns, stmt=shard_stmt)
+             returns_rows=returns, stmt=rewrite_to_shard(stmt, cache, shard_index))
     ], None
-
-
-_MISS = object()
-
-
-def _fast_path_insert(ext, stmt: A.Insert, params, cache):
-    dist = cache.tables.get(stmt.table)
-    if dist is None or dist.is_reference:
-        return None, ("table", f"{stmt.table!r} is not a hash-distributed table")
-    if stmt.select is not None or len(stmt.rows) != 1:
-        # INSERT..SELECT and multi-row inserts take other paths.
-        return None, ("shape", "INSERT..SELECT / multi-row insert")
-    value = _insert_dist_value(stmt, dist, params, cache)
-    if value is _MISS:
-        return None, ("no_dist_value",
-                      "positional insert or unresolvable distribution value")
-    shard_index = dist.shard_index_for_value(value)
-    shard = dist.shards[shard_index]
-    node = cache.placement_node(shard.shardid)
-    shard_stmt = rewrite_to_shard(stmt, cache, shard_index)
-    return [
-        Task(node, None, params, shard_group=(dist.colocation_id, shard_index),
-             returns_rows=bool(stmt.returning), stmt=shard_stmt)
-    ], None
-
-
-def _insert_dist_value(stmt: A.Insert, dist, params, cache):
-    from ...errors import NotNullViolation
-
-    columns = stmt.columns
-    if not columns:
-        # Positional insert: resolve against the shell table's column order.
-        columns = None
-    row = stmt.rows[0]
-    if columns is None:
-        return _MISS  # caller resolves positional inserts via the multi-row path
-    try:
-        position = columns.index(dist.dist_column)
-    except ValueError:
-        raise NotNullViolation(
-            f"cannot perform an INSERT without the distribution column"
-            f" {dist.dist_column!r}"
-        ) from None
-    return _const_of(row[position], params)
-
-
-def _single_dist_value(where, dist, alias, params):
-    """Extract the value of a ``dist_col = const`` conjunct; _MISS if the
-    filter is absent or not a simple equality."""
-    if where is None:
-        return _MISS
-    from ..sharding import _conjuncts  # shared conjunct splitting
-
-    for conjunct in _conjuncts(where):
-        if not (isinstance(conjunct, A.BinaryOp) and conjunct.op == "="):
-            continue
-        left, right = conjunct.left, conjunct.right
-        if _is_dist_ref(right, dist, alias):
-            left, right = right, left
-        if _is_dist_ref(left, dist, alias):
-            value = _const_of(right, params)
-            if value is not _MISS:
-                return value
-    return _MISS
-
-
-def _is_dist_ref(expr, dist, alias) -> bool:
-    return (
-        isinstance(expr, A.ColumnRef)
-        and expr.name == dist.dist_column
-        and expr.table in (None, alias)
-    )
-
-
-def _const_of(expr, params):
-    if isinstance(expr, A.Literal):
-        return expr.value
-    if isinstance(expr, A.Cast):
-        inner = _const_of(expr.operand, params)
-        if inner is _MISS:
-            return _MISS
-        from ...engine.datum import cast_value
-
-        return cast_value(inner, expr.type_name)
-    if isinstance(expr, A.Param):
-        if type(params) is BoundParams:
-            positional, named = params.positional, params.named
-            if expr.index is not None and positional is not None \
-                    and expr.index <= len(positional):
-                return positional[expr.index - 1]
-            if expr.name is not None and expr.name in named:
-                return named[expr.name]
-            return _MISS
-        if expr.index is not None and isinstance(params, (list, tuple)):
-            if expr.index <= len(params):
-                return params[expr.index - 1]
-        if expr.name is not None and isinstance(params, dict) and expr.name in params:
-            return params[expr.name]
-    return _MISS
 
 
 def _contains_subquery(stmt) -> bool:

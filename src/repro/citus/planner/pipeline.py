@@ -121,6 +121,8 @@ class PlanSearch:
     candidates: list = field(default_factory=list)
     cached: bool = False  # replayed from the distributed plan cache
     error: str | None = None  # UnsupportedDistributedQuery text, if raised
+    # event_attrs() of a cached search: nothing records into it any more
+    _event_attrs: dict | None = field(default=None, repr=False, compare=False)
 
     # --------------------------------------------------------- recording
 
@@ -185,9 +187,22 @@ class PlanSearch:
             return None
         return chosen / best
 
+    def event_attrs(self) -> dict:
+        """What the trace's plan event shows of the search."""
+        attrs = self._event_attrs
+        if attrs is None:
+            attrs = {"tiers_tried": ",".join(self.tiers_tried),
+                     "chosen_cost": self.chosen_cost,
+                     "best_alternative_cost": self.best_alternative_cost,
+                     "cost_ratio": self.cost_ratio}
+            if self.cached:
+                self._event_attrs = attrs
+        return attrs
+
     def replay_cached(self) -> "PlanSearch":
-        """A cache hit replays the original search, marked cached. The
-        candidate list is shared read-only with the stored search."""
+        """What cache hits replay: the original search, marked cached — one
+        copy, shared read-only by every hit (and by the plan-search ring,
+        once per hit). The candidate list is shared with the stored search."""
         return PlanSearch(
             statement=self.statement, fingerprint=self.fingerprint,
             tiers_tried=list(self.tiers_tried), candidates=self.candidates,

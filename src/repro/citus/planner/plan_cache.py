@@ -16,13 +16,19 @@ Correctness hinges on two rules:
   normalized template (literals replaced by synthetic ``__cN`` params) and
   binds the current statement's extracted constants via
   :class:`~repro.engine.expr.BoundParams`, so every execution sees its own
-  values. Per-shard rewritten ASTs are memoized per entry — they contain
-  only parameter markers, never values.
+  values. What a task on one shard is made of — placement node, shard
+  group, shard-rewritten AST — is memoized per entry (``routes``): the ASTs
+  contain only parameter markers, never values, so a fast-path hit is
+  normalisation memo → LRU get → bind → extract the distribution value →
+  pick the shard → its route → plan.
 - **Metadata generation.** Every entry records
   ``MetadataStore.generation`` at store time; DDL propagation,
   ``create_distributed_table`` and the shard rebalancer bump the counter,
   so a lookup that observes a different generation discards the entry
-  instead of executing against stale shard placements.
+  instead of executing against stale shard placements. Everything an entry
+  holds beyond the template (its table, its routes) is valid exactly that
+  long: ``MetadataStore.reload`` swaps the cache in and then bumps the
+  generation, and the check comes before any replay.
 
 ``GROUP BY`` / ``ORDER BY`` (and window ``PARTITION BY``) subtrees are
 kept verbatim in both the template and the fingerprint: positional
@@ -39,10 +45,12 @@ from dataclasses import dataclass, field as dc_field
 
 from ...engine.expr import BoundParams
 from ...engine.lru import LRUCache
-from ...errors import UnsupportedDistributedQuery
+from ...errors import ReproError, UnsupportedDistributedQuery
 from ...sql import ast as A
-from ..sharding import UNSET, analyze_statement, prune_shards, statement_facts
-from .fast_path import _MISS, _insert_dist_value, _single_dist_value
+from ..sharding import (NO_VALUE, UNSET, analyze_statement, dist_value_for,
+                        prune_shards, statement_facts)
+from .distributed import MultiTaskDMLPlan, MultiTaskSelectPlan, SingleTaskPlan
+from .pushdown import plan_pushdown_select
 from .tasks import Task, rewrite_to_shard
 
 # Fields whose literal contents are planner-structural (positional group /
@@ -60,15 +68,12 @@ def _normalize_value(value, consts: dict):
     if isinstance(value, A.Node):
         changed = False
         kwargs = {}
-        for f in dataclasses.fields(value):
-            old = getattr(value, f.name)
-            if f.name in _VERBATIM_FIELDS:
-                kwargs[f.name] = old
-                continue
-            new = _normalize_value(old, consts)
-            kwargs[f.name] = new
-            if new is not old:
-                changed = True
+        for name, may_hold_nodes in A.node_fields(type(value)):
+            old = kwargs[name] = getattr(value, name)
+            if may_hold_nodes and name not in _VERBATIM_FIELDS:
+                new = kwargs[name] = _normalize_value(old, consts)
+                if new is not old:
+                    changed = True
         return type(value)(**kwargs) if changed else value
     if isinstance(value, list):
         new = [_normalize_value(v, consts) for v in value]
@@ -92,8 +97,8 @@ def _fingerprint(value, parts: list) -> None:
     elif isinstance(value, A.Node):
         parts.append(type(value).__name__)
         parts.append("(")
-        for f in dataclasses.fields(value):
-            _fingerprint(getattr(value, f.name), parts)
+        for name, _ in A.node_fields(type(value)):
+            _fingerprint(getattr(value, name), parts)
         parts.append(")")
     elif isinstance(value, (list, tuple)):
         parts.append("[")
@@ -142,10 +147,7 @@ def statement_fingerprint(facts) -> tuple[str, str]:
     it is made from."""
     if facts.fingerprint is None:
         stmt = facts.stmt
-        try:
-            norm = _normalize_statement(stmt)
-        except Exception:
-            norm = None
+        norm = _normalize_statement(stmt)
         if norm is not None:
             # The template is NUL-separated and long; views show a digest.
             digest = hashlib.md5(norm[2].encode()).hexdigest()[:16]
@@ -176,21 +178,28 @@ class CachedPlanEntry:
     kind: str  # "single" | "pushdown_select" | "pushdown_dml" | "uncacheable"
     generation: int
     template: object = None
-    mode: str = ""  # single: "where" | "insert" | "router"
+    router: bool = False  # single: replay re-runs the equivalence analysis
     tier: str = ""
     detail: str = ""
     is_write: bool = False
     returns_rows: bool = True
     stats_key: str = ""
-    table: str = ""
+    # The hash-distributed table shards are picked from (None: there is
+    # none, every replay misses) and the alias the template knows it by.
+    # Like everything below, valid exactly as long as ``generation``.
+    dist: object = None
     alias: str = ""
+    # single: the template's StatementFacts (its compiled value extractor)
+    facts: object = None
     # pushdown_select: skeleton built from the template on the first hit
     skeleton: object = None
-    # shard_index -> shard-rewritten template AST (parameter markers only;
-    # shared read-only across sessions)
-    shard_stmts: dict = dc_field(default_factory=dict)
-    # PlanSearch recorded when the plan was first built; replayed (marked
-    # cached) on every hit so alternatives stay observable for hot statements
+    # shard_index -> (node, shard_group, shard-rewritten template AST): what
+    # a task on that shard is made of. The AST holds parameter markers only
+    # and is shared read-only across sessions.
+    routes: dict = dc_field(default_factory=dict)
+    # PlanSearch recorded when the plan was first built; from the first hit
+    # on, its cached-marked copy, shared read-only by every hit so
+    # alternatives stay observable for hot statements
     search: object = None
 
 
@@ -224,16 +233,20 @@ class PlanCache:
         bound = make_bound(params, consts)
         try:
             plan = self._replay(session, entry, bound)
-        except Exception:
-            # A failing replay falls back to a full replan, which reproduces
-            # any real error with the statement itself.
+        except ReproError:
+            # What the statement itself gets wrong (a parameter without a
+            # value or a cast that fails: DataError; a value outside every
+            # shard range: MetadataError) falls back to a full replan, which
+            # reproduces the error. Anything else is a bug here: it raises.
             plan = None
         if plan is None:
             counters.incr("plan_cache_misses")
             return None
         plan.cached = True
         if entry.search is not None and self.ext.config.enable_plan_alternatives:
-            plan.search = entry.search.replay_cached()
+            if not entry.search.cached:
+                entry.search = entry.search.replay_cached()
+            plan.search = entry.search
         if entry.stats_key:
             self.ext.stats[entry.stats_key] += 1
         counters.incr("plan_cache_hits")
@@ -255,30 +268,23 @@ class PlanCache:
         self.entries.put(fingerprint, entry)
 
     def _build_entry(self, template, plan, generation) -> CachedPlanEntry:
-        from .distributed import (MultiTaskDMLPlan, MultiTaskSelectPlan,
-                                  SingleTaskPlan)
+        def hash_table(name):
+            dist = self.ext.metadata.cache.tables.get(name)
+            return None if dist is None or dist.is_reference else dist
 
         if isinstance(plan, SingleTaskPlan):
-            if plan.tier == "fast_path":
-                if isinstance(template, A.Insert):
-                    mode, table, alias = "insert", template.table, template.table
-                elif isinstance(template, A.Select):
-                    ref = template.from_items[0]
-                    mode, table, alias = "where", ref.name, ref.ref_name
-                else:
-                    mode = "where"
-                    table = template.table
-                    alias = template.alias or template.table
-            else:
-                mode, table, alias = "router", "", ""
+            fast = plan.tier == "fast_path"
+            table = None  # a router replay finds its tables by analysis
+            if fast:
+                table = (template.from_items[0].name
+                         if isinstance(template, A.Select) else template.table)
             return CachedPlanEntry(
                 kind="single", generation=generation, template=template,
-                mode=mode, tier=plan.tier, detail=plan.detail,
+                router=not fast, tier=plan.tier, detail=plan.detail,
                 is_write=plan.is_write,
                 returns_rows=plan.tasks[0].returns_rows,
-                stats_key="fast_path_queries" if plan.tier == "fast_path"
-                else "router_queries",
-                table=table, alias=alias,
+                stats_key="fast_path_queries" if fast else "router_queries",
+                dist=hash_table(table), facts=statement_facts(template),
             )
         if isinstance(plan, MultiTaskSelectPlan) and isinstance(template, A.Select):
             inner = plan.plan
@@ -287,7 +293,8 @@ class PlanCache:
                     kind="pushdown_select", generation=generation,
                     template=template, tier=plan.tier,
                     stats_key="pushdown_queries",
-                    table=inner.anchor_table, alias=inner.anchor_alias,
+                    dist=hash_table(inner.anchor_table),
+                    alias=inner.anchor_alias,
                 )
         if isinstance(plan, MultiTaskDMLPlan) and isinstance(
             template, (A.Update, A.Delete)
@@ -295,7 +302,7 @@ class PlanCache:
             return CachedPlanEntry(
                 kind="pushdown_dml", generation=generation, template=template,
                 tier=plan.tier, is_write=True, stats_key="pushdown_queries",
-                table=template.table,
+                dist=hash_table(template.table),
                 alias=template.alias or template.table,
             )
         # InsertValuesPlan, reference/local plans, join-order and
@@ -306,7 +313,7 @@ class PlanCache:
 
     def _replay(self, session, entry: CachedPlanEntry, bound: BoundParams):
         if entry.kind == "single":
-            if entry.mode == "router":
+            if entry.router:
                 return self._replay_router(entry, bound)
             return self._replay_single(entry, bound)
         if entry.kind == "pushdown_select":
@@ -315,52 +322,56 @@ class PlanCache:
             return self._replay_pushdown_dml(entry, bound)
         return None
 
-    def _shard_stmt(self, entry: CachedPlanEntry, cache, shard_index,
-                    template=None):
-        stmt = entry.shard_stmts.get(shard_index)
-        if stmt is None:
-            stmt = rewrite_to_shard(
-                template if template is not None else entry.template,
-                cache, shard_index,
+    def _route(self, entry: CachedPlanEntry, dist, shard_index, template=None):
+        """``(node, shard_group, shard statement)`` of the entry's task on
+        one shard, built on the first replay that lands there."""
+        route = entry.routes.get(shard_index)
+        if route is None:
+            cache = self.ext.metadata.cache
+            route = entry.routes[shard_index] = (
+                cache.placement_node(dist.shards[shard_index].shardid),
+                (dist.colocation_id, shard_index),
+                rewrite_to_shard(
+                    template if template is not None else entry.template,
+                    cache, shard_index),
             )
-            entry.shard_stmts[shard_index] = stmt
-        return stmt
+        return route
 
-    def _single_task_plan(self, entry, cache, dist, shard_index, bound):
-        from .distributed import SingleTaskPlan
+    def _tasks(self, entry, dist, shard_indexes, bound, returns_rows=True,
+               template=None):
+        tasks = []
+        for index in shard_indexes:
+            node, group, stmt = self._route(entry, dist, index, template)
+            tasks.append(Task(node, None, bound, shard_group=group,
+                              returns_rows=returns_rows, stmt=stmt))
+        return tasks
 
-        node = cache.placement_node(dist.shards[shard_index].shardid)
-        task = Task(
-            node, None, bound,
-            shard_group=(dist.colocation_id, shard_index),
-            returns_rows=entry.returns_rows,
-            stmt=self._shard_stmt(entry, cache, shard_index),
-        )
-        return SingleTaskPlan(self.ext, [task], entry.detail,
-                              tier=entry.tier, is_write=entry.is_write)
+    def _single_task_plan(self, entry, dist, value, bound):
+        node, group, stmt = self._route(entry, dist,
+                                        dist.shard_index_for_value(value))
+        task = Task(node, None, bound, group, entry.returns_rows, stmt)
+        # The value a fast-path replay routes on is the statement's tenant;
+        # a router replay's common constant is not (telemetry asks the
+        # extractor itself, as it does on a miss).
+        return SingleTaskPlan(self.ext, [task], entry.detail, tier=entry.tier,
+                              is_write=entry.is_write,
+                              dist_value=NO_VALUE if entry.router else value)
 
     def _replay_single(self, entry: CachedPlanEntry, bound):
         """Fast-path replay: only the distribution value is re-extracted."""
-        cache = self.ext.metadata.cache
-        dist = cache.tables.get(entry.table)
-        if dist is None or dist.is_reference:
+        dist = entry.dist
+        if dist is None:
             return None
-        if entry.mode == "insert":
-            value = _insert_dist_value(entry.template, dist, bound, cache)
-        else:
-            value = _single_dist_value(entry.template.where, dist,
-                                       entry.alias, bound)
-        if value is _MISS:
+        value = dist_value_for(self.ext.metadata.cache, entry.facts, bound)
+        if value is NO_VALUE:
             return None
-        shard_index = dist.shard_index_for_value(value)
-        return self._single_task_plan(entry, cache, dist, shard_index, bound)
+        return self._single_task_plan(entry, dist, value, bound)
 
     def _replay_router(self, entry: CachedPlanEntry, bound):
         """Router replay re-runs the equivalence analysis (the routing
         decision depends on the bound values), skipping the cascade."""
-        cache = self.ext.metadata.cache
-        analysis = analyze_statement(entry.template, cache, bound,
-                                     self.ext.instance.catalog)
+        analysis = analyze_statement(entry.template, self.ext.metadata.cache,
+                                     bound, self.ext.instance.catalog)
         dist = analysis.distributed
         if not dist or analysis.locals:
             return None
@@ -369,9 +380,7 @@ class PlanCache:
         value, ok = analysis.common_constant()
         if not ok:
             return None
-        anchor = dist[0].dist
-        shard_index = anchor.shard_index_for_value(value)
-        return self._single_task_plan(entry, cache, anchor, shard_index, bound)
+        return self._single_task_plan(entry, dist[0].dist, value, bound)
 
     def _prune(self, entry: CachedPlanEntry, dist, where, bound):
         shard_indexes = prune_shards(dist, where, bound, entry.alias)
@@ -381,14 +390,12 @@ class PlanCache:
         return shard_indexes
 
     def _replay_pushdown_select(self, entry: CachedPlanEntry, bound):
-        from .distributed import MultiTaskSelectPlan
-        from .pushdown import plan_pushdown_select
-
-        cache = self.ext.metadata.cache
-        if entry.skeleton is None:
+        skeleton = entry.skeleton
+        if skeleton is None:
             # First hit: plan the template once. All later hits re-do only
             # shard pruning + task construction from this skeleton.
-            analysis = analyze_statement(entry.template, cache, bound,
+            analysis = analyze_statement(entry.template,
+                                         self.ext.metadata.cache, bound,
                                          self.ext.instance.catalog)
             try:
                 skeleton = plan_pushdown_select(self.ext, entry.template,
@@ -399,56 +406,24 @@ class PlanCache:
                 return None
             entry.skeleton = skeleton
             for task in skeleton.tasks:
-                entry.shard_stmts.setdefault(task.shard_group[1], task.stmt)
-            return self._rebind_tasks(entry, skeleton, bound)
-        dist = cache.tables.get(entry.table)
-        if dist is None or dist.is_reference:
+                entry.routes.setdefault(
+                    task.shard_group[1], (task.node, task.shard_group, task.stmt))
+            # Its own tasks carry this first hit's bindings already.
+            return MultiTaskSelectPlan(self.ext, skeleton, bound)
+        dist = entry.dist
+        if dist is None:
             return None
-        skeleton = entry.skeleton
-        shard_indexes = self._prune(entry, dist, skeleton.worker_query.where,
-                                    bound)
-        tasks = [
-            Task(
-                cache.placement_node(dist.shards[index].shardid), None, bound,
-                shard_group=(dist.colocation_id, index),
-                stmt=self._shard_stmt(entry, cache, index,
-                                      template=skeleton.worker_query),
-            )
-            for index in shard_indexes
-        ]
-        replayed = dataclasses.replace(skeleton, tasks=tasks)
-        return MultiTaskSelectPlan(self.ext, replayed, bound)
-
-    def _rebind_tasks(self, entry, skeleton, bound):
-        """Fresh per-execution tasks for the first-hit skeleton (its own
-        tasks carry the first hit's bindings)."""
-        from .distributed import MultiTaskSelectPlan
-
-        cache = self.ext.metadata.cache
-        tasks = [
-            Task(t.node, None, bound, shard_group=t.shard_group,
-                 returns_rows=t.returns_rows, stmt=t.stmt)
-            for t in skeleton.tasks
-        ]
+        tasks = self._tasks(
+            entry, dist,
+            self._prune(entry, dist, skeleton.worker_query.where, bound),
+            bound, template=skeleton.worker_query)
         return MultiTaskSelectPlan(
-            self.ext, dataclasses.replace(skeleton, tasks=tasks), bound
-        )
+            self.ext, dataclasses.replace(skeleton, tasks=tasks), bound)
 
     def _replay_pushdown_dml(self, entry: CachedPlanEntry, bound):
-        from .distributed import MultiTaskDMLPlan
-
-        cache = self.ext.metadata.cache
-        dist = cache.tables.get(entry.table)
-        if dist is None or dist.is_reference:
+        dist = entry.dist
+        if dist is None:
             return None
-        shard_indexes = self._prune(entry, dist, entry.template.where, bound)
-        tasks = [
-            Task(
-                cache.placement_node(dist.shards[index].shardid), None, bound,
-                shard_group=(dist.colocation_id, index),
-                returns_rows=bool(getattr(entry.template, "returning", [])),
-                stmt=self._shard_stmt(entry, cache, index),
-            )
-            for index in shard_indexes
-        ]
-        return MultiTaskDMLPlan(self.ext, tasks)
+        return MultiTaskDMLPlan(self.ext, self._tasks(
+            entry, dist, self._prune(entry, dist, entry.template.where, bound),
+            bound, bool(getattr(entry.template, "returning", []))))

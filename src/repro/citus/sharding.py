@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..engine.datum import hash_value
+from ..engine.datum import cast_value, hash_value
 from ..engine.expr import BoundParams
 from ..engine.lru import LRUCache
+from ..errors import ReproError
 from ..sql import ast as A
 from .metadata import RANGE, DistributedTable, MetadataCache
 
@@ -293,7 +294,7 @@ def _collect_equalities(expr, analysis: QueryAnalysis, params, scope=None) -> No
 
 
 def _bind_constant(analysis, col_key, value):
-    if value is _NO_VALUE:
+    if value is NO_VALUE:
         return
     const_key = f"{_CONST_MARK}{hash_value(value)}"
     analysis.equivalence.union(col_key, const_key)
@@ -315,7 +316,9 @@ def _plain_column(expr):
     return None
 
 
-_NO_VALUE = object()
+#: "No constant here": what constant folding and :func:`dist_value_for`
+#: answer when None is a value.
+NO_VALUE = object()
 
 
 def _is_constant(expr) -> bool:
@@ -332,13 +335,9 @@ def _constant_value(expr, params):
     if isinstance(expr, A.Literal):
         return expr.value
     if isinstance(expr, A.Cast):
-        from ..engine.datum import cast_value
-
         inner = _constant_value(expr.operand, params)
-        return cast_value(inner, expr.type_name) if inner is not _NO_VALUE else _NO_VALUE
+        return cast_value(inner, expr.type_name) if inner is not NO_VALUE else NO_VALUE
     if isinstance(expr, A.Param):
-        from ..engine.expr import BoundParams
-
         if type(params) is BoundParams:
             positional, named = params.positional, params.named
             if expr.index is not None and positional is not None \
@@ -346,14 +345,14 @@ def _constant_value(expr, params):
                 return positional[expr.index - 1]
             if expr.name is not None and expr.name in named:
                 return named[expr.name]
-            return _NO_VALUE
+            return NO_VALUE
         if expr.index is not None and isinstance(params, (list, tuple)):
             if expr.index <= len(params):
                 return params[expr.index - 1]
         if expr.name is not None and isinstance(params, dict) and expr.name in params:
             return params[expr.name]
-        return _NO_VALUE
-    return _NO_VALUE
+        return NO_VALUE
+    return NO_VALUE
 
 
 def _collect_subquery_tables(expr, cache, analysis, params, scope=None) -> None:
@@ -490,40 +489,38 @@ def statement_facts(stmt) -> StatementFacts:
 _K_VALUE, _K_NAMED, _K_POSITIONAL, _K_EXPR = 0, 1, 2, 3
 
 
+def _is_dist_ref(expr, dist, alias) -> bool:
+    return (
+        isinstance(expr, A.ColumnRef)
+        and expr.name == dist.dist_column
+        and expr.table in (None, alias)
+    )
+
+
 def _find_tenant_exprs(cache, stmt):
     """Candidate AST expressions holding the statement's distribution-column
     value (``dist_col = <expr>`` conjuncts, or the INSERT column), or None
     when the statement is not single-tenant-shaped."""
-    from .planner.fast_path import _is_dist_ref
-
     if isinstance(stmt, A.Insert):
         dist = cache.tables.get(stmt.table)
         if dist is None or dist.is_reference or stmt.select is not None:
             return None
-        if len(stmt.rows) != 1 or not stmt.columns:
+        if len(stmt.rows) != 1 or dist.dist_column not in stmt.columns:
             return None
-        try:
-            position = stmt.columns.index(dist.dist_column)
-        except ValueError:
-            return None
-        return (stmt.rows[0][position],)
+        return (stmt.rows[0][stmt.columns.index(dist.dist_column)],)
     if isinstance(stmt, A.Select):
         if len(stmt.from_items) != 1 or not isinstance(
             stmt.from_items[0], A.TableRef
         ):
             return None
         dist = cache.tables.get(stmt.from_items[0].name)
-        if dist is None or dist.is_reference:
-            return None
         where, alias = stmt.where, stmt.from_items[0].ref_name
     elif isinstance(stmt, (A.Update, A.Delete)):
         dist = cache.tables.get(stmt.table)
-        if dist is None or dist.is_reference:
-            return None
         where, alias = stmt.where, stmt.alias or stmt.table
     else:
         return None
-    if where is None:
+    if dist is None or dist.is_reference or where is None:
         return None
     exprs = []
     for conjunct in _conjuncts(where):
@@ -540,7 +537,7 @@ def _find_tenant_exprs(cache, stmt):
 def _compile_tenant_plan(exprs):
     """Lower candidate expressions into (kind, payload) resolver steps so
     the per-execution path is a couple of inline dict lookups — no AST
-    dispatch, no _const_of call for the common literal/param shapes."""
+    dispatch, no constant folding for the common literal/param shapes."""
     if not exprs:
         return None
     plan = []
@@ -558,27 +555,20 @@ def _compile_tenant_plan(exprs):
     return tuple(plan) or None
 
 
-# Lazily bound once on first use (fast_path imports this module); a
-# per-call ``from ... import`` re-runs the importlib machinery on every
-# statement.
-_MISS = _const_of = None
-
-
-def partition_key_for(cache: MetadataCache, facts: StatementFacts, params):
-    """The distribution-column value a single-tenant statement targets
-    (the ``partition_key`` attribute of citus_stat_statements), or None
-    for multi-shard statements."""
-    global _MISS, _const_of
+def dist_value_for(cache: MetadataCache, facts: StatementFacts, params):
+    """The distribution-column value a single-tenant-shaped statement names
+    (the first ``dist_col = <constant>`` conjunct that resolves under
+    ``params``, or the INSERT's distribution column), else :data:`NO_VALUE`.
+    The one extractor: the fast path routes on it, plan-cache replay routes
+    on it (over the entry's template and its bound parameters) and tenant
+    attribution reports it."""
     if facts.tenant_in is not cache:
-        try:
-            exprs = _find_tenant_exprs(cache, facts.stmt)
-        except Exception:
-            exprs = None
-        facts.tenant_plan = _compile_tenant_plan(exprs)
+        facts.tenant_plan = _compile_tenant_plan(
+            _find_tenant_exprs(cache, facts.stmt))
         facts.tenant_in = cache
     plan = facts.tenant_plan
     if plan is None:
-        return None
+        return NO_VALUE
     named = positional = None
     params_type = type(params)
     if params_type is dict:
@@ -586,8 +576,10 @@ def partition_key_for(cache: MetadataCache, facts: StatementFacts, params):
     elif params_type is BoundParams:
         named = params.named
         positional = params.positional
-    elif params_type is list or params_type is tuple:
+    elif isinstance(params, (list, tuple)):
         positional = params
+    elif isinstance(params, dict):
+        named = params
     for kind, payload in plan:
         if kind == _K_VALUE:
             return payload
@@ -598,15 +590,21 @@ def partition_key_for(cache: MetadataCache, facts: StatementFacts, params):
             if positional is not None and payload <= len(positional):
                 return positional[payload - 1]
         else:
-            if _const_of is None:
-                from .planner.fast_path import _MISS, _const_of
-            try:
-                value = _const_of(payload, params)
-            except Exception:
-                return None
-            if value is not _MISS:
+            value = _constant_value(payload, params)
+            if value is not NO_VALUE:
                 return value
-    return None
+    return NO_VALUE
+
+
+def partition_key_for(cache: MetadataCache, facts: StatementFacts, params):
+    """The ``partition_key`` attribute of citus_stat_statements:
+    :func:`dist_value_for`, with None for multi-shard statements and for a
+    value that does not fold (a failing cast)."""
+    try:
+        value = dist_value_for(cache, facts, params)
+    except ReproError:
+        return None
+    return None if value is NO_VALUE else value
 
 
 def prune_shards(table: DistributedTable, where, params=None, alias: str | None = None):
@@ -653,9 +651,9 @@ def _dist_range_bound(conjunct, table, alias, params):
     of a range-partitioned table; None when not applicable."""
     if isinstance(conjunct, A.BetweenExpr) and not conjunct.negated:
         if _is_dist_col(conjunct.operand, table, alias):
-            low = _constant_value(conjunct.low, params) if _is_constant(conjunct.low) else _NO_VALUE
-            high = _constant_value(conjunct.high, params) if _is_constant(conjunct.high) else _NO_VALUE
-            if low is not _NO_VALUE and high is not _NO_VALUE:
+            low = _constant_value(conjunct.low, params) if _is_constant(conjunct.low) else NO_VALUE
+            high = _constant_value(conjunct.high, params) if _is_constant(conjunct.high) else NO_VALUE
+            if low is not NO_VALUE and high is not NO_VALUE:
                 return (low, high)
         return None
     if not (isinstance(conjunct, A.BinaryOp) and conjunct.op in ("<", "<=", ">", ">=")):
@@ -667,7 +665,7 @@ def _dist_range_bound(conjunct, table, alias, params):
     if not (_is_dist_col(left, table, alias) and _is_constant(right)):
         return None
     value = _constant_value(right, params)
-    if value is _NO_VALUE:
+    if value is NO_VALUE:
         return None
     if op in (">", ">="):
         return (value + (1 if op == ">" else 0), None)
@@ -681,7 +679,7 @@ def _dist_filter_values(conjunct, table, alias, params):
             left, right = right, left
         if _is_dist_col(left, table, alias) and _is_constant(right):
             value = _constant_value(right, params)
-            return None if value is _NO_VALUE else [value]
+            return None if value is NO_VALUE else [value]
     if isinstance(conjunct, A.InList) and not conjunct.negated:
         if _is_dist_col(conjunct.operand, table, alias):
             values = []
@@ -689,7 +687,7 @@ def _dist_filter_values(conjunct, table, alias, params):
                 if not _is_constant(item):
                     return None
                 value = _constant_value(item, params)
-                if value is _NO_VALUE:
+                if value is NO_VALUE:
                     return None
                 values.append(value)
             return values

@@ -36,7 +36,7 @@ from .introspection import TenantStats
 from .planner.plan_cache import statement_fingerprint
 from .record import (ABORT, BLOCKED, COMMIT, E_ATTRS, E_END, EXECUTION, OK, TXN,
                      Ring, StatementRecord)
-from .sharding import partition_key_for
+from .sharding import NO_VALUE, partition_key_for
 from .tracing import (Span, StatementStats, build_subtree, build_trace,
                       export_chrome, slow_log_entry)
 from .txngraph import TxnGraph
@@ -388,10 +388,13 @@ class Telemetry:
         if plan is None or not (record is not None or self.introspection
                                 or self.graphing):
             return
-        # Tenant attribution works on the raw statement + params, so it is
-        # identical on plan-cache hits and misses. The session attributes
-        # are what the activity view and ASH show for it.
-        tenant = partition_key_for(ext.metadata.cache, facts, params)
+        # Tenant attribution is the value the plan was routed on; a plan
+        # that carries none (a miss, a router replay) is asked for here, of
+        # the same extractor, so hits and misses agree. The session
+        # attributes are what the activity view and ASH show for it.
+        tenant = getattr(plan, "dist_value", NO_VALUE)
+        if tenant is NO_VALUE:
+            tenant = partition_key_for(ext.metadata.cache, facts, params)
         session._citus_tier = tier
         session._citus_tenant = tenant
         if record is None:
@@ -417,10 +420,7 @@ class Telemetry:
         if found is not None:
             # Search attributes ride on the plan event, so the Chrome trace
             # export shows what the cascade considered for every statement.
-            attrs["tiers_tried"] = ",".join(found.tiers_tried)
-            attrs["chosen_cost"] = found.chosen_cost
-            attrs["best_alternative_cost"] = found.best_alternative_cost
-            attrs["cost_ratio"] = found.cost_ratio
+            attrs.update(found.event_attrs())
         now = self.now()
         record.add("plan", "planner", now, now, session.instance.name, attrs)
 

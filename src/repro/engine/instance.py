@@ -30,6 +30,7 @@ from ..errors import (
     DeadlockDetected,
     InvalidTransactionState,
     LockTimeout,
+    NodeUnavailable,
     QueryCanceled,
     SQLError,
     SyntaxErrorSQL,
@@ -125,8 +126,6 @@ class PostgresInstance:
 
     def connect(self, application_name: str = "") -> "Session":
         if not self.is_up:
-            from ..errors import NodeUnavailable
-
             raise NodeUnavailable(f"node {self.name!r} is not accepting connections")
         if len(self.sessions) >= self.max_connections:
             raise TooManyConnections(
@@ -386,15 +385,16 @@ class Session:
 
     # ------------------------------------------------------------- public
 
-    def execute(self, sql: str, params=None, copy_data=None) -> QueryResult:
-        """Execute SQL synchronously. Multi-statement scripts return the
-        last statement's result. A lock conflict raises LockTimeout."""
+    def _check_up(self) -> None:
         if not self.instance.is_up:
-            from ..errors import NodeUnavailable
-
             raise NodeUnavailable(
                 f"terminating connection: node {self.instance.name!r} went down"
             )
+
+    def execute(self, sql: str, params=None, copy_data=None) -> QueryResult:
+        """Execute SQL synchronously. Multi-statement scripts return the
+        last statement's result. A lock conflict raises LockTimeout."""
+        self._check_up()
         result = QueryResult([], [], command="NONE")
         for stmt in _parse_cached(sql):
             result = self._dispatch(stmt, params, copy_data)
@@ -409,33 +409,27 @@ class Session:
         stmts = _parse_cached(sql)
         if len(stmts) != 1:
             raise SyntaxErrorSQL("execute_async takes a single statement")
-        stmt = stmts[0]
-        try:
-            result = self._dispatch(stmt, params, None, park_on_block=True)
-        except _Parked as parked:
-            return parked.handle
-        handle = _ParkedStatement(self, stmt, params, None)
-        handle.succeed(result)
-        return handle
+        return self.execute_parsed_async(stmts[0], params)
 
-    def execute_parsed(self, stmt: A.Statement, params=None) -> QueryResult:
+    def execute_parsed(self, stmt: A.Statement, params=None,
+                       park_on_block: bool = False) -> QueryResult:
         """Execute a single pre-parsed statement, skipping the lexer and
         parser. Used by the deparse-free distributed task path: the
         coordinator ships the rewritten AST instead of SQL text. The AST
-        must be treated as immutable — it may be shared across sessions."""
-        if not self.instance.is_up:
-            from ..errors import NodeUnavailable
+        must be treated as immutable — it may be shared across sessions.
 
-            raise NodeUnavailable(
-                f"terminating connection: node {self.instance.name!r} went down"
-            )
-        return self._dispatch(stmt, params, None)
+        The one way in for a dispatch that may park: with ``park_on_block``
+        a lock conflict parks the statement and raises :class:`Parked`
+        carrying its handle, instead of LockTimeout; a statement that
+        completes returns its result either way."""
+        self._check_up()
+        return self._dispatch(stmt, params, None, park_on_block)
 
     def execute_parsed_async(self, stmt: A.Statement, params=None) -> _ParkedStatement:
         """Pre-parsed variant of :meth:`execute_async`."""
         try:
-            result = self._dispatch(stmt, params, None, park_on_block=True)
-        except _Parked as parked:
+            result = self.execute_parsed(stmt, params, park_on_block=True)
+        except Parked as parked:
             return parked.handle
         handle = _ParkedStatement(self, stmt, params, None)
         handle.succeed(result)
@@ -452,12 +446,7 @@ class Session:
         finished, mirroring how a portal holds its transaction resources
         until it is closed.
         """
-        if not self.instance.is_up:
-            from ..errors import NodeUnavailable
-
-            raise NodeUnavailable(
-                f"terminating connection: node {self.instance.name!r} went down"
-            )
+        self._check_up()
         if not isinstance(stmt, A.Select):
             return None
         if self.aborted:
@@ -699,7 +688,7 @@ class Session:
         try:
             result = self._dispatch_inner(stmt, params, copy_data,
                                           park_on_block)
-        except _Parked:
+        except Parked:
             # The statement stays logically active while parked; the parked
             # handle's succeed/fail finishes the activity window (and with
             # it the record, which spans the wait).
@@ -766,7 +755,7 @@ class Session:
                     handle.record = self.instance.telemetry.current
                 self.instance.park(handle)
                 self._check_local_deadlock()
-                raise _Parked(handle) from None
+                raise Parked(handle) from None
             if remote_handle is not None:
                 # Synchronous caller on a remote wait: treat as timeout and
                 # cancel the worker-side statement to keep state consistent.
@@ -827,6 +816,11 @@ class Session:
     # ----------------------------------------------------- statement exec
 
     def _execute_statement(self, stmt, params, copy_data) -> QueryResult:
+        if isinstance(stmt, (A.Select, A.Insert, A.Update, A.Delete)):
+            plan = self.instance.hooks.call_planner(self, stmt, params)
+            if plan is not None:
+                return plan.execute(self, params)
+            return self._execute_local_dml(stmt, params)
         if isinstance(stmt, A.Begin):
             self.begin()
             return QueryResult([], [], command="BEGIN")
@@ -852,11 +846,6 @@ class Session:
             return QueryResult([stmt.name], [[self.get_guc(stmt.name)]])
         if isinstance(stmt, A.Explain):
             return self._explain(stmt, params)
-        if isinstance(stmt, (A.Select, A.Insert, A.Update, A.Delete)):
-            plan = self.instance.hooks.call_planner(self, stmt, params)
-            if plan is not None:
-                return plan.execute(self, params)
-            return self._execute_local_dml(stmt, params)
         # Utility path (DDL, COPY, VACUUM, CALL, ...)
         self._pending_copy_data = copy_data  # visible to utility hooks
         self._pending_params = params
@@ -1051,8 +1040,9 @@ class Session:
         return result.rowcount
 
 
-class _Parked(Exception):
-    """Control-flow signal: the statement was parked (async path)."""
+class Parked(Exception):
+    """Control-flow signal: the statement was parked (``park_on_block``);
+    ``handle`` resolves once its lock wait does."""
 
     def __init__(self, handle: _ParkedStatement):
         super().__init__("parked")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..engine.datum import uniform_type
 from ..engine.executor import EngineCursor
+from ..engine.instance import Parked
 from ..engine.locks import WouldBlock
 from ..errors import NodeUnavailable
 
@@ -169,18 +170,19 @@ class RemoteConnection:
         """Ship a pre-parsed statement AST to the worker backend, skipping
         the deparse → lexer → parser round-trip. Network cost accounting is
         identical to :meth:`execute` — the simulation charges for the wire
-        exchange, not for parsing."""
+        exchange, not for parsing. With ``allow_block`` a lock wait on the
+        worker parks the statement there and raises :class:`RemoteBlocked`;
+        one that completes pays nothing for it."""
         if self.closed:
             raise NodeUnavailable(f"connection to {self.node_name} is closed")
         self.round_trips += 1
         self.bytes_transferred += payload_bytes
         self.elapsed += self.network.note_round_trip(payload_bytes)
-        if allow_block:
-            handle = self.session.execute_parsed_async(stmt, params)
-            if handle.done:
-                return self._charge_result(handle.get())
-            raise RemoteBlocked(handle, self)
-        return self._charge_result(self.session.execute_parsed(stmt, params))
+        try:
+            return self._charge_result(
+                self.session.execute_parsed(stmt, params, allow_block))
+        except Parked as parked:
+            raise RemoteBlocked(parked.handle, self) from None
 
     def _charge_result(self, result):
         """Bandwidth-charge a blocking result set at its actual wire size

@@ -114,7 +114,7 @@ class PartmanExtension:
 
     def pruned_children(self, parent: PartmanParent, where, params) -> list[str]:
         from .citus.sharding import _conjuncts, _dist_range_bound, _is_constant, \
-            _constant_value, _NO_VALUE
+            _constant_value, NO_VALUE
 
         children = sorted(parent.children.items())
         if where is None:
@@ -136,7 +136,7 @@ class PartmanExtension:
                     and _is_constant(right)
                 ):
                     value = _constant_value(right, params)
-                    if value is not _NO_VALUE:
+                    if value is not NO_VALUE:
                         low = high = value
                 continue
             bound = _dist_range_bound(conjunct, _Probe, parent.table, params)

@@ -58,6 +58,31 @@ class TestQueryTimeFailures:
         assert fresh.execute("SELECT v FROM t WHERE k = $1", [k1]).scalar() == 0
 
 
+    def test_no_statement_runs_on_a_crashed_node(self, citus):
+        """Every way into a backend refuses once its node is down — the
+        parking variants too (they used to skip the check; the executor was
+        safe only because ``SessionPools._usable`` filtered first)."""
+        from repro.sql import parse
+
+        stmt = parse("SELECT 1")[0]
+        worker = citus.cluster.nodes["worker1"]
+        backend = worker.connect()
+        cached = citus.cluster.connect("worker1")  # before the crash
+        assert backend.execute_async("SELECT 1").get().rows == [[1]]
+        worker.crash()
+        for run in (
+            lambda: backend.execute("SELECT 1"),
+            lambda: backend.execute_parsed(stmt),
+            lambda: backend.execute_async("SELECT 1"),
+            lambda: backend.execute_parsed_async(stmt),
+            lambda: backend.execute_parsed(stmt, park_on_block=True),
+            lambda: cached.execute_parsed(stmt, allow_block=True),
+            lambda: cached.execute("SELECT 1", allow_block=True),
+        ):
+            with pytest.raises(NodeUnavailable):
+                run()
+
+
 class TestTwoPhaseCommitFailures:
     def test_prepare_failure_aborts_everywhere(self, citus, s, keys):
         """A worker dying before PREPARE: the whole transaction aborts and

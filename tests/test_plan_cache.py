@@ -262,3 +262,63 @@ class TestExplainMarker:
         q = "SELECT * FROM r"
         explain(s, q)
         assert not explain(s, q).cached
+
+
+class TestReplayErrors:
+    """A replay may fall back to a full replan only for what the statement
+    itself gets wrong (a ``ReproError``); a bug in replay must not hide as
+    a slightly lower hit ratio."""
+
+    def test_a_missing_parameter_is_a_miss_and_the_replan_reports_it(self, s, reg):
+        from repro.errors import DataError
+
+        sql = "SELECT v FROM t WHERE k = $1 AND v > $2"
+        assert s.execute(sql, [3, 0]).rows == [[30]]
+        assert s.execute(sql, [4, 0]).rows == [[40]]
+        with reg.measure() as m:
+            # $1 resolves, so the replay routes; the worker finds no $2.
+            with pytest.raises(DataError, match="no value for parameter"):
+                s.execute(sql, [3])
+            # No $1: nothing to route on, the replay declines, the cascade
+            # replans the statement down to a multi-shard plan, same error.
+            with pytest.raises(DataError, match="no value for parameter"):
+                s.execute(sql, [])
+        assert m.value("plan_cache_hits") == 1
+        assert m.value("plan_cache_misses") == 1
+
+    def test_a_failing_cast_in_replay_replans_to_the_same_error(self, s, reg):
+        from repro.errors import DataError
+
+        sql = "SELECT v FROM t WHERE k = CAST($1 AS int)"
+        assert s.execute(sql, ["3"]).rows == [[30]]
+        assert s.execute(sql, ["4"]).rows == [[40]]
+        with reg.measure() as m:
+            with pytest.raises(DataError, match="invalid input for type int"):
+                s.execute(sql, ["three"])
+        assert m.value("plan_cache_misses") == 1  # DataError is a ReproError
+
+    def test_a_bug_in_replay_propagates(self, citus, s, reg, monkeypatch):
+        from repro.citus.planner.plan_cache import PlanCache
+
+        s.execute("SELECT v FROM t WHERE k = 3")
+
+        def broken(self, entry, bound):
+            raise TypeError("replay is broken")
+
+        monkeypatch.setattr(PlanCache, "_replay_single", broken)
+        with reg.measure() as m:
+            with pytest.raises(TypeError, match="replay is broken"):
+                s.execute("SELECT v FROM t WHERE k = 4")
+        assert m.value("plan_cache_misses") == 0
+        monkeypatch.undo()
+        assert s.execute("SELECT v FROM t WHERE k = 4").rows == [[40]]
+
+    def test_a_bug_in_the_extractor_propagates(self, citus, s, monkeypatch):
+        from repro.citus import sharding
+
+        def broken(cache, stmt):
+            raise TypeError("extractor is broken")
+
+        monkeypatch.setattr(sharding, "_find_tenant_exprs", broken)
+        with pytest.raises(TypeError, match="extractor is broken"):
+            s.execute("SELECT v FROM t WHERE k = 5 AND v = 50")

@@ -524,6 +524,139 @@ def test_a_warmed_fast_path_statement_records_once_and_folds_nothing(sql):
     assert any(row[1] == 4 for row in rows)
 
 
+# A plan-cache hit is a route, and one task a straight line: a warmed
+# single-shard statement re-derives nothing. The distribution value is
+# resolved once (routing and tenant attribution share it), the shard's
+# (node, group, statement) triple and the cached PlanSearch are the entry's,
+# and the executor looks at the target node's cached connections once,
+# without a ConnectionTimeline; the worker parks nothing.
+
+
+def _same_shard_keys(cluster, keys, count):
+    """``count`` of ``keys`` that live on one shard of ``kv``."""
+    dist = cluster.coordinator_ext.metadata.cache.get_table("kv")
+    by_shard = {}
+    for key in keys:
+        found = by_shard.setdefault(dist.shard_index_for_value(key), [])
+        found.append(key)
+        if len(found) == count:
+            return found
+    raise AssertionError("no shard holds that many of the keys")
+
+
+def _route_work(patch):
+    """Counts of what a warmed single-shard statement must not redo."""
+    from repro.citus import sharding
+    from repro.citus.executor.placement import SessionPools
+    from repro.citus.executor.timeline import ConnectionTimeline
+    from repro.citus.metadata import MetadataCache
+    from repro.citus.planner import pipeline, tasks
+    from repro.engine import instance
+
+    counts = Counter()
+
+    def count(owner, attr, name):
+        patch.setattr(owner, attr, _counter(counts, name, vars(owner)[attr]))
+
+    def count_function(fn, name):
+        # Wherever a ``from ... import`` bound it.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and vars(module).get(fn.__name__) is fn):
+                count(module, fn.__name__, name)
+
+    # The table set of an AST never seen before is a walk (one call per
+    # node): counted as such, once, apart from any other walk.
+    walk, table_set, in_table_set = A.walk, sharding.collect_table_names, []
+
+    def counted_walk(node):
+        if not in_table_set:
+            counts["walks"] += 1
+        return walk(node)
+
+    def counted_table_set(stmt):
+        counts["table_sets"] += 1
+        in_table_set.append(stmt)
+        try:
+            return table_set(stmt)
+        finally:
+            in_table_set.pop()
+
+    patch.setattr(A, "walk", counted_walk)
+    patch.setattr(sharding, "collect_table_names", counted_table_set)
+    count(sharding, "_conjuncts", "conjuncts")
+    count_function(tasks.rewrite_to_shard, "rewrites")
+    count_function(sharding.dist_value_for, "dist_values")
+    count(MetadataCache, "placement_node", "placement_nodes")
+    count(pipeline.PlanSearch, "__init__", "plan_searches")
+    count(ConnectionTimeline, "__init__", "timelines")
+    count(instance._ParkedStatement, "__init__", "parked")
+    count(SessionPools, "idle_connections", "idle_connections")
+    count(SessionPools, "_usable", "usable")
+    return counts
+
+
+@pytest.mark.parametrize("form", ["positional", "update", "literal", "insert"])
+def test_a_warmed_single_shard_statement_replays_a_route_in_a_straight_line(form):
+    cluster, session = _fast_path_cluster()
+    telemetry = cluster.coordinator_ext.telemetry
+    loaded = form != "insert"
+    keys = _same_shard_keys(
+        cluster, range(64) if loaded else range(1000, 2000), 4)
+
+    def run(key):
+        if form == "literal":  # a text, and an AST, never seen before
+            return session.execute(f"SELECT v FROM kv WHERE k = {key}")
+        sql = {"positional": "SELECT v FROM kv WHERE k = $1",
+               "update": "UPDATE kv SET v = v + 1 WHERE k = $1",
+               "insert": "INSERT INTO kv (k, v) VALUES ($1, 0)"}[form]
+        return session.execute(sql, [key])
+
+    for key in keys[:3]:  # plan cache, the shard's route, the connection
+        run(key)
+    telemetry.drain()
+    dist = cluster.coordinator_ext.metadata.cache.get_table("kv")
+    node = cluster.coordinator_ext.metadata.cache.placement_node(
+        dist.shards[dist.shard_index_for_value(keys[3])].shardid)
+    cached = len(getattr(session, "_citus_pools").by_node[node])
+    with pytest.MonkeyPatch.context() as patch:
+        counts = telemetry_work.__wrapped__(patch)
+        work = _route_work(patch)
+        result = run(keys[3])
+    assert result.rowcount == 1 if form in ("update", "insert") else result.rows
+    assert work.pop("table_sets", 0) == (1 if form == "literal" else 0)
+    assert work == {"dist_values": 1, "idle_connections": 1, "usable": cached}
+    assert cached >= 1
+    assert counts["records"] == 1
+    assert 0 < counts["registry_writes"] <= 11
+    (record,) = telemetry.pending
+    assert record.tenant == keys[3] and record.cached
+
+
+@pytest.mark.parametrize("sql, params, tenant", [
+    ("SELECT v FROM kv WHERE k = 7", None, 7),
+    ("SELECT v FROM kv WHERE k = :key", {"key": 7}, 7),
+    ("SELECT v FROM kv WHERE k = $1", [7], 7),
+    ("SELECT v FROM kv WHERE k = CAST($1 AS int)", ["7"], 7),
+    ("UPDATE kv SET v = v WHERE v >= 0 AND 7 = k", None, 7),
+    ("INSERT INTO kv (v, k) VALUES (0, $1) ON CONFLICT (k) DO NOTHING", [7], 7),
+    # Router tier: the extractor sees no single-table shape, on a miss and
+    # on a replay alike (the replay's common constant is not the tenant).
+    ("SELECT a.v FROM kv a JOIN kv b ON a.k = b.k WHERE a.k = $1", [7], None),
+])
+def test_tenant_attribution_is_the_same_on_a_miss_and_on_a_hit(sql, params, tenant):
+    cluster, session = _fast_path_cluster()
+    counters = cluster.coordinator_ext.stat_counters
+    with counters.measure() as m:
+        for _ in range(3):
+            session.execute(sql, params)
+    assert m.value("plan_cache_misses") == 1 and m.value("plan_cache_hits") == 2
+    rows = [row for row in session.execute("SELECT citus_stat_statements()").scalar()
+            if " kv" in row[0] and "citus_stat" not in row[0]]
+    # One row: every execution was keyed by the same partition key.
+    assert [(row[1], row[3], row[12]) for row in rows] == [(tenant, 3, 2)]
+
+
 def test_a_streaming_select_keeps_one_tuple_per_unit_of_connection_work():
     cluster, session = _fast_path_cluster()
     telemetry = cluster.coordinator_ext.telemetry
