@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine.datum import sort_key
-from ..errors import MetadataError, SQLError
+from ..errors import MetadataError
 
 STRIPE_ROWS = 10_000
 

@@ -16,7 +16,7 @@ at the statement level.
 from __future__ import annotations
 
 from ..engine.catalog import Table
-from ..engine.datum import hash_value, is_hash_distributable
+from ..engine.datum import is_hash_distributable
 from ..errors import MetadataError
 from ..sql import ast as A
 from ..sql.deparse import deparse

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..engine.catalog import Procedure
 from ..engine.stats import StatsRegistry
 from ..errors import MetadataError, ReproError
 from ..sql import ast as A
@@ -82,10 +81,6 @@ class NamedArgument:
         self.value = value
 
 
-def _named_arg(name, value):
-    return NamedArgument(name, value)
-
-
 def split_named_args(args):
     positional = []
     named = {}
@@ -120,8 +115,6 @@ class CitusExtension:
         self.failpoints: dict[str, bool] = {}
         self._utility_connections: dict[str, object] = {}
         self._shared_slots: Counter = Counter()  # outgoing conns per worker
-        self._dist_txn_counter = itertools.count(1)
-        self._restore_point_lock = False
         instance.extensions["citus"] = self
 
     # ------------------------------------------------------------ helpers
@@ -225,7 +218,6 @@ class CitusExtension:
             # Shell tables must exist on the worker so it can plan queries
             # against them (the worker becomes a coordinator, §3.2.1).
             from .ddl import table_to_create_stmt
-            from ..sql.deparse import deparse
 
             for table_name in worker_ext.metadata.cache.tables:
                 if worker.catalog.has_table(table_name):
@@ -255,17 +247,14 @@ class CitusExtension:
     # ------------------------------------------------------ restore points
 
     def create_distributed_restore_point(self, name: str) -> None:
-        """§3.9: block 2PC commits, then write the restore point into every
-        node's WAL so all nodes can be restored to a consistent point."""
-        self._restore_point_lock = True
-        try:
-            self.instance.wal.create_restore_point(name)
-            for node in self.all_node_names():
-                if node == self.instance.name:
-                    continue
+        """§3.9: write the restore point into every node's WAL so all nodes
+        can be restored to a consistent point. Citus blocks 2PC commits
+        while it does; the simulation runs one statement at a time, so no
+        commit can fall between two nodes' records."""
+        self.instance.wal.create_restore_point(name)
+        for node in self.all_node_names():
+            if node != self.instance.name:
                 self.cluster.node(node).wal.create_restore_point(name)
-        finally:
-            self._restore_point_lock = False
 
 
 def install_citus(instance, cluster, config: CitusConfig | None = None,

@@ -24,12 +24,10 @@ batch size plus ``copy_flush_threshold × shards``.
 from __future__ import annotations
 
 from .copy_dist import distribute_rows
-from .planner.distributed import CitusPlan
-from .planner.pushdown import _choose_mode, plan_pushdown_select
-from .planner.tasks import Task, task_sql_for_shard
+from .planner.pushdown import _choose_mode
+from .planner.tasks import CitusPlan, Task, task_sql_for_shard
 from .sharding import analyze_statement
 from ..engine.executor import QueryResult
-from ..errors import UnsupportedDistributedQuery
 from ..sql import ast as A
 
 

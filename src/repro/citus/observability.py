@@ -69,7 +69,7 @@ class DistributedExplain:
     subplan: dict | None = None  # repartition / insert..select structure
     is_write: bool = False
     local_plan: list[str] = field(default_factory=list)  # tier == "local" only
-    cached: bool = False  # replayed from the distributed plan cache
+    cached: bool = False  # bound from a shape in the distributed plan cache
     #: Candidate-plan pipeline (citus.enable_plan_alternatives): one line
     #: per cascade tier tried — rejections with structured reasons, costed
     #: alternatives, and the chosen plan.

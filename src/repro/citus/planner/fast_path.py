@@ -12,24 +12,50 @@ from __future__ import annotations
 from ...errors import NotNullViolation
 from ...sql import ast as A
 from ..sharding import NO_VALUE, dist_value_for, statement_facts
-from .tasks import Task, rewrite_to_shard
+from .tasks import ShardRoutes, SingleTaskPlan
 
 
-def try_fast_path(ext, stmt, params, search=None):
-    """Return a list with one Task, or None if the statement does not
-    qualify for the fast path. A miss records its structured reason into
-    ``search`` when a PlanSearch is being kept."""
-    tasks, reason = _try_fast_path(ext, stmt, params)
-    if tasks is None:
+class FastPathShape:
+    """What the fast path decides about a statement once: the
+    hash-distributed table it is routed by and its compiled
+    distribution-value extractor. ``bind`` does the rest per execution."""
+
+    tier = "fast_path"
+    detail = "Fast Path Router"
+
+    def __init__(self, ext, stmt, dist):
+        self.facts = statement_facts(stmt)
+        self.routes = ShardRoutes(ext, stmt, dist)
+
+    def bind(self, params):
+        """The plan for these parameters, or None when they hold no
+        distribution value."""
+        routes = self.routes
+        value = dist_value_for(routes.ext.metadata.cache, self.facts, params)
+        if value is NO_VALUE:
+            return None
+        task = routes.task(routes.dist.shard_index_for_value(value), params)
+        routes.ext.stats["fast_path_queries"] += 1
+        return SingleTaskPlan(self, task, dist_value=value)
+
+
+def try_fast_path(ext, session, stmt, params, analysis=None, search=None):
+    """The cascade's first tier: a one-task plan, or None if the statement
+    does not qualify for the fast path. A miss records its structured
+    reason into ``search`` when a PlanSearch is being kept."""
+    shape, reason = _fast_path_shape(ext, stmt)
+    plan = shape.bind(params) if shape is not None else None
+    if plan is None:
         # Cascade fall-through: the next (costlier) planner tier must run.
         ext.stat_counters.incr("planner_fast_path_misses")
         if search is not None:
-            code, detail = reason or ("unknown", "")
-            search.reject("fast_path", code, detail)
-    return tasks
+            search.reject("fast_path", *reason)
+    return plan
 
 
-def _try_fast_path(ext, stmt, params):
+def _fast_path_shape(ext, stmt):
+    """``(shape, why a bind of it declines)``, or ``(None, why the
+    statement has no fast-path shape)``."""
     cache = ext.metadata.cache
     insert = isinstance(stmt, A.Insert)
     if insert:
@@ -67,18 +93,9 @@ def _try_fast_path(ext, stmt, params):
                 f"cannot perform an INSERT without the distribution column"
                 f" {dist.dist_column!r}"
             )
-    value = dist_value_for(cache, statement_facts(stmt), params)
-    if value is NO_VALUE:
-        return None, no_value
-    if not insert and _contains_subquery(stmt):
+    elif _contains_subquery(stmt):
         return None, ("subquery", "statement contains a subquery")
-    shard_index = dist.shard_index_for_value(value)
-    node = cache.placement_node(dist.shards[shard_index].shardid)
-    returns = isinstance(stmt, A.Select) or bool(getattr(stmt, "returning", None))
-    return [
-        Task(node, None, params, shard_group=(dist.colocation_id, shard_index),
-             returns_rows=returns, stmt=rewrite_to_shard(stmt, cache, shard_index))
-    ], None
+    return FastPathShape(ext, stmt, dist), no_value
 
 
 def _contains_subquery(stmt) -> bool:

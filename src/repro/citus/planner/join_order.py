@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import itertools
 
-from ...engine.datum import hash_value
-from ...engine.executor import QueryResult
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql.deparse import deparse
@@ -146,6 +144,7 @@ class RepartitionPlan:
     """Executable plan: move one side, then push the join down."""
 
     tier = "join_order"
+    shape = None  # planned every time: the plan cache has nothing to keep
     search = None
     cached = False
 
@@ -194,15 +193,14 @@ class RepartitionPlan:
             cache.tables[name] = transient
 
             rewritten = _replace_table(self.select, self.moved.name, name)
-            analysis = analyze_statement(rewritten, cache, params, ext.instance.catalog)
-            plan = plan_pushdown_select(ext, rewritten, params, analysis)
-            if plan is None:
+            analysis = analyze_statement(rewritten, cache, self.params,
+                                         ext.instance.catalog)
+            shape = plan_pushdown_select(ext, rewritten, analysis)
+            if shape is None:
                 raise UnsupportedDistributedQuery(
                     "non-co-located join could not be made co-located"
                 )
-            from .distributed import MultiTaskSelectPlan
-
-            return MultiTaskSelectPlan(ext, plan).execute(session, params)
+            return shape.bind(self.params).execute(session, params)
         finally:
             cache.tables.pop(name, None)
             for node, table in created:

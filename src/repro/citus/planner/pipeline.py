@@ -249,14 +249,10 @@ def record_chosen_plan(search: PlanSearch, plan) -> None:
     tier = getattr(plan, "tier", "custom")
     detail = getattr(plan, "detail", None) or tier_label(tier)
     tasks = getattr(plan, "tasks", None)
-    if tasks is None:
-        inner = getattr(plan, "plan", None)
-        tasks = getattr(inner, "tasks", None)
     task_count = len(tasks) if tasks is not None else 1
     network_bytes = float(getattr(plan, "estimated_network_bytes", 0.0))
     attrs = {"tasks": task_count}
-    inner = getattr(plan, "plan", None)
-    total_shards = getattr(inner, "total_shards", 0) if inner is not None else 0
+    total_shards = getattr(getattr(plan, "shape", None), "total_shards", 0)
     if total_shards:
         attrs["total_shards"] = total_shards
         attrs["pruned_shards"] = max(total_shards - task_count, 0)

@@ -20,19 +20,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ...engine.executor import QueryResult
 from ...engine.functions import PARTIAL_REWRITES, is_aggregate
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql.deparse import deparse
-from ..sharding import QueryAnalysis, prune_shards
-from .tasks import Task, rewrite_to_shard
+from ..sharding import QueryAnalysis
+from ..txn.deadlock import assign_distributed_txn_ids
+from .tasks import CitusPlan, ShardRoutes, sql_with_values
 
 
 @dataclass
 class PushdownSelect:
-    """The result of planning a multi-shard SELECT."""
+    """The shape of a multi-shard SELECT: everything planning decides from
+    the statement alone. ``bind`` prunes shards under one execution's
+    parameters and makes the plan."""
 
-    tasks: list
     mode: str  # "concat" | "merge"
     master_query: A.Select | None  # merge mode: query over the intermediate
     intermediate_columns: list  # column names of worker result
@@ -48,16 +51,19 @@ class PushdownSelect:
     total_shards: int = 0
     pushed_down: list = field(default_factory=list)
     coordinator: list = field(default_factory=list)
-    # Plan-cache replay: the worker-side query shape and the anchor's alias,
-    # so a cached plan can re-prune shards and rebuild tasks from new
-    # parameter values without re-running the planner.
-    worker_query: A.Select | None = None
-    anchor_alias: str | None = None
+    # The query the shards run (``routes.stmt``), as tasks per shard of
+    # the anchor table.
+    routes: ShardRoutes | None = None
     # How the coordinator combines the shard streams (shown by EXPLAIN).
     merge_strategy: str = "Concat (streaming)"
 
+    def bind(self, params):
+        self.routes.ext.stats["pushdown_queries"] += 1
+        return MultiTaskSelectPlan(self, self.routes.pruned_tasks(params),
+                                   params)
 
-def plan_pushdown_select(ext, select: A.Select, params, analysis: QueryAnalysis,
+
+def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
                          search=None):
     """Build a PushdownSelect, or None when pushdown does not apply,
     raising UnsupportedDistributedQuery for recognisably unsupported SQL.
@@ -68,7 +74,6 @@ def plan_pushdown_select(ext, select: A.Select, params, analysis: QueryAnalysis,
             search.reject("pushdown", code, message)
         raise UnsupportedDistributedQuery(message)
 
-    cache = ext.metadata.cache
     dist = analysis.distributed
     if not dist:
         if search is not None:
@@ -115,15 +120,9 @@ def plan_pushdown_select(ext, select: A.Select, params, analysis: QueryAnalysis,
         if search is not None:
             search.reject("pushdown", "window_functions", str(exc))
         raise
-    anchor = dist[0]
-    shard_indexes = prune_shards(anchor.dist, select.where, params, anchor.alias)
-    pruned = len(anchor.dist.shards) - len(shard_indexes)
-    if pruned:
-        ext.stat_counters.incr("planner_shards_pruned", pruned)
-    mode = _choose_mode(select, analysis)
-    if mode == "concat":
-        return _plan_concat(ext, select, params, analysis, anchor, shard_indexes)
-    return _plan_merge(ext, select, params, analysis, anchor, shard_indexes)
+    if _choose_mode(select, analysis) == "concat":
+        return _plan_concat(ext, select, dist[0])
+    return _plan_merge(ext, select, dist[0])
 
 
 def _check_window_functions(select: A.Select, analysis: QueryAnalysis) -> None:
@@ -229,8 +228,7 @@ def _group_by_contains_dist_column(select: A.Select, analysis: QueryAnalysis) ->
 # ---------------------------------------------------------------- concat
 
 
-def _plan_concat(ext, select, params, analysis, anchor, shard_indexes):
-    cache = ext.metadata.cache
+def _plan_concat(ext, select, anchor):
     worker = select.copy()
     # Hidden sort keys are either ("pos", output_index) for an ORDER BY
     # key that is an output column (by position or by alias), or
@@ -265,7 +263,6 @@ def _plan_concat(ext, select, params, analysis, anchor, shard_indexes):
     if worker.limit is not None and worker.offset is not None:
         worker.limit = A.BinaryOp("+", worker.limit, worker.offset)
     worker.offset = None
-    tasks = _make_tasks(ext, worker, params, anchor, shard_indexes)
     pushed_down, coordinator = _classify_concat_clauses(select)
     if hidden_sort:
         merge_strategy = "MergeAppend (streaming)"
@@ -274,7 +271,6 @@ def _plan_concat(ext, select, params, analysis, anchor, shard_indexes):
     else:
         merge_strategy = "Concat (streaming)"
     return PushdownSelect(
-        tasks=tasks,
         mode="concat",
         master_query=None,
         intermediate_columns=[],
@@ -288,8 +284,7 @@ def _plan_concat(ext, select, params, analysis, anchor, shard_indexes):
         total_shards=len(anchor.dist.shards),
         pushed_down=pushed_down,
         coordinator=coordinator,
-        worker_query=worker,
-        anchor_alias=anchor.alias,
+        routes=ShardRoutes(ext, worker, anchor.dist, anchor.alias),
         merge_strategy=merge_strategy,
     )
 
@@ -356,7 +351,7 @@ def _visible_columns(select) -> list[str]:
 # ----------------------------------------------------------------- merge
 
 
-def _plan_merge(ext, select, params, analysis, anchor, shard_indexes):
+def _plan_merge(ext, select, anchor):
     worker_targets: list[A.TargetEntry] = []
     worker_exprs_seen: dict[str, str] = {}  # deparse(expr) -> worker column
 
@@ -481,7 +476,6 @@ def _plan_merge(ext, select, params, analysis, anchor, shard_indexes):
         offset=select.offset.copy() if select.offset is not None else None,
         distinct=select.distinct,
     )
-    tasks = _make_tasks(ext, worker_query, params, anchor, shard_indexes)
     pushed_down = ["PARTIAL AGGREGATES", "TARGET LIST"]
     if select.where is not None:
         pushed_down.insert(0, "WHERE")
@@ -501,7 +495,6 @@ def _plan_merge(ext, select, params, analysis, anchor, shard_indexes):
     if select.distinct:
         coordinator.append("DISTINCT")
     return PushdownSelect(
-        tasks=tasks,
         mode="merge",
         master_query=master_query,
         intermediate_columns=[t.alias for t in worker_targets],
@@ -512,8 +505,7 @@ def _plan_merge(ext, select, params, analysis, anchor, shard_indexes):
         total_shards=len(anchor.dist.shards),
         pushed_down=pushed_down,
         coordinator=coordinator,
-        worker_query=worker_query,
-        anchor_alias=anchor.alias,
+        routes=ShardRoutes(ext, worker_query, anchor.dist, anchor.alias),
         merge_strategy="GroupAggregate Merge (incremental)",
     )
 
@@ -522,20 +514,6 @@ def _contains_aggregate(expr) -> bool:
     return any(
         isinstance(n, A.FuncCall) and is_aggregate(n.name) for n in _walk_no_subquery(expr)
     )
-
-
-def _make_tasks(ext, worker_query, params, anchor, shard_indexes) -> list[Task]:
-    cache = ext.metadata.cache
-    tasks = []
-    for index in shard_indexes:
-        shard = anchor.dist.shards[index]
-        node = cache.placement_node(shard.shardid)
-        shard_stmt = rewrite_to_shard(worker_query, cache, index)
-        tasks.append(
-            Task(node, None, params, shard_group=(anchor.dist.colocation_id, index),
-                 stmt=shard_stmt)
-        )
-    return tasks
 
 
 # ------------------------------------------------- streaming merge operators
@@ -601,7 +579,7 @@ def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> li
     else:
         from ...engine.executor import LocalExecutor
 
-        shape = plan.worker_query.copy()
+        shape = plan.routes.stmt.copy()
         shape.limit = A.Literal(0)
         first_columns = LocalExecutor(session).execute_select(shape, params).columns
     n_appended = plan.n_visible
@@ -682,8 +660,6 @@ def stream_concat_runs(plan: PushdownSelect, execution, session, params):
 def run_streaming_concat(plan: PushdownSelect, execution, session, params):
     """Materializing wrapper over :func:`stream_concat_runs` — the SELECT
     statement path, which must return a full :class:`QueryResult`."""
-    from ...engine.executor import QueryResult
-
     streams = execution.streams
     columns = concat_visible_columns(plan, streams, session, params)
     out_rows = []
@@ -835,8 +811,9 @@ def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
 # ------------------------------------------------------------ DML pushdown
 
 
-def plan_pushdown_dml(ext, stmt, params, analysis, search=None) -> list[Task] | None:
-    """Multi-shard UPDATE/DELETE: one task per (pruned) shard."""
+def plan_pushdown_dml(ext, stmt, analysis, search=None):
+    """The shape of a multi-shard UPDATE/DELETE (one task per shard its
+    WHERE clause does not rule out), or None."""
     dist_occurrences = analysis.distributed
     if len(dist_occurrences) != 1 or analysis.locals:
         if search is not None:
@@ -850,18 +827,198 @@ def plan_pushdown_dml(ext, stmt, params, analysis, search=None) -> list[Task] | 
             search.reject("pushdown", "subquery", message)
         raise UnsupportedDistributedQuery(message)
     occ = dist_occurrences[0]
-    cache = ext.metadata.cache
-    shard_indexes = prune_shards(occ.dist, stmt.where, params, occ.alias)
-    pruned = len(occ.dist.shards) - len(shard_indexes)
-    if pruned:
-        ext.stat_counters.incr("planner_shards_pruned", pruned)
-    tasks = []
-    for index in shard_indexes:
-        shard = occ.dist.shards[index]
-        node = cache.placement_node(shard.shardid)
-        shard_stmt = rewrite_to_shard(stmt, cache, index)
-        tasks.append(
-            Task(node, None, params, shard_group=(occ.dist.colocation_id, index),
-                 returns_rows=bool(getattr(stmt, "returning", [])), stmt=shard_stmt)
+    return PushdownDML(ShardRoutes(ext, stmt, occ.dist, occ.alias))
+
+
+class PushdownDML:
+    """The shape of a multi-shard UPDATE/DELETE: its routes."""
+
+    def __init__(self, routes):
+        self.routes = routes
+
+    def bind(self, params):
+        self.routes.ext.stats["pushdown_queries"] += 1
+        return MultiTaskDMLPlan(self, self.routes.pruned_tasks(params))
+
+
+def try_pushdown(ext, session, stmt, params, analysis, search=None):
+    """The cascade's third tier: plan the statement's multi-shard shape
+    and bind it."""
+    if isinstance(stmt, A.Select):
+        shape = plan_pushdown_select(ext, stmt, analysis, search=search)
+    elif isinstance(stmt, (A.Update, A.Delete)):
+        shape = plan_pushdown_dml(ext, stmt, analysis, search=search)
+    else:
+        if search is not None:
+            search.reject("pushdown", "statement_kind",
+                          f"{type(stmt).__name__} has no multi-shard pushdown plan")
+        return None
+    return shape.bind(params) if shape is not None else None
+
+
+# ---------------------------------------------------------------- plans
+
+
+class MultiTaskDMLPlan(CitusPlan):
+    """Parallel, distributed UPDATE/DELETE."""
+
+    tier = "pushdown"
+
+    def __init__(self, shape, tasks):
+        super().__init__(shape.routes.ext)
+        self.shape = shape
+        self.tasks = tasks
+
+    def execute(self, session, params):
+        results = self.ext.executor.execute_tasks(session, self.tasks, is_write=True)
+        assign_distributed_txn_ids(self.ext, session)
+        rows = []
+        columns = []
+        total = 0
+        command = "UPDATE"
+        for result in results:
+            if result is None:
+                continue
+            total += result.rowcount
+            command = result.command
+            if result.columns:
+                columns = result.columns
+                rows.extend(result.rows)
+        out = QueryResult(columns, rows, command=command)
+        out.rowcount = total
+        return out
+
+    def explain_lines(self):
+        lines = self._explain_header(len(self.tasks), "Pushdown (DML)")
+        if self.tasks:
+            lines.append(f"  Task: {self.tasks[0].sql_text()}")
+        return lines
+
+    def explain_info(self):
+        return {
+            "tier": self.tier,
+            "detail": "Pushdown (DML)",
+            "tasks": self.tasks,
+            "is_write": True,
+            "pushed_down": ["FULL STATEMENT"],
+        }
+
+
+class MultiTaskSelectPlan(CitusPlan):
+    """Logical pushdown SELECT: concat or two-phase-aggregation merge. The
+    coordinator-side merge evaluates LIMIT / OFFSET and the merge query
+    under the parameters the shape was bound with."""
+
+    tier = "pushdown"
+
+    def __init__(self, shape, tasks, params):
+        super().__init__(shape.routes.ext)
+        self.shape = shape
+        self.tasks = tasks
+        self.params = params
+
+    def execute(self, session, params):
+        shape = self.shape
+        execution = self.ext.executor.open_task_streams(session, self.tasks)
+        merge_start = self.ext.cluster.clock.now()
+        result = None
+        try:
+            if shape.mode == "concat":
+                result = run_streaming_concat(shape, execution, session,
+                                              self.params)
+            else:
+                result = run_streaming_group_merge(shape, execution, session,
+                                                   self.params)
+            return result
+        finally:
+            self._finish(execution, merge_start,
+                         len(result.rows) if result is not None else 0)
+
+    def _finish(self, execution, merge_start: float, rows: int) -> None:
+        """Settle the execution and record the merge span. The merge
+        interleaves with the fetches it drives, so its span covers the
+        statement's whole executor window (the clock advances inside
+        ``execution.finish()``)."""
+        report = execution.finish()
+        telemetry = self.ext.telemetry
+        if telemetry.traced is not None:
+            telemetry.event(
+                "merge", "merge", merge_start, strategy=self._merge_label(),
+                rows=rows,
+                rows_buffered_peak=report.rows_buffered_peak,
+                early_terminated=bool(report.early_terminations),
+                tasks_skipped=report.tasks_skipped,
+            )
+
+    def _merge_label(self) -> str:
+        shape = self.shape
+        if shape.merge_strategy:
+            return shape.merge_strategy
+        return "concat" if shape.mode == "concat" else "group-merge"
+
+    # ------------------------------------------------- streaming consumers
+
+    def execute_batches(self, session, params):
+        """Open this SELECT as a generator of visible row batches for a
+        streaming consumer (the INSERT..SELECT write pipeline)."""
+        execution = self.ext.executor.open_task_streams(session, self.tasks)
+        return self._batch_generator(execution, session, self.params)
+
+    def _batch_generator(self, execution, session, params):
+        shape = self.shape
+        batch_size = max(1, self.ext.config.stream_batch_size)
+        merge_start = self.ext.cluster.clock.now()
+        rows_out = 0
+        try:
+            if shape.mode == "concat":
+                runs = stream_concat_runs(shape, execution, session, params)
+            else:
+                # Group-merge: the worker partials stream into the hash
+                # aggregate batch by batch; the (much smaller) aggregated
+                # output is then re-chunked for the consumer.
+                runs = [run_streaming_group_merge(
+                    shape, execution, session, params).rows]
+            # Re-chunk the runs: a batch leaves as soon as it is full,
+            # before the merge is asked for (and fetches for) its next run.
+            batch = []
+            for run in runs:
+                batch.extend(run)
+                while len(batch) >= batch_size:
+                    rows_out += batch_size
+                    yield batch[:batch_size]
+                    del batch[:batch_size]
+            if batch:
+                rows_out += len(batch)
+                yield batch
+        finally:
+            self._finish(execution, merge_start, rows_out)
+
+    def explain_lines(self):
+        shape = self.shape
+        lines = self._explain_header(
+            len(self.tasks),
+            "Pushdown" if shape.mode == "concat" else "Pushdown (partial aggregation)",
         )
-    return tasks
+        if self.tasks:
+            lines.append(f"  Task: {self.tasks[0].sql_text()}")
+        if shape.mode == "merge":
+            lines.append("  Merge Query: "
+                         + sql_with_values(shape.master_query, self.params))
+        return lines
+
+    def explain_info(self):
+        shape = self.shape
+        merge_query = None
+        if shape.mode == "merge" and shape.master_query is not None:
+            merge_query = sql_with_values(shape.master_query, self.params)
+        return {
+            "tier": self.tier,
+            "detail": "Pushdown" if shape.mode == "concat"
+            else "Pushdown (partial aggregation)",
+            "tasks": self.tasks,
+            "total_shard_count": shape.total_shards or None,
+            "pushed_down": shape.pushed_down,
+            "coordinator": shape.coordinator,
+            "merge_query": merge_query,
+            "merge_strategy": shape.merge_strategy,
+        }

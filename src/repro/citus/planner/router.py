@@ -11,51 +11,69 @@ supports".
 
 from __future__ import annotations
 
-from ...engine.datum import hash_value
-from ...sql import ast as A
 from ..sharding import analyze_statement
-from .tasks import Task, rewrite_to_shard
+from .tasks import ShardRoutes, SingleTaskPlan
 
 
-def try_router(ext, stmt, params, analysis=None, search=None):
-    """Return [Task] if the statement routes to a single shard group. A
-    miss records its structured reason into ``search`` when given."""
-    tasks, reason = _try_router(ext, stmt, params, analysis)
-    if tasks is None:
+class RouterShape:
+    """What the router decides about a statement once: that its distributed
+    tables share a colocation group, and the table shards are picked from.
+    Whether the distribution columns meet in one constant depends on the
+    parameters, so ``bind`` re-runs the equivalence analysis."""
+
+    tier = "router"
+    detail = "Router"
+
+    def __init__(self, ext, stmt, anchor):
+        self.routes = ShardRoutes(ext, stmt, anchor)
+
+    def bind(self, params, analysis=None):
+        """The plan for these parameters (``analysis``: the statement's,
+        when the caller already ran it over them), or None when they do not
+        constrain every distribution column to one constant."""
+        routes, ext = self.routes, self.routes.ext
+        if analysis is None:
+            analysis = analyze_statement(routes.stmt, ext.metadata.cache,
+                                         params, ext.instance.catalog)
+        value, ok = analysis.common_constant()
+        if not ok:
+            return None
+        task = routes.task(routes.dist.shard_index_for_value(value), params)
+        ext.stats["router_queries"] += 1
+        return SingleTaskPlan(self, task)
+
+
+def try_router(ext, session, stmt, params, analysis, search=None):
+    """The cascade's second tier: a one-task plan if the statement routes
+    to a single shard group. A miss records its structured reason into
+    ``search`` when given."""
+    reason = _unroutable(analysis)
+    plan = None
+    if reason is None:
+        shape = RouterShape(ext, stmt, analysis.distributed[0].dist)
+        plan = shape.bind(params, analysis)
+        reason = ("no_common_constant",
+                  "distribution columns are not all constrained to one"
+                  " constant")
+    if plan is None:
         # Cascade fall-through: the statement needs a multi-shard planner.
         ext.stat_counters.incr("planner_router_misses")
         if search is not None:
-            code, detail = reason or ("unknown", "")
-            search.reject("router", code, detail)
-    return tasks
+            search.reject("router", *reason)
+    return plan
 
 
-def _try_router(ext, stmt, params, analysis=None):
-    cache = ext.metadata.cache
-    if analysis is None:
-        analysis = analyze_statement(stmt, cache, params, ext.instance.catalog)
+def _unroutable(analysis):
+    """Why no parameters could route the statement, or None."""
     dist = analysis.distributed
     if not dist:
-        return None, ("no_distributed_tables",
-                      "statement references no distributed tables")
+        return ("no_distributed_tables",
+                "statement references no distributed tables")
     if analysis.locals:
-        return None, ("local_tables",
-                      "local/distributed table mix cannot be routed")
+        return ("local_tables",
+                "local/distributed table mix cannot be routed")
     colocation_ids = {o.dist.colocation_id for o in dist}
     if len(colocation_ids) != 1:
-        return None, ("colocation",
-                      f"{len(colocation_ids)} colocation groups referenced")
-    value, ok = analysis.common_constant()
-    if not ok:
-        return None, ("no_common_constant",
-                      "distribution columns are not all constrained to one"
-                      " constant")
-    anchor = dist[0].dist
-    shard_index = anchor.shard_index_for_value(value)
-    node = cache.placement_node(anchor.shards[shard_index].shardid)
-    shard_stmt = rewrite_to_shard(stmt, cache, shard_index)
-    returns = isinstance(stmt, A.Select) or bool(getattr(stmt, "returning", []))
-    return [
-        Task(node, None, params, shard_group=(anchor.colocation_id, shard_index),
-             returns_rows=returns, stmt=shard_stmt)
-    ], None
+        return ("colocation",
+                f"{len(colocation_ids)} colocation groups referenced")
+    return None

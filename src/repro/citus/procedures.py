@@ -15,11 +15,9 @@ coordinator.
 from __future__ import annotations
 
 from ..engine.catalog import Procedure
-from ..engine.datum import hash_value
 from ..engine.executor import QueryResult
 from ..engine.expr import EvalContext, Row, evaluate
 from ..sql import ast as A
-from ..sql.deparse import deparse
 
 
 def register_distributed_procedure(ext, name: str, fn, distribution_arg: int | None = None,

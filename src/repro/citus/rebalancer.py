@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import RebalanceError
 from .ddl import shard_ddl_statements

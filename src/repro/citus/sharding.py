@@ -11,7 +11,7 @@ join detection of §3.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..engine.datum import cast_value, hash_value
 from ..engine.expr import BoundParams
@@ -559,9 +559,9 @@ def dist_value_for(cache: MetadataCache, facts: StatementFacts, params):
     """The distribution-column value a single-tenant-shaped statement names
     (the first ``dist_col = <constant>`` conjunct that resolves under
     ``params``, or the INSERT's distribution column), else :data:`NO_VALUE`.
-    The one extractor: the fast path routes on it, plan-cache replay routes
-    on it (over the entry's template and its bound parameters) and tenant
-    attribution reports it."""
+    The one extractor: the fast path's bind routes on it (over the shape's
+    template and the execution's bound parameters) and tenant attribution
+    reports it."""
     if facts.tenant_in is not cache:
         facts.tenant_plan = _compile_tenant_plan(
             _find_tenant_exprs(cache, facts.stmt))

@@ -388,10 +388,11 @@ class Telemetry:
         if plan is None or not (record is not None or self.introspection
                                 or self.graphing):
             return
-        # Tenant attribution is the value the plan was routed on; a plan
-        # that carries none (a miss, a router replay) is asked for here, of
-        # the same extractor, so hits and misses agree. The session
-        # attributes are what the activity view and ASH show for it.
+        # Tenant attribution is the value the plan was routed on (the fast
+        # path's, planned or bound from the cache alike); a tier that
+        # routes on no single value is asked for here, of the same
+        # extractor. The session attributes are what the activity view and
+        # ASH show for it.
         tenant = getattr(plan, "dist_value", NO_VALUE)
         if tenant is NO_VALUE:
             tenant = partition_key_for(ext.metadata.cache, facts, params)
@@ -412,8 +413,6 @@ class Telemetry:
         if record.fingerprint is None:
             record.fingerprint, record.digest = statement_fingerprint(facts)
         tasks = getattr(plan, "tasks", None)
-        if tasks is None:
-            tasks = getattr(getattr(plan, "plan", None), "tasks", None)
         attrs = {"tier": tier, "cached": cache_hit,
                  "tasks": len(tasks) if tasks is not None else None}
         found = getattr(plan, "search", None)

@@ -10,7 +10,7 @@ counters to compute elapsed simulated time for a distributed query
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..engine.datum import uniform_type
 from ..engine.executor import EngineCursor

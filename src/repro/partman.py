@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from .engine.executor import QueryResult
 from .errors import DataError, MetadataError
 from .sql import ast as A
-from .sql.deparse import deparse
 
 
 @dataclass

@@ -15,7 +15,6 @@ setups) and returns the modeled metric. The common machinery:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import calibration as cal

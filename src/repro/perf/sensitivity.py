@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 from . import calibration as cal
 from .model import (
-    Throughput,
     model_pgbench_2pc,
     model_tpcc,
     model_tpch,

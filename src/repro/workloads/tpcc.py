@@ -14,7 +14,7 @@ procedures can be delegated to workers by warehouse id.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import LockTimeout, SQLError, TransactionError
 

@@ -251,7 +251,8 @@ from repro.citus.executor.timeline import ConnectionTimeline
 from repro.citus.extension import CitusConfig
 from repro.citus.record import (BEGIN, BLOCKED, BLOCKED_TASK, E_ATTRS, E_CAT,
                                 E_END, E_NAME, E_START, EXECUTION, TASK, TASKS,
-                                X_REPORT)
+                                X_REPORT, X_TASKS)
+from repro.engine.expr import BoundParams
 from repro.engine.locks import WouldBlock
 from repro.errors import ReproError
 
@@ -320,6 +321,15 @@ def parent_one_task(executor, session, task, is_write=False):
     return result
 
 
+def _by_value(task):
+    """The task with its bound parameters as plain values: a statement's
+    tasks carry the ``BoundParams`` of its bind, an object per execution."""
+    params = task.params
+    if type(params) is BoundParams:
+        params = (params.positional, params.named)
+    return dataclasses.replace(task, params=params)
+
+
 class Twin:
     """One cluster of a pair, its script helpers and what it leaves behind."""
 
@@ -386,8 +396,9 @@ class Twin:
             (record.name, record.tier, record.tenant, record.error,
              record.start, record.end, event[E_NAME], event[E_START],
              event[E_END],
-             tuple(dataclasses.asdict(a) if i == X_REPORT else a
-                   for i, a in enumerate(event[E_ATTRS])))
+             tuple(dataclasses.asdict(a) if i == X_REPORT
+                   else [_by_value(task) for task in a] if i == X_TASKS and a
+                   else a for i, a in enumerate(event[E_ATTRS])))
             for record in telemetry.trace_records()
             for event in record.events if event[E_CAT] is EXECUTION
         ]

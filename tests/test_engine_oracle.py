@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import make_cluster
+from repro.citus.observability import explain
 from repro.workloads import gharchive, tpcc, tpch, ycsb
 from repro.workloads.traffic import mixes
 
@@ -82,20 +83,39 @@ def cluster_session(request):
     return session
 
 
+#: Tiers whose plan is a bound shape, which the plan cache keeps.
+REUSABLE = {"fast_path", "router", "pushdown"}
+
+
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_cluster_agrees_with_single_node(oracle, cluster_session, name):
+    """The plan cache is one more input: each query runs with its shape
+    planned, bound from the cache, and planned afresh after a metadata
+    change, and every run must return what the single node returns."""
     sql, params, order_columns = QUERIES[name]
     expected = normalized(oracle.execute(sql, params).rows)
-    got = normalized(cluster_session.execute(sql, params).rows)
     assert (len(expected) == 0) == (name in EMPTY), \
         f"{name}: an unexpectedly empty result makes the comparison vacuous"
-    assert sorted(got, key=repr) == sorted(expected, key=repr)
-    if order_columns == ():
-        assert got == expected  # the suite's ORDER BYs leave no ties here
-    elif order_columns:
-        def keys(rows):
-            return [[row[c] for c in order_columns] for row in rows]
-        assert keys(got) == keys(expected)
+    ext = cluster_session.instance.extensions["citus"]
+    hits_and_misses = []
+    for cached in (False, True, False):
+        if not cached:
+            ext.metadata.bump_generation()
+        with ext.stat_counters.measure() as m:
+            got = normalized(cluster_session.execute(sql, params).rows)
+        hits_and_misses.append(
+            (m.value("plan_cache_hits"), m.value("plan_cache_misses")))
+        assert sorted(got, key=repr) == sorted(expected, key=repr), cached
+        if order_columns == ():
+            assert got == expected  # the suite's ORDER BYs leave no ties here
+        elif order_columns:
+            def keys(rows):
+                return [[row[c] for c in order_columns] for row in rows]
+            assert keys(got) == keys(expected)
+    if explain(cluster_session, sql, params).tier in REUSABLE:
+        assert hits_and_misses == [(0, 1), (1, 0), (0, 1)]
+    else:  # planned every time (the statements it runs inside may hit)
+        assert all(misses >= 1 for _hits, misses in hits_and_misses)
 
 
 def test_every_shard_pruned_agrees_with_single_node(oracle, cluster_session):

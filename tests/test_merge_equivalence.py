@@ -217,7 +217,7 @@ def run_merge(plan, shards, batch_size, width):
 
 def make_plan(sort_keys, n_appended=0, distinct=False, offset=None, limit=None):
     return PushdownSelect(
-        tasks=[], mode="concat", master_query=None, intermediate_columns=[],
+        mode="concat", master_query=None, intermediate_columns=[],
         visible_columns=[], hidden_sort_keys=sort_keys, distinct=distinct,
         offset=None if offset is None else A.Literal(offset),
         limit=None if limit is None else A.Literal(limit),

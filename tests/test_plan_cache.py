@@ -245,6 +245,28 @@ class TestSessionIsolation:
 
 
 class TestExplainMarker:
+    @pytest.mark.parametrize("sql, params", [
+        ("SELECT v FROM t WHERE k = $1", [3]),
+        ("UPDATE t SET v = v + $2 WHERE k = $1", [3, 1]),
+        ("SELECT count(*) FROM t WHERE v > $1", [20]),
+        ("UPDATE t SET v = v WHERE v > $1", [20]),
+        ("SELECT v FROM t WHERE k = 3 AND v > 20", None),
+        ("SELECT v FROM t WHERE k = :key", {"key": 3}),
+    ])
+    def test_a_planned_and_a_cached_shape_explain_alike(self, s, sql, params):
+        """One bind, one rendering: the first execution shows the task SQL
+        every later one does, with this execution's values in it."""
+        first = explain(s, sql, params).as_dict()
+        second = explain(s, sql, params).as_dict()
+        assert (first.pop("cached"), second.pop("cached")) == (False, True)
+        for key in ("tier", "nodes", "task_count", "pruned_shard_count", "tasks"):
+            assert first[key] == second[key], key
+        assert all("$" not in task["sql"] and ":" not in task["sql"]
+                   for task in first["tasks"])
+        text = [s.execute(f"EXPLAIN {sql}", params).rows for _ in range(2)]
+        assert [line for line in text[0] if "Task:" in line[0]] == [
+            line for line in text[1] if "Task:" in line[0]]
+
     def test_second_explain_is_marked_cached(self, s):
         q = "SELECT v FROM t WHERE k = 3"
         first = explain(s, q)
@@ -298,14 +320,14 @@ class TestReplayErrors:
         assert m.value("plan_cache_misses") == 1  # DataError is a ReproError
 
     def test_a_bug_in_replay_propagates(self, citus, s, reg, monkeypatch):
-        from repro.citus.planner.plan_cache import PlanCache
+        from repro.citus.planner.fast_path import FastPathShape
 
         s.execute("SELECT v FROM t WHERE k = 3")
 
-        def broken(self, entry, bound):
+        def broken(self, params):
             raise TypeError("replay is broken")
 
-        monkeypatch.setattr(PlanCache, "_replay_single", broken)
+        monkeypatch.setattr(FastPathShape, "bind", broken)
         with reg.measure() as m:
             with pytest.raises(TypeError, match="replay is broken"):
                 s.execute("SELECT v FROM t WHERE k = 4")

@@ -544,6 +544,15 @@ def _same_shard_keys(cluster, keys, count):
     raise AssertionError("no shard holds that many of the keys")
 
 
+def _count_function(patch, counts, fn, name):
+    """Count calls of a module-level function wherever a ``from ... import``
+    bound it."""
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and vars(module).get(fn.__name__) is fn):
+            patch.setattr(module, fn.__name__, _counter(counts, name, fn))
+
+
 def _route_work(patch):
     """Counts of what a warmed single-shard statement must not redo."""
     from repro.citus import sharding
@@ -559,11 +568,7 @@ def _route_work(patch):
         patch.setattr(owner, attr, _counter(counts, name, vars(owner)[attr]))
 
     def count_function(fn, name):
-        # Wherever a ``from ... import`` bound it.
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("repro")
-                    and vars(module).get(fn.__name__) is fn):
-                count(module, fn.__name__, name)
+        _count_function(patch, counts, fn, name)
 
     # The table set of an AST never seen before is a walk (one call per
     # node): counted as such, once, apart from any other walk.
@@ -631,6 +636,44 @@ def test_a_warmed_single_shard_statement_replays_a_route_in_a_straight_line(form
     assert 0 < counts["registry_writes"] <= 11
     (record,) = telemetry.pending
     assert record.tenant == keys[3] and record.cached
+
+
+# A miss is bounded like a hit: the first execution of a shape goes through
+# the same bind every later one does, so it routes once and resolves the
+# distribution value once (routing and tenant attribution share it).
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT v FROM kv WHERE k = $1", [7]),
+    ("UPDATE kv SET v = v + 1 WHERE k = $1", [7]),
+    ("INSERT INTO kv (k, v) VALUES ($1, 0)", [1007]),
+    ("SELECT v FROM kv WHERE k = 7", None),
+])
+def test_the_first_execution_of_a_fast_path_shape_routes_once(sql, params):
+    cluster, session = _fast_path_cluster()
+    telemetry = cluster.coordinator_ext.telemetry
+    telemetry.drain()
+    with pytest.MonkeyPatch.context() as patch:
+        work = _route_work(patch)
+        result = session.execute(sql, params)
+    assert result.rows == [[7]] if "SELECT" in sql else result.rowcount == 1
+    assert (work["rewrites"], work["placement_nodes"], work["dist_values"]) == (
+        1, 1, 1)
+    (record,) = telemetry.pending
+    assert record.tenant == (params or [7])[0] and not record.cached
+
+
+def test_a_pushdown_select_shape_is_planned_once():
+    from repro.citus.planner import pushdown
+
+    cluster, session = _fast_path_cluster()
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _count_function(patch, counts, pushdown.plan_pushdown_select, "plans")
+        for floor in (0, 32):  # planned, then bound from the plan cache
+            assert session.execute("SELECT count(*) FROM kv WHERE v >= $1",
+                                   [floor]).scalar() == 64 - floor
+    assert counts["plans"] == 1
 
 
 @pytest.mark.parametrize("sql, params, tenant", [
