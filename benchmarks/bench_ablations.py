@@ -96,7 +96,6 @@ def bench_ablation_slow_start(benchmark):
     def run(interval_ms):
         citus = make_cluster(workers=2, shard_count=16)
         citus.coordinator_ext.config.executor_slow_start_interval_ms = interval_ms
-        citus.coordinator_ext.executor.slow_start_interval = interval_ms / 1000.0
         s = citus.coordinator_session()
         s.execute("CREATE TABLE t (k int PRIMARY KEY)")
         s.execute("SELECT create_distributed_table('t', 'k')")
@@ -206,7 +205,7 @@ def bench_ablation_deadlock_vs_wound_wait(benchmark):
             except LockTimeout:
                 conflicts += 1
             a.execute("COMMIT")
-        deadlocks = citus.coordinator_ext.stats.get("distributed_deadlocks", 0)
+        deadlocks = citus.coordinator_ext.stat_counters.value("deadlock_victims")
         return operations, conflicts, deadlocks
 
     operations, conflicts, deadlocks = benchmark.pedantic(run, rounds=1, iterations=1)

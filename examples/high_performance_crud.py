@@ -38,7 +38,7 @@ stats = driver.run(300)
 print(f"\nworkload A via coordinator: {stats.operations} ops"
       f" ({stats.reads} reads / {stats.updates} updates, {stats.read_misses} misses)")
 print("fast path queries:",
-      citus.coordinator_ext.stats.get("fast_path_queries"))
+      citus.coordinator_ext.stat_counters.value("planner_fast_path"))
 
 # Scale the coordinator out: sync metadata so every node plans queries.
 citus.enable_metadata_sync()

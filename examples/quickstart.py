@@ -85,4 +85,7 @@ session.execute("UPDATE campaigns SET budget = budget + 10 WHERE company_id = 3"
 session.execute("UPDATE campaigns SET budget = budget - 10 WHERE company_id = 11")
 session.execute("COMMIT")
 print("\n2PC commits so far:", session.stats.get("citus_2pc_commits", 0))
-print("planner stats:", dict(citus.coordinator_ext.stats))
+counters = citus.coordinator_ext.stat_counters.snapshot().counters
+print("planner stats:", {name: sum(per_node.values())
+                         for name, per_node in sorted(counters.items())
+                         if name.startswith("planner_")})

@@ -67,7 +67,6 @@ class ExecutionReport:
 class AdaptiveExecutor:
     def __init__(self, ext):
         self.ext = ext
-        self.slow_start_interval = ext.config.executor_slow_start_interval_ms / 1000.0
         self.last_report: ExecutionReport | None = None
 
     # ------------------------------------------------------------ public
@@ -125,12 +124,8 @@ class AdaptiveExecutor:
                     before, bytes_before = conn.elapsed, conn.bytes_transferred
                 if group is not None:
                     conn.accessed_groups.add(group)
-                if task.stmt is not None:
-                    result = conn.execute_parsed(task.stmt, task.params,
-                                                 allow_block=True)
-                else:
-                    result = conn.execute(task.sql, task.params,
-                                          allow_block=True)
+                result = conn.execute_parsed(task.stmt, task.params,
+                                             allow_block=True)
             except WouldBlock:
                 # Lock wait: the statement parks — an executor suspension,
                 # not a task failure. What it did so far is kept, and counts
@@ -246,10 +241,7 @@ class AdaptiveExecutor:
                 before, bytes_before = conn.elapsed, conn.bytes_transferred
             if group is not None:
                 conn.accessed_groups.add(group)
-            if task.stmt is not None:
-                result = conn.execute_parsed(task.stmt, task.params)
-            else:
-                result = conn.execute(task.sql, task.params)
+            result = conn.execute_parsed(task.stmt, task.params)
         except Exception:
             timeline.end(node, "failed")
             raise
@@ -380,8 +372,7 @@ class StreamingExecution:
         bytes_before = conn.bytes_transferred
         try:
             stream.cursor = conn.execute_cursor(
-                task.stmt, task.params, batch_size=self.batch_size, sql=task.sql,
-            )
+                task.stmt, task.params, batch_size=self.batch_size)
         except WouldBlock as block:
             self._stream_finished(stream, "blocked")
             from ...errors import LockTimeout

@@ -89,7 +89,7 @@ class ConnectionTimeline:
         self.session = session
         self.pools = SessionPools.for_session(session, ext)
         self.report = report
-        self.interval = executor.slow_start_interval
+        self.interval = ext.config.executor_slow_start_interval_ms / 1000.0
         self.conns: dict[str, list] = {}  # node -> connections in play
         self.busy: dict[int, float] = {}  # id(conn) -> time it is next free
         self.preexisting: set[int] = set()  # cached before this statement

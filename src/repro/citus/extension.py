@@ -111,7 +111,6 @@ class CitusExtension:
         holder = cluster if cluster is not None else self
         self.telemetry = telemetry_for(
             holder, cluster.clock if cluster is not None else None)
-        self.stats: Counter = Counter()
         self.failpoints: dict[str, bool] = {}
         self._utility_connections: dict[str, object] = {}
         self._shared_slots: Counter = Counter()  # outgoing conns per worker
@@ -161,7 +160,6 @@ class CitusExtension:
 
     def try_reserve_shared_slot(self, node: str, force: bool = False) -> bool:
         if not force and self._shared_slots[node] >= self.config.max_shared_pool_size:
-            self.stats["shared_pool_throttled"] += 1
             self.stat_counters.incr("shared_pool_throttled", node=node)
             return False
         self._shared_slots[node] += 1
@@ -280,6 +278,18 @@ def install_citus(instance, cluster, config: CitusConfig | None = None,
         interval=ext.config.deadlock_detection_interval_s,
     )
     return ext
+
+
+def _parse_bool(value) -> bool:
+    """A boolean GUC value as PostgreSQL spells it."""
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("on", "true", "1"):
+        return True
+    if text in ("off", "false", "0"):
+        return False
+    raise ValueError(value)
 
 
 def view_rows(records, columns, sort_key=None) -> list[list]:
@@ -448,10 +458,25 @@ def _register_udfs(ext: CitusExtension) -> None:
     def citus_set_config(session, name, value):
         if not hasattr(ext.config, name):
             raise MetadataError(f"unknown citus configuration {name!r}")
-        current = getattr(ext.config, name)
-        setattr(ext.config, name, type(current)(value))
+        kind = type(getattr(ext.config, name))
+        try:
+            parsed = _parse_bool(value) if kind is bool else kind(value)
+        except (TypeError, ValueError):
+            raise MetadataError(
+                f"invalid value {value!r} for citus configuration {name!r}"
+                f" ({kind.__name__} expected)") from None
+        setattr(ext.config, name, parsed)
         if name in TELEMETRY_GUCS:
             ext.telemetry.configure(ext.config, ext)
+        elif name == "deadlock_detection_interval_s":
+            # The configuration is the cluster's: every node's maintenance
+            # daemon follows it.
+            instances = (ext.cluster.nodes.values() if ext.cluster is not None
+                         else (ext.instance,))
+            for instance in instances:
+                for worker in instance.hooks.background_workers:
+                    if worker.name == "citus_maintenance":
+                        worker.interval = parsed
         return value
 
     def alter_table_set_access_method(session, table_name, method):
@@ -507,9 +532,13 @@ def _register_udfs(ext: CitusExtension) -> None:
     def citus_explain_analyze(session, sql, *rest):
         """EXPLAIN ANALYZE text: executes the statement and annotates the
         distributed plan tree with per-task and merge actuals."""
-        from .observability import explain_analyze as dist_explain_analyze
+        from ..sql import parse_one
 
-        return "\n".join(dist_explain_analyze(session, sql))
+        stmt = parse_one(sql)
+        if isinstance(stmt, A.Explain):
+            stmt = stmt.statement
+        result = session._explain(A.Explain(stmt, analyze=True), None)
+        return "\n".join(row[0] for row in result.rows)
 
     def citus_stat_statements(session, *rest):
         """Rows of the citus_stat_statements view: [query, partition_key,
@@ -566,7 +595,7 @@ def _register_udfs(ext: CitusExtension) -> None:
         from ..errors import UnsupportedDistributedQuery
         from ..sql import parse
         from .planner.distributed import plan_statement
-        from .planner.pipeline import PlanSearch, record_chosen_plan
+        from .planner.pipeline import PlanSearch
 
         if not ext.config.enable_plan_alternatives:
             return json.dumps(
@@ -581,8 +610,7 @@ def _register_udfs(ext: CitusExtension) -> None:
             stmt = statements[0]
             search = PlanSearch(statement=rest[0])
             try:
-                plan = plan_statement(ext, session, stmt, None, search=search)
-                record_chosen_plan(search, plan)
+                plan_statement(ext, session, stmt, None, search=search)
             except UnsupportedDistributedQuery as exc:
                 search.error = str(exc)
             return json.dumps(search.as_dict())

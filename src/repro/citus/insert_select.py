@@ -24,8 +24,9 @@ batch size plus ``copy_flush_threshold × shards``.
 from __future__ import annotations
 
 from .copy_dist import distribute_rows
-from .planner.pushdown import _choose_mode
-from .planner.tasks import CitusPlan, Task, task_sql_for_shard
+from .observability import TaskTarget
+from .planner.pushdown import MultiTaskSelectPlan, _choose_mode
+from .planner.tasks import CitusPlan, fold_write_results, statement_routes
 from .sharding import analyze_statement
 from ..engine.executor import QueryResult
 from ..sql import ast as A
@@ -43,7 +44,7 @@ def plan_insert_select(ext, stmt: A.Insert, params):
         return CoordinatorInsertSelectPlan(ext, stmt, params)
     strategy = _choose_strategy(ext, stmt, dest, analysis)
     if strategy == "pushdown":
-        return PushdownInsertSelectPlan(ext, stmt, params, dest, analysis)
+        return PushdownInsertSelectPlan(ext, stmt, params, dest)
     if strategy == "repartition":
         return RepartitionInsertSelectPlan(ext, stmt, params, dest)
     return CoordinatorInsertSelectPlan(ext, stmt, params)
@@ -107,30 +108,30 @@ def _select_row_stream(ext, session, select, params):
     if plan is None:
         yield from session._execute_local_dml(select, params).rows
         return
-    open_batches = getattr(plan, "execute_batches", None)
-    if open_batches is not None:
-        for batch in open_batches(session, params):
+    if isinstance(plan, MultiTaskSelectPlan):
+        for batch in plan.execute_batches(session, params):
             yield from batch
         return
     yield from plan.execute(session, params).rows
 
 
-def _copy_target_tasks(ext, dest) -> list[Task]:
-    """The destination-side task list (one per COPY channel, in channel
-    index order), for EXPLAIN: channel spans match back to these by index."""
+def _copy_targets(ext, dest) -> list[TaskTarget]:
+    """What EXPLAIN shows of the destination side: one target per COPY
+    channel, in channel index order (channel spans match back to these by
+    index). The channels themselves are opened by the ShardCopyRouter."""
     if dest is None:
         return []
     if dest.is_reference:
         shard = dest.shards[0]
         return [
-            Task(node, f"COPY {shard.shard_name}",
-                 shard_group=(dest.colocation_id, 0, node), returns_rows=False)
+            TaskTarget(node, f"COPY {shard.shard_name}",
+                       (dest.colocation_id, 0, node))
             for node in ext.metadata.all_placements(shard.shardid)
         ]
     cache = ext.metadata.cache
     return [
-        Task(cache.placement_node(shard.shardid), f"COPY {shard.shard_name}",
-             shard_group=(dest.colocation_id, index), returns_rows=False)
+        TaskTarget(cache.placement_node(shard.shardid),
+                   f"COPY {shard.shard_name}", (dest.colocation_id, index))
         for index, shard in enumerate(dest.shards)
     ]
 
@@ -149,43 +150,21 @@ class PushdownInsertSelectPlan(CitusPlan):
     tier = "insert_select"
     detail = "Insert..Select (co-located)"
 
-    def __init__(self, ext, stmt, params, dest, analysis):
+    def __init__(self, ext, stmt, params, dest):
         super().__init__(ext)
-        self.stmt = stmt
         self.dest = dest
+        self.tasks = statement_routes(ext, stmt, dest).all_tasks(params)
 
     def execute(self, session, params):
-        cache = self.ext.metadata.cache
-        tasks = []
-        for index, shard in enumerate(self.dest.shards):
-            node = cache.placement_node(shard.shardid)
-            sql = task_sql_for_shard(self.stmt, cache, index)
-            tasks.append(
-                Task(node, sql, params, shard_group=(self.dest.colocation_id, index),
-                     returns_rows=False)
-            )
-        results = self.ext.executor.execute_tasks(session, tasks, is_write=True)
-        total = sum(r.rowcount for r in results if r is not None)
-        out = QueryResult([], [], command="INSERT")
-        out.rowcount = total
-        self.ext.stats["insert_select_pushdown"] += 1
-        return out
-
-    def explain_lines(self):
-        return self._explain_header(len(self.dest.shards), "Insert..Select (co-located)")
+        results = self.ext.executor.execute_tasks(session, self.tasks,
+                                                  is_write=True)
+        return fold_write_results(results, "INSERT")
 
     def explain_info(self):
-        cache = self.ext.metadata.cache
-        tasks = [
-            Task(cache.placement_node(shard.shardid),
-                 task_sql_for_shard(self.stmt, cache, index),
-                 shard_group=(self.dest.colocation_id, index), returns_rows=False)
-            for index, shard in enumerate(self.dest.shards)
-        ]
         return {
             "tier": self.tier,
             "detail": self.detail,
-            "tasks": tasks,
+            "tasks": self.tasks,
             "total_shard_count": len(self.dest.shards),
             "pruned_shard_count": 0,
             "is_write": True,
@@ -216,18 +195,13 @@ class RepartitionInsertSelectPlan(CitusPlan):
                                 rows, columns)
         out = QueryResult([], [], command="INSERT")
         out.rowcount = count
-        self.ext.stats["insert_select_repartition"] += 1
         return out
-
-    def explain_lines(self):
-        return self._explain_header(len(self.dest.shards), "Insert..Select (repartition)")
 
     def explain_info(self):
         return {
             "tier": self.tier,
             "detail": self.detail,
-            "tasks": _copy_target_tasks(self.ext, self.dest),
-            "task_count": len(self.dest.shards),
+            "tasks": _copy_targets(self.ext, self.dest),
             "total_shard_count": len(self.dest.shards),
             "pruned_shard_count": 0,
             "is_write": True,
@@ -251,7 +225,6 @@ class CoordinatorInsertSelectPlan(CitusPlan):
         self.local_dest = local_dest
 
     def execute(self, session, params):
-        self.ext.stats["insert_select_coordinator"] += 1
         rows = _select_row_stream(self.ext, session, self.stmt.select, params)
         shell = self.ext.instance.catalog.get_table(self.stmt.table)
         columns = self.stmt.columns or shell.column_names()
@@ -266,14 +239,11 @@ class CoordinatorInsertSelectPlan(CitusPlan):
         out.rowcount = count
         return out
 
-    def explain_lines(self):
-        return self._explain_header(1, "Insert..Select (via coordinator)")
-
     def explain_info(self):
         dest = None
         if not self.local_dest:
             dest = self.ext.metadata.cache.tables.get(self.stmt.table)
-        tasks = _copy_target_tasks(self.ext, dest)
+        tasks = _copy_targets(self.ext, dest)
         info = {
             "tier": self.tier,
             "detail": self.detail,

@@ -63,7 +63,7 @@ def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value) -> 
             tenant_shardid = intervals[tenant_range_position].shardid
         _split_physical_shard(ext, session, member, member_old, intervals, node, index)
     ext.sync_metadata_if_enabled(session)
-    ext.stats["tenant_isolations"] += 1
+    ext.stat_counters.incr("tenant_isolations")
     return tenant_shardid
 
 

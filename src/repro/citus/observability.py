@@ -15,7 +15,11 @@ recording the optimizer's decisions:
   coordinator-side merge query.
 
 The result renders both as a plain dict (``as_dict()``, for asserting in
-tests) and as a pg-style text tree (``as_text()``).
+tests) and as a pg-style text tree (``as_text()``). That tree is the one
+EXPLAIN format of the Citus layer: ``EXPLAIN``, ``EXPLAIN ANALYZE``,
+``citus_explain()`` and ``citus_explain_analyze()`` all draw a plan
+through :func:`describe_plan`; ANALYZE only adds ``(actual …)``
+annotations and trailing ``Execution`` / ``Cross-Shard`` lines to it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from dataclasses import dataclass, field
 
 from ..sql import ast as A
 from ..sql import parse
+from ..sql.deparse import deparse
+from .planner.pipeline import tier_label
+from .planner.tasks import CitusPlan
 
 #: Tiers of the paper's §3.5 planner cascade, lowest overhead first.
 PLANNER_TIERS = ("fast_path", "router", "pushdown", "join_order")
@@ -138,29 +145,19 @@ class DistributedExplain:
             lines.append(f"  Pushed Down: {', '.join(self.pushed_down)}")
         if self.coordinator:
             lines.append(f"  On Coordinator: {', '.join(self.coordinator)}")
-        merge_actual = (self.analyze or {}).get("merge")
-        if self.merge_strategy or merge_actual:
-            strategy = self.merge_strategy or (
-                merge_actual.get("strategy") if merge_actual else None
-            ) or "concat"
-            line = f"  Merge: {strategy}"
+        analyze = self.analyze or {}
+        merge_actual = analyze.get("merge")
+        if self.merge_strategy:
+            line = f"  Merge: {self.merge_strategy}"
             if merge_actual:
                 line += _merge_actual_suffix(merge_actual)
             lines.append(line)
-        route_actual = (self.analyze or {}).get("repartition")
-        if self.repartition or route_actual:
-            line = "  Repartition: streaming"
-            detail = []
-            threshold = (self.repartition or {}).get("flush_threshold")
-            if threshold is not None:
-                detail.append(f"flush_threshold={threshold}")
-            channels = (self.repartition or {}).get("channels")
-            if channels is not None:
-                detail.append(f"channels={channels}")
-            if detail:
-                line += f" ({', '.join(detail)})"
-            if route_actual:
-                line += _route_actual_suffix(route_actual)
+        if self.repartition:
+            line = ("  Repartition: streaming"
+                    f" (flush_threshold={self.repartition['flush_threshold']},"
+                    f" channels={self.repartition['channels']})")
+            if "repartition" in analyze:
+                line += _route_actual_suffix(analyze["repartition"])
             lines.append(line)
         if self.subplan:
             detail = ", ".join(f"{k}={v}" for k, v in self.subplan.items())
@@ -174,7 +171,13 @@ class DistributedExplain:
         if self.merge_query:
             lines.append(f"  ->  Merge Query (coordinator)")
             lines.append(f"        {self.merge_query}")
-        cross = (self.analyze or {}).get("cross_shard")
+        if merge_actual and not self.merge_strategy:
+            # The merge of a stage the plan runs inside its own execution
+            # (the SELECT side of a re-routing INSERT..SELECT, a join-order
+            # plan's final pushdown): known only once it ran.
+            lines.append(f"Execution Merge: {merge_actual['strategy']}"
+                         + _merge_actual_suffix(merge_actual))
+        cross = analyze.get("cross_shard")
         if cross:
             lines.append(
                 f"  Cross-Shard: groups={cross.get('groups', 0)}"
@@ -225,13 +228,9 @@ def explain(session, sql: str, params=None) -> DistributedExplain:
         return DistributedExplain(
             sql=sql, tier="local", planner="Local", task_count=0, local_plan=lines,
         )
-    return describe_plan(plan, sql)
-
-
-def describe_plan(plan, sql: str = "") -> DistributedExplain:
-    """Normalize a planner-hook plan object into a DistributedExplain."""
-    info_fn = getattr(plan, "explain_info", None)
-    if info_fn is None:
+    if not isinstance(plan, CitusPlan):
+        # Another extension's CustomScan: its own EXPLAIN lines are all
+        # there is to show.
         return DistributedExplain(
             sql=sql,
             tier="custom",
@@ -239,27 +238,30 @@ def describe_plan(plan, sql: str = "") -> DistributedExplain:
             task_count=0,
             local_plan=list(plan.explain_lines()),
         )
-    info = info_fn()
-    raw_tasks = info.get("tasks") or []
+    return describe_plan(plan, sql)
+
+
+def describe_plan(plan, sql: str = "") -> DistributedExplain:
+    """What a :class:`~.planner.tasks.CitusPlan` says it is, as a
+    DistributedExplain. The plan's tasks are the ones the executor runs;
+    display-only targets (COPY channels, a join that is only known after
+    a move) arrive as :class:`TaskTarget` already."""
+    info = plan.explain_info()
     tasks = [
-        TaskTarget(node=t.node, sql=_task_sql(t),
-                   shard_group=getattr(t, "shard_group", None))
-        if not isinstance(t, TaskTarget) else t
-        for t in raw_tasks
+        t if isinstance(t, TaskTarget)
+        else TaskTarget(t.node, t.sql_text(), t.shard_group)
+        for t in info.get("tasks") or ()
     ]
     task_count = info.get("task_count", len(tasks))
     total = info.get("total_shard_count")
-    ext = getattr(plan, "ext", None)
-    if total is None and ext is not None and tasks:
-        total = _total_shards_for_tasks(ext, tasks)
+    if total is None and tasks:
+        total = _total_shards_for_tasks(plan.ext, tasks)
     pruned = info.get("pruned_shard_count")
     if pruned is None and total is not None:
         targeted = _distinct_shards(tasks)
         if targeted is not None:
             pruned = max(total - targeted, 0)
-    from .planner.pipeline import tier_label
-
-    search = getattr(plan, "search", None)
+    search = plan.search
     return DistributedExplain(
         sql=sql,
         tier=info["tier"],
@@ -275,7 +277,7 @@ def describe_plan(plan, sql: str = "") -> DistributedExplain:
         repartition=info.get("repartition"),
         subplan=info.get("subplan"),
         is_write=bool(info.get("is_write", False)),
-        cached=bool(getattr(plan, "cached", False)),
+        cached=plan.cached,
         considered=search.considered_lines() if search is not None else [],
         search=search.as_dict() if search is not None else None,
     )
@@ -357,8 +359,6 @@ def run_explain_analyze(plan, session, stmt, params=None) -> list[str]:
     the plan's task list by their ``index`` attribute.
     """
     try:
-        from ..sql.deparse import deparse
-
         sql = deparse(stmt)
     except Exception:
         sql = type(stmt).__name__
@@ -407,40 +407,6 @@ def run_explain_analyze(plan, session, stmt, params=None) -> list[str]:
     explained.analyze = analyze
     _annotate_cross_shard(ext, explained)
     return explained.as_text().splitlines()
-
-
-def explain_analyze(session, sql: str, params=None) -> list[str]:
-    """Plan and execute ``sql``, returning annotated EXPLAIN ANALYZE lines
-    (the implementation behind ``citus_explain_analyze(sql)``)."""
-    statements = parse(sql)
-    if not statements:
-        raise ValueError("explain_analyze() needs exactly one statement")
-    stmt = statements[0]
-    if isinstance(stmt, A.Explain):
-        stmt = stmt.statement
-    plan = session.instance.hooks.call_planner(session, stmt, params)
-    if plan is not None:
-        analyzer = getattr(plan, "explain_analyze_lines", None)
-        if analyzer is not None:
-            return analyzer(session, stmt, params)
-        result = plan.execute(session, params)
-        return [f"(actual rows={result.rowcount or len(result.rows)})"]
-    from ..engine.executor import LocalExecutor
-
-    lines: list[str] = []
-    if isinstance(stmt, (A.Select, A.Insert, A.Update, A.Delete)):
-        lines = LocalExecutor(session).explain(stmt, params)
-    result = session.execute_parsed(stmt, params)
-    lines.append(f"  (actual rows={result.rowcount or len(result.rows)})")
-    return lines
-
-
-def _task_sql(task) -> str | None:
-    """A task's shard SQL, deparsed lazily for AST-shipped tasks."""
-    sql_text = getattr(task, "sql_text", None)
-    if sql_text is not None:
-        return sql_text()
-    return getattr(task, "sql", None)
 
 
 def _total_shards_for_tasks(ext, tasks: list[TaskTarget]) -> int | None:

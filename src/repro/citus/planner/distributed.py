@@ -34,7 +34,7 @@ from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
 from .plan_cache import normalized
 from .pushdown import try_pushdown
 from .router import try_router
-from .tasks import CitusPlan, Task, rewrite_to_shard
+from .tasks import CitusPlan, Task, fold_write_results, statement_routes
 
 
 def make_planner_hook(ext):
@@ -53,7 +53,6 @@ def make_planner_hook(ext):
         if not any(name in cache.tables for name in facts.tables):
             facts.local_in = cache
             return None
-        ext.stats["distributed_queries"] += 1
         plan = search = None
         cache_hit = False
         try:
@@ -96,10 +95,7 @@ def _tier_join_order(ext, session, stmt, params, analysis, search):
         return None
     from .join_order import plan_join_order
 
-    plan = plan_join_order(ext, stmt, params, analysis, search=search)
-    if plan is not None:
-        ext.stats["repartition_queries"] += 1
-    return plan
+    return plan_join_order(ext, stmt, params, analysis, search=search)
 
 
 #: The §3.5 cascade, lowest overhead first. plan_statement walks this list.
@@ -227,30 +223,20 @@ class InsertValuesPlan(CitusPlan):
                 on_conflict=stmt.on_conflict.copy() if stmt.on_conflict else None,
                 returning=[t.copy() for t in stmt.returning],
             )
-            tasks.append(
-                Task(node, None, self.params,
-                     shard_group=(self.dist.colocation_id, index),
-                     returns_rows=bool(stmt.returning), stmt=insert)
-            )
+            tasks.append(Task(node, insert, self.params,
+                              (self.dist.colocation_id, index)))
         results = self.ext.executor.execute_tasks(session, tasks, is_write=True)
         if session.in_transaction:
             assign_distributed_txn_ids(self.ext, session)
-        total = sum(r.rowcount for r in results if r is not None)
-        rows = [row for r in results if r is not None for row in r.rows]
-        cols = next((r.columns for r in results if r is not None and r.columns), [])
-        out = QueryResult(cols, rows, command="INSERT")
-        out.rowcount = total
-        return out
-
-    def explain_lines(self):
-        return self._explain_header(len(self.stmt.rows), "Insert (values)")
+        return fold_write_results(results, "INSERT")
 
     def explain_info(self):
         return {
             "tier": self.tier,
             "tasks": [],
-            "task_count": len(self.stmt.rows),  # upper bound: one per row
-            "total_shard_count": len(self.dist.shards),
+            # Which shards is only known once the rows are evaluated; one
+            # task per row is the upper bound.
+            "task_count": len(self.stmt.rows),
             "is_write": True,
             "coordinator": ["ROW EVALUATION", "SHARD GROUPING"],
         }
@@ -265,45 +251,21 @@ class ReferenceDMLPlan(CitusPlan):
 
     def __init__(self, ext, stmt, params):
         super().__init__(ext)
-        self.stmt = stmt
-        self.params = params
-        table_name = stmt.table
-        self.dist = ext.metadata.cache.get_table(table_name)
+        dist = ext.metadata.cache.get_table(stmt.table)
+        self.tasks = statement_routes(ext, stmt, dist).replica_tasks(params)
 
     def execute(self, session, params):
-        cache = self.ext.metadata.cache
-        shard = self.dist.shards[0]
-        nodes = self.ext.metadata.all_placements(shard.shardid)
-        rewritten = rewrite_to_shard(self.stmt, cache, None)
-        tasks = [
-            Task(node, None, self.params,
-                 shard_group=(self.dist.colocation_id, 0, node),
-                 returns_rows=bool(getattr(self.stmt, "returning", [])),
-                 stmt=rewritten)
-            for node in nodes
-        ]
-        results = self.ext.executor.execute_tasks(session, tasks, is_write=True)
+        results = self.ext.executor.execute_tasks(session, self.tasks,
+                                                  is_write=True)
         first = next((r for r in results if r is not None), None)
         if first is None:
             return QueryResult([], [], command="INSERT")
         return first
 
-    def explain_lines(self):
-        shard = self.dist.shards[0]
-        n = len(self.ext.metadata.all_placements(shard.shardid))
-        return self._explain_header(n, "Reference Table DML")
-
     def explain_info(self):
-        shard = self.dist.shards[0]
-        rewritten = rewrite_to_shard(self.stmt, self.ext.metadata.cache, None)
-        tasks = [
-            Task(node, None, self.params,
-                 shard_group=(self.dist.colocation_id, 0, node), stmt=rewritten)
-            for node in self.ext.metadata.all_placements(shard.shardid)
-        ]
         return {
             "tier": self.tier,
-            "tasks": tasks,
+            "tasks": self.tasks,
             "total_shard_count": 1,
             "pruned_shard_count": 0,
             "is_write": True,
@@ -319,21 +281,15 @@ class LocalReferencePlan(CitusPlan):
 
     def __init__(self, ext, stmt, params):
         super().__init__(ext)
-        self.stmt = stmt
+        self.local_stmt = statement_routes(ext, stmt).replica_stmt()
         self.params = params
 
     def execute(self, session, params):
-        rewritten = rewrite_to_shard(self.stmt, self.ext.metadata.cache, None)
-        return session._execute_local_dml(rewritten, self.params)
-
-    def explain_lines(self):
-        lines = self._explain_header(0, "Local (reference replica)")
-        return lines
+        return session._execute_local_dml(self.local_stmt, self.params)
 
     def explain_info(self):
         return {
             "tier": self.tier,
             "tasks": [],
-            "task_count": 0,
             "coordinator": ["FULL STATEMENT (local replica)"],
         }

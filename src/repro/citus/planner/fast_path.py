@@ -35,7 +35,6 @@ class FastPathShape:
         if value is NO_VALUE:
             return None
         task = routes.task(routes.dist.shard_index_for_value(value), params)
-        routes.ext.stats["fast_path_queries"] += 1
         return SingleTaskPlan(self, task, dist_value=value)
 
 

@@ -32,8 +32,11 @@ from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql.deparse import deparse
 from ..metadata import REFERENCE, ShardInterval
+from ..observability import TaskTarget
 from ..sharding import analyze_statement
+from .pipeline import candidate_cost
 from .pushdown import plan_pushdown_select
+from .tasks import CitusPlan
 
 _intermediate_counter = itertools.count(1)
 
@@ -42,9 +45,9 @@ def plan_join_order(ext, select: A.Select, params, analysis, search=None):
     """Return a RepartitionPlan, or None when this planner does not apply.
 
     Every costed strategy (repartition per join side, broadcast per side)
-    is kept on the returned plan's ``candidates`` list and — when a
-    PlanSearch is being recorded — fed into the pipeline as one chosen
-    candidate plus the losing alternatives."""
+    is — when a PlanSearch is being recorded — fed into the pipeline as one
+    chosen candidate plus the losing alternatives, which is where EXPLAIN's
+    "Considered:" lines show them."""
     if not isinstance(select, A.Select):
         if search is not None:
             search.reject("join_order", "statement_kind",
@@ -92,39 +95,17 @@ def plan_join_order(ext, select: A.Select, params, analysis, search=None):
     candidates.sort(key=lambda c: c[4])
     strategy, anchor, moved, join_col, cost = candidates[0]
     ext.stat_counters.incr(f"join_order_{strategy}")
-    costed = [_describe_candidate(ext, c) for c in candidates]
     if search is not None:
-        chosen, *rest = costed
-        search.accept("join_order", f"Join Order ({strategy})",
-                      chosen["cost"], **_candidate_attrs(chosen))
-        for alt in rest:
-            search.alternative("join_order",
-                               f"Join Order ({alt['strategy']})",
-                               alt["cost"], **_candidate_attrs(alt))
+        # The chosen strategy, then every losing one, cheapest first.
+        record = search.accept
+        for kind, c_anchor, c_moved, _col, network_bytes in candidates:
+            record("join_order", f"Join Order ({kind})",
+                   candidate_cost(len(c_anchor.dist.shards), network_bytes),
+                   strategy=kind, moved_table=c_moved.name,
+                   network_bytes=int(network_bytes))
+            record = search.alternative
     return RepartitionPlan(ext, select, params, strategy, anchor, moved,
-                           join_col, cost, candidates=costed)
-
-
-def _describe_candidate(ext, candidate) -> dict:
-    from .pipeline import candidate_cost
-
-    strategy, anchor, moved, join_col, network_bytes = candidate
-    return {
-        "strategy": strategy,
-        "anchor_table": anchor.dist.name,
-        "moved_table": moved.name,
-        "join_column": join_col,
-        "network_bytes": int(network_bytes),
-        "cost": candidate_cost(len(anchor.dist.shards), network_bytes),
-    }
-
-
-def _candidate_attrs(described: dict) -> dict:
-    return {
-        "strategy": described["strategy"],
-        "moved_table": described["moved_table"],
-        "network_bytes": described["network_bytes"],
-    }
+                           join_col, cost)
 
 
 def _join_column_on_dist_key(ext, analysis, anchor, moved):
@@ -140,29 +121,23 @@ def _join_column_on_dist_key(ext, analysis, anchor, moved):
     return None
 
 
-class RepartitionPlan:
-    """Executable plan: move one side, then push the join down."""
+class RepartitionPlan(CitusPlan):
+    """Executable plan: move one side, then push the join down. The final
+    join's tasks are only known after the move, so ``tasks`` stays None."""
 
     tier = "join_order"
-    shape = None  # planned every time: the plan cache has nothing to keep
-    search = None
-    cached = False
 
     def __init__(self, ext, select, params, strategy, anchor, moved, join_col,
-                 cost, candidates=None):
-        self.ext = ext
+                 cost):
+        super().__init__(ext)
         self.select = select
         self.params = params
         self.strategy = strategy
+        self.detail = f"Join Order ({strategy})"
         self.anchor = anchor
         self.moved = moved
         self.join_col = join_col
         self.estimated_network_bytes = cost
-        self.candidates = candidates or []
-
-    @property
-    def detail(self):
-        return f"Join Order ({self.strategy})"
 
     # ------------------------------------------------------------ execute
 
@@ -176,8 +151,6 @@ class RepartitionPlan:
 
         # 1. Materialize the moved table on the coordinator.
         moved_rows = session.execute(f"SELECT * FROM {self.moved.name}").rows
-        ext.stats["repartition_rows_moved"] += len(moved_rows)
-        ext.stats["repartition_bytes"] += int(self.estimated_network_bytes)
         ext.stat_counters.incr("repartition_rows_moved", len(moved_rows))
         ext.stat_counters.incr("repartition_bytes", int(self.estimated_network_bytes))
 
@@ -236,36 +209,19 @@ class RepartitionPlan:
             conn.copy_rows(table, rows, columns)
             created.append((node, table))
 
-    def explain_lines(self):
-        lines = [
-            "Custom Scan (Citus Adaptive)",
-            f"  Planner: Join Order ({self.strategy})",
-            f"  Moved Table: {self.moved.name}",
-            f"  Estimated Network Bytes: {int(self.estimated_network_bytes)}",
-        ]
-        if self.candidates:
-            considered = " / ".join(
-                f"{c['strategy']}({c['moved_table']}) cost={int(c['cost'])}"
-                for c in self.candidates
-            )
-            lines.append(f"  Join strategy considered: {considered}")
-        return lines
-
     def explain_info(self):
-        from .tasks import Task
-
         cache = self.ext.metadata.cache
         # The final join runs one task per anchor shard once the moved side
-        # is in place; the task SQL is only known after the move, so tasks
-        # carry the target node and shard group but no SQL.
+        # is in place; the task SQL is only known after the move, so the
+        # targets carry the node and shard group but no SQL.
         tasks = [
-            Task(cache.placement_node(shard.shardid), None,
-                 shard_group=(self.anchor.dist.colocation_id, index))
+            TaskTarget(cache.placement_node(shard.shardid),
+                       shard_group=(self.anchor.dist.colocation_id, index))
             for index, shard in enumerate(self.anchor.dist.shards)
         ]
         return {
             "tier": self.tier,
-            "detail": f"Join Order ({self.strategy})",
+            "detail": self.detail,
             "tasks": tasks,
             "total_shard_count": len(self.anchor.dist.shards),
             "pruned_shard_count": 0,

@@ -246,13 +246,16 @@ def record_chosen_plan(search: PlanSearch, plan) -> None:
     candidate list itself)."""
     if search.chosen is not None:
         return
-    tier = getattr(plan, "tier", "custom")
-    detail = getattr(plan, "detail", None) or tier_label(tier)
-    tasks = getattr(plan, "tasks", None)
-    task_count = len(tasks) if tasks is not None else 1
-    network_bytes = float(getattr(plan, "estimated_network_bytes", 0.0))
+    tier = plan.tier
+    detail = plan.detail or tier_label(tier)
+    # A cascade tier's plan (bound from a shape) costs its tasks. A plan
+    # made from the statement itself has no candidate to be ranked against
+    # and costs one dispatch, which is what the checked-in plan-quality
+    # baseline holds it to.
+    task_count = len(plan.tasks) if plan.shape is not None else 1
+    network_bytes = float(plan.estimated_network_bytes)
     attrs = {"tasks": task_count}
-    total_shards = getattr(getattr(plan, "shape", None), "total_shards", 0)
+    total_shards = getattr(plan.shape, "total_shards", 0)
     if total_shards:
         attrs["total_shards"] = total_shards
         attrs["pruned_shards"] = max(total_shards - task_count, 0)

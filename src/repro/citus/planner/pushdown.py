@@ -27,7 +27,7 @@ from ...sql import ast as A
 from ...sql.deparse import deparse
 from ..sharding import QueryAnalysis
 from ..txn.deadlock import assign_distributed_txn_ids
-from .tasks import CitusPlan, ShardRoutes, sql_with_values
+from .tasks import CitusPlan, ShardRoutes, fold_write_results, sql_with_values
 
 
 @dataclass
@@ -45,9 +45,8 @@ class PushdownSelect:
     offset: A.Expr | None = None
     limit: A.Expr | None = None
     n_visible: int = 0
-    # Observability: anchor table, its shard count before pruning, and the
-    # clause-level split between worker and coordinator evaluation.
-    anchor_table: str = ""
+    # Observability: the anchor table's shard count before pruning, and
+    # the clause-level split between worker and coordinator evaluation.
     total_shards: int = 0
     pushed_down: list = field(default_factory=list)
     coordinator: list = field(default_factory=list)
@@ -58,7 +57,6 @@ class PushdownSelect:
     merge_strategy: str = "Concat (streaming)"
 
     def bind(self, params):
-        self.routes.ext.stats["pushdown_queries"] += 1
         return MultiTaskSelectPlan(self, self.routes.pruned_tasks(params),
                                    params)
 
@@ -280,7 +278,6 @@ def _plan_concat(ext, select, anchor):
         offset=offset,
         limit=limit,
         n_visible=n_appended,  # reinterpreted: number of appended columns
-        anchor_table=anchor.dist.name,
         total_shards=len(anchor.dist.shards),
         pushed_down=pushed_down,
         coordinator=coordinator,
@@ -501,7 +498,6 @@ def _plan_merge(ext, select, anchor):
         visible_columns=_visible_columns(select),
         hidden_sort_keys=[],
         n_visible=len(targets),
-        anchor_table=anchor.dist.name,
         total_shards=len(anchor.dist.shards),
         pushed_down=pushed_down,
         coordinator=coordinator,
@@ -837,7 +833,6 @@ class PushdownDML:
         self.routes = routes
 
     def bind(self, params):
-        self.routes.ext.stats["pushdown_queries"] += 1
         return MultiTaskDMLPlan(self, self.routes.pruned_tasks(params))
 
 
@@ -872,27 +867,7 @@ class MultiTaskDMLPlan(CitusPlan):
     def execute(self, session, params):
         results = self.ext.executor.execute_tasks(session, self.tasks, is_write=True)
         assign_distributed_txn_ids(self.ext, session)
-        rows = []
-        columns = []
-        total = 0
-        command = "UPDATE"
-        for result in results:
-            if result is None:
-                continue
-            total += result.rowcount
-            command = result.command
-            if result.columns:
-                columns = result.columns
-                rows.extend(result.rows)
-        out = QueryResult(columns, rows, command=command)
-        out.rowcount = total
-        return out
-
-    def explain_lines(self):
-        lines = self._explain_header(len(self.tasks), "Pushdown (DML)")
-        if self.tasks:
-            lines.append(f"  Task: {self.tasks[0].sql_text()}")
-        return lines
+        return fold_write_results(results, "UPDATE")
 
     def explain_info(self):
         return {
@@ -943,18 +918,13 @@ class MultiTaskSelectPlan(CitusPlan):
         telemetry = self.ext.telemetry
         if telemetry.traced is not None:
             telemetry.event(
-                "merge", "merge", merge_start, strategy=self._merge_label(),
+                "merge", "merge", merge_start,
+                strategy=self.shape.merge_strategy,
                 rows=rows,
                 rows_buffered_peak=report.rows_buffered_peak,
                 early_terminated=bool(report.early_terminations),
                 tasks_skipped=report.tasks_skipped,
             )
-
-    def _merge_label(self) -> str:
-        shape = self.shape
-        if shape.merge_strategy:
-            return shape.merge_strategy
-        return "concat" if shape.mode == "concat" else "group-merge"
 
     # ------------------------------------------------- streaming consumers
 
@@ -992,19 +962,6 @@ class MultiTaskSelectPlan(CitusPlan):
                 yield batch
         finally:
             self._finish(execution, merge_start, rows_out)
-
-    def explain_lines(self):
-        shape = self.shape
-        lines = self._explain_header(
-            len(self.tasks),
-            "Pushdown" if shape.mode == "concat" else "Pushdown (partial aggregation)",
-        )
-        if self.tasks:
-            lines.append(f"  Task: {self.tasks[0].sql_text()}")
-        if shape.mode == "merge":
-            lines.append("  Merge Query: "
-                         + sql_with_values(shape.master_query, self.params))
-        return lines
 
     def explain_info(self):
         shape = self.shape

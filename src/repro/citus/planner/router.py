@@ -39,7 +39,6 @@ class RouterShape:
         if not ok:
             return None
         task = routes.task(routes.dist.shard_index_for_value(value), params)
-        ext.stats["router_queries"] += 1
         return SingleTaskPlan(self, task)
 
 

@@ -1,45 +1,52 @@
 """Tasks, the routes they are made from, and the plans made of them.
 
 A distributed query plan is "a set of tasks (queries on shards) to run on
-the workers" (§3.5). A :class:`Task` carries the rewritten SQL, the target
-node, and the co-located shard group key used for connection affinity in
-the adaptive executor. :class:`ShardRoutes` is the one place a statement
-becomes shard tasks; :class:`CitusPlan` is what every tier's plan extends,
-:class:`SingleTaskPlan` the plan of the two single-shard tiers.
+the workers" (§3.5). A :class:`Task` carries the shard-rewritten statement,
+the target node, and the co-located shard group key used for connection
+affinity in the adaptive executor. :class:`ShardRoutes` is the one place a
+statement becomes shard tasks; :class:`CitusPlan` is what every plan
+extends and describes itself through, :class:`SingleTaskPlan` the plan of
+the two single-shard tiers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ...engine.executor import QueryResult
 from ...engine.expr import BoundParams
 from ...engine.hooks import CustomScanPlan
 from ...sql import ast as A
 from ...sql.deparse import deparse
-from ..sharding import NO_VALUE, prune_shards
+from ..sharding import NO_VALUE, prune_shards, statement_facts
 from ..txn.deadlock import assign_distributed_txn_ids
 
 
-@dataclass
 class Task:
-    node: str
-    sql: str | None
-    params: object = None
-    # (colocation_id, shard_index): tasks touching the same co-located shard
-    # group must reuse the same connection within a transaction (§3.6.1).
-    shard_group: tuple | None = None
-    returns_rows: bool = True
-    # Pre-parsed rewritten statement. When set, the executor ships the AST
-    # directly (no deparse → lex → parse round-trip) and ``sql`` is only
-    # materialized lazily for EXPLAIN/observability via :meth:`sql_text`.
-    # Shard-rewritten ASTs may be shared across tasks and sessions, so they
-    # must never be mutated downstream.
-    stmt: object = None
+    """One query on one shard placement. It always carries the
+    shard-rewritten statement AST — the executor ships that, never text
+    (no deparse → lex → parse round trip); :meth:`sql_text` is the lazy
+    display form for EXPLAIN and observability. Shard-rewritten ASTs are
+    shared across tasks, executions and sessions, so they must never be
+    mutated downstream."""
 
-    def sql_text(self) -> str | None:
-        if self.sql is None and self.stmt is not None:
-            self.sql = sql_with_values(self.stmt, self.params)
-        return self.sql
+    __slots__ = ("node", "stmt", "params", "shard_group", "_sql")
+
+    def __init__(self, node: str, stmt, params=None, shard_group=None):
+        if not isinstance(stmt, A.Statement):
+            raise TypeError("a Task carries a shard-rewritten statement AST,"
+                            f" not {type(stmt).__name__}")
+        self.node = node
+        self.stmt = stmt
+        self.params = params
+        # (colocation_id, shard_index): tasks touching the same co-located
+        # shard group must reuse the same connection within a transaction
+        # (§3.6.1).
+        self.shard_group = shard_group
+        self._sql = None
+
+    def sql_text(self) -> str:
+        if self._sql is None:
+            self._sql = sql_with_values(self.stmt, self.params)
+        return self._sql
 
 
 def sql_with_values(stmt, params) -> str:
@@ -105,28 +112,25 @@ def rewrite_to_shard(stmt, cache, shard_index: int | None):
     return A.transform(stmt.copy(), visit)
 
 
-def task_sql_for_shard(stmt, cache, shard_index: int | None) -> str:
-    return deparse(rewrite_to_shard(stmt, cache, shard_index))
-
-
 class ShardRoutes:
-    """The shard tasks of one statement on the shards of ``dist``, the
-    hash-distributed table it is routed by (known to the statement as
-    ``alias``). What a task on one shard is made of — placement node, shard
-    group, shard-rewritten AST — is a function of the statement and the
-    metadata cache only, so it is built the first time a bind lands on the
-    shard and kept for as long as the shape that owns the routes. The ASTs
-    are shared read-only across executions and sessions."""
+    """The shard tasks of one statement on the placements of ``dist``, the
+    table it is routed by (known to the statement as ``alias``): a shard of
+    a hash-distributed table, or every replica of a reference table. What a
+    task on one placement is made of — node, shard group, shard-rewritten
+    AST — is a function of the statement and the metadata cache only, so it
+    is built the first time a bind lands there and kept for as long as the
+    shape (or the statement's :class:`~..sharding.StatementFacts`, see
+    :func:`statement_routes`) that owns the routes. The ASTs are shared
+    read-only across executions and sessions."""
 
-    def __init__(self, ext, stmt, dist, alias=None):
+    def __init__(self, ext, stmt, dist=None, alias=None):
         self.ext = ext
         self.stmt = stmt
         self.dist = dist
         self.alias = alias
         self.is_write = not isinstance(stmt, A.Select)
-        self.returns_rows = not self.is_write or bool(
-            getattr(stmt, "returning", None))
         self.memo: dict = {}  # shard_index -> (node, shard_group, AST)
+        self._replica_stmt = None
 
     def task(self, shard_index: int, params) -> Task:
         route = self.memo.get(shard_index)
@@ -138,7 +142,7 @@ class ShardRoutes:
                 rewrite_to_shard(self.stmt, cache, shard_index),
             )
         node, group, stmt = route
-        return Task(node, None, params, group, self.returns_rows, stmt)
+        return Task(node, stmt, params, group)
 
     def pruned_tasks(self, params) -> list[Task]:
         """One task per shard the statement's WHERE clause does not rule
@@ -150,15 +154,78 @@ class ShardRoutes:
             self.ext.stat_counters.incr("planner_shards_pruned", pruned)
         return [self.task(index, params) for index in shard_indexes]
 
+    def all_tasks(self, params) -> list[Task]:
+        """One task per shard of ``dist``."""
+        return [self.task(index, params)
+                for index in range(len(self.dist.shards))]
+
+    def replica_stmt(self):
+        """The statement over reference-table replicas only (the same
+        shard name on every node that holds one)."""
+        if self._replica_stmt is None:
+            self._replica_stmt = rewrite_to_shard(
+                self.stmt, self.ext.metadata.cache, None)
+        return self._replica_stmt
+
+    def replica_tasks(self, params) -> list[Task]:
+        """One task per placement of the reference table ``dist``: a write
+        goes to every replica, each its own shard group."""
+        dist, stmt = self.dist, self.replica_stmt()
+        return [
+            Task(node, stmt, params, (dist.colocation_id, 0, node))
+            for node in self.ext.metadata.all_placements(dist.shards[0].shardid)
+        ]
+
+
+def statement_routes(ext, stmt, dist=None) -> ShardRoutes:
+    """The routes of a statement that is planned every time (no shape for
+    the plan cache to keep them on), remembered with the statement's other
+    facts for as long as the metadata cache they were made from: a repeated
+    execution ships the same shard AST objects, so the workers' prepared
+    shapes are reused."""
+    facts = statement_facts(stmt)
+    cache = ext.metadata.cache
+    if facts.routes_in is not cache:
+        facts.routes = ShardRoutes(ext, stmt, dist)
+        facts.routes_in = cache
+    return facts.routes
+
+
+def fold_write_results(results, command: str) -> QueryResult:
+    """The coordinator's answer to a multi-task write: the tasks' row
+    counts summed, their RETURNING rows concatenated in task order."""
+    columns, rows, total = [], [], 0
+    for result in results:
+        if result is None:
+            continue
+        total += result.rowcount
+        command = result.command
+        if result.columns:
+            columns = result.columns
+            rows.extend(result.rows)
+    out = QueryResult(columns, rows, command=command)
+    out.rowcount = total
+    return out
+
 
 # ---------------------------------------------------------------- plans
 
 
 class CitusPlan(CustomScanPlan):
-    planner_name = "Citus Adaptive"
+    """What every distributed plan is: a tier, the tasks the executor runs
+    (when planning knows them) and one description of itself —
+    :meth:`explain_info` — that EXPLAIN, EXPLAIN ANALYZE, ``citus_explain``
+    and ``citus_explain_analyze`` all draw through
+    :func:`~..observability.describe_plan`."""
+
     #: Planner-cascade tier for observability ("fast_path", "router",
     #: "pushdown", "join_order", or a DML-specific tier).
     tier = "custom"
+    #: Display label, when it says more than the tier's.
+    detail = None
+    #: The tasks the executor runs; None for a plan whose tasks depend on
+    #: what execution finds (row evaluation, a moved intermediate result).
+    tasks = None
     #: The shape whose ``bind`` made this plan — what the plan cache stores.
     #: None: a plan made from the statement itself, planned every time.
     shape = None
@@ -171,24 +238,23 @@ class CitusPlan(CustomScanPlan):
     #: path); telemetry asks ``partition_key_for`` itself for plans that
     #: route on no single value.
     dist_value = NO_VALUE
+    #: Bytes the plan physically moves between nodes before its tasks run.
+    estimated_network_bytes = 0.0
 
     def __init__(self, ext):
         self.ext = ext
-
-    def _explain_header(self, task_count: int, detail: str | None = None) -> list[str]:
-        lines = [f"Custom Scan (Citus Adaptive)"]
-        if detail:
-            marker = " (cached)" if self.cached else ""
-            lines.append(f"  Planner: {detail}{marker}")
-        lines.append(f"  Task Count: {task_count}")
-        return lines
 
     def explain_info(self) -> dict:
         """Structured plan description consumed by
         :func:`repro.citus.observability.describe_plan`. ``tier`` is the
         cascade tier; ``detail`` (optional) overrides the display label
         when it carries more than the tier name."""
-        return {"tier": self.tier, "tasks": []}
+        raise NotImplementedError
+
+    def explain_lines(self) -> list[str]:
+        from ..observability import describe_plan
+
+        return describe_plan(self).as_text().splitlines()
 
     def explain_analyze_lines(self, session, stmt, params) -> list[str]:
         """EXPLAIN ANALYZE: execute under trace capture and render the
@@ -216,11 +282,6 @@ class SingleTaskPlan(CitusPlan):
         if self.is_write and session.in_transaction:
             assign_distributed_txn_ids(self.ext, session)
         return results[0]
-
-    def explain_lines(self):
-        lines = self._explain_header(1, self.detail)
-        lines.append(f"  Task: {self.tasks[0].sql_text()}")
-        return lines
 
     def explain_info(self):
         return {

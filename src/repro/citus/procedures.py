@@ -57,7 +57,7 @@ def try_delegate_call(ext, session, stmt: A.CallProcedure):
     if node == ext.instance.name:
         return None  # local shard: plain local execution path
     if node not in cache.nodes_with_metadata:
-        ext.stats["procedure_not_delegated"] += 1
+        ext.stat_counters.incr("procedure_not_delegated")
         return None  # worker cannot plan distributed queries
     # Ship the whole CALL; the worker executes it with local planning.
     call_sql = "CALL {}({})".format(
@@ -65,7 +65,7 @@ def try_delegate_call(ext, session, stmt: A.CallProcedure):
     )
     conn = ext.worker_connection(node)
     conn.execute(call_sql)
-    ext.stats["procedure_delegated"] += 1
+    ext.stat_counters.incr("procedure_delegated")
     return QueryResult([], [], command="CALL")
 
 

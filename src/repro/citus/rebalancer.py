@@ -317,7 +317,6 @@ def move_shard(ext, session, shardid: int, target_node: str,
     for entry in entries:
         entry.status = "completed"
         entry.updated_at = at
-    ext.stats["shard_moves"] += len(to_move)
     ext.stat_counters.incr("rebalancer_shard_moves", len(to_move), node=target_node)
 
 

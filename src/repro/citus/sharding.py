@@ -444,14 +444,15 @@ class StatementFacts:
     cache's normalization (template, constants, fingerprint), the
     statement's identity on the telemetry surfaces (that fingerprint and
     its short digest) and the tenant extractor, plus the verdict that the
-    statement mentions no Citus table. The verdict and the tenant
-    extractor depend on the Citus metadata, so each remembers the
-    :class:`MetadataCache` it was derived from; ``MetadataStore.reload``
-    swaps in a new cache object on every metadata change, which
-    invalidates them by identity."""
+    statement mentions no Citus table, and — for statements planned every
+    time — their shard routes (``planner.tasks.statement_routes``). The
+    verdict, the tenant extractor and the routes depend on the Citus
+    metadata, so each remembers the :class:`MetadataCache` it was derived
+    from; ``MetadataStore.reload`` swaps in a new cache object on every
+    metadata change, which invalidates them by identity."""
 
     __slots__ = ("stmt", "tables", "local_in", "norm", "fingerprint",
-                 "tenant_in", "tenant_plan")
+                 "tenant_in", "tenant_plan", "routes_in", "routes")
 
     def __init__(self, stmt):
         self.stmt = stmt
@@ -461,6 +462,8 @@ class StatementFacts:
         self.fingerprint = None  # filled by plan_cache.statement_fingerprint
         self.tenant_in = None  # MetadataCache ``tenant_plan`` is valid for
         self.tenant_plan = None  # filled by partition_key_for
+        self.routes_in = None  # MetadataCache ``routes`` are valid for
+        self.routes = None  # filled by planner.tasks.statement_routes
 
 
 # Keyed by statement identity: the engine's statement cache returns the

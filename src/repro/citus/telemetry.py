@@ -377,7 +377,7 @@ class Telemetry:
         kept."""
         registry = self.registry
         registry.incr("planner_total")
-        tier = getattr(plan, "tier", None)
+        tier = plan.tier if plan is not None else None
         if tier:
             registry.incr(f"planner_{tier}")
         if search is not None and (plan is not None or search.error is not None):
@@ -393,7 +393,7 @@ class Telemetry:
         # routes on no single value is asked for here, of the same
         # extractor. The session attributes are what the activity view and
         # ASH show for it.
-        tenant = getattr(plan, "dist_value", NO_VALUE)
+        tenant = plan.dist_value
         if tenant is NO_VALUE:
             tenant = partition_key_for(ext.metadata.cache, facts, params)
         session._citus_tier = tier
@@ -412,10 +412,10 @@ class Telemetry:
             return
         if record.fingerprint is None:
             record.fingerprint, record.digest = statement_fingerprint(facts)
-        tasks = getattr(plan, "tasks", None)
+        tasks = plan.tasks
         attrs = {"tier": tier, "cached": cache_hit,
                  "tasks": len(tasks) if tasks is not None else None}
-        found = getattr(plan, "search", None)
+        found = plan.search
         if found is not None:
             # Search attributes ride on the plan event, so the Chrome trace
             # export shows what the cascade considered for every statement.

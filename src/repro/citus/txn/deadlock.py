@@ -73,7 +73,6 @@ def detect_distributed_deadlocks(ext) -> list[int]:
             instance = ext.cluster.node(node_name) if ext.cluster else ext.instance
             instance.cancel_backend(xid)
         cancelled.append(victim)
-        ext.stats["distributed_deadlocks"] += 1
         ext.stat_counters.incr("deadlock_victims")
         # Remove the victim and look for further cycles.
         edges.pop(victim, None)

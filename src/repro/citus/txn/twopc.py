@@ -85,7 +85,6 @@ class TransactionCallbacks:
             return
         # Phase one: prepare every writer.
         prepared: list[tuple] = []  # (conn, gid)
-        self.ext.stats["2pc_count"] += 1
         session.stats["citus_2pc_commits"] += 1
         counters.incr("twopc_transactions")
         pools.twopc = True

@@ -200,8 +200,8 @@ class RemoteConnection:
         self.elapsed += self.network.note_round_trip()
         return self.session.execute_async(sql, params)
 
-    def execute_cursor(self, stmt=None, params=None, batch_size: int = 256,
-                       sql: str | None = None) -> "RemoteCursor":
+    def execute_cursor(self, stmt, params=None,
+                       batch_size: int = 256) -> "RemoteCursor":
         """Open a worker-side cursor for a SELECT task; batches are then
         pulled on demand via :meth:`RemoteCursor.fetch_batch`. Only the
         dispatch round trip is charged here — each batch pays for its own
@@ -211,17 +211,12 @@ class RemoteConnection:
         self.round_trips += 1
         self.bytes_transferred += 256
         self.elapsed += self.network.note_round_trip()
-        engine_cursor = None
-        if stmt is not None:
-            engine_cursor = self.session.execute_parsed_cursor(stmt, params)
-            if engine_cursor is None:
-                # Not cursor-capable on the worker backend: materialize
-                # there and stream the buffered result (the wire protocol
-                # is the same either way).
-                result = self.session.execute_parsed(stmt, params)
-                engine_cursor = EngineCursor(result.columns, iter(result.rows))
-        else:
-            result = self.session.execute(sql, params)
+        engine_cursor = self.session.execute_parsed_cursor(stmt, params)
+        if engine_cursor is None:
+            # Not cursor-capable on the worker backend: materialize there
+            # and stream the buffered result (the wire protocol is the
+            # same either way).
+            result = self.session.execute_parsed(stmt, params)
             engine_cursor = EngineCursor(result.columns, iter(result.rows))
         return RemoteCursor(self, engine_cursor, batch_size)
 

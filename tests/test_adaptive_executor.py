@@ -50,7 +50,7 @@ def s(citus, citus_session):
 def telemetry(citus, s, driver, interval, run=DRIVERS):
     """Run one driver's statement; what its connection picking did."""
     executor = citus.coordinator_ext.executor
-    executor.slow_start_interval = interval
+    citus.coordinator_ext.config.executor_slow_start_interval_ms = interval * 1000.0
     run[driver](s)
     report = executor.last_report
     assert report.task_count == 8
@@ -114,7 +114,7 @@ class TestSharedConnectionLimit:
         ext.config.max_shared_pool_size = 2
         assert telemetry(citus, s, driver, AT_ONCE) == (
             2, {"worker1": 2, "worker2": 2}, 2)
-        assert ext.stats["shared_pool_throttled"] > 0
+        assert ext.stat_counters.value("shared_pool_throttled") > 0
         assert gauges(s, "shared_pool_slots") == {"worker1": 2, "worker2": 2}
 
     def test_slots_released_on_pool_close(self, citus, s):
@@ -280,11 +280,8 @@ def parent_one_task(executor, session, task, is_write=False):
                 before, bytes_before = conn.elapsed, conn.bytes_transferred
             if group is not None:
                 conn.accessed_groups.add(group)
-            if task.stmt is not None:
-                result = conn.execute_parsed(task.stmt, task.params,
-                                             allow_block=True)
-            else:
-                result = conn.execute(task.sql, task.params, allow_block=True)
+            result = conn.execute_parsed(task.stmt, task.params,
+                                         allow_block=True)
         except WouldBlock:
             # charge(BLOCKED_TASK): parked, not run — the connection is free.
             if timeline.units is not None:
@@ -322,12 +319,12 @@ def parent_one_task(executor, session, task, is_write=False):
 
 
 def _by_value(task):
-    """The task with its bound parameters as plain values: a statement's
-    tasks carry the ``BoundParams`` of its bind, an object per execution."""
+    """The task as plain values: a statement's tasks carry the
+    ``BoundParams`` of its bind, an object per execution."""
     params = task.params
     if type(params) is BoundParams:
         params = (params.positional, params.named)
-    return dataclasses.replace(task, params=params)
+    return (task.node, task.stmt, params, task.shard_group)
 
 
 class Twin:

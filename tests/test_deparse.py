@@ -99,15 +99,19 @@ class TestQuoteLiteral:
 
 
 def test_deparse_shard_rewrite_stays_parseable(citus_session):
-    """Every EXPLAIN Task line must itself be parseable SQL."""
+    """The SQL EXPLAIN shows under every "Task on <node>" line (and under
+    "Merge Query") must itself be parseable."""
     from repro.sql import parse_one as p
 
     citus_session.execute("CREATE TABLE rt (k int PRIMARY KEY, v jsonb)")
     citus_session.execute("SELECT create_distributed_table('rt', 'k')")
-    lines = citus_session.execute(
-        "EXPLAIN SELECT k, count(*) FROM rt WHERE v->>'x' ILIKE '%a%' GROUP BY k"
-    ).rows
-    task_lines = [l[0] for l in lines if l[0].strip().startswith("Task:")]
-    assert task_lines
-    for line in task_lines:
-        p(line.split("Task:", 1)[1].strip())
+    lines = [row[0] for row in citus_session.execute(
+        "EXPLAIN SELECT v->>'x', count(*) FROM rt WHERE v->>'x' ILIKE '%a%'"
+        " GROUP BY v->>'x'"
+    ).rows]
+    shown = [sql.strip() for header, sql in zip(lines, lines[1:])
+             if header.startswith("  ->  ")]
+    assert len(shown) > 1 and all("rt_" in sql for sql in shown[:-1])
+    assert "citus_intermediate" in shown[-1]
+    for sql in shown:
+        p(sql)

@@ -3,6 +3,7 @@ strategies, DDL propagation, reference-table writes."""
 
 import pytest
 
+from repro.citus.observability import explain
 from repro.errors import NotNullViolation, UniqueViolation
 from tests.conftest import explain_text
 
@@ -129,30 +130,29 @@ class TestInsertSelect:
 
     def test_colocated_pushdown_strategy(self, citus, loaded):
         s = loaded
-        r = s.execute("INSERT INTO rollup (id, doubled) SELECT id, val * 2 FROM ev")
+        sql = "INSERT INTO rollup (id, doubled) SELECT id, val * 2 FROM ev"
+        assert explain(s, sql).subplan["strategy"] == "pushdown"
+        r = s.execute(sql)
         assert r.rowcount == 40
-        assert citus.coordinator_ext.stats["insert_select_pushdown"] == 1
         assert s.execute("SELECT doubled FROM rollup WHERE id = 3").scalar() == 6
 
     def test_repartition_strategy(self, citus, loaded):
         s = loaded
         # Source grouped by grp (dist col of destination, not of source):
         # no merge step but not co-located → repartition.
-        r = s.execute(
-            "INSERT INTO grp_rollup (grp, total)"
-            " SELECT grp, val FROM ev WHERE id < 4"
-        )
+        sql = ("INSERT INTO grp_rollup (grp, total)"
+               " SELECT grp, val FROM ev WHERE id < 4")
+        assert explain(s, sql).subplan["strategy"] == "repartition"
+        r = s.execute(sql)
         assert r.rowcount == 4
-        assert citus.coordinator_ext.stats["insert_select_repartition"] == 1
 
     def test_coordinator_strategy_with_merge(self, citus, loaded):
         s = loaded
-        r = s.execute(
-            "INSERT INTO grp_rollup (grp, total)"
-            " SELECT grp, sum(val) FROM ev GROUP BY grp"
-        )
+        sql = ("INSERT INTO grp_rollup (grp, total)"
+               " SELECT grp, sum(val) FROM ev GROUP BY grp")
+        assert explain(s, sql).subplan["strategy"] == "coordinator"
+        r = s.execute(sql)
         assert r.rowcount == 4
-        assert citus.coordinator_ext.stats["insert_select_coordinator"] == 1
         total = s.execute("SELECT sum(total) FROM grp_rollup").scalar()
         assert total == sum(range(40))
 

@@ -34,13 +34,14 @@ class TestCommitProtocols:
 
     def test_multi_node_txn_uses_2pc(self, citus, s, keys):
         k1, k2 = keys
-        before = citus.coordinator_ext.stats.get("2pc_count", 0)
+        counters = citus.coordinator_ext.stat_counters
+        before = counters.value("twopc_transactions")
         s.execute("BEGIN")
         s.execute("UPDATE t SET v = 1 WHERE k = $1", [k1])
         s.execute("UPDATE t SET v = 2 WHERE k = $1", [k2])
         s.execute("COMMIT")
         assert s.stats["citus_2pc_commits"] == 1
-        assert citus.coordinator_ext.stats["2pc_count"] == before + 1
+        assert counters.value("twopc_transactions") == before + 1
 
     def test_2pc_writes_commit_records(self, citus, s, keys):
         k1, k2 = keys

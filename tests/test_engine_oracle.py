@@ -135,6 +135,69 @@ def test_every_shard_pruned_agrees_with_single_node(oracle, cluster_session):
         assert got.columns == expected.columns
 
 
+# ------------------------------------------------------- join-order tier
+
+# (sql, strategy, whether ORDER BY makes the result a sequence). ``flags``
+# is the small side: joined to ``events.k`` it is hashed to the anchor's
+# shards, joined to a column that distributes neither table it is
+# broadcast.
+JOIN_ORDER = {
+    "repartition": ("SELECT f.k, e.v FROM flags f JOIN events e ON f.n = e.k",
+                    "repartition", False),
+    "repartition_order_limit": (
+        "SELECT f.k, e.v FROM flags f JOIN events e ON f.n = e.k"
+        " ORDER BY f.k DESC LIMIT 7", "repartition", True),
+    "broadcast": ("SELECT f.k, count(*), sum(e.k) FROM flags f"
+                  " JOIN events e ON f.n = e.v GROUP BY f.k", "broadcast", False),
+    "broadcast_order_limit": (
+        "SELECT f.k, count(*) FROM flags f JOIN events e ON f.n = e.v"
+        " GROUP BY f.k ORDER BY f.k LIMIT 5", "broadcast", True),
+}
+
+
+def intermediate_tables(session):
+    """Every moved-side table a join-order plan left on any node."""
+    cluster = session.instance.extensions["citus"].cluster
+    return [(node, table) for node, instance in cluster.nodes.items()
+            for table in instance.catalog.tables
+            if table.startswith(("citus_repart_", "citus_bcast_"))]
+
+
+@pytest.mark.parametrize("in_transaction", [False, True],
+                         ids=["autocommit", "in_transaction"])
+@pytest.mark.parametrize("name", sorted(JOIN_ORDER))
+def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
+                                                 in_transaction):
+    """A non-co-located join moves one side and pushes the join down; what
+    comes back is what one node joins, also when the statement runs inside
+    a transaction block that has already written to the moved side — and
+    the moved copy is gone from every worker afterwards."""
+    sql, strategy, ordered = JOIN_ORDER[name]
+    explained = explain(cluster_session, sql)
+    assert explained.tier == "join_order"
+    assert explained.subplan["strategy"] == strategy
+    assert explained.subplan["moved_table"] == "flags"
+    flip = "UPDATE flags SET n = 1 - n WHERE k = 2"
+    results = []
+    for session in (oracle, cluster_session):
+        if in_transaction:
+            session.execute("BEGIN")
+            session.execute(flip)
+        try:
+            results.append(normalized(session.execute(sql).rows))
+        finally:
+            if in_transaction:
+                session.execute("COMMIT")
+                session.execute(flip)
+    expected, got = results
+    assert expected
+    if ordered:
+        assert got == expected
+    else:
+        assert sorted(got) == sorted(expected)
+    assert intermediate_tables(cluster_session) == []
+
+
 BAD_COLUMN_LISTS = {
     "insert_unknown": lambda s: s.execute(
         "INSERT INTO events (k, nope) VALUES (900001, 1)"),

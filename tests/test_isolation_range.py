@@ -122,6 +122,7 @@ class TestRangeDistribution:
             r[0] for r in s.execute("EXPLAIN SELECT * FROM events WHERE ts = 150").rows
         )
         assert "Task Count: 1" in text
+        assert "Shards: 1 of 3 (2 pruned)" in text
 
     def test_range_predicate_prunes_shards(self, citus, ranged):
         s = ranged
@@ -131,6 +132,7 @@ class TestRangeDistribution:
             ).rows
         )
         assert "Task Count: 1" in text
+        assert "Shards: 1 of 3 (2 pruned)" in text
         assert s.execute(
             "SELECT count(*) FROM events WHERE ts >= 100 AND ts < 200"
         ).scalar() == 10
@@ -143,6 +145,7 @@ class TestRangeDistribution:
             ).rows
         )
         assert "Task Count: 2" in text
+        assert "Shards: 2 of 3 (1 pruned)" in text
         assert s.execute(
             "SELECT count(*) FROM events WHERE ts BETWEEN 50 AND 149"
         ).scalar() == 10

@@ -84,14 +84,18 @@ class TestJoinOrderAlternatives:
 
     def test_repartition_plan_explain_lines(self, s):
         """The executable plan's own EXPLAIN carries the costed strategy
-        comparison (satellite: 'Join strategy considered')."""
+        comparison: the chosen strategy and every losing one, as the
+        "Considered:" lines every plan shows its search with."""
         plan = s.instance.hooks.call_planner(s, parse(JOIN_SQL)[0], None)
         lines = plan.explain_lines()
-        considered = [l for l in lines if "Join strategy considered:" in l]
-        assert len(considered) == 1
-        assert "repartition(" in considered[0]
-        assert "broadcast(" in considered[0]
-        assert "cost=" in considered[0]
+        assert lines == explain(s, JOIN_SQL).as_text().splitlines()
+        considered = [l for l in lines if "Considered: join_order" in l]
+        assert len(considered) >= 2
+        assert "chosen cost=" in considered[0]
+        assert all("alternative cost=" in l for l in considered[1:])
+        strategies = {l.split("strategy=")[1].rstrip(")") for l in considered}
+        assert {"repartition", "broadcast"} <= strategies
+        assert any(l.startswith("  ->  Subplan: strategy=") for l in lines)
 
 
 class TestUnsupportedShapes:

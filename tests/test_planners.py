@@ -200,9 +200,10 @@ class TestJoinOrderPlanner:
         assert len(rows) == 8
 
     def test_stats_track_repartition_queries(self, s, citus):
-        before = citus.coordinator_ext.stats.get("repartition_queries", 0)
+        counters = citus.coordinator_ext.stat_counters
+        before = counters.value("planner_join_order")
         s.execute("SELECT count(*) FROM orders o JOIN other x ON o.id = x.okey")
-        assert citus.coordinator_ext.stats["repartition_queries"] == before + 1
+        assert counters.value("planner_join_order") == before + 1
 
     def test_disabled_repartition_raises(self, s, citus):
         citus.coordinator_ext.config.enable_repartition_joins = False
@@ -264,13 +265,13 @@ class TestUnsupported:
 
 class TestPlannerCascadeOrdering:
     def test_stats_count_each_planner(self, s, citus):
-        stats = citus.coordinator_ext.stats
-        base_fast = stats.get("fast_path_queries", 0)
-        base_push = stats.get("pushdown_queries", 0)
+        counters = citus.coordinator_ext.stat_counters
+        base_fast = counters.value("planner_fast_path")
+        base_push = counters.value("planner_pushdown")
         s.execute("SELECT * FROM orders WHERE key = 1")
         s.execute("SELECT count(*) FROM orders")
-        assert stats["fast_path_queries"] == base_fast + 1
-        assert stats["pushdown_queries"] == base_push + 1
+        assert counters.value("planner_fast_path") == base_fast + 1
+        assert counters.value("planner_pushdown") == base_push + 1
 
     def test_reference_only_query_local(self, s, citus):
         text = explain_text(s, "SELECT * FROM dims")

@@ -50,15 +50,16 @@ class TestProcedureDelegation:
         citus, s = proc_cluster
         s.execute("CALL transfer(5, 10)")
         assert s.execute("SELECT balance FROM accounts WHERE aid = 5").scalar() == 110
-        assert citus.coordinator_ext.stats.get("procedure_delegated", 0) == 0
+        assert citus.coordinator_ext.stat_counters.value("procedure_delegated") == 0
 
     def test_call_delegated_with_metadata_sync(self, proc_cluster):
         citus, s = proc_cluster
         citus.enable_metadata_sync()
-        before = citus.coordinator_ext.stats.get("procedure_delegated", 0)
+        counters = citus.coordinator_ext.stat_counters
+        before = counters.value("procedure_delegated")
         for aid in range(1, 11):
             s.execute("CALL transfer($1, 1)", [aid])
-        delegated = citus.coordinator_ext.stats.get("procedure_delegated", 0)
+        delegated = counters.value("procedure_delegated")
         assert delegated > before  # most keys live on workers
         total = s.execute("SELECT sum(balance) FROM accounts").scalar()
         assert total == 20 * 100 + 10

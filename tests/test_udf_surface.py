@@ -31,6 +31,51 @@ class TestSizeAndConfig:
         with pytest.raises(MetadataError):
             s.execute("SELECT citus_set_config('nonsense', 1)")
 
+    @pytest.mark.parametrize("off, on", [("false", "true"), ("off", "on"),
+                                         ("0", "1"), (False, True)])
+    def test_a_boolean_is_parsed_as_postgres_spells_it(self, citus, s, off, on):
+        telemetry = citus.coordinator_ext.telemetry
+        s.execute("SELECT citus_set_config('enable_tracing', $1)", [off])
+        assert citus.coordinator_ext.config.enable_tracing is False
+        traced = len(telemetry.trace_records())
+        s.execute("SELECT count(*) FROM t")
+        assert len(telemetry.trace_records()) == traced
+        s.execute("SELECT citus_set_config('enable_tracing', $1)", [on])
+        assert citus.coordinator_ext.config.enable_tracing is True
+        s.execute("SELECT count(*) FROM t")
+        assert len(telemetry.trace_records()) > traced
+
+    def test_the_slow_start_interval_reaches_the_executor(self, citus, s):
+        def connections_opened(interval_ms):
+            s.execute("SELECT citus_set_config('executor_slow_start_interval_ms', $1)",
+                      [interval_ms])
+            fresh = citus.coordinator_session()
+            fresh.execute("SELECT count(*) FROM t")
+            return citus.coordinator_ext.executor.last_report.connections_opened
+
+        # 4 tasks per worker: a ramp that never steps opens one connection
+        # per worker, one that steps at once opens one per task but the last.
+        assert connections_opened(1e12) == 2
+        assert connections_opened(1e-6) == 6
+
+    def test_the_deadlock_interval_reaches_every_maintenance_daemon(self, citus, s):
+        s.execute("SELECT citus_set_config('deadlock_detection_interval_s', 0.5)")
+        daemons = [worker for instance in citus.cluster.nodes.values()
+                   for worker in instance.hooks.background_workers
+                   if worker.name == "citus_maintenance"]
+        assert len(daemons) == 3
+        assert [worker.interval for worker in daemons] == [0.5] * 3
+
+    @pytest.mark.parametrize("name, value", [
+        ("shard_count", "abc"), ("stat_window_seconds", "soon"),
+        ("enable_tracing", "maybe"), ("trace_buffer_size", None),
+    ])
+    def test_an_unparseable_value_is_a_metadata_error(self, citus, s, name, value):
+        before = getattr(citus.coordinator_ext.config, name)
+        with pytest.raises(MetadataError, match=name):
+            s.execute("SELECT citus_set_config($1, $2)", [name, value])
+        assert getattr(citus.coordinator_ext.config, name) == before
+
 
 class TestRunCommandOnWorkers:
     def test_command_runs_everywhere(self, citus, s):

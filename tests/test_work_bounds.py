@@ -676,6 +676,49 @@ def test_a_pushdown_select_shape_is_planned_once():
     assert counts["plans"] == 1
 
 
+def test_a_repeated_colocated_insert_select_ships_the_same_shard_statements(work):
+    """A co-located INSERT..SELECT is planned every time, but what its
+    tasks are made of is kept with the statement's facts: the second
+    execution rewrites nothing, deparses nothing, and the workers — handed
+    the ASTs they prepared the first time — parse nothing."""
+    from repro.citus.planner import tasks
+
+    cluster, session = _fast_path_cluster()
+    session.execute("CREATE TABLE kv_copy (k int, v int)")
+    session.execute("SELECT create_distributed_table('kv_copy', 'k',"
+                    " colocate_with := 'kv')")
+    sql = "INSERT INTO kv_copy (k, v) SELECT k, v + $1 FROM kv"
+    shipped = []
+    execute_tasks = cluster.coordinator_ext.executor.execute_tasks
+
+    def recording(session, task_list, is_write=False):
+        shipped.append({t.shard_group: t.stmt for t in task_list})
+        return execute_tasks(session, task_list, is_write)
+
+    cluster.coordinator_ext.executor.execute_tasks = recording
+    assert session.execute(sql, [1]).rowcount == 64
+    session.execute("BEGIN")  # the commit's PREPARE TRANSACTION '<gid>' texts are new
+    with pytest.MonkeyPatch.context() as patch:
+        _count_function(patch, work, tasks.rewrite_to_shard, "rewrites")
+        _count_function(patch, work, parse, "parses")
+        work.clear()
+        assert session.execute(sql, [2]).rowcount == 64
+    session.execute("COMMIT")
+    assert (work["rewrites"], work["deparse"], work["copy"],
+            work["parses"]) == (0, 0, 0, 0)
+    first, second = shipped
+    assert len(first) == 16 and first.keys() == second.keys()
+    assert all(second[group] is stmt for group, stmt in first.items())
+    assert session.execute(
+        "SELECT count(*), sum(v) FROM kv_copy").rows == [[128, 2 * 2016 + 64 * 3]]
+    # A metadata change makes new routes: the old ones named old placements.
+    session.execute("CREATE TABLE unrelated (k int)")
+    session.execute("SELECT create_distributed_table('unrelated', 'k')")
+    assert session.execute(sql, [3]).rowcount == 64
+    assert shipped[2].keys() == first.keys()
+    assert all(shipped[2][group] is not stmt for group, stmt in first.items())
+
+
 @pytest.mark.parametrize("sql, params, tenant", [
     ("SELECT v FROM kv WHERE k = 7", None, 7),
     ("SELECT v FROM kv WHERE k = :key", {"key": 7}, 7),
