@@ -29,7 +29,8 @@ print("loaded", len(rows), "rows on 2 workers")
 
 def placement_counts():
     ext = citus.coordinator_ext
-    return Counter(ext.metadata.cache.placements.values())
+    placements = ext.metadata.cache.placements
+    return Counter(node for nodes in placements.values() for node in nodes)
 
 
 print("placements:", dict(placement_counts()))

@@ -144,7 +144,7 @@ def set_access_method(ext, session, table_name: str, method: str) -> None:
     if cache.is_citus_table(table_name):
         dist = cache.get_table(table_name)
         for shard in dist.shards:
-            for node in ext.metadata.all_placements(shard.shardid):
+            for node in cache.placements[shard.shardid]:
                 instance = ext.cluster.node(node)
                 if instance.catalog.has_table(shard.shard_name):
                     shard_table = instance.catalog.get_table(shard.shard_name)

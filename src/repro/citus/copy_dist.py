@@ -42,22 +42,9 @@ class ShardCopyRouter:
         self.columns = columns
         self.flush_threshold = max(1, int(ext.config.copy_flush_threshold))
         self.casters = [caster(shell.column(c).type_name) for c in columns]
-        if dist.is_reference:
-            self.dist_position = None
-            shard = dist.shards[0]
-            # One channel per placement; every row replicates to all.
-            self.targets = [
-                (node, (dist.colocation_id, 0, node), shard.shard_name)
-                for node in ext.metadata.all_placements(shard.shardid)
-            ]
-        else:
-            self.dist_position = _dist_position(columns, dist)
-            cache = ext.metadata.cache
-            self.targets = [
-                (cache.placement_node(shard.shardid),
-                 (dist.colocation_id, index), shard.shard_name)
-                for index, shard in enumerate(dist.shards)
-            ]
+        self.dist_position = (None if dist.is_reference
+                              else _dist_position(columns, dist))
+        self.targets = copy_targets(ext.metadata.cache, dist)
         expected: dict[str, int] = {}
         for node, _group, _name in self.targets:
             expected[node] = expected.get(node, 0) + 1
@@ -122,6 +109,19 @@ class ShardCopyRouter:
         every transaction block registered in ``session.remote_txns``."""
         self.execution.note_buffered(self.peak_buffered)
         self.execution.finish()
+
+
+def copy_targets(cache, dist) -> list[tuple]:
+    """``(node, shard group, shard name)`` per COPY channel into ``dist``, in
+    channel index order: one per shard, or for a reference table one per
+    placement (every row replicates to all)."""
+    if dist.is_reference:
+        shard = dist.shards[0]
+        return [(node, (dist.colocation_id, 0, node), shard.shard_name)
+                for node in cache.placements[shard.shardid]]
+    return [(cache.placement_node(shard.shardid), (dist.colocation_id, index),
+             shard.shard_name)
+            for index, shard in enumerate(dist.shards)]
 
 
 def distribute_rows(ext, session, table_name: str, rows, columns=None) -> int:

@@ -11,17 +11,23 @@ Schema changes (CREATE INDEX / ALTER TABLE / DROP / TRUNCATE) on Citus
 tables are intercepted by the utility hook and propagated to every shard
 with table names rewritten, preserving PostgreSQL's transactional-DDL feel
 at the statement level.
+
+Every command sent to a shard placement is an AST built here once:
+:meth:`DistributedDDL.propagate` is the one loop over a table's placements,
+:func:`shard_ddl` the one builder of a shard's CREATE TABLE and indexes.
 """
 
 from __future__ import annotations
 
 from ..engine.catalog import Table
 from ..engine.datum import is_hash_distributable
+from ..engine.instance import _fresh_index_structure
 from ..errors import MetadataError
 from ..sql import ast as A
-from ..sql.deparse import deparse
+from .copy_dist import distribute_rows
 from .metadata import (
     HASH,
+    RANGE,
     REFERENCE,
     ShardInterval,
     split_hash_ranges,
@@ -58,26 +64,15 @@ class DistributedDDL:
             ShardInterval(sid, table_name, lo, hi)
             for sid, (lo, hi) in zip(shard_ids, ranges)
         ]
-        placements = self._place_shards(shards, colocation_id, colocate_with)
-
-        # Create the physical shard tables before metadata so that a failure
-        # leaves no metadata pointing at missing shards.
-        for i, shard in enumerate(shards):
-            self._create_shard_on_node(table, shard.shard_name, placements[shard.shardid],
-                                       shard_index=i)
-        self.ext.metadata.record_distributed_table(
-            session, table_name, HASH, dist_column, colocation_id, shards, placements
-        )
-        self._move_existing_rows(session, table, table_name)
-        self.ext.sync_metadata_if_enabled(session)
+        placements = self._place_shards(shards, colocation_id)
+        self._create_shards(session, table, HASH, dist_column, colocation_id,
+                            shards, placements)
 
     def create_range_distributed_table(self, session, table_name: str,
                                        dist_column: str, ranges: list) -> None:
         """Range partitioning (§3.3.1: "available for some advanced use
         cases"). ``ranges`` is a sorted list of [min, max] pairs of integer
         distribution column values; they must not overlap."""
-        from .metadata import RANGE
-
         cache = self.ext.metadata.cache
         if cache.is_citus_table(table_name):
             raise MetadataError(f"table {table_name!r} is already distributed")
@@ -108,36 +103,42 @@ class DistributedDDL:
         )
         nodes = self._worker_nodes()
         placements = {
-            shard.shardid: nodes[i % len(nodes)] for i, shard in enumerate(shards)
+            shard.shardid: [nodes[i % len(nodes)]] for i, shard in enumerate(shards)
         }
-        for i, shard in enumerate(shards):
-            self._create_shard_on_node(table, shard.shard_name,
-                                       placements[shard.shardid], shard_index=i)
-        self.ext.metadata.record_distributed_table(
-            session, table_name, RANGE, dist_column, colocation_id, shards, placements
-        )
-        self._move_existing_rows(session, table, table_name)
-        self.ext.sync_metadata_if_enabled(session)
+        self._create_shards(session, table, RANGE, dist_column, colocation_id,
+                            shards, placements)
 
     def create_reference_table(self, session, table_name: str) -> None:
         cache = self.ext.metadata.cache
         if cache.is_citus_table(table_name):
             raise MetadataError(f"table {table_name!r} is already distributed")
         table = self.ext.instance.catalog.get_table(table_name)
-        shard_id = self.ext.allocate_shard_ids(1)[0]
-        shard = ShardInterval(shard_id, table_name, None, None)
-        nodes = self._reference_nodes()
-        for node in nodes:
-            self._create_shard_on_node(table, shard.shard_name, node, shard_index=None)
+        shard = ShardInterval(self.ext.allocate_shard_ids(1)[0], table_name,
+                              None, None)
         colocation_id = self.ext.metadata.record_colocation_group(session, 1, None)
-        self.ext.metadata.record_distributed_table(
-            session, table_name, REFERENCE, None, colocation_id, [shard],
-            {shard_id: nodes},
-        )
-        self._move_existing_rows(session, table, table_name)
-        self.ext.sync_metadata_if_enabled(session)
+        self._create_shards(session, table, REFERENCE, None, colocation_id,
+                            [shard], {shard.shardid: self._reference_nodes()})
 
     # ------------------------------------------------------------ helpers
+
+    def _create_shards(self, session, table: Table, method, dist_column,
+                       colocation_id, shards, placements) -> None:
+        """Create the physical shards before the metadata that points at
+        them (a failure leaves no metadata pointing at missing shards),
+        then move the shell's rows into them."""
+        cache = self.ext.metadata.cache
+        for index, shard in enumerate(shards):
+            beside = colocated_shards(cache, colocation_id, index)
+            for node in placements[shard.shardid]:
+                conn = self.ext.worker_connection(node)
+                for stmt in shard_ddl(cache, table, shard.shard_name, beside):
+                    conn.execute_parsed(stmt)
+        self.ext.metadata.record_distributed_table(
+            session, table.name, method, dist_column, colocation_id, shards,
+            placements,
+        )
+        self._move_existing_rows(session, table, table.name)
+        self.ext.sync_metadata_if_enabled(session)
 
     def _validate_unique_constraints(self, table: Table, dist_column: str) -> None:
         constraint_sets = []
@@ -172,7 +173,7 @@ class DistributedDDL:
         cid = self.ext.metadata.record_colocation_group(session, shard_count, column_type)
         return cid, shard_count
 
-    def _place_shards(self, shards, colocation_id, colocate_with) -> dict:
+    def _place_shards(self, shards, colocation_id) -> dict:
         """Round-robin placement; co-located tables copy the placement of an
         existing table in the group so their shard ranges stay aligned."""
         cache = self.ext.metadata.cache
@@ -180,17 +181,14 @@ class DistributedDDL:
         existing = [
             t for t in cache.colocated_tables(colocation_id) if t.shards
         ]
-        placements = {}
         if existing:
             template = existing[0]
-            for i, shard in enumerate(shards):
-                placements[shard.shardid] = cache.placement_node(
-                    template.shards[i].shardid
-                )
-        else:
-            for i, shard in enumerate(shards):
-                placements[shard.shardid] = nodes[i % len(nodes)]
-        return placements
+            return {
+                shard.shardid: [cache.placement_node(template.shards[i].shardid)]
+                for i, shard in enumerate(shards)
+            }
+        return {shard.shardid: [nodes[i % len(nodes)]]
+                for i, shard in enumerate(shards)}
 
     def _worker_nodes(self) -> list[str]:
         nodes = list(self.ext.metadata.cache.nodes)
@@ -205,88 +203,117 @@ class DistributedDDL:
             nodes = [self.ext.instance.name] + nodes
         return nodes
 
-    def _create_shard_on_node(self, table: Table, shard_name: str, node: str,
-                              shard_index: int | None) -> None:
-        stmts = shard_ddl_statements(self.ext, table, shard_name, shard_index)
-        conn = self.ext.worker_connection(node)
-        for stmt_sql in stmts:
-            conn.execute(stmt_sql)
-
     def _move_existing_rows(self, session, table: Table, table_name: str) -> None:
         """Existing rows move from the shell table into the shards."""
         snapshot = session.snapshot()
         clog = self.ext.instance.xids.clog
         rows = [list(t.values) for t in table.heap.scan(snapshot, clog)]
         if rows:
-            from .copy_dist import distribute_rows
-
             distribute_rows(self.ext, session, table_name, rows, table.column_names())
         # Reset the shell's storage: data now lives in shards.
         table.heap.__init__(table_name)
         for index in table.indexes.values():
-            from ..engine.instance import _fresh_index_structure
-
             index.data = _fresh_index_structure(index)
 
     # ----------------------------------------------------- DDL propagation
 
+    def propagate(self, dist, build) -> None:
+        """Send every placement of every shard of ``dist``, in shard order,
+        its command: the one loop that sends a command to a table's
+        placements. ``build(shard, shard_index)`` makes the shard-rewritten
+        AST; it runs once per placement, so no two nodes — and never the
+        coordinator's catalog — share the nodes of what they are sent."""
+        cache = self.ext.metadata.cache
+        for index, shard in enumerate(dist.shards):
+            for node in cache.placements[shard.shardid]:
+                self.ext.worker_connection(node).execute_parsed(build(shard, index))
+
     def propagate_create_index(self, session, stmt: A.CreateIndex) -> None:
-        dist = self.ext.metadata.cache.get_table(stmt.table)
-        for shard in dist.shards:
-            for node in self.ext.metadata.all_placements(shard.shardid):
-                shard_stmt = stmt.copy()
-                shard_stmt.name = f"{stmt.name}_{shard.shardid}"
-                shard_stmt.table = shard.shard_name
-                self.ext.worker_connection(node).execute(deparse(shard_stmt))
+        def build(shard, _index):
+            shard_stmt = stmt.copy()
+            shard_stmt.name = f"{stmt.name}_{shard.shardid}"
+            shard_stmt.table = shard.shard_name
+            return shard_stmt
+
+        self.propagate(self.ext.metadata.cache.get_table(stmt.table), build)
 
     def propagate_alter_table(self, session, stmt: A.AlterTable) -> None:
-        dist = self.ext.metadata.cache.get_table(stmt.table)
         cache = self.ext.metadata.cache
-        for i, shard in enumerate(dist.shards):
-            for node in self.ext.metadata.all_placements(shard.shardid):
-                shard_stmt = stmt.copy()
-                shard_stmt.table = shard.shard_name
-                if stmt.action == "add_foreign_key" and stmt.foreign_key is not None:
-                    shard_stmt.foreign_key.ref_table = self._rewrite_fk_target(
-                        stmt.foreign_key.ref_table, cache, dist, i
-                    )
-                self.ext.worker_connection(node).execute(deparse(shard_stmt))
+        dist = cache.get_table(stmt.table)
+        fk = stmt.foreign_key if stmt.action == "add_foreign_key" else None
+
+        def build(shard, index):
+            shard_stmt = stmt.copy()
+            shard_stmt.table = shard.shard_name
+            if fk is not None:
+                target = fk_target(cache, fk.ref_table, colocated_shards(
+                    cache, dist.colocation_id, index))
+                if target is None:
+                    raise MetadataError(
+                        f"foreign key from distributed table to local table"
+                        f" {fk.ref_table!r} is not supported"
+                        if fk.ref_table not in cache.tables else
+                        "foreign keys between distributed tables require"
+                        " co-location")
+                shard_stmt.foreign_key.ref_table = target
+            return shard_stmt
+
+        self.propagate(dist, build)
 
     def propagate_drop_table(self, session, name: str) -> None:
-        dist = self.ext.metadata.cache.get_table(name)
-        for shard in dist.shards:
-            for node in self.ext.metadata.all_placements(shard.shardid):
-                self.ext.worker_connection(node).execute(
-                    f"DROP TABLE IF EXISTS {shard.shard_name}"
-                )
+        self.propagate(self.ext.metadata.cache.get_table(name), lambda shard, _:
+                       A.DropTable([shard.shard_name], if_exists=True))
         self.ext.metadata.drop_table_metadata(session, name)
 
     def propagate_truncate(self, session, name: str) -> None:
-        dist = self.ext.metadata.cache.get_table(name)
-        for shard in dist.shards:
-            for node in self.ext.metadata.all_placements(shard.shardid):
-                self.ext.worker_connection(node).execute(
-                    f"TRUNCATE TABLE {shard.shard_name}"
-                )
+        self.propagate(self.ext.metadata.cache.get_table(name), lambda shard, _:
+                       A.TruncateTable([shard.shard_name]))
 
-    def _rewrite_fk_target(self, ref_table: str, cache, dist, shard_index: int) -> str:
-        ref_dist = cache.tables.get(ref_table)
-        if ref_dist is None:
-            raise MetadataError(
-                f"foreign key from distributed table to local table {ref_table!r}"
-                " is not supported"
-            )
-        if ref_dist.is_reference:
-            return ref_dist.shards[0].shard_name
-        if ref_dist.colocation_id != dist.colocation_id:
-            raise MetadataError(
-                "foreign keys between distributed tables require co-location"
-            )
-        return ref_dist.shards[shard_index].shard_name
+
+def drop_quietly(ext, node: str, table: str) -> None:
+    """DROP TABLE IF EXISTS on ``node``, best-effort: a cleanup must not
+    mask the error (or finish the work) it follows."""
+    try:
+        ext.worker_connection(node).execute_parsed(
+            A.DropTable([table], if_exists=True))
+    except Exception:
+        pass
+
+
+def colocated_shards(cache, colocation_id, index: int) -> dict[str, str]:
+    """``{table: shard name}`` of a co-location group at one shard
+    position: the shards placed beside each other."""
+    return {t.name: t.shards[index].shard_name
+            for t in cache.colocated_tables(colocation_id)}
+
+
+def fk_target(cache, ref_table: str, beside: dict[str, str]) -> str | None:
+    """What a shard's foreign key to ``ref_table`` references: the shard of
+    that table placed ``beside`` it, or the reference replica; None when it
+    can reference neither (a shard cannot enforce it)."""
+    if ref_table in beside:
+        return beside[ref_table]
+    ref = cache.tables.get(ref_table)
+    return ref.shards[0].shard_name if ref is not None and ref.is_reference else None
+
+
+def referenced_first(catalog, items: list, name=lambda item: item) -> list:
+    """``items`` (tables placed together, or what ``name`` maps to one) with
+    each after the ones its foreign keys reference, so copied rows find
+    what they reference; otherwise in the given order."""
+    names = {name(item) for item in items}
+
+    def depth(table, seen=()):
+        refs = {fk.ref_table for fk in catalog.get_table(table).foreign_keys}
+        return max((1 + depth(ref, seen + (table,)) for ref in refs & names
+                    if ref != table and ref not in seen), default=0)
+
+    return sorted(items, key=lambda item: depth(name(item)))
 
 
 def table_to_create_stmt(table: Table) -> A.CreateTable:
-    """Rebuild a CREATE TABLE AST from a catalog Table."""
+    """Rebuild a CREATE TABLE AST from a catalog Table, sharing none of its
+    nodes: what the statement's text would parse back to."""
     columns = []
     for col in table.columns:
         columns.append(
@@ -296,11 +323,11 @@ def table_to_create_stmt(table: Table) -> A.CreateTable:
                 # sequences fire there (shard-local sequences, like Citus).
                 type_name="serial" if col.is_serial else col.type_name,
                 not_null=col.not_null,
-                default=col.default,
+                default=None if col.default is None else col.default.copy(),
             )
         )
     fks = [
-        A.ForeignKeyDef(list(fk.columns), fk.ref_table, list(fk.ref_columns), fk.name)
+        A.ForeignKeyDef(list(fk.columns), fk.ref_table, list(fk.ref_columns))
         for fk in table.foreign_keys
     ]
     return A.CreateTable(
@@ -313,49 +340,27 @@ def table_to_create_stmt(table: Table) -> A.CreateTable:
     )
 
 
-def shard_ddl_statements(ext, table: Table, shard_name: str,
-                         shard_index: int | None) -> list[str]:
-    """The SQL that creates one shard: CREATE TABLE with foreign keys
-    rewritten to co-located shard / reference replica names, plus the
-    table's secondary indexes. ``shard_index`` is the position of this
-    shard within its table's shard list (None for reference tables)."""
-    cache = ext.metadata.cache
+def shard_ddl(cache, table: Table, shard_name: str,
+              beside: dict[str, str]) -> list[A.Statement]:
+    """The ASTs that create one shard of ``table``: CREATE TABLE, its
+    foreign keys resolved by :func:`fk_target` against the shards placed
+    ``beside`` it (those that cannot be are left off, mirroring Citus's
+    restriction), then the table's secondary indexes."""
     stmt = table_to_create_stmt(table)
     stmt.name = shard_name
-    shard_suffix = shard_name.rsplit("_", 1)[1]
-    kept_fks = []
     for fk in stmt.foreign_keys:
-        ref_dist = cache.tables.get(fk.ref_table)
-        if ref_dist is None:
-            # FK to a local table: only legal before distribution; shards
-            # cannot enforce it, mirroring Citus's restriction.
-            continue
-        if ref_dist.is_reference:
-            fk.ref_table = ref_dist.shards[0].shard_name
-        else:
-            # Co-located FK: same shard index.
-            if shard_index is not None and shard_index < len(ref_dist.shards):
-                fk.ref_table = ref_dist.shards[shard_index].shard_name
-            else:
-                continue
-        kept_fks.append(fk)
-    stmt.foreign_keys = kept_fks
-    statements = [deparse(stmt)]
-    for index in table.indexes.values():
-        if index.name.endswith("_pkey") or "_ukey_" in index.name or index.name.endswith("_fk_idx"):
-            continue  # recreated implicitly from constraints
-        idx_stmt = A.CreateIndex(
+        fk.ref_table = fk_target(cache, fk.ref_table, beside)
+    stmt.foreign_keys = [fk for fk in stmt.foreign_keys if fk.ref_table is not None]
+    shard_suffix = shard_name.rsplit("_", 1)[1]
+    return [stmt] + [
+        A.CreateIndex(
             name=f"{index.name}_{shard_suffix}",
             table=shard_name,
             exprs=[e.copy() for e in index.exprs],
             unique=index.unique,
             using=index.method,
         )
-        statements.append(deparse(idx_stmt))
-    return statements
-
-
-def shard_id_for_value(dist, value) -> int:
-    """The shardid that owns a distribution column value."""
-    index = dist.shard_index_for_value(value)
-    return dist.shards[index].shardid
+        for index in table.indexes.values()
+        # Constraint indexes are recreated implicitly from the constraints.
+        if not (index.name.endswith(("_pkey", "_fk_idx")) or "_ukey_" in index.name)
+    ]

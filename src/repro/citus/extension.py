@@ -14,6 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
+from ..engine.executor import QueryResult
 from ..engine.stats import StatsRegistry
 from ..errors import MetadataError, ReproError
 from ..sql import ast as A
@@ -42,8 +43,7 @@ class CitusConfig:
     # COPY / INSERT..SELECT route rows into per-shard COPY channels (§3.8)
     # that flush to the workers incrementally.
     copy_flush_threshold: int = 512  # rows per channel before a flush
-    deadlock_detection_interval_s: float = 2.0
-    recovery_interval_s: float = 2.0
+    deadlock_detection_interval_s: float = 2.0  # maintenance (and recovery) period
     # Distributed tracing / statement telemetry.
     enable_tracing: bool = True  # collect a span tree per statement
     trace_buffer_size: int = 256  # ring buffer of finished traces
@@ -64,7 +64,6 @@ class CitusConfig:
     # no access units and nothing is folded.
     enable_txn_graph: bool = True
     stat_window_seconds: float = 60.0  # width of one window bucket
-    stat_window_buckets: int = 8  # ring retention (closed + current)
     # Active Session History (citus_ash): a deterministic wait/state
     # sampler driven by SimClock observers. Off detaches the observer, so
     # every clock advance pays one empty-list test.
@@ -171,17 +170,20 @@ class CitusExtension:
             self._shared_slots[node] -= 1
             self.stat_counters.gauge_decr("shared_pool_slots", node=node)
 
+    def shard_bytes(self, node: str, shard_name: str) -> int:
+        """Heap bytes of one shard placement (0 where there is none)."""
+        catalog = self.cluster.node(node).catalog
+        if not catalog.has_table(shard_name):
+            return 0
+        return catalog.get_table(shard_name).heap.total_bytes
+
     def table_size_estimate(self, table_name: str) -> int:
         """Total bytes across a Citus table's shards (catalog introspection
         stands in for citus_table_size())."""
-        dist = self.metadata.cache.get_table(table_name)
-        total = 0
-        for shard in dist.shards:
-            for node in self.metadata.all_placements(shard.shardid):
-                instance = self.cluster.node(node)
-                if instance.catalog.has_table(shard.shard_name):
-                    total += instance.catalog.get_table(shard.shard_name).heap.total_bytes
-        return total
+        placements = self.metadata.cache.placements
+        return sum(self.shard_bytes(node, shard.shard_name)
+                   for shard in self.metadata.cache.get_table(table_name).shards
+                   for node in placements[shard.shardid])
 
     # ------------------------------------------------------ metadata sync
 
@@ -373,9 +375,7 @@ def _register_udfs(ext: CitusExtension) -> None:
 
     def get_shard_id(session, table_name, value):
         dist = ext.metadata.cache.get_table(table_name)
-        from .ddl import shard_id_for_value
-
-        return shard_id_for_value(dist, value)
+        return dist.shards[dist.shard_index_for_value(value)].shardid
 
     def citus_table_size(session, table_name):
         return ext.table_size_estimate(table_name)
@@ -414,19 +414,13 @@ def _register_udfs(ext: CitusExtension) -> None:
         def records():
             for table in ext.metadata.cache.tables.values():
                 for shard in table.shards:
-                    for node in ext.metadata.all_placements(shard.shardid):
-                        instance = ext.cluster.node(node)
-                        size = 0
-                        if instance.catalog.has_table(shard.shard_name):
-                            size = instance.catalog.get_table(
-                                shard.shard_name
-                            ).heap.total_bytes
+                    for node in ext.metadata.cache.placements[shard.shardid]:
                         yield {
                             "table_name": table.name,
                             "shardid": shard.shardid,
                             "shard_name": shard.shard_name,
                             "nodename": node,
-                            "shard_size": size,
+                            "shard_size": ext.shard_bytes(node, shard.shard_name),
                         }
 
         return view_rows(records(), (
@@ -867,8 +861,6 @@ def _make_utility_hook(ext: CitusExtension):
             session.create_index_from_ast(stmt)
             ext.ddl.propagate_create_index(session, stmt)
             ext.metadata.bump_generation()
-            from ..engine.executor import QueryResult
-
             return QueryResult([], [], command="CREATE INDEX")
         if isinstance(stmt, A.DropIndex):
             # Find the index on a Citus shell table and drop it everywhere.
@@ -878,29 +870,19 @@ def _make_utility_hook(ext: CitusExtension):
                 shell = ext.instance.catalog.get_table(table_name)
                 if stmt.name in shell.indexes:
                     ext.instance.catalog.drop_index(stmt.name)
-                    for shard in dist.shards:
-                        for node in ext.metadata.all_placements(shard.shardid):
-                            suffix = str(shard.shardid)
-                            ext.worker_connection(node).execute(
-                                f"DROP INDEX IF EXISTS {stmt.name}_{suffix}"
-                            )
+                    ext.ddl.propagate(dist, lambda shard, _: A.DropIndex(
+                        f"{stmt.name}_{shard.shardid}", if_exists=True))
                     ext.metadata.bump_generation()
-                    from ..engine.executor import QueryResult
-
                     return QueryResult([], [], command="DROP INDEX")
             return None
         if isinstance(stmt, A.AlterTable) and cache.is_citus_table(stmt.table):
             session._alter_table(stmt)
             ext.ddl.propagate_alter_table(session, stmt)
             ext.metadata.bump_generation()
-            from ..engine.executor import QueryResult
-
             return QueryResult([], [], command="ALTER TABLE")
         if isinstance(stmt, A.DropTable):
             citus_names = [n for n in stmt.names if cache.is_citus_table(n)]
             if citus_names:
-                from ..engine.executor import QueryResult
-
                 for name in citus_names:
                     ext.ddl.propagate_drop_table(session, name)
                 for name in stmt.names:
@@ -909,8 +891,6 @@ def _make_utility_hook(ext: CitusExtension):
         if isinstance(stmt, A.TruncateTable):
             citus_names = [n for n in stmt.names if cache.is_citus_table(n)]
             if citus_names:
-                from ..engine.executor import QueryResult
-
                 for name in citus_names:
                     ext.ddl.propagate_truncate(session, name)
                 ext.metadata.bump_generation()
@@ -919,20 +899,17 @@ def _make_utility_hook(ext: CitusExtension):
                     session._execute_utility(A.TruncateTable(local), None, None)
                 return QueryResult([], [], command="TRUNCATE")
         if isinstance(stmt, A.Vacuum) and stmt.table and cache.is_citus_table(stmt.table):
-            from ..engine.executor import QueryResult
-
-            dist = cache.get_table(stmt.table)
-            for shard in dist.shards:
-                for node in ext.metadata.all_placements(shard.shardid):
-                    ext.worker_connection(node).execute(f"VACUUM {shard.shard_name}")
+            ext.ddl.propagate(cache.get_table(stmt.table),
+                              lambda shard, _: A.Vacuum(shard.shard_name))
             return QueryResult([], [], command="VACUUM")
         if isinstance(stmt, A.CallProcedure):
             return try_delegate_call(ext, session, stmt)
+        if isinstance(stmt, (A.SetVar, A.ShowVar)) and stmt.name.startswith("citus."):
+            return _citus_guc(ext, stmt)
         return None
 
     def _handle_copy(ext, session, stmt):
         from ..engine.copy import _normalize_rows
-        from ..engine.executor import QueryResult
 
         if stmt.direction == "to":
             result = session.execute(f"SELECT * FROM {stmt.table}")
@@ -950,3 +927,16 @@ def _make_utility_hook(ext: CitusExtension):
         return result
 
     return utility_hook
+
+
+def _citus_guc(ext: CitusExtension, stmt):
+    """SET / SHOW of a CitusConfig field: the configuration is the
+    cluster's, so SHOW reports it and a (session-scoped) SET is refused."""
+    name = stmt.name[len("citus."):]
+    if not hasattr(ext.config, name):
+        return None
+    if isinstance(stmt, A.SetVar):
+        raise MetadataError(
+            f"{stmt.name} is cluster-wide: set it with"
+            f" SELECT citus_set_config('{name}', ...)")
+    return QueryResult([stmt.name], [[getattr(ext.config, name)]])

@@ -23,7 +23,7 @@ batch size plus ``copy_flush_threshold × shards``.
 
 from __future__ import annotations
 
-from .copy_dist import distribute_rows
+from .copy_dist import copy_targets, distribute_rows
 from .observability import TaskTarget
 from .planner.pushdown import MultiTaskSelectPlan, _choose_mode
 from .planner.tasks import CitusPlan, fold_write_results, statement_routes
@@ -38,16 +38,14 @@ def plan_insert_select(ext, stmt: A.Insert, params):
     if dest is None:
         # Local destination fed from distributed source: run the select
         # distributed, insert locally.
-        return CoordinatorInsertSelectPlan(ext, stmt, params, local_dest=True)
+        return ReroutingInsertSelectPlan(ext, stmt, "coordinator", None)
     analysis = analyze_statement(stmt.select, cache, params, ext.instance.catalog)
     if dest.is_reference:
-        return CoordinatorInsertSelectPlan(ext, stmt, params)
+        return ReroutingInsertSelectPlan(ext, stmt, "coordinator", dest)
     strategy = _choose_strategy(ext, stmt, dest, analysis)
     if strategy == "pushdown":
         return PushdownInsertSelectPlan(ext, stmt, params, dest)
-    if strategy == "repartition":
-        return RepartitionInsertSelectPlan(ext, stmt, params, dest)
-    return CoordinatorInsertSelectPlan(ext, stmt, params)
+    return ReroutingInsertSelectPlan(ext, stmt, strategy, dest)
 
 
 def _choose_strategy(ext, stmt: A.Insert, dest, analysis) -> str:
@@ -115,34 +113,6 @@ def _select_row_stream(ext, session, select, params):
     yield from plan.execute(session, params).rows
 
 
-def _copy_targets(ext, dest) -> list[TaskTarget]:
-    """What EXPLAIN shows of the destination side: one target per COPY
-    channel, in channel index order (channel spans match back to these by
-    index). The channels themselves are opened by the ShardCopyRouter."""
-    if dest is None:
-        return []
-    if dest.is_reference:
-        shard = dest.shards[0]
-        return [
-            TaskTarget(node, f"COPY {shard.shard_name}",
-                       (dest.colocation_id, 0, node))
-            for node in ext.metadata.all_placements(shard.shardid)
-        ]
-    cache = ext.metadata.cache
-    return [
-        TaskTarget(cache.placement_node(shard.shardid),
-                   f"COPY {shard.shard_name}", (dest.colocation_id, index))
-        for index, shard in enumerate(dest.shards)
-    ]
-
-
-def _repartition_info(ext, channel_count: int) -> dict:
-    return {
-        "flush_threshold": ext.config.copy_flush_threshold,
-        "channels": channel_count,
-    }
-
-
 class PushdownInsertSelectPlan(CitusPlan):
     """Strategy 1: INSERT INTO dest_shard SELECT ... FROM src_shard, one
     task per co-located shard pair, fully parallel."""
@@ -173,62 +143,40 @@ class PushdownInsertSelectPlan(CitusPlan):
         }
 
 
-class RepartitionInsertSelectPlan(CitusPlan):
-    """Strategy 2: distributed SELECT whose per-shard results are re-routed
-    by the destination's distribution column, without a coordinator merge
-    of the query itself: the SELECT's cursor batches flow straight into the
-    per-shard COPY channels."""
+#: What a re-routing INSERT..SELECT says of itself, per strategy: its label
+#: and where its work runs.
+_REROUTING = {
+    "repartition": ("Insert..Select (repartition)", {
+        "pushed_down": ["SELECT (distributed)"],
+        "coordinator": ["ROW RE-ROUTING"],
+    }),
+    "coordinator": ("Insert..Select (via coordinator)", {
+        "coordinator": ["SELECT MERGE", "ROW DISTRIBUTION"],
+    }),
+}
+
+
+class ReroutingInsertSelectPlan(CitusPlan):
+    """Strategies 2 and 3: a distributed SELECT — without a coordinator
+    merge ("repartition") or with one ("coordinator") — whose row stream is
+    re-routed by the destination's distribution column: cursor batches flow
+    straight into the per-shard COPY channels, or, for a local destination
+    (``dest`` None), into the local table."""
 
     tier = "insert_select"
-    detail = "Insert..Select (repartition)"
 
-    def __init__(self, ext, stmt, params, dest):
+    def __init__(self, ext, stmt, strategy: str, dest):
         super().__init__(ext)
         self.stmt = stmt
+        self.strategy = strategy
         self.dest = dest
+        self.detail, self._shown = _REROUTING[strategy]
 
     def execute(self, session, params):
         rows = _select_row_stream(self.ext, session, self.stmt.select, params)
         shell = self.ext.instance.catalog.get_table(self.stmt.table)
         columns = self.stmt.columns or shell.column_names()
-        count = distribute_rows(self.ext, session, self.stmt.table,
-                                rows, columns)
-        out = QueryResult([], [], command="INSERT")
-        out.rowcount = count
-        return out
-
-    def explain_info(self):
-        return {
-            "tier": self.tier,
-            "detail": self.detail,
-            "tasks": _copy_targets(self.ext, self.dest),
-            "total_shard_count": len(self.dest.shards),
-            "pruned_shard_count": 0,
-            "is_write": True,
-            "pushed_down": ["SELECT (distributed)"],
-            "coordinator": ["ROW RE-ROUTING"],
-            "repartition": _repartition_info(self.ext, len(self.dest.shards)),
-            "subplan": {"strategy": "repartition", "destination": self.dest.name},
-        }
-
-
-class CoordinatorInsertSelectPlan(CitusPlan):
-    """Strategy 3: distributed SELECT with merge on the coordinator, then
-    COPY-style distribution into the destination."""
-
-    tier = "insert_select"
-    detail = "Insert..Select (via coordinator)"
-
-    def __init__(self, ext, stmt, params, local_dest: bool = False):
-        super().__init__(ext)
-        self.stmt = stmt
-        self.local_dest = local_dest
-
-    def execute(self, session, params):
-        rows = _select_row_stream(self.ext, session, self.stmt.select, params)
-        shell = self.ext.instance.catalog.get_table(self.stmt.table)
-        columns = self.stmt.columns or shell.column_names()
-        if self.local_dest:
+        if self.dest is None:
             from ..engine.copy import insert_rows
 
             count = insert_rows(session, self.stmt.table, rows, columns)
@@ -240,19 +188,26 @@ class CoordinatorInsertSelectPlan(CitusPlan):
         return out
 
     def explain_info(self):
-        dest = None
-        if not self.local_dest:
-            dest = self.ext.metadata.cache.tables.get(self.stmt.table)
-        tasks = _copy_targets(self.ext, dest)
+        # The destination side is the ShardCopyRouter's COPY channels, in
+        # channel index order (channel spans match back to these by index).
+        tasks = [] if self.dest is None else [
+            TaskTarget(node, f"COPY {shard_name}", group) for node, group, shard_name
+            in copy_targets(self.ext.metadata.cache, self.dest)]
         info = {
             "tier": self.tier,
             "detail": self.detail,
             "tasks": tasks,
-            "task_count": len(tasks) or 1,
             "is_write": True,
-            "coordinator": ["SELECT MERGE", "ROW DISTRIBUTION"],
-            "subplan": {"strategy": "coordinator", "destination": self.stmt.table},
+            "subplan": {"strategy": self.strategy, "destination": self.stmt.table},
+            **self._shown,
         }
-        if dest is not None:
-            info["repartition"] = _repartition_info(self.ext, len(tasks))
+        if self.strategy == "repartition":
+            info.update(total_shard_count=len(tasks), pruned_shard_count=0)
+        else:
+            info["task_count"] = len(tasks) or 1
+        if self.dest is not None:
+            info["repartition"] = {
+                "flush_threshold": self.ext.config.copy_flush_threshold,
+                "channels": len(tasks),
+            }
         return info

@@ -16,20 +16,25 @@ from __future__ import annotations
 
 from ..engine.datum import hash_value
 from ..errors import MetadataError
-from .ddl import shard_ddl_statements
-from .metadata import ShardInterval
+from ..sql import ast as A
+from .ddl import drop_quietly, referenced_first, shard_ddl
+from .metadata import RANGE, ShardInterval
 
 
 def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value) -> int:
     """Split the shard holding ``tenant_value`` so the tenant gets a shard
     of its own (across the entire co-location group). Returns the new
-    shardid that exclusively holds the tenant."""
+    shardid that exclusively holds the tenant.
+
+    Every member's split shards are created first (a foreign key between
+    members references the split beside it), filled referenced member
+    first, then the group's metadata is swapped in one step and the old
+    shards are dropped last. A failure before the swap drops what was
+    created and leaves the metadata as it was."""
     cache = ext.metadata.cache
     dist = cache.get_table(table_name)
     if dist.is_reference:
         raise MetadataError("cannot isolate a tenant of a reference table")
-    from .metadata import RANGE
-
     if dist.method == RANGE:
         raise MetadataError("tenant isolation applies to hash-distributed tables")
     tenant_hash = hash_value(tenant_value)
@@ -50,35 +55,59 @@ def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value) -> 
     group = [
         t for t in cache.colocated_tables(dist.colocation_id) if not t.is_reference
     ]
-    node = cache.placement_node(old.shardid)
-    tenant_shardid = None
-    for member in group:
-        member_old = member.shards[index]
-        new_ids = ext.allocate_shard_ids(len(ranges))
-        intervals = [
+    splits = {
+        member.name: [
             ShardInterval(sid, member.name, lo, hi)
-            for sid, (lo, hi) in zip(new_ids, ranges)
+            for sid, (lo, hi) in zip(ext.allocate_shard_ids(len(ranges)), ranges)
         ]
-        if member.name == table_name:
-            tenant_shardid = intervals[tenant_range_position].shardid
-        _split_physical_shard(ext, session, member, member_old, intervals, node, index)
+        for member in group
+    }
+    node = cache.placement_node(old.shardid)
+    conn = ext.worker_connection(node)
+    catalog = ext.instance.catalog
+    group = referenced_first(catalog, group, lambda member: member.name)
+    created = []
+    try:
+        # 1. Create the new shard tables next to the old ones.
+        for member in group:
+            shell = catalog.get_table(member.name)
+            for position, interval in enumerate(splits[member.name]):
+                beside = {name: intervals[position].shard_name
+                          for name, intervals in splits.items()}
+                create, *indexes = shard_ddl(cache, shell, interval.shard_name,
+                                             beside)
+                conn.execute_parsed(create)
+                created.append(interval.shard_name)
+                for stmt in indexes:
+                    conn.execute_parsed(stmt)
+        # 2. Route each old shard's rows into its splits by hash.
+        for member in group:
+            _copy_into_splits(conn, catalog.get_table(member.name), member,
+                              member.shards[index], splits[member.name])
+    except Exception:
+        for name in created:
+            drop_quietly(ext, node, name)
+        raise
+    # 3. Swap the metadata: old shards out, splits in.
+    new = [interval for member in group for interval in splits[member.name]]
+    ext.metadata.replace_shards(
+        session, [member.shards[index].shardid for member in group], new,
+        {interval.shardid: [node] for interval in new})
+    # 4. Drop the old physical shards.
+    for member in group:
+        conn.execute_parsed(A.DropTable([member.shards[index].shard_name],
+                                        if_exists=True))
     ext.sync_metadata_if_enabled(session)
     ext.stat_counters.incr("tenant_isolations")
-    return tenant_shardid
+    return splits[table_name][tenant_range_position].shardid
 
 
-def _split_physical_shard(ext, session, dist_table, old: ShardInterval,
-                          intervals: list[ShardInterval], node: str,
-                          shard_index: int) -> None:
-    shell = ext.instance.catalog.get_table(dist_table.name)
-    conn = ext.worker_connection(node)
-    dist_position = shell.column_index(dist_table.dist_column)
-    # 1. Create the new shard tables next to the old one.
-    for interval in intervals:
-        for ddl in shard_ddl_statements(ext, shell, interval.shard_name, shard_index):
-            conn.execute(ddl)
-    # 2. Route the old shard's rows into the splits by hash.
-    rows = conn.execute(f"SELECT * FROM {old.shard_name}").rows
+def _copy_into_splits(conn, shell, member, old: ShardInterval,
+                      intervals: list[ShardInterval]) -> None:
+    dist_position = shell.column_index(member.dist_column)
+    rows = conn.execute_parsed(A.Select(
+        targets=[A.TargetEntry(A.Star())],
+        from_items=[A.TableRef(old.shard_name)])).rows
     buckets: dict[int, list] = {}
     for row in rows:
         h = hash_value(row[dist_position])
@@ -89,25 +118,3 @@ def _split_physical_shard(ext, session, dist_table, old: ShardInterval,
     for i, interval in enumerate(intervals):
         if buckets.get(i):
             conn.copy_rows(interval.shard_name, buckets[i])
-    # 3. Swap the metadata: old shard out, splits in.
-    _replace_shard_metadata(ext, session, old, intervals, node)
-    # 4. Drop the old physical shard.
-    conn.execute(f"DROP TABLE IF EXISTS {old.shard_name}")
-
-
-def _replace_shard_metadata(ext, session, old: ShardInterval,
-                            intervals: list[ShardInterval], node: str) -> None:
-    session.execute("DELETE FROM pg_dist_shard WHERE shardid = $1", [old.shardid])
-    session.execute("DELETE FROM pg_dist_placement WHERE shardid = $1", [old.shardid])
-    for interval in intervals:
-        session.execute(
-            "INSERT INTO pg_dist_shard (shardid, logicalrelid, shardminvalue,"
-            " shardmaxvalue) VALUES ($1, $2, $3, $4)",
-            [interval.shardid, interval.table_name, interval.min_value,
-             interval.max_value],
-        )
-        session.execute(
-            "INSERT INTO pg_dist_placement (shardid, nodename) VALUES ($1, $2)",
-            [interval.shardid, node],
-        )
-    ext.metadata.reload(session)

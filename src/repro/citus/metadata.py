@@ -137,7 +137,9 @@ class MetadataCache:
         self.nodes: list[str] = []  # worker node names, insertion order
         self.node_roles: dict[str, str] = {}
         self.tables: dict[str, DistributedTable] = {}
-        self.placements: dict[int, str] = {}  # shardid -> nodename
+        # shardid -> every node holding it, in pg_dist_placement order: one
+        # for a distributed shard, one per node for a reference replica.
+        self.placements: dict[int, list[str]] = {}
         self.colocation_groups: dict[int, tuple] = {}  # id -> (shardcount, type)
         self.nodes_with_metadata: set[str] = set()
 
@@ -154,18 +156,11 @@ class MetadataCache:
         return [t for t in self.tables.values() if t.colocation_id == colocation_id]
 
     def placement_node(self, shardid: int) -> str:
-        node = self.placements.get(shardid)
-        if node is None:
+        """The shard's first placement: where a task on it runs."""
+        nodes = self.placements.get(shardid)
+        if not nodes:
             raise MetadataError(f"shard {shardid} has no placement")
-        return node
-
-    def shards_on_node(self, nodename: str) -> list[ShardInterval]:
-        out = []
-        for table in self.tables.values():
-            for shard in table.shards:
-                if self.placements.get(shard.shardid) == nodename:
-                    out.append(shard)
-        return out
+        return nodes[0]
 
 
 class MetadataStore:
@@ -175,7 +170,6 @@ class MetadataStore:
     def __init__(self, instance):
         self.instance = instance
         self.cache = MetadataCache()
-        self._all_placements: dict[int, list[str]] = {}
         # Monotonic metadata generation: every cache rebuild (DDL, shard
         # moves, metadata sync) bumps it, invalidating cached distributed
         # plans stamped with an older generation.
@@ -208,19 +202,30 @@ class MetadataStore:
     def record_distributed_table(self, session, name: str, method: str,
                                  dist_column: str | None, colocation_id: int,
                                  shards: list[ShardInterval],
-                                 placements: dict[int, str]) -> None:
+                                 placements: dict[int, list[str]]) -> None:
         session.execute(
             "INSERT INTO pg_dist_partition (logicalrelid, partmethod, partkey, colocationid)"
             " VALUES ($1, $2, $3, $4)",
             [name, method, dist_column, colocation_id],
         )
+        self.replace_shards(session, [], shards, placements)
+
+    def replace_shards(self, session, old_shardids: list[int],
+                       shards: list[ShardInterval],
+                       placements: dict[int, list[str]]) -> None:
+        """Swap shards in one step: ``old_shardids`` out, ``shards`` (on the
+        nodes ``placements`` names) in."""
+        for shardid in old_shardids:
+            session.execute("DELETE FROM pg_dist_shard WHERE shardid = $1", [shardid])
+            session.execute("DELETE FROM pg_dist_placement WHERE shardid = $1",
+                            [shardid])
         for shard in shards:
             session.execute(
                 "INSERT INTO pg_dist_shard (shardid, logicalrelid, shardminvalue,"
                 " shardmaxvalue) VALUES ($1, $2, $3, $4)",
-                [shard.shardid, name, shard.min_value, shard.max_value],
+                [shard.shardid, shard.table_name, shard.min_value, shard.max_value],
             )
-            for node in _placement_nodes(placements, shard.shardid):
+            for node in placements[shard.shardid]:
                 session.execute(
                     "INSERT INTO pg_dist_placement (shardid, nodename) VALUES ($1, $2)",
                     [shard.shardid, node],
@@ -313,20 +318,9 @@ class MetadataStore:
         for shardid, nodename in session.execute(
             "SELECT shardid, nodename FROM pg_dist_placement WHERE shardstate = 1"
         ):
-            # Reference tables have one placement per node; keep the first
-            # as canonical and track the rest separately.
-            if shardid not in cache.placements:
-                cache.placements[shardid] = nodename
-        self._all_placements = {}
-        for shardid, nodename in session.execute(
-            "SELECT shardid, nodename FROM pg_dist_placement WHERE shardstate = 1"
-        ):
-            self._all_placements.setdefault(shardid, []).append(nodename)
+            cache.placements.setdefault(shardid, []).append(nodename)
         self.cache = cache
         self.bump_generation()
-
-    def all_placements(self, shardid: int) -> list[str]:
-        return list(self._all_placements.get(shardid, ()))
 
     def dump_rows(self, session) -> dict[str, list]:
         """All metadata rows, for syncing to another node."""
@@ -343,11 +337,6 @@ class MetadataStore:
                 placeholders = ", ".join(f"${i + 1}" for i in range(len(row)))
                 session.execute(f"INSERT INTO {table} VALUES ({placeholders})", list(row))
         self.reload(session)
-
-
-def _placement_nodes(placements: dict, shardid: int):
-    value = placements[shardid]
-    return value if isinstance(value, (list, tuple)) else [value]
 
 
 def split_hash_ranges(shard_count: int) -> list[tuple[int, int]]:

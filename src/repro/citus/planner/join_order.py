@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import itertools
 
+from ...engine.catalog import Column, Table
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
-from ...sql.deparse import deparse
+from ..ddl import drop_quietly, shard_ddl
 from ..metadata import REFERENCE, ShardInterval
 from ..observability import TaskTarget
 from ..sharding import analyze_statement
@@ -157,12 +158,23 @@ class RepartitionPlan(CitusPlan):
         created: list[tuple] = []  # (node, table_name)
         try:
             if self.strategy == "repartition":
-                self._load_repartitioned(ext, name, shell, columns, moved_rows, created)
+                loads = self._repartitioned(name, columns, moved_rows)
                 transient = _transient_distributed(name, self.anchor.dist, self.join_col,
                                                    shell, columns)
             else:
-                self._load_broadcast(ext, name, shell, columns, moved_rows, created)
+                nodes = {cache.placement_node(shard.shardid)
+                         for shard in self.anchor.dist.shards}
+                loads = [(node, f"{name}_0", moved_rows) for node in sorted(nodes)]
                 transient = _transient_reference(ext, name)
+            # An intermediate holds a copy of the moved side: its columns,
+            # none of its constraints or indexes.
+            copy = Table(name, [Column(c.name, c.type_name) for c in shell.columns])
+            for node, table, rows in loads:
+                conn = ext.worker_connection(node)
+                for stmt in shard_ddl(cache, copy, table, {}):
+                    conn.execute_parsed(stmt)
+                created.append((node, table))
+                conn.copy_rows(table, rows, columns)
             cache.tables[name] = transient
 
             rewritten = _replace_table(self.select, self.moved.name, name)
@@ -177,37 +189,20 @@ class RepartitionPlan(CitusPlan):
         finally:
             cache.tables.pop(name, None)
             for node, table in created:
-                try:
-                    ext.worker_connection(node).execute(f"DROP TABLE IF EXISTS {table}")
-                except Exception:
-                    pass
+                drop_quietly(ext, node, table)
 
-    def _load_repartitioned(self, ext, name, shell, columns, rows, created):
-        cache = ext.metadata.cache
+    def _repartitioned(self, name, columns, rows) -> list[tuple]:
+        """``(node, intermediate, rows)`` per anchor shard: the moved rows
+        bucketed by the anchor's shard ranges."""
+        cache = self.ext.metadata.cache
         join_position = columns.index(self.join_col)
         buckets: dict[int, list] = {}
         for row in rows:
             index = self.anchor.dist.shard_index_for_value(row[join_position])
             buckets.setdefault(index, []).append(row)
-        for i, shard in enumerate(self.anchor.dist.shards):
-            node = cache.placement_node(shard.shardid)
-            table = f"{name}_{shard.shardid}"
-            conn = ext.worker_connection(node)
-            conn.execute(_intermediate_ddl(table, shell))
-            conn.copy_rows(table, buckets.get(i, []), columns)
-            created.append((node, table))
-
-    def _load_broadcast(self, ext, name, shell, columns, rows, created):
-        cache = ext.metadata.cache
-        nodes = {
-            cache.placement_node(shard.shardid) for shard in self.anchor.dist.shards
-        }
-        table = f"{name}_0"
-        for node in sorted(nodes):
-            conn = ext.worker_connection(node)
-            conn.execute(_intermediate_ddl(table, shell))
-            conn.copy_rows(table, rows, columns)
-            created.append((node, table))
+        return [(cache.placement_node(shard.shardid), f"{name}_{shard.shardid}",
+                 buckets.get(i, []))
+                for i, shard in enumerate(self.anchor.dist.shards)]
 
     def explain_info(self):
         cache = self.ext.metadata.cache
@@ -235,11 +230,6 @@ class RepartitionPlan(CitusPlan):
                 "estimated_network_bytes": int(self.estimated_network_bytes),
             },
         }
-
-
-def _intermediate_ddl(table_name: str, shell) -> str:
-    cols = [A.ColumnDef(c.name, c.type_name) for c in shell.columns]
-    return deparse(A.CreateTable(name=table_name, columns=cols))
 
 
 def _transient_distributed(name, anchor_dist, join_col, shell, columns):

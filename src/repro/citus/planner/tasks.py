@@ -173,7 +173,7 @@ class ShardRoutes:
         dist, stmt = self.dist, self.replica_stmt()
         return [
             Task(node, stmt, params, (dist.colocation_id, 0, node))
-            for node in self.ext.metadata.all_placements(dist.shards[0].shardid)
+            for node in self.ext.metadata.cache.placements[dist.shards[0].shardid]
         ]
 
 

@@ -59,17 +59,9 @@ def try_delegate_call(ext, session, stmt: A.CallProcedure):
     if node not in cache.nodes_with_metadata:
         ext.stat_counters.incr("procedure_not_delegated")
         return None  # worker cannot plan distributed queries
-    # Ship the whole CALL; the worker executes it with local planning.
-    call_sql = "CALL {}({})".format(
-        stmt.name, ", ".join(_literal(v) for v in args)
-    )
-    conn = ext.worker_connection(node)
-    conn.execute(call_sql)
+    # Ship the whole CALL, its arguments evaluated; the worker executes it
+    # with local planning.
+    ext.worker_connection(node).execute_parsed(
+        A.CallProcedure(stmt.name, [A.Literal(v) for v in args]))
     ext.stat_counters.incr("procedure_delegated")
     return QueryResult([], [], command="CALL")
-
-
-def _literal(value) -> str:
-    from ..sql.deparse import quote_literal
-
-    return quote_literal(value)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import RebalanceError
-from .ddl import shard_ddl_statements
+from .ddl import colocated_shards, drop_quietly, referenced_first, shard_ddl
 
 #: Phases every shard move passes through, in order (§3.4's protocol:
 #: initial copy under logical replication, write-blocked catch-up,
@@ -84,9 +84,6 @@ class RebalanceProgress:
             del self.moves[: len(self.moves) - self.MAX_MOVES]
         return move
 
-    def active_moves(self) -> list[ShardMoveProgress]:
-        return [m for m in self.moves if m.status == "moving"]
-
 
 _PROGRESS_ATTR = "_citus_rebalance_progress"
 
@@ -123,13 +120,8 @@ BY_DISK_SIZE = RebalanceStrategy(
 
 
 def _shard_bytes(ext, shard) -> int:
-    node = ext.metadata.cache.placements.get(shard.shardid)
-    if node is None:
-        return 0
-    instance = ext.cluster.node(node)
-    if not instance.catalog.has_table(shard.shard_name):
-        return 0
-    return instance.catalog.get_table(shard.shard_name).heap.total_bytes
+    return ext.shard_bytes(ext.metadata.cache.placement_node(shard.shardid),
+                           shard.shard_name)
 
 
 @dataclass
@@ -164,7 +156,7 @@ class Rebalancer:
         for key, shards in groups.items():
             cost = sum(self.strategy.shard_cost(ext, s) for s in shards)
             group_cost[key] = cost
-            node = cache.placements.get(shards[0].shardid)
+            node = cache.placement_node(shards[0].shardid)
             group_node[key] = node
             if node in load:
                 load[node] += cost
@@ -216,7 +208,7 @@ class Rebalancer:
 
     def _colocation_groups(self) -> dict:
         """(colocation_id, shard_index) -> [ShardInterval...] that must move
-        together."""
+        together, a referenced table's shard before its referencing ones'."""
         cache = self.ext.metadata.cache
         groups: dict[tuple, list] = {}
         for table in cache.tables.values():
@@ -224,7 +216,9 @@ class Rebalancer:
                 continue
             for index, shard in enumerate(table.shards):
                 groups.setdefault((table.colocation_id, index), []).append(shard)
-        return groups
+        catalog = self.ext.instance.catalog
+        return {key: referenced_first(catalog, shards, lambda s: s.table_name)
+                for key, shards in groups.items()}
 
 
 def move_shard(ext, session, shardid: int, target_node: str,
@@ -236,14 +230,15 @@ def move_shard(ext, session, shardid: int, target_node: str,
     source_node = cache.placement_node(shardid)
     if source_node == target_node:
         return
+    index = 0 if table.is_reference else table.shards.index(shard)
     to_move = [(shard, table)]
     if move_colocated and not table.is_reference:
-        index = [s.shardid for s in table.shards].index(shardid)
         for other in cache.colocated_tables(table.colocation_id):
-            if other.name == table.name:
-                continue
-            other_shard = other.shards[index]
-            to_move.append((other_shard, other))
+            if other.name != table.name:
+                to_move.append((other.shards[index], other))
+    # A referenced shard is in place before the rows that reference it.
+    to_move = referenced_first(ext.instance.catalog, to_move,
+                               lambda pair: pair[1].name)
 
     source = ext.cluster.node(source_node)
     clock = ext.cluster.clock
@@ -257,19 +252,20 @@ def move_shard(ext, session, shardid: int, target_node: str,
             dist_table.name, shard_interval.shardid, source_node, target_node,
             clock.now(), bytes_total=total,
         ))
+    beside = colocated_shards(cache, table.colocation_id, index)
+    created = []  # shards made on the target
     try:
         for entry, (shard_interval, dist_table) in zip(entries, to_move):
             shell = ext.instance.catalog.get_table(dist_table.name)
-            shard_index = None
-            if not dist_table.is_reference:
-                shard_index = [s.shardid for s in dist_table.shards].index(
-                    shard_interval.shardid
-                )
             target_conn = ext.worker_connection(target_node)
-            # 1. Create the replica structure on the target.
-            for ddl in shard_ddl_statements(ext, shell, shard_interval.shard_name,
-                                            shard_index):
-                target_conn.execute(ddl)
+            # 1. Create the replica structure on the target. Only a table
+            # this move created is dropped if it fails, never one already there.
+            create, *indexes = shard_ddl(cache, shell, shard_interval.shard_name,
+                                         beside)
+            target_conn.execute_parsed(create)
+            created.append(shard_interval.shard_name)
+            for stmt in indexes:
+                target_conn.execute_parsed(stmt)
             # 2. Initial copy under logical replication (reads and writes
             # continue on the source while this runs).
             rows = _read_shard_rows(source, shard_interval.shard_name)
@@ -296,12 +292,7 @@ def move_shard(ext, session, shardid: int, target_node: str,
         ext.sync_metadata_if_enabled(session)
         # 4. Drop the old placements.
         for shard_interval, _table in to_move:
-            try:
-                ext.worker_connection(source_node).execute(
-                    f"DROP TABLE IF EXISTS {shard_interval.shard_name}"
-                )
-            except Exception:
-                pass
+            drop_quietly(ext, source_node, shard_interval.shard_name)
     except Exception as exc:
         # Record the aborted move with the phase it reached instead of
         # silently dropping it from the progress table.
@@ -311,6 +302,10 @@ def move_shard(ext, session, shardid: int, target_node: str,
                 entry.status = "failed"
                 entry.error = f"{type(exc).__name__}: {exc}"
                 entry.updated_at = at
+        if all(entry.phase == "copy" for entry in entries):
+            # Nothing points at the target yet: drop what was made there.
+            for name in created:
+                drop_quietly(ext, target_node, name)
         ext.stat_counters.incr("rebalancer_moves_failed", len(entries))
         raise
     at = clock.now()
@@ -350,7 +345,7 @@ def drain_node(ext, session, node_name: str) -> list[ShardMove]:
     rotation = 0
     for key, shards in balancer._colocation_groups().items():
         anchor = shards[0]
-        if cache.placements.get(anchor.shardid) != node_name:
+        if cache.placement_node(anchor.shardid) != node_name:
             continue
         target = targets[rotation % len(targets)]
         rotation += 1

@@ -46,6 +46,10 @@ from .txngraph import TxnGraph
 #: the first read after it.
 PENDING_MAX = 512
 
+#: Window buckets the co-access graph retains (closed + current). A
+#: constant: the retention is the width's multiple, the width the GUC.
+STAT_WINDOW_BUCKETS = 8
+
 #: ``citus_stat_reset`` scopes.
 SCOPES = ("counters", "statements", "tenants", "graph", "windows", "ash")
 
@@ -54,8 +58,7 @@ SCOPES = ("counters", "statements", "tenants", "graph", "windows", "ash")
 GUCS = frozenset({
     "enable_tracing", "trace_buffer_size", "log_min_duration",
     "enable_introspection", "enable_txn_graph", "stat_window_seconds",
-    "stat_window_buckets", "enable_ash", "ash_sampling_interval",
-    "ash_buffer_size",
+    "enable_ash", "ash_sampling_interval", "ash_buffer_size",
 })
 
 _HOLDER_ATTR = "_citus_telemetry"
@@ -122,8 +125,7 @@ class Telemetry:
         self.log_min_duration = float(config.log_min_duration)
         self.introspection = bool(config.enable_introspection)
         self.graphing = bool(config.enable_txn_graph)
-        self.graph.configure(config.stat_window_seconds,
-                             config.stat_window_buckets)
+        self.graph.configure(config.stat_window_seconds, STAT_WINDOW_BUCKETS)
         self.recording = self.tracing or self.introspection or self.graphing
         # A single-node install has no shared clock to observe.
         self.ash.configure(config.enable_ash and ext.cluster is not None,

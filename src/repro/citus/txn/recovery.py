@@ -15,6 +15,7 @@ Resolved commit records are garbage-collected afterwards.
 from __future__ import annotations
 
 from ...errors import ReproError
+from ...sql import ast as A
 
 
 def _timed_recovery(telemetry, conn, name: str, gid: str, fn) -> None:
@@ -69,12 +70,12 @@ def recover_prepared_transactions(ext) -> dict:
                 telemetry = ext.telemetry
                 if ext.metadata.commit_record_exists(session, gid):
                     _timed_recovery(telemetry, conn, "2pc.recover_commit", gid,
-                                    lambda: conn.execute(f"COMMIT PREPARED '{gid}'"))
+                                    lambda: conn.execute_parsed(A.CommitPrepared(gid)))
                     stats["committed"] += 1
                     counters.incr("recovery_committed", node=node)
                 else:
                     _timed_recovery(telemetry, conn, "2pc.recover_abort", gid,
-                                    lambda: conn.execute(f"ROLLBACK PREPARED '{gid}'"))
+                                    lambda: conn.execute_parsed(A.RollbackPrepared(gid)))
                     stats["aborted"] += 1
                     counters.incr("recovery_aborted", node=node)
         # Garbage-collect commit records whose prepared transactions are

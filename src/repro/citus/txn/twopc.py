@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 
 from ...errors import ReproError
+from ...net.network import COMMIT, ROLLBACK
+from ...sql import ast as A
 from ..executor.placement import SessionPools
 
 _gid_counter = itertools.count(1)
@@ -67,7 +69,7 @@ class TransactionCallbacks:
         writers = [c for c in participants if getattr(c, "did_write", False)]
         readers = [c for c in participants if c not in writers]
         for conn in readers:
-            conn.execute("COMMIT")
+            conn.execute_parsed(COMMIT)
             conn.in_txn_block = False
         if not writers:
             pools.end_transaction()
@@ -77,7 +79,7 @@ class TransactionCallbacks:
             # Single worker transaction: delegate, no 2PC needed (§3.7.1).
             conn = writers[0]
             self._timed(session, conn, "commit.1pc", "Commit1PC",
-                        lambda: conn.execute("COMMIT"))
+                        lambda: conn.execute_parsed(COMMIT))
             conn.in_txn_block = False
             session.stats["citus_1pc_commits"] += 1
             counters.incr("onepc_commits", node=conn.node_name)
@@ -94,7 +96,7 @@ class TransactionCallbacks:
             try:
                 self._timed(
                     session, conn, "2pc.prepare", "Prepare",
-                    lambda c=conn, g=gid: c.execute(f"PREPARE TRANSACTION '{g}'"),
+                    lambda c=conn, g=gid: c.execute_parsed(A.PrepareTransaction(g)),
                     gid=gid,
                 )
             except Exception:
@@ -102,11 +104,11 @@ class TransactionCallbacks:
                 # and the local transaction.
                 counters.incr("twopc_prepare_failures", node=conn.node_name)
                 for other_conn, other_gid in prepared:
-                    _best_effort(other_conn, f"ROLLBACK PREPARED '{other_gid}'")
+                    _best_effort(other_conn, A.RollbackPrepared(other_gid))
                     counters.incr("twopc_rollback_prepared", node=other_conn.node_name)
                 for other in participants:
                     if other is not conn and all(other is not c for c, _ in prepared):
-                        _best_effort(other, "ROLLBACK")
+                        _best_effort(other, ROLLBACK)
                 conn.in_txn_block = False
                 pools.end_transaction()
                 raise
@@ -133,7 +135,7 @@ class TransactionCallbacks:
                 self._timed(
                     session, conn, "2pc.commit_prepared",
                     "CommitPrepared",
-                    lambda c=conn, g=gid: _best_effort(c, f"COMMIT PREPARED '{g}'"),
+                    lambda c=conn, g=gid: _best_effort(c, A.CommitPrepared(g)),
                     gid=gid,
                 )
                 self.ext.stat_counters.incr(
@@ -162,7 +164,7 @@ class TransactionCallbacks:
                 self._timed(
                     session, conn, "2pc.rollback_prepared",
                     "RollbackPrepared",
-                    lambda c=conn, g=gid: _best_effort(c, f"ROLLBACK PREPARED '{g}'"),
+                    lambda c=conn, g=gid: _best_effort(c, A.RollbackPrepared(g)),
                     gid=gid,
                 )
                 self.ext.stat_counters.incr(
@@ -174,7 +176,7 @@ class TransactionCallbacks:
             return
         for conn in pools.txn_connections():
             self._timed(session, conn, "rollback", "Rollback",
-                        lambda c=conn: _best_effort(c, "ROLLBACK"))
+                        lambda c=conn: _best_effort(c, ROLLBACK))
             conn.in_txn_block = False
         pools.end_transaction()
         if pools.touched:
@@ -182,8 +184,8 @@ class TransactionCallbacks:
         pools.touched = pools.twopc = False
 
 
-def _best_effort(conn, sql: str) -> None:
+def _best_effort(conn, stmt) -> None:
     try:
-        conn.execute(sql)
+        conn.execute_parsed(stmt)
     except ReproError:
         pass

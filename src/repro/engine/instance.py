@@ -839,14 +839,9 @@ class Session:
         if isinstance(stmt, A.RollbackPrepared):
             self.rollback_prepared(stmt.gid)
             return QueryResult([], [], command="ROLLBACK PREPARED")
-        if isinstance(stmt, A.SetVar):
-            self.set_guc(stmt.name, stmt.value, stmt.is_local)
-            return QueryResult([], [], command="SET")
-        if isinstance(stmt, A.ShowVar):
-            return QueryResult([stmt.name], [[self.get_guc(stmt.name)]])
         if isinstance(stmt, A.Explain):
             return self._explain(stmt, params)
-        # Utility path (DDL, COPY, VACUUM, CALL, ...)
+        # Utility path (DDL, COPY, VACUUM, CALL, SET, SHOW, ...)
         self._pending_copy_data = copy_data  # visible to utility hooks
         self._pending_params = params
         result = self.instance.hooks.call_utility(self, stmt)
@@ -940,6 +935,11 @@ class Session:
             return execute_copy(self, stmt, copy_data)
         if isinstance(stmt, A.CallProcedure):
             return self._call_procedure(stmt, params)
+        if isinstance(stmt, A.SetVar):
+            self.set_guc(stmt.name, stmt.value, stmt.is_local)
+            return QueryResult([], [], command="SET")
+        if isinstance(stmt, A.ShowVar):
+            return QueryResult([stmt.name], [[self.get_guc(stmt.name)]])
         raise SyntaxErrorSQL(f"unsupported utility statement {type(stmt).__name__}")
 
     def _log_ddl(self, stmt) -> None:

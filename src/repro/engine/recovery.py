@@ -63,14 +63,17 @@ def replay_wal(instance, upto_lsn: int | None = None) -> None:
                 resolved[record.xid] = False
             elif record.kind == "prepare":
                 prepared_gids[record.xid] = record.payload["gid"]
-            elif record.kind == "commit_prepared":
-                _apply_changes(instance, session, pending.pop(record.xid, []))
-                prepared_gids.pop(record.xid, None)
-                resolved[record.xid] = True
-            elif record.kind == "abort_prepared":
-                pending.pop(record.xid, None)
-                prepared_gids.pop(record.xid, None)
-                resolved[record.xid] = False
+            elif record.kind in ("commit_prepared", "abort_prepared"):
+                # Matched by gid: a transaction restored as prepared by an
+                # earlier replay is resolved under a new xid, but its
+                # changes were logged under the xid that prepared it.
+                xid = next((x for x, gid in prepared_gids.items()
+                            if gid == record.payload["gid"]), record.xid)
+                changes = pending.pop(xid, [])
+                prepared_gids.pop(xid, None)
+                resolved[xid] = record.kind == "commit_prepared"
+                if resolved[xid]:
+                    _apply_changes(instance, session, changes)
 
         # Unresolved prepared transactions: restore as prepared.
         instance.xids.next_xid = max_xid

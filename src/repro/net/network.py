@@ -17,9 +17,14 @@ from ..engine.executor import EngineCursor
 from ..engine.instance import Parked
 from ..engine.locks import WouldBlock
 from ..errors import NodeUnavailable
+from ..sql import ast as A
 
 #: Per-row wire framing overhead (DataRow message header).
 _ROW_OVERHEAD = 2
+
+#: Transaction-control statements carry no state: one AST serves every
+#: connection.
+BEGIN, COMMIT, ROLLBACK = A.Begin(), A.Commit(), A.Rollback()
 
 
 def _values_bytes(values) -> int:
@@ -143,9 +148,10 @@ class RemoteConnection:
         self.bytes_transferred = 0  # wire bytes either direction
         self.closed = False
 
-    def execute(self, sql: str, params=None, payload_bytes: int = 256,
-                allow_block: bool = False):
-        """One blocking request/response exchange.
+    def execute(self, sql: str, params=None, payload_bytes: int = 256):
+        """One blocking request/response exchange of SQL text — a user's
+        (``run_command_on_workers``); everything the coordinator builds
+        itself goes through :meth:`execute_parsed`.
 
         The request is charged as one round trip up front — it crosses the
         wire whether or not the worker statement then fails — and the
@@ -158,21 +164,17 @@ class RemoteConnection:
         self.round_trips += 1
         self.bytes_transferred += payload_bytes
         self.elapsed += self.network.note_round_trip(payload_bytes)
-        if allow_block:
-            handle = self.session.execute_async(sql, params)
-            if handle.done:
-                return self._charge_result(handle.get())
-            raise RemoteBlocked(handle, self)
         return self._charge_result(self.session.execute(sql, params))
 
     def execute_parsed(self, stmt, params=None, payload_bytes: int = 256,
                        allow_block: bool = False):
-        """Ship a pre-parsed statement AST to the worker backend, skipping
-        the deparse → lexer → parser round-trip. Network cost accounting is
-        identical to :meth:`execute` — the simulation charges for the wire
-        exchange, not for parsing. With ``allow_block`` a lock wait on the
-        worker parks the statement there and raises :class:`RemoteBlocked`;
-        one that completes pays nothing for it."""
+        """Ship a statement AST to the worker backend, skipping the
+        deparse → lexer → parser round-trip: the one payload of every
+        command the coordinator sends. Network cost accounting is identical
+        to :meth:`execute` — the simulation charges for the wire exchange,
+        not for parsing. With ``allow_block`` a lock wait on the worker
+        parks the statement there and raises :class:`RemoteBlocked`; one
+        that completes pays nothing for it."""
         if self.closed:
             raise NodeUnavailable(f"connection to {self.node_name} is closed")
         self.round_trips += 1
@@ -245,7 +247,7 @@ class RemoteConnection:
 
     def begin_if_needed(self) -> None:
         if not self.in_txn_block:
-            self.execute("BEGIN")
+            self.execute_parsed(BEGIN)
             self.in_txn_block = True
 
     def close(self) -> None:

@@ -191,6 +191,24 @@ class TestCrashRecovery:
         s2.execute("COMMIT PREPARED 'px'")
         assert s2.execute("SELECT v FROM t WHERE k = 1").scalar() == 42
 
+    def test_prepared_txn_resolved_after_a_crash_stays_resolved(self, pg, s):
+        # COMMIT / ROLLBACK PREPARED of a restored transaction is logged
+        # under its new xid; a second replay must still match it by gid.
+        for gid, value in (("pc", 42), ("pr", 7)):
+            s.execute("BEGIN")
+            s.execute("UPDATE t SET v = $1 WHERE k = 1", [value])
+            s.execute(f"PREPARE TRANSACTION '{gid}'")
+            pg.crash()
+            pg.restart()
+            s = pg.connect()
+            s.execute(f"{'COMMIT' if gid == 'pc' else 'ROLLBACK'} PREPARED '{gid}'")
+        pg.crash()
+        pg.restart()
+        s2 = pg.connect()
+        assert pg.prepared_txns == {}
+        assert s2.execute("SELECT v FROM t WHERE k = 1").scalar() == 42
+        s2.execute("UPDATE t SET v = 0 WHERE k = 1")  # no lock left behind
+
     def test_indexes_rebuilt_after_recovery(self, pg, s):
         s.execute("CREATE INDEX t_v_idx ON t (v)")
         s.execute("INSERT INTO t VALUES (3, 30)")

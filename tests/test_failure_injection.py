@@ -77,7 +77,7 @@ class TestQueryTimeFailures:
             lambda: backend.execute_parsed_async(stmt),
             lambda: backend.execute_parsed(stmt, park_on_block=True),
             lambda: cached.execute_parsed(stmt, allow_block=True),
-            lambda: cached.execute("SELECT 1", allow_block=True),
+            lambda: cached.execute("SELECT 1"),
         ):
             with pytest.raises(NodeUnavailable):
                 run()

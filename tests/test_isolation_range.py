@@ -4,7 +4,7 @@ import pytest
 
 from repro.citus.rebalancer import move_shard
 from repro.engine.datum import hash_value
-from repro.errors import MetadataError
+from repro.errors import ForeignKeyViolation, MetadataError, ReproError
 
 
 @pytest.fixture
@@ -183,9 +183,71 @@ class TestCitusShardsView:
         rows = tenants.execute("SELECT citus_shards()").scalar()
         ext = citus.coordinator_ext
         expected = sum(
-            len(ext.metadata.all_placements(s.shardid))
+            len(ext.metadata.cache.placements[s.shardid])
             for t in ext.metadata.cache.tables.values()
             for s in t.shards
         )
         assert len(rows) == expected
         assert all(len(entry) == 5 for entry in rows)
+
+
+class TestForeignKeyGroup:
+    """A co-location group whose members reference each other splits as
+    one: every split shard's foreign key references the split beside it."""
+
+    @pytest.fixture
+    def shop(self, citus, citus_session):
+        s = citus_session
+        s.execute("CREATE TABLE customers (cid int PRIMARY KEY, name text)")
+        s.execute("SELECT create_distributed_table('customers', 'cid')")
+        s.execute("CREATE TABLE orders (oid int, cid int, PRIMARY KEY (cid, oid),"
+                  " FOREIGN KEY (cid) REFERENCES customers (cid))")
+        s.execute("SELECT create_distributed_table('orders', 'cid',"
+                  " colocate_with := 'customers')")
+        s.copy_rows("customers", [[c, f"c{c}"] for c in range(20)])
+        s.copy_rows("orders", [[c * 10 + j, c] for c in range(20) for j in range(2)])
+        return s
+
+    def test_isolating_a_referencing_table_splits_the_group_together(
+            self, citus, shop):
+        s = shop
+        shardid = s.execute("SELECT isolate_tenant_to_new_shard('orders', 7)").scalar()
+        cache = citus.coordinator_ext.metadata.cache
+        customers, orders = cache.get_table("customers"), cache.get_table("orders")
+        assert customers.shard_count == orders.shard_count == 10
+        assert s.execute("SELECT count(*) FROM customers c JOIN orders o"
+                         " ON c.cid = o.cid").scalar() == 40
+        # The tenant's orders shard references the tenant's customers shard.
+        s.execute("INSERT INTO orders VALUES (700, 7)")
+        with pytest.raises(ForeignKeyViolation):
+            s.execute("DELETE FROM customers WHERE cid = 7")
+        node = citus.cluster.node(cache.placement_node(shardid))
+        tenant = next(x for x in orders.shards if x.shardid == shardid)
+        index = orders.shards.index(tenant)
+        assert [fk.ref_table for fk in node.catalog.get_table(
+            tenant.shard_name).foreign_keys] == [customers.shards[index].shard_name]
+
+    def test_a_failed_split_drops_its_shards_and_keeps_the_metadata(
+            self, citus, shop, monkeypatch):
+        from repro.net.network import RemoteConnection
+
+        cache = citus.coordinator_ext.metadata.cache
+        before = {name: [x.shardid for x in t.shards]
+                  for name, t in cache.tables.items()}
+        tables = {n: set(node.catalog.tables) for n, node in citus.cluster.nodes.items()}
+        copy_rows = RemoteConnection.copy_rows
+
+        def failing_copy(conn, table, rows, *rest, **kwargs):
+            if table.startswith("orders"):
+                raise ReproError("copy failed")
+            return copy_rows(conn, table, rows, *rest, **kwargs)
+
+        monkeypatch.setattr(RemoteConnection, "copy_rows", failing_copy)
+        with pytest.raises(ReproError, match="copy failed"):
+            shop.execute("SELECT isolate_tenant_to_new_shard('orders', 7)")
+        cache = citus.coordinator_ext.metadata.cache
+        assert {name: [x.shardid for x in t.shards]
+                for name, t in cache.tables.items()} == before
+        assert {n: set(node.catalog.tables)
+                for n, node in citus.cluster.nodes.items()} == tables
+        assert shop.execute("SELECT count(*) FROM orders").scalar() == 40

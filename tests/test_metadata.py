@@ -61,7 +61,7 @@ class TestCreateDistributedTable:
         placements = citus.coordinator_ext.metadata.cache.placements
         from collections import Counter
 
-        counts = Counter(placements.values())
+        counts = Counter(node for nodes in placements.values() for node in nodes)
         assert counts["worker1"] == 4 and counts["worker2"] == 4
 
     def test_existing_rows_move_to_shards(self, citus, citus_session):

@@ -56,8 +56,8 @@ EXPECTED = {
     "reference_dml": ("ReferenceDMLPlan", None),
     "local_reference": ("LocalReferencePlan", None),
     "insert_select_pushdown": ("PushdownInsertSelectPlan", "pushdown"),
-    "insert_select_repartition": ("RepartitionInsertSelectPlan", "repartition"),
-    "insert_select_coordinator": ("CoordinatorInsertSelectPlan", "coordinator"),
+    "insert_select_repartition": ("ReroutingInsertSelectPlan", "repartition"),
+    "insert_select_coordinator": ("ReroutingInsertSelectPlan", "coordinator"),
     "join_repartition": ("RepartitionPlan", "repartition"),
     "join_broadcast": ("RepartitionPlan", "broadcast"),
 }

@@ -66,6 +66,24 @@ class TestSizeAndConfig:
         assert len(daemons) == 3
         assert [worker.interval for worker in daemons] == [0.5] * 3
 
+    def test_set_of_a_citus_guc_is_refused_and_show_reports_the_config(
+            self, citus, s):
+        """The configuration is the cluster's: a session-scoped SET would
+        only look like it changed (tracing stayed on), so it is refused."""
+        ext = citus.coordinator_ext
+        with pytest.raises(MetadataError, match="citus_set_config"):
+            s.execute("SET citus.enable_tracing = off")
+        assert ext.config.enable_tracing is True
+        assert s.execute("SHOW citus.enable_tracing").scalar() is True
+        s.execute("SELECT citus_set_config('enable_tracing', false)")
+        assert s.execute("SHOW citus.enable_tracing").scalar() is False
+        assert s.execute("SHOW citus.shard_count").scalar() == ext.config.shard_count
+        # Any other name is a plain session setting.
+        s.execute("SET citus.not_a_guc = 3")
+        assert s.execute("SHOW citus.not_a_guc").scalar() == 3
+        s.execute("SET application_name = reporting")
+        assert s.execute("SHOW application_name").scalar() == "reporting"
+
     @pytest.mark.parametrize("name, value", [
         ("shard_count", "abc"), ("stat_window_seconds", "soon"),
         ("enable_tracing", "maybe"), ("trace_buffer_size", None),
