@@ -44,10 +44,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import make_cluster  # noqa: E402
-from repro.citus.extension import CitusConfig  # noqa: E402
-
-TELEMETRY_GUCS = ("enable_tracing", "enable_introspection",
-                  "enable_plan_alternatives", "enable_txn_graph", "enable_ash")
+from repro.citus.extension import TELEMETRY_SWITCHES, CitusConfig  # noqa: E402
 
 #: Virtual seconds between ASH samples — far below the 1 s default, so the
 #: timed loop crosses a sampling boundary every few statements.
@@ -103,10 +100,10 @@ MODES = ("detached", "off", "without", "with")
 
 def setup(guc: str, mode: str):
     """A loaded cluster with the telemetry GUCs ``mode`` asks for."""
-    enabled = {"detached": (), "off": (guc,), "with": TELEMETRY_GUCS,
-               "without": [g for g in TELEMETRY_GUCS if g != guc]}[mode]
+    enabled = {"detached": (), "off": (guc,), "with": TELEMETRY_SWITCHES,
+               "without": [g for g in TELEMETRY_SWITCHES if g != guc]}[mode]
     config = CitusConfig(ash_sampling_interval=ASH_INTERVAL,
-                         **{name: name in enabled for name in TELEMETRY_GUCS})
+                         **{name: name in enabled for name in TELEMETRY_SWITCHES})
     cluster = make_cluster(workers=2, shard_count=8, max_connections=2000,
                            config=config)
     session = cluster.coordinator_session()

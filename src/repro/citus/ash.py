@@ -11,7 +11,7 @@ There are no threads. The sampler registers a **clock observer** on the
 shared :class:`~repro.net.clock.SimClock`; whenever any component advances
 virtual time across a ``citus.ash_sampling_interval`` boundary, the
 observer fires and snapshots every session cluster-wide through the
-existing :func:`~repro.citus.introspection.activity_records` path (query
+existing :func:`~repro.citus.introspection.session_activity` path (query
 deparse skipped — only the fingerprint digest is kept). One **sample** is
 one (boundary, session) pair:
 
@@ -19,12 +19,13 @@ one (boundary, session) pair:
 — not just the top one —, fingerprint digest, planner tier, tenant
 dist-key, distributed txn id)``
 
-Samples land in a bounded ring (``citus.ash_buffer_size``, newest-N
+Samples land in a bounded ring (:data:`BUFFER_SIZE`, newest-N
 retention). Because virtual time is deterministic, two same-seed runs
 produce byte-for-byte identical rings — the ASH dump is part of the
 ``bench_traffic`` determinism gate.
 
-Report modes (the ``citus_ash()`` UDF):
+Report modes (the ``citus_ash()`` UDF; :data:`MODES` has each one's
+columns):
 
 - ``samples`` — the raw ring, optionally windowed to ``[start, end]``;
 - ``top_waits`` / ``top_queries`` / ``top_tenants`` — sample-count
@@ -50,18 +51,30 @@ import json
 import math
 
 from ..engine.waitevents import COUNT_PREFIX, wait_class_totals
+from .introspection import session_activity
 from .record import Ring
 
 #: Sample tuple layout (kept a plain tuple: the ring holds up to
-#: ``ash_buffer_size`` of them and dict samples would triple memory).
+#: ``BUFFER_SIZE`` of them and dict samples would triple memory).
 S_T, S_GPID, S_NODE, S_STATE, S_STACK, S_FP, S_TIER, S_TENANT, S_DTXN = \
     range(9)
 
-#: Default ring capacity, in session-samples (not ticks).
-DEFAULT_BUFFER_SIZE = 65536
+#: Ring capacity, in session-samples (not ticks).
+BUFFER_SIZE = 65536
 
 #: Timeline buckets default to this many sampling intervals.
 TIMELINE_BUCKETS_PER_INTERVAL = 10
+
+#: Columns of each report's rows.
+SAMPLE_COLUMNS = ("sample_time", "global_pid", "nodename", "state",
+                  "wait_event_type", "wait_event", "wait_stack",
+                  "query_fingerprint", "citus_tier", "tenant",
+                  "distributed_txn_id")
+WAIT_COLUMNS = ("wait_event_type", "wait_event", "samples", "pct", "top_node")
+QUERY_COLUMNS = ("query_fingerprint", "samples", "pct", "top_wait")
+TENANT_COLUMNS = ("tenant", "samples", "pct")
+TIMELINE_COLUMNS = ("bucket", "start_s", "end_s", "samples", "active", "idle",
+                    "wait_classes")
 
 
 def top_frame(sample) -> tuple:
@@ -84,7 +97,7 @@ class AshSampler:
     def __init__(self, clock, registry):
         self.clock = clock
         self.registry = registry
-        self.ring = Ring(DEFAULT_BUFFER_SIZE)
+        self.ring = Ring(BUFFER_SIZE)
         self.interval = 0.0
         self.enabled = False
         self.ext = None
@@ -95,15 +108,13 @@ class AshSampler:
 
     # --------------------------------------------------------- lifecycle
 
-    def configure(self, enabled: bool, interval: float, buffer_size: int,
-                  ext=None) -> None:
-        """(Re)apply the ash GUCs. Attaches or detaches the clock
-        observer; resizing the ring keeps the newest samples."""
+    def configure(self, enabled: bool, interval: float, ext=None) -> None:
+        """(Re)apply the ash GUCs: attaches or detaches the clock
+        observer."""
         if ext is not None and (self.ext is None
                                 or getattr(ext, "is_coordinator", False)):
             self.ext = ext
         self.interval = float(interval)
-        self.ring.resize(buffer_size)
         self.enabled = bool(enabled) and self.clock is not None
         if self.enabled and not self._attached:
             self.clock.add_observer(self._on_advance)
@@ -147,22 +158,21 @@ class AshSampler:
 
     def _snapshot_rows(self) -> list[tuple]:
         """One timestamp-less sample row per open session cluster-wide,
-        via the activity view's record path (deparse skipped)."""
-        from .introspection import activity_records
-
+        via the activity view's path (deparse skipped)."""
         rows = []
-        for rec in activity_records(self.ext, with_query=False):
-            session = rec["session"]
+        for session, (gpid, node, _pid, dtxn, _app, state, _wait_type,
+                      _wait, tier, _query, fingerprint, _elapsed) \
+                in session_activity(self.ext, with_query=False):
             rows.append((
-                rec["global_pid"],
-                rec["nodename"],
-                rec["state"],
+                gpid,
+                node,
+                state,
                 tuple((we.wclass, we.event)
                       for we in session.wait_events.frames()),
-                rec["query_fingerprint"],
-                rec["citus_tier"],
+                fingerprint,
+                tier,
                 getattr(session, "_citus_tenant", None),
-                rec["distributed_txn_id"],
+                dtxn,
             ))
         return rows
 
@@ -177,29 +187,22 @@ class AshSampler:
         hi = math.inf if end is None else end
         return [s for s in self.ring if lo <= s[S_T] <= hi]
 
-    def raw_records(self, start=None, end=None) -> list[dict]:
-        records = []
-        for s in self.samples(start, end):
-            stack = s[S_STACK]
-            wait = stack[-1] if stack else None
-            records.append({
-                "sample_time": s[S_T],
-                "global_pid": s[S_GPID],
-                "nodename": s[S_NODE],
-                "state": s[S_STATE],
-                "wait_event_type": wait[0] if wait else None,
-                "wait_event": wait[1] if wait else None,
-                "wait_stack": ">".join(f"{c}.{e}" for c, e in stack),
-                "query_fingerprint": s[S_FP],
-                "citus_tier": s[S_TIER],
-                "tenant": s[S_TENANT],
-                "distributed_txn_id": s[S_DTXN],
-            })
-        return records
+    def sample_rows(self, start=None, end=None) -> list[list]:
+        """The raw ring over the range, one :data:`SAMPLE_COLUMNS` row per
+        sample."""
+        rows = []
+        for t, gpid, node, state, stack, fp, tier, tenant, dtxn in \
+                self.samples(start, end):
+            wait_type, wait = stack[-1] if stack else (None, None)
+            rows.append([t, gpid, node, state, wait_type, wait,
+                         ">".join(f"{c}.{e}" for c, e in stack), fp, tier,
+                         tenant, dtxn])
+        return rows
 
-    def top_waits(self, start=None, end=None, limit=None) -> list[dict]:
+    def top_waits(self, start=None, end=None) -> list[list]:
         """Sample counts by reported wait (class, event) over the range,
-        busiest first, each with the node contributing most samples."""
+        busiest first, each with the node contributing most samples
+        (:data:`WAIT_COLUMNS`)."""
         counts: dict[tuple, int] = {}
         nodes: dict[tuple, dict] = {}
         total = 0
@@ -209,23 +212,19 @@ class AshSampler:
             counts[key] = counts.get(key, 0) + 1
             per_node = nodes.setdefault(key, {})
             per_node[s[S_NODE]] = per_node.get(s[S_NODE], 0) + 1
-        records = []
+        rows = []
         for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
             top_node = sorted(nodes[key].items(),
                               key=lambda kv: (-kv[1], kv[0]))[0][0]
-            records.append({
-                "wait_event_type": key[0],
-                "wait_event": key[1],
-                "samples": n,
-                "pct": round(100.0 * n / total, 2),
-                "top_node": top_node,
-            })
-        return records[:limit] if limit else records
+            rows.append([key[0], key[1], n, round(100.0 * n / total, 2),
+                         top_node])
+        return rows
 
-    def top_queries(self, start=None, end=None, limit=None) -> list[dict]:
+    def top_queries(self, start=None, end=None) -> list[list]:
         """Sample counts by statement fingerprint (sessions with no
         statement are skipped; pct is still of *all* samples in range, so
-        the numbers read as time shares of the window)."""
+        the numbers read as time shares of the window;
+        :data:`QUERY_COLUMNS`)."""
         counts: dict[str, int] = {}
         waits: dict[str, dict] = {}
         total = 0
@@ -238,19 +237,16 @@ class AshSampler:
             per_wait = waits.setdefault(fp, {})
             frame = "{0}.{1}".format(*top_frame(s))
             per_wait[frame] = per_wait.get(frame, 0) + 1
-        records = []
+        rows = []
         for fp, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
             top_wait = sorted(waits[fp].items(),
                               key=lambda kv: (-kv[1], kv[0]))[0][0]
-            records.append({
-                "query_fingerprint": fp,
-                "samples": n,
-                "pct": round(100.0 * n / total, 2) if total else 0.0,
-                "top_wait": top_wait,
-            })
-        return records[:limit] if limit else records
+            rows.append([fp, n, round(100.0 * n / total, 2) if total else 0.0,
+                         top_wait])
+        return rows
 
-    def top_tenants(self, start=None, end=None, limit=None) -> list[dict]:
+    def top_tenants(self, start=None, end=None) -> list[list]:
+        """Sample counts by tenant, busiest first (:data:`TENANT_COLUMNS`)."""
         counts: dict = {}
         total = 0
         for s in self.samples(start, end):
@@ -259,23 +255,17 @@ class AshSampler:
             if tenant is None:
                 continue
             counts[tenant] = counts.get(tenant, 0) + 1
-        records = [
-            {
-                "tenant": tenant,
-                "samples": n,
-                "pct": round(100.0 * n / total, 2) if total else 0.0,
-            }
-            for tenant, n in sorted(counts.items(),
-                                    key=lambda kv: (-kv[1], str(kv[0])))
-        ]
-        return records[:limit] if limit else records
+        return [[tenant, n, round(100.0 * n / total, 2) if total else 0.0]
+                for tenant, n in sorted(counts.items(),
+                                        key=lambda kv: (-kv[1], str(kv[0])))]
 
     def timeline(self, start=None, end=None,
-                 bucket_seconds: float | None = None) -> list[dict]:
+                 bucket_seconds: float | None = None) -> list[list]:
         """Bucketed workload phases: per fixed-width bucket, the sample
         count, active/idle split, and per-wait-class totals (rolled up by
         the shared ``wait_class_totals`` helper, the same rollup the
-        traffic harness report uses on the counter delta)."""
+        traffic harness report uses on the counter delta;
+        :data:`TIMELINE_COLUMNS`)."""
         width = bucket_seconds or (self.interval * TIMELINE_BUCKETS_PER_INTERVAL)
         if width <= 0:
             width = 1.0
@@ -293,20 +283,14 @@ class AshSampler:
             if stack:
                 name = COUNT_PREFIX + "{0}.{1}".format(*stack[-1])
                 info[2][name] = info[2].get(name, 0) + 1
-        records = []
+        rows = []
         for index in sorted(buckets):
             samples, active, counters = buckets[index]
-            records.append({
-                "bucket": index,
-                "start_s": index * width,
-                "end_s": (index + 1) * width,
-                "samples": samples,
-                "active": active,
-                "idle": samples - active,
-                "wait_classes": json.dumps(
-                    wait_class_totals(counters), sort_keys=True),
-            })
-        return records
+            rows.append([index, index * width, (index + 1) * width, samples,
+                         active, samples - active,
+                         json.dumps(wait_class_totals(counters),
+                                    sort_keys=True)])
+        return rows
 
     def flamegraph(self, start=None, end=None) -> str:
         """Collapsed-stack export: ``node;wclass;event;...;fingerprint
@@ -337,11 +321,14 @@ class AshSampler:
     def slo_diagnostics(self, start=None, end=None, top_n: int = 5) -> dict:
         """What the traffic harness embeds in its report when an SLO
         fails: the top waits and fingerprints overlapping the failing
-        window, plus a one-line headline naming the dominant non-idle
-        wait ("62% of samples in TwoPC.CommitPrepared on node w2")."""
+        window (records keyed by column), plus a one-line headline naming
+        the dominant non-idle wait ("62% of samples in
+        TwoPC.CommitPrepared on node w2")."""
         sampled = self.samples(start, end)
-        waits = self.top_waits(start, end, limit=top_n)
-        queries = self.top_queries(start, end, limit=top_n)
+        waits = [dict(zip(WAIT_COLUMNS, row))
+                 for row in self.top_waits(start, end)[:top_n]]
+        queries = [dict(zip(QUERY_COLUMNS, row))
+                   for row in self.top_queries(start, end)[:top_n]]
         headline = None
         busy = next((w for w in waits if w["wait_event_type"] != "Idle"), None)
         if busy is not None:
@@ -397,3 +384,15 @@ class AshSampler:
             lines.append("# TYPE citus_ash_wait_samples gauge")
             lines.extend(wait_lines)
         return lines
+
+
+#: ``citus_ash(mode, ...)``: mode -> (the report method, the columns of its
+#: rows); flamegraph is text and has none.
+MODES = {
+    "samples": (AshSampler.sample_rows, SAMPLE_COLUMNS),
+    "top_waits": (AshSampler.top_waits, WAIT_COLUMNS),
+    "top_queries": (AshSampler.top_queries, QUERY_COLUMNS),
+    "top_tenants": (AshSampler.top_tenants, TENANT_COLUMNS),
+    "timeline": (AshSampler.timeline, TIMELINE_COLUMNS),
+    "flamegraph": (AshSampler.flamegraph, None),
+}

@@ -132,7 +132,7 @@ def _raw_width(value) -> int:
     return 16
 
 
-def set_access_method(ext, session, table_name: str, method: str) -> None:
+def set_access_method(ext, session, table_name: str, method: str) -> str:
     """alter_table_set_access_method('t', 'columnar'): converts a Citus or
     local table to columnar organization."""
     if method not in ("columnar", "heap"):
@@ -153,6 +153,7 @@ def set_access_method(ext, session, table_name: str, method: str) -> None:
                         _attach_store(instance, shard_table)
     elif method == "columnar":
         _attach_store(ext.instance, shell)
+    return table_name
 
 
 def _attach_store(instance, table) -> ColumnarStore:

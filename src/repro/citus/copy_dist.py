@@ -40,7 +40,7 @@ class ShardCopyRouter:
         self.ext = ext
         self.dist = dist
         self.columns = columns
-        self.flush_threshold = max(1, int(ext.config.copy_flush_threshold))
+        self.flush_threshold = ext.config.copy_flush_threshold
         self.casters = [caster(shell.column(c).type_name) for c in columns]
         self.dist_position = (None if dist.is_reference
                               else _dist_position(columns, dist))

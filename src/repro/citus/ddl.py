@@ -42,7 +42,7 @@ class DistributedDDL:
 
     def create_distributed_table(self, session, table_name: str, dist_column: str,
                                  colocate_with: str | None = None,
-                                 shard_count: int | None = None) -> None:
+                                 shard_count: int | None = None) -> str:
         cache = self.ext.metadata.cache
         if cache.is_citus_table(table_name):
             raise MetadataError(f"table {table_name!r} is already distributed")
@@ -67,9 +67,10 @@ class DistributedDDL:
         placements = self._place_shards(shards, colocation_id)
         self._create_shards(session, table, HASH, dist_column, colocation_id,
                             shards, placements)
+        return table_name
 
     def create_range_distributed_table(self, session, table_name: str,
-                                       dist_column: str, ranges: list) -> None:
+                                       dist_column: str, ranges: list) -> str:
         """Range partitioning (§3.3.1: "available for some advanced use
         cases"). ``ranges`` is a sorted list of [min, max] pairs of integer
         distribution column values; they must not overlap."""
@@ -107,8 +108,9 @@ class DistributedDDL:
         }
         self._create_shards(session, table, RANGE, dist_column, colocation_id,
                             shards, placements)
+        return table_name
 
-    def create_reference_table(self, session, table_name: str) -> None:
+    def create_reference_table(self, session, table_name: str) -> str:
         cache = self.ext.metadata.cache
         if cache.is_citus_table(table_name):
             raise MetadataError(f"table {table_name!r} is already distributed")
@@ -118,6 +120,7 @@ class DistributedDDL:
         colocation_id = self.ext.metadata.record_colocation_group(session, 1, None)
         self._create_shards(session, table, REFERENCE, None, colocation_id,
                             [shard], {shard.shardid: self._reference_nodes()})
+        return table_name
 
     # ------------------------------------------------------------ helpers
 

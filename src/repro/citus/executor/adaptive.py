@@ -39,6 +39,12 @@ from ..txn.deadlock import assign_distributed_txn_ids
 from .placement import SessionPools
 from .timeline import ConnectionTimeline, close_run, open_connection
 
+#: Simulated CPU seconds a task costs per row it produces or affects.
+PER_ROW_CPU_COST = 2e-6
+
+#: Rows per cursor fetch round trip of a multi-shard SELECT's task streams.
+STREAM_BATCH_SIZE = 256
+
 
 @dataclass
 class ExecutionReport:
@@ -154,7 +160,7 @@ class AdaptiveExecutor:
         # Simulated cost: network latency accrued plus a CPU term
         # proportional to rows produced/affected.
         rows = result.rowcount if result.rowcount else len(result.rows)
-        cost = (conn.elapsed - before) + rows * ext.config.per_row_cpu_cost
+        cost = (conn.elapsed - before) + rows * PER_ROW_CPU_COST
         session.wait_events.record("Net", "RemoteExecute", cost, node=node)
         if units is not None:
             if begin_bytes:
@@ -250,7 +256,7 @@ class AdaptiveExecutor:
         # Per-task simulated cost: network latency accrued plus a CPU term
         # proportional to rows produced/affected.
         rows = result.rowcount if result.rowcount else len(result.rows)
-        cost = (conn.elapsed - before) + rows * self.ext.config.per_row_cpu_cost
+        cost = (conn.elapsed - before) + rows * PER_ROW_CPU_COST
         if begin_bytes:
             timeline.charge(conn, 0.0, BEGIN, i, group, False, 0, begin_bytes)
         timeline.charge(conn, cost, TASK, i, group, is_write, rows,
@@ -262,8 +268,7 @@ class AdaptiveExecutor:
         """Entry point for multi-shard SELECTs: a :class:`StreamingExecution`
         whose per-task :class:`TaskStream` handles pull row batches on
         demand (none at all when every shard was pruned)."""
-        return StreamingExecution(self, session, tasks,
-                                  batch_size=self.ext.config.stream_batch_size)
+        return StreamingExecution(self, session, tasks)
 
     def open_copy_channels(self, session, expected_by_node):
         """Write-side entry point: a :class:`CopyChannelExecution` that
@@ -321,12 +326,11 @@ class StreamingExecution:
     maximum busy time over connections.
     """
 
-    def __init__(self, executor: AdaptiveExecutor, session, tasks, batch_size: int):
+    def __init__(self, executor: AdaptiveExecutor, session, tasks):
         self.executor = executor
         self.ext = executor.ext
         self.session = session
         self.tasks = tasks
-        self.batch_size = batch_size
         self.report = ExecutionReport(task_count=len(tasks))
         self.streams = [TaskStream(self, i, t) for i, t in enumerate(tasks)]
         self.need_txn_block = session.in_transaction
@@ -372,7 +376,7 @@ class StreamingExecution:
         bytes_before = conn.bytes_transferred
         try:
             stream.cursor = conn.execute_cursor(
-                task.stmt, task.params, batch_size=self.batch_size)
+                task.stmt, task.params, batch_size=STREAM_BATCH_SIZE)
         except WouldBlock as block:
             self._stream_finished(stream, "blocked")
             from ...errors import LockTimeout
@@ -405,7 +409,7 @@ class StreamingExecution:
         cost = conn.elapsed - before
         rows = len(batch) if batch else 0
         if rows:
-            cost += rows * self.ext.config.per_row_cpu_cost
+            cost += rows * PER_ROW_CPU_COST
         self.timeline.charge(conn, cost, BATCH, stream.index,
                              stream.task.shard_group, False, rows,
                              stream.cursor.last_payload if rows else 0)
@@ -547,7 +551,7 @@ class CopyChannelExecution:
             self._channel_finished(channel, "failed")
             raise
         channel["flushes"] += 1
-        cost = (conn.elapsed - before) + len(rows) * self.ext.config.per_row_cpu_cost
+        cost = (conn.elapsed - before) + len(rows) * PER_ROW_CPU_COST
         self.timeline.charge(conn, cost, FLUSH, index, shard_group, True,
                              len(rows), conn.bytes_transferred - bytes_before)
 

@@ -15,11 +15,22 @@ unique cluster-wide and lets operators correlate a row in
 
 from __future__ import annotations
 
-from ..sql.deparse import deparse  # noqa: F401  (re-exported for the UDFs)
+from ..sql.deparse import deparse
 from .planner.plan_cache import statement_fingerprint
 from .sharding import statement_facts
 
 GPID_STRIDE = 10_000_000_000
+
+#: The views' columns.
+ACTIVITY_COLUMNS = ("global_pid", "nodename", "pid", "distributed_txn_id",
+                    "application_name", "state", "wait_event_type",
+                    "wait_event", "citus_tier", "query", "query_fingerprint",
+                    "elapsed_ms")
+LOCK_WAIT_COLUMNS = ("waiting_gpid", "blocking_gpid", "blocked_statement",
+                     "current_statement_in_blocking_process",
+                     "waiting_nodename", "blocking_nodename", "lock")
+TENANT_COLUMNS = ("tenant_attribute", "query_count", "rows",
+                  "total_query_time_ms", "total_wait_time_ms")
 
 
 def node_group_id(ext, node_name: str) -> int:
@@ -67,13 +78,12 @@ class TenantStats:
         entry[2] += record.end - record.start
         entry[3] += record.wait_seconds
 
-    def records(self) -> list[tuple]:
-        """(tenant, calls, rows, query_seconds, wait_seconds), busiest
-        first, ties broken by tenant value for determinism."""
-        return sorted(
-            ((t, e[0], e[1], e[2], e[3]) for t, e in self.entries.items()),
-            key=lambda r: (-r[1], str(r[0])),
-        )
+    def rows(self) -> list[list]:
+        """:data:`TENANT_COLUMNS` rows, busiest first, ties broken by
+        tenant value for determinism."""
+        return [[t, e[0], e[1], e[2] * 1000.0, e[3] * 1000.0]
+                for t, e in sorted(self.entries.items(),
+                                   key=lambda kv: (-kv[1][0], str(kv[0])))]
 
     def reset(self) -> None:
         self.entries.clear()
@@ -111,13 +121,12 @@ def _cluster_instances(ext):
             yield name, instance
 
 
-def activity_records(ext, with_query: bool = True) -> list[dict]:
-    """One record per open session across every alive node — the rows of
-    ``citus_dist_stat_activity``. ``with_query=False`` skips the SQL
-    deparse (the ``query`` field is None) but keeps the fingerprint: the
-    ASH sampler snapshots through this path on every sampling tick and
+def session_activity(ext, with_query: bool = True):
+    """(session, row) for every open session across every alive node, the
+    row in :data:`ACTIVITY_COLUMNS` order. ``with_query=False`` skips the
+    SQL deparse (the ``query`` column is None) but keeps the fingerprint:
+    the ASH sampler snapshots through this path on every sampling tick and
     only persists the digest."""
-    records = []
     for name, instance in _cluster_instances(ext):
         now = instance.now()
         for session in instance.sessions:
@@ -127,24 +136,26 @@ def activity_records(ext, with_query: bool = True) -> list[dict]:
                 elapsed = now - session.query_start_at
             else:
                 elapsed = session.last_query_seconds
-            records.append({
-                "global_pid": global_pid(ext, name, session.backend_pid),
-                "nodename": name,
-                "pid": session.backend_pid,
-                "distributed_txn_id": getattr(session, "_citus_dist_txn_id", None),
-                "application_name": session.application_name,
-                "state": session.state,
-                "wait_event_type": wait.wclass if wait is not None else None,
-                "wait_event": wait.event if wait is not None else None,
-                "citus_tier": getattr(session, "_citus_tier", None),
-                "query": _statement_text(stmt) if with_query else None,
-                "query_fingerprint": (
-                    statement_fingerprint(statement_facts(stmt))[1]
-                    if stmt is not None else None),
-                "elapsed_ms": elapsed * 1000.0,
-                "session": session,
-            })
-    return records
+            yield session, [
+                global_pid(ext, name, session.backend_pid),
+                name,
+                session.backend_pid,
+                getattr(session, "_citus_dist_txn_id", None),
+                session.application_name,
+                session.state,
+                wait.wclass if wait is not None else None,
+                wait.event if wait is not None else None,
+                getattr(session, "_citus_tier", None),
+                _statement_text(stmt) if with_query else None,
+                (statement_fingerprint(statement_facts(stmt))[1]
+                 if stmt is not None else None),
+                elapsed * 1000.0,
+            ]
+
+
+def citus_dist_stat_activity(ext, session) -> list[list]:
+    """:data:`ACTIVITY_COLUMNS` rows, one per open session."""
+    return [row for _session, row in session_activity(ext)]
 
 
 # ------------------------------------------------------------ lock waits
@@ -194,13 +205,13 @@ def _owner_session(ext, instance, xid, local_session, pool_owners):
     return instance.name, None
 
 
-def lock_waits_records(ext) -> list[dict]:
-    """Rows of ``citus_lock_waits``: one per (waiter, holder) edge in any
+def citus_lock_waits(ext, session) -> list[list]:
+    """:data:`LOCK_WAIT_COLUMNS` rows: one per (waiter, holder) edge in any
     node's wait-for graph, with both sides mapped back to the query that
     is blocked / blocking — across nodes, via distributed transaction ids
     or pool-lease ownership."""
     pool_owners = _pool_owner_index(ext)
-    records = []
+    rows = []
     for name, instance in _cluster_instances(ext):
         sessions_by_xid = {
             s.xid: s for s in instance.sessions if s.xid is not None
@@ -216,23 +227,17 @@ def lock_waits_records(ext) -> list[dict]:
                     ext, instance, holder_xid, sessions_by_xid.get(holder_xid),
                     pool_owners,
                 )
-                records.append({
-                    "waiting_gpid": (
-                        global_pid(ext, waiter_node, waiter.backend_pid)
-                        if waiter is not None else None
-                    ),
-                    "blocking_gpid": (
-                        global_pid(ext, holder_node, holder.backend_pid)
-                        if holder is not None else None
-                    ),
-                    "blocked_statement": _statement_text(
-                        waiter.current_stmt if waiter is not None else None
-                    ),
-                    "current_statement_in_blocking_process": _statement_text(
-                        holder.current_stmt if holder is not None else None
-                    ),
-                    "waiting_nodename": waiter_node,
-                    "blocking_nodename": holder_node,
-                    "lock": key,
-                })
-    return records
+                rows.append([
+                    (global_pid(ext, waiter_node, waiter.backend_pid)
+                     if waiter is not None else None),
+                    (global_pid(ext, holder_node, holder.backend_pid)
+                     if holder is not None else None),
+                    _statement_text(
+                        waiter.current_stmt if waiter is not None else None),
+                    _statement_text(
+                        holder.current_stmt if holder is not None else None),
+                    waiter_node,
+                    holder_node,
+                    key,
+                ])
+    return rows

@@ -21,10 +21,12 @@ from .ddl import drop_quietly, referenced_first, shard_ddl
 from .metadata import RANGE, ShardInterval
 
 
-def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value) -> int:
+def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value,
+                                *_options) -> int:
     """Split the shard holding ``tenant_value`` so the tenant gets a shard
     of its own (across the entire co-location group). Returns the new
-    shardid that exclusively holds the tenant.
+    shardid that exclusively holds the tenant. Citus's cascade and
+    transfer-mode options are accepted and ignored.
 
     Every member's split shards are created first (a foreign key between
     members references the split beside it), filled referenced member

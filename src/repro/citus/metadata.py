@@ -185,19 +185,19 @@ class MetadataStore:
 
     # ------------------------------------------------------------- writes
 
-    def add_node(self, session, nodename: str, role: str = "primary",
-                 hasmetadata: bool = False) -> None:
+    def add_node(self, session, nodename: str, *_options) -> str:
+        """Register a worker (``citus_add_node``); a known node is a no-op."""
         existing = session.execute(
             "SELECT count(*) FROM pg_dist_node WHERE nodename = $1", [nodename]
         ).scalar()
-        if existing:
-            return
-        session.execute(
-            "INSERT INTO pg_dist_node (nodename, groupid, noderole, hasmetadata)"
-            " VALUES ($1, $2, $3, $4)",
-            [nodename, len(self.cache.nodes) + 1, role, hasmetadata],
-        )
-        self.reload(session)
+        if not existing:
+            session.execute(
+                "INSERT INTO pg_dist_node (nodename, groupid, noderole, hasmetadata)"
+                " VALUES ($1, $2, $3, $4)",
+                [nodename, len(self.cache.nodes) + 1, "primary", False],
+            )
+            self.reload(session)
+        return nodename
 
     def record_distributed_table(self, session, name: str, method: str,
                                  dist_column: str | None, colocation_id: int,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..sql import ast as A
-from ..sql import parse
+from ..sql import parse, parse_one
 from ..sql.deparse import deparse
 from .planner.pipeline import tier_label
 from .planner.tasks import CitusPlan
@@ -239,6 +239,22 @@ def explain(session, sql: str, params=None) -> DistributedExplain:
             local_plan=list(plan.explain_lines()),
         )
     return describe_plan(plan, sql)
+
+
+def citus_explain(ext, session, sql, *_) -> str:
+    """The ``citus_explain(sql)`` UDF: :func:`explain` as text."""
+    return explain(session, sql).as_text()
+
+
+def citus_explain_analyze(ext, session, sql, *_) -> str:
+    """The ``citus_explain_analyze(sql)`` UDF: EXPLAIN ANALYZE text —
+    executes the statement and annotates the distributed plan tree with
+    per-task and merge actuals."""
+    stmt = parse_one(sql)
+    if isinstance(stmt, A.Explain):
+        stmt = stmt.statement
+    result = session._explain(A.Explain(stmt, analyze=True), None)
+    return "\n".join(row[0] for row in result.rows)
 
 
 def describe_plan(plan, sql: str = "") -> DistributedExplain:

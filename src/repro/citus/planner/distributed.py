@@ -21,12 +21,15 @@ made from the statement itself and planned every time.
 
 from __future__ import annotations
 
+import json
+
 from ...engine.datum import cast_value
 from ...engine.executor import QueryResult
 from ...engine.expr import EvalContext, Row, evaluate
 from ...engine.hooks import CustomScanPlan
-from ...errors import NotNullViolation, UnsupportedDistributedQuery
+from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
 from ...sql import ast as A
+from ...sql import parse
 from ..sharding import analyze_statement, statement_facts
 from ..txn.deadlock import assign_distributed_txn_ids
 from .fast_path import try_fast_path
@@ -85,6 +88,30 @@ def make_planner_hook(ext):
         return plan
 
     return planner_hook
+
+
+def citus_plan_alternatives(ext, session, *rest) -> str:
+    """The candidate-plan pipeline's PlanSearch records as JSON (the
+    ``citus_plan_alternatives([sql])`` UDF).
+
+    With a SQL argument the statement is planned afresh (bypassing the
+    plan cache) and that single search — every cascade tier tried, each
+    structured rejection, and all costed candidates — is returned.
+    Without arguments, the ring buffer of recent searches is returned,
+    newest last."""
+    if not ext.config.enable_plan_alternatives:
+        return json.dumps({"error": "citus.enable_plan_alternatives is off"})
+    if not rest:
+        return json.dumps([s.as_dict() for s in ext.telemetry.plan_searches])
+    statements = parse(rest[0])
+    if len(statements) != 1:
+        raise ReproError("citus_plan_alternatives() needs exactly one statement")
+    search = PlanSearch(statement=rest[0])
+    try:
+        plan_statement(ext, session, statements[0], None, search=search)
+    except UnsupportedDistributedQuery as exc:
+        search.error = str(exc)
+    return json.dumps(search.as_dict())
 
 
 def _tier_join_order(ext, session, stmt, params, analysis, search):

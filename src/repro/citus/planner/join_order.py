@@ -67,12 +67,6 @@ def plan_join_order(ext, select: A.Select, params, analysis, search=None):
                           "CTEs, set operations, and FOR UPDATE cannot be"
                           " repartitioned")
         return None
-    if not ext.config.enable_repartition_joins:
-        message = ("the query contains a non-co-located join and"
-                   " citus.enable_repartition_joins is off")
-        if search is not None:
-            search.reject("join_order", "disabled", message)
-        raise UnsupportedDistributedQuery(message)
     a, b = dist
     candidates = []
     # Re-partition candidates: anchor joined on its own distribution column.

@@ -26,6 +26,7 @@ from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql.deparse import deparse
 from ..sharding import QueryAnalysis
+from ..executor.adaptive import STREAM_BATCH_SIZE
 from ..txn.deadlock import assign_distributed_txn_ids
 from .tasks import CitusPlan, ShardRoutes, fold_write_results, sql_with_values
 
@@ -936,7 +937,6 @@ class MultiTaskSelectPlan(CitusPlan):
 
     def _batch_generator(self, execution, session, params):
         shape = self.shape
-        batch_size = max(1, self.ext.config.stream_batch_size)
         merge_start = self.ext.cluster.clock.now()
         rows_out = 0
         try:
@@ -953,10 +953,10 @@ class MultiTaskSelectPlan(CitusPlan):
             batch = []
             for run in runs:
                 batch.extend(run)
-                while len(batch) >= batch_size:
-                    rows_out += batch_size
-                    yield batch[:batch_size]
-                    del batch[:batch_size]
+                while len(batch) >= STREAM_BATCH_SIZE:
+                    rows_out += STREAM_BATCH_SIZE
+                    yield batch[:STREAM_BATCH_SIZE]
+                    del batch[:STREAM_BATCH_SIZE]
             if batch:
                 rows_out += len(batch)
                 yield batch

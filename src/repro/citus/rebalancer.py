@@ -31,6 +31,11 @@ from .ddl import colocated_shards, drop_quietly, referenced_first, shard_ddl
 #: in-flight move currently is.
 MOVE_PHASES = ("copy", "catchup", "metadata")
 
+#: ``get_rebalance_progress()`` columns (:class:`ShardMoveProgress` fields).
+PROGRESS_COLUMNS = ("move_id", "table_name", "shardid", "source", "target",
+                    "bytes_copied", "bytes_total", "rows_copied", "rows_total",
+                    "phase", "status", "error")
+
 
 @dataclass
 class ShardMoveProgress:
@@ -96,6 +101,13 @@ def progress_for(ext) -> RebalanceProgress:
         progress = RebalanceProgress()
         setattr(holder, _PROGRESS_ATTR, progress)
     return progress
+
+
+def get_rebalance_progress(ext, session) -> list[list]:
+    """One :data:`PROGRESS_COLUMNS` row per shard move (in progress,
+    completed, or failed)."""
+    return [[getattr(move, column) for column in PROGRESS_COLUMNS]
+            for move in progress_for(ext).moves]
 
 
 @dataclass
@@ -221,6 +233,21 @@ class Rebalancer:
                 for key, shards in groups.items()}
 
 
+def rebalance_table_shards(ext, session, *_options) -> int:
+    """The ``rebalance_table_shards()`` UDF: rebalance by shard count and
+    return how many shards moved."""
+    return len(Rebalancer(ext).rebalance(session))
+
+
+def citus_move_shard_placement(ext, session, shardid, target_node,
+                               *_options) -> int:
+    """The ``citus_move_shard_placement(shardid, target)`` UDF: move the
+    shard and its co-located shards; returns the shard id."""
+    shardid = int(shardid)
+    move_shard(ext, session, shardid, target_node)
+    return shardid
+
+
 def move_shard(ext, session, shardid: int, target_node: str,
                move_colocated: bool = True) -> None:
     """Move one shard placement (and, by default, its co-located shards)
@@ -331,37 +358,34 @@ def _find_shard(ext, shardid: int):
     raise RebalanceError(f"shard {shardid} not found in metadata")
 
 
-def drain_node(ext, session, node_name: str) -> list[ShardMove]:
+def drain_node(ext, session, node_name: str) -> int:
     """Move every shard off a node (preparation for removing it), using the
-    same logical-replication move protocol. Reference-table replicas stay
-    (they exist everywhere by definition)."""
+    same logical-replication move protocol; returns how many shards moved.
+    Reference-table replicas stay (they exist everywhere by definition)."""
     cache = ext.metadata.cache
     targets = [n for n in ext.all_node_names() if n != node_name]
     if not targets:
         raise RebalanceError("cannot drain the only node in the cluster")
-    moves: list[ShardMove] = []
+    moved = rotation = 0
     ext.stat_counters.incr("rebalancer_drains")
-    balancer = Rebalancer(ext)
-    rotation = 0
-    for key, shards in balancer._colocation_groups().items():
+    for shards in Rebalancer(ext)._colocation_groups().values():
         anchor = shards[0]
         if cache.placement_node(anchor.shardid) != node_name:
             continue
         target = targets[rotation % len(targets)]
         rotation += 1
-        move_shard(ext, session, anchor.shardid, target, move_colocated=True)
+        move_shard(ext, session, anchor.shardid, target)
         cache = ext.metadata.cache
-        for shard in shards:
-            moves.append(ShardMove(shard.shardid, node_name, target))
-    return moves
+        moved += len(shards)
+    return moved
 
 
-def undistribute_table(ext, session, table_name: str) -> None:
+def undistribute_table(ext, session, table_name: str) -> str:
     """Convert a Citus table back to a local table: pull all rows to the
     coordinator shell, drop shards and metadata."""
     dist = ext.metadata.cache.get_table(table_name)
     rows = session.execute(f"SELECT * FROM {table_name}").rows
     ext.ddl.propagate_drop_table(session, table_name)
-    shell = ext.instance.catalog.get_table(table_name)
     if rows:
         session.copy_rows(table_name, rows)
+    return table_name

@@ -143,7 +143,7 @@ class Ring:
     __slots__ = ("items", "high_water", "dropped")
 
     def __init__(self, capacity: int):
-        self.items: deque = deque(maxlen=max(1, int(capacity)))
+        self.items: deque = deque(maxlen=capacity)
         self.high_water = 0
         self.dropped = 0
 
@@ -167,13 +167,6 @@ class Ring:
         items.extend(new)
         if len(items) > self.high_water:
             self.high_water = len(items)
-
-    def resize(self, capacity: int) -> None:
-        """Change the capacity, keeping the newest entries."""
-        capacity = max(1, int(capacity))
-        if capacity != self.items.maxlen:
-            self.dropped += max(0, len(self.items) - capacity)
-            self.items = deque(self.items, maxlen=capacity)
 
     def clear(self) -> None:
         self.items.clear()

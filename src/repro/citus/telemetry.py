@@ -29,6 +29,8 @@ with its error.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..engine.compile import compile_count
 from ..engine.stats import stats_for
 from .ash import AshSampler
@@ -50,16 +52,11 @@ PENDING_MAX = 512
 #: constant: the retention is the width's multiple, the width the GUC.
 STAT_WINDOW_BUCKETS = 8
 
+#: Entries the trace ring and the slow-query log each hold.
+TRACE_RING_SIZE = 256
+
 #: ``citus_stat_reset`` scopes.
 SCOPES = ("counters", "statements", "tenants", "graph", "windows", "ash")
-
-#: ``CitusConfig`` fields whose change reconfigures telemetry (the planner
-#: hook reads ``enable_plan_alternatives`` from the config itself).
-GUCS = frozenset({
-    "enable_tracing", "trace_buffer_size", "log_min_duration",
-    "enable_introspection", "enable_txn_graph", "stat_window_seconds",
-    "enable_ash", "ash_sampling_interval", "ash_buffer_size",
-})
 
 _HOLDER_ATTR = "_citus_telemetry"
 
@@ -88,8 +85,8 @@ class Telemetry:
         self.statements = StatementStats()
         self.tenants = TenantStats()
         self.graph = TxnGraph(clock, self.registry)
-        self.traces = Ring(256)
-        self.slow_log = Ring(256)
+        self.traces = Ring(TRACE_RING_SIZE)
+        self.slow_log = Ring(TRACE_RING_SIZE)
         # Eager state.
         self.plan_searches = Ring(128)
         self.ash = AshSampler(clock, self.registry)
@@ -112,16 +109,14 @@ class Telemetry:
     # -------------------------------------------------------- configuration
 
     def configure(self, config, ext) -> None:
-        """Apply the telemetry GUCs (at install and whenever one is set).
-        Each ``enable_*`` gates its fold and the detail kept on the record;
-        with tracing, introspection and the co-access graph all off no
-        record is allocated."""
+        """Apply the telemetry GUCs (at install and after every
+        ``citus_set_config``). Each ``enable_*`` gates its fold and the
+        detail kept on the record; with tracing, introspection and the
+        co-access graph all off no record is allocated."""
         self.drain()  # pending records were captured under the old switches
         if self.ext is None or ext.is_coordinator:
             self.ext = ext
         self.tracing = bool(config.enable_tracing)
-        self.traces.resize(config.trace_buffer_size)
-        self.slow_log.resize(config.trace_buffer_size)
         self.log_min_duration = float(config.log_min_duration)
         self.introspection = bool(config.enable_introspection)
         self.graphing = bool(config.enable_txn_graph)
@@ -129,8 +124,7 @@ class Telemetry:
         self.recording = self.tracing or self.introspection or self.graphing
         # A single-node install has no shared clock to observe.
         self.ash.configure(config.enable_ash and ext.cluster is not None,
-                           config.ash_sampling_interval,
-                           config.ash_buffer_size, self.ext)
+                           config.ash_sampling_interval, self.ext)
         instances = (ext.cluster.nodes.values() if ext.cluster is not None
                      else (ext.instance,))
         for instance in instances:
@@ -472,15 +466,28 @@ class Telemetry:
 
     # ------------------------------------------------------------- surfaces
 
+    def counter_rows(self) -> list[list]:
+        """``citus_stat_counters()``: [name, node, value] for every
+        cluster-wide counter, then every gauge."""
+        snap = self.registry.snapshot()
+        # Expression compilations happen in the engine layer (shared by all
+        # nodes of this process); surfaced here relative to the last reset.
+        compiled = compile_count() - self.compile_baseline
+        if compiled:
+            snap.counters["expr_compile_count"] = Counter({"": compiled})
+        return [[name, node or None, value]
+                for kind in (snap.counters, snap.gauges) for name in sorted(kind)
+                for node, value in sorted(kind[name].items())]
+
     def statement_rows(self) -> list[list]:
         self.drain()
         return self.statements.rows()
 
-    def tenant_records(self) -> list[tuple]:
+    def tenant_rows(self) -> list[list]:
         if not self.introspection:
             return []
         self.drain()
-        return self.tenants.records()
+        return self.tenants.rows()
 
     def txn_graph(self) -> TxnGraph | None:
         """The co-access graph and window ring to read from (None while
@@ -500,7 +507,7 @@ class Telemetry:
     def export_chrome(self, limit: int | None = None) -> dict:
         return export_chrome(self.trace_records(limit))
 
-    def slow_queries(self) -> list[dict]:
+    def slow_queries(self) -> list[list]:
         self.drain()
         return list(self.slow_log)
 

@@ -346,16 +346,15 @@ class StatementStats:
         self.entries.clear()
 
 
-def slow_log_entry(record: StatementRecord) -> dict:
-    return {
-        "sql": record_sql(record),
-        "duration_ms": record.duration * 1000.0,
-        "tier": record.tier,
-        "tenant": record.tenant,
-        "rows": record.rows or 0,
-        "error": record.error,
-        "at": record.start,
-    }
+#: ``citus_slow_queries()`` columns.
+SLOW_LOG_COLUMNS = ("query", "duration_ms", "tier", "partition_key", "rows",
+                    "error")
+
+
+def slow_log_entry(record: StatementRecord) -> list:
+    """A slow-log ring entry: one :data:`SLOW_LOG_COLUMNS` row."""
+    return [record_sql(record), record.duration * 1000.0, record.tier,
+            record.tenant, record.rows or 0, record.error]
 
 
 # ------------------------------------------------------------------- export

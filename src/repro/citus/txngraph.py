@@ -54,6 +54,15 @@ MAX_EDGE_FANOUT = 16
 #: Access-set attribute caps on trace spans (2PC commit paths).
 _SPAN_ATTR_CAP = 8
 
+#: Columns of the graph's and the window ring's rows.
+EDGE_COLUMNS = ("src", "dst", "txns", "single_node", "cross_node", "twopc",
+                "writes", "bytes", "recent_txns")
+VERTEX_COLUMNS = ("shard", "txns", "writes", "bytes", "tenants",
+                  "top_tenants")
+WINDOW_COLUMNS = ("bucket", "start_s", "end_s", "current", "statements",
+                  "p50_ms", "p95_ms", "p99_ms", "txns", "txns_multi_group",
+                  "txns_cross_node", "txns_2pc", "edge_txns", "counters")
+
 
 def group_label(group) -> str:
     """Render a shard group tuple ``(colocation_id, shard_index)`` as the
@@ -447,52 +456,39 @@ class TxnGraph:
 
     # ------------------------------------------------------------ reading
 
-    def edge_records(self) -> list[dict]:
+    def edge_rows(self) -> list[list]:
+        """:data:`EDGE_COLUMNS` rows, sorted by (src, dst)."""
         recent = self.windows.recent_edge_weights()
-        records = []
-        for (a, b) in sorted(self.edges):
-            edge = self.edges[(a, b)]
-            records.append({
-                "src": group_label(a),
-                "dst": group_label(b),
-                "txns": edge.txns,
-                "writes": edge.writes,
-                "bytes": edge.bytes,
-                "single_node": edge.single_node,
-                "cross_node": edge.cross_node,
-                "twopc": edge.twopc,
-                "recent_txns": recent.get((a, b), 0),
-            })
-        return records
+        return [[group_label(a), group_label(b), edge.txns, edge.single_node,
+                 edge.cross_node, edge.twopc, edge.writes, edge.bytes,
+                 recent.get((a, b), 0)]
+                for (a, b), edge in sorted(self.edges.items())]
 
-    def vertex_records(self) -> list[dict]:
-        records = []
+    def vertex_rows(self) -> list[list]:
+        """:data:`VERTEX_COLUMNS` rows, sorted by shard group."""
+        rows = []
         for group in sorted(self.vertices):
             vertex = self.vertices[group]
             top = sorted(vertex.tenants.items(),
                          key=lambda kv: (-kv[1], kv[0]))[:5]
-            records.append({
-                "shard": group_label(group),
-                "txns": vertex.txns,
-                "writes": vertex.writes,
-                "bytes": vertex.bytes,
-                "tenants": len(vertex.tenants),
-                "top_tenants": [t for t, _ in top],
-            })
-        return records
+            rows.append([group_label(group), vertex.txns, vertex.writes,
+                         vertex.bytes, len(vertex.tenants),
+                         [t for t, _ in top]])
+        return rows
 
     def as_json(self) -> str:
+        """Sorted-key JSON export, edges with their tenant-pair detail."""
         payload = {
-            "vertices": self.vertex_records(),
+            "vertices": [dict(zip(VERTEX_COLUMNS, row))
+                         for row in self.vertex_rows()],
             "edges": [
-                dict(record, tenant_pairs=[
+                dict(zip(EDGE_COLUMNS, row), tenant_pairs=[
                     ["|".join(p or "" for p in pair), count]
                     for pair, count in sorted(
                         self.edges[key].tenant_pairs.items(),
                         key=lambda kv: (-kv[1], kv[0]))[:5]
                 ])
-                for key, record in zip(sorted(self.edges),
-                                       self.edge_records())
+                for key, row in zip(sorted(self.edges), self.edge_rows())
             ],
             "wide_txns": self.wide_txns,
         }
@@ -502,48 +498,33 @@ class TxnGraph:
         """GraphViz dump: cross-node/2PC edges render dashed/bold so the
         distributed-transaction hot pairs jump out."""
         lines = ["graph citus_txn_graph {"]
-        for record in self.vertex_records():
+        for shard, txns, *_ in self.vertex_rows():
+            lines.append(f'  "{shard}" [label="{shard}\\ntxns={txns}"];')
+        for src, dst, txns, _single, cross_node, twopc, *_ in self.edge_rows():
+            style = "bold" if twopc else ("dashed" if cross_node else "solid")
             lines.append(
-                f'  "{record["shard"]}" [label="{record["shard"]}'
-                f'\\ntxns={record["txns"]}"];'
-            )
-        for record in self.edge_records():
-            style = "solid"
-            if record["twopc"]:
-                style = "bold"
-            elif record["cross_node"]:
-                style = "dashed"
-            lines.append(
-                f'  "{record["src"]}" -- "{record["dst"]}"'
-                f' [label="{record["txns"]}", style={style}];'
-            )
+                f'  "{src}" -- "{dst}" [label="{txns}", style={style}];')
         lines.append("}")
         return "\n".join(lines)
 
-    def window_records(self) -> list[dict]:
+    def window_rows(self) -> list[list]:
+        """:data:`WINDOW_COLUMNS` rows, one per retained bucket, oldest
+        first; ``counters`` is the sorted-key JSON of every cluster counter
+        delta accrued during the bucket."""
         width = self.windows.width
-        records = []
-        buckets = self.windows.buckets(self._now())
-        for bucket in buckets:
+        rows = []
+        for bucket in self.windows.buckets(self._now()):
             counters = self.windows.bucket_counters(bucket)
             hist = bucket.hist
-            records.append({
-                "bucket": bucket.index,
-                "start_s": bucket.index * width,
-                "end_s": (bucket.index + 1) * width,
-                "current": not bucket.closed,
-                "statements": bucket.statements,
-                "p50_ms": hist.percentile(50) * 1000.0,
-                "p95_ms": hist.percentile(95) * 1000.0,
-                "p99_ms": hist.percentile(99) * 1000.0,
-                "txns": bucket.txns,
-                "txns_multi_group": bucket.multi_group,
-                "txns_cross_node": bucket.cross_node,
-                "txns_2pc": bucket.twopc,
-                "edge_txns": sum(bucket.edges.values()),
-                "counters": json.dumps(counters, sort_keys=True),
-            })
-        return records
+            rows.append([
+                bucket.index, bucket.index * width, (bucket.index + 1) * width,
+                not bucket.closed, bucket.statements,
+                hist.percentile(50) * 1000.0, hist.percentile(95) * 1000.0,
+                hist.percentile(99) * 1000.0, bucket.txns, bucket.multi_group,
+                bucket.cross_node, bucket.twopc, sum(bucket.edges.values()),
+                json.dumps(counters, sort_keys=True),
+            ])
+        return rows
 
     def cross_shard_summary(self) -> dict:
         """Recent cross-shard behavior for EXPLAIN ANALYZE annotation."""
@@ -605,3 +586,16 @@ class TxnGraph:
             lines.append("# TYPE citus_txn_window_statement_p99_seconds gauge")
             lines.extend(window_p99)
         return lines
+
+
+#: ``citus_stat_txn_graph(mode)``: mode -> (the report method, the columns
+#: of its rows); the text exports have none.
+MODES = {
+    "edges": (TxnGraph.edge_rows, EDGE_COLUMNS),
+    "vertices": (TxnGraph.vertex_rows, VERTEX_COLUMNS),
+    "json": (TxnGraph.as_json, None),
+    "dot": (TxnGraph.as_dot, None),
+}
+
+#: What a text mode returns while ``citus.enable_txn_graph`` is off.
+OFF_TEXT = {"json": "{}", "dot": "graph citus_txn_graph {\n}"}

@@ -15,6 +15,7 @@ the shared limit.
 
 import pytest
 
+from repro.citus.executor import adaptive
 from repro.citus.executor.placement import SessionPools
 from repro.errors import SQLError
 from tests.conftest import counters_dict, find_keys_on_distinct_nodes
@@ -94,17 +95,12 @@ class TestSlowStart:
             4, {"worker1": 3, "worker2": 3}, 2)
         assert gauges(s, "shared_pool_slots") == {"worker1": 3, "worker2": 3}
 
-    def test_elapsed_is_max_not_sum(self, citus, s):
-        config = citus.coordinator_ext.config
-        old = config.per_row_cpu_cost
-        config.per_row_cpu_cost = 0.01
-        try:
-            s.execute("SELECT * FROM t")  # 16 rows over 8 tasks
-            report = citus.coordinator_ext.executor.last_report
-            # Sum of costs would be >= 0.16s; parallel max must be lower.
-            assert report.elapsed < 0.16
-        finally:
-            config.per_row_cpu_cost = old
+    def test_elapsed_is_max_not_sum(self, citus, s, monkeypatch):
+        monkeypatch.setattr(adaptive, "PER_ROW_CPU_COST", 0.01)
+        s.execute("SELECT * FROM t")  # 16 rows over 8 tasks
+        report = citus.coordinator_ext.executor.last_report
+        # Sum of costs would be >= 0.16s; parallel max must be lower.
+        assert report.elapsed < 0.16
 
 
 class TestSharedConnectionLimit:
@@ -245,7 +241,6 @@ import inspect
 import textwrap
 
 from repro import make_cluster
-from repro.citus.executor import adaptive
 from repro.citus.executor.adaptive import AdaptiveExecutor, ExecutionReport
 from repro.citus.executor.timeline import ConnectionTimeline
 from repro.citus.extension import CitusConfig
@@ -296,8 +291,7 @@ def parent_one_task(executor, session, task, is_write=False):
             raise
         timeline.end(node, "executed")
         rows = result.rowcount if result.rowcount else len(result.rows)
-        cost = ((conn.elapsed - before)
-                + rows * executor.ext.config.per_row_cpu_cost)
+        cost = (conn.elapsed - before) + rows * adaptive.PER_ROW_CPU_COST
         if begin_bytes:
             timeline.charge(conn, 0.0, BEGIN, 0, group, False, 0, begin_bytes)
         timeline.charge(conn, cost, TASK, 0, group, is_write, rows,

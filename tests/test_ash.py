@@ -10,6 +10,7 @@ import pytest
 
 from repro import make_cluster
 from repro.citus.extension import CitusConfig
+from repro.citus.record import Ring
 from repro.errors import MetadataError
 from repro.workloads.traffic import (
     LatencyRule,
@@ -86,7 +87,7 @@ class TestSamplingLoop:
     def test_ring_is_bounded_and_keeps_newest(self, citus):
         s = citus.coordinator_session("probe")
         _set(s, "ash_sampling_interval", 1.0)
-        _set(s, "ash_buffer_size", 5)
+        citus.coordinator_ext.telemetry.ash.ring = Ring(5)
         for _ in range(20):
             citus.cluster.clock.advance(1.0)
         rows = _samples(s)

@@ -205,15 +205,10 @@ class TestJoinOrderPlanner:
         s.execute("SELECT count(*) FROM orders o JOIN other x ON o.id = x.okey")
         assert counters.value("planner_join_order") == before + 1
 
-    def test_disabled_repartition_raises(self, s, citus):
-        citus.coordinator_ext.config.enable_repartition_joins = False
-        try:
-            with pytest.raises(UnsupportedDistributedQuery):
-                s.execute(
-                    "SELECT count(*) FROM orders o JOIN other x ON o.id = x.okey"
-                )
-        finally:
-            citus.coordinator_ext.config.enable_repartition_joins = True
+    def test_disabling_the_join_order_tier_raises(self, s, citus):
+        s.execute("SELECT citus_set_config('planner_disabled_tiers', 'join_order')")
+        with pytest.raises(UnsupportedDistributedQuery):
+            s.execute("SELECT count(*) FROM orders o JOIN other x ON o.id = x.okey")
 
     def test_intermediate_tables_cleaned_up(self, s, citus):
         s.execute("SELECT count(*) FROM orders o JOIN other x ON o.id = x.okey")

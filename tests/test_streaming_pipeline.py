@@ -19,6 +19,7 @@ Covers the pull-based data plane end to end:
 import pytest
 
 from repro import make_cluster
+from repro.citus.executor.adaptive import STREAM_BATCH_SIZE
 from repro.errors import NodeUnavailable
 
 from .conftest import counter_total, counters_dict, find_keys_on_distinct_nodes
@@ -58,7 +59,7 @@ class TestBoundedBuffering:
         result = big.execute("SELECT k, v FROM events ORDER BY v, k LIMIT 10")
         assert len(result.rows) == 10
 
-        batch_size = ext.config.stream_batch_size
+        batch_size = STREAM_BATCH_SIZE
         shard_count = 8
         report = ext.executor.last_report
         assert report.task_count == shard_count
@@ -79,7 +80,7 @@ class TestBoundedBuffering:
         big.execute("SELECT v, count(*) FROM events GROUP BY v")
         report = citus.coordinator_ext.executor.last_report
         # Incremental merge holds at most one in-flight worker batch.
-        assert report.rows_buffered_peak <= citus.coordinator_ext.config.stream_batch_size
+        assert report.rows_buffered_peak <= STREAM_BATCH_SIZE
 
 
 class TestEarlyTermination:

@@ -144,9 +144,9 @@ def _fold_dump(records, chunk: int, width: float, clock) -> str:
     ]
     return json.dumps({
         "statements": telemetry.statement_rows(),
-        "tenants": telemetry.tenant_records(),
+        "tenants": telemetry.tenant_rows(),
         "graph": graph.as_json(),
-        "edges": graph.edge_records(),
+        "edges": graph.edge_rows(),
         "windows": windows,
         "counters": telemetry.registry.as_dict(),
         "slow_log": telemetry.slow_queries(),

@@ -11,6 +11,7 @@ import pytest
 
 from repro import make_cluster
 from repro.citus.extension import CitusConfig
+from repro.citus.record import Ring
 from repro.citus.tracing import build_trace
 from repro.engine.stats import LogHistogram
 
@@ -288,12 +289,12 @@ def test_slow_query_log_gated_by_log_min_duration(citus):
 
 
 def test_slow_query_log_is_bounded_and_counts_what_it_dropped():
-    """The slow log is a ring of ``trace_buffer_size`` entries, like the
-    trace ring beside it: it stops growing at capacity and the metrics
-    snapshot says how many entries it evicted."""
+    """The slow log is a bounded ring, like the trace ring beside it: it
+    stops growing at capacity and the metrics snapshot says how many
+    entries it evicted."""
     cc = make_cluster(workers=2, shard_count=8,
-                      config=CitusConfig(trace_buffer_size=8,
-                                         log_min_duration=0.0))
+                      config=CitusConfig(log_min_duration=0.0))
+    cc.coordinator_ext.telemetry.slow_log = Ring(8)
     s = _setup_items(cc)
     logged_by_setup = cc.coordinator_ext.telemetry.slow_log.dropped \
         + len(s.execute("SELECT citus_slow_queries()").scalar())

@@ -1,9 +1,26 @@
-"""The Citus UDF management surface: sizes, config, worker commands,
-distributed DROP INDEX, and the named-argument convention."""
+"""The Citus UDF management surface: the GUC table (``CitusConfig``) and
+the UDF table (``UDFS``) checked entry by entry, malformed arguments,
+sizes, worker commands, distributed DROP INDEX, and the named-argument
+convention."""
+
+import dataclasses
+import pathlib
 
 import pytest
 
+from repro.citus.extension import GUC_TYPES, UDFS, CitusConfig
 from repro.errors import MetadataError
+
+GUCS = [f.name for f in dataclasses.fields(CitusConfig)]
+
+#: Per GUC type: a value other than any default, and one that does not
+#: parse (a string GUC takes any text, so only NULL fails it).
+SETTABLE = {int: 7, float: 2.5, str: "router"}
+UNPARSEABLE = {int: "abc", float: "soon", bool: "maybe", str: None}
+
+#: The coordinator check's message.
+COORDINATOR_ONLY = ("operation is only allowed on the coordinator"
+                    " (connect there for DDL)")
 
 
 @pytest.fixture
@@ -58,14 +75,6 @@ class TestSizeAndConfig:
         assert connections_opened(1e12) == 2
         assert connections_opened(1e-6) == 6
 
-    def test_the_deadlock_interval_reaches_every_maintenance_daemon(self, citus, s):
-        s.execute("SELECT citus_set_config('deadlock_detection_interval_s', 0.5)")
-        daemons = [worker for instance in citus.cluster.nodes.values()
-                   for worker in instance.hooks.background_workers
-                   if worker.name == "citus_maintenance"]
-        assert len(daemons) == 3
-        assert [worker.interval for worker in daemons] == [0.5] * 3
-
     def test_set_of_a_citus_guc_is_refused_and_show_reports_the_config(
             self, citus, s):
         """The configuration is the cluster's: a session-scoped SET would
@@ -84,15 +93,103 @@ class TestSizeAndConfig:
         s.execute("SET application_name = reporting")
         assert s.execute("SHOW application_name").scalar() == "reporting"
 
-    @pytest.mark.parametrize("name, value", [
-        ("shard_count", "abc"), ("stat_window_seconds", "soon"),
-        ("enable_tracing", "maybe"), ("trace_buffer_size", None),
-    ])
+    # ------------------------------------------------- every GUC of the table
+
+    @pytest.mark.parametrize("name", GUCS)
+    def test_every_guc_round_trips_through_set_config_and_show(
+            self, citus, s, name):
+        kind = GUC_TYPES[name]
+        value = (not getattr(citus.coordinator_ext.config, name)
+                 if kind is bool else SETTABLE[kind])
+        assert s.execute("SELECT citus_set_config($1, $2)",
+                         [name, value]).scalar() == value
+        assert getattr(citus.coordinator_ext.config, name) == value
+        assert s.execute(f"SHOW citus.{name}").scalar() == value
+
+    @pytest.mark.parametrize("name", GUCS)
+    def test_every_guc_refuses_a_session_set(self, citus, s, name):
+        before = getattr(citus.coordinator_ext.config, name)
+        with pytest.raises(MetadataError, match=f"citus_set_config\\('{name}'"):
+            s.execute(f"SET citus.{name} = 1")
+        assert getattr(citus.coordinator_ext.config, name) == before
+
+    @pytest.mark.parametrize("name, value",
+                             [(name, UNPARSEABLE[GUC_TYPES[name]])
+                              for name in GUCS])
     def test_an_unparseable_value_is_a_metadata_error(self, citus, s, name, value):
         before = getattr(citus.coordinator_ext.config, name)
         with pytest.raises(MetadataError, match=name):
             s.execute("SELECT citus_set_config($1, $2)", [name, value])
         assert getattr(citus.coordinator_ext.config, name) == before
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in GUCS if GUC_TYPES[name] is int
+        for value in (0, -5)])
+    def test_a_count_guc_below_one_is_refused_when_set(self, citus, s, name,
+                                                        value):
+        before = getattr(citus.coordinator_ext.config, name)
+        with pytest.raises(MetadataError, match=f"{name}.*at least 1"):
+            s.execute("SELECT citus_set_config($1, $2)", [name, value])
+        assert getattr(citus.coordinator_ext.config, name) == before
+
+    def test_a_negative_log_min_duration_still_means_off(self, citus, s):
+        s.execute("SELECT citus_set_config('log_min_duration', -1)")
+        assert citus.coordinator_ext.config.log_min_duration == -1.0
+        s.execute("SELECT count(*) FROM t")
+        assert s.execute("SELECT citus_slow_queries()").scalar() == []
+
+    def test_readme_configuration_table_is_the_guc_table(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| GUC | Type | Default | Read by |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            name, kind, default = (cell.strip().strip("`")
+                                   for cell in line.split("|")[1:4])
+            rows.append((name, kind, default))
+        assert rows == [(f.name, type(f.default).__name__, repr(f.default))
+                        for f in dataclasses.fields(CitusConfig)]
+
+
+class TestUdfTable:
+    def test_the_registered_udfs_are_the_table(self, citus):
+        names = [name for name, _fn, _coordinator_only in UDFS]
+        assert len(names) == len(set(names)) == 36
+        for instance in citus.cluster.nodes.values():
+            assert set(instance.catalog.functions) - {"_named_arg"} == set(names)
+
+    @pytest.mark.parametrize("name", [name for name, _fn, coordinator_only
+                                      in UDFS if coordinator_only])
+    def test_a_coordinator_only_udf_is_refused_on_a_worker(self, citus, name):
+        worker = citus.session_on(citus.worker_names()[0])
+        with pytest.raises(MetadataError) as raised:
+            worker.execute(f"SELECT {name}('t', 'k')")
+        assert str(raised.value) == COORDINATOR_ONLY
+
+
+class TestMalformedArguments:
+    """An argument that does not parse, or an unknown mode, is an error
+    naming the UDF — not a Python exception from inside it."""
+
+    @pytest.mark.parametrize("args", [
+        ("samples", "abc"), ("samples", 0, "later"),
+        ("timeline", None, None, "wide"),
+    ])
+    def test_citus_ash_range_and_bucket(self, s, args):
+        placeholders = ", ".join(f"${i + 1}" for i in range(len(args)))
+        with pytest.raises(MetadataError, match="citus_ash"):
+            s.execute(f"SELECT citus_ash({placeholders})", list(args))
+
+    def test_citus_trace_export_limit(self, s):
+        with pytest.raises(MetadataError, match="citus_trace_export"):
+            s.execute("SELECT citus_trace_export('x')")
+
+    def test_citus_stat_txn_graph_mode(self, s):
+        with pytest.raises(MetadataError,
+                           match="citus_stat_txn_graph mode 'bogus'.*vertices"):
+            s.execute("SELECT citus_stat_txn_graph('bogus')")
 
 
 class TestRunCommandOnWorkers:
