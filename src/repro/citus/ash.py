@@ -29,11 +29,11 @@ columns):
 
 - ``samples`` — the raw ring, optionally windowed to ``[start, end]``;
 - ``top_waits`` / ``top_queries`` / ``top_tenants`` — sample-count
-  rollups over a time range (a session with no live wait counts as
-  ``CPU.Running`` while active, ``Idle.<state>`` otherwise);
+  rollups over a time range, ranked by :func:`~.record.rank` (a session
+  with no live wait counts as ``CPU.Running`` while active,
+  ``Idle.<state>`` otherwise);
 - ``timeline`` — fixed-width buckets with active/idle splits and
-  per-wait-class totals via the shared
-  :func:`~repro.engine.waitevents.wait_class_totals` helper;
+  per-wait-class sample counts;
 - ``flamegraph`` — collapsed-stack format
   (``node;wclass;event;...;fingerprint count``), one line per distinct
   stack, counts summing to the sample total — feed straight into
@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
-from ..engine.waitevents import COUNT_PREFIX, wait_class_totals
 from .introspection import session_activity
-from .record import Ring
+from .record import Ring, rank
 
 #: Sample tuple layout (kept a plain tuple: the ring holds up to
 #: ``BUFFER_SIZE`` of them and dict samples would triple memory).
@@ -203,69 +203,37 @@ class AshSampler:
         """Sample counts by reported wait (class, event) over the range,
         busiest first, each with the node contributing most samples
         (:data:`WAIT_COLUMNS`)."""
-        counts: dict[tuple, int] = {}
-        nodes: dict[tuple, dict] = {}
-        total = 0
-        for s in self.samples(start, end):
-            total += 1
-            key = top_frame(s)
-            counts[key] = counts.get(key, 0) + 1
-            per_node = nodes.setdefault(key, {})
-            per_node[s[S_NODE]] = per_node.get(s[S_NODE], 0) + 1
-        rows = []
-        for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            top_node = sorted(nodes[key].items(),
-                              key=lambda kv: (-kv[1], kv[0]))[0][0]
-            rows.append([key[0], key[1], n, round(100.0 * n / total, 2),
-                         top_node])
-        return rows
+        sampled = self.samples(start, end)
+        return [[wclass, event, n, round(100.0 * n / len(sampled), 2), node]
+                for (wclass, event), n, node in rank(
+                    ((top_frame(s), s[S_NODE]) for s in sampled),
+                    with_detail=True)]
 
     def top_queries(self, start=None, end=None) -> list[list]:
         """Sample counts by statement fingerprint (sessions with no
         statement are skipped; pct is still of *all* samples in range, so
-        the numbers read as time shares of the window;
-        :data:`QUERY_COLUMNS`)."""
-        counts: dict[str, int] = {}
-        waits: dict[str, dict] = {}
-        total = 0
-        for s in self.samples(start, end):
-            total += 1
-            fp = s[S_FP]
-            if fp is None:
-                continue
-            counts[fp] = counts.get(fp, 0) + 1
-            per_wait = waits.setdefault(fp, {})
-            frame = "{0}.{1}".format(*top_frame(s))
-            per_wait[frame] = per_wait.get(frame, 0) + 1
-        rows = []
-        for fp, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            top_wait = sorted(waits[fp].items(),
-                              key=lambda kv: (-kv[1], kv[0]))[0][0]
-            rows.append([fp, n, round(100.0 * n / total, 2) if total else 0.0,
-                         top_wait])
-        return rows
+        the numbers read as time shares of the window), each with the wait
+        it reported most (:data:`QUERY_COLUMNS`)."""
+        sampled = self.samples(start, end)
+        return [[fp, n, round(100.0 * n / len(sampled), 2), wait]
+                for fp, n, wait in rank(
+                    ((s[S_FP], "{0}.{1}".format(*top_frame(s)))
+                     for s in sampled if s[S_FP] is not None),
+                    with_detail=True)]
 
     def top_tenants(self, start=None, end=None) -> list[list]:
         """Sample counts by tenant, busiest first (:data:`TENANT_COLUMNS`)."""
-        counts: dict = {}
-        total = 0
-        for s in self.samples(start, end):
-            total += 1
-            tenant = s[S_TENANT]
-            if tenant is None:
-                continue
-            counts[tenant] = counts.get(tenant, 0) + 1
-        return [[tenant, n, round(100.0 * n / total, 2) if total else 0.0]
-                for tenant, n in sorted(counts.items(),
-                                        key=lambda kv: (-kv[1], str(kv[0])))]
+        sampled = self.samples(start, end)
+        return [[tenant, n, round(100.0 * n / len(sampled), 2)]
+                for tenant, n in rank(s[S_TENANT] for s in sampled
+                                      if s[S_TENANT] is not None)]
 
     def timeline(self, start=None, end=None,
                  bucket_seconds: float | None = None) -> list[list]:
-        """Bucketed workload phases: per fixed-width bucket, the sample
-        count, active/idle split, and per-wait-class totals (rolled up by
-        the shared ``wait_class_totals`` helper, the same rollup the
-        traffic harness report uses on the counter delta;
-        :data:`TIMELINE_COLUMNS`)."""
+        """Bucketed workload phases: per fixed-width bucket (default
+        :data:`TIMELINE_BUCKETS_PER_INTERVAL` sampling intervals), the
+        sample count, active/idle split, and per-wait-class counts of the
+        waits sampled in it (:data:`TIMELINE_COLUMNS`)."""
         width = bucket_seconds or (self.interval * TIMELINE_BUCKETS_PER_INTERVAL)
         if width <= 0:
             width = 1.0
@@ -274,46 +242,32 @@ class AshSampler:
             index = int(s[S_T] / width)
             info = buckets.get(index)
             if info is None:
-                # [samples, active, synthesized wait counters]
-                info = buckets[index] = [0, 0, {}]
+                # [samples, active, wait class -> samples]
+                info = buckets[index] = [0, 0, Counter()]
             info[0] += 1
             if s[S_STATE] == "active":
                 info[1] += 1
             stack = s[S_STACK]
             if stack:
-                name = COUNT_PREFIX + "{0}.{1}".format(*stack[-1])
-                info[2][name] = info[2].get(name, 0) + 1
-        rows = []
-        for index in sorted(buckets):
-            samples, active, counters = buckets[index]
-            rows.append([index, index * width, (index + 1) * width, samples,
-                         active, samples - active,
-                         json.dumps(wait_class_totals(counters),
-                                    sort_keys=True)])
-        return rows
+                info[2][stack[-1][0]] += 1
+        return [[index, index * width, (index + 1) * width, samples, active,
+                 samples - active, json.dumps(classes, sort_keys=True)]
+                for index, (samples, active, classes) in sorted(buckets.items())]
 
     def flamegraph(self, start=None, end=None) -> str:
         """Collapsed-stack export: ``node;wclass;event;...;fingerprint
         count`` lines (sorted), counts summing to the number of samples
-        in range. Sessions with no live wait collapse under synthetic
-        ``CPU;Running`` / ``Idle;<state>`` frames so every sample is
+        in range. Sessions with no live wait collapse under the synthetic
+        frame :func:`top_frame` reports for them, so every sample is
         represented and the totals reconcile with the ring."""
-        counts: dict[str, int] = {}
+        counts = Counter()
         for s in self.samples(start, end):
             frames = [s[S_NODE]]
-            stack = s[S_STACK]
-            if stack:
-                for wclass, event in stack:
-                    frames.append(wclass)
-                    frames.append(event)
-            elif s[S_STATE] == "active":
-                frames += ["CPU", "Running"]
-            else:
-                frames += ["Idle", s[S_STATE].replace(" ", "_")]
+            for wclass, event in s[S_STACK] or (top_frame(s),):
+                frames += (wclass, event)
             if s[S_FP]:
                 frames.append(s[S_FP])
-            key = ";".join(frames)
-            counts[key] = counts.get(key, 0) + 1
+            counts[";".join(frames)] += 1
         return "\n".join(f"{stack} {n}" for stack, n in sorted(counts.items()))
 
     # ------------------------------------------------------- diagnostics
@@ -348,42 +302,23 @@ class AshSampler:
 
     # -------------------------------------------------------- prometheus
 
-    def prometheus_lines(self, format_value, labels) -> list[str]:
-        """``citus_ash_*`` families for ``citus_metrics_snapshot`` (the
-        ``ash_samples`` / ``ash_sample_ticks`` lifetime counters ride the
-        plain-counter exporter already). Emitted in sorted order with the
-        snapshot module's canonical formatters."""
-        lines = [
-            "# TYPE citus_ash_ring_samples gauge",
-            f"citus_ash_ring_samples {len(self.ring)}",
-            "# TYPE citus_ash_ring_capacity gauge",
-            f"citus_ash_ring_capacity {self.ring.capacity}",
-            "# TYPE citus_ash_sampling_interval_seconds gauge",
-            f"citus_ash_sampling_interval_seconds {format_value(self.interval)}",
+    def metric_families(self) -> list[tuple]:
+        """``citus_ash_*`` families for ``citus_metrics_snapshot``, as
+        :func:`.metrics.render` takes them. The ring's capacity is the
+        ring-health family's, and the ``ash_samples`` / ``ash_sample_ticks``
+        lifetime counters are plain counters."""
+        return [
+            ("citus_ash_ring_samples", "gauge", [({}, len(self.ring))]),
+            ("citus_ash_sampling_interval_seconds", "gauge",
+             [({}, self.interval)]),
+            ("citus_ash_node_samples", "gauge",
+             [({"node": node}, n)
+              for node, n in sorted(rank(s[S_NODE] for s in self.ring))]),
+            ("citus_ash_wait_samples", "gauge",
+             [({"class": wclass, "event": event}, n)
+              for (wclass, event), n
+              in sorted(rank(map(top_frame, self.ring)))]),
         ]
-        by_node: dict[str, int] = {}
-        by_wait: dict[tuple, int] = {}
-        for s in self.ring:
-            by_node[s[S_NODE]] = by_node.get(s[S_NODE], 0) + 1
-            key = top_frame(s)
-            by_wait[key] = by_wait.get(key, 0) + 1
-        node_lines = [
-            f"citus_ash_node_samples{labels(node=node)} {by_node[node]}"
-            for node in sorted(by_node)
-        ]
-        if node_lines:
-            lines.append("# TYPE citus_ash_node_samples gauge")
-            lines.extend(node_lines)
-        wait_lines = [
-            "citus_ash_wait_samples"
-            + labels(**{"class": wclass, "event": event})
-            + f" {by_wait[(wclass, event)]}"
-            for wclass, event in sorted(by_wait)
-        ]
-        if wait_lines:
-            lines.append("# TYPE citus_ash_wait_samples gauge")
-            lines.extend(wait_lines)
-        return lines
 
 
 #: ``citus_ash(mode, ...)``: mode -> (the report method, the columns of its

@@ -329,6 +329,15 @@ def _args(udf: str, args, kinds) -> list:
             for kind, value in zip(kinds, args)]
 
 
+def _at_least(value, floor, what: str):
+    """``value`` (None passes) unless it is below ``floor``: an error
+    naming ``what``."""
+    if value is not None and value < floor:
+        raise MetadataError(f"invalid value {value!r} for {what}"
+                            f" (at least {floor} expected)")
+    return value
+
+
 def _mode(udf: str, modes, mode):
     """``mode`` if it is one of ``modes``, else an error naming the UDF and
     the modes it takes."""
@@ -412,9 +421,8 @@ def citus_set_config(ext, session, name, value):
         raise MetadataError(f"unknown citus configuration {name!r}")
     what = f"citus configuration {name!r}"
     parsed = _parse(kind, value, what)
-    if kind is int and parsed < 1:
-        raise MetadataError(
-            f"invalid value {value!r} for {what} (at least 1 expected)")
+    if kind is int:
+        _at_least(parsed, 1, what)
     setattr(ext.config, name, parsed)
     ext.telemetry.configure(ext.config, ext)
     return value
@@ -447,8 +455,9 @@ def citus_stat_reset(ext, session, mode="all"):
 def citus_trace_export(ext, session, *args):
     """Buffered traces as Chrome trace-event JSON (load the string in
     chrome://tracing or Perfetto). Optional argument limits the export
-    to the N most recent traces."""
+    to the N most recent traces (0: none)."""
     limit, = _args("citus_trace_export", args, (int,))
+    _at_least(limit, 0, "the limit of citus_trace_export")
     return json.dumps(ext.telemetry.export_chrome(limit), default=str)
 
 
@@ -481,11 +490,12 @@ def citus_ash(ext, session, *args):
     ``start`` / ``end`` bound the virtual-time range (inclusive, both
     optional). The modes and their columns are ``ash.MODES``: 'samples'
     (the default, the raw ring), 'top_waits', 'top_queries',
-    'top_tenants', 'timeline' (``bucket`` seconds wide, default 10
+    'top_tenants', 'timeline' (``bucket`` seconds wide; omitted or 0, 10
     sampling intervals) and 'flamegraph' (collapsed-stack text for
     flamegraph.pl / speedscope)."""
     mode, start, end, bucket = _args("citus_ash", args,
                                      (str, float, float, float))
+    _at_least(bucket, 0.0, "the bucket width of citus_ash")
     method, columns = ASH_MODES[_mode("citus_ash", ASH_MODES,
                                       "samples" if mode is None else mode)]
     sampler = ext.telemetry.ash

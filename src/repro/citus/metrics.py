@@ -14,15 +14,19 @@
 - per-node health: up/down, open connections, parked-statement queue
   depth, and pgbouncer pool lease occupancy.
 
-Output is sorted so two snapshots of identical state are byte-identical —
-tests and diffing tools rely on that.
+This module is the only one that knows the exposition format. Every
+other module hands over its metrics as *families* — ``(name, kind,
+[(labels, value), ...])`` with ``labels`` a dict — and :func:`render` writes
+them: one ``# TYPE`` line, then the family's samples; a family with no
+samples prints nothing. Output is sorted so two snapshots of identical
+state are byte-identical — tests and diffing tools rely on that.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..engine.waitevents import COUNT_PREFIX, TIME_PREFIX
+from ..engine.waitevents import split_wait_counter
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -36,119 +40,78 @@ def _escape(value) -> str:
             .replace("\n", "\\n"))
 
 
-def _labels(**kwargs) -> str:
-    items = [(k, v) for k, v in kwargs.items() if v not in (None, "")]
-    if not items:
-        return ""
-    body = ",".join(f'{k}="{_escape(v)}"' for k, v in items)
-    return "{" + body + "}"
+def _labels(labels: dict) -> str:
+    body = ",".join(f'{k}="{_escape(v)}"' for k, v in labels.items()
+                    if v not in (None, ""))
+    return "{" + body + "}" if body else ""
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_wait_key(name: str) -> tuple[str, str]:
-    wclass, _, event = name.partition(".")
-    return wclass, event
+def render(families) -> str:
+    """Prometheus text of ``(name, kind, [(labels, value), ...])``
+    families, in the order given."""
+    lines = []
+    for name, kind, samples in families:
+        if samples:
+            lines.append(f"# TYPE {name} {kind}")
+            lines.extend(f"{name}{_labels(labels)} {_format_value(value)}"
+                         for labels, value in samples)
+    return "\n".join(lines) + "\n"
 
 
 def metrics_snapshot(ext) -> str:
     snap = ext.stat_counters.snapshot()
-    lines: list[str] = []
-
-    # --- wait events (pulled out of the counter namespace first) ---
-    wait_counts: list[tuple] = []
-    wait_times: list[tuple] = []
-    plain_counters: list[tuple] = []
+    # Wait counters are pulled out of the counter namespace first.
+    waits: dict[bool, list] = {False: [], True: []}  # is_time -> samples
+    counters: dict[str, list] = {}
     for name in sorted(snap.counters):
-        for node in sorted(snap.counters[name]):
-            value = snap.counters[name][node]
-            if name.startswith(COUNT_PREFIX):
-                wclass, event = _parse_wait_key(name[len(COUNT_PREFIX):])
-                wait_counts.append((wclass, event, node, value))
-            elif name.startswith(TIME_PREFIX):
-                wclass, event = _parse_wait_key(name[len(TIME_PREFIX):])
-                wait_times.append((wclass, event, node, value / 1e6))
+        wait = split_wait_counter(name)
+        for node, value in sorted(snap.counters[name].items()):
+            if wait is None:
+                counters.setdefault(_metric_name(name) + "_total", []).append(
+                    ({"node": node}, value))
             else:
-                plain_counters.append((name, node, value))
-
-    lines.append("# TYPE citus_wait_events_total counter")
-    for wclass, event, node, value in wait_counts:
-        lines.append(
-            "citus_wait_events_total"
-            + _labels(**{"class": wclass, "event": event, "node": node})
-            + f" {_format_value(value)}"
-        )
-    lines.append("# TYPE citus_wait_time_seconds_total counter")
-    for wclass, event, node, seconds in wait_times:
-        lines.append(
-            "citus_wait_time_seconds_total"
-            + _labels(**{"class": wclass, "event": event, "node": node})
-            + f" {_format_value(seconds)}"
-        )
-
-    # --- plain counters ---
-    previous = None
-    for name, node, value in plain_counters:
-        metric = _metric_name(name) + "_total"
-        if metric != previous:
-            lines.append(f"# TYPE {metric} counter")
-            previous = metric
-        lines.append(metric + _labels(node=node) + f" {_format_value(value)}")
-
-    # --- gauges ---
-    previous = None
+                is_time, wclass, event = wait
+                waits[is_time].append(
+                    ({"class": wclass, "event": event, "node": node},
+                     value / 1e6 if is_time else value))
+    gauges: dict[str, list] = {}
     for name in sorted(snap.gauges):
-        metric = _metric_name(name)
-        for node in sorted(snap.gauges[name]):
-            if metric != previous:
-                lines.append(f"# TYPE {metric} gauge")
-                previous = metric
-            lines.append(
-                metric + _labels(node=node)
-                + f" {_format_value(snap.gauges[name][node])}"
-            )
+        gauges.setdefault(_metric_name(name), []).extend(
+            ({"node": node}, value)
+            for node, value in sorted(snap.gauges[name].items()))
+    return render([
+        ("citus_wait_events_total", "counter", waits[False]),
+        ("citus_wait_time_seconds_total", "counter", waits[True]),
+        *((metric, "counter", samples) for metric, samples in counters.items()),
+        *((metric, "gauge", samples) for metric, samples in gauges.items()),
+        *ext.telemetry.metric_families(),
+        *_node_families(ext),
+    ])
 
-    # --- co-access graph + window ring, ASH ring, ring health ---
-    lines.extend(ext.telemetry.prometheus_lines(_format_value, _labels))
 
-    # --- per-node health ---
+def _node_families(ext) -> list[tuple]:
+    """Per-node health: up/down, open connections, parked statements and
+    pgbouncer pool leases."""
     nodes = ({ext.instance.name: ext.instance} if ext.cluster is None
              else ext.cluster.nodes)
-    up_lines, conn_lines, queue_lines, pool_lines = [], [], [], []
-    for name in sorted(nodes):
-        instance = nodes[name]
-        up_lines.append(
-            "citus_node_up" + _labels(node=name)
-            + f" {1 if instance.is_up else 0}"
-        )
-        conn_lines.append(
-            "citus_node_connections" + _labels(node=name)
-            + f" {len(instance.sessions)}"
-        )
-        queue_lines.append(
-            "citus_node_parked_statements" + _labels(node=name)
-            + f" {len(instance._parked)}"
-        )
-        local = getattr(instance, "_stats_registry", None)
-        if local is not None:
-            leases = local.snapshot().gauges.get("pool_leases")
-            if leases:
-                pool_lines.append(
-                    "citus_node_pool_leases" + _labels(node=name)
-                    + f" {sum(leases.values())}"
-                )
-    lines.append("# TYPE citus_node_up gauge")
-    lines.extend(up_lines)
-    lines.append("# TYPE citus_node_connections gauge")
-    lines.extend(conn_lines)
-    lines.append("# TYPE citus_node_parked_statements gauge")
-    lines.extend(queue_lines)
-    if pool_lines:
-        lines.append("# TYPE citus_node_pool_leases gauge")
-        lines.extend(pool_lines)
-
-    return "\n".join(lines) + "\n"
+    names = sorted(nodes)
+    leases = []
+    for name in names:
+        local = getattr(nodes[name], "_stats_registry", None)
+        held = (None if local is None
+                else local.snapshot().gauges.get("pool_leases"))
+        if held:
+            leases.append(({"node": name}, sum(held.values())))
+    return [
+        ("citus_node_up", "gauge",
+         [({"node": n}, 1 if nodes[n].is_up else 0) for n in names]),
+        ("citus_node_connections", "gauge",
+         [({"node": n}, len(nodes[n].sessions)) for n in names]),
+        ("citus_node_parked_statements", "gauge",
+         [({"node": n}, len(nodes[n]._parked)) for n in names]),
+        ("citus_node_pool_leases", "gauge", leases),
+    ]

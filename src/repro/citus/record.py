@@ -30,7 +30,7 @@ filled on exit; everything else is a tuple. Two categories are not spans:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 # Event fields.
 E_PARENT, E_NAME, E_CAT, E_START, E_END, E_NODE, E_ATTRS = range(7)
@@ -179,3 +179,25 @@ class Ring:
 
     def __getitem__(self, index):
         return self.items[index]
+
+
+def _busiest(item) -> tuple:
+    # Ties break on the key's text, so keys of mixed types (int and text
+    # tenants, None in a tenant pair) still order.
+    return -item[1], str(item[0])
+
+
+def rank(items, with_detail: bool = False) -> list[tuple]:
+    """Count ``items`` by key — an iterable of keys, or a ``{key: count}``
+    mapping already counted — busiest first: ``[(key, count)]``. With
+    ``with_detail`` the items are ``(key, detail)`` pairs and each row also
+    names the detail seen most often with its key, ranked the same way:
+    ``[(key, count, top_detail)]``."""
+    if not with_detail:
+        return sorted(Counter(items).items(), key=_busiest)
+    details: dict = {}
+    for key, detail in items:
+        details.setdefault(key, Counter())[detail] += 1
+    return sorted(((key, sum(per_key.values()),
+                    min(per_key.items(), key=_busiest)[0])
+                   for key, per_key in details.items()), key=_busiest)

@@ -498,11 +498,13 @@ class Telemetry:
         return self.graph
 
     def trace_records(self, limit: int | None = None) -> list[StatementRecord]:
-        """The trace ring (the newest ``limit`` of it), oldest first;
-        :func:`~.tracing.build_trace` draws one as a span tree."""
+        """The trace ring (the newest ``limit`` of it, none for 0), oldest
+        first; :func:`~.tracing.build_trace` draws one as a span tree."""
         self.drain()
         records = list(self.traces)
-        return records if limit is None else records[-limit:]
+        if limit is None:
+            return records
+        return records[-limit:] if limit > 0 else []
 
     def export_chrome(self, limit: int | None = None) -> dict:
         return export_chrome(self.trace_records(limit))
@@ -511,23 +513,19 @@ class Telemetry:
         self.drain()
         return list(self.slow_log)
 
-    def prometheus_lines(self, format_value, labels) -> list[str]:
+    def metric_families(self) -> list[tuple]:
         """Graph / window, ASH and ring-health families for
-        ``citus_metrics_snapshot``."""
-        lines: list[str] = []
+        ``citus_metrics_snapshot``, as :func:`.metrics.render` takes them."""
         graph = self.txn_graph()
-        if graph is not None:
-            lines.extend(graph.prometheus_lines(format_value, labels))
+        families = [] if graph is None else graph.metric_families()
         if self.ash.enabled:
-            lines.extend(self.ash.prometheus_lines(format_value, labels))
+            families += self.ash.metric_families()
         rings = sorted(self.rings().items())
-        for family, kind, read in (
-            ("citus_telemetry_ring_capacity", "gauge", lambda r: r.capacity),
-            ("citus_telemetry_ring_high_water", "gauge", lambda r: r.high_water),
-            ("citus_telemetry_ring_dropped_total", "counter", lambda r: r.dropped),
-        ):
-            lines.append(f"# TYPE {family} {kind}")
-            lines.extend(f"{family}{labels(ring=name)} {read(ring)}"
-                         for name, ring in rings)
-        return lines
+        families += [
+            (f"citus_telemetry_ring_{field}", kind,
+             [({"ring": name}, getattr(ring, attr)) for name, ring in rings])
+            for field, kind, attr in (("capacity", "gauge", "capacity"),
+                                      ("high_water", "gauge", "high_water"),
+                                      ("dropped_total", "counter", "dropped"))]
+        return families
 

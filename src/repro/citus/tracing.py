@@ -14,8 +14,8 @@ what is made *from* records afterwards:
   :class:`~repro.net.clock.SimClock`, so the same workload produces
   byte-identical span trees run after run.
 - :class:`StatementStats` — the fold behind ``citus_stat_statements()``:
-  per plan-cache fingerprint (and per tenant) calls, total/min/max time, a
-  log-bucketed latency histogram (p50/p95/p99), rows, bytes, tier.
+  per plan-cache fingerprint (and per tenant) a log-bucketed latency
+  histogram (calls, total/min/max time, p50/p95/p99), rows, bytes, tier.
 - :func:`export_chrome` — records as Chrome trace-event JSON (open in
   ``chrome://tracing`` / Perfetto), one lane per node.
 """
@@ -291,29 +291,18 @@ class StatementStats:
                 "_stmt": record.stmt,
                 "tenant": record.tenant,
                 "tier": record.tier,
-                "calls": 0,
-                "total_time": 0.0,
-                "min_time": float("inf"),
-                "max_time": 0.0,
                 "rows": 0,
                 "bytes": 0,
-                "errors": 0,
                 "cache_hits": 0,
+                # Its count / sum / min / max are the calls and times.
                 "histogram": LogHistogram(),
             }
-        elapsed = record.end - record.start
-        entry["calls"] += 1
-        entry["total_time"] += elapsed
-        entry["min_time"] = min(entry["min_time"], elapsed)
-        entry["max_time"] = max(entry["max_time"], elapsed)
         entry["rows"] += record.rows or 0
         entry["bytes"] += record.wire_bytes()
         entry["tier"] = record.tier or entry["tier"]
-        if record.error:
-            entry["errors"] += 1
         if record.cached:
             entry["cache_hits"] += 1
-        entry["histogram"].observe(elapsed)
+        entry["histogram"].observe(record.end - record.start)
 
     def rows(self) -> list[list]:
         """``citus_stat_statements()`` rows: [query, partition_key, tier,
@@ -328,10 +317,10 @@ class StatementStats:
                 entry["query"],
                 entry["tenant"],
                 entry["tier"],
-                entry["calls"],
-                entry["total_time"] * 1000.0,
-                (0.0 if entry["calls"] == 0 else entry["min_time"]) * 1000.0,
-                entry["max_time"] * 1000.0,
+                hist.count,
+                hist.sum * 1000.0,
+                hist.min * 1000.0,
+                hist.max * 1000.0,
                 hist.percentile(50) * 1000.0,
                 hist.percentile(95) * 1000.0,
                 hist.percentile(99) * 1000.0,

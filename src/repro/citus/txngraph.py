@@ -44,7 +44,7 @@ from ..engine.stats import LogHistogram, StatsRegistry
 from .record import (ABORT, BEGIN, BLOCKED, DISPATCH, E_ATTRS, E_CAT, E_NAME,
                      E_START, EXECUTION, OK, TXN, U_BYTES, U_GROUP, U_KIND, U_NODE, U_WRITE,
                      X_AUTOCOMMIT, X_BUCKET, X_EXPLICIT, X_OUTCOME, X_REPORT,
-                     X_SESSION, X_TENANT, X_UNITS, StatementRecord)
+                     X_SESSION, X_TENANT, X_UNITS, StatementRecord, rank)
 
 #: Transactions touching more shard groups than this skip pairwise edge
 #: folding (the vertex totals still update) — a 32-shard analytical scan
@@ -106,17 +106,16 @@ class _Bucket:
 
     While current, it holds a registry snapshot from its open; on close
     the snapshot is diffed into ``counters`` and dropped. ``hist`` takes
-    one observation per executor statement that ended inside the bucket;
-    ``edges`` counts co-access edges folded inside it.
+    one observation per executor statement that ended inside the bucket
+    (its ``count`` is the bucket's statement count); ``edges`` counts
+    co-access edges folded inside it.
     """
 
-    __slots__ = ("index", "statements", "hist", "edges", "txns",
-                 "multi_group", "cross_node", "twopc",
-                 "baseline", "counters", "closed")
+    __slots__ = ("index", "hist", "edges", "txns", "multi_group",
+                 "cross_node", "twopc", "baseline", "counters", "closed")
 
     def __init__(self, index: int, baseline=None):
         self.index = index
-        self.statements = 0
         self.hist = LogHistogram()
         self.edges: Counter = Counter()
         self.txns = 0
@@ -209,13 +208,15 @@ class WindowRing:
 
     # ------------------------------------------------------------ reading
 
+    def retained(self) -> list[_Bucket]:
+        """All retained buckets oldest-first, the current one last."""
+        current = self.current
+        return list(self.ring) if current is None else [*self.ring, current]
+
     def buckets(self, now: float) -> list[_Bucket]:
-        """All retained buckets oldest-first, after rolling to ``now``."""
+        """:meth:`retained`, after rolling to ``now``."""
         self.roll(now)
-        out = list(self.ring)
-        if self.current is not None:
-            out.append(self.current)
-        return out
+        return self.retained()
 
     def bucket_counters(self, bucket: _Bucket) -> dict:
         if bucket.closed:
@@ -224,23 +225,16 @@ class WindowRing:
 
     def recent_edge_weights(self) -> Counter:
         total: Counter = Counter()
-        for bucket in self.ring:
+        for bucket in self.retained():
             total.update(bucket.edges)
-        if self.current is not None:
-            total.update(self.current.edges)
         return total
 
     def recent_txn_totals(self) -> tuple[int, int, int]:
         """(txns, multi_group, cross_node) summed over retained buckets."""
-        txns = multi = cross = 0
-        buckets = list(self.ring)
-        if self.current is not None:
-            buckets.append(self.current)
-        for b in buckets:
-            txns += b.txns
-            multi += b.multi_group
-            cross += b.cross_node
-        return txns, multi, cross
+        buckets = self.retained()
+        return (sum(b.txns for b in buckets),
+                sum(b.multi_group for b in buckets),
+                sum(b.cross_node for b in buckets))
 
 
 class _EdgeStats:
@@ -318,7 +312,6 @@ class TxnGraph:
                 continue
             slot = self.windows.at(bucket)
             if slot is not None:
-                slot.statements += 1
                 slot.hist.observe(elapsed)
             key = payload[X_SESSION]
             txn = self.open.get(key)
@@ -466,15 +459,10 @@ class TxnGraph:
 
     def vertex_rows(self) -> list[list]:
         """:data:`VERTEX_COLUMNS` rows, sorted by shard group."""
-        rows = []
-        for group in sorted(self.vertices):
-            vertex = self.vertices[group]
-            top = sorted(vertex.tenants.items(),
-                         key=lambda kv: (-kv[1], kv[0]))[:5]
-            rows.append([group_label(group), vertex.txns, vertex.writes,
-                         vertex.bytes, len(vertex.tenants),
-                         [t for t, _ in top]])
-        return rows
+        return [[group_label(group), vertex.txns, vertex.writes, vertex.bytes,
+                 len(vertex.tenants),
+                 [tenant for tenant, _ in rank(vertex.tenants)[:5]]]
+                for group, vertex in sorted(self.vertices.items())]
 
     def as_json(self) -> str:
         """Sorted-key JSON export, edges with their tenant-pair detail."""
@@ -484,9 +472,7 @@ class TxnGraph:
             "edges": [
                 dict(zip(EDGE_COLUMNS, row), tenant_pairs=[
                     ["|".join(p or "" for p in pair), count]
-                    for pair, count in sorted(
-                        self.edges[key].tenant_pairs.items(),
-                        key=lambda kv: (-kv[1], kv[0]))[:5]
+                    for pair, count in rank(self.edges[key].tenant_pairs)[:5]
                 ])
                 for key, row in zip(sorted(self.edges), self.edge_rows())
             ],
@@ -518,7 +504,7 @@ class TxnGraph:
             hist = bucket.hist
             rows.append([
                 bucket.index, bucket.index * width, (bucket.index + 1) * width,
-                not bucket.closed, bucket.statements,
+                not bucket.closed, hist.count,
                 hist.percentile(50) * 1000.0, hist.percentile(95) * 1000.0,
                 hist.percentile(99) * 1000.0, bucket.txns, bucket.multi_group,
                 bucket.cross_node, bucket.twopc, sum(bucket.edges.values()),
@@ -537,55 +523,30 @@ class TxnGraph:
 
     # --------------------------------------------------------- prometheus
 
-    def prometheus_lines(self, format_value, labels) -> list[str]:
-        """Graph/window metric families for ``citus_metrics_snapshot``.
-        Emitted in sorted-key order; ``format_value`` / ``labels`` are the
-        snapshot module's canonical formatters so escaping and float
-        rendering stay byte-identical with the rest of the scrape."""
-        lines = [
-            "# TYPE citus_txn_graph_edges gauge",
-            f"citus_txn_graph_edges {len(self.edges)}",
-            "# TYPE citus_txn_graph_vertices gauge",
-            f"citus_txn_graph_vertices {len(self.vertices)}",
+    def metric_families(self) -> list[tuple]:
+        """Graph / window families for ``citus_metrics_snapshot``, as
+        :func:`.metrics.render` takes them, in sorted-key order."""
+        edges = [({"src": group_label(a), "dst": group_label(b)}, edge)
+                 for (a, b), edge in sorted(self.edges.items())]
+        buckets = [({"bucket": str(b.index)}, b)
+                   for b in self.windows.buckets(self._now())]
+        return [
+            ("citus_txn_graph_edges", "gauge", [({}, len(self.edges))]),
+            ("citus_txn_graph_vertices", "gauge", [({}, len(self.vertices))]),
+            ("citus_txn_graph_edge_txns_total", "counter",
+             [(labels, edge.txns) for labels, edge in edges]),
+            ("citus_txn_graph_edge_bytes_total", "counter",
+             [(labels, edge.bytes) for labels, edge in edges]),
+            ("citus_txn_graph_vertex_txns_total", "counter",
+             [({"shard": group_label(group)}, vertex.txns)
+              for group, vertex in sorted(self.vertices.items())]),
+            ("citus_txn_window_statements", "gauge",
+             [(labels, b.hist.count) for labels, b in buckets]),
+            ("citus_txn_window_txns", "gauge",
+             [(labels, b.txns) for labels, b in buckets]),
+            ("citus_txn_window_statement_p99_seconds", "gauge",
+             [(labels, b.hist.percentile(99)) for labels, b in buckets]),
         ]
-        edge_txns, edge_bytes = [], []
-        for (a, b) in sorted(self.edges):
-            edge = self.edges[(a, b)]
-            lbl = labels(src=group_label(a), dst=group_label(b))
-            edge_txns.append(f"citus_txn_graph_edge_txns_total{lbl} {edge.txns}")
-            edge_bytes.append(
-                f"citus_txn_graph_edge_bytes_total{lbl} {edge.bytes}")
-        if edge_txns:
-            lines.append("# TYPE citus_txn_graph_edge_txns_total counter")
-            lines.extend(edge_txns)
-            lines.append("# TYPE citus_txn_graph_edge_bytes_total counter")
-            lines.extend(edge_bytes)
-        vertex_lines = []
-        for group in sorted(self.vertices):
-            lbl = labels(shard=group_label(group))
-            vertex_lines.append(
-                f"citus_txn_graph_vertex_txns_total{lbl}"
-                f" {self.vertices[group].txns}")
-        if vertex_lines:
-            lines.append("# TYPE citus_txn_graph_vertex_txns_total counter")
-            lines.extend(vertex_lines)
-        window_stmt, window_txns, window_p99 = [], [], []
-        for bucket in self.windows.buckets(self._now()):
-            lbl = labels(bucket=str(bucket.index))
-            window_stmt.append(
-                f"citus_txn_window_statements{lbl} {bucket.statements}")
-            window_txns.append(f"citus_txn_window_txns{lbl} {bucket.txns}")
-            window_p99.append(
-                f"citus_txn_window_statement_p99_seconds{lbl}"
-                f" {format_value(bucket.hist.percentile(99))}")
-        if window_stmt:
-            lines.append("# TYPE citus_txn_window_statements gauge")
-            lines.extend(window_stmt)
-            lines.append("# TYPE citus_txn_window_txns gauge")
-            lines.extend(window_txns)
-            lines.append("# TYPE citus_txn_window_statement_p99_seconds gauge")
-            lines.extend(window_p99)
-        return lines
 
 
 #: ``citus_stat_txn_graph(mode)``: mode -> (the report method, the columns

@@ -38,7 +38,8 @@ class LogHistogram:
     fixed, small number of integer counters covers nine orders of
     magnitude with bounded relative error — the classic HdrHistogram /
     Prometheus trade-off. Exact ``count``/``sum``/``min``/``max`` are kept
-    alongside so the extremes never suffer bucket rounding.
+    alongside so the extremes never suffer bucket rounding; the statement
+    and window statistics read their calls and times from them.
 
     ``percentile`` walks the cumulative bucket counts and reports the
     upper bound of the bucket containing the requested rank, which makes
@@ -90,31 +91,6 @@ class LogHistogram:
             if seen >= rank:
                 return min(max(self._upper_bound(index), self.min), self.max)
         return self.max
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def merge(self, other: "LogHistogram") -> None:
-        if other.base != self.base or other.log_factor != self.log_factor:
-            raise ValueError("cannot merge histograms with different bucket layouts")
-        self.buckets.update(other.buckets)
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
 
     def __repr__(self):
         return f"LogHistogram(count={self.count}, p50={self.percentile(50):.6g}, max={self.max:.6g})"

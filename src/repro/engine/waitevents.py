@@ -220,42 +220,52 @@ class WaitEventStack:
 _COUNTER_NAMES: dict[tuple, tuple] = {}
 
 
+def split_wait_counter(name: str) -> tuple | None:
+    """``(is_time, class, event)`` of a ``wait_count:<Class>.<Event>`` or
+    ``wait_time_us:<Class>.<Event>`` counter name; None for any other
+    counter. The one reader of the names
+    :meth:`WaitEventStack._flush_pending` writes."""
+    for is_time, prefix in ((False, COUNT_PREFIX), (True, TIME_PREFIX)):
+        if name.startswith(prefix):
+            wclass, _, event = name[len(prefix):].partition(".")
+            return is_time, wclass, event
+    return None
+
+
 def wait_class_totals(counters: dict) -> dict[str, int]:
     """Roll a flat counter mapping (``StatsSnapshot.as_dict()`` shape, or
-    any ``{counter_name: value}`` dict) up to per-wait-class sample counts:
+    any ``{counter_name: value}`` dict) up to per-wait-class wait counts:
     ``{"Lock": 12, "Net": 40, ...}``.
 
     Only ``wait_count:`` entries contribute; per-node duplicates
     (``wait_count:Class.Event@node``) are skipped so a class is counted
-    once, from its cluster-wide total. Shared by the traffic harness
-    report and the ASH timeline mode.
+    once, from its cluster-wide total. The traffic harness report rolls
+    its counter delta up with it.
     """
     out: dict[str, int] = {}
     for name, value in counters.items():
-        if name.startswith(COUNT_PREFIX) and "@" not in name:
-            wclass = name[len(COUNT_PREFIX):].partition(".")[0]
-            out[wclass] = out.get(wclass, 0) + value
+        wait = split_wait_counter(name)
+        if wait is not None and not wait[0] and "@" not in name:
+            out[wait[1]] = out.get(wait[1], 0) + value
     return out
 
 
 def wait_totals(registry) -> dict[tuple, dict]:
     """Aggregate a registry's wait counters into
-    ``{(class, event, node): {"count": n, "seconds": s}}`` — the shape the
-    monitoring views and the Prometheus exporter render from."""
-    snap = registry.snapshot()
+    ``{(class, event, node): {"count": n, "seconds": s}}``. Nothing in the
+    program renders from it (the metrics snapshot reads the counters
+    itself); the wait-event tests read totals through it."""
     out: dict[tuple, dict] = {}
-
-    def _entry(wclass, event, node):
-        return out.setdefault((wclass, event, node),
-                              {"count": 0, "seconds": 0.0})
-
-    for name, per_node in snap.counters.items():
-        if name.startswith(COUNT_PREFIX):
-            wclass, _, event = name[len(COUNT_PREFIX):].partition(".")
-            for node, value in per_node.items():
-                _entry(wclass, event, node)["count"] += value
-        elif name.startswith(TIME_PREFIX):
-            wclass, _, event = name[len(TIME_PREFIX):].partition(".")
-            for node, value in per_node.items():
-                _entry(wclass, event, node)["seconds"] += value / 1e6
+    for name, per_node in registry.snapshot().counters.items():
+        wait = split_wait_counter(name)
+        if wait is None:
+            continue
+        is_time, wclass, event = wait
+        for node, value in per_node.items():
+            entry = out.setdefault((wclass, event, node),
+                                   {"count": 0, "seconds": 0.0})
+            if is_time:
+                entry["seconds"] += value / 1e6
+            else:
+                entry["count"] += value
     return out

@@ -101,9 +101,16 @@ def dump(session, full: bool) -> dict:
     return out
 
 
-def run(full: bool = False) -> dict:
+def script_config(**overrides) -> CitusConfig:
+    """The script's configuration: a 5 ms window, a 2 ms ASH interval."""
+    return CitusConfig(stat_window_seconds=0.005, ash_sampling_interval=0.002,
+                       **overrides)
+
+
+def drive(config: CitusConfig):
+    """The seeded script on a fresh cluster: returns the cluster, the
+    session that ran it, and what it recorded on the way."""
     rng = random.Random(SEED)
-    config = CitusConfig(stat_window_seconds=0.005, ash_sampling_interval=0.002)
     citus = make_cluster(workers=2, shard_count=8, config=config)
     clock = citus.cluster.clock
     s = citus.coordinator_session("golden")
@@ -273,13 +280,18 @@ def run(full: bool = False) -> dict:
                 "ash_samples": len(udf(s, "citus_ash()")),
             })
 
-    return {
+    return citus, s, {
         "statements_issued": issued,
         "errors": errors,
         "sim_seconds": clock.now(),
         "checkpoints": checkpoints,
-        "final": dump(s, full),
     }
+
+
+def run(full: bool = False) -> dict:
+    _citus, session, out = drive(script_config())
+    out["final"] = dump(session, full)
+    return out
 
 
 if __name__ == "__main__":

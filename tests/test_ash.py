@@ -275,7 +275,9 @@ class TestTrafficRun:
         s = citus.coordinator_session("report")
         text = s.execute("SELECT citus_metrics_snapshot()").scalar()
         assert "citus_ash_ring_samples " in text
-        assert "citus_ash_ring_capacity " in text
+        # The ring's capacity is exported once, as a ring-health gauge.
+        assert "citus_ash_ring_capacity" not in text
+        assert 'citus_telemetry_ring_capacity{ring="ash"} ' in text
         assert 'citus_ash_node_samples{node="worker1"}' in text
         assert "citus_ash_samples_total" in text
         # The ring gauge agrees with the UDF.

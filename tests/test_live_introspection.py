@@ -4,10 +4,13 @@ Prometheus metrics snapshot."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import PostgresInstance
 from repro.citus.api import make_cluster
+from repro.citus.extension import TELEMETRY_SWITCHES
 from repro.citus.introspection import GPID_STRIDE, global_pid
 from repro.citus.metrics import metrics_snapshot
 from repro.citus.rebalancer import MOVE_PHASES, progress_for
@@ -17,6 +20,7 @@ from repro.errors import NodeUnavailable, TooManyConnections
 from repro.net.pool import ConnectionPool
 
 from .conftest import find_keys_on_distinct_nodes
+from .golden import telemetry_script
 
 
 def _make_table(citus, rows: int = 20):
@@ -395,3 +399,51 @@ def test_metrics_snapshot_reports_down_node(citus):
     citus.cluster.fail_node("worker2")
     text = _udf_rows(session, "citus_metrics_snapshot()")
     assert 'citus_node_up{node="worker2"} 0' in text.splitlines()
+
+
+_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+_SAMPLE = re.compile(r"([^{ ]+)(?:\{(.*)\})? (\S+)")
+_LABEL = re.compile(r'([^=,]+)="((?:[^"\\]|\\.)*)"')
+
+
+def assert_well_formed(text: str) -> set[str]:
+    """Every family has one ``# TYPE`` line, before its samples, which are
+    contiguous and at least one; names are Prometheus names. Returns the
+    families."""
+    samples: dict[str, int] = {}  # family -> samples, in scrape order
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            name, kind = line[len("# TYPE "):].split(" ")
+            assert name not in samples, f"second # TYPE for {name}"
+            assert _NAME.fullmatch(name) and kind in ("counter", "gauge")
+            assert all(samples.values()), f"# TYPE without samples: {line}"
+            samples[name] = 0
+            continue
+        match = _SAMPLE.fullmatch(line)
+        assert match, line
+        name, labels, value = match.groups()
+        current = list(samples)[-1] if samples else None
+        assert name == current, f"{name} sampled outside its family"
+        if labels:
+            pairs = list(_LABEL.finditer(labels))
+            assert ",".join(p.group(0) for p in pairs) == labels, line
+            assert all(_NAME.fullmatch(p.group(1)) for p in pairs), line
+        float(value)
+        samples[name] += 1
+    assert all(samples.values()), "a # TYPE line without samples"
+    return set(samples)
+
+
+@pytest.mark.parametrize("switches", ["on", "off"])
+def test_the_whole_scrape_is_well_formed(switches):
+    """The golden telemetry script's cluster, as shipped and with every
+    telemetry switch off: the scrape is valid exposition text throughout,
+    ring-health families included."""
+    on = switches == "on"
+    config = telemetry_script.script_config(
+        **{name: on for name in TELEMETRY_SWITCHES})
+    _citus, session, _ = telemetry_script.drive(config)
+    families = assert_well_formed(_udf_rows(session, "citus_metrics_snapshot()"))
+    assert {"citus_telemetry_ring_capacity", "citus_node_up"} <= families
+    assert ("citus_ash_ring_samples" in families) == on
+    assert ("citus_wait_events_total" in families) == on

@@ -11,6 +11,10 @@ The check goes by name. A GUC is read where code takes the attribute
 enable_tracing=False)``). A UDF is read where a SQL string calls it
 (``SELECT citus_add_node($1)``); docstrings and error messages are not
 SQL.
+
+README's Observability table is held to the UDF table too: every
+``citus_*`` name it backticks is a registered UDF, and every
+``citus_stat_*`` view (resets aside) has a row.
 """
 
 from __future__ import annotations
@@ -115,6 +119,32 @@ def test_every_kept_entry_is_on_the_surface_unread_and_says_why():
     # An entry that gained a reader leaves the list.
     assert [name for name in KEEP
             if (_guc_is_read if name in GUCS else _udf_is_called)(name)] == []
+
+
+def _observability_table_names() -> set[str]:
+    """The ``citus_*`` names backticked in README's Observability table."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    section = lines.index("## Observability")
+    header = next(i for i in range(section, len(lines))
+                  if lines[i].startswith("| Surface |"))
+    names = set()
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        names.update(re.match(r"\w+", span).group(0)
+                     for span in re.findall(r"`([^`]*)`", line)
+                     if span.startswith("citus_"))
+    return names
+
+
+def test_the_observability_table_names_only_registered_udfs():
+    assert sorted(_observability_table_names() - UDF_NAMES) == []
+
+
+def test_every_stat_view_is_in_the_observability_table():
+    views = {name for name in UDF_NAMES
+             if name.startswith("citus_stat_") and not name.endswith("_reset")}
+    assert sorted(views - _observability_table_names()) == []
 
 
 def test_the_ledger_switches_are_still_fields():

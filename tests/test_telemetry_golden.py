@@ -138,7 +138,7 @@ def _fold_dump(records, chunk: int, width: float, clock) -> str:
         telemetry.drain()
     graph = telemetry.graph
     windows = [
-        (b.index, b.statements, b.hist.percentile(99), b.txns, b.twopc,
+        (b.index, b.hist.count, b.hist.percentile(99), b.txns, b.twopc,
          sorted(b.edges.items()))
         for b in list(graph.windows.ring) + [graph.windows.current]
     ]

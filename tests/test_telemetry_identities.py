@@ -41,6 +41,16 @@ class Surfaces:
         self.vertices = _udf(session, "citus_stat_txn_graph('vertices')")
         self.flamegraph = _udf(session, "citus_ash('flamegraph')")
         self.ash_samples = _udf(session, "citus_ash()")
+        # Every ASH report over one bounded range: the middle half of the
+        # sampled instants.
+        times = sorted({row[0] for row in self.ash_samples})
+        self.ash_range = None
+        if times:
+            start, end = times[len(times) // 4], times[3 * len(times) // 4]
+            self.ash_range = (start, end, {
+                mode: _udf(session, f"citus_ash('{mode}', {start!r}, {end!r})")
+                for mode in ("samples", "top_waits", "top_queries",
+                             "top_tenants", "timeline", "flamegraph")})
         self.trace_events = json.loads(
             _udf(session, "citus_trace_export()"))["traceEvents"]
         session.close()
@@ -115,6 +125,24 @@ def traffic_surfaces():
 
 def test_sensors_agree_after_a_2000_session_run(traffic_surfaces):
     assert_sensors_agree(traffic_surfaces)
+
+
+def test_ash_reports_reconcile_over_a_time_range(traffic_surfaces):
+    """Over a bounded range every ASH report counts the same samples: the
+    wait ranking, the flamegraph and the timeline each account for every
+    one; the query and tenant rankings for those with a statement or a
+    tenant."""
+    start, end, report = traffic_surfaces.ash_range
+    in_range = report["samples"]
+    assert 0 < len(in_range) < len(traffic_surfaces.ash_samples)
+    assert all(start <= row[0] <= end for row in in_range)
+    total = len(in_range)
+    assert sum(row[2] for row in report["top_waits"]) == total
+    assert sum(int(line.rsplit(" ", 1)[1])
+               for line in report["flamegraph"].splitlines()) == total
+    assert sum(row[3] for row in report["timeline"]) == total
+    assert 0 < sum(row[1] for row in report["top_queries"]) <= total
+    assert 0 < sum(row[1] for row in report["top_tenants"]) <= total
 
 
 def test_the_run_is_the_one_the_identities_were_stated_for(traffic_surfaces):

@@ -96,7 +96,6 @@ class TestPercentileLowN:
         hist = LogHistogram()
         assert hist.percentile(50) == 0.0
         assert hist.percentile(99) == 0.0
-        assert hist.as_dict()["p50"] == 0.0
 
     def test_single_observation_all_percentiles_equal(self):
         hist = LogHistogram()

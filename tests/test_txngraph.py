@@ -325,8 +325,8 @@ class TestWindowRing:
         _statement(graph, clock, (1, 0), 64, 0.5, began_at=10.0)
         buckets = graph.windows.buckets(clock.t)
         assert [b.index for b in buckets] == [0, 1]
-        assert buckets[0].statements == 0  # closed bucket stayed empty
-        assert buckets[1].statements == 1  # boundary-exact end -> new bucket
+        assert buckets[0].hist.count == 0  # closed bucket stayed empty
+        assert buckets[1].hist.count == 1  # boundary-exact end -> new bucket
         assert buckets[1].txns == 1
 
     def test_idle_gaps_materialize_as_empty_buckets(self):
@@ -335,7 +335,7 @@ class TestWindowRing:
         buckets = graph.windows.buckets(130.0)  # jump into bucket 2
         assert [b.index for b in buckets] == [0, 1, 2]
         gap = buckets[1]
-        assert gap.closed and gap.statements == 0 and gap.counters == {}
+        assert gap.closed and gap.hist.count == 0 and gap.counters == {}
 
     def test_wraparound_retains_only_the_newest_n_buckets(self):
         graph, clock = _graph(width=60.0, nbuckets=4)
@@ -359,7 +359,7 @@ class TestWindowRing:
         graph.reset_windows()
         clock.t = 12.0  # still inside bucket 0's interval
         buckets = graph.windows.buckets(clock.t)
-        assert len(buckets) == 1 and buckets[0].statements == 0
+        assert len(buckets) == 1 and buckets[0].hist.count == 0
         # Counters incremented before the reset don't leak into the delta.
         assert graph.windows.bucket_counters(buckets[0]) == {}
 

@@ -4,6 +4,7 @@ sizes, worker commands, distributed DROP INDEX, and the named-argument
 convention."""
 
 import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -185,6 +186,34 @@ class TestMalformedArguments:
     def test_citus_trace_export_limit(self, s):
         with pytest.raises(MetadataError, match="citus_trace_export"):
             s.execute("SELECT citus_trace_export('x')")
+
+    def test_citus_trace_export_limit_zero_is_empty_negative_refused(self, s):
+        for k in range(9):
+            s.execute("SELECT payload FROM t WHERE k = $1", [k])
+
+        def traces(limit: str):
+            export = s.execute(f"SELECT citus_trace_export({limit})").scalar()
+            return [e for e in json.loads(export)["traceEvents"]
+                    if e["ph"] == "X" and "sql" in e["args"]]
+
+        assert len(traces("")) >= 9
+        assert len(traces("2")) == 2
+        assert traces("0") == []
+        with pytest.raises(MetadataError, match="citus_trace_export"):
+            traces("-2")
+
+    def test_citus_ash_negative_timeline_bucket_is_refused(self, citus, s):
+        citus.cluster.clock.advance(5.0)
+        with pytest.raises(MetadataError, match="citus_ash"):
+            s.execute("SELECT citus_ash('timeline', NULL, NULL, -1.0)")
+        # Omitted or 0: buckets of ten sampling intervals.
+        width = 10 * citus.coordinator_ext.config.ash_sampling_interval
+        for sql in ("SELECT citus_ash('timeline')",
+                    "SELECT citus_ash('timeline', NULL, NULL, 0)"):
+            rows = s.execute(sql).scalar()
+            assert rows
+            assert all(end - start == pytest.approx(width)
+                       for _b, start, end, *_ in rows)
 
     def test_citus_stat_txn_graph_mode(self, s):
         with pytest.raises(MetadataError,
