@@ -2,8 +2,8 @@
 sent before it was built as an AST.
 
 Each scenario runs one command kind on a fresh (2 workers, 4 shards)
-cluster with ``RemoteConnection.execute`` / ``execute_parsed`` wrapped
-from outside: what was shipped — SQL text, or an AST as its deparse — in
+cluster with ``RemoteConnection.execute`` / ``execute_parsed`` /
+``execute_cursor`` wrapped from outside: what was shipped — SQL text, or an AST as its deparse — in
 order and per node, each node's round trips and bytes, and the simulated
 clock. ``tests/golden/placement_commands.json`` holds the same record
 taken from the tree where these commands were still SQL text, so a command
@@ -66,8 +66,8 @@ def _catalog_nodes(catalog) -> set:
 
 class Shipped:
     """What crossed a RemoteConnection while ``on``: ``commands`` as
-    ``[node, normalized SQL]``, the function that called
-    ``RemoteConnection.execute`` for each text, the ASTs, and every
+    ``[node, normalized SQL]`` (cursor reads included), the function that
+    called ``RemoteConnection.execute`` for each text, the ASTs, and every
     connection opened (for per-node traffic)."""
 
     def __init__(self):
@@ -81,6 +81,7 @@ class Shipped:
         init = RemoteConnection.__init__
         execute = RemoteConnection.execute
         execute_parsed = RemoteConnection.execute_parsed
+        execute_cursor = RemoteConnection.execute_cursor
         shipped = self
 
         def recording_init(conn, *args, **kwargs):
@@ -93,7 +94,7 @@ class Shipped:
                 shipped.commands.append([conn.node_name, normalized(sql)])
             return execute(conn, sql, *args, **kwargs)
 
-        def recording_execute_parsed(conn, stmt, *args, **kwargs):
+        def record_ast(conn, stmt):
             if shipped.on:
                 shipped.asts.append(stmt)
                 shipped.commands.append([conn.node_name, normalized(deparse(stmt))])
@@ -101,17 +102,26 @@ class Shipped:
                         {id(n) for n in A.walk(stmt)}
                         & _catalog_nodes(shipped.catalog)):
                     shipped.sharing.append(deparse(stmt))
+
+        def recording_execute_parsed(conn, stmt, *args, **kwargs):
+            record_ast(conn, stmt)
             return execute_parsed(conn, stmt, *args, **kwargs)
+
+        def recording_execute_cursor(conn, stmt, *args, **kwargs):
+            record_ast(conn, stmt)
+            return execute_cursor(conn, stmt, *args, **kwargs)
 
         RemoteConnection.__init__ = recording_init
         RemoteConnection.execute = recording_execute
         RemoteConnection.execute_parsed = recording_execute_parsed
+        RemoteConnection.execute_cursor = recording_execute_cursor
         try:
             yield self
         finally:
             RemoteConnection.__init__ = init
             RemoteConnection.execute = execute
             RemoteConnection.execute_parsed = execute_parsed
+            RemoteConnection.execute_cursor = execute_cursor
 
 
 # ----------------------------------------------------------------- schemas
