@@ -1,4 +1,4 @@
-"""Distributed COPY (§3.8).
+"""Distributed COPY (§3.8), and the one way rows move between nodes.
 
 The coordinator parses the incoming row stream, routes every row to its
 shard by hashing the distribution column, and streams row batches to the
@@ -14,101 +14,125 @@ input. Every flush runs inside the write transaction — a mid-stream error
 (NULL distribution value, cast failure, worker error) rolls back all shards
 through the normal 1PC/2PC machinery.
 
-Reference-table COPY replicates every row to all placements.
+Reference-table COPY replicates every row to all placements. The same
+router carries a join's intermediate results (§3.5), a shard move (§3.4)
+and a tenant split: a streamed read feeding :func:`move_rows`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import closing
+
 from ..engine.datum import caster
 from ..errors import NotNullViolation, SQLError
+from ..sql import ast as A
+from .executor.timeline import count_flush
 
 
 class ShardCopyRouter:
-    """Hash-routes an incoming row stream into per-target-shard bounded
-    COPY channels, flushing each channel to its worker incrementally.
+    """Hash-routes a row stream into bounded per-target channels and hands
+    each full channel to a sink: the executor's
+    :class:`~.executor.adaptive.CopyChannelExecution` for a COPY or
+    INSERT..SELECT, :class:`UtilityChannels` for every other move.
 
-    Channels are plain row buffers; the wire work (connection choice,
-    transaction registration, byte costing, counters, spans) lives in the
-    executor's :class:`~.executor.adaptive.CopyChannelExecution`, which the
-    router drives through ``flush``. The router tracks the total buffered
-    row count across all channels as it routes and reports the high-water
-    mark to the execution at the end, so the ``copy_channel_peak_rows``
-    gauge records the true coordinator peak.
+    ``targets`` are ``(node, shard group, shard name)`` per shard of
+    ``dist``, in channel order. ``shell``'s column types cast the rows; a
+    move passes None, its rows being read from a table of the same shape.
+    The buffered-row high-water mark across all channels goes to the sink
+    at the end (the ``copy_channel_peak_rows`` gauge). Only
+    :func:`distribute_rows` (``refuse_null``) refuses a NULL distribution
+    value; a moved row keeps the shard hash(NULL) routes to.
     """
 
-    def __init__(self, ext, session, dist, shell, columns):
-        self.ext = ext
+    def __init__(self, dist, shell, columns, targets, flush_threshold: int,
+                 refuse_null: bool = False):
         self.dist = dist
         self.columns = columns
-        self.flush_threshold = ext.config.copy_flush_threshold
-        self.casters = [caster(shell.column(c).type_name) for c in columns]
-        self.dist_position = (None if dist.is_reference
-                              else _dist_position(columns, dist))
-        self.targets = copy_targets(ext.metadata.cache, dist)
-        expected: dict[str, int] = {}
-        for node, _group, _name in self.targets:
-            expected[node] = expected.get(node, 0) + 1
-        self.execution = ext.executor.open_copy_channels(
-            session, expected_by_node=expected
-        )
-        self.channels: list[list] = [[] for _ in self.targets]
-        self.buffered = 0
-        self.peak_buffered = 0
-        self.total = 0
+        self.targets = targets
+        self.flush_threshold = flush_threshold
+        self.refuse_null = refuse_null
+        self.casters = (None if shell is None else
+                        [caster(shell.column(c).type_name) for c in columns])
+        self.dist_position = None
+        if not dist.is_reference:
+            if dist.dist_column not in columns:
+                raise NotNullViolation(f"COPY into {dist.name!r} requires the"
+                                       f" distribution column {dist.dist_column!r}")
+            self.dist_position = columns.index(dist.dist_column)
 
-    def route(self, row) -> None:
-        """Cast, route, and buffer one row; flush its channel when full."""
-        values = [cast(v) for cast, v in zip(self.casters, row)]
-        position = self.dist_position
-        if position is None:
-            # Reference table: replicate to every placement channel.
-            for index in range(len(self.targets)):
-                self._buffer(index, values)
-        else:
-            dist_value = values[position]
-            if dist_value is None:
-                raise NotNullViolation(
-                    f"the distribution column {self.dist.dist_column!r}"
-                    " cannot be NULL in COPY"
-                )
-            self._buffer(self.dist.shard_index_for_value(dist_value), values)
-        self.total += 1
+    def copy(self, rows, sink) -> int:
+        """Cast, route and buffer every row, flushing a channel to ``sink``
+        when it is full; then flush the remainders and settle the sink,
+        also on failure. Returns the number of rows routed."""
+        casters, targets, columns = self.casters, self.targets, self.columns
+        threshold, position = self.flush_threshold, self.dist_position
+        index_for = self.dist.shard_index_for_value
+        channels: list[list] = [[] for _ in targets]
+        every = range(len(targets))
+        alone = [(index,) for index in every]  # a shard index's one channel
+        # Rows only accumulate between flushes, so the peak is the count
+        # buffered when a channel flushes (or when routing stops).
+        buffered = peak = total = 0
 
-    def _buffer(self, index: int, values) -> None:
-        channel = self.channels[index]
-        channel.append(values)
-        buffered = self.buffered + 1
-        self.buffered = buffered
-        if buffered > self.peak_buffered:
-            self.peak_buffered = buffered
-        if len(channel) >= self.flush_threshold:
-            self._flush(index)
+        def flush(index: int) -> None:
+            nonlocal buffered, peak
+            batch = channels[index]
+            peak = max(peak, buffered)
+            buffered -= len(batch)
+            channels[index] = []
+            node, group, shard_name = targets[index]
+            sink.flush(index, node, group, shard_name, columns, batch)
 
-    def _flush(self, index: int) -> None:
-        rows = self.channels[index]
-        if not rows:
-            return
-        node, group, shard_name = self.targets[index]
-        self.channels[index] = []
-        self.buffered -= len(rows)
-        self.execution.flush(index, index, node, group, shard_name,
-                             self.columns, rows)
+        try:
+            for row in rows:  # hot loop: one pass per input row
+                values = row if casters is None else [
+                    cast(v) for cast, v in zip(casters, row)]
+                if position is None:
+                    indexes = every  # reference: replicate to every placement
+                else:
+                    value = values[position]
+                    if value is None and self.refuse_null:
+                        raise NotNullViolation(
+                            f"the distribution column {self.dist.dist_column!r}"
+                            " cannot be NULL in COPY")
+                    indexes = alone[index_for(value)]
+                for index in indexes:
+                    channel = channels[index]
+                    channel.append(values)
+                    buffered += 1
+                    if len(channel) >= threshold:
+                        flush(index)
+                total += 1
+            for index in every:
+                if channels[index]:
+                    flush(index)
+        finally:
+            sink.finish(max(peak, buffered))
+        return total
 
-    def finish(self) -> int:
-        """Flush every channel's remainder and settle the execution.
-        Returns the number of input rows routed."""
-        for index in range(len(self.channels)):
-            self._flush(index)
-        self.execution.note_buffered(self.peak_buffered)
-        self.execution.finish()
-        return self.total
 
-    def abort(self) -> None:
-        """Settle executor gauges after a mid-stream error. Worker-side
-        rollback happens through the statement-failure path, which aborts
-        every transaction block registered in ``session.remote_txns``."""
-        self.execution.note_buffered(self.peak_buffered)
-        self.execution.finish()
+class UtilityChannels:
+    """The router's second sink: each channel flushes over its node's
+    utility connection, outside the session's transaction (the join's
+    tasks must see its intermediates; nothing commits through 2PC). A
+    channel's first flush is a round trip, later ones are pipelined."""
+
+    def __init__(self, ext):
+        self.ext = ext
+        self.opened: set[int] = set()
+
+    def flush(self, index, node, _shard_group, shard_name, columns, rows) -> None:
+        conn = self.ext.worker_connection(node)
+        sent = conn.bytes_transferred
+        conn.copy_rows(shard_name, rows, columns, pipelined=index in self.opened)
+        self.opened.add(index)
+        count_flush(self.ext.stat_counters, node, len(rows),
+                    conn.bytes_transferred - sent)
+
+    def finish(self, peak_rows: int) -> None:
+        if peak_rows:
+            self.ext.stat_counters.gauge_max("copy_channel_peak_rows", peak_rows)
 
 
 def copy_targets(cache, dist) -> list[tuple]:
@@ -131,18 +155,18 @@ def distribute_rows(ext, session, table_name: str, rows, columns=None) -> int:
     streaming read pipeline); it is consumed incrementally and never
     materialized in full.
     """
-    dist = ext.metadata.cache.get_table(table_name)
+    cache = ext.metadata.cache
+    dist = cache.get_table(table_name)
     shell = ext.instance.catalog.get_table(table_name)
-    columns = list(columns or shell.column_names())
-
-    router = ShardCopyRouter(ext, session, dist, shell, columns)
+    targets = copy_targets(cache, dist)
+    router = ShardCopyRouter(dist, shell, list(columns or shell.column_names()),
+                             targets, ext.config.copy_flush_threshold,
+                             refuse_null=True)
+    execution = ext.executor.open_copy_channels(
+        session, expected_by_node=Counter(node for node, _, _ in targets))
     try:
-        route = router.route  # hot loop: one call per input row
-        for row in rows:
-            route(row)
-        total = router.finish()  # flushes every channel's remainder
+        total = router.copy(rows, execution)
     except BaseException as exc:
-        router.abort()
         # SQLErrors roll back through the engine's statement-failure
         # path; a non-SQL error (e.g. the client's row iterator raised)
         # bypasses it, so abort the flushed worker transactions here —
@@ -154,11 +178,27 @@ def distribute_rows(ext, session, table_name: str, rows, columns=None) -> int:
     return total
 
 
-def _dist_position(columns, dist) -> int:
-    try:
-        return columns.index(dist.dist_column)
-    except ValueError:
-        raise NotNullViolation(
-            f"COPY into {dist.name!r} requires the distribution column"
-            f" {dist.dist_column!r}"
-        ) from None
+def move_rows(ext, dist, shell, targets, rows) -> int:
+    """Route ``rows`` — whole rows of ``shell``, already typed — into
+    ``targets`` of ``dist`` over the nodes' utility connections: a join's
+    intermediates, a moved shard, a split's shards. Returns the number of
+    rows routed; closing ``rows`` is the caller's."""
+    router = ShardCopyRouter(dist, None, shell.column_names(), targets,
+                             ext.config.copy_flush_threshold)
+    return router.copy(rows, UtilityChannels(ext))
+
+
+def placement_rows(ext, node: str, shard_name: str):
+    """Every row of one shard placement, read in cursor batches over a
+    connection of its own (the node's utility connection may be the write
+    side of the same move)."""
+    with closing(ext.cluster.connect(node, "citus_copy")) as conn, \
+            closing(conn.execute_cursor(select_star(shard_name))) as cursor:
+        while (batch := cursor.fetch_batch()) is not None:
+            yield from batch
+
+
+def select_star(table: str) -> A.Select:
+    """``SELECT * FROM table``."""
+    return A.Select(targets=[A.TargetEntry(A.Star())],
+                    from_items=[A.TableRef(table)])

@@ -19,6 +19,8 @@ Every command sent to a shard placement is an AST built here once:
 
 from __future__ import annotations
 
+import itertools
+
 from ..engine.catalog import Table
 from ..engine.datum import is_hash_distributable
 from ..engine.instance import _fresh_index_structure
@@ -208,10 +210,10 @@ class DistributedDDL:
 
     def _move_existing_rows(self, session, table: Table, table_name: str) -> None:
         """Existing rows move from the shell table into the shards."""
-        snapshot = session.snapshot()
-        clog = self.ext.instance.xids.clog
-        rows = [list(t.values) for t in table.heap.scan(snapshot, clog)]
-        if rows:
+        scan = table.heap.scan(session.snapshot(), self.ext.instance.xids.clog)
+        first = next(scan, None)
+        if first is not None:
+            rows = (t.values for t in itertools.chain([first], scan))
             distribute_rows(self.ext, session, table_name, rows, table.column_names())
         # Reset the shell's storage: data now lives in shards.
         table.heap.__init__(table_name)

@@ -498,44 +498,34 @@ class CopyChannelExecution:
         # Slow-start sizing: how many channels may still open per node (the
         # count of destination shards placed there).
         self._unopened: dict[str, int] = dict(expected_by_node)
-        self._channels: dict = {}  # channel key -> per-channel state
-        self._finished = False
+        self._channels: dict = {}  # channel index -> per-channel state
         # The timeline's base is the clock position when routing began:
         # everything the read side advances between now and finish()
         # overlaps the write timeline.
         self.timeline = ConnectionTimeline(executor, session, self.report,
                                            CHANNELS)
 
-    # --------------------------------------------------- router-side hooks
-
-    def note_buffered(self, n: int) -> None:
-        """Record a buffered-row high-water mark from the router (its
-        total across all channels) — the write-side bounded-buffer
-        acceptance metric."""
-        if n > self.report.copy_channel_peak_rows:
-            self.report.copy_channel_peak_rows = n
-
     # ------------------------------------------------------------ channels
 
-    def _channel(self, key, index, node, shard_group) -> dict:
-        channel = self._channels.get(key)
+    def _channel(self, index, node, shard_group) -> dict:
+        channel = self._channels.get(index)
         if channel is None:
             conn = self.timeline.acquire(node, shard_group,
                                          self._unopened[node])
             self._unopened[node] -= 1
             if shard_group is not None:
                 conn.accessed_groups.add(shard_group)
-            channel = {"index": index, "node": node, "conn": conn,
-                       "flushes": 0, "done": False, "failed": False}
-            self._channels[key] = channel
+            channel = {"node": node, "conn": conn, "flushes": 0,
+                       "done": False, "failed": False}
+            self._channels[index] = channel
             self.timeline.begin(node)
         return channel
 
-    def flush(self, key, index, node, shard_group, shard_name, columns,
+    def flush(self, index, node, shard_group, shard_name, columns,
               rows) -> None:
         """Ship one bounded row batch to its destination shard, inside the
         write transaction."""
-        channel = self._channel(key, index, node, shard_group)
+        channel = self._channel(index, node, shard_group)
         conn = channel["conn"]
         # Every flush is transactional: a later error must be able to roll
         # back rows that already crossed the wire.
@@ -564,12 +554,12 @@ class CopyChannelExecution:
 
     # ------------------------------------------------------------ finish
 
-    def finish(self) -> ExecutionReport:
-        """Settle counters/gauges and reconstruct the parallel timeline.
-        Idempotent; always called (``finally``), including on failure."""
-        if self._finished:
-            return self.report
-        self._finished = True
+    def finish(self, peak_rows: int) -> ExecutionReport:
+        """Settle counters/gauges and reconstruct the parallel timeline;
+        ``peak_rows`` is the router's buffered-row high-water mark across
+        all channels — the write side's bounded-buffer metric. Called once,
+        also on failure."""
+        self.report.copy_channel_peak_rows = peak_rows
         for channel in self._channels.values():
             self._channel_finished(channel)
         self.report.task_count = len(self._channels)

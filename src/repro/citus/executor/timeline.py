@@ -62,6 +62,13 @@ def open_connection(ext, session, pools, node: str, force: bool, report,
     return conn, setup
 
 
+def count_flush(counters, node: str, rows: int, nbytes: int) -> None:
+    """Count one COPY channel flush, the executor's or a utility one."""
+    counters.incr("copy_flushes", node=node)
+    counters.incr("copy_rows_routed", rows, node=node)
+    counters.incr("copy_bytes_streamed", nbytes, node=node)
+
+
 def close_run(ext, session, pools, driver: str, base: float, units, report,
               tasks, outcome: str, explicit: bool) -> None:
     """Close a run's entry in the statement record (``units`` None: nobody
@@ -215,10 +222,7 @@ class ConnectionTimeline:
             report.copy_flushes += 1
             report.copy_rows_routed += rows
             report.copy_bytes_streamed += nbytes
-            counters = self.counters
-            counters.incr("copy_flushes", node=node)
-            counters.incr("copy_rows_routed", rows, node=node)
-            counters.incr("copy_bytes_streamed", nbytes, node=node)
+            count_flush(self.counters, node, rows, nbytes)
 
     def settle(self, ok: bool = True, overlapped: bool = False) -> None:
         """The run is over: fill the report's connection telemetry

@@ -96,12 +96,12 @@ def _dest_key_from_source_key(stmt: A.Insert, dest, analysis) -> bool:
 # --------------------------------------------------- streaming SELECT feed
 
 
-def _select_row_stream(ext, session, select, params):
-    """The SELECT side of the write pipeline: a lazy row iterator. A
-    multi-shard pushdown SELECT is pulled through the cursor pipeline batch
-    by batch, so rows flow straight into the copy channels without
-    coordinator materialization; any other plan (router, join-order,
-    reference, local) executes whole and yields its rows."""
+def select_row_stream(ext, session, select, params):
+    """The SELECT side of the write pipeline (and of a join's move): a lazy
+    row iterator. A multi-shard pushdown SELECT is pulled through the
+    cursor pipeline batch by batch, so rows flow straight into the copy
+    channels without coordinator materialization; any other plan (router,
+    join-order, reference, local) executes whole and yields its rows."""
     plan = session.instance.hooks.call_planner(session, select, params)
     if plan is None:
         yield from session._execute_local_dml(select, params).rows
@@ -173,7 +173,7 @@ class ReroutingInsertSelectPlan(CitusPlan):
         self.detail, self._shown = _REROUTING[strategy]
 
     def execute(self, session, params):
-        rows = _select_row_stream(self.ext, session, self.stmt.select, params)
+        rows = select_row_stream(self.ext, session, self.stmt.select, params)
         shell = self.ext.instance.catalog.get_table(self.stmt.table)
         columns = self.stmt.columns or shell.column_names()
         if self.dest is None:

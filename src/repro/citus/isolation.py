@@ -14,9 +14,13 @@ can then be moved to its own node with ``citus_move_shard_placement``.
 
 from __future__ import annotations
 
+from contextlib import closing
+from dataclasses import replace
+
 from ..engine.datum import hash_value
 from ..errors import MetadataError
 from ..sql import ast as A
+from .copy_dist import move_rows, placement_rows
 from .ddl import drop_quietly, referenced_first, shard_ddl
 from .metadata import RANGE, ShardInterval
 
@@ -82,10 +86,15 @@ def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value,
                 created.append(interval.shard_name)
                 for stmt in indexes:
                     conn.execute_parsed(stmt)
-        # 2. Route each old shard's rows into its splits by hash.
+        # 2. Stream each old shard into its splits, routed by hash.
         for member in group:
-            _copy_into_splits(conn, catalog.get_table(member.name), member,
-                              member.shards[index], splits[member.name])
+            intervals = splits[member.name]
+            with closing(placement_rows(
+                    ext, node, member.shards[index].shard_name)) as rows:
+                move_rows(ext, replace(member, shards=intervals),
+                          catalog.get_table(member.name),
+                          [(node, None, interval.shard_name)
+                           for interval in intervals], rows)
     except Exception:
         for name in created:
             drop_quietly(ext, node, name)
@@ -102,21 +111,3 @@ def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value,
     ext.sync_metadata_if_enabled(session)
     ext.stat_counters.incr("tenant_isolations")
     return splits[table_name][tenant_range_position].shardid
-
-
-def _copy_into_splits(conn, shell, member, old: ShardInterval,
-                      intervals: list[ShardInterval]) -> None:
-    dist_position = shell.column_index(member.dist_column)
-    rows = conn.execute_parsed(A.Select(
-        targets=[A.TargetEntry(A.Star())],
-        from_items=[A.TableRef(old.shard_name)])).rows
-    buckets: dict[int, list] = {}
-    for row in rows:
-        h = hash_value(row[dist_position])
-        for i, interval in enumerate(intervals):
-            if interval.min_value <= h <= interval.max_value:
-                buckets.setdefault(i, []).append(list(row))
-                break
-    for i, interval in enumerate(intervals):
-        if buckets.get(i):
-            conn.copy_rows(interval.shard_name, buckets[i])

@@ -1,8 +1,8 @@
 """Logical join order planner (§3.5): non-co-located joins.
 
-When the join tree cannot be pushed down, one side is materialized as an
-*intermediate result* and physically moved so that the join becomes
-co-located:
+When the join tree cannot be pushed down, one side is streamed through the
+ShardCopyRouter (``copy_dist.move_rows``) into an *intermediate result* so
+that the join becomes co-located:
 
 - **re-partition join** — the moved table's rows are hashed on the join
   column into buckets aligned with the anchor table's shard ranges and
@@ -27,12 +27,15 @@ correlated subqueries against non-co-located tables are unsupported.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from ...engine.catalog import Column, Table
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
+from ..copy_dist import copy_targets, move_rows, select_star
 from ..ddl import drop_quietly, shard_ddl
-from ..metadata import REFERENCE, ShardInterval
+from ..insert_select import select_row_stream
+from ..metadata import REFERENCE, DistributedTable, ShardInterval
 from ..observability import TaskTarget
 from ..sharding import analyze_statement
 from .pipeline import candidate_cost
@@ -139,36 +142,43 @@ class RepartitionPlan(CitusPlan):
     def execute(self, session, params):
         ext = self.ext
         cache = ext.metadata.cache
+        anchor = self.anchor.dist
         qid = next(_intermediate_counter)
-        name = f"citus_repart_{qid}" if self.strategy == "repartition" else f"citus_bcast_{qid}"
+        if self.strategy == "repartition":
+            # One intermediate beside each anchor shard, over its interval:
+            # the moved rows hashed on the join column.
+            name = f"citus_repart_{qid}"
+            transient = replace(anchor, name=name, dist_column=self.join_col,
+                                shards=[replace(shard, table_name=name)
+                                        for shard in anchor.shards])
+            targets = copy_targets(cache, transient)
+        else:
+            # One reference copy on every node holding an anchor shard.
+            name = f"citus_bcast_{qid}"
+            transient = DistributedTable(name, REFERENCE, None, None, -1,
+                                         [ShardInterval(0, name, None, None)])
+            nodes = {cache.placement_node(shard.shardid) for shard in anchor.shards}
+            targets = [(node, None, transient.shards[0].shard_name)
+                       for node in sorted(nodes)]
         shell = ext.instance.catalog.get_table(self.moved.name)
-        columns = shell.column_names()
-
-        # 1. Materialize the moved table on the coordinator.
-        moved_rows = session.execute(f"SELECT * FROM {self.moved.name}").rows
-        ext.stat_counters.incr("repartition_rows_moved", len(moved_rows))
-        ext.stat_counters.incr("repartition_bytes", int(self.estimated_network_bytes))
-
+        # An intermediate holds a copy of the moved side: its columns,
+        # none of its constraints or indexes.
+        copy = Table(name, [Column(c.name, c.type_name) for c in shell.columns])
+        # The moved side streams through the session's own plan, so inside
+        # a transaction block it sees the block's writes. Its first row,
+        # pulled now, opens its cursors before any intermediate exists, so
+        # a read that fails to start leaves nothing to drop.
+        rows = select_row_stream(ext, session, select_star(self.moved.name), None)
+        head = list(itertools.islice(rows, 1))
         created: list[tuple] = []  # (node, table_name)
         try:
-            if self.strategy == "repartition":
-                loads = self._repartitioned(name, columns, moved_rows)
-                transient = _transient_distributed(name, self.anchor.dist, self.join_col,
-                                                   shell, columns)
-            else:
-                nodes = {cache.placement_node(shard.shardid)
-                         for shard in self.anchor.dist.shards}
-                loads = [(node, f"{name}_0", moved_rows) for node in sorted(nodes)]
-                transient = _transient_reference(ext, name)
-            # An intermediate holds a copy of the moved side: its columns,
-            # none of its constraints or indexes.
-            copy = Table(name, [Column(c.name, c.type_name) for c in shell.columns])
-            for node, table, rows in loads:
+            for node, _group, table in targets:
                 conn = ext.worker_connection(node)
                 for stmt in shard_ddl(cache, copy, table, {}):
                     conn.execute_parsed(stmt)
                 created.append((node, table))
-                conn.copy_rows(table, rows, columns)
+            ext.stat_counters.incr("repartition_rows_moved", move_rows(
+                ext, transient, shell, targets, itertools.chain(head, rows)))
             cache.tables[name] = transient
 
             rewritten = _replace_table(self.select, self.moved.name, name)
@@ -181,22 +191,10 @@ class RepartitionPlan(CitusPlan):
                 )
             return shape.bind(self.params).execute(session, params)
         finally:
+            rows.close()
             cache.tables.pop(name, None)
             for node, table in created:
                 drop_quietly(ext, node, table)
-
-    def _repartitioned(self, name, columns, rows) -> list[tuple]:
-        """``(node, intermediate, rows)`` per anchor shard: the moved rows
-        bucketed by the anchor's shard ranges."""
-        cache = self.ext.metadata.cache
-        join_position = columns.index(self.join_col)
-        buckets: dict[int, list] = {}
-        for row in rows:
-            index = self.anchor.dist.shard_index_for_value(row[join_position])
-            buckets.setdefault(index, []).append(row)
-        return [(cache.placement_node(shard.shardid), f"{name}_{shard.shardid}",
-                 buckets.get(i, []))
-                for i, shard in enumerate(self.anchor.dist.shards)]
 
     def explain_info(self):
         cache = self.ext.metadata.cache
@@ -224,25 +222,6 @@ class RepartitionPlan(CitusPlan):
                 "estimated_network_bytes": int(self.estimated_network_bytes),
             },
         }
-
-
-def _transient_distributed(name, anchor_dist, join_col, shell, columns):
-    from ..metadata import DistributedTable
-
-    shards = [
-        ShardInterval(s.shardid, name, s.min_value, s.max_value)
-        for s in anchor_dist.shards
-    ]
-    return DistributedTable(
-        name, "h", join_col, anchor_dist.dist_column_type, anchor_dist.colocation_id, shards
-    )
-
-
-def _transient_reference(ext, name):
-    from ..metadata import DistributedTable
-
-    shard = ShardInterval(0, name, None, None)
-    return DistributedTable(name, REFERENCE, None, None, -1, [shard])
 
 
 def _replace_table(select: A.Select, old: str, new: str) -> A.Select:

@@ -19,11 +19,15 @@ minimal write downtime."
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from ..engine.copy import copy_into
 from ..errors import RebalanceError
+from .copy_dist import move_rows, placement_rows, select_star
 from .ddl import colocated_shards, drop_quietly, referenced_first, shard_ddl
+from .insert_select import select_row_stream
 
 #: Phases every shard move passes through, in order (§3.4's protocol:
 #: initial copy under logical replication, write-blocked catch-up,
@@ -267,18 +271,14 @@ def move_shard(ext, session, shardid: int, target_node: str,
     to_move = referenced_first(ext.instance.catalog, to_move,
                                lambda pair: pair[1].name)
 
-    source = ext.cluster.node(source_node)
     clock = ext.cluster.clock
     progress = progress_for(ext)
-    entries = []
-    for shard_interval, dist_table in to_move:
-        total = 0
-        if source.is_up and source.catalog.has_table(shard_interval.shard_name):
-            total = source.catalog.get_table(shard_interval.shard_name).heap.total_bytes
-        entries.append(progress.start_move(
-            dist_table.name, shard_interval.shardid, source_node, target_node,
-            clock.now(), bytes_total=total,
-        ))
+    source_up = ext.cluster.node(source_node).is_up  # a down source reads as 0 bytes
+    entries = [progress.start_move(
+        dist_table.name, shard_interval.shardid, source_node, target_node,
+        clock.now(), bytes_total=ext.shard_bytes(
+            source_node, shard_interval.shard_name) if source_up else 0)
+        for shard_interval, dist_table in to_move]
     beside = colocated_shards(cache, table.colocation_id, index)
     created = []  # shards made on the target
     try:
@@ -293,19 +293,21 @@ def move_shard(ext, session, shardid: int, target_node: str,
             created.append(shard_interval.shard_name)
             for stmt in indexes:
                 target_conn.execute_parsed(stmt)
-            # 2. Initial copy under logical replication (reads and writes
-            # continue on the source while this runs).
-            rows = _read_shard_rows(source, shard_interval.shard_name)
-            entry.rows_total = len(rows)
+            # 2. Initial copy under logical replication: the source placement
+            # streams into the new one while reads and writes continue on it.
             before = target_conn.elapsed
-            target_conn.copy_rows(shard_interval.shard_name, rows)
+            with closing(placement_rows(ext, source_node,
+                                        shard_interval.shard_name)) as source_rows:
+                rows = move_rows(
+                    ext, replace(dist_table, shards=[shard_interval]), shell,
+                    [(target_node, None, shard_interval.shard_name)], source_rows)
             session.wait_events.record("Net", "RemoteCopy",
                                        target_conn.elapsed - before,
                                        node=target_node)
-            entry.rows_copied = len(rows)
+            entry.rows_total = entry.rows_copied = rows
             entry.bytes_copied = entry.bytes_total
-            ext.stat_counters.incr("rebalancer_rows_copied", len(rows))
-            clock.advance(len(rows) * 1e-6 + 0.05)
+            ext.stat_counters.incr("rebalancer_rows_copied", rows)
+            clock.advance(rows * 1e-6 + 0.05)
             entry.updated_at = clock.now()
         # 3. Brief write block + catch-up + metadata switch (seconds, not
         # minutes: "minimal write downtime").
@@ -342,14 +344,6 @@ def move_shard(ext, session, shardid: int, target_node: str,
     ext.stat_counters.incr("rebalancer_shard_moves", len(to_move), node=target_node)
 
 
-def _read_shard_rows(instance, shard_name: str) -> list:
-    session = instance.connect("shard_move")
-    try:
-        return [list(r) for r in session.execute(f"SELECT * FROM {shard_name}").rows]
-    finally:
-        session.close()
-
-
 def _find_shard(ext, shardid: int):
     for table in ext.metadata.cache.tables.values():
         for shard in table.shards:
@@ -381,11 +375,10 @@ def drain_node(ext, session, node_name: str) -> int:
 
 
 def undistribute_table(ext, session, table_name: str) -> str:
-    """Convert a Citus table back to a local table: pull all rows to the
-    coordinator shell, drop shards and metadata."""
-    dist = ext.metadata.cache.get_table(table_name)
-    rows = session.execute(f"SELECT * FROM {table_name}").rows
+    """Convert a Citus table back to a local table: stream its rows into
+    the coordinator shell, then drop shards and metadata."""
+    ext.metadata.cache.get_table(table_name)  # raises unless a Citus table
+    copy_into(session, table_name, select_row_stream(
+        ext, session, select_star(table_name), None))
     ext.ddl.propagate_drop_table(session, table_name)
-    if rows:
-        session.copy_rows(table_name, rows)
     return table_name

@@ -233,10 +233,8 @@ class RemoteConnection:
         # rides a COPY stream that is already open on this connection —
         # the sender does not wait for a per-chunk response, so it costs
         # bandwidth only, no extra round trip (§3.8 "streams rows to the
-        # shards asynchronously").
-        if not hasattr(rows, "__len__"):
-            rows = list(rows)
-        payload = estimate_rows_bytes(rows) if rows else _ROW_OVERHEAD
+        # shards asynchronously"). ``rows`` is a channel's non-empty batch.
+        payload = estimate_rows_bytes(rows)
         self.bytes_transferred += payload
         if pipelined:
             self.elapsed += self.network.note_transfer(payload)

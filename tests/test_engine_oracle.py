@@ -140,18 +140,34 @@ def test_every_shard_pruned_agrees_with_single_node(oracle, cluster_session):
 # (sql, strategy, whether ORDER BY makes the result a sequence). ``flags``
 # is the small side: joined to ``events.k`` it is hashed to the anchor's
 # shards, joined to a column that distributes neither table it is
-# broadcast.
+# broadcast. Some of its join keys are NULL: an inner join drops those
+# rows, an outer join that preserves ``flags`` keeps each exactly once —
+# moving a NULL key is not a COPY error.
 JOIN_ORDER = {
     "repartition": ("SELECT f.k, e.v FROM flags f JOIN events e ON f.n = e.k",
                     "repartition", False),
     "repartition_order_limit": (
         "SELECT f.k, e.v FROM flags f JOIN events e ON f.n = e.k"
         " ORDER BY f.k DESC LIMIT 7", "repartition", True),
+    "repartition_left_null_keys": (
+        "SELECT f.k, e.v FROM flags f LEFT JOIN events e ON f.n = e.k",
+        "repartition", False),
+    "repartition_right_null_keys": (
+        "SELECT f.k, e.v FROM events e RIGHT JOIN flags f ON f.n = e.k",
+        "repartition", False),
     "broadcast": ("SELECT f.k, count(*), sum(e.k) FROM flags f"
                   " JOIN events e ON f.n = e.v GROUP BY f.k", "broadcast", False),
     "broadcast_order_limit": (
         "SELECT f.k, count(*) FROM flags f JOIN events e ON f.n = e.v"
         " GROUP BY f.k ORDER BY f.k LIMIT 5", "broadcast", True),
+    # A broadcast copy sits beside every anchor shard, so only the anchor
+    # side can be preserved.
+    "broadcast_left_null_keys": (
+        "SELECT e.k, f.k FROM events e LEFT JOIN flags f ON f.n = e.v",
+        "broadcast", False),
+    "broadcast_right_null_keys": (
+        "SELECT e.k, f.k FROM flags f RIGHT JOIN events e ON f.n = e.v",
+        "broadcast", False),
 }
 
 
@@ -191,10 +207,12 @@ def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
                 session.execute(flip)
     expected, got = results
     assert expected
+    if "null_keys" in name:  # the outer join kept unmatched rows
+        assert any(None in row for row in expected)
     if ordered:
         assert got == expected
     else:
-        assert sorted(got) == sorted(expected)
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
     assert intermediate_tables(cluster_session) == []
 
 

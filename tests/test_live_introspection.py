@@ -247,10 +247,25 @@ def test_rebalance_failed_move_is_recorded(citus):
     view = _udf_rows(session, "get_rebalance_progress()")
     failed = [r for r in view if r[2] == shardid]
     assert len(failed) == 1
+    assert failed[0][5] == 0 < failed[0][6]  # nothing copied of a readable source
     assert failed[0][10] == "failed"
     assert "NodeUnavailable" in failed[0][11]
     counters = stats_for(citus.cluster).snapshot()
     assert counters.value("rebalancer_moves_failed") >= 1
+
+
+def test_a_move_from_a_down_source_reports_no_bytes(citus):
+    session = _make_table(citus, rows=30)
+    _table, shardid, name, node, _size = _udf_rows(session, "citus_shards()")[0]
+    target = "worker2" if node == "worker1" else "worker1"
+    citus.cluster.fail_node(node)
+    with pytest.raises(NodeUnavailable):
+        session.execute(f"SELECT citus_move_shard_placement({shardid}, '{target}')")
+    failed = [r for r in _udf_rows(session, "get_rebalance_progress()")
+              if r[2] == shardid]
+    # The source could not be read, so its size is not reported either.
+    assert [(r[5], r[6], r[10]) for r in failed] == [(0, 0, "failed")]
+    assert not citus.cluster.node(target).catalog.has_table(name)
 
 
 # ------------------------------------------------------------ tenant stats

@@ -268,9 +268,14 @@ class TestDropAndUndistribute:
 
     def test_undistribute_pulls_data_back(self, citus, citus_session):
         s = citus_session
+        ext = citus.coordinator_ext
         s.execute("CREATE TABLE d (k int PRIMARY KEY, v int)")
         s.execute("SELECT create_distributed_table('d', 'k')")
-        s.execute("INSERT INTO d VALUES (1, 10), (2, 20)")
+        # More rows than the COPY channels of all shards hold at once.
+        count = ext.config.copy_flush_threshold * ext.config.shard_count + 100
+        s.copy_rows("d", [[k, k * 10] for k in range(count)])
+        before = s.execute("SELECT * FROM d ORDER BY k").rows
         s.execute("SELECT undistribute_table('d')")
-        assert not citus.coordinator_ext.metadata.cache.is_citus_table("d")
-        assert s.execute("SELECT count(*) FROM d").scalar() == 2
+        assert not ext.metadata.cache.is_citus_table("d")
+        assert s.execute("SELECT * FROM d ORDER BY k").rows == before
+        assert len(before) == count

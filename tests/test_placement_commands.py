@@ -41,8 +41,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "placement_commands.json")
 
 #: Scenarios whose commands may go out in another order (the per-node
-#: multiset and the traffic are still the parent's): the tenant-isolation
-#: split now creates every member's shards before it copies any.
+#: multiset is still the recorded one): the tenant-isolation split creates
+#: every member's shards before it copies any.
 UNORDERED = {"isolate_tenant"}
 
 

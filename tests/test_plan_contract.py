@@ -217,9 +217,9 @@ class Recorded:
             self.tasks.append(list(tasks))
             return open_task_streams(executor, session, tasks)
 
-        def recording_flush(execution, key, index, node, *rest):
+        def recording_flush(execution, index, node, *rest):
             self.flushes[index] = node
-            return flush(execution, key, index, node, *rest)
+            return flush(execution, index, node, *rest)
 
         monkeypatch.setattr(AdaptiveExecutor, "execute_tasks",
                             recording_execute_tasks)

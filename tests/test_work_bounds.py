@@ -407,6 +407,95 @@ def test_routing_builds_no_list_per_row():
     assert iterations["shards"] == 0
 
 
+JOIN_ROWS = 20_000
+
+
+def test_a_repartition_join_streams_its_moved_side_through_bounded_channels():
+    """The moved side of a 20,000-row repartition join streams into its
+    eight intermediates: the coordinator holds at most
+    ``copy_flush_threshold`` rows per intermediate, and the join returns
+    what it returned, in the simulated time it took, when that side was
+    materialised on the coordinator whole."""
+    cluster = make_cluster(workers=4, shard_count=8)
+    session = cluster.coordinator_session()
+    ext = cluster.coordinator_ext
+    session.execute("CREATE TABLE events (k int PRIMARY KEY, v int)")
+    session.execute("SELECT create_distributed_table('events', 'k')")
+    session.execute("CREATE TABLE moved (k int PRIMARY KEY, n int, pad text)")
+    session.execute("SELECT create_distributed_table('moved', 'k',"
+                    " colocate_with := 'none')")
+    session.copy_rows("events", [[k, k % 97] for k in range(JOIN_ROWS)])
+    session.copy_rows("moved", [[k, 7 * k % JOIN_ROWS, "x" * 16]
+                                for k in range(JOIN_ROWS)])
+    session.execute("SELECT citus_stat_counters_reset()")
+    start = cluster.cluster.clock.now()
+    with ext.stat_counters.measure() as m:
+        rows = session.execute("SELECT count(*), sum(e.v), sum(m.k) FROM events e"
+                               " JOIN moved m ON m.n = e.k").rows
+    assert rows == [[JOIN_ROWS, 959289, 199990000]]
+    assert cluster.cluster.clock.now() - start == pytest.approx(0.023180076,
+                                                                abs=1e-9)
+    assert m.value("repartition_rows_moved") == JOIN_ROWS
+    peak = ext.stat_counters.gauge("copy_channel_peak_rows")
+    assert 0 < peak <= ext.config.copy_flush_threshold * 8
+
+
+FLUSH = 16  # copy_flush_threshold of the move and split below
+
+
+@pytest.fixture
+def shop():
+    """customers ← orders, co-located on cid, with a foreign key, and more
+    than 2 × ``FLUSH`` rows in every shard."""
+    cluster = make_cluster(workers=2, shard_count=2,
+                           config=CitusConfig(copy_flush_threshold=FLUSH))
+    s = cluster.coordinator_session()
+    s.execute("CREATE TABLE customers (cid int PRIMARY KEY, name text)")
+    s.execute("SELECT create_distributed_table('customers', 'cid')")
+    s.execute("CREATE TABLE orders (oid int, cid int, PRIMARY KEY (cid, oid),"
+              " FOREIGN KEY (cid) REFERENCES customers (cid))")
+    s.execute("SELECT create_distributed_table('orders', 'cid',"
+              " colocate_with := 'customers')")
+    s.copy_rows("customers", [[c, f"c{c}"] for c in range(200)])
+    s.copy_rows("orders", [[c * 10 + j, c] for c in range(200) for j in range(3)])
+    s.execute("SELECT citus_stat_counters_reset()")
+    return cluster, s
+
+
+def shop_contents(s):
+    return [s.execute(f"SELECT * FROM {table} ORDER BY {key}").rows
+            for table, key in (("customers", "cid"), ("orders", "cid, oid"))]
+
+
+def test_a_shard_move_streams_each_shard_in_bounded_flushes(shop):
+    cluster, s = shop
+    ext = cluster.coordinator_ext
+    shard = ext.metadata.cache.get_table("customers").shards[0]
+    source = ext.metadata.cache.placement_node(shard.shardid)
+    before = shop_contents(s)
+    with ext.stat_counters.measure() as m:
+        s.execute("SELECT citus_move_shard_placement($1, $2)",
+                  [shard.shardid, "worker2" if source == "worker1" else "worker1"])
+    assert shop_contents(s) == before
+    moved = m.value("rebalancer_rows_copied")
+    assert moved > 2 * 2 * FLUSH  # two shards, each over 2 × FLUSH rows
+    assert m.value("copy_rows_routed") == moved
+    assert m.value("copy_flushes") > 2  # more than one flush per shard
+    assert 0 < ext.stat_counters.gauge("copy_channel_peak_rows") <= FLUSH
+
+
+def test_a_tenant_split_streams_each_shard_in_bounded_flushes(shop):
+    cluster, s = shop
+    ext = cluster.coordinator_ext
+    before = shop_contents(s)
+    with ext.stat_counters.measure() as m:
+        s.execute("SELECT isolate_tenant_to_new_shard('orders', 7)")
+    assert ext.metadata.cache.get_table("orders").shard_count == 4
+    assert shop_contents(s) == before
+    assert m.value("copy_flushes") > 2 * 3  # two members, three splits each
+    assert 0 < ext.stat_counters.gauge("copy_channel_peak_rows") <= 3 * FLUSH
+
+
 #: The three aggregate statements of the ledger's workloads (the shard
 #: statements above, and the rollup of ``write_mix``).
 AGGREGATE_STATEMENTS = {
