@@ -5,6 +5,7 @@
     python3 benchmarks/sample_profile.py --workload write_mix --root ../parent
     python3 benchmarks/sample_profile.py --workload traffic_mix --deciles
     python3 benchmarks/sample_profile.py --workload oltp_point --plain
+    python3 benchmarks/sample_profile.py --workload write_mix --gc
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -26,15 +27,22 @@ defaults) and prints the mean wall time of an op on each and the two ratios
 over plain — Fig. 6's "Citus 0+1 is only slightly slower" bar, functionally.
 For workloads that drive everything through ``self.session`` (``oltp_point``:
 one statement per op).
+
+``--gc`` does not sample either: it times every collection of the measured
+phase through ``gc.callbacks`` and prints the collector's time and share of
+the loop, collections and mean pass cost per generation, and the number of
+GC-tracked objects (``gc.get_objects()``) before and after the phase.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import os
 import signal
 import sys
+import time
 
 
 def main() -> None:
@@ -49,6 +57,9 @@ def main() -> None:
     parser.add_argument("--plain", action="store_true",
                         help="mean op time on a plain PostgresInstance, Citus"
                         " 0+1 and Citus 4+1, in place of the sample")
+    parser.add_argument("--gc", action="store_true",
+                        help="collector time, passes per generation and"
+                        " tracked objects, in place of the sample")
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     args = parser.parse_args()
@@ -85,6 +96,9 @@ def main() -> None:
     workload.warm_up()
     if args.deciles:
         print_deciles(args.workload, workload, root)
+        return
+    if args.gc:
+        print_gc(args.workload, workload, root)
         return
     signal.signal(signal.SIGPROF, sample)
     signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
@@ -138,6 +152,41 @@ def print_deciles(name: str, workload, root: str) -> None:
     for tenth in range(10):
         row(tenth + 1, len(walls) * tenth // 10, len(walls) * (tenth + 1) // 10)
     row("all", 0, len(walls) + 1)  # + 1: probes after the last op, if any
+
+
+def print_gc(name: str, workload, root: str) -> None:
+    passes = collections.defaultdict(list)  # generation -> ns per pass
+    started = []
+
+    def timed(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter_ns())
+        else:
+            passes[info["generation"]].append(time.perf_counter_ns() - started.pop())
+
+    tracked_before = len(gc.get_objects())
+    gc.callbacks.append(timed)
+    start = time.perf_counter_ns()
+    try:
+        workload.measure()
+    finally:
+        loop_ns = time.perf_counter_ns() - start
+        gc.callbacks.remove(timed)
+    tracked_after = len(gc.get_objects())
+    workload.finish()
+
+    collector_ns = sum(map(sum, passes.values()))
+    print(f"{name}: {workload.ops} ops, failed {workload.failed} ({root})")
+    print(f"loop {loop_ns / 1e9:.3f} s, collector {collector_ns / 1e9:.3f} s"
+          f" = {100 * collector_ns / max(loop_ns, 1):.1f} % of the loop")
+    print("generation  passes  mean pass ms  total ms")
+    for generation in range(3):
+        times = passes[generation]
+        print(f"{generation:10d} {len(times):7d}"
+              f" {sum(times) / max(len(times), 1) / 1e6:13.2f}"
+              f" {sum(times) / 1e6:9.1f}")
+    print(f"GC-tracked objects: {tracked_before} before, {tracked_after} after"
+          f" ({tracked_after - tracked_before:+d})")
 
 
 class _Undistributed:

@@ -79,13 +79,24 @@ def plan_join_order(ext, select: A.Select, params, analysis, search=None):
             candidates.append(
                 ("repartition", anchor, moved, join_col, ext.table_size_estimate(moved.name))
             )
-    # Broadcast candidates are always available for inner joins.
+    # Broadcast candidates, unless the moved side is one an outer join
+    # against the anchor preserves: every anchor shard would return its
+    # unmatched rows.
     n_nodes = max(len(ext.all_node_names()), 1)
     for anchor, moved in ((a, b), (b, a)):
-        candidates.append(
-            ("broadcast", anchor, moved, None,
-             ext.table_size_estimate(moved.name) * n_nodes)
-        )
+        if not any(moved.alias in preserved and anchor.alias in other
+                   for preserved, other in analysis.outer_joins):
+            candidates.append(
+                ("broadcast", anchor, moved, None,
+                 ext.table_size_estimate(moved.name) * n_nodes)
+            )
+    if not candidates:
+        message = ("an outer join that preserves both sides needs a"
+                   " repartition on a distribution column, and neither side"
+                   " joins on one")
+        if search is not None:
+            search.reject("join_order", "outer_join_broadcast", message)
+        raise UnsupportedDistributedQuery(message)
     # "Chooses the order that minimizes the network traffic" (§3.5): the
     # move's network bytes decide; the per-task dispatch charge is the same
     # for every strategy (one task per anchor shard) and only matters for

@@ -99,6 +99,15 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
             "ctes",
             "CTEs over multiple shards are not supported in this reproduction",
         )
+    preserved = analysis.replicated_preserved_side()
+    if preserved is not None:
+        # Moving a distributed table cannot help: the side stays replicated.
+        unsupported(
+            "replicated_outer_join",
+            "cannot push down an outer join that preserves a side reading no"
+            f" distributed table ({', '.join(sorted(preserved)) or 'no table'}):"
+            " every shard would return its unmatched rows",
+        )
     colocation_ids = {o.dist.colocation_id for o in dist}
     if len(colocation_ids) != 1 or not analysis.all_dist_columns_equal():
         if search is not None:

@@ -40,6 +40,9 @@ class QueryAnalysis:
         self.constants: dict[object, object] = {}
         self.has_subquery_from = False
         self.inner_cross_shard_agg = False
+        #: One ``(preserved, other)`` pair of alias sets per side an outer
+        #: join keeps every row of (two for a FULL join).
+        self.outer_joins: list[tuple[set, set]] = []
 
     @property
     def distributed(self) -> list[TableOccurrence]:
@@ -55,6 +58,17 @@ class QueryAnalysis:
 
     def dist_column_key(self, occ: TableOccurrence) -> str:
         return f"{occ.alias}.{occ.dist.dist_column}"
+
+    def replicated_preserved_side(self) -> set | None:
+        """The aliases of an outer join's preserved side that reads no
+        distributed table while the other side does, or None. Run once per
+        shard, such a join returns that side's unmatched rows once per
+        shard, so it cannot be pushed down."""
+        dist = {occ.alias for occ in self.distributed}
+        for preserved, other in self.outer_joins:
+            if not preserved & dist and other & dist:
+                return preserved
+        return None
 
     def constant_for(self, occ: TableOccurrence):
         root = self.equivalence.find(self.dist_column_key(occ))
@@ -251,11 +265,22 @@ def _analyze_from_item(item, cache, analysis, params, depth, scope=None):
         if item.condition is not None:
             _collect_equalities(item.condition, analysis, params, scope)
             _collect_subquery_tables(item.condition, cache, analysis, params, scope)
+        if item.join_type in ("left", "full"):
+            analysis.outer_joins.append((_aliases_under(item.left),
+                                         _aliases_under(item.right)))
+        if item.join_type in ("right", "full"):
+            analysis.outer_joins.append((_aliases_under(item.right),
+                                         _aliases_under(item.left)))
         for name in item.using:
             left_alias = _leftmost_alias(item.left)
             right_alias = _leftmost_alias(item.right)
             if left_alias and right_alias:
                 analysis.equivalence.union(f"{left_alias}.{name}", f"{right_alias}.{name}")
+
+
+def _aliases_under(item) -> set:
+    """The aliases of the tables a FROM item reads, inside subqueries too."""
+    return {node.ref_name for node in A.walk(item) if isinstance(node, A.TableRef)}
 
 
 def _leftmost_alias(item):

@@ -1530,7 +1530,7 @@ class LocalExecutor:
                     check_fks(full, self.catalog, snapshot, xids)
                 tup = heap_insert(full, xid)
                 _index_tuple(targets, tup)
-                wal_append(xid, "insert", name, tup.row_id, _wal_values(full))
+                wal_append(xid, "insert", name, tup.row_id, full)
                 appended += 1
                 if emit is not None:
                     emit(full)
@@ -1563,7 +1563,7 @@ class LocalExecutor:
         _index_tuple(targets, new_tup)
         session.stats["index_writes"] += len(targets)
         self.instance.wal.append_row(xid, "update", table.name, old_tup.row_id,
-                                     _wal_values(new_values))
+                                     new_values)
         session.track_write(table.name)
         return new_tup
 
@@ -1593,7 +1593,7 @@ class LocalExecutor:
         current = table.heap.latest_version(row_id, clog)
         if current is None:
             return None
-        xmax = current.header.xmax
+        xmax = current.xmax
         if (xmax is not None and xmax != self.session.xid
                 and clog.status(xmax) == COMMITTED):
             return None
@@ -2070,7 +2070,3 @@ def _normalized_expr_text(expr, alias: str | None) -> str:
         return node
 
     return deparse(A.transform(expr.copy(), strip)).lower()
-
-
-def _wal_values(values: list) -> list:
-    return [to_text(v) if isinstance(v, (dict, list)) else v for v in values]

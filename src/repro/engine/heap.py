@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .datum import to_text
-from .mvcc import ABORTED, COMMITTED, CommitLog, HeapTupleHeader, Snapshot
+from .mvcc import ABORTED, COMMITTED, CommitLog, Snapshot
 
 PAGE_SIZE = 8192
 TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
@@ -23,10 +23,14 @@ TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
 
 @dataclass(slots=True)
 class HeapTuple:
+    """One stored version of a row, with its MVCC header: ``xmin`` wrote
+    it, ``xmax`` (None while live) deleted or replaced it."""
+
     tid: int
     row_id: int
     values: list
-    header: HeapTupleHeader
+    xmin: int
+    xmax: int | None = None
     #: The next-older stored version of the same logical row (its version
     #: chain, newest first); maintained by :class:`Heap`.
     older: "HeapTuple | None" = field(default=None, repr=False, compare=False)
@@ -53,18 +57,17 @@ def _value_width(value) -> int:
 def _visible(tuples, snapshot: Snapshot, clog: CommitLog):
     """Yield the ``tuples`` visible to the snapshot: :func:`mvcc.tuple_visible`
     inlined, asking the snapshot about each distinct xid once
-    (``Snapshot.verdicts``). ``header.xmax`` is read fresh per tuple."""
+    (``Snapshot.verdicts``). ``xmax`` is read fresh per tuple."""
     verdicts = snapshot.verdicts
     sees_xid = snapshot.sees_xid
     for tup in tuples:
-        header = tup.header
-        xid = header.xmin
+        xid = tup.xmin
         seen = verdicts.get(xid)
         if seen is None:
             seen = verdicts[xid] = sees_xid(xid, clog)
         if not seen:
             continue
-        xid = header.xmax
+        xid = tup.xmax
         if xid is not None:
             # Deleted, unless the deleter is invisible to us or aborted.
             seen = verdicts.get(xid)
@@ -102,7 +105,7 @@ class Heap:
         for value in values:
             width += _value_width(value)
         tid = self._next_tid
-        tup = HeapTuple(tid, row_id, values, HeapTupleHeader(xmin),
+        tup = HeapTuple(tid, row_id, values, xmin, None,
                         self._newest.get(row_id), width)
         self._newest[row_id] = tup
         self._next_tid = tid + 1
@@ -113,7 +116,7 @@ class Heap:
 
     def mark_deleted(self, tid: int, xmax: int) -> HeapTuple:
         tup = self._by_tid[tid]
-        tup.header.xmax = xmax
+        tup.xmax = xmax
         return tup
 
     def unmark_deleted(self, tid: int) -> None:
@@ -121,7 +124,7 @@ class Heap:
         clearing keeps the heap tidy for inspection)."""
         tup = self._by_tid.get(tid)
         if tup is not None:
-            tup.header.xmax = None
+            tup.xmax = None
 
     def get(self, tid: int) -> HeapTuple | None:
         return self._by_tid.get(tid)
@@ -151,7 +154,7 @@ class Heap:
         Walks only the row's own version chain."""
         tup = self._newest.get(row_id)
         if clog is not None:
-            while tup is not None and clog.status(tup.header.xmin) == ABORTED:
+            while tup is not None and clog.status(tup.xmin) == ABORTED:
                 tup = tup.older
         return tup
 
@@ -165,10 +168,9 @@ class Heap:
         below ``horizon`` (:meth:`XidManager.horizon`). Monotone: once
         true it stays true, which is what lets both VACUUM and an index
         probe act on it without coordination."""
-        header = tup.header
-        if clog.status(header.xmin) == ABORTED:
+        if clog.status(tup.xmin) == ABORTED:
             return True
-        xmax = header.xmax
+        xmax = tup.xmax
         return (xmax is not None and xmax < horizon
                 and clog.status(xmax) == COMMITTED)
 

@@ -590,7 +590,7 @@ class Session:
         if gid in self.instance.prepared_txns:
             raise InvalidTransactionState(f"transaction identifier {gid!r} is already in use")
         xid = self.xid
-        self.instance.wal.append(xid, "prepare", {"gid": gid})
+        self.instance.wal.append(xid, "prepare", gid)
         self.wait_events.record("IO", "WALFlush",
                                 self.instance.wal_flush_seconds())
         self.instance.xids.mark_prepared(xid)
@@ -605,7 +605,7 @@ class Session:
         prepared = self.instance.prepared_txns.pop(gid, None)
         if prepared is None:
             raise InvalidTransactionState(f"prepared transaction {gid!r} does not exist")
-        self.instance.wal.append(prepared.xid, "commit_prepared", {"gid": gid})
+        self.instance.wal.append(prepared.xid, "commit_prepared", gid)
         self.wait_events.record("IO", "WALFlush",
                                 self.instance.wal_flush_seconds())
         self.instance.xids.resolve_prepared(prepared.xid, committed=True)
@@ -616,7 +616,7 @@ class Session:
         prepared = self.instance.prepared_txns.pop(gid, None)
         if prepared is None:
             raise InvalidTransactionState(f"prepared transaction {gid!r} does not exist")
-        self.instance.wal.append(prepared.xid, "abort_prepared", {"gid": gid})
+        self.instance.wal.append(prepared.xid, "abort_prepared", gid)
         self.wait_events.record("IO", "WALFlush",
                                 self.instance.wal_flush_seconds())
         self.instance.xids.resolve_prepared(prepared.xid, committed=False)
@@ -943,7 +943,7 @@ class Session:
         raise SyntaxErrorSQL(f"unsupported utility statement {type(stmt).__name__}")
 
     def _log_ddl(self, stmt) -> None:
-        self.instance.wal.append(self.xid or 0, "ddl", {"sql": deparse(stmt)})
+        self.instance.wal.append(self.xid or 0, "ddl", deparse(stmt))
 
     def create_table_from_ast(self, stmt: A.CreateTable) -> bool:
         table = build_table(stmt)

@@ -123,24 +123,17 @@ class XidManager:
         return oldest
 
 
-@dataclass(slots=True)
-class HeapTupleHeader:
-    """MVCC header carried by every heap tuple version."""
-
-    xmin: int
-    xmax: int | None = None
-
-
-def tuple_visible(header: HeapTupleHeader, snapshot: Snapshot, clog: CommitLog) -> bool:
-    """PostgreSQL-style visibility check for one tuple version."""
-    if not snapshot.sees_xid(header.xmin, clog):
+def tuple_visible(tup, snapshot: Snapshot, clog: CommitLog) -> bool:
+    """PostgreSQL-style visibility check for one tuple version (its
+    ``xmin`` / ``xmax``)."""
+    if not snapshot.sees_xid(tup.xmin, clog):
         return False
-    if header.xmax is None:
+    if tup.xmax is None:
         return True
     # Deleted: invisible if the deleter is visible to us (incl. ourselves),
     # unless the deleting transaction aborted.
-    if header.xmax == snapshot.own_xid:
+    if tup.xmax == snapshot.own_xid:
         return False
-    if snapshot.sees_xid(header.xmax, clog):
+    if snapshot.sees_xid(tup.xmax, clog):
         return False
     return True

@@ -19,14 +19,15 @@ from .datum import cast_value
 from .index import index_insert
 from .locks import LockManager
 from .mvcc import XidManager
-from .wal import WriteAheadLog
+from .wal import (ABORT, ABORT_PREPARED, COMMIT, COMMIT_PREPARED, DDL, DELETE,
+                  INSERT, PREPARE, ROW_KINDS, UPDATE, WriteAheadLog)
 
 
 def replay_wal(instance, upto_lsn: int | None = None) -> None:
     from .catalog import Catalog
     from .instance import PreparedTransaction
 
-    records = instance.wal.records if upto_lsn is None else instance.wal.records_until(upto_lsn)
+    records = instance.wal.read(upto_lsn)
 
     # Reset volatile state. The WAL object survives (it is the durable part).
     instance.catalog = Catalog()
@@ -48,30 +49,30 @@ def replay_wal(instance, upto_lsn: int | None = None) -> None:
 
     session = instance.connect("wal_replay")
     try:
-        for record in records:
-            max_xid = max(max_xid, record.xid + 1)
-            if record.kind == "ddl":
-                for stmt in parse(record.payload["sql"]):
+        for _lsn, xid, kind, *body in records:
+            max_xid = max(max_xid, xid + 1)
+            if kind == DDL:
+                for stmt in parse(body[0]):
                     session._execute_utility(stmt, None, None)
-            elif record.kind in ("insert", "update", "delete"):
-                pending.setdefault(record.xid, []).append(record)
-            elif record.kind == "commit":
-                _apply_changes(instance, session, pending.pop(record.xid, []))
-                resolved[record.xid] = True
-            elif record.kind == "abort":
-                pending.pop(record.xid, None)
-                resolved[record.xid] = False
-            elif record.kind == "prepare":
-                prepared_gids[record.xid] = record.payload["gid"]
-            elif record.kind in ("commit_prepared", "abort_prepared"):
+            elif kind in ROW_KINDS:
+                pending.setdefault(xid, []).append((kind, *body))
+            elif kind == COMMIT:
+                _apply_changes(instance, session, pending.pop(xid, []))
+                resolved[xid] = True
+            elif kind == ABORT:
+                pending.pop(xid, None)
+                resolved[xid] = False
+            elif kind == PREPARE:
+                prepared_gids[xid] = body[0]
+            elif kind in (COMMIT_PREPARED, ABORT_PREPARED):
                 # Matched by gid: a transaction restored as prepared by an
                 # earlier replay is resolved under a new xid, but its
                 # changes were logged under the xid that prepared it.
                 xid = next((x for x, gid in prepared_gids.items()
-                            if gid == record.payload["gid"]), record.xid)
+                            if gid == body[0]), xid)
                 changes = pending.pop(xid, [])
                 prepared_gids.pop(xid, None)
-                resolved[xid] = record.kind == "commit_prepared"
+                resolved[xid] = kind == COMMIT_PREPARED
                 if resolved[xid]:
                     _apply_changes(instance, session, changes)
 
@@ -102,22 +103,19 @@ def _restore_prepared(instance, session, orig_xid: int, records, gid: str) -> in
 
 
 def _write_records(instance, records, xid: int, lock_rows: bool = False) -> None:
-    for record in records:
-        table = instance.catalog.get_table(record.payload["table"])
-        row_id = record.payload["row_id"]
-        if record.kind == "insert":
-            values = _cast_row(table, record.payload["values"])
-            tup = table.heap.insert(values, xid, row_id=row_id)
+    for kind, name, row_id, values in records:
+        table = instance.catalog.get_table(name)
+        if kind == INSERT:
+            tup = table.heap.insert(_cast_row(table, values), xid, row_id=row_id)
             table.heap._next_row_id = max(table.heap._next_row_id, row_id + 1)
             _reindex(table, tup)
-        elif record.kind == "update":
+        elif kind == UPDATE:
             old = table.heap.latest_version(row_id)
             if old is not None:
                 table.heap.mark_deleted(old.tid, xid)
-            values = _cast_row(table, record.payload["values"])
-            tup = table.heap.insert(values, xid, row_id=row_id)
+            tup = table.heap.insert(_cast_row(table, values), xid, row_id=row_id)
             _reindex(table, tup)
-        elif record.kind == "delete":
+        elif kind == DELETE:
             old = table.heap.latest_version(row_id)
             if old is not None:
                 table.heap.mark_deleted(old.tid, xid)

@@ -85,9 +85,8 @@ class Cluster:
         if config is None:
             raise NodeUnavailable(f"node {name!r} has no standby configured")
         old = self.node(name)
-        wal = old.wal.clone()
-        if config.mode == "asynchronous" and config.async_lag_records:
-            wal._records = wal._records[: max(0, len(wal._records) - config.async_lag_records)]
+        wal = old.wal.clone(lose=config.async_lag_records
+                            if config.mode == "asynchronous" else 0)
         replacement = PostgresInstance(
             name, old.spec, max_connections=old.max_connections, clock=self.clock
         )

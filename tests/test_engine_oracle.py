@@ -11,6 +11,7 @@ repartitioning INSERT..SELECT rollup, and the TPC-H and gharchive suites
 STOCK LEVEL — compared statement by statement and by final table contents.)
 """
 
+import json
 import random
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro import make_cluster
 from repro.citus.observability import explain
+from repro.errors import UnsupportedDistributedQuery
 from repro.workloads import gharchive, tpcc, tpch, ycsb
 from repro.workloads.traffic import mixes
 
@@ -137,37 +139,45 @@ def test_every_shard_pruned_agrees_with_single_node(oracle, cluster_session):
 
 # ------------------------------------------------------- join-order tier
 
-# (sql, strategy, whether ORDER BY makes the result a sequence). ``flags``
-# is the small side: joined to ``events.k`` it is hashed to the anchor's
-# shards, joined to a column that distributes neither table it is
-# broadcast. Some of its join keys are NULL: an inner join drops those
-# rows, an outer join that preserves ``flags`` keeps each exactly once —
-# moving a NULL key is not a COPY error.
+# (sql, strategy, moved table, whether ORDER BY makes the result a
+# sequence). ``flags`` is the small side: joined to ``events.k`` it is
+# hashed to the anchor's shards, joined to a column that distributes
+# neither table it is broadcast. Some of its join keys are NULL: an inner
+# join drops those rows, an outer join that preserves ``flags`` keeps each
+# exactly once — moving a NULL key is not a COPY error.
 JOIN_ORDER = {
     "repartition": ("SELECT f.k, e.v FROM flags f JOIN events e ON f.n = e.k",
-                    "repartition", False),
+                    "repartition", "flags", False),
     "repartition_order_limit": (
         "SELECT f.k, e.v FROM flags f JOIN events e ON f.n = e.k"
-        " ORDER BY f.k DESC LIMIT 7", "repartition", True),
+        " ORDER BY f.k DESC LIMIT 7", "repartition", "flags", True),
     "repartition_left_null_keys": (
         "SELECT f.k, e.v FROM flags f LEFT JOIN events e ON f.n = e.k",
-        "repartition", False),
+        "repartition", "flags", False),
     "repartition_right_null_keys": (
         "SELECT f.k, e.v FROM events e RIGHT JOIN flags f ON f.n = e.k",
-        "repartition", False),
+        "repartition", "flags", False),
+    "repartition_full_null_keys": (
+        "SELECT f.k, e.k FROM flags f FULL JOIN events e ON f.n = e.k",
+        "repartition", "flags", False),
     "broadcast": ("SELECT f.k, count(*), sum(e.k) FROM flags f"
-                  " JOIN events e ON f.n = e.v GROUP BY f.k", "broadcast", False),
+                  " JOIN events e ON f.n = e.v GROUP BY f.k", "broadcast",
+                  "flags", False),
     "broadcast_order_limit": (
         "SELECT f.k, count(*) FROM flags f JOIN events e ON f.n = e.v"
-        " GROUP BY f.k ORDER BY f.k LIMIT 5", "broadcast", True),
+        " GROUP BY f.k ORDER BY f.k LIMIT 5", "broadcast", "flags", True),
     # A broadcast copy sits beside every anchor shard, so only the anchor
-    # side can be preserved.
+    # side can be preserved ...
     "broadcast_left_null_keys": (
         "SELECT e.k, f.k FROM events e LEFT JOIN flags f ON f.n = e.v",
-        "broadcast", False),
+        "broadcast", "flags", False),
     "broadcast_right_null_keys": (
         "SELECT e.k, f.k FROM flags f RIGHT JOIN events e ON f.n = e.v",
-        "broadcast", False),
+        "broadcast", "flags", False),
+    # ... and a preserved ``flags`` makes the large side the moved one.
+    "broadcast_preserves_the_anchor": (
+        "SELECT f.k, e.k FROM flags f LEFT JOIN events e ON f.n = e.v",
+        "broadcast", "events", False),
 }
 
 
@@ -188,11 +198,11 @@ def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
     comes back is what one node joins, also when the statement runs inside
     a transaction block that has already written to the moved side — and
     the moved copy is gone from every worker afterwards."""
-    sql, strategy, ordered = JOIN_ORDER[name]
+    sql, strategy, moved, ordered = JOIN_ORDER[name]
     explained = explain(cluster_session, sql)
     assert explained.tier == "join_order"
     assert explained.subplan["strategy"] == strategy
-    assert explained.subplan["moved_table"] == "flags"
+    assert explained.subplan["moved_table"] == moved
     flip = "UPDATE flags SET n = 1 - n WHERE k = 2"
     results = []
     for session in (oracle, cluster_session):
@@ -214,6 +224,82 @@ def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
     else:
         assert sorted(got, key=repr) == sorted(expected, key=repr)
     assert intermediate_tables(cluster_session) == []
+
+
+def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):
+    """Both sides preserved and neither joined on its distribution column:
+    every strategy left would broadcast a preserved side."""
+    sql = "SELECT f.k, e.k FROM flags f FULL JOIN events e ON f.n = e.v"
+    with pytest.raises(UnsupportedDistributedQuery, match="preserves both"):
+        cluster_session.execute(sql)
+    search = json.loads(cluster_session.execute(
+        "SELECT citus_plan_alternatives($1)", [sql]).scalar())
+    assert [c["rejection"]["code"] for c in search["candidates"]
+            if c["tier"] == "join_order"] == ["outer_join_broadcast"]
+
+
+# ------------------------------------------ outer joins on a replicated side
+
+#: A 10-row reference table ``r`` and a 49-row distributed ``d`` whose
+#: ``rid`` matches half of ``r``: an outer join that preserves ``r`` (or the
+#: same ten ids from a subquery or a function) returns 54 rows on one node,
+#: and returned 69 on two workers and four shards, where every shard added
+#: the five unmatched rows again.
+REPLICATED_PRESERVED = {
+    "left": "SELECT r.id, d.k FROM r LEFT JOIN d ON r.id = d.rid",
+    "right": "SELECT r.id, d.k FROM d RIGHT JOIN r ON r.id = d.rid",
+    "full": "SELECT r.id, d.k FROM r FULL JOIN d ON r.id = d.rid",
+    "subquery": "SELECT s.id, d.k FROM (SELECT id FROM r) s"
+                " LEFT JOIN d ON s.id = d.rid",
+    "function": "SELECT g.x, d.k FROM generate_series(0, 9) AS g(x)"
+                " LEFT JOIN d ON g.x = d.rid",
+}
+#: The same joins with ``r`` on the nullable side push down as before.
+REPLICATED_NULLABLE = {
+    "left": "SELECT r.id, d.k FROM d LEFT JOIN r ON r.id = d.rid",
+    "right": "SELECT r.id, d.k FROM r RIGHT JOIN d ON r.id = d.rid",
+}
+
+
+@pytest.fixture(scope="module")
+def replicated_pair():
+    """The oracle and a (2, 4) cluster holding ``r`` and ``d``."""
+    sessions = (oracle_session(),
+                make_cluster(workers=2, shard_count=4).coordinator_session())
+    for session in sessions:
+        session.execute("CREATE TABLE r (id int PRIMARY KEY, name text)")
+        session.execute("CREATE TABLE d (k int PRIMARY KEY, rid int, v int)")
+        if session is sessions[1]:
+            session.execute("SELECT create_reference_table('r')")
+            session.execute("SELECT create_distributed_table('d', 'k')")
+        session.copy_rows("r", [[i, f"r{i}"] for i in range(10)])
+        session.copy_rows("d", [[k, k % 5, k] for k in range(1, 50)])
+    return sessions
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATED_PRESERVED))
+def test_an_outer_join_preserving_a_reference_table_is_refused(replicated_pair,
+                                                               name):
+    oracle, cluster = replicated_pair
+    sql = REPLICATED_PRESERVED[name]
+    assert len(oracle.execute(sql).rows) == 54
+    with pytest.raises(UnsupportedDistributedQuery, match="unmatched rows"):
+        cluster.execute(sql)
+    search = json.loads(cluster.execute(
+        "SELECT citus_plan_alternatives($1)", [sql]).scalar())
+    assert [c["rejection"]["code"] for c in search["candidates"]
+            if c["tier"] == "pushdown"] == ["replicated_outer_join"]
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATED_NULLABLE))
+def test_an_outer_join_with_a_nullable_reference_table_agrees(replicated_pair,
+                                                              name):
+    oracle, cluster = replicated_pair
+    sql = REPLICATED_NULLABLE[name]
+    assert explain(cluster, sql).tier == "pushdown"
+    expected = oracle.execute(sql).rows
+    assert len(expected) == 49
+    assert sorted(cluster.execute(sql).rows, key=repr) == sorted(expected, key=repr)
 
 
 BAD_COLUMN_LISTS = {

@@ -1,6 +1,8 @@
 """Single-node transaction semantics: blocks, visibility, locking,
 deadlocks, crash recovery, restore points."""
 
+import datetime as dt
+
 import pytest
 
 from repro.errors import (
@@ -232,6 +234,93 @@ class TestCrashRecovery:
         pg.restart()
         s2 = pg.connect()
         assert s2.execute("SELECT v FROM t WHERE k = 1").scalar() == 4
+
+    def test_replay_round_trips_every_record_kind_and_value_type(self, pg, s):
+        """Every kind of record and every value type, through a crash: the
+        tables and the prepared transactions are what they were, and the
+        in-doubt transaction commits what it wrote."""
+        s.execute("CREATE TABLE kinds (k int PRIMARY KEY, b bool, f float,"
+                  " d date, ts timestamp, j jsonb, note text)")
+        s.copy_rows("kinds", [
+            [1, True, 1.5, dt.date(2024, 2, 29), dt.datetime(2024, 3, 1, 10, 30),
+             {"a": [1, 2], "b": None}, "x"],
+            [2, None, None, None, None, None, None],
+            [3, False, -0.25, "2021-06-20", "2021-06-20T08:00:00", [1, "two"], ""],
+            [4, True, 3.0, None, None, 7, "gone"]])
+        s.execute("UPDATE kinds SET f = f * 2, j = '{\"c\": {\"d\": true}}' WHERE k = 1")
+        s.execute("DELETE FROM kinds WHERE k = 4")
+        s.execute("BEGIN")
+        s.execute("INSERT INTO kinds (k, note) VALUES (5, 'aborted')")
+        s.execute("ROLLBACK")
+        for gid, end in (("pc", "COMMIT"), ("pr", "ROLLBACK")):
+            s.execute("BEGIN")
+            s.execute("UPDATE t SET v = v + 1 WHERE k = 1")
+            s.execute(f"PREPARE TRANSACTION '{gid}'")
+            s.execute(f"{end} PREPARED '{gid}'")
+        pg.wal.create_restore_point("settled")
+        s.execute("BEGIN")
+        s.execute("INSERT INTO kinds VALUES (6, false, 0.5, '2020-01-01', NULL,"
+                  " '[true]', 'in doubt')")
+        s.execute("UPDATE t SET v = 0 WHERE k = 2")
+        s.execute("PREPARE TRANSACTION 'doubt'")
+        assert {record[2] for record in pg.wal.read()} == {
+            "ddl", "insert", "update", "delete", "commit", "abort", "prepare",
+            "commit_prepared", "abort_prepared", "restore_point"}
+
+        def contents():
+            session = pg.connect()
+            return ([session.execute(f"SELECT * FROM {table} ORDER BY k").rows
+                     for table in ("t", "kinds")],
+                    {gid: p.owner_node for gid, p in pg.prepared_txns.items()})
+
+        before = contents()
+        assert before[1] == {"doubt": pg.name}
+        pg.crash()
+        pg.restart()
+        assert contents() == before
+        pg.connect().execute("COMMIT PREPARED 'doubt'")
+        tables, prepared = contents()
+        assert prepared == {} and tables[0] == [[1, 11], [2, 0]]
+        assert tables[1][-1] == [6, False, 0.5, dt.date(2020, 1, 1), None, [True],
+                                 "in doubt"]
+        # Back to the restore point: the in-doubt transaction never began.
+        pg.restore_to_point("settled")
+        assert contents() == ([[[1, 11], [2, 20]], before[0][1]], {})
+
+    def test_a_copy_hands_the_log_values_not_its_rows(self, pg, s):
+        """Mutating the rows (and a json value in them) after the COPY
+        leaves the log as it was."""
+        s.execute("CREATE TABLE docs (k int PRIMARY KEY, j jsonb, tags text)")
+        rows = [[1, {"a": 1}, "x"], [2, [1], "y"]]
+        s.copy_rows("docs", rows)
+        logged = list(pg.wal.records)
+        rows[0][2] = "changed"
+        rows[0][1]["a"] = 2
+        rows[1][1].append(2)
+        rows.append([3, None, "z"])
+        assert pg.wal.records == logged
+        assert [record[5] for record in pg.wal.read()
+                if record[2] == "insert"][-2:] == [
+            (1, '{"a": 1}', "x"), (2, "[1]", "y")]
+
+    def test_an_async_standby_loses_exactly_its_lag(self):
+        from repro.net.cluster import Cluster, StandbyConfig
+
+        cluster = Cluster()
+        node = cluster.add_node("n1")
+        session = node.connect()
+        session.execute("CREATE TABLE t (k int PRIMARY KEY)")
+        for k in range(5):  # an insert and a commit record each
+            session.execute("INSERT INTO t VALUES ($1)", [k])
+        logged = list(node.wal.records)
+        cluster.enable_standby("n1", StandbyConfig(mode="asynchronous",
+                                                   async_lag_records=3))
+        cluster.fail_node("n1")
+        standby = cluster.promote_standby("n1")
+        assert standby.wal.records == logged[:-3]
+        # The fourth insert lost its commit record, the fifth both records.
+        rows = standby.connect().execute("SELECT k FROM t ORDER BY k").rows
+        assert rows == [[0], [1], [2]]
 
 
 class TestConnectionLimits:

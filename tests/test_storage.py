@@ -23,21 +23,21 @@ class TestMvccVisibility:
         tup = heap.insert([1], writer)
         self.xids.finish(writer, committed=True)
         snap = self.xids.take_snapshot()
-        assert tuple_visible(tup.header, snap, self.xids.clog)
+        assert tuple_visible(tup, snap, self.xids.clog)
 
     def test_uncommitted_insert_invisible_to_others(self):
         writer = self.xids.allocate()
         heap = Heap("t")
         tup = heap.insert([1], writer)
         snap = self.xids.take_snapshot()  # writer still active
-        assert not tuple_visible(tup.header, snap, self.xids.clog)
+        assert not tuple_visible(tup, snap, self.xids.clog)
 
     def test_own_writes_visible(self):
         writer = self.xids.allocate()
         heap = Heap("t")
         tup = heap.insert([1], writer)
         snap = self.xids.take_snapshot(own_xid=writer)
-        assert tuple_visible(tup.header, snap, self.xids.clog)
+        assert tuple_visible(tup, snap, self.xids.clog)
 
     def test_aborted_insert_invisible(self):
         writer = self.xids.allocate()
@@ -45,7 +45,7 @@ class TestMvccVisibility:
         tup = heap.insert([1], writer)
         self.xids.finish(writer, committed=False)
         snap = self.xids.take_snapshot()
-        assert not tuple_visible(tup.header, snap, self.xids.clog)
+        assert not tuple_visible(tup, snap, self.xids.clog)
 
     def test_committed_delete_hides_tuple(self):
         w1 = self.xids.allocate()
@@ -56,7 +56,7 @@ class TestMvccVisibility:
         heap.mark_deleted(tup.tid, w2)
         self.xids.finish(w2, committed=True)
         snap = self.xids.take_snapshot()
-        assert not tuple_visible(tup.header, snap, self.xids.clog)
+        assert not tuple_visible(tup, snap, self.xids.clog)
 
     def test_aborted_delete_leaves_tuple_visible(self):
         w1 = self.xids.allocate()
@@ -67,7 +67,7 @@ class TestMvccVisibility:
         heap.mark_deleted(tup.tid, w2)
         self.xids.finish(w2, committed=False)
         snap = self.xids.take_snapshot()
-        assert tuple_visible(tup.header, snap, self.xids.clog)
+        assert tuple_visible(tup, snap, self.xids.clog)
 
     def test_snapshot_taken_before_commit_does_not_see(self):
         writer = self.xids.allocate()
@@ -76,7 +76,7 @@ class TestMvccVisibility:
         snap = self.xids.take_snapshot()
         self.xids.finish(writer, committed=True)
         # Snapshot was taken while writer was in progress: still invisible.
-        assert not tuple_visible(tup.header, snap, self.xids.clog)
+        assert not tuple_visible(tup, snap, self.xids.clog)
 
     def test_future_xid_invisible(self):
         snap = self.xids.take_snapshot()
@@ -84,7 +84,7 @@ class TestMvccVisibility:
         heap = Heap("t")
         tup = heap.insert([1], writer)
         self.xids.finish(writer, committed=True)
-        assert not tuple_visible(tup.header, snap, self.xids.clog)
+        assert not tuple_visible(tup, snap, self.xids.clog)
 
     def test_prepared_txn_stays_invisible(self):
         writer = self.xids.allocate()
@@ -92,10 +92,10 @@ class TestMvccVisibility:
         tup = heap.insert([1], writer)
         self.xids.mark_prepared(writer)
         snap = self.xids.take_snapshot()
-        assert not tuple_visible(tup.header, snap, self.xids.clog)
+        assert not tuple_visible(tup, snap, self.xids.clog)
         self.xids.resolve_prepared(writer, committed=True)
         snap = self.xids.take_snapshot()
-        assert tuple_visible(tup.header, snap, self.xids.clog)
+        assert tuple_visible(tup, snap, self.xids.clog)
 
 
 class TestHeapVacuum:
@@ -144,7 +144,7 @@ def brute_force_latest(heap, row_id, clog=None):
     for tup in heap.tuples:
         if tup.row_id != row_id:
             continue
-        if clog is not None and clog.status(tup.header.xmin) == ABORTED:
+        if clog is not None and clog.status(tup.xmin) == ABORTED:
             continue
         newest = tup
     return newest
@@ -268,7 +268,7 @@ def assert_scan_matches_tuple_visible(heap, snapshot, clog):
     exactly the tuples the reference rule admits, evaluated afresh — and so
     does ``Heap.fetch`` over index candidates: every TID ever handed out,
     newest first, reclaimed ones included."""
-    admitted = [t.tid for t in heap.tuples if tuple_visible(t.header, snapshot, clog)]
+    admitted = [t.tid for t in heap.tuples if tuple_visible(t, snapshot, clog)]
     assert [t.tid for t in heap.scan(snapshot, clog)] == admitted
     candidates = range(heap._next_tid, 0, -1)
     assert [t.tid for t in heap.fetch(candidates, snapshot, clog)] == admitted[::-1]
@@ -381,7 +381,7 @@ class TestScanVisibilityParity:
         assert self._keys(heap, bystander, clog) == [1, 2]
         writer.execute("ROLLBACK")
         # Row 1 keeps the aborted deleter in xmax and is visible again.
-        assert heap.tuples[0].header.xmax is not None
+        assert heap.tuples[0].xmax is not None
         assert self._keys(heap, pg.xids.take_snapshot(), clog) == [1, 2]
         assert self._keys(heap, bystander, clog) == [1, 2]
 
@@ -581,7 +581,7 @@ def assert_indexes_cover_the_heap(pg, sessions):
     needed = {tup.tid for snapshot in snapshots
               for tup in heap.scan(snapshot, xids.clog)}
     prepared = {txn.xid for txn in pg.prepared_txns.values()}
-    needed |= {tup.tid for tup in heap.tuples if tup.header.xmax in prepared}
+    needed |= {tup.tid for tup in heap.tuples if tup.xmax in prepared}
     assert needed <= {tup.tid for tup in heap.tuples
                       if not heap.is_dead(tup, horizon, xids.clog)}
     for name, index in table.indexes.items():
@@ -932,35 +932,40 @@ class TestLockManager:
 class TestWal:
     def test_append_and_lsn_monotonic(self):
         wal = WriteAheadLog()
-        r1 = wal.append(1, "insert", {"table": "t"})
-        r2 = wal.append(1, "commit")
-        assert r2.lsn == r1.lsn + 1
+        first = wal.append(1, "ddl", "CREATE TABLE t (k int)")
+        wal.append_row(1, "insert", "t", 1, [1])
+        assert wal.append(1, "commit") == first + 2 == wal.current_lsn
 
     def test_restore_point_lookup(self):
         wal = WriteAheadLog()
-        wal.append(1, "insert", {})
+        wal.append_row(1, "insert", "t", 1, [1])
         lsn = wal.create_restore_point("rp")
-        wal.append(2, "insert", {})
+        wal.append_row(2, "insert", "t", 2, [2])
         assert wal.find_restore_point("rp") == lsn
         assert wal.find_restore_point("missing") is None
 
     def test_records_until(self):
         wal = WriteAheadLog()
-        wal.append(1, "insert", {})
+        wal.append_row(1, "insert", "t", 1, [1])
         lsn = wal.create_restore_point("rp")
-        wal.append(2, "insert", {})
-        assert len(wal.records_until(lsn)) == 2
+        wal.append_row(2, "insert", "t", 2, [2])
+        assert list(wal.read(lsn)) == [(1, 1, "insert", "t", 1, (1,)),
+                                       (2, 0, "restore_point", "rp")]
+        assert len(list(wal.read())) == 3
 
     def test_clone_is_independent(self):
         wal = WriteAheadLog()
-        wal.append(1, "insert", {})
+        wal.append_row(1, "insert", "t", 1, [1])
         clone = wal.clone()
-        wal.append(2, "insert", {})
+        wal.append_row(2, "delete", "t", 1)
         assert len(clone.records) == 1
         assert len(wal.records) == 2
+        assert list(wal.read())[1] == (2, 2, "delete", "t", 1, None)
 
     def test_bytes_accounting_grows(self):
         wal = WriteAheadLog()
         before = wal.bytes_written
-        wal.append(1, "insert", {"values": ["x" * 100]})
-        assert wal.bytes_written >= before + 64
+        wal.append_row(1, "insert", "t", 1, ["x" * 100])
+        assert wal.bytes_written == before + 64 + 8 + len("t") + 8
+        wal.append(1, "prepare", "gid-1")
+        assert wal.bytes_written == before + 81 + 64 + len("gid-1")

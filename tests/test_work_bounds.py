@@ -20,6 +20,7 @@ and the test deterministic.
 """
 
 import contextlib
+import gc
 import heapq
 import importlib
 import sys
@@ -109,8 +110,8 @@ def row_work(monkeypatch):
     scan = Heap.scan
 
     def budgeted_scan(heap, snapshot, clog):
-        xids = {t.header.xmin for t in heap.tuples}
-        xids.update(t.header.xmax for t in heap.tuples)
+        xids = {t.xmin for t in heap.tuples}
+        xids.update(t.xmax for t in heap.tuples)
         counts["clog_budget"] += len(xids - {None}) + 1
         return scan(heap, snapshot, clog)
 
@@ -405,6 +406,46 @@ def test_routing_builds_no_list_per_row():
     indexes |= {dist.shard_index_for_value(k) for k in range(200)}
     assert len(indexes) == 8
     assert iterations["shards"] == 0
+
+
+def write_round(session, first: int) -> int:
+    """A COPY, an UPDATE, a DELETE, a 2PC transfer and a rolled-back
+    UPDATE over fresh keys from ``first``; returns the heap versions
+    written."""
+    session.copy_rows("events", event_rows(first, ROWS))
+    session.execute("UPDATE events SET v = v + 1 WHERE k >= :lo AND k < :hi",
+                    {"lo": first, "hi": first + 100})
+    session.execute("DELETE FROM events WHERE k >= :lo AND k < :hi",
+                    {"lo": first + 900, "hi": first + ROWS})
+    session.execute("BEGIN")
+    session.execute("UPDATE events SET v = v - 1 WHERE k = :k", {"k": first})
+    session.execute("UPDATE events SET v = v + 1 WHERE k = :k", {"k": first + 1})
+    session.execute("PREPARE TRANSACTION 'transfer'")
+    session.execute("COMMIT PREPARED 'transfer'")
+    session.execute("BEGIN")
+    session.execute("UPDATE events SET v = 0 WHERE k = :k", {"k": first + 2})
+    session.execute("ROLLBACK")
+    return ROWS + 100 + 2 + 1
+
+
+def test_written_rows_leave_nothing_for_the_collector_but_the_heap():
+    """The WAL lives as long as its instance and grows with every row: a
+    record the collector kept tracking would be walked again by every full
+    collection. After one collection no stored record is tracked, and what
+    a write leaves behind for the collector is its heap version and that
+    version's values list — two objects per row."""
+    _cluster, session = empty_events(distributed=False)
+    wal = session.instance.wal
+    write_round(session, 1)  # the statements' shapes, plans and caches
+    gc.collect()
+    before = len(gc.get_objects())
+    written = write_round(session, ROWS + 1)
+    gc.collect()
+    assert not any(map(gc.is_tracked, wal.records))
+    kinds = Counter(record[2] for record in wal.read())
+    assert {"insert", "update", "delete", "prepare", "commit_prepared",
+            "abort", "commit"} <= set(kinds)
+    assert len(gc.get_objects()) - before <= 2 * written
 
 
 JOIN_ROWS = 20_000

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro import PostgresInstance
 from repro.engine import copy as engine_copy
-from repro.engine.datum import cast_value, compare_values, to_text
+from repro.engine.datum import cast_value, compare_values
 from repro.engine.executor import LocalExecutor, QueryResult
 from repro.engine.expr import EMPTY_LAYOUT, evaluate
 from repro.engine.index import GinIndex, index_insert
@@ -54,10 +54,6 @@ from repro.sql import ast as A
 
 def _pick(values, names, wanted):
     return [values[names.index(c)] if c in names else None for c in wanted]
-
-
-def _wal_values(values):
-    return [to_text(v) if isinstance(v, (dict, list)) else v for v in values]
 
 
 def _build_full_row(self, table, columns, values):
@@ -123,7 +119,7 @@ def _find_conflict(self, table, full, on_conflict):
         for tup in candidates:
             if tup is None:
                 continue
-            if not tuple_visible(tup.header, snapshot, clog):
+            if not tuple_visible(tup, snapshot, clog):
                 continue
             existing = tup.values
             if all(
@@ -157,7 +153,7 @@ def _check_foreign_keys(self, table, full):
         if index is not None:
             for tid in index.data.scan_equal(values):
                 tup = ref_table.heap.get(tid)
-                if tup is not None and tuple_visible(tup.header, snapshot, clog):
+                if tup is not None and tuple_visible(tup, snapshot, clog):
                     found = True
                     break
         else:
@@ -189,9 +185,7 @@ def _do_insert(self, table, full):
     xid = self.session.ensure_xid()
     tup = table.heap.insert(full, xid)
     _index_insert(self, table, tup)
-    self.instance.wal.append(xid, "insert", {
-        "table": table.name, "row_id": tup.row_id, "values": _wal_values(full),
-    })
+    self.instance.wal.append_row(xid, "insert", table.name, tup.row_id, full)
     self.session.track_write(table.name)
     return tup
 
@@ -227,7 +221,7 @@ def _do_delete(self, table, tup):
     xid = self.session.ensure_xid()
     table.heap.mark_deleted(tup.tid, xid)
     table.heap.note_dead(tup)
-    self.instance.wal.append(xid, "delete", {"table": table.name, "row_id": tup.row_id})
+    self.instance.wal.append_row(xid, "delete", table.name, tup.row_id)
     self.session.track_write(table.name)
 
 
@@ -515,7 +509,7 @@ def state_of(instance, session):
         for index in table.indexes.values():
             assert {tid for _key, tid in index.data._entries} <= set(heap._by_tid)
         tables[name] = {
-            "tuples": [(t.tid, t.row_id, t.values, t.header.xmin, t.header.xmax)
+            "tuples": [(t.tid, t.row_id, t.values, t.xmin, t.xmax)
                        for t in heap.tuples],
             "chains": {row_id: [t.tid for t in heap.versions(row_id)]
                        for row_id in sorted({t.row_id for t in heap.tuples})},
@@ -526,7 +520,7 @@ def state_of(instance, session):
         }
     return {
         "tables": tables,
-        "wal": [(r.lsn, r.xid, r.kind, r.payload) for r in instance.wal.records],
+        "wal": list(instance.wal.records),
         "wal_bytes": instance.wal.bytes_written,
         "stats": {key: session.stats[key]
                   for key in ("rows_written", "index_writes", "rows_copied")},
