@@ -6,6 +6,7 @@
     python3 benchmarks/sample_profile.py --workload traffic_mix --deciles
     python3 benchmarks/sample_profile.py --workload oltp_point --plain
     python3 benchmarks/sample_profile.py --workload write_mix --gc
+    python3 benchmarks/sample_profile.py --workload analytics_scan --step group_agg
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -13,6 +14,12 @@ share. Set-up, warm-up and the host canary are excluded. Prints self and
 inclusive shares by function and by module. Reads ``benchmarks/ledger`` of
 ``--root`` (default: this checkout) and changes nothing in it; every sampled
 share quoted in README / ROADMAP comes from this script.
+
+``--step NAME`` keeps only the samples taken inside one timed step of each
+op (an ``analytics_scan`` shape, a ``write_mix`` step: the workload's
+``steps``), and prints that step's mean wall time per op beside them.
+
+Every mode exits non-zero when a correctness check of the workload failed.
 
 ``--deciles`` does not sample: it prints, per tenth of the measured phase, the
 mean wall time of an op and the mean / max number of candidates a B-tree
@@ -45,7 +52,7 @@ import sys
 import time
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="write_mix")
     parser.add_argument("--seed", type=int, default=31415)
@@ -60,6 +67,8 @@ def main() -> None:
     parser.add_argument("--gc", action="store_true",
                         help="collector time, passes per generation and"
                         " tracked objects, in place of the sample")
+    parser.add_argument("--step", metavar="NAME",
+                        help="sample only inside this timed step of each op")
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     args = parser.parse_args()
@@ -71,9 +80,12 @@ def main() -> None:
     self_fn, incl_fn = collections.Counter(), collections.Counter()
     self_mod, incl_mod = collections.Counter(), collections.Counter()
     total = 0
+    in_step = args.step is None  # with --step: only while that step runs
 
     def sample(_signum, frame):
         nonlocal total
+        if not in_step:
+            return
         stack = []
         while frame is not None:
             code = frame.f_code
@@ -88,18 +100,32 @@ def main() -> None:
         incl_mod.update({module for module, _name in stack})
 
     cls = WORKLOADS[args.workload]
+    if args.step is not None and args.step not in cls.steps:
+        parser.error(f"{args.workload} has no step {args.step!r}"
+                     f" (its steps: {', '.join(cls.steps) or 'none'})")
     if args.plain:
-        print_plain(cls, args.seed, phases.op_count(cls, args.seconds), root)
-        return
+        return print_plain(cls, args.seed, phases.op_count(cls, args.seconds), root)
     workload = cls(args.seed, phases.op_count(cls, args.seconds))
     workload.setup()
     workload.warm_up()
     if args.deciles:
         print_deciles(args.workload, workload, root)
-        return
+        return workload.failed
     if args.gc:
         print_gc(args.workload, workload, root)
-        return
+        return workload.failed
+    if args.step is not None:
+        step = workload.step
+
+        def sampled_step(name, fn, *step_args):
+            nonlocal in_step
+            in_step = name == args.step
+            try:
+                return step(name, fn, *step_args)
+            finally:
+                in_step = False
+
+        workload.step = sampled_step  # what run_op calls, for this instance
     signal.signal(signal.SIGPROF, sample)
     signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
     try:
@@ -110,6 +136,10 @@ def main() -> None:
 
     print(f"{args.workload}: {total} samples over {workload.ops} ops,"
           f" failed {workload.failed} ({root})")
+    if args.step is not None:
+        walls = workload.step_walls[args.step]
+        print(f"step {args.step}: mean {sum(walls) / max(len(walls), 1) / 1e3:.1f}"
+              f" us per op over {len(walls)} ops")
     for title, counts in (("self, by function", self_fn),
                           ("inclusive, by function", incl_fn),
                           ("self, by module", self_mod),
@@ -118,6 +148,7 @@ def main() -> None:
         for key, n in counts.most_common(args.top):
             label = key if isinstance(key, str) else f"{key[0]}:{key[1]}"
             print(f"  {100 * n / max(total, 1):5.1f} %  {n:6d}  {label}")
+    return workload.failed
 
 
 def print_deciles(name: str, workload, root: str) -> None:
@@ -206,7 +237,7 @@ class _Undistributed:
         return getattr(self._session, name)
 
 
-def print_plain(cls, seed: int, ops: int, root: str) -> None:
+def print_plain(cls, seed: int, ops: int, root: str) -> int:
     from repro import PostgresInstance, make_cluster
 
     def plain():
@@ -222,6 +253,7 @@ def print_plain(cls, seed: int, ops: int, root: str) -> None:
     print(f"{cls.name}: {ops} ops per target, seed {seed} ({root})")
     print(f"{'target':<10} {'mean op us':>11} {'x plain':>8} {'failed':>7}")
     base = None
+    failed = 0
     for name, build in targets:
         workload = cls(seed, ops)
         workload.session, workload.clock = build()  # in place of setup()
@@ -235,7 +267,9 @@ def print_plain(cls, seed: int, ops: int, root: str) -> None:
               f" {workload.failed:7d}")
         for error in workload.errors[:3]:
             print(f"  FAILED CHECK: {error}")
+        failed += workload.failed
+    return failed
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(1 if main() else 0)

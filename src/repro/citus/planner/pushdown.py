@@ -537,23 +537,6 @@ def _contains_aggregate(expr) -> bool:
 # gauge).
 
 
-class _Reversed:
-    """Inverts a sort key's order, so that a descending key column can sit
-    in a composite key that is compared ascending (the MergeAppend bisects
-    and sorts whole-row keys; it cannot pass ``reverse=True`` per column)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
 def merge_key_columns(plan: PushdownSelect, visible_width: int, width: int) -> list:
     """The coordinator MergeAppend's key columns, one ``(row position,
     descending, key function)`` per hidden sort key: positions resolved
@@ -561,7 +544,7 @@ def merge_key_columns(plan: PushdownSelect, visible_width: int, width: int) -> l
     ``visible_width`` of them visible), the key function a
     :func:`datum.ordering` key made to compare ascending. A position past
     the row is NULL in every row, so it orders nothing and is left out."""
-    from ...engine.datum import ordering
+    from ...engine.datum import Descending, ordering
 
     columns = []
     for (kind, index), ascending, nulls_first in plan.hidden_sort_keys:
@@ -570,7 +553,7 @@ def merge_key_columns(plan: PushdownSelect, visible_width: int, width: int) -> l
             continue
         descending, key = ordering(ascending, nulls_first)
         columns.append((position, descending,
-                        (lambda value, key=key: _Reversed(key(value)))
+                        (lambda value, key=key: Descending(key(value)))
                         if descending else key))
     return columns
 

@@ -464,6 +464,13 @@ class Telemetry:
         record.add(COMMIT if committed else ABORT, TXN, now, now, None,
                    (key, twopc, bucket))
 
+    def crashed(self, node: str) -> None:
+        """``node`` crashed, and its sessions with it: the transactions
+        they had in flight end as aborts, after what is pending (their
+        statements) has been folded."""
+        self.drain()
+        self.graph.abort_sessions_of(node)
+
     # ------------------------------------------------------------- surfaces
 
     def counter_rows(self) -> list[list]:

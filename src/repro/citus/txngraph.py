@@ -432,6 +432,12 @@ class TxnGraph:
                         if slot is not None:
                             slot.edges[key] += 1
 
+    def abort_sessions_of(self, node: str) -> None:
+        """End as aborts the transactions of ``node``'s sessions (the node
+        crashed: none of them can end any other way)."""
+        for key in [key for key in self.open if key[0] == node]:
+            self.end_txn(key, False, False, None)
+
     # ------------------------------------------------------------ resets
 
     def reset_graph(self) -> None:

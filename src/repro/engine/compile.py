@@ -21,6 +21,11 @@ layout, resolves on first use and remembers the answer in a one-entry
 inline cache keyed by the context's layout; names no enclosing scope has
 raise exactly what the interpreter raises.
 
+A comparison of such a slot with a literal or parameter is one closure that
+reads both operands itself (:func:`_build_comparison`). Like every builder
+here it composes closures and builds no source: a statement with fresh
+literals compiles without an ``exec``.
+
 Compiled closures are cached by expression (and layout) identity in a
 bounded LRU; the statement cache returns the same AST per SQL text, so a
 statement compiles once across executions. Trivial nodes (literals,
@@ -36,12 +41,14 @@ catalog — index candidates, expanded targets, assignment slots — keyed by
 
 from __future__ import annotations
 
+import operator
+
 from ..errors import DataError
 from ..sql import ast as A
 from .datum import cast_value, compare_values
 from .expr import (
-    AmbiguousColumn, RowLayout, SlotRef, _func_call, _param, _subquery,
-    apply_binary, evaluate, lookup_column,
+    AmbiguousColumn, BoundParams, RowLayout, SlotRef, _func_call, _param,
+    _subquery, apply_binary, evaluate, lookup_column,
 )
 from .functions import SCALAR_FUNCTIONS, is_aggregate
 from .lru import LRUCache
@@ -259,9 +266,88 @@ _COMPARISONS = {
     ">=": lambda c: c >= 0,
 }
 
+#: Each comparison on two values of one plain type (int or str), which
+#: order as ``compare_values`` orders them; and with its operands swapped.
+_PLAIN_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                      "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_SWAPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _build_comparison(node: A.BinaryOp, layout):
+    """``column op constant`` (either way round) over rows of ``layout``,
+    as one closure that reads both operands itself: the column's slot, and
+    the literal it holds or the parameter it looks up (the interpreter's
+    ``_param`` only to raise). Two ints or two strs compare directly;
+    anything else goes through ``compare_values`` with the operands in
+    their written order. None when ``node`` is not such a comparison."""
+    op = node.op
+    swapped = False
+    slot = slot_of(node.left, layout) if layout is not None else None
+    constant = node.right
+    if slot is None or type(constant) not in (A.Literal, A.Param):
+        slot = slot_of(node.right, layout) if layout is not None else None
+        constant, swapped = node.left, True
+        if slot is None or type(constant) not in (A.Literal, A.Param):
+            return None
+    # ``plain(column value, constant)``: the constant on the right.
+    plain = _PLAIN_COMPARISONS[_SWAPPED[op] if swapped else op]
+    check = _COMPARISONS[op]
+
+    def generic(value, const):
+        if swapped:
+            return check(compare_values(const, value))
+        return check(compare_values(value, const))
+
+    if type(constant) is A.Literal:
+        const = constant.value
+        if const is None:
+            return lambda ctx: None
+        kind = type(const) if type(const) in (int, str) else None
+
+        def run(ctx):
+            value = ctx.values[slot]
+            if type(value) is kind:
+                return plain(value, const)
+            if value is None:
+                return None
+            return generic(value, const)
+
+        return run
+
+    positional = constant.index is not None
+    # Where the value sits in the parameters: a list's position or a
+    # mapping's name (``BoundParams`` holds one of each).
+    key = constant.index - 1 if positional else constant.name
+    container = (list, tuple) if positional else (dict,)
+
+    def run(ctx):
+        value = ctx.values[slot]
+        params = ctx.params
+        if type(params) is BoundParams:
+            params = params.positional if positional else params.named
+        if type(params) in container:
+            try:
+                const = params[key]
+            except LookupError:
+                const = _param(constant, ctx)
+        else:
+            const = _param(constant, ctx)
+        if value is None or const is None:
+            return None
+        kind = type(value)
+        if kind is type(const) and (kind is int or kind is str):
+            return plain(value, const)
+        return generic(value, const)
+
+    return run
+
 
 def _build_binary(node: A.BinaryOp, layout):
     op = node.op
+    if op in _COMPARISONS:
+        run = _build_comparison(node, layout)
+        if run is not None:
+            return run
     left = get_compiled(node.left, layout)
     right = get_compiled(node.right, layout)
     if op == "and":

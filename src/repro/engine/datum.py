@@ -221,6 +221,7 @@ def to_text(value) -> str:
 
 
 _TYPE_ORDER = {bool: 0, int: 1, float: 1, str: 2}
+_INF = float("inf")
 
 
 def compare_values(a, b) -> int:
@@ -258,6 +259,9 @@ def sort_key(value):
     if isinstance(value, bool):
         return (0, _TYPE_ORDER[bool], int(value))
     if isinstance(value, (int, float)):
+        if value != value:
+            # NaN equals NaN and sorts above every number, as in PostgreSQL.
+            return (0, _TYPE_ORDER[int], _INF, 1)
         # As is: int and float compare exactly with each other, and
         # float(value) would collapse neighbouring bigints above 2**53.
         return (0, _TYPE_ORDER[int], value)
@@ -283,6 +287,26 @@ def ordering(ascending: bool, nulls_first: bool | None):
         return null_key if value is None else (rank, sort_key(value))
 
     return not ascending, key
+
+
+class Descending:
+    """A sort key that orders the other way round, so that a descending
+    key can sit in a composite key compared ascending (tuples compare an
+    element by ``==``, then by ``<``): the coordinator's MergeAppend
+    bisects and sorts whole-row keys, the executor's top-N heap takes the
+    smallest whole-row tuples, and neither can pass ``reverse=True`` per
+    key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+    def __eq__(self, other):
+        return self.key == other.key
 
 
 def uniform_type(column):

@@ -20,10 +20,11 @@ extension nests distributed plans inside PostgreSQL plans.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nsmallest
 from itertools import islice
-from operator import itemgetter
 
 from ..errors import (
     CatalogError,
@@ -36,14 +37,18 @@ from ..errors import (
 from ..sql import ast as A
 from ..sql.deparse import deparse
 from .catalog import Table
-from .datum import caster, compare_values, ordering, plain_sort_type, to_text
+from .datum import (
+    Descending, caster, compare_values, ordering, plain_sort_type, to_text,
+)
 from .compile import get_compiled, get_prepared, slot_of
 from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
 from .functions import (
-    _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, get_aggregate, is_aggregate,
+    _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, _identity, get_aggregate,
+    is_aggregate,
 )
 from .index import BTreeIndex, GinIndex, index_delete, row_key_fn
 from .mvcc import COMMITTED
+from .wal import jsonb_positions
 from .window import compute_window_values, contains_window_function
 
 
@@ -326,9 +331,9 @@ class SelectShape:
         return bound
 
 
-#: Where a sort key reads its value: the output row by position, or a
-#: closure evaluated over the input row.
-_OUT, _FN = range(2)
+#: Where a sort key reads its value: the output row by position, the input
+#: row by slot, or a closure evaluated over the input row.
+_OUT, _IN, _FN = range(3)
 
 
 class BoundSelect:
@@ -359,9 +364,9 @@ class BoundSelect:
         self.agg = AggShape(select, targets, layout) if shape.aggregates else None
         if self.agg is None:
             self.target_fns = [get_compiled(t.expr, layout) for t in targets]
-            slots = [slot_of(t.expr, layout) for t in targets]
+            slots = tuple(slot_of(t.expr, layout) for t in targets)
             #: Set when every target is a bare slot read: the projection
-            #: is then one itemgetter call per row.
+            #: is then one generated function that reads the slots.
             self.target_slots = slots if slots and None not in slots else None
         else:
             self.target_fns, self.target_slots = self.agg.target_fns, None
@@ -407,7 +412,10 @@ class BoundSelect:
                 # Not an input column: an output column by name.
                 source, arg = _OUT, by_name[0]
         if source is None:
-            source, arg = _FN, get_compiled(expr, scope)
+            arg = slot_of(expr, scope)
+            source = _IN
+            if arg is None:
+                source, arg = _FN, get_compiled(expr, scope)
         return (source, arg, *ordering(sk.ascending, sk.nulls_first))
 
 
@@ -421,11 +429,13 @@ class AggShape:
     sessions, so the rewrite must never touch the original tree).
 
     The per-row work — group key, group lookup, every call's accumulate
-    step — is one generated function (:attr:`accumulate`), built from the
-    shape on first use."""
+    step — is one generated function (:attr:`accumulate`), and the
+    per-group work — group row, HAVING, output row — another
+    (:attr:`finalize`), both built from the shape on first use."""
 
     __slots__ = ("layout", "group_fns", "group_slots", "steps", "aggs",
-                 "inits", "finishers", "target_fns", "having", "_accumulate")
+                 "inits", "finishers", "target_fns", "target_slots", "having",
+                 "_loops")
 
     def __init__(self, select: A.Select, targets, layout: RowLayout):
         self.layout = layout
@@ -441,9 +451,11 @@ class AggShape:
         self.aggs: list = []
         self.inits: list = []
         self.finishers: list = []
-        self._accumulate = None
-        self.target_fns = [get_compiled(self.lift(t.expr.copy()), layout)
-                           for t in targets]
+        self._loops = None
+        lifted = [self.lift(t.expr.copy()) for t in targets]
+        self.target_fns = [get_compiled(e, layout) for e in lifted]
+        #: Per target: the group-row slot it reads when it is nothing else.
+        self.target_slots = [slot_of(e, layout) for e in lifted]
         self.having = (get_compiled(self.lift(select.having.copy()), layout)
                        if select.having is not None else None)
 
@@ -471,7 +483,7 @@ class AggShape:
         self.inits.append(agg.init)
         self.finishers.append(
             agg.partial if node.agg_phase == "partial" else agg.finalize)
-        self._accumulate = None
+        self._loops = None
 
     @property
     def accumulate(self):
@@ -484,13 +496,66 @@ class AggShape:
         read from slots, aggregates that have an ``inline`` form written
         out over their argument slot, and FILTER, DISTINCT, expression
         arguments and every other aggregate as calls from the same loop."""
-        if self._accumulate is None:
-            self._accumulate = _generate("accumulate", *self._accumulate_source())
-        return self._accumulate
+        return self._generated()[0]
 
-    def _accumulate_source(self) -> tuple:
-        env = {"group_key": _group_key, "PLAIN": _PLAIN_KEYS, "STAR": _STAR,
-               **INLINE_ENV}
+    @property
+    def finalize(self):
+        """``finalize(groups, ctx) -> [(output row, group row), ...]`` over
+        what :attr:`accumulate` left in ``groups``, in its order: a group
+        row is the first input row's values and each call's result, and a
+        group HAVING rejects has no output row.
+
+        Generated beside :attr:`accumulate`, as one loop: identity
+        finishers read the state in place, targets that read a slot are
+        written out, and other finishers, HAVING and expression targets
+        are calls from the same loop."""
+        return self._generated()[1]
+
+    def _generated(self) -> tuple:
+        if self._loops is None:
+            env = {"group_key": _group_key, "PLAIN": _PLAIN_KEYS, "STAR": _STAR,
+                   **INLINE_ENV}
+            source = "\n".join([*self._accumulate_source(env),
+                                *self._finalize_source(env)])
+            finalize = _generate("finalize", source, env)
+            self._loops = (env["accumulate"], finalize)
+        return self._loops
+
+    def _finalize_source(self, env: dict) -> list:
+        width = self.layout.width
+        states, results = [], []
+        finish = []  # statements computing the non-identity results
+        for i, finisher in enumerate(self.finishers, 1):
+            if finisher is _identity:
+                states.append(f"r{i}")
+            else:
+                env[f"finish{i}"] = finisher
+                states.append(f"s{i}")
+                finish.append(f"r{i} = finish{i}(s{i})")
+            results.append(f"r{i}")
+        outputs, uses_ctx = [], self.having is not None
+        for i, (fn, slot) in enumerate(zip(self.target_fns, self.target_slots)):
+            if slot is None:
+                env[f"target{i}"], uses_ctx = fn, True
+                outputs.append(f"target{i}(ctx)")
+            else:  # a group column, or a call the targets registered
+                outputs.append(f"values[{slot}]" if slot < width
+                               else results[slot - width])
+        body = [*finish, f"row = [*values[:{width}], {', '.join(results)}]"]
+        if uses_ctx:
+            body.append("ctx.values = row")
+        if self.having is not None:
+            env["having"] = self.having
+            body += ["if having(ctx) is not True:", " continue"]
+        body.append(f"append(([{', '.join(outputs)}], row))")
+        return ["def finalize(groups, ctx):",
+                " pairs = []",
+                " append = pairs.append",
+                f" for values, {', '.join(states)} in groups.values():",
+                *("  " + line for line in body),
+                " return pairs"]
+
+    def _accumulate_source(self, env: dict) -> list:
         body = []  # the loop's statements, one indent unit = one space
         uses_ctx = False
         keys = []
@@ -550,11 +615,10 @@ class AggShape:
             body += lines
         if uses_ctx:
             body.insert(0, "ctx.values = values")
-        source = ["def accumulate(rows, ctx, groups, seen):",
-                  " get = groups.get",
-                  " for values in rows:",
-                  *("  " + line for line in body)]
-        return "\n".join(source), env
+        return ["def accumulate(rows, ctx, groups, seen):",
+                " get = groups.get",
+                " for values in rows:",
+                *("  " + line for line in body)]
 
 
 class JoinShape:
@@ -660,8 +724,8 @@ class WriteShape:
     them without touching the catalog epoch.
     """
 
-    __slots__ = ("table", "width", "build", "not_null", "unique_keys",
-                 "indexes", "foreign_keys", "referencing")
+    __slots__ = ("table", "width", "build", "not_null", "jsonb",
+                 "unique_keys", "indexes", "foreign_keys", "referencing")
 
     def __init__(self, table: Table, columns, catalog):
         names = table.column_names()
@@ -680,6 +744,8 @@ class WriteShape:
         self.build = _row_builder(table, position, catalog)
         self.not_null = [(i, col.name) for i, col in enumerate(table.columns)
                          if col.not_null]
+        #: Where a full row has jsonb values, for the log's encoding.
+        self.jsonb = jsonb_positions(table.columns)
 
         def columns_key(owner: Table, cols):
             return row_key_fn(owner, [A.ColumnRef(c) for c in cols])
@@ -997,19 +1063,27 @@ class LocalExecutor:
             rhs_result = self.execute_select(rhs, params, outer=outer, cte_env=cte_env)
             pairs = _apply_set_op(op, pairs, [(r, None) for r in rhs_result.rows])
 
-        if select.order_by:
-            pairs = self._sort_pairs(pairs, bound, params, outer)
-        if select.distinct:
-            pairs = self._distinct_pairs(pairs, bound, params, outer)
+        offset, limit = 0, None
         if select.offset is not None or select.limit is not None:
             ctx0 = self._ctx(EMPTY_LAYOUT, params, outer)
             offset = int(evaluate(select.offset, ctx0)) if select.offset is not None else 0
-            if offset:
-                pairs = pairs[offset:]
             if select.limit is not None:
                 limit = evaluate(select.limit, ctx0)
                 if limit is not None:
-                    pairs = pairs[: int(limit)]
+                    limit = int(limit)
+        if select.order_by:
+            # With a LIMIT only the rows it keeps need ordering (DISTINCT,
+            # which thins the order out afterwards, and FOR UPDATE keep the
+            # full sort).
+            top = (offset + limit if limit is not None and min(offset, limit) >= 0
+                   and not (select.distinct or select.for_update) else None)
+            pairs = self._sort_pairs(pairs, bound, params, outer, top)
+        if select.distinct:
+            pairs = self._distinct_pairs(pairs, bound, params, outer)
+        if offset:
+            pairs = pairs[offset:]
+        if limit is not None:
+            pairs = pairs[:limit]
         if select.for_update:
             self._lock_rows_for_update(pairs, bound.layout)
         return QueryResult(bound.columns, [values for values, _ in pairs])
@@ -1119,44 +1193,51 @@ class LocalExecutor:
         # key -> [first input row, state per aggregate call...]
         groups: dict = {}
         agg.accumulate(rows, ctx, groups, {})
-
-        width = agg.layout.width
         if not groups and not agg.group_fns:
             # Aggregate over empty input: one row of aggregate defaults.
-            groups[()] = [[None] * width] + [init() for init in agg.inits]
-
-        pairs = []
-        having, target_fns, finishers = agg.having, agg.target_fns, agg.finishers
-        for entry in groups.values():
-            group_row = list(entry[0][:width])
-            group_row.extend([finish(state)
-                              for finish, state in zip(finishers, entry[1:])])
-            ctx.values = group_row
-            if having is not None and having(ctx) is not True:
-                continue
-            pairs.append(([fn(ctx) for fn in target_fns], group_row))
-        return pairs
+            groups[()] = [[None] * agg.layout.width] + [init() for init in agg.inits]
+        return agg.finalize(groups, ctx)
 
     # ------------------------------------------------------------ sorting
 
-    def _sort_pairs(self, pairs, bound: BoundSelect, params, outer) -> list:
-        """ORDER BY as one stable sort per key, last key first."""
-        ctx = self._ctx(bound.scope, params, outer)
+    def _sort_pairs(self, pairs, bound: BoundSelect, params, outer,
+                    top: int | None = None) -> list:
+        """ORDER BY. With ``top`` below the number of rows, only the first
+        ``top`` rows of the order: ``heapq.nsmallest`` over each row's keys
+        followed by its position, so ties keep their input order as a
+        stable sort keeps them. Otherwise one stable sort per key, last key
+        first."""
+        count = len(pairs)
+        bounded = top is not None and top < count
+        ctx = None
+        columns = []  # (keys, descending), last ORDER BY key first
         for source, arg, descending, key in reversed(bound.sort_keys):
-            if source is _OUT:
-                column = [pair[0][arg] for pair in pairs]
+            if source is _IN:
+                column = [row[arg] for _out, row in pairs]
+            elif source is _OUT:
+                column = [out[arg] for out, _row in pairs]
             else:
+                if ctx is None:
+                    ctx = self._ctx(bound.scope, params, outer)
                 column = []
-                for pair in pairs:
-                    ctx.values = pair[1]
+                for _out, row in pairs:
+                    ctx.values = row
                     column.append(arg(ctx))
             # Plain ints / strs are their own keys (datum.plain_sort_type).
-            keys = (column if plain_sort_type(column) is not None
-                    else [key(value) for value in column])
-            order = sorted(range(len(pairs)), key=keys.__getitem__,
-                           reverse=descending)
-            pairs = [pairs[i] for i in order]
-        return pairs
+            if plain_sort_type(column) is None:
+                column = [key(value) for value in column]
+            if bounded and descending:
+                # One ascending tuple of keys: a DESC key turned round.
+                column = list(map(Descending, column))
+            columns.append((column, descending))
+        if bounded:
+            keys = [column for column, _descending in reversed(columns)]
+            return [pairs[entry[-1]]
+                    for entry in nsmallest(top, zip(*keys, range(count)))]
+        order = range(count)
+        for column, descending in columns:
+            order = sorted(order, key=column.__getitem__, reverse=descending)
+        return [pairs[i] for i in order]
 
     def _distinct_pairs(self, pairs, bound: BoundSelect, params, outer) -> list:
         seen = set()
@@ -1504,7 +1585,7 @@ class LocalExecutor:
         heap_insert = table.heap.insert
         targets = shape.index_targets()
         wal_append = self.instance.wal.append_row
-        name = table.name
+        name, jsonb = table.name, shape.jsonb
         count = appended = 0
         try:
             for values in rows:
@@ -1530,7 +1611,7 @@ class LocalExecutor:
                     check_fks(full, self.catalog, snapshot, xids)
                 tup = heap_insert(full, xid)
                 _index_tuple(targets, tup)
-                wal_append(xid, "insert", name, tup.row_id, full)
+                wal_append(xid, "insert", name, tup.row_id, full, jsonb)
                 appended += 1
                 if emit is not None:
                     emit(full)
@@ -1563,7 +1644,7 @@ class LocalExecutor:
         _index_tuple(targets, new_tup)
         session.stats["index_writes"] += len(targets)
         self.instance.wal.append_row(xid, "update", table.name, old_tup.row_id,
-                                     new_values)
+                                     new_values, shape.jsonb)
         session.track_write(table.name)
         return new_tup
 
@@ -1898,11 +1979,16 @@ def _projection(bound: BoundSelect, ctx: EvalContext):
             return [fn(ctx) for fn in fns]
 
         return project
-    if len(slots) == 1:  # itemgetter(one slot) returns a bare value
-        slot = slots[0]
-        return lambda values: [values[slot]]
-    getter = itemgetter(*slots)
-    return lambda values: list(getter(values))
+    return _slot_projection(slots)
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_projection(slots: tuple):
+    """``project(values) -> [values[slot], ...]`` with the reads written
+    out, generated once per slot tuple (not per statement, so fresh
+    literals generate nothing)."""
+    cells = ", ".join(f"values[{slot}]" for slot in slots)
+    return _generate("project", f"def project(values):\n return [{cells}]", {})
 
 
 def _comma_join_plan(layouts, where) -> list:

@@ -113,7 +113,8 @@ class PostgresInstance:
         # restore() for the statement lifetime and enter() / exit() /
         # event() for spans inside it, whose ``current`` is the open
         # statement record (None: none) and ``traced`` the same while span
-        # detail is wanted (install_citus attaches the cluster's
+        # detail is wanted, and crashed() when this node crashes
+        # (install_citus attaches the cluster's
         # repro.citus.telemetry.Telemetry to every node).
         self.telemetry = None
         # Where sessions fold cumulative wait-event time (see
@@ -262,6 +263,8 @@ class PostgresInstance:
             if self.xids.clog.status(xid) == "in_progress":
                 self.xids.finish(xid, committed=False)
         self.locks = LockManager()
+        if self.telemetry is not None:
+            self.telemetry.crashed(self.name)
 
     def restart(self, upto_lsn: int | None = None) -> None:
         """WAL recovery: rebuild catalog and heap contents from the log.

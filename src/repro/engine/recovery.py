@@ -15,12 +15,12 @@ The replay algorithm mirrors PostgreSQL redo at the logical level:
 from __future__ import annotations
 
 from ..sql import parse
-from .datum import cast_value
 from .index import index_insert
 from .locks import LockManager
 from .mvcc import XidManager
 from .wal import (ABORT, ABORT_PREPARED, COMMIT, COMMIT_PREPARED, DDL, DELETE,
-                  INSERT, PREPARE, ROW_KINDS, UPDATE, WriteAheadLog)
+                  INSERT, PREPARE, ROW_KINDS, UPDATE, WriteAheadLog,
+                  decode_value)
 
 
 def replay_wal(instance, upto_lsn: int | None = None) -> None:
@@ -124,7 +124,7 @@ def _write_records(instance, records, xid: int, lock_rows: bool = False) -> None
 
 
 def _cast_row(table, values) -> list:
-    return [cast_value(v, col.type_name) for v, col in zip(values, table.columns)]
+    return [decode_value(v, col.type_name) for v, col in zip(values, table.columns)]
 
 
 def _reindex(table, tup) -> None:

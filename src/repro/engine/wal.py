@@ -20,7 +20,9 @@ module knows the stored layout; :meth:`WriteAheadLog.read` decodes it.
 
 from __future__ import annotations
 
-from .datum import to_text
+import json
+
+from .datum import JSONB, cast_value, is_array_type, to_text
 
 # Record types
 INSERT = "insert"
@@ -43,6 +45,23 @@ _LSN, _KIND, _TEXT = 0, 2, 3
 _VALUES = 5
 
 
+def jsonb_positions(columns) -> tuple:
+    """The positions of the jsonb columns among a table's ``columns``:
+    what a row's writer hands :meth:`WriteAheadLog.append_row` as
+    ``jsonb``."""
+    return tuple(i for i, col in enumerate(columns) if col.type_name == JSONB)
+
+
+def decode_value(stored, type_name: str):
+    """The value of a column of (normalized) type ``type_name`` that the
+    log stored as ``stored``: the JSON text of a jsonb or array value parsed
+    back, every other value cast as its column's input."""
+    if type(stored) is str and (type_name == JSONB or is_array_type(type_name)):
+        value = json.loads(stored)
+        return value if type_name == JSONB else cast_value(value, type_name)
+    return cast_value(stored, type_name)
+
+
 class WriteAheadLog:
     """An append-only, in-memory WAL with byte accounting for the perf model."""
 
@@ -62,18 +81,24 @@ class WriteAheadLog:
         return lsn
 
     def append_row(self, xid: int, kind: str, table: str, row_id: int,
-                   values=None) -> None:
-        """Log a row change: insert / update carry the new ``values`` (a
-        json or array value as its text), delete does not."""
+                   values=None, jsonb: tuple = ()) -> None:
+        """Log a row change: insert / update carry the new ``values``,
+        delete does not. A json or array value is stored as its JSON text,
+        and so is a string in one of the ``jsonb`` positions (the table's
+        jsonb columns), which would otherwise read back as the text of a
+        document; :func:`decode_value` reverses both."""
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         size = 72 + len(table)  # 64 + the row_id's 8
         if values is None:
             self._records.append((lsn, xid, kind, table, row_id))
         else:
-            self._records.append((lsn, xid, kind, table, row_id, *[
-                to_text(v) if isinstance(v, (dict, list)) else v
-                for v in values]))
+            stored = [to_text(v) if isinstance(v, (dict, list)) else v
+                      for v in values]
+            for i in jsonb:
+                if type(values[i]) is str:
+                    stored[i] = json.dumps(values[i])
+            self._records.append((lsn, xid, kind, table, row_id, *stored))
             size += 8 * len(values)
         self.bytes_written += size
 

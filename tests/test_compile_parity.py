@@ -16,16 +16,24 @@ statement all agree with the interpreter. A fourth position is the
 executor's *generated aggregate loop* (``AggShape.accumulate``): the corpus
 as GROUP BY key, aggregate argument and FILTER, the three places where the
 generated code calls out to a compiled closure.
+
+Two specialised paths get their own parity checks: the one-closure
+comparison of a column with a literal or parameter, against ``evaluate``
+over every value type on either side; and ``ORDER BY … LIMIT``'s top-N
+heap, against the full sort sliced.
 """
 
+import datetime as dt
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PostgresInstance
 from repro.engine.compile import get_compiled
-from repro.engine.expr import EvalContext, Row, RowLayout, evaluate
+from repro.engine.expr import BoundParams, EvalContext, Row, RowLayout, evaluate
 from repro.errors import CatalogError, DataError
+from repro.sql import ast as A
 from repro.sql import parse, parse_expression
 
 
@@ -289,3 +297,190 @@ class TestPropertyParity:
            pattern=st.text(alphabet="abc%_", max_size=4))
     def test_like(self, s, pattern):
         both("x LIKE p", x=s, p=pattern)
+
+
+# ------------------------------------------- column against a constant
+
+#: Operands of every type a column or a constant may hold; the naive and
+#: the zone-aware timestamp cannot be compared, so the error (which names
+#: both operands, in order) is compared too.
+OPERANDS = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.integers(2**53, 2**53 + 2),
+    st.sampled_from([-1.5, 0.0, 1.0, 2.5]),
+    st.booleans(),
+    st.sampled_from(["", "a", "b", "10", "2"]),
+    st.sampled_from([dt.date(2024, 1, 1), dt.date(2024, 2, 29),
+                     dt.datetime(2024, 1, 1),
+                     dt.datetime(2024, 1, 1, tzinfo=dt.timezone.utc)]),
+    st.sampled_from([{"a": 1}, {"a": [True, None]}, [1, "x"], []]),
+)
+#: How the constant is written: a literal, or a parameter (named or
+#: positional) bound in a plain dict / list or in ``BoundParams``.
+FORMS = ["literal", "named", "positional", "bound named", "bound positional"]
+
+
+def comparison(op, form, column_left, const):
+    """``x op constant`` (or ``constant op x``) and the parameters that
+    bind the constant."""
+    if form == "literal":
+        constant, params = A.Literal(const), None
+    elif form.endswith("named"):
+        constant, params = A.Param(name="p"), {"p": const}
+    else:
+        constant, params = A.Param(index=1), [const]
+    if form.startswith("bound"):
+        params = (BoundParams(None, params) if isinstance(params, dict)
+                  else BoundParams(params))
+    column = A.ColumnRef("x")
+    expr = (A.BinaryOp(op, column, constant) if column_left
+            else A.BinaryOp(op, constant, column))
+    return expr, params
+
+
+def typed_outcome(fn):
+    try:
+        value = fn()
+        return ("ok", type(value).__name__, value)
+    except (DataError, CatalogError) as exc:
+        return ("err", type(exc).__name__, str(exc))
+
+
+class TestComparisonClosureParity:
+    """A comparison of a column with a literal or parameter compiles to one
+    closure over the row's layout (reading both operands itself); it must
+    return what ``evaluate`` returns — value and type — or raise what it
+    raises, whichever side the column is on."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=OPERANDS, const=OPERANDS,
+           op=st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
+           form=st.sampled_from(FORMS), column_left=st.booleans())
+    def test_matches_the_interpreter(self, value, const, op, form, column_left):
+        expr, params = comparison(op, form, column_left, const)
+        row = Row.of(x=value)
+        ctx = EvalContext(row=row, params=params)
+        compiled = get_compiled(expr, row.layout)
+        assert compiled.__qualname__.startswith("_build_comparison")
+        assert (typed_outcome(lambda: compiled(ctx))
+                == typed_outcome(lambda: evaluate(expr, ctx)))
+
+    @pytest.mark.parametrize("form", FORMS[1:])
+    @pytest.mark.parametrize("params", [None, {}, [], {"q": 1}, BoundParams(),
+                                        BoundParams([])])
+    def test_a_missing_parameter_raises_what_the_interpreter_raises(
+            self, form, params):
+        expr, _bound = comparison("=", form, True, 1)
+        row = Row.of(x=1)
+        ctx = EvalContext(row=row, params=params)
+        compiled = typed_outcome(lambda: get_compiled(expr, row.layout)(ctx))
+        assert compiled == typed_outcome(lambda: evaluate(expr, ctx))
+        assert compiled[0] == "err"
+
+
+# --------------------------------------------------------- ORDER BY LIMIT
+
+#: ``m`` has a type the engine does not know: its values pass uncast, so
+#: one column mixes every type (generic sort keys).
+SORT_TABLE = "CREATE TABLE s (id int, a int, b text, m anything)"
+SORT_KEYS = ["a", "b", "m", "2", "coalesce(a, -1)", "id"]
+#: One NaN object throughout, so rows holding it compare equal.
+NAN = float("nan")
+
+sort_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 3)),            # a: ties
+        st.one_of(st.none(), st.sampled_from(["x", "y", "Y", ""])),
+        st.one_of(st.none(), st.integers(-2, 2), st.sampled_from(
+            [1.5, NAN, "1", "z", True, dt.date(2024, 1, 1), {"k": 1}])),
+    ),
+    max_size=14,
+)
+
+
+@st.composite
+def order_bys(draw):
+    keys = draw(st.lists(st.sampled_from(SORT_KEYS), min_size=1, max_size=3,
+                         unique=True))
+    return ", ".join(
+        key + draw(st.sampled_from(["", " ASC", " DESC"]))
+        + draw(st.sampled_from(["", " NULLS FIRST", " NULLS LAST"]))
+        for key in keys)
+
+
+#: Thirteen rows with ties in ``a`` and ``b``, NULLs in all three, and
+#: every type in ``m``, NaN among them.
+NAMED_SORT_ROWS = [
+    [0, 2, "y", 1], [1, None, "x", "1"], [2, 1, None, None], [3, 2, "x", 1.5],
+    [4, 0, "Y", True], [5, 1, "x", dt.date(2024, 1, 1)], [6, None, None, -2],
+    [7, 2, "", {"k": 1}], [8, 0, "y", "z"], [9, 1, "x", None], [10, 3, "y", 1],
+    [11, 0, None, 0], [12, 3, "x", NAN],
+]
+
+
+def assert_top_n_is_the_full_sort_sliced(rows, select, limit, offset):
+    """``select`` (which ends in its ORDER BY) with ``LIMIT limit [OFFSET
+    offset]`` returns the rows of its full sort, sliced: values, types and
+    order alike."""
+    session = PostgresInstance("topn").connect()
+    session.execute(SORT_TABLE)
+    if rows:
+        session.copy_rows("s", rows)
+    full = session.execute(select).rows
+    clause = f" LIMIT {limit}" + ("" if offset is None else f" OFFSET {offset}")
+    kept = session.execute(select + clause).rows
+    start = offset or 0
+    expected = full[start:] if limit == "NULL" else full[start:start + int(limit)]
+    assert typed(kept) == typed(expected), (select + clause, full)
+    return kept
+
+
+class TestTopNParity:
+    """``ORDER BY … LIMIT n [OFFSET m]`` keeps its first rows through a
+    bounded heap; they must be the rows of the full sort, sliced, in the
+    same order — ties in input order, DESC and NULL placement as asked."""
+
+    @pytest.mark.parametrize("order_by", [
+        "a", "a DESC", "b DESC, a", "a NULLS FIRST, id DESC", "a DESC NULLS LAST",
+        "b NULLS FIRST", "m", "m DESC", "m DESC NULLS LAST, a", "2 DESC",
+        "coalesce(a, -1) DESC", "id DESC", "a, b DESC NULLS FIRST, m",
+    ])
+    @pytest.mark.parametrize("limit, offset", [
+        ("0", None), ("1", None), ("4", None), ("4", 3), ("0", 3), ("NULL", 2),
+        ("12", None), ("13", None), ("100", 1),
+    ])
+    def test_named_cases(self, order_by, limit, offset):
+        kept = assert_top_n_is_the_full_sort_sliced(
+            NAMED_SORT_ROWS, f"SELECT id, a, b, m FROM s ORDER BY {order_by}",
+            limit, offset)
+        if limit == "4" and offset is None and order_by == "id DESC":
+            assert [row[0] for row in kept] == [12, 11, 10, 9]
+
+    @pytest.mark.parametrize("direction, expected", [
+        ("", [0.0, 1.0, NAN, None]), (" DESC", [None, NAN, 1.0, 0.0])])
+    def test_nan_sorts_above_every_number(self, direction, expected):
+        rows = [[0, None, None, 1.0], [1, None, None, NAN],
+                [2, None, None, 0.0], [3, None, None, None]]
+        for limit in ("1", "2", "3", "NULL"):
+            kept = assert_top_n_is_the_full_sort_sliced(
+                rows, f"SELECT id, m FROM s ORDER BY m{direction}", limit, None)
+            assert [row[1] for row in kept] == expected[:len(kept)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=sort_rows, order_by=order_bys(),
+           limit=st.sampled_from(["0", "1", "3", "5", "100", "NULL"]),
+           offset=st.sampled_from([None, 0, 2, 5]),
+           distinct=st.booleans())
+    def test_random_cases(self, rows, order_by, limit, offset, distinct):
+        if distinct and not all(key.split()[0] in ("a", "b", "2")
+                                for key in order_by.split(", ")):
+            return  # DISTINCT's ORDER BY names output columns
+        select = ("SELECT DISTINCT a, b" if distinct
+                  else "SELECT id, a, b, m") + f" FROM s ORDER BY {order_by}"
+        assert_top_n_is_the_full_sort_sliced(
+            [[i, *row] for i, row in enumerate(rows)], select, limit, offset)
+
+
+def typed(rows):
+    return [[(type(v).__name__, v) for v in row] for row in rows]

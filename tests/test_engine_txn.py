@@ -240,14 +240,24 @@ class TestCrashRecovery:
         tables and the prepared transactions are what they were, and the
         in-doubt transaction commits what it wrote."""
         s.execute("CREATE TABLE kinds (k int PRIMARY KEY, b bool, f float,"
-                  " d date, ts timestamp, j jsonb, note text)")
+                  " d date, ts timestamp, j jsonb, note text, tags text[],"
+                  " ns int[])")
         s.copy_rows("kinds", [
             [1, True, 1.5, dt.date(2024, 2, 29), dt.datetime(2024, 3, 1, 10, 30),
-             {"a": [1, 2], "b": None}, "x"],
-            [2, None, None, None, None, None, None],
-            [3, False, -0.25, "2021-06-20", "2021-06-20T08:00:00", [1, "two"], ""],
-            [4, True, 3.0, None, None, 7, "gone"]])
+             {"a": [1, 2], "b": None}, "x", ["x", "y"], [1, 2]],
+            [2, None, None, None, None, None, None, None, None],
+            [3, False, -0.25, "2021-06-20", "2021-06-20T08:00:00", [1, "two"], "",
+             ['"q"', "[1]"], []],
+            [4, True, 3.0, None, None, 7, "gone", None, None]])
+        # jsonb scalars: a string (also one that reads as a document), a
+        # number, a bool and JSON null.
+        s.execute("""INSERT INTO kinds (k, j) VALUES (10, '"abc"'),"""
+                  """ (11, '"{\\"a\\": 1}"'), (12, '2.5'), (13, 'false'),"""
+                  """ (14, 'null')""")
+        s.execute("INSERT INTO kinds (k, tags, ns) VALUES (15, ARRAY['x','y'],"
+                  " ARRAY[3, 4])")
         s.execute("UPDATE kinds SET f = f * 2, j = '{\"c\": {\"d\": true}}' WHERE k = 1")
+        s.execute("UPDATE kinds SET j = '\"updated\"' WHERE k = 12")
         s.execute("DELETE FROM kinds WHERE k = 4")
         s.execute("BEGIN")
         s.execute("INSERT INTO kinds (k, note) VALUES (5, 'aborted')")
@@ -260,7 +270,7 @@ class TestCrashRecovery:
         pg.wal.create_restore_point("settled")
         s.execute("BEGIN")
         s.execute("INSERT INTO kinds VALUES (6, false, 0.5, '2020-01-01', NULL,"
-                  " '[true]', 'in doubt')")
+                  " '[true]', 'in doubt', NULL, NULL)")
         s.execute("UPDATE t SET v = 0 WHERE k = 2")
         s.execute("PREPARE TRANSACTION 'doubt'")
         assert {record[2] for record in pg.wal.read()} == {
@@ -275,14 +285,17 @@ class TestCrashRecovery:
 
         before = contents()
         assert before[1] == {"doubt": pg.name}
+        assert [row[5] for row in before[0][1] if row[0] >= 10] == [
+            "abc", '{"a": 1}', "updated", False, None, None]
+        assert before[0][1][-1][7:] == [["x", "y"], [3, 4]]
         pg.crash()
         pg.restart()
         assert contents() == before
         pg.connect().execute("COMMIT PREPARED 'doubt'")
         tables, prepared = contents()
         assert prepared == {} and tables[0] == [[1, 11], [2, 0]]
-        assert tables[1][-1] == [6, False, 0.5, dt.date(2020, 1, 1), None, [True],
-                                 "in doubt"]
+        assert tables[1][3] == [6, False, 0.5, dt.date(2020, 1, 1), None, [True],
+                                "in doubt", None, None]
         # Back to the restore point: the in-doubt transaction never began.
         pg.restore_to_point("settled")
         assert contents() == ([[[1, 11], [2, 20]], before[0][1]], {})

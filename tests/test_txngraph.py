@@ -135,6 +135,28 @@ class TestAccessCapture:
         assert counters["txngraph_txns_aborted"] == 1
         assert "txngraph_txns" not in counters
 
+    def test_a_crashed_sessions_transaction_ends_as_an_abort(self):
+        """A node's crash ends what its sessions had in flight: nothing is
+        left in ``open`` (where a promoted standby's session, its pids
+        counting from 1000 again, would inherit it), and the transaction
+        counts as aborted."""
+        citus = make_cluster(workers=2, shard_count=4)
+        s = _setup_accounts(citus)
+        s.execute("SELECT citus_stat_reset('all')")
+        s.execute("BEGIN")
+        s.execute("UPDATE accounts SET v = v + 1")
+        graph = citus.coordinator_ext.telemetry.txn_graph()
+        assert list(graph.open) == [("coordinator", s.backend_pid)]
+        coordinator = citus.cluster.nodes["coordinator"]
+        coordinator.crash()
+        coordinator.restart()
+        citus.coordinator_ext._utility_connections.clear()
+        after = citus.cluster.nodes["worker1"].connect()
+        after.execute("SELECT 1")  # one more statement
+        assert citus.coordinator_ext.telemetry.txn_graph().open == {}
+        assert citus.coordinator_ext.stat_counters.value(
+            "txngraph_txns_aborted") == 1
+
     def test_vertices_attribute_tenants(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT citus_stat_reset('all')")

@@ -11,7 +11,10 @@ heap. The write path is bound the same way: a COPY resolves its column
 types, column positions, constraints and snapshot per statement, a tuple
 version's width is computed once for insert, delete and vacuum, a DELETE
 looks for incoming foreign keys once, routing builds no list per row, and
-the ledger's aggregate statements never call an accumulator function.
+the ledger's aggregate statements never call an accumulator function —
+nor, on a shard, a finisher for ``count`` / ``sum``; an int column
+compared with an int parameter never calls ``compare_values``, and
+``ORDER BY … LIMIT`` sorts no more rows than it keeps.
 And a much-updated row does not tax its own index: probes examine a
 constant number of candidates however many versions the row has had, and
 a B-tree entry is placed and removed by bisection however many duplicates
@@ -36,8 +39,8 @@ from repro.citus.record import (BATCH, CLOSE, CONNECT, DISPATCH, E_ATTRS, E_CAT,
 from repro.citus.telemetry import PENDING_MAX
 from repro.engine import datum, heap as heap_module, stats
 from repro.engine.catalog import Table
-from repro.engine.expr import RowLayout
-from repro.engine.functions import AGGREGATES
+from repro.engine.expr import BoundParams, RowLayout
+from repro.engine.functions import AGGREGATES, _identity
 from repro.engine.heap import Heap
 from repro.engine.index import BTreeIndex
 from repro.engine.mvcc import CommitLog, XidManager
@@ -565,6 +568,78 @@ def test_a_ledger_aggregate_calls_no_accumulator(accumulator_calls, name):
     rows = session.execute_parsed(parse(AGGREGATE_STATEMENTS[name])[0]).rows
     assert len(rows) > 1
     assert accumulator_calls == Counter(), accumulator_calls
+
+
+@contextlib.contextmanager
+def profiled(*functions):
+    """Calls of ``functions`` while the block runs, counted by code object
+    (so every alias a ``from ... import`` bound, and every caller, is seen),
+    and the length of every list sorted (None: a ``sorted()`` call, whose
+    input the profiler does not show)."""
+    codes = {fn.__code__: fn.__name__ for fn in functions}
+    calls, sorts = Counter(), []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = codes.get(frame.f_code)
+            if name is not None:
+                calls[name] += 1
+        elif event == "c_call":
+            if arg is sorted:
+                sorts.append(None)
+            elif (getattr(arg, "__name__", None) == "sort"
+                  and type(getattr(arg, "__self__", None)) is list):
+                sorts.append(len(arg.__self__))
+
+    sys.setprofile(hook)
+    try:
+        yield calls, sorts
+    finally:
+        sys.setprofile(None)
+
+
+def test_a_shard_group_aggregate_calls_no_finisher_for_count_or_sum():
+    """``count``, ``sum`` and ``avg_partial`` finish (or ship) their state
+    as it is: the generated finalisation reads the state in place instead
+    of calling the identity per group and call."""
+    session = PostgresInstance("worker").connect()
+    load(session, distributed=False)
+    assert {AGGREGATES[name].partial for name in ("count", "sum", "avg_partial")} \
+        | {AGGREGATES[name].finalize for name in ("count", "sum")} == {_identity}
+    stmt = parse(SHARD_STATEMENTS["group_agg"])[0]
+    session.execute_parsed(stmt)  # the shape and its generated loops
+    with profiled(_identity) as (calls, _sorts):
+        rows = session.execute_parsed(stmt).rows
+    assert len(rows) == 20
+    assert calls == Counter(), calls
+
+
+def test_an_int_column_against_an_int_parameter_never_calls_compare_values():
+    session = PostgresInstance("worker").connect()
+    load(session, distributed=False)
+    stmt = parse(SHARD_STATEMENTS["filter_scan"])[0]
+    session.execute_parsed(stmt, {"f": 7})
+    for params in ({"f": 7}, BoundParams(None, {"f": 7})):
+        with profiled(datum.compare_values) as (calls, _sorts):
+            rows = session.execute_parsed(stmt, params).rows
+        assert len(rows) == ROWS // 50
+        assert calls == Counter(), calls
+
+
+def test_order_by_limit_keeps_its_top_rows_without_sorting_the_input():
+    """``ORDER BY v, k LIMIT 10`` over 1,000 rows: nothing sorts more than
+    the ten rows kept, and all-int keys take no generic sort key."""
+    session = PostgresInstance("worker").connect()
+    load(session, distributed=False)
+    stmt = parse(SHARD_STATEMENTS["order_limit"])[0]
+    session.execute_parsed(stmt)
+    with profiled(datum.sort_key) as (calls, sorts):
+        rows = session.execute_parsed(stmt).rows
+    assert [row[:2] for row in rows] == sorted(
+        ([k, (k * 7) % 50] for k in range(1, ROWS + 1)),
+        key=lambda row: (row[1], row[0]))[:10]
+    assert calls == Counter(), calls
+    assert None not in sorts and max(sorts, default=0) <= 10, sorts
 
 
 def test_ledger_aggregates_through_a_cluster_call_no_accumulator(accumulator_calls):
