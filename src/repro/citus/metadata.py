@@ -22,8 +22,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from ..engine.datum import hash_value as _hash
-from ..errors import MetadataError
+from ..engine.datum import column_constant, hash_value as _hash
+from ..errors import DataError, MetadataError
 
 HASH = "h"
 REFERENCE = "n"
@@ -115,7 +115,13 @@ class DistributedTable:
 
     def shard_index_for_value(self, value) -> int:
         """Index of the shard owning a distribution column value,
-        dispatching on the partition method (hash vs range)."""
+        dispatching on the partition method (hash vs range). A text
+        constant is read as the column's type first (``'3'`` routes as 3);
+        one that does not read as it routes as it is."""
+        try:
+            value = column_constant(value, self.dist_column_type)
+        except DataError:
+            pass
         if self.method == RANGE:
             index = bisect.bisect_right(self._mins, value) - 1
             if index < 0 or value > self.shards[index].max_value:

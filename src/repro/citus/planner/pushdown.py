@@ -588,17 +588,12 @@ def stream_concat_runs(plan: PushdownSelect, execution, session, params):
     whose stream was never started are skipped without ever being
     dispatched.
     """
-    from ...engine.executor import _group_key
-    from ...engine.expr import EvalContext, Row, evaluate
+    from ...engine.executor import _group_key, limit_offset
+    from ...engine.expr import EvalContext, Row
 
     streams = execution.streams
-    ctx = EvalContext(row=Row(), params=params, session=session)
-    offset = int(evaluate(plan.offset, ctx)) if plan.offset is not None else 0
-    limit = None
-    if plan.limit is not None:
-        value = evaluate(plan.limit, ctx)
-        if value is not None:
-            limit = int(value)
+    offset, limit = limit_offset(
+        plan, EvalContext(row=Row(), params=params, session=session))
 
     width = len(streams[0].columns) if streams else 0
     n_appended = plan.n_visible

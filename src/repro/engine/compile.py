@@ -1,46 +1,32 @@
 """Expression compilation.
 
-:func:`get_compiled` turns an expression AST into a Python closure
-``fn(ctx) -> value`` once, so the executor's per-row loops (WHERE filters,
-projections, join quals) pay the tree walk and dispatch-table lookups a
-single time per statement instead of once per row.
+:func:`get_compiled` turns an expression AST into a closure ``fn(ctx) ->
+value`` once, so per-row work pays the tree walk and dispatch lookups once
+per statement. Semantics equal :func:`repro.engine.expr.evaluate` by
+construction: every node kind composes child closures around the
+interpreter's primitives (``apply_binary``, ``cast_value``,
+``compare_values``) or — volatile functions, UDFs, subqueries, anything
+unknown — delegates to the interpreter's own handler.
 
-Semantics are identical to :func:`repro.engine.expr.evaluate` by
-construction: every node kind either composes child closures around the
-same primitives the interpreter uses (``apply_binary``, ``cast_value``,
-``compare_values``) or — for context-dependent nodes such as volatile
-functions, UDFs and subqueries — delegates to the interpreter's own
-handler. ``evaluate`` remains the fallback for anything unknown.
-
-Column references compile to slot reads. ``get_compiled(expr, layout)``
-resolves every reference ``layout`` has *now*, to a bare ``values[slot]`` —
-the caller promises to run the closure only over rows of that layout, which
-is what a prepared shape knows about its own loops. A reference the layout
-lacks (an outer query's column), and every reference compiled without a
-layout, resolves on first use and remembers the answer in a one-entry
-inline cache keyed by the context's layout; names no enclosing scope has
-raise exactly what the interpreter raises.
-
-A comparison of such a slot with a literal or parameter is one closure that
-reads both operands itself (:func:`_build_comparison`). Like every builder
-here it composes closures and builds no source: a statement with fresh
-literals compiles without an ``exec``.
+Column references compile to slot reads: ``get_compiled(expr, layout)``
+resolves every reference ``layout`` has to ``values[slot]`` (the caller
+runs it only over rows of that layout); any other reference resolves on
+first use into a one-entry inline cache keyed by the context's layout, and
+names no enclosing scope has raise what the interpreter raises. A slot
+compared with a literal or parameter is one closure reading both operands
+(:func:`_build_comparison`); a WHERE clause is split for the executor's
+fused loops by :class:`WhereShape`. Nothing here builds source text.
 
 Compiled closures are cached by expression (and layout) identity in a
-bounded LRU; the statement cache returns the same AST per SQL text, so a
-statement compiles once across executions. Trivial nodes (literals,
-columns, parameters, slots) are compiled on the fly without entering that
-cache — star expansion materializes fresh ``ColumnRef`` objects and would
-churn it.
-
-The same LRU holds the executor's *prepared shapes* (:func:`get_prepared`):
-what a statement or FROM item needs that depends only on its AST and the
-catalog — index candidates, expanded targets, assignment slots — keyed by
-``(AST identity, catalog epoch)``, so DDL orphans them and they age out.
+bounded LRU, trivial nodes (literals, columns, parameters, slots) outside
+it. The same LRU holds the executor's *prepared shapes*
+(:func:`get_prepared`), keyed by ``(AST identity, catalog epoch)``, so DDL
+orphans them and they age out.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from ..errors import DataError
@@ -314,23 +300,10 @@ def _build_comparison(node: A.BinaryOp, layout):
 
         return run
 
-    positional = constant.index is not None
-    # Where the value sits in the parameters: a list's position or a
-    # mapping's name (``BoundParams`` holds one of each).
-    key = constant.index - 1 if positional else constant.name
-    container = (list, tuple) if positional else (dict,)
-
     def run(ctx):
         value = ctx.values[slot]
-        params = ctx.params
-        if type(params) is BoundParams:
-            params = params.positional if positional else params.named
-        if type(params) in container:
-            try:
-                const = params[key]
-            except LookupError:
-                const = _param(constant, ctx)
-        else:
+        const = param_value(constant, ctx.params)
+        if const is UNBOUND:
             const = _param(constant, ctx)
         if value is None or const is None:
             return None
@@ -340,6 +313,83 @@ def _build_comparison(node: A.BinaryOp, layout):
         return generic(value, const)
 
     return run
+
+
+#: What :func:`param_value` returns for a parameter it cannot look up.
+UNBOUND = object()
+
+
+def param_value(node: A.Param, params):
+    """The value ``node`` names in ``params`` (a list's position or a
+    mapping's name), or :data:`UNBOUND`: ``_param`` then answers or raises."""
+    positional = node.index is not None
+    if type(params) is BoundParams:
+        params = params.positional if positional else params.named
+    if type(params) in ((list, tuple) if positional else (dict,)):
+        try:
+            return params[node.index - 1 if positional else node.name]
+        except LookupError:
+            pass
+    return UNBOUND
+
+
+class _NoMatch:
+    """The type no value has: a constant of any other type never matches."""
+
+
+#: Each comparison negated, for two values of one plain type (int or str).
+_NEGATED = {"=": "!=", "<>": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+class WhereShape:
+    """A WHERE clause as a fused loop runs it (``executor._write_loop``):
+    its leading ``column op constant`` conjuncts written out — ``inline``,
+    ``(slot, negated operator, Literal or Param)``, the constant resolved
+    per execution (:meth:`constants`), never in the loop's text — the rest
+    one closure (:attr:`rest`). A written-out test decides two ints or two
+    strs only; on anything else the loop asks the whole clause's closure
+    (:attr:`full`), which answers or raises as the interpreter does."""
+
+    __slots__ = ("full", "inline", "rest")
+
+    def __init__(self, where, layout: RowLayout):
+        self.full = get_compiled(where, layout)
+        self.inline: list[tuple] = []
+        conjuncts = split_and(where)
+        for c in conjuncts:
+            if type(c) is not A.BinaryOp or c.op not in _NEGATED:
+                break
+            op, slot, constant = c.op, slot_of(c.left, layout), c.right
+            if slot is None or type(constant) not in (A.Literal, A.Param):
+                op, slot, constant = _SWAPPED[op], slot_of(c.right, layout), c.left
+                if slot is None or type(constant) not in (A.Literal, A.Param):
+                    break
+            self.inline.append((slot, _NEGATED[op], constant))
+        rest = conjuncts[len(self.inline):]
+        self.rest = (get_compiled(and_all(rest), layout) if self.inline and rest
+                     else None if self.inline else self.full)
+
+    def constants(self, params) -> list:
+        """``[value, its type or _NoMatch, ...]`` per written-out test
+        under ``params``: what the loop compares with and whether it may."""
+        out = []
+        for _slot, _op, node in self.inline:
+            value = (node.value if type(node) is A.Literal
+                     else param_value(node, params))
+            out += (value, type(value) if type(value) in (int, str) else _NoMatch)
+        return out
+
+
+def split_and(expr) -> list:
+    """The conjuncts of ``expr``, left to right."""
+    if isinstance(expr, A.BinaryOp) and expr.op == "and":
+        return split_and(expr.left) + split_and(expr.right)
+    return [expr]
+
+
+def and_all(conjuncts: list):
+    """The conjunction of ``conjuncts``, evaluated left to right."""
+    return functools.reduce(lambda a, b: A.BinaryOp("and", a, b), conjuncts)
 
 
 def _build_binary(node: A.BinaryOp, layout):

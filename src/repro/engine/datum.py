@@ -151,6 +151,20 @@ _EXACT = {
 }
 
 
+def column_constant(value, type_name: str | None):
+    """A text constant compared with a column of another type, read as that
+    type — as PostgreSQL resolves an unknown-typed literal — before it
+    probes an index or picks a shard; raises :class:`DataError` when it does
+    not read as one (``'3.5'`` is no int). Any other value, and any value
+    against a text, json or unknown column, is returned as it is."""
+    if type(value) is not str or type_name is None:
+        return value
+    t = normalize_type(type_name)
+    if t in (TEXT, UUID) or t not in _EXACT:
+        return value
+    return _cast(value, t)
+
+
 @functools.lru_cache(maxsize=256)
 def caster(type_name: str):
     """``cast(value) == cast_value(value, type_name)``, result type

@@ -38,9 +38,12 @@ from ..sql import ast as A
 from ..sql.deparse import deparse
 from .catalog import Table
 from .datum import (
-    Descending, caster, compare_values, ordering, plain_sort_type, to_text,
+    Descending, caster, column_constant, compare_values, ordering,
+    plain_sort_type, to_text,
 )
-from .compile import get_compiled, get_prepared, slot_of
+from .compile import (
+    WhereShape, and_all, get_compiled, get_prepared, slot_of, split_and,
+)
 from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
 from .functions import (
     _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, _identity, get_aggregate,
@@ -72,23 +75,12 @@ class QueryResult:
     def __iter__(self):
         return iter(self.rows)
 
-    @classmethod
-    def from_cursor(cls, cursor: "EngineCursor", batch_size: int = 1024) -> "QueryResult":
-        """Materialize a cursor into the classic eager result shape."""
-        rows: list = []
-        while True:
-            batch = cursor.fetch(batch_size)
-            if not batch:
-                break
-            rows.extend(batch)
-        return cls(cursor.columns, rows, command=cursor.command)
-
-
 class EngineCursor:
     """Pull-based result of :meth:`LocalExecutor.execute_cursor`.
 
-    ``fetch(n)`` returns up to ``n`` rows ([] once exhausted); ``close()``
-    terminates early. The optional ``on_finish(error)`` callback fires
+    ``fetch(n)`` returns up to ``n`` rows ([] once exhausted) from
+    ``pull(n)``, which returns fewer than ``n`` only when it is done;
+    ``close()`` terminates early. The optional ``on_finish(error)`` callback fires
     exactly once — on exhaustion, close, or a mid-iteration error — which
     is how the owning session defers statement completion until every open
     cursor (portal) on it is done. ``snapshot`` is the one a lazy scan
@@ -96,23 +88,29 @@ class EngineCursor:
     session keeps it pinned until the cursor finishes.
     """
 
-    def __init__(self, columns, rows_iter, command: str = "SELECT",
+    def __init__(self, columns, pull, command: str = "SELECT",
                  on_finish=None, snapshot=None):
         self.columns = columns
         self.command = command
         self.snapshot = snapshot
-        self._iter = iter(rows_iter)
+        self._pull = pull
         self._on_finish = on_finish
         self.rows_fetched = 0
         self.exhausted = False
         self.closed = False
+
+    @classmethod
+    def over(cls, columns, rows: list, command: str = "SELECT") -> "EngineCursor":
+        """A cursor over rows already made (let go of once read)."""
+        rows = iter(rows)
+        return cls(columns, lambda n: list(islice(rows, n)), command)
 
     def fetch(self, n: int) -> list:
         if self.closed or self.exhausted:
             return []
         n = max(int(n), 0)
         try:
-            batch = list(islice(self._iter, n))
+            batch = self._pull(n) if n else []
         except BaseException as exc:
             self.exhausted = True
             self._finish(exc)
@@ -127,9 +125,6 @@ class EngineCursor:
         if self.closed:
             return
         self.closed = True
-        close_fn = getattr(self._iter, "close", None)
-        if close_fn is not None:
-            close_fn()
         self._finish(None)
 
     def _finish(self, error) -> None:
@@ -138,14 +133,32 @@ class EngineCursor:
             callback(error)
 
 
-@dataclass
-class RelOutput:
-    """Result of resolving a FROM item: the layout its rows share and the
-    rows themselves, each a flat list of values (never mutated: a base
-    table's rows are the heap tuples' own lists)."""
+class Stream:
+    """One execution's FROM item as the head of a fused loop. ``kind`` is
+    ``heap`` (tuple versions; ``visibility`` — the snapshot's verdicts, its
+    test, the commit log — is applied in the loop), ``tuples`` (visible
+    index candidates) or ``rows`` (value lists already made, never
+    mutated). ``stages`` holds ``(JoinShape, join type, stream is the left
+    side)`` per join, ``builds`` its ``(hash table or None, build rows, ids
+    of matched build rows)``; ``layout`` is what comes out."""
 
-    layout: RowLayout
-    rows: list  # list[list], or a lazy iterable of them
+    __slots__ = ("kind", "source", "layout", "width", "locking", "shape",
+                 "heap", "visibility", "stages", "builds")
+
+    def __init__(self, kind: str, source, layout: RowLayout, shape=None,
+                 heap=None, visibility=None):
+        self.kind, self.source, self.layout = kind, source, layout
+        self.width = layout.width  # of the source's part of each row
+        #: Whether a row is the tuple's values followed by the tuple itself.
+        self.locking = kind != "rows" and bool(layout.sources)
+        self.shape, self.heap, self.visibility = shape, heap, visibility
+        self.stages: list[tuple] = []
+        self.builds: list[tuple] = []
+
+    @classmethod
+    def of(cls, layout: RowLayout, rows) -> "Stream":
+        """Rows already made (a lazy iterable stays lazy)."""
+        return cls("rows", rows, layout)
 
 
 # --------------------------------------------------------------------------
@@ -164,16 +177,18 @@ class ScanShape:
     rows it yields, the predicate compiled against it, and the index
     candidates together with the expressions that supply their keys."""
 
-    __slots__ = ("layout", "predicate", "terms", "btrees", "gin")
+    __slots__ = ("layout", "where", "terms", "btrees", "gin", "loops")
 
     def __init__(self, table: Table, alias: str, where, locking: bool = False):
         self.layout = RowLayout.of(
             alias, table.column_names(), table.name if locking else None)
-        self.predicate = (get_compiled(where, self.layout)
-                          if where is not None else None)
-        # (column, op, value_fn, high_fn): ``column op value`` conjuncts
-        # whose value does not depend on the scanned row. ``op`` is already
-        # flipped for ``value op column``; BETWEEN carries both bounds.
+        self.where = WhereShape(where, self.layout) if where is not None else None
+        #: The fused loops that scan through this shape (``_drain``).
+        self.loops: dict = {}
+        # (column, op, value_fn, high_fn, column type): ``column op value``
+        # conjuncts whose value does not depend on the scanned row. ``op``
+        # is already flipped for ``value op column``; BETWEEN carries both
+        # bounds.
         self.terms: list[tuple] = []
         #: (index name, its column names) for every B-tree index whose
         #: leading column some term constrains.
@@ -183,19 +198,21 @@ class ScanShape:
         self.gin = None
         if where is None or not table.indexes:
             return
+        types = {col.name: col.type_name for col in table.columns}
         patterns: list[tuple[str, str]] = []  # (indexed expr text, needle)
-        for c in _split_and(where):
+        for c in split_and(where):
             if isinstance(c, A.BinaryOp) and c.op in _FLIPPED:
                 left, right, op = c.left, c.right, c.op
                 if isinstance(right, A.ColumnRef) and not isinstance(left, A.ColumnRef):
                     left, right, op = right, left, _FLIPPED[op]
                 if (isinstance(left, A.ColumnRef) and left.table in (None, alias)
                         and not _references_columns(right)):
-                    self.terms.append((left.name, op, get_compiled(right), None))
+                    self.terms.append((left.name, op, get_compiled(right), None,
+                                       types.get(left.name)))
             elif isinstance(c, A.BetweenExpr) and isinstance(c.operand, A.ColumnRef):
                 if not c.negated and c.operand.table in (None, alias):
-                    self.terms.append((c.operand.name, "between",
-                                       get_compiled(c.low), get_compiled(c.high)))
+                    self.terms.append((c.operand.name, "between", get_compiled(c.low),
+                                       get_compiled(c.high), types.get(c.operand.name)))
             elif isinstance(c, A.BinaryOp) and c.op in ("like", "ilike"):
                 if isinstance(c.right, A.Literal) and isinstance(c.right.value, str):
                     pattern = c.right.value
@@ -242,10 +259,13 @@ class ScanShape:
             return None
         const_eq: dict[str, object] = {}
         ranges: dict[str, dict] = {}
-        for col, op, value_fn, high_fn in self.terms:
+        for col, op, value_fn, high_fn, type_name in self.terms:
             try:
-                value = value_fn(ctx)
-                high = high_fn(ctx) if high_fn is not None else None
+                # A text constant reads as the column's type (or the term
+                # cannot use the index, and the recheck decides).
+                value = column_constant(value_fn(ctx), type_name)
+                high = (column_constant(high_fn(ctx), type_name)
+                        if high_fn is not None else None)
             except Exception:
                 continue  # e.g. an unbound parameter: the term cannot prune
             if op == "between":
@@ -346,15 +366,17 @@ class BoundSelect:
     (slots ``layout.width`` onwards), and the calls that produced them
     become :class:`SlotRef` reads in a copy of the targets."""
 
-    __slots__ = ("layout", "predicate", "columns", "target_fns",
+    __slots__ = ("layout", "where", "columns", "target_fns",
                  "target_slots", "window_calls", "agg", "scope",
-                 "sort_keys", "distinct_on")
+                 "sort_keys", "distinct_on", "loops")
 
     def __init__(self, shape: SelectShape, layout: RowLayout):
         select = shape.select
         self.layout = layout
-        self.predicate = (get_compiled(select.where, layout)
-                          if select.where is not None else None)
+        self.where = (WhereShape(select.where, layout)
+                      if select.where is not None else None)
+        #: The fused loops this SELECT runs (``LocalExecutor._drain``).
+        self.loops: dict = {}
         targets = _expand_stars(select.targets, layout.columns)
         self.columns = _output_names(targets)
         self.window_calls: list[A.FuncCall] = []
@@ -362,14 +384,12 @@ class BoundSelect:
             targets = [A.TargetEntry(self._lift_windows(t.expr.copy()), t.alias)
                        for t in targets]
         self.agg = AggShape(select, targets, layout) if shape.aggregates else None
+        #: Per target of a SELECT without aggregation: its closure, and the
+        #: slot it reads when it is nothing else (the loop reads it).
+        self.target_fns = self.target_slots = None
         if self.agg is None:
             self.target_fns = [get_compiled(t.expr, layout) for t in targets]
-            slots = tuple(slot_of(t.expr, layout) for t in targets)
-            #: Set when every target is a bare slot read: the projection
-            #: is then one generated function that reads the slots.
-            self.target_slots = slots if slots and None not in slots else None
-        else:
-            self.target_fns, self.target_slots = self.agg.target_fns, None
+            self.target_slots = [slot_of(t.expr, layout) for t in targets]
         #: What ORDER BY / DISTINCT ON expressions read besides the output
         #: row: the input row, or after a set operation nothing.
         scope = self.scope = EMPTY_LAYOUT if select.set_ops else layout
@@ -429,13 +449,14 @@ class AggShape:
     sessions, so the rewrite must never touch the original tree).
 
     The per-row work — group key, group lookup, every call's accumulate
-    step — is one generated function (:attr:`accumulate`), and the
-    per-group work — group row, HAVING, output row — another
-    (:attr:`finalize`), both built from the shape on first use."""
+    step — is written into the fused loop that feeds the aggregate
+    (:meth:`accumulate_lines`), and the per-group work — group row,
+    HAVING, output row — is one generated function (:attr:`finalize`),
+    built from the shape on first use."""
 
     __slots__ = ("layout", "group_fns", "group_slots", "steps", "aggs",
                  "inits", "finishers", "target_fns", "target_slots", "having",
-                 "_loops")
+                 "loops", "_finalize")
 
     def __init__(self, select: A.Select, targets, layout: RowLayout):
         self.layout = layout
@@ -451,7 +472,9 @@ class AggShape:
         self.aggs: list = []
         self.inits: list = []
         self.finishers: list = []
-        self._loops = None
+        #: The fused loops that feed this aggregate (``_drain``).
+        self.loops: dict = {}
+        self._finalize = None
         lifted = [self.lift(t.expr.copy()) for t in targets]
         self.target_fns = [get_compiled(e, layout) for e in lifted]
         #: Per target: the group-row slot it reads when it is nothing else.
@@ -483,45 +506,22 @@ class AggShape:
         self.inits.append(agg.init)
         self.finishers.append(
             agg.partial if node.agg_phase == "partial" else agg.finalize)
-        self._loops = None
-
-    @property
-    def accumulate(self):
-        """``accumulate(rows, ctx, groups, seen)``: fold ``rows`` into
-        ``groups`` (key -> [first input row, state per call...], first-seen
-        order; ``seen`` holds DISTINCT argument keys per (key, call)).
-
-        Generated once the shape is complete — :meth:`lift` registers
-        ORDER BY's aggregates after ``__init__`` — as one loop: group keys
-        read from slots, aggregates that have an ``inline`` form written
-        out over their argument slot, and FILTER, DISTINCT, expression
-        arguments and every other aggregate as calls from the same loop."""
-        return self._generated()[0]
+        self._finalize = None
 
     @property
     def finalize(self):
-        """``finalize(groups, ctx) -> [(output row, group row), ...]`` over
-        what :attr:`accumulate` left in ``groups``, in its order: a group
-        row is the first input row's values and each call's result, and a
-        group HAVING rejects has no output row.
+        """``finalize(groups, ctx) -> [(output row, group row), ...]`` in
+        ``groups``' order: a group row is the first input row's values and
+        each call's result; HAVING drops groups. Generated once the shape
+        is complete (:meth:`lift` registers ORDER BY's calls after
+        ``__init__``): identity finishers read the state in place, slot
+        targets are written out, the rest are calls from the loop."""
+        if self._finalize is None:
+            w = _Writer()
+            self._finalize = w.function("groups, ctx", self._finalize_lines(w))
+        return self._finalize
 
-        Generated beside :attr:`accumulate`, as one loop: identity
-        finishers read the state in place, targets that read a slot are
-        written out, and other finishers, HAVING and expression targets
-        are calls from the same loop."""
-        return self._generated()[1]
-
-    def _generated(self) -> tuple:
-        if self._loops is None:
-            env = {"group_key": _group_key, "PLAIN": _PLAIN_KEYS, "STAR": _STAR,
-                   **INLINE_ENV}
-            source = "\n".join([*self._accumulate_source(env),
-                                *self._finalize_source(env)])
-            finalize = _generate("finalize", source, env)
-            self._loops = (env["accumulate"], finalize)
-        return self._loops
-
-    def _finalize_source(self, env: dict) -> list:
+    def _finalize_lines(self, w: "_Writer") -> list:
         width = self.layout.width
         states, results = [], []
         finish = []  # statements computing the non-identity results
@@ -529,15 +529,14 @@ class AggShape:
             if finisher is _identity:
                 states.append(f"r{i}")
             else:
-                env[f"finish{i}"] = finisher
                 states.append(f"s{i}")
-                finish.append(f"r{i} = finish{i}(s{i})")
+                finish.append(f"r{i} = {w.bind(finisher, 'finish')}(s{i})")
             results.append(f"r{i}")
         outputs, uses_ctx = [], self.having is not None
-        for i, (fn, slot) in enumerate(zip(self.target_fns, self.target_slots)):
+        for fn, slot in zip(self.target_fns, self.target_slots):
             if slot is None:
-                env[f"target{i}"], uses_ctx = fn, True
-                outputs.append(f"target{i}(ctx)")
+                uses_ctx = True
+                outputs.append(f"{w.bind(fn, 'target')}(ctx)")
             else:  # a group column, or a call the targets registered
                 outputs.append(f"values[{slot}]" if slot < width
                                else results[slot - width])
@@ -545,35 +544,36 @@ class AggShape:
         if uses_ctx:
             body.append("ctx.values = row")
         if self.having is not None:
-            env["having"] = self.having
-            body += ["if having(ctx) is not True:", " continue"]
+            body += [f"if {w.bind(self.having, 'having')}(ctx) is not True:",
+                     " continue"]
         body.append(f"append(([{', '.join(outputs)}], row))")
-        return ["def finalize(groups, ctx):",
-                " pairs = []",
-                " append = pairs.append",
-                f" for values, {', '.join(states)} in groups.values():",
-                *("  " + line for line in body),
-                " return pairs"]
+        return ["pairs = []",
+                "append = pairs.append",
+                f"for values, {', '.join(states)} in groups.values():",
+                *(" " + line for line in body),
+                "return pairs"]
 
-    def _accumulate_source(self, env: dict) -> list:
-        body = []  # the loop's statements, one indent unit = one space
+    def accumulate_lines(self, w: "_Writer") -> list:
+        """The accumulate step over the fused loop's current row: fold it
+        into ``groups`` (key -> [first input row, state per call...];
+        ``seen`` holds DISTINCT argument keys per (key, call)). Slot keys
+        and ``inline`` aggregates are written out; FILTER, DISTINCT,
+        expressions and other aggregates are calls from the loop."""
+        body = []  # the step's statements, one indent unit = one space
         uses_ctx = False
         keys = []
         for i, (fn, slot) in enumerate(zip(self.group_fns, self.group_slots)):
             if slot is not None:
-                body.append(f"k{i} = values[{slot}]")
+                body.append(f"k{i} = {w.read(slot)}")
             else:
-                env[f"group{i}"], uses_ctx = fn, True
-                body.append(f"k{i} = group{i}(ctx)")
+                uses_ctx = True
+                body.append(f"k{i} = {w.bind(fn, 'group')}(ctx)")
             body += [f"if type(k{i}) not in PLAIN:", f" k{i} = group_key(k{i})"]
             keys.append(f"k{i}")
-        inits = ["values"]
-        for i, agg in enumerate(self.aggs, 1):
-            if agg.inline is not None:
-                inits.append(agg.inline[0])
-            else:
-                env[f"init{i}"] = agg.init
-                inits.append(f"init{i}()")
+        inits = [w.row()]
+        for agg in self.aggs:
+            inits.append(agg.inline[0] if agg.inline is not None
+                         else f"{w.bind(agg.init, 'init')}()")
         body += [f"key = {keys[0] if len(keys) == 1 else '(' + ', '.join(keys) + ')'}",
                  "entry = get(key)",
                  "if entry is None:",
@@ -581,17 +581,15 @@ class AggShape:
         for i, (step, agg) in enumerate(zip(self.steps, self.aggs), 1):
             accumulate, star, slot, arg_fns, keep, distinct = step
             state = f"entry[{i}]"
-            env[f"accumulate{i}"] = accumulate
-            for j, fn in enumerate(arg_fns):
-                env[f"arg{i}_{j}"] = fn
-            args = [f"arg{i}_{j}(ctx)" for j in range(len(arg_fns))]
+            args = ([f"{w.bind(fn, 'arg')}(ctx)" for fn in arg_fns]
+                    if distinct or slot is None else [w.read(slot)])
             inline = ([line.format(s=state) for line in agg.inline[1]]
                       if agg.inline is not None else None)
             if star and inline is not None:
                 # count(*): its statements do not read the argument.
                 lines = inline if agg.name == "count" else ["v = STAR", *inline]
             elif star:
-                lines = [f"{state} = accumulate{i}({state}, STAR)"]
+                lines = [f"{state} = {w.bind(accumulate, 'acc')}({state}, STAR)"]
             elif distinct:
                 uses_ctx = True
                 lines = [f"args = [{', '.join(args)}]",
@@ -599,26 +597,21 @@ class AggShape:
                          f"seen_args = seen.setdefault((key, {i}), set())",
                          "if arg_key not in seen_args:",
                          " seen_args.add(arg_key)",
-                         f" {state} = accumulate{i}({state}, *args)"]
+                         f" {state} = {w.bind(accumulate, 'acc')}({state}, *args)"]
             elif len(args) == 1 and inline is not None:
                 uses_ctx = uses_ctx or slot is None
-                lines = [f"v = {f'values[{slot}]' if slot is not None else args[0]}",
-                         "if v is not None:", *(" " + line for line in inline)]
+                lines = [f"v = {args[0]}", "if v is not None:",
+                         *(" " + line for line in inline)]
             else:
                 uses_ctx = uses_ctx or slot is None
-                if slot is not None:
-                    args = [f"values[{slot}]"]
-                lines = [f"{state} = accumulate{i}({', '.join([state, *args])})"]
+                lines = [f"{state} = {w.bind(accumulate, 'acc')}"
+                         f"({', '.join([state, *args])})"]
             if keep is not None:
-                env[f"keep{i}"], uses_ctx = keep, True
-                lines = [f"if keep{i}(ctx) is True:", *(" " + line for line in lines)]
+                uses_ctx = True
+                lines = [f"if {w.bind(keep, 'keep')}(ctx) is True:",
+                         *(" " + line for line in lines)]
             body += lines
-        if uses_ctx:
-            body.insert(0, "ctx.values = values")
-        return ["def accumulate(rows, ctx, groups, seen):",
-                " get = groups.get",
-                " for values in rows:",
-                *("  " + line for line in body)]
+        return [*w.point(self.layout), *body] if uses_ctx else body
 
 
 class JoinShape:
@@ -628,11 +621,13 @@ class JoinShape:
     against each side's layout."""
 
     __slots__ = ("left", "right", "layout", "conditional", "qual",
-                 "left_keys", "right_keys", "left_slot", "right_slot")
+                 "left_keys", "right_keys", "left_slot", "right_slot", "loops")
 
     def __init__(self, left: RowLayout, right: RowLayout, condition):
         self.left, self.right = left, right
         self.layout = left.join(right)
+        #: The fused loops that end with this join's probe (``_drain``).
+        self.loops: dict = {}
         self.conditional = condition is not None  # else: cross product
         self.qual = self.left_keys = self.right_keys = None
         self.left_slot = self.right_slot = None
@@ -868,11 +863,210 @@ class WriteShape:
                     f" from {other.name!r}")
 
 
-def _generate(name: str, source: str, env: dict):
-    """The function ``name`` that ``source`` defines, with ``env`` as its
-    globals: how a shape turns what it resolved into one flat loop."""
+@functools.lru_cache(maxsize=512)
+def _factory(source: str):
+    """The ``factory`` that ``source`` defines, exec'd once per text: the
+    values a shape binds are its arguments, never part of the text."""
+    env = {"PLAIN": _PLAIN_KEYS, "group_key": _group_key, "NONE": (),
+           "STAR": _STAR, **INLINE_ENV}
     exec(source, env)  # noqa: S102 - source is assembled from shape facts only
-    return env[name]
+    return env["factory"]
+
+
+class _Writer:
+    """One generated function under construction: the values its text
+    names (:meth:`bind`), and the variables the current row is spread over."""
+
+    def __init__(self, joins: bool = False):
+        self.names: list[str] = []
+        self.values: list = []
+        self._bound: dict = {}
+        #: ``[variable, width]`` per part of the current row, in layout order.
+        self.parts: list = []
+        #: Closures read more than one layout: each call names its own.
+        self.joins = joins
+        self.layout = EMPTY_LAYOUT
+
+    def bind(self, value, prefix: str) -> str:
+        name = self._bound.get(id(value))
+        if name is None:
+            name = self._bound[id(value)] = f"{prefix}_{len(self.names)}"
+            self.names.append(name)
+            self.values.append(value)
+        return name
+
+    def read(self, slot: int) -> str:
+        """The expression reading ``slot`` of the current row."""
+        for var, width in self.parts:
+            if slot < width or var == self.parts[-1][0]:
+                return f"{var}[{slot}]"
+            slot -= width
+
+    def row(self) -> str:
+        """The expression making the current row one list."""
+        return " + ".join(var for var, _width in self.parts)
+
+    def point(self, layout: RowLayout) -> list:
+        """Statements pointing ``ctx`` at the current row, of ``layout``."""
+        lines = [f"ctx.values = {self.row()}"]
+        if self.joins:
+            lines.append(f"ctx.layout = {self.bind(layout, 'layout')}")
+        return lines
+
+    def function(self, signature: str, body: list):
+        """The function ``body`` makes, bound to this writer's values."""
+        source = "\n".join([f"def factory({', '.join(self.names)}):",
+                            f" def run({signature}):",
+                            *("  " + line for line in body),
+                            " return run"])
+        return _factory(source)(*self.values)
+
+
+#: ``heap._visible`` written into a loop over heap tuples.
+_VISIBLE = ("x = tup.xmin", "vis = verdicts.get(x)", "if vis is None:",
+            " vis = verdicts[x] = sees(x, clog)", "if not vis:", " continue",
+            "x = tup.xmax", "if x is not None:", " vis = verdicts.get(x)",
+            " if vis is None:", "  vis = verdicts[x] = sees(x, clog)",
+            " if vis:", "  continue", "scanned += 1")
+
+
+def _indent(lines) -> list:
+    return [" " + line for line in lines]
+
+
+def _write_loop(stream: Stream, where: WhereShape | None, sink):
+    """``run(source, ctx, visibility, consts, builds, out)``: one stream
+    through WHERE into a sink — ``rows``, ``targets`` (heap tuples),
+    ``("pairs", BoundSelect)``, ``("agg", AggShape)`` or ``("cursor",
+    BoundSelect, has OFFSET)``, ``n`` rows at most. Returns the tuples it
+    saw visible and the hash-join rows it made (a cursor: the rows still
+    to skip). DESIGN.md, "Fused worker loops"."""
+    tag = sink if type(sink) is str else sink[0]
+    w = _Writer(bool(stream.stages))
+    w.layout = stream.layout  # of the rows WHERE and the sink read
+    body = []
+    if stream.kind == "heap":
+        body.append("verdicts, sees, clog = visibility")
+    if where is not None and where.inline:
+        body.append(", ".join(f"c{i}, t{i}" for i in range(len(where.inline)))
+                    + " = consts")
+    for j in range(len(stream.stages)):
+        body.append(f"h{j}, r{j}, s{j} = builds[{j}]")
+    if tag == "agg":
+        body += ["groups, seen = out", "get = groups.get"]
+    elif tag == "cursor":
+        body += ["rows, n, skip = out", "append = rows.append"]
+    else:
+        body.append("append = out.append")
+    body.append("scanned = joined = 0")
+    if stream.kind == "rows":
+        body.append("for row in source:")
+    else:
+        body += ["for tup in source:",
+                 *_indent(_VISIBLE if stream.kind == "heap" else ()),
+                 " row = [*tup.values, tup]" if stream.locking else " row = tup.values"]
+    w.parts = [["row", stream.width]]
+    tails = []  # (stage, the row's parts before it): FULL JOIN remainders
+    body += _indent(_downstream(w, stream.stages, 0, where, sink, tails))
+    for j, parts in tails:
+        # The build rows no probe matched, with NULLs for the probe side.
+        w.parts = [*parts, [f"b{j}", stream.stages[j][0].right.width]]
+        body += [f"for b{j} in r{j}:",
+                 f" if id(b{j}) in s{j}:",
+                 "  continue",
+                 *(f" {var} = {w.bind([None] * width, 'nulls')}"
+                   for var, width in parts),
+                 *((" joined += 1",) if stream.stages[j][0].left_keys else ()),
+                 *_indent(_downstream(w, stream.stages, j + 1, where, sink, []))]
+    body.append(f"return scanned, {'skip' if tag == 'cursor' else 'joined'}")
+    return w.function("source, ctx, visibility, consts, builds, out", body)
+
+
+def _downstream(w: _Writer, stages, j: int, where, sink, tails) -> list:
+    """The loop body from join stage ``j`` on, then WHERE, then the sink."""
+    if j == len(stages):
+        return _where_lines(w, where) + _sink_lines(w, sink)
+    shape, join_type, stream_left = stages[j]
+    slot = shape.left_slot if stream_left else shape.right_slot
+    hashed = shape.left_keys is not None
+    if not hashed:  # a nested loop: every build row is a candidate
+        lines = [f"m{j} = r{j}"]
+    elif slot is not None:
+        lines = [f"k = {w.read(slot)}", "if type(k) not in PLAIN:", " k = group_key(k)"]
+    else:
+        lines = w.point(shape.left if stream_left else shape.right)
+        keys = [f"group_key({w.bind(fn, 'key')}(ctx))"
+                for fn in (shape.left_keys if stream_left else shape.right_keys)]
+        lines += [f"k = ({', '.join(keys)},)", "if None in k:", " k = None"]
+    if hashed:
+        lines.append(f"m{j} = h{j}.get(k, NONE)")
+    parts = w.parts
+    width = shape.right.width if stream_left else shape.left.width
+
+    def joined(var):
+        return [*parts, [var, width]] if stream_left else [[var, width], *parts]
+
+    if shape.qual is not None:
+        w.parts = joined("b")
+        lines += ["hits = []", f"for b in m{j}:",
+                  *_indent(w.point(shape.layout)),
+                  f" if {w.bind(shape.qual, 'qual')}(ctx) is True:",
+                  "  hits.append(b)",
+                  f"m{j} = hits"]
+    if join_type == "full":
+        lines += [f"for b in m{j}:", f" s{j}.add(id(b))"]
+        tails.append((j, parts))
+    if join_type in ("left", "right", "full"):
+        lines += [f"if not m{j}:", f" m{j} = {w.bind([[None] * width], 'nulls')}"]
+    w.parts = joined(f"b{j}")
+    inner = _downstream(w, stages, j + 1, where, sink, tails)
+    w.parts = parts
+    # join_rows counts what hash joins make.
+    return [*lines, f"for b{j} in m{j}:", *((" joined += 1",) if hashed else ()),
+            *_indent(inner)]
+
+
+def _where_lines(w: _Writer, where: WhereShape | None) -> list:
+    """WHERE: the written-out tests nested one in the other, each falling
+    back to the whole clause, then the rest of the clause."""
+    if where is None:
+        return []
+
+    def decide(fn):
+        return [*w.point(w.layout), f"if {w.bind(fn, 'where')}(ctx) is not True:",
+                " continue"]
+
+    def cascade(i):
+        if i == len(where.inline):
+            return decide(where.rest) if where.rest is not None else []
+        slot, negated, _constant = where.inline[i]
+        return [f"v = {w.read(slot)}", f"if type(v) is t{i}:",
+                f" if v {negated} c{i}:", "  continue",
+                *_indent(cascade(i + 1)), "else:", *_indent(decide(where.full))]
+
+    return cascade(0)
+
+
+def _sink_lines(w: _Writer, sink) -> list:
+    if sink == "rows":
+        return [f"append({w.row()})"]
+    if sink == "targets":
+        return ["append(tup)"]
+    if sink[0] == "agg":
+        return sink[1].accumulate_lines(w)
+    bound, lines, parts = sink[1], [], w.parts
+    if len(parts) > 1:  # one list for the closures and the pair
+        lines.append(f"merged = {w.row()}")
+        w.parts = [["merged", bound.layout.width]]
+    cells = [w.read(slot) if slot is not None else f"{w.bind(fn, 'target')}(ctx)"
+             for fn, slot in zip(bound.target_fns, bound.target_slots)]
+    if None in bound.target_slots:
+        lines += w.point(bound.layout)
+    row, w.parts = w.row(), parts
+    if sink[0] == "pairs":
+        return [*lines, f"append(([{', '.join(cells)}], {row}))"]
+    return [*lines, *(("if skip:", " skip -= 1", " continue") if sink[2] else ()),
+            f"append([{', '.join(cells)}])", "n -= 1", "if not n:", " break"]
 
 
 def _row_builder(table: Table, position: dict, catalog):
@@ -880,23 +1074,20 @@ def _row_builder(table: Table, position: dict, catalog):
     columns of ``position`` (name -> input position): one generated cell
     per table column — the input value through the column type's caster,
     the next serial, the cast DEFAULT (evaluated under ``ctx``), or NULL."""
-    cells, env = [], {}
-    for i, col in enumerate(table.columns):
+    w, cells = _Writer(), []
+    for col in table.columns:
         if col.name in position:
-            env[f"cast{i}"] = caster(col.type_name)
-            cells.append(f"cast{i}(values[{position[col.name]}])")
+            cells.append(f"{w.bind(caster(col.type_name), 'cast')}"
+                         f"(values[{position[col.name]}])")
         elif col.is_serial:
             sequence = catalog.get_sequence(f"{table.name}_{col.name}_seq")
-            env[f"next{i}"] = sequence.nextval
-            cells.append(f"next{i}()")
+            cells.append(f"{w.bind(sequence.nextval, 'next')}()")
         elif col.default is not None:
-            env[f"cast{i}"] = caster(col.type_name)
-            env[f"default{i}"] = get_compiled(col.default)
-            cells.append(f"cast{i}(default{i}(ctx))")
+            cells.append(f"{w.bind(caster(col.type_name), 'cast')}"
+                         f"({w.bind(get_compiled(col.default), 'default')}(ctx))")
         else:
             cells.append("None")
-    return _generate(
-        "build", "def build(values, ctx):\n return [" + ", ".join(cells) + "]", env)
+    return w.function("values, ctx", [f"return [{', '.join(cells)}]"])
 
 
 def _prefix_index(table: Table, cols):
@@ -1065,17 +1256,12 @@ class LocalExecutor:
 
         offset, limit = 0, None
         if select.offset is not None or select.limit is not None:
-            ctx0 = self._ctx(EMPTY_LAYOUT, params, outer)
-            offset = int(evaluate(select.offset, ctx0)) if select.offset is not None else 0
-            if select.limit is not None:
-                limit = evaluate(select.limit, ctx0)
-                if limit is not None:
-                    limit = int(limit)
+            offset, limit = limit_offset(select, self._ctx(EMPTY_LAYOUT, params, outer))
         if select.order_by:
             # With a LIMIT only the rows it keeps need ordering (DISTINCT,
             # which thins the order out afterwards, and FOR UPDATE keep the
             # full sort).
-            top = (offset + limit if limit is not None and min(offset, limit) >= 0
+            top = (offset + limit if limit is not None
                    and not (select.distinct or select.for_update) else None)
             pairs = self._sort_pairs(pairs, bound, params, outer, top)
         if select.distinct:
@@ -1104,9 +1290,9 @@ class LocalExecutor:
         feeding a portal.
         """
         if cte_env is None and self._cursor_streamable(select):
-            return self._simple_select_cursor(select, params, outer)
+            return self._scan_cursor(select, params, outer)
         result = self.execute_select(select, params, outer=outer, cte_env=cte_env)
-        return EngineCursor(result.columns, iter(result.rows))
+        return EngineCursor.over(result.columns, result.rows)
 
     def _cursor_streamable(self, select: A.Select) -> bool:
         if not self._select_shape(select).streamable:
@@ -1115,84 +1301,113 @@ class LocalExecutor:
         return (name not in self.session.temp_results
                 and self.catalog.tables.get(name) is not None)
 
-    def _simple_select_cursor(self, select: A.Select, params, outer) -> EngineCursor:
+    def _scan_cursor(self, select: A.Select, params, outer) -> EngineCursor:
+        """A lazy scan: each fetch resumes the fused loop where the last one
+        stopped and charges what it scanned — a sequential scan one page up
+        front, then one per tuples-per-page tuples — so a LIMIT or an early
+        ``close()`` pays for what was read. The first fetch opens it."""
         ref = select.from_items[0]
         table = self.catalog.get_table(ref.name)
         self.session.acquire_table_lock(table.name, "AccessShare")
         scan = self._scan_shape(ref, table, select.where)
         bound = self._select_shape(select).bound(scan.layout)
-        predicate = bound.predicate
         ctx = self._ctx(scan.layout, params, outer)
-        offset = int(evaluate(select.offset, ctx)) if select.offset is not None else 0
-        limit = None
-        if select.limit is not None:
-            value = evaluate(select.limit, ctx)
-            if value is not None:
-                limit = int(value)
+        skip, left = limit_offset(select, ctx)  # left: rows LIMIT still allows
         snapshot = self.session.snapshot()
-        project = _projection(bound, ctx)
+        stats = self.session.stats
+        sink = ("cursor", bound, select.offset is not None)
+        stream = run = consts = None
+        seen = per_page = 0
 
-        def rows():
-            if limit is not None and limit <= 0:
-                return
-            emitted = 0
-            skipped = 0
-            for values in self._scan_table_iter(table, scan, params, outer, snapshot):
-                if predicate is not None:
-                    ctx.values = values
-                    if predicate(ctx) is not True:
-                        continue
-                if skipped < offset:
-                    skipped += 1
-                    continue
-                yield project(values)
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+        def pull(n):
+            nonlocal stream, run, consts, skip, left, seen, per_page
+            want = n if left is None else min(n, left)
+            if want <= 0:
+                return []
+            if stream is None:
+                stream = self._open_scan(table, scan, params, outer, snapshot)
+                heap = stream.heap
+                if heap is not None:
+                    per_page = max(1, len(heap.tuples) // max(heap.page_count, 1))
+                    stats["pages_read"] += 1
+                stream.source = iter(stream.source)
+                run = self._loop(bound, stream, bound.where, sink)
+                consts = bound.where.constants(params) if bound.where else ()
+            rows = []
+            scanned, skip = run(stream.source, ctx, stream.visibility, consts,
+                                (), (rows, want, skip))
+            if scanned:
+                stats["tuples_scanned"] += scanned
+                stats["pages_read"] += (seen + scanned) // per_page - seen // per_page
+                seen += scanned
+            if left is not None:
+                left -= len(rows)
+            return rows
 
-        return EngineCursor(bound.columns, rows(), snapshot=snapshot)
+        return EngineCursor(bound.columns, pull, snapshot=snapshot)
 
     def _run_select_core(self, select, params, outer, cte_env):
-        """FROM → WHERE → (windows | aggregation) → projection. Returns the
-        select bound to its input layout and the (output, input) pairs."""
+        """FROM → WHERE → (windows | aggregation) → projection, as one
+        fused loop. Returns the select bound to its input layout and the
+        (output, input) pairs."""
         shape = self._select_shape(select)
         if shape.has_windows and shape.aggregates:
             raise DataError(
                 "window functions combined with aggregation are not supported"
             )
-        rel = self._resolve_from(select, shape, params, outer, cte_env)
-        bound = shape.bound(rel.layout)
-        ctx = self._ctx(rel.layout, params, outer)
-        rows = rel.rows
-        predicate = bound.predicate
-        if predicate is not None:
-            kept = []
-            for values in rows:
-                ctx.values = values
-                if predicate(ctx) is True:
-                    kept.append(values)
-            rows = kept
+        stream = self._resolve_from(select, shape, params, outer, cte_env)
+        bound = shape.bound(stream.layout)
+        ctx = self._ctx(stream.layout, params, outer)
         if bound.agg is not None:
-            return bound, self._aggregate(bound.agg, rows, ctx)
-        if not isinstance(rows, list):
-            rows = list(rows)
+            return bound, self._aggregate(bound.agg, stream, ctx, bound.where)
         if bound.window_calls:
+            rows = self._drain(stream, bound, "rows", ctx, bound.where)
             results = [compute_window_values(call, rows, ctx)
                        for call in bound.window_calls]
-            width = rel.layout.width
-            rows = [values[:width] + list(extra)
-                    for values, extra in zip(rows, zip(*results))]
-        project = _projection(bound, ctx)
-        return bound, [(project(values), values) for values in rows]
+            width = stream.layout.width
+            stream = Stream.of(stream.layout, [
+                values[:width] + list(extra)
+                for values, extra in zip(rows, zip(*results))])
+            return bound, self._drain(stream, bound, ("pairs", bound), ctx)
+        return bound, self._drain(stream, bound, ("pairs", bound), ctx, bound.where)
+
+    def _loop(self, anchor, stream: Stream, where, sink):
+        """The fused loop of ``stream`` through ``where`` into ``sink``,
+        kept on ``anchor``, whose layout fixes the loop but for the source."""
+        key = (stream.kind, stream.locking, sink if type(sink) is str else sink[0],
+               where is not None)
+        run = anchor.loops.get(key)
+        if run is None:
+            run = anchor.loops[key] = _write_loop(stream, where, sink)
+        return run
+
+    def _drain(self, stream: Stream, anchor, sink, ctx, where=None, out=None):
+        """Run ``stream`` through ``where`` into ``sink`` and charge, once,
+        what it read: a sequential scan its visible tuples and every page."""
+        if out is None:
+            out = []
+        run = self._loop(anchor, stream, where, sink)
+        consts = where.constants(ctx.params) if where is not None else ()
+        scanned, joined = run(stream.source, ctx, stream.visibility, consts,
+                              stream.builds, out)
+        stats = self.session.stats
+        if stream.heap is not None:
+            stats["tuples_scanned"] += scanned
+            stats["pages_read"] += stream.heap.page_count
+        if stream.stages:
+            stats["join_rows"] += joined
+            ctx.layout = stream.layout  # the loop pointed it at each closure's
+        return out
 
     # -------------------------------------------------------- aggregation
 
-    def _aggregate(self, agg: AggShape, rows, ctx: EvalContext) -> list:
-        """Hash aggregation of ``rows`` (any iterable, consumed once):
-        (output values, group row) pairs in first-seen group order."""
+    def _aggregate(self, agg: AggShape, stream: Stream, ctx: EvalContext,
+                   where=None) -> list:
+        """Hash aggregation of ``stream`` through ``where``, accumulated
+        in its loop: (output, group row) pairs in first-seen group order."""
         # key -> [first input row, state per aggregate call...]
         groups: dict = {}
-        agg.accumulate(rows, ctx, groups, {})
+        self._drain(stream, agg, ("agg", agg), ctx, where, (groups, {}))
         if not groups and not agg.group_fns:
             # Aggregate over empty input: one row of aggregate defaults.
             groups[()] = [[None] * agg.layout.width] + [init() for init in agg.inits]
@@ -1269,71 +1484,92 @@ class LocalExecutor:
     # ----------------------------------------------------- FROM resolution
 
     def _resolve_from(self, select: A.Select, shape: SelectShape, params,
-                      outer, cte_env) -> RelOutput:
+                      outer, cte_env) -> Stream:
         from_items, where = select.from_items, select.where
         if not from_items:
-            return RelOutput(EMPTY_LAYOUT, [[]])
+            return Stream.of(EMPTY_LAYOUT, [[]])
         locking = bool(select.for_update)
         # Only push WHERE into the scan for the single-base-table case;
-        # multi-relation queries re-filter above anyway.
+        # multi-relation queries filter above the joins anyway.
         scan_where = where if len(from_items) == 1 else None
-        rel = self._resolve_item(from_items[0], params, outer, cte_env,
-                                 locking, scan_where)
+        stream = self._open(from_items[0], params, outer, cte_env, locking,
+                            scan_where)
         if len(from_items) == 1:
-            return rel
+            return stream
         # Comma-separated FROM items: plan as inner joins using any
         # applicable equi-join conjuncts from WHERE (hash joins instead of
         # raw cross products — TPC-H style "FROM a, b, c WHERE ..." relies
         # on this).
         remaining = [self._resolve_item(item, params, outer, cte_env, locking)
                      for item in from_items[1:]]
-        layouts = [rel.layout, *(right.layout for right in remaining)]
+        layouts = [stream.layout, *(right.layout for right in remaining)]
         plan = shape.join_plan
         if plan is None or any(a is not b for a, b in zip(plan[0], layouts)):
             plan = shape.join_plan = (layouts, _comma_join_plan(layouts, where))
         for chosen, join in plan[1]:
-            rel = self._join("inner", rel, remaining.pop(chosen), join, params, outer)
-        return rel
+            self._probe(stream, join, "inner", True, remaining.pop(chosen),
+                        params, outer)
+        return stream
 
     def _resolve_item(self, item, params, outer, cte_env, locking=False,
-                      where=None) -> RelOutput:
-        if isinstance(item, A.TableRef):
-            return self._scan_relation(item, params, outer, cte_env, locking, where)
+                      where=None) -> Stream:
+        """A FROM item resolved to rows."""
+        if isinstance(item, (A.TableRef, A.JoinExpr)):
+            return self._materialise(
+                self._open(item, params, outer, cte_env, locking, where),
+                params, outer)
         if isinstance(item, A.SubqueryRef):
             sub = self.execute_select(item.query, params, outer=outer, cte_env=cte_env)
-            return _rows_to_rel(item.alias, sub.columns, sub.rows)
+            return Stream.of(RowLayout.of(item.alias, sub.columns), sub.rows)
         if isinstance(item, A.FunctionRef):
             return self._scan_function(item, params, outer)
-        if isinstance(item, A.JoinExpr):
-            return self._execute_join(item, params, outer, cte_env, locking)
         raise SyntaxErrorSQL(f"unsupported FROM item {type(item).__name__}")
 
-    def _scan_function(self, item: A.FunctionRef, params, outer) -> RelOutput:
+    def _scan_function(self, item: A.FunctionRef, params, outer) -> Stream:
         fn = SET_RETURNING_FUNCTIONS.get(item.func.name.lower())
         if fn is None:
             raise CatalogError(f"set-returning function {item.func.name}() does not exist")
         ctx = self._ctx(EMPTY_LAYOUT, params, outer)
         args = [evaluate(a, ctx) for a in item.func.args]
         col_name = item.column_names[0] if item.column_names else item.alias
-        return RelOutput(RowLayout.of(item.alias, [col_name]),
+        return Stream.of(RowLayout.of(item.alias, [col_name]),
                          [[v] for v in fn(*args)])
 
-    def _scan_relation(self, ref: A.TableRef, params, outer, cte_env,
-                       locking=False, where=None) -> RelOutput:
-        alias = ref.ref_name
-        if ref.name in cte_env:
-            names, rows = cte_env[ref.name]
-            return _rows_to_rel(alias, names, rows)
-        if ref.name in self.session.temp_results:
-            names, rows = self.session.temp_results[ref.name]
-            return _rows_to_rel(alias, names, rows)
-        table = self.catalog.get_table(ref.name)
+    def _open(self, item, params, outer, cte_env, locking=False,
+              where=None) -> Stream:
+        """A FROM item as the head of a fused loop: a base table or a join
+        streams, anything else is resolved to rows first."""
+        if isinstance(item, A.JoinExpr):
+            return self._open_join(item, params, outer, cte_env, locking)
+        if not isinstance(item, A.TableRef):
+            return self._resolve_item(item, params, outer, cte_env)
+        for named in (cte_env, self.session.temp_results):
+            if item.name in named:
+                names, rows = named[item.name]
+                return Stream.of(RowLayout.of(item.ref_name, names), rows)
+        table = self.catalog.get_table(item.name)
         self.session.acquire_table_lock(table.name, "AccessShare")
-        scan = self._scan_shape(ref, table, where, locking)
-        tuples = self._scan_tuples(table, scan, params, outer)
-        if locking:
-            return RelOutput(scan.layout, [[*tup.values, tup] for tup in tuples])
-        return RelOutput(scan.layout, [tup.values for tup in tuples])
+        scan = self._scan_shape(item, table, where, locking)
+        return self._open_scan(table, scan, params, outer, self.session.snapshot())
+
+    def _open_scan(self, table: Table, scan: ScanShape, params, outer,
+                   snapshot) -> Stream:
+        """The table's rows under ``snapshot``: the index candidates when an
+        index serves the scan's WHERE (the loop rechecks it), else the heap."""
+        tuples = self._index_tuples(table, scan, params, outer, snapshot)
+        if tuples is not None:
+            return Stream("tuples", tuples, scan.layout, scan)
+        return Stream("heap", table.heap.tuples, scan.layout, scan, table.heap,
+                      (snapshot.verdicts, snapshot.sees_xid, self.instance.xids.clog))
+
+    def _materialise(self, stream: Stream, params, outer) -> Stream:
+        """``stream`` resolved to rows (rows already made pass through,
+        lazy or not)."""
+        if stream.kind == "rows" and not stream.stages:
+            return stream
+        anchor = stream.stages[-1][0] if stream.stages else stream.shape
+        ctx = self._ctx(stream.layout, params, outer)
+        return Stream.of(stream.layout, self._drain(stream, anchor, "rows", ctx))
 
     def _scan_shape(self, ref: A.TableRef, table: Table, where,
                     locking: bool = False) -> ScanShape:
@@ -1364,142 +1600,58 @@ class LocalExecutor:
         stats["pages_read"] += max(1, len(tuples))
         return tuples
 
-    def _scan_tuples(self, table: Table, scan: ScanShape, params, outer) -> list:
-        """The table's visible heap tuples (index candidates when an index
-        serves the scan's WHERE; the caller re-applies the predicate). A
-        tuple's ``values`` list is the row, under ``scan.layout``."""
-        snapshot = self.session.snapshot()
-        tuples = self._index_tuples(table, scan, params, outer, snapshot)
-        if tuples is None:
-            tuples = list(table.heap.scan(snapshot, self.instance.xids.clog))
-            self.session.stats["tuples_scanned"] += len(tuples)
-            self.session.stats["pages_read"] += table.heap.page_count
-        return tuples
-
-    def _scan_table_iter(self, table: Table, scan: ScanShape, params, outer,
-                         snapshot):
-        """Lazily yield rows from a table scan, charging scan stats
-        incrementally so an early-terminated cursor only pays for what it
-        actually read."""
-        stats = self.session.stats
-        # Index scans are already bounded by selectivity; the TIDs are
-        # resolved eagerly so the stats match the materializing scan.
-        tuples = self._index_tuples(table, scan, params, outer, snapshot)
-        if tuples is not None:
-            for tup in tuples:
-                yield tup.values
-            return
-        # Sequential scan: pages charged as tuples stream out (approximate
-        # — visible-tuple density — so a LIMIT-stopped scan pays less).
-        tuples_per_page = max(1, len(table.heap.tuples) // max(table.heap.page_count, 1))
-        stats["pages_read"] += 1
-        seen = 0
-        for tup in table.heap.scan(snapshot, self.instance.xids.clog):
-            seen += 1
-            stats["tuples_scanned"] += 1
-            if seen % tuples_per_page == 0:
-                stats["pages_read"] += 1
-            yield tup.values
-
     # -------------------------------------------------------------- joins
 
-    def _execute_join(self, join: A.JoinExpr, params, outer, cte_env,
-                      locking=False) -> RelOutput:
-        left = self._resolve_item(join.left, params, outer, cte_env, locking)
-        right = self._resolve_item(join.right, params, outer, cte_env, locking)
-
-        def condition():
-            if join.join_type == "cross":
-                return None
-            if join.using:
-                return _using_to_condition(join.using, left.layout, right.layout)
-            return join.condition
-
+    def _open_join(self, join: A.JoinExpr, params, outer, cte_env,
+                   locking=False) -> Stream:
+        """A JOIN as a stream probing the other side's rows. The left side
+        streams but for RIGHT JOIN; the left side is resolved first."""
+        swapped = join.join_type == "right"
+        if swapped:
+            build = self._resolve_item(join.left, params, outer, cte_env, locking)
+            stream = self._open(join.right, params, outer, cte_env, locking)
+            left, right = build.layout, stream.layout
+        else:
+            stream = self._open(join.left, params, outer, cte_env, locking)
+            build = self._resolve_item(join.right, params, outer, cte_env, locking)
+            left, right = stream.layout, build.layout
         cell = self._prepared(join, lambda: [None])
         shape = cell[0]
         # Layouts are interned: the sides' only change with their columns.
-        if (shape is None or shape.left is not left.layout
-                or shape.right is not right.layout):
-            shape = cell[0] = JoinShape(left.layout, right.layout, condition())
-        return self._join(join.join_type, left, right, shape, params, outer)
+        if shape is None or shape.left is not left or shape.right is not right:
+            condition = (None if join.join_type == "cross" else join.condition
+                         if not join.using else
+                         _using_to_condition(join.using, left, right))
+            shape = cell[0] = JoinShape(left, right, condition)
+        self._probe(stream, shape, join.join_type, not swapped, build, params, outer)
+        return stream
 
-    def _join(self, join_type, left: RelOutput, right: RelOutput,
-              shape: JoinShape, params, outer) -> RelOutput:
-        """Hash join when the condition equi-joins the sides, else nested
-        loops; a join without a condition is the cross product. Output
-        rows are ``left values + right values``. The probe side is the
-        left one, except for RIGHT JOIN, which runs as a left join with
-        the sides' roles swapped."""
-        lrows, rrows = left.rows, right.rows
-        if not isinstance(rrows, list):
-            rrows = list(rrows)
-        qual = shape.qual
-        if not shape.conditional:
-            return RelOutput(shape.layout, [l + r for l in lrows for r in rrows])
-        swapped = join_type == "right"
-        if swapped:
-            probe_rows, build_rows = rrows, lrows
-            if not isinstance(build_rows, list):
-                build_rows = list(build_rows)
-        else:
-            probe_rows, build_rows = lrows, rrows
-        keep_probe = join_type in ("left", "right", "full")
-        probe_nulls = [None] * (shape.left.width if swapped else shape.right.width)
-        ctx = self._ctx(shape.layout, params, outer)
-        out_rows = []
-        matched: set[int] = set()  # ids of matched build rows (FULL JOIN)
-        track = join_type == "full"
-        hashed = shape.left_keys is not None
-        if hashed:
-            probe_key = self._join_keys(shape, not swapped, params, outer)
-            build_key = self._join_keys(shape, swapped, params, outer)
-            table: dict = {}
-            for row in build_rows:
-                key = build_key(row)
+    def _probe(self, stream: Stream, shape: JoinShape, join_type: str,
+               stream_left: bool, build: Stream, params, outer) -> None:
+        """Add a join to ``stream`` over ``build``'s rows: hashed on their
+        key for an equi-join (a NULL key joins nothing), else all of them."""
+        rows = build.source if isinstance(build.source, list) else list(build.source)
+        table = None
+        if shape.left_keys is not None:
+            table = {}
+            slot = shape.right_slot if stream_left else shape.left_slot
+            fns = shape.right_keys if stream_left else shape.left_keys
+            ctx = self._ctx(build.layout, params, outer)
+            for row in rows:
+                if slot is not None:
+                    key = row[slot]
+                    if type(key) not in _PLAIN_KEYS:
+                        key = _group_key(key)
+                else:
+                    ctx.values = row
+                    key = tuple([_group_key(fn(ctx)) for fn in fns])
+                    if None in key:
+                        continue
                 if key is not None:
                     table.setdefault(key, []).append(row)
-            no_rows: list = []
-        for prow in probe_rows:
-            if hashed:
-                key = probe_key(prow)
-                candidates = table.get(key, no_rows) if key is not None else no_rows
-            else:
-                candidates = build_rows
-            found = False
-            for brow in candidates:
-                merged = brow + prow if swapped else prow + brow
-                if qual is not None:
-                    ctx.values = merged
-                    if qual(ctx) is not True:
-                        continue
-                out_rows.append(merged)
-                found = True
-                if track:
-                    matched.add(id(brow))
-            if not found and keep_probe:
-                out_rows.append(probe_nulls + prow if swapped else prow + probe_nulls)
-        if track:
-            build_nulls = [None] * shape.left.width
-            out_rows.extend(build_nulls + brow for brow in build_rows
-                            if id(brow) not in matched)
-        if hashed:
-            self.session.stats["join_rows"] += len(out_rows)
-        return RelOutput(shape.layout, out_rows)
-
-    def _join_keys(self, shape: JoinShape, left_side: bool, params, outer):
-        """``key(row)`` for one side of a hash join: the hashable join key,
-        or None when a key column is NULL (NULL joins nothing)."""
-        slot = shape.left_slot if left_side else shape.right_slot
-        if slot is not None:
-            return lambda row: _group_key(row[slot])
-        fns = shape.left_keys if left_side else shape.right_keys
-        ctx = self._ctx(shape.left if left_side else shape.right, params, outer)
-
-        def key(row):
-            ctx.values = row
-            key = tuple([_group_key(fn(ctx)) for fn in fns])
-            return None if None in key else key
-        return key
+        stream.stages.append((shape, join_type, stream_left))
+        stream.builds.append((table, rows, set()))
+        stream.layout = shape.layout
 
     # ---------------------------------------------------------------- DML
 
@@ -1653,15 +1805,9 @@ class LocalExecutor:
         held. All locks are taken before anything is mutated, so a lock
         wait (parked statement) can re-run the statement from scratch
         without double-applying its effects."""
-        tuples = self._scan_tuples(table, scan, ctx.params, None)
-        predicate = scan.predicate
-        if predicate is not None:
-            kept = []
-            for tup in tuples:
-                ctx.values = tup.values
-                if predicate(ctx) is True:
-                    kept.append(tup)
-            tuples = kept
+        stream = self._open_scan(table, scan, ctx.params, None,
+                                 self.session.snapshot())
+        tuples = self._drain(stream, scan, "targets", ctx, scan.where)
         for tup in tuples:
             self.session.acquire_row_lock(table.name, tup.row_id)
         return tuples
@@ -1831,6 +1977,22 @@ class LocalExecutor:
 # --------------------------------------------------------------------------
 
 
+def limit_offset(node, ctx: EvalContext) -> tuple:
+    """``(offset, limit)`` of ``node``'s OFFSET and LIMIT expressions (a
+    SELECT's, or a merge plan's) under ``ctx``. A missing or NULL OFFSET is
+    0 and a missing or NULL LIMIT None, no limit; a negative one raises, as
+    in PostgreSQL."""
+    bounds = []
+    for expr, clause in ((node.offset, "OFFSET"), (node.limit, "LIMIT")):
+        value = None if expr is None else evaluate(expr, ctx)
+        if value is not None:
+            value = int(value)
+            if value < 0:
+                raise DataError(f"{clause} must not be negative")
+        bounds.append(value)
+    return bounds[0] or 0, bounds[1]
+
+
 def _has_aggregates(exprs, having) -> bool:
     """Whether a target list (or HAVING) aggregates at this query level.
     Aggregates inside subqueries belong to the subquery's own level, and
@@ -1958,45 +2120,12 @@ def _output_names(targets) -> list[str]:
     return names
 
 
-def _rows_to_rel(alias: str, columns: list[str], rows) -> RelOutput:
-    """A relation over rows that already are value lists (a subquery's or
-    CTE's result, a streamed intermediate result). ``rows`` passes through
-    untouched, so a lazy source stays lazy and a single-pass consumer —
-    the coordinator's hash aggregate over ``citus_intermediate`` — never
-    materializes the whole stream."""
-    return RelOutput(RowLayout.of(alias, columns), rows)
-
-
-def _projection(bound: BoundSelect, ctx: EvalContext):
-    """``project(values) -> output row`` (always a new list) for a SELECT
-    without aggregation."""
-    slots = bound.target_slots
-    if slots is None:
-        fns = bound.target_fns
-
-        def project(values):
-            ctx.values = values
-            return [fn(ctx) for fn in fns]
-
-        return project
-    return _slot_projection(slots)
-
-
-@functools.lru_cache(maxsize=256)
-def _slot_projection(slots: tuple):
-    """``project(values) -> [values[slot], ...]`` with the reads written
-    out, generated once per slot tuple (not per statement, so fresh
-    literals generate nothing)."""
-    cells = ", ".join(f"values[{slot}]" for slot in slots)
-    return _generate("project", f"def project(values):\n return [{cells}]", {})
-
-
 def _comma_join_plan(layouts, where) -> list:
     """The joins of comma-separated FROM items, ``[(index into what is
     still unjoined, JoinShape), ...]``: each step takes the first item some
     equi-join conjunct of ``where`` connects to what is joined so far, or,
     failing that, cross-joins the next one."""
-    conjuncts = _split_and(where) if where is not None else []
+    conjuncts = split_and(where) if where is not None else []
     left, remaining = layouts[0], list(layouts[1:])
     steps = []
     while remaining:
@@ -2013,70 +2142,41 @@ def _comma_join_plan(layouts, where) -> list:
 
 
 def _using_to_condition(using: list[str], left: RowLayout, right: RowLayout) -> A.Expr:
-    conds = []
-    for name in using:
-        lalias = next((a for a, n in left.columns if n == name), None)
-        ralias = next((a for a, n in right.columns if n == name), None)
-        conds.append(
-            A.BinaryOp("=", A.ColumnRef(name, table=lalias), A.ColumnRef(name, table=ralias))
-        )
-    cond = conds[0]
-    for c in conds[1:]:
-        cond = A.BinaryOp("and", cond, c)
-    return cond
+    return and_all([A.BinaryOp(
+        "=", A.ColumnRef(name, table=next((a for a, n in left.columns if n == name), None)),
+        A.ColumnRef(name, table=next((a for a, n in right.columns if n == name), None)))
+        for name in using])
+
+
+def _equi_sides(c, left_keys, right_keys):
+    """``(left expression, right expression)`` of an ``=`` conjunct whose
+    two sides read one relation each; None for any other conjunct."""
+    if isinstance(c, A.BinaryOp) and c.op == "=":
+        lrefs, rrefs = _column_keys(c.left), _column_keys(c.right)
+        if _subset(lrefs, left_keys) and _subset(rrefs, right_keys):
+            return c.left, c.right
+        if _subset(lrefs, right_keys) and _subset(rrefs, left_keys):
+            return c.right, c.left
+    return None
 
 
 def _equi_condition_between(conjuncts, left_keys, right_keys):
     """AND together the conjuncts that equi-join two relations; None when
     no conjunct connects them."""
-    found = []
-    for c in conjuncts:
-        if not (isinstance(c, A.BinaryOp) and c.op == "="):
-            continue
-        lrefs = _column_keys(c.left)
-        rrefs = _column_keys(c.right)
-        if not lrefs or not rrefs:
-            continue
-        connects = (
-            (_subset(lrefs, left_keys) and _subset(rrefs, right_keys))
-            or (_subset(lrefs, right_keys) and _subset(rrefs, left_keys))
-        )
-        if connects:
-            found.append(c)
-    if not found:
-        return None
-    condition = found[0]
-    for c in found[1:]:
-        condition = A.BinaryOp("and", condition, c)
-    return condition
+    found = [c for c in conjuncts if _equi_sides(c, left_keys, right_keys)]
+    return and_all(found) if found else None
 
 
 def _extract_equi_keys(condition, left_keys, right_keys):
     """Split a join condition for the hash join: ``(([left exprs], [right
     exprs]) or None, [conjuncts that are not key equalities])``."""
-    left_exprs, right_exprs, residual = [], [], []
-    for c in _split_and(condition):
-        if isinstance(c, A.BinaryOp) and c.op == "=":
-            lrefs = _column_keys(c.left)
-            rrefs = _column_keys(c.right)
-            if _subset(lrefs, left_keys) and _subset(rrefs, right_keys):
-                left_exprs.append(c.left)
-                right_exprs.append(c.right)
-                continue
-            if _subset(lrefs, right_keys) and _subset(rrefs, left_keys):
-                left_exprs.append(c.right)
-                right_exprs.append(c.left)
-                continue
-        residual.append(c)
-    if not left_exprs:
+    pairs, residual = [], []
+    for c in split_and(condition):
+        sides = _equi_sides(c, left_keys, right_keys)
+        (pairs if sides else residual).append(sides or c)
+    if not pairs:
         return None, residual
-    return (left_exprs, right_exprs), residual
-
-
-def _split_and(expr) -> list:
-    if isinstance(expr, A.BinaryOp) and expr.op == "and":
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
+    return ([left for left, _ in pairs], [right for _, right in pairs]), residual
 
 
 def _column_keys(expr) -> set:

@@ -219,7 +219,7 @@ class RemoteConnection:
             # and stream the buffered result (the wire protocol is the
             # same either way).
             result = self.session.execute_parsed(stmt, params)
-            engine_cursor = EngineCursor(result.columns, iter(result.rows))
+            engine_cursor = EngineCursor.over(result.columns, result.rows)
         return RemoteCursor(self, engine_cursor, batch_size)
 
     def copy_rows(self, table: str, rows, columns=None,

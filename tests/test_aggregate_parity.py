@@ -1,6 +1,7 @@
 """The generated aggregate loop must equal the interpretive one it replaced.
 
-``AggShape.accumulate`` is one generated function per shape: group keys
+``AggShape.accumulate_lines`` is the accumulate step written into the
+fused loop that feeds the aggregate: group keys
 read from slots, ``count`` / ``sum`` / ``avg`` / ``avg_partial`` / ``min`` /
 ``max`` written out over their argument slot, and FILTER, DISTINCT,
 expression arguments and every other aggregate called from the same loop.
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import PostgresInstance, make_cluster
-from repro.engine.executor import LocalExecutor, _group_key
+from repro.engine.executor import LocalExecutor, Stream, _group_key
 from repro.engine.functions import _STAR
 
 from .oracle import ROLLUP
@@ -92,10 +93,12 @@ def both_ways(monkeypatch):
     shipped = LocalExecutor._aggregate
     compared = []
 
-    def checked(self, agg, rows, ctx):
-        rows = list(rows)
+    def checked(self, agg, stream, ctx, where=None):
+        # The rows the aggregate's fused loop would read, made by the same
+        # loop with a row sink; both ways then read those.
+        rows = self._drain(stream, agg, "rows", ctx, where)
         expected = reference_aggregate(self, agg, rows, ctx)
-        actual = shipped(self, agg, rows, ctx)
+        actual = shipped(self, agg, Stream.of(stream.layout, rows), ctx)
         assert typed(actual) == typed(expected)
         compared.append((len(actual), len(agg.steps)))
         return actual

@@ -24,6 +24,7 @@ heap, against the full sort sliced.
 """
 
 import datetime as dt
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -484,3 +485,272 @@ class TestTopNParity:
 
 def typed(rows):
     return [[(type(v).__name__, v) for v in row] for row in rows]
+
+
+# --------------------------------------------------------------- fused loops
+
+#: ``events`` and ``tenants`` as the ledger's shards hold them, and
+#: ``accounts`` as ``oltp_point``'s: what the statements below scan.
+EVENTS = ["k", "tenant", "v", "label"]
+TENANTS = ["id", "plan"]
+
+#: Every statement a worker runs for the ledger — ``analytics_scan``'s five
+#: shapes, ``write_mix``'s rollup, counts and multi-row UPDATE,
+#: ``oltp_point``'s point SELECT and UPDATE — and the outer joins, with the
+#: parameters they are bound with (as the coordinator binds them).
+FUSED = {
+    "group_agg": "SELECT tenant AS worker_column_0, count(*) AS worker_column_1,"
+                 " sum(v) AS worker_column_2, avg_partial(v) AS worker_column_3"
+                 " FROM events AS events GROUP BY tenant",
+    "order_limit": "SELECT k, v, v AS worker_sort_0, k AS worker_sort_1"
+                   " FROM events AS events ORDER BY v, k LIMIT 10",
+    "full_order": "SELECT k, v, v AS worker_sort_0 FROM events AS events ORDER BY v",
+    "ref_join": "SELECT t.plan AS worker_column_0, count(*) AS worker_column_1,"
+                " sum(e.v) AS worker_column_2 FROM events AS e"
+                " JOIN tenants AS t ON e.tenant = t.id GROUP BY t.plan",
+    "filter_scan": "SELECT k, tenant FROM events AS events WHERE v = :f",
+    "rollup": "SELECT tenant, v, count(*), sum(v) FROM events GROUP BY tenant, v",
+    "counts": "SELECT count(*), sum(v) FROM events",
+    "point_select": "SELECT v FROM accounts WHERE key = :key",
+    "left_join": "SELECT e.k, t.plan FROM events e LEFT JOIN tenants t ON e.tenant = t.id",
+    "right_join": "SELECT e.k, t.plan FROM events e RIGHT JOIN tenants t ON e.tenant = t.id",
+    "full_join": "SELECT e.k, t.plan FROM events e FULL JOIN tenants t ON e.tenant = t.id",
+}
+FUSED_DML = {
+    "multi_update": ("UPDATE events SET v = v + 1 WHERE tenant = :t", "events",
+                     "tenant = :t", 2),
+    "point_update": ("UPDATE accounts SET v = v + :d WHERE key = :key", "accounts",
+                     "key = :key", 1),
+}
+PARAMS = BoundParams(None, {"f": 7, "key": 5, "t": 22, "d": 1})
+
+
+def visible(session, table):
+    """``table``'s rows the session's snapshot sees, by ``tuple_visible``."""
+    from repro.engine.mvcc import tuple_visible
+
+    snapshot, clog = session.snapshot(), session.instance.xids.clog
+    return [t.values for t in session.instance.catalog.get_table(table).heap.tuples
+            if tuple_visible(t, snapshot, clog)]
+
+
+def where(session, table, condition, alias=None):
+    """The visible rows ``condition`` holds for, by ``evaluate``."""
+    expr = parse_expression(condition)
+    columns = session.instance.catalog.get_table(table).column_names()
+    layout = RowLayout.of(alias or table, columns)
+    return [row for row in visible(session, table)
+            if evaluate(expr, EvalContext(Row(layout, row), PARAMS)) is True]
+
+
+def joined(session, kind):
+    """``events e <kind> JOIN tenants t ON e.tenant = t.id`` as a nested
+    loop over the visible rows, the condition evaluated per pair."""
+    layout = RowLayout.of("e", EVENTS).join(RowLayout.of("t", TENANTS))
+    condition = parse_expression("e.tenant = t.id")
+    left, right = visible(session, "events"), visible(session, "tenants")
+    out, matched = [], set()
+    for lrow in left:
+        hit = False
+        for i, rrow in enumerate(right):
+            if evaluate(condition, EvalContext(Row(layout, lrow + rrow))) is True:
+                out.append(lrow + rrow)
+                hit = True
+                matched.add(i)
+        if not hit and kind in ("left", "full"):
+            out.append(lrow + [None, None])
+    if kind in ("right", "full"):
+        out += [[None] * 4 + rrow for i, rrow in enumerate(right) if i not in matched]
+    return out
+
+
+def grouped(rows, key, *calls):
+    """Hash aggregation in first-seen order: per group the key's values,
+    then each call's result over the group's rows."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(key(row)), []).append(row)
+    return [[*k, *(call(members) for call in calls)] for k, members in groups.items()]
+
+
+def total(values):
+    values = [v for v in values if v is not None]
+    return sum(values) if values else None
+
+
+def expected_rows(session, name):
+    events = visible(session, "events")
+    v_last = sorted(events, key=lambda r: (r[2] is None, r[2] or 0, r[0]))
+    return {
+        "group_agg": lambda: grouped(
+            events, lambda r: [r[1]], len, lambda g: total(r[2] for r in g),
+            lambda g: [total(r[2] for r in g), sum(r[2] is not None for r in g)]),
+        "order_limit": lambda: [[r[0], r[2], r[2], r[0]] for r in v_last[:10]],
+        "full_order": lambda: [[r[0], r[2], r[2]] for r in v_last],
+        "ref_join": lambda: grouped(joined(session, "inner"), lambda r: [r[5]], len,
+                                    lambda g: total(r[2] for r in g)),
+        "filter_scan": lambda: [[r[0], r[1]] for r in where(session, "events", "v = :f")],
+        "rollup": lambda: grouped(events, lambda r: [r[1], r[2]], len,
+                                  lambda g: total(r[2] for r in g)),
+        "counts": lambda: [[len(events), total(r[2] for r in events)]],
+        "point_select": lambda: [[r[1]] for r in where(session, "accounts", "key = :key")],
+        **{f"{kind}_join": (lambda kind=kind: [[r[0], r[5]] for r in joined(session, kind)])
+           for kind in ("left", "right", "full")},
+    }[name]()
+
+
+def expected_stats(session, name):
+    """``(tuples_scanned, pages_read)`` by the rules statements have always
+    been charged by: a sequential scan its visible tuples and every page —
+    a lazy cursor one page up front and one per tuples-per-page tuples —
+    and an index scan its visible candidates, one page each (at least
+    one)."""
+    def heap_scan(table):
+        heap = session.instance.catalog.get_table(table).heap
+        return len(visible(session, table)), heap.page_count
+
+    if name == "point_select":
+        found = len(where(session, "accounts", "key = :key"))
+        return found, max(1, found)
+    if name == "filter_scan":
+        heap = session.instance.catalog.get_table("events").heap
+        per_page = max(1, len(heap.tuples) // max(heap.page_count, 1))
+        seen = len(visible(session, "events"))
+        return seen, 1 + seen // per_page
+    scans = [heap_scan("events")]
+    if "join" in name:
+        scans.append(heap_scan("tenants"))
+    return tuple(map(sum, zip(*scans)))
+
+
+def run_fused(session, name):
+    stmt = parse(FUSED[name])[0]
+    if name != "filter_scan":
+        return session.execute_parsed(stmt, PARAMS).rows
+    cursor = session.execute_parsed_cursor(stmt, PARAMS)  # as a worker runs it
+    rows = []
+    while batch := cursor.fetch(256):
+        rows += batch
+    return rows
+
+
+def fused_instance():
+    pg = PostgresInstance("fused")
+    session, other = pg.connect(), pg.connect()
+    session.execute("CREATE TABLE events (k int PRIMARY KEY, tenant int, v int, label text)")
+    session.execute("CREATE TABLE tenants (id int PRIMARY KEY, plan text)")
+    session.execute("CREATE TABLE accounts (key int PRIMARY KEY, v int, filler text)")
+    # Tenants 35-39 have no events, events of tenants 30-34 no tenant row.
+    session.copy_rows("events", [[k, k % 35, (k * 7) % 13, f"label-{k}"]
+                                 for k in range(1, 301)])
+    session.copy_rows("tenants", [[t, f"plan{t % 4}"] for t in range(40)])
+    session.copy_rows("accounts", [[k, 0, f"filler-{k}"] for k in range(1, 51)])
+    return session, other
+
+
+def _other_uncommitted(s, other):
+    other.execute("BEGIN")
+    other.execute("INSERT INTO events VALUES (1001, 3, 7, 'x'), (1002, NULL, 7, 'y')")
+    other.execute("DELETE FROM events WHERE k <= 20")
+    other.execute("UPDATE tenants SET plan = 'moved' WHERE id = 2")
+
+
+def _aborted_insert(s, other):
+    other.execute("BEGIN")
+    other.execute("INSERT INTO events VALUES (1001, 3, 7, 'x')")
+    other.execute("INSERT INTO tenants VALUES (99, 'gone')")
+    other.execute("ROLLBACK")
+
+
+def _updated_twice(s, other):
+    for _ in range(2):
+        s.execute("UPDATE events SET v = v + 1 WHERE k % 7 = 0")
+        s.execute("UPDATE accounts SET v = v + 1 WHERE key = 5")
+
+
+def _own_writes(s, other):
+    s.execute("BEGIN")
+    s.execute("INSERT INTO events VALUES (1001, 22, 7, 'mine')")
+    s.execute("UPDATE events SET v = 7 WHERE k % 11 = 0")
+    s.execute("DELETE FROM events WHERE k % 13 = 0")
+    s.execute("UPDATE accounts SET v = 3 WHERE key = 5")
+
+
+def _null_keys(s, other):
+    s.execute("INSERT INTO events VALUES (1001, NULL, NULL, 'n'), (1002, NULL, 7, 'n'),"
+              " (1003, 4, NULL, 'n')")
+
+
+def _empty(s, other):
+    for table in ("events", "tenants", "accounts"):
+        s.execute(f"DELETE FROM {table}")
+        s.execute(f"VACUUM {table}")
+
+
+SCENARIOS = {"committed": lambda s, other: None,
+             "other_uncommitted": _other_uncommitted, "aborted_insert": _aborted_insert,
+             "updated_twice": _updated_twice, "own_writes": _own_writes,
+             "null_keys": _null_keys, "empty_shard": _empty}
+
+
+def by_repr(rows):
+    return sorted((typed([row])[0] for row in rows), key=repr)
+
+
+class TestFusedLoopParity:
+    """Each worker statement of the ledger runs as one generated loop (scan,
+    visibility, WHERE, join probe, aggregate or projection). It must return
+    what a reference built row by row from ``mvcc.tuple_visible`` and
+    ``expr.evaluate`` returns, and charge the scan statistics statements
+    have always been charged, under every visibility case a shard meets."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_ledger_statement(self, scenario):
+        session, other = fused_instance()
+        SCENARIOS[scenario](session, other)
+        for name in FUSED:
+            expected = expected_rows(session, name)
+            scanned, pages = expected_stats(session, name)
+            before = Counter(session.stats)
+            got = run_fused(session, name)
+            assert by_repr(got) == by_repr(expected), (scenario, name)
+            if name in ("order_limit", "full_order"):
+                assert [row[1] for row in got] == [row[1] for row in expected]
+            assert (session.stats["tuples_scanned"] - before["tuples_scanned"],
+                    session.stats["pages_read"] - before["pages_read"]) \
+                == (scanned, pages), (scenario, name)
+        if scenario != "own_writes":
+            session.execute("BEGIN")
+        for name, (sql, table, condition, column) in FUSED_DML.items():
+            targets = {row[0]: row for row in where(session, table, condition)}
+            assert session.execute(sql, PARAMS).rowcount == len(targets), name
+            for row in visible(session, table):
+                if row[0] in targets:
+                    assert row[column] == targets[row[0]][column] + 1, (scenario, name)
+        session.execute("ROLLBACK")
+
+    def test_a_cursor_closed_after_its_first_batch_is_charged_what_it_read(self):
+        """A lazy scan stopped after one 256-row fetch has read up to its
+        256th row: tuples up to there, one page up front and one per
+        tuples-per-page tuples."""
+        session, other = fused_instance()
+        session.copy_rows("events", [[k, k % 25, k % 3, "more"] for k in range(301, 626)])
+        _other_uncommitted(session, other)
+        stmt = parse("SELECT k, tenant FROM events AS events WHERE v < :f")[0]
+        heap = session.instance.catalog.get_table("events").heap
+        per_page = max(1, len(heap.tuples) // max(heap.page_count, 1))
+        kept = {row[0] for row in where(session, "events", "v < :f")}
+        assert len(kept) > 256
+        seen = passed = 0
+        for values in visible(session, "events"):
+            seen += 1
+            passed += values[0] in kept
+            if passed == 256:
+                break
+        before = Counter(session.stats)
+        cursor = session.execute_parsed_cursor(stmt, PARAMS)
+        assert len(cursor.fetch(256)) == 256
+        cursor.close()
+        assert (session.stats["tuples_scanned"] - before["tuples_scanned"],
+                session.stats["pages_read"] - before["pages_read"]) \
+            == (seen, 1 + seen // per_page)

@@ -409,3 +409,65 @@ def test_the_oltp_statement_suite_agrees_with_single_node(oltp_oracle, layout):
     assert sum(row[3] for row in tables["warehouse"]) == pytest.approx(
         sum(row[3] for row in tables["district"]))
     assert sum(row[3] for row in tables["warehouse"]) > 200
+
+
+# ------------------------------------ the oracle's oracle: PostgreSQL's answers
+
+#: Statements over ``t (k int PRIMARY KEY, v int)`` holding k = 1..9, and
+#: what PostgreSQL answers: the rows, the UPDATE count, or the error it
+#: raises. Single node and cluster must both answer it (ROADMAP 3(c)).
+POSTGRES = {
+    # LIMIT / OFFSET: negative raises, NULL is no limit / no offset.
+    "limit_negative": ("SELECT k FROM t ORDER BY k LIMIT -1", None,
+                       "LIMIT must not be negative"),
+    "offset_negative": ("SELECT k FROM t ORDER BY k OFFSET -2", None,
+                        "OFFSET must not be negative"),
+    "offset_null": ("SELECT k FROM t ORDER BY k OFFSET NULL", None,
+                    [[k] for k in range(1, 10)]),
+    "limit_null": ("SELECT k FROM t ORDER BY k LIMIT NULL OFFSET 7", None,
+                   [[8], [9]]),
+    # A text constant against an int key reads as an int, for the index
+    # probe and for shard pruning alike; 3.5 is not cast.
+    "text_equals_key": ("SELECT k FROM t WHERE k = '3'", None, [[3]]),
+    "text_parameter": ("SELECT k FROM t WHERE k = :x", {"x": "3"}, [[3]]),
+    "text_range": ("SELECT k FROM t WHERE k >= '7' ORDER BY k", None,
+                   [[7], [8], [9]]),
+    "text_in_list": ("SELECT k FROM t WHERE k IN ('3', 4) ORDER BY k", None,
+                     [[3], [4]]),
+    "text_update": ("UPDATE t SET v = 100 WHERE k = '3'", None, 1),
+    "float_equals_key": ("SELECT k FROM t WHERE k = 3.5", None, []),
+}
+
+
+@pytest.fixture(scope="module")
+def small_tables():
+    """The single node and a (2, 4) cluster, each holding ``t``."""
+    targets = {"single": oracle_session(),
+               "cluster": make_cluster(workers=2, shard_count=4).coordinator_session()}
+    for name, session in targets.items():
+        session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        if name == "cluster":
+            session.execute("SELECT create_distributed_table('t', 'k')")
+        session.copy_rows("t", [[k, 10 * k] for k in range(1, 10)])
+    return targets
+
+
+@pytest.mark.parametrize("target", ["single", "cluster"])
+@pytest.mark.parametrize("name", sorted(POSTGRES))
+def test_single_node_and_cluster_answer_what_postgres_answers(small_tables, target,
+                                                               name):
+    from repro.errors import DataError
+
+    sql, params, answer = POSTGRES[name]
+    session = small_tables[target]
+    if isinstance(answer, str):
+        with pytest.raises(DataError, match=answer):
+            session.execute(sql, params)
+    elif sql.startswith("UPDATE"):
+        session.execute("BEGIN")
+        try:
+            assert session.execute(sql, params).rowcount == answer
+        finally:
+            session.execute("ROLLBACK")
+    else:
+        assert session.execute(sql, params).rows == answer

@@ -39,6 +39,8 @@ from repro.citus.record import (BATCH, CLOSE, CONNECT, DISPATCH, E_ATTRS, E_CAT,
 from repro.citus.telemetry import PENDING_MAX
 from repro.engine import datum, heap as heap_module, stats
 from repro.engine.catalog import Table
+from repro.engine.compile import get_compiled
+from repro.engine.executor import LocalExecutor, _group_key
 from repro.engine.expr import BoundParams, RowLayout
 from repro.engine.functions import AGGREGATES, _identity
 from repro.engine.heap import Heap
@@ -46,7 +48,7 @@ from repro.engine.index import BTreeIndex
 from repro.engine.mvcc import CommitLog, XidManager
 from repro.net import network
 from repro.sql import ast as A
-from repro.sql import parse
+from repro.sql import parse, parse_expression
 
 ROWS = 1_000
 
@@ -110,15 +112,23 @@ def row_work(monkeypatch):
     xid of each heap scanned, plus one), generic ``datum.sort_key`` keys,
     per-row wire pricing and heap pushes."""
     counts = Counter()
-    scan = Heap.scan
+    scan, open_scan = Heap.scan, LocalExecutor._open_scan
 
-    def budgeted_scan(heap, snapshot, clog):
+    def budget(heap):
         xids = {t.xmin for t in heap.tuples}
         xids.update(t.xmax for t in heap.tuples)
         counts["clog_budget"] += len(xids - {None}) + 1
+
+    def budgeted_scan(heap, snapshot, clog):
+        budget(heap)
         return scan(heap, snapshot, clog)
 
+    def budgeted_open_scan(executor, table, *args):
+        budget(table.heap)  # the statement's fused loop scans this heap
+        return open_scan(executor, table, *args)
+
     monkeypatch.setattr(Heap, "scan", budgeted_scan)
+    monkeypatch.setattr(LocalExecutor, "_open_scan", budgeted_open_scan)
     monkeypatch.setattr(CommitLog, "status",
                         _counter(counts, "clog_status", CommitLog.status))
     monkeypatch.setattr(datum, "sort_key",
@@ -1117,3 +1127,89 @@ def test_a_duplicate_key_is_placed_and_removed_by_bisection(monkeypatch):
     index.delete([7], 599)  # gone already: a no-op
     assert 0 < comparisons["n"] <= 2 * budget, comparisons
     assert index.scan_equal([7])[-2:] == [598, 600] and len(index) == 502
+
+
+# ------------------------------------------------------- fused worker loops
+#
+# A shard statement runs as one generated loop: the heap's visibility test,
+# the WHERE clause's column-against-constant tests and the hash join's probe
+# are written into it, and the scan statistics are charged once.
+
+
+def ledger_shard(rows: int = 625):
+    """One ``analytics_scan`` shard on a plain instance: ``rows`` events
+    and the 200-row reference table."""
+    session = PostgresInstance("worker").connect()
+    session.execute("CREATE TABLE events (k int PRIMARY KEY, tenant int, v int, label text)")
+    session.execute("CREATE TABLE tenants (id int PRIMARY KEY, plan text)")
+    session.copy_rows("events", [[k, (k * 31) % 200, (k * 7) % 500, f"label-{k % 97}"]
+                                 for k in range(1, rows + 1)])
+    session.copy_rows("tenants", [[t, f"plan{t % 4}"] for t in range(200)])
+    return session
+
+
+def run_as_worker(session, stmt) -> list:
+    """A worker's run of a shard statement: a cursor over bound
+    parameters, fetched in 256-row batches."""
+    cursor = session.execute_parsed_cursor(stmt, BoundParams(None, {"f": 7}))
+    rows = []
+    while batch := cursor.fetch(256):
+        rows += batch
+    return rows
+
+
+def test_a_shard_scan_and_join_make_no_call_per_row():
+    """Over 625 rows ``filter_scan`` and ``ref_join`` call neither the
+    heap's visibility generator, nor the WHERE closure (an int column
+    against an int parameter), nor a join-key function."""
+    session = ledger_shard()
+    layout = RowLayout.of("events", ["k", "tenant", "v", "label"])
+    where = get_compiled(parse_expression("v = :f"), layout)
+    for shape in ("filter_scan", "ref_join"):
+        stmt = parse(SHARD_STATEMENTS[shape])[0]
+        run_as_worker(session, stmt)
+        with profiled(heap_module._visible, where, _group_key) as (calls, _sorts):
+            assert run_as_worker(session, stmt)
+        assert calls == Counter(), (shape, calls)
+
+
+def test_a_statement_writes_the_session_stats_a_constant_number_of_times():
+    """Statistics are charged once per statement (per fetch for a lazy
+    scan), however many rows it reads."""
+    def writes(rows):
+        session = ledger_shard(rows)
+        counts = Counter()
+
+        class CountingStats(type(session.stats)):
+            def __setitem__(self, key, value):
+                counts[key] += 1
+                super().__setitem__(key, value)
+
+        session.stats = CountingStats(int, session.stats)
+        for sql in SHARD_STATEMENTS.values():
+            run_as_worker(session, parse(sql)[0])
+        return counts
+
+    few, many = writes(100), writes(1_000)
+    assert few == many and few["tuples_scanned"] > 0, (few, many)
+
+
+def test_fresh_literals_of_one_structure_generate_no_loop():
+    """200 statements that differ only in a literal: the loop's text holds
+    no constant, so after the first none of them runs an ``exec``."""
+    session = ledger_shard(100)
+    sql = "SELECT tenant, count(*), sum(v) FROM events WHERE v = {} GROUP BY tenant"
+    session.execute(sql.format(0))
+    execs = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and arg is exec:
+            execs.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        for literal in range(1, 201):
+            session.execute(sql.format(literal))
+    finally:
+        sys.setprofile(None)
+    assert execs == [], Counter(execs)
