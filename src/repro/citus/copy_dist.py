@@ -21,13 +21,20 @@ and a tenant split: a streamed read feeding :func:`move_rows`.
 
 from __future__ import annotations
 
+import struct
+import zlib
+from bisect import bisect_right
 from collections import Counter
 from contextlib import closing
 
-from ..engine.datum import caster
+from ..engine.datum import HASH_SEED, INT32_MAX, hash_value
+from ..engine.executor import _indent, _Writer, cast_lines, width_error
 from ..errors import NotNullViolation, SQLError
 from ..sql import ast as A
 from .executor.timeline import count_flush
+from .metadata import HASH
+
+_U32 = struct.Struct("<I")
 
 
 class ShardCopyRouter:
@@ -43,73 +50,101 @@ class ShardCopyRouter:
     at the end (the ``copy_channel_peak_rows`` gauge). Only
     :func:`distribute_rows` (``refuse_null``) refuses a NULL distribution
     value; a moved row keeps the shard hash(NULL) routes to.
+
+    The routing itself is one generated loop per (table, column list,
+    column types, ``refuse_null``), kept on ``dist`` (:func:`_route_loop`).
     """
 
     def __init__(self, dist, shell, columns, targets, flush_threshold: int,
                  refuse_null: bool = False):
-        self.dist = dist
         self.columns = columns
         self.targets = targets
         self.flush_threshold = flush_threshold
-        self.refuse_null = refuse_null
-        self.casters = (None if shell is None else
-                        [caster(shell.column(c).type_name) for c in columns])
-        self.dist_position = None
+        types = (None if shell is None else
+                 tuple(shell.column(c).type_name for c in columns))
+        position = None
         if not dist.is_reference:
             if dist.dist_column not in columns:
                 raise NotNullViolation(f"COPY into {dist.name!r} requires the"
                                        f" distribution column {dist.dist_column!r}")
-            self.dist_position = columns.index(dist.dist_column)
+            position = columns.index(dist.dist_column)
+        key = (tuple(columns), types, refuse_null)
+        loop = dist.copy_loops.get(key)
+        if loop is None:
+            loop = dist.copy_loops[key] = _route_loop(
+                dist, len(columns), types, position, refuse_null)
+        self._loop = loop
 
     def copy(self, rows, sink) -> int:
-        """Cast, route and buffer every row, flushing a channel to ``sink``
-        when it is full; then flush the remainders and settle the sink,
-        also on failure. Returns the number of rows routed."""
-        casters, targets, columns = self.casters, self.targets, self.columns
-        threshold, position = self.flush_threshold, self.dist_position
-        index_for = self.dist.shard_index_for_value
-        channels: list[list] = [[] for _ in targets]
-        every = range(len(targets))
-        alone = [(index,) for index in every]  # a shard index's one channel
-        # Rows only accumulate between flushes, so the peak is the count
-        # buffered when a channel flushes (or when routing stops).
-        buffered = peak = total = 0
+        """Check the width of, cast, route and buffer every row, flushing a
+        channel to ``sink`` when it is full; then flush the remainders and
+        settle the sink, also on failure. Returns the number of rows
+        routed."""
+        return self._loop(rows, [[] for _ in self.targets], self.targets,
+                          self.columns, self.flush_threshold, sink)
 
-        def flush(index: int) -> None:
-            nonlocal buffered, peak
-            batch = channels[index]
-            peak = max(peak, buffered)
-            buffered -= len(batch)
-            channels[index] = []
-            node, group, shard_name = targets[index]
-            sink.flush(index, node, group, shard_name, columns, batch)
 
-        try:
-            for row in rows:  # hot loop: one pass per input row
-                values = row if casters is None else [
-                    cast(v) for cast, v in zip(casters, row)]
-                if position is None:
-                    indexes = every  # reference: replicate to every placement
-                else:
-                    value = values[position]
-                    if value is None and self.refuse_null:
-                        raise NotNullViolation(
-                            f"the distribution column {self.dist.dist_column!r}"
-                            " cannot be NULL in COPY")
-                    indexes = alone[index_for(value)]
-                for index in indexes:
-                    channel = channels[index]
-                    channel.append(values)
-                    buffered += 1
-                    if len(channel) >= threshold:
-                        flush(index)
-                total += 1
-            for index in every:
-                if channels[index]:
-                    flush(index)
-        finally:
-            sink.finish(max(peak, buffered))
-        return total
+def _route_loop(dist, width: int, types, position, refuse_null: bool):
+    """``run(rows, channels, targets, columns, threshold, sink) -> rows
+    routed``, written for ``dist`` and input rows of ``width`` values of
+    column ``types`` (None: already typed). Per row: the width check (the
+    single node's COPY error); each cell cast unless it already has its
+    type's exact Python type (so ``column_constant`` has nothing left to
+    read); the distribution value's hash — an int's written out bit for bit
+    as ``datum.hash_value`` computes it, anything else through it — and its
+    shard by bisection, or every channel of a reference table;
+    then the channel append, flushing a full channel. Rows only accumulate
+    between flushes, so the peak is the count buffered when a channel
+    flushes (or when routing stops)."""
+    w = _Writer()
+    lines = [f"if len(row) != {width}:",
+             f" raise {w.bind(width_error, 'width_error')}('COPY', len(row), {width})"]
+    if types is None:
+        value = "row[{}]".format
+    else:
+        value = "c{}".format
+        for i, type_name in enumerate(types):
+            lines += cast_lines(w, f"c{i}", f"row[{i}]", type_name)
+        lines.append(f"row = [{', '.join(value(i) for i in range(width))}]")
+    flush = ["if buffered > peak:", " peak = buffered", "buffered -= len(channel)",
+             "channels[i] = []", "node, group, name = targets[i]",
+             "sink.flush(i, node, group, name, columns, channel)"]
+    append = ["channel = channels[i]", "channel.append(row)", "buffered += 1",
+              "if len(channel) >= threshold:", *_indent(flush)]
+    if position is None:  # a reference table: every placement gets the row
+        lines += ["for i in every:", *_indent(append)]
+    else:
+        lines.append(f"d = {value(position)}")
+        if refuse_null:
+            lines += ["if d is None:",
+                      f" raise {w.bind(NotNullViolation, 'NotNull')}"
+                      f"({w.bind(_NULL_DISTRIBUTION.format(dist.dist_column), 'message')})"]
+        if dist.method == HASH:
+            crc32 = w.bind(zlib.crc32, "crc32")
+            maxes = [shard.max_value for shard in dist.shards]
+            lines += ["if type(d) is int:",
+                      f" h = {crc32}({w.bind(_U32.pack, 'pack')}({crc32}(b'i%d' % d)),"
+                      f" {HASH_SEED})",
+                      f" if h > {INT32_MAX}:", f"  h -= {2 ** 32}",
+                      "else:", f" h = {w.bind(hash_value, 'hash_value')}(d)",
+                      f"i = {w.bind(bisect_right, 'bisect_right')}"
+                      f"({w.bind(dist._mins, 'mins')}, h) - 1",
+                      f"if i < 0 or h > {w.bind(maxes, 'maxes')}[i]:",
+                      f" i = {w.bind(dist.shard_index_for_hash, 'index_for_hash')}(h)"]
+        else:
+            lines.append(f"i = {w.bind(dist.shard_index_for_value, 'index_for')}(d)")
+        lines += append
+    body = ["buffered = peak = total = 0",
+            *(("every = range(len(channels))",) if position is None else ()),
+            "try:", " for row in rows:", *_indent(_indent(lines)),
+            "  total += 1",
+            " for i, channel in enumerate(channels):", "  if channel:",
+            *_indent(_indent(_indent(flush))),
+            "finally:", " sink.finish(max(peak, buffered))", "return total"]
+    return w.function("rows, channels, targets, columns, threshold, sink", body)
+
+
+_NULL_DISTRIBUTION = "the distribution column {!r} cannot be NULL in COPY"
 
 
 class UtilityChannels:

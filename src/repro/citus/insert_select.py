@@ -28,7 +28,7 @@ from .observability import TaskTarget
 from .planner.pushdown import MultiTaskSelectPlan, _choose_mode
 from .planner.tasks import CitusPlan, fold_write_results, statement_routes
 from .sharding import analyze_statement
-from ..engine.executor import QueryResult
+from ..engine.executor import LocalExecutor, QueryResult, width_error
 from ..sql import ast as A
 
 
@@ -113,6 +113,18 @@ def select_row_stream(ext, session, select, params):
     yield from plan.execute(session, params).rows
 
 
+def _select_width(session, select, params) -> int:
+    """How many values a row of ``select`` has: its targets, or with a
+    ``*`` among them its result's columns over the coordinator's (empty)
+    shell tables."""
+    if not any(isinstance(t, A.Star) or isinstance(getattr(t, "expr", None), A.Star)
+               for t in select.targets):
+        return len(select.targets)
+    probe = select.copy()
+    probe.limit = A.Literal(0)
+    return len(LocalExecutor(session).execute_select(probe, params).columns)
+
+
 class PushdownInsertSelectPlan(CitusPlan):
     """Strategy 1: INSERT INTO dest_shard SELECT ... FROM src_shard, one
     task per co-located shard pair, fully parallel."""
@@ -173,9 +185,15 @@ class ReroutingInsertSelectPlan(CitusPlan):
         self.detail, self._shown = _REROUTING[strategy]
 
     def execute(self, session, params):
-        rows = select_row_stream(self.ext, session, self.stmt.select, params)
-        shell = self.ext.instance.catalog.get_table(self.stmt.table)
-        columns = self.stmt.columns or shell.column_names()
+        stmt = self.stmt
+        shell = self.ext.instance.catalog.get_table(stmt.table)
+        width = _select_width(session, stmt.select, params)
+        # Without a column list the values fill the first columns
+        # (PostgreSQL's rule); the rest take their defaults.
+        columns = stmt.columns or shell.column_names()[:width]
+        if width != len(columns):
+            raise width_error("INSERT", width, len(columns))
+        rows = select_row_stream(self.ext, session, stmt.select, params)
         if self.dest is None:
             from ..engine.copy import insert_rows
 

@@ -97,6 +97,9 @@ class DistributedTable:
         # What routing bisects: the shard list is fixed once the cache
         # entry is built (metadata changes rebuild the whole cache).
         self._mins = [s.min_value for s in self.shards]
+        #: ``copy_dist._route_loop``s, per (columns, column types,
+        #: refuse_null).
+        self.copy_loops: dict = {}
 
     @property
     def is_reference(self) -> bool:

@@ -218,13 +218,17 @@ class InsertValuesPlan(CitusPlan):
         stmt = self.stmt
         cache = self.ext.metadata.cache
         shell = self.ext.instance.catalog.get_table(stmt.table)
-        columns = stmt.columns or shell.column_names()
+        # Without a column list the values fill the first columns
+        # (PostgreSQL's rule): a distribution column past them reads NULL.
+        columns = stmt.columns or shell.column_names()[
+            :len(stmt.rows[0]) if stmt.rows else 0]
         try:
             dist_position = columns.index(self.dist.dist_column)
         except ValueError:
             raise NotNullViolation(
                 "cannot perform an INSERT without the distribution column"
-                f" {self.dist.dist_column!r}"
+                f" {self.dist.dist_column!r}" if stmt.columns else
+                f"the distribution column {self.dist.dist_column!r} cannot be NULL"
             ) from None
         ctx = EvalContext(row=Row(), params=self.params, session=session)
         dist_type = shell.column(self.dist.dist_column).type_name

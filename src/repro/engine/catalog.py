@@ -50,6 +50,9 @@ class IndexDef:
     method: str = "btree"  # btree | gin
     # Runtime index structure, attached by storage.
     data: object = None
+    #: ``key(values) -> list`` over a heap row of the table, made on first
+    #: use (``index.index_key_fn``) and dropped when the columns change.
+    key: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass

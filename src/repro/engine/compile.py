@@ -465,9 +465,31 @@ def _build_func_call(node: A.FuncCall, layout):
         # Aggregates raise, session functions need the session, unknown
         # names may resolve to catalog UDFs per-call: all interpreter turf.
         return lambda ctx: _func_call(node, ctx)
-    fn = SCALAR_FUNCTIONS[name]
     args = [get_compiled(a, layout) for a in node.args]
+    if name == "coalesce":
+        return _coalesce(args)
+    fn = SCALAR_FUNCTIONS[name]
     return lambda ctx: fn(*[a(ctx) for a in args])
+
+
+def _coalesce(args):
+    """COALESCE evaluates only the arguments it needs: up to the first
+    that is not NULL."""
+    if len(args) == 2:
+        first, second = args
+
+        def run(ctx):
+            value = first(ctx)
+            return second(ctx) if value is None else value
+        return run
+
+    def run(ctx):
+        for arg in args:
+            value = arg(ctx)
+            if value is not None:
+                return value
+        return None
+    return run
 
 
 def _build_subquery(node: A.SubqueryExpr, layout):

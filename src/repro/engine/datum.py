@@ -72,7 +72,9 @@ _ALIASES = {
 _HASHABLE_TYPES = (INT, BIGINT, FLOAT, NUMERIC, TEXT, BOOL, DATE, TIMESTAMP, UUID)
 
 _INT32_MIN = -(2**31)
-_INT32_MAX = 2**31 - 1
+INT32_MAX = 2**31 - 1
+#: The second round's seed in :func:`hash_value`.
+HASH_SEED = 0x9E3779B9
 
 
 def normalize_type(name: str) -> str:
@@ -163,6 +165,14 @@ def column_constant(value, type_name: str | None):
     if t in (TEXT, UUID) or t not in _EXACT:
         return value
     return _cast(value, t)
+
+
+@functools.lru_cache(maxsize=256)
+def exact_type(type_name: str):
+    """The one Python type every non-NULL value of a column of type
+    ``type_name`` has once cast (:func:`caster`), or None when the type
+    does not fix it (jsonb, arrays, unknown types)."""
+    return _EXACT.get(normalize_type(type_name))
 
 
 @functools.lru_cache(maxsize=256)
@@ -354,8 +364,8 @@ def hash_value(value) -> int:
     data = _hash_bytes(value)
     h = zlib.crc32(data)
     # Mix a second round so short integer keys spread across the full range.
-    h = zlib.crc32(struct.pack("<I", h), 0x9E3779B9)
-    return h - 2**32 if h > _INT32_MAX else h
+    h = zlib.crc32(struct.pack("<I", h), HASH_SEED)
+    return h - 2**32 if h > INT32_MAX else h
 
 
 def _hash_bytes(value) -> bytes:

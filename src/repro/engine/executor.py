@@ -21,6 +21,7 @@ extension nests distributed plans inside PostgreSQL plans.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
@@ -38,7 +39,7 @@ from ..sql import ast as A
 from ..sql.deparse import deparse
 from .catalog import Table
 from .datum import (
-    Descending, caster, column_constant, compare_values, ordering,
+    Descending, caster, column_constant, compare_values, exact_type, ordering,
     plain_sort_type, to_text,
 )
 from .compile import (
@@ -49,9 +50,10 @@ from .functions import (
     _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, _identity, get_aggregate,
     is_aggregate,
 )
-from .index import BTreeIndex, GinIndex, index_delete, row_key_fn
+from .heap import LENGTH, TUPLE_OVERHEAD, VALUE_WIDTHS, HeapTuple, _value_width
+from .index import BTreeIndex, GinIndex, index_delete, index_key_fn, row_key_fn
 from .mvcc import COMMITTED
-from .wal import jsonb_positions
+from .wal import row_record_bytes, stored_form
 from .window import compute_window_values, contains_window_function
 
 
@@ -674,7 +676,7 @@ class DmlShape:
         #: only then can an updated row collide.
         self.probes_unique = any(
             assigned.intersection(reads)
-            for _cols, _key, _index, reads in write.unique_keys)
+            for _cols, _key, _index, reads, _positions in write.unique_keys)
         self.returning = _compile_returning(stmt.returning, table, layout)
 
 
@@ -711,16 +713,19 @@ class InsertShape:
 class WriteShape:
     """How rows that supply ``columns`` are written to ``table``: what
     INSERT, COPY, UPDATE and DELETE would otherwise look up per row,
-    resolved once per (table, column list, catalog epoch).
+    resolved once per (table, column list, catalog epoch), and the
+    writers generated from it (DESIGN.md, "Write shapes"): :attr:`append`,
+    the loop behind INSERT, COPY and ``insert_rows``; :attr:`update`, an
+    UPDATE's new version; :attr:`delete`, a deleted version.
 
     Keys are read through ``key(values) -> list`` functions
     (:func:`index.row_key_fn`). Index *structures* are reached through
-    their ``IndexDef`` at the start of each statement run: TRUNCATE swaps
-    them without touching the catalog epoch.
+    their ``IndexDef`` at the start of each run: TRUNCATE swaps them
+    without touching the catalog epoch.
     """
 
-    __slots__ = ("table", "width", "build", "not_null", "jsonb",
-                 "unique_keys", "indexes", "foreign_keys", "referencing")
+    __slots__ = ("table", "width", "not_null", "unique_keys", "indexes",
+                 "foreign_keys", "referencing", "append", "update", "delete")
 
     def __init__(self, table: Table, columns, catalog):
         names = table.column_names()
@@ -735,22 +740,18 @@ class WriteShape:
         self.table = table
         #: Values an input row must have.
         self.width = len(columns)
-        #: ``build(values, ctx) -> full row``.
-        self.build = _row_builder(table, position, catalog)
         self.not_null = [(i, col.name) for i, col in enumerate(table.columns)
                          if col.not_null]
-        #: Where a full row has jsonb values, for the log's encoding.
-        self.jsonb = jsonb_positions(table.columns)
 
         def columns_key(owner: Table, cols):
             return row_key_fn(owner, [A.ColumnRef(c) for c in cols])
 
         #: ``(key's column names or expression texts, key function, the
         #: IndexDef candidates come from or None for a heap scan, column
-        #: positions the key reads)``: the primary key, the unique
-        #: constraints, then every other unique index — keyed by the
-        #: index's own extractor, so expression indexes are enforced like
-        #: the rest.
+        #: positions the key reads, its column positions when it is plain
+        #: columns)``: the primary key, the unique constraints, then every
+        #: other unique index — keyed by the index's own extractor, so
+        #: expression indexes are enforced like the rest.
         self.unique_keys: list[tuple] = []
 
         def add_unique(cols, key, index, exprs):
@@ -759,26 +760,25 @@ class WriteShape:
             reads = frozenset(
                 names.index(node.name) for expr in exprs for node in A.walk(expr)
                 if isinstance(node, A.ColumnRef) and node.name in names)
-            self.unique_keys.append((cols, key, index, reads))
+            self.unique_keys.append(
+                (cols, key, index, reads, _plain_positions(table, exprs)))
 
         for cols in (table.primary_key, *table.unique_constraints):
             if cols and all(c in names for c in cols):
                 add_unique(list(cols), columns_key(table, cols),
                            _prefix_index(table, cols),
                            [A.ColumnRef(c) for c in cols])
-        #: ``(IndexDef, what its ``insert`` takes of a row)`` of every
-        #: index: the key, or for GIN the one indexed value.
+        #: ``(IndexDef, key function)`` of every index.
         self.indexes: list[tuple] = []
         for index in table.indexes.values():
-            gin = index.method == "gin"
-            key = row_key_fn(table, index.exprs)
-            self.indexes.append(
-                (index, (lambda values, key=key: key(values)[0]) if gin else key))
+            key = index_key_fn(table, index)
+            self.indexes.append((index, key))
             if index.unique:
                 cols = [e.name if type(e) is A.ColumnRef
                         else _normalized_expr_text(e, table.name)
                         for e in index.exprs]
-                add_unique(cols, key, None if gin else index, index.exprs)
+                add_unique(cols, key, None if index.method == "gin" else index,
+                           index.exprs)
         #: Outgoing: ``(key function, referenced table's name, and — when
         #: it exists — the Table, its probe index, its key function)``.
         self.foreign_keys: list[tuple] = []
@@ -807,18 +807,19 @@ class WriteShape:
                     (columns_key(table, ref_cols), other,
                      _prefix_index(other, fk.columns),
                      columns_key(other, fk.columns)))
-
-    def index_targets(self) -> list:
-        """``(insert, key function)`` per index that has storage, for one
-        statement run."""
-        return [(index.data.insert, key)
-                for index, key in self.indexes if index.data is not None]
+        #: ``append(rows, command, xid, ctx, snapshot, xids, wal, resolve,
+        #: emit, foreign-key check or None, catalog, stats, written tables)
+        #: -> rows written``.
+        self.append = _append_writer(self, position, catalog)
+        #: ``update(old version, new row, xid, wal)``.
+        self.update = _update_writer(self)
+        #: ``delete(version, xid, wal)``.
+        self.delete = _delete_writer(self)
 
     def check_not_null(self, full: list) -> None:
         for position, name in self.not_null:
             if full[position] is None:
-                raise NotNullViolation(
-                    f"null value in column {name!r} of relation {self.table.name!r}")
+                raise NotNullViolation(_not_null_message(name, self.table))
 
     def find_conflict(self, full: list, snapshot, xids, skip_row=None,
                       changed_from: list | None = None):
@@ -828,7 +829,7 @@ class WriteShape:
         ``changed_from`` (the row's previous values, for UPDATE) only keys
         whose value changed are probed."""
         table = self.table
-        for cols, key_fn, index, _reads in self.unique_keys:
+        for cols, key_fn, index, _reads, _positions in self.unique_keys:
             key = key_fn(full)
             if None in key:
                 continue
@@ -861,6 +862,257 @@ class WriteShape:
                 raise ForeignKeyViolation(
                     f"row in {self.table.name!r} is still referenced"
                     f" from {other.name!r}")
+
+
+def _not_null_message(name: str, table: Table) -> str:
+    return f"null value in column {name!r} of relation {table.name!r}"
+
+
+_DUPLICATE = "duplicate key value violates unique constraint on {!r}"
+
+
+def width_error(command: str, got: int, width: int) -> DataError:
+    """A row of ``got`` values where ``width`` are written: the COPY error,
+    or INSERT's."""
+    if command == "COPY":
+        return DataError(f"COPY row has {got} values but {width} columns expected")
+    return DataError(f"INSERT has {got} expressions but {width} target columns")
+
+
+def _plain_positions(table: Table, exprs) -> list | None:
+    """The column positions of ``exprs`` when each is a plain column of
+    ``table`` (what :func:`index.row_key_fn` reads by position), else None."""
+    if not all(type(e) is A.ColumnRef and e.table in (None, table.name)
+               for e in exprs):
+        return None
+    return [table.column_index(e.name) for e in exprs]
+
+
+# --------------------------------------------------------------------------
+# the generated writers
+# --------------------------------------------------------------------------
+#
+# A written row is one pass through text generated per WriteShape: the
+# cells of the full row, NOT NULL, the unique and foreign-key probes, the
+# heap version with its width, every index entry and the WAL record. An
+# UPDATE's new version runs the same version, index and record lines.
+# DESIGN.md, "Write shapes".
+
+
+def _append_writer(shape: WriteShape, position: dict, catalog):
+    table, w = shape.table, _Writer()
+    cell = "c{}".format
+    row_lines = _cell_lines(w, table, position, catalog)
+    row_lines.append(f"row = [{', '.join(cell(i) for i in range(len(table.columns)))}]")
+    for i, name in shape.not_null:
+        row_lines += [f"if c{i} is None:",
+                      f" raise {w.bind(NotNullViolation, 'NotNull')}"
+                      f"({w.bind(_not_null_message(name, table), 'message')})"]
+    probed = set()  # indexes whose entry goes where the unique probe looked
+    not_null = {i for i, _name in shape.not_null}
+    for cols, key_fn, index, _reads, positions in shape.unique_keys:
+        key, test = _key_lines(w, key_fn, positions, cell, not_null)
+        conflict = [
+            f"tup = {w.bind(_first_match, 'first_match')}({w.bind(table, 'table')},"
+            f" {w.bind(index, 'index')}, {w.bind(key_fn, 'key')}, k, snapshot, xids)",
+            "if tup is not None:",
+            " if resolve is None:",
+            f"  raise {w.bind(UniqueViolation, 'Unique')}"
+            f"({w.bind(_DUPLICATE.format(table.name), 'message')})",
+            f" if resolve(tup, {w.bind(cols, 'cols')}, row):",
+            "  count += 1",
+            " continue"]
+        j = next((j for j, (known, _key) in enumerate(shape.indexes)
+                  if known is index and index.method != "gin"
+                  and len(index.exprs) == len(cols)), None)
+        if j is None:
+            row_lines += [*key, *_guarded(test, conflict)]
+            continue
+        # The key's own B-tree: the row's entry is made here — its tid is
+        # the heap's next, since nothing before the version takes one —
+        # and bisected once. It goes where that bisection ends unless a
+        # candidate was fetched (and maybe killed) or a later probe removed
+        # an entry (n<j>).
+        probed.add(j)
+        probe = [f"p{j} = {w.bind(bisect_left, 'bisect_left')}(e{j}, x{j})",
+                 f"if p{j} and e{j}[p{j} - 1][0] == x{j}[0]:",
+                 f" p{j} = -1", *_indent(conflict),
+                 "else:", f" n{j} = len(e{j})"]
+        row_lines += [*key, f"x{j} = ({w.bind(BTreeIndex.make_key, 'make_key')}(k),"
+                            " heap._next_tid)",
+                      *((f"p{j} = -1",) if test != "True" else ()),
+                      *_guarded(test, probe)]
+    fks = ["if fks is not None:", " fks(row, catalog, snapshot, xids)"]
+    loop = [f"if len(values) != {shape.width}:",
+            f" raise {w.bind(width_error, 'width_error')}"
+            f"(command, len(values), {shape.width})",
+            *row_lines, *fks,
+            *_version_lines(w, shape, cell, "insert", probed),
+            "appended += 1", "if emit is not None:", " emit(row)"]
+    body = [*_prologue(w, shape), "count = appended = 0", "try:",
+            " for values in rows:", *_indent(_indent(loop)),
+            "finally:", " if appended:",
+            f"  written.add({w.bind(table.name, 'name')})",
+            "  stats['rows_written'] += appended",
+            f"  stats['index_writes'] += appended * {len(shape.indexes)}",
+            "return count + appended"]
+    return w.function("rows, command, xid, ctx, snapshot, xids, wal, resolve,"
+                      " emit, fks, catalog, stats, written", body)
+
+
+def _guarded(test: str, lines: list) -> list:
+    return lines if test == "True" else [f"if {test}:", *_indent(lines)]
+
+
+def _update_writer(shape: WriteShape):
+    w = _Writer()
+    body = [*_prologue(w, shape), *_retire_lines("old"),
+            *_version_lines(w, shape, "row[{}]".format, "update", set())]
+    return w.function("old, row, xid, wal", body)
+
+
+def _delete_writer(shape: WriteShape):
+    w = _Writer()
+    body = [*_prologue(w, shape, versions=False), *_retire_lines("tup"),
+            *_record_lines(w, shape.table, "delete", "tup.row_id", None)]
+    return w.function("tup, xid, wal", body)
+
+
+def _prologue(w: "_Writer", shape: WriteShape, versions: bool = True) -> list:
+    """What a run of the writer's lines reads once: the heap and the log,
+    and to write versions the heap's containers and each index's structure
+    (B-tree entries ``e<j>``, a GIN index ``d<j>``)."""
+    lines = [f"heap = {w.bind(shape.table, 'table')}.heap",
+             "log = wal._records.append"]
+    if not versions:
+        return lines
+    lines += ["add_tuple = heap.tuples.append", "by_tid = heap._by_tid",
+              "newest = heap._newest"]
+    for j, (index, _key) in enumerate(shape.indexes):
+        data = f"{w.bind(index, 'index')}.data"
+        lines.append(f"d{j} = {data}" if index.method == "gin"
+                     else f"e{j} = {data}._entries")
+    return lines
+
+
+def _retire_lines(version: str) -> list:
+    """``version`` deleted by ``xid``: its xmax, and its bytes dead."""
+    return [f"{version}.xmax = xid", "heap.dead_tuples += 1",
+            f"heap.dead_bytes += {version}.width"]
+
+
+def _record_lines(w: "_Writer", table: Table, kind: str, row_id: str,
+                  stored: list | None) -> list:
+    """The WAL record of one row change — ``stored`` its values (None for
+    a delete) — and its bytes."""
+    values = "".join(f", {value}" for value in stored or ())
+    return ["lsn = wal._next_lsn", "wal._next_lsn = lsn + 1",
+            f"log((lsn, xid, {kind!r}, {w.bind(table.name, 'name')}, {row_id}"
+            f"{values}))",
+            f"wal.bytes_written += "
+            f"{row_record_bytes(table.name, None if stored is None else len(table.columns))}"]
+
+
+def _cell_lines(w: "_Writer", table: Table, position: dict, catalog) -> list:
+    """``c<i>`` per table column, in column order (a serial advances and
+    a cast fails where it always did): the input value, cast unless it
+    already has its column type's exact Python type; the next serial; the
+    cast DEFAULT (evaluated under ``ctx``); or NULL."""
+    lines = []
+    for i, col in enumerate(table.columns):
+        if col.name in position:
+            lines += cast_lines(w, f"c{i}", f"values[{position[col.name]}]",
+                                col.type_name)
+        elif col.is_serial:
+            sequence = catalog.get_sequence(f"{table.name}_{col.name}_seq")
+            lines.append(f"c{i} = {w.bind(sequence.nextval, 'next')}()")
+        elif col.default is not None:
+            lines.append(f"c{i} = {w.bind(caster(col.type_name), 'cast')}"
+                         f"({w.bind(get_compiled(col.default), 'default')}(ctx))")
+        else:
+            lines.append(f"c{i} = None")
+    return lines
+
+
+def cast_lines(w: "_Writer", var: str, value: str, type_name: str) -> list:
+    """Statements setting ``var`` to ``value`` cast to ``type_name`` —
+    ``datum.caster``'s rule written out: NULL and a value that already has
+    the type's exact Python type stay as they are, anything else (every
+    value of a type with no exact Python type) is cast."""
+    cast = w.bind(caster(type_name), "cast")
+    exact = exact_type(type_name)
+    if exact is None:
+        return [f"{var} = {cast}({value})"]
+    return [f"{var} = {value}",
+            f"if type({var}) is not {w.bind(exact, 'exact')} and {var} is not None:",
+            f" {var} = {cast}({var})"]
+
+
+def _key_lines(w: "_Writer", key_fn, positions, cell, not_null) -> tuple:
+    """(statements setting ``k``, the key of the row being written, and
+    the test that it holds no NULL — "True" when NOT NULL has made sure):
+    the cells of a plain-column key, else its function's list."""
+    if positions is None:
+        return [f"k = {w.bind(key_fn, 'key')}(row)"], "None not in k"
+    tests = [f"{cell(p)} is not None" for p in positions if p not in not_null]
+    return ([f"k = ({', '.join(cell(p) for p in positions)},)"],
+            " and ".join(tests) or "True")
+
+
+def _version_lines(w: "_Writer", shape: WriteShape, cell, kind: str,
+                   probed: set) -> list:
+    """``row`` (cells ``cell(i)``) as a heap version — tid, row id,
+    chain, width, ``live_bytes`` —, its entry in every index and its WAL
+    record. An ``insert`` follows NOT NULL, so a NOT NULL cell holds a
+    value; an index in ``probed`` has its entry ``x<j>`` and, when ``p<j>``
+    is not -1, the place the unique probe found for it."""
+    table = shape.table
+    lines = ["tid = heap._next_tid", "heap._next_tid = tid + 1"]
+    if kind == "insert":
+        lines += ["row_id = heap._next_row_id", "heap._next_row_id = row_id + 1",
+                  "older = None"]  # a fresh row id has no chain
+    else:
+        lines += ["row_id = old.row_id", "older = newest.get(row_id)"]
+    fixed, terms = TUPLE_OVERHEAD, []
+    for i, col in enumerate(table.columns):
+        c, rule = cell(i), VALUE_WIDTHS.get(exact_type(col.type_name))
+        known = kind == "insert" and col.not_null
+        if rule is None:
+            terms.append(f"{w.bind(_value_width, 'width')}({c})")
+        elif rule == LENGTH:
+            terms.append(f"len({c}) + 4" if known
+                         else f"(len({c}) + 4 if {c} is not None else 1)")
+        elif known or rule == 1:
+            fixed += rule
+        else:
+            terms.append(f"({rule} if {c} is not None else 1)")
+    lines += [f"width = {' + '.join([str(fixed), *terms])}",
+              f"tup = {w.bind(HeapTuple, 'Tuple')}"
+              "(tid, row_id, row, xid, None, older, width)",
+              "add_tuple(tup)", "by_tid[tid] = tup", "newest[row_id] = tup",
+              "heap.live_bytes += width"]
+    insort_ = w.bind(insort, "insort")
+    for j, (index, key_fn) in enumerate(shape.indexes):
+        positions = _plain_positions(table, index.exprs)
+        if index.method == "gin":
+            value = (cell(positions[0]) if positions is not None
+                     else f"{w.bind(key_fn, 'key')}(row)[0]")
+            lines.append(f"d{j}.insert({value}, tid)")
+        elif j in probed:
+            lines += [f"if p{j} >= 0 and len(e{j}) == n{j}:",
+                      f" e{j}.insert(p{j}, x{j})",
+                      "else:", f" {insort_}(e{j}, x{j})"]
+        else:
+            key = (f"({', '.join(cell(p) for p in positions)},)"
+                   if positions is not None else f"{w.bind(key_fn, 'key')}(row)")
+            lines.append(f"{insort_}(e{j}, ({w.bind(BTreeIndex.make_key, 'make_key')}"
+                         f"({key}), tid))")
+    stored = [cell(i) if stored_form(col.type_name) is None
+              else f"{w.bind(stored_form(col.type_name), 'stored')}({cell(i)})"
+              for i, col in enumerate(table.columns)]
+    if stored == [cell(i) for i in range(len(stored))]:
+        stored = ["*row"]
+    return lines + _record_lines(w, table, kind, "row_id", stored)
 
 
 @functools.lru_cache(maxsize=512)
@@ -1067,27 +1319,6 @@ def _sink_lines(w: _Writer, sink) -> list:
         return [*lines, f"append(([{', '.join(cells)}], {row}))"]
     return [*lines, *(("if skip:", " skip -= 1", " continue") if sink[2] else ()),
             f"append([{', '.join(cells)}])", "n -= 1", "if not n:", " break"]
-
-
-def _row_builder(table: Table, position: dict, catalog):
-    """``build(values, ctx) -> full row`` for input rows that supply the
-    columns of ``position`` (name -> input position): one generated cell
-    per table column — the input value through the column type's caster,
-    the next serial, the cast DEFAULT (evaluated under ``ctx``), or NULL."""
-    w, cells = _Writer(), []
-    for col in table.columns:
-        if col.name in position:
-            cells.append(f"{w.bind(caster(col.type_name), 'cast')}"
-                         f"(values[{position[col.name]}])")
-        elif col.is_serial:
-            sequence = catalog.get_sequence(f"{table.name}_{col.name}_seq")
-            cells.append(f"{w.bind(sequence.nextval, 'next')}()")
-        elif col.default is not None:
-            cells.append(f"{w.bind(caster(col.type_name), 'cast')}"
-                         f"({w.bind(get_compiled(col.default), 'default')}(ctx))")
-        else:
-            cells.append("None")
-    return w.function("values, ctx", [f"return [{', '.join(cells)}]"])
 
 
 def _prefix_index(table: Table, cols):
@@ -1669,14 +1900,25 @@ class LocalExecutor:
     def execute_insert(self, stmt: A.Insert, params) -> QueryResult:
         table = self.catalog.get_table(stmt.table)
         self.session.acquire_table_lock(table.name, "RowExclusive")
+        selected = None
         if stmt.select is None and not stmt.rows:
             columns = []  # INSERT ... DEFAULT VALUES
+        elif stmt.columns:
+            columns = stmt.columns
         else:
-            columns = stmt.columns or None
+            # Without a column list the values fill the first columns
+            # (PostgreSQL's rule); the rest take their defaults.
+            if stmt.select is not None:
+                selected = self.execute_select(stmt.select, params)
+            width = (len(selected.columns) if selected is not None
+                     else len(stmt.rows[0]))
+            columns = table.column_names()[:width]
         shape = self._prepared(stmt, lambda: InsertShape(
             stmt, table, self._write_shape(table, columns)))
         if stmt.select is not None:
-            value_rows = self.execute_select(stmt.select, params).rows
+            if selected is None:
+                selected = self.execute_select(stmt.select, params)
+            value_rows = selected.rows
         elif not stmt.rows:
             value_rows = [[]]
         else:
@@ -1709,11 +1951,12 @@ class LocalExecutor:
 
     def append_rows(self, shape: WriteShape, rows, command: str,
                     resolve=None, emit=None) -> int:
-        """The append loop behind INSERT, COPY and ``insert_rows``: each
-        row of ``rows`` (any iterable of value sequences) is cast and
-        filled to a full row, checked — NOT NULL, then unique keys, then
-        foreign keys, PostgreSQL's order — and appended to heap, indexes
-        and WAL. Returns the number of rows written.
+        """The append behind INSERT, COPY and ``insert_rows``: each row of
+        ``rows`` (any iterable of value sequences) is cast and filled to a
+        full row, checked — NOT NULL, then unique keys, then foreign keys,
+        PostgreSQL's order — and appended to heap, indexes and WAL, all in
+        the shape's generated :attr:`WriteShape.append`. Returns the number
+        of rows written.
 
         A unique-key collision raises, unless ``resolve(existing tuple,
         key columns, full row)`` settles it (ON CONFLICT): it returns
@@ -1725,54 +1968,14 @@ class LocalExecutor:
         statement run, and the run's own rows are visible through
         ``own_xid``).
         """
-        session, table = self.session, shape.table
+        session = self.session
         xid = session.ensure_xid()
-        snapshot = session.snapshot()
-        xids = self.instance.xids
-        width, build, check_not_null = shape.width, shape.build, shape.check_not_null
-        find_conflict = shape.find_conflict if shape.unique_keys else None
         check_fks = (shape.check_foreign_keys
                      if shape.foreign_keys and self._fk_checks() else None)
-        ctx = EvalContext(session=session)  # for DEFAULT expressions
-        heap_insert = table.heap.insert
-        targets = shape.index_targets()
-        wal_append = self.instance.wal.append_row
-        name, jsonb = table.name, shape.jsonb
-        count = appended = 0
-        try:
-            for values in rows:
-                if len(values) != width:
-                    raise DataError(
-                        f"COPY row has {len(values)} values but {width}"
-                        " columns expected" if command == "COPY" else
-                        f"INSERT has {len(values)} expressions but {width}"
-                        " target columns")
-                full = build(values, ctx)
-                check_not_null(full)
-                if find_conflict is not None:
-                    conflict = find_conflict(full, snapshot, xids)
-                    if conflict is not None:
-                        if resolve is None:
-                            raise UniqueViolation(
-                                "duplicate key value violates unique constraint"
-                                f" on {name!r}")
-                        if resolve(*conflict, full):
-                            count += 1
-                        continue
-                if check_fks is not None:
-                    check_fks(full, self.catalog, snapshot, xids)
-                tup = heap_insert(full, xid)
-                _index_tuple(targets, tup)
-                wal_append(xid, "insert", name, tup.row_id, full, jsonb)
-                appended += 1
-                if emit is not None:
-                    emit(full)
-        finally:
-            if appended:
-                session.written_tables.add(name)
-                session.stats["rows_written"] += appended
-                session.stats["index_writes"] += appended * len(targets)
-        return count + appended
+        return shape.append(
+            rows, command, xid, EvalContext(session=session), session.snapshot(),
+            self.instance.xids, self.instance.wal, resolve, emit, check_fks,
+            self.catalog, session.stats, session.written_tables)
 
     def _apply_conflict_update(self, conflict_tup, shape: InsertShape,
                                new_full, params):
@@ -1783,22 +1986,13 @@ class LocalExecutor:
         updated = list(conflict_tup.values)
         for idx, cast, assign_fn in shape.conflict_updates:
             updated[idx] = cast(assign_fn(ctx))
-        self._do_update(shape.write, shape.write.index_targets(), conflict_tup,
-                        updated)
+        self._do_update(shape.write, conflict_tup, updated)
 
-    def _do_update(self, shape: WriteShape, targets, old_tup, new_values: list):
-        table, session = shape.table, self.session
-        xid = session.ensure_xid()
-        heap = table.heap
-        heap.mark_deleted(old_tup.tid, xid)
-        heap.note_dead(old_tup)
-        new_tup = heap.insert(new_values, xid, row_id=old_tup.row_id)
-        _index_tuple(targets, new_tup)
-        session.stats["index_writes"] += len(targets)
-        self.instance.wal.append_row(xid, "update", table.name, old_tup.row_id,
-                                     new_values, shape.jsonb)
-        session.track_write(table.name)
-        return new_tup
+    def _do_update(self, shape: WriteShape, old_tup, new_values: list) -> None:
+        session = self.session
+        shape.update(old_tup, new_values, session.ensure_xid(), self.instance.wal)
+        session.stats["index_writes"] += len(shape.indexes)
+        session.track_write(shape.table.name)
 
     def _dml_target_rows(self, table: Table, scan: ScanShape, ctx) -> list:
         """The heap tuples an UPDATE / DELETE acts on, with every row lock
@@ -1846,7 +2040,6 @@ class LocalExecutor:
             # One snapshot for the statement's constraint probes (see
             # append_rows); its earlier updates are visible through own_xid.
             snapshot = self.session.snapshot()
-        index_targets = write.index_targets()
         for tup in targets:
             current = self._current_version(table, tup.row_id)
             if current is None:
@@ -1862,10 +2055,8 @@ class LocalExecutor:
             if shape.probes_unique and write.find_conflict(
                     new_values, snapshot, xids, current.row_id,
                     current.values) is not None:
-                raise UniqueViolation(
-                    f"duplicate key value violates unique constraint on {table.name!r}"
-                )
-            self._do_update(write, index_targets, current, new_values)
+                raise UniqueViolation(_DUPLICATE.format(table.name))
+            self._do_update(write, current, new_values)
             updated += 1
             if shape.returning:
                 ctx.values = new_values
@@ -1887,10 +2078,9 @@ class LocalExecutor:
         if shape.write.referencing and self._fk_checks():
             check_referencing = shape.write.check_referencing
             snapshot = session.snapshot()  # one per statement, as above
-        xids = self.instance.xids
+        xids, wal = self.instance.xids, self.instance.wal
         xid = session.ensure_xid()
-        heap, name = table.heap, table.name
-        wal_append = self.instance.wal.append_row
+        delete, name = shape.write.delete, table.name
         deleted = 0
         try:
             for tup in targets:
@@ -1899,9 +2089,7 @@ class LocalExecutor:
                     continue
                 if check_referencing is not None:
                     check_referencing(current.values, snapshot, xids)
-                heap.mark_deleted(current.tid, xid)
-                heap.note_dead(current)
-                wal_append(xid, "delete", name, current.row_id)
+                delete(current, xid, wal)
                 deleted += 1
                 if shape.returning:
                     ctx.values = tup.values
@@ -2039,14 +2227,6 @@ def _transform_keep_identity(expr, fn):
         if may_hold_nodes:
             setattr(expr, name, _transform_keep_identity(getattr(expr, name), fn))
     return expr
-
-
-def _index_tuple(targets, tup) -> None:
-    """Add one heap tuple version to every index of its table
-    (``WriteShape.index_targets``)."""
-    values, tid = tup.values, tup.tid
-    for insert, key_fn in targets:
-        insert(key_fn(values), tid)
 
 
 #: Types whose values are their own :func:`_group_key`.

@@ -477,6 +477,12 @@ def _func_call(node: A.FuncCall, ctx):
         return ctx.session.ensure_xid() if ctx.session else 0
     if name == "pg_backend_pid":
         return ctx.session.backend_pid if ctx.session else 0
+    if name == "coalesce":  # evaluates only the arguments it needs
+        for arg in node.args:
+            value = evaluate(arg, ctx)
+            if value is not None:
+                return value
+        return None
     args = [evaluate(arg, ctx) for arg in node.args]
     fn = SCALAR_FUNCTIONS.get(name)
     if fn is not None:

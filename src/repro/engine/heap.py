@@ -12,6 +12,7 @@ on-disk size from row widths.
 
 from __future__ import annotations
 
+import datetime as _dt
 from dataclasses import dataclass, field
 
 from .datum import to_text
@@ -34,7 +35,8 @@ class HeapTuple:
     #: The next-older stored version of the same logical row (its version
     #: chain, newest first); maintained by :class:`Heap`.
     older: "HeapTuple | None" = field(default=None, repr=False, compare=False)
-    #: Estimated stored size, computed once by :meth:`Heap.insert`; what
+    #: Estimated stored size, computed once where the version is written
+    #: (:meth:`Heap.insert`, or a write shape's generated writer); what
     #: ``live_bytes`` grew by, so what dead-tuple accounting and vacuum
     #: take back.
     width: int = field(default=0, repr=False, compare=False)
@@ -52,6 +54,15 @@ def _value_width(value) -> int:
     if isinstance(value, (dict, list)):
         return len(to_text(value)) + 8
     return 16
+
+
+#: What :func:`_value_width` gives every value of each Python type a cast
+#: can fix (``datum.exact_type``), NULL aside: bytes, or ``LENGTH`` for a
+#: ``str`` (its length + 4). A column whose type fixes none (jsonb, arrays,
+#: unknown types) measures each value.
+LENGTH = "length"
+VALUE_WIDTHS = {int: 8, float: 8, bool: 1, str: LENGTH, _dt.date: 16,
+                _dt.datetime: 16}
 
 
 def _visible(tuples, snapshot: Snapshot, clog: CommitLog):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
+from itertools import chain
 from operator import itemgetter
 
 from ..sql import ast as A
@@ -26,15 +27,33 @@ from .datum import sort_key, to_text
 from .expr import EvalContext, Row, RowLayout
 
 
+#: The fields of one column's part of a B-tree key, and what pads a
+#: :func:`sort_key` (two to four fields) to them.
+_COLUMN_WIDTH = 4
+_PAD = {2: (0, 0), 3: (0,)}
+
+
+def _column_key(value) -> tuple:
+    """One column's part of a B-tree key: :func:`sort_key`, padded to four
+    fields with zeros — the same order (a shorter key sorts first only
+    against a longer one it is a prefix of, where the pad's 0 is below the
+    longer key's last field), at a fixed width."""
+    key = sort_key(value)
+    return key if len(key) == _COLUMN_WIDTH else key + _PAD[len(key)]
+
+
 class BTreeIndex:
     """One sorted list of ``(key, tid)`` pairs, searched by bisection.
 
-    Multi-column keys are tuples; ordering uses :func:`sort_key` per column
-    so heterogeneous values order consistently with the executor's ORDER BY.
-    Equal keys are ordered by tid, so an entry's place is found by one
-    bisection on the pair however many duplicates its key has. A probe
-    bisects with a 1-tuple ``(key prefix,)``, which sorts just before every
-    pair whose key starts with that prefix.
+    A key is one flat tuple of atomic values, four per column
+    (:func:`_column_key`): a sorted list of such pairs orders as the
+    per-column :func:`sort_key` tuples would, so heterogeneous values order
+    consistently with the executor's ORDER BY, and the collector untracks
+    a key the first time it looks at it (a tuple of tuples takes one
+    collection per level). Equal keys are ordered by tid, so an entry's
+    place is found by one bisection on the pair however many duplicates
+    its key has. A probe bisects with a 1-tuple ``(key prefix,)``, which
+    sorts just before every pair whose key starts with that prefix.
     """
 
     def __init__(self, n_columns: int):
@@ -43,7 +62,9 @@ class BTreeIndex:
 
     @staticmethod
     def make_key(values) -> tuple:
-        return tuple(map(sort_key, values))
+        if len(values) == 1:
+            return _column_key(values[0])
+        return tuple(chain.from_iterable(map(_column_key, values)))
 
     def insert(self, values, tid: int) -> None:
         bisect.insort(self._entries, (self.make_key(values), tid))
@@ -76,14 +97,14 @@ class BTreeIndex:
 
     def scan_range(self, low=None, high=None, low_inclusive=True, high_inclusive=True) -> list[int]:
         """TIDs with leading-column key in [low, high] (single-column ranges)."""
-        low_key = sort_key(low) if low is not None else None
-        high_key = sort_key(high) if high is not None else None
+        low_key = _column_key(low) if low is not None else None
+        high_key = _column_key(high) if high is not None else None
         entries = self._entries
-        lo = bisect.bisect_left(entries, ((low_key,),)) if low_key is not None else 0
+        lo = bisect.bisect_left(entries, (low_key,)) if low_key is not None else 0
         tids = []
         for i in range(lo, len(entries)):
             key, tid = entries[i]
-            first = key[0]
+            first = key[:_COLUMN_WIDTH]
             if high_key is not None:
                 beyond = first > high_key if high_inclusive else first >= high_key
                 if beyond:
@@ -203,16 +224,25 @@ def row_key_fn(table, exprs):
     return key
 
 
+def index_key_fn(table, index):
+    """``key(values) -> list``: :func:`row_key_fn` of ``index`` over heap
+    rows of ``table``, made once and kept on the index until its table's
+    columns change."""
+    key = index.key
+    if key is None:
+        key = index.key = row_key_fn(table, index.exprs)
+    return key
+
+
 def index_key_values(table, index, values: list) -> list:
-    """The key of one heap row in ``index``; a loop over rows resolves
-    :func:`row_key_fn` once instead."""
-    return row_key_fn(table, index.exprs)(values)
+    """The key of one heap row in ``index``."""
+    return index_key_fn(table, index)(values)
 
 
 def _entry_key(table, index, tup):
     """What ``index.data`` files one heap tuple version under: its key,
     or for GIN the one indexed value."""
-    key = index_key_values(table, index, tup.values)
+    key = index_key_fn(table, index)(tup.values)
     return key[0] if isinstance(index.data, GinIndex) else key
 
 

@@ -995,6 +995,8 @@ class Session:
             )
         else:
             raise SyntaxErrorSQL(f"unsupported ALTER TABLE action {stmt.action!r}")
+        for index in table.indexes.values():
+            index.key = None  # column positions may have moved
         self.instance.catalog.bump_epoch()
 
     def _vacuum(self, stmt: A.Vacuum) -> QueryResult:

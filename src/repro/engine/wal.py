@@ -14,15 +14,17 @@ appended here before it is considered durable. The WAL supports:
 A stored record is one exact ``tuple`` of non-container values, which
 CPython's collector untracks the first time it examines it: the log grows
 with every written row and lives as long as its instance, and a container
-that stays tracked is walked again by every full collection. Only this
-module knows the stored layout; :meth:`WriteAheadLog.read` decodes it.
+that stays tracked is walked again by every full collection. This module
+defines the stored layout (:func:`stored_form`, :func:`row_record_bytes`)
+and :meth:`WriteAheadLog.read` decodes it; a statement's generated writer
+(``executor.WriteShape``) appends its row records in that layout itself.
 """
 
 from __future__ import annotations
 
 import json
 
-from .datum import JSONB, cast_value, is_array_type, to_text
+from .datum import JSONB, cast_value, exact_type, is_array_type, to_text
 
 # Record types
 INSERT = "insert"
@@ -45,11 +47,31 @@ _LSN, _KIND, _TEXT = 0, 2, 3
 _VALUES = 5
 
 
-def jsonb_positions(columns) -> tuple:
-    """The positions of the jsonb columns among a table's ``columns``:
-    what a row's writer hands :meth:`WriteAheadLog.append_row` as
-    ``jsonb``."""
-    return tuple(i for i, col in enumerate(columns) if col.type_name == JSONB)
+def row_record_bytes(table: str, width: int | None) -> int:
+    """What a row change of ``table`` adds to ``bytes_written``: 64 + the
+    table name + 8 for the row id, and 8 per value (``width`` values; None
+    for a delete, which carries none)."""
+    return 72 + len(table) + (8 * width if width is not None else 0)
+
+
+def _stored(value):
+    return to_text(value) if isinstance(value, (dict, list)) else value
+
+
+def _stored_jsonb(value):
+    return json.dumps(value) if type(value) is str else _stored(value)
+
+
+def stored_form(type_name: str):
+    """How a row record stores a value of a column of (normalized) type
+    ``type_name``: None when as it is (every type whose cast fixes a
+    scalar Python type), else the encoder :meth:`WriteAheadLog.append_row`
+    applies — a json or array value as its JSON text, and for jsonb also a
+    string, which would otherwise read back as the text of a document
+    (:func:`decode_value` reverses both)."""
+    if type_name == JSONB:
+        return _stored_jsonb
+    return None if exact_type(type_name) is not None else _stored
 
 
 def decode_value(stored, type_name: str):
@@ -82,25 +104,23 @@ class WriteAheadLog:
 
     def append_row(self, xid: int, kind: str, table: str, row_id: int,
                    values=None, jsonb: tuple = ()) -> None:
-        """Log a row change: insert / update carry the new ``values``,
-        delete does not. A json or array value is stored as its JSON text,
-        and so is a string in one of the ``jsonb`` positions (the table's
-        jsonb columns), which would otherwise read back as the text of a
-        document; :func:`decode_value` reverses both."""
+        """Log one row change: insert / update carry the new ``values``,
+        delete does not; ``jsonb`` are the positions of the table's jsonb
+        columns. The row-at-a-time form of what a statement's generated
+        writer appends itself (``executor.WriteShape``: it takes
+        ``_next_lsn``, appends the flat record to ``_records`` with each
+        value in its :func:`stored_form` and adds :func:`row_record_bytes`)."""
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
-        size = 72 + len(table)  # 64 + the row_id's 8
         if values is None:
             self._records.append((lsn, xid, kind, table, row_id))
         else:
-            stored = [to_text(v) if isinstance(v, (dict, list)) else v
-                      for v in values]
+            stored = [_stored(v) for v in values]
             for i in jsonb:
-                if type(values[i]) is str:
-                    stored[i] = json.dumps(values[i])
+                stored[i] = _stored_jsonb(values[i])
             self._records.append((lsn, xid, kind, table, row_id, *stored))
-            size += 8 * len(values)
-        self.bytes_written += size
+        self.bytes_written += row_record_bytes(
+            table, None if values is None else len(values))
 
     @property
     def records(self) -> list[tuple]:

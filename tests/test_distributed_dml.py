@@ -43,6 +43,17 @@ class TestInserts:
         with pytest.raises(NotNullViolation):
             s.execute("INSERT INTO ev (grp, val) VALUES (1, 1)")
 
+    def test_positional_insert_fills_the_first_columns(self, s):
+        s.execute("INSERT INTO ev VALUES (6, 2)")
+        assert s.execute("SELECT grp, val FROM ev WHERE id = 6").rows == [[2, None]]
+        s.execute("CREATE TABLE tail (v int, id int)")
+        s.execute("SELECT create_distributed_table('tail', 'id')")
+        # A distribution column past the values reads NULL.
+        with pytest.raises(NotNullViolation, match="cannot be NULL"):
+            s.execute("INSERT INTO tail VALUES (1)")
+        s.execute("INSERT INTO tail SELECT id, grp FROM ev")
+        assert s.execute("SELECT v, id FROM tail").rows == [[6, 2]]
+
     def test_insert_null_dist_column_rejected(self, s):
         with pytest.raises(NotNullViolation):
             s.execute("INSERT INTO ev VALUES (NULL, 1, 1)")

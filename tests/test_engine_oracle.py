@@ -413,9 +413,12 @@ def test_the_oltp_statement_suite_agrees_with_single_node(oltp_oracle, layout):
 
 # ------------------------------------ the oracle's oracle: PostgreSQL's answers
 
-#: Statements over ``t (k int PRIMARY KEY, v int)`` holding k = 1..9, and
-#: what PostgreSQL answers: the rows, the UPDATE count, or the error it
-#: raises. Single node and cluster must both answer it (ROADMAP 3(c)).
+#: Statements over ``t (k int PRIMARY KEY, v int)`` holding k = 1..9 (and
+#: the other tables of ``small_tables``), and what PostgreSQL answers: the
+#: rows, the UPDATE count, or the error it raises. A list of statements
+#: runs in a rolled-back block and answers with its last; a ``copy`` tuple
+#: is ``copy_rows``' arguments. Single node and cluster must both answer it
+#: (ROADMAP 3(c)).
 POSTGRES = {
     # LIMIT / OFFSET: negative raises, NULL is no limit / no offset.
     "limit_negative": ("SELECT k FROM t ORDER BY k LIMIT -1", None,
@@ -436,6 +439,23 @@ POSTGRES = {
                      [[3], [4]]),
     "text_update": ("UPDATE t SET v = 100 WHERE k = '3'", None, 1),
     "float_equals_key": ("SELECT k FROM t WHERE k = 3.5", None, []),
+    # More values than columns is an error on every path: a distributed
+    # COPY and INSERT..SELECT used to drop the extra ones.
+    "copy_extra_value": (("copy", "e", [[1, 2, 3]], ["k", "v"]), None,
+                         "COPY row has 3 values but 2 columns expected"),
+    "insert_select_extra_value": ("INSERT INTO dst (t, b) SELECT t, v, k FROM src",
+                                  None, "INSERT has 3 expressions but 2 target columns"),
+    "insert_extra_value": ("INSERT INTO dst VALUES (1, 2, 3, 4)", None,
+                           "INSERT has 4 expressions but 3 target columns"),
+    # Without a column list, fewer values fill the first columns.
+    "insert_fewer_values": (["INSERT INTO dst VALUES (1, 2)",
+                             "SELECT * FROM dst WHERE t = 1"], None, [[1, 2, None]]),
+    "insert_select_fewer_values": (["INSERT INTO dst SELECT t, v FROM src",
+                                    "SELECT * FROM dst ORDER BY t"], None,
+                                   [[k, 10 * k, None] for k in range(1, 11)]),
+    # COALESCE evaluates only the arguments it needs.
+    "coalesce_short_circuit": ("SELECT coalesce(a, 10 / b) FROM co ORDER BY b", None,
+                               [[1], [5]]),
 }
 
 
@@ -446,9 +466,20 @@ def small_tables():
                "cluster": make_cluster(workers=2, shard_count=4).coordinator_session()}
     for name, session in targets.items():
         session.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        session.execute("CREATE TABLE e (k int PRIMARY KEY, v int)")
+        session.execute("CREATE TABLE src (k int, t int, v int)")
+        session.execute("CREATE TABLE dst (t int, b int, n int)")
+        session.execute("CREATE TABLE co (a int, b int)")
         if name == "cluster":
             session.execute("SELECT create_distributed_table('t', 'k')")
+            session.execute("SELECT create_distributed_table('e', 'k')")
+            session.execute("SELECT create_distributed_table('src', 'k')")
+            session.execute("SELECT create_distributed_table('dst', 't',"
+                            " colocate_with := 'none')")
+            session.execute("SELECT create_distributed_table('co', 'b')")
         session.copy_rows("t", [[k, 10 * k] for k in range(1, 10)])
+        session.copy_rows("src", [[k, k, 10 * k] for k in range(1, 11)])
+        session.copy_rows("co", [[1, 0], [None, 2]])
     return targets
 
 
@@ -460,9 +491,20 @@ def test_single_node_and_cluster_answer_what_postgres_answers(small_tables, targ
 
     sql, params, answer = POSTGRES[name]
     session = small_tables[target]
-    if isinstance(answer, str):
+    if isinstance(sql, tuple):  # ("copy", table, rows, columns)
+        with pytest.raises(DataError, match=answer):
+            session.copy_rows(*sql[1:])
+    elif isinstance(answer, str):
         with pytest.raises(DataError, match=answer):
             session.execute(sql, params)
+    elif isinstance(sql, list):
+        session.execute("BEGIN")
+        try:
+            for statement in sql:
+                result = session.execute(statement, params)
+            assert result.rows == answer
+        finally:
+            session.execute("ROLLBACK")
     elif sql.startswith("UPDATE"):
         session.execute("BEGIN")
         try:

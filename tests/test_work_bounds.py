@@ -46,6 +46,7 @@ from repro.engine.functions import AGGREGATES, _identity
 from repro.engine.heap import Heap
 from repro.engine.index import BTreeIndex
 from repro.engine.mvcc import CommitLog, XidManager
+from repro.engine.wal import WriteAheadLog
 from repro.net import network
 from repro.sql import ast as A
 from repro.sql import parse, parse_expression
@@ -1127,6 +1128,39 @@ def test_a_duplicate_key_is_placed_and_removed_by_bisection(monkeypatch):
     index.delete([7], 599)  # gone already: a no-op
     assert 0 < comparisons["n"] <= 2 * budget, comparisons
     assert index.scan_equal([7])[-2:] == [598, 600] and len(index) == 502
+
+
+# ---------------------------------------------------- the generated writer
+#
+# A written row is one pass through the write shape's generated text: no
+# row-at-a-time heap, index or log call, one B-tree key per row per index
+# (the unique probe's is the one inserted), and no cast of a value that
+# already has its column's type — on a worker, and through the router.
+
+
+def test_a_copy_into_a_keyed_table_is_written_by_the_generated_writer():
+    _cluster, session = empty_events(distributed=False)
+    session.execute("CREATE INDEX events_tenant ON events (tenant)")
+    session.copy_rows("events", event_rows(1, 10))  # the shape and its text
+    casters = {datum.caster(t) for t in ("int", "text")}
+    with profiled(Heap.insert, WriteAheadLog.append_row, BTreeIndex.insert,
+                  BTreeIndex.make_key, *casters) as (calls, _sorts):
+        assert session.copy_rows("events", event_rows(11, ROWS)) == ROWS
+    # Two indexes: the primary key's probe key is the key it inserts.
+    assert calls == Counter({"make_key": 2 * ROWS}), calls
+
+
+def test_a_copy_through_a_cluster_casts_no_value_of_its_column_type():
+    _cluster, session = empty_events(distributed=True)
+    session.copy_rows("events", event_rows(1, 10))
+    casters = {datum.caster(t) for t in ("int", "text")}
+    with profiled(*casters) as (calls, _sorts):
+        assert session.copy_rows("events", event_rows(11, ROWS)) == ROWS
+    assert calls == Counter(), calls
+    # A text constant for the int key is cast once, where it is routed.
+    with profiled(*casters) as (calls, _sorts):
+        assert session.copy_rows("events", [["5000", 1, 2, "x"]]) == 1
+    assert calls == Counter({"cast": 1}), calls
 
 
 # ------------------------------------------------------- fused worker loops

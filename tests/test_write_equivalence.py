@@ -181,11 +181,16 @@ def _index_insert(self, table, tup):
         self.session.stats["index_writes"] += 1
 
 
+def _jsonb(table):
+    return tuple(i for i, col in enumerate(table.columns) if col.type_name == "jsonb")
+
+
 def _do_insert(self, table, full):
     xid = self.session.ensure_xid()
     tup = table.heap.insert(full, xid)
     _index_insert(self, table, tup)
-    self.instance.wal.append_row(xid, "insert", table.name, tup.row_id, full)
+    self.instance.wal.append_row(xid, "insert", table.name, tup.row_id, full,
+                                 _jsonb(table))
     self.session.track_write(table.name)
     return tup
 
@@ -614,3 +619,372 @@ def test_the_named_cases_do_what_their_names_say(monkeypatch):
     prepared = outcomes([("begin",), ("copy", GOOD, [[1, 0, 1, "x", "n"]]),
                          ("prepare",), ("insert_rows", GOOD, [[1, 0, 1, "x", "n"]])])
     assert prepared[-1] == ("ok", 1)
+
+
+# --------------------------------------------------------------------------
+# the generated writer against the row-at-a-time heap, index and log
+# --------------------------------------------------------------------------
+#
+# ``WriteShape``'s generated ``append`` / ``update`` / ``delete`` write a
+# row's cells, its heap version (tid, row id, chain, width, live and dead
+# bytes), its index entries and its WAL record in line. The reference runs
+# today's probes (``find_conflict``, ``check_foreign_keys``) but writes
+# through ``Heap.insert``, ``index.index_insert`` and
+# ``WriteAheadLog.append_row``, one call per row, under every column type
+# and every statement that writes a version.
+
+#: The column list of each write shape the reference run asked for.
+SHAPE_COLUMNS = {}
+
+
+def reference_append_rows(self, shape, rows, command, resolve=None, emit=None):
+    session, table = self.session, shape.table
+    session.ensure_xid()
+    snapshot = session.snapshot()
+    xids = self.instance.xids
+    columns = SHAPE_COLUMNS[id(shape)]
+    check_fks = bool(shape.foreign_keys) and self._fk_checks()
+    count = 0
+    for values in rows:
+        values = list(values)
+        if len(values) != len(columns):
+            raise DataError(
+                f"COPY row has {len(values)} values but {len(columns)} columns"
+                " expected" if command == "COPY" else
+                f"INSERT has {len(values)} expressions but {len(columns)}"
+                " target columns")
+        full = _build_full_row(self, table, columns, values)
+        _check_not_null(self, table, full)
+        conflict = shape.find_conflict(full, snapshot, xids)
+        if conflict is not None:
+            if resolve is None:
+                raise UniqueViolation(
+                    f"duplicate key value violates unique constraint on {table.name!r}")
+            if resolve(*conflict, full):
+                count += 1
+            continue
+        if check_fks:
+            shape.check_foreign_keys(full, self.catalog, snapshot, xids)
+        _do_insert(self, table, full)
+        count += 1
+        if emit is not None:
+            emit(full)
+    return count
+
+
+def reference_do_update(self, shape, old_tup, new_values):
+    table, session = shape.table, self.session
+    xid = session.ensure_xid()
+    heap = table.heap
+    heap.mark_deleted(old_tup.tid, xid)
+    heap.note_dead(old_tup)
+    new_tup = heap.insert(new_values, xid, row_id=old_tup.row_id)
+    _index_insert(self, table, new_tup)
+    self.instance.wal.append_row(xid, "update", table.name, old_tup.row_id,
+                                 new_values, _jsonb(table))
+    session.track_write(table.name)
+
+
+KIND_SCHEMA = [
+    "CREATE TABLE own (id int PRIMARY KEY)",
+    # Every column type, serial and DEFAULT, a unique expression index and
+    # a two-column index over a nullable int and a float.
+    "CREATE TABLE kinds (id serial PRIMARY KEY, i int, b bigint NOT NULL DEFAULT 7,"
+    " f float, n numeric, t text, u uuid, ok bool, d date, ts timestamp,"
+    " j jsonb, arr int[], x inet, o int REFERENCES own (id),"
+    " note text NOT NULL DEFAULT 'n')",
+    "CREATE UNIQUE INDEX kinds_lower ON kinds (lower(t))",
+    "CREATE INDEX kinds_if ON kinds (i, f)",
+    # Incoming: deleting a referenced kind is restricted.
+    "CREATE TABLE uses (id int PRIMARY KEY, kind int REFERENCES kinds (id))",
+    # UNIQUE (a) probes through the primary key's index after the primary
+    # key's own probe: a kill there moves the place that probe found.
+    "CREATE TABLE pairs (a int, b int, c text, PRIMARY KEY (a, b), UNIQUE (a))",
+]
+
+KIND_COLUMNS = ["id", "i", "b", "f", "n", "t", "u", "ok", "d", "ts", "j", "arr",
+                "x", "o", "note"]
+
+#: Per column (usual, hostile), as ``VALUES`` above.
+KIND_VALUES = {
+    "id": (st.integers(1, 12), st.sampled_from([None, "x"])),
+    "i": (st.sampled_from([None, 0, 1, 3, "2", 1.0, True]), st.just("i")),
+    "b": (st.sampled_from([5, "6", 2 ** 40, -1]), st.none()),
+    "f": (st.sampled_from([None, 1.5, 2, "3.5", -0.0]), st.just("f")),
+    "n": (st.sampled_from([None, 2.5, "1e3", 3]), st.just("n")),
+    "t": (st.sampled_from([None, "a", "A", "b", "B", "c", 7]), st.none()),
+    "u": (st.sampled_from([None, "abc", "123e4567-e89b-12d3-a456-426614174000"]),
+          st.none()),
+    "ok": (st.sampled_from([None, True, "f", 0]), st.just("maybe")),
+    "d": (st.sampled_from([None, "2024-03-01", dt.date(2024, 2, 29),
+                           dt.datetime(2024, 3, 2, 10, 30)]), st.just("soon")),
+    "ts": (st.sampled_from([None, "2024-03-01 10:00:00", dt.datetime(2024, 1, 1),
+                            dt.date(2024, 1, 2)]), st.just("later")),
+    "j": (st.sampled_from([None, '"hi"', '"x y"', {"a": [1]}, "[1, 2]", 5, True]),
+          st.just("{oops")),
+    "arr": (st.sampled_from([None, [1, 2], ["3", 4.0], []]), st.just("7")),
+    "x": (st.sampled_from([None, "10.0.0.1", 5, {"k": 1}, [1]]), st.none()),
+    "o": (st.sampled_from([None, 0, 1, "1"]), st.integers(2, 9)),
+    "note": (st.sampled_from(["n", "", 12]), st.none()),
+}
+
+
+@st.composite
+def kind_batches(draw):
+    columns = draw(st.lists(st.sampled_from(KIND_COLUMNS), min_size=1,
+                            max_size=len(KIND_COLUMNS), unique=True))
+    hostile = draw(st.integers(0, 4)) == 0
+    columns = draw(st.permutations(columns))
+    cells = [st.one_of(*KIND_VALUES[c]) if hostile else KIND_VALUES[c][0]
+             for c in columns]
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=4))
+    if hostile and draw(st.booleans()):  # a row of the wrong width
+        rows.append(rows[-1] + (1,))
+    return columns, [list(row) for row in rows]
+
+
+@st.composite
+def kind_steps(draw):
+    kind = draw(st.sampled_from(
+        ["copy", "copy", "insert", "returning", "upsert_nothing", "upsert_update",
+         "update", "update_key", "delete", "uses", "pairs", "pairs", "delete_pairs",
+         "begin", "commit", "rollback", "vacuum"]))
+    if kind in ("copy", "insert", "returning", "upsert_nothing", "upsert_update"):
+        return (kind, *draw(kind_batches()))
+    if kind == "pairs":
+        return (kind, draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                                              st.sampled_from(["p", None])),
+                                    min_size=1, max_size=3)))
+    if kind == "update_key":
+        return (kind, draw(KIND_VALUES["t"][0]), draw(st.integers(0, 12)))
+    if kind in ("update", "delete", "delete_pairs", "uses"):
+        return (kind, draw(st.integers(0, 12)))
+    return (kind,)
+
+
+def _values_sql(table, columns, rows, suffix=""):
+    width = len(rows[0])
+    return (f"INSERT INTO {table} ({', '.join(columns)}) VALUES "
+            + ", ".join("(" + ", ".join(f"${r * width + c + 1}" for c in range(len(row)))
+                        + ")" for r, row in enumerate(rows)) + suffix,
+            [v for row in rows for v in row])
+
+
+def run_kind_script(script, reference: bool, monkeypatch_context):
+    with monkeypatch_context() as patch:
+        if reference:
+            original = LocalExecutor._write_shape
+
+            def remembering(self, table, columns=None):
+                shape = original(self, table, columns)
+                SHAPE_COLUMNS[id(shape)] = (list(columns) if columns is not None
+                                            else table.column_names())
+                return shape
+
+            patch.setattr(LocalExecutor, "_write_shape", remembering)
+            patch.setattr(LocalExecutor, "append_rows", reference_append_rows)
+            patch.setattr(LocalExecutor, "_do_update", reference_do_update)
+            patch.setattr(LocalExecutor, "execute_delete", reference_execute_delete)
+        instance = PostgresInstance("w")
+        session = instance.connect()
+        for ddl in KIND_SCHEMA:
+            session.execute(ddl)
+        session.copy_rows("own", [[0], [1]])
+        outcomes = []
+        for step in script:
+            kind = step[0]
+            if kind == "copy":
+                run = lambda: session.copy_rows("kinds", step[2], step[1])  # noqa: E731
+            elif kind in ("insert", "returning", "upsert_nothing", "upsert_update"):
+                suffix = {"insert": "", "returning": " RETURNING id, t, j, x, b",
+                          "upsert_nothing": " ON CONFLICT DO NOTHING",
+                          "upsert_update": " ON CONFLICT (id) DO UPDATE SET"
+                                           " i = kinds.i + 1, j = excluded.j,"
+                                           " t = excluded.t RETURNING *"}[kind]
+                sql, params = _values_sql("kinds", step[1], step[2], suffix)
+                run = lambda: (lambda r: (r.rowcount, r.rows))(  # noqa: E731
+                    session.execute(sql, params))
+            elif kind == "update":
+                run = lambda: session.execute(  # noqa: E731
+                    "UPDATE kinds SET i = i + 1, f = 0.5, arr = ARRAY[9]"
+                    " WHERE id <= $1 RETURNING id, i", [step[1]]).rows
+            elif kind == "update_key":
+                run = lambda: session.execute(  # noqa: E731
+                    "UPDATE kinds SET t = $1 WHERE id = $2", [step[1], step[2]]).rowcount
+            elif kind == "delete":
+                run = lambda: session.execute(  # noqa: E731
+                    "DELETE FROM kinds WHERE id <= $1", [step[1]]).rowcount
+            elif kind == "uses":
+                run = lambda: session.execute(  # noqa: E731
+                    "INSERT INTO uses VALUES ($1, $2)", [step[1] + 100, step[1]]).rowcount
+            elif kind == "pairs":
+                run = lambda: session.copy_rows(  # noqa: E731
+                    "pairs", [list(row) for row in step[1]])
+            elif kind == "delete_pairs":
+                run = lambda: session.execute(  # noqa: E731
+                    "DELETE FROM pairs WHERE a = $1", [step[1] % 4]).rowcount
+            elif kind == "begin":
+                run = lambda: session.execute("BEGIN").command  # noqa: E731
+            elif kind == "commit":
+                run = lambda: session.execute("COMMIT").command  # noqa: E731
+            elif kind == "rollback":
+                run = lambda: session.execute("ROLLBACK").command  # noqa: E731
+            else:
+                if session.in_transaction:
+                    continue
+                run = lambda: session.execute("VACUUM").rowcount  # noqa: E731
+            outcomes.append((kind, outcome(run)))
+        if session.in_transaction:
+            session.execute("ROLLBACK")
+        state = state_of(instance, session)
+        state["widths"] = {name: [t.width for t in table.heap.tuples]
+                           for name, table in instance.catalog.tables.items()}
+        return outcomes, state
+
+
+def assert_kinds_equivalent(script, monkeypatch):
+    expected = run_kind_script(script, True, monkeypatch.context)
+    actual = run_kind_script(script, False, monkeypatch.context)
+    assert actual[0] == expected[0], script
+    for key in expected[1]:
+        assert actual[1][key] == expected[1][key], (key, script)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(script=st.lists(kind_steps(), min_size=1, max_size=10))
+def test_the_generated_writer_matches_the_row_at_a_time_reference(script, monkeypatch):
+    assert_kinds_equivalent(script, monkeypatch)
+
+
+KIND_ROW = ["i", "t", "j", "x", "arr", "u", "ts"]
+
+
+@pytest.mark.parametrize("script", [
+    # every type once, a jsonb string among them, then NULLs, then a
+    # duplicate inside one batch
+    [("copy", KIND_COLUMNS, [[1, 1, 5, 1.5, 2.5, "a", "abc", True, "2024-03-01",
+                              "2024-03-01 10:00:00", '"hi"', [1], {"k": 1}, 0, "n"],
+                             [2, None, 6, None, None, None, None, None, None, None,
+                              None, None, None, None, "m"]]),
+     ("copy", ["id", "t"], [[3, "c"], [3, "d"]])],
+    # the unique expression index: "A" collides with "a"
+    [("copy", ["t"], [["a"]]), ("insert", ["t"], [["A"]]),
+     ("returning", ["t", "j"], [["b", '"x y"']])],
+    # ON CONFLICT, both actions, and an UPDATE that moves a unique key
+    [("copy", KIND_ROW, [[1, "a", '"hi"', "10.0.0.1", [1], None, None]]),
+     ("upsert_nothing", ["id", "t"], [[1, "q"], [2, "r"]]),
+     ("upsert_update", ["id", "t", "j"], [[1, "z", {"a": [1]}]]),
+     ("update_key", "r", 1), ("update_key", "y", 1), ("update", 5)],
+    # a key killed mid-probe: the primary key's place moves under UNIQUE (a)
+    [("pairs", [(0, 0, "p"), (1, 1, "p"), (2, 0, None)]), ("delete_pairs", 1),
+     ("pairs", [(1, 2, "p"), (3, 0, None)]), ("pairs", [(1, 3, None)]), ("vacuum",)],
+    # foreign keys out and in, then a failure mid-batch
+    [("copy", ["o"], [[1], [0]]), ("uses", 1), ("delete", 3),
+     ("copy", ["o"], [[0], [7]]), ("copy", ["i", "note"], [[1, "n"], ["i", "n"], [2, "n"]])],
+], ids=["types", "expression_key", "on_conflict", "killed_mid_probe", "keys_and_failures"])
+def test_named_writer_cases_match_the_reference(script, monkeypatch):
+    assert_kinds_equivalent(script, monkeypatch)
+
+
+# --------------------------------------------------------------------------
+# the generated router against shard_index_for_value
+# --------------------------------------------------------------------------
+
+#: Per distribution-column type: values a COPY may hand the router — of
+#: the column's type or needing a cast (text constants read as the type).
+ROUTED = {
+    "int": [0, 1, -7, 2 ** 31 + 5, "3", " 12", 4.0, True, 10 ** 20],
+    "bigint": [2 ** 40, "-9", 3.0],
+    "float": [1.5, 2, "2.5", -0.0, float("inf")],
+    "numeric": [3, "1e3", 0.1],
+    "text": ["a", "3", 7, "", "é"],
+    "uuid": ["123e4567-e89b-12d3-a456-426614174000", "x"],
+    "bool": [True, False, "t", 0],
+    "date": ["2024-03-01", dt.date(2024, 2, 29), dt.datetime(2024, 1, 1, 5)],
+    "timestamp": ["2024-03-01 10:00:00", dt.datetime(2024, 1, 1), dt.date(2024, 1, 2)],
+}
+
+
+class _CollectingSink:
+    """Where each routed row landed, by channel."""
+
+    def __init__(self):
+        self.landed = {}
+        self.peak = None
+
+    def flush(self, index, _node, _group, _shard, _columns, rows):
+        for row in rows:
+            self.landed.setdefault(index, []).append(row)
+
+    def finish(self, peak):
+        self.peak = peak
+
+
+@pytest.fixture(scope="module")
+def routed_tables():
+    from repro import make_cluster
+
+    cluster = make_cluster(workers=2, shard_count=8)
+    session = cluster.coordinator_session()
+    for i, type_name in enumerate(ROUTED):
+        session.execute(f"CREATE TABLE r{i} (k {type_name}, n int)")
+        session.execute(f"SELECT create_distributed_table('r{i}', 'k')")
+    session.execute("CREATE TABLE ref (k int, n int)")
+    session.execute("SELECT create_reference_table('ref')")
+    return cluster
+
+
+def _route(cluster, table, rows, cast: bool, refuse_null: bool, threshold=2):
+    from repro.citus.copy_dist import ShardCopyRouter, copy_targets
+
+    ext = cluster.coordinator_ext
+    dist = ext.metadata.cache.get_table(table)
+    shell = ext.instance.catalog.get_table(table)
+    sink = _CollectingSink()
+    router = ShardCopyRouter(dist, shell if cast else None, ["k", "n"],
+                             copy_targets(ext.metadata.cache, dist), threshold,
+                             refuse_null=refuse_null)
+    assert router.copy(iter(rows), sink) == len(rows)
+    return dist, sink
+
+
+@pytest.mark.parametrize("type_name", sorted(ROUTED))
+def test_the_generated_router_picks_shard_index_for_values_shard(routed_tables,
+                                                                 type_name):
+    table = f"r{list(ROUTED).index(type_name)}"
+    values = ROUTED[type_name]
+    rows = [[value, n] for n, value in enumerate(values)]
+    dist, sink = _route(routed_tables, table, rows, cast=True, refuse_null=True)
+    assert sum(map(len, sink.landed.values())) == len(rows)
+    for index, landed in sink.landed.items():
+        for row in landed:
+            value = values[row[1]]
+            cast = cast_value(value, type_name)
+            assert row[0] == cast and type(row[0]) is type(cast), (value, row)
+            assert dist.shard_index_for_value(cast) == index, (value, index)
+            if isinstance(value, str) and type_name in ("int", "bigint"):
+                # A text constant reads as the column's type.
+                assert dist.shard_index_for_value(value) == index
+    # A move routes typed rows as they are, NULL included, uncast.
+    typed = [[cast_value(v, type_name), n] for n, v in enumerate(values)] + [[None, -1]]
+    dist, sink = _route(routed_tables, table, typed, cast=False, refuse_null=False)
+    for index, landed in sink.landed.items():
+        assert all(dist.shard_index_for_value(row[0]) == index for row in landed)
+    # A COPY refuses it.
+    with pytest.raises(NotNullViolation, match="cannot be NULL in COPY"):
+        _route(routed_tables, table, [[values[0], 0], [None, 1]], cast=True,
+               refuse_null=True)
+
+
+def test_the_generated_router_replicates_a_reference_row_and_checks_width(
+        routed_tables):
+    rows = [[k, k] for k in range(5)]
+    _dist, sink = _route(routed_tables, "ref", rows, cast=True, refuse_null=True)
+    placements = len(sink.landed)
+    assert placements >= 2 and all(landed == rows for landed in sink.landed.values())
+    # The second row fills the first channel: one more than a row per channel.
+    assert sink.peak == placements + 1
+    with pytest.raises(DataError, match="COPY row has 3 values but 2 columns"):
+        _route(routed_tables, "r0", [[1, 1], [2, 2, 2]], cast=True, refuse_null=True)
