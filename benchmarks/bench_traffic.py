@@ -93,17 +93,15 @@ def one_run(config: TrafficConfig) -> dict:
     citus = make_cluster(workers=4, shard_count=SHARD_COUNT, max_connections=4000)
     threshold = citus.coordinator_ext.config.copy_flush_threshold
     report = run_traffic(citus, config, slo_spec(threshold))
-    # Graph, window, and ASH dumps ride inside the report, so the
-    # byte-for-byte determinism gate also covers the co-access graph, the
-    # window ring, and the Active Session History ring (same seed →
-    # identical citus_ash() output). The flamegraph carries every sample
-    # in aggregated form; the sample count pins the ring size too.
+    # Graph and ASH dumps ride inside the report, so the byte-for-byte
+    # determinism gate also covers the co-access graph and the Active
+    # Session History ring (same seed → identical citus_ash() output). The
+    # flamegraph carries every sample in aggregated form; the sample count
+    # pins the ring size too.
     session = citus.coordinator_session("traffic_graph_dump")
     try:
         report["txn_graph"] = session.execute(
             "SELECT citus_stat_txn_graph('json')").scalar()
-        report["windows"] = session.execute(
-            "SELECT citus_stat_windows()").scalar()
         report["ash_flamegraph"] = session.execute(
             "SELECT citus_ash('flamegraph')").scalar()
         report["ash_samples"] = len(

@@ -98,7 +98,6 @@ class AdaptiveExecutor:
         clock = ext.cluster.clock
         base = clock.now()
         explicit = session.in_transaction
-        # Counted before the window ring looks at the clock.
         counters.incr("executor_statements")
         units = ext.telemetry.execution_begin()
         counters.gauge_incr("executor_statements_in_flight")

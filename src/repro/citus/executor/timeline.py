@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from ...errors import NodeUnavailable
 from ..record import (BATCH, BEGIN, CLOSE, CONNECT, DISPATCH, FAILED, FLUSH,
-                      OK, TASK, TASKS)
+                      OK, TASK)
 from .placement import SessionPools
 
 #: The ``Net`` wait event a unit of each kind is accounted as (opening a
@@ -106,14 +106,9 @@ class ConnectionTimeline:
         self.base = ext.cluster.clock.now()
         self.explicit = session.in_transaction
         counters = self.counters = ext.stat_counters
-        # A blocking-task run has always counted itself before the window
-        # ring looks at the clock, the other two drivers after.
-        if driver is TASKS:
-            counters.incr("executor_statements")
+        counters.incr("executor_statements")
         #: One tuple per unit of connection work (None: nobody wants them).
         self.units = ext.telemetry.execution_begin()
-        if driver is not TASKS:
-            counters.incr("executor_statements")
         counters.gauge_incr("executor_statements_in_flight")
 
     # ---------------------------------------------------------- connections

@@ -73,11 +73,9 @@ class CitusConfig:
     # Comma-separated cascade tiers to skip (fast_path,router,pushdown,
     # join_order) — a debugging/regression-gate lever, not a paper GUC.
     planner_disabled_tiers: str = ""
-    # Distributed-transaction co-access graph + time-windowed statistics
-    # (citus_stat_txn_graph / citus_stat_windows). Off: executor runs keep
-    # no access units and nothing is folded.
+    # Distributed-transaction co-access graph (citus_stat_txn_graph). Off:
+    # executor runs keep no access units and nothing is folded.
     enable_txn_graph: bool = True
-    stat_window_seconds: float = 60.0  # width of one window bucket
     # Active Session History (citus_ash): a deterministic wait/state
     # sampler driven by SimClock observers; off detaches the observer.
     enable_ash: bool = True
@@ -443,7 +441,6 @@ def citus_stat_reset(ext, session, mode="all"):
     wait-event totals), 'statements' (citus_stat_statements),
     'tenants' (citus_stat_tenants), 'graph' (the lifetime
     transaction co-access graph behind citus_stat_txn_graph),
-    'windows' (the time-bucket ring behind citus_stat_windows),
     'ash' (the Active Session History sample ring behind
     citus_ash), or 'all' (the default — every scope above).
     """
@@ -465,8 +462,8 @@ def citus_stat_txn_graph(ext, session, *args):
     """The distributed-transaction co-access graph, by mode (the modes and
     their columns are ``txngraph.MODES``): 'edges' (the default), per
     shard-group pair, how many transactions touched both and how they
-    committed; 'vertices', per shard group; 'json', a sorted-key export
-    with tenant-pair detail; 'dot', GraphViz source."""
+    committed; 'vertices', per shard group; 'json', both as one
+    sorted-key export; 'dot', GraphViz source."""
     mode, = _args("citus_stat_txn_graph", args, (str,))
     mode = _mode("citus_stat_txn_graph", GRAPH_MODES,
                  "edges" if mode is None else mode)
@@ -475,13 +472,6 @@ def citus_stat_txn_graph(ext, session, *args):
     if graph is None:
         return [] if columns else GRAPH_OFF_TEXT[mode]
     return method(graph)
-
-
-def citus_stat_windows(ext, session, *_):
-    """Per-bucket rows of the time-window ring, oldest first
-    (``txngraph.WINDOW_COLUMNS``)."""
-    graph = ext.telemetry.txn_graph()
-    return [] if graph is None else graph.window_rows()
 
 
 def citus_ash(ext, session, *args):
@@ -551,7 +541,6 @@ UDFS = (
     ("get_rebalance_progress", get_rebalance_progress, False),
     ("citus_stat_tenants", lambda ext, _s: ext.telemetry.tenant_rows(), False),
     ("citus_stat_txn_graph", citus_stat_txn_graph, False),
-    ("citus_stat_windows", citus_stat_windows, False),
     ("citus_ash", citus_ash, False),
     ("citus_metrics_snapshot",
      lambda ext, _s, *_: metrics_snapshot(ext), False),

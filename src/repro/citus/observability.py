@@ -180,13 +180,9 @@ class DistributedExplain:
         cross = analyze.get("cross_shard")
         if cross:
             lines.append(
-                f"  Cross-Shard: groups={cross.get('groups', 0)}"
-                f" nodes={cross.get('nodes', 0)}"
-                f" recent_multi_group_fraction="
-                f"{cross.get('recent_multi_group_fraction', 0.0):.4f}"
-                f" recent_cross_node_fraction="
-                f"{cross.get('recent_cross_node_fraction', 0.0):.4f}"
-            )
+                f"  Cross-Shard: groups={cross['groups']} nodes={cross['nodes']}"
+                f" multi_group_fraction={cross['multi_group_fraction']:.4f}"
+                f" cross_node_fraction={cross['cross_node_fraction']:.4f}")
         if self.analyze is not None:
             total = self.analyze.get("total_ms")
             summary = f"Execution: rows={self.analyze.get('rows', 0)}"
@@ -352,18 +348,24 @@ def _merge_actual_suffix(merge: dict) -> str:
 
 def _annotate_cross_shard(ext, explained) -> None:
     """Attach the co-access graph's view of a multi-shard DML statement:
-    how many shard groups/nodes this plan spans, and what fraction of
-    recent transactions (the window ring) went multi-group/cross-node."""
+    how many shard groups/nodes this plan spans, and what fraction of the
+    transactions since the last counters reset went multi-group /
+    cross-node (the ``txngraph_*`` counters)."""
     if not explained.is_write or explained.task_count <= 1:
         return
-    graph = ext.telemetry.txn_graph()
-    if graph is None:
+    if not ext.telemetry.graphing:
         return
+    counters = ext.stat_counters.snapshot()
+    txns = counters.value("txngraph_txns") or 1
     groups = {t.shard_group for t in explained.tasks
               if t.shard_group is not None}
-    cross = {"groups": len(groups), "nodes": len(explained.nodes)}
-    cross.update(graph.cross_shard_summary())
-    explained.analyze["cross_shard"] = cross
+    explained.analyze["cross_shard"] = {
+        "groups": len(groups), "nodes": len(explained.nodes),
+        "multi_group_fraction":
+            counters.value("txngraph_txns_multi_group") / txns,
+        "cross_node_fraction":
+            counters.value("txngraph_txns_cross_node") / txns,
+    }
 
 
 def run_explain_analyze(plan, session, stmt, params=None) -> list[str]:

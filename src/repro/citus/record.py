@@ -24,8 +24,7 @@ filled on exit; everything else is a tuple. Two categories are not spans:
   cost, rows, bytes)`` — are at once the timeline the task spans are drawn
   from and the access set the co-access graph folds.
 - ``cat == TXN`` — the session's distributed transaction ended; ``name`` is
-  :data:`COMMIT` or :data:`ABORT`, ``attrs`` ``(session_key, twopc,
-  bucket)``.
+  :data:`COMMIT` or :data:`ABORT`, ``attrs`` ``(session_key, twopc)``.
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ TASKS, STREAMS, CHANNELS = "tasks", "streams", "channels"
 
 # Execution payload fields (an EXECUTION event's attrs).
 (X_UNITS, X_REPORT, X_TASKS, X_SESSION, X_TENANT, X_EXPLICIT, X_OUTCOME,
- X_BUCKET, X_AUTOCOMMIT) = range(9)
+ X_AUTOCOMMIT) = range(8)
 
 #: Execution outcomes. A BLOCKED execution hit a lock and its statement
-#: parked: it counts (accesses, window observation, task span) only if the
-#: statement then completed without an error.
+#: parked: it counts (accesses, task span) only if the statement then
+#: completed without an error.
 OK, FAILED, BLOCKED = "ok", "failed", "blocked"
 
 # Unit fields.
@@ -83,7 +82,7 @@ class StatementRecord:
 
     __slots__ = ("kind", "name", "stmt", "node", "start", "end", "max_end", "tier", "fingerprint", "digest", "tenant",
                  "cached", "rows", "error", "wait_seconds", "events", "stack",
-                 "traced", "bucket", "access")
+                 "traced", "access")
 
     def __init__(self, kind: str, name: str, stmt, node: str | None,
                  start: float, traced: bool):
@@ -105,7 +104,6 @@ class StatementRecord:
         self.events: list = []
         self.stack: list[int] = []  # indexes of the open span events
         self.traced = traced
-        self.bucket: int | None = None  # window bucket it closed in
         self.access: dict | None = None
 
     def add(self, name: str, cat: str, start: float, end: float, node,

@@ -12,13 +12,14 @@ sampler and the plan-search ring (the planner can be asked for a plan
 outside any statement).
 
 **Folds.** A closed record goes into a bounded pending buffer;
-``citus_stat_statements``, ``citus_stat_tenants``, the co-access graph and
-the window tallies, the slow log and the trace ring are folds run over the
-pending records, in emission order, when a surface is read, a scope is
-reset, the configuration changes, the buffer fills, or a window bucket is
-about to close (:meth:`Telemetry.tick`). The registry drains it too before
-any read (:meth:`~repro.engine.stats.StatsRegistry.add_pending_source`),
-because the co-access fold produces the ``txngraph_*`` counters.
+``citus_stat_statements``, ``citus_stat_tenants``, the co-access graph,
+the slow log and the trace ring are folds run over the pending records, in
+emission order, when a surface is read, a scope is reset, the
+configuration changes or the buffer fills. A fold reads only the records,
+so when it runs does not change what it makes. The registry drains the
+buffer too before any read
+(:meth:`~repro.engine.stats.StatsRegistry.add_pending_source`), because the
+co-access fold produces the ``txngraph_*`` counters.
 
 **One lifetime.** The record's ``start`` is the dispatch and its ``end`` the
 close of the activity window, for every fold alike: a statement that parks
@@ -36,8 +37,8 @@ from ..engine.stats import stats_for
 from .ash import AshSampler
 from .introspection import TenantStats
 from .planner.plan_cache import statement_fingerprint
-from .record import (ABORT, BLOCKED, COMMIT, E_ATTRS, E_END, EXECUTION, OK, TXN,
-                     Ring, StatementRecord)
+from .record import (ABORT, COMMIT, E_ATTRS, E_END, EXECUTION, TXN, Ring,
+                     StatementRecord)
 from .sharding import NO_VALUE, partition_key_for
 from .tracing import (Span, StatementStats, build_subtree, build_trace,
                       export_chrome, slow_log_entry)
@@ -48,21 +49,13 @@ from .txngraph import TxnGraph
 #: the first read after it.
 PENDING_MAX = 512
 
-#: Window buckets the co-access graph retains (closed + current). A
-#: constant: the retention is the width's multiple, the width the GUC.
-STAT_WINDOW_BUCKETS = 8
-
 #: Entries the trace ring and the slow-query log each hold.
 TRACE_RING_SIZE = 256
 
 #: ``citus_stat_reset`` scopes.
-SCOPES = ("counters", "statements", "tenants", "graph", "windows", "ash")
+SCOPES = ("counters", "statements", "tenants", "graph", "ash")
 
 _HOLDER_ATTR = "_citus_telemetry"
-
-#: ``record.bucket`` of a statement with a blocked executor run, until its
-#: close stamps the bucket it ended in.
-_AT_CLOSE = -1
 
 
 def telemetry_for(holder, clock) -> "Telemetry":
@@ -77,14 +70,13 @@ def telemetry_for(holder, clock) -> "Telemetry":
 
 class Telemetry:
     def __init__(self, holder, clock):
-        self.clock = clock
         #: Simulated-clock seconds (0.0 on a single node with no clock).
         self.now = clock.now if clock is not None else float
         self.registry = stats_for(holder)
         # The folds.
         self.statements = StatementStats()
         self.tenants = TenantStats()
-        self.graph = TxnGraph(clock, self.registry)
+        self.graph = TxnGraph(self.registry)
         self.traces = Ring(TRACE_RING_SIZE)
         self.slow_log = Ring(TRACE_RING_SIZE)
         # Eager state.
@@ -120,7 +112,6 @@ class Telemetry:
         self.log_min_duration = float(config.log_min_duration)
         self.introspection = bool(config.enable_introspection)
         self.graphing = bool(config.enable_txn_graph)
-        self.graph.configure(config.stat_window_seconds, STAT_WINDOW_BUCKETS)
         self.recording = self.tracing or self.introspection or self.graphing
         # A single-node install has no shared clock to observe.
         self.ash.configure(config.enable_ash and ext.cluster is not None,
@@ -145,9 +136,7 @@ class Telemetry:
         if "tenants" in scopes:
             self.tenants.reset()
         if "graph" in scopes:
-            self.graph.reset_graph()
-        if "windows" in scopes:
-            self.graph.reset_windows()
+            self.graph.reset()
         if "ash" in scopes:
             self.ash.reset()
 
@@ -198,23 +187,6 @@ class Telemetry:
                 self.traces.append(record)
             elif record.kind == "operation" and record.events:
                 self.traces.append(record)
-
-    def tick(self) -> int | None:
-        """The eager half of the window ring: one compare against the
-        current bucket; crossing a boundary folds what is pending into the
-        closing bucket (and its counters) before the ring rolls. Returns
-        the current bucket's index (None: windows off)."""
-        windows = self.graph.windows
-        now = self.now()
-        if now < windows.safe_until:
-            return windows.current.index
-        if windows.width <= 0:
-            return None
-        current = windows.current
-        if current is None or int(now / windows.width) > current.index:
-            self.drain()
-            current = windows.roll(now)
-        return current.index
 
     # ------------------------------------------------- statement lifetime
 
@@ -268,9 +240,6 @@ class Telemetry:
         elif error is not None:
             record.error = type(error).__name__
         record.wait_seconds = session.wait_events.statement_seconds
-        if record.bucket is not None:
-            # It parked on a lock: the window counts it where it ended.
-            record.bucket = self.tick()
         if record.traced or record.events or record.tenant is not None:
             self._finish(record)  # else: nothing any fold would read
 
@@ -421,14 +390,8 @@ class Telemetry:
 
     def execution_begin(self) -> list | None:
         """An executor run starts: the list its units go into, or None when
-        neither the co-access graph nor a trace wants them. Rolls the
-        window ring first, so the run's counter increments accrue to the
-        bucket containing its start."""
-        if self.graphing:
-            self.tick()
-        elif self.traced is None:
-            return None
-        return []
+        neither the co-access graph nor a trace wants them."""
+        return [] if self.graphing or self.traced is not None else None
 
     def execution_end(self, driver: str, session, base: float, units: list,
                       report, tasks, outcome: str, explicit: bool,
@@ -436,17 +399,13 @@ class Telemetry:
         """An executor run ended (``outcome``: OK / FAILED / BLOCKED) after
         ``report.elapsed`` on its busiest connection. ``autocommit``: its
         transaction ends with it, not in the commit callbacks."""
-        bucket = self.tick() if self.graphing and outcome is OK else None
         record = self.current
         if record is None:
             return  # run outside any recorded statement
-        if outcome is BLOCKED and self.graphing:
-            record.bucket = _AT_CLOSE
         record.add(driver, EXECUTION, base, base + report.elapsed, None,
                    (units, report, tasks,
                     (session.instance.name, session.backend_pid),
-                    session._citus_tenant, explicit, outcome, bucket,
-                    autocommit))
+                    session._citus_tenant, explicit, outcome, autocommit))
 
     def txn_end(self, session, committed: bool, twopc: bool = False) -> None:
         """The session's distributed transaction ended (the post-commit /
@@ -454,15 +413,14 @@ class Telemetry:
         if not self.graphing:
             return
         key = (session.instance.name, session.backend_pid)
-        bucket = self.tick() if committed else None
         record = self.current
         if record is None:
             self.drain()
-            self.graph.end_txn(key, committed, twopc, bucket)
+            self.graph.end_txn(key, committed, twopc)
             return
         now = self.now()
         record.add(COMMIT if committed else ABORT, TXN, now, now, None,
-                   (key, twopc, bucket))
+                   (key, twopc))
 
     def crashed(self, node: str) -> None:
         """``node`` crashed, and its sessions with it: the transactions
@@ -497,7 +455,7 @@ class Telemetry:
         return self.tenants.rows()
 
     def txn_graph(self) -> TxnGraph | None:
-        """The co-access graph and window ring to read from (None while
+        """The co-access graph to read from (None while
         ``citus.enable_txn_graph`` is off)."""
         if not self.graphing:
             return None
@@ -521,7 +479,7 @@ class Telemetry:
         return list(self.slow_log)
 
     def metric_families(self) -> list[tuple]:
-        """Graph / window, ASH and ring-health families for
+        """Graph, ASH and ring-health families for
         ``citus_metrics_snapshot``, as :func:`.metrics.render` takes them."""
         graph = self.txn_graph()
         families = [] if graph is None else graph.metric_families()

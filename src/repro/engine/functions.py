@@ -247,28 +247,41 @@ _register_agg(
 
 
 def _stddev_init():
-    return [0, 0.0, 0.0]  # n, sum, sum of squares
+    # n, mean, M2 (the sum of squared deviations from the mean): a sum of
+    # squares would cancel catastrophically on values far from zero.
+    return [0, 0.0, 0.0]
 
 
 def _stddev_accum(state, value):
+    """Welford's update."""
     if value is None:
         return state
-    n, s, s2 = state
-    return [n + 1, s + value, s2 + value * value]
+    n, mean, m2 = state
+    n += 1
+    delta = value - mean
+    mean += delta / n
+    return [n, mean, m2 + delta * (value - mean)]
 
 
 def _stddev_final(state):
-    n, s, s2 = state
+    n, _mean, m2 = state
     if n < 2:
         return None
-    var = (s2 - s * s / n) / (n - 1)
-    return math.sqrt(max(var, 0.0))
+    return math.sqrt(m2 / (n - 1))
 
 
 def _stddev_merge(state, part):
-    if part is None:
+    """Chan et al.'s pairwise combination of two partial states."""
+    if part is None or not part[0]:
         return state
-    return [state[0] + part[0], state[1] + part[1], state[2] + part[2]]
+    n_a, mean_a, m2_a = state
+    if not n_a:
+        return list(part)
+    n_b, mean_b, m2_b = part
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return [n, mean_a + delta * n_b / n,
+            m2_a + m2_b + delta * delta * n_a * n_b / n]
 
 
 _register_agg(Aggregate("stddev", _stddev_init, _stddev_accum, _stddev_final, _identity,

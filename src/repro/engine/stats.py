@@ -7,7 +7,7 @@ machinery can expose its internal decisions — which planner tier fired,
 how many tasks ran, how many connections slow-start opened, how many 2PC
 prepares each worker saw — as structured, queryable numbers.
 :class:`LogHistogram` is the log-bucketed latency histogram the statement
-and window statistics keep per entry.
+statistics keep per entry.
 
 The registry is deliberately engine-level (it knows nothing about Citus):
 any subsystem may attach one to a shared holder object via
@@ -39,7 +39,7 @@ class LogHistogram:
     magnitude with bounded relative error — the classic HdrHistogram /
     Prometheus trade-off. Exact ``count``/``sum``/``min``/``max`` are kept
     alongside so the extremes never suffer bucket rounding; the statement
-    and window statistics read their calls and times from them.
+    statistics read their calls and times from them.
 
     ``percentile`` walks the cumulative bucket counts and reports the
     upper bound of the bucket containing the requested rank, which makes

@@ -15,12 +15,14 @@ full; ``--full`` writes everything, for diffing two trees by hand.
 ``tests/test_telemetry_golden.py`` runs it the same way and compares the
 output with the checked-in file, which was captured from the commit before
 the telemetry spine (a9fecdc). It uses public surfaces only, so the same
-file runs on both trees.
+file runs on both trees. A change that deletes a surface re-records the
+file from the edited script, once the parent tree's output with the deleted
+fields removed equals the new tree's byte for byte.
 
-The window is 5 ms and the ASH interval 2 ms, so the ~300 statements cross
-dozens of bucket and sample boundaries; think time between statements moves
-the clock outside any statement too, so boundaries are first seen at a
-statement's start as well as at its end.
+The ASH interval is 2 ms, so the ~300 statements cross dozens of sample
+boundaries; think time between statements moves the clock outside any
+statement too, so boundaries are first seen at a statement's start as well
+as at its end.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ def dump(session, full: bool) -> dict:
     out["txn_graph"] = udf(session, "citus_stat_txn_graph()")
     out["txn_graph_vertices"] = udf(session, "citus_stat_txn_graph('vertices')")
     out["txn_graph_json"] = udf(session, "citus_stat_txn_graph('json')")
-    out["windows"] = udf(session, "citus_stat_windows()")
     samples = udf(session, "citus_ash('samples')")
     out["ash_samples_sha256"] = digest(samples)
     out["ash_samples"] = samples if full else udf(
@@ -102,9 +103,8 @@ def dump(session, full: bool) -> dict:
 
 
 def script_config(**overrides) -> CitusConfig:
-    """The script's configuration: a 5 ms window, a 2 ms ASH interval."""
-    return CitusConfig(stat_window_seconds=0.005, ash_sampling_interval=0.002,
-                       **overrides)
+    """The script's configuration: a 2 ms ASH interval."""
+    return CitusConfig(ash_sampling_interval=0.002, **overrides)
 
 
 def drive(config: CitusConfig):
@@ -276,7 +276,6 @@ def drive(config: CitusConfig):
             next_checkpoint += checkpoint_every
             checkpoints.append({
                 "at": issued,
-                "windows": udf(s, "citus_stat_windows()"),
                 "ash_samples": len(udf(s, "citus_ash()")),
             })
 

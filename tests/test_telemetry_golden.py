@@ -18,7 +18,6 @@ import types
 
 from repro import make_cluster
 from repro.citus.extension import CitusConfig
-from repro.citus.record import E_ATTRS, E_CAT, EXECUTION, TXN, X_BUCKET
 from repro.citus.telemetry import Telemetry
 from repro.errors import ReproError
 
@@ -81,10 +80,9 @@ def test_every_surface_matches_the_dump_captured_before_the_spine():
 
 def _workload_records():
     """The closed records of a small mixed workload, in emission order,
-    and the window buckets they were stamped with."""
+    and the clock they were stamped from."""
     citus = make_cluster(workers=2, shard_count=8,
-                         config=CitusConfig(stat_window_seconds=0.005,
-                                            log_min_duration=0.0))
+                         config=CitusConfig(log_min_duration=0.0))
     telemetry = citus.coordinator_ext.telemetry
     records = []
     emit = telemetry._emit
@@ -111,43 +109,26 @@ def _workload_records():
                 pass
         else:
             s.execute("SELECT v FROM t WHERE k = $1", [k])
-    windows = telemetry.graph.windows
-    return records, windows.width, citus.cluster.clock
+    return records, citus.cluster.clock
 
 
-def _fold_dump(records, chunk: int, width: float, clock) -> str:
-    """Feed ``records`` to a fresh set of folds, draining every ``chunk``
-    records, and dump every fold-made surface."""
+def _fold_dump(records, chunk: int, clock) -> str:
+    """Feed ``records`` to a fresh set of folds (statements, tenants, the
+    co-access graph, slow log, traces), draining every ``chunk`` records,
+    and dump every surface they make."""
     telemetry = Telemetry(types.SimpleNamespace(), clock)
     telemetry.tracing = telemetry.introspection = telemetry.graphing = True
     telemetry.log_min_duration = 0.0
-    telemetry.graph.configure(width, 100_000)
-    # The eager half: the buckets the records were stamped with exist.
-    stamped = set()
-    for record in records:
-        for event in record.events:
-            if event[E_CAT] is EXECUTION:
-                stamped.add(event[E_ATTRS][X_BUCKET])
-            elif event[E_CAT] is TXN:
-                stamped.add(event[E_ATTRS][2])
-    for index in sorted(stamped - {None}):
-        telemetry.graph.windows.roll(index * width)
     for start in range(0, len(records), chunk):
         for record in records[start:start + chunk]:
             telemetry._emit(record)
         telemetry.drain()
     graph = telemetry.graph
-    windows = [
-        (b.index, b.hist.count, b.hist.percentile(99), b.txns, b.twopc,
-         sorted(b.edges.items()))
-        for b in list(graph.windows.ring) + [graph.windows.current]
-    ]
     return json.dumps({
         "statements": telemetry.statement_rows(),
         "tenants": telemetry.tenant_rows(),
         "graph": graph.as_json(),
         "edges": graph.edge_rows(),
-        "windows": windows,
         "counters": telemetry.registry.as_dict(),
         "slow_log": telemetry.slow_queries(),
         "trace": telemetry.export_chrome(),
@@ -157,9 +138,10 @@ def _fold_dump(records, chunk: int, width: float, clock) -> str:
 def test_folds_are_pure_functions_of_the_record_stream():
     """The same records through a fresh set of folds give the same dumps
     whether drained one by one, seven at a time or all at once."""
-    records, width, clock = _workload_records()
+    records, clock = _workload_records()
     assert len(records) > 150
-    whole = _fold_dump(records, 1024, width, clock)
-    assert _fold_dump(records, 1, width, clock) == whole
-    assert _fold_dump(records, 7, width, clock) == whole
+    whole = _fold_dump(records, len(records), clock)
+    assert _fold_dump(records, 1, clock) == whole
+    assert _fold_dump(records, 7, clock) == whole
     assert '"txngraph_txns"' in whole and '"2pc.prepare"' in whole
+    assert '"access_tenants"' in whole

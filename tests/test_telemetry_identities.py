@@ -4,8 +4,7 @@ so their totals must agree with each other.
 Read through the public UDFs only. The uncontended half held before the
 telemetry spine too; the contended half did not — a statement that parked
 on a lock was an error plus a lost completion to the tracer, a full
-statement to the tenant table, nothing to the window ring and no
-transaction to the co-access graph.
+statement to the tenant table and no transaction to the co-access graph.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ class Surfaces:
         self.statements = _udf(session, "citus_stat_statements()")
         # [tenant, query_count, rows, total_query_time_ms, total_wait_time_ms]
         self.tenants = _udf(session, "citus_stat_tenants()")
-        # [bucket, start_s, end_s, current, statements, p50, p95, p99, txns,
-        #  txns_multi_group, txns_cross_node, txns_2pc, edge_txns, counters]
-        self.windows = _udf(session, "citus_stat_windows()")
+        # [src, dst, txns, single_node, cross_node, twopc, writes, bytes]
+        self.edges = _udf(session, "citus_stat_txn_graph()")
+        # [shard, txns, writes, bytes]
         self.vertices = _udf(session, "citus_stat_txn_graph('vertices')")
         self.flamegraph = _udf(session, "citus_ash('flamegraph')")
         self.ash_samples = _udf(session, "citus_ash()")
@@ -76,15 +75,19 @@ def assert_sensors_agree(s: Surfaces) -> None:
     assert sum(row[4] for row in s.statements) == pytest.approx(
         sum(row[3] for row in s.tenants), abs=1e-6)
 
-    assert sum(row[4] for row in s.windows) == \
-        s.counters.get("executor_statements", 0)
+    # Every transaction the co-access graph counts committed, and the ones
+    # it tags 2PC are the ones the commit protocol ran as 2PC.
     txns = s.counters.get("txngraph_txns", 0)
-    assert sum(row[8] for row in s.windows) == txns
-    assert sum(row[11] for row in s.windows) \
-        == s.counters.get("txngraph_txns_2pc", 0) \
-        == s.counters.get("twopc_transactions", 0)
+    twopc = s.counters.get("txngraph_txns_2pc", 0)
+    assert twopc == s.counters.get("twopc_transactions", 0)
+    assert twopc <= s.counters.get("txngraph_txns_cross_node", 0) <= txns
+    assert s.counters.get("txngraph_txns_block_multi_group", 0) \
+        <= s.counters.get("txngraph_txns_multi_group", 0) <= txns
     for vertex in s.vertices:
         assert vertex[1] <= txns
+    for edge in s.edges:
+        assert edge[3] + edge[4] + edge[5] == edge[2] <= txns
+        assert edge[5] <= twopc
 
     flame_total = sum(int(line.rsplit(" ", 1)[1])
                       for line in s.flamegraph.splitlines())
@@ -197,7 +200,7 @@ def test_a_parked_statement_is_one_statement_everywhere(contended_surfaces):
     assert row[10] == 2  # both updated the row
     assert row[6] >= 250.0 - 1e-6  # B's latency spans its wait
     assert row[4] == pytest.approx(s.tenants[0][3], abs=1e-6)
-    assert sum(w[4] for w in s.windows) == 2
+    assert s.tenants[0][1] == 2
     # Both committed transactions touched a shard: both are in the graph.
     assert s.counters["txngraph_txns"] == 2
     assert s.vertices[0][1] == 2

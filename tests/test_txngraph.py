@@ -1,8 +1,7 @@
-"""Distributed-transaction co-access graph + time-windowed statistics:
-access-set capture across the 1PC/2PC/autocommit/streaming paths, edge
-tagging, window-ring rollover/retention edge cases, reset scopes, the
-zero-surface disabled mode, deterministic exports, and the SLO RatioRule
-lower bound."""
+"""Distributed-transaction co-access graph: access-set capture across the
+1PC/2PC/autocommit/streaming paths, edge tagging, reset scopes, the
+zero-surface disabled mode, deterministic exports, EXPLAIN ANALYZE's
+cross-shard line, and the SLO RatioRule lower bound."""
 
 from __future__ import annotations
 
@@ -11,12 +10,9 @@ import json
 import pytest
 
 from repro import make_cluster
-from repro.citus.executor.adaptive import ExecutionReport
 from repro.citus.extension import CitusConfig
-from repro.citus.record import EXECUTION, OK, TASK, TASKS, StatementRecord
-from repro.citus.txngraph import TxnGraph, WindowRing, group_label
+from repro.citus.txngraph import group_label
 from repro.engine.datum import hash_value
-from repro.engine.stats import StatsRegistry
 from repro.errors import MetadataError
 from repro.workloads.traffic import RatioRule
 
@@ -87,9 +83,9 @@ class TestAccessCapture:
         s.execute("COMMIT")
         edges = _edge_rows(s)
         assert len(edges) == 1
-        src, dst, txns, single_node, cross_node, twopc, writes, nbytes, recent = edges[0]
+        src, dst, txns, single_node, cross_node, twopc, writes, nbytes = edges[0]
         assert txns == 1 and single_node == 1 and cross_node == 0 and twopc == 0
-        assert writes == 1 and nbytes > 0 and recent == 1
+        assert writes == 1 and nbytes > 0
         counters = _graph_counters(s)
         assert counters["txngraph_txns_block"] == 1
         assert counters["txngraph_txns_block_multi_group"] == 1
@@ -158,12 +154,25 @@ class TestAccessCapture:
             "txngraph_txns_aborted") == 1
 
     def test_vertices_attribute_tenants(self, citus):
+        """Which tenants use a shard group is the tenant table joined
+        through the tenant's shard: the graph keeps no tally of its own."""
         s = _setup_accounts(citus)
         s.execute("SELECT citus_stat_reset('all')")
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = 7")
-        vertices = s.execute("SELECT citus_stat_txn_graph('vertices')").scalar()
-        assert vertices[0][4] == 1  # tenants
-        assert vertices[0][5] == ["7"]  # top_tenants
+        (vertex,) = s.execute("SELECT citus_stat_txn_graph('vertices')").scalar()
+        (tenant,) = s.execute("SELECT citus_stat_tenants()").scalar()
+        assert tenant[0] == 7
+        shardid = s.execute(
+            "SELECT get_shard_id_for_distribution_column('accounts', :k)",
+            {"k": tenant[0]}).scalar()
+        shardids = sorted({row[1] for row in
+                           s.execute("SELECT citus_shards()").scalar()
+                           if row[0] == "accounts"})
+        colocation_id = next(row[3] for row in
+                             s.execute("SELECT citus_tables()").scalar()
+                             if row[0] == "accounts")
+        assert vertex[0] == group_label(
+            (colocation_id, shardids.index(shardid)))
 
     def test_streaming_copy_writes_are_captured(self, citus):
         s = citus.coordinator_session()
@@ -198,7 +207,6 @@ class TestExports:
         s.execute("SELECT count(*) FROM accounts")
         snap = s.execute("SELECT citus_metrics_snapshot()").scalar()
         assert "# TYPE citus_txn_graph_edges gauge" in snap
-        assert "# TYPE citus_txn_window_statements gauge" in snap
         edge_lines = [l for l in snap.splitlines()
                       if l.startswith("citus_txn_graph_edge_txns_total{")]
         assert edge_lines == sorted(edge_lines)
@@ -206,53 +214,30 @@ class TestExports:
         assert (snap.index("citus_txn_graph_edges")
                 < snap.index("# TYPE citus_node_up gauge"))
 
-    def test_windows_rows_carry_counter_deltas(self, citus):
-        s = _setup_accounts(citus)
-        s.execute("SELECT citus_stat_reset('all')")
-        s.execute("BEGIN")
-        s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
-        s.execute("COMMIT")
-        rows = s.execute("SELECT citus_stat_windows()").scalar()
-        assert rows
-        current = rows[-1]
-        assert current[3] is True  # current bucket
-        assert current[4] >= 1  # statements observed
-        assert current[5] > 0  # p50_ms
-        counters = json.loads(current[13])
-        assert counters["txngraph_txns"] == 1
-        assert current[8] == 1  # txns folded in this bucket
+    def test_group_label(self):
+        assert group_label((3, 7)) == "c3.s7"
+        assert group_label(None) == "?"
 
 
 # -------------------------------------------------------- reset scopes
 
 
 class TestResetScopes:
-    def test_graph_scope_clears_edges_but_not_windows(self, citus):
+    def test_graph_scope_clears_edges_but_not_counters(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT count(*) FROM accounts")
         assert _edge_rows(s)
         s.execute("SELECT citus_stat_reset('graph')")
         assert _edge_rows(s) == []
         assert s.execute("SELECT citus_stat_txn_graph('vertices')").scalar() == []
-        rows = s.execute("SELECT citus_stat_windows()").scalar()
-        assert rows and rows[-1][4] > 0  # statement history survived
-
-    def test_windows_scope_restarts_the_ring(self, citus):
-        s = _setup_accounts(citus)
-        s.execute("SELECT count(*) FROM accounts")
-        s.execute("SELECT citus_stat_reset('windows')")
-        rows = s.execute("SELECT citus_stat_windows()").scalar()
-        assert len(rows) == 1
-        assert rows[0][3] is True and rows[0][4] == 0  # fresh current bucket
-        assert _edge_rows(s)  # lifetime graph untouched
+        assert _graph_counters(s)["txngraph_txns"] > 0  # history survived
 
     def test_all_scope_clears_both(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT count(*) FROM accounts")
         s.execute("SELECT citus_stat_reset('all')")
         assert _edge_rows(s) == []
-        rows = s.execute("SELECT citus_stat_windows()").scalar()
-        assert len(rows) == 1 and rows[0][4] == 0
+        assert not _graph_counters(s)
 
     def test_unknown_scope_is_rejected_and_docstring_lists_all(self, citus):
         s = _setup_accounts(citus)
@@ -260,8 +245,8 @@ class TestResetScopes:
             s.execute("SELECT citus_stat_reset('bogus')")
         catalog = citus.coordinator_ext.instance.catalog
         doc = catalog.get_function("citus_stat_reset").fn.__doc__
-        for scope in ("counters", "statements", "tenants", "graph",
-                      "windows", "all"):
+        for scope in ("counters", "statements", "tenants", "graph", "ash",
+                      "all"):
             assert scope in doc
 
 
@@ -282,10 +267,8 @@ class TestDisabled:
         # Nothing was folded behind the switch either.
         graph = citus.coordinator_ext.telemetry.graph
         assert not graph.vertices and not graph.open
-        assert graph.windows.current is None
         assert s.execute("SELECT citus_stat_txn_graph()").scalar() == []
         assert s.execute("SELECT citus_stat_txn_graph('json')").scalar() == "{}"
-        assert s.execute("SELECT citus_stat_windows()").scalar() == []
         assert not _graph_counters(s)
 
     def test_runtime_toggle_detaches_every_node(self, citus):
@@ -301,112 +284,6 @@ class TestDisabled:
         s.execute("SELECT citus_stat_reset('all')")
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
         assert _graph_counters(s)["txngraph_txns"] == 1
-
-
-# ------------------------------------------------------- window ring
-
-
-class _Clock:
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def now(self):
-        return self.t
-
-
-def _graph(width=60.0, nbuckets=4):
-    clock = _Clock()
-    graph = TxnGraph(clock, StatsRegistry())
-    graph.configure(width, nbuckets)
-    return graph, clock
-
-
-def _statement(graph, clock, group, nbytes, elapsed, began_at=None):
-    """Fold one autocommit single-task write that began at ``began_at``
-    and ended now — the record the executor's timeline and the session
-    leave behind, with the window ring rolled where they roll it."""
-    if began_at is not None:
-        graph.windows.roll(began_at)
-    bucket = graph.windows.roll(clock.t).index
-    start = clock.t if began_at is None else began_at
-    record = StatementRecord("statement", "Update", None, "coordinator",
-                             start, False)
-    unit = (TASK, 0, "w1", group, True, 0.0, elapsed, 1, nbytes)
-    record.events.append((
-        -1, TASKS, EXECUTION, start, start + elapsed, None,
-        ([unit], ExecutionReport(elapsed=elapsed), None,
-         ("coordinator", 1000), None, False, OK, bucket, True)))
-    record.end = clock.t
-    graph.fold(record)
-
-
-class TestWindowRing:
-    def test_boundary_exact_statement_end_lands_in_the_new_bucket(self):
-        graph, clock = _graph()
-        clock.t = 60.0  # exactly on the first bucket boundary
-        _statement(graph, clock, (1, 0), 64, 0.5, began_at=10.0)
-        buckets = graph.windows.buckets(clock.t)
-        assert [b.index for b in buckets] == [0, 1]
-        assert buckets[0].hist.count == 0  # closed bucket stayed empty
-        assert buckets[1].hist.count == 1  # boundary-exact end -> new bucket
-        assert buckets[1].txns == 1
-
-    def test_idle_gaps_materialize_as_empty_buckets(self):
-        graph, clock = _graph()
-        graph.windows.roll(10.0)  # open bucket 0
-        buckets = graph.windows.buckets(130.0)  # jump into bucket 2
-        assert [b.index for b in buckets] == [0, 1, 2]
-        gap = buckets[1]
-        assert gap.closed and gap.hist.count == 0 and gap.counters == {}
-
-    def test_wraparound_retains_only_the_newest_n_buckets(self):
-        graph, clock = _graph(width=60.0, nbuckets=4)
-        for index in range(7):
-            graph.windows.roll(index * 60.0)
-        buckets = graph.windows.buckets(6 * 60.0)
-        assert [b.index for b in buckets] == [3, 4, 5, 6]
-        assert len(buckets) == 4  # retention = ring + current
-
-    def test_far_jump_does_not_create_unbounded_gap_buckets(self):
-        graph, clock = _graph(width=60.0, nbuckets=4)
-        graph.windows.roll(0.0)
-        buckets = graph.windows.buckets(1_000_000.0)
-        assert len(buckets) <= 4
-        assert buckets[-1].index == int(1_000_000.0 / 60.0)
-
-    def test_reset_mid_bucket_reopens_with_fresh_baseline(self):
-        graph, clock = _graph()
-        clock.t = 11.0
-        _statement(graph, clock, (1, 0), 64, 0.5, began_at=10.0)
-        graph.reset_windows()
-        clock.t = 12.0  # still inside bucket 0's interval
-        buckets = graph.windows.buckets(clock.t)
-        assert len(buckets) == 1 and buckets[0].hist.count == 0
-        # Counters incremented before the reset don't leak into the delta.
-        assert graph.windows.bucket_counters(buckets[0]) == {}
-
-    def test_per_bucket_counter_deltas(self):
-        graph, clock = _graph()
-        _statement(graph, clock, (1, 0), 10, 0.1)  # folds: txngraph_txns += 1
-        clock.t = 65.0
-        _statement(graph, clock, (1, 1), 10, 0.1)
-        buckets = graph.windows.buckets(clock.t)
-        first = graph.windows.bucket_counters(buckets[0])
-        second = graph.windows.bucket_counters(buckets[-1])
-        assert first["txngraph_txns"] == 1
-        assert second["txngraph_txns"] == 1
-
-    def test_reconfigure_resets_only_on_change(self):
-        graph, clock = _graph(width=60.0, nbuckets=4)
-        graph.windows.roll(10.0)
-        graph.configure(60.0, 4)  # no-op
-        assert graph.windows.current is not None
-        graph.configure(30.0, 4)  # width change drops the ring
-        assert graph.windows.current is None
-
-    def test_group_label(self):
-        assert group_label((3, 7)) == "c3.s7"
-        assert group_label(None) == "?"
 
 
 # ------------------------------------------------------- determinism
@@ -438,12 +315,13 @@ class TestDeterminism:
             dumps.append({
                 "graph": s.execute("SELECT citus_stat_txn_graph('json')").scalar(),
                 "edges": s.execute("SELECT citus_stat_txn_graph()").scalar(),
-                "windows": s.execute("SELECT citus_stat_windows()").scalar(),
+                # Activity per time window.
+                "timeline": s.execute("SELECT citus_ash('timeline')").scalar(),
                 "metrics": s.execute("SELECT citus_metrics_snapshot()").scalar(),
             })
         assert dumps[0]["graph"] == dumps[1]["graph"]
         assert dumps[0]["edges"] == dumps[1]["edges"]
-        assert dumps[0]["windows"] == dumps[1]["windows"]
+        assert dumps[0]["timeline"] == dumps[1]["timeline"]
         assert dumps[0]["metrics"] == dumps[1]["metrics"]
 
 
@@ -457,7 +335,33 @@ class TestObservabilityIntegration:
             "SELECT citus_explain_analyze('UPDATE accounts SET v = v + 1')"
         ).scalar()
         assert "Cross-Shard: groups=" in text
-        assert "recent_cross_node_fraction=" in text
+        assert "cross_node_fraction=" in text
+
+    def test_cross_shard_fractions_are_the_counter_ratios(self, citus):
+        """EXPLAIN ANALYZE's fractions are the ``txngraph_*`` counters'
+        ratios since the last counters reset."""
+        s = _setup_accounts(citus)
+        k1, k2 = find_keys_on_distinct_nodes(citus, "accounts")
+        s.execute("SELECT citus_stat_reset('counters')")
+        for k in range(1, 9):
+            s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k})
+        s.execute("SELECT count(*) FROM accounts")
+        s.execute("BEGIN")
+        s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k1})
+        s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k2})
+        s.execute("COMMIT")
+        counters = _graph_counters(s)
+        text = s.execute(
+            "SELECT citus_explain_analyze('UPDATE accounts SET v = v + 1')"
+        ).scalar()
+        (line,) = [l for l in text.splitlines() if "Cross-Shard:" in l]
+        fields = dict(part.split("=") for part in line.split()[1:])
+        txns = counters["txngraph_txns"]
+        assert txns == 10
+        assert fields["multi_group_fraction"] == \
+            f"{counters['txngraph_txns_multi_group'] / txns:.4f}" == "0.2000"
+        assert fields["cross_node_fraction"] == \
+            f"{counters['txngraph_txns_cross_node'] / txns:.4f}" == "0.2000"
 
     def test_single_shard_dml_has_no_cross_shard_line(self, citus):
         s = _setup_accounts(citus)

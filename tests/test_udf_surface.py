@@ -157,7 +157,7 @@ class TestSizeAndConfig:
 class TestUdfTable:
     def test_the_registered_udfs_are_the_table(self, citus):
         names = [name for name, _fn, _coordinator_only in UDFS]
-        assert len(names) == len(set(names)) == 36
+        assert len(names) == len(set(names)) == 35
         for instance in citus.cluster.nodes.values():
             assert set(instance.catalog.functions) - {"_named_arg"} == set(names)
 

@@ -447,7 +447,12 @@ def test_written_rows_leave_nothing_for_the_collector_but_the_heap():
     record the collector kept tracking would be walked again by every full
     collection. After one collection no stored record is tracked, and what
     a write leaves behind for the collector is its heap version and that
-    version's values list — two objects per row."""
+    version's values list — two objects per row.
+
+    Objects are counted right after the second collection, before the
+    test builds anything of its own: the first ``Counter`` over a
+    generator in a process fills the ``collections.abc`` caches, which
+    would count against the writes when the test runs alone."""
     _cluster, session = empty_events(distributed=False)
     wal = session.instance.wal
     write_round(session, 1)  # the statements' shapes, plans and caches
@@ -455,11 +460,12 @@ def test_written_rows_leave_nothing_for_the_collector_but_the_heap():
     before = len(gc.get_objects())
     written = write_round(session, ROWS + 1)
     gc.collect()
+    after = len(gc.get_objects())
     assert not any(map(gc.is_tracked, wal.records))
     kinds = Counter(record[2] for record in wal.read())
     assert {"insert", "update", "delete", "prepare", "commit_prepared",
             "abort", "commit"} <= set(kinds)
-    assert len(gc.get_objects()) - before <= 2 * written
+    assert after - before <= 2 * written
 
 
 JOIN_ROWS = 20_000
@@ -696,7 +702,6 @@ def telemetry_work(monkeypatch):
     count(introspection.TenantStats, "fold", "folds")
     count(txngraph.TxnGraph, "fold", "folds")
     count(txngraph.TxnGraph, "end_txn", "folds")
-    count(txngraph.WindowRing, "roll", "rolls")
     count(contextlib._GeneratorContextManager, "__enter__", "generators")
     for write in ("incr", "gauge_incr", "gauge_max"):
         count(stats.StatsRegistry, write, "registry_writes")
@@ -730,7 +735,6 @@ def test_a_warmed_fast_path_statement_records_once_and_folds_nothing(sql):
         assert counts["spans"] == 0
         assert counts["observes"] == 0
         assert counts["folds"] == 0
-        assert counts["rolls"] == 0
         assert counts["generators"] == 0
         assert 0 < counts["registry_writes"] <= 11
         assert len(telemetry.pending) == 1
