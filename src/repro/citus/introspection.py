@@ -16,9 +16,8 @@ unique cluster-wide and lets operators correlate a row in
 from __future__ import annotations
 
 from ..sql.deparse import deparse
-from .planner.plan_cache import statement_fingerprint
+from ..sql.facts import statement_facts, statement_fingerprint
 from .record import rank
-from .sharding import statement_facts
 
 GPID_STRIDE = 10_000_000_000
 

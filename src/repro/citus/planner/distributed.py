@@ -30,7 +30,8 @@ from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql import parse
-from ..sharding import analyze_statement, statement_facts
+from ...sql.facts import statement_facts
+from ..sharding import analyze_statement
 from ..txn.deadlock import assign_distributed_txn_ids
 from .fast_path import try_fast_path
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan

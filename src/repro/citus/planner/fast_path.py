@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from ...errors import NotNullViolation
 from ...sql import ast as A
-from ..sharding import NO_VALUE, dist_value_for, statement_facts
+from ...sql.facts import statement_facts
+from ..sharding import NO_VALUE, dist_value_for
 from .tasks import ShardRoutes, SingleTaskPlan
 
 

@@ -16,7 +16,8 @@ from ...engine.expr import BoundParams
 from ...engine.hooks import CustomScanPlan
 from ...sql import ast as A
 from ...sql.deparse import deparse
-from ..sharding import NO_VALUE, prune_shards, statement_facts
+from ...sql.facts import statement_facts
+from ..sharding import NO_VALUE, prune_shards
 from ..txn.deadlock import assign_distributed_txn_ids
 
 
@@ -119,7 +120,7 @@ class ShardRoutes:
     task on one placement is made of — node, shard group, shard-rewritten
     AST — is a function of the statement and the metadata cache only, so it
     is built the first time a bind lands there and kept for as long as the
-    shape (or the statement's :class:`~..sharding.StatementFacts`, see
+    shape (or the statement's :class:`~repro.sql.facts.StatementFacts`, see
     :func:`statement_routes`) that owns the routes. The ASTs are shared
     read-only across executions and sessions."""
 

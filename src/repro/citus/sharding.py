@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from ..engine.datum import cast_value, hash_value
 from ..engine.expr import BoundParams
-from ..engine.lru import LRUCache
 from ..errors import ReproError
 from ..sql import ast as A
+from ..sql.facts import StatementFacts
 from .metadata import RANGE, DistributedTable, MetadataCache
 
 
@@ -445,66 +445,6 @@ def _flatten_tables(item):
     elif isinstance(item, A.JoinExpr):
         yield from _flatten_tables(item.left)
         yield from _flatten_tables(item.right)
-
-
-def collect_table_names(stmt) -> set[str]:
-    """Every table name appearing anywhere in the statement."""
-    names = set()
-    for node in A.walk(stmt):
-        if isinstance(node, A.TableRef):
-            names.add(node.name)
-        elif isinstance(node, (A.Insert, A.Update, A.Delete)):
-            names.add(node.table)
-        elif isinstance(node, A.Copy):
-            names.add(node.table)
-    return names
-
-
-UNSET = object()
-
-
-class StatementFacts:
-    """What the coordinator derives from a statement's AST alone, computed
-    once per AST instead of once per execution: the table set, the plan
-    cache's normalization (template, constants, fingerprint), the
-    statement's identity on the telemetry surfaces (that fingerprint and
-    its short digest) and the tenant extractor, plus the verdict that the
-    statement mentions no Citus table, and — for statements planned every
-    time — their shard routes (``planner.tasks.statement_routes``). The
-    verdict, the tenant extractor and the routes depend on the Citus
-    metadata, so each remembers the :class:`MetadataCache` it was derived
-    from; ``MetadataStore.reload`` swaps in a new cache object on every
-    metadata change, which invalidates them by identity."""
-
-    __slots__ = ("stmt", "tables", "local_in", "norm", "fingerprint",
-                 "tenant_in", "tenant_plan", "routes_in", "routes")
-
-    def __init__(self, stmt):
-        self.stmt = stmt
-        self.tables = tuple(collect_table_names(stmt))
-        self.local_in = None  # MetadataCache holding none of ``tables``
-        self.norm = UNSET  # filled by plan_cache._normalize_statement
-        self.fingerprint = None  # filled by plan_cache.statement_fingerprint
-        self.tenant_in = None  # MetadataCache ``tenant_plan`` is valid for
-        self.tenant_plan = None  # filled by partition_key_for
-        self.routes_in = None  # MetadataCache ``routes`` are valid for
-        self.routes = None  # filled by planner.tasks.statement_routes
-
-
-# Keyed by statement identity: the engine's statement cache returns the
-# same AST object for repeated SQL text, and cached distributed plans ship
-# the same shard-statement objects. Each entry references its statement,
-# so the id() cannot be recycled underneath it.
-_FACTS = LRUCache(2048)
-
-
-def statement_facts(stmt) -> StatementFacts:
-    key = id(stmt)
-    facts = _FACTS.get(key)
-    if facts is None or facts.stmt is not stmt:
-        facts = StatementFacts(stmt)
-        _FACTS.put(key, facts)
-    return facts
 
 
 # --------------------------------------------------------- tenant extraction

@@ -34,9 +34,9 @@ from collections import Counter
 
 from ..engine.compile import compile_count
 from ..engine.stats import stats_for
+from ..sql.facts import statement_fingerprint
 from .ash import AshSampler
 from .introspection import TenantStats
-from .planner.plan_cache import statement_fingerprint
 from .record import (ABORT, COMMIT, E_ATTRS, E_END, EXECUTION, TXN, Ring,
                      StatementRecord)
 from .sharding import NO_VALUE, partition_key_for

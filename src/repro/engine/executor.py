@@ -31,6 +31,7 @@ from ..errors import (
     CatalogError,
     DataError,
     ForeignKeyViolation,
+    LockTimeout,
     NotNullViolation,
     SyntaxErrorSQL,
     UniqueViolation,
@@ -52,7 +53,8 @@ from .functions import (
 )
 from .heap import LENGTH, TUPLE_OVERHEAD, VALUE_WIDTHS, HeapTuple, _value_width
 from .index import BTreeIndex, GinIndex, index_delete, index_key_fn, row_key_fn
-from .mvcc import COMMITTED
+from .locks import WouldBlock
+from .mvcc import COMMITTED, IN_PROGRESS
 from .wal import row_record_bytes, stored_form
 from .window import compute_window_values, contains_window_function
 
@@ -179,7 +181,7 @@ class ScanShape:
     rows it yields, the predicate compiled against it, and the index
     candidates together with the expressions that supply their keys."""
 
-    __slots__ = ("layout", "where", "terms", "btrees", "gin", "loops")
+    __slots__ = ("layout", "where", "terms", "btrees", "gin", "point", "loops")
 
     def __init__(self, table: Table, alias: str, where, locking: bool = False):
         self.layout = RowLayout.of(
@@ -198,10 +200,16 @@ class ScanShape:
         #: (index name, needle) of the trigram index serving an
         #: ``ILIKE '%needle%'`` conjunct, if any.
         self.gin = None
+        #: ``(IndexDef, its column names)`` when this is a *point* shape:
+        #: ``=`` conjuncts on every column of a unique B-tree, the only
+        #: index candidate, their values constants or parameters — one key,
+        #: and :meth:`probe` could choose nothing else (:meth:`point_key`).
+        self.point = None
         if where is None or not table.indexes:
             return
         types = {col.name: col.type_name for col in table.columns}
         patterns: list[tuple[str, str]] = []  # (indexed expr text, needle)
+        stable = True  # every term's value a constant or a parameter
         for c in split_and(where):
             if isinstance(c, A.BinaryOp) and c.op in _FLIPPED:
                 left, right, op = c.left, c.right, c.op
@@ -211,10 +219,12 @@ class ScanShape:
                         and not _references_columns(right)):
                     self.terms.append((left.name, op, get_compiled(right), None,
                                        types.get(left.name)))
+                    stable = stable and _stable(right)
             elif isinstance(c, A.BetweenExpr) and isinstance(c.operand, A.ColumnRef):
                 if not c.negated and c.operand.table in (None, alias):
                     self.terms.append((c.operand.name, "between", get_compiled(c.low),
                                        get_compiled(c.high), types.get(c.operand.name)))
+                    stable = stable and _stable(c.low) and _stable(c.high)
             elif isinstance(c, A.BinaryOp) and c.op in ("like", "ilike"):
                 if isinstance(c.right, A.Literal) and isinstance(c.right.value, str):
                     pattern = c.right.value
@@ -241,24 +251,18 @@ class ScanShape:
                 continue
             if index_cols[0] in constrained:
                 self.btrees.append((index.name, index_cols))
+        if stable and self.gin is None and len(self.btrees) == 1:
+            index = table.indexes[self.btrees[0][0]]
+            cols = self.btrees[0][1]
+            if index.unique and {col for col, op, *_ in self.terms
+                                 if op == "="}.issuperset(cols):
+                self.point = (index, cols)
 
-    def probe(self, table: Table, ctx: EvalContext):
-        """Pick an index for this execution's parameter values. Returns
-        (description, IndexDef, tids) or None for a sequential scan.
-        Read-only: EXPLAIN calls it too.
-
-        The candidate TIDs are a superset of the matching rows; the caller
-        re-applies the full WHERE clause (index recheck). A trigram match
-        wins; otherwise the longest B-tree equality prefix, then a B-tree
-        range, fewest TIDs breaking ties.
-        """
-        if self.gin is not None:
-            name, needle = self.gin
-            index = table.indexes[name]
-            tids = index.data.search_substring(needle)
-            return (f"Bitmap Heap Scan using {name}", index, sorted(tids))
-        if not self.btrees:
-            return None
+    def bind(self, ctx: EvalContext) -> tuple[dict, dict]:
+        """This execution's ``=`` constant and range bounds per column:
+        every term evaluated once, read as its column's type. A term whose
+        value does not evaluate (an unbound parameter) or does not read as
+        the column's type, and an ``=`` NULL, constrains nothing."""
         const_eq: dict[str, object] = {}
         ranges: dict[str, dict] = {}
         for col, op, value_fn, high_fn, type_name in self.terms:
@@ -285,6 +289,41 @@ class ScanShape:
                 bound = ranges.setdefault(col, {})
                 bound["high"] = value
                 bound["high_inc"] = op == "<="
+        return const_eq, ranges
+
+    def point_key(self, ctx: EvalContext) -> list | None:
+        """A point shape's key under ``ctx`` — what :meth:`probe` would
+        look up, by the same :meth:`bind` — or None when some key column
+        has no ``=`` value (a NULL, an unbound parameter, a constant that
+        does not read as the column's type): then the scan is probed as
+        any other, its values evaluated again, which a constant or a
+        parameter allows."""
+        const_eq = self.bind(ctx)[0]
+        key = []
+        for col in self.point[1]:
+            if col not in const_eq:
+                return None
+            key.append(const_eq[col])
+        return key
+
+    def probe(self, table: Table, ctx: EvalContext):
+        """Pick an index for this execution's parameter values. Returns
+        (description, IndexDef, tids) or None for a sequential scan.
+        Read-only: EXPLAIN calls it too.
+
+        The candidate TIDs are a superset of the matching rows; the caller
+        re-applies the full WHERE clause (index recheck). A trigram match
+        wins; otherwise the longest B-tree equality prefix, then a B-tree
+        range, fewest TIDs breaking ties.
+        """
+        if self.gin is not None:
+            name, needle = self.gin
+            index = table.indexes[name]
+            tids = index.data.search_substring(needle)
+            return (f"Bitmap Heap Scan using {name}", index, sorted(tids))
+        if not self.btrees:
+            return None
+        const_eq, ranges = self.bind(ctx)
         best = None
         for name, index_cols in self.btrees:
             index = table.indexes[name]
@@ -318,7 +357,7 @@ class SelectShape:
     :class:`BoundSelect` holding everything compiled."""
 
     __slots__ = ("select", "has_windows", "aggregates", "streamable",
-                 "join_plan", "_bound")
+                 "single", "point", "join_plan", "_bound")
 
     def __init__(self, select: A.Select):
         self.select = select
@@ -338,6 +377,17 @@ class SelectShape:
             or self.has_windows or self.aggregates
         ) and len(select.from_items) == 1 and isinstance(
             select.from_items[0], A.TableRef)
+        #: A scan and a projection, nothing else (no LIMIT / OFFSET, no
+        #: subquery): when its scan is a point shape it runs in
+        #: ``LocalExecutor._point_select``.
+        self.single = (self.streamable and select.limit is None
+                       and select.offset is None and not any(
+                           isinstance(node, A.SubqueryExpr)
+                           for node in A.walk([select.targets, select.where])))
+        #: ``(Table, point ScanShape, BoundSelect)`` of a single SELECT
+        #: whose scan is a point shape, False when it is not; None until
+        #: its first execution.
+        self.point = None
         #: ``(item layouts, join steps)`` of comma-separated FROM items:
         #: see :func:`_comma_join_plan`; replanned when a layout changes.
         self.join_plan = None
@@ -822,12 +872,13 @@ class WriteShape:
                 raise NotNullViolation(_not_null_message(name, self.table))
 
     def find_conflict(self, full: list, snapshot, xids, skip_row=None,
-                      changed_from: list | None = None):
+                      changed_from: list | None = None, written: bool = False):
         """``(visible tuple, key columns)`` of the first unique key on
         which ``full`` collides with a row other than ``skip_row``, else
         None. A key with a NULL in it never conflicts. With
         ``changed_from`` (the row's previous values, for UPDATE) only keys
-        whose value changed are probed."""
+        whose value changed are probed. A key another transaction is
+        inserting waits for it (:func:`_unique_match`)."""
         table = self.table
         for cols, key_fn, index, _reads, _positions in self.unique_keys:
             key = key_fn(full)
@@ -835,7 +886,8 @@ class WriteShape:
                 continue
             if changed_from is not None and _same_keys(key_fn(changed_from), key):
                 continue
-            tup = _first_match(table, index, key_fn, key, snapshot, xids, skip_row)
+            tup = _unique_match(table, index, key_fn, key, snapshot, xids,
+                                skip_row, written)
             if tup is not None:
                 return tup, cols
         return None
@@ -913,8 +965,9 @@ def _append_writer(shape: WriteShape, position: dict, catalog):
     for cols, key_fn, index, _reads, positions in shape.unique_keys:
         key, test = _key_lines(w, key_fn, positions, cell, not_null)
         conflict = [
-            f"tup = {w.bind(_first_match, 'first_match')}({w.bind(table, 'table')},"
-            f" {w.bind(index, 'index')}, {w.bind(key_fn, 'key')}, k, snapshot, xids)",
+            f"tup = {w.bind(_unique_match, 'unique_match')}({w.bind(table, 'table')},"
+            f" {w.bind(index, 'index')}, {w.bind(key_fn, 'key')}, k, snapshot, xids,"
+            " None, bool(count or appended))",
             "if tup is not None:",
             " if resolve is None:",
             f"  raise {w.bind(UniqueViolation, 'Unique')}"
@@ -1390,6 +1443,35 @@ def _first_match(table: Table, index, key_fn, key: list, snapshot, xids,
     return None
 
 
+def _unique_match(table: Table, index, key_fn, key: list, snapshot, xids,
+                  skip_row=None, written: bool = False):
+    """:func:`_first_match` for a unique key. When no visible version has
+    ``key`` but a version some other transaction is still inserting (not
+    one it has prepared) has, the probe waits for that inserter, as a row
+    lock waits for its holder: ``WouldBlock`` on its xid, so the statement
+    parks or, run synchronously, times out, and probes again from scratch
+    once the inserter has ended — a committed one is then a duplicate. A
+    statement that has ``written`` rows already cannot run again from
+    scratch: it fails with ``LockTimeout``, which aborts its transaction."""
+    tup = _first_match(table, index, key_fn, key, snapshot, xids, skip_row)
+    if tup is not None or index is None or index.data is None:
+        return tup
+    heap, status, own = table.heap, xids.clog.status, snapshot.own_xid
+    for tid in index.data.scan_equal(key):
+        version = heap.get(tid)
+        if (version is not None and version.xmin != own
+                and status(version.xmin) == IN_PROGRESS
+                and version.row_id != skip_row
+                and _same_keys(key_fn(version.values), key)):
+            if written:
+                raise LockTimeout(
+                    f"could not wait for transaction {version.xmin} inserting"
+                    f" the same key into {table.name!r}")
+            raise WouldBlock(("transactionid", version.xmin), {version.xmin},
+                             "ShareLock")
+    return None
+
+
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
@@ -1471,6 +1553,11 @@ class LocalExecutor:
     def _execute_select_impl(self, select: A.Select, params,
                              outer: EvalContext | None = None,
                              cte_env: dict | None = None) -> QueryResult:
+        shape = self._select_shape(select)
+        if shape.single and not cte_env:
+            result = self._point_select(select, shape, params, outer)
+            if result is not None:
+                return result
         cte_env = dict(cte_env or {})
         for cte in select.ctes:
             sub = self.execute_select(cte.query, params, outer=outer, cte_env=cte_env)
@@ -1479,7 +1566,7 @@ class LocalExecutor:
 
         # (output values, input row) pairs: ORDER BY, DISTINCT ON and
         # FOR UPDATE may still need the row an output row was made from.
-        bound, pairs = self._run_select_core(select, params, outer, cte_env)
+        bound, pairs = self._run_select_core(select, shape, params, outer, cte_env)
 
         for op, rhs in select.set_ops:
             rhs_result = self.execute_select(rhs, params, outer=outer, cte_env=cte_env)
@@ -1577,11 +1664,38 @@ class LocalExecutor:
 
         return EngineCursor(bound.columns, pull, snapshot=snapshot)
 
-    def _run_select_core(self, select, params, outer, cte_env):
+    def _point_select(self, select: A.Select, shape: SelectShape, params,
+                      outer) -> QueryResult | None:
+        """A scan and a projection whose scan is a point shape, from the
+        table lock to the output rows in one step (:meth:`_point_rows`, then
+        the targets). None — nothing done — when the scan is no point shape
+        or this execution's key is incomplete."""
+        ref = select.from_items[0]
+        point = shape.point
+        if point is None:
+            table = self.catalog.tables.get(ref.name)
+            scan = table and self._scan_shape(ref, table, select.where)
+            point = shape.point = scan is not None and scan.point is not None and (
+                table, scan, shape.bound(scan.layout))
+        if not point or ref.name in self.session.temp_results:
+            return None
+        table, scan, bound = point
+        ctx = self._ctx(scan.layout, params, outer)
+        key = scan.point_key(ctx)
+        if key is None:
+            return None
+        self.session.acquire_table_lock(table.name, "AccessShare")
+        targets, rows = bound.target_fns, []
+        for tup in self._point_rows(table, scan, key, ctx):
+            ctx.values = tup.values
+            rows.append([fn(ctx) for fn in targets])
+        return QueryResult(bound.columns, rows)
+
+    def _run_select_core(self, select, shape: SelectShape, params, outer,
+                         cte_env):
         """FROM → WHERE → (windows | aggregation) → projection, as one
         fused loop. Returns the select bound to its input layout and the
         (output, input) pairs."""
-        shape = self._select_shape(select)
         if shape.has_windows and shape.aggregates:
             raise DataError(
                 "window functions combined with aggregation are not supported"
@@ -1823,6 +1937,23 @@ class LocalExecutor:
         if path is None:
             return None
         _description, index, tids = path
+        return self._charged(table, index, tids, snapshot)
+
+    def _point_rows(self, table: Table, scan: ScanShape, key: list, ctx) -> list:
+        """The tuples under a point shape's ``key`` that pass its whole
+        WHERE: one bisection for the index entries, the versions visible
+        to a new snapshot, charged as :meth:`_index_tuples` charges them."""
+        index = scan.point[0]
+        where, rows = scan.where.full, []
+        for tup in self._charged(table, index, index.data.scan_equal(key),
+                                 self.session.snapshot()):
+            ctx.values = tup.values
+            if where(ctx) is True:
+                rows.append(tup)
+        return rows
+
+    def _charged(self, table: Table, index, tids: list, snapshot) -> list:
+        """``_fetch_candidates`` of ``tids``, charged as an index scan."""
         tuples = _fetch_candidates(table, index, tids, snapshot,
                                    self.instance.xids)
         stats = self.session.stats
@@ -1999,9 +2130,13 @@ class LocalExecutor:
         held. All locks are taken before anything is mutated, so a lock
         wait (parked statement) can re-run the statement from scratch
         without double-applying its effects."""
-        stream = self._open_scan(table, scan, ctx.params, None,
-                                 self.session.snapshot())
-        tuples = self._drain(stream, scan, "targets", ctx, scan.where)
+        key = scan.point_key(ctx) if scan.point is not None else None
+        if key is not None:
+            tuples = self._point_rows(table, scan, key, ctx)
+        else:
+            stream = self._open_scan(table, scan, ctx.params, None,
+                                     self.session.snapshot())
+            tuples = self._drain(stream, scan, "targets", ctx, scan.where)
         for tup in tuples:
             self.session.acquire_row_lock(table.name, tup.row_id)
         return tuples
@@ -2054,7 +2189,7 @@ class LocalExecutor:
             # Only a key whose value the assignments changed can collide.
             if shape.probes_unique and write.find_conflict(
                     new_values, snapshot, xids, current.row_id,
-                    current.values) is not None:
+                    current.values, updated > 0) is not None:
                 raise UniqueViolation(_DUPLICATE.format(table.name))
             self._do_update(write, current, new_values)
             updated += 1
@@ -2420,6 +2555,14 @@ def _resolve_ref(expr, targets):
             if entry.alias == expr.name:
                 return entry.expr
     return expr
+
+
+def _stable(expr) -> bool:
+    """A constant or a parameter, cast or not: evaluating it again gives
+    the same value and changes nothing."""
+    while type(expr) is A.Cast:
+        expr = expr.operand
+    return type(expr) in (A.Literal, A.Param)
 
 
 def _references_columns(expr) -> bool:

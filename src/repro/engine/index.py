@@ -33,11 +33,21 @@ _COLUMN_WIDTH = 4
 _PAD = {2: (0, 0), 3: (0,)}
 
 
+#: :func:`sort_key`'s type rank of an exact int and of a str, the two key
+#: types :func:`_column_key` writes out without asking it.
+_INT_RANK, _STR_RANK = sort_key(0)[1], sort_key("")[1]
+
+
 def _column_key(value) -> tuple:
     """One column's part of a B-tree key: :func:`sort_key`, padded to four
     fields with zeros — the same order (a shorter key sorts first only
     against a longer one it is a prefix of, where the pad's 0 is below the
     longer key's last field), at a fixed width."""
+    kind = type(value)
+    if kind is int:
+        return (0, _INT_RANK, value, 0)
+    if kind is str:
+        return (0, _STR_RANK, value, 0)
     key = sort_key(value)
     return key if len(key) == _COLUMN_WIDTH else key + _PAD[len(key)]
 
@@ -87,10 +97,11 @@ class BTreeIndex:
         prefix = self.make_key(values)
         width = len(prefix)
         entries = self._entries
+        whole = width == _COLUMN_WIDTH * self.n_columns  # no slice to compare
         tids = []
         for i in range(bisect.bisect_left(entries, (prefix,)), len(entries)):
             key, tid = entries[i]
-            if key[:width] != prefix:
+            if (key if whole else key[:width]) != prefix:
                 break
             tids.append(tid)
         return tids

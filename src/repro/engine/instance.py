@@ -38,7 +38,8 @@ from ..errors import (
     TransactionAborted,
 )
 from ..sql import ast as A
-from ..sql import deparse, parse
+from ..sql import deparse
+from ..sql.facts import parse_text
 from .catalog import Catalog, Column, ForeignKey, IndexDef, Table
 from .datum import cast_value
 from .executor import LocalExecutor, QueryResult
@@ -57,7 +58,7 @@ _statement_cache = LRUCache(8192)
 def _parse_cached(sql: str) -> list:
     stmts = _statement_cache.get(sql)
     if stmts is None:
-        stmts = parse(sql)
+        stmts = parse_text(sql)
         _statement_cache.put(sql, stmts)
     return stmts
 

@@ -5,12 +5,15 @@ expression cache, and the distributed plan cache. Eviction is one entry
 at a time (least recently used first), so a full cache never causes the
 latency cliff of a wholesale ``dict.clear()``.
 
-Relies on dict insertion order: a ``pop`` + reinsert moves an entry to
-the most-recently-used position, and ``next(iter(...))`` is the least
-recently used entry.
+An ``OrderedDict``: ``move_to_end`` makes an entry the most recently
+used and ``popitem(last=False)`` evicts the least recently used, both in
+constant time (a plain dict's ``next(iter(...))`` would walk every slot
+earlier evictions left empty at its front).
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 
 class LRUCache:
@@ -20,24 +23,22 @@ class LRUCache:
         if capacity <= 0:
             raise ValueError("LRU capacity must be positive")
         self.capacity = capacity
-        self._data: dict = {}
+        self._data: OrderedDict = OrderedDict()
 
     def get(self, key, default=None):
         data = self._data
         try:
-            value = data.pop(key)
+            data.move_to_end(key)
         except KeyError:
             return default
-        data[key] = value
-        return value
+        return data[key]
 
     def put(self, key, value) -> None:
         data = self._data
-        if key in data:
-            del data[key]
-        elif len(data) >= self.capacity:
-            del data[next(iter(data))]
         data[key] = value
+        data.move_to_end(key)
+        if len(data) > self.capacity:
+            data.popitem(last=False)
 
     def delete(self, key) -> None:
         self._data.pop(key, None)

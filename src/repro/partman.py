@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from .engine.executor import QueryResult
 from .errors import DataError, MetadataError
 from .sql import ast as A
+from .sql.facts import statement_facts
 
 
 @dataclass
@@ -231,8 +232,6 @@ def install_partman(instance) -> PartmanExtension:
                 return _PartitionedScanPlan(ext, stmt, children, ref.ref_name)
             # A parent anywhere else (join right side, subquery) would read
             # the empty shell silently: refuse instead.
-            from .citus.sharding import statement_facts
-
             if any(name in ext.parents for name in statement_facts(stmt).tables):
                 raise MetadataError(
                     "partitioned parents are supported as the leading FROM"

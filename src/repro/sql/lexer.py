@@ -1,4 +1,4 @@
-"""Hand-written SQL tokenizer.
+"""SQL tokenizer: one compiled regular expression scanned over the text.
 
 Produces a flat list of :class:`Token`. Handles:
 
@@ -11,10 +11,24 @@ Produces a flat list of :class:`Token`. Handles:
 - multi-character operators: ``::``, ``<=``, ``>=``, ``<>``, ``!=``, ``||``,
   ``->``, ``->>``, ``#>``, ``#>>``, ``@>``, ``<@``, ``~*``, ``!~``, ``:=``,
 - comments ``--`` and ``/* */``.
+
+One match of :data:`_SCAN` is the whitespace and comments before a token
+and the token: each alternative is one token kind or one error, tried in a
+fixed order, most frequent first (an unterminated string, quoted identifier
+or dollar quote is the alternative after the terminated one; ``/*`` that
+the skip did not take is an unterminated comment). A string's body is an
+atomic group: ``''`` inside it is always a quote, never the end. A STRING
+or NUMBER token's ``pos`` is where it ends, any other token's where it
+starts. ``tests/lexer_reference.py`` keeps the character-by-character
+lexer this one replaced, and ``tests/test_lexer.py`` holds the two to the
+same tokens and errors (identifiers and numbers are read with ``re``'s
+Unicode classes, so the two part only on numeric characters that are not
+decimal digits, such as ``²``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import SyntaxErrorSQL
@@ -26,15 +40,8 @@ OP = "op"
 PARAM = "param"
 EOF = "eof"
 
-# Longest-match-first operator table.
-_OPERATORS = [
-    "->>", "#>>", "::", "<=", ">=", "<>", "!=", "||", "->", "#>", "@>",
-    "<@", "~*", "!~", ":=", "(", ")", ",", ";", "+", "-", "*", "/", "%",
-    "=", "<", ">", ".", "[", "]", "~", "?",
-]
 
-
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     value: object
@@ -44,137 +51,83 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+_SCAN = re.compile(r"[ \t\r\n]*(?:(?:--[^\n]*|/\*.*?\*/)[ \t\r\n]*)*(?:" + "|".join((
+    r"(?P<word>(?![eE]')[^\W\d][\w$]*)",
+    r"(?P<op>->>|#>>|::|<=|>=|<>|!=|\|\||->|#>|@>|<@|~\*|!~|:="
+    r"|/(?!\*)|\.(?!\d)|[(),;+\-*%=<>\[\]~?])",
+    r"(?P<number>(?:\d+(?:\.(?!\.)\d*)?|\.\d+)(?:[eE](?=[\d+-])[+-]?\d*)?)",
+    r"'(?P<string>(?>[^']*(?:''[^']*)*))'",
+    r"[eE]'(?P<escaped>(?>[^'\\]*(?:(?:''|\\.)[^'\\]*)*))'",
+    r"(?P<bad_string>[eE]?')",
+    r"(?P<bad_comment>/\*)",
+    r'"(?P<quoted>[^"]*)"',
+    r'(?P<bad_quoted>")',
+    r"\$(?P<position>\d+)",
+    r"\$(?P<tag>\w*)\$(?P<dollar>.*?)\$(?P=tag)\$",
+    r"(?P<bad_dollar>\$\w*\$)",
+    r"(?P<bad_sign>\$)",
+    r":(?P<named>[^\W\d]\w*)",
+    r"(?P<bad_char>.)",
+)) + ")?", re.DOTALL)
+
+#: What an E'' string's escapes stand for (any other backslash is itself).
+_ESCAPES = {"'": "'", "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE = re.compile(r"''|\\(.)", re.DOTALL)
+
+
+def _unescape(match) -> str:
+    char = match.group(1)
+    if char is None:
+        return "'"
+    return _ESCAPES.get(char) or "\\" + char
+
+
+_GROUP = _SCAN.groupindex
+_WORD, _OP, _NUMBER, _STRING = (_GROUP[name] for name in ("word", "op", "number", "string"))
+_POSITION, _NAMED, _QUOTED = (_GROUP[name] for name in ("position", "named", "quoted"))
+_ESCAPED, _DOLLAR, _TAG = (_GROUP[name] for name in ("escaped", "dollar", "tag"))
+_BAD_SIGN, _BAD_CHAR = _GROUP["bad_sign"], _GROUP["bad_char"]
+_ERRORS = {
+    _GROUP["bad_comment"]: "unterminated block comment",
+    _GROUP["bad_string"]: "unterminated string literal",
+    _GROUP["bad_quoted"]: "unterminated quoted identifier",
+    _GROUP["bad_dollar"]: "unterminated dollar-quoted string",
+}
+
+
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise SyntaxErrorSQL("unterminated block comment")
-            i = end + 2
-            continue
-        if ch == "'" or (ch in "eE" and i + 1 < n and sql[i + 1] == "'"):
-            escapes = ch in "eE"
-            if escapes:
-                i += 1
-            value, i = _read_string(sql, i, escapes)
-            tokens.append(Token(STRING, value, i))
-            continue
-        if ch == '"':
-            end = sql.find('"', i + 1)
-            if end < 0:
-                raise SyntaxErrorSQL("unterminated quoted identifier")
-            tokens.append(Token(WORD, sql[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and sql[j].isdigit():
-                j += 1
-            if j > i + 1:
-                tokens.append(Token(PARAM, int(sql[i + 1 : j]), i))
-                i = j
-                continue
-            # dollar-quoted string $$...$$ / $tag$...$tag$
-            j = i + 1
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            if j < n and sql[j] == "$":
-                tag = sql[i : j + 1]
-                end = sql.find(tag, j + 1)
-                if end < 0:
-                    raise SyntaxErrorSQL("unterminated dollar-quoted string")
-                tokens.append(Token(STRING, sql[j + 1 : end], i))
-                i = end + len(tag)
-                continue
-            raise SyntaxErrorSQL(f"unexpected character {ch!r} at {i}")
-        if ch == ":" and i + 1 < n and (sql[i + 1].isalpha() or sql[i + 1] == "_"):
-            # Named parameter :name (pgbench style), unless it is a cast `::`
-            if sql[i + 1] != ":":
-                j = i + 1
-                while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                    j += 1
-                tokens.append(Token(PARAM, sql[i + 1 : j], i))
-                i = j
-                continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            value, i = _read_number(sql, i)
-            tokens.append(Token(NUMBER, value, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (sql[j].isalnum() or sql[j] == "_" or sql[j] == "$"):
-                j += 1
-            tokens.append(Token(WORD, sql[i:j].lower(), i))
-            i = j
-            continue
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(OP, op, i))
-                i += len(op)
-                break
+    append = tokens.append
+    for match in _SCAN.finditer(sql):
+        group = match.lastindex
+        if group is None:
+            continue  # trailing whitespace or comments
+        text = match[group]
+        if group == _WORD:
+            append(Token(WORD, text.lower(), match.start(group)))
+        elif group == _OP:
+            append(Token(OP, text, match.start(group)))
+        elif group == _NUMBER:
+            real = "." in text or "e" in text or "E" in text
+            append(Token(NUMBER, float(text) if real else int(text), match.end()))
+        elif group == _STRING:
+            append(Token(STRING, text.replace("''", "'"), match.end()))
+        elif group == _POSITION:
+            append(Token(PARAM, int(text), match.start(group) - 1))
+        elif group == _NAMED:
+            append(Token(PARAM, text, match.start(group) - 1))
+        elif group == _QUOTED:
+            append(Token(WORD, text, match.start(group) - 1))
+        elif group == _ESCAPED:
+            append(Token(STRING, _ESCAPE.sub(_unescape, text), match.end()))
+        elif group == _DOLLAR:
+            append(Token(STRING, text, match.start(_TAG) - 1))
+        elif group == _BAD_SIGN:
+            raise SyntaxErrorSQL(f"unexpected character '$' at {match.start(group)}")
+        elif group == _BAD_CHAR:
+            raise SyntaxErrorSQL(
+                f"unexpected character {text!r} at position {match.start(group)}")
         else:
-            raise SyntaxErrorSQL(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(EOF, None, n))
+            raise SyntaxErrorSQL(_ERRORS[group])
+    append(Token(EOF, None, len(sql)))
     return tokens
-
-
-def _read_string(sql: str, i: int, escapes: bool = False) -> tuple[str, int]:
-    """Read a string literal. Standard SQL strings treat backslash as an
-    ordinary character; only E'' strings (``escapes=True``) process escape
-    sequences — matching PostgreSQL's standard_conforming_strings=on."""
-    assert sql[i] == "'"
-    parts = []
-    i += 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        if escapes and ch == "\\" and i + 1 < n and sql[i + 1] in "'\\nrt":
-            esc = sql[i + 1]
-            parts.append({"n": "\n", "r": "\r", "t": "\t"}.get(esc, esc))
-            i += 2
-            continue
-        parts.append(ch)
-        i += 1
-    raise SyntaxErrorSQL("unterminated string literal")
-
-
-def _read_number(sql: str, i: int):
-    j = i
-    n = len(sql)
-    seen_dot = seen_exp = False
-    while j < n:
-        ch = sql[j]
-        if ch.isdigit():
-            j += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            # Don't consume `1..10`-style ranges or method-ish dots.
-            if j + 1 < n and sql[j + 1] == ".":
-                break
-            seen_dot = True
-            j += 1
-        elif ch in "eE" and not seen_exp and j + 1 < n and (
-            sql[j + 1].isdigit() or sql[j + 1] in "+-"
-        ):
-            seen_exp = True
-            j += 2 if sql[j + 1] in "+-" else 1
-        else:
-            break
-    text = sql[i:j]
-    value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-    return value, j

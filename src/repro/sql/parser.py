@@ -26,9 +26,10 @@ _RESERVED_STOP = {
 }
 
 
-def parse(sql: str) -> list[A.Statement]:
-    """Parse a semicolon-separated SQL script into a list of statements."""
-    return Parser(tokenize(sql)).parse_statements()
+def parse(sql: str, tokens: list[Token] | None = None) -> list[A.Statement]:
+    """Parse a semicolon-separated SQL script into a list of statements
+    (``tokens``: the text's, when the caller has already made them)."""
+    return Parser(tokenize(sql) if tokens is None else tokens).parse_statements()
 
 
 def parse_one(sql: str) -> A.Statement:

@@ -11,6 +11,7 @@ from repro.errors import (
     LockTimeout,
     TooManyConnections,
     TransactionAborted,
+    UniqueViolation,
 )
 
 
@@ -366,3 +367,51 @@ class TestGucSettings:
         assert s.execute("SHOW work_mem").scalar() == 64
         s.execute("COMMIT")
         assert s.execute("SHOW work_mem").scalar() is None
+
+
+class TestUniqueProbeWaitsForTheInserter:
+    """An INSERT of a key another transaction is inserting waits for that
+    transaction, as PostgreSQL's does: parked, or timed out when run
+    synchronously; once the inserter ends the key is probed again."""
+
+    @pytest.fixture
+    def pair(self, pg, s):
+        a, b = s, pg.connect()
+        a.execute("BEGIN")
+        a.execute("INSERT INTO t VALUES (3, 30)")
+        return pg, a, b
+
+    def test_a_synchronous_insert_times_out(self, pair):
+        _pg, _a, b = pair
+        with pytest.raises(LockTimeout):
+            b.execute("INSERT INTO t VALUES (3, 31)")
+
+    def test_the_inserter_commits_and_the_waiter_is_a_duplicate(self, pair):
+        pg, a, b = pair
+        handle = b.execute_async("INSERT INTO t VALUES (3, 31)")
+        assert not handle.done
+        assert pg.locks.wait_keys == {b.xid: ("transactionid", a.xid)}
+        a.execute("COMMIT")
+        pg.pump()
+        with pytest.raises(UniqueViolation):
+            handle.get()
+        assert a.execute("SELECT v FROM t WHERE k = 3").rows == [[30]]
+
+    def test_the_inserter_aborts_and_the_waiter_inserts(self, pair):
+        pg, a, b = pair
+        handle = b.execute_async(
+            "INSERT INTO t VALUES (3, 31) ON CONFLICT (k) DO UPDATE SET v = 0")
+        a.execute("ROLLBACK")
+        pg.pump()
+        assert handle.get().rowcount == 1
+        assert a.execute("SELECT v FROM t WHERE k = 3").rows == [[31]]
+
+    def test_a_statement_that_has_written_rows_fails_instead(self, pair):
+        pg, a, b = pair
+        b.execute("BEGIN")
+        with pytest.raises(LockTimeout):  # it could not run again from scratch
+            b.execute_async("INSERT INTO t VALUES (4, 40), (3, 31)")
+        assert b.aborted
+        b.execute("ROLLBACK")
+        a.execute("COMMIT")
+        assert a.execute("SELECT k FROM t ORDER BY k").rows == [[1], [2], [3]]

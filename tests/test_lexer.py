@@ -1,9 +1,13 @@
 """Tokenizer unit tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SyntaxErrorSQL
 from repro.sql.lexer import EOF, NUMBER, OP, PARAM, STRING, WORD, tokenize
+
+from . import lexer_reference as reference
 
 
 def kinds(sql):
@@ -112,3 +116,37 @@ class TestEdgeCases:
     def test_unexpected_character(self):
         with pytest.raises(SyntaxErrorSQL):
             tokenize("SELECT \x01")
+
+
+class TestSameAsTheReferenceLexer:
+    """The regular-expression lexer gives the tokens (kind, value, position)
+    and the errors of the character-by-character lexer it replaced, kept in
+    ``tests/lexer_reference.py``. Drawn from pieces that meet at every
+    boundary the lexers decide on, and from any text of ASCII characters
+    and Unicode letters and decimal digits."""
+
+    PIECES = ["select", "SeLeCt", "e", "E", "x_1", "_", "a$b", "é", "٣",
+              "1", "42", "1.", ".5", "1.5", "1e3", "1E+2", "2.5e-2", "1e",
+              "1..", "99999999999999999999", "'", "''", "'it''s'", "E'",
+              "e'a\\nb'", "\\", "\\'", '"', '"Mixed"', "$", "$1", "$$",
+              "$tag$", "$$x$$", ":", "::", ":=", ":name", "-", "--", "/",
+              "/*", "*/", "*", "->>", "#>", "#", "@>", "<@", "<", ">", "=",
+              "!", "!=", "~*", "|", "||", "(", ")", ",", ";", ".", "[", "]",
+              "?", "%", " ", "\t", "\n", "\r", "\x0c", "\x01"]
+
+    @staticmethod
+    def outcome(lex, sql):
+        try:
+            return [(t.kind, t.value, t.pos) for t in lex(sql)]
+        except Exception as exc:  # both must raise the same
+            return (type(exc).__name__, str(exc))
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
+    def test_any_sequence_of_pieces(self, sql):
+        assert self.outcome(tokenize, sql) == self.outcome(reference.tokenize, sql)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("No", "Nl", "Cs"))))
+    def test_any_text(self, sql):
+        assert self.outcome(tokenize, sql) == self.outcome(reference.tokenize, sql)

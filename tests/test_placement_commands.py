@@ -398,7 +398,7 @@ def test_a_repeated_vacuum_or_two_phase_commit_parses_nothing(monkeypatch):
     keys = accounts(citus, s)
     coordinator = citus.coordinator
     parsed, worker_texts = [], []
-    parse_text, execute = engine.parse, engine.Session.execute
+    parse_text, execute = engine.parse_text, engine.Session.execute
 
     def counting_parse(sql):
         parsed.append(sql)
@@ -409,7 +409,7 @@ def test_a_repeated_vacuum_or_two_phase_commit_parses_nothing(monkeypatch):
             worker_texts.append(sql)
         return execute(session, sql, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "parse", counting_parse)
+    monkeypatch.setattr(engine, "parse_text", counting_parse)
     monkeypatch.setattr(engine.Session, "execute", counting_execute)
     with citus.coordinator_ext.stat_counters.measure() as m:
         for run in (lambda: s.execute("VACUUM t"),

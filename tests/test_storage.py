@@ -2,7 +2,7 @@
 lock manager, WAL."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import PostgresInstance
@@ -732,6 +732,10 @@ class TestIndexEntriesDieOnAccess:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(_index_steps, min_size=30, max_size=80))
+    # Session 1 inserts the key session 0 is inserting: it waits for session
+    # 0 (here: times out) instead of storing the key a second time.
+    @example([("delete", 1, 2, 1), ("begin", 0, 0, 0), ("insert", 0, 2, 1),
+              ("insert", 1, 2, 1), ("upsert", 0, 2, 2)])
     def test_property_indexes_cover_the_heap_under_any_schedule(self, steps):
         run_index_schedule(steps)
 
@@ -775,6 +779,15 @@ class TestIndexEntriesDieOnAccess:
 
 
 class TestBTreeIndex:
+    @given(st.one_of(st.integers(), st.text(), st.booleans(), st.floats(),
+                     st.none(), st.dates()))
+    def test_a_column_key_is_the_padded_sort_key(self, value):
+        from repro.engine.datum import sort_key
+        from repro.engine.index import _column_key
+
+        key = sort_key(value)
+        assert _column_key(value) == key + (0,) * (4 - len(key))
+
     def test_insert_and_equal_scan(self):
         index = BTreeIndex(1)
         for i, tid in [(5, 1), (3, 2), (5, 3), (7, 4)]:

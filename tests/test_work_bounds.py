@@ -781,6 +781,7 @@ def _route_work(patch):
     from repro.citus.metadata import MetadataCache
     from repro.citus.planner import pipeline, tasks
     from repro.engine import instance
+    from repro.sql import facts
 
     counts = Counter()
 
@@ -792,7 +793,7 @@ def _route_work(patch):
 
     # The table set of an AST never seen before is a walk (one call per
     # node): counted as such, once, apart from any other walk.
-    walk, table_set, in_table_set = A.walk, sharding.collect_table_names, []
+    walk, table_set, in_table_set = A.walk, facts.collect_table_names, []
 
     def counted_walk(node):
         if not in_table_set:
@@ -808,7 +809,7 @@ def _route_work(patch):
             in_table_set.pop()
 
     patch.setattr(A, "walk", counted_walk)
-    patch.setattr(sharding, "collect_table_names", counted_table_set)
+    patch.setattr(facts, "collect_table_names", counted_table_set)
     count(sharding, "_conjuncts", "conjuncts")
     count_function(tasks.rewrite_to_shard, "rewrites")
     count_function(sharding.dist_value_for, "dist_values")
@@ -849,7 +850,8 @@ def test_a_warmed_single_shard_statement_replays_a_route_in_a_straight_line(form
         work = _route_work(patch)
         result = run(keys[3])
     assert result.rowcount == 1 if form in ("update", "insert") else result.rows
-    assert work.pop("table_sets", 0) == (1 if form == "literal" else 0)
+    # A literal text of a known skeleton comes with its table set.
+    assert work.pop("table_sets", 0) == 0
     assert work == {"dist_values": 1, "idle_connections": 1, "usable": cached}
     assert cached >= 1
     assert counts["records"] == 1
@@ -881,6 +883,54 @@ def test_the_first_execution_of_a_fast_path_shape_routes_once(sql, params):
         1, 1, 1)
     (record,) = telemetry.pending
     assert record.tenant == (params or [7])[0] and not record.cached
+
+
+# A point statement pays for its shape once: a literal text of a known
+# token skeleton is handed over built, with its normalisation, fingerprint
+# and table set; a unique-key read or write on the shard goes from key to
+# row without the probe, the FROM resolution or the fused loop.
+
+
+def test_a_literal_text_of_a_known_skeleton_is_not_parsed_or_normalised():
+    import hashlib
+
+    from repro.sql import facts, parser
+
+    cluster, session = _fast_path_cluster()
+    for key in (1, 2, 3):  # parsed and learned, then served
+        session.execute(f"SELECT v FROM kv WHERE k = {key}")
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _count_function(patch, counts, parser.parse, "parse")
+        patch.setattr(parser.Parser, "parse_statements", _counter(
+            counts, "parser", parser.Parser.parse_statements))
+        patch.setattr(facts, "_normalize_value",
+                      _counter(counts, "normalize", facts._normalize_value))
+        patch.setattr(facts, "_fingerprint",
+                      _counter(counts, "fingerprint", facts._fingerprint))
+        patch.setattr(hashlib, "md5", _counter(counts, "md5", hashlib.md5))
+        assert session.execute("SELECT v FROM kv WHERE k = 42").rows == [[42]]
+    assert counts == Counter()
+
+
+@pytest.mark.parametrize("sql", ["SELECT v FROM kv WHERE k = $1",
+                                 "UPDATE kv SET v = v + 1 WHERE k = $1"])
+def test_a_point_statement_goes_from_key_to_row_in_one_step(sql):
+    from repro.engine.executor import ScanShape
+
+    cluster, session = _fast_path_cluster()
+    for key in (1, 2, 3):  # plan cache, connections, prepared shapes
+        session.execute(sql, [key])
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScanShape, "probe",
+                      _counter(counts, "probes", ScanShape.probe))
+        for name in ("_resolve_from", "_drain", "_point_rows"):
+            patch.setattr(LocalExecutor, name,
+                          _counter(counts, name, vars(LocalExecutor)[name]))
+        result = session.execute(sql, [42])
+    assert result.rows == [[42]] if "SELECT" in sql else result.rowcount == 1
+    assert counts == {"_point_rows": 1}
 
 
 def test_a_pushdown_select_shape_is_planned_once():
