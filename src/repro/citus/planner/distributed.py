@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 
+from ...engine.compile import evaluate
 from ...engine.datum import cast_value
 from ...engine.executor import QueryResult
-from ...engine.expr import EvalContext, Row, evaluate
+from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
 from ...sql import ast as A

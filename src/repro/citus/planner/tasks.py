@@ -11,6 +11,7 @@ the two single-shard tiers.
 
 from __future__ import annotations
 
+from ...engine.compile import UNBOUND, param_value
 from ...engine.executor import QueryResult
 from ...engine.expr import BoundParams
 from ...engine.hooks import CustomScanPlan
@@ -65,11 +66,9 @@ def _substitute_bound(stmt, bound):
 
     def visit(node):
         if isinstance(node, A.Param):
-            if node.index is not None and bound.positional is not None \
-                    and node.index <= len(bound.positional):
-                return A.Literal(bound.positional[node.index - 1])
-            if node.name is not None and node.name in bound.named:
-                return A.Literal(bound.named[node.name])
+            value = param_value(node, bound)
+            if value is not UNBOUND:
+                return A.Literal(value)
         return node
 
     return A.transform(stmt.copy(), visit)

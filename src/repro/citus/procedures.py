@@ -15,8 +15,9 @@ coordinator.
 from __future__ import annotations
 
 from ..engine.catalog import Procedure
+from ..engine.compile import evaluate
 from ..engine.executor import QueryResult
-from ..engine.expr import EvalContext, Row, evaluate
+from ..engine.expr import EvalContext, Row
 from ..sql import ast as A
 
 

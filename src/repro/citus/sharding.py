@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine.compile import UNBOUND, param_value
 from ..engine.datum import cast_value, hash_value
 from ..engine.expr import BoundParams
 from ..errors import ReproError
@@ -363,20 +364,8 @@ def _constant_value(expr, params):
         inner = _constant_value(expr.operand, params)
         return cast_value(inner, expr.type_name) if inner is not NO_VALUE else NO_VALUE
     if isinstance(expr, A.Param):
-        if type(params) is BoundParams:
-            positional, named = params.positional, params.named
-            if expr.index is not None and positional is not None \
-                    and expr.index <= len(positional):
-                return positional[expr.index - 1]
-            if expr.name is not None and expr.name in named:
-                return named[expr.name]
-            return NO_VALUE
-        if expr.index is not None and isinstance(params, (list, tuple)):
-            if expr.index <= len(params):
-                return params[expr.index - 1]
-        if expr.name is not None and isinstance(params, dict) and expr.name in params:
-            return params[expr.name]
-        return NO_VALUE
+        value = param_value(expr, params)
+        return NO_VALUE if value is UNBOUND else value
     return NO_VALUE
 
 

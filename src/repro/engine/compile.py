@@ -1,42 +1,37 @@
-"""Expression compilation.
+"""Expression compilation: the one definition of what an expression means.
 
-:func:`get_compiled` turns an expression AST into a closure ``fn(ctx) ->
-value`` once, so per-row work pays the tree walk and dispatch lookups once
-per statement. Semantics equal :func:`repro.engine.expr.evaluate` by
-construction: every node kind composes child closures around the
-interpreter's primitives (``apply_binary``, ``cast_value``,
-``compare_values``) or — volatile functions, UDFs, subqueries, anything
-unknown — delegates to the interpreter's own handler.
+Each node kind has one builder in :data:`_BUILDERS`, which turns a node into
+a closure ``fn(ctx) -> value`` around its children's closures and the value
+primitives of :mod:`repro.engine.expr` and :mod:`repro.engine.datum`. A kind
+with no builder raises ``cannot evaluate expression node <Kind>`` when
+called. Two entry points share the builders: :func:`get_compiled` caches a
+closure per expression (and layout) identity in a bounded LRU and counts
+the build (:func:`compile_count`); :func:`evaluate` builds for one call and
+keeps nothing, so a tree evaluated once (a VALUES row, a LIMIT, a column
+default) neither fills the LRU nor moves the count.
 
-Column references compile to slot reads: ``get_compiled(expr, layout)``
-resolves every reference ``layout`` has to ``values[slot]`` (the caller
-runs it only over rows of that layout); any other reference resolves on
-first use into a one-entry inline cache keyed by the context's layout, and
-names no enclosing scope has raise what the interpreter raises. A slot
-compared with a literal or parameter is one closure reading both operands
-(:func:`_build_comparison`); a WHERE clause is split for the executor's
-fused loops by :class:`WhereShape`. Nothing here builds source text.
-
-Compiled closures are cached by expression (and layout) identity in a
-bounded LRU, trivial nodes (literals, columns, parameters, slots) outside
-it. The same LRU holds the executor's *prepared shapes*
-(:func:`get_prepared`), keyed by ``(AST identity, catalog epoch)``, so DDL
-orphans them and they age out.
+Against a layout, column references compile to slot reads; any other
+reference resolves on first use into a one-entry inline cache keyed by the
+context's layout. A slot compared with a literal or parameter is one
+closure reading both operands (:func:`_build_comparison`); a WHERE clause
+is split for the executor's fused loops by :class:`WhereShape`. The same
+LRU holds the executor's *prepared shapes* (:func:`get_prepared`), keyed by
+``(AST identity, catalog epoch)``, so DDL orphans them and they age out.
 """
 
 from __future__ import annotations
 
+import datetime as _dt
 import functools
 import operator
 
-from ..errors import DataError
+from ..errors import CatalogError, DataError
 from ..sql import ast as A
-from .datum import cast_value, compare_values
+from .datum import cast_value, compare_values, to_text
 from .expr import (
-    AmbiguousColumn, BoundParams, RowLayout, SlotRef, _func_call, _param,
-    _subquery, apply_binary, evaluate, lookup_column,
+    AmbiguousColumn, BoundParams, RowLayout, SlotRef, apply_binary, lookup_column,
 )
-from .functions import SCALAR_FUNCTIONS, is_aggregate
+from .functions import SCALAR_FUNCTIONS, _any_all, is_aggregate
 from .lru import LRUCache
 
 _COMPILE_CACHE = LRUCache(4096)
@@ -68,16 +63,8 @@ def get_compiled(expr, layout: RowLayout | None = None):
     """A closure ``fn(ctx)`` evaluating ``expr``; cached per AST object
     (and per layout when compiled against one)."""
     kind = type(expr)
-    if kind is A.Literal:
-        value = expr.value
-        return lambda ctx: value
-    if kind is A.ColumnRef:
-        return _build_column(expr, layout)
-    if kind is SlotRef:
-        index = expr.index
-        return lambda ctx: ctx.values[index]
-    if kind is A.Param:
-        return lambda ctx: _param(expr, ctx)
+    if kind in _TRIVIAL:
+        return _BUILDERS[kind](expr, layout, get_compiled)
     # The None keeps these keys apart from get_prepared's (id, epoch,
     # *variant), whose variant holds names.
     key = id(expr) if layout is None else (id(expr), id(layout), None)
@@ -86,15 +73,21 @@ def get_compiled(expr, layout: RowLayout | None = None):
         return memo[2]
     global _compile_count
     _compile_count += 1
-    builder = _BUILDERS.get(kind)
-    if builder is None:
-        # Unknown node: the interpreter raises the canonical error.
-        fn = lambda ctx: evaluate(expr, ctx)  # noqa: E731
-    else:
-        fn = builder(expr, layout)
+    fn = _BUILDERS.get(kind, _build_unknown)(expr, layout, get_compiled)
     # The strong references keep id(expr) / id(layout) from being recycled.
     _COMPILE_CACHE.put(key, (expr, layout, fn))
     return fn
+
+
+def evaluate(expr, ctx):
+    """``expr``'s value under ``ctx``, from a closure built for this one
+    call by the same builders, neither cached nor counted."""
+    return _build_once(expr, None)(ctx)
+
+
+def _build_once(expr, layout):
+    """``expr``'s closure, its children's built the same way: uncached."""
+    return _BUILDERS.get(type(expr), _build_unknown)(expr, layout, _build_once)
 
 
 def get_prepared(node, epoch: int, build, variant: tuple = ()):
@@ -113,10 +106,60 @@ def get_prepared(node, epoch: int, build, variant: tuple = ()):
     return shape
 
 
+#: What :func:`param_value` returns for a parameter it cannot look up.
+UNBOUND = object()
+
+
+def param_value(node: A.Param, params):
+    """The value ``node`` names in ``params`` — a sequence's position, a
+    mapping's name, or either through :class:`BoundParams` — or
+    :data:`UNBOUND`."""
+    positional = node.index is not None
+    if type(params) is BoundParams:
+        params = params.positional if positional else params.named
+    if isinstance(params, (list, tuple) if positional else dict):
+        try:
+            return params[node.index - 1 if positional else node.name]
+        except LookupError:
+            pass
+    return UNBOUND
+
+
 # ---------------------------------------------------------------- builders
+#
+# A builder ``(node, layout, sub)`` returns ``node``'s closure, its
+# children's compiled by ``sub(child, layout)``: get_compiled or _build_once.
 
 
-def _build_column(ref: A.ColumnRef, layout: RowLayout | None):
+def _build_unknown(node, layout, sub):
+    message = f"cannot evaluate expression node {type(node).__name__}"
+
+    def fails(ctx):
+        raise DataError(message)
+    return fails
+
+
+def _build_literal(node: A.Literal, layout, sub):
+    value = node.value
+    return lambda ctx: value
+
+
+def _build_param(node: A.Param, layout, sub):
+    def run(ctx):
+        value = param_value(node, ctx.params)
+        if value is UNBOUND:
+            name = f"${node.index}" if node.index is not None else f":{node.name}"
+            raise DataError(f"no value for parameter {name}")
+        return value
+    return run
+
+
+def _build_slot(node: SlotRef, layout, sub):
+    index = node.index
+    return lambda ctx: ctx.values[index]
+
+
+def _build_column(ref: A.ColumnRef, layout: RowLayout | None, sub):
     if layout is not None:
         slot = slot_of(ref, layout)
         if slot is not None:
@@ -138,23 +181,23 @@ def _build_column(ref: A.ColumnRef, layout: RowLayout | None):
     return run
 
 
-def _build_cast(node: A.Cast, layout):
-    operand = get_compiled(node.operand, layout)
+def _build_cast(node: A.Cast, layout, sub):
+    operand = sub(node.operand, layout)
     type_name = node.type_name
     return lambda ctx: cast_value(operand(ctx), type_name)
 
 
-def _build_is_null(node: A.IsNull, layout):
-    operand = get_compiled(node.operand, layout)
+def _build_is_null(node: A.IsNull, layout, sub):
+    operand = sub(node.operand, layout)
     if node.negated:
         return lambda ctx: operand(ctx) is not None
     return lambda ctx: operand(ctx) is None
 
 
-def _build_between(node: A.BetweenExpr, layout):
-    operand = get_compiled(node.operand, layout)
-    low = get_compiled(node.low, layout)
-    high = get_compiled(node.high, layout)
+def _build_between(node: A.BetweenExpr, layout, sub):
+    operand = sub(node.operand, layout)
+    low = sub(node.low, layout)
+    high = sub(node.high, layout)
     negated = node.negated
 
     def run(ctx):
@@ -169,34 +212,32 @@ def _build_between(node: A.BetweenExpr, layout):
     return run
 
 
-def _build_in_list(node: A.InList, layout):
-    operand = get_compiled(node.operand, layout)
-    items = [get_compiled(item, layout) for item in node.items]
+def _member(value, candidates, negated: bool):
+    """``value [NOT] IN candidates`` in three-valued logic; ``candidates``
+    is consumed only up to the first equal one."""
+    if value is None:
+        return None
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif compare_values(value, candidate) == 0:
+            return not negated
+    return None if saw_null else negated
+
+
+def _build_in_list(node: A.InList, layout, sub):
+    operand = sub(node.operand, layout)
+    items = [sub(item, layout) for item in node.items]
     negated = node.negated
-
-    def run(ctx):
-        value = operand(ctx)
-        if value is None:
-            return None
-        saw_null = False
-        for item in items:
-            iv = item(ctx)
-            if iv is None:
-                saw_null = True
-            elif compare_values(value, iv) == 0:
-                return not negated
-        if saw_null:
-            return None
-        return negated
-
-    return run
+    return lambda ctx: _member(operand(ctx), (item(ctx) for item in items), negated)
 
 
-def _build_case(node: A.CaseExpr, layout):
-    whens = [(get_compiled(c, layout), get_compiled(r, layout)) for c, r in node.whens]
-    else_fn = get_compiled(node.else_result, layout) if node.else_result is not None else None
+def _build_case(node: A.CaseExpr, layout, sub):
+    whens = [(sub(c, layout), sub(r, layout)) for c, r in node.whens]
+    else_fn = sub(node.else_result, layout) if node.else_result is not None else None
     if node.operand is not None:
-        operand = get_compiled(node.operand, layout)
+        operand = sub(node.operand, layout)
 
         def run(ctx):
             value = operand(ctx)
@@ -218,13 +259,13 @@ def _build_case(node: A.CaseExpr, layout):
     return run
 
 
-def _build_array(node: A.ArrayExpr, layout):
-    elements = [get_compiled(e, layout) for e in node.elements]
+def _build_array(node: A.ArrayExpr, layout, sub):
+    elements = [sub(e, layout) for e in node.elements]
     return lambda ctx: [e(ctx) for e in elements]
 
 
-def _build_unary(node: A.UnaryOp, layout):
-    operand = get_compiled(node.operand, layout)
+def _build_unary(node: A.UnaryOp, layout, sub):
+    operand = sub(node.operand, layout)
     if node.op == "not":
         def run(ctx):
             value = operand(ctx)
@@ -238,6 +279,7 @@ def _build_unary(node: A.UnaryOp, layout):
     op = node.op
 
     def run(ctx):
+        operand(ctx)
         raise DataError(f"unknown unary operator {op!r}")
 
     return run
@@ -262,10 +304,10 @@ _SWAPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 def _build_comparison(node: A.BinaryOp, layout):
     """``column op constant`` (either way round) over rows of ``layout``,
     as one closure that reads both operands itself: the column's slot, and
-    the literal it holds or the parameter it looks up (the interpreter's
-    ``_param`` only to raise). Two ints or two strs compare directly;
-    anything else goes through ``compare_values`` with the operands in
-    their written order. None when ``node`` is not such a comparison."""
+    the literal it holds or the parameter it looks up. Two ints or two strs
+    compare directly; anything else goes through ``compare_values`` with
+    the operands in their written order. None when ``node`` is not such a
+    comparison."""
     op = node.op
     swapped = False
     slot = slot_of(node.left, layout) if layout is not None else None
@@ -300,11 +342,13 @@ def _build_comparison(node: A.BinaryOp, layout):
 
         return run
 
+    param = _build_param(constant, layout, None)
+
     def run(ctx):
         value = ctx.values[slot]
         const = param_value(constant, ctx.params)
         if const is UNBOUND:
-            const = _param(constant, ctx)
+            const = param(ctx)  # raises
         if value is None or const is None:
             return None
         kind = type(value)
@@ -313,24 +357,6 @@ def _build_comparison(node: A.BinaryOp, layout):
         return generic(value, const)
 
     return run
-
-
-#: What :func:`param_value` returns for a parameter it cannot look up.
-UNBOUND = object()
-
-
-def param_value(node: A.Param, params):
-    """The value ``node`` names in ``params`` (a list's position or a
-    mapping's name), or :data:`UNBOUND`: ``_param`` then answers or raises."""
-    positional = node.index is not None
-    if type(params) is BoundParams:
-        params = params.positional if positional else params.named
-    if type(params) in ((list, tuple) if positional else (dict,)):
-        try:
-            return params[node.index - 1 if positional else node.name]
-        except LookupError:
-            pass
-    return UNBOUND
 
 
 class _NoMatch:
@@ -348,7 +374,7 @@ class WhereShape:
     per execution (:meth:`constants`), never in the loop's text — the rest
     one closure (:attr:`rest`). A written-out test decides two ints or two
     strs only; on anything else the loop asks the whole clause's closure
-    (:attr:`full`), which answers or raises as the interpreter does."""
+    (:attr:`full`), which answers or raises."""
 
     __slots__ = ("full", "inline", "rest")
 
@@ -392,14 +418,14 @@ def and_all(conjuncts: list):
     return functools.reduce(lambda a, b: A.BinaryOp("and", a, b), conjuncts)
 
 
-def _build_binary(node: A.BinaryOp, layout):
+def _build_binary(node: A.BinaryOp, layout, sub):
     op = node.op
     if op in _COMPARISONS:
         run = _build_comparison(node, layout)
         if run is not None:
             return run
-    left = get_compiled(node.left, layout)
-    right = get_compiled(node.right, layout)
+    left = sub(node.left, layout)
+    right = sub(node.right, layout)
     if op == "and":
         def run(ctx):
             lv = left(ctx)
@@ -442,34 +468,40 @@ def _build_binary(node: A.BinaryOp, layout):
     return run
 
 
-#: Function names whose results depend on the session / wall clock; they
-#: go through the interpreter's handler to share its exact behaviour.
+#: Function names whose results depend on the session or the clock.
 _SESSION_FNS = frozenset((
     "now", "current_timestamp", "localtimestamp", "current_date", "random",
     "nextval", "setval", "currval", "txid_current", "pg_backend_pid",
 ))
 
 
-def _build_func_call(node: A.FuncCall, layout):
+def _build_func_call(node: A.FuncCall, layout, sub):
     name = node.name.lower()
-    if (
-        node.over is not None
-        or node.agg_phase is not None
-        or node.distinct
-        or node.order_by
-        or node.filter is not None
-        or is_aggregate(name)
-        or name in _SESSION_FNS
-        or name not in SCALAR_FUNCTIONS
-    ):
-        # Aggregates raise, session functions need the session, unknown
-        # names may resolve to catalog UDFs per-call: all interpreter turf.
-        return lambda ctx: _func_call(node, ctx)
-    args = [get_compiled(a, layout) for a in node.args]
+    if is_aggregate(name):
+        def misplaced(ctx):
+            raise DataError(
+                f"aggregate function {name}() used outside of aggregation context")
+        return misplaced
+    args = [sub(a, layout) for a in node.args]
+    if name in _SESSION_FNS:
+        return _build_session_fn(name, args)
     if name == "coalesce":
         return _coalesce(args)
-    fn = SCALAR_FUNCTIONS[name]
-    return lambda ctx: fn(*[a(ctx) for a in args])
+    fn = SCALAR_FUNCTIONS.get(name)
+    if fn is not None:
+        return lambda ctx: fn(*[a(ctx) for a in args])
+
+    def udf(ctx):
+        """A user-defined / extension function, looked up in the session's
+        catalog on every call."""
+        values = [a(ctx) for a in args]
+        if ctx.session is not None:
+            found = ctx.session.instance.catalog.get_function(name)
+            if found is not None:
+                return found.fn(ctx.session, *values)
+        raise CatalogError(f"function {name}() does not exist")
+
+    return udf
 
 
 def _coalesce(args):
@@ -492,11 +524,92 @@ def _coalesce(args):
     return run
 
 
-def _build_subquery(node: A.SubqueryExpr, layout):
-    return lambda ctx: _subquery(node, ctx)
+def _session_now(ctx):
+    if ctx.session is not None:
+        return ctx.session.now()
+    return _dt.datetime(2021, 6, 20)  # deterministic default: SIGMOD'21 day one
+
+
+def _build_session_fn(name: str, args: list):
+    """One of :data:`_SESSION_FNS`; only the sequence functions read their
+    arguments."""
+    if name in ("now", "current_timestamp", "localtimestamp"):
+        return _session_now
+    if name == "current_date":
+        return lambda ctx: _session_now(ctx).date()
+    if name == "txid_current":
+        return lambda ctx: ctx.session.ensure_xid() if ctx.session else 0
+    if name == "pg_backend_pid":
+        return lambda ctx: ctx.session.backend_pid if ctx.session else 0
+
+    def run(ctx):
+        if ctx.session is None:
+            raise DataError(f"{name}() requires a session")
+        if name == "random":
+            return ctx.session.rng.random()
+        seq = ctx.session.instance.catalog.get_sequence(to_text(args[0](ctx)))
+        if name == "nextval":
+            return seq.nextval()
+        if name == "setval":
+            value = int(args[1](ctx))
+            seq.setval(value)
+            return value
+        return seq._next - 1
+
+    return run
+
+
+def _build_subquery(node: A.SubqueryExpr, layout, sub):
+    query, kind = node.query, node.kind
+    operand = sub(node.operand, layout) if kind in ("in", "any", "all") else None
+
+    def rows_of(ctx):
+        if ctx.subquery_executor is None:
+            raise DataError("subqueries are not supported in this context")
+        return ctx.subquery_executor(query, ctx)
+
+    if kind == "scalar":
+        def run(ctx):
+            rows = rows_of(ctx)
+            if not rows:
+                return None
+            if len(rows[0]) != 1:
+                raise DataError("scalar subquery must return one column")
+            if len(rows) > 1:
+                raise DataError("scalar subquery returned more than one row")
+            return rows[0][0]
+        return run
+    if kind == "exists":
+        return lambda ctx: bool(rows_of(ctx))
+    if kind == "array":
+        return lambda ctx: [r[0] for r in rows_of(ctx)]
+    if kind == "in":
+        negated = node.negated
+
+        def run(ctx):
+            rows = rows_of(ctx)
+            return _member(operand(ctx), (row[0] for row in rows), negated)
+        return run
+    if kind in ("any", "all"):
+        op = node.op
+
+        def run(ctx):
+            rows = rows_of(ctx)
+            return _any_all(operand(ctx), op, kind, [row[0] for row in rows])
+        return run
+
+    def run(ctx):
+        rows_of(ctx)
+        raise DataError(f"unknown subquery kind {kind!r}")
+
+    return run
 
 
 _BUILDERS = {
+    A.Literal: _build_literal,
+    A.Param: _build_param,
+    A.ColumnRef: _build_column,
+    SlotRef: _build_slot,
     A.Cast: _build_cast,
     A.IsNull: _build_is_null,
     A.BetweenExpr: _build_between,
@@ -508,3 +621,6 @@ _BUILDERS = {
     A.FuncCall: _build_func_call,
     A.SubqueryExpr: _build_subquery,
 }
+
+#: Kinds whose closure is cheaper to build than to look up: never cached.
+_TRIVIAL = frozenset((A.Literal, A.ColumnRef, SlotRef, A.Param))

@@ -44,9 +44,9 @@ from .datum import (
     plain_sort_type, to_text,
 )
 from .compile import (
-    WhereShape, and_all, get_compiled, get_prepared, slot_of, split_and,
+    WhereShape, and_all, evaluate, get_compiled, get_prepared, slot_of, split_and,
 )
-from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef, evaluate
+from .expr import EMPTY_LAYOUT, EvalContext, RowLayout, SlotRef
 from .functions import (
     _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, _identity, get_aggregate,
     is_aggregate,
@@ -54,7 +54,7 @@ from .functions import (
 from .heap import LENGTH, TUPLE_OVERHEAD, VALUE_WIDTHS, HeapTuple, _value_width
 from .index import BTreeIndex, GinIndex, index_delete, index_key_fn, row_key_fn
 from .locks import WouldBlock
-from .mvcc import COMMITTED, IN_PROGRESS
+from .mvcc import COMMITTED, IN_PROGRESS, PREPARED
 from .wal import row_record_bytes, stored_form
 from .window import compute_window_values, contains_window_function
 
@@ -230,7 +230,7 @@ class ScanShape:
                     pattern = c.right.value
                     if pattern.startswith("%") and pattern.endswith("%"):
                         needle = pattern.strip("%")
-                        if "%" not in needle and "_" not in needle:
+                        if not {"%", "_", "\\"} & set(needle):
                             patterns.append((_normalized_expr_text(c.left, alias), needle))
         constrained = {term[0] for term in self.terms}
         for index in table.indexes.values():
@@ -1446,13 +1446,13 @@ def _first_match(table: Table, index, key_fn, key: list, snapshot, xids,
 def _unique_match(table: Table, index, key_fn, key: list, snapshot, xids,
                   skip_row=None, written: bool = False):
     """:func:`_first_match` for a unique key. When no visible version has
-    ``key`` but a version some other transaction is still inserting (not
-    one it has prepared) has, the probe waits for that inserter, as a row
-    lock waits for its holder: ``WouldBlock`` on its xid, so the statement
-    parks or, run synchronously, times out, and probes again from scratch
-    once the inserter has ended — a committed one is then a duplicate. A
-    statement that has ``written`` rows already cannot run again from
-    scratch: it fails with ``LockTimeout``, which aborts its transaction."""
+    ``key`` but a version some other transaction is still inserting (or has
+    prepared) has, the probe waits for that inserter, as a row lock waits
+    for its holder: ``WouldBlock`` on its xid, so the statement parks or,
+    run synchronously, times out, and probes again from scratch once the
+    inserter has ended — a committed one is then a duplicate. A statement
+    that has ``written`` rows already cannot run again from scratch: it
+    fails with ``LockTimeout``, which aborts its transaction."""
     tup = _first_match(table, index, key_fn, key, snapshot, xids, skip_row)
     if tup is not None or index is None or index.data is None:
         return tup
@@ -1460,7 +1460,7 @@ def _unique_match(table: Table, index, key_fn, key: list, snapshot, xids,
     for tid in index.data.scan_equal(key):
         version = heap.get(tid)
         if (version is not None and version.xmin != own
-                and status(version.xmin) == IN_PROGRESS
+                and status(version.xmin) in (IN_PROGRESS, PREPARED)
                 and version.row_id != skip_row
                 and _same_keys(key_fn(version.values), key)):
             if written:

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from ..errors import DataError
 from .datum import cast_value, compare_values, hash_value, to_text
+from .expr import apply_binary
 
 # --------------------------------------------------------------------------
 # Aggregates
@@ -561,26 +562,15 @@ def _split_part(text, delimiter, n):
 
 
 def _any_all(left, op, kind, array):
-    """expr op ANY/ALL (array)."""
+    """``left op ANY / ALL (array)`` in three-valued logic: an array or a
+    subquery's column."""
     if array is None:
         return None
-    results = [_apply_cmp(op, left, item) for item in array]
-    if kind == "any":
-        if any(r is True for r in results):
-            return True
-        return None if any(r is None for r in results) else False
-    if all(r is True for r in results):
+    results = [apply_binary(op, left, item) for item in array]
+    if any(r is True for r in results) if kind == "any" \
+            else all(r is True for r in results):
         return True
     return None if any(r is None for r in results) else False
-
-
-def _apply_cmp(op, a, b):
-    if a is None or b is None:
-        return None
-    c = compare_values(a, b)
-    return {
-        "=": c == 0, "<>": c != 0, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0
-    }[op]
 
 
 def _width_bucket(value, low, high, buckets):
@@ -600,7 +590,7 @@ SCALAR_FUNCTIONS: dict[str, Callable] = {
     "floor": lambda x: None if x is None else float(math.floor(x)),
     "ceil": lambda x: None if x is None else float(math.ceil(x)),
     "ceiling": lambda x: None if x is None else float(math.ceil(x)),
-    "mod": lambda a, b: None if a is None or b is None else a % b,
+    "mod": lambda a, b: apply_binary("%", a, b),
     "power": lambda a, b: None if a is None or b is None else float(a) ** float(b),
     "sqrt": lambda x: None if x is None else math.sqrt(x),
     "ln": lambda x: None if x is None else math.log(x),

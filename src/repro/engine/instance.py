@@ -976,11 +976,11 @@ class Session:
             table.columns.append(col)
             default_value = None
             if col.default is not None:
-                from .expr import EvalContext, Row, evaluate
+                from .compile import evaluate
+                from .expr import EvalContext
 
                 default_value = cast_value(
-                    evaluate(col.default, EvalContext(row=Row(), session=self)), col.type_name
-                )
+                    evaluate(col.default, EvalContext(session=self)), col.type_name)
             for tup in table.heap.tuples:
                 tup.values.append(default_value)
         elif stmt.action == "drop_column":
@@ -1022,10 +1022,11 @@ class Session:
         return result
 
     def _call_procedure(self, stmt: A.CallProcedure, params) -> QueryResult:
-        from .expr import EvalContext, Row, evaluate
+        from .compile import evaluate
+        from .expr import EvalContext
 
         proc = self.instance.catalog.get_procedure(stmt.name)
-        ctx = EvalContext(row=Row(), params=params, session=self)
+        ctx = EvalContext(params=params, session=self)
         args = [evaluate(a, ctx) for a in stmt.args]
         value = proc.fn(self, *args)
         if isinstance(value, QueryResult):

@@ -275,7 +275,8 @@ class _PartitionedInsertPlan:
         self.stmt = stmt
 
     def execute(self, session, params):
-        from .engine.expr import EvalContext, Row, evaluate
+        from .engine.compile import evaluate
+        from .engine.expr import EvalContext, Row
 
         stmt = self.stmt
         shell = self.ext.instance.catalog.get_table(stmt.table)

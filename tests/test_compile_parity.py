@@ -1,9 +1,10 @@
-"""Compiled expressions must be indistinguishable from the interpreter.
+"""Compiled expressions must be indistinguishable from the reference
+interpreter (``tests/expr_reference.py``).
 
 ``repro.engine.compile.get_compiled`` turns expression ASTs into closures
 for the executor's per-row loops. These tests run the same expression
-through both paths — ``evaluate`` and the compiled closure — over the
-corpus exercised by ``test_expr_functions.py`` (three-valued logic,
+through both — the reference's ``evaluate`` and the compiled closure —
+over the corpus exercised by ``test_expr_functions.py`` (three-valued logic,
 comparisons, arithmetic, string/date functions, CASE, casts, IN/BETWEEN,
 LIKE) plus Hypothesis-generated operand combinations, asserting identical
 results *and* identical errors (same exception type and message).
@@ -32,10 +33,12 @@ from hypothesis import strategies as st
 
 from repro import PostgresInstance
 from repro.engine.compile import get_compiled
-from repro.engine.expr import BoundParams, EvalContext, Row, RowLayout, evaluate
+from repro.engine.expr import BoundParams, EvalContext, Row, RowLayout
 from repro.errors import CatalogError, DataError
 from repro.sql import ast as A
 from repro.sql import parse, parse_expression
+
+from .expr_reference import evaluate
 
 
 def both(text, **bindings):
@@ -701,7 +704,7 @@ class TestFusedLoopParity:
     """Each worker statement of the ledger runs as one generated loop (scan,
     visibility, WHERE, join probe, aggregate or projection). It must return
     what a reference built row by row from ``mvcc.tuple_visible`` and
-    ``expr.evaluate`` returns, and charge the scan statistics statements
+    the reference ``evaluate`` returns, and charge the scan statistics statements
     have always been charged, under every visibility case a shard meets."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

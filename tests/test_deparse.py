@@ -90,7 +90,8 @@ class TestQuoteLiteral:
         import datetime as dt
 
         from repro.sql import parse_expression
-        from repro.engine.expr import EvalContext, evaluate
+        from repro.engine.compile import evaluate
+        from repro.engine.expr import EvalContext
 
         for value in [1, 2.5, "x'y", True, None, dt.date(2020, 1, 2), {"k": [1]}]:
             expr = parse_expression(quote_literal(value))

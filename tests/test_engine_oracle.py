@@ -456,6 +456,21 @@ POSTGRES = {
     # COALESCE evaluates only the arguments it needs.
     "coalesce_short_circuit": ("SELECT coalesce(a, 10 / b) FROM co ORDER BY b", None,
                                [[1], [5]]),
+    # % and mod() take the dividend's sign, as integer / truncates.
+    "modulo_sign": ("SELECT -7 % 2, 7 % -2, -7.5 % 2, mod(-7, 2), mod(7, -2)", None,
+                    [[-1, 1, -1.5, -1, 1]]),
+    "modulo_filter": ("SELECT k FROM t WHERE -k % 2 = -1 ORDER BY k", None,
+                      [[1], [3], [5], [7], [9]]),
+    "mod_by_zero": ("SELECT mod(k, 0) FROM t", None, "division by zero"),
+    # A backslash in a LIKE / ILIKE pattern makes the next character literal.
+    "like_escape": (r"SELECT '50%' LIKE '50\%', 'a_c' LIKE 'a\_c', 'a\b' LIKE 'a\\b',"
+                    r" '50x' LIKE '50\%', 'abc' LIKE 'a\_c'", None,
+                    [[True, True, True, False, False]]),
+    "ilike_escape": (r"SELECT 'A_C' ILIKE 'a\_c', 'ABC' ILIKE 'a\_c', '50%' ILIKE '50\%'",
+                     None, [[True, False, True]]),
+    "like_escape_filter": (r"SELECT k FROM t WHERE '5%' LIKE k || '\%'", None, [[5]]),
+    "like_trailing_escape": (r"SELECT 'a\' LIKE 'a\'", None,
+                             "LIKE pattern must not end with escape character"),
 }
 
 

@@ -406,6 +406,27 @@ class TestUniqueProbeWaitsForTheInserter:
         assert handle.get().rowcount == 1
         assert a.execute("SELECT v FROM t WHERE k = 3").rows == [[31]]
 
+    @pytest.mark.parametrize("outcome, rows", [
+        ("COMMIT PREPARED 'p1'", [[3, 30]]), ("ROLLBACK PREPARED 'p1'", [[3, 31]])],
+        ids=["commit", "rollback"])
+    def test_a_prepared_inserter_is_waited_for(self, pair, outcome, rows):
+        """A prepared transaction still holds its key: the waiter is a
+        duplicate after COMMIT PREPARED and inserts after ROLLBACK PREPARED."""
+        pg, a, b = pair
+        a.execute("PREPARE TRANSACTION 'p1'")
+        with pytest.raises(LockTimeout):
+            b.execute("INSERT INTO t VALUES (3, 31)")
+        handle = b.execute_async("INSERT INTO t VALUES (3, 31)")
+        assert not handle.done
+        a.execute(outcome)
+        pg.pump()
+        if outcome.startswith("COMMIT"):
+            with pytest.raises(UniqueViolation):
+                handle.get()
+        else:
+            assert handle.get().rowcount == 1
+        assert a.execute("SELECT k, v FROM t WHERE k = 3").rows == rows
+
     def test_a_statement_that_has_written_rows_fails_instead(self, pair):
         pg, a, b = pair
         b.execute("BEGIN")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.engine.expr import EvalContext, Row, apply_binary, evaluate, like_match
+from repro.engine.compile import evaluate
+from repro.engine.expr import EvalContext, Row, apply_binary, like_match
 from repro.engine.functions import (
     AGGREGATES,
     PARTIAL_REWRITES,
@@ -105,10 +106,34 @@ class TestLikeMatching:
             ("abc", "%b%", False, True),
             ('["fix postgres"]', "%postgres%", True, True),
             ("100%", "100%", False, True),
+            # a backslash makes the next character literal
+            ("50%", r"50\%", False, True),
+            ("50x", r"50\%", False, False),
+            ("a_c", r"a\_c", False, True),
+            ("abc", r"a\_c", False, False),
+            ("a\\b", r"a\\b", False, True),
+            ("ab", r"a\b", False, True),
+            ("A_C", r"a\_c", True, True),
+            # the whole text: no newline slips past the end
+            ("abc\n", "abc", False, False),
         ],
     )
     def test_patterns(self, text, pattern, ci, expected):
         assert like_match(text, pattern, ci) is expected
+
+    def test_a_trailing_escape_is_an_error(self):
+        with pytest.raises(DataError, match="must not end with escape character"):
+            like_match("a", "a\\", False)
+
+    def test_an_escaped_pattern_is_not_looked_up_in_the_trigram_index(self):
+        from repro import PostgresInstance
+
+        session = PostgresInstance("like").connect()
+        session.execute("CREATE TABLE docs (k int PRIMARY KEY, body text)")
+        session.execute("CREATE INDEX docs_trgm ON docs USING gin (body gin_trgm_ops)")
+        session.copy_rows("docs", [[1, "xabcy"], [2, "xa\\bcy"], [3, "none"]])
+        assert session.execute(
+            r"SELECT k FROM docs WHERE body LIKE '%a\bc%'").rows == [[1]]
 
     @given(st.text(alphabet="abc%_", max_size=10))
     def test_property_full_wildcard_matches_everything(self, text):

@@ -455,6 +455,12 @@ def test_written_rows_leave_nothing_for_the_collector_but_the_heap():
     would count against the writes when the test runs alone."""
     _cluster, session = empty_events(distributed=False)
     wal = session.instance.wal
+    # An index entry's key is a tuple in a tuple, untracked in one
+    # collection only when the collector meets the key first; collecting
+    # here makes where the warm-up's automatic collections fall — and so
+    # which of its entries ``before`` still counts — independent of what
+    # ran earlier in the process.
+    gc.collect()
     write_round(session, 1)  # the statements' shapes, plans and caches
     gc.collect()
     before = len(gc.get_objects())
@@ -1301,3 +1307,22 @@ def test_fresh_literals_of_one_structure_generate_no_loop():
     finally:
         sys.setprofile(None)
     assert execs == [], Counter(execs)
+
+
+def test_a_tree_evaluated_once_is_neither_cached_nor_counted():
+    """``evaluate`` builds its closure for one call: a fresh tree (a VALUES
+    row, a LIMIT, a column default, what a served skeleton hands out) takes
+    no entry of the LRU the prepared shapes share, and adds nothing to
+    ``expr_compile_count``."""
+    from repro.engine import compile as engine_compile
+    from repro.engine.expr import EvalContext
+
+    def state():
+        return engine_compile.compile_count(), len(engine_compile._COMPILE_CACHE)
+
+    before = state()
+    for text in ["1 + 2", "CAST('3' AS int) * -4", "coalesce(NULL, 'a' || 'b')",
+                 "CASE WHEN 1 < 2 THEN ARRAY[1, 2] END", "7 IN (1, 2, 7)",
+                 "-1 BETWEEN abs(-2) AND 3 OR NULL IS NULL"]:
+        engine_compile.evaluate(parse_expression(text), EvalContext())
+    assert state() == before

@@ -22,7 +22,9 @@ leaves another heap and WAL, so "at the same row" is part of the state).
 One deliberate difference is folded into the reference: the parent's INSERT
 probed unique keys *before* NOT NULL while its COPY checked NOT NULL first;
 the single driver uses COPY's (and PostgreSQL's) order for both, so the
-reference INSERT does too.
+reference INSERT does too. And, as in PostgreSQL, the reference's unique
+probe waits for another transaction inserting the same key, in progress or
+prepared (``_wait_for_inserter``); the parent's saw through a prepared one.
 """
 
 import datetime as dt
@@ -33,14 +35,17 @@ from hypothesis import strategies as st
 
 from repro import PostgresInstance
 from repro.engine import copy as engine_copy
+from repro.engine.compile import evaluate
 from repro.engine.datum import cast_value, compare_values
 from repro.engine.executor import LocalExecutor, QueryResult
-from repro.engine.expr import EMPTY_LAYOUT, evaluate
+from repro.engine.expr import EMPTY_LAYOUT
 from repro.engine.index import GinIndex, index_insert
-from repro.engine.mvcc import tuple_visible
+from repro.engine.mvcc import IN_PROGRESS, PREPARED, tuple_visible
+from repro.engine.locks import WouldBlock
 from repro.errors import (
     DataError,
     ForeignKeyViolation,
+    LockTimeout,
     NotNullViolation,
     SQLError,
     UniqueViolation,
@@ -102,7 +107,7 @@ def _index_for_columns(self, table, cols):
     return None
 
 
-def _find_conflict(self, table, full, on_conflict):
+def _find_conflict(self, table, full, on_conflict, written=False):
     snapshot = self.session.snapshot()
     clog = self.instance.xids.clog
     names = table.column_names()
@@ -133,7 +138,25 @@ def _find_conflict(self, table, full, on_conflict):
                             f"duplicate key violates unique constraint on {cols}"
                         )
                 return tup
+        if index is not None:
+            _wait_for_inserter(self, table, candidates, positions, key_values, written)
     return None
+
+
+def _wait_for_inserter(self, table, candidates, positions, key_values, written):
+    """Another transaction inserting the same key, still in progress or
+    prepared, is waited for: ``WouldBlock`` on its xid, or ``LockTimeout``
+    once the statement has written rows (it cannot run again)."""
+    own, status = self.session.snapshot().own_xid, self.instance.xids.clog.status
+    for tup in candidates:
+        if (tup is not None and tup.xmin != own
+                and status(tup.xmin) in (IN_PROGRESS, PREPARED)
+                and all(tup.values[p] is not None and compare_values(tup.values[p], v) == 0
+                        for p, v in zip(positions, key_values))):
+            if written:
+                raise LockTimeout(f"could not wait for transaction {tup.xmin}"
+                                  f" inserting the same key into {table.name!r}")
+            raise WouldBlock(("transactionid", tup.xmin), {tup.xmin}, "ShareLock")
 
 
 def _check_foreign_keys(self, table, full):
@@ -244,7 +267,7 @@ def reference_copy_into(session, table_name, rows, columns=None):
             )
         full = _build_full_row(executor, table, columns, values)
         _check_not_null(executor, table, full)
-        if _find_conflict(executor, table, full, None) is not None:
+        if _find_conflict(executor, table, full, None, count > 0) is not None:
             raise UniqueViolation(
                 f"duplicate key value violates unique constraint on {table_name!r}"
             )
@@ -270,7 +293,7 @@ def reference_insert_rows(session, table_name, rows, columns=None):
             )
         full = _build_full_row(executor, table, columns, values)
         _check_not_null(executor, table, full)
-        if _find_conflict(executor, table, full, None) is not None:
+        if _find_conflict(executor, table, full, None, count > 0) is not None:
             raise UniqueViolation(
                 f"duplicate key value violates unique constraint on {table_name!r}"
             )
@@ -296,7 +319,7 @@ def reference_execute_insert(self, stmt, params):
             )
         full = _build_full_row(self, table, columns, values)
         _check_not_null(self, table, full)
-        if _find_conflict(self, table, full, None) is not None:
+        if _find_conflict(self, table, full, None, inserted > 0) is not None:
             raise UniqueViolation(
                 f"duplicate key value violates unique constraint on {table.name!r}"
             )
@@ -459,6 +482,11 @@ def run_script(script, reference: bool, monkeypatch_context):
                     except SQLError:
                         session.execute("ROLLBACK")
                         raise
+                    except WouldBlock as block:
+                        # The caller's statement, run synchronously, times
+                        # out on the wait.
+                        session.execute("ROLLBACK")
+                        raise LockTimeout(f"could not obtain lock: {block}") from None
                     if own_block:
                         session.execute("COMMIT")
                     return count
@@ -487,7 +515,8 @@ def run_script(script, reference: bool, monkeypatch_context):
                 prepared += 1
                 gid = f"g{prepared}"
                 # Its rows stay prepared-uncommitted for the rest of the
-                # script: in no snapshot, yet not aborted.
+                # script: in no snapshot, yet not aborted, so a later write
+                # of one of their keys waits for them (and times out).
                 run = lambda: session.execute(  # noqa: E731
                     f"PREPARE TRANSACTION '{gid}'").command
             else:
@@ -569,11 +598,13 @@ GOOD = ["k", "owner", "a", "b", "note"]
     # against the transaction's own earlier statement
     [("begin",), ("insert", GOOD, [[1, 0, 1, "x", "n"]]),
      ("insert", GOOD, [[1, 1, 2, "y", "m"]]), ("commit",)],
-    # an aborted row does not conflict; a prepared-uncommitted one is not seen
+    # an aborted row does not conflict; a prepared-uncommitted one is waited for
     [("begin",), ("copy", GOOD, [[1, 0, 1, "x", "n"]]), ("rollback",),
      ("copy", GOOD, [[1, 0, 1, "x", "n"]])],
     [("begin",), ("copy", GOOD, [[1, 0, 1, "x", "n"]]), ("prepare",),
      ("insert_rows", GOOD, [[1, 0, 1, "x", "n"]])],
+    [("begin",), ("copy", GOOD, [[1, 0, 1, "x", "n"]]), ("prepare",),
+     ("insert", GOOD, [[1, 0, 1, "x", "n"]])],
     # foreign keys out (missing owner) and in (referenced item)
     [("copy", GOOD, [[1, 3, 1, "x", "n"]])],
     [("owners", [3]), ("copy", GOOD, [[1, 3, 1, "x", "n"]]), ("refs", 1, 1),
@@ -616,9 +647,11 @@ def test_the_named_cases_do_what_their_names_say(monkeypatch):
                      ("insert", GOOD, [[1, 0, 2, "y", None]])])
     assert both[-1] == ("err", "NotNullViolation",
                         "null value in column 'note' of relation 'items'")
-    prepared = outcomes([("begin",), ("copy", GOOD, [[1, 0, 1, "x", "n"]]),
-                         ("prepare",), ("insert_rows", GOOD, [[1, 0, 1, "x", "n"]])])
-    assert prepared[-1] == ("ok", 1)
+    for step in ("insert_rows", "insert"):
+        prepared = outcomes([("begin",), ("copy", GOOD, [[1, 0, 1, "x", "n"]]),
+                             ("prepare",), (step, GOOD, [[1, 0, 1, "x", "n"]])])
+        assert prepared[-1] == ("err", "LockTimeout", "could not obtain lock: lock"
+                                " ('transactionid', 101) held by [101] (wanted ShareLock)")
 
 
 # --------------------------------------------------------------------------
