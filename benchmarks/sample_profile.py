@@ -7,6 +7,7 @@
     python3 benchmarks/sample_profile.py --workload oltp_point --plain
     python3 benchmarks/sample_profile.py --workload write_mix --gc
     python3 benchmarks/sample_profile.py --workload analytics_scan --step group_agg
+    python3 benchmarks/sample_profile.py --workload analytics_scan --step full_order --gc
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -40,7 +41,9 @@ one statement per op).
 ``--gc`` does not sample either: it times every collection of the measured
 phase through ``gc.callbacks`` and prints the collector's time and share of
 the loop, collections and mean pass cost per generation, and the number of
-GC-tracked objects (``gc.get_objects()``) before and after the phase.
+GC-tracked objects (``gc.get_objects()``) before and after the phase. With
+``--step NAME`` it times only the collections that start inside that step,
+and prints its share of the step and passes per run of it.
 """
 
 from __future__ import annotations
@@ -110,9 +113,6 @@ def main() -> int:
     if args.deciles:
         print_deciles(args.workload, workload, root)
         return workload.failed
-    if args.gc:
-        print_gc(args.workload, workload, root)
-        return workload.failed
     step_walls = []  # ns per run of the named step
     if args.step is not None:
         step = workload.step
@@ -129,6 +129,10 @@ def main() -> int:
                 in_step = False
 
         workload.step = sampled_step  # what run_op calls, for this instance
+    if args.gc:
+        print_gc(args.workload, workload, root, args.step,
+                 lambda: in_step, step_walls)
+        return workload.failed
     signal.signal(signal.SIGPROF, sample)
     signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
     try:
@@ -191,15 +195,21 @@ def print_deciles(name: str, workload, root: str) -> None:
     row("all", 0, len(walls) + 1)  # + 1: probes after the last op, if any
 
 
-def print_gc(name: str, workload, root: str) -> None:
+def print_gc(name: str, workload, root: str, step=None, in_step=None,
+             step_walls=()) -> None:
+    """Time every collection of the measured phase; with ``step``, only
+    those that start inside that step, counted per run of it."""
     passes = collections.defaultdict(list)  # generation -> ns per pass
     started = []
 
     def timed(phase, info):
         if phase == "start":
-            started.append(time.perf_counter_ns())
+            started.append(time.perf_counter_ns() if step is None or in_step()
+                           else None)
         else:
-            passes[info["generation"]].append(time.perf_counter_ns() - started.pop())
+            start = started.pop()
+            if start is not None:
+                passes[info["generation"]].append(time.perf_counter_ns() - start)
 
     tracked_before = len(gc.get_objects())
     gc.callbacks.append(timed)
@@ -214,14 +224,28 @@ def print_gc(name: str, workload, root: str) -> None:
 
     collector_ns = sum(map(sum, passes.values()))
     print(f"{name}: {workload.ops} ops, failed {workload.failed} ({root})")
-    print(f"loop {loop_ns / 1e9:.3f} s, collector {collector_ns / 1e9:.3f} s"
-          f" = {100 * collector_ns / max(loop_ns, 1):.1f} % of the loop")
-    print("generation  passes  mean pass ms  total ms")
+    if step is None:
+        print(f"loop {loop_ns / 1e9:.3f} s, collector {collector_ns / 1e9:.3f} s"
+              f" = {100 * collector_ns / max(loop_ns, 1):.1f} % of the loop")
+        runs = None
+    else:
+        runs = len(step_walls)
+        if not runs:
+            print(f"{name} ran no step {step!r}")
+            workload.failed += 1
+            return
+        step_ns = sum(step_walls)
+        print(f"step {step}: {runs} runs, mean {step_ns / runs / 1e3:.1f} us,"
+              f" collector {collector_ns / 1e9:.3f} s"
+              f" = {100 * collector_ns / max(step_ns, 1):.1f} % of the step")
+    print("generation  passes  mean pass ms  total ms"
+          + ("  passes per run" if runs else ""))
     for generation in range(3):
         times = passes[generation]
         print(f"{generation:10d} {len(times):7d}"
               f" {sum(times) / max(len(times), 1) / 1e6:13.2f}"
-              f" {sum(times) / 1e6:9.1f}")
+              f" {sum(times) / 1e6:9.1f}"
+              + (f" {len(times) / runs:15.2f}" if runs else ""))
     print(f"GC-tracked objects: {tracked_before} before, {tracked_after} after"
           f" ({tracked_after - tracked_before:+d})")
 

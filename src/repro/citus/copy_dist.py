@@ -230,7 +230,7 @@ def placement_rows(ext, node: str, shard_name: str):
     with closing(ext.cluster.connect(node, "citus_copy")) as conn, \
             closing(conn.execute_cursor(select_star(shard_name))) as cursor:
         while (batch := cursor.fetch_batch()) is not None:
-            yield from batch
+            yield from batch.rows()
 
 
 def select_star(table: str) -> A.Select:

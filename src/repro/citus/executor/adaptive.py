@@ -305,7 +305,7 @@ class TaskStream:
             self.execution._open_stream(self)
 
     def fetch(self):
-        """Next row batch, or None once this shard stream is drained."""
+        """Next column batch, or None once this shard stream is drained."""
         if self.done:
             return None
         self.ensure_open()

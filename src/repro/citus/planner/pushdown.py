@@ -578,17 +578,18 @@ def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> li
 
 def stream_concat_runs(plan: PushdownSelect, execution, session, params):
     """Streaming coordinator merge for concat-mode plans, as a generator
-    of non-empty runs (lists) of visible rows (shared by the SELECT data
-    plane and the INSERT..SELECT write pipeline).
+    of non-empty runs of visible rows, each a column
+    :class:`~repro.engine.executor.Batch` (shared by the SELECT data plane
+    and the INSERT..SELECT write pipeline, which make rows of them).
 
     With ORDER BY: k-way MergeAppend over the pre-sorted shard streams.
-    Without: plain concat in task order. Either way hidden columns,
-    DISTINCT, OFFSET and LIMIT apply a run at a time; a satisfied LIMIT
-    stops before the next fetch and closes the remaining streams — tasks
-    whose stream was never started are skipped without ever being
-    dispatched.
+    Without: plain concat in task order. Either way hidden columns are
+    left behind, and DISTINCT, OFFSET and LIMIT apply a run at a time; a
+    satisfied LIMIT stops before the next fetch and closes the remaining
+    streams — tasks whose stream was never started are skipped without
+    ever being dispatched.
     """
-    from ...engine.executor import _group_key, limit_offset
+    from ...engine.executor import Batch, _group_key, limit_offset
     from ...engine.expr import EvalContext, Row
 
     streams = execution.streams
@@ -596,14 +597,14 @@ def stream_concat_runs(plan: PushdownSelect, execution, session, params):
         plan, EvalContext(row=Row(), params=params, session=session))
 
     width = len(streams[0].columns) if streams else 0
-    n_appended = plan.n_visible
-    visible_width = width - n_appended
+    visible_width = width - plan.n_visible
 
     if plan.hidden_sort_keys:
         source = _merge_append_runs(
-            merge_key_columns(plan, visible_width, width), streams, execution)
+            merge_key_columns(plan, visible_width, width), visible_width,
+            streams, execution)
     else:
-        source = _concat_runs(streams, execution)
+        source = _concat_runs(streams, execution, visible_width)
 
     try:
         seen = set() if plan.distinct else None
@@ -612,26 +613,31 @@ def stream_concat_runs(plan: PushdownSelect, execution, session, params):
         satisfied = limit is not None and limit <= 0
         if not satisfied:
             for run in source:
-                if n_appended:
-                    run = [row[:visible_width] for row in run]
+                columns, count = run.columns, run.count
                 if seen is not None:
                     fresh = []
-                    for row in run:
+                    for i, row in enumerate(zip(*columns) if columns
+                                            else [()] * count):
                         key = tuple([_group_key(v) for v in row])
                         if key not in seen:
                             seen.add(key)
-                            fresh.append(row)
-                    run = fresh
+                            fresh.append(i)
+                    if len(fresh) < count:
+                        count = len(fresh)
+                        columns = [list(map(column.__getitem__, fresh))
+                                   for column in columns]
                 if skipped < offset:
-                    drop = min(offset - skipped, len(run))
+                    drop = min(offset - skipped, count)
                     skipped += drop
-                    run = run[drop:]
-                if limit is not None and emitted + len(run) >= limit:
-                    run = run[:limit - emitted]
+                    count -= drop
+                    columns = [column[drop:] for column in columns]
+                if limit is not None and emitted + count >= limit:
+                    count = limit - emitted
+                    columns = [column[:count] for column in columns]
                     satisfied = True
-                emitted += len(run)
-                if run:
-                    yield run
+                emitted += count
+                if count:
+                    yield Batch(columns, count)
                 if satisfied:
                     break
         if satisfied and any(not s.done for s in streams):
@@ -643,34 +649,39 @@ def stream_concat_runs(plan: PushdownSelect, execution, session, params):
 
 def run_streaming_concat(plan: PushdownSelect, execution, session, params):
     """Materializing wrapper over :func:`stream_concat_runs` — the SELECT
-    statement path, which must return a full :class:`QueryResult`."""
+    statement path, which must return a full :class:`QueryResult`: the
+    client's rows, made here once."""
     streams = execution.streams
     columns = concat_visible_columns(plan, streams, session, params)
     out_rows = []
     for run in stream_concat_runs(plan, execution, session, params):
-        out_rows.extend(run)
+        out_rows += run.rows()
     return QueryResult(columns, out_rows)
 
 
-def _concat_runs(streams, execution):
+def _concat_runs(streams, execution, visible_width: int):
     """Drain shard streams sequentially in task order, one batch — one
     run — at a time (the coordinator holds at most one batch)."""
+    from ...engine.executor import Batch
+
     for stream in streams:
         while True:
             batch = stream.fetch()
             if batch is None:
                 break
             execution.note_buffered(len(batch))
+            if len(batch.columns) > visible_width:
+                batch = Batch(batch.columns[:visible_width], batch.count)
             yield batch
 
 
-def _merge_append_runs(key_columns, streams, execution):
-    """K-way merge over pre-sorted shard streams, a run at a time.
-    Buffering is bounded to one in-flight batch per stream; ties break by
-    task order then arrival order, as a stable sort of the concatenated
-    shard results would.
+def _merge_append_runs(key_columns, visible_width: int, streams, execution):
+    """K-way merge over pre-sorted shard streams, a run at a time: runs of
+    the first ``visible_width`` columns. Buffering is bounded to one
+    in-flight batch per stream; ties break by task order then arrival
+    order, as a stable sort of the concatenated shard results would.
 
-    Each fetched batch is decorated with its rows' sort keys once. The
+    Each fetched batch is keyed once, from its sort-key columns. The
     *horizon* is the smallest ``(last buffered key, stream index)``: every
     buffered row at or below it precedes anything a later fetch can bring,
     so those prefixes — found by bisection, concatenated in task order and
@@ -688,6 +699,7 @@ def _merge_append_runs(key_columns, streams, execution):
     from bisect import bisect_left, bisect_right
 
     from ...engine.datum import plain_sort_type
+    from ...engine.executor import Batch
 
     #: Per key column: None until a batch is seen, then int / str while the
     #: values are their own keys, False once generic.
@@ -698,7 +710,7 @@ def _merge_append_runs(key_columns, streams, execution):
         generic first."""
         per_column = []
         for c, (position, descending, generic) in enumerate(key_columns):
-            column = [row[position] for row in batch]
+            column = batch.columns[position]
             kind = kinds[c]
             if kind is not False:
                 found = plain_sort_type(column)
@@ -716,9 +728,9 @@ def _merge_append_runs(key_columns, streams, execution):
         if len(per_column) == 1:
             return per_column[0]
         # No key column at all: every row ties, task order decides.
-        return list(zip(*per_column)) or [()] * len(batch)
+        return list(zip(*per_column)) or [()] * batch.count
 
-    rows = [None] * len(streams)  # per live stream: the batch in flight,
+    batches = [None] * len(streams)  # per live stream: the batch in flight,
     keys = [None] * len(streams)  # its rows' keys,
     start = [0] * len(streams)  # and how many of its rows are already out
     live = []  # streams with buffered rows, in task order
@@ -730,13 +742,13 @@ def _merge_append_runs(key_columns, streams, execution):
         batch = streams[index].fetch()
         if not batch:
             return False
-        rows[index], start[index] = batch, 0
+        batches[index], start[index] = batch, 0
         generic_before = kinds.count(False)
         keys[index] = keys_of(batch)
         if kinds.count(False) > generic_before:
             for other in live:
                 if other != index:
-                    keys[other] = keys_of(rows[other])
+                    keys[other] = keys_of(batches[other])
         held += len(batch)
         execution.note_buffered(held)
         return True
@@ -751,24 +763,31 @@ def _merge_append_runs(key_columns, streams, execution):
         # min() keeps the first of equal keys: the lowest stream index.
         horizon_stream = min(live, key=last_key)
         horizon = last_key(horizon_stream)
-        run_rows, run_keys = [], []
+        run_columns = [[] for _ in range(visible_width)]
+        run_keys = []
         for index in live:
+            first = start[index]
             cut = (bisect_right if index <= horizon_stream else bisect_left)(
-                keys[index], horizon, start[index])
-            run_rows += rows[index][start[index]:cut]
-            run_keys += keys[index][start[index]:cut]
+                keys[index], horizon, first)
+            if cut > first:
+                for out, column in zip(run_columns, batches[index].columns):
+                    out += column[first:cut]
+                run_keys += keys[index][first:cut]
             start[index] = cut
-        held -= len(run_rows)
-        order = sorted(range(len(run_rows)), key=run_keys.__getitem__)
-        yield [run_rows[i] for i in order]
+        count = len(run_keys)
+        held -= count
+        order = sorted(range(count), key=run_keys.__getitem__)
+        yield Batch([list(map(column.__getitem__, order)) for column in run_columns],
+                    count)
         if not load(horizon_stream):
             live.remove(horizon_stream)
 
 
 def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
     """Incremental two-phase aggregation merge: worker partial-aggregate
-    rows stream into the coordinator's hash aggregate one batch at a time
-    instead of being concatenated wholesale first."""
+    batches stream into the coordinator's hash aggregate one at a time
+    instead of being concatenated wholesale first; the aggregate reads each
+    batch's rows straight off its columns."""
     from ...engine.executor import LocalExecutor
 
     def intermediate_rows():
@@ -778,8 +797,7 @@ def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
                 if batch is None:
                     break
                 execution.note_buffered(len(batch))
-                for row in batch:
-                    yield row
+                yield from zip(*batch.columns)
 
     session.temp_results["citus_intermediate"] = (
         plan.intermediate_columns, intermediate_rows(),
@@ -928,7 +946,9 @@ class MultiTaskSelectPlan(CitusPlan):
         rows_out = 0
         try:
             if shape.mode == "concat":
-                runs = stream_concat_runs(shape, execution, session, params)
+                # The consumer routes rows: they are made here, a run at a time.
+                runs = (run.rows() for run in stream_concat_runs(
+                    shape, execution, session, params))
             else:
                 # Group-merge: the worker partials stream into the hash
                 # aggregate batch by batch; the (much smaller) aggregated

@@ -235,6 +235,10 @@ def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params, de
         expr = entry.expr if isinstance(entry, A.TargetEntry) else None
         if expr is not None:
             _collect_subquery_tables(expr, cache, analysis, params, scope)
+    # ORDER BY / GROUP BY expressions run on the workers too: a subquery in
+    # them reads shards like one in the targets does.
+    for expr in [*(key.expr for key in select.order_by), *select.group_by]:
+        _collect_subquery_tables(expr, cache, analysis, params, scope)
     # Does an inner (non-top-level) query aggregate across shards? That
     # blocks pushdown: only the outermost aggregation can be split into
     # partial/merge phases.

@@ -25,7 +25,6 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import islice
 
 from ..errors import (
     CatalogError,
@@ -79,11 +78,41 @@ class QueryResult:
     def __iter__(self):
         return iter(self.rows)
 
+
+class Batch:
+    """Result rows as columns: ``columns[c][i]`` is column ``c`` of row
+    ``i``, ``count`` rows (a batch may have rows and no columns). What a
+    cursor hands out, the wire prices and the coordinator merges; rows are
+    made once, by whoever needs them (:meth:`rows`)."""
+
+    __slots__ = ("columns", "count")
+
+    def __init__(self, columns, count: int):
+        self.columns = columns
+        self.count = count
+
+    @classmethod
+    def of_rows(cls, rows, width: int) -> "Batch":
+        """Rows of ``width`` values, turned into columns (by position:
+        ``zip(*rows)`` would make an iterator per row)."""
+        return cls([[row[c] for row in rows] for c in range(width)], len(rows))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def rows(self) -> list:
+        """One list per row, made now."""
+        if self.columns:
+            return list(map(list, zip(*self.columns)))
+        return [[] for _ in range(self.count)]
+
+
 class EngineCursor:
     """Pull-based result of :meth:`LocalExecutor.execute_cursor`.
 
-    ``fetch(n)`` returns up to ``n`` rows ([] once exhausted) from
-    ``pull(n)``, which returns fewer than ``n`` only when it is done;
+    ``fetch(n)`` returns the next :class:`Batch` of up to ``n`` rows
+    (empty once exhausted) from ``pull(n)``, which returns fewer than ``n``
+    only when it is done.
     ``close()`` terminates early. The optional ``on_finish(error)`` callback fires
     exactly once — on exhaustion, close, or a mid-iteration error — which
     is how the owning session defers statement completion until every open
@@ -104,23 +133,32 @@ class EngineCursor:
         self.closed = False
 
     @classmethod
-    def over(cls, columns, rows: list, command: str = "SELECT") -> "EngineCursor":
-        """A cursor over rows already made (let go of once read)."""
-        rows = iter(rows)
-        return cls(columns, lambda n: list(islice(rows, n)), command)
+    def over(cls, columns, batch: Batch, command: str = "SELECT") -> "EngineCursor":
+        """A cursor over a result already made, handed out a slice at a time."""
+        position = 0
 
-    def fetch(self, n: int) -> list:
+        def pull(n):
+            nonlocal position
+            start, position = position, min(position + n, batch.count)
+            if start == 0 and position == batch.count:
+                return batch
+            return Batch([column[start:position] for column in batch.columns],
+                         position - start)
+
+        return cls(columns, pull, command)
+
+    def fetch(self, n: int) -> Batch:
         if self.closed or self.exhausted:
-            return []
+            return Batch([[] for _ in self.columns], 0)
         n = max(int(n), 0)
         try:
-            batch = self._pull(n) if n else []
+            batch = self._pull(n)
         except BaseException as exc:
             self.exhausted = True
             self._finish(exc)
             raise
-        self.rows_fetched += len(batch)
-        if len(batch) < n:
+        self.rows_fetched += batch.count
+        if batch.count < n:
             self.exhausted = True
             self._finish(None)
         return batch
@@ -132,6 +170,9 @@ class EngineCursor:
         self._finish(None)
 
     def _finish(self, error) -> None:
+        # What is left to pull goes now: a finished cursor can be held on to
+        # (by an execution's cycle of streams) long after.
+        self._pull = None
         callback, self._on_finish = self._on_finish, None
         if callback is not None:
             callback(error)
@@ -141,7 +182,7 @@ class Stream:
     """One execution's FROM item as the head of a fused loop. ``kind`` is
     ``heap`` (tuple versions; ``visibility`` — the snapshot's verdicts, its
     test, the commit log — is applied in the loop), ``tuples`` (visible
-    index candidates) or ``rows`` (value lists already made, never
+    index candidates) or ``rows`` (value lists or tuples already made, never
     mutated). ``stages`` holds ``(JoinShape, join type, stream is the left
     side)`` per join, ``builds`` its ``(hash table or None, build rows, ids
     of matched build rows)``; ``layout`` is what comes out."""
@@ -420,7 +461,7 @@ class BoundSelect:
 
     __slots__ = ("layout", "where", "columns", "target_fns",
                  "target_slots", "window_calls", "agg", "scope",
-                 "sort_keys", "distinct_on", "loops")
+                 "sort_keys", "distinct_on", "keeps_inputs", "loops")
 
     def __init__(self, shape: SelectShape, layout: RowLayout):
         select = shape.select
@@ -448,6 +489,10 @@ class BoundSelect:
         self.sort_keys = [self._sort_key(sk, targets, scope)
                           for sk in select.order_by]
         self.distinct_on = [get_compiled(e, scope) for e in select.distinct_on]
+        #: Whether anything reads an output row's input row again.
+        self.keeps_inputs = bool(
+            select.for_update or self.distinct_on
+            or any(key[0] is not _OUT for key in self.sort_keys))
 
     def _lift_windows(self, expr):
         def visit(node):
@@ -488,6 +533,12 @@ class BoundSelect:
             source = _IN
             if arg is None:
                 source, arg = _FN, get_compiled(expr, scope)
+            else:
+                # An input column the output holds as it is: read it there.
+                for i, target in enumerate(targets):
+                    if slot_of(target.expr, scope) == arg:
+                        source, arg = _OUT, i
+                        break
         return (source, arg, *ordering(sk.ascending, sk.nulls_first))
 
 
@@ -503,8 +554,8 @@ class AggShape:
     The per-row work — group key, group lookup, every call's accumulate
     step — is written into the fused loop that feeds the aggregate
     (:meth:`accumulate_lines`), and the per-group work — group row,
-    HAVING, output row — is one generated function (:attr:`finalize`),
-    built from the shape on first use."""
+    HAVING, output values — is one generated function
+    (:meth:`finalizer`), built from the shape on first use."""
 
     __slots__ = ("layout", "group_fns", "group_slots", "steps", "aggs",
                  "inits", "finishers", "target_fns", "target_slots", "having",
@@ -526,7 +577,7 @@ class AggShape:
         self.finishers: list = []
         #: The fused loops that feed this aggregate (``_drain``).
         self.loops: dict = {}
-        self._finalize = None
+        self._finalize: dict = {}
         lifted = [self.lift(t.expr.copy()) for t in targets]
         self.target_fns = [get_compiled(e, layout) for e in lifted]
         #: Per target: the group-row slot it reads when it is nothing else.
@@ -558,22 +609,25 @@ class AggShape:
         self.inits.append(agg.init)
         self.finishers.append(
             agg.partial if node.agg_phase == "partial" else agg.finalize)
-        self._finalize = None
+        self._finalize.clear()
 
-    @property
-    def finalize(self):
-        """``finalize(groups, ctx) -> [(output row, group row), ...]`` in
-        ``groups``' order: a group row is the first input row's values and
-        each call's result; HAVING drops groups. Generated once the shape
-        is complete (:meth:`lift` registers ORDER BY's calls after
+    def finalizer(self, as_rows: bool, keep: bool):
+        """``finalize(groups, ctx, out, kept)``, per group in ``groups``'
+        order (HAVING drops groups): its output values appended to ``out``
+        — one list per group with ``as_rows``, else each to its column —
+        and with ``keep`` its group row, the first input row's values and
+        each call's result, to ``kept``. Generated once the shape is
+        complete (:meth:`lift` registers ORDER BY's calls after
         ``__init__``): identity finishers read the state in place, slot
         targets are written out, the rest are calls from the loop."""
-        if self._finalize is None:
+        run = self._finalize.get((as_rows, keep))
+        if run is None:
             w = _Writer()
-            self._finalize = w.function("groups, ctx", self._finalize_lines(w))
-        return self._finalize
+            run = self._finalize[as_rows, keep] = w.function(
+                "groups, ctx, out, kept", self._finalize_lines(w, as_rows, keep))
+        return run
 
-    def _finalize_lines(self, w: "_Writer") -> list:
+    def _finalize_lines(self, w: "_Writer", as_rows: bool, keep: bool) -> list:
         width = self.layout.width
         states, results = [], []
         finish = []  # statements computing the non-identity results
@@ -592,18 +646,25 @@ class AggShape:
             else:  # a group column, or a call the targets registered
                 outputs.append(f"values[{slot}]" if slot < width
                                else results[slot - width])
-        body = [*finish, f"row = [*values[:{width}], {', '.join(results)}]"]
+        body = list(finish)
+        if uses_ctx or keep:
+            body.append(f"row = [*values[:{width}], {', '.join(results)}]")
         if uses_ctx:
             body.append("ctx.values = row")
         if self.having is not None:
             body += [f"if {w.bind(self.having, 'having')}(ctx) is not True:",
                      " continue"]
-        body.append(f"append(([{', '.join(outputs)}], row))")
-        return ["pairs = []",
-                "append = pairs.append",
-                f"for values, {', '.join(states)} in groups.values():",
-                *(" " + line for line in body),
-                "return pairs"]
+        if as_rows:
+            head = ["append = out.append"]
+            body.append(f"append([{', '.join(outputs)}])")
+        else:
+            head = _put_lines(len(outputs), "out")
+            body += [f"put{c}({value})" for c, value in enumerate(outputs)]
+        if keep:
+            head.append("keep = kept.append")
+            body.append("keep(row)")
+        return [*head, f"for values, {', '.join(states)} in groups.values():",
+                *(" " + line for line in body)]
 
     def accumulate_lines(self, w: "_Writer") -> list:
         """The accumulate step over the fused loop's current row: fold it
@@ -1242,10 +1303,13 @@ def _indent(lines) -> list:
 def _write_loop(stream: Stream, where: WhereShape | None, sink):
     """``run(source, ctx, visibility, consts, builds, out)``: one stream
     through WHERE into a sink — ``rows``, ``targets`` (heap tuples),
-    ``("pairs", BoundSelect)``, ``("agg", AggShape)`` or ``("cursor",
-    BoundSelect, has OFFSET)``, ``n`` rows at most. Returns the tuples it
-    saw visible and the hash-join rows it made (a cursor: the rows still
-    to skip). DESIGN.md, "Fused worker loops"."""
+    ``("columns", BoundSelect)`` (each target into its column, and the input
+    row when the select reads it again), ``("out_rows", BoundSelect)`` (the
+    same with one list per output row), ``("agg", AggShape)`` or
+    ``("cursor", BoundSelect, has OFFSET)`` (columns, ``n`` rows at most).
+    Returns the tuples it saw visible and the hash-join rows it made (a
+    cursor: the rows still to skip and the rows it fell short of ``n``).
+    DESIGN.md, "Fused worker loops"."""
     tag = sink if type(sink) is str else sink[0]
     w = _Writer(bool(stream.stages))
     w.layout = stream.layout  # of the rows WHERE and the sink read
@@ -1260,9 +1324,15 @@ def _write_loop(stream: Stream, where: WhereShape | None, sink):
     if tag == "agg":
         body += ["groups, seen = out", "get = groups.get"]
     elif tag == "cursor":
-        body += ["rows, n, skip = out", "append = rows.append"]
+        body += ["columns, n, skip = out", *_put_lines(len(sink[1].target_fns))]
+    elif tag == "columns":
+        body += ["columns, inputs = out", *_put_lines(len(sink[1].target_fns))]
+    elif tag == "out_rows":
+        body += ["rows, inputs = out", "append = rows.append"]
     else:
         body.append("append = out.append")
+    if tag in ("columns", "out_rows") and sink[1].keeps_inputs:
+        body.append("keep = inputs.append")
     body.append("scanned = joined = 0")
     if stream.kind == "rows":
         body.append("for row in source:")
@@ -1283,7 +1353,7 @@ def _write_loop(stream: Stream, where: WhereShape | None, sink):
                    for var, width in parts),
                  *((" joined += 1",) if stream.stages[j][0].left_keys else ()),
                  *_indent(_downstream(w, stream.stages, j + 1, where, sink, []))]
-    body.append(f"return scanned, {'skip' if tag == 'cursor' else 'joined'}")
+    body.append(f"return scanned, {'(skip, n)' if tag == 'cursor' else 'joined'}")
     return w.function("source, ctx, visibility, consts, builds, out", body)
 
 
@@ -1360,18 +1430,30 @@ def _sink_lines(w: _Writer, sink) -> list:
     if sink[0] == "agg":
         return sink[1].accumulate_lines(w)
     bound, lines, parts = sink[1], [], w.parts
-    if len(parts) > 1:  # one list for the closures and the pair
+    keep = sink[0] != "cursor" and bound.keeps_inputs
+    if len(parts) > 1 and (keep or None in bound.target_slots):
+        # One list for the closures and the input row kept.
         lines.append(f"merged = {w.row()}")
         w.parts = [["merged", bound.layout.width]]
     cells = [w.read(slot) if slot is not None else f"{w.bind(fn, 'target')}(ctx)"
              for fn, slot in zip(bound.target_fns, bound.target_slots)]
     if None in bound.target_slots:
         lines += w.point(bound.layout)
+    if sink[0] == "out_rows":
+        lines.append(f"append([{', '.join(cells)}])")
+    else:  # columns, cursor
+        if sink[0] == "cursor" and sink[2]:
+            lines += ["if skip:", " skip -= 1", " continue"]
+        lines += [f"put{c}({cell})" for c, cell in enumerate(cells)]
     row, w.parts = w.row(), parts
-    if sink[0] == "pairs":
-        return [*lines, f"append(([{', '.join(cells)}], {row}))"]
-    return [*lines, *(("if skip:", " skip -= 1", " continue") if sink[2] else ()),
-            f"append([{', '.join(cells)}])", "n -= 1", "if not n:", " break"]
+    if sink[0] == "cursor":
+        return [*lines, "n -= 1", "if not n:", " break"]
+    return [*lines, *((f"keep({row})",) if keep else ())]
+
+
+def _put_lines(width: int, columns: str = "columns") -> list:
+    """Name each output column's ``append``: ``put0``, ``put1``, …"""
+    return [f"put{c} = {columns}[{c}].append" for c in range(width)]
 
 
 def _prefix_index(table: Table, cols):
@@ -1535,26 +1617,32 @@ class LocalExecutor:
 
     def execute_select(self, select: A.Select, params, outer: EvalContext | None = None,
                        cte_env: dict | None = None) -> QueryResult:
+        """A SELECT's result, its rows made at this edge."""
+        return self._select(select, params, outer, cte_env, True)
+
+    def _select(self, select, params, outer, cte_env, as_rows: bool):
+        """The result as a QueryResult, or (``as_rows`` False) as its output
+        names and a column :class:`Batch`."""
         telemetry = self.instance.telemetry
         if telemetry is None or telemetry.traced is None:
-            return self._execute_select_impl(select, params, outer, cte_env)
+            return self._execute_select_impl(select, params, outer, cte_env, as_rows)
         # Inside a statement whose spans are kept (or an EXPLAIN ANALYZE
         # capture), each engine-level select — the coordinator merge query,
         # local-tier statements, InitPlans — shows up as its own span.
         span = telemetry.enter("select", "engine", self.instance.name)
         rows = None
         try:
-            result = self._execute_select_impl(select, params, outer, cte_env)
-            rows = len(result.rows)
+            result = self._execute_select_impl(select, params, outer, cte_env,
+                                               as_rows)
+            rows = len(result.rows if as_rows else result[1])
             return result
         finally:
             telemetry.exit(span, rows)
 
-    def _execute_select_impl(self, select: A.Select, params,
-                             outer: EvalContext | None = None,
-                             cte_env: dict | None = None) -> QueryResult:
+    def _execute_select_impl(self, select: A.Select, params, outer, cte_env,
+                             as_rows: bool):
         shape = self._select_shape(select)
-        if shape.single and not cte_env:
+        if as_rows and shape.single and not cte_env:
             result = self._point_select(select, shape, params, outer)
             if result is not None:
                 return result
@@ -1564,14 +1652,26 @@ class LocalExecutor:
             names = cte.column_names or sub.columns
             cte_env[cte.name] = (names, sub.rows)
 
-        # (output values, input row) pairs: ORDER BY, DISTINCT ON and
-        # FOR UPDATE may still need the row an output row was made from.
-        bound, pairs = self._run_select_core(select, shape, params, outer, cte_env)
+        # The output — rows for a QueryResult, columns for a cursor's batch —
+        # and per output row the input row it was made from (None: nothing
+        # reads it): ORDER BY, DISTINCT ON and FOR UPDATE may still need
+        # it. Each step below narrows or permutes ``order``; the output is
+        # permuted once, at the end.
+        bound, out, inputs, count = self._run_select_core(
+            select, shape, params, outer, cte_env, as_rows)
 
-        for op, rhs in select.set_ops:
-            rhs_result = self.execute_select(rhs, params, outer=outer, cte_env=cte_env)
-            pairs = _apply_set_op(op, pairs, [(r, None) for r in rhs_result.rows])
+        if select.set_ops and select.for_update:
+            raise DataError("FOR UPDATE is not allowed with UNION/INTERSECT/EXCEPT")
+        if select.set_ops:
+            rows = out if as_rows else Batch(out, count).rows()
+            for op, rhs in select.set_ops:
+                rhs_result = self.execute_select(rhs, params, outer=outer,
+                                                 cte_env=cte_env)
+                rows = _apply_set_op(op, rows, rhs_result.rows)
+            out = rows if as_rows else Batch.of_rows(rows, len(bound.columns)).columns
+            inputs, count = None, len(rows)
 
+        order = None  # the rows kept, in output order; None: all, as made
         offset, limit = 0, None
         if select.offset is not None or select.limit is not None:
             offset, limit = limit_offset(select, self._ctx(EMPTY_LAYOUT, params, outer))
@@ -1581,16 +1681,25 @@ class LocalExecutor:
             # full sort).
             top = (offset + limit if limit is not None
                    and not (select.distinct or select.for_update) else None)
-            pairs = self._sort_pairs(pairs, bound, params, outer, top)
+            order = self._sort_order(out, as_rows, inputs, count, bound, params,
+                                     outer, top)
         if select.distinct:
-            pairs = self._distinct_pairs(pairs, bound, params, outer)
-        if offset:
-            pairs = pairs[offset:]
-        if limit is not None:
-            pairs = pairs[:limit]
+            order = self._distinct_order(out, as_rows, inputs, count, order,
+                                         bound, params, outer)
+        if offset or limit is not None:
+            order = (order if order is not None else range(count))[
+                offset:None if limit is None else offset + limit]
+        if order is not None:
+            count = len(order)
+            out = (list(map(out.__getitem__, order)) if as_rows
+                   else [list(map(column.__getitem__, order)) for column in out])
+            if inputs is not None:
+                inputs = list(map(inputs.__getitem__, order))
         if select.for_update:
-            self._lock_rows_for_update(pairs, bound.layout)
-        return QueryResult(bound.columns, [values for values, _ in pairs])
+            self._lock_rows_for_update(inputs, bound.layout)
+        if as_rows:
+            return QueryResult(bound.columns, out)
+        return bound.columns, Batch(out, count)
 
     # ------------------------------------------------------ cursor SELECT
 
@@ -1603,14 +1712,12 @@ class LocalExecutor:
         offset/limit) stream genuinely lazily, stopping the heap scan as
         soon as a LIMIT is satisfied. Anything that needs a blocking
         operator (sort, grouping, DISTINCT, joins, set ops, windows, CTEs)
-        materializes through :meth:`execute_select` first — the cursor
-        then just batches the buffered rows, exactly like a Sort node
-        feeding a portal.
+        runs to its columns first — the cursor then hands them out a slice
+        at a time, exactly like a Sort node feeding a portal.
         """
         if cte_env is None and self._cursor_streamable(select):
             return self._scan_cursor(select, params, outer)
-        result = self.execute_select(select, params, outer=outer, cte_env=cte_env)
-        return EngineCursor.over(result.columns, result.rows)
+        return EngineCursor.over(*self._select(select, params, outer, cte_env, False))
 
     def _cursor_streamable(self, select: A.Select) -> bool:
         if not self._select_shape(select).streamable:
@@ -1640,8 +1747,9 @@ class LocalExecutor:
         def pull(n):
             nonlocal stream, run, consts, skip, left, seen, per_page
             want = n if left is None else min(n, left)
+            columns = [[] for _ in bound.columns]
             if want <= 0:
-                return []
+                return Batch(columns, 0)
             if stream is None:
                 stream = self._open_scan(table, scan, params, outer, snapshot)
                 heap = stream.heap
@@ -1651,16 +1759,15 @@ class LocalExecutor:
                 stream.source = iter(stream.source)
                 run = self._loop(bound, stream, bound.where, sink)
                 consts = bound.where.constants(params) if bound.where else ()
-            rows = []
-            scanned, skip = run(stream.source, ctx, stream.visibility, consts,
-                                (), (rows, want, skip))
+            scanned, (skip, short) = run(stream.source, ctx, stream.visibility,
+                                         consts, (), (columns, want, skip))
             if scanned:
                 stats["tuples_scanned"] += scanned
                 stats["pages_read"] += (seen + scanned) // per_page - seen // per_page
                 seen += scanned
             if left is not None:
-                left -= len(rows)
-            return rows
+                left -= want - short
+            return Batch(columns, want - short)
 
         return EngineCursor(bound.columns, pull, snapshot=snapshot)
 
@@ -1692,10 +1799,12 @@ class LocalExecutor:
         return QueryResult(bound.columns, rows)
 
     def _run_select_core(self, select, shape: SelectShape, params, outer,
-                         cte_env):
+                         cte_env, as_rows: bool):
         """FROM → WHERE → (windows | aggregation) → projection, as one
-        fused loop. Returns the select bound to its input layout and the
-        (output, input) pairs."""
+        fused loop. Returns the select bound to its input layout, the output
+        as rows or as columns, the input row of each output row (None when
+        nothing reads them again; a group's row after aggregation) and the
+        number of rows."""
         if shape.has_windows and shape.aggregates:
             raise DataError(
                 "window functions combined with aggregation are not supported"
@@ -1704,17 +1813,28 @@ class LocalExecutor:
         bound = shape.bound(stream.layout)
         ctx = self._ctx(stream.layout, params, outer)
         if bound.agg is not None:
-            return bound, self._aggregate(bound.agg, stream, ctx, bound.where)
+            out, groups = self._aggregate(bound.agg, stream, ctx, bound.where,
+                                          as_rows, bound.keeps_inputs)
+            count = len(out) if as_rows else len(out[0]) if out else len(groups)
+            return bound, out, groups, count
+        where = bound.where
         if bound.window_calls:
-            rows = self._drain(stream, bound, "rows", ctx, bound.where)
+            rows = self._drain(stream, bound, "rows", ctx, where)
             results = [compute_window_values(call, rows, ctx)
                        for call in bound.window_calls]
             width = stream.layout.width
             stream = Stream.of(stream.layout, [
                 values[:width] + list(extra)
                 for values, extra in zip(rows, zip(*results))])
-            return bound, self._drain(stream, bound, ("pairs", bound), ctx)
-        return bound, self._drain(stream, bound, ("pairs", bound), ctx, bound.where)
+            where = None
+        inputs = [] if bound.keeps_inputs else None
+        if as_rows:
+            rows = self._drain(stream, bound, ("out_rows", bound), ctx, where,
+                               ([], inputs))[0]
+            return bound, rows, inputs, len(rows)
+        columns = [[] for _ in bound.target_fns]
+        self._drain(stream, bound, ("columns", bound), ctx, where, (columns, inputs))
+        return bound, columns, inputs, len(columns[0]) if columns else 0
 
     def _loop(self, anchor, stream: Stream, where, sink):
         """The fused loop of ``stream`` through ``where`` into ``sink``,
@@ -1747,40 +1867,45 @@ class LocalExecutor:
     # -------------------------------------------------------- aggregation
 
     def _aggregate(self, agg: AggShape, stream: Stream, ctx: EvalContext,
-                   where=None) -> list:
+                   where=None, as_rows: bool = True, keep: bool = True) -> tuple:
         """Hash aggregation of ``stream`` through ``where``, accumulated
-        in its loop: (output, group row) pairs in first-seen group order."""
+        in its loop: the groups' outputs — rows, or columns — and with
+        ``keep`` their group rows (else None), in first-seen group order."""
         # key -> [first input row, state per aggregate call...]
         groups: dict = {}
         self._drain(stream, agg, ("agg", agg), ctx, where, (groups, {}))
         if not groups and not agg.group_fns:
             # Aggregate over empty input: one row of aggregate defaults.
             groups[()] = [[None] * agg.layout.width] + [init() for init in agg.inits]
-        return agg.finalize(groups, ctx)
+        out = [] if as_rows else [[] for _ in agg.target_fns]
+        kept = [] if keep else None
+        agg.finalizer(as_rows, keep)(groups, ctx, out, kept)
+        return out, kept
 
     # ------------------------------------------------------------ sorting
 
-    def _sort_pairs(self, pairs, bound: BoundSelect, params, outer,
+    def _sort_order(self, out, as_rows: bool, inputs, count: int,
+                    bound: BoundSelect, params, outer,
                     top: int | None = None) -> list:
-        """ORDER BY. With ``top`` below the number of rows, only the first
-        ``top`` rows of the order: ``heapq.nsmallest`` over each row's keys
+        """ORDER BY over ``out`` (rows, or columns): the positions of the rows
+        in output order. With ``top`` below the number of rows, only the
+        first ``top`` of them: ``heapq.nsmallest`` over each row's keys
         followed by its position, so ties keep their input order as a
         stable sort keeps them. Otherwise one stable sort per key, last key
         first."""
-        count = len(pairs)
         bounded = top is not None and top < count
         ctx = None
-        columns = []  # (keys, descending), last ORDER BY key first
+        keyed = []  # (keys, descending), last ORDER BY key first
         for source, arg, descending, key in reversed(bound.sort_keys):
-            if source is _IN:
-                column = [row[arg] for _out, row in pairs]
-            elif source is _OUT:
-                column = [out[arg] for out, _row in pairs]
+            if source is _OUT:
+                column = [row[arg] for row in out] if as_rows else out[arg]
+            elif source is _IN:
+                column = [row[arg] for row in inputs]
             else:
                 if ctx is None:
                     ctx = self._ctx(bound.scope, params, outer)
                 column = []
-                for _out, row in pairs:
+                for row in inputs if inputs is not None else [None] * count:
                     ctx.values = row
                     column.append(arg(ctx))
             # Plain ints / strs are their own keys (datum.plain_sort_type).
@@ -1789,36 +1914,40 @@ class LocalExecutor:
             if bounded and descending:
                 # One ascending tuple of keys: a DESC key turned round.
                 column = list(map(Descending, column))
-            columns.append((column, descending))
+            keyed.append((column, descending))
         if bounded:
-            keys = [column for column, _descending in reversed(columns)]
-            return [pairs[entry[-1]]
-                    for entry in nsmallest(top, zip(*keys, range(count)))]
+            keys = [column for column, _descending in reversed(keyed)]
+            return [entry[-1] for entry in nsmallest(top, zip(*keys, range(count)))]
         order = range(count)
-        for column, descending in columns:
+        for column, descending in keyed:
             order = sorted(order, key=column.__getitem__, reverse=descending)
-        return [pairs[i] for i in order]
+        return order
 
-    def _distinct_pairs(self, pairs, bound: BoundSelect, params, outer) -> list:
+    def _distinct_order(self, out, as_rows: bool, inputs, count: int, order,
+                        bound: BoundSelect, params, outer) -> list:
+        """DISTINCT [ON]: the positions of ``order`` (None: every row, as
+        made) whose key was not seen at an earlier one."""
         seen = set()
-        out = []
+        kept = []
         distinct_on = bound.distinct_on
         if distinct_on:
             ctx = self._ctx(bound.scope, params, outer)
-        for pair in pairs:
+        elif not as_rows:
+            out = list(zip(*out)) if out else [()] * count
+        for i in order if order is not None else range(count):
             if distinct_on:
-                ctx.values = pair[1]
+                ctx.values = inputs[i] if inputs is not None else None
                 key = tuple([_group_key(fn(ctx)) for fn in distinct_on])
             else:
-                key = tuple([_group_key(v) for v in pair[0]])
+                key = tuple([_group_key(v) for v in out[i]])
             if key not in seen:
                 seen.add(key)
-                out.append(pair)
-        return out
+                kept.append(i)
+        return kept
 
-    def _lock_rows_for_update(self, pairs, layout: RowLayout):
+    def _lock_rows_for_update(self, inputs, layout: RowLayout):
         self.session.ensure_xid()
-        for _, row in pairs:
+        for row in inputs:
             if row is None:
                 continue
             for slot, table_name in layout.sources:
@@ -2508,27 +2637,27 @@ def _subset(refs: set, keys) -> bool:
     return bool(refs) and all(r in keys for r in refs)
 
 
-def _apply_set_op(op: str, left_pairs, right_pairs):
-    """UNION / INTERSECT / EXCEPT over (output values, input row) pairs,
-    first-occurrence order preserved. The plain forms return distinct
-    rows; the ALL forms count multiplicities — INTERSECT ALL keeps
-    ``min(l, r)`` copies of a row, EXCEPT ALL ``max(l - r, 0)``."""
+def _apply_set_op(op: str, left_rows, right_rows):
+    """UNION / INTERSECT / EXCEPT over rows, first-occurrence order
+    preserved. The plain forms return distinct rows; the ALL forms count
+    multiplicities — INTERSECT ALL keeps ``min(l, r)`` copies of a row,
+    EXCEPT ALL ``max(l - r, 0)``."""
     if op == "union all":
-        return left_pairs + right_pairs
+        return left_rows + right_rows
     kind, _, modifier = op.partition(" ")
     if kind not in ("union", "intersect", "except") or modifier not in ("", "all"):
         raise SyntaxErrorSQL(f"unsupported set operation {op!r}")
     if kind == "union":
-        left_pairs, right_pairs = left_pairs + right_pairs, []
+        left_rows, right_rows = left_rows + right_rows, []
 
-    def row_key(pair):
-        return tuple([_group_key(v) for v in pair[0]])
+    def row_key(row):
+        return tuple([_group_key(v) for v in row])
 
-    right_counts = Counter(row_key(pair) for pair in right_pairs)
+    right_counts = Counter(map(row_key, right_rows))
     emitted = set()
     out = []
-    for pair in left_pairs:
-        key = row_key(pair)
+    for row in left_rows:
+        key = row_key(row)
         if modifier == "all":
             # Each right-hand copy pairs off with one left-hand copy.
             in_right = right_counts[key] > 0
@@ -2540,7 +2669,7 @@ def _apply_set_op(op: str, left_pairs, right_pairs):
             emitted.add(key)
             in_right = key in right_counts
         if kind == "union" or in_right == (kind == "intersect"):
-            out.append(pair)
+            out.append(row)
     return out
 
 

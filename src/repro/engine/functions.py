@@ -142,16 +142,15 @@ _register_agg(Aggregate("avg", _avg_init, _avg_accum, _avg_final, _identity, _av
                         merge_name="avg_merge", inline=_AVG_INLINE))
 _register_agg(Aggregate("avg_partial", _avg_init, _avg_accum, _identity, _identity, _avg_merge,
                         inline=_AVG_INLINE))
-_register_agg(
-    Aggregate(
-        "avg_merge",
-        _avg_init,
-        lambda s, part: _avg_merge(s, part),
-        _avg_final,
-        _identity,
-        _avg_merge,
-    )
-)
+#: ``_avg_merge`` over the state in place: a worker's ``[sum, count]``
+#: folded into the group's.
+_AVG_MERGE_INLINE = ("[None, 0]", ("t = {s}",
+                                   "p = v[0]",
+                                   "if p is not None:",
+                                   " t[0] = p if t[0] is None else t[0] + p",
+                                   "t[1] += v[1]"))
+_register_agg(Aggregate("avg_merge", _avg_init, _avg_merge, _avg_final, _identity,
+                        _avg_merge, inline=_AVG_MERGE_INLINE))
 
 
 def _min_accum(state, value):

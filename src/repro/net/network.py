@@ -11,9 +11,10 @@ counters to compute elapsed simulated time for a distributed query
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from ..engine.datum import uniform_type
-from ..engine.executor import EngineCursor
+from ..engine.executor import Batch, EngineCursor
 from ..engine.instance import Parked
 from ..engine.locks import WouldBlock
 from ..errors import NodeUnavailable
@@ -44,7 +45,7 @@ def _values_bytes(values) -> int:
 
 def estimate_row_bytes(row) -> int:
     """Wire-size estimate of one result row: framing plus each value by
-    the per-value rule. The reference that :func:`estimate_rows_bytes`
+    the per-value rule. The reference that :func:`estimate_columns_bytes`
     must add up to."""
     return _ROW_OVERHEAD + _values_bytes(row)
 
@@ -53,20 +54,14 @@ def estimate_row_bytes(row) -> int:
 _FIXED_WIDTH = {int: 8, float: 8, bool: 1, type(None): 1}
 
 
-def estimate_rows_bytes(rows) -> int:
-    """Wire-size estimate of a batch of rows — the payload the bandwidth
-    model charges for a result set, a COPY chunk or a cursor batch. Exactly
-    the sum of :func:`estimate_row_bytes` over the rows, priced a column at
-    a time: a column whose values share one type needs no per-value branch.
-    Mixed or other-typed columns and ragged batches take the per-value
-    rule, a one-row result the per-row rule."""
-    count = len(rows)
-    if count == 1:
-        return estimate_row_bytes(rows[0])
-    try:
-        columns = list(zip(*rows, strict=True))
-    except ValueError:  # ragged
-        return count * _ROW_OVERHEAD + sum(map(_values_bytes, rows))
+def estimate_columns_bytes(columns, count: int) -> int:
+    """Wire-size estimate of ``count`` rows given as columns — the payload
+    the bandwidth model charges for a cursor batch, a result set or a COPY
+    chunk. Exactly the sum of :func:`estimate_row_bytes` over the rows,
+    priced a column at a time: a column whose values share one type needs
+    no per-value branch (a column of lists, such as partial aggregates'
+    ``[sum, count]``, is priced from its items). Other columns take the
+    per-value rule."""
     total = count * _ROW_OVERHEAD
     for column in columns:
         kind = uniform_type(column)
@@ -74,9 +69,28 @@ def estimate_rows_bytes(rows) -> int:
             total += _FIXED_WIDTH[kind] * count
         elif kind is str:
             total += sum(map(len, column)) + count
+        elif kind is list:
+            # ``str([a, b])`` is ``"[" + repr(a) + ", " + repr(b) + "]"``:
+            # price the items' text and the brackets and separators around
+            # it, not each list's text.
+            lengths = list(map(len, column))
+            total += (sum(map(len, map(repr, chain.from_iterable(column))))
+                      + 2 * sum(lengths) + 2 * lengths.count(0) + count)
         else:
             total += _values_bytes(column)
     return total
+
+
+def estimate_rows_bytes(rows) -> int:
+    """:func:`estimate_columns_bytes` of rows: transposed, then priced by
+    column. One row and ragged rows take the per-row rule."""
+    if len(rows) == 1:
+        return estimate_row_bytes(rows[0])
+    widths = set(map(len, rows))
+    if len(widths) > 1:  # ragged
+        return sum(map(estimate_row_bytes, rows))
+    batch = Batch.of_rows(rows, widths.pop() if widths else 0)
+    return estimate_columns_bytes(batch.columns, batch.count)
 
 
 class RemoteBlocked(WouldBlock):
@@ -219,7 +233,8 @@ class RemoteConnection:
             # and stream the buffered result (the wire protocol is the
             # same either way).
             result = self.session.execute_parsed(stmt, params)
-            engine_cursor = EngineCursor.over(result.columns, result.rows)
+            engine_cursor = EngineCursor.over(
+                result.columns, Batch.of_rows(result.rows, len(result.columns)))
         return RemoteCursor(self, engine_cursor, batch_size)
 
     def copy_rows(self, table: str, rows, columns=None,
@@ -286,15 +301,17 @@ class RemoteCursor:
         return self._cursor.columns
 
     def fetch_batch(self):
-        """Next batch of rows, or None once the stream is exhausted."""
+        """Next :class:`~repro.engine.executor.Batch` of rows, as columns
+        and priced as they are, or None once the stream is exhausted."""
         if self.closed or self.exhausted:
             return None
         if self.conn.closed:
             raise NodeUnavailable(
                 f"connection to {self.conn.node_name} is closed"
             )
-        rows = self._cursor.fetch(self.batch_size)
-        if not rows:
+        batch = self._cursor.fetch(self.batch_size)
+        count = batch.count
+        if not count:
             self.exhausted = True
             # Observing end-of-stream costs a bare round trip.
             self.conn.round_trips += 1
@@ -302,19 +319,19 @@ class RemoteCursor:
             self.conn.elapsed += self.conn.network.note_round_trip(_ROW_OVERHEAD)
             self.last_payload = 0
             return None
-        payload = estimate_rows_bytes(rows)
+        payload = estimate_columns_bytes(batch.columns, count)
         self.conn.round_trips += 1
         self.conn.bytes_transferred += payload
         self.conn.elapsed += self.conn.network.note_round_trip(payload)
         self.last_payload = payload
         self.bytes_fetched += payload
         self.batches_fetched += 1
-        self.rows_fetched += len(rows)
-        if len(rows) < self.batch_size:
+        self.rows_fetched += count
+        if count < self.batch_size:
             # A short batch signals end-of-stream in-band: no extra round
             # trip needed to observe exhaustion.
             self.exhausted = True
-        return rows
+        return batch
 
     def close(self) -> None:
         if self.closed:

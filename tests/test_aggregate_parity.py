@@ -93,15 +93,19 @@ def both_ways(monkeypatch):
     shipped = LocalExecutor._aggregate
     compared = []
 
-    def checked(self, agg, stream, ctx, where=None):
+    def checked(self, agg, stream, ctx, where=None, as_rows=True, keep=True):
         # The rows the aggregate's fused loop would read, made by the same
-        # loop with a row sink; both ways then read those.
+        # loop with a row sink; both ways then read those. The shipped one
+        # is compared as (output row, group row) pairs, then run again for
+        # the form its caller asked for.
         rows = self._drain(stream, agg, "rows", ctx, where)
         expected = reference_aggregate(self, agg, rows, ctx)
-        actual = shipped(self, agg, Stream.of(stream.layout, rows), ctx)
+        outputs, groups = shipped(self, agg, Stream.of(stream.layout, rows), ctx)
+        actual = list(zip(outputs, groups))
         assert typed(actual) == typed(expected)
         compared.append((len(actual), len(agg.steps)))
-        return actual
+        return shipped(self, agg, Stream.of(stream.layout, rows), ctx, None,
+                       as_rows, keep)
 
     monkeypatch.setattr(LocalExecutor, "_aggregate", checked)
     return compared

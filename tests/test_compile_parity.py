@@ -633,7 +633,7 @@ def run_fused(session, name):
     cursor = session.execute_parsed_cursor(stmt, PARAMS)  # as a worker runs it
     rows = []
     while batch := cursor.fetch(256):
-        rows += batch
+        rows += batch.rows()
     return rows
 
 

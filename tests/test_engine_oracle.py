@@ -226,6 +226,36 @@ def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
     assert intermediate_tables(cluster_session) == []
 
 
+#: A subquery over the distributed table in ORDER BY: each worker would
+#: count its own shard, and the merge would group and order on that count.
+ORDER_BY_SUBQUERY = {
+    "group_order": "SELECT tenant, sum(v) FROM events GROUP BY tenant"
+                   " ORDER BY (SELECT count(*) FROM events), tenant",
+    "order_limit": "SELECT k FROM events ORDER BY (SELECT count(*) FROM events)"
+                   " DESC, k LIMIT 5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_BY_SUBQUERY))
+def test_a_cross_shard_subquery_in_order_by_never_runs_per_shard(
+        oracle, cluster_session, name):
+    """Refused as the same subquery in the target list is — or, from any
+    tier that can run it whole, the single node's answer."""
+    sql = ORDER_BY_SUBQUERY[name]
+    expected = oracle.execute(sql).rows
+    try:
+        got = cluster_session.execute(sql).rows
+    except UnsupportedDistributedQuery as exc:
+        assert "aggregate across shards" in str(exc)
+        search = json.loads(cluster_session.execute(
+            "SELECT citus_plan_alternatives($1)", [sql]).scalar())
+        assert "cross_shard_subquery_agg" in [
+            c["rejection"]["code"] for c in search["candidates"]
+            if c["tier"] == "pushdown"]
+    else:
+        assert normalized(got) == normalized(expected)
+
+
 def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):
     """Both sides preserved and neither joined on its distribution column:
     every strategy left would broadcast a preserved side."""

@@ -209,6 +209,14 @@ class TestSetOperations:
             "SELECT x FROM l EXCEPT ALL (SELECT x FROM r) ORDER BY x DESC").rows
         assert rows == [[None], [3], [2], [1]]
 
+    @pytest.mark.parametrize("sql", [
+        "(SELECT x FROM l FOR UPDATE) UNION SELECT x FROM r",
+        "SELECT x FROM l UNION (SELECT x FROM r) FOR UPDATE"])
+    def test_for_update_of_the_combined_result_is_refused(self, lr, sql):
+        # As PostgreSQL: a combined row has no single row to lock.
+        with pytest.raises(DataError, match="FOR UPDATE is not allowed with UNION"):
+            lr.execute(sql)
+
 
 class TestAggregates:
     def test_count_sum_avg_min_max(self, s):

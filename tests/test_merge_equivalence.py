@@ -1,8 +1,9 @@
 """The run-draining MergeAppend against the row-at-a-time heap merge.
 
-The coordinator's concat-mode merge hands out rows a run at a time; what
-it replaced — a ``heapq`` merge paying a key tuple, a push and a pop per
-row — is kept here verbatim as the reference. Over fake pre-sorted shard
+The coordinator's concat-mode merge reads column batches and hands out
+column runs; what it replaced — a ``heapq`` merge paying a key tuple, a
+push and a pop per row — is kept here verbatim as the reference, fed the
+same batches as rows. Over fake pre-sorted shard
 streams (clock-free: no cluster, no network) the two must agree on the
 rows, on *when* each stream is fetched from (stream index, rows handed to
 the consumer so far), on every ``note_buffered`` value, and on what a
@@ -10,15 +11,18 @@ satisfied LIMIT leaves unfetched.
 """
 
 import heapq
+import random
 from collections import deque
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import make_cluster
+from repro.citus.executor import adaptive
 from repro.citus.planner.pushdown import PushdownSelect, stream_concat_runs
 from repro.engine.datum import ordering
 from repro.engine.datum import sort_key as value_sort_key
-from repro.engine.executor import _group_key
+from repro.engine.executor import Batch, _group_key
 from repro.sql import ast as A
 
 # ------------------------------------------------------------ the reference
@@ -149,12 +153,15 @@ def reference_concat_rows(plan, execution):
 class FakeStream:
     """One shard's pre-sorted rows behind ``TaskStream``'s pull surface,
     with ``RemoteCursor``'s end-of-stream rule: a short batch ends the
-    stream in-band, a full last batch needs one more (empty) fetch."""
+    stream in-band, a full last batch needs one more (empty) fetch. A batch
+    is a column :class:`Batch`, as a cursor hands it out; the reference
+    gets the same batch as rows."""
 
-    def __init__(self, execution, index, rows, batch_size, width):
+    def __init__(self, execution, index, rows, batch_size, width, as_rows):
         self.execution, self.index = execution, index
         self.rows, self.batch_size = rows, batch_size
         self.columns = [f"c{i}" for i in range(width)]
+        self.as_rows = as_rows
         self.cursor = 0
         self.exhausted = self.done = self.closed = False
 
@@ -170,19 +177,19 @@ class FakeStream:
         if not batch:
             self.done = True
             return None
-        return batch
+        return batch if self.as_rows else Batch.of_rows(batch, len(self.columns))
 
     def close(self):
         self.done = self.closed = True
 
 
 class FakeExecution:
-    def __init__(self, shards, batch_size, width):
+    def __init__(self, shards, batch_size, width, as_rows=False):
         self.trace = []  # (stream index, rows delivered before the fetch)
         self.buffered = []  # every note_buffered value
         self.delivered = 0
         self.early_terminations = 0
-        self.streams = [FakeStream(self, i, rows, batch_size, width)
+        self.streams = [FakeStream(self, i, rows, batch_size, width, as_rows)
                         for i, rows in enumerate(shards)]
 
     def note_buffered(self, n):
@@ -197,7 +204,7 @@ class FakeExecution:
 
 
 def run_reference(plan, shards, batch_size, width):
-    execution = FakeExecution(shards, batch_size, width)
+    execution = FakeExecution(shards, batch_size, width, as_rows=True)
     out = []
     for row in reference_concat_rows(plan, execution):
         out.append(row)
@@ -210,7 +217,8 @@ def run_merge(plan, shards, batch_size, width):
     out = []
     for run in stream_concat_runs(plan, execution, None, None):
         assert run, "runs are never empty"
-        out.extend(run)
+        assert len(run.columns) == width - plan.n_visible, "hidden columns stay behind"
+        out.extend(run.rows())
         execution.delivered += len(run)
     return out, execution.observed()
 
@@ -376,3 +384,67 @@ def test_no_streams_and_empty_streams():
     assert both(make_plan(ASC), [], batch_size=3)[0] == []
     assert both(make_plan(ASC), [[], [], []], batch_size=3)[0] == []
     assert both(make_plan(ASC, limit=0), [[[1]]], batch_size=3)[0] == []
+
+
+# ------------------------------------------------ tiny batches, end to end
+
+#: One row per shape the merge must order: NULLs, NaN, bools, text with a
+#: non-ASCII letter, ties everywhere but on ``k``.
+_TINY_ROWS = [
+    [k, None if k % 7 == 0 else (k * 5) % 9 - 4,
+     float("nan") if k % 11 == 0 else (None if k % 13 == 0 else (k % 5) / 2),
+     None if k % 6 == 0 else k % 3 == 0,
+     ["é", "e", "E", "", "ab", None][k % 6]]
+    for k in range(1, 41)
+]
+_TINY_KEYS = ["a", "f", "b", "s", "a + k", "-a"]
+_TINY_DIRECTIONS = ["", " DESC", " NULLS FIRST", " DESC NULLS LAST"]
+
+
+def _tiny_cases(count: int, seed: int = 37) -> list:
+    """A seeded sample of ORDER BY / DISTINCT / LIMIT / OFFSET statements,
+    each ordering its result totally (``k`` last, or DISTINCT over the
+    keys themselves), so the two tables must agree row for row."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        keys = rng.sample(_TINY_KEYS, rng.randint(1, 2))
+        order = [key + rng.choice(_TINY_DIRECTIONS) for key in keys]
+        if rng.random() < 0.3:
+            select = f"SELECT DISTINCT {', '.join(keys)} FROM {{t}}"
+        else:
+            select = f"SELECT k, {', '.join(keys)}, s FROM {{t}}"
+            order.append("k" + rng.choice(["", " DESC"]))
+        sql = f"{select} ORDER BY {', '.join(order)}"
+        if rng.random() < 0.6:
+            sql += f" LIMIT {rng.choice([0, 1, 2, 3, 4, 7, 25])}"
+        if rng.random() < 0.4:
+            sql += f" OFFSET {rng.choice([1, 2, 3, 5, 39, 60])}"  # past the end too
+        cases.append(sql)
+    return cases
+
+
+def _typed(rows):
+    """Rows with each value's type and NaN made comparable."""
+    return [[(type(v).__name__, "nan" if v != v else v) for v in row]
+            for row in rows]
+
+
+def test_tiny_batches_merge_like_a_local_table(monkeypatch):
+    """Three-row cursor batches across four shards: every run boundary,
+    re-keying and LIMIT cut the coordinator merge has, over a distributed
+    table and the same rows in a local one."""
+    monkeypatch.setattr(adaptive, "STREAM_BATCH_SIZE", 3)
+    session = make_cluster(workers=2, shard_count=4).coordinator_session()
+    for table in ("dist", "local"):
+        session.execute(f"CREATE TABLE {table} (k int PRIMARY KEY, a int,"
+                        " f float, b bool, s text)")
+    session.execute("SELECT create_distributed_table('dist', 'k')")
+    for table in ("dist", "local"):
+        session.copy_rows(table, _TINY_ROWS)
+    ext = session.instance.extensions["citus"]
+    for sql in _tiny_cases(250):
+        expected = session.execute(sql.format(t="local")).rows
+        got = session.execute(sql.format(t="dist")).rows
+        assert _typed(got) == _typed(expected), sql
+        assert ext.executor.last_report.rows_buffered_peak <= 3 * 4, sql

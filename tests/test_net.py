@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.engine import InstanceSpec
 from repro.errors import NodeUnavailable
 from repro.net import Cluster, NetworkSpec, SimClock
-from repro.net.network import estimate_row_bytes, estimate_rows_bytes
+from repro.engine.executor import Batch
+from repro.net.network import estimate_columns_bytes, estimate_row_bytes, estimate_rows_bytes
 
 
 class TestSimClock:
@@ -48,6 +49,17 @@ _WIRE_VALUES = {
     "str": st.sampled_from(["", "a", "label-17", "é", "日本語", " " * 40]),
     "json": st.sampled_from([{}, {"a": [1, "é"]}, {"k": None}]),
     "list": st.sampled_from([[], [3, 10.5], ["x", None]]),  # avg_partial state
+    # Partial aggregate states as workers ship them: avg's [sum, count],
+    # array_agg's list, a nested list, NaN inside.
+    "agg_state": st.one_of(
+        st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(0, 10**6)).map(list),
+        st.tuples(st.floats(allow_nan=True), st.integers(0, 50)).map(list),
+        st.lists(st.one_of(st.none(), st.integers(-5, 5), st.sampled_from(["é", "a b"])),
+                 max_size=4),
+        st.sampled_from([[[1, 2], [3]], [True, None], [{"a": 1}]])),
+    "int_or_bool": st.one_of(st.integers(-9, 9), st.booleans()),
+    "int_or_null": st.one_of(st.integers(-9, 9), st.none()),
+    "float_or_null": st.one_of(st.floats(allow_nan=True), st.none()),
     "date": st.sampled_from([datetime.date(2021, 6, 20),
                              datetime.datetime(2021, 6, 20, 12, 30)]),
 }
@@ -79,6 +91,32 @@ class TestBatchPricing:
         assert estimate_rows_bytes(rows) == sum(estimate_row_bytes(r) for r in rows)
         as_tuples = [tuple(row) for row in rows]
         assert estimate_rows_bytes(as_tuples) == estimate_rows_bytes(rows)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(_WIRE_VALUES)), max_size=5).flatmap(
+        lambda kinds: st.lists(st.tuples(*(_WIRE_VALUES[k] for k in kinds)).map(list),
+                               max_size=12).map(lambda rows: (len(kinds), rows))))
+    def test_property_the_column_pricer_costs_the_sum_of_the_rows(self, case):
+        """What a cursor batch is charged: priced as columns (lists or
+        tuples), never transposed back, to the reference's byte."""
+        width, rows = case
+        expected = sum(estimate_row_bytes(row) for row in rows)
+        batch = Batch.of_rows(rows, width)
+        assert estimate_columns_bytes(batch.columns, batch.count) == expected
+        as_lists = [list(column) for column in batch.columns]
+        assert estimate_columns_bytes(as_lists, len(rows)) == expected
+
+    def test_named_column_cases(self):
+        nan = float("nan")
+        # avg states: [sum, count] priced from their parts, as str() would.
+        states = [[10, 2], [-3.5, 7], [nan, 1], [], [[1, "é"], None]]
+        assert estimate_columns_bytes([states], 5) == sum(
+            len(str(state)) + 1 + 2 for state in states)
+        # True in an int column, NULL in a fixed-width one, NaN in a float one.
+        assert estimate_columns_bytes([[1, True, 3]], 3) == 3 * 2 + 8 + 1 + 8
+        assert estimate_columns_bytes([(None, 5), (nan, None)], 2) \
+            == 2 * 2 + (1 + 8) + (8 + 1)
+        assert estimate_columns_bytes([], 3) == 3 * 2
 
     def test_named_cases(self):
         assert estimate_rows_bytes([]) == 0

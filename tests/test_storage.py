@@ -393,13 +393,13 @@ class TestScanVisibilityParity:
         reader.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
         reader.copy_rows("t", [[k, 0] for k in range(1, 9)])
         cursor = reader.execute_parsed_cursor(parse("SELECT k FROM t")[0])
-        assert cursor.fetch(3) == [[1], [2], [3]]
+        assert cursor.fetch(3).rows() == [[1], [2], [3]]
         writer.execute("BEGIN")
         writer.execute("DELETE FROM t WHERE k = 6")
         writer.execute("INSERT INTO t VALUES (9, 0)")
         writer.execute("COMMIT")
         # Neither the committed delete nor the committed insert is seen.
-        assert cursor.fetch(100) == [[4], [5], [6], [7], [8]]
+        assert cursor.fetch(100).rows() == [[4], [5], [6], [7], [8]]
         assert reader.execute("SELECT k FROM t ORDER BY k").rows == [
             [1], [2], [3], [4], [5], [7], [8], [9]]
 
@@ -442,7 +442,7 @@ class TestScanVisibilityParity:
         assert old in table.heap.tuples
         assert old.tid in table.indexes["t_pkey"].data.scan_equal([1])
         expected = [[1, 10], [2, 20]][:cursor_rows(sql)]
-        assert cursor.fetch(10) == expected
+        assert cursor.fetch(10).rows() == expected
         # The cursor is done: the pin is gone, and so may the versions be.
         assert pg.xids.pinned == [] and pg.xids.horizon() == pg.xids.next_xid
         assert other.execute("SELECT v FROM t WHERE k = 1").rows == [
@@ -642,7 +642,7 @@ def run_index_schedule(steps):
                     entry = cursors[a % len(cursors)]
                     cursor, _owner, expected, got = entry
                     if op == "fetch":
-                        got.extend(cursor.fetch(b))
+                        got.extend(cursor.fetch(b).rows())
                     else:
                         cursor.close()
                     if cursor.exhausted:

@@ -262,8 +262,10 @@ class TestEngineCursor:
                 break
             batches.append(batch)
         assert [len(b) for b in batches] == [4, 4, 2]
+        assert [b.rows() for b in batches] == [[[0], [1], [2], [3]],
+                                               [[4], [5], [6], [7]], [[8], [9]]]
         assert cursor.exhausted
-        assert cursor.fetch(4) == []
+        assert cursor.fetch(4).rows() == []
 
     def test_limit_stops_heap_scan_early(self, session):
         session.execute("CREATE TABLE t (k int, v int)")
@@ -306,8 +308,8 @@ class TestEngineCursor:
         from repro.sql import parse
 
         cursor = session.execute_parsed_cursor(parse("SELECT k FROM t ORDER BY k")[0])
-        assert cursor.fetch(2) == [[1], [2]]
-        assert cursor.fetch(2) == [[3]]
+        assert cursor.fetch(2).rows() == [[1], [2]]
+        assert cursor.fetch(2).rows() == [[3]]
 
 
 # --------------------------------------------------------------- wire layer

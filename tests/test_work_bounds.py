@@ -576,7 +576,7 @@ AGGREGATE_STATEMENTS = {
 def accumulator_calls(monkeypatch):
     """Calls of the accumulate functions the generated loop writes out."""
     counts = Counter()
-    for name in ("count", "sum", "avg", "avg_partial"):
+    for name in ("count", "sum", "avg", "avg_partial", "avg_merge"):
         agg = AGGREGATES[name]
         monkeypatch.setattr(agg, "accumulate",
                             _counter(counts, name, agg.accumulate))
@@ -677,8 +677,7 @@ def test_ledger_aggregates_through_a_cluster_call_no_accumulator(accumulator_cal
     assert session.execute("INSERT INTO rollup SELECT tenant, v, count(*), sum(v)"
                            " FROM events GROUP BY tenant, v").rowcount > 1
     # Worker partials and coordinator merges alike: count / sum over slots
-    # and avg's partial are written out (avg's *merge* is a call, of
-    # another function).
+    # and avg's partial and merge are written out.
     assert accumulator_calls == Counter(), accumulator_calls
 
 
@@ -1248,7 +1247,7 @@ def run_as_worker(session, stmt) -> list:
     cursor = session.execute_parsed_cursor(stmt, BoundParams(None, {"f": 7}))
     rows = []
     while batch := cursor.fetch(256):
-        rows += batch
+        rows += batch.rows()
     return rows
 
 
