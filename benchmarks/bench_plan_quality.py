@@ -102,6 +102,11 @@ def _tpcc_suite():
             "SELECT count(*) FROM orders o"
             " JOIN order_line l ON o.o_w_id = l.ol_w_id WHERE o.o_w_id = 1"
         ),
+        # A text constant reads as the int key: still one router task.
+        "order_join_text_key": (
+            "SELECT count(*) FROM orders o, order_line l"
+            " WHERE o.o_w_id = '1' AND l.ol_w_id = 1"
+        ),
         "customer_rollup": (
             "SELECT c_w_id, count(*) FROM customer GROUP BY c_w_id"
         ),

@@ -163,10 +163,13 @@ class DistributedDDL:
             target = cache.get_table(colocate_with)
             if target.is_reference:
                 raise MetadataError("cannot co-locate with a reference table")
-            if target.dist_column_type != column_type:
+            # Colocation labels, not column types: a range group's label
+            # (``range:int``) refuses every hash table.
+            label = cache.colocation_groups[target.colocation_id][1]
+            if label != column_type:
                 raise MetadataError(
                     "cannot colocate tables with different distribution column types"
-                    f" ({target.dist_column_type} vs {column_type})"
+                    f" ({label} vs {column_type})"
                 )
             return target.colocation_id, target.shard_count
         shard_count = shard_count or self.ext.config.shard_count

@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import replace
 
-from ..engine.datum import hash_value
+from ..engine.datum import column_constant, hash_value
 from ..errors import MetadataError
 from ..sql import ast as A
 from .copy_dist import move_rows, placement_rows
@@ -43,7 +43,7 @@ def isolate_tenant_to_new_shard(ext, session, table_name: str, tenant_value,
         raise MetadataError("cannot isolate a tenant of a reference table")
     if dist.method == RANGE:
         raise MetadataError("tenant isolation applies to hash-distributed tables")
-    tenant_hash = hash_value(tenant_value)
+    tenant_hash = hash_value(column_constant(tenant_value, dist.dist_column_type))
     index = dist.shard_index_for_hash(tenant_hash)
     old = dist.shards[index]
     if old.min_value == tenant_hash and old.max_value == tenant_hash:

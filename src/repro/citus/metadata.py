@@ -23,7 +23,7 @@ import bisect
 from dataclasses import dataclass, field
 
 from ..engine.datum import column_constant, hash_value as _hash
-from ..errors import DataError, MetadataError
+from ..errors import MetadataError
 
 HASH = "h"
 REFERENCE = "n"
@@ -119,12 +119,9 @@ class DistributedTable:
     def shard_index_for_value(self, value) -> int:
         """Index of the shard owning a distribution column value,
         dispatching on the partition method (hash vs range). A text
-        constant is read as the column's type first (``'3'`` routes as 3);
-        one that does not read as it routes as it is."""
-        try:
-            value = column_constant(value, self.dist_column_type)
-        except DataError:
-            pass
+        constant is read as the column's type first (``'3'`` routes as 3;
+        ``'abc'`` against an int column raises DataError)."""
+        value = column_constant(value, self.dist_column_type)
         if self.method == RANGE:
             index = bisect.bisect_right(self._mins, value) - 1
             if index < 0 or value > self.shards[index].max_value:
@@ -320,7 +317,11 @@ class MetadataStore:
         for rel, method, partkey, cid in session.execute(
             "SELECT logicalrelid, partmethod, partkey, colocationid FROM pg_dist_partition"
         ):
+            # A range group's label is ``range:<type>``: the column's type
+            # is what its constants are read as.
             ctype = cache.colocation_groups.get(cid, (None, None))[1]
+            if ctype is not None:
+                ctype = ctype.removeprefix("range:")
             cache.tables[rel] = DistributedTable(
                 rel, method, partkey, ctype, cid, shards_by_table.get(rel, [])
             )

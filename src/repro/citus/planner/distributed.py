@@ -25,7 +25,7 @@ import json
 
 from ...engine.compile import evaluate
 from ...engine.datum import cast_value
-from ...engine.executor import QueryResult
+from ...engine.executor import QueryResult, width_error
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
@@ -233,11 +233,13 @@ class InsertValuesPlan(CitusPlan):
                 f"the distribution column {self.dist.dist_column!r} cannot be NULL"
             ) from None
         ctx = EvalContext(row=Row(), params=self.params, session=session)
-        dist_type = shell.column(self.dist.dist_column).type_name
         by_shard: dict[int, list[list]] = {}
         for row_exprs in stmt.rows:
             values = [evaluate(e, ctx) for e in row_exprs]
-            dist_value = cast_value(values[dist_position], dist_type)
+            if len(values) != len(columns):
+                raise width_error("INSERT", len(values), len(columns))
+            dist_value = cast_value(values[dist_position],
+                                    self.dist.dist_column_type)
             if dist_value is None:
                 raise NotNullViolation(
                     f"the distribution column {self.dist.dist_column!r} cannot be NULL"

@@ -17,9 +17,9 @@ from .tasks import ShardRoutes, SingleTaskPlan
 
 
 class FastPathShape:
-    """What the fast path decides about a statement once: the
-    hash-distributed table it is routed by and its compiled
-    distribution-value extractor. ``bind`` does the rest per execution."""
+    """What the fast path decides about a statement once: the distributed
+    table it is routed by (whose filter on the distribution column the
+    statement's facts keep). ``bind`` does the rest per execution."""
 
     tier = "fast_path"
     detail = "Fast Path Router"
@@ -30,12 +30,14 @@ class FastPathShape:
 
     def bind(self, params):
         """The plan for these parameters, or None when they hold no
-        distribution value."""
+        distribution value a shard holds."""
         routes = self.routes
         value = dist_value_for(routes.ext.metadata.cache, self.facts, params)
         if value is NO_VALUE:
             return None
-        task = routes.task(routes.dist.shard_index_for_value(value), params)
+        task = routes.value_task(value, params)
+        if task is None:
+            return None
         return SingleTaskPlan(self, task, dist_value=value)
 
 

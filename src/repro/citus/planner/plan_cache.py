@@ -115,10 +115,9 @@ class PlanCache:
                 plan = entry.shape.bind(make_bound(params, consts))
             except ReproError:
                 # What the statement itself gets wrong (a parameter without
-                # a value or a cast that fails: DataError; a value outside
-                # every shard range: MetadataError) is left to the cascade,
-                # which reproduces the error. Anything else is a bug: it
-                # raises.
+                # a value or a cast that fails: DataError) is left to the
+                # cascade, which reproduces the error. Anything else is a
+                # bug: it raises.
                 pass
         if plan is None:
             # These values do not fit the shape: the cascade is walked for

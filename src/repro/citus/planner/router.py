@@ -38,7 +38,9 @@ class RouterShape:
         value, ok = analysis.common_constant()
         if not ok:
             return None
-        task = routes.task(routes.dist.shard_index_for_value(value), params)
+        task = routes.value_task(value, params)
+        if task is None:
+            return None
         return SingleTaskPlan(self, task)
 
 

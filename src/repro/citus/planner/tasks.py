@@ -15,10 +15,11 @@ from ...engine.compile import UNBOUND, param_value
 from ...engine.executor import QueryResult
 from ...engine.expr import BoundParams
 from ...engine.hooks import CustomScanPlan
+from ...errors import MetadataError
 from ...sql import ast as A
 from ...sql.deparse import deparse
 from ...sql.facts import statement_facts
-from ..sharding import NO_VALUE, prune_shards
+from ..sharding import NO_VALUE, dist_filter
 from ..txn.deadlock import assign_distributed_txn_ids
 
 
@@ -131,6 +132,7 @@ class ShardRoutes:
         self.is_write = not isinstance(stmt, A.Select)
         self.memo: dict = {}  # shard_index -> (node, shard_group, AST)
         self._replica_stmt = None
+        self._filter = None  # the WHERE's filter on the distribution column
 
     def task(self, shard_index: int, params) -> Task:
         route = self.memo.get(shard_index)
@@ -144,11 +146,22 @@ class ShardRoutes:
         node, group, stmt = route
         return Task(node, stmt, params, group)
 
+    def value_task(self, value, params) -> Task | None:
+        """The task on the shard owning distribution value ``value``, or
+        None when no shard's range holds it: the multi-shard tiers prune
+        such a statement to no shard."""
+        try:
+            index = self.dist.shard_index_for_value(value)
+        except MetadataError:
+            return None
+        return self.task(index, params)
+
     def pruned_tasks(self, params) -> list[Task]:
         """One task per shard the statement's WHERE clause does not rule
         out under ``params``."""
-        shard_indexes = prune_shards(self.dist, self.stmt.where, params,
-                                     self.alias)
+        if self._filter is None:
+            self._filter = dist_filter(self.dist, self.stmt.where, self.alias)
+        shard_indexes = self._filter.shards(self.dist, params)
         pruned = len(self.dist.shards) - len(shard_indexes)
         if pruned:
             self.ext.stat_counters.incr("planner_shards_pruned", pruned)

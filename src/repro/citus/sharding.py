@@ -11,11 +11,11 @@ join detection of §3.5.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from ..engine.compile import UNBOUND, param_value
-from ..engine.datum import cast_value, hash_value
-from ..engine.expr import BoundParams
+from ..engine.compile import UNBOUND, param_value, split_and
+from ..engine.datum import cast_value, column_constant, hash_value
 from ..errors import ReproError
 from ..sql import ast as A
 from ..sql.facts import StatementFacts
@@ -88,20 +88,15 @@ class QueryAnalysis:
         return len(roots) == 1
 
     def common_constant(self):
-        """The constant shared by every distribution column, or a sentinel."""
+        """The constant shared by every distribution column, or a sentinel.
+        Equal constants share one class (:func:`_bind_constant`), so the
+        columns meet one constant exactly when they are in one class that
+        holds a constant."""
         dist = self.distributed
-        if not dist:
+        value = self.constant_for(dist[0]) if dist else None
+        if value is None or not self.all_dist_columns_equal():
             return None, False
-        values = []
-        for occ in dist:
-            value = self.constant_for(occ)
-            if value is None:
-                return None, False
-            values.append(value)
-        first_hash = hash_value(values[0])
-        if all(hash_value(v) == first_hash for v in values[1:]):
-            return values[0], True
-        return None, False
+        return value, True
 
 
 class UnionFind:
@@ -154,8 +149,9 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
 
 
 def _build_scope(from_items, cache, analysis) -> dict:
-    """alias -> set of column names visible under that alias."""
-    scope: dict[str, set] = {}
+    """alias -> {column name: type name, None when unknown} visible under
+    that alias."""
+    scope: dict[str, dict] = {}
 
     def add(item):
         if isinstance(item, A.TableRef):
@@ -163,13 +159,13 @@ def _build_scope(from_items, cache, analysis) -> dict:
             if columns:
                 scope[item.ref_name] = columns
         elif isinstance(item, A.SubqueryRef):
-            names = set()
+            names = {}
             for entry in item.query.targets:
                 if isinstance(entry, A.TargetEntry):
                     if entry.alias:
-                        names.add(entry.alias)
+                        names[entry.alias] = None
                     elif isinstance(entry.expr, A.ColumnRef):
-                        names.add(entry.expr.name)
+                        names[entry.expr.name] = None
             scope[item.alias] = names
         elif isinstance(item, A.JoinExpr):
             add(item.left)
@@ -180,11 +176,11 @@ def _build_scope(from_items, cache, analysis) -> dict:
     return scope
 
 
-def _table_columns(name, analysis) -> set:
+def _table_columns(name, analysis) -> dict:
     catalog = getattr(analysis, "catalog", None)
     if catalog is not None and catalog.has_table(name):
-        return set(catalog.get_table(name).column_names())
-    return set()
+        return {c.name: c.type_name for c in catalog.get_table(name).columns}
+    return {}
 
 
 def _qualify(key: str, scope: dict) -> str:
@@ -204,13 +200,6 @@ def _finalize_unqualified_refs(analysis: QueryAnalysis) -> None:
     sharing a distribution column name, a bare-name union would falsely
     co-locate a cross join, so it is skipped (the SQL would be ambiguous
     at execution time anyway)."""
-    if len(analysis.occurrences) == 1:
-        occ = analysis.occurrences[0]
-        if occ.dist is not None and occ.dist.dist_column:
-            analysis.equivalence.union(
-                f"{occ.alias}.{occ.dist.dist_column}", occ.dist.dist_column
-            )
-        return
     dist_col_owners: dict[str, list] = {}
     for occ in analysis.occurrences:
         if occ.dist is not None and occ.dist.dist_column:
@@ -307,23 +296,25 @@ def _collect_equalities(expr, analysis: QueryAnalysis, params, scope=None) -> No
     """Register col=col and col=const conjuncts (top-level AND only)."""
     scope = scope or {}
     for conjunct in _conjuncts(expr):
-        if isinstance(conjunct, A.BinaryOp) and conjunct.op == "=":
-            left, right = conjunct.left, conjunct.right
-            left_col = _plain_column(left)
-            right_col = _plain_column(right)
-            if left_col:
-                left_col = _qualify(left_col, scope)
-            if right_col:
-                right_col = _qualify(right_col, scope)
-            if left_col and right_col:
-                analysis.equivalence.union(left_col, right_col)
-            elif left_col and _is_constant(right):
-                _bind_constant(analysis, left_col, _constant_value(right, params))
-            elif right_col and _is_constant(left):
-                _bind_constant(analysis, right_col, _constant_value(left, params))
+        if not (isinstance(conjunct, A.BinaryOp) and conjunct.op == "="):
+            continue
+        col, other = conjunct.left, conjunct.right
+        if not isinstance(col, A.ColumnRef):
+            col, other = other, col
+        if not isinstance(col, A.ColumnRef):
+            continue
+        if isinstance(other, A.ColumnRef):
+            analysis.equivalence.union(_qualify(col.key, scope),
+                                       _qualify(other.key, scope))
+        elif _is_constant(other):
+            _bind_constant(analysis, _qualify(col.key, scope), other, params, scope)
 
 
-def _bind_constant(analysis, col_key, value):
+def _bind_constant(analysis, col_key, constant, params, scope):
+    """Put ``col_key`` in the class of ``constant``, read as the column's
+    type when the scope knows it: ``a.key = '5'`` and ``b.key = 5`` meet."""
+    alias, _, name = col_key.rpartition(".")
+    value = _constant_value(constant, params, scope.get(alias, {}).get(name))
     if value is NO_VALUE:
         return
     const_key = f"{_CONST_MARK}{hash_value(value)}"
@@ -332,45 +323,7 @@ def _bind_constant(analysis, col_key, value):
     analysis.constants[const_key] = value
 
 
-def _conjuncts(expr):
-    if isinstance(expr, A.BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
-def _plain_column(expr):
-    if isinstance(expr, A.ColumnRef):
-        return expr.key
-    return None
-
-
-#: "No constant here": what constant folding and :func:`dist_value_for`
-#: answer when None is a value.
-NO_VALUE = object()
-
-
-def _is_constant(expr) -> bool:
-    if isinstance(expr, A.Literal):
-        return True
-    if isinstance(expr, A.Param):
-        return True
-    if isinstance(expr, A.Cast):
-        return _is_constant(expr.operand)
-    return False
-
-
-def _constant_value(expr, params):
-    if isinstance(expr, A.Literal):
-        return expr.value
-    if isinstance(expr, A.Cast):
-        inner = _constant_value(expr.operand, params)
-        return cast_value(inner, expr.type_name) if inner is not NO_VALUE else NO_VALUE
-    if isinstance(expr, A.Param):
-        value = param_value(expr, params)
-        return NO_VALUE if value is UNBOUND else value
-    return NO_VALUE
+_conjuncts = split_and
 
 
 def _collect_subquery_tables(expr, cache, analysis, params, scope=None) -> None:
@@ -440,224 +393,202 @@ def _flatten_tables(item):
         yield from _flatten_tables(item.right)
 
 
+# -------------------------------------------------- a column's constant filter
+
+#: "No constant here": what :func:`_constant_value` reads an unbound
+#: parameter as and :func:`dist_value_for` answers, when None is a value.
+NO_VALUE = object()
+
+
+def _is_constant(expr) -> bool:
+    """A literal, a parameter, or a cast of one."""
+    while isinstance(expr, A.Cast):
+        expr = expr.operand
+    return isinstance(expr, (A.Literal, A.Param))
+
+
+def _constant_value(expr, params, type_name=None):
+    """A constant (:func:`_is_constant`) under ``params``, read as a value
+    of a column of ``type_name`` (:func:`~repro.engine.datum.column_constant`:
+    ``'150'`` against an int column is 150, ``'abc'`` raises DataError), or
+    :data:`NO_VALUE` for a parameter ``params`` do not bind. The one reader
+    of a constant a column is compared with."""
+    if isinstance(expr, A.Param):
+        value = param_value(expr, params)
+        if value is UNBOUND:
+            return NO_VALUE
+    elif isinstance(expr, A.Literal):
+        value = expr.value
+    elif isinstance(expr, A.Cast):
+        value = _constant_value(expr.operand, params)
+        if value is NO_VALUE:
+            return NO_VALUE
+        value = cast_value(value, expr.type_name)
+    else:
+        return NO_VALUE
+    return column_constant(value, type_name)
+
+
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_BOUNDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _names(expr, column, alias) -> bool:
+    """Whether ``expr`` reads ``column`` of the table the statement knows as
+    ``alias`` (PostgreSQL's rule: once a table is aliased, only the alias
+    names it)."""
+    return (isinstance(expr, A.ColumnRef) and expr.name == column
+            and expr.table in (None, alias))
+
+
+class ColumnFilter:
+    """What the top-level AND terms of one WHERE clause compare one column
+    with: each ``=`` / ``IN`` list and each bound, kept as the constants
+    written (literals, parameters, casts of them; routing never evaluates
+    ``random()``). Found once per (WHERE, column, alias) and read per
+    execution through :func:`_constant_value` as values of the column's
+    type, by the fast path's route, tenant attribution, shard pruning and
+    partman's partition pruning alike."""
+
+    __slots__ = ("type_name", "equal", "bounds")
+
+    def __init__(self, where, column, alias, type_name):
+        self.type_name = type_name
+        self.equal = []  # one tuple of constants per ``=`` (one) / IN term
+        self.bounds = []  # (op, constant) per bound; BETWEEN gives two
+        for conjunct in _conjuncts(where):
+            if isinstance(conjunct, A.BinaryOp) and conjunct.op in _FLIPPED:
+                op, col, constant = conjunct.op, conjunct.left, conjunct.right
+                if _names(constant, column, alias):
+                    op, col, constant = _FLIPPED[op], constant, col
+                if _names(col, column, alias) and _is_constant(constant):
+                    if op == "=":
+                        self.equal.append((constant,))
+                    else:
+                        self.bounds.append((op, constant))
+            elif isinstance(conjunct, A.InList) and not conjunct.negated:
+                if (_names(conjunct.operand, column, alias)
+                        and all(map(_is_constant, conjunct.items))):
+                    self.equal.append(tuple(conjunct.items))
+            elif isinstance(conjunct, A.BetweenExpr) and not conjunct.negated:
+                if _names(conjunct.operand, column, alias):
+                    self.bounds += [(op, bound) for op, bound in (
+                        (">=", conjunct.low), ("<=", conjunct.high))
+                        if _is_constant(bound)]
+
+    def values(self, params):
+        """The values the column may equal under ``params`` — those every
+        ``=`` / ``IN`` term the parameters bind allows (NULL equals
+        nothing) — or None when no such term constrains it."""
+        allowed = None
+        for term in self.equal:
+            read = []
+            for constant in term:
+                value = _constant_value(constant, params, self.type_name)
+                if value is NO_VALUE:
+                    break  # an unbound parameter: the term says nothing
+                if value is not None:
+                    read.append(value)
+            else:
+                allowed = read if allowed is None else [
+                    value for value in allowed if value in read]
+        return allowed
+
+    def overlapping(self, params, intervals) -> list[int]:
+        """Indexes of the ``(lo, hi)`` value intervals that may hold a
+        value passing the filter under ``params``. Strict bounds stay
+        strict: ``> 98.5`` keeps ``[0, 99]``."""
+        values, bounds = self.values(params), []
+        for op, constant in self.bounds:
+            value = _constant_value(constant, params, self.type_name)
+            if value is None:
+                return []  # a NULL bound: no value passes
+            if value is not NO_VALUE:
+                bounds.append((_BOUNDS[op], op[0] == ">", value))
+        return [
+            i for i, (lo, hi) in enumerate(intervals)
+            if (values is None or any(lo <= v <= hi for v in values))
+            and all(passes(hi if lower else lo, value)
+                    for passes, lower, value in bounds)
+        ]
+
+    def shards(self, table: DistributedTable, params) -> list[int]:
+        """Indexes of the shards of ``table``, filtered on its distribution
+        column, that may hold passing rows: a hash table's shards of the
+        value set; a range table's shards whose interval overlaps the value
+        set and the bounds (a value in no shard's range matches none)."""
+        if table.is_reference:
+            return [0]
+        if table.method == RANGE:
+            return self.overlapping(
+                params, [(s.min_value, s.max_value) for s in table.shards])
+        values = self.values(params)
+        if values is None:
+            return list(range(table.shard_count))
+        return sorted({table.shard_index_for_value(v) for v in values})
+
+
+def dist_filter(table: DistributedTable, where, alias=None) -> ColumnFilter:
+    """The filter ``where`` puts on ``table``'s distribution column."""
+    return ColumnFilter(where, table.dist_column, alias or table.name,
+                        table.dist_column_type)
+
+
+def prune_shards(table: DistributedTable, where, params=None, alias: str | None = None):
+    """Shard indexes that may contain rows matching the filter
+    (:meth:`ColumnFilter.shards`)."""
+    return dist_filter(table, where, alias).shards(table, params)
+
+
 # --------------------------------------------------------- tenant extraction
 
-# Tenant extraction is memoized on the statement's StatementFacts, so the
-# WHERE-clause walk runs once per distinct statement and metadata state;
-# per execution only a pre-compiled value lookup remains.
-
-#: Resolver kinds a tenant expression compiles to (see _compile_tenant_plan).
-_K_VALUE, _K_NAMED, _K_POSITIONAL, _K_EXPR = 0, 1, 2, 3
-
-
-def _is_dist_ref(expr, dist, alias) -> bool:
-    return (
-        isinstance(expr, A.ColumnRef)
-        and expr.name == dist.dist_column
-        and expr.table in (None, alias)
-    )
-
-
-def _find_tenant_exprs(cache, stmt):
-    """Candidate AST expressions holding the statement's distribution-column
-    value (``dist_col = <expr>`` conjuncts, or the INSERT column), or None
-    when the statement is not single-tenant-shaped."""
-    if isinstance(stmt, A.Insert):
-        dist = cache.tables.get(stmt.table)
-        if dist is None or dist.is_reference or stmt.select is not None:
-            return None
-        if len(stmt.rows) != 1 or dist.dist_column not in stmt.columns:
-            return None
-        return (stmt.rows[0][stmt.columns.index(dist.dist_column)],)
+def _tenant_filter(cache, stmt) -> ColumnFilter | None:
+    """The filter on the distribution column of the table a
+    single-tenant-shaped statement reads or writes — a single-table SELECT,
+    an UPDATE or DELETE, a one-row INSERT (its VALUES entry read as an
+    ``=``) — or None when it has no ``=`` term."""
     if isinstance(stmt, A.Select):
-        if len(stmt.from_items) != 1 or not isinstance(
-            stmt.from_items[0], A.TableRef
-        ):
+        ref = stmt.from_items[0] if len(stmt.from_items) == 1 else None
+        if not isinstance(ref, A.TableRef):
             return None
-        dist = cache.tables.get(stmt.from_items[0].name)
-        where, alias = stmt.where, stmt.from_items[0].ref_name
+        table, where, alias = ref.name, stmt.where, ref.ref_name
     elif isinstance(stmt, (A.Update, A.Delete)):
-        dist = cache.tables.get(stmt.table)
-        where, alias = stmt.where, stmt.alias or stmt.table
+        table, where, alias = stmt.table, stmt.where, stmt.alias or stmt.table
+    elif isinstance(stmt, A.Insert) and stmt.select is None and len(stmt.rows) == 1:
+        table, where, alias = stmt.table, None, stmt.table
     else:
         return None
-    if dist is None or dist.is_reference or where is None:
+    dist = cache.tables.get(table)
+    if dist is None or dist.is_reference:
         return None
-    exprs = []
-    for conjunct in _conjuncts(where):
-        if not (isinstance(conjunct, A.BinaryOp) and conjunct.op == "="):
-            continue
-        left, right = conjunct.left, conjunct.right
-        if _is_dist_ref(right, dist, alias):
-            left, right = right, left
-        if _is_dist_ref(left, dist, alias):
-            exprs.append(right)
-    return tuple(exprs) or None
-
-
-def _compile_tenant_plan(exprs):
-    """Lower candidate expressions into (kind, payload) resolver steps so
-    the per-execution path is a couple of inline dict lookups — no AST
-    dispatch, no constant folding for the common literal/param shapes."""
-    if not exprs:
-        return None
-    plan = []
-    for expr in exprs:
-        if type(expr) is A.Literal:
-            plan.append((_K_VALUE, expr.value))
-        elif type(expr) is A.Param:
-            if expr.name is not None:
-                plan.append((_K_NAMED, expr.name))
-            elif expr.index is not None:
-                plan.append((_K_POSITIONAL, expr.index))
-        else:
-            # Casts and anything exotic fall back to full constant folding.
-            plan.append((_K_EXPR, expr))
-    return tuple(plan) or None
+    if isinstance(stmt, A.Insert):
+        row = dict(zip(stmt.columns, stmt.rows[0]))
+        if dist.dist_column not in row:
+            return None  # a positional INSERT, or a row too short to name it
+        where = A.BinaryOp("=", A.ColumnRef(dist.dist_column), row[dist.dist_column])
+    tenant = dist_filter(dist, where, alias)
+    return tenant if tenant.equal else None
 
 
 def dist_value_for(cache: MetadataCache, facts: StatementFacts, params):
-    """The distribution-column value a single-tenant-shaped statement names
-    (the first ``dist_col = <constant>`` conjunct that resolves under
-    ``params``, or the INSERT's distribution column), else :data:`NO_VALUE`.
-    The one extractor: the fast path's bind routes on it (over the shape's
-    template and the execution's bound parameters) and tenant attribution
-    reports it."""
+    """The one value a single-tenant-shaped statement lets its distribution
+    column equal under ``params`` (read by its tenant filter, found once
+    per statement and metadata state), else :data:`NO_VALUE`. The fast
+    path's bind routes on it and tenant attribution reports it."""
     if facts.tenant_in is not cache:
-        facts.tenant_plan = _compile_tenant_plan(
-            _find_tenant_exprs(cache, facts.stmt))
+        facts.tenant_filter = _tenant_filter(cache, facts.stmt)
         facts.tenant_in = cache
-    plan = facts.tenant_plan
-    if plan is None:
-        return NO_VALUE
-    named = positional = None
-    params_type = type(params)
-    if params_type is dict:
-        named = params
-    elif params_type is BoundParams:
-        named = params.named
-        positional = params.positional
-    elif isinstance(params, (list, tuple)):
-        positional = params
-    elif isinstance(params, dict):
-        named = params
-    for kind, payload in plan:
-        if kind == _K_VALUE:
-            return payload
-        if kind == _K_NAMED:
-            if named is not None and payload in named:
-                return named[payload]
-        elif kind == _K_POSITIONAL:
-            if positional is not None and payload <= len(positional):
-                return positional[payload - 1]
-        else:
-            value = _constant_value(payload, params)
-            if value is not NO_VALUE:
-                return value
-    return NO_VALUE
+    tenant = facts.tenant_filter
+    values = tenant.values(params) if tenant is not None else None
+    return values[0] if values is not None and len(values) == 1 else NO_VALUE
 
 
 def partition_key_for(cache: MetadataCache, facts: StatementFacts, params):
     """The ``partition_key`` attribute of citus_stat_statements:
     :func:`dist_value_for`, with None for multi-shard statements and for a
-    value that does not fold (a failing cast)."""
+    value that does not read (a failing cast)."""
     try:
         value = dist_value_for(cache, facts, params)
     except ReproError:
         return None
     return None if value is NO_VALUE else value
-
-
-def prune_shards(table: DistributedTable, where, params=None, alias: str | None = None):
-    """Shard indexes that may contain rows matching the filter.
-
-    Handles ``dist_col = const`` (single shard) and ``dist_col IN (...)``.
-    Anything else returns all shards.
-    """
-    if table.is_reference:
-        return [0]
-    all_indexes = list(range(table.shard_count))
-    if where is None:
-        return all_indexes
-    alias = alias or table.name
-    matches: set[int] | None = None
-    for conjunct in _conjuncts(where):
-        values = _dist_filter_values(conjunct, table, alias, params)
-        if values is not None:
-            shard_set = set()
-            for v in values:
-                try:
-                    shard_set.add(table.shard_index_for_value(v))
-                except Exception:
-                    pass  # value outside all ranges: matches no shard
-            matches = shard_set if matches is None else (matches & shard_set)
-            continue
-        if table.method == RANGE:
-            # Range tables additionally prune inequality predicates on the
-            # distribution column by shard-interval overlap.
-            interval = _dist_range_bound(conjunct, table, alias, params)
-            if interval is not None:
-                low, high = interval
-                shard_set = {
-                    i for i, shard in enumerate(table.shards)
-                    if (low is None or shard.max_value >= low)
-                    and (high is None or shard.min_value <= high)
-                }
-                matches = shard_set if matches is None else (matches & shard_set)
-    return sorted(matches) if matches is not None else all_indexes
-
-
-def _dist_range_bound(conjunct, table, alias, params):
-    """(low, high) bound implied by an inequality/BETWEEN on the dist col
-    of a range-partitioned table; None when not applicable."""
-    if isinstance(conjunct, A.BetweenExpr) and not conjunct.negated:
-        if _is_dist_col(conjunct.operand, table, alias):
-            low = _constant_value(conjunct.low, params) if _is_constant(conjunct.low) else NO_VALUE
-            high = _constant_value(conjunct.high, params) if _is_constant(conjunct.high) else NO_VALUE
-            if low is not NO_VALUE and high is not NO_VALUE:
-                return (low, high)
-        return None
-    if not (isinstance(conjunct, A.BinaryOp) and conjunct.op in ("<", "<=", ">", ">=")):
-        return None
-    left, right, op = conjunct.left, conjunct.right, conjunct.op
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-    if _is_dist_col(right, table, alias) and _is_constant(left):
-        left, right, op = right, left, flipped[op]
-    if not (_is_dist_col(left, table, alias) and _is_constant(right)):
-        return None
-    value = _constant_value(right, params)
-    if value is NO_VALUE:
-        return None
-    if op in (">", ">="):
-        return (value + (1 if op == ">" else 0), None)
-    return (None, value - (1 if op == "<" else 0))
-
-
-def _dist_filter_values(conjunct, table, alias, params):
-    if isinstance(conjunct, A.BinaryOp) and conjunct.op == "=":
-        left, right = conjunct.left, conjunct.right
-        if _is_dist_col(right, table, alias) and _is_constant(left):
-            left, right = right, left
-        if _is_dist_col(left, table, alias) and _is_constant(right):
-            value = _constant_value(right, params)
-            return None if value is NO_VALUE else [value]
-    if isinstance(conjunct, A.InList) and not conjunct.negated:
-        if _is_dist_col(conjunct.operand, table, alias):
-            values = []
-            for item in conjunct.items:
-                if not _is_constant(item):
-                    return None
-                value = _constant_value(item, params)
-                if value is NO_VALUE:
-                    return None
-                values.append(value)
-            return values
-    return None
-
-
-def _is_dist_col(expr, table: DistributedTable, alias: str) -> bool:
-    return (
-        isinstance(expr, A.ColumnRef)
-        and expr.name == table.dist_column
-        and expr.table in (None, alias, table.name)
-    )

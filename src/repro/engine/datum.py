@@ -248,6 +248,9 @@ _TYPE_ORDER = {bool: 0, int: 1, float: 1, str: 2}
 _INF = float("inf")
 
 
+_NUMBERS = {int: INT, float: FLOAT}
+
+
 def compare_values(a, b) -> int:
     """Three-way compare with SQL semantics for mixed numeric types.
 
@@ -266,6 +269,12 @@ def compare_values(a, b) -> int:
             b = _dt.datetime(b.year, b.month, b.day)
         elif isinstance(b, _dt.datetime) and isinstance(a, _dt.date):
             a = _dt.datetime(a.year, a.month, a.day)
+        # A text compared with a number reads as that number's type, as
+        # PostgreSQL reads an unknown-typed literal (``column_constant``).
+        elif type(a) is str and type(b) in _NUMBERS:
+            a = _cast(a, _NUMBERS[type(b)])
+        elif type(b) is str and type(a) in _NUMBERS:
+            b = _cast(b, _NUMBERS[type(a)])
         else:
             sa, sb = to_text(a), to_text(b)
             return (sa > sb) - (sa < sb)

@@ -112,49 +112,17 @@ class PartmanExtension:
 
     # ----------------------------------------------------------- pruning
 
-    def pruned_children(self, parent: PartmanParent, where, params) -> list[str]:
-        from .citus.sharding import _conjuncts, _dist_range_bound, _is_constant, \
-            _constant_value, NO_VALUE
+    def pruned_children(self, parent: PartmanParent, where, params,
+                        alias: str) -> list[str]:
+        """The children whose interval may hold a row passing ``where``
+        (the parent known to the statement as ``alias``)."""
+        from .citus.sharding import ColumnFilter
 
+        column = self.instance.catalog.get_table(parent.table).column(parent.column)
         children = sorted(parent.children.items())
-        if where is None:
-            return [name for _start, name in children]
-
-        class _Probe:
-            dist_column = parent.column
-            name = parent.table
-
-        low = high = None
-        for conjunct in _conjuncts(where):
-            if isinstance(conjunct, A.BinaryOp) and conjunct.op == "=":
-                left, right = conjunct.left, conjunct.right
-                if isinstance(right, A.ColumnRef):
-                    left, right = right, left
-                if (
-                    isinstance(left, A.ColumnRef)
-                    and left.name == parent.column
-                    and _is_constant(right)
-                ):
-                    value = _constant_value(right, params)
-                    if value is not NO_VALUE:
-                        low = high = value
-                continue
-            bound = _dist_range_bound(conjunct, _Probe, parent.table, params)
-            if bound is not None:
-                blow, bhigh = bound
-                if blow is not None:
-                    low = blow if low is None else max(low, blow)
-                if bhigh is not None:
-                    high = bhigh if high is None else min(high, bhigh)
-        out = []
-        for start, name in children:
-            end = start + parent.width - 1
-            if low is not None and end < low:
-                continue
-            if high is not None and start > high:
-                continue
-            out.append(name)
-        return out
+        keep = ColumnFilter(where, parent.column, alias, column.type_name).overlapping(
+            params, [(start, start + parent.width - 1) for start, _ in children])
+        return [children[i][1] for i in keep]
 
 
 class _PartitionedScanPlan:
@@ -228,7 +196,8 @@ def install_partman(instance) -> PartmanExtension:
             ):
                 ref = stmt.from_items[0]
                 parent = ext.parents[ref.name]
-                children = ext.pruned_children(parent, stmt.where, params)
+                children = ext.pruned_children(parent, stmt.where, params,
+                                                ref.ref_name)
                 return _PartitionedScanPlan(ext, stmt, children, ref.ref_name)
             # A parent anywhere else (join right side, subquery) would read
             # the empty shell silently: refuse instead.
@@ -301,7 +270,8 @@ class _PartitionedDmlPlan:
 
     def execute(self, session, params):
         parent = self.ext.parents[self.stmt.table]
-        children = self.ext.pruned_children(parent, self.stmt.where, params)
+        children = self.ext.pruned_children(parent, self.stmt.where, params,
+                                            self.stmt.alias or self.stmt.table)
         total = 0
         for child in children:
             rewritten = self.stmt.copy()

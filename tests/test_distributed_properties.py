@@ -69,6 +69,25 @@ class TestRoutingTotality:
             assert s.execute("SELECT n FROM r WHERE k = $1", [k]).scalar() == i
 
 
+#: A range filter's bound: an int, a non-integer float or an integer's
+#: text, as SQL and as the value it compares as.
+BOUNDS = st.one_of(
+    st.integers(min_value=-20, max_value=320).map(lambda n: (str(n), n)),
+    st.integers(min_value=-80, max_value=1280).filter(lambda n: n % 4).map(
+        lambda n: (repr(n / 4), n / 4)),
+    st.integers(min_value=-20, max_value=320).map(lambda n: (f"'{n}'", n)),
+)
+RANGE_FILTERS = {
+    "=": ("k = {0}", lambda k, a, b: k == a),
+    "IN": ("k IN ({0}, {1})", lambda k, a, b: k in (a, b)),
+    "<": ("k < {0}", lambda k, a, b: k < a),
+    "<=": ("k <= {0}", lambda k, a, b: k <= a),
+    ">": ("k > {0}", lambda k, a, b: k > a),
+    ">=": ("k >= {0}", lambda k, a, b: k >= a),
+    "BETWEEN": ("k BETWEEN {0} AND {1}", lambda k, a, b: a <= k <= b),
+}
+
+
 class TestPruningSoundness:
     @slow_settings
     @given(
@@ -88,6 +107,26 @@ class TestPruningSoundness:
             f"SELECT count(*) FROM r WHERE k IN ({placeholders})"
         ).scalar()
         assert pruned == len(set(keys) & set(probe))
+
+    @slow_settings
+    @given(
+        keys=st.lists(st.integers(min_value=0, max_value=299), min_size=1,
+                      max_size=30, unique=True),
+        op=st.sampled_from(sorted(RANGE_FILTERS)),
+        low=BOUNDS, high=BOUNDS,
+    )
+    def test_property_range_pruning_equals_full_scan(self, keys, op, low, high):
+        citus = make_cluster(2, shard_count=4)
+        s = citus.coordinator_session()
+        s.execute("CREATE TABLE r (k int PRIMARY KEY)")
+        s.execute("SELECT create_range_distributed_table('r', 'k',"
+                  " ARRAY[ARRAY[0, 99], ARRAY[100, 199], ARRAY[200, 299]])")
+        s.copy_rows("r", [[k] for k in keys])
+        sql, passes = RANGE_FILTERS[op]
+        pruned = s.execute(
+            "SELECT count(*) FROM r WHERE " + sql.format(low[0], high[0])
+        ).scalar()
+        assert pruned == sum(passes(k, low[1], high[1]) for k in keys)
 
 
 class TestDataPreservation:

@@ -445,9 +445,9 @@ def test_the_oltp_statement_suite_agrees_with_single_node(oltp_oracle, layout):
 
 #: Statements over ``t (k int PRIMARY KEY, v int)`` holding k = 1..9 (and
 #: the other tables of ``small_tables``), and what PostgreSQL answers: the
-#: rows, the UPDATE count, or the error it raises. A list of statements
-#: runs in a rolled-back block and answers with its last; a ``copy`` tuple
-#: is ``copy_rows``' arguments. Single node and cluster must both answer it
+#: rows, the UPDATE / DELETE count, or the error it raises. A list of
+#: statements runs in a rolled-back block and answers with its last; a
+#: ``copy`` tuple is ``copy_rows``' arguments. Single node and cluster must both answer it
 #: (ROADMAP 3(c)).
 POSTGRES = {
     # LIMIT / OFFSET: negative raises, NULL is no limit / no offset.
@@ -469,6 +469,30 @@ POSTGRES = {
                      [[3], [4]]),
     "text_update": ("UPDATE t SET v = 100 WHERE k = '3'", None, 1),
     "float_equals_key": ("SELECT k FROM t WHERE k = 3.5", None, []),
+    # A text compared with a number is read as that number's type, by a
+    # sequential scan as by an index probe; text that does not read raises.
+    "text_range_on_column": ("SELECT k FROM t WHERE v >= '9' ORDER BY k", None,
+                             [[k] for k in range(1, 10)]),
+    "text_equals_column": ("SELECT k FROM t WHERE v = '030'", None, [[3]]),
+    "text_below_column": ("SELECT k FROM t WHERE v < '100' ORDER BY k", None,
+                          [[k] for k in range(1, 10)]),
+    "text_not_a_number": ("SELECT k FROM t WHERE k = 'abc'", None,
+                          "invalid input for type int: 'abc'"),
+    # ``r`` is range-distributed over [0, 99], [100, 199], [200, 299] with
+    # rows 5, 99, 150, 250: strict bounds and text constants prune by the
+    # value they read as.
+    "range_strict_float_bound": ("SELECT key FROM r WHERE key > 98.5 ORDER BY key",
+                                 None, [[99], [150], [250]]),
+    "range_text_in_list": ("SELECT key FROM r WHERE key IN ('150', '250') ORDER BY key",
+                           None, [[150], [250]]),
+    "range_mixed_in_list": ("SELECT key FROM r WHERE key IN (150, '250') ORDER BY key",
+                            None, [[150], [250]]),
+    "range_text_delete": ("DELETE FROM r WHERE key IN ('150')", None, 1),
+    "range_text_equals": ("SELECT key FROM r WHERE key = '150'", None, [[150]]),
+    "range_text_bound": ("SELECT key FROM r WHERE key >= '100' ORDER BY key", None,
+                         [[150], [250]]),
+    "range_text_between": ("SELECT key FROM r WHERE key BETWEEN '100' AND 200",
+                           None, [[150]]),
     # More values than columns is an error on every path: a distributed
     # COPY and INSERT..SELECT used to drop the extra ones.
     "copy_extra_value": (("copy", "e", [[1, 2, 3]], ["k", "v"]), None,
@@ -477,6 +501,8 @@ POSTGRES = {
                                   None, "INSERT has 3 expressions but 2 target columns"),
     "insert_extra_value": ("INSERT INTO dst VALUES (1, 2, 3, 4)", None,
                            "INSERT has 4 expressions but 3 target columns"),
+    "insert_short_row": ("INSERT INTO dst (b, t) VALUES (1)", None,
+                         "INSERT has 1 expressions but 2 target columns"),
     # Without a column list, fewer values fill the first columns.
     "insert_fewer_values": (["INSERT INTO dst VALUES (1, 2)",
                              "SELECT * FROM dst WHERE t = 1"], None, [[1, 2, None]]),
@@ -506,7 +532,8 @@ POSTGRES = {
 
 @pytest.fixture(scope="module")
 def small_tables():
-    """The single node and a (2, 4) cluster, each holding ``t``."""
+    """The single node and a (2, 4) cluster, each holding ``t`` (and ``r``,
+    range-distributed on the cluster)."""
     targets = {"single": oracle_session(),
                "cluster": make_cluster(workers=2, shard_count=4).coordinator_session()}
     for name, session in targets.items():
@@ -515,6 +542,7 @@ def small_tables():
         session.execute("CREATE TABLE src (k int, t int, v int)")
         session.execute("CREATE TABLE dst (t int, b int, n int)")
         session.execute("CREATE TABLE co (a int, b int)")
+        session.execute("CREATE TABLE r (key int PRIMARY KEY, v int)")
         if name == "cluster":
             session.execute("SELECT create_distributed_table('t', 'k')")
             session.execute("SELECT create_distributed_table('e', 'k')")
@@ -522,9 +550,12 @@ def small_tables():
             session.execute("SELECT create_distributed_table('dst', 't',"
                             " colocate_with := 'none')")
             session.execute("SELECT create_distributed_table('co', 'b')")
+            session.execute("SELECT create_range_distributed_table('r', 'key',"
+                            " ARRAY[ARRAY[0, 99], ARRAY[100, 199], ARRAY[200, 299]])")
         session.copy_rows("t", [[k, 10 * k] for k in range(1, 10)])
         session.copy_rows("src", [[k, k, 10 * k] for k in range(1, 11)])
         session.copy_rows("co", [[1, 0], [None, 2]])
+        session.copy_rows("r", [[key, key] for key in (5, 99, 150, 250)])
     return targets
 
 
@@ -550,7 +581,7 @@ def test_single_node_and_cluster_answer_what_postgres_answers(small_tables, targ
             assert result.rows == answer
         finally:
             session.execute("ROLLBACK")
-    elif sql.startswith("UPDATE"):
+    elif sql.startswith(("UPDATE", "DELETE")):
         session.execute("BEGIN")
         try:
             assert session.execute(sql, params).rowcount == answer

@@ -73,6 +73,15 @@ class TestTenantIsolation:
         second = s.execute("SELECT isolate_tenant_to_new_shard('tenants', 7)").scalar()
         assert first == second
 
+    def test_a_text_tenant_reads_as_the_column_type(self, tenants):
+        s = tenants
+        shardid = s.execute(
+            "SELECT isolate_tenant_to_new_shard('tenants', '7')").scalar()
+        assert shardid == s.execute(
+            "SELECT get_shard_id_for_distribution_column('tenants', 7)").scalar()
+        assert shardid == s.execute(
+            "SELECT isolate_tenant_to_new_shard('tenants', 7)").scalar()
+
     def test_writes_route_to_isolated_shard(self, citus, tenants):
         s = tenants
         shardid = s.execute(

@@ -148,6 +148,18 @@ class TestColocation:
         with pytest.raises(MetadataError):
             s.execute("SELECT create_distributed_table('b', 'k', colocate_with := 'a')")
 
+    def test_colocate_with_a_range_table_rejected(self, citus, citus_session):
+        s = citus_session
+        s.execute("CREATE TABLE r (k int PRIMARY KEY)")
+        s.execute("SELECT create_range_distributed_table('r', 'k',"
+                  " ARRAY[ARRAY[0, 99], ARRAY[100, 199]])")
+        s.execute("CREATE TABLE b (k int PRIMARY KEY)")
+        # The range table's column is an int, as the hash table's is; its
+        # colocation group is not a hash group.
+        assert citus.coordinator_ext.metadata.cache.get_table("r").dist_column_type == "int"
+        with pytest.raises(MetadataError, match="range:int vs int"):
+            s.execute("SELECT create_distributed_table('b', 'k', colocate_with := 'r')")
+
     def test_colocate_none_makes_new_group(self, citus, citus_session):
         s = citus_session
         s.execute("CREATE TABLE a (k int PRIMARY KEY)")

@@ -20,6 +20,40 @@ def partitioned():
     return pg, s
 
 
+@pytest.fixture(scope="module")
+def pruning_pair():
+    """``m`` partitioned by 100 over rows 5, 99, 150, 250, and the same rows
+    in a plain table."""
+    sessions = []
+    for partman in (True, False):
+        pg = PostgresInstance("pg")
+        if partman:
+            install_partman(pg)
+        s = pg.connect()
+        s.execute("CREATE TABLE m (ts int PRIMARY KEY, v int)")
+        if partman:
+            s.execute("SELECT create_parent('m', 'ts', 100)")
+        s.execute("INSERT INTO m VALUES (5, 1), (99, 1), (150, 1), (250, 1)")
+        sessions.append(s)
+    return sessions
+
+
+#: Filters on the partition column: the partitions a SELECT scans, and its
+#: rows and a DELETE's count, which a plain table gives too.
+PRUNING = {
+    "range": ("ts >= 100 AND ts < 200", 1),
+    "equality": ("m.ts = 250", 1),
+    "strict_float_bound": ("ts > 98.5", 3),
+    "strict_bound": ("ts > 99", 2),
+    "text_bound": ("ts >= '100'", 2),
+    "text_equals": ("ts = '150'", 1),
+    "text_between": ("ts BETWEEN '100' AND 200", 2),
+    "mixed_in_list": ("ts IN (5, '250')", 2),
+    "null_equals": ("ts = NULL", 0),
+    "unbounded": ("v = 1", 3),
+}
+
+
 class TestPartitioning:
     def test_children_created_on_demand(self, partitioned):
         _pg, s = partitioned
@@ -57,6 +91,22 @@ class TestPartitioning:
             "EXPLAIN SELECT * FROM metrics WHERE ts = 250"
         ).rows)
         assert text.count("-> Scan") == 1
+
+    @pytest.mark.parametrize("where, scans", PRUNING.values(), ids=list(PRUNING))
+    def test_pruning_agrees_with_a_plain_table(self, pruning_pair, where, scans):
+        parts, plain = pruning_pair
+        sql = f"SELECT ts FROM m WHERE {where} ORDER BY ts"
+        assert parts.execute(sql).rows == plain.execute(sql).rows
+        text = "\n".join(r[0] for r in parts.execute(f"EXPLAIN {sql}").rows)
+        assert text.count("-> Scan") == scans
+        delete = f"DELETE FROM m WHERE {where}"
+        for session in pruning_pair:
+            session.execute("BEGIN")
+        try:
+            assert parts.execute(delete).rowcount == plain.execute(delete).rowcount
+        finally:
+            for session in pruning_pair:
+                session.execute("ROLLBACK")
 
     def test_aggregate_over_partitions(self, partitioned):
         _pg, s = partitioned

@@ -341,6 +341,6 @@ class TestReplayErrors:
         def broken(cache, stmt):
             raise TypeError("extractor is broken")
 
-        monkeypatch.setattr(sharding, "_find_tenant_exprs", broken)
+        monkeypatch.setattr(sharding, "_tenant_filter", broken)
         with pytest.raises(TypeError, match="extractor is broken"):
             s.execute("SELECT v FROM t WHERE k = 5 AND v = 50")

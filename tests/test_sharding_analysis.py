@@ -135,6 +135,27 @@ class TestConstants:
         _value, ok = analysis.common_constant()
         assert not ok  # not a single shard; pushdown handles it
 
+    #: Joins of the co-located ``a`` and ``b`` whose keys meet one constant,
+    #: read as the column's type: each plans one router task.
+    ROUTED = {
+        "int": ("SELECT * FROM a, b WHERE a.key = 5 AND b.key = 5", None),
+        "text_and_int": ("SELECT * FROM a, b WHERE a.key = '5' AND b.key = 5", None),
+        "text_parameter": ("SELECT * FROM a, b WHERE a.key = $1 AND b.key = 5", ["5"]),
+        "cast": ("SELECT * FROM a JOIN b ON a.key = b.key WHERE b.key = '5'::int",
+                 None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUTED))
+    def test_constants_meet_as_the_column_type(self, env, name):
+        from repro.citus.observability import explain
+
+        ext, s = env
+        sql, params = self.ROUTED[name]
+        value, ok = analyze(ext, sql, params).common_constant()
+        assert ok and value == 5
+        plan = explain(s, sql, params)
+        assert (plan.tier, len(plan.tasks)) == ("router", 1)
+
 
 class TestInnerAggregates:
     def test_inner_agg_on_dist_col_allowed(self, env):
