@@ -8,6 +8,7 @@
     python3 benchmarks/sample_profile.py --workload write_mix --gc
     python3 benchmarks/sample_profile.py --workload analytics_scan --step group_agg
     python3 benchmarks/sample_profile.py --workload analytics_scan --step full_order --gc
+    python3 benchmarks/sample_profile.py --workload oltp_point --gc --telemetry-off
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -44,6 +45,11 @@ the loop, collections and mean pass cost per generation, and the number of
 GC-tracked objects (``gc.get_objects()``) before and after the phase. With
 ``--step NAME`` it times only the collections that start inside that step,
 and prints its share of the step and passes per run of it.
+
+``--telemetry-off`` sets the workload up with every telemetry GUC off (the
+ledger's ``telemetry=False`` phase), in every mode but ``--plain``: the
+same command with and without it splits a cost into telemetry's share and
+the rest.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ def main() -> int:
                         " tracked objects, in place of the sample")
     parser.add_argument("--step", metavar="NAME",
                         help="sample only inside this timed step of each op")
+    parser.add_argument("--telemetry-off", action="store_true",
+                        help="set the workload up with every telemetry GUC"
+                        " off")
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     args = parser.parse_args()
@@ -108,7 +117,7 @@ def main() -> int:
     if args.plain:
         return print_plain(cls, args.seed, phases.op_count(cls, args.seconds), root)
     workload = cls(args.seed, phases.op_count(cls, args.seconds))
-    workload.setup()
+    workload.setup(not args.telemetry_off)
     workload.warm_up()
     if args.deciles:
         print_deciles(args.workload, workload, root)

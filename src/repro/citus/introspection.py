@@ -63,20 +63,18 @@ class TenantStats:
     __slots__ = ("entries",)
 
     def __init__(self):
-        # tenant -> [calls, rows, query_seconds, wait_seconds]
+        # tenant -> (calls, rows, query_seconds, wait_seconds), replaced per
+        # fold: numbers only, which the collector untracks.
         self.entries: dict = {}
 
     def fold(self, record) -> None:
         tenant = record.tenant
         if tenant is None:
             return
-        entry = self.entries.get(tenant)
-        if entry is None:
-            entry = self.entries[tenant] = [0, 0, 0.0, 0.0]
-        entry[0] += 1
-        entry[1] += record.rows or 0
-        entry[2] += record.end - record.start
-        entry[3] += record.wait_seconds
+        calls, rows, query, wait = self.entries.get(tenant, (0, 0, 0.0, 0.0))
+        self.entries[tenant] = (calls + 1, rows + (record.rows or 0),
+                                query + (record.end - record.start),
+                                wait + record.wait_seconds)
 
     def rows(self) -> list[list]:
         """:data:`TENANT_COLUMNS` rows, busiest (most calls) first."""

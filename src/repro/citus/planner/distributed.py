@@ -24,14 +24,14 @@ from __future__ import annotations
 import json
 
 from ...engine.compile import evaluate
-from ...engine.datum import cast_value
-from ...engine.executor import QueryResult, width_error
+from ...engine.datum import TEXT, cast_value, refuse_number_against_text
+from ...engine.executor import QueryResult, text_comparisons, width_error
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql import parse
-from ...sql.facts import statement_facts
+from ...sql.facts import statement_facts, statement_norm
 from ..sharding import analyze_statement
 from ..txn.deadlock import assign_distributed_txn_ids
 from .fast_path import try_fast_path
@@ -58,6 +58,9 @@ def make_planner_hook(ext):
         if not any(name in cache.tables for name in facts.tables):
             facts.local_in = cache
             return None
+        norm = statement_norm(facts)
+        if norm is not None and norm[1]:
+            _refuse_text_literals(ext.instance.catalog, norm[0], norm[1])
         plan = search = None
         cache_hit = False
         try:
@@ -90,6 +93,36 @@ def make_planner_hook(ext):
         return plan
 
     return planner_hook
+
+
+def _refuse_text_literals(catalog, template, literals: dict) -> None:
+    """The workers see a normalised statement's literals as parameters,
+    which keep the column's rule: a numeric literal ``template`` compares
+    with a text column of a table it reads or writes is refused here, on
+    the coordinator's tables, as a single node refuses it
+    (:func:`~repro.engine.executor.text_comparisons`)."""
+    where = template.where if isinstance(template, (A.Select, A.Update,
+                                                    A.Delete)) else None
+    if where is None:
+        return
+    if isinstance(template, A.Select):
+        refs, pending = [], list(template.from_items)
+        while pending:
+            item = pending.pop()
+            if isinstance(item, A.JoinExpr):
+                pending += (item.left, item.right)
+            elif isinstance(item, A.TableRef):
+                refs.append((item.name, item.ref_name))
+    else:
+        refs = [(template.table, template.alias or template.table)]
+    for name, alias in refs:
+        table = catalog.tables.get(name)
+        text = [] if table is None else [
+            col.name for col in table.columns if col.type_name == TEXT]
+        for op, operand, operand_first in text_comparisons(where, alias, text):
+            if type(operand) is A.Param and operand.name in literals:
+                refuse_number_against_text(op, literals[operand.name],
+                                           operand_first)
 
 
 def citus_plan_alternatives(ext, session, *rest) -> str:

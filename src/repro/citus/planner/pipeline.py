@@ -122,7 +122,7 @@ class PlanSearch:
     cached: bool = False  # replayed from the distributed plan cache
     error: str | None = None  # UnsupportedDistributedQuery text, if raised
     # event_attrs() of a cached search: nothing records into it any more
-    _event_attrs: dict | None = field(default=None, repr=False, compare=False)
+    _event_attrs: tuple | None = field(default=None, repr=False, compare=False)
 
     # --------------------------------------------------------- recording
 
@@ -187,14 +187,15 @@ class PlanSearch:
             return None
         return chosen / best
 
-    def event_attrs(self) -> dict:
-        """What the trace's plan event shows of the search."""
+    def event_attrs(self) -> tuple:
+        """What the trace's plan event shows of the search, as flat
+        ``(key, value, ...)`` event attrs."""
         attrs = self._event_attrs
         if attrs is None:
-            attrs = {"tiers_tried": ",".join(self.tiers_tried),
-                     "chosen_cost": self.chosen_cost,
-                     "best_alternative_cost": self.best_alternative_cost,
-                     "cost_ratio": self.cost_ratio}
+            attrs = ("tiers_tried", ",".join(self.tiers_tried),
+                     "chosen_cost", self.chosen_cost,
+                     "best_alternative_cost", self.best_alternative_cost,
+                     "cost_ratio", self.cost_ratio)
             if self.cached:
                 self._event_attrs = attrs
         return attrs

@@ -5,33 +5,40 @@ session dispatches it and closed when the session's activity window closes
 (so a statement that parks on a lock is one record spanning its wait).
 Everything that happens on its behalf — nested worker dispatches, engine
 selects, plan decisions, executor work, commit phases, waits — is appended
-to ``events`` as plain tuples; the surfaces are folds over closed records
-(see :mod:`.telemetry`) and span trees are a view built on demand
+to ``events``; the surfaces are folds over closed records (see
+:mod:`.telemetry`) and span trees a view built on demand
 (:func:`.tracing.build_trace`).
 
-**Events** are ``(parent, name, cat, start, end, node, attrs)``. ``parent``
-is the index of the enclosing event in the same list (-1: the record's
-root), ``start`` / ``end`` simulated-clock seconds. Spans that stay open
-while other events nest under them (a nested statement, an engine select,
-an EXPLAIN ANALYZE capture) are *lists* of the same shape whose ``end`` is
-filled on exit; everything else is a tuple. Two categories are not spans:
+**Events** are flat tuples ``(parent, name, cat, start, end, node,
+*attrs)``: ``parent`` the index of the enclosing event (-1: the root),
+``start`` / ``end`` simulated-clock seconds, a span's attrs ``key, value,
+...``. A span others nest under (a nested statement, an engine select, an
+EXPLAIN ANALYZE capture) is appended with ``end`` None and replaced on
+exit. Two categories are not spans:
 
-- ``cat == EXECUTION`` — one run of the adaptive executor. ``name`` is the
-  driver (:data:`TASKS` / :data:`STREAMS` / :data:`CHANNELS`), ``start``
-  the clock when it began (unit offsets are relative to it) and ``attrs``
-  an :data:`X_UNITS`... tuple. Its **units** — one tuple per piece of
-  connection work, ``(kind, index, node, shard_group, is_write, start,
-  cost, rows, bytes)`` — are at once the timeline the task spans are drawn
-  from and the access set the co-access graph folds.
-- ``cat == TXN`` — the session's distributed transaction ended; ``name`` is
-  :data:`COMMIT` or :data:`ABORT`, ``attrs`` ``(session_key, twopc)``.
+- ``EXECUTION`` — one run of the adaptive executor; ``name`` is the driver
+  (:data:`TASKS` / :data:`STREAMS` / :data:`CHANNELS`), ``start`` when it
+  began (unit offsets are relative to it). Its ``X_*`` fields are followed
+  by its **units**, :data:`UNIT_WIDTH` values per piece of connection work
+  (``U_*``, :func:`execution_units`) — at once the timeline task spans are
+  drawn from and the access set the co-access graph folds — and then its
+  detail (:func:`execution_detail`): a stream run's task nodes, a channel
+  run's :data:`CHANNEL_FIELDS`, nothing for blocking tasks.
+- ``TXN`` — the session's distributed transaction ended (:data:`COMMIT` /
+  :data:`ABORT`): the session's :data:`X_NODE` / :data:`X_PID`, then
+  :data:`X_TWOPC`.
+
+**Frozen.** A closed record's ``events`` is a tuple of events of atomic
+values (a shard group is a tuple of ints), which the collector untracks
+(the events at its first pass, the tuple at the next): a record in the
+pending buffer or trace ring keeps itself and its statement tracked.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 
-# Event fields.
+# Event fields; a span's attrs start at E_ATTRS.
 E_PARENT, E_NAME, E_CAT, E_START, E_END, E_NODE, E_ATTRS = range(7)
 
 #: Event categories that are not spans.
@@ -41,9 +48,16 @@ TXN = "txn"
 #: Execution drivers (an EXECUTION event's name).
 TASKS, STREAMS, CHANNELS = "tasks", "streams", "channels"
 
-# Execution payload fields (an EXECUTION event's attrs).
-(X_UNITS, X_REPORT, X_TASKS, X_SESSION, X_TENANT, X_EXPLICIT, X_OUTCOME,
- X_AUTOCOMMIT) = range(8)
+# EXECUTION event fields: the session (node, backend pid), its tenant, in
+# a transaction block, outcome, transaction ends with it, units. A TXN
+# event: the session, then whether it committed in two phases.
+(X_NODE, X_PID, X_TENANT, X_EXPLICIT, X_OUTCOME, X_AUTOCOMMIT,
+ X_UNIT_COUNT, X_UNITS) = range(E_ATTRS, E_ATTRS + 8)
+X_TWOPC = X_PID + 1
+
+#: A channel run's detail: its report's COPY numbers, in this order.
+CHANNEL_FIELDS = ("copy_flushes", "copy_rows_routed", "copy_bytes_streamed",
+                  "copy_channel_peak_rows", "task_count")
 
 #: Execution outcomes. A BLOCKED execution hit a lock and its statement
 #: parked: it counts (accesses, task span) only if the statement then
@@ -53,6 +67,7 @@ OK, FAILED, BLOCKED = "ok", "failed", "blocked"
 # Unit fields.
 (U_KIND, U_INDEX, U_NODE, U_GROUP, U_WRITE, U_START, U_COST, U_ROWS,
  U_BYTES) = range(9)
+UNIT_WIDTH = 9
 
 #: Unit kinds. CONNECT (connection establishment) and BEGIN (opening the
 #: worker transaction block a blocking task then runs in: its bytes show
@@ -63,6 +78,17 @@ CONNECT, BEGIN, TASK, BLOCKED_TASK, DISPATCH, BATCH, CLOSE, FLUSH = range(8)
 
 #: TXN event names.
 COMMIT, ABORT = "commit", "abort"
+
+
+def execution_units(event: tuple) -> list[tuple]:
+    """An EXECUTION event's units, one ``U_*`` tuple each."""
+    end = X_UNITS + event[X_UNIT_COUNT] * UNIT_WIDTH
+    return [event[i:i + UNIT_WIDTH] for i in range(X_UNITS, end, UNIT_WIDTH)]
+
+
+def execution_detail(event: tuple) -> tuple:
+    """An EXECUTION event's detail: what follows its units."""
+    return event[X_UNITS + event[X_UNIT_COUNT] * UNIT_WIDTH:]
 
 
 class StatementRecord:
@@ -76,61 +102,47 @@ class StatementRecord:
     is kept (``citus.enable_tracing``, or a capture in progress);
     ``max_end`` is the latest explicit event end, so the root closes no
     earlier than its children (commit phases are reconstructed past the
-    clock). ``access`` is filled by the co-access fold: the transaction's
-    access summary shown on its commit spans.
+    clock); ``top`` the index of the innermost open span (-1: none);
+    ``wire`` / ``parked_wire`` the bytes of its executor units, a parked
+    task's apart. ``access`` is filled by the co-access fold: the
+    transaction's access summary shown on its commit spans.
     """
 
     __slots__ = ("kind", "name", "stmt", "node", "start", "end", "max_end", "tier", "fingerprint", "digest", "tenant",
-                 "cached", "rows", "error", "wait_seconds", "events", "stack",
-                 "traced", "access")
+                 "cached", "rows", "error", "wait_seconds", "events", "top",
+                 "traced", "wire", "parked_wire", "access")
 
     def __init__(self, kind: str, name: str, stmt, node: str | None,
                  start: float, traced: bool):
-        self.kind = kind
-        self.name = name
-        self.stmt = stmt
-        self.node = node
-        self.start = start
+        self.kind, self.name, self.stmt, self.node = kind, name, stmt, node
+        self.start = self.max_end = start
         self.end: float | None = None  # None while open
-        self.max_end = start
-        self.tier: str | None = None
-        self.fingerprint: str | None = None
-        self.digest: str | None = None
-        self.tenant = None
+        self.tier = self.fingerprint = self.digest = self.tenant = None
         self.cached = False
         self.rows: int | None = None  # None: no result (failed, or open)
         self.error: str | None = None
         self.wait_seconds = 0.0
-        self.events: list = []
-        self.stack: list[int] = []  # indexes of the open span events
+        self.events: list | tuple = []  # a tuple once closed
+        self.top = -1
         self.traced = traced
-        self.access: dict | None = None
+        self.wire = self.parked_wire = 0
+        self.access: tuple | None = None  # (nodes, groups, tenants)
 
     def add(self, name: str, cat: str, start: float, end: float, node,
-            attrs) -> None:
+            attrs: tuple = ()) -> None:
         """Append a complete event under whichever span is open."""
         if end > self.max_end:
             self.max_end = end
-        stack = self.stack
-        self.events.append((stack[-1] if stack else -1, name, cat, start, end,
-                            node, attrs))
+        self.events.append((self.top, name, cat, start, end, node) + attrs)
 
     @property
     def duration(self) -> float:
         return self.end - self.start  # never negative: see Telemetry.close
 
     def wire_bytes(self) -> int:
-        """Wire bytes attributed to the statement: every unit that is
-        drawn on a task span (the span's batch children break the same
-        bytes down per fetch, so summing spans would double-count)."""
-        failed = self.error is not None
-        total = 0
-        for event in self.events:
-            if event[E_CAT] is EXECUTION:
-                for unit in event[E_ATTRS][X_UNITS]:
-                    if not (failed and unit[U_KIND] == BLOCKED_TASK):
-                        total += unit[U_BYTES]
-        return total
+        """Wire bytes of the units drawn on task spans (a failed
+        statement's parked task is not)."""
+        return self.wire + (self.parked_wire if self.error is None else 0)
 
 
 class Ring:
@@ -142,8 +154,7 @@ class Ring:
 
     def __init__(self, capacity: int):
         self.items: deque = deque(maxlen=capacity)
-        self.high_water = 0
-        self.dropped = 0
+        self.high_water = self.dropped = 0
 
     @property
     def capacity(self) -> int:

@@ -31,13 +31,15 @@ with its error.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from ..engine.compile import compile_count
 from ..engine.stats import stats_for
 from ..sql.facts import statement_fingerprint
 from .ash import AshSampler
 from .introspection import TenantStats
-from .record import (ABORT, COMMIT, E_ATTRS, E_END, EXECUTION, TXN, Ring,
+from .record import (ABORT, BLOCKED_TASK, CHANNEL_FIELDS, CHANNELS, COMMIT,
+                     EXECUTION, STREAMS, TXN, U_BYTES, U_KIND, Ring,
                      StatementRecord)
 from .sharding import NO_VALUE, partition_key_for
 from .tracing import (Span, StatementStats, build_subtree, build_trace,
@@ -77,8 +79,7 @@ class Telemetry:
         self.statements = StatementStats()
         self.tenants = TenantStats()
         self.graph = TxnGraph(self.registry)
-        self.traces = Ring(TRACE_RING_SIZE)
-        self.slow_log = Ring(TRACE_RING_SIZE)
+        self.traces, self.slow_log = Ring(TRACE_RING_SIZE), Ring(TRACE_RING_SIZE)
         # Eager state.
         self.plan_searches = Ring(128)
         self.ash = AshSampler(clock, self.registry)
@@ -88,11 +89,9 @@ class Telemetry:
         #: The record capture methods append to, and the same record while
         #: it keeps span detail (else None) — the one test capture sites
         #: make before building anything.
-        self.current: StatementRecord | None = None
-        self.traced: StatementRecord | None = None
+        self.current = self.traced = None
         # Switches, set by configure().
-        self.tracing = self.introspection = self.graphing = False
-        self.recording = False
+        self.tracing = self.introspection = self.graphing = self.recording = False
         self.log_min_duration = -1.0
         # citus_stat_counters_reset() baseline for the engine-level
         # expression-compilation counter (a process-wide monotonic count).
@@ -246,6 +245,7 @@ class Telemetry:
     def _finish(self, record: StatementRecord) -> None:
         now = self.now()
         record.end = now if now > record.max_end else record.max_end
+        record.events = tuple(record.events)  # frozen: see .record
         self._emit(record)
 
     def operation(self, name: str):
@@ -294,30 +294,28 @@ class Telemetry:
             self._finish(record)
             self.drain()
             return build_trace(record)
-        index = record.stack[-1]
         self.exit(event)
         record.traced = was_traced
         if self.current is record:
             self.traced = record if was_traced else None
-        return build_subtree(record, index)
+        return build_subtree(record, event)
 
     # -------------------------------------------------------------- capture
 
-    def enter(self, name: str, cat: str, node: str | None = None) -> list:
-        """Open a span other events nest under, in the traced record."""
+    def enter(self, name: str, cat: str, node: str | None = None) -> int:
+        """Open a span other events nest under, in the traced record: its
+        index, for :meth:`exit`."""
         record = self.traced
-        events, stack = record.events, record.stack
-        event = [stack[-1] if stack else -1, name, cat, self.now(), None,
-                 node, None]
-        stack.append(len(events))
-        events.append(event)
-        return event
+        record.events.append((record.top, name, cat, self.now(), None, node))
+        record.top = len(record.events) - 1
+        return record.top
 
-    def exit(self, event: list, rows: int | None = None) -> None:
-        event[E_END] = self.now()
-        if rows is not None:
-            event[E_ATTRS] = {"rows": rows}
-        self.current.stack.pop()
+    def exit(self, index: int, rows: int | None = None) -> None:
+        record = self.current
+        parent, name, cat, start, _end, node = record.events[index]
+        record.events[index] = (parent, name, cat, start, self.now(), node) + (
+            () if rows is None else ("rows", rows))
+        record.top = parent
 
     def event(self, name: str, cat: str, start: float | None = None,
               end: float | None = None, node: str | None = None,
@@ -332,7 +330,8 @@ class Telemetry:
             start = end = self.now()
         elif end is None:
             end = self.now()
-        record.add(name, cat, start, end, node, attrs)
+        record.add(name, cat, start, end, node,
+                   tuple(chain.from_iterable(attrs.items())) if attrs else ())
 
     def planned(self, ext, session, facts, params, plan, cache_hit: bool,
                 search) -> None:
@@ -378,13 +377,13 @@ class Telemetry:
         if record.fingerprint is None:
             record.fingerprint, record.digest = statement_fingerprint(facts)
         tasks = plan.tasks
-        attrs = {"tier": tier, "cached": cache_hit,
-                 "tasks": len(tasks) if tasks is not None else None}
+        attrs = ("tier", tier, "cached", cache_hit,
+                 "tasks", len(tasks) if tasks is not None else None)
         found = plan.search
         if found is not None:
             # Search attributes ride on the plan event, so the Chrome trace
             # export shows what the cascade considered for every statement.
-            attrs.update(found.event_attrs())
+            attrs += found.event_attrs()
         now = self.now()
         record.add("plan", "planner", now, now, session.instance.name, attrs)
 
@@ -402,10 +401,21 @@ class Telemetry:
         record = self.current
         if record is None:
             return  # run outside any recorded statement
+        fields = [session.instance.name, session.backend_pid,
+                  session._citus_tenant, explicit, outcome, autocommit,
+                  len(units)]
+        for unit in units:
+            fields += unit
+            if unit[U_KIND] == BLOCKED_TASK:
+                record.parked_wire += unit[U_BYTES]
+            else:
+                record.wire += unit[U_BYTES]
+        if driver is STREAMS:
+            fields += [task.node for task in tasks]
+        elif driver is CHANNELS:
+            fields += [getattr(report, field) for field in CHANNEL_FIELDS]
         record.add(driver, EXECUTION, base, base + report.elapsed, None,
-                   (units, report, tasks,
-                    (session.instance.name, session.backend_pid),
-                    session._citus_tenant, explicit, outcome, autocommit))
+                   tuple(fields))
 
     def txn_end(self, session, committed: bool, twopc: bool = False) -> None:
         """The session's distributed transaction ended (the post-commit /
@@ -420,7 +430,7 @@ class Telemetry:
             return
         now = self.now()
         record.add(COMMIT if committed else ABORT, TXN, now, now, None,
-                   (key, twopc))
+                   key + (twopc,))
 
     def crashed(self, node: str) -> None:
         """``node`` crashed, and its sessions with it: the transactions
@@ -476,7 +486,7 @@ class Telemetry:
 
     def slow_queries(self) -> list[list]:
         self.drain()
-        return list(self.slow_log)
+        return [list(entry) for entry in self.slow_log]
 
     def metric_families(self) -> list[tuple]:
         """Graph, ASH and ring-health families for

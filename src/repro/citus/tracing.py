@@ -27,16 +27,18 @@ from ..sql import ast as A
 from .record import (BATCH, BEGIN, BLOCKED_TASK, CHANNELS, CLOSE, CONNECT, DISPATCH,
                      E_ATTRS, E_CAT, E_END, E_NAME, E_NODE, E_PARENT, E_START,
                      EXECUTION, FLUSH, STREAMS, TXN, U_BYTES, U_COST, U_GROUP,
-                     U_INDEX, U_KIND, U_NODE, U_ROWS, U_START, X_REPORT,
-                     X_TASKS, X_UNITS, StatementRecord)
+                     U_INDEX, U_KIND, U_NODE, U_ROWS, U_START,
+                     StatementRecord, execution_detail, execution_units)
 
 #: Statement types that never appear in citus_stat_statements (transaction
 #: control and introspection noise, mirroring real pg_stat_statements
 #: defaults).
 _UNTRACKED_STMTS = (A.Begin, A.Commit, A.Rollback, A.SetVar, A.ShowVar)
 
-#: Commit-phase spans that carry the transaction's access summary.
+#: Commit-phase spans that carry the transaction's access summary, and the
+#: attrs it shows there.
 _ACCESS_SPANS = ("commit.1pc", "2pc.commit_records")
+_ACCESS_ATTRS = ("access_nodes", "access_groups", "access_tenants")
 
 
 class Span:
@@ -51,11 +53,8 @@ class Span:
 
     def __init__(self, name: str, cat: str, start: float, end: float | None = None,
                  node: str | None = None, attrs: dict | None = None):
-        self.name = name
-        self.cat = cat
-        self.start = start
+        self.name, self.cat, self.start, self.node = name, cat, start, node
         self.end = start if end is None else end
-        self.node = node
         self.attrs = attrs if attrs is not None else {}
         self.children: list[Span] = []
 
@@ -140,7 +139,6 @@ def _attach(record: StatementRecord, root: Span, root_index: int) -> None:
     """Hang the spans of every event below ``root_index`` under ``root``."""
     events = record.events
     spans: dict[int, Span] = {root_index: root}
-    opened: list[Span] = []
     failed = record.error is not None
     for index in range(root_index + 1, len(events)):
         event = events[index]
@@ -153,31 +151,29 @@ def _attach(record: StatementRecord, root: Span, root_index: int) -> None:
         if cat is EXECUTION:
             _execution_spans(parent, event, failed)
             continue
-        attrs = event[E_ATTRS]
-        attrs = dict(attrs) if attrs else {}
+        attrs = event[E_ATTRS:]
+        attrs = dict(zip(attrs[::2], attrs[1::2]))
         if record.access is not None and event[E_NAME] in _ACCESS_SPANS:
-            attrs.update(record.access)
+            attrs.update(zip(_ACCESS_ATTRS, map(list, record.access)))
         end = event[E_END]
-        span = Span(event[E_NAME], cat, event[E_START],
-                    event[E_START] if end is None else end,
-                    node=event[E_NODE], attrs=attrs)
+        span = spans[index] = Span(event[E_NAME], cat, event[E_START],
+                                   event[E_START] if end is None else end,
+                                   node=event[E_NODE], attrs=attrs)
         parent.add(span)
-        if type(event) is list:
-            spans[index] = span
-            opened.append(span)
-    for span in reversed(opened):
-        _close_over_children(span)
+    # Innermost first: a span closes over its children once they have.
+    for span in reversed(spans.values()):
+        if span.children and span is not root:
+            _close_over_children(span)
 
 
 def _execution_spans(parent: Span, event: tuple, statement_failed: bool) -> None:
     """One executor run's ``connect`` / ``task`` spans (and the ``route``
     span of a COPY-channel run), from its units."""
     base = event[E_START]
-    payload = event[E_ATTRS]
     driver = event[E_NAME]
     by_task: dict[int, list] = {}
     begin_bytes = 0
-    for unit in payload[X_UNITS]:
+    for unit in execution_units(event):
         kind = unit[U_KIND]
         if kind == BEGIN:
             begin_bytes = unit[U_BYTES]  # shown on the task it precedes
@@ -200,12 +196,12 @@ def _execution_spans(parent: Span, event: tuple, statement_failed: bool) -> None
                        "shard_group": unit[U_GROUP], "retries": 0}))
             begin_bytes = 0
     if driver is STREAMS:
-        for index, task in enumerate(payload[X_TASKS]):
+        for index, node in enumerate(execution_detail(event)):
             units = by_task.get(index)
             if units is None:
                 # Never dispatched (the early-terminated merge skipped it).
                 parent.add(Span(
-                    "task", "executor", base, base, node=task.node,
+                    "task", "executor", base, base, node=node,
                     attrs={"index": index, "rows": 0, "bytes": 0,
                            "batches": 0, "skipped": True, "retries": 0}))
             else:
@@ -213,15 +209,12 @@ def _execution_spans(parent: Span, event: tuple, statement_failed: bool) -> None
     elif driver is CHANNELS:
         for index, units in by_task.items():
             parent.add(_unit_task_span(base, index, units))
-        report = payload[X_REPORT]
-        parent.add(Span(
-            "route", "repartition", base, base + report.elapsed,
-            attrs={"flushes": report.copy_flushes,
-                   "rows": report.copy_rows_routed,
-                   "bytes": report.copy_bytes_streamed,
-                   "channel_peak_rows": report.copy_channel_peak_rows,
-                   "channels": report.task_count}))
+        parent.add(Span("route", "repartition", base, event[E_END],
+                        attrs=dict(zip(_ROUTE_ATTRS, execution_detail(event)))))
 
+
+#: A ``route`` span's attrs, named in :data:`~.record.CHANNEL_FIELDS` order.
+_ROUTE_ATTRS = ("flushes", "rows", "bytes", "channel_peak_rows", "channels")
 
 _UNIT_SPAN_NAMES = {DISPATCH: "dispatch", BATCH: "batch", CLOSE: "close",
                     FLUSH: "flush"}
@@ -261,6 +254,23 @@ def _unit_task_span(base: float, index: int, units: list) -> Span:
 # ---------------------------------------------------- citus_stat_statements
 
 
+class _StatementEntry(LogHistogram):
+    """One ``citus_stat_statements`` row being folded, one object: its
+    latency histogram (count / sum / min / max are the calls and times) and
+    its other columns. The query deparses from ``stmt`` when first viewed."""
+
+    __slots__ = ("query", "stmt", "tenant", "tier", "rows", "bytes",
+                 "cache_hits")
+
+    def __init__(self, stmt, tenant, tier):
+        LogHistogram.__init__(self)
+        self.query = None
+        self.stmt = stmt
+        self.tenant = tenant
+        self.tier = tier
+        self.rows = self.bytes = self.cache_hits = 0
+
+
 class StatementStats:
     """Per-fingerprint aggregation of closed records — the fold behind
     ``citus_stat_statements()``.
@@ -275,7 +285,7 @@ class StatementStats:
     __slots__ = ("entries",)
 
     def __init__(self):
-        self.entries: dict[tuple, dict] = {}
+        self.entries: dict[tuple, _StatementEntry] = {}
 
     def fold(self, record: StatementRecord) -> None:
         if (record.fingerprint is None or record.kind != "statement"
@@ -284,25 +294,14 @@ class StatementStats:
         key = (record.fingerprint, record.tenant)
         entry = self.entries.get(key)
         if entry is None:
-            entry = self.entries[key] = {
-                # The query text deparses lazily in rows(): only entries
-                # actually viewed pay for it.
-                "query": None,
-                "_stmt": record.stmt,
-                "tenant": record.tenant,
-                "tier": record.tier,
-                "rows": 0,
-                "bytes": 0,
-                "cache_hits": 0,
-                # Its count / sum / min / max are the calls and times.
-                "histogram": LogHistogram(),
-            }
-        entry["rows"] += record.rows or 0
-        entry["bytes"] += record.wire_bytes()
-        entry["tier"] = record.tier or entry["tier"]
+            entry = self.entries[key] = _StatementEntry(
+                record.stmt, record.tenant, record.tier)
+        entry.rows += record.rows or 0
+        entry.bytes += record.wire_bytes()
+        entry.tier = record.tier or entry.tier
         if record.cached:
-            entry["cache_hits"] += 1
-        entry["histogram"].observe(record.end - record.start)
+            entry.cache_hits += 1
+        entry.observe(record.end - record.start)
 
     def rows(self) -> list[list]:
         """``citus_stat_statements()`` rows: [query, partition_key, tier,
@@ -310,24 +309,13 @@ class StatementStats:
         bytes, plan_cache_hits], ordered by total time descending."""
         out = []
         for entry in self.entries.values():
-            hist = entry["histogram"]
-            if entry["query"] is None:
-                entry["query"] = _stmt_sql(entry.pop("_stmt"))
-            out.append([
-                entry["query"],
-                entry["tenant"],
-                entry["tier"],
-                hist.count,
-                hist.sum * 1000.0,
-                hist.min * 1000.0,
-                hist.max * 1000.0,
-                hist.percentile(50) * 1000.0,
-                hist.percentile(95) * 1000.0,
-                hist.percentile(99) * 1000.0,
-                entry["rows"],
-                entry["bytes"],
-                entry["cache_hits"],
-            ])
+            if entry.query is None:
+                entry.query, entry.stmt = _stmt_sql(entry.stmt), None
+            out.append([entry.query, entry.tenant, entry.tier, entry.count]
+                       + [seconds * 1000.0 for seconds in (
+                           entry.sum, entry.min, entry.max, entry.percentile(50),
+                           entry.percentile(95), entry.percentile(99))]
+                       + [entry.rows, entry.bytes, entry.cache_hits])
         out.sort(key=lambda r: r[4], reverse=True)
         return out
 
@@ -340,10 +328,10 @@ SLOW_LOG_COLUMNS = ("query", "duration_ms", "tier", "partition_key", "rows",
                     "error")
 
 
-def slow_log_entry(record: StatementRecord) -> list:
+def slow_log_entry(record: StatementRecord) -> tuple:
     """A slow-log ring entry: one :data:`SLOW_LOG_COLUMNS` row."""
-    return [record_sql(record), record.duration * 1000.0, record.tier,
-            record.tenant, record.rows or 0, record.error]
+    return (record_sql(record), record.duration * 1000.0, record.tier,
+            record.tenant, record.rows or 0, record.error)
 
 
 # ------------------------------------------------------------------- export
@@ -357,37 +345,21 @@ def export_chrome(records) -> dict:
     tids: dict[str, int] = {}
 
     def tid_for(node: str | None) -> int:
-        key = node or "coordinator"
-        if key not in tids:
-            tids[key] = len(tids)
-        return tids[key]
+        return tids.setdefault(node or "coordinator", len(tids))
 
     def emit(span: Span, trace_sql: str | None, inherit_node: str | None):
         node = span.node or inherit_node
         args = {k: v for k, v in span.attrs.items() if v is not None}
         if trace_sql is not None:
             args["sql"] = trace_sql
-        events.append({
-            "name": span.name,
-            "cat": span.cat,
-            "ph": "X",
-            "ts": span.start * 1e6,
-            "dur": span.duration * 1e6,
-            "pid": 1,
-            "tid": tid_for(node),
-            "args": args,
-        })
+        events.append({"name": span.name, "cat": span.cat, "ph": "X",
+                       "ts": span.start * 1e6, "dur": span.duration * 1e6,
+                       "pid": 1, "tid": tid_for(node), "args": args})
         for child in span.children:
             emit(child, None, node)
 
     for record in records:
         emit(build_trace(record), record_sql(record), None)
-    for name, tid in tids.items():
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": tid,
-            "args": {"name": name},
-        })
+    events += [{"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+                "args": {"name": name}} for name, tid in tids.items()]
     return {"traceEvents": events, "displayTimeUnit": "ms"}

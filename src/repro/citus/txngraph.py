@@ -25,13 +25,15 @@ since the last ``citus_stat_reset('graph')``.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from ..engine.stats import StatsRegistry
-from .record import (ABORT, BEGIN, BLOCKED, DISPATCH, E_ATTRS, E_CAT, E_NAME,
-                     EXECUTION, OK, TXN, U_BYTES, U_GROUP, U_KIND, U_NODE, U_WRITE,
-                     X_AUTOCOMMIT, X_EXPLICIT, X_OUTCOME, X_SESSION, X_TENANT,
-                     X_UNITS, StatementRecord)
+from .record import (ABORT, BEGIN, BLOCKED, DISPATCH, E_CAT, E_NAME, EXECUTION,
+                     OK, TXN, U_BYTES, U_GROUP, U_KIND, U_NODE, U_WRITE,
+                     UNIT_WIDTH, X_AUTOCOMMIT, X_EXPLICIT, X_NODE, X_OUTCOME,
+                     X_PID, X_TENANT, X_TWOPC, X_UNIT_COUNT, X_UNITS,
+                     StatementRecord)
 
 #: Transactions touching more shard groups than this skip pairwise edge
 #: folding (the vertex totals still update) — a 32-shard analytical scan
@@ -67,16 +69,14 @@ class _OpenTxn:
         self.tenants: set = set()
         self.explicit = False
 
-    def summary(self) -> dict:
-        """Access-set attributes for 2PC/1PC trace spans: distinct nodes,
-        shard groups, and tenants (sorted, capped)."""
+    def summary(self) -> tuple:
+        """What 2PC/1PC trace spans show of the access set: its distinct
+        nodes, shard groups and tenants (each sorted, capped)."""
         nodes = {node for node, _group in self.entries}
         groups = {group for _node, group in self.entries if group is not None}
-        return {
-            "access_nodes": sorted(nodes)[:_SPAN_ATTR_CAP],
-            "access_groups": sorted(group_label(g) for g in groups)[:_SPAN_ATTR_CAP],
-            "access_tenants": sorted(self.tenants)[:_SPAN_ATTR_CAP],
-        }
+        return (tuple(sorted(nodes)[:_SPAN_ATTR_CAP]),
+                tuple(sorted(group_label(g) for g in groups)[:_SPAN_ATTR_CAP]),
+                tuple(sorted(self.tenants)[:_SPAN_ATTR_CAP]))
 
 
 class _EdgeStats:
@@ -84,21 +84,15 @@ class _EdgeStats:
                  "twopc")
 
     def __init__(self):
-        self.txns = 0
-        self.writes = 0
-        self.bytes = 0
-        self.single_node = 0
-        self.cross_node = 0
-        self.twopc = 0
+        self.txns = self.writes = self.bytes = 0
+        self.single_node = self.cross_node = self.twopc = 0
 
 
 class _VertexStats:
     __slots__ = ("txns", "writes", "bytes")
 
     def __init__(self):
-        self.txns = 0
-        self.writes = 0
-        self.bytes = 0
+        self.txns = self.writes = self.bytes = 0
 
 
 class TxnGraph:
@@ -123,43 +117,57 @@ class TxnGraph:
         for event in record.events:
             cat = event[E_CAT]
             if cat is TXN:
-                key, twopc = event[E_ATTRS]
-                self.end_txn(key, event[E_NAME] is not ABORT, twopc, record)
+                self.end_txn((event[X_NODE], event[X_PID]),
+                             event[E_NAME] is not ABORT, event[X_TWOPC],
+                             record)
                 continue
             if cat is not EXECUTION:
                 continue
-            payload = event[E_ATTRS]
-            outcome = payload[X_OUTCOME]
+            outcome = event[X_OUTCOME]
             # A run that parked on a lock counts once its statement
             # completed without an error.
             if outcome is not OK and (outcome is not BLOCKED
                                       or record.error is not None):
                 continue
-            key = payload[X_SESSION]
+            key, autocommit = (event[X_NODE], event[X_PID]), event[X_AUTOCOMMIT]
+            if autocommit and event[X_UNIT_COUNT] == 1 and key not in self.open:
+                # One unit that is its own transaction (a point statement):
+                # its access, if it is one, is all end_txn would settle.
+                (kind, _index, _node, group, write, _start, _cost, _rows,
+                 nbytes) = event[X_UNITS:X_UNITS + UNIT_WIDTH]
+                if kind > BEGIN:
+                    self.registry.incr("txngraph_txns")
+                    if group is not None:
+                        self._touch(group, write, 0 if kind == DISPATCH else nbytes)
+                continue
             txn = self.open.get(key)
             if txn is None:
                 txn = self.open[key] = _OpenTxn()
-            if payload[X_EXPLICIT]:
+            if event[X_EXPLICIT]:
                 txn.explicit = True
             entries = txn.entries
-            tenant = payload[X_TENANT]
-            for unit in payload[X_UNITS]:
-                kind = unit[U_KIND]
+            # An autocommit run's transaction ends with it: no commit span
+            # shows its access summary, so its tenant is not noted.
+            tenant = None if autocommit else event[X_TENANT]
+            # The units, read in place (execution_units makes a tuple each).
+            for i in range(X_UNITS, X_UNITS + event[X_UNIT_COUNT] * UNIT_WIDTH,
+                           UNIT_WIDTH):
+                kind = event[i + U_KIND]
                 if kind <= BEGIN:  # CONNECT, BEGIN: not accesses
                     continue
                 if tenant is not None:  # the run accessed a shard for it
                     txn.tenants.add(str(tenant))
                     tenant = None
-                access = (unit[U_NODE], unit[U_GROUP])
+                access = (event[i + U_NODE], event[i + U_GROUP])
                 entry = entries.get(access)
                 if entry is None:
                     entry = entries[access] = [0, 0]
-                if unit[U_WRITE]:
+                if event[i + U_WRITE]:
                     entry[0] += 1
                 # A read is noted at dispatch; its bytes accrue per fetch.
                 if kind != DISPATCH:
-                    entry[1] += unit[U_BYTES]
-            if payload[X_AUTOCOMMIT]:
+                    entry[1] += event[i + U_BYTES]
+            if autocommit:
                 self.end_txn(key, True, False)
 
     def end_txn(self, key, committed: bool, twopc: bool,
@@ -206,13 +214,7 @@ class TxnGraph:
                 registry.incr("txngraph_txns_block_multi_group")
 
         for group, (writes, nbytes) in groups.items():
-            vertex = self.vertices.get(group)
-            if vertex is None:
-                vertex = self.vertices[group] = _VertexStats()
-            vertex.txns += 1
-            if writes:
-                vertex.writes += 1
-            vertex.bytes += nbytes
+            self._touch(group, writes, nbytes)
 
         if multi_group:
             if len(groups) > MAX_EDGE_FANOUT:
@@ -221,19 +223,26 @@ class TxnGraph:
                 self.wide_txns += 1
                 registry.incr("txngraph_wide_txns")
             else:
-                ordered = sorted(groups)
-                for a_idx in range(len(ordered)):
-                    for b_idx in range(a_idx + 1, len(ordered)):
-                        a, b = ordered[a_idx], ordered[b_idx]
-                        edge = self.edges.get((a, b))
-                        if edge is None:
-                            edge = self.edges[(a, b)] = _EdgeStats()
-                        edge.txns += 1
-                        info_a, info_b = groups[a], groups[b]
-                        if info_a[0] or info_b[0]:
-                            edge.writes += 1
-                        edge.bytes += info_a[1] + info_b[1]
-                        setattr(edge, kind, getattr(edge, kind) + 1)
+                for a, b in itertools.combinations(sorted(groups), 2):
+                    edge = self.edges.get((a, b))
+                    if edge is None:
+                        edge = self.edges[(a, b)] = _EdgeStats()
+                    edge.txns += 1
+                    info_a, info_b = groups[a], groups[b]
+                    if info_a[0] or info_b[0]:
+                        edge.writes += 1
+                    edge.bytes += info_a[1] + info_b[1]
+                    setattr(edge, kind, getattr(edge, kind) + 1)
+
+    def _touch(self, group, writes: int, nbytes: int) -> None:
+        """A committed transaction accessed ``group``."""
+        vertex = self.vertices.get(group)
+        if vertex is None:
+            vertex = self.vertices[group] = _VertexStats()
+        vertex.txns += 1
+        if writes:
+            vertex.writes += 1
+        vertex.bytes += nbytes
 
     def abort_sessions_of(self, node: str) -> None:
         """End as aborts the transactions of ``node``'s sessions (the node

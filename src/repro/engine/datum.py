@@ -167,6 +167,23 @@ def column_constant(value, type_name: str | None):
     return _cast(value, t)
 
 
+#: PostgreSQL's type of a numeric literal, as its errors name it.
+_LITERAL_TYPES = {int: "integer", float: "numeric"}
+
+
+def refuse_number_against_text(op: str, value,
+                               number_first: bool = False) -> None:
+    """Raise PostgreSQL's ``operator does not exist`` when ``value``, the
+    other side of a comparison with a text column, is an int or float
+    *literal* (``name = 5``): there is no text = integer operator. Callers
+    pass literals only: a quoted constant is unknown-typed and reads as
+    text, and a parameter keeps :func:`column_constant`'s rule."""
+    number = _LITERAL_TYPES.get(type(value))
+    if number is not None:
+        left, right = (number, "text") if number_first else ("text", number)
+        raise DataError(f"operator does not exist: {left} {op} {right}")
+
+
 @functools.lru_cache(maxsize=256)
 def exact_type(type_name: str):
     """The one Python type every non-NULL value of a column of type

@@ -21,6 +21,7 @@ extension nests distributed plans inside PostgreSQL plans.
 from __future__ import annotations
 
 import functools
+import weakref
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -39,8 +40,8 @@ from ..sql import ast as A
 from ..sql.deparse import deparse
 from .catalog import Table
 from .datum import (
-    Descending, caster, column_constant, compare_values, exact_type, ordering,
-    plain_sort_type, to_text,
+    TEXT, Descending, caster, column_constant, compare_values, exact_type,
+    ordering, plain_sort_type, refuse_number_against_text, to_text,
 )
 from .compile import (
     WhereShape, and_all, evaluate, get_compiled, get_prepared, slot_of, split_and,
@@ -246,7 +247,14 @@ class ScanShape:
         #: index candidate, their values constants or parameters — one key,
         #: and :meth:`probe` could choose nothing else (:meth:`point_key`).
         self.point = None
-        if where is None or not table.indexes:
+        if where is None:
+            return
+        text = [col.name for col in table.columns if col.type_name == TEXT]
+        for op, operand, operand_first in (
+                text_comparisons(where, alias, text) if text else ()):
+            if type(operand) is A.Literal:
+                refuse_number_against_text(op, operand.value, operand_first)
+        if not table.indexes:
             return
         types = {col.name: col.type_name for col in table.columns}
         patterns: list[tuple[str, str]] = []  # (indexed expr text, needle)
@@ -1557,6 +1565,35 @@ def _unique_match(table: Table, index, key_fn, key: list, snapshot, xids,
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
+class _Subqueries:
+    """An executor's subquery callback for one params object: uncorrelated
+    subqueries execute once (PostgreSQL's InitPlan), correlated ones re-run
+    per outer row. The executor keeps it, so it reaches the executor through
+    a weak proxy — a strong reference would make every executor a reference
+    cycle, left for the collector after its statement."""
+
+    __slots__ = ("executor", "params")
+
+    def __init__(self, executor: "LocalExecutor", params):
+        self.executor = weakref.proxy(executor)
+        self.params = params
+
+    def __call__(self, select: A.Select, outer_ctx: EvalContext):
+        executor, params, key = self.executor, self.params, id(select)
+        cache = executor._subquery_cache
+        if key in cache:
+            return cache[key]
+        if key in executor._correlated_subqueries:
+            return executor.execute_select(select, params, outer=outer_ctx).rows
+        try:
+            rows = executor.execute_select(select, params, outer=None).rows
+        except CatalogError:
+            executor._correlated_subqueries.add(key)
+            return executor.execute_select(select, params, outer=outer_ctx).rows
+        cache[key] = rows
+        return rows
+
+
 class LocalExecutor:
     """Executes statements against one instance's catalog and storage."""
 
@@ -1568,8 +1605,7 @@ class LocalExecutor:
         self._correlated_subqueries: set[int] = set()
         # The subquery callback handed to every EvalContext, built once per
         # params object rather than once per row.
-        self._subquery_run = None
-        self._subquery_params = None
+        self._subquery_run: _Subqueries | None = None
 
     # ------------------------------------------------------------ helpers
 
@@ -1578,9 +1614,8 @@ class LocalExecutor:
         """A context for one loop over rows of ``layout``; the loop points
         ``ctx.values`` at each row in turn."""
         run = self._subquery_run
-        if run is None or params is not self._subquery_params:
-            run = self._subquery_run = self._subquery_executor(params)
-            self._subquery_params = params
+        if run is None or params is not run.params:
+            run = self._subquery_run = _Subqueries(self, params)
         ctx = EvalContext(None, params, self.session, run, outer)
         ctx.layout = layout
         return ctx
@@ -1591,27 +1626,6 @@ class LocalExecutor:
 
     def _select_shape(self, select: A.Select) -> SelectShape:
         return self._prepared(select, lambda: SelectShape(select))
-
-    def _subquery_executor(self, params):
-        # Uncorrelated subqueries execute once (PostgreSQL's InitPlan);
-        # correlated ones re-run per outer row.
-        cache = self._subquery_cache
-
-        def run(select: A.Select, outer_ctx: EvalContext):
-            key = id(select)
-            if key in cache:
-                return cache[key]
-            if key in self._correlated_subqueries:
-                return self.execute_select(select, params, outer=outer_ctx).rows
-            try:
-                rows = self.execute_select(select, params, outer=None).rows
-            except CatalogError:
-                self._correlated_subqueries.add(key)
-                return self.execute_select(select, params, outer=outer_ctx).rows
-            cache[key] = rows
-            return rows
-
-        return run
 
     # ------------------------------------------------------------- SELECT
 
@@ -2692,6 +2706,42 @@ def _stable(expr) -> bool:
     while type(expr) is A.Cast:
         expr = expr.operand
     return type(expr) in (A.Literal, A.Param)
+
+
+_COMPARISONS = ("=", "<>", "!=", "<", "<=", ">", ">=")
+
+
+def text_comparisons(where, alias: str, text_columns):
+    """``(op, operand, operand_first)`` for every comparison ``where``
+    combines with AND / OR / NOT of one of ``text_columns`` of the table
+    ``alias`` names with some other operand — what PostgreSQL refuses when
+    that operand is a number."""
+
+    def text(expr) -> bool:
+        return (type(expr) is A.ColumnRef and expr.name in text_columns
+                and expr.table in (None, alias))
+
+    pending = [where]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is A.BinaryOp:
+            if node.op == "and" or node.op == "or":
+                pending += (node.left, node.right)
+            elif node.op in _COMPARISONS:
+                op = "<>" if node.op == "!=" else node.op
+                if text(node.left):
+                    yield op, node.right, False
+                if text(node.right):
+                    yield op, node.left, True
+        elif kind is A.UnaryOp and node.op == "not":
+            pending.append(node.operand)
+        elif kind is A.InList and text(node.operand):
+            for item in node.items:
+                yield "=", item, False
+        elif kind is A.BetweenExpr and text(node.operand):
+            yield ">=", node.low, False
+            yield "<=", node.high, False
 
 
 def _references_columns(expr) -> bool:

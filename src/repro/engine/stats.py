@@ -44,6 +44,7 @@ class LogHistogram:
     ``percentile`` walks the cumulative bucket counts and reports the
     upper bound of the bucket containing the requested rank, which makes
     p50 <= p95 <= p99 monotone by construction.
+    ``buckets`` is a dict of ints, which the collector never tracks.
     """
 
     __slots__ = ("base", "log_factor", "buckets", "count", "sum", "min", "max")
@@ -51,11 +52,9 @@ class LogHistogram:
     def __init__(self, base: float = 1e-6, factor: float = 1.5):
         self.base = base
         self.log_factor = math.log(factor)
-        self.buckets: Counter = Counter()
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = 0.0
+        self.buckets: dict[int, int] = {}
+        self.count, self.sum = 0, 0.0
+        self.min, self.max = math.inf, 0.0
 
     def observe(self, value: float) -> None:
         if value < 0:
@@ -66,7 +65,8 @@ class LogHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.buckets[self._index(value)] += 1
+        index = self._index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def _index(self, value: float) -> int:
         if value <= self.base:

@@ -245,8 +245,7 @@ from repro.citus.executor.adaptive import AdaptiveExecutor, ExecutionReport
 from repro.citus.executor.timeline import ConnectionTimeline
 from repro.citus.extension import CitusConfig
 from repro.citus.record import (BEGIN, BLOCKED, BLOCKED_TASK, E_ATTRS, E_CAT,
-                                E_END, E_NAME, E_START, EXECUTION, TASK, TASKS,
-                                X_REPORT, X_TASKS)
+                                E_END, E_NAME, E_START, EXECUTION, TASK, TASKS)
 from repro.engine.expr import BoundParams
 from repro.engine.locks import WouldBlock
 from repro.errors import ReproError
@@ -335,6 +334,19 @@ class Twin:
             executor.execute_task = (
                 lambda session, task, is_write=False:
                 execute_task(executor, session, task, is_write))
+        # The report and tasks of every run a statement record keeps: its
+        # EXECUTION event holds the run's values only.
+        self.runs = []
+        telemetry = self.ext.telemetry
+        execution_end = telemetry.execution_end
+
+        def kept_execution_end(driver, session, base, units, report, tasks,
+                               *rest):
+            if telemetry.current is not None:
+                self.runs.append((driver, report, tasks))
+            execution_end(driver, session, base, units, report, tasks, *rest)
+
+        telemetry.execution_end = kept_execution_end
         self.sessions = {}
         self.observed = []
         admin = self.session("admin")
@@ -385,13 +397,13 @@ class Twin:
         executions = [
             (record.name, record.tier, record.tenant, record.error,
              record.start, record.end, event[E_NAME], event[E_START],
-             event[E_END],
-             tuple(dataclasses.asdict(a) if i == X_REPORT
-                   else [_by_value(task) for task in a] if i == X_TASKS and a
-                   else a for i, a in enumerate(event[E_ATTRS])))
+             event[E_END], event[E_ATTRS:])
             for record in telemetry.trace_records()
             for event in record.events if event[E_CAT] is EXECUTION
         ]
+        runs = [(driver, dataclasses.asdict(report),
+                 tasks and [_by_value(task) for task in tasks])
+                for driver, report, tasks in self.runs]
         sessions = {}
         for name, session in self.sessions.items():
             pools = getattr(session, SessionPools.ATTR, None)
@@ -412,6 +424,7 @@ class Twin:
             "outcome": outcome,
             "report": report and dataclasses.asdict(report),
             "executions": executions,
+            "runs": runs,
             "registry": ext.stat_counters.as_dict(),
             "ash": list(telemetry.ash.ring),
             "clock": self.cluster.cluster.clock.now(),

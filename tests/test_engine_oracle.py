@@ -478,6 +478,33 @@ POSTGRES = {
                           [[k] for k in range(1, 10)]),
     "text_not_a_number": ("SELECT k FROM t WHERE k = 'abc'", None,
                           "invalid input for type int: 'abc'"),
+    # There is no text = integer operator: a numeric literal against a text
+    # column raises, by scan, index probe, routing and pruning alike (``u``
+    # holds '5', '05', '7'; ``tk`` is keyed and distributed on text).
+    "number_equals_text_column": ("SELECT id FROM u WHERE name = 5", None,
+                                  "operator does not exist: text = integer"),
+    "number_first_text_column": ("SELECT id FROM u WHERE 5 = name", None,
+                                 "operator does not exist: integer = text"),
+    "float_equals_text_column": ("SELECT id FROM u WHERE name = 5.5", None,
+                                 "operator does not exist: text = numeric"),
+    "number_in_or_text_column": ("SELECT id FROM u WHERE id = 1 OR name = 5", None,
+                                 "operator does not exist: text = integer"),
+    "number_update_text_column": ("UPDATE u SET id = id WHERE name = 5", None,
+                                  "operator does not exist: text = integer"),
+    "number_equals_text_key": ("SELECT v FROM tk WHERE k = 5", None,
+                               "operator does not exist: text = integer"),
+    "number_in_text_key": ("SELECT v FROM tk WHERE k IN (5, 6)", None,
+                           "operator does not exist: text = integer"),
+    "number_above_text_key": ("SELECT v FROM tk WHERE k > 4", None,
+                              "operator does not exist: text > integer"),
+    "number_between_text_key": ("SELECT v FROM tk WHERE k BETWEEN 1 AND 9", None,
+                                "operator does not exist: text >= integer"),
+    "number_delete_text_key": ("DELETE FROM tk WHERE k = 5", None,
+                               "operator does not exist: text = integer"),
+    "text_equals_text_key": ("SELECT v FROM tk WHERE k = '5'", None, [[1]]),
+    # An INSERT assigns: 9 into a text column is '9'.
+    "number_into_text_key": (["INSERT INTO tk VALUES (9, 9)",
+                              "SELECT v FROM tk WHERE k = '9'"], None, [[9]]),
     # ``r`` is range-distributed over [0, 99], [100, 199], [200, 299] with
     # rows 5, 99, 150, 250: strict bounds and text constants prune by the
     # value they read as.
@@ -533,7 +560,8 @@ POSTGRES = {
 @pytest.fixture(scope="module")
 def small_tables():
     """The single node and a (2, 4) cluster, each holding ``t`` (and ``r``,
-    range-distributed on the cluster)."""
+    range-distributed on the cluster; ``tk``, distributed on its text
+    key)."""
     targets = {"single": oracle_session(),
                "cluster": make_cluster(workers=2, shard_count=4).coordinator_session()}
     for name, session in targets.items():
@@ -543,6 +571,8 @@ def small_tables():
         session.execute("CREATE TABLE dst (t int, b int, n int)")
         session.execute("CREATE TABLE co (a int, b int)")
         session.execute("CREATE TABLE r (key int PRIMARY KEY, v int)")
+        session.execute("CREATE TABLE u (id int PRIMARY KEY, name text)")
+        session.execute("CREATE TABLE tk (k text PRIMARY KEY, v int)")
         if name == "cluster":
             session.execute("SELECT create_distributed_table('t', 'k')")
             session.execute("SELECT create_distributed_table('e', 'k')")
@@ -550,12 +580,16 @@ def small_tables():
             session.execute("SELECT create_distributed_table('dst', 't',"
                             " colocate_with := 'none')")
             session.execute("SELECT create_distributed_table('co', 'b')")
+            session.execute("SELECT create_distributed_table('u', 'id')")
+            session.execute("SELECT create_distributed_table('tk', 'k')")
             session.execute("SELECT create_range_distributed_table('r', 'key',"
                             " ARRAY[ARRAY[0, 99], ARRAY[100, 199], ARRAY[200, 299]])")
         session.copy_rows("t", [[k, 10 * k] for k in range(1, 10)])
         session.copy_rows("src", [[k, k, 10 * k] for k in range(1, 11)])
         session.copy_rows("co", [[1, 0], [None, 2]])
         session.copy_rows("r", [[key, key] for key in (5, 99, 150, 250)])
+        session.copy_rows("u", [[1, "5"], [2, "05"], [3, "7"]])
+        session.copy_rows("tk", [["5", 1], ["6", 2], ["x", 3]])
     return targets
 
 

@@ -34,8 +34,8 @@ import pytest
 from repro import PostgresInstance, make_cluster
 from repro.citus import introspection, record as record_module, tracing, txngraph
 from repro.citus.extension import CitusConfig
-from repro.citus.record import (BATCH, CLOSE, CONNECT, DISPATCH, E_ATTRS, E_CAT,
-                                EXECUTION, X_UNITS)
+from repro.citus.record import (BATCH, CLOSE, CONNECT, DISPATCH, E_CAT,
+                                EXECUTION, U_KIND, execution_units)
 from repro.citus.telemetry import PENDING_MAX
 from repro.engine import datum, heap as heap_module, stats
 from repro.engine.catalog import Table
@@ -449,25 +449,27 @@ def test_written_rows_leave_nothing_for_the_collector_but_the_heap():
     a write leaves behind for the collector is its heap version and that
     version's values list — two objects per row.
 
-    Objects are counted right after the second collection, before the
-    test builds anything of its own: the first ``Counter`` over a
-    generator in a process fills the ``collections.abc`` caches, which
-    would count against the writes when the test runs alone."""
+    An index entry is a tuple holding its key tuple: a collection untracks
+    the key, and the entry only in the next one when both were young. So
+    objects are counted after two collections, on both sides: after one,
+    how many entries are still tracked depends on where the automatic
+    collections fell, and that on what earlier tests left in the
+    process-wide caches the warm-up adds to (what an eviction frees lowers
+    the generation counts). They are counted before the test builds anything
+    of its own: the first ``Counter`` over a generator in a process fills
+    the ``collections.abc`` caches, which would count against the writes
+    when the test runs alone."""
     _cluster, session = empty_events(distributed=False)
     wal = session.instance.wal
-    # An index entry's key is a tuple in a tuple, untracked in one
-    # collection only when the collector meets the key first; collecting
-    # here makes where the warm-up's automatic collections fall — and so
-    # which of its entries ``before`` still counts — independent of what
-    # ran earlier in the process.
-    gc.collect()
     write_round(session, 1)  # the statements' shapes, plans and caches
+    gc.collect()
     gc.collect()
     before = len(gc.get_objects())
     written = write_round(session, ROWS + 1)
     gc.collect()
-    after = len(gc.get_objects())
     assert not any(map(gc.is_tracked, wal.records))
+    gc.collect()
+    after = len(gc.get_objects())
     kinds = Counter(record[2] for record in wal.read())
     assert {"insert", "update", "delete", "prepare", "commit_prepared",
             "abort", "commit"} <= set(kinds)
@@ -1030,7 +1032,7 @@ def test_a_streaming_select_keeps_one_tuple_per_unit_of_connection_work():
         assert counts["spans"] == counts["folds"] == counts["observes"] == 0
     (record,) = telemetry.pending
     (execution,) = [e for e in record.events if e[E_CAT] is EXECUTION]
-    kinds = Counter(unit[0] for unit in execution[E_ATTRS][X_UNITS])
+    kinds = Counter(unit[U_KIND] for unit in execution_units(execution))
     report = cluster.coordinator_ext.executor.last_report
     assert kinds[DISPATCH] == 16  # one per shard stream
     assert kinds[BATCH] >= report.batches_fetched >= 16
@@ -1073,6 +1075,84 @@ def test_unfolded_records_never_exceed_the_pending_constant():
     assert telemetry.pending.dropped == 0
     rows = session.execute("SELECT citus_stat_statements()").scalar()
     assert sum(row[3] for row in rows if "SELECT v FROM kv" in row[0]) == 5_000
+
+
+# ---------------------------------------------- telemetry and the collector
+#
+# What telemetry keeps beyond a statement is either untracked by the
+# collector or one object: a closed record's events are flat tuples of
+# atomic values, a statement statistics entry is one object whose histogram
+# buckets are a dict of ints, a tenant's totals a tuple of numbers.
+
+OFF = CitusConfig(enable_tracing=False, enable_introspection=False,
+                  enable_plan_alternatives=False, enable_txn_graph=False,
+                  enable_ash=False)
+
+
+def _tracked_growth(config, new_tenants: int) -> int:
+    """Tracked objects left after ``new_tenants`` warmed fast-path
+    statements on as many new tenants, once everything is folded and
+    collected. The trace ring and pending buffer are full before, so the
+    records the loop adds replace as many."""
+    cluster, session = _fast_path_cluster(config)
+    telemetry = cluster.coordinator_ext.telemetry
+    sql = "SELECT v FROM kv WHERE k = $1"
+    for i in range(PENDING_MAX + 300):
+        session.execute(sql, [i % 64])
+    telemetry.drain()
+    gc.collect()
+    before = len(gc.get_objects())
+    for key in range(1_000, 1_000 + new_tenants):
+        session.execute(sql, [key])
+    telemetry.drain()
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
+def test_new_tenants_leave_one_object_per_statistics_entry_and_tenant():
+    new_tenants = 300
+    on = _tracked_growth(None, new_tenants)
+    off = _tracked_growth(OFF, new_tenants)
+    # Each new tenant is one new citus_stat_statements entry and one new
+    # citus_stat_tenants entry.
+    assert on - off <= 2 * new_tenants, (on, off)
+
+
+def test_closed_records_keep_only_themselves_for_the_collector():
+    cluster, session = _fast_path_cluster()
+    telemetry = cluster.coordinator_ext.telemetry
+    # Point reads and writes, multi-shard reads (many units each) and
+    # explicit transactions (commit events and access summaries).
+    for i in range(80):
+        session.execute("SELECT v FROM kv WHERE k = $1", [i % 64])
+        session.execute("UPDATE kv SET v = v + 1 WHERE k = $1", [i % 64])
+        session.execute("SELECT count(*) FROM kv")
+        session.execute("BEGIN")
+        session.execute("UPDATE kv SET v = v + 1 WHERE k = $1", [i % 64])
+        session.execute("UPDATE kv SET v = v + 1 WHERE k = $1", [(i + 7) % 64])
+        session.execute("COMMIT")
+    records = list(telemetry.traces) + list(telemetry.pending)
+    assert len(telemetry.traces) == telemetry.traces.capacity
+    assert len(telemetry.pending) > 0
+
+    def tracked() -> int:
+        kept = set()
+        for record in records:
+            for part in (record, record.events, *record.events, record.access,
+                         record.stmt):
+                if gc.is_tracked(part):
+                    kept.add(id(part))
+        return len(kept)
+
+    # The statements are the session's cached ASTs: a few, shared.
+    statements = len({id(record.stmt) for record in records})
+    assert statements <= 8
+    gc.collect()
+    # A container still tracked is met before what it holds in the pass
+    # that untracks its contents, and goes in the next one.
+    assert tracked() <= 2 * len(records) + statements
+    gc.collect()
+    assert tracked() == len(records) + statements
 
 
 # ------------------------------------------- index entries die on access
