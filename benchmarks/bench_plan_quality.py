@@ -110,6 +110,11 @@ def _tpcc_suite():
         "customer_rollup": (
             "SELECT c_w_id, count(*) FROM customer GROUP BY c_w_id"
         ),
+        # An inner level grouping on the key by position runs per shard.
+        "customer_rollup_by_position": (
+            "SELECT count(*) FROM (SELECT c_w_id, count(*) FROM customer"
+            " GROUP BY 1) s"
+        ),
     }
     return cluster, session, queries
 

@@ -56,8 +56,7 @@ clients = [pool.client() for _ in range(20)]
 for i, client in enumerate(clients):
     client.execute("SELECT * FROM usertable WHERE ycsb_key = $1",
                    [ycsb.key_name(i)])
-print(f"\npgbouncer: 20 clients served by ≤{pool.pool_size} server sessions"
-      f" (peak leases: {pool.peak_leases})")
+print(f"\npgbouncer: 20 clients served by ≤{pool.pool_size} server sessions")
 
 # Parallel scan across all documents (Table 2: parallel distributed SELECT
 # is 'useful for performing scans and analytics across a large number of

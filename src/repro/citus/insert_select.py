@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .copy_dist import copy_targets, distribute_rows
 from .observability import TaskTarget
-from .planner.pushdown import MultiTaskSelectPlan, _choose_mode
+from .planner.pushdown import MultiTaskSelectPlan, pushes_down_without_merge
 from .planner.tasks import CitusPlan, fold_write_results, statement_routes
 from .sharding import analyze_statement
 from ..engine.executor import LocalExecutor, QueryResult, width_error
@@ -58,11 +58,7 @@ def _choose_strategy(ext, stmt: A.Insert, dest, analysis) -> str:
     same_colocation = all(
         o.dist.colocation_id == dest.colocation_id for o in dist_sources
     )
-    pushable = analysis.all_dist_columns_equal() and not analysis.inner_cross_shard_agg
-    if not pushable:
-        return "coordinator"
-    needs_merge = _choose_mode(select, analysis) == "merge"
-    if needs_merge:
+    if not pushes_down_without_merge(analysis, select):
         return "coordinator"
     # The destination's distribution column must be fed by the source's
     # distribution column for per-shard-pair execution.

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...engine.executor import QueryResult
-from ...engine.functions import PARTIAL_REWRITES, is_aggregate
+from ...engine.executor import (
+    QueryResult, has_aggregates, is_aggregate_call, output_names,
+    resolve_group_ref, transform_level, window_calls,
+)
+from ...engine.functions import PARTIAL_REWRITES
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql.deparse import deparse
@@ -40,7 +43,7 @@ class PushdownSelect:
     mode: str  # "concat" | "merge"
     master_query: A.Select | None  # merge mode: query over the intermediate
     intermediate_columns: list  # column names of worker result
-    visible_columns: list  # output column names
+    visible_columns: list  # merge mode: output column names
     hidden_sort_keys: list  # concat mode: (position, ascending, nulls_first)
     distinct: bool = False
     offset: A.Expr | None = None
@@ -122,115 +125,41 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
             " (only the outermost aggregation is distributed)",
         )
 
-    try:
-        _check_window_functions(select, analysis)
-    except UnsupportedDistributedQuery as exc:
-        if search is not None:
-            search.reject("pushdown", "window_functions", str(exc))
-        raise
-    if _choose_mode(select, analysis) == "concat":
+    if not _windows_stay_on_shards(analysis):
+        unsupported(
+            "window_functions",
+            "window functions on distributed tables must be partitioned"
+            " by the distribution column",
+        )
+    if pushes_down_without_merge(analysis, select):
         return _plan_concat(ext, select, dist[0])
     return _plan_merge(ext, select, dist[0])
 
 
-def _check_window_functions(select: A.Select, analysis: QueryAnalysis) -> None:
-    """Multi-shard window functions push down only when every window is
-    partitioned by the distribution column — each partition then lives on
-    one shard (the same restriction Citus applies)."""
-    windows = [
-        n for t in select.targets if isinstance(t, A.TargetEntry)
-        for n in A.walk(t.expr)
-        if isinstance(n, A.FuncCall) and n.over is not None
-    ]
-    if not windows:
-        return
-    dist_roots = {
-        analysis.equivalence.find(analysis.dist_column_key(occ))
-        for occ in analysis.distributed
-    }
-    for window in windows:
-        partition_ok = False
-        for expr in window.over.partition_by:
-            if isinstance(expr, A.ColumnRef):
-                if analysis.equivalence.find(expr.key) in dist_roots:
-                    partition_ok = True
-                for occ in analysis.distributed:
-                    if expr.table is None and expr.name == occ.dist.dist_column:
-                        partition_ok = True
-        if not partition_ok:
-            raise UnsupportedDistributedQuery(
-                "window functions on distributed tables must be partitioned"
-                " by the distribution column"
-            )
+def pushes_down_without_merge(analysis: QueryAnalysis, select: A.Select) -> bool:
+    """Whether every shard can run ``select`` whole, the coordinator only
+    concatenating: its tables are co-located and joined on their
+    distribution columns, no level aggregates across shards and every
+    window stays on one shard."""
+    return (len({o.dist.colocation_id for o in analysis.distributed}) == 1
+            and analysis.all_dist_columns_equal()
+            and not analysis.inner_cross_shard_agg
+            and _windows_stay_on_shards(analysis)
+            and not analysis.aggregates_across_shards(select))
 
 
-def _choose_mode(select: A.Select, analysis: QueryAnalysis) -> str:
-    has_aggs = _query_has_aggregates(select)
-    if not has_aggs and not select.group_by and not select.distinct:
-        return "concat"
-    if _group_by_contains_dist_column(select, analysis):
-        return "concat"
-    if not has_aggs and not select.group_by and select.distinct:
-        return "concat"  # DISTINCT re-applied on the coordinator
-    return "merge"
-
-
-def _query_has_aggregates(select: A.Select) -> bool:
-    nodes = list(select.targets)
-    if select.having is not None:
-        nodes.append(select.having)
-    for entry in nodes:
-        expr = entry.expr if isinstance(entry, A.TargetEntry) else entry
-        if expr is None:
-            continue
-        if any(isinstance(n, A.FuncCall) and is_aggregate(n.name) for n in _walk_no_subquery(expr)):
-            return True
-    return False
-
-
-def _walk_no_subquery(expr):
-    """Walk an expression without descending into subqueries (their
-    aggregates belong to the subquery, not this level)."""
-    if isinstance(expr, A.SubqueryExpr):
-        return
-    if isinstance(expr, A.Node):
-        yield expr
-        import dataclasses
-
-        for f in dataclasses.fields(expr):
-            value = getattr(expr, f.name)
-            if isinstance(value, A.Node):
-                yield from _walk_no_subquery(value)
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    if isinstance(v, A.Node):
-                        yield from _walk_no_subquery(v)
-
-
-def _group_by_contains_dist_column(select: A.Select, analysis: QueryAnalysis) -> bool:
-    if not select.group_by:
-        return False
-    dist = analysis.distributed
-    if not dist:
-        return False
-    dist_roots = {
-        analysis.equivalence.find(analysis.dist_column_key(occ)) for occ in dist
-    }
-    targets = [t for t in select.targets if isinstance(t, A.TargetEntry)]
-    for g in select.group_by:
-        expr = g
-        if isinstance(g, A.Literal) and isinstance(g.value, int):
-            index = g.value - 1
-            if 0 <= index < len(targets):
-                expr = targets[index].expr
-        if isinstance(expr, A.ColumnRef):
-            if analysis.equivalence.find(expr.key) in dist_roots:
-                return True
-            # Unqualified reference to a distribution column.
-            for occ in dist:
-                if expr.table is None and expr.name == occ.dist.dist_column:
-                    return True
-    return False
+def _windows_stay_on_shards(analysis: QueryAnalysis) -> bool:
+    """Multi-shard window functions push down only when every window, at
+    every query level that runs on the shards, is partitioned by the
+    distribution column — each partition then lives on one shard (the
+    same restriction Citus applies)."""
+    for select, _depth in analysis.levels:
+        windows = window_calls([select.targets, select.order_by])
+        if windows:
+            is_dist = analysis.dist_column_test(select)
+            if not all(any(map(is_dist, w.over.partition_by)) for w in windows):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------- concat
@@ -244,7 +173,6 @@ def _plan_concat(ext, select, anchor):
     # list — resolved against the actual result width at execution time,
     # because * targets expand only on the workers.
     hidden_sort = []
-    visible = _visible_columns(select)
     n_appended = 0
     if worker.order_by:
         # Append hidden sort columns so the coordinator can re-sort the
@@ -282,7 +210,7 @@ def _plan_concat(ext, select, anchor):
         mode="concat",
         master_query=None,
         intermediate_columns=[],
-        visible_columns=visible,
+        visible_columns=[],
         hidden_sort_keys=hidden_sort,
         distinct=select.distinct,
         offset=offset,
@@ -338,23 +266,6 @@ def _classify_concat_clauses(select: A.Select) -> tuple[list, list]:
     return pushed, coordinator
 
 
-def _visible_columns(select) -> list[str]:
-    names = []
-    for entry in select.targets:
-        if isinstance(entry, A.TargetEntry):
-            if entry.alias:
-                names.append(entry.alias)
-            elif isinstance(entry.expr, A.ColumnRef):
-                names.append(entry.expr.name)
-            elif isinstance(entry.expr, A.FuncCall):
-                names.append(entry.expr.name.lower())
-            else:
-                names.append("?column?")
-        else:
-            names.append("*")
-    return names
-
-
 # ----------------------------------------------------------------- merge
 
 
@@ -378,76 +289,57 @@ def _plan_merge(ext, select, anchor):
     distinct_group_cols: list[str] = []
     distinct_group_exprs: list = []
 
-    def split(expr):
-        """Rewrite ``expr`` into its master form, pushing aggregate inputs
-        and group keys into the worker target list."""
-        if isinstance(expr, A.FuncCall) and is_aggregate(expr.name):
-            if expr.distinct and len(expr.args) == 1 and not expr.order_by:
-                col = worker_column_for(expr.args[0])
+    def split_node(node):
+        """The master form of one node: an aggregate call of this level
+        merges its worker partials, a node holding none is a worker column
+        (a group key), and any other is descended into."""
+        if is_aggregate_call(node):
+            if node.distinct and len(node.args) == 1 and not node.order_by:
+                col = worker_column_for(node.args[0])
                 if col not in distinct_group_cols:
                     distinct_group_cols.append(col)
-                    distinct_group_exprs.append(expr.args[0])
-                return A.FuncCall(expr.name, [A.ColumnRef(col)], distinct=True)
-            rewrite = PARTIAL_REWRITES.get(expr.name.lower())
-            if rewrite is None or expr.distinct or expr.order_by:
+                    distinct_group_exprs.append(node.args[0])
+                return A.FuncCall(node.name, [A.ColumnRef(col)], distinct=True)
+            rewrite = PARTIAL_REWRITES.get(node.name.lower())
+            if rewrite is None or node.distinct or node.order_by:
                 raise UnsupportedDistributedQuery(
-                    f"aggregate {expr.name}({'DISTINCT ' if expr.distinct else ''}...)"
+                    f"aggregate {node.name}({'DISTINCT ' if node.distinct else ''}...)"
                     " cannot be distributed without grouping by the distribution column"
                 )
             worker_name, merge_name = rewrite
-            worker_agg = expr.copy()
+            worker_agg = node.copy()
             worker_agg.name = worker_name
             col = worker_column_for(worker_agg, partial_name=worker_name)
             merged = A.FuncCall(merge_name, [A.ColumnRef(col)])
-            if expr.name.lower() == "count":
+            if node.name.lower() == "count":
                 # sum() over no partials (every shard pruned) is NULL; a
                 # count is 0.
                 merged = A.FuncCall("coalesce", [merged, A.Literal(0)])
             return merged
-        if not _contains_aggregate(expr):
-            col = worker_column_for(expr)
-            if col not in group_worker_cols:
-                group_worker_cols.append(col)
-            return A.ColumnRef(col)
-        # Mixed expression: recurse structurally.
-        import dataclasses
+        if has_aggregates(node):
+            return node
+        col = worker_column_for(node)
+        if col not in group_worker_cols:
+            group_worker_cols.append(col)
+        return A.ColumnRef(col)
 
-        kwargs = {}
-        for f in dataclasses.fields(expr):
-            value = getattr(expr, f.name)
-            if isinstance(value, A.Node):
-                kwargs[f.name] = split(value)
-            elif isinstance(value, list):
-                kwargs[f.name] = [split(v) if isinstance(v, A.Node) else v for v in value]
-            else:
-                kwargs[f.name] = value
-        return type(expr)(**kwargs)
+    def split(expr):
+        """Rewrite ``expr`` into its master form, pushing aggregate inputs
+        and group keys into the worker target list."""
+        return transform_level(expr.copy(), split_node)
 
-    master_targets = []
-    targets = [t for t in select.targets if isinstance(t, A.TargetEntry)]
-    if len(targets) != len(select.targets):
+    targets = select.targets
+    if any(isinstance(t.expr, A.Star) for t in targets):
         raise UnsupportedDistributedQuery(
             "SELECT * with cross-shard aggregation is not supported"
         )
-    for entry in targets:
-        master_targets.append(A.TargetEntry(split(entry.expr), entry.alias))
+    master_targets = [A.TargetEntry(split(t.expr), t.alias) for t in targets]
 
     # Original GROUP BY keys not already covered become hidden worker
     # columns so the coordinator can re-group identically.
-    resolved_groups = []
-    for g in select.group_by:
-        expr = g
-        if isinstance(g, A.Literal) and isinstance(g.value, int):
-            index = g.value - 1
-            if 0 <= index < len(targets):
-                expr = targets[index].expr
-        elif isinstance(g, A.ColumnRef) and g.table is None:
-            for entry in targets:
-                if entry.alias == g.name:
-                    expr = entry.expr
-                    break
-        resolved_groups.append(expr)
-        if not _contains_aggregate(expr):
+    resolved_groups = [resolve_group_ref(g, targets) for g in select.group_by]
+    for expr in resolved_groups:
+        if not has_aggregates(expr):
             col = worker_column_for(expr)
             if col not in group_worker_cols:
                 group_worker_cols.append(col)
@@ -505,7 +397,7 @@ def _plan_merge(ext, select, anchor):
         mode="merge",
         master_query=master_query,
         intermediate_columns=[t.alias for t in worker_targets],
-        visible_columns=_visible_columns(select),
+        visible_columns=output_names(targets),
         hidden_sort_keys=[],
         n_visible=len(targets),
         total_shards=len(anchor.dist.shards),
@@ -513,12 +405,6 @@ def _plan_merge(ext, select, anchor):
         coordinator=coordinator,
         routes=ShardRoutes(ext, worker_query, anchor.dist, anchor.alias),
         merge_strategy="GroupAggregate Merge (incremental)",
-    )
-
-
-def _contains_aggregate(expr) -> bool:
-    return any(
-        isinstance(n, A.FuncCall) and is_aggregate(n.name) for n in _walk_no_subquery(expr)
     )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..engine.compile import UNBOUND, param_value, split_and
 from ..engine.datum import cast_value, column_constant, hash_value
+from ..engine.executor import is_aggregating, output_names, resolve_group_ref
 from ..errors import ReproError
 from ..sql import ast as A
 from ..sql.facts import StatementFacts
@@ -39,8 +40,9 @@ class QueryAnalysis:
         self.equivalence = UnionFind()
         # Equivalence-class constants: root -> constant value
         self.constants: dict[object, object] = {}
-        self.has_subquery_from = False
-        self.inner_cross_shard_agg = False
+        #: ``(select, depth)`` of the statement's own SELECT (depth 0) and
+        #: of every inner one whose FROM reads a distributed table.
+        self.levels: list[tuple[A.Select, int]] = []
         #: One ``(preserved, other)`` pair of alias sets per side an outer
         #: join keeps every row of (two for a FULL join).
         self.outer_joins: list[tuple[set, set]] = []
@@ -70,6 +72,41 @@ class QueryAnalysis:
             if not preserved & dist and other & dist:
                 return preserved
         return None
+
+    @property
+    def inner_cross_shard_agg(self) -> bool:
+        """Whether an inner (non-top-level) query aggregates across shards.
+        That blocks pushdown: only the outermost aggregation can be split
+        into partial / merge phases."""
+        return any(depth and self.aggregates_across_shards(select)
+                   for select, depth in self.levels)
+
+    def aggregates_across_shards(self, select: A.Select) -> bool:
+        """Whether a SELECT level aggregates rows of more than one shard
+        into one: it aggregates (:func:`is_aggregating`) without grouping
+        on a distribution column."""
+        return is_aggregating(select) and not any(
+            map(self.dist_column_test(select),
+                (resolve_group_ref(g, select.targets) for g in select.group_by)))
+
+    def dist_column_test(self, select: A.Select):
+        """A test of whether an expression of a SELECT level is the
+        distribution column: a column, bound to its table through the
+        level's scope, in the distribution columns' class, or a bare name
+        no one table owns that names one. A GROUP BY or window partition
+        on it keeps each group on one shard."""
+        roots = {self.equivalence.find(self.dist_column_key(o))
+                 for o in self.distributed}
+        names = {o.dist.dist_column for o in self.distributed}
+        scope = _build_scope(select.from_items, self)
+
+        def test(expr) -> bool:
+            if not isinstance(expr, A.ColumnRef):
+                return False
+            key = _qualify(expr.key, scope)
+            return key in names or self.equivalence.find(key) in roots
+
+        return test
 
     def constant_for(self, occ: TableOccurrence):
         root = self.equivalence.find(self.dist_column_key(occ))
@@ -140,7 +177,7 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
     elif isinstance(stmt, (A.Update, A.Delete)):
         alias = stmt.alias or stmt.table
         _add_occurrence(stmt.table, alias, cache, analysis)
-        scope = _build_scope([A.TableRef(stmt.table, stmt.alias)], cache, analysis)
+        scope = _build_scope([A.TableRef(stmt.table, stmt.alias)], analysis)
         if stmt.where is not None:
             _collect_equalities(stmt.where, analysis, params, scope)
             _collect_subquery_tables(stmt.where, cache, analysis, params, scope)
@@ -148,7 +185,7 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
     return analysis
 
 
-def _build_scope(from_items, cache, analysis) -> dict:
+def _build_scope(from_items, analysis) -> dict:
     """alias -> {column name: type name, None when unknown} visible under
     that alias."""
     scope: dict[str, dict] = {}
@@ -159,14 +196,7 @@ def _build_scope(from_items, cache, analysis) -> dict:
             if columns:
                 scope[item.ref_name] = columns
         elif isinstance(item, A.SubqueryRef):
-            names = {}
-            for entry in item.query.targets:
-                if isinstance(entry, A.TargetEntry):
-                    if entry.alias:
-                        names[entry.alias] = None
-                    elif isinstance(entry.expr, A.ColumnRef):
-                        names[entry.expr.name] = None
-            scope[item.alias] = names
+            scope[item.alias] = dict.fromkeys(output_names(item.query.targets))
         elif isinstance(item, A.JoinExpr):
             add(item.left)
             add(item.right)
@@ -212,9 +242,13 @@ def _finalize_unqualified_refs(analysis: QueryAnalysis) -> None:
 def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params, depth: int):
     for cte in select.ctes:
         _analyze_select(cte.query, cache, analysis, params, depth + 1)
-    scope = _build_scope(select.from_items, cache, analysis)
+    scope = _build_scope(select.from_items, analysis)
+    start = len(analysis.occurrences)
     for item in select.from_items:
         _analyze_from_item(item, cache, analysis, params, depth, scope)
+    if not depth or any(o.dist is not None and not o.dist.is_reference
+                        for o in analysis.occurrences[start:]):
+        analysis.levels.append((select, depth))
     if select.where is not None:
         _collect_equalities(select.where, analysis, params, scope)
         _collect_subquery_tables(select.where, cache, analysis, params, scope)
@@ -228,11 +262,6 @@ def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params, de
     # them reads shards like one in the targets does.
     for expr in [*(key.expr for key in select.order_by), *select.group_by]:
         _collect_subquery_tables(expr, cache, analysis, params, scope)
-    # Does an inner (non-top-level) query aggregate across shards? That
-    # blocks pushdown: only the outermost aggregation can be split into
-    # partial/merge phases.
-    if depth > 0 and _has_cross_shard_aggregate(select, cache):
-        analysis.inner_cross_shard_agg = True
     for _op, rhs in select.set_ops:
         _analyze_select(rhs, cache, analysis, params, depth)
 
@@ -241,12 +270,11 @@ def _analyze_from_item(item, cache, analysis, params, depth, scope=None):
     if isinstance(item, A.TableRef):
         _add_occurrence(item.name, item.ref_name, cache, analysis)
     elif isinstance(item, A.SubqueryRef):
-        analysis.has_subquery_from = True
         _analyze_select(item.query, cache, analysis, params, depth + 1)
         # Column refs through the subquery alias join the equivalence web via
         # the subquery's target names: alias.colname ~ target expr when the
         # target is a plain column reference.
-        inner_scope = _build_scope(item.query.from_items, cache, analysis)
+        inner_scope = _build_scope(item.query.from_items, analysis)
         for entry in item.query.targets:
             if isinstance(entry, A.TargetEntry) and isinstance(entry.expr, A.ColumnRef):
                 out_name = entry.alias or entry.expr.name
@@ -341,56 +369,11 @@ def _collect_subquery_tables(expr, cache, analysis, params, scope=None) -> None:
                 and isinstance(node.query.targets[0].expr, A.ColumnRef)
                 and not node.negated
             ):
-                inner_scope = _build_scope(node.query.from_items, cache, analysis)
+                inner_scope = _build_scope(node.query.from_items, analysis)
                 analysis.equivalence.union(
                     _qualify(node.operand.key, scope or {}),
                     _qualify(node.query.targets[0].expr.key, inner_scope),
                 )
-
-
-def _has_cross_shard_aggregate(select: A.Select, cache) -> bool:
-    """Does this (sub)query aggregate rows without grouping by a
-    distribution column of a table it reads?"""
-    from ..engine.functions import is_aggregate
-
-    has_agg = False
-    for entry in select.targets:
-        expr = entry.expr if isinstance(entry, A.TargetEntry) else None
-        if expr is None:
-            continue
-        if any(isinstance(n, A.FuncCall) and is_aggregate(n.name) for n in A.walk(expr)):
-            has_agg = True
-            break
-    if not has_agg and not select.group_by:
-        return False
-    if not has_agg:
-        # plain GROUP BY without aggregates is a distinct-like operation;
-        # same rule applies.
-        pass
-    dist_tables = []
-    for item in select.from_items:
-        for ref in _flatten_tables(item):
-            dist = cache.tables.get(ref.name)
-            if dist is not None and not dist.is_reference:
-                dist_tables.append((ref, dist))
-    if not dist_tables:
-        return False
-    group_names = set()
-    for g in select.group_by:
-        if isinstance(g, A.ColumnRef):
-            group_names.add(g.name)
-    for ref, dist in dist_tables:
-        if dist.dist_column in group_names:
-            return False
-    return True
-
-
-def _flatten_tables(item):
-    if isinstance(item, A.TableRef):
-        yield item
-    elif isinstance(item, A.JoinExpr):
-        yield from _flatten_tables(item.left)
-        yield from _flatten_tables(item.right)
 
 
 # -------------------------------------------------- a column's constant filter

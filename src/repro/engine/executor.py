@@ -56,7 +56,7 @@ from .index import BTreeIndex, GinIndex, index_delete, index_key_fn, row_key_fn
 from .locks import WouldBlock
 from .mvcc import COMMITTED, IN_PROGRESS, PREPARED
 from .wal import row_record_bytes, stored_form
-from .window import compute_window_values, contains_window_function
+from .window import compute_window_values
 
 
 @dataclass
@@ -410,13 +410,9 @@ class SelectShape:
 
     def __init__(self, select: A.Select):
         self.select = select
-        exprs = [entry.expr if isinstance(entry, A.TargetEntry) else entry
-                 for entry in select.targets]
-        plain = [e for e in exprs if not isinstance(e, A.Star)]
-        self.has_windows = any(contains_window_function(e) for e in plain)
+        self.has_windows = bool(window_calls(select.targets))
         #: Runs through the hash aggregate (GROUP BY or any aggregate call).
-        self.aggregates = bool(select.group_by) or _has_aggregates(
-            plain, select.having)
+        self.aggregates = is_aggregating(select)
         #: Can run as a lazy scan -> filter -> project pipeline (given that
         #: the FROM item resolves to a base table at execution time).
         self.streamable = not (
@@ -479,7 +475,7 @@ class BoundSelect:
         #: The fused loops this SELECT runs (``LocalExecutor._drain``).
         self.loops: dict = {}
         targets = _expand_stars(select.targets, layout.columns)
-        self.columns = _output_names(targets)
+        self.columns = output_names(targets)
         self.window_calls: list[A.FuncCall] = []
         if shape.has_windows:
             targets = [A.TargetEntry(self._lift_windows(t.expr.copy()), t.alias)
@@ -509,7 +505,7 @@ class BoundSelect:
                 return SlotRef(self.layout.width + len(self.window_calls) - 1)
             return node
 
-        return _transform_keep_identity(expr, visit)
+        return transform_level(expr, visit)
 
     def _sort_key(self, sk: A.SortKey, targets, scope: RowLayout) -> tuple:
         """``(source, arg, descending, key function)`` for one ORDER BY
@@ -522,7 +518,7 @@ class BoundSelect:
                 and 0 < expr.value <= len(targets)):
             source, arg = _OUT, expr.value - 1
         elif (self.agg is not None and scope is self.layout
-                and _has_aggregates([expr], None)):
+                and has_aggregates(expr)):
             # ORDER BY sum(x): one more aggregate slot on the group row.
             expr = self.agg.lift(expr.copy())
         elif isinstance(expr, A.ColumnRef):
@@ -572,7 +568,7 @@ class AggShape:
     def __init__(self, select: A.Select, targets, layout: RowLayout):
         self.layout = layout
         # GROUP BY entries may be positional or alias references.
-        group_exprs = [_resolve_ref(g, targets) for g in select.group_by]
+        group_exprs = [resolve_group_ref(g, targets) for g in select.group_by]
         self.group_fns = [get_compiled(g, layout) for g in group_exprs]
         #: Per GROUP BY entry: its slot when it is a plain column.
         self.group_slots = [slot_of(g, layout) for g in group_exprs]
@@ -597,12 +593,12 @@ class AggShape:
         """Replace the aggregate calls of ``expr`` (an expression this shape
         owns) by reads of their slots, registering each call."""
         def visit(node):
-            if isinstance(node, A.FuncCall) and is_aggregate(node.name):
+            if is_aggregate_call(node):
                 self._register(node)
                 return SlotRef(self.layout.width + len(self.steps) - 1)
             return node
 
-        return _transform_keep_identity(expr, visit)
+        return transform_level(expr, visit)
 
     def _register(self, node: A.FuncCall) -> None:
         agg = get_aggregate(node.name)
@@ -2459,24 +2455,41 @@ def limit_offset(node, ctx: EvalContext) -> tuple:
     return bounds[0] or 0, bounds[1]
 
 
-def _has_aggregates(exprs, having) -> bool:
-    """Whether a target list (or HAVING) aggregates at this query level.
-    Aggregates inside subqueries belong to the subquery's own level, and
+def is_aggregate_call(node) -> bool:
+    """Whether ``node`` is an aggregate call of the query level it sits in:
     an aggregate called as a window function (``sum(x) OVER ...``) is
     evaluated by the window pass, not by grouping."""
-    return any(
-        isinstance(node, A.FuncCall) and is_aggregate(node.name)
-        for expr in (*exprs, having)
-        for node in _walk_skip_subqueries(expr, skip_windows=True)
-    )
+    return (isinstance(node, A.FuncCall) and node.over is None
+            and is_aggregate(node.name))
 
 
-def _walk_skip_subqueries(expr, skip_windows: bool = False):
-    """Pre-order walk that does not descend into SubqueryExpr nodes (nor,
-    with ``skip_windows``, into window function calls)."""
+def has_aggregates(expr) -> bool:
+    """Whether ``expr`` (a node, or a list of them) calls an aggregate at
+    this query level: not inside a subquery, whose aggregates belong to its
+    own level, nor inside a window call; CASE arms, FILTER and arguments
+    included."""
+    return any(map(is_aggregate_call, _walk_level(expr, skip_windows=True)))
+
+
+def window_calls(expr) -> list:
+    """The window function calls of ``expr`` (a node, or a list of them)
+    at this query level."""
+    return [node for node in _walk_level(expr)
+            if isinstance(node, A.FuncCall) and node.over is not None]
+
+
+def is_aggregating(select: A.Select) -> bool:
+    """Whether a SELECT level runs through the hash aggregate: it has a
+    GROUP BY, or its targets or HAVING call an aggregate at its level."""
+    return bool(select.group_by) or has_aggregates([select.targets, select.having])
+
+
+def _walk_level(expr, skip_windows: bool = False):
+    """Pre-order walk of one query level: it does not descend into
+    SubqueryExpr nodes (nor, with ``skip_windows``, into window calls)."""
     if isinstance(expr, (list, tuple)):  # e.g. CASE's (condition, result) pairs
         for item in expr:
-            yield from _walk_skip_subqueries(item, skip_windows)
+            yield from _walk_level(item, skip_windows)
         return
     if not isinstance(expr, A.Node) or isinstance(expr, A.SubqueryExpr):
         return
@@ -2485,25 +2498,26 @@ def _walk_skip_subqueries(expr, skip_windows: bool = False):
     yield expr
     for name, may_hold_nodes in A.node_fields(type(expr)):
         if may_hold_nodes:
-            yield from _walk_skip_subqueries(getattr(expr, name), skip_windows)
+            yield from _walk_level(getattr(expr, name), skip_windows)
 
 
-def _transform_keep_identity(expr, fn):
-    """Like ast.transform but replaces nodes in place, in a visitation
-    order that preserves the identity of untouched nodes. Does not descend
-    into subqueries: their aggregates belong to the inner query level."""
+def transform_level(expr, fn):
+    """Replace, top down and in place, every node ``fn`` maps to a new one,
+    and descend into each node it returns unchanged (untouched nodes keep
+    their identity). A subquery is offered to ``fn`` but never descended
+    into: its aggregates belong to the inner query level."""
     if isinstance(expr, list):
-        return [_transform_keep_identity(v, fn) for v in expr]
+        return [transform_level(v, fn) for v in expr]
     if isinstance(expr, tuple):
-        return tuple(_transform_keep_identity(v, fn) for v in expr)
-    if not isinstance(expr, A.Node) or isinstance(expr, A.SubqueryExpr):
+        return tuple(transform_level(v, fn) for v in expr)
+    if not isinstance(expr, A.Node):
         return expr
     result = fn(expr)
-    if result is not expr:
+    if result is not expr or isinstance(expr, A.SubqueryExpr):
         return result
     for name, may_hold_nodes in A.node_fields(type(expr)):
         if may_hold_nodes:
-            setattr(expr, name, _transform_keep_identity(getattr(expr, name), fn))
+            setattr(expr, name, transform_level(getattr(expr, name), fn))
     return expr
 
 
@@ -2557,11 +2571,13 @@ def _compile_returning(returning, table: Table, layout: RowLayout):
     if not returning:
         return None
     targets = _expand_returning(returning, table)
-    return (_output_names(targets),
+    return (output_names(targets),
             [get_compiled(t.expr, layout) for t in targets])
 
 
-def _output_names(targets) -> list[str]:
+def output_names(targets) -> list[str]:
+    """The column names of a (star-expanded) target list, as PostgreSQL
+    names them."""
     names = []
     for entry in targets:
         if entry.alias:
@@ -2687,11 +2703,14 @@ def _apply_set_op(op: str, left_rows, right_rows):
     return out
 
 
-def _resolve_ref(expr, targets):
-    """Resolve positional (GROUP BY 1) and alias references to target exprs."""
+def resolve_group_ref(expr, targets):
+    """The target expression a GROUP BY item names by position (``GROUP BY
+    1``) or by output alias; any other item as it is. Before ``*`` is
+    expanded, a position at or past it names no known target."""
     if isinstance(expr, A.Literal) and isinstance(expr.value, int):
         index = expr.value - 1
-        if 0 <= index < len(targets):
+        if 0 <= index < len(targets) and not any(
+                isinstance(t.expr, A.Star) for t in targets[:index + 1]):
             return targets[index].expr
     if isinstance(expr, A.ColumnRef) and expr.table is None:
         for entry in targets:

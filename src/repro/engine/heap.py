@@ -130,13 +130,6 @@ class Heap:
         tup.xmax = xmax
         return tup
 
-    def unmark_deleted(self, tid: int) -> None:
-        """Roll back a delete mark (aborting xmax is enough for MVCC, but
-        clearing keeps the heap tidy for inspection)."""
-        tup = self._by_tid.get(tid)
-        if tup is not None:
-            tup.xmax = None
-
     def get(self, tid: int) -> HeapTuple | None:
         return self._by_tid.get(tid)
 
@@ -225,5 +218,3 @@ class Heap:
     def page_count(self) -> int:
         return max(1, (self.total_bytes + PAGE_SIZE - 1) // PAGE_SIZE)
 
-    def visible_count(self, snapshot: Snapshot, clog: CommitLog) -> int:
-        return sum(1 for _ in self.scan(snapshot, clog))

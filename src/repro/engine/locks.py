@@ -106,9 +106,6 @@ class LockManager:
         self._row_locks[key] = xid
         self._held_rows.setdefault(xid, set()).add(key)
 
-    def row_holder(self, table: str, row_id: int) -> int | None:
-        return self._row_locks.get((table, row_id))
-
     # ----------------------------------------------------------- waiting
 
     def add_wait(self, waiter_xid: int, holder_xids: set[int],

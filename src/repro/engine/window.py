@@ -30,12 +30,6 @@ def is_window_capable(name: str) -> bool:
     )
 
 
-def contains_window_function(expr) -> bool:
-    return any(
-        isinstance(n, A.FuncCall) and n.over is not None for n in A.walk(expr)
-    )
-
-
 def compute_window_values(node: A.FuncCall, rows: list, ctx) -> list:
     """Evaluate one window function over the input rows; returns a value
     per row, aligned with ``rows`` order. ``ctx`` is the caller's loop

@@ -35,7 +35,6 @@ class ConnectionPool:
         #: ``TooManyConnections`` (mirrors the ``pool_exhausted`` counter;
         #: this pool rejects rather than queueing, so the client retries).
         self.waits = 0
-        self.peak_leases = 0
         self.peak_clients = 0
 
     def client(self) -> "PooledClient":
@@ -79,7 +78,6 @@ class ConnectionPool:
             raise _PoolExhausted()
         self._lease_count += 1
         self.stats.gauge_incr("pool_leases", node=self._node)
-        self.peak_leases = max(self.peak_leases, self._lease_count)
         return session
 
     def _release(self, session) -> None:

@@ -56,6 +56,34 @@ ANALYTICS = {
                             None, None),
     "contradiction_rows": ("SELECT k, v FROM events WHERE k = 1 AND k = 2",
                            None, None),
+    # An aggregate inside CASE (target or HAVING) aggregates at its level.
+    "case_over_count": ("SELECT CASE WHEN count(*) > 1000 THEN 'many' ELSE 'few' END"
+                        " FROM events", None, None),
+    "case_over_sum_by_tenant": ("SELECT tenant, CASE WHEN sum(v) > 1200 THEN 1 ELSE 0 END"
+                                " FROM events GROUP BY tenant ORDER BY tenant",
+                                None, (0,)),
+    "case_arms_aggregate": ("SELECT tenant, CASE WHEN tenant < 20 THEN sum(v)"
+                            " ELSE count(*) END FROM events GROUP BY tenant"
+                            " ORDER BY tenant", None, (0,)),
+    "having_case": ("SELECT tenant, count(*) FROM events GROUP BY tenant HAVING"
+                    " CASE WHEN sum(v) > 1200 THEN true ELSE false END ORDER BY tenant",
+                    None, (0,)),
+    # An aggregate called as a window partitioned by the key aggregates
+    # nothing at the query level: every partition lives on one shard.
+    "window_sum_by_key": ("SELECT sum(v) OVER (PARTITION BY k) FROM events"
+                          " ORDER BY 1 LIMIT 5", None, (0,)),
+    "window_max_by_key": ("SELECT tenant, max(v) OVER (PARTITION BY k) FROM events"
+                          " ORDER BY 1, 2 LIMIT 5", None, (0, 1)),
+    # An inner level grouping on the key, by position or output alias, or
+    # windowing by it, runs whole on every shard.
+    "inner_group_by_position": ("SELECT count(*) FROM (SELECT k, count(*) FROM events"
+                                " GROUP BY 1) s", None, None),
+    "inner_group_by_alias": ("SELECT count(*) FROM (SELECT k AS key, count(*)"
+                             " FROM events GROUP BY key) s", None, None),
+    "inner_window_by_key": ("SELECT count(*) FROM (SELECT k, sum(v) OVER"
+                            " (PARTITION BY k) AS w FROM events) s", None, None),
+    "cast_output_name": ("SELECT tenant::text, count(*) FROM events GROUP BY tenant"
+                         " ORDER BY 1", None, (0,)),
 }
 #: Queries whose filter no row can satisfy: an empty result is the point.
 EMPTY = {"contradiction_rows"}
@@ -95,7 +123,8 @@ def test_cluster_agrees_with_single_node(oracle, cluster_session, name):
     planned, bound from the cache, and planned afresh after a metadata
     change, and every run must return what the single node returns."""
     sql, params, order_columns = QUERIES[name]
-    expected = normalized(oracle.execute(sql, params).rows)
+    answer = oracle.execute(sql, params)
+    expected, expected_columns = normalized(answer.rows), answer.columns
     assert (len(expected) == 0) == (name in EMPTY), \
         f"{name}: an unexpectedly empty result makes the comparison vacuous"
     ext = cluster_session.instance.extensions["citus"]
@@ -104,7 +133,9 @@ def test_cluster_agrees_with_single_node(oracle, cluster_session, name):
         if not cached:
             ext.metadata.bump_generation()
         with ext.stat_counters.measure() as m:
-            got = normalized(cluster_session.execute(sql, params).rows)
+            result = cluster_session.execute(sql, params)
+        assert result.columns == expected_columns, cached
+        got = normalized(result.rows)
         hits_and_misses.append(
             (m.value("plan_cache_hits"), m.value("plan_cache_misses")))
         assert sorted(got, key=repr) == sorted(expected, key=repr), cached
@@ -536,6 +567,18 @@ POSTGRES = {
     "insert_select_fewer_values": (["INSERT INTO dst SELECT t, v FROM src",
                                     "SELECT * FROM dst ORDER BY t"], None,
                                    [[k, 10 * k, None] for k in range(1, 11)]),
+    # An INSERT..SELECT that aggregates inside CASE merges on the coordinator.
+    "insert_select_case_over_sum": (
+        ["INSERT INTO dst (t, b, n) SELECT 1, 0, CASE WHEN sum(v) > 100 THEN 1"
+         " ELSE 0 END FROM src", "SELECT * FROM dst ORDER BY t"], None, [[1, 0, 1]]),
+    "insert_select_case_over_count": (
+        ["INSERT INTO dst (t, b, n) SELECT t % 2, 0, CASE WHEN count(*) > 3 THEN 1"
+         " ELSE 0 END FROM src GROUP BY t % 2", "SELECT * FROM dst ORDER BY t"],
+        None, [[0, 0, 1], [1, 0, 1]]),
+    # A window partitioned by the key runs per co-located shard pair.
+    "insert_select_window_on_key": (
+        ["INSERT INTO e (k, v) SELECT k, sum(v) OVER (PARTITION BY k) FROM t",
+         "SELECT * FROM e ORDER BY k"], None, [[k, 10 * k] for k in range(1, 10)]),
     # COALESCE evaluates only the arguments it needs.
     "coalesce_short_circuit": ("SELECT coalesce(a, 10 / b) FROM co ORDER BY b", None,
                                [[1], [5]]),

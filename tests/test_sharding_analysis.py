@@ -174,6 +174,16 @@ class TestInnerAggregates:
         )
         assert analysis.inner_cross_shard_agg
 
+    @pytest.mark.parametrize("inner", [
+        "SELECT key, count(*) AS c FROM a GROUP BY 1",
+        "SELECT key AS id, count(*) AS c FROM a GROUP BY id",
+        "SELECT key, sum(x) OVER (PARTITION BY key) AS c FROM a",
+    ], ids=["position", "alias", "window"])
+    def test_inner_level_on_dist_col_not_flagged(self, env, inner):
+        ext, _ = env
+        analysis = analyze(ext, f"SELECT avg(c) FROM ({inner}) s")
+        assert not analysis.inner_cross_shard_agg
+
 
 class TestPruning:
     def test_equality_prunes_to_one(self, env):

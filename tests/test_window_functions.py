@@ -157,6 +157,30 @@ class TestDistributedWindows:
         with pytest.raises(UnsupportedDistributedQuery):
             c.execute("SELECT row_number() OVER (PARTITION BY k ORDER BY v) FROM t")
 
+    @pytest.mark.parametrize("window", [
+        "row_number() OVER (PARTITION BY k ORDER BY v)",
+        "sum(v) OVER (PARTITION BY k)",
+    ], ids=["ranking", "aggregate"])
+    def test_non_dist_partition_rejected_in_a_subquery(self, c, window):
+        # Every level that runs on the shards is held to the rule.
+        with pytest.raises(UnsupportedDistributedQuery,
+                           match="partitioned by the distribution column"):
+            c.execute(f"SELECT count(*) FROM (SELECT g, {window} AS r FROM t) s"
+                      " WHERE r = 1")
+
+    @pytest.mark.parametrize("window", [
+        "row_number() OVER (PARTITION BY k ORDER BY v)",
+        "sum(v) OVER ()",
+    ], ids=["ranking", "aggregate"])
+    def test_non_dist_partition_rejected_in_an_insert_select(self, c, window):
+        # A co-located INSERT..SELECT must not run the window per shard pair.
+        c.execute("CREATE TABLE w (g int, v int)")
+        c.execute("SELECT create_distributed_table('w', 'g', colocate_with := 't')")
+        with pytest.raises(UnsupportedDistributedQuery,
+                           match="partitioned by the distribution column"):
+            c.execute(f"INSERT INTO w (g, v) SELECT g, {window} FROM t")
+        assert c.execute("SELECT count(*) FROM w").scalar() == 0
+
     def test_no_partition_rejected(self, c):
         with pytest.raises(UnsupportedDistributedQuery):
             c.execute("SELECT row_number() OVER (ORDER BY v) FROM t")
