@@ -9,6 +9,7 @@
     python3 benchmarks/sample_profile.py --workload analytics_scan --step group_agg
     python3 benchmarks/sample_profile.py --workload analytics_scan --step full_order --gc
     python3 benchmarks/sample_profile.py --workload oltp_point --gc --telemetry-off
+    python3 benchmarks/sample_profile.py --workload write_mix --garbage
 
 A 1 ms ``ITIMER_PROF`` signal walks the interpreter stack: unlike cProfile
 it adds nothing per call, so cheap-but-frequent functions keep their true
@@ -46,6 +47,10 @@ GC-tracked objects (``gc.get_objects()``) before and after the phase. With
 ``--step NAME`` it times only the collections that start inside that step,
 and prints its share of the step and passes per run of it.
 
+``--garbage`` does not sample either: it runs the measured phase under
+``gc.DEBUG_SAVEALL`` and prints the cyclic garbage it left, per op by type:
+what only the collector frees (a statement's objects that hold each other).
+
 ``--telemetry-off`` sets the workload up with every telemetry GUC off (the
 ledger's ``telemetry=False`` phase), in every mode but ``--plain``: the
 same command with and without it splits a cost into telemetry's share and
@@ -78,6 +83,9 @@ def main() -> int:
     parser.add_argument("--gc", action="store_true",
                         help="collector time, passes per generation and"
                         " tracked objects, in place of the sample")
+    parser.add_argument("--garbage", action="store_true",
+                        help="cyclic garbage per op by type, in place of the"
+                        " sample")
     parser.add_argument("--step", metavar="NAME",
                         help="sample only inside this timed step of each op")
     parser.add_argument("--telemetry-off", action="store_true",
@@ -141,6 +149,9 @@ def main() -> int:
     if args.gc:
         print_gc(args.workload, workload, root, args.step,
                  lambda: in_step, step_walls)
+        return workload.failed
+    if args.garbage:
+        print_garbage(args.workload, workload, root, args.top)
         return workload.failed
     signal.signal(signal.SIGPROF, sample)
     signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
@@ -257,6 +268,29 @@ def print_gc(name: str, workload, root: str, step=None, in_step=None,
               + (f" {len(times) / runs:15.2f}" if runs else ""))
     print(f"GC-tracked objects: {tracked_before} before, {tracked_after} after"
           f" ({tracked_after - tracked_before:+d})")
+
+
+def print_garbage(name: str, workload, root: str, top: int) -> None:
+    """The measured phase under ``gc.DEBUG_SAVEALL``: every object a
+    collection found unreachable is kept in ``gc.garbage`` instead of freed,
+    and counted by type."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        workload.measure()
+        gc.collect()
+        census = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    workload.finish()
+    ops = max(workload.ops, 1)
+    total = sum(census.values())
+    print(f"{name}: {workload.ops} ops, failed {workload.failed}, cyclic garbage"
+          f" {total} objects = {total / ops:.1f} per op ({root})")
+    print(" per op  objects  type")
+    for kind, n in census.most_common(top):
+        print(f"{n / ops:7.1f} {n:8d}  {kind}")
 
 
 class _Undistributed:

@@ -105,7 +105,7 @@ def _route_loop(dist, width: int, types, position, refuse_null: bool):
         value = "c{}".format
         for i, type_name in enumerate(types):
             lines += cast_lines(w, f"c{i}", f"row[{i}]", type_name)
-        lines.append(f"row = [{', '.join(value(i) for i in range(width))}]")
+        lines.append(f"row = ({''.join(value(i) + ', ' for i in range(width))})")
     flush = ["if buffered > peak:", " peak = buffered", "buffered -= len(channel)",
              "channels[i] = []", "node, group, name = targets[i]",
              "sink.flush(i, node, group, name, columns, channel)"]

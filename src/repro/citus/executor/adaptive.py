@@ -30,6 +30,7 @@ to the others.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ...engine.locks import WouldBlock
@@ -286,7 +287,9 @@ class TaskStream:
                  "done", "failed")
 
     def __init__(self, execution: "StreamingExecution", index: int, task):
-        self.execution = execution
+        # A proxy: the execution holds its streams, and a cycle between
+        # them would leave every finished statement to the collector.
+        self.execution = weakref.proxy(execution)
         self.index = index
         self.task = task
         self.cursor = None

@@ -19,6 +19,7 @@ across shards. Two merge strategies exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ...engine.executor import (
     QueryResult, has_aggregates, is_aggregate_call, output_names,
@@ -669,11 +670,13 @@ def _merge_append_runs(key_columns, visible_width: int, streams, execution):
             live.remove(horizon_stream)
 
 
-def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
+def run_streaming_group_merge(plan: PushdownSelect, execution, session, params,
+                              as_rows: bool = True):
     """Incremental two-phase aggregation merge: worker partial-aggregate
     batches stream into the coordinator's hash aggregate one at a time
     instead of being concatenated wholesale first; the aggregate reads each
-    batch's rows straight off its columns."""
+    batch's rows straight off its columns. The result is a QueryResult, or
+    (``as_rows`` False) the merged output as a column Batch."""
     from ...engine.executor import LocalExecutor
 
     def intermediate_rows():
@@ -689,6 +692,9 @@ def run_streaming_group_merge(plan: PushdownSelect, execution, session, params):
         plan.intermediate_columns, intermediate_rows(),
     )
     try:
+        if not as_rows:
+            return LocalExecutor(session).execute_select_columns(
+                plan.master_query, params)[1]
         result = LocalExecutor(session).execute_select(plan.master_query, params)
     finally:
         session.temp_results.pop("citus_intermediate", None)
@@ -821,8 +827,9 @@ class MultiTaskSelectPlan(CitusPlan):
     # ------------------------------------------------- streaming consumers
 
     def execute_batches(self, session, params):
-        """Open this SELECT as a generator of visible row batches for a
-        streaming consumer (the INSERT..SELECT write pipeline)."""
+        """Open this SELECT as a generator of visible row batches (each an
+        iterable of rows) for a streaming consumer (the INSERT..SELECT
+        write pipeline)."""
         execution = self.ext.executor.open_task_streams(session, self.tasks)
         return self._batch_generator(execution, session, self.params)
 
@@ -831,16 +838,22 @@ class MultiTaskSelectPlan(CitusPlan):
         merge_start = self.ext.cluster.clock.now()
         rows_out = 0
         try:
-            if shape.mode == "concat":
-                # The consumer routes rows: they are made here, a run at a time.
-                runs = (run.rows() for run in stream_concat_runs(
-                    shape, execution, session, params))
-            else:
+            if shape.mode != "concat":
                 # Group-merge: the worker partials stream into the hash
                 # aggregate batch by batch; the (much smaller) aggregated
-                # output is then re-chunked for the consumer.
-                runs = [run_streaming_group_merge(
-                    shape, execution, session, params).rows]
+                # output stays columns, and its rows are made one at a time
+                # as the consumer takes them.
+                merged = run_streaming_group_merge(shape, execution, session,
+                                                   params, as_rows=False)
+                rows = zip(*merged.columns)
+                for start in range(0, merged.count, STREAM_BATCH_SIZE):
+                    size = min(STREAM_BATCH_SIZE, merged.count - start)
+                    rows_out += size
+                    yield islice(rows, size)
+                return
+            # The consumer routes rows: they are made here, a run at a time.
+            runs = (run.rows() for run in stream_concat_runs(
+                shape, execution, session, params))
             # Re-chunk the runs: a batch leaves as soon as it is full,
             # before the merge is asked for (and fetches for) its next run.
             batch = []

@@ -189,21 +189,23 @@ def _build_scope(from_items, analysis) -> dict:
     """alias -> {column name: type name, None when unknown} visible under
     that alias."""
     scope: dict[str, dict] = {}
-
-    def add(item):
-        if isinstance(item, A.TableRef):
-            columns = _table_columns(item.name, analysis)
-            if columns:
-                scope[item.ref_name] = columns
-        elif isinstance(item, A.SubqueryRef):
-            scope[item.alias] = dict.fromkeys(output_names(item.query.targets))
-        elif isinstance(item, A.JoinExpr):
-            add(item.left)
-            add(item.right)
-
     for item in from_items:
-        add(item)
+        _add_to_scope(item, scope, analysis)
     return scope
+
+
+def _add_to_scope(item, scope: dict, analysis) -> None:
+    # A function of the module, not a closure that calls itself: that
+    # closure would be a reference cycle holding the analysis.
+    if isinstance(item, A.TableRef):
+        columns = _table_columns(item.name, analysis)
+        if columns:
+            scope[item.ref_name] = columns
+    elif isinstance(item, A.SubqueryRef):
+        scope[item.alias] = dict.fromkeys(output_names(item.query.targets))
+    elif isinstance(item, A.JoinExpr):
+        _add_to_scope(item.left, scope, analysis)
+        _add_to_scope(item.right, scope, analysis)
 
 
 def _table_columns(name, analysis) -> dict:

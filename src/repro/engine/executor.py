@@ -549,11 +549,16 @@ class BoundSelect:
 class AggShape:
     """The hash aggregate of one SELECT over input rows of one layout.
 
-    A group's output row is its first input row's values followed by one
-    slot per aggregate call; targets, HAVING and aggregate ORDER BY keys
-    are compiled over that row with each call replaced by a
-    :class:`SlotRef` (in a copy: statements are cached and shared across
-    sessions, so the rewrite must never touch the original tree).
+    A group's row is its first input row's values followed by one slot
+    per aggregate call; targets, HAVING and aggregate ORDER BY keys are
+    compiled over that row with each call replaced by a :class:`SlotRef`
+    (in a copy: statements are cached and shared across sessions, so the
+    rewrite must never touch the original tree). The groups themselves are
+    kept by column: ``groups`` maps a key to its group's number, in
+    first-seen order, and each slot of the group row is one list — the
+    first row's values, each call's states — so a group costs the
+    collector its key at most, and the row is made only where something
+    reads it whole.
 
     The per-row work — group key, group lookup, every call's accumulate
     step — is written into the fused loop that feeds the aggregate
@@ -616,66 +621,82 @@ class AggShape:
         self._finalize.clear()
 
     def finalizer(self, as_rows: bool, keep: bool):
-        """``finalize(groups, ctx, out, kept)``, per group in ``groups``'
-        order (HAVING drops groups): its output values appended to ``out``
-        — one list per group with ``as_rows``, else each to its column —
-        and with ``keep`` its group row, the first input row's values and
-        each call's result, to ``kept``. Generated once the shape is
-        complete (:meth:`lift` registers ORDER BY's calls after
-        ``__init__``): identity finishers read the state in place, slot
-        targets are written out, the rest are calls from the loop."""
+        """``finalize(count, firsts, states, ctx, out, kept)``, over the
+        ``count`` groups in order (HAVING drops groups): each call's state
+        column finished into its results; the output values appended to
+        ``out`` — one list per group with ``as_rows``, else each to its
+        column, a whole column at a time when no value needs the group row
+        — and with ``keep`` the group row to ``kept``. Generated once the
+        shape is complete (:meth:`lift` registers ORDER BY's calls after
+        ``__init__``): identity finishers leave the state column as it is,
+        slot targets are written out, the rest are calls from the loop."""
         run = self._finalize.get((as_rows, keep))
         if run is None:
             w = _Writer()
             run = self._finalize[as_rows, keep] = w.function(
-                "groups, ctx, out, kept", self._finalize_lines(w, as_rows, keep))
+                "count, firsts, states, ctx, out, kept",
+                self._finalize_lines(w, as_rows, keep))
         return run
 
     def _finalize_lines(self, w: "_Writer", as_rows: bool, keep: bool) -> list:
         width = self.layout.width
-        states, results = [], []
-        finish = []  # statements computing the non-identity results
-        for i, finisher in enumerate(self.finishers, 1):
-            if finisher is _identity:
-                states.append(f"r{i}")
-            else:
-                states.append(f"s{i}")
-                finish.append(f"r{i} = {w.bind(finisher, 'finish')}(s{i})")
-            results.append(f"r{i}")
-        outputs, uses_ctx = [], self.having is not None
-        for fn, slot in zip(self.target_fns, self.target_slots):
-            if slot is None:
-                uses_ctx = True
-                outputs.append(f"{w.bind(fn, 'target')}(ctx)")
-            else:  # a group column, or a call the targets registered
-                outputs.append(f"values[{slot}]" if slot < width
-                               else results[slot - width])
-        body = list(finish)
+        head = [f"first{c} = firsts[{c}]" for c in range(width)]
+        for j, finisher in enumerate(self.finishers, 1):
+            head.append(f"state{j} = states[{j - 1}]")
+            if finisher is not _identity:
+                head.append(f"state{j} = list(map("
+                            f"{w.bind(finisher, 'finish')}, state{j}))")
+        # The column each slot of the group row is read from.
+        columns = ([f"first{c}" for c in range(width)]
+                   + [f"state{j}" for j in range(1, len(self.finishers) + 1)])
+        sources = [None if slot is None else columns[slot]
+                   for slot in self.target_slots]
+        uses_ctx = self.having is not None or None in sources
+        if not (as_rows or keep or uses_ctx):
+            # Every output is a group column or a call's results, whole.
+            return head + [f"out[{c}].extend({column})"
+                           for c, column in enumerate(sources)]
+        body = []
         if uses_ctx or keep:
-            body.append(f"row = [*values[:{width}], {', '.join(results)}]")
+            body.append(f"row = [{', '.join(f'{column}[g]' for column in columns)}]")
         if uses_ctx:
             body.append("ctx.values = row")
         if self.having is not None:
             body += [f"if {w.bind(self.having, 'having')}(ctx) is not True:",
                      " continue"]
+        outputs = [f"{w.bind(fn, 'target')}(ctx)" if column is None
+                   else f"{column}[g]"
+                   for fn, column in zip(self.target_fns, sources)]
         if as_rows:
-            head = ["append = out.append"]
+            head.append("append = out.append")
             body.append(f"append([{', '.join(outputs)}])")
         else:
-            head = _put_lines(len(outputs), "out")
+            head += _put_lines(len(outputs), "out")
             body += [f"put{c}({value})" for c, value in enumerate(outputs)]
         if keep:
             head.append("keep = kept.append")
             body.append("keep(row)")
-        return [*head, f"for values, {', '.join(states)} in groups.values():",
-                *(" " + line for line in body)]
+        return [*head, "for g in range(count):", *_indent(body)]
+
+    def head_lines(self) -> list:
+        """What the fused loop reads off its ``out`` before the first row:
+        the group map, DISTINCT's seen sets, and per group-row slot the
+        column a new group appends to (a state column also by name)."""
+        lines = ["groups, seen, firsts, states = out", "get = groups.get"]
+        lines += [f"first{c} = firsts[{c}].append"
+                  for c in range(self.layout.width)]
+        for j in range(1, len(self.aggs) + 1):
+            lines += [f"state{j} = states[{j - 1}]", f"new{j} = state{j}.append"]
+        return lines
 
     def accumulate_lines(self, w: "_Writer") -> list:
         """The accumulate step over the fused loop's current row: fold it
-        into ``groups`` (key -> [first input row, state per call...];
-        ``seen`` holds DISTINCT argument keys per (key, call)). Slot keys
-        and ``inline`` aggregates are written out; FILTER, DISTINCT,
-        expressions and other aggregates are calls from the loop."""
+        into group ``g`` (``groups``: key -> group number; a new group
+        appends the row's values and each call's initial state to their
+        columns; ``seen`` holds DISTINCT argument keys per (key, call)).
+        Slot keys and ``inline`` aggregates are written out; FILTER,
+        DISTINCT, expressions and other aggregates are calls from the
+        loop."""
         body = []  # the step's statements, one indent unit = one space
         uses_ctx = False
         keys = []
@@ -687,17 +708,16 @@ class AggShape:
                 body.append(f"k{i} = {w.bind(fn, 'group')}(ctx)")
             body += [f"if type(k{i}) not in PLAIN:", f" k{i} = group_key(k{i})"]
             keys.append(f"k{i}")
-        inits = [w.row()]
-        for agg in self.aggs:
-            inits.append(agg.inline[0] if agg.inline is not None
-                         else f"{w.bind(agg.init, 'init')}()")
+        new = ["g = groups[key] = len(groups)"]
+        new += [f"first{c}({w.read(c)})" for c in range(self.layout.width)]
+        for j, agg in enumerate(self.aggs, 1):
+            new.append(f"new{j}(" + (agg.inline[0] if agg.inline is not None
+                                      else f"{w.bind(agg.init, 'init')}()") + ")")
         body += [f"key = {keys[0] if len(keys) == 1 else '(' + ', '.join(keys) + ')'}",
-                 "entry = get(key)",
-                 "if entry is None:",
-                 f" entry = groups[key] = [{', '.join(inits)}]"]
+                 "g = get(key)", "if g is None:", *_indent(new)]
         for i, (step, agg) in enumerate(zip(self.steps, self.aggs), 1):
             accumulate, star, slot, arg_fns, keep, distinct = step
-            state = f"entry[{i}]"
+            state = f"state{i}[g]"
             args = ([f"{w.bind(fn, 'arg')}(ctx)" for fn in arg_fns]
                     if distinct or slot is None else [w.read(slot)])
             inline = ([line.format(s=state) for line in agg.inline[1]]
@@ -1020,7 +1040,7 @@ def _append_writer(shape: WriteShape, position: dict, catalog):
     table, w = shape.table, _Writer()
     cell = "c{}".format
     row_lines = _cell_lines(w, table, position, catalog)
-    row_lines.append(f"row = [{', '.join(cell(i) for i in range(len(table.columns)))}]")
+    row_lines.append(f"row = ({''.join(cell(i) + ', ' for i in range(len(table.columns)))})")
     for i, name in shape.not_null:
         row_lines += [f"if c{i} is None:",
                       f" raise {w.bind(NotNullViolation, 'NotNull')}"
@@ -1273,8 +1293,12 @@ class _Writer:
             slot -= width
 
     def row(self) -> str:
-        """The expression making the current row one list."""
-        return " + ".join(var for var, _width in self.parts)
+        """The expression making the current row one sequence: a part as it
+        is, parts joined into one list (a stored version's values are a
+        tuple, a row made elsewhere may be a list)."""
+        if len(self.parts) == 1:
+            return self.parts[0][0]
+        return f"[{', '.join(f'*{var}' for var, _width in self.parts)}]"
 
     def point(self, layout: RowLayout) -> list:
         """Statements pointing ``ctx`` at the current row, of ``layout``."""
@@ -1326,7 +1350,7 @@ def _write_loop(stream: Stream, where: WhereShape | None, sink):
     for j in range(len(stream.stages)):
         body.append(f"h{j}, r{j}, s{j} = builds[{j}]")
     if tag == "agg":
-        body += ["groups, seen = out", "get = groups.get"]
+        body += sink[1].head_lines()
     elif tag == "cursor":
         body += ["columns, n, skip = out", *_put_lines(len(sink[1].target_fns))]
     elif tag == "columns":
@@ -1405,25 +1429,25 @@ def _downstream(w: _Writer, stages, j: int, where, sink, tails) -> list:
             *_indent(inner)]
 
 
-def _where_lines(w: _Writer, where: WhereShape | None) -> list:
-    """WHERE: the written-out tests nested one in the other, each falling
-    back to the whole clause, then the rest of the clause."""
+def _where_lines(w: _Writer, where: WhereShape | None, i: int = 0) -> list:
+    """WHERE: the written-out tests from the ``i``-th on, nested one in
+    the other, each falling back to the whole clause, then the rest of the
+    clause."""
     if where is None:
         return []
+    if i == len(where.inline):
+        return _decide_lines(w, where.rest) if where.rest is not None else []
+    slot, negated, _constant = where.inline[i]
+    return [f"v = {w.read(slot)}", f"if type(v) is t{i}:",
+            f" if v {negated} c{i}:", "  continue",
+            *_indent(_where_lines(w, where, i + 1)), "else:",
+            *_indent(_decide_lines(w, where.full))]
 
-    def decide(fn):
-        return [*w.point(w.layout), f"if {w.bind(fn, 'where')}(ctx) is not True:",
-                " continue"]
 
-    def cascade(i):
-        if i == len(where.inline):
-            return decide(where.rest) if where.rest is not None else []
-        slot, negated, _constant = where.inline[i]
-        return [f"v = {w.read(slot)}", f"if type(v) is t{i}:",
-                f" if v {negated} c{i}:", "  continue",
-                *_indent(cascade(i + 1)), "else:", *_indent(decide(where.full))]
-
-    return cascade(0)
+def _decide_lines(w: _Writer, fn) -> list:
+    """Skip the row unless the compiled clause ``fn`` is true of it."""
+    return [*w.point(w.layout), f"if {w.bind(fn, 'where')}(ctx) is not True:",
+            " continue"]
 
 
 def _sink_lines(w: _Writer, sink) -> list:
@@ -1630,6 +1654,10 @@ class LocalExecutor:
         """A SELECT's result, its rows made at this edge."""
         return self._select(select, params, outer, cte_env, True)
 
+    def execute_select_columns(self, select: A.Select, params) -> tuple:
+        """A SELECT's output names and its rows as a column :class:`Batch`."""
+        return self._select(select, params, None, None, False)
+
     def _select(self, select, params, outer, cte_env, as_rows: bool):
         """The result as a QueryResult, or (``as_rows`` False) as its output
         names and a column :class:`Batch`."""
@@ -1834,7 +1862,7 @@ class LocalExecutor:
                        for call in bound.window_calls]
             width = stream.layout.width
             stream = Stream.of(stream.layout, [
-                values[:width] + list(extra)
+                (*values[:width], *extra)
                 for values, extra in zip(rows, zip(*results))])
             where = None
         inputs = [] if bound.keeps_inputs else None
@@ -1881,15 +1909,22 @@ class LocalExecutor:
         """Hash aggregation of ``stream`` through ``where``, accumulated
         in its loop: the groups' outputs — rows, or columns — and with
         ``keep`` their group rows (else None), in first-seen group order."""
-        # key -> [first input row, state per aggregate call...]
+        # key -> group number; per group-row slot, its column (AggShape).
         groups: dict = {}
-        self._drain(stream, agg, ("agg", agg), ctx, where, (groups, {}))
+        firsts = [[] for _ in range(agg.layout.width)]
+        states = [[] for _ in agg.inits]
+        self._drain(stream, agg, ("agg", agg), ctx, where,
+                    (groups, {}, firsts, states))
         if not groups and not agg.group_fns:
             # Aggregate over empty input: one row of aggregate defaults.
-            groups[()] = [[None] * agg.layout.width] + [init() for init in agg.inits]
+            groups[()] = 0
+            for column in firsts:
+                column.append(None)
+            for column, init in zip(states, agg.inits):
+                column.append(init())
         out = [] if as_rows else [[] for _ in agg.target_fns]
         kept = [] if keep else None
-        agg.finalizer(as_rows, keep)(groups, ctx, out, kept)
+        agg.finalizer(as_rows, keep)(len(groups), firsts, states, ctx, out, kept)
         return out, kept
 
     # ------------------------------------------------------------ sorting
@@ -2252,13 +2287,13 @@ class LocalExecutor:
         table = shape.write.table
         self.session.acquire_row_lock(table.name, conflict_tup.row_id)
         ctx = self._ctx(shape.conflict_layout, params)
-        ctx.values = conflict_tup.values + new_full
+        ctx.values = (*conflict_tup.values, *new_full)
         updated = list(conflict_tup.values)
         for idx, cast, assign_fn in shape.conflict_updates:
             updated[idx] = cast(assign_fn(ctx))
-        self._do_update(shape.write, conflict_tup, updated)
+        self._do_update(shape.write, conflict_tup, tuple(updated))
 
-    def _do_update(self, shape: WriteShape, old_tup, new_values: list) -> None:
+    def _do_update(self, shape: WriteShape, old_tup, new_values: tuple) -> None:
         session = self.session
         shape.update(old_tup, new_values, session.ensure_xid(), self.instance.wal)
         session.stats["index_writes"] += len(shape.indexes)
@@ -2322,6 +2357,7 @@ class LocalExecutor:
             new_values = list(current.values)
             for idx, cast, assign_fn in shape.assignments:
                 new_values[idx] = cast(assign_fn(ctx))
+            new_values = tuple(new_values)
             write.check_not_null(new_values)
             if check_fks:
                 write.check_foreign_keys(new_values, self.catalog, snapshot, xids)

@@ -25,11 +25,14 @@ TUPLE_OVERHEAD = 28  # header bytes per tuple, roughly PostgreSQL's
 @dataclass(slots=True)
 class HeapTuple:
     """One stored version of a row, with its MVCC header: ``xmin`` wrote
-    it, ``xmax`` (None while live) deleted or replaced it."""
+    it, ``xmax`` (None while live) deleted or replaced it. ``values`` is a
+    tuple, never changed in place (a new version, or ALTER TABLE, stores a
+    new one): a tuple of plain values is one the collector stops tracking
+    the first time it looks, so a stored version is one tracked object."""
 
     tid: int
     row_id: int
-    values: list
+    values: tuple
     xmin: int
     xmax: int | None = None
     #: The next-older stored version of the same logical row (its version
@@ -107,11 +110,11 @@ class Heap:
 
     # ------------------------------------------------------------- writes
 
-    def insert(self, values: list, xmin: int, row_id: int | None = None) -> HeapTuple:
+    def insert(self, values, xmin: int, row_id: int | None = None) -> HeapTuple:
         if row_id is None:
             row_id = self._next_row_id
             self._next_row_id += 1
-        values = list(values)
+        values = tuple(values)
         width = TUPLE_OVERHEAD
         for value in values:
             width += _value_width(value)

@@ -848,10 +848,16 @@ class Session:
         # Utility path (DDL, COPY, VACUUM, CALL, SET, SHOW, ...)
         self._pending_copy_data = copy_data  # visible to utility hooks
         self._pending_params = params
-        result = self.instance.hooks.call_utility(self, stmt)
-        if result is not None:
-            return result
-        return self._execute_utility(stmt, params, copy_data)
+        try:
+            result = self.instance.hooks.call_utility(self, stmt)
+            if result is not None:
+                return result
+            return self._execute_utility(stmt, params, copy_data)
+        finally:
+            # A session outlives its statements: a COPY batch left here
+            # would keep every row of it alive until the next utility
+            # statement.
+            self._pending_copy_data = self._pending_params = None
 
     def _execute_local_dml(self, stmt, params) -> QueryResult:
         executor = LocalExecutor(self)
@@ -982,12 +988,12 @@ class Session:
                 default_value = cast_value(
                     evaluate(col.default, EvalContext(session=self)), col.type_name)
             for tup in table.heap.tuples:
-                tup.values.append(default_value)
+                tup.values = (*tup.values, default_value)
         elif stmt.action == "drop_column":
             idx = table.column_index(stmt.column_name)
             table.columns.pop(idx)
             for tup in table.heap.tuples:
-                tup.values.pop(idx)
+                tup.values = tup.values[:idx] + tup.values[idx + 1:]
         elif stmt.action == "add_foreign_key":
             fk = stmt.foreign_key
             table.foreign_keys.append(

@@ -70,14 +70,16 @@ class _TableLock:
 class LockManager:
     def __init__(self):
         self._table_locks: dict[str, _TableLock] = {}
-        self._row_locks: dict[tuple, int] = {}  # (table, row_id) -> xid
+        #: table -> {row_id: xid}: a row lock is a dict slot, no key object
+        #: per locked row (a multi-row write locks every row it writes).
+        self._row_locks: dict[str, dict[int, int]] = {}
         # xid -> set of xids it waits for (edges polled by the deadlock detector)
         self.wait_edges: dict[int, set[int]] = {}
         # xid -> the lock key it is waiting on (("table", name) or
         # ("row", table, row_id)); feeds the citus_lock_waits view.
         self.wait_keys: dict[int, tuple] = {}
         self._held_tables: dict[int, set[str]] = {}
-        self._held_rows: dict[int, set[tuple]] = {}
+        self._held_rows: dict[int, dict[str, set[int]]] = {}  # xid -> table -> row ids
 
     # ------------------------------------------------------------ tables
 
@@ -99,12 +101,20 @@ class LockManager:
     # -------------------------------------------------------------- rows
 
     def acquire_row(self, table: str, row_id: int, xid: int) -> None:
-        key = (table, row_id)
-        holder = self._row_locks.get(key)
+        rows = self._row_locks.get(table)
+        if rows is None:
+            rows = self._row_locks[table] = {}
+        holder = rows.get(row_id)
         if holder is not None and holder != xid:
-            raise WouldBlock(("row",) + key, {holder}, "RowExclusive")
-        self._row_locks[key] = xid
-        self._held_rows.setdefault(xid, set()).add(key)
+            raise WouldBlock(("row", table, row_id), {holder}, "RowExclusive")
+        rows[row_id] = xid
+        held = self._held_rows.get(xid)
+        if held is None:
+            held = self._held_rows[xid] = {}
+        ids = held.get(table)
+        if ids is None:
+            ids = held[table] = set()
+        ids.add(row_id)
 
     # ----------------------------------------------------------- waiting
 
@@ -143,9 +153,11 @@ class LockManager:
                 lock.holders.pop(xid, None)
                 if not lock.holders:
                     self._table_locks.pop(table, None)
-        for key in self._held_rows.pop(xid, ()):
-            if self._row_locks.get(key) == xid:
-                del self._row_locks[key]
+        for table, ids in self._held_rows.pop(xid, {}).items():
+            rows = self._row_locks[table]
+            for row_id in ids:
+                if rows.get(row_id) == xid:
+                    del rows[row_id]
         self.clear_wait(xid)
         # Nobody should keep waiting on a finished transaction.
         for holders in self.wait_edges.values():
@@ -159,9 +171,11 @@ class LockManager:
             mode = lock.holders.pop(old_xid, ACCESS_SHARE)
             lock.holders[new_xid] = mode
             self._held_tables.setdefault(new_xid, set()).add(table)
-        for key in self._held_rows.pop(old_xid, set()).copy():
-            self._row_locks[key] = new_xid
-            self._held_rows.setdefault(new_xid, set()).add(key)
+        for table, ids in self._held_rows.pop(old_xid, {}).items():
+            rows = self._row_locks.setdefault(table, {})
+            for row_id in ids:
+                rows[row_id] = new_xid
+            self._held_rows.setdefault(new_xid, {}).setdefault(table, set()).update(ids)
 
 
 def find_cycle(edges: dict[int, set[int]]) -> list[int] | None:

@@ -14,15 +14,20 @@ appended here before it is considered durable. The WAL supports:
 A stored record is one exact ``tuple`` of non-container values, which
 CPython's collector untracks the first time it examines it: the log grows
 with every written row and lives as long as its instance, and a container
-that stays tracked is walked again by every full collection. This module
-defines the stored layout (:func:`stored_form`, :func:`row_record_bytes`)
-and :meth:`WriteAheadLog.read` decodes it; a statement's generated writer
-(``executor.WriteShape``) appends its row records in that layout itself.
+that stays tracked is walked again by every full collection. Records are
+appended to a tail list; once the tail holds :data:`BLOCK` records, the
+next record that is not a row change seals it into one tuple of records
+(a sealed block is untracked too, so a full collection walks one pointer
+per block, not one per record). This module defines the stored layout
+(:func:`stored_form`, :func:`row_record_bytes`) and :meth:`WriteAheadLog.read`
+decodes it; a statement's generated writer (``executor.WriteShape``)
+appends its row records in that layout to the tail itself.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .datum import JSONB, cast_value, exact_type, is_array_type, to_text
 
@@ -39,6 +44,9 @@ RESTORE_POINT = "restore_point"
 DDL = "ddl"
 
 ROW_KINDS = (INSERT, UPDATE, DELETE)
+
+#: Tail records that make a sealed block (at least).
+BLOCK = 1024
 
 _LSN, _KIND, _TEXT = 0, 2, 3
 #: Where a row record's values start: ``(lsn, xid, kind, table, row_id,
@@ -88,18 +96,26 @@ class WriteAheadLog:
     """An append-only, in-memory WAL with byte accounting for the perf model."""
 
     def __init__(self):
+        #: Sealed blocks, oldest first: tuples of records, never changed.
+        self._blocks: list[tuple] = []
+        #: The records since the last seal. Cleared in place when sealed,
+        #: so an ``append`` a writer bound stays this log's.
         self._records: list[tuple] = []
         self._next_lsn = 1
         self.bytes_written = 0
 
     def append(self, xid: int, kind: str, text: str | None = None) -> int:
         """Log a record that is not a row change — a transaction outcome,
-        or with ``text`` a 2PC gid, DDL statement or restore-point name.
-        Returns its LSN."""
+        or with ``text`` a 2PC gid, DDL statement or restore-point name —
+        sealing the tail once it holds a block's worth. Returns its LSN."""
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
-        self._records.append((lsn, xid, kind, text))
+        tail = self._records
+        tail.append((lsn, xid, kind, text))
         self.bytes_written += 64 if text is None else 64 + len(text)
+        if len(tail) >= BLOCK:
+            self._blocks.append(tuple(tail))
+            tail.clear()
         return lsn
 
     def append_row(self, xid: int, kind: str, table: str, row_id: int,
@@ -125,8 +141,8 @@ class WriteAheadLog:
     @property
     def records(self) -> list[tuple]:
         """The stored records, as stored (see :meth:`read` for their
-        fields)."""
-        return self._records
+        fields), in one new list."""
+        return [*chain.from_iterable(self._blocks), *self._records]
 
     @property
     def current_lsn(self) -> int:
@@ -137,7 +153,7 @@ class WriteAheadLog:
         ``(lsn, xid, kind, table, row_id, values)`` for a row change —
         ``values`` a tuple, None for a delete — and ``(lsn, xid, kind,
         text)`` for any other record, ``text`` None for commit and abort."""
-        for record in self._records:
+        for record in chain(*self._blocks, self._records):
             if upto_lsn is not None and record[_LSN] > upto_lsn:
                 return
             if record[_KIND] in ROW_KINDS:
@@ -152,17 +168,24 @@ class WriteAheadLog:
 
     def find_restore_point(self, name: str) -> int | None:
         """LSN of the most recent restore point with the given name."""
-        for record in reversed(self._records):
-            if record[_KIND] == RESTORE_POINT and record[_TEXT] == name:
-                return record[_LSN]
+        for part in (self._records, *reversed(self._blocks)):
+            for record in reversed(part):
+                if record[_KIND] == RESTORE_POINT and record[_TEXT] == name:
+                    return record[_LSN]
         return None
 
     def clone(self, lose: int = 0) -> "WriteAheadLog":
         """Snapshot the WAL (used for standby replication and backups),
         less its last ``lose`` records — what an asynchronous standby had
-        not received yet."""
+        not received yet. The copy shares the sealed blocks it keeps
+        whole."""
         copy = WriteAheadLog()
-        copy._records = self._records[:max(0, len(self._records) - lose)]
+        blocks, tail = self._blocks[:], self._records[:]
+        while lose > len(tail) and blocks:
+            lose -= len(tail)
+            tail = list(blocks.pop())
+        del tail[max(0, len(tail) - lose):]
+        copy._blocks, copy._records = blocks, tail
         copy._next_lsn = self._next_lsn
         copy.bytes_written = self.bytes_written
         return copy

@@ -334,7 +334,10 @@ def _builder(shape, sentinels: dict, consts: dict | None):
             return f"({''.join(emit(item, verbatim) + ', ' for item in value)})"
         return constant(value)
 
-    source = emit(shape, False)
+    try:
+        source = emit(shape, False)
+    finally:
+        del emit  # it calls itself: its closure would be a reference cycle
     if sorted(found) != list(range(len(sentinels))):
         raise _NotServable  # a token's value is not one literal
     if consts is not None:

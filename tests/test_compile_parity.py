@@ -551,7 +551,8 @@ def joined(session, kind):
     loop over the visible rows, the condition evaluated per pair."""
     layout = RowLayout.of("e", EVENTS).join(RowLayout.of("t", TENANTS))
     condition = parse_expression("e.tenant = t.id")
-    left, right = visible(session, "events"), visible(session, "tenants")
+    left = [list(row) for row in visible(session, "events")]
+    right = [list(row) for row in visible(session, "tenants")]
     out, matched = [], set()
     for lrow in left:
         hit = False

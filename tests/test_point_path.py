@@ -116,7 +116,9 @@ def held_locks(session):
     locks = session.instance.locks
     xid = session.xid
     return (sorted(locks._held_tables.get(xid, ())),
-            sorted(locks._held_rows.get(xid, ())))
+            sorted((table, row_id)
+                   for table, ids in locks._held_rows.get(xid, {}).items()
+                   for row_id in ids))
 
 
 def index_sizes(pg):

@@ -112,7 +112,7 @@ class TestHeapVacuum:
         removed = heap.vacuum(xids.next_xid, xids.clog)
         assert len(removed) == 1
         assert len(heap.tuples) == 1
-        assert heap.tuples[0].values == [2]
+        assert list(heap.tuples[0].values) == [2]
 
     def test_vacuum_keeps_versions_visible_to_old_snapshots(self):
         xids = XidManager()
@@ -196,9 +196,9 @@ class TestVersionChains:
             heap.mark_deleted(heap.latest_version(v1.row_id).tid, w)
             heap.insert([value], w, row_id=v1.row_id)
             xids.finish(w, True)
-        assert [t.values for t in heap.versions(v1.row_id)] == [[3], [2], [1]]
+        assert [list(t.values) for t in heap.versions(v1.row_id)] == [[3], [2], [1]]
         assert len(heap.vacuum(xids.next_xid, xids.clog)) == 2
-        assert [t.values for t in heap.versions(v1.row_id)] == [[3]]
+        assert [list(t.values) for t in heap.versions(v1.row_id)] == [[3]]
         assert_chains_match_heap(heap, xids.clog)
 
     @settings(max_examples=60, deadline=None,

@@ -949,7 +949,7 @@ class _CollectingSink:
 
     def flush(self, index, _node, _group, _shard, _columns, rows):
         for row in rows:
-            self.landed.setdefault(index, []).append(row)
+            self.landed.setdefault(index, []).append(list(row))
 
     def finish(self, peak):
         self.peak = peak
