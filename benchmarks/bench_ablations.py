@@ -152,7 +152,7 @@ def bench_ablation_join_strategy_crossover(benchmark):
             s.copy_rows("dim", [[i, "x" * 50] for i in range(dim_rows)])
             analysis = analyze_statement(stmt, ext.metadata.cache, None,
                                          ext.instance.catalog)
-            plan = plan_join_order(ext, stmt, None, analysis)
+            plan = plan_join_order(ext, s, stmt, None, analysis)
             choices[label] = (plan.strategy, plan.moved.name,
                               int(plan.estimated_network_bytes))
             result = s.execute(sql)

@@ -125,6 +125,22 @@ def _tpch_suite():
     tpch.create_schema(session)
     tpch.load_data(session, tpch.TpchConfig())
     queries = {name: sql for name, sql in sorted(tpch.QUERIES.items())}
+    # Inner levels that cannot run per shard run once, as subplans; run
+    # per shard, the first three would return wrong answers.
+    queries.update({
+        "subplan_inner_distinct":
+            "SELECT count(*) FROM (SELECT DISTINCT l_suppkey FROM lineitem) s",
+        "subplan_inner_limit": (
+            "SELECT count(*) FROM (SELECT l_quantity FROM lineitem"
+            " ORDER BY l_quantity LIMIT 5) s"),
+        "subplan_in_under_reference": (
+            "SELECT count(*) FROM supplier"
+            " WHERE s_suppkey IN (SELECT l_suppkey FROM lineitem)"),
+        "subplan_cte": (
+            "WITH r AS (SELECT l_suppkey, sum(l_quantity) AS q FROM lineitem"
+            " GROUP BY l_suppkey) SELECT count(*) FROM r"
+            " WHERE q > (SELECT avg(q) FROM r)"),
+    })
     return cluster, session, queries
 
 

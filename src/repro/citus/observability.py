@@ -6,7 +6,8 @@ hooks **without executing it** and returns a :class:`DistributedExplain`
 recording the optimizer's decisions:
 
 - which planner tier of the §3.5 cascade fired (``fast_path`` / ``router``
-  / ``pushdown`` / ``join_order``, plus the DML-specific tiers),
+  / ``pushdown`` / ``join_order``, plus ``subplan`` and the DML-specific
+  tiers),
 - pruned vs. total shard count,
 - every task's target node and rewritten shard SQL,
 - which clauses were pushed down to the workers vs. evaluated on the

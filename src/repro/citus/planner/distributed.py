@@ -21,10 +21,18 @@ made from the statement itself and planned every time.
 
 from __future__ import annotations
 
+import datetime
+import itertools
 import json
+from contextlib import ExitStack
+from dataclasses import replace
 
+from ...engine.catalog import Column
 from ...engine.compile import evaluate
-from ...engine.datum import TEXT, cast_value, refuse_number_against_text
+from ...engine.datum import (
+    BIGINT, BOOL, DATE, FLOAT, TEXT, TIMESTAMP, cast_value,
+    refuse_number_against_text,
+)
 from ...engine.executor import QueryResult, text_comparisons, width_error
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
@@ -35,11 +43,15 @@ from ...sql.facts import statement_facts, statement_norm
 from ..sharding import analyze_statement
 from ..txn.deadlock import assign_distributed_txn_ids
 from .fast_path import try_fast_path
+from .join_order import plan_join_order
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
 from .plan_cache import normalized
 from .pushdown import try_pushdown
 from .router import try_router
-from .tasks import CitusPlan, Task, fold_write_results, statement_routes
+from .subplan import land, read_from, reference_intermediate
+from .tasks import (
+    CitusPlan, Task, fold_write_results, sql_with_values, statement_routes,
+)
 
 
 def make_planner_hook(ext):
@@ -149,23 +161,12 @@ def citus_plan_alternatives(ext, session, *rest) -> str:
     return json.dumps(search.as_dict())
 
 
-def _tier_join_order(ext, session, stmt, params, analysis, search):
-    if not isinstance(stmt, A.Select):
-        if search is not None:
-            search.reject("join_order", "statement_kind",
-                          "only SELECT joins can be repartitioned")
-        return None
-    from .join_order import plan_join_order
-
-    return plan_join_order(ext, stmt, params, analysis, search=search)
-
-
 #: The §3.5 cascade, lowest overhead first. plan_statement walks this list.
 CASCADE = (
     PlannerTier("fast_path", try_fast_path),
     PlannerTier("router", try_router),
     PlannerTier("pushdown", try_pushdown),
-    PlannerTier("join_order", _tier_join_order),
+    PlannerTier("join_order", plan_join_order),
 )
 
 
@@ -210,6 +211,8 @@ def _plan(ext, session, stmt, params, search):
             return (_walk(CASCADE[:1], ext, session, stmt, params, None, search)
                     or InsertValuesPlan(ext, stmt, params))
 
+    if isinstance(stmt, A.Select) and stmt.ctes:
+        stmt = _inline_ctes(stmt)
     analysis = analyze_statement(stmt, cache, params, ext.instance.catalog)
 
     # Queries touching only reference tables (optionally with local tables)
@@ -232,7 +235,99 @@ def _plan(ext, session, stmt, params, search):
     )
 
 
+def _inline_ctes(select: A.Select) -> A.Select:
+    """``select`` with every CTE read as the subquery it names: a CTE gets
+    the verdicts of a subquery in its place (runs per shard, or once)."""
+
+    def inline(node):
+        if not (isinstance(node, A.Select) and node.ctes):
+            return node
+        named = {}
+        for cte in node.ctes:
+            query = read_from(cte.query, named)  # earlier CTEs read in later ones
+            if cte.column_names:
+                query.targets = [A.TargetEntry(entry.expr, name) for entry, name
+                                 in zip(query.targets, cte.column_names)]
+            named[cte.name] = query
+        return read_from(replace(node, ctes=[]), named)
+
+    return A.transform(select, inline)
+
+
 # ---------------------------------------------------------------- plans
+
+
+#: The column type that holds a subplan result's values, by their type.
+_VALUE_TYPES = {bool: BOOL, int: BIGINT, float: FLOAT, datetime.date: DATE,
+                datetime.datetime: TIMESTAMP}
+_subplan_counter = itertools.count(1)
+
+
+class SubplanPlan(CitusPlan):
+    """A SELECT some of whose subquery levels cannot run per shard (§3.5's
+    recursive planning). Each such level is planned through the cascade on
+    its own and runs once; its rows are landed as a reference intermediate
+    result (:func:`~.subplan.land`) on every node the rest of the
+    statement reads it on. The rest, reading the intermediates in the
+    levels' place, is planned through the cascade again. Planned every
+    time: neither a subplan's plan nor its rows are kept in the plan cache."""
+
+    tier = "subplan"
+    detail = "Subplans (run once)"
+
+    def __init__(self, ext, session, select, params, levels):
+        super().__init__(ext)
+        cache = ext.metadata.cache
+        self.queries = [sql_with_values(level, params) for level in levels]
+        names = {id(level): f"citus_subplan_{next(_subplan_counter)}"
+                 for level in levels}
+        #: Per level: its plan, and the intermediate its rows land in.
+        self.subplans = [(_plan(ext, session, level, params, None),
+                          reference_intermediate(names[id(level)]))
+                         for level in levels]
+        rewritten = read_from(select, names)
+        analysis = analyze_statement(rewritten, cache, params,
+                                     ext.instance.catalog)
+        # The rest reads them beside the shards it still reads, and on the
+        # coordinator when its own FROM reads none: it runs there, once its
+        # inner levels that read shards have run as subplans too.
+        nodes = {cache.placement_node(shard.shardid)
+                 for occ in analysis.distributed for shard in occ.dist.shards}
+        if not any(level is rewritten for level in analysis.levels):
+            nodes.add(ext.instance.name)
+        self.nodes = sorted(nodes)
+        for _subplan, transient in self.subplans:
+            cache.tables[transient.name] = transient
+        try:
+            self.plan = _plan(ext, session, rewritten, params, None)
+        finally:
+            for _subplan, transient in self.subplans:
+                cache.tables.pop(transient.name, None)
+
+    def execute(self, session, params):
+        with ExitStack() as landed:
+            for plan, transient in self.subplans:
+                result = plan.execute(session, params)
+                table = transient.shards[0].shard_name
+                landed.enter_context(land(
+                    self.ext, transient, _typed_columns(result),
+                    [(node, None, table) for node in self.nodes],
+                    iter(result.rows)))
+            return self.plan.execute(session, params)
+
+    def explain_info(self):
+        info = self.plan.explain_info()
+        return {**info, "tier": self.tier, "detail": self.detail,
+                "subplan": {"strategy": "subplan", "queries": self.queries}}
+
+
+def _typed_columns(result) -> list[Column]:
+    """A subplan result's columns, each typed as its first non-NULL value
+    (text when it has none)."""
+    values = zip(*result.rows) if result.rows else [()] * len(result.columns)
+    return [Column(name, _VALUE_TYPES.get(type(next(
+        (v for v in column if v is not None), None)), TEXT))
+        for name, column in zip(result.columns, values)]
 
 
 class InsertValuesPlan(CitusPlan):

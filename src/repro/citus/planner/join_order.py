@@ -19,34 +19,40 @@ logical pushdown planner — the intermediate table is registered in the
 metadata cache as a transient co-located (or reference) table, which makes
 the pushdown machinery (including two-phase aggregation) apply unchanged.
 
+Both moves are uses of :func:`~.subplan.land`, the one step that makes a
+statement's intermediate result; it also lands the rows of every subquery
+level that cannot run per shard, which runs once as a subplan
+(:class:`~.distributed.SubplanPlan`).
+
 Scope (documented limitation, cf. the paper's own "4 of the 22 TPC-H
-queries are unsupported"): exactly two distributed tables per query;
-correlated subqueries against non-co-located tables are unsupported.
+queries are unsupported"): exactly two distributed tables per join; a
+correlated subquery that cannot run per shard is unsupported, since a
+subplan does not decorrelate.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from dataclasses import replace
 
-from ...engine.catalog import Column, Table
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
-from ..copy_dist import copy_targets, move_rows, select_star
-from ..ddl import drop_quietly, shard_ddl
+from ..copy_dist import copy_targets, select_star
 from ..insert_select import select_row_stream
-from ..metadata import REFERENCE, DistributedTable, ShardInterval
 from ..observability import TaskTarget
 from ..sharding import analyze_statement
 from .pipeline import candidate_cost
 from .pushdown import plan_pushdown_select
+from .subplan import land, read_from, reference_intermediate
 from .tasks import CitusPlan
 
 _intermediate_counter = itertools.count(1)
 
 
-def plan_join_order(ext, select: A.Select, params, analysis, search=None):
-    """Return a RepartitionPlan, or None when this planner does not apply.
+def plan_join_order(ext, session, select, params, analysis, search=None):
+    """The cascade's fourth tier: a RepartitionPlan, or None when this
+    planner does not apply.
 
     Every costed strategy (repartition per join side, broadcast per side)
     is — when a PlanSearch is being recorded — fed into the pipeline as one
@@ -64,11 +70,10 @@ def plan_join_order(ext, select: A.Select, params, analysis, search=None):
                           "repartition joins support exactly two distributed"
                           " tables and no local tables")
         return None
-    if select.ctes or select.set_ops or select.for_update:
+    if select.set_ops or select.for_update:
         if search is not None:
             search.reject("join_order", "shape",
-                          "CTEs, set operations, and FOR UPDATE cannot be"
-                          " repartitioned")
+                          "set operations and FOR UPDATE cannot be repartitioned")
         return None
     a, b = dist
     candidates = []
@@ -166,33 +171,15 @@ class RepartitionPlan(CitusPlan):
         else:
             # One reference copy on every node holding an anchor shard.
             name = f"citus_bcast_{qid}"
-            transient = DistributedTable(name, REFERENCE, None, None, -1,
-                                         [ShardInterval(0, name, None, None)])
-            nodes = {cache.placement_node(shard.shardid) for shard in anchor.shards}
-            targets = [(node, None, transient.shards[0].shard_name)
-                       for node in sorted(nodes)]
+            transient = reference_intermediate(name)
+            targets = [(node, None, transient.shards[0].shard_name) for node in
+                       sorted({cache.placement_node(s.shardid) for s in anchor.shards})]
         shell = ext.instance.catalog.get_table(self.moved.name)
-        # An intermediate holds a copy of the moved side: its columns,
-        # none of its constraints or indexes.
-        copy = Table(name, [Column(c.name, c.type_name) for c in shell.columns])
         # The moved side streams through the session's own plan, so inside
-        # a transaction block it sees the block's writes. Its first row,
-        # pulled now, opens its cursors before any intermediate exists, so
-        # a read that fails to start leaves nothing to drop.
+        # a transaction block it sees the block's writes.
         rows = select_row_stream(ext, session, select_star(self.moved.name), None)
-        head = list(itertools.islice(rows, 1))
-        created: list[tuple] = []  # (node, table_name)
-        try:
-            for node, _group, table in targets:
-                conn = ext.worker_connection(node)
-                for stmt in shard_ddl(cache, copy, table, {}):
-                    conn.execute_parsed(stmt)
-                created.append((node, table))
-            ext.stat_counters.incr("repartition_rows_moved", move_rows(
-                ext, transient, shell, targets, itertools.chain(head, rows)))
-            cache.tables[name] = transient
-
-            rewritten = _replace_table(self.select, self.moved.name, name)
+        with closing(rows), land(ext, transient, shell.columns, targets, rows):
+            rewritten = read_from(self.select, {self.moved.name: name})
             analysis = analyze_statement(rewritten, cache, self.params,
                                          ext.instance.catalog)
             shape = plan_pushdown_select(ext, rewritten, analysis)
@@ -201,11 +188,6 @@ class RepartitionPlan(CitusPlan):
                     "non-co-located join could not be made co-located"
                 )
             return shape.bind(self.params).execute(session, params)
-        finally:
-            rows.close()
-            cache.tables.pop(name, None)
-            for node, table in created:
-                drop_quietly(ext, node, table)
 
     def explain_info(self):
         cache = self.ext.metadata.cache
@@ -233,12 +215,3 @@ class RepartitionPlan(CitusPlan):
                 "estimated_network_bytes": int(self.estimated_network_bytes),
             },
         }
-
-
-def _replace_table(select: A.Select, old: str, new: str) -> A.Select:
-    def visit(node):
-        if isinstance(node, A.TableRef) and node.name == old:
-            return A.TableRef(new, alias=node.alias or node.name)
-        return node
-
-    return A.transform(select.copy(), visit)

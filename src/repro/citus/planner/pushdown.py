@@ -2,8 +2,10 @@
 
 Plans multi-shard queries whose join tree can be fully pushed down: all
 distributed tables are co-located and joined on their distribution columns
-(checked via the equivalence analysis), and no inner subquery aggregates
-across shards. Two merge strategies exist:
+(checked via the equivalence analysis). An inner level that cannot run per
+shard runs once first, as a subplan (:class:`~.distributed.SubplanPlan`),
+and the statement reading its result comes back through the cascade. Two
+merge strategies exist:
 
 - **concat** — the GROUP BY contains the distribution column (or there is
   no aggregation): every group lives on one shard, so workers run the
@@ -23,7 +25,7 @@ from itertools import islice
 
 from ...engine.executor import (
     QueryResult, has_aggregates, is_aggregate_call, output_names,
-    resolve_group_ref, transform_level, window_calls,
+    resolve_group_ref, transform_level,
 )
 from ...engine.functions import PARTIAL_REWRITES
 from ...errors import UnsupportedDistributedQuery
@@ -78,11 +80,6 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
         raise UnsupportedDistributedQuery(message)
 
     dist = analysis.distributed
-    if not dist:
-        if search is not None:
-            search.reject("pushdown", "no_distributed_tables",
-                          "statement references no distributed tables")
-        return None
     if analysis.locals:
         unsupported(
             "local_tables",
@@ -97,11 +94,6 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
         unsupported(
             "set_ops",
             "set operations on distributed tables require a single shard (router)",
-        )
-    if select.ctes:
-        unsupported(
-            "ctes",
-            "CTEs over multiple shards are not supported in this reproduction",
         )
     preserved = analysis.replicated_preserved_side()
     if preserved is not None:
@@ -119,13 +111,6 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
                           "tables are not co-located or not joined on their"
                           " distribution columns")
         return None  # hand over to the join-order planner
-    if analysis.inner_cross_shard_agg:
-        unsupported(
-            "cross_shard_subquery_agg",
-            "subqueries that aggregate across shards cannot be pushed down"
-            " (only the outermost aggregation is distributed)",
-        )
-
     if not _windows_stay_on_shards(analysis):
         unsupported(
             "window_functions",
@@ -140,27 +125,19 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
 def pushes_down_without_merge(analysis: QueryAnalysis, select: A.Select) -> bool:
     """Whether every shard can run ``select`` whole, the coordinator only
     concatenating: its tables are co-located and joined on their
-    distribution columns, no level aggregates across shards and every
-    window stays on one shard."""
+    distribution columns, no inner level must run once, no level
+    aggregates across shards and every window stays on one shard."""
     return (len({o.dist.colocation_id for o in analysis.distributed}) == 1
             and analysis.all_dist_columns_equal()
-            and not analysis.inner_cross_shard_agg
+            and not analysis.subplans()
             and _windows_stay_on_shards(analysis)
             and not analysis.aggregates_across_shards(select))
 
 
 def _windows_stay_on_shards(analysis: QueryAnalysis) -> bool:
     """Multi-shard window functions push down only when every window, at
-    every query level that runs on the shards, is partitioned by the
-    distribution column — each partition then lives on one shard (the
-    same restriction Citus applies)."""
-    for select, _depth in analysis.levels:
-        windows = window_calls([select.targets, select.order_by])
-        if windows:
-            is_dist = analysis.dist_column_test(select)
-            if not all(any(map(is_dist, w.over.partition_by)) for w in windows):
-                return False
-    return True
+    every query level that runs on the shards, stays on one shard."""
+    return all(map(analysis.windows_on_one_shard, analysis.levels))
 
 
 # ---------------------------------------------------------------- concat
@@ -738,6 +715,10 @@ def try_pushdown(ext, session, stmt, params, analysis, search=None):
     """The cascade's third tier: plan the statement's multi-shard shape
     and bind it."""
     if isinstance(stmt, A.Select):
+        subplans = analysis.subplans()
+        if subplans:
+            return _plan_subplans(ext, session, stmt, params, analysis,
+                                  subplans, search)
         shape = plan_pushdown_select(ext, stmt, analysis, search=search)
     elif isinstance(stmt, (A.Update, A.Delete)):
         shape = plan_pushdown_dml(ext, stmt, analysis, search=search)
@@ -747,6 +728,20 @@ def try_pushdown(ext, session, stmt, params, analysis, search=None):
                           f"{type(stmt).__name__} has no multi-shard pushdown plan")
         return None
     return shape.bind(params) if shape is not None else None
+
+
+def _plan_subplans(ext, session, select, params, analysis, subplans, search):
+    """The plan of a SELECT whose ``subplans`` run once before it, unless
+    one of them reads a column of a level around it."""
+    if any(map(analysis.correlated, subplans)):
+        message = ("a correlated subquery that cannot run per shard is not"
+                   " supported (a subplan does not decorrelate)")
+        if search is not None:
+            search.reject("pushdown", "correlated_subplan", message)
+        raise UnsupportedDistributedQuery(message)
+    from .distributed import SubplanPlan
+
+    return SubplanPlan(ext, session, select, params, subplans)
 
 
 # ---------------------------------------------------------------- plans

@@ -66,14 +66,10 @@ def try_router(ext, session, stmt, params, analysis, search=None):
 
 def _unroutable(analysis):
     """Why no parameters could route the statement, or None."""
-    dist = analysis.distributed
-    if not dist:
-        return ("no_distributed_tables",
-                "statement references no distributed tables")
     if analysis.locals:
         return ("local_tables",
                 "local/distributed table mix cannot be routed")
-    colocation_ids = {o.dist.colocation_id for o in dist}
+    colocation_ids = {o.dist.colocation_id for o in analysis.distributed}
     if len(colocation_ids) != 1:
         return ("colocation",
                 f"{len(colocation_ids)} colocation groups referenced")

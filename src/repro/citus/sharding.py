@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from ..engine.compile import UNBOUND, param_value, split_and
 from ..engine.datum import cast_value, column_constant, hash_value
-from ..engine.executor import is_aggregating, output_names, resolve_group_ref
+from ..engine.executor import (
+    is_aggregating, output_names, resolve_group_ref, window_calls,
+)
 from ..errors import ReproError
 from ..sql import ast as A
 from ..sql.facts import StatementFacts
@@ -40,9 +42,11 @@ class QueryAnalysis:
         self.equivalence = UnionFind()
         # Equivalence-class constants: root -> constant value
         self.constants: dict[object, object] = {}
-        #: ``(select, depth)`` of the statement's own SELECT (depth 0) and
-        #: of every inner one whose FROM reads a distributed table.
-        self.levels: list[tuple[A.Select, int]] = []
+        #: Every SELECT level whose FROM reads a distributed table.
+        self.levels: list[A.Select] = []
+        #: The level a subquery is read by, and whether it is read as an
+        #: expression (not as a FROM item), by the subquery's ``id``.
+        self.readers: dict[int, tuple[A.Statement, bool]] = {}
         #: One ``(preserved, other)`` pair of alias sets per side an outer
         #: join keeps every row of (two for a FULL join).
         self.outer_joins: list[tuple[set, set]] = []
@@ -73,13 +77,64 @@ class QueryAnalysis:
                 return preserved
         return None
 
-    @property
-    def inner_cross_shard_agg(self) -> bool:
-        """Whether an inner (non-top-level) query aggregates across shards.
-        That blocks pushdown: only the outermost aggregation can be split
-        into partial / merge phases."""
-        return any(depth and self.aggregates_across_shards(select)
-                   for select, depth in self.levels)
+    def subplans(self) -> list[A.Select]:
+        """The outermost inner levels that cannot run per shard: each runs
+        once, as a subplan, and the statement reads its result (§3.5's
+        recursive planning). A level inside one of them runs with it."""
+        levels = set(map(id, self.levels))
+        once = {id(select) for select in self.levels
+                if id(select) in self.readers and self._runs_once(select, levels)}
+        return [select for select in self.levels if id(select) in once
+                and not any(id(outer) in once for outer in self._readers_of(select))]
+
+    def _readers_of(self, select):
+        reader = self.readers.get(id(select))
+        while reader is not None:
+            yield reader[0]
+            reader = self.readers.get(id(reader[0]))
+
+    def _runs_once(self, select: A.Select, levels: set) -> bool:
+        """Whether an inner level cannot run per shard: it is an expression
+        of a level whose FROM reads no distributed table (every shard would
+        answer that level whole), or it aggregates, takes DISTINCT or LIMIT,
+        or windows across shards."""
+        reader, in_expr = self.readers[id(select)]
+        if in_expr and id(reader) not in levels:
+            return True
+        is_dist = self.dist_column_test(select)
+        distinct = select.distinct_on or [t.expr for t in select.targets]
+        return (self.aggregates_across_shards(select)
+                or select.limit is not None or select.offset is not None
+                or (bool(select.distinct or select.distinct_on) and not any(
+                    isinstance(e, A.Star) or is_dist(e) for e in distinct))
+                or not self.windows_on_one_shard(select, is_dist))
+
+    def windows_on_one_shard(self, select: A.Select, is_dist=None) -> bool:
+        """Whether every window of a level is partitioned by the
+        distribution column: each partition then lives on one shard (the
+        restriction Citus applies)."""
+        windows = window_calls([select.targets, select.order_by])
+        if not windows:
+            return True
+        is_dist = is_dist or self.dist_column_test(select)
+        return all(any(map(is_dist, w.over.partition_by)) for w in windows)
+
+    def correlated(self, select: A.Select) -> bool:
+        """Whether a level reads a column of a level around it: one whose
+        qualifier no FROM item inside it names, or a bare name that no table
+        inside it may hold. A subplan does not decorrelate."""
+        scope, names = {}, set()
+        for node in A.walk(select):
+            if isinstance(node, A.Select):
+                names.update(output_names(
+                    t for t in node.targets if not isinstance(t.expr, A.Star)))
+                for item in node.from_items:
+                    _add_to_scope(item, scope, self)
+        return not all(
+            ref.table in scope if ref.table is not None else (
+                ref.name in names or any(ref.name in columns or not columns
+                                         for columns in scope.values()))
+            for ref in A.walk(select) if isinstance(ref, A.ColumnRef))
 
     def aggregates_across_shards(self, select: A.Select) -> bool:
         """Whether a SELECT level aggregates rows of more than one shard
@@ -169,18 +224,18 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
     analysis = QueryAnalysis()
     analysis.catalog = catalog
     if isinstance(stmt, A.Select):
-        _analyze_select(stmt, cache, analysis, params, depth=0)
+        _analyze_select(stmt, cache, analysis, params)
     elif isinstance(stmt, A.Insert):
         _add_occurrence(stmt.table, stmt.table, cache, analysis)
         if stmt.select is not None:
-            _analyze_select(stmt.select, cache, analysis, params, depth=1)
+            _analyze_select(stmt.select, cache, analysis, params)
     elif isinstance(stmt, (A.Update, A.Delete)):
         alias = stmt.alias or stmt.table
         _add_occurrence(stmt.table, alias, cache, analysis)
         scope = _build_scope([A.TableRef(stmt.table, stmt.alias)], analysis)
         if stmt.where is not None:
             _collect_equalities(stmt.where, analysis, params, scope)
-            _collect_subquery_tables(stmt.where, cache, analysis, params, scope)
+            _collect_subquery_tables(stmt.where, cache, analysis, params, scope, stmt)
     _finalize_unqualified_refs(analysis)
     return analysis
 
@@ -198,11 +253,11 @@ def _add_to_scope(item, scope: dict, analysis) -> None:
     # A function of the module, not a closure that calls itself: that
     # closure would be a reference cycle holding the analysis.
     if isinstance(item, A.TableRef):
-        columns = _table_columns(item.name, analysis)
-        if columns:
-            scope[item.ref_name] = columns
+        scope[item.ref_name] = _table_columns(item.name, analysis)
     elif isinstance(item, A.SubqueryRef):
         scope[item.alias] = dict.fromkeys(output_names(item.query.targets))
+    elif isinstance(item, A.FunctionRef):
+        scope[item.alias] = dict.fromkeys(item.column_names)
     elif isinstance(item, A.JoinExpr):
         _add_to_scope(item.left, scope, analysis)
         _add_to_scope(item.right, scope, analysis)
@@ -241,38 +296,34 @@ def _finalize_unqualified_refs(analysis: QueryAnalysis) -> None:
             analysis.equivalence.union(f"{owners[0].alias}.{column}", column)
 
 
-def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params, depth: int):
-    for cte in select.ctes:
-        _analyze_select(cte.query, cache, analysis, params, depth + 1)
+def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params,
+                    reader=None):
+    if reader is not None:
+        analysis.readers[id(select)] = reader
     scope = _build_scope(select.from_items, analysis)
     start = len(analysis.occurrences)
     for item in select.from_items:
-        _analyze_from_item(item, cache, analysis, params, depth, scope)
-    if not depth or any(o.dist is not None and not o.dist.is_reference
-                        for o in analysis.occurrences[start:]):
-        analysis.levels.append((select, depth))
-    if select.where is not None:
-        _collect_equalities(select.where, analysis, params, scope)
-        _collect_subquery_tables(select.where, cache, analysis, params, scope)
-    if select.having is not None:
-        _collect_subquery_tables(select.having, cache, analysis, params, scope)
-    for entry in select.targets:
-        expr = entry.expr if isinstance(entry, A.TargetEntry) else None
-        if expr is not None:
-            _collect_subquery_tables(expr, cache, analysis, params, scope)
+        _analyze_from_item(item, cache, analysis, params, scope, select)
+    if any(o.dist is not None and not o.dist.is_reference
+           for o in analysis.occurrences[start:]):
+        analysis.levels.append(select)
     # ORDER BY / GROUP BY expressions run on the workers too: a subquery in
     # them reads shards like one in the targets does.
-    for expr in [*(key.expr for key in select.order_by), *select.group_by]:
-        _collect_subquery_tables(expr, cache, analysis, params, scope)
+    for expr in [select.where, select.having, *(t.expr for t in select.targets),
+                 *(key.expr for key in select.order_by), *select.group_by]:
+        if expr is not None:
+            _collect_subquery_tables(expr, cache, analysis, params, scope, select)
+    if select.where is not None:
+        _collect_equalities(select.where, analysis, params, scope)
     for _op, rhs in select.set_ops:
-        _analyze_select(rhs, cache, analysis, params, depth)
+        _analyze_select(rhs, cache, analysis, params)
 
 
-def _analyze_from_item(item, cache, analysis, params, depth, scope=None):
+def _analyze_from_item(item, cache, analysis, params, scope, select):
     if isinstance(item, A.TableRef):
         _add_occurrence(item.name, item.ref_name, cache, analysis)
     elif isinstance(item, A.SubqueryRef):
-        _analyze_select(item.query, cache, analysis, params, depth + 1)
+        _analyze_select(item.query, cache, analysis, params, (select, False))
         # Column refs through the subquery alias join the equivalence web via
         # the subquery's target names: alias.colname ~ target expr when the
         # target is a plain column reference.
@@ -284,11 +335,12 @@ def _analyze_from_item(item, cache, analysis, params, depth, scope=None):
                     f"{item.alias}.{out_name}", _qualify(entry.expr.key, inner_scope)
                 )
     elif isinstance(item, A.JoinExpr):
-        _analyze_from_item(item.left, cache, analysis, params, depth, scope)
-        _analyze_from_item(item.right, cache, analysis, params, depth, scope)
+        _analyze_from_item(item.left, cache, analysis, params, scope, select)
+        _analyze_from_item(item.right, cache, analysis, params, scope, select)
         if item.condition is not None:
             _collect_equalities(item.condition, analysis, params, scope)
-            _collect_subquery_tables(item.condition, cache, analysis, params, scope)
+            _collect_subquery_tables(item.condition, cache, analysis, params,
+                                     scope, select)
         if item.join_type in ("left", "full"):
             analysis.outer_joins.append((_aliases_under(item.left),
                                          _aliases_under(item.right)))
@@ -356,10 +408,11 @@ def _bind_constant(analysis, col_key, constant, params, scope):
 _conjuncts = split_and
 
 
-def _collect_subquery_tables(expr, cache, analysis, params, scope=None) -> None:
+def _collect_subquery_tables(expr, cache, analysis, params, scope, reader) -> None:
     for node in A.walk(expr):
-        if isinstance(node, A.SubqueryExpr):
-            _analyze_select(node.query, cache, analysis, params, depth=1)
+        # A subquery inside another was analysed with the one around it.
+        if isinstance(node, A.SubqueryExpr) and id(node.query) not in analysis.readers:
+            _analyze_select(node.query, cache, analysis, params, (reader, True))
             # `x IN (SELECT col FROM ...)` implies x = col for the matched
             # rows, which keeps pushdown-legal queries like TPC-H Q18
             # (IN over a GROUP BY on the distribution column) routable.

@@ -1603,13 +1603,14 @@ class _Subqueries:
         cache = executor._subquery_cache
         if key in cache:
             return cache[key]
+        ctes = executor._cte_env
         if key in executor._correlated_subqueries:
-            return executor.execute_select(select, params, outer=outer_ctx).rows
+            return executor.execute_select(select, params, outer_ctx, ctes).rows
         try:
-            rows = executor.execute_select(select, params, outer=None).rows
+            rows = executor.execute_select(select, params, None, ctes).rows
         except CatalogError:
             executor._correlated_subqueries.add(key)
-            return executor.execute_select(select, params, outer=outer_ctx).rows
+            return executor.execute_select(select, params, outer_ctx, ctes).rows
         cache[key] = rows
         return rows
 
@@ -1626,6 +1627,9 @@ class LocalExecutor:
         # The subquery callback handed to every EvalContext, built once per
         # params object rather than once per row.
         self._subquery_run: _Subqueries | None = None
+        #: The CTEs in scope of the SELECT being executed: its subqueries
+        #: read them, as its FROM items do.
+        self._cte_env: dict | None = None
 
     # ------------------------------------------------------------ helpers
 
@@ -1685,6 +1689,7 @@ class LocalExecutor:
             if result is not None:
                 return result
         cte_env = dict(cte_env or {})
+        enclosing, self._cte_env = self._cte_env, cte_env
         for cte in select.ctes:
             sub = self.execute_select(cte.query, params, outer=outer, cte_env=cte_env)
             names = cte.column_names or sub.columns
@@ -1735,6 +1740,7 @@ class LocalExecutor:
                 inputs = list(map(inputs.__getitem__, order))
         if select.for_update:
             self._lock_rows_for_update(inputs, bound.layout)
+        self._cte_env = enclosing
         if as_rows:
             return QueryResult(bound.columns, out)
         return bound.columns, Batch(out, count)

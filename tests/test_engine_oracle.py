@@ -19,7 +19,7 @@ import pytest
 
 from repro import make_cluster
 from repro.citus.observability import explain
-from repro.errors import UnsupportedDistributedQuery
+from repro.errors import ReproError, UnsupportedDistributedQuery
 from repro.workloads import gharchive, tpcc, tpch, ycsb
 from repro.workloads.traffic import mixes
 
@@ -95,7 +95,26 @@ GHARCHIVE = {
     "rollup_transform_check": (
         "SELECT event_id, created_at, message FROM commits", None, None),
 }
-QUERIES = {**ANALYTICS, **TPCH, **GHARCHIVE}
+#: Inner levels that cannot run per shard: each runs once, as a subplan.
+#: Run per shard, the first three counted 200 / 20 / 160 on 1x4 (611 / 80
+#: / 640 on 4x16) against 50 / 5 / 40; the last two were refused.
+RUN_ONCE = {
+    "subplan_inner_distinct": (
+        "SELECT count(*) FROM (SELECT DISTINCT v FROM events) s", None, None),
+    "subplan_inner_limit": (
+        "SELECT count(*) FROM (SELECT v FROM events ORDER BY v LIMIT 5) s",
+        None, None),
+    "subplan_in_under_reference": (
+        "SELECT count(*) FROM tenants WHERE id IN (SELECT tenant FROM events)",
+        None, None),
+    "subplan_inner_count": (
+        "SELECT count(*) FROM (SELECT count(*) AS c FROM events) s", None, None),
+    "subplan_cte": (
+        "WITH r AS (SELECT tenant, sum(v) AS t FROM events GROUP BY tenant)"
+        " SELECT tenant, t FROM r WHERE t > (SELECT avg(t) FROM r)"
+        " ORDER BY t DESC, tenant", None, (1, 0)),
+}
+QUERIES = {**ANALYTICS, **TPCH, **GHARCHIVE, **RUN_ONCE}
 
 
 @pytest.fixture(scope="module")
@@ -212,12 +231,18 @@ JOIN_ORDER = {
 }
 
 
+INTERMEDIATES = ("citus_repart_", "citus_bcast_", "citus_subplan_")
+
+
 def intermediate_tables(session):
-    """Every moved-side table a join-order plan left on any node."""
-    cluster = session.instance.extensions["citus"].cluster
-    return [(node, table) for node, instance in cluster.nodes.items()
+    """Every intermediate result a statement left on any node, or in the
+    metadata cache."""
+    ext = session.instance.extensions["citus"]
+    return [(node, table) for node, instance in ext.cluster.nodes.items()
             for table in instance.catalog.tables
-            if table.startswith(("citus_repart_", "citus_bcast_"))]
+            if table.startswith(INTERMEDIATES)] + [
+        ("metadata", table) for table in ext.metadata.cache.tables
+        if table.startswith(INTERMEDIATES)]
 
 
 @pytest.mark.parametrize("in_transaction", [False, True],
@@ -270,21 +295,60 @@ ORDER_BY_SUBQUERY = {
 @pytest.mark.parametrize("name", sorted(ORDER_BY_SUBQUERY))
 def test_a_cross_shard_subquery_in_order_by_never_runs_per_shard(
         oracle, cluster_session, name):
-    """Refused as the same subquery in the target list is — or, from any
-    tier that can run it whole, the single node's answer."""
+    """It runs once, as a subplan: the single node's answer, in order."""
     sql = ORDER_BY_SUBQUERY[name]
-    expected = oracle.execute(sql).rows
+    assert explain(cluster_session, sql).tier == "subplan"
+    assert normalized(cluster_session.execute(sql).rows) == normalized(
+        oracle.execute(sql).rows)
+
+
+# ------------------------------------------------------------- subplans
+
+def test_a_subplan_leaves_no_intermediate_even_when_the_statement_fails(
+        cluster_session):
+    """The count lands as an intermediate; the level reading it divides by
+    zero. Either way nothing is left in the metadata or on any node."""
+    cluster_session.execute(RUN_ONCE["subplan_inner_count"][0])
+    assert intermediate_tables(cluster_session) == []
+    with pytest.raises(ReproError, match="division by zero"):
+        cluster_session.execute(
+            "SELECT 1 / (c - c) FROM (SELECT count(*) AS c FROM events) s")
+    assert intermediate_tables(cluster_session) == []
+
+
+def test_a_subplan_sees_its_transaction_blocks_writes_and_fresh_rows(
+        oracle, cluster_session):
+    """Inside BEGIN a subplan reads the block's own INSERT; run again after
+    a write, it reads the new rows (no result is kept between runs)."""
+    sql = RUN_ONCE["subplan_inner_distinct"][0]
+    insert = "INSERT INTO events VALUES (9001, 3, 777, 'new')"
+    before = cluster_session.execute(sql).scalar()
+    assert before == oracle.execute(sql).scalar()
+    cluster_session.execute("BEGIN")
     try:
-        got = cluster_session.execute(sql).rows
-    except UnsupportedDistributedQuery as exc:
-        assert "aggregate across shards" in str(exc)
-        search = json.loads(cluster_session.execute(
-            "SELECT citus_plan_alternatives($1)", [sql]).scalar())
-        assert "cross_shard_subquery_agg" in [
-            c["rejection"]["code"] for c in search["candidates"]
-            if c["tier"] == "pushdown"]
-    else:
-        assert normalized(got) == normalized(expected)
+        cluster_session.execute(insert)
+        assert cluster_session.execute(sql).scalar() == before + 1
+    finally:
+        cluster_session.execute("ROLLBACK")
+    assert cluster_session.execute(sql).scalar() == before
+    try:
+        cluster_session.execute(insert)
+        assert cluster_session.execute(sql).scalar() == before + 1
+    finally:
+        cluster_session.execute("DELETE FROM events WHERE k = 9001")
+    assert cluster_session.execute(sql).scalar() == before
+    assert intermediate_tables(cluster_session) == []
+
+
+def test_explain_lists_each_subplan(cluster_session):
+    sql = ("SELECT count(*) FROM (SELECT DISTINCT v FROM events) s"
+           " WHERE v > (SELECT avg(v) FROM events)")
+    explained = explain(cluster_session, sql)
+    assert explained.subplan == {"strategy": "subplan", "queries": [
+        "SELECT DISTINCT v FROM events", "SELECT avg(v) FROM events"]}
+    text = cluster_session.execute("SELECT citus_explain($1)", [sql]).scalar()
+    assert "Subplan: strategy=subplan" in text
+    assert "SELECT DISTINCT v FROM events" in text
 
 
 def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):

@@ -101,6 +101,27 @@ class TestSelectBasics:
         ).rows
         assert rows == [[3]]  # f in {2.5, 3.5, 5.0}
 
+    def test_a_cte_is_visible_in_its_statements_subqueries(self, s):
+        # k sums f to 4.0, 3.5 and 5.0: the WHERE's scalar subquery reads
+        # the same CTE, correlated or not, as PostgreSQL resolves it.
+        rows = s.execute(
+            "WITH r AS (SELECT k, sum(f) AS total FROM t GROUP BY k)"
+            " SELECT k FROM r WHERE total = (SELECT max(total) FROM r)"
+        ).rows
+        assert rows == [[3]]
+        rows = s.execute(
+            "WITH r AS (SELECT k, sum(f) AS total FROM t GROUP BY k)"
+            " SELECT k FROM r AS o WHERE EXISTS"
+            " (SELECT 1 FROM r WHERE r.total > o.total) ORDER BY k"
+        ).rows
+        assert rows == [[1], [2]]
+        # A CTE is in scope in its own SELECT only: the second subquery
+        # reads the table t, not the first one's CTE of that name.
+        row = s.execute(
+            "SELECT (SELECT count(*) FROM (WITH t AS (SELECT 1 AS k)"
+            " SELECT k FROM t) x), (SELECT count(*) FROM t)").rows[0]
+        assert row == [1, 5]
+
 
 BIG = 2**53  # beyond here float() collapses neighbouring integers
 

@@ -242,12 +242,13 @@ class TestUnsupported:
         with pytest.raises(UnsupportedDistributedQuery):
             s.execute("SELECT * FROM orders FOR UPDATE")
 
-    def test_inner_cross_shard_aggregate_rejected(self, s):
-        with pytest.raises(UnsupportedDistributedQuery):
-            s.execute(
-                "SELECT avg(c) FROM (SELECT tag, count(*) AS c FROM orders"
-                " GROUP BY tag) AS sub"
-            )
+    def test_inner_cross_shard_aggregate_runs_once(self, s):
+        # One tag over eight rows: a single node counts one group of 8.
+        # Run per shard, each shard's count would be averaged instead.
+        sql = ("SELECT avg(c) FROM (SELECT tag, count(*) AS c FROM orders"
+               " GROUP BY tag) AS sub")
+        assert "Planner: Subplans (run once)" in explain_text(s, sql)
+        assert s.execute(sql).scalar() == 8.0
 
     def test_inner_aggregate_on_dist_column_allowed(self, s):
         # VeniceDB pattern: inner GROUP BY includes the distribution column.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.citus.sharding import analyze_statement, prune_shards
 from repro.sql import parse_one
+from repro.sql.deparse import deparse
 
 
 @pytest.fixture
@@ -158,13 +159,17 @@ class TestConstants:
 
 
 class TestInnerAggregates:
+    """The level verdict: an inner level aggregating across shards runs
+    once, as a subplan; one grouping or windowing on the distribution
+    column runs per shard."""
+
     def test_inner_agg_on_dist_col_allowed(self, env):
         ext, _ = env
         analysis = analyze(
             ext,
             "SELECT avg(c) FROM (SELECT key, count(*) AS c FROM a GROUP BY key) s",
         )
-        assert not analysis.inner_cross_shard_agg
+        assert analysis.subplans() == []
 
     def test_inner_agg_cross_shard_flagged(self, env):
         ext, _ = env
@@ -172,7 +177,8 @@ class TestInnerAggregates:
             ext,
             "SELECT avg(c) FROM (SELECT x, count(*) AS c FROM a GROUP BY x) s",
         )
-        assert analysis.inner_cross_shard_agg
+        assert [deparse(select) for select in analysis.subplans()] == [
+            "SELECT x, count(*) AS c FROM a GROUP BY x"]
 
     @pytest.mark.parametrize("inner", [
         "SELECT key, count(*) AS c FROM a GROUP BY 1",
@@ -182,7 +188,7 @@ class TestInnerAggregates:
     def test_inner_level_on_dist_col_not_flagged(self, env, inner):
         ext, _ = env
         analysis = analyze(ext, f"SELECT avg(c) FROM ({inner}) s")
-        assert not analysis.inner_cross_shard_agg
+        assert analysis.subplans() == []
 
 
 class TestPruning:
