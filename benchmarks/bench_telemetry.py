@@ -7,8 +7,7 @@ two questions of one GUC:
   this GUC on, then switched off through ``citus_set_config`` exactly how
   an operator would, against the **detached** baseline: a cluster installed
   with all five ``citus.enable_*`` telemetry GUCs off (no statement record
-  is allocated, no clock observer attached). What is left must be the cost
-  of the guard checks alone.
+  is allocated). What is left must be the cost of the guard checks alone.
 - **on** — what does the sensor cost where it runs? The shipped
   configuration (all five on, **with**) against the same configuration
   **without** this one GUC.
@@ -45,10 +44,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import make_cluster  # noqa: E402
 from repro.citus.extension import TELEMETRY_SWITCHES, CitusConfig  # noqa: E402
-
-#: Virtual seconds between ASH samples — far below the 1 s default, so the
-#: timed loop crosses a sampling boundary every few statements.
-ASH_INTERVAL = 0.01
 
 #: Independently allocated clusters per mode, rotated across rounds: a
 #: cluster's memory layout alone moves its throughput by several percent
@@ -102,8 +97,8 @@ def setup(guc: str, mode: str):
     """A loaded cluster with the telemetry GUCs ``mode`` asks for."""
     enabled = {"detached": (), "off": (guc,), "with": TELEMETRY_SWITCHES,
                "without": [g for g in TELEMETRY_SWITCHES if g != guc]}[mode]
-    config = CitusConfig(ash_sampling_interval=ASH_INTERVAL,
-                         **{name: name in enabled for name in TELEMETRY_SWITCHES})
+    config = CitusConfig(**{name: name in enabled
+                            for name in TELEMETRY_SWITCHES})
     cluster = make_cluster(workers=2, shard_count=8, max_connections=2000,
                            config=config)
     session = cluster.coordinator_session()
@@ -150,7 +145,7 @@ def check_recorded(guc: str, on_session, off_session) -> None:
     surface = {
         "enable_tracing": "citus_stat_statements()",
         "enable_introspection": "citus_stat_tenants()",
-        "enable_txn_graph": "citus_stat_txn_graph('vertices')",
+        "enable_txn_graph": "citus_stat_txn_graph()",
         "enable_ash": "citus_ash()",
     }[guc]
     if not on_session.execute(f"SELECT {surface}").scalar():

@@ -94,17 +94,17 @@ def one_run(config: TrafficConfig) -> dict:
     threshold = citus.coordinator_ext.config.copy_flush_threshold
     report = run_traffic(citus, config, slo_spec(threshold))
     # Graph and ASH dumps ride inside the report, so the byte-for-byte
-    # determinism gate also covers the co-access graph and the Active
-    # Session History ring (same seed → identical citus_ash() output). The
-    # flamegraph carries every sample in aggregated form; the sample count
-    # pins the ring size too.
+    # determinism gate also covers the co-access graph's vertices and the
+    # Active Session History ring (same seed → identical citus_ash()
+    # output). The flamegraph carries every statement's waits in
+    # aggregated form; the row count pins the ring size too.
     session = citus.coordinator_session("traffic_graph_dump")
     try:
         report["txn_graph"] = session.execute(
-            "SELECT citus_stat_txn_graph('json')").scalar()
+            "SELECT citus_stat_txn_graph()").scalar()
         report["ash_flamegraph"] = session.execute(
             "SELECT citus_ash('flamegraph')").scalar()
-        report["ash_samples"] = len(
+        report["ash_statements"] = len(
             session.execute("SELECT citus_ash()").scalar())
     finally:
         session.close()
@@ -141,13 +141,14 @@ def summarize(report: dict) -> str:
     ash = report.get("ash")
     if ash is not None:
         lines.append("")
-        lines.append(f"ASH diagnostics ({ash['samples']} samples in window):")
+        lines.append(f"ASH diagnostics ({ash['statements']} statements,"
+                     f" {ash['wait_us']} µs of waits in window):")
         if ash.get("headline"):
             lines.append(f"  {ash['headline']}")
         for wait in ash["top_waits"]:
             lines.append(
                 f"  {wait['wait_event_type']}.{wait['wait_event']}:"
-                f" {wait['samples']} samples ({wait['pct']}%),"
+                f" {wait['wait_us']} µs ({wait['pct']}%),"
                 f" mostly {wait['top_node']}"
             )
     return "\n".join(lines)
@@ -204,10 +205,12 @@ def main(argv=None) -> int:
     for gate, ok in result["gates"].items():
         print(f"gate {gate}: {'OK' if ok else 'FAIL'}")
     if not result["passed"]:
-        # Drop the collapsed-stack ASH profile next to the JSON report so
-        # CI can upload it as an artifact: the first question on an SLO
-        # breach is "what was the cluster waiting on", and this file is
-        # the answer in a form flamegraph.pl / speedscope render directly.
+        # Drop the collapsed-stack ASH profile (every statement's wait
+        # time, µs per node;class;event;fingerprint) next to the JSON
+        # report so CI can upload it as an artifact: the first question on
+        # an SLO breach is "what was the cluster waiting on", and this file
+        # is the answer in a form flamegraph.pl / speedscope render
+        # directly.
         fg_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                "results", "bench_traffic_flamegraph.txt")
         os.makedirs(os.path.dirname(fg_path), exist_ok=True)

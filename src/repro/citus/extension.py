@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 from ..engine.stats import StatsRegistry
 from ..errors import MetadataError, ReproError
-from .ash import MODES as ASH_MODES, AshSampler
+from .ash import MODES as ASH_MODES, ActiveSessionHistory
 from .columnar import set_access_method
 from .ddl import DistributedDDL, table_to_create_stmt
 from .executor.adaptive import AdaptiveExecutor
@@ -43,7 +43,6 @@ from .telemetry import SCOPES, telemetry_for
 from .txn.deadlock import detect_distributed_deadlocks
 from .txn.recovery import recover_prepared_transactions
 from .txn.twopc import TransactionCallbacks
-from .txngraph import MODES as GRAPH_MODES, OFF_TEXT as GRAPH_OFF_TEXT
 from .utility import make_utility_hook
 
 
@@ -76,10 +75,9 @@ class CitusConfig:
     # Distributed-transaction co-access graph (citus_stat_txn_graph). Off:
     # executor runs keep no access units and nothing is folded.
     enable_txn_graph: bool = True
-    # Active Session History (citus_ash): a deterministic wait/state
-    # sampler driven by SimClock observers; off detaches the observer.
+    # Active Session History (citus_ash): each statement's waits, folded
+    # from its record into a bounded ring. Off: nothing is noted or folded.
     enable_ash: bool = True
-    ash_sampling_interval: float = 1.0  # virtual seconds between samples
 
 
 #: GUC name -> the type its values parse as.
@@ -441,7 +439,7 @@ def citus_stat_reset(ext, session, mode="all"):
     wait-event totals), 'statements' (citus_stat_statements),
     'tenants' (citus_stat_tenants), 'graph' (the lifetime
     transaction co-access graph behind citus_stat_txn_graph),
-    'ash' (the Active Session History sample ring behind
+    'ash' (the Active Session History statement ring behind
     citus_ash), or 'all' (the default — every scope above).
     """
     _mode("citus_stat_reset", SCOPES + ("all",), mode)
@@ -459,41 +457,37 @@ def citus_trace_export(ext, session, *args):
 
 
 def citus_stat_txn_graph(ext, session, *args):
-    """The distributed-transaction co-access graph, by mode (the modes and
-    their columns are ``txngraph.MODES``): 'edges' (the default), per
-    shard-group pair, how many transactions touched both and how they
-    committed; 'vertices', per shard group; 'json', both as one
-    sorted-key export; 'dot', GraphViz source."""
-    mode, = _args("citus_stat_txn_graph", args, (str,))
-    mode = _mode("citus_stat_txn_graph", GRAPH_MODES,
-                 "edges" if mode is None else mode)
-    method, columns = GRAPH_MODES[mode]
+    """The distributed-transaction co-access graph's vertices: per shard
+    group, the committed transactions that touched it, how many of them
+    wrote it, and their bytes (``txngraph.VERTEX_COLUMNS``). It takes no
+    mode: the graph keeps no edges to show."""
+    if args:
+        raise MetadataError("citus_stat_txn_graph takes no arguments")
     graph = ext.telemetry.txn_graph()
-    if graph is None:
-        return [] if columns else GRAPH_OFF_TEXT[mode]
-    return method(graph)
+    return [] if graph is None else graph.vertex_rows()
 
 
 def citus_ash(ext, session, *args):
     """Active Session History: ``citus_ash([mode [, start [, end [,
-    bucket]]]])`` over the deterministic wait/state sample ring;
-    ``start`` / ``end`` bound the virtual-time range (inclusive, both
-    optional). The modes and their columns are ``ash.MODES``: 'samples'
-    (the default, the raw ring), 'top_waits', 'top_queries',
-    'top_tenants', 'timeline' (``bucket`` seconds wide; omitted or 0, 10
-    sampling intervals) and 'flamegraph' (collapsed-stack text for
-    flamegraph.pl / speedscope)."""
+    bucket]]]])`` over the ring of statements and their waits; ``start``
+    / ``end`` bound the virtual-time range (a statement overlapping it is
+    in it; inclusive, both optional). The modes and their columns are
+    ``ash.MODES``: 'statements' (the default, the raw ring), 'top_waits',
+    'top_queries', 'top_tenants' (wait time by each), 'timeline'
+    (``bucket`` seconds wide; omitted or 0, ``ash.TIMELINE_BUCKET_SECONDS``)
+    and 'flamegraph' (collapsed-stack text for flamegraph.pl /
+    speedscope)."""
     mode, start, end, bucket = _args("citus_ash", args,
                                      (str, float, float, float))
     _at_least(bucket, 0.0, "the bucket width of citus_ash")
     method, columns = ASH_MODES[_mode("citus_ash", ASH_MODES,
-                                      "samples" if mode is None else mode)]
-    sampler = ext.telemetry.ash
-    if not sampler.enabled:
+                                      "statements" if mode is None else mode)]
+    ash = ext.telemetry.session_history()
+    if ash is None:
         return [] if columns else ""
-    if method is AshSampler.timeline:
-        return sampler.timeline(start, end, bucket)
-    return method(sampler, start, end)
+    if method is ActiveSessionHistory.timeline:
+        return ash.timeline(start, end, bucket)
+    return method(ash, start, end)
 
 
 #: The UDF table: (name, ``fn(ext, session, *args)``, coordinator-only).

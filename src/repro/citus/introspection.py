@@ -119,12 +119,10 @@ def _cluster_instances(ext):
             yield name, instance
 
 
-def session_activity(ext, with_query: bool = True):
-    """(session, row) for every open session across every alive node, the
-    row in :data:`ACTIVITY_COLUMNS` order. ``with_query=False`` skips the
-    SQL deparse (the ``query`` column is None) but keeps the fingerprint:
-    the ASH sampler snapshots through this path on every sampling tick and
-    only persists the digest."""
+def citus_dist_stat_activity(ext, _session) -> list[list]:
+    """:data:`ACTIVITY_COLUMNS` rows, one per open session on every alive
+    node."""
+    rows = []
     for name, instance in _cluster_instances(ext):
         now = instance.now()
         for session in instance.sessions:
@@ -134,7 +132,7 @@ def session_activity(ext, with_query: bool = True):
                 elapsed = now - session.query_start_at
             else:
                 elapsed = session.last_query_seconds
-            yield session, [
+            rows.append([
                 global_pid(ext, name, session.backend_pid),
                 name,
                 session.backend_pid,
@@ -144,16 +142,12 @@ def session_activity(ext, with_query: bool = True):
                 wait.wclass if wait is not None else None,
                 wait.event if wait is not None else None,
                 getattr(session, "_citus_tier", None),
-                _statement_text(stmt) if with_query else None,
+                _statement_text(stmt),
                 (statement_fingerprint(statement_facts(stmt))[1]
                  if stmt is not None else None),
                 elapsed * 1000.0,
-            ]
-
-
-def citus_dist_stat_activity(ext, session) -> list[list]:
-    """:data:`ACTIVITY_COLUMNS` rows, one per open session."""
-    return [row for _session, row in session_activity(ext)]
+            ])
+    return rows
 
 
 # ------------------------------------------------------------ lock waits

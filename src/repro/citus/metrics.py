@@ -8,7 +8,7 @@
   ``wait_time_us:Class.Event`` counters into
   ``citus_wait_events_total{class=...,event=...,node=...}`` and
   ``citus_wait_time_seconds_total{...}``,
-- the co-access graph and ASH families, and for every
+- the co-access graph's vertex families, and for every
   telemetry ring its capacity, high-water mark and drop count
   (``citus_telemetry_ring_*{ring=...}``),
 - per-node health: up/down, open connections, parked-statement queue

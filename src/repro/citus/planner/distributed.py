@@ -33,7 +33,9 @@ from ...engine.datum import (
     BIGINT, BOOL, DATE, FLOAT, TEXT, TIMESTAMP, cast_value,
     refuse_number_against_text,
 )
-from ...engine.executor import QueryResult, text_comparisons, width_error
+from ...engine.executor import (
+    QueryResult, output_names, text_comparisons, width_error,
+)
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
@@ -279,12 +281,15 @@ class SubplanPlan(CitusPlan):
         super().__init__(ext)
         cache = ext.metadata.cache
         self.queries = [sql_with_values(level, params) for level in levels]
-        names = {id(level): f"citus_subplan_{next(_subplan_counter)}"
-                 for level in levels}
-        #: Per level: its plan, and the intermediate its rows land in.
-        self.subplans = [(_plan(ext, session, level, params, None),
-                          reference_intermediate(names[id(level)]))
-                         for level in levels]
+        intermediates = [reference_intermediate(
+            f"citus_subplan_{next(_subplan_counter)}") for _level in levels]
+        #: Per level: its plan, the intermediate its rows land in, and its
+        #: columns' names there (None: the result's own).
+        self.subplans, names = [], {}
+        for level, transient in zip(levels, intermediates):
+            names[id(level)], columns = _reader(transient.name, level)
+            self.subplans.append((_plan(ext, session, level, params, None),
+                                  transient, columns))
         rewritten = read_from(select, names)
         analysis = analyze_statement(rewritten, cache, params,
                                      ext.instance.catalog)
@@ -296,21 +301,22 @@ class SubplanPlan(CitusPlan):
         if not any(level is rewritten for level in analysis.levels):
             nodes.add(ext.instance.name)
         self.nodes = sorted(nodes)
-        for _subplan, transient in self.subplans:
+        for _subplan, transient, _columns in self.subplans:
             cache.tables[transient.name] = transient
         try:
             self.plan = _plan(ext, session, rewritten, params, None)
         finally:
-            for _subplan, transient in self.subplans:
+            for _subplan, transient, _columns in self.subplans:
                 cache.tables.pop(transient.name, None)
 
     def execute(self, session, params):
         with ExitStack() as landed:
-            for plan, transient in self.subplans:
+            for plan, transient, columns in self.subplans:
                 result = plan.execute(session, params)
                 table = transient.shards[0].shard_name
                 landed.enter_context(land(
-                    self.ext, transient, _typed_columns(result),
+                    self.ext, transient,
+                    _typed_columns(result, columns or result.columns),
                     [(node, None, table) for node in self.nodes],
                     iter(result.rows)))
             return self.plan.execute(session, params)
@@ -321,13 +327,29 @@ class SubplanPlan(CitusPlan):
                 "subplan": {"strategy": "subplan", "queries": self.queries}}
 
 
-def _typed_columns(result) -> list[Column]:
-    """A subplan result's columns, each typed as its first non-NULL value
-    (text when it has none)."""
+def _reader(table: str, level: A.Select):
+    """What the rest of a statement reads in place of a subplan ``level``,
+    and the names of the columns of its intermediate ``table``: c1, c2,
+    ..., read back under the level's output names, which may repeat
+    (``SELECT count(*), count(*)``). A level with a ``*`` target is read
+    as the table itself, its columns named as its result names them
+    (None)."""
+    if any(isinstance(target.expr, A.Star) for target in level.targets):
+        return table, None
+    columns = [f"c{i}" for i in range(1, len(level.targets) + 1)]
+    return A.Select(
+        targets=[A.TargetEntry(A.ColumnRef(column), name) for column, name
+                 in zip(columns, output_names(level.targets))],
+        from_items=[A.TableRef(table)]), columns
+
+
+def _typed_columns(result, names) -> list[Column]:
+    """A subplan result's columns under ``names``, each typed as its first
+    non-NULL value (text when it has none)."""
     values = zip(*result.rows) if result.rows else [()] * len(result.columns)
     return [Column(name, _VALUE_TYPES.get(type(next(
         (v for v in column if v is not None), None)), TEXT))
-        for name, column in zip(result.columns, values)]
+        for name, column in zip(names, values)]
 
 
 class InsertValuesPlan(CitusPlan):

@@ -126,10 +126,10 @@ def _join_column_on_dist_key(ext, analysis, anchor, moved):
     """If the anchor's distribution column is equi-joined with a column of
     the moved table, return that column's name."""
     equivalence = analysis.equivalence
-    anchor_root = equivalence.find(f"{anchor.alias}.{anchor.dist.dist_column}")
+    anchor_root = equivalence.find(analysis.dist_column_key(anchor))
     shell = ext.instance.catalog.get_table(moved.name)
     for column in shell.column_names():
-        key = f"{moved.alias}.{column}"
+        key = f"{moved.key}.{column}"
         if key in equivalence.parent and equivalence.find(key) == anchor_root:
             return column
     return None

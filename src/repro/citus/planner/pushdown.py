@@ -105,7 +105,7 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
             " every shard would return its unmatched rows",
         )
     colocation_ids = {o.dist.colocation_id for o in dist}
-    if len(colocation_ids) != 1 or not analysis.all_dist_columns_equal():
+    if len(colocation_ids) != 1 or not analysis.shards_align():
         if search is not None:
             search.reject("pushdown", "non_colocated_join",
                           "tables are not co-located or not joined on their"
@@ -128,7 +128,7 @@ def pushes_down_without_merge(analysis: QueryAnalysis, select: A.Select) -> bool
     distribution columns, no inner level must run once, no level
     aggregates across shards and every window stays on one shard."""
     return (len({o.dist.colocation_id for o in analysis.distributed}) == 1
-            and analysis.all_dist_columns_equal()
+            and analysis.shards_align()
             and not analysis.subplans()
             and _windows_stay_on_shards(analysis)
             and not analysis.aggregates_across_shards(select))

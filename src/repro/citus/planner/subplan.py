@@ -61,7 +61,8 @@ def land(ext, transient: DistributedTable, columns, targets, rows):
 def read_from(node, names: dict):
     """A copy of ``node`` in which each table ``names`` maps by name, and
     each subquery level it maps by ``id``, is read from what it maps to: a
-    table name, or (a CTE's name) the query it names."""
+    table name, or a query (a CTE's, or one reading an intermediate's
+    columns back under the level's names)."""
     if isinstance(node, (list, tuple)):
         return type(node)(read_from(item, names) for item in node)
     if not isinstance(node, A.Node):
@@ -71,10 +72,13 @@ def read_from(node, names: dict):
         return (A.TableRef(source, alias=node.ref_name) if isinstance(source, str)
                 else A.SubqueryRef(source.copy(), node.ref_name))
     level = getattr(node, "query", None)
-    if isinstance(node, A.SubqueryRef) and id(level) in names:
-        return A.TableRef(names[id(level)], alias=node.alias)
-    if isinstance(node, A.SubqueryExpr) and id(level) in names:
-        node = replace(node, query=select_star(names[id(level)]))
+    if isinstance(node, (A.SubqueryRef, A.SubqueryExpr)) and id(level) in names:
+        source = names[id(level)]
+        if isinstance(source, str):
+            if isinstance(node, A.SubqueryRef):
+                return A.TableRef(source, alias=node.alias)
+            source = select_star(source)
+        node = replace(node, query=source.copy())
     return type(node)(**{
         name: read_from(getattr(node, name), names) if may_hold_nodes
         else getattr(node, name)

@@ -105,16 +105,21 @@ class StatementRecord:
     clock); ``top`` the index of the innermost open span (-1: none);
     ``wire`` / ``parked_wire`` the bytes of its executor units, a parked
     task's apart. ``access`` is filled by the co-access fold: the
-    transaction's access summary shown on its commit spans.
+    transaction's access summary shown on its commit spans. ``pid`` is the
+    session's backend pid, and ``waits`` the waits accounted while the
+    record was current, whole µs per (class, event, node), which ASH notes
+    and folds (flat key, µs pairs once closed).
     """
 
-    __slots__ = ("kind", "name", "stmt", "node", "start", "end", "max_end", "tier", "fingerprint", "digest", "tenant",
-                 "cached", "rows", "error", "wait_seconds", "events", "top",
-                 "traced", "wire", "parked_wire", "access")
+    __slots__ = ("kind", "name", "stmt", "node", "pid", "start", "end",
+                 "max_end", "tier", "fingerprint", "digest", "tenant",
+                 "cached", "rows", "error", "wait_seconds", "waits", "events",
+                 "top", "traced", "wire", "parked_wire", "access")
 
     def __init__(self, kind: str, name: str, stmt, node: str | None,
                  start: float, traced: bool):
         self.kind, self.name, self.stmt, self.node = kind, name, stmt, node
+        self.pid = None
         self.start = self.max_end = start
         self.end: float | None = None  # None while open
         self.tier = self.fingerprint = self.digest = self.tenant = None
@@ -122,6 +127,7 @@ class StatementRecord:
         self.rows: int | None = None  # None: no result (failed, or open)
         self.error: str | None = None
         self.wait_seconds = 0.0
+        self.waits: dict | tuple = ()  # a dict once noted, a tuple closed
         self.events: list | tuple = []  # a tuple once closed
         self.top = -1
         self.traced = traced
@@ -168,15 +174,6 @@ class Ring:
             self.high_water += 1
         items.append(item)
 
-    def extend(self, new: list) -> None:
-        items = self.items
-        overflow = len(items) + len(new) - items.maxlen
-        if overflow > 0:
-            self.dropped += overflow
-        items.extend(new)
-        if len(items) > self.high_water:
-            self.high_water = len(items)
-
     def clear(self) -> None:
         self.items.clear()
 
@@ -199,14 +196,15 @@ def _busiest(item) -> tuple:
 def rank(items, with_detail: bool = False) -> list[tuple]:
     """Count ``items`` by key — an iterable of keys, or a ``{key: count}``
     mapping already counted — busiest first: ``[(key, count)]``. With
-    ``with_detail`` the items are ``(key, detail)`` pairs and each row also
-    names the detail seen most often with its key, ranked the same way:
-    ``[(key, count, top_detail)]``."""
+    ``with_detail`` the items are ``(key, detail, weight)`` triples: each
+    key's weights are summed, and each row also names the detail carrying
+    most of its weight, ranked the same way: ``[(key, total,
+    top_detail)]``."""
     if not with_detail:
         return sorted(Counter(items).items(), key=_busiest)
     details: dict = {}
-    for key, detail in items:
-        details.setdefault(key, Counter())[detail] += 1
+    for key, detail, weight in items:
+        details.setdefault(key, Counter())[detail] += weight
     return sorted(((key, sum(per_key.values()),
                     min(per_key.items(), key=_busiest)[0])
                    for key, per_key in details.items()), key=_busiest)

@@ -27,11 +27,15 @@ from .metadata import RANGE, DistributedTable, MetadataCache
 
 @dataclass
 class TableOccurrence:
-    """One reference to a table in the query tree."""
+    """One reference to a table in the query tree. ``key`` names its
+    columns in the equivalence web: the alias, made unique per reference
+    (:func:`_ref_key`), so two levels reading a table under one alias are
+    two occurrences, not one."""
 
     name: str
     alias: str
     dist: DistributedTable | None  # None for local tables
+    key: str
 
 
 class QueryAnalysis:
@@ -50,6 +54,15 @@ class QueryAnalysis:
         #: One ``(preserved, other)`` pair of alias sets per side an outer
         #: join keeps every row of (two for a FULL join).
         self.outer_joins: list[tuple[set, set]] = []
+        #: FROM item ``id`` -> (the item, its key): see :func:`_ref_key`.
+        self.ref_keys: dict[int, tuple] = {}
+        #: Set operations some arm of which reads a distributed table, by
+        #: ``id``: (the level, whether its arms can run on each shard, the
+        #: output positions that are some arms' distribution column and not
+        #: all arms'); and per one that can run so, a distribution column
+        #: key per arm.
+        self.set_op_levels: dict[int, tuple[A.Select, bool, set]] = {}
+        self.aligned_arms: list[list[str]] = []
 
     @property
     def distributed(self) -> list[TableOccurrence]:
@@ -64,7 +77,7 @@ class QueryAnalysis:
         return [o for o in self.occurrences if o.dist is None]
 
     def dist_column_key(self, occ: TableOccurrence) -> str:
-        return f"{occ.alias}.{occ.dist.dist_column}"
+        return f"{occ.key}.{occ.dist.dist_column}"
 
     def replicated_preserved_side(self) -> set | None:
         """The aliases of an outer join's preserved side that reads no
@@ -82,9 +95,12 @@ class QueryAnalysis:
         once, as a subplan, and the statement reads its result (§3.5's
         recursive planning). A level inside one of them runs with it."""
         levels = set(map(id, self.levels))
-        once = {id(select) for select in self.levels
-                if id(select) in self.readers and self._runs_once(select, levels)}
-        return [select for select in self.levels if id(select) in once
+        inner = [select for select in self.levels + [
+            select for select, _aligned, _mixed in self.set_op_levels.values()
+            if id(select) not in levels] if id(select) in self.readers]
+        once = {id(select) for select in inner
+                if self._runs_once(select, levels)}
+        return [select for select in inner if id(select) in once
                 and not any(id(outer) in once for outer in self._readers_of(select))]
 
     def _readers_of(self, select):
@@ -96,11 +112,21 @@ class QueryAnalysis:
     def _runs_once(self, select: A.Select, levels: set) -> bool:
         """Whether an inner level cannot run per shard: it is an expression
         of a level whose FROM reads no distributed table (every shard would
-        answer that level whole), or it aggregates, takes DISTINCT or LIMIT,
-        or windows across shards."""
+        answer that level whole), it or an arm of its set operation
+        aggregates, takes DISTINCT or LIMIT, or windows across shards, or
+        its arms do not align on the shards (:func:`_align_arms`)."""
         reader, in_expr = self.readers[id(select)]
         if in_expr and id(reader) not in levels:
             return True
+        _level, aligned, _mixed = self.set_op_levels.get(
+            id(select), (None, True, ()))
+        return not aligned or any(map(self._whole_only, [
+            select, *(arm for _op, arm in select.set_ops)]))
+
+    def _whole_only(self, select: A.Select) -> bool:
+        """Whether a level's rows on one shard are not its share of the
+        whole: it aggregates, takes DISTINCT or LIMIT, or windows across
+        shards."""
         is_dist = self.dist_column_test(select)
         distinct = select.distinct_on or [t.expr for t in select.targets]
         return (self.aggregates_across_shards(select)
@@ -133,7 +159,7 @@ class QueryAnalysis:
         return not all(
             ref.table in scope if ref.table is not None else (
                 ref.name in names or any(ref.name in columns or not columns
-                                         for columns in scope.values()))
+                                         for _key, columns in scope.values()))
             for ref in A.walk(select) if isinstance(ref, A.ColumnRef))
 
     def aggregates_across_shards(self, select: A.Select) -> bool:
@@ -178,6 +204,21 @@ class QueryAnalysis:
             return True
         roots = {self.equivalence.find(self.dist_column_key(o)) for o in dist}
         return len(roots) == 1
+
+    def shards_align(self) -> bool:
+        """Whether every shard's rows meet only rows of the same shards: the
+        distribution columns are one class, the arms of a set operation
+        that runs on each shard counted as one (they are not equal, so a
+        router does not take one arm's constant for another's)."""
+        if not self.aligned_arms:
+            return self.all_dist_columns_equal()
+        merged = UnionFind()
+        merged.parent = dict(self.equivalence.parent)
+        for first, *others in self.aligned_arms:
+            for key in others:
+                merged.union(first, key)
+        return len({merged.find(self.dist_column_key(o))
+                    for o in self.distributed}) <= 1
 
     def common_constant(self):
         """The constant shared by every distribution column, or a sentinel.
@@ -226,13 +267,13 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
     if isinstance(stmt, A.Select):
         _analyze_select(stmt, cache, analysis, params)
     elif isinstance(stmt, A.Insert):
-        _add_occurrence(stmt.table, stmt.table, cache, analysis)
+        _add_occurrence(A.TableRef(stmt.table), cache, analysis)
         if stmt.select is not None:
             _analyze_select(stmt.select, cache, analysis, params)
     elif isinstance(stmt, (A.Update, A.Delete)):
-        alias = stmt.alias or stmt.table
-        _add_occurrence(stmt.table, alias, cache, analysis)
-        scope = _build_scope([A.TableRef(stmt.table, stmt.alias)], analysis)
+        target = A.TableRef(stmt.table, stmt.alias)
+        _add_occurrence(target, cache, analysis)
+        scope = _build_scope([target], analysis)
         if stmt.where is not None:
             _collect_equalities(stmt.where, analysis, params, scope)
             _collect_subquery_tables(stmt.where, cache, analysis, params, scope, stmt)
@@ -241,8 +282,8 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
 
 
 def _build_scope(from_items, analysis) -> dict:
-    """alias -> {column name: type name, None when unknown} visible under
-    that alias."""
+    """alias -> (its key, {column name: type name, None when unknown})
+    visible under that alias."""
     scope: dict[str, dict] = {}
     for item in from_items:
         _add_to_scope(item, scope, analysis)
@@ -253,11 +294,14 @@ def _add_to_scope(item, scope: dict, analysis) -> None:
     # A function of the module, not a closure that calls itself: that
     # closure would be a reference cycle holding the analysis.
     if isinstance(item, A.TableRef):
-        scope[item.ref_name] = _table_columns(item.name, analysis)
+        scope[item.ref_name] = (_ref_key(item, analysis),
+                                _table_columns(item.name, analysis))
     elif isinstance(item, A.SubqueryRef):
-        scope[item.alias] = dict.fromkeys(output_names(item.query.targets))
+        scope[item.alias] = (_ref_key(item, analysis),
+                             dict.fromkeys(output_names(item.query.targets)))
     elif isinstance(item, A.FunctionRef):
-        scope[item.alias] = dict.fromkeys(item.column_names)
+        scope[item.alias] = (_ref_key(item, analysis),
+                             dict.fromkeys(item.column_names))
     elif isinstance(item, A.JoinExpr):
         _add_to_scope(item.left, scope, analysis)
         _add_to_scope(item.right, scope, analysis)
@@ -270,14 +314,33 @@ def _table_columns(name, analysis) -> dict:
     return {}
 
 
-def _qualify(key: str, scope: dict) -> str:
-    """Bind a bare column name to its owning alias when unambiguous."""
-    if "." in key or not scope:
-        return key
-    owners = [alias for alias, columns in scope.items() if key in columns]
-    if len(owners) == 1:
-        return f"{owners[0]}.{key}"
+def _ref_key(item, analysis) -> str:
+    """The key a FROM item's columns go by in the equivalence web: its
+    alias, or the alias and a number when an item met before holds it (the
+    same alias at another level is another reference to the table)."""
+    found = analysis.ref_keys.get(id(item))
+    if found is not None:
+        return found[1]
+    alias = item.ref_name if isinstance(item, A.TableRef) else item.alias
+    taken = {key for _item, key in analysis.ref_keys.values()}
+    key, n = alias, 1
+    while key in taken:
+        n += 1
+        key = f"{alias}#{n}"
+    analysis.ref_keys[id(item)] = (item, key)  # the item kept: ids stay unique
     return key
+
+
+def _qualify(key: str, scope: dict) -> str:
+    """A column reference's key as its FROM item's key and the column: a
+    qualified reference through its alias in ``scope``, a bare name when
+    exactly one item there may hold it (else the key as written)."""
+    table, _, name = key.rpartition(".")
+    if table:
+        entry = scope.get(table)
+        return key if entry is None else f"{entry[0]}.{name}"
+    owners = [ref_key for ref_key, columns in scope.values() if name in columns]
+    return f"{owners[0]}.{name}" if len(owners) == 1 else key
 
 
 def _finalize_unqualified_refs(analysis: QueryAnalysis) -> None:
@@ -293,19 +356,22 @@ def _finalize_unqualified_refs(analysis: QueryAnalysis) -> None:
             dist_col_owners.setdefault(occ.dist.dist_column, []).append(occ)
     for column, owners in dist_col_owners.items():
         if len(owners) == 1:
-            analysis.equivalence.union(f"{owners[0].alias}.{column}", column)
+            analysis.equivalence.union(f"{owners[0].key}.{column}", column)
 
 
 def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params,
-                    reader=None):
+                    reader=None) -> list[TableOccurrence]:
+    """Analyse one level (its subqueries and set operation's arms too);
+    the distributed tables its FROM reads."""
     if reader is not None:
         analysis.readers[id(select)] = reader
     scope = _build_scope(select.from_items, analysis)
     start = len(analysis.occurrences)
     for item in select.from_items:
         _analyze_from_item(item, cache, analysis, params, scope, select)
-    if any(o.dist is not None and not o.dist.is_reference
-           for o in analysis.occurrences[start:]):
+    dist = [o for o in analysis.occurrences[start:]
+            if o.dist is not None and not o.dist.is_reference]
+    if dist:
         analysis.levels.append(select)
     # ORDER BY / GROUP BY expressions run on the workers too: a subquery in
     # them reads shards like one in the targets does.
@@ -315,25 +381,56 @@ def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params,
             _collect_subquery_tables(expr, cache, analysis, params, scope, select)
     if select.where is not None:
         _collect_equalities(select.where, analysis, params, scope)
-    for _op, rhs in select.set_ops:
-        _analyze_select(rhs, cache, analysis, params)
+    arms = [(select, dist)] + [(rhs, _analyze_select(rhs, cache, analysis, params))
+                               for _op, rhs in select.set_ops]
+    if len(arms) > 1 and any(arm_dist for _arm, arm_dist in arms):
+        _align_arms(select, arms, analysis)
+    return dist
+
+
+def _align_arms(select: A.Select, arms, analysis: QueryAnalysis) -> None:
+    """Whether the arms of a set operation can run on each shard, over
+    its rows: each arm reads a distributed table, and a UNION, INTERSECT or
+    EXCEPT, which deduplicates per shard, has an output column that is
+    every arm's distribution column (equal rows then share a shard). An
+    output column that is some arms' distribution column and not all arms'
+    is bound to no column (:func:`_output_key`): joined on, it would pair
+    rows of different shards."""
+    find = analysis.equivalence.find
+    outputs = []  # per arm: which of its output columns is its dist column
+    for arm, dist in arms:
+        roots = {find(analysis.dist_column_key(o)) for o in dist}
+        scope = _build_scope(arm.from_items, analysis)
+        outputs.append([isinstance(entry.expr, A.ColumnRef)
+                        and find(_qualify(entry.expr.key, scope)) in roots
+                        for entry in arm.targets])
+    columns = list(zip(*outputs))
+    aligned = (all(dist for _arm, dist in arms)
+               and (any(map(all, columns))
+                    or all(op == "union all" for op, _rhs in select.set_ops)))
+    mixed = {position for position, column in enumerate(columns)
+             if any(column) and not all(column)}
+    analysis.set_op_levels[id(select)] = (select, aligned, mixed)
+    if aligned:
+        analysis.aligned_arms.append(
+            [analysis.dist_column_key(dist[0]) for _arm, dist in arms])
 
 
 def _analyze_from_item(item, cache, analysis, params, scope, select):
     if isinstance(item, A.TableRef):
-        _add_occurrence(item.name, item.ref_name, cache, analysis)
+        _add_occurrence(item, cache, analysis)
     elif isinstance(item, A.SubqueryRef):
         _analyze_select(item.query, cache, analysis, params, (select, False))
         # Column refs through the subquery alias join the equivalence web via
         # the subquery's target names: alias.colname ~ target expr when the
         # target is a plain column reference.
         inner_scope = _build_scope(item.query.from_items, analysis)
-        for entry in item.query.targets:
-            if isinstance(entry, A.TargetEntry) and isinstance(entry.expr, A.ColumnRef):
-                out_name = entry.alias or entry.expr.name
+        for position, entry in enumerate(item.query.targets):
+            key = _output_key(item.query, position, inner_scope, analysis)
+            if key is not None:
                 analysis.equivalence.union(
-                    f"{item.alias}.{out_name}", _qualify(entry.expr.key, inner_scope)
-                )
+                    f"{_ref_key(item, analysis)}.{entry.alias or entry.expr.name}",
+                    key)
     elif isinstance(item, A.JoinExpr):
         _analyze_from_item(item.left, cache, analysis, params, scope, select)
         _analyze_from_item(item.right, cache, analysis, params, scope, select)
@@ -354,6 +451,17 @@ def _analyze_from_item(item, cache, analysis, params, scope, select):
                 analysis.equivalence.union(f"{left_alias}.{name}", f"{right_alias}.{name}")
 
 
+def _output_key(select: A.Select, position: int, scope, analysis) -> str | None:
+    """The key of the column a level outputs at ``position``, when it
+    outputs a plain column there that a set operation's arms do not mix
+    up (:func:`_align_arms`); else None."""
+    entry = select.targets[position]
+    mixed = analysis.set_op_levels.get(id(select), (None, True, ()))[2]
+    if not isinstance(entry.expr, A.ColumnRef) or position in mixed:
+        return None
+    return _qualify(entry.expr.key, scope)
+
+
 def _aliases_under(item) -> set:
     """The aliases of the tables a FROM item reads, inside subqueries too."""
     return {node.ref_name for node in A.walk(item) if isinstance(node, A.TableRef)}
@@ -369,9 +477,10 @@ def _leftmost_alias(item):
     return None
 
 
-def _add_occurrence(name, alias, cache, analysis):
-    dist = cache.tables.get(name)
-    analysis.occurrences.append(TableOccurrence(name, alias, dist))
+def _add_occurrence(ref: A.TableRef, cache, analysis):
+    analysis.occurrences.append(TableOccurrence(
+        ref.name, ref.ref_name, cache.tables.get(ref.name),
+        _ref_key(ref, analysis)))
 
 
 def _collect_equalities(expr, analysis: QueryAnalysis, params, scope=None) -> None:
@@ -395,8 +504,10 @@ def _collect_equalities(expr, analysis: QueryAnalysis, params, scope=None) -> No
 def _bind_constant(analysis, col_key, constant, params, scope):
     """Put ``col_key`` in the class of ``constant``, read as the column's
     type when the scope knows it: ``a.key = '5'`` and ``b.key = 5`` meet."""
-    alias, _, name = col_key.rpartition(".")
-    value = _constant_value(constant, params, scope.get(alias, {}).get(name))
+    ref_key, _, name = col_key.rpartition(".")
+    columns = next((columns for key, columns in scope.values()
+                    if key == ref_key), {})
+    value = _constant_value(constant, params, columns.get(name))
     if value is NO_VALUE:
         return
     const_key = f"{_CONST_MARK}{hash_value(value)}"
@@ -420,15 +531,13 @@ def _collect_subquery_tables(expr, cache, analysis, params, scope, reader) -> No
                 node.kind in ("in", "any")
                 and isinstance(node.operand, A.ColumnRef)
                 and len(node.query.targets) == 1
-                and isinstance(node.query.targets[0], A.TargetEntry)
-                and isinstance(node.query.targets[0].expr, A.ColumnRef)
                 and not node.negated
             ):
                 inner_scope = _build_scope(node.query.from_items, analysis)
-                analysis.equivalence.union(
-                    _qualify(node.operand.key, scope or {}),
-                    _qualify(node.query.targets[0].expr.key, inner_scope),
-                )
+                key = _output_key(node.query, 0, inner_scope, analysis)
+                if key is not None:
+                    analysis.equivalence.union(
+                        _qualify(node.operand.key, scope or {}), key)
 
 
 # -------------------------------------------------- a column's constant filter

@@ -6,18 +6,18 @@ per top-level statement and the session's activity window closes it; in
 between, the planner hook, the executor's :class:`~.executor.timeline.
 ConnectionTimeline`, the transaction callbacks, the engine and the pools
 append to whichever record is *current* through the handful of capture
-methods below. None of them names a sensor. What stays eager is state, not
-history: registry counters and gauges, the wait-event stacks, the ASH
-sampler and the plan-search ring (the planner can be asked for a plan
-outside any statement).
+methods below, and the wait-event stacks note each wait they account on it.
+None of them names a sensor. What stays eager is state, not history:
+registry counters and gauges, the wait-event stacks and the plan-search
+ring (the planner can be asked for a plan outside any statement).
 
 **Folds.** A closed record goes into a bounded pending buffer;
 ``citus_stat_statements``, ``citus_stat_tenants``, the co-access graph,
-the slow log and the trace ring are folds run over the pending records, in
-emission order, when a surface is read, a scope is reset, the
-configuration changes or the buffer fills. A fold reads only the records,
-so when it runs does not change what it makes. The registry drains the
-buffer too before any read
+the slow log, Active Session History and the trace ring are folds run over
+the pending records, in emission order, when a surface is read, a scope is
+reset, the configuration changes or the buffer fills. A fold reads only
+the records, so when it runs does not change what it makes. The registry
+drains the buffer too before any read
 (:meth:`~repro.engine.stats.StatsRegistry.add_pending_source`), because the
 co-access fold produces the ``txngraph_*`` counters.
 
@@ -36,7 +36,7 @@ from itertools import chain
 from ..engine.compile import compile_count
 from ..engine.stats import stats_for
 from ..sql.facts import statement_fingerprint
-from .ash import AshSampler
+from .ash import ActiveSessionHistory
 from .introspection import TenantStats
 from .record import (ABORT, BLOCKED_TASK, CHANNEL_FIELDS, CHANNELS, COMMIT,
                      EXECUTION, STREAMS, TXN, U_BYTES, U_KIND, Ring,
@@ -79,19 +79,19 @@ class Telemetry:
         self.statements = StatementStats()
         self.tenants = TenantStats()
         self.graph = TxnGraph(self.registry)
+        self.ash = ActiveSessionHistory()
         self.traces, self.slow_log = Ring(TRACE_RING_SIZE), Ring(TRACE_RING_SIZE)
         # Eager state.
         self.plan_searches = Ring(128)
-        self.ash = AshSampler(clock, self.registry)
         self.pending = Ring(PENDING_MAX)
         self._enrolled = False
-        self.ext = None  # the extension ASH walks the cluster through
         #: The record capture methods append to, and the same record while
         #: it keeps span detail (else None) — the one test capture sites
         #: make before building anything.
         self.current = self.traced = None
         # Switches, set by configure().
-        self.tracing = self.introspection = self.graphing = self.recording = False
+        self.tracing = self.introspection = self.graphing = False
+        self.history = self.recording = False
         self.log_min_duration = -1.0
         # citus_stat_counters_reset() baseline for the engine-level
         # expression-compilation counter (a process-wide monotonic count).
@@ -102,19 +102,18 @@ class Telemetry:
     def configure(self, config, ext) -> None:
         """Apply the telemetry GUCs (at install and after every
         ``citus_set_config``). Each ``enable_*`` gates its fold and the
-        detail kept on the record; with tracing, introspection and the
-        co-access graph all off no record is allocated."""
+        detail kept on the record; with tracing, introspection, the
+        co-access graph and ASH all off no record is allocated."""
         self.drain()  # pending records were captured under the old switches
-        if self.ext is None or ext.is_coordinator:
-            self.ext = ext
+        if self.ash.ext is None or ext.is_coordinator:
+            self.ash.ext = ext
         self.tracing = bool(config.enable_tracing)
         self.log_min_duration = float(config.log_min_duration)
         self.introspection = bool(config.enable_introspection)
         self.graphing = bool(config.enable_txn_graph)
-        self.recording = self.tracing or self.introspection or self.graphing
-        # A single-node install has no shared clock to observe.
-        self.ash.configure(config.enable_ash and ext.cluster is not None,
-                           config.ash_sampling_interval, self.ext)
+        self.history = bool(config.enable_ash)
+        self.recording = (self.tracing or self.introspection or self.graphing
+                          or self.history)
         instances = (ext.cluster.nodes.values() if ext.cluster is not None
                      else (ext.instance,))
         for instance in instances:
@@ -171,12 +170,15 @@ class Telemetry:
         if len(records) > pending.high_water:
             pending.high_water = len(records)
         introspection, graphing = self.introspection, self.graphing
-        threshold = self.log_min_duration
+        history, threshold = self.history, self.log_min_duration
         for record in records:
             if graphing:
                 self.graph.fold(record)
-            if introspection and record.kind == "statement":
-                self.tenants.fold(record)
+            if record.kind == "statement":
+                if introspection:
+                    self.tenants.fold(record)
+                if history:
+                    self.ash.fold(record)
             if not record.traced:
                 continue
             if record.kind == "statement":
@@ -204,6 +206,7 @@ class Telemetry:
         record = session.record = self.current = StatementRecord(
             "statement", type(stmt).__name__, stmt, session.instance.name,
             self.now(), tracing)
+        record.pid = session.backend_pid
         if tracing:
             self.traced = record
         return record
@@ -239,13 +242,16 @@ class Telemetry:
         elif error is not None:
             record.error = type(error).__name__
         record.wait_seconds = session.wait_events.statement_seconds
-        if record.traced or record.events or record.tenant is not None:
+        if (record.traced or record.events or record.tenant is not None
+                or self.history):
             self._finish(record)  # else: nothing any fold would read
 
     def _finish(self, record: StatementRecord) -> None:
         now = self.now()
         record.end = now if now > record.max_end else record.max_end
         record.events = tuple(record.events)  # frozen: see .record
+        if record.waits:
+            record.waits = tuple(chain.from_iterable(record.waits.items()))
         self._emit(record)
 
     def operation(self, name: str):
@@ -472,6 +478,13 @@ class Telemetry:
         self.drain()
         return self.graph
 
+    def session_history(self) -> ActiveSessionHistory | None:
+        """ASH to read from (None while ``citus.enable_ash`` is off)."""
+        if not self.history:
+            return None
+        self.drain()
+        return self.ash
+
     def trace_records(self, limit: int | None = None) -> list[StatementRecord]:
         """The trace ring (the newest ``limit`` of it, none for 0), oldest
         first; :func:`~.tracing.build_trace` draws one as a span tree."""
@@ -489,12 +502,10 @@ class Telemetry:
         return [list(entry) for entry in self.slow_log]
 
     def metric_families(self) -> list[tuple]:
-        """Graph, ASH and ring-health families for
-        ``citus_metrics_snapshot``, as :func:`.metrics.render` takes them."""
+        """Graph and ring-health families for ``citus_metrics_snapshot``,
+        as :func:`.metrics.render` takes them."""
         graph = self.txn_graph()
         families = [] if graph is None else graph.metric_families()
-        if self.ash.enabled:
-            families += self.ash.metric_families()
         rings = sorted(self.rings().items())
         families += [
             (f"citus_telemetry_ring_{field}", kind,

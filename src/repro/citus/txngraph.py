@@ -8,25 +8,19 @@ executor runs carry one unit per piece of connection work — (node, shard
 group, read/write, bytes) — and a transaction's **access set** is the
 union over its statements' runs. When the transaction ends (a ``TXN``
 event from the 1PC/2PC callbacks, or an autocommit statement's own end)
-the set is folded into a weighted graph:
+the set is classified into the ``txngraph_*`` counters (multi-group,
+cross-node, 2PC, block) and folded into the graph's **vertices**: per
+co-located shard group, lifetime txn/write/byte totals.
 
-- **vertex** = one co-located shard group, with lifetime txn/write/byte
-  totals;
-- **edge** = a pair of shard groups touched by the same transaction,
-  weighted by count and bytes and tagged by how the transaction committed
-  (``single_node`` / ``cross_node`` / ``twopc``).
-
-The fold reads nothing but the records, in emission order, so two
-same-seed runs serialize byte-for-byte identical dumps. Which tenants use
-a group is ``citus_stat_tenants`` joined through
-``get_shard_id_for_distribution_column``; a recent weight is the graph
-since the last ``citus_stat_reset('graph')``.
+The graph keeps no edges: a pair weight would have one reader, a
+co-location placement policy, and none is built. The fold reads nothing
+but the records, in emission order, so two same-seed runs dump identical
+vertices. Which tenants use a group is ``citus_stat_tenants`` joined
+through ``get_shard_id_for_distribution_column``; a recent weight is the
+graph since the last ``citus_stat_reset('graph')``.
 """
 
 from __future__ import annotations
-
-import itertools
-import json
 
 from ..engine.stats import StatsRegistry
 from .record import (ABORT, BEGIN, BLOCKED, DISPATCH, E_CAT, E_NAME, EXECUTION,
@@ -35,23 +29,16 @@ from .record import (ABORT, BEGIN, BLOCKED, DISPATCH, E_CAT, E_NAME, EXECUTION,
                      X_PID, X_TENANT, X_TWOPC, X_UNIT_COUNT, X_UNITS,
                      StatementRecord)
 
-#: Transactions touching more shard groups than this skip pairwise edge
-#: folding (the vertex totals still update) — a 32-shard analytical scan
-#: would otherwise fold ~500 edges per statement.
-MAX_EDGE_FANOUT = 16
-
 #: Access-set attribute caps on trace spans (2PC commit paths).
 _SPAN_ATTR_CAP = 8
 
 #: Columns of the graph's rows.
-EDGE_COLUMNS = ("src", "dst", "txns", "single_node", "cross_node", "twopc",
-                "writes", "bytes")
 VERTEX_COLUMNS = ("shard", "txns", "writes", "bytes")
 
 
 def group_label(group) -> str:
     """Render a shard group tuple ``(colocation_id, shard_index)`` as the
-    stable vertex name used in rows, JSON, DOT, and Prometheus labels."""
+    stable vertex name used in rows and Prometheus labels."""
     if group is None:
         return "?"
     return f"c{group[0]}.s{group[1]}"
@@ -79,15 +66,6 @@ class _OpenTxn:
                 tuple(sorted(self.tenants)[:_SPAN_ATTR_CAP]))
 
 
-class _EdgeStats:
-    __slots__ = ("txns", "writes", "bytes", "single_node", "cross_node",
-                 "twopc")
-
-    def __init__(self):
-        self.txns = self.writes = self.bytes = 0
-        self.single_node = self.cross_node = self.twopc = 0
-
-
 class _VertexStats:
     __slots__ = ("txns", "writes", "bytes")
 
@@ -101,9 +79,7 @@ class TxnGraph:
 
     def __init__(self, registry: StatsRegistry):
         self.registry = registry
-        self.edges: dict[tuple, _EdgeStats] = {}
         self.vertices: dict[tuple, _VertexStats] = {}
-        self.wide_txns = 0
         #: session key -> the transaction that session has in flight.
         self.open: dict[tuple, _OpenTxn] = {}
 
@@ -172,8 +148,8 @@ class TxnGraph:
 
     def end_txn(self, key, committed: bool, twopc: bool,
                 record: StatementRecord | None = None) -> None:
-        """The session's transaction ended: classify its access set,
-        update the lifetime graph, bump the shared counters. An abort only
+        """The session's transaction ended: classify its access set into
+        the shared counters and update the lifetime vertices. An abort only
         counts itself. ``record`` is the statement that ran the commit
         callbacks, whose commit spans show the access summary."""
         txn = self.open.pop(key, None)
@@ -199,8 +175,6 @@ class TxnGraph:
 
         cross_node = len(nodes) > 1
         multi_group = len(groups) > 1
-        kind = "twopc" if twopc else ("cross_node" if cross_node
-                                      else "single_node")
         registry.incr("txngraph_txns")
         if multi_group:
             registry.incr("txngraph_txns_multi_group")
@@ -215,24 +189,6 @@ class TxnGraph:
 
         for group, (writes, nbytes) in groups.items():
             self._touch(group, writes, nbytes)
-
-        if multi_group:
-            if len(groups) > MAX_EDGE_FANOUT:
-                # A very wide transaction (analytical fan-out) would fold
-                # O(groups²) edges; count it instead of quadratic folding.
-                self.wide_txns += 1
-                registry.incr("txngraph_wide_txns")
-            else:
-                for a, b in itertools.combinations(sorted(groups), 2):
-                    edge = self.edges.get((a, b))
-                    if edge is None:
-                        edge = self.edges[(a, b)] = _EdgeStats()
-                    edge.txns += 1
-                    info_a, info_b = groups[a], groups[b]
-                    if info_a[0] or info_b[0]:
-                        edge.writes += 1
-                    edge.bytes += info_a[1] + info_b[1]
-                    setattr(edge, kind, getattr(edge, kind) + 1)
 
     def _touch(self, group, writes: int, nbytes: int) -> None:
         """A committed transaction accessed ``group``."""
@@ -251,75 +207,26 @@ class TxnGraph:
             self.end_txn(key, False, False)
 
     def reset(self) -> None:
-        """citus_stat_reset('graph'): clear the lifetime edge/vertex
-        aggregates (the shared counters have their own scope)."""
-        self.edges.clear()
+        """citus_stat_reset('graph'): clear the lifetime vertex aggregates
+        (the shared counters have their own scope)."""
         self.vertices.clear()
-        self.wide_txns = 0
 
     # ------------------------------------------------------------ reading
-
-    def edge_rows(self) -> list[list]:
-        """:data:`EDGE_COLUMNS` rows, sorted by (src, dst)."""
-        return [[group_label(a), group_label(b), edge.txns, edge.single_node,
-                 edge.cross_node, edge.twopc, edge.writes, edge.bytes]
-                for (a, b), edge in sorted(self.edges.items())]
 
     def vertex_rows(self) -> list[list]:
         """:data:`VERTEX_COLUMNS` rows, sorted by shard group."""
         return [[group_label(group), vertex.txns, vertex.writes, vertex.bytes]
                 for group, vertex in sorted(self.vertices.items())]
 
-    def as_json(self) -> str:
-        """Sorted-key JSON export of both row sets."""
-        return json.dumps({
-            "vertices": [dict(zip(VERTEX_COLUMNS, row))
-                         for row in self.vertex_rows()],
-            "edges": [dict(zip(EDGE_COLUMNS, row)) for row in self.edge_rows()],
-            "wide_txns": self.wide_txns,
-        }, sort_keys=True)
-
-    def as_dot(self) -> str:
-        """GraphViz dump: cross-node/2PC edges render dashed/bold so the
-        distributed-transaction hot pairs jump out."""
-        lines = ["graph citus_txn_graph {"]
-        for shard, txns, *_ in self.vertex_rows():
-            lines.append(f'  "{shard}" [label="{shard}\\ntxns={txns}"];')
-        for src, dst, txns, _single, cross_node, twopc, *_ in self.edge_rows():
-            style = "bold" if twopc else ("dashed" if cross_node else "solid")
-            lines.append(
-                f'  "{src}" -- "{dst}" [label="{txns}", style={style}];')
-        lines.append("}")
-        return "\n".join(lines)
-
     # --------------------------------------------------------- prometheus
 
     def metric_families(self) -> list[tuple]:
         """Graph families for ``citus_metrics_snapshot``, as
         :func:`.metrics.render` takes them, in sorted-key order."""
-        edges = [({"src": group_label(a), "dst": group_label(b)}, edge)
-                 for (a, b), edge in sorted(self.edges.items())]
         return [
-            ("citus_txn_graph_edges", "gauge", [({}, len(self.edges))]),
             ("citus_txn_graph_vertices", "gauge", [({}, len(self.vertices))]),
-            ("citus_txn_graph_edge_txns_total", "counter",
-             [(labels, edge.txns) for labels, edge in edges]),
-            ("citus_txn_graph_edge_bytes_total", "counter",
-             [(labels, edge.bytes) for labels, edge in edges]),
             ("citus_txn_graph_vertex_txns_total", "counter",
              [({"shard": group_label(group)}, vertex.txns)
               for group, vertex in sorted(self.vertices.items())]),
         ]
 
-
-#: ``citus_stat_txn_graph(mode)``: mode -> (the report method, the columns
-#: of its rows); the text exports have none.
-MODES = {
-    "edges": (TxnGraph.edge_rows, EDGE_COLUMNS),
-    "vertices": (TxnGraph.vertex_rows, VERTEX_COLUMNS),
-    "json": (TxnGraph.as_json, None),
-    "dot": (TxnGraph.as_dot, None),
-}
-
-#: What a text mode returns while ``citus.enable_txn_graph`` is off.
-OFF_TEXT = {"json": "{}", "dot": "graph citus_txn_graph {\n}"}

@@ -643,8 +643,7 @@ class Session:
         if self._stmt_wait is None:
             kind = block.key[0] if isinstance(block.key, tuple) and block.key else "lock"
             event = {"table": "relation", "row": "tuple"}.get(kind, kind)
-            self._stmt_wait = self.wait_events.begin("Lock", event,
-                                                     detail=block.key)
+            self._stmt_wait = self.wait_events.begin("Lock", event)
 
     def locks_cleared_wait(self) -> None:
         self._end_stmt_wait()
@@ -751,8 +750,7 @@ class Session:
                 if remote_handle is not None and self._stmt_wait is None:
                     # Parked on a worker-side statement, not a local lock.
                     self._stmt_wait = self.wait_events.begin(
-                        "IPC", "RemoteStatement", detail=block.key
-                    )
+                        "IPC", "RemoteStatement")
                 handle = _ParkedStatement(self, stmt, params, copy_data)
                 handle.remote_handle = remote_handle
                 if self.instance.telemetry is not None:

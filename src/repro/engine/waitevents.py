@@ -19,7 +19,10 @@ the simulation's equivalent. Each :class:`~repro.engine.instance.Session`
   I/O round trips, 2PC prepare/commit, WAL flush) — pure accounting, no
   stack entry.
 
-Both fold cumulative per-(class, event) totals into whatever
+Both note each wait on the telemetry's current statement record while
+Active Session History is on (the one way ASH learns of waits:
+``ActiveSessionHistory.note``), and fold cumulative per-(class, event)
+totals into whatever
 :class:`~repro.engine.stats.StatsRegistry` the owning instance points at
 via ``instance.wait_registry`` (the per-instance registry by default;
 ``install_citus`` repoints every node at the shared cluster registry so
@@ -27,7 +30,7 @@ via ``instance.wait_registry`` (the per-instance registry by default;
 totals). Counter names are ``wait_count:<Class>.<Event>`` and
 ``wait_time_us:<Class>.<Event>``, so :meth:`StatsRegistry.reset` clears
 them like any other counter. Setting ``wait_registry`` to ``None``
-disables accounting entirely (the introspection kill-switch).
+disables the counters (the introspection kill-switch).
 
 Wait-event class taxonomy (see DESIGN.md):
 
@@ -61,13 +64,12 @@ TIME_PREFIX = "wait_time_us:"
 class WaitEvent:
     """One live wait on a :class:`WaitEventStack`."""
 
-    __slots__ = ("wclass", "event", "start", "detail")
+    __slots__ = ("wclass", "event", "start")
 
-    def __init__(self, wclass: str, event: str, start: float, detail=None):
+    def __init__(self, wclass: str, event: str, start: float):
         self.wclass = wclass
         self.event = event
         self.start = start
-        self.detail = detail
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WaitEvent({self.wclass}.{self.event} @{self.start:.6f})"
@@ -104,15 +106,10 @@ class WaitEventStack:
     def depth(self) -> int:
         return len(self._stack)
 
-    def frames(self) -> tuple:
-        """The live waits bottom→top as an immutable snapshot — what the
-        ASH sampler captures (the full stack, not just :attr:`current`)."""
-        return tuple(self._stack)
-
     # --------------------------------------------------------- live waits
 
-    def begin(self, wclass: str, event: str, detail=None) -> WaitEvent:
-        we = WaitEvent(wclass, event, self.instance.now(), detail)
+    def begin(self, wclass: str, event: str) -> WaitEvent:
+        we = WaitEvent(wclass, event, self.instance.now())
         self._stack.append(we)
         reg = self.instance.wait_registry
         if reg is not None:
@@ -134,15 +131,19 @@ class WaitEventStack:
             reg.gauge_decr(IN_PROGRESS_GAUGE, node=self.node)
             self._account(reg, we.wclass, we.event, elapsed, self.node)
         telemetry = self.instance.telemetry
-        if telemetry is not None and telemetry.traced is not None:
-            telemetry.event(f"wait.{we.wclass}.{we.event}", "wait",
-                            we.start, now, node=self.node)
+        if telemetry is not None:
+            if telemetry.history and telemetry.current is not None:
+                telemetry.ash.note(telemetry.current,
+                                   (we.wclass, we.event, self.node), elapsed)
+            if telemetry.traced is not None:
+                telemetry.event(f"wait.{we.wclass}.{we.event}", "wait",
+                                we.start, now, node=self.node)
 
     @contextmanager
-    def waiting(self, wclass: str, event: str, detail=None):
+    def waiting(self, wclass: str, event: str):
         """``with stack.waiting("Client", "PoolLease"): ...`` — the wait is
         finished on exit even when the body raises."""
-        we = self.begin(wclass, event, detail)
+        we = self.begin(wclass, event)
         try:
             yield we
         finally:
@@ -163,9 +164,15 @@ class WaitEventStack:
         """Account a wait whose duration the caller already knows (cost
         model deltas: remote round trips, 2PC, WAL flush)."""
         self.statement_seconds += seconds
+        node = node or self.node
+        telemetry = self.instance.telemetry
+        if (telemetry is not None and telemetry.history
+                and telemetry.current is not None):
+            telemetry.ash.note(telemetry.current, (wclass, event, node),
+                               seconds)
         reg = self.instance.wait_registry
         if reg is not None:
-            self._account(reg, wclass, event, seconds, node or self.node)
+            self._account(reg, wclass, event, seconds, node)
 
     # ---------------------------------------------------------- accounting
 
@@ -173,13 +180,14 @@ class WaitEventStack:
                  node: str) -> None:
         # Batch locally; the registry drains us before any read or reset.
         # This keeps the per-statement cost to one small-dict update.
+        key = (wclass, event, node)
         if self._enrolled_reg is not reg:
             self._flush_pending(self._enrolled_reg)
             reg.add_pending_source(self._flush_pending)
             self._enrolled_reg = reg
-        entry = self._pending.get((wclass, event, node))
+        entry = self._pending.get(key)
         if entry is None:
-            self._pending[(wclass, event, node)] = [1, seconds]
+            self._pending[key] = [1, seconds]
         else:
             entry[0] += 1
             entry[1] += seconds

@@ -4,17 +4,9 @@ The engine is single-threaded; "time" is a number that components advance
 explicitly. The adaptive executor charges task latencies here (taking the
 max over concurrent tasks rather than the sum), the slow-start algorithm
 reads it to decide when to open new connections, and background workers use
-it for their intervals.
-
-**Observers.** Samplers that want to act "every N virtual seconds" without
-threads register a callback via :meth:`SimClock.add_observer`; it fires
-``observer(previous, now)`` after every forward movement of the clock, from
-whichever call site charged the time. The observer decides which interval
-boundaries the jump crossed — the clock stays policy-free. With no
-observers registered, every advance pays exactly one attribute load and
-truth test (the ASH sampler's zero-cost-when-off guarantee). Observers MUST
-NOT advance the clock themselves; they run synchronously inside the
-advancing call.
+it for their intervals. Nothing acts when the clock moves: what happened
+over a stretch of time is read from the statement records stamped with it
+(Active Session History among them).
 """
 
 from __future__ import annotations
@@ -23,40 +15,14 @@ from __future__ import annotations
 class SimClock:
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._observers: list = []
 
     def now(self) -> float:
         return self._now
 
-    # ---------------------------------------------------------- observers
-
-    def add_observer(self, observer) -> None:
-        """Register ``observer(previous, now)`` to fire after every forward
-        clock movement. Idempotent: re-adding an installed observer is a
-        no-op, so repeated reconfiguration can't double-sample."""
-        if observer not in self._observers:
-            self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Unregister an observer; unknown observers are ignored."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    def _notify(self, previous: float) -> None:
-        for observer in self._observers:
-            observer(previous, self._now)
-
-    # ----------------------------------------------------------- movement
-
     def advance(self, seconds: float) -> float:
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
-        previous = self._now
-        self._now = previous + seconds
-        if self._observers and seconds:
-            self._notify(previous)
+        self._now += seconds
         return self._now
 
     def advance_ms(self, millis: float) -> float:
@@ -70,9 +36,6 @@ class SimClock:
         time may have been overtaken by service time charged while other
         actors executed, and those fire "now" rather than rewinding.
         """
-        previous = self._now
-        if when > previous:
+        if when > self._now:
             self._now = float(when)
-            if self._observers:
-                self._notify(previous)
         return self._now

@@ -376,12 +376,12 @@ class TrafficHarness:
             "slo": slo,
         }
         if not slo["passed"]:
-            # Turn "p99 breached" into "p99 breached while 62% of samples
-            # sat in TwoPC.CommitPrepared on w2": embed the ASH rollup for
-            # exactly the run window the failing rules were measured over.
-            sampler = self.citus.coordinator_ext.telemetry.ash
-            if sampler.enabled:
-                report["ash"] = sampler.slo_diagnostics(
+            # Turn "p99 breached" into "p99 breached while 62% of the wait
+            # time sat in TwoPC.CommitPrepared on w2": embed the ASH rollup
+            # for exactly the run window the failing rules were measured over.
+            ash = self.citus.coordinator_ext.telemetry.session_history()
+            if ash is not None:
+                report["ash"] = ash.slo_diagnostics(
                     self._sim_start, self._sim_end
                 )
         return report

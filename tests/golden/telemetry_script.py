@@ -8,8 +8,8 @@ every time)::
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/golden/telemetry_script.py \
         > tests/golden/telemetry.json
 
-The three bulky surfaces (trace export, raw ASH samples, the plan-search
-ring) are written as a sha256 of the whole plus their newest entries in
+The three bulky surfaces (trace export, ASH's statement rows, the
+plan-search ring) are written as a sha256 of the whole plus their newest entries in
 full; ``--full`` writes everything, for diffing two trees by hand.
 
 ``tests/test_telemetry_golden.py`` runs it the same way and compares the
@@ -19,10 +19,8 @@ file runs on both trees. A change that deletes a surface re-records the
 file from the edited script, once the parent tree's output with the deleted
 fields removed equals the new tree's byte for byte.
 
-The ASH interval is 2 ms, so the ~300 statements cross dozens of sample
-boundaries; think time between statements moves the clock outside any
-statement too, so boundaries are first seen at a statement's start as well
-as at its end.
+Think time between statements moves the clock outside any statement, so
+ASH's timeline has gaps as well as busy buckets.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ SLOW_LOG_TAIL = 100
 STATEMENTS = 300
 #: What the bulky surfaces keep in full without ``--full``.
 TRACES_KEPT = 48
-ASH_SAMPLES_SECONDS = 0.03
+ASH_STATEMENTS_SECONDS = 0.03
 PLAN_SEARCHES_KEPT = 8
 
 
@@ -78,12 +76,11 @@ def dump(session, full: bool) -> dict:
     out["statements"] = udf(session, "citus_stat_statements()")
     out["tenants"] = udf(session, "citus_stat_tenants()")
     out["txn_graph"] = udf(session, "citus_stat_txn_graph()")
-    out["txn_graph_vertices"] = udf(session, "citus_stat_txn_graph('vertices')")
-    out["txn_graph_json"] = udf(session, "citus_stat_txn_graph('json')")
-    samples = udf(session, "citus_ash('samples')")
-    out["ash_samples_sha256"] = digest(samples)
-    out["ash_samples"] = samples if full else udf(
-        session, f"citus_ash('samples', {samples[-1][0] - ASH_SAMPLES_SECONDS!r})")
+    rows = udf(session, "citus_ash('statements')")
+    out["ash_statements_sha256"] = digest(rows)
+    out["ash_statements"] = rows if full else udf(
+        session,
+        f"citus_ash('statements', {rows[-1][1] - ASH_STATEMENTS_SECONDS!r})")
     for mode in ("top_waits", "top_queries", "top_tenants", "timeline",
                  "flamegraph"):
         out[f"ash_{mode}"] = udf(session, f"citus_ash('{mode}')")
@@ -103,8 +100,8 @@ def dump(session, full: bool) -> dict:
 
 
 def script_config(**overrides) -> CitusConfig:
-    """The script's configuration: a 2 ms ASH interval."""
-    return CitusConfig(ash_sampling_interval=0.002, **overrides)
+    """The script's configuration: the shipped defaults."""
+    return CitusConfig(**overrides)
 
 
 def drive(config: CitusConfig):
@@ -276,7 +273,7 @@ def drive(config: CitusConfig):
             next_checkpoint += checkpoint_every
             checkpoints.append({
                 "at": issued,
-                "ash_samples": len(udf(s, "citus_ash()")),
+                "ash_statements": len(udf(s, "citus_ash()")),
             })
 
     return citus, s, {

@@ -324,9 +324,7 @@ class Twin:
     """One cluster of a pair, its script helpers and what it leaves behind."""
 
     def __init__(self, execute_task=None, max_shared_pool_size=100):
-        # A fast ASH tick: where the clock stands shows in the samples.
         self.cluster = make_cluster(workers=2, shard_count=8, config=CitusConfig(
-            ash_sampling_interval=0.003,
             max_shared_pool_size=max_shared_pool_size))
         self.ext = self.cluster.coordinator_ext
         if execute_task is not None:

@@ -1,16 +1,19 @@
-"""Active Session History: deterministic sampling, report modes,
-flamegraph reconciliation, GUC toggles, reset scope, and the harness's
-ASH-driven SLO diagnostics."""
+"""Active Session History: a fold over closed statement records. Each
+statement's waits, the report modes over a time range, their
+reconciliation with each other and with the wait counters, GUC toggles,
+the reset scope, and the harness's ASH-driven SLO diagnostics."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro import make_cluster
 from repro.citus.extension import CitusConfig
 from repro.citus.record import Ring
+from repro.engine.waitevents import split_wait_counter
 from repro.errors import MetadataError
 from repro.workloads.traffic import (
     LatencyRule,
@@ -23,142 +26,157 @@ def _set(session, name, value):
     session.execute("SELECT citus_set_config(:n, :v)", {"n": name, "v": value})
 
 
-def _samples(session, *args):
+def _ash(session, *args):
     sql = "SELECT citus_ash(" + ", ".join(
         f":a{i}" for i in range(len(args))) + ")" if args else \
         "SELECT citus_ash()"
     return session.execute(sql, {f"a{i}": v for i, v in enumerate(args)}).scalar()
 
 
-# --------------------------------------------------------- sampler core
+def _accounts(citus):
+    s = citus.coordinator_session("probe")
+    s.execute("CREATE TABLE accounts (k int PRIMARY KEY, v int)")
+    s.execute("SELECT create_distributed_table('accounts', 'k')")
+    s.execute("INSERT INTO accounts (k, v) VALUES (3, 3)")
+    return s
 
 
-class TestSamplingLoop:
-    def test_samples_every_crossed_boundary(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 0.5)
-        clock = citus.cluster.clock
-        clock.advance(1.2)  # crosses 0.5 and 1.0
-        times = sorted({row[0] for row in _samples(s)})
-        assert times == [0.5, 1.0]
+def _waits(row) -> set:
+    """A statement row's waits as (class, event) pairs."""
+    return {(wclass, event) for wclass, event, _node, _us in row[8]}
 
-    def test_time_zero_is_never_sampled(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 0.5)
-        citus.cluster.clock.advance(0.4)  # no boundary crossed
-        assert _samples(s) == []
 
-    def test_landing_exactly_on_boundary_samples_once(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
-        clock = citus.cluster.clock
-        clock.advance_to(2.0)  # samples t=1.0 and t=2.0
-        clock.advance(1.0)  # samples t=3.0 only — no resample of 2.0
-        times = [row[0] for row in _samples(s)]
-        per_tick = times.count(1.0)
-        assert times.count(2.0) == per_tick
-        assert times.count(3.0) == per_tick
+# ------------------------------------------------------ statement rows
 
-    def test_every_alive_node_session_is_sampled(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
-        citus.cluster.clock.advance(1.0)
-        rows = _samples(s)
-        # The probe session itself must be among the sampled sessions.
-        assert any(row[2] == "coordinator" for row in rows)
-        # Every sample carries a cluster-unique global PID and a state.
-        assert all(isinstance(row[1], int) and row[3] for row in rows)
+
+class TestStatementRows:
+    def test_a_statements_reconstructed_waits_are_on_its_row(self, citus):
+        s = _accounts(citus)
+        s.execute("UPDATE accounts SET v = 4 WHERE k = 3")
+        row = _ash(s)[-1]
+        start, end, gpid, node, fp, tier, tenant, wait_us, waits = row
+        assert node == "coordinator" and gpid % 10_000_000_000 == s.backend_pid
+        assert tier == "fast_path" and tenant == 3 and fp
+        assert start <= end
+        assert _waits(row) == {("Net", "RemoteExecute"), ("IO", "WALFlush")}
+        assert wait_us == sum(us for *_key, us in waits) > 0
+        # The round trip and the flush were on the worker holding the key.
+        assert len({n for _c, _e, n, _us in waits}) == 1
+        assert waits[0][2].startswith("worker")
+        # In a block, the commit is the COMMIT statement's wait.
+        s.execute("BEGIN")
+        s.execute("UPDATE accounts SET v = 5 WHERE k = 3")
+        s.execute("COMMIT")
+        assert ("TwoPC", "Commit1PC") in _waits(_ash(s)[-1])
+
+    def test_waits_are_noted_without_the_wait_counters(self):
+        """ASH notes waits itself: with ``enable_introspection`` off (no
+        wait counters) a statement's row still carries them."""
+        citus = make_cluster(workers=2, shard_count=8,
+                             config=CitusConfig(enable_introspection=False))
+        s = _accounts(citus)
+        s.execute("UPDATE accounts SET v = 4 WHERE k = 3")
+        assert _waits(_ash(s)[-1]) == {("Net", "RemoteExecute"),
+                                       ("IO", "WALFlush")}
 
     def test_live_wait_stack_is_captured_in_full(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 0.5)
-        stack = s.wait_events
-        outer = stack.begin("Client", "PoolLease")
-        inner = stack.begin("Lock", "tuple")
-        citus.cluster.clock.advance(0.6)
-        stack.finish(inner)
-        stack.finish(outer)
-        mine = [row for row in _samples(s)
-                if row[6] == "Client.PoolLease>Lock.tuple"]
-        assert mine, "nested stack not captured bottom-to-top"
-        # The reported wait is the top frame; the stack column keeps all.
-        assert mine[0][4] == "Lock" and mine[0][5] == "tuple"
+        """A statement that parks on a lock is one row spanning its wait,
+        carrying the coordinator's wait on the worker and the worker's
+        wait on the lock beneath it."""
+        a = _accounts(citus)
+        b = citus.coordinator_session("b")
+        a.execute("BEGIN")
+        a.execute("UPDATE accounts SET v = 100 WHERE k = 3")
+        parked = b.execute_async("UPDATE accounts SET v = 200 WHERE k = 3")
+        citus.pump()
+        citus.cluster.clock.advance(0.25)
+        a.execute("COMMIT")
+        citus.pump()
+        assert parked.get().rowcount == 1
+        (row,) = [r for r in _ash(a) if r[2] % 10_000_000_000 == b.backend_pid]
+        waits = {(c, e): (n, us) for c, e, n, us in row[8]}
+        # 250 ms, less the µs fraction a whole-µs row carries forward.
+        assert waits[("IPC", "RemoteStatement")][0] == "coordinator"
+        assert waits[("IPC", "RemoteStatement")][1] >= 249_999
+        assert waits[("Lock", "tuple")][0].startswith("worker")
+        assert waits[("Lock", "tuple")][1] >= 249_999
+        assert row[1] - row[0] >= 0.25 - 1e-9
 
     def test_ring_is_bounded_and_keeps_newest(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
+        s = _accounts(citus)
         citus.coordinator_ext.telemetry.ash.ring = Ring(5)
-        for _ in range(20):
-            citus.cluster.clock.advance(1.0)
-        rows = _samples(s)
-        assert len(rows) == 5
-        assert rows[-1][0] == 20.0  # newest retained
+        started = []
+        for v in range(20):
+            started.append(citus.cluster.clock.advance(1.0))
+            s.execute("UPDATE accounts SET v = :v WHERE k = 3", {"v": v})
+        assert [row[0] for row in _ash(s)] == started[-5:]  # newest retained
+        assert citus.coordinator_ext.telemetry.ash.ring.dropped > 0
 
     def test_range_filter_is_inclusive(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
+        """A statement is in ``[start, end]`` when it overlaps it."""
+        s = _accounts(citus)
+        clock = citus.cluster.clock
+        started = []
         for _ in range(5):
-            citus.cluster.clock.advance(1.0)
-        windowed = {row[0] for row in _samples(s, "samples", 2.0, 4.0)}
-        assert windowed == {2.0, 3.0, 4.0}
+            clock.advance_to(int(clock.now()) + 1.0)
+            started.append(clock.now())
+            s.execute("SELECT v FROM accounts WHERE k = 3")
+        windowed = {row[0] for row in _ash(s, "statements", started[1],
+                                           started[3])}
+        assert windowed == set(started[1:4])
 
 
 # ------------------------------------------------------------ gating
 
 
 class TestGating:
-    def test_disable_detaches_observer_and_udf_goes_quiet(self, citus):
-        s = citus.coordinator_session("probe")
+    def test_disable_makes_the_udf_go_quiet(self, citus):
+        s = _accounts(citus)
         _set(s, "enable_ash", False)
         for node in citus.cluster.nodes.values():
-            assert not node.extensions["citus"].telemetry.ash.enabled
-        assert citus.cluster.clock._observers == []
-        citus.cluster.clock.advance(5.0)
-        assert _samples(s) == []
-        assert _samples(s, "flamegraph") == ""
+            assert not node.extensions["citus"].telemetry.history
+        held = len(citus.coordinator_ext.telemetry.ash.ring)
+        s.execute("UPDATE accounts SET v = 5 WHERE k = 3")
+        assert _ash(s) == []
+        assert _ash(s, "flamegraph") == ""
+        assert len(citus.coordinator_ext.telemetry.ash.ring) == held
 
     def test_reenable_resumes_with_history_intact(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
-        citus.cluster.clock.advance(1.0)
-        before = len(_samples(s))
-        assert before > 0
+        s = _accounts(citus)
+        before = _ash(s)
+        assert before
         _set(s, "enable_ash", False)
-        citus.cluster.clock.advance(10.0)  # unsampled gap
+        citus.cluster.clock.advance(10.0)
+        s.execute("UPDATE accounts SET v = 5 WHERE k = 3")  # not recorded
         _set(s, "enable_ash", True)
-        citus.cluster.clock.advance(1.0)  # samples t=12.0
-        rows = _samples(s)
-        assert len(rows) > before  # old history survived the off period
-        assert {row[0] for row in rows} == {1.0, 12.0}
+        s.execute("UPDATE accounts SET v = 6 WHERE k = 3")
+        rows = _ash(s)
+        assert rows[:len(before)] == before  # old history survived
+        (update,) = [row for row in rows[len(before):] if row[5] == "fast_path"]
+        assert update[0] > 10.0
 
-    def test_detached_at_create_never_builds_a_sampler(self):
+    def test_off_at_create_records_nothing(self):
         citus = make_cluster(workers=2, shard_count=8,
                              config=CitusConfig(enable_ash=False))
-        sampler = citus.coordinator_ext.telemetry.ash
-        assert not sampler.enabled
-        assert citus.cluster.clock._observers == []
-        citus.cluster.clock.advance(5.0)
-        assert len(sampler.ring) == 0
+        s = _accounts(citus)
+        s.execute("UPDATE accounts SET v = 5 WHERE k = 3")
+        assert len(citus.coordinator_ext.telemetry.ash.ring) == 0
+        assert _ash(s) == []
 
     def test_reset_scope_clears_ring_only(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
-        citus.cluster.clock.advance(3.0)
-        assert _samples(s)
+        s = _accounts(citus)
+        assert _ash(s)
         s.execute("SELECT citus_stat_reset('ash')")
-        assert _samples(s) == []
-        # The lifetime sampling counters belong to the 'counters' scope.
-        counters = {r[0]: r[2]
-                    for r in s.execute("SELECT citus_stat_counters()").scalar()
-                    if r[1] is None}
-        assert counters.get("ash_sample_ticks", 0) > 0
+        # Only the reset itself, which closed after it.
+        assert len(_ash(s)) == 1
+        # The wait counters belong to the 'counters' scope.
+        counters = {r[0] for r in s.execute("SELECT citus_stat_counters()").scalar()}
+        assert "wait_time_us:Net.RemoteExecute" in counters
 
     def test_reset_all_clears_the_ring_too(self, citus):
-        s = citus.coordinator_session("probe")
-        _set(s, "ash_sampling_interval", 1.0)
-        citus.cluster.clock.advance(3.0)
+        s = _accounts(citus)
         s.execute("SELECT citus_stat_reset('all')")
-        assert _samples(s) == []
+        assert len(_ash(s)) == 1
 
     def test_unknown_scope_message_and_docstring_list_ash(self, citus):
         s = citus.coordinator_session("probe")
@@ -171,7 +189,7 @@ class TestGating:
     def test_unknown_report_mode_is_rejected(self, citus):
         s = citus.coordinator_session("probe")
         with pytest.raises(MetadataError, match="flamegraph"):
-            _samples(s, "bogus")
+            _ash(s, "bogus")
 
 
 # ------------------------------------------------ traffic-run acceptance
@@ -191,53 +209,80 @@ def smoke_config(**overrides) -> TrafficConfig:
 
 
 def _traffic_cluster():
-    # A sub-second sampling interval so the 10s smoke run lands thousands
-    # of samples, including mid-statement ones.
-    return make_cluster(workers=2, shard_count=8, max_connections=2000,
-                        config=CitusConfig(ash_sampling_interval=0.05))
+    """A cluster whose ASH ring holds a whole smoke run, every surface
+    reset before it."""
+    citus = make_cluster(workers=2, shard_count=8, max_connections=2000)
+    citus.coordinator_ext.telemetry.ash.ring = Ring(8192)
+    citus.coordinator_session("reset").execute("SELECT citus_stat_reset()")
+    return citus
 
 
 @pytest.fixture(scope="module")
 def ash_run():
-    """One shared 100-session traffic run with ASH sampling at 50ms."""
+    """One shared 100-session traffic run."""
     citus = _traffic_cluster()
     harness = TrafficHarness(citus, smoke_config())
     harness.run()
     return citus, harness
 
 
+def _total_us(session, *args) -> int:
+    return sum(row[7] for row in _ash(session, "statements", *args))
+
+
+#: Wait classes the counters see that no statement record does, and why.
+#: A pgbouncer lease is taken before the pooled statement is dispatched,
+#: so before its record opens (in this run every lease is immediate: 0 µs).
+ACCRUED_OUTSIDE_A_RECORD = {("Client", "PoolLease")}
+
+
 class TestTrafficRun:
+    def test_waits_are_the_wait_counters(self, ash_run):
+        """Over the whole run, ASH's wait time per (class, event) is the
+        ``wait_time_us:`` counter's, to within the counters' rounding: a
+        flush truncates to whole µs, so each accounted wait can lose
+        under one."""
+        citus, _ = ash_run
+        assert citus.coordinator_ext.telemetry.ash.ring.dropped == 0
+        s = citus.coordinator_session("report")
+        ash = {(c, e): us for c, e, us, _pct, _node in _ash(s, "top_waits")}
+        assert {("Net", "RemoteExecute"), ("IO", "WALFlush"),
+                ("TwoPC", "Commit1PC")} <= set(ash)
+        counted, micros = Counter(), Counter()
+        for name, _node, value in s.execute(
+                "SELECT citus_stat_counters()").scalar():
+            wait = split_wait_counter(name)
+            if wait is not None and "@" not in name:
+                (micros if wait[0] else counted)[wait[1:]] += value
+        for key in set(micros) | set(ash):
+            if key in ACCRUED_OUTSIDE_A_RECORD:
+                assert key not in ash
+                continue
+            assert abs(ash.get(key, 0) - micros[key]) <= counted[key], key
+
     def test_flamegraph_counts_sum_to_ring_total(self, ash_run):
         citus, _ = ash_run
         s = citus.coordinator_session("report")
-        ring = _samples(s)
-        flamegraph = _samples(s, "flamegraph")
-        assert ring and flamegraph
+        flamegraph = _ash(s, "flamegraph")
+        assert flamegraph
         total = 0
         for line in flamegraph.splitlines():
-            stack, _, count = line.rpartition(" ")
+            stack, _, us = line.rpartition(" ")
             frames = stack.split(";")
-            # Every line: node first, then at least one (class, event)
-            # pair, i.e. an odd frame count unless a fingerprint rides at
-            # the end.
+            # The node the wait was on, its class and event, then the
+            # statement's fingerprint.
             assert frames[0] in ("coordinator", "worker1", "worker2")
-            assert len(frames) >= 3
-            assert int(count) > 0
-            total += int(count)
-        assert total == len(ring)
-
-    def test_raw_sample_times_are_monotonic(self, ash_run):
-        citus, _ = ash_run
-        s = citus.coordinator_session("report")
-        times = [row[0] for row in _samples(s)]
-        assert times == sorted(times)
+            assert len(frames) == 4
+            assert int(us) > 0
+            total += int(us)
+        assert total == _total_us(s) > 0
 
     def test_top_waits_percentages_cover_the_ring(self, ash_run):
         citus, _ = ash_run
         s = citus.coordinator_session("report")
-        rows = _samples(s, "top_waits")
+        rows = _ash(s, "top_waits")
         assert rows
-        assert sum(r[2] for r in rows) == len(_samples(s))
+        assert sum(r[2] for r in rows) == _total_us(s)
         assert abs(sum(r[3] for r in rows) - 100.0) < 1.0
         # Busiest first.
         assert [r[2] for r in rows] == sorted(
@@ -246,44 +291,31 @@ class TestTrafficRun:
     def test_top_queries_report_fingerprints_with_waits(self, ash_run):
         citus, _ = ash_run
         s = citus.coordinator_session("report")
-        rows = _samples(s, "top_queries")
+        rows = _ash(s, "top_queries")
         assert rows
-        for fp, samples, pct, top_wait in rows:
-            assert fp and samples > 0 and 0 < pct <= 100.0
+        for fp, wait_us, pct, top_wait in rows:
+            assert fp and wait_us > 0 and 0 < pct <= 100.0
             assert "." in top_wait
 
     def test_top_tenants_see_the_zipf_skew(self, ash_run):
         citus, _ = ash_run
         s = citus.coordinator_session("report")
-        rows = _samples(s, "top_tenants")
+        rows = _ash(s, "top_tenants")
         assert rows
         assert rows[0][1] == max(r[1] for r in rows)
 
     def test_timeline_buckets_reconcile(self, ash_run):
         citus, _ = ash_run
         s = citus.coordinator_session("report")
-        rows = _samples(s, "timeline")
+        rows = _ash(s, "timeline")
         assert rows
-        assert sum(r[3] for r in rows) == len(_samples(s))
-        for _b, start, end, samples, active, idle, wait_json in rows:
+        # Read in process: every UDF call is a statement the next one sees.
+        ash = citus.coordinator_ext.telemetry.session_history()
+        assert sum(r[3] for r in rows) == len(ash.rows()) - 1
+        assert sum(r[4] for r in rows) == _total_us(s)
+        for _b, start, end, _statements, wait_us, classes in rows:
             assert end > start
-            assert active + idle == samples
-            json.loads(wait_json)  # valid sorted-key JSON
-
-    def test_metrics_snapshot_exports_ash_families(self, ash_run):
-        citus, _ = ash_run
-        s = citus.coordinator_session("report")
-        text = s.execute("SELECT citus_metrics_snapshot()").scalar()
-        assert "citus_ash_ring_samples " in text
-        # The ring's capacity is exported once, as a ring-health gauge.
-        assert "citus_ash_ring_capacity" not in text
-        assert 'citus_telemetry_ring_capacity{ring="ash"} ' in text
-        assert 'citus_ash_node_samples{node="worker1"}' in text
-        assert "citus_ash_samples_total" in text
-        # The ring gauge agrees with the UDF.
-        ring_line = next(line for line in text.splitlines()
-                         if line.startswith("citus_ash_ring_samples "))
-        assert int(ring_line.split()[1]) == len(_samples(s))
+            assert sum(json.loads(classes).values()) == wait_us
 
     def test_same_seed_runs_produce_identical_ash_dumps(self):
         dumps = []
@@ -291,10 +323,10 @@ class TestTrafficRun:
             citus = _traffic_cluster()
             TrafficHarness(citus, smoke_config()).run()
             s = citus.coordinator_session("dump")
-            dumps.append((
-                _samples(s, "flamegraph"),
-                json.dumps(_samples(s), sort_keys=True),
-            ))
+            dumps.append(json.dumps(
+                {mode: _ash(s, mode) for mode in (
+                    "statements", "top_waits", "top_queries", "top_tenants",
+                    "timeline", "flamegraph")}, sort_keys=True))
         assert dumps[0] == dumps[1]
 
     def test_slo_failure_embeds_ash_diagnostics(self):
@@ -307,11 +339,16 @@ class TestTrafficRun:
         assert not report["slo"]["passed"]
         assert report["slo"]["failed_rules"] == ["everything instant"]
         ash = report["ash"]
-        assert ash["samples"] > 0
+        assert ash["statements"] > 0 and ash["wait_us"] > 0
         assert ash["window"] == [harness._sim_start, harness._sim_end]
         assert 0 < len(ash["top_waits"]) <= 5
         assert 0 < len(ash["top_queries"]) <= 5
-        assert ash["headline"] is None or "% of ASH samples in" in ash["headline"]
+        top = ash["top_waits"][0]
+        assert ash["headline"] == (
+            f"{top['pct']}% of wait time in {top['wait_event_type']}."
+            f"{top['wait_event']} on node {top['top_node']}")
+        assert (top["wait_event_type"], top["wait_event"]) == \
+            ("Net", "RemoteExecute")
 
     def test_passing_slo_report_omits_ash_section(self, ash_run):
         _, harness = ash_run

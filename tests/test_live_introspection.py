@@ -460,5 +460,5 @@ def test_the_whole_scrape_is_well_formed(switches):
     _citus, session, _ = telemetry_script.drive(config)
     families = assert_well_formed(_udf_rows(session, "citus_metrics_snapshot()"))
     assert {"citus_telemetry_ring_capacity", "citus_node_up"} <= families
-    assert ("citus_ash_ring_samples" in families) == on
+    assert ("citus_txn_graph_vertices" in families) == on
     assert ("citus_wait_events_total" in families) == on

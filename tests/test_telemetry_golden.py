@@ -80,7 +80,7 @@ def test_every_surface_matches_the_dump_captured_before_the_spine():
 
 def _workload_records():
     """The closed records of a small mixed workload, in emission order,
-    and the clock they were stamped from."""
+    the clock they were stamped from and the extension that ran them."""
     citus = make_cluster(workers=2, shard_count=8,
                          config=CitusConfig(log_min_duration=0.0))
     telemetry = citus.coordinator_ext.telemetry
@@ -109,26 +109,27 @@ def _workload_records():
                 pass
         else:
             s.execute("SELECT v FROM t WHERE k = $1", [k])
-    return records, citus.cluster.clock
+    return records, citus.cluster.clock, citus.coordinator_ext
 
 
-def _fold_dump(records, chunk: int, clock) -> str:
+def _fold_dump(records, chunk: int, clock, ext) -> str:
     """Feed ``records`` to a fresh set of folds (statements, tenants, the
-    co-access graph, slow log, traces), draining every ``chunk`` records,
-    and dump every surface they make."""
+    co-access graph, slow log, ASH, traces), draining every ``chunk``
+    records, and dump every surface they make."""
     telemetry = Telemetry(types.SimpleNamespace(), clock)
     telemetry.tracing = telemetry.introspection = telemetry.graphing = True
+    telemetry.history = True
+    telemetry.ash.ext = ext
     telemetry.log_min_duration = 0.0
     for start in range(0, len(records), chunk):
         for record in records[start:start + chunk]:
             telemetry._emit(record)
         telemetry.drain()
-    graph = telemetry.graph
     return json.dumps({
         "statements": telemetry.statement_rows(),
         "tenants": telemetry.tenant_rows(),
-        "graph": graph.as_json(),
-        "edges": graph.edge_rows(),
+        "graph": telemetry.graph.vertex_rows(),
+        "ash": telemetry.ash.statement_rows(),
         "counters": telemetry.registry.as_dict(),
         "slow_log": telemetry.slow_queries(),
         "trace": telemetry.export_chrome(),
@@ -138,10 +139,10 @@ def _fold_dump(records, chunk: int, clock) -> str:
 def test_folds_are_pure_functions_of_the_record_stream():
     """The same records through a fresh set of folds give the same dumps
     whether drained one by one, seven at a time or all at once."""
-    records, clock = _workload_records()
+    records, clock, ext = _workload_records()
     assert len(records) > 150
-    whole = _fold_dump(records, len(records), clock)
-    assert _fold_dump(records, 1, clock) == whole
-    assert _fold_dump(records, 7, clock) == whole
+    whole = _fold_dump(records, len(records), clock, ext)
+    assert _fold_dump(records, 1, clock, ext) == whole
+    assert _fold_dump(records, 7, clock, ext) == whole
     assert '"txngraph_txns"' in whole and '"2pc.prepare"' in whole
-    assert '"access_tenants"' in whole
+    assert '"access_tenants"' in whole and '"RemoteExecute"' in whole

@@ -34,21 +34,20 @@ class Surfaces:
         self.statements = _udf(session, "citus_stat_statements()")
         # [tenant, query_count, rows, total_query_time_ms, total_wait_time_ms]
         self.tenants = _udf(session, "citus_stat_tenants()")
-        # [src, dst, txns, single_node, cross_node, twopc, writes, bytes]
-        self.edges = _udf(session, "citus_stat_txn_graph()")
         # [shard, txns, writes, bytes]
-        self.vertices = _udf(session, "citus_stat_txn_graph('vertices')")
-        self.flamegraph = _udf(session, "citus_ash('flamegraph')")
-        self.ash_samples = _udf(session, "citus_ash()")
+        self.vertices = _udf(session, "citus_stat_txn_graph()")
+        # [start_s, end_s, global_pid, nodename, query_fingerprint,
+        #  citus_tier, tenant, wait_us, waits]
+        self.ash_statements = _udf(session, "citus_ash()")
         # Every ASH report over one bounded range: the middle half of the
-        # sampled instants.
-        times = sorted({row[0] for row in self.ash_samples})
+        # statements' start instants.
+        times = sorted({row[0] for row in self.ash_statements})
         self.ash_range = None
         if times:
             start, end = times[len(times) // 4], times[3 * len(times) // 4]
             self.ash_range = (start, end, {
                 mode: _udf(session, f"citus_ash('{mode}', {start!r}, {end!r})")
-                for mode in ("samples", "top_waits", "top_queries",
+                for mode in ("statements", "top_waits", "top_queries",
                              "top_tenants", "timeline", "flamegraph")})
         self.trace_events = json.loads(
             _udf(session, "citus_trace_export()"))["traceEvents"]
@@ -84,14 +83,14 @@ def assert_sensors_agree(s: Surfaces) -> None:
     assert s.counters.get("txngraph_txns_block_multi_group", 0) \
         <= s.counters.get("txngraph_txns_multi_group", 0) <= txns
     for vertex in s.vertices:
-        assert vertex[1] <= txns
-    for edge in s.edges:
-        assert edge[3] + edge[4] + edge[5] == edge[2] <= txns
-        assert edge[5] <= twopc
+        assert vertex[2] <= vertex[1] <= txns
 
-    flame_total = sum(int(line.rsplit(" ", 1)[1])
-                      for line in s.flamegraph.splitlines())
-    assert flame_total == len(s.ash_samples) == s.counters.get("ash_samples", 0)
+    # A statement's wait time is its waits'; how the reports cut the
+    # ring's is held over a range (a read is itself a statement, and
+    # evicts the oldest row of a full ring).
+    for row in s.ash_statements:
+        assert row[0] <= row[1]
+        assert row[7] == sum(wait[3] for wait in row[8])
 
     total_ms_by_query: dict[str, float] = {}
     for row in s.statements:
@@ -131,19 +130,21 @@ def test_sensors_agree_after_a_2000_session_run(traffic_surfaces):
 
 
 def test_ash_reports_reconcile_over_a_time_range(traffic_surfaces):
-    """Over a bounded range every ASH report counts the same samples: the
-    wait ranking, the flamegraph and the timeline each account for every
-    one; the query and tenant rankings for those with a statement or a
-    tenant."""
+    """Over a bounded range every ASH report sums the same wait time: the
+    wait ranking, the flamegraph and the timeline each account for all of
+    it; the query and tenant rankings for the statements with a
+    fingerprint or a tenant. The timeline counts every statement."""
     start, end, report = traffic_surfaces.ash_range
-    in_range = report["samples"]
-    assert 0 < len(in_range) < len(traffic_surfaces.ash_samples)
-    assert all(start <= row[0] <= end for row in in_range)
-    total = len(in_range)
+    in_range = report["statements"]
+    assert 0 < len(in_range) < len(traffic_surfaces.ash_statements)
+    assert all(row[0] <= end and row[1] >= start for row in in_range)
+    total = sum(row[7] for row in in_range)
+    assert total > 0
     assert sum(row[2] for row in report["top_waits"]) == total
     assert sum(int(line.rsplit(" ", 1)[1])
                for line in report["flamegraph"].splitlines()) == total
-    assert sum(row[3] for row in report["timeline"]) == total
+    assert sum(row[4] for row in report["timeline"]) == total
+    assert sum(row[3] for row in report["timeline"]) == len(in_range)
     assert 0 < sum(row[1] for row in report["top_queries"]) <= total
     assert 0 < sum(row[1] for row in report["top_tenants"]) <= total
 
@@ -158,7 +159,6 @@ def test_the_run_is_the_one_the_identities_were_stated_for(traffic_surfaces):
     assert s.counters["executor_statements"] == 6921
     assert s.counters["txngraph_txns"] == 6009
     assert s.counters["twopc_transactions"] == 57
-    assert len(s.ash_samples) == 423
 
 
 # --------------------------------------------------------------- contended

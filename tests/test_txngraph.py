@@ -1,11 +1,9 @@
 """Distributed-transaction co-access graph: access-set capture across the
-1PC/2PC/autocommit/streaming paths, edge tagging, reset scopes, the
-zero-surface disabled mode, deterministic exports, EXPLAIN ANALYZE's
-cross-shard line, and the SLO RatioRule lower bound."""
+1PC/2PC/autocommit/streaming paths, the txngraph counters' classification,
+reset scopes, the zero-surface disabled mode, deterministic vertices,
+EXPLAIN ANALYZE's cross-shard line, and the SLO RatioRule lower bound."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -51,7 +49,7 @@ def _graph_counters(session) -> dict:
     }
 
 
-def _edge_rows(session) -> list:
+def _vertex_rows(session) -> list:
     return session.execute("SELECT citus_stat_txn_graph()").scalar()
 
 
@@ -63,17 +61,16 @@ class TestAccessCapture:
         s = _setup_accounts(citus)
         s.execute("SELECT citus_stat_reset('all')")
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = 1")
-        vertices = s.execute("SELECT citus_stat_txn_graph('vertices')").scalar()
+        vertices = _vertex_rows(s)
         assert len(vertices) == 1
         assert vertices[0][1] == 1  # txns
         assert vertices[0][2] == 1  # writes
-        assert _edge_rows(s) == []
         counters = _graph_counters(s)
         assert counters["txngraph_txns"] == 1
         assert "txngraph_txns_multi_group" not in counters
         assert "txngraph_txns_block" not in counters
 
-    def test_same_node_block_txn_folds_single_node_edge(self, citus):
+    def test_same_node_block_txn_folds_two_vertices(self, citus):
         s = _setup_accounts(citus)
         k1, k2 = _keys_same_node_distinct_groups(citus, "accounts")
         s.execute("SELECT citus_stat_reset('all')")
@@ -81,17 +78,17 @@ class TestAccessCapture:
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k1})
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k2})
         s.execute("COMMIT")
-        edges = _edge_rows(s)
-        assert len(edges) == 1
-        src, dst, txns, single_node, cross_node, twopc, writes, nbytes = edges[0]
-        assert txns == 1 and single_node == 1 and cross_node == 0 and twopc == 0
-        assert writes == 1 and nbytes > 0
+        vertices = _vertex_rows(s)
+        assert len(vertices) == 2
+        for _shard, txns, writes, nbytes in vertices:
+            assert txns == 1 and writes == 1 and nbytes > 0
         counters = _graph_counters(s)
         assert counters["txngraph_txns_block"] == 1
         assert counters["txngraph_txns_block_multi_group"] == 1
+        assert "txngraph_txns_cross_node" not in counters
         assert "txngraph_txns_2pc" not in counters
 
-    def test_cross_node_write_txn_folds_twopc_edge(self, citus):
+    def test_cross_node_write_txn_counts_as_twopc(self, citus):
         s = _setup_accounts(citus)
         k1, k2 = find_keys_on_distinct_nodes(citus, "accounts")
         s.execute("SELECT citus_stat_reset('all')")
@@ -99,23 +96,22 @@ class TestAccessCapture:
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k1})
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k2})
         s.execute("COMMIT")
-        edges = _edge_rows(s)
-        assert len(edges) == 1
-        assert edges[0][5] == 1  # twopc
-        assert edges[0][4] == 0  # a 2PC txn is not double-counted cross_node
+        assert len(_vertex_rows(s)) == 2
         counters = _graph_counters(s)
         assert counters["txngraph_txns_2pc"] == 1
         assert counters["txngraph_txns_cross_node"] == 1
 
-    def test_multi_shard_read_folds_cross_node_edges(self, citus):
+    def test_multi_shard_read_counts_as_cross_node(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT citus_stat_reset('all')")
         s.execute("SELECT count(*) FROM accounts")
-        edges = _edge_rows(s)
-        assert edges, "multi-shard scan should produce co-access edges"
-        assert all(e[4] == 1 and e[5] == 0 and e[6] == 0 for e in edges)
+        vertices = _vertex_rows(s)
+        assert len(vertices) == citus.coordinator_ext.config.shard_count
+        assert all(v[1] == 1 and v[2] == 0 for v in vertices)  # read only
         counters = _graph_counters(s)
         assert counters["txngraph_txns_cross_node"] == 1
+        assert counters["txngraph_txns_multi_group"] == 1
+        assert "txngraph_txns_2pc" not in counters
         assert "txngraph_txns_block" not in counters  # autocommit
 
     def test_aborted_txn_is_counted_but_not_folded(self, citus):
@@ -126,7 +122,7 @@ class TestAccessCapture:
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k1})
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = :k", {"k": k2})
         s.execute("ROLLBACK")
-        assert _edge_rows(s) == []
+        assert _vertex_rows(s) == []
         counters = _graph_counters(s)
         assert counters["txngraph_txns_aborted"] == 1
         assert "txngraph_txns" not in counters
@@ -159,7 +155,7 @@ class TestAccessCapture:
         s = _setup_accounts(citus)
         s.execute("SELECT citus_stat_reset('all')")
         s.execute("UPDATE accounts SET v = v + 1 WHERE k = 7")
-        (vertex,) = s.execute("SELECT citus_stat_txn_graph('vertices')").scalar()
+        (vertex,) = _vertex_rows(s)
         (tenant,) = s.execute("SELECT citus_stat_tenants()").scalar()
         assert tenant[0] == 7
         shardid = s.execute(
@@ -182,7 +178,7 @@ class TestAccessCapture:
         s.copy_rows("items", [[i, i] for i in range(1, 65)], ["k", "v"])
         counters = _graph_counters(s)
         assert counters["txngraph_txns"] == 1
-        vertices = s.execute("SELECT citus_stat_txn_graph('vertices')").scalar()
+        vertices = _vertex_rows(s)
         assert len(vertices) == citus.coordinator_ext.config.shard_count
         assert all(v[2] == 1 for v in vertices)  # every group saw the write
 
@@ -191,27 +187,18 @@ class TestAccessCapture:
 
 
 class TestExports:
-    def test_json_and_dot_exports(self, citus):
-        s = _setup_accounts(citus)
-        s.execute("SELECT citus_stat_reset('all')")
-        s.execute("SELECT count(*) FROM accounts")
-        payload = json.loads(s.execute("SELECT citus_stat_txn_graph('json')").scalar())
-        assert payload["vertices"] and payload["edges"]
-        assert payload["wide_txns"] == 0
-        dot = s.execute("SELECT citus_stat_txn_graph('dot')").scalar()
-        assert dot.startswith("graph citus_txn_graph {")
-        assert "--" in dot and dot.rstrip().endswith("}")
-
     def test_metrics_snapshot_contains_sorted_graph_families(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT count(*) FROM accounts")
         snap = s.execute("SELECT citus_metrics_snapshot()").scalar()
-        assert "# TYPE citus_txn_graph_edges gauge" in snap
-        edge_lines = [l for l in snap.splitlines()
-                      if l.startswith("citus_txn_graph_edge_txns_total{")]
-        assert edge_lines == sorted(edge_lines)
+        assert "# TYPE citus_txn_graph_vertices gauge" in snap
+        vertex_lines = [l for l in snap.splitlines()
+                        if l.startswith("citus_txn_graph_vertex_txns_total{")]
+        assert len(vertex_lines) == citus.coordinator_ext.config.shard_count
+        assert vertex_lines == sorted(vertex_lines)
+        assert "edge" not in snap
         # Graph families sit between histogram summaries and node health.
-        assert (snap.index("citus_txn_graph_edges")
+        assert (snap.index("citus_txn_graph_vertices")
                 < snap.index("# TYPE citus_node_up gauge"))
 
     def test_group_label(self):
@@ -223,20 +210,19 @@ class TestExports:
 
 
 class TestResetScopes:
-    def test_graph_scope_clears_edges_but_not_counters(self, citus):
+    def test_graph_scope_clears_vertices_but_not_counters(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT count(*) FROM accounts")
-        assert _edge_rows(s)
+        assert _vertex_rows(s)
         s.execute("SELECT citus_stat_reset('graph')")
-        assert _edge_rows(s) == []
-        assert s.execute("SELECT citus_stat_txn_graph('vertices')").scalar() == []
+        assert _vertex_rows(s) == []
         assert _graph_counters(s)["txngraph_txns"] > 0  # history survived
 
     def test_all_scope_clears_both(self, citus):
         s = _setup_accounts(citus)
         s.execute("SELECT count(*) FROM accounts")
         s.execute("SELECT citus_stat_reset('all')")
-        assert _edge_rows(s) == []
+        assert _vertex_rows(s) == []
         assert not _graph_counters(s)
 
     def test_unknown_scope_is_rejected_and_docstring_lists_all(self, citus):
@@ -267,8 +253,7 @@ class TestDisabled:
         # Nothing was folded behind the switch either.
         graph = citus.coordinator_ext.telemetry.graph
         assert not graph.vertices and not graph.open
-        assert s.execute("SELECT citus_stat_txn_graph()").scalar() == []
-        assert s.execute("SELECT citus_stat_txn_graph('json')").scalar() == "{}"
+        assert _vertex_rows(s) == []
         assert not _graph_counters(s)
 
     def test_runtime_toggle_detaches_every_node(self, citus):
@@ -313,14 +298,12 @@ class TestDeterminism:
             _seeded_workload(citus)
             s = citus.coordinator_session("dump")
             dumps.append({
-                "graph": s.execute("SELECT citus_stat_txn_graph('json')").scalar(),
-                "edges": s.execute("SELECT citus_stat_txn_graph()").scalar(),
-                # Activity per time window.
+                "vertices": _vertex_rows(s),
+                # Wait time per time window.
                 "timeline": s.execute("SELECT citus_ash('timeline')").scalar(),
                 "metrics": s.execute("SELECT citus_metrics_snapshot()").scalar(),
             })
-        assert dumps[0]["graph"] == dumps[1]["graph"]
-        assert dumps[0]["edges"] == dumps[1]["edges"]
+        assert dumps[0]["vertices"] == dumps[1]["vertices"]
         assert dumps[0]["timeline"] == dumps[1]["timeline"]
         assert dumps[0]["metrics"] == dumps[1]["metrics"]
 

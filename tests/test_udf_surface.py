@@ -9,6 +9,7 @@ import pathlib
 
 import pytest
 
+from repro.citus.ash import TIMELINE_BUCKET_SECONDS
 from repro.citus.extension import GUC_TYPES, UDFS, CitusConfig
 from repro.errors import MetadataError
 
@@ -175,7 +176,7 @@ class TestMalformedArguments:
     naming the UDF — not a Python exception from inside it."""
 
     @pytest.mark.parametrize("args", [
-        ("samples", "abc"), ("samples", 0, "later"),
+        ("statements", "abc"), ("statements", 0, "later"),
         ("timeline", None, None, "wide"),
     ])
     def test_citus_ash_range_and_bucket(self, s, args):
@@ -202,23 +203,23 @@ class TestMalformedArguments:
         with pytest.raises(MetadataError, match="citus_trace_export"):
             traces("-2")
 
+    def test_citus_stat_txn_graph_mode(self, s):
+        with pytest.raises(MetadataError,
+                           match="citus_stat_txn_graph takes no arguments"):
+            s.execute("SELECT citus_stat_txn_graph('vertices')")
+
     def test_citus_ash_negative_timeline_bucket_is_refused(self, citus, s):
         citus.cluster.clock.advance(5.0)
         with pytest.raises(MetadataError, match="citus_ash"):
             s.execute("SELECT citus_ash('timeline', NULL, NULL, -1.0)")
-        # Omitted or 0: buckets of ten sampling intervals.
-        width = 10 * citus.coordinator_ext.config.ash_sampling_interval
+        # Omitted or 0: the default bucket width.
+        width = TIMELINE_BUCKET_SECONDS
         for sql in ("SELECT citus_ash('timeline')",
                     "SELECT citus_ash('timeline', NULL, NULL, 0)"):
             rows = s.execute(sql).scalar()
             assert rows
             assert all(end - start == pytest.approx(width)
                        for _b, start, end, *_ in rows)
-
-    def test_citus_stat_txn_graph_mode(self, s):
-        with pytest.raises(MetadataError,
-                           match="citus_stat_txn_graph mode 'bogus'.*vertices"):
-            s.execute("SELECT citus_stat_txn_graph('bogus')")
 
 
 class TestRunCommandOnWorkers:

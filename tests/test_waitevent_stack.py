@@ -34,9 +34,6 @@ class TestNestedLiveWaits:
         c = stack.begin("Lock", "tuple")
         assert stack.depth == 3
         assert stack.current is c
-        # frames() is the bottom-to-top snapshot ASH samples.
-        assert [f.event for f in stack.frames()] == \
-            ["PoolLease", "RemoteExecute", "tuple"]
         assert _gauge(pg) == 3
         stack.finish(c)
         assert (stack.depth, stack.current) == (2, b)
