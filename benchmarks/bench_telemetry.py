@@ -85,9 +85,9 @@ def txn_loop(session, iterations: int) -> float:
 #: in the shipped configuration.
 GATES = (
     ("enable_tracing", crud_loop, 0.05, 0.22),
-    ("enable_introspection", crud_loop, 0.05, 0.05),
-    ("enable_txn_graph", txn_loop, 0.05, 0.10),
-    ("enable_ash", txn_loop, 0.05, 0.10),
+    ("enable_introspection", crud_loop, 0.05, 0.04),
+    ("enable_txn_graph", txn_loop, 0.05, 0.07),
+    ("enable_ash", txn_loop, 0.05, 0.08),
 )
 
 MODES = ("detached", "off", "without", "with")

@@ -11,7 +11,7 @@ statement, tenant, co-access and slow-log folds. Every wait a wait-event
 stack accounts while a record is current — live (a lock, a pool lease) or
 reconstructed from the cost model (a round trip, a 2PC phase, a WAL
 flush) — is noted on that record (:meth:`ActiveSessionHistory.note`,
-from :meth:`~repro.engine.waitevents.WaitEventStack._account`): its whole
+from :meth:`~repro.engine.waitevents.WaitEventStack.record`): its whole
 microseconds, summed per (class, event, node). The part of a microsecond
 left over carries into the key's next wait, so the totals stay within a
 microsecond per key of the exact sums (a wait's cost is often a fraction
@@ -98,35 +98,46 @@ class ActiveSessionHistory:
         self.ext = None  # the coordinator's extension: global PIDs
 
     def reset(self) -> None:
-        """citus_stat_reset('ash')."""
+        """citus_stat_reset('ash'). The carries restart at zero in place:
+        the wait-event stacks hold them."""
         self.ring.clear()
-        self.keys.clear()
+        for entry in self.keys.values():
+            entry[1] = 0.0
 
-    def note(self, record, key: tuple, seconds: float) -> None:
-        """A wait of ``key`` (class, event, node) accounted while
-        ``record`` is current: its whole µs join the record's for the key
-        (``record.waits``: key -> µs until the record closes), the
-        fraction carries."""
+    def carry(self, key: tuple) -> list:
+        """``[key, µs fraction carried over]`` of (class, event, node)."""
         entry = self.keys.get(key)
         if entry is None:
             entry = self.keys[key] = [key, 0.0]
-        micros = entry[1] + seconds * 1e6
+        return entry
+
+    def note(self, record, carry: list, seconds: float) -> None:
+        """A wait of ``carry``'s key accounted while ``record`` is current:
+        its whole µs join the key's in ``record.waits`` (flat ``key, µs``
+        pairs, a list until the record closes), the fraction carries."""
+        micros = carry[1] + seconds * 1e6
         us = int(micros)
-        entry[1] = micros - us
+        carry[1] = micros - us
         if us:
             waits = record.waits
+            key = carry[0]
             if not waits:
-                waits = record.waits = {}
-            key = entry[0]
-            waits[key] = waits.get(key, 0) + us
+                record.waits = [key, us]
+                return
+            for i in range(0, len(waits), 2):
+                if waits[i] is key:
+                    waits[i + 1] += us
+                    return
+            waits += (key, us)
 
-    def fold(self, record) -> None:
-        """One closed top-level statement becomes one row."""
-        digest = record.digest
-        if digest is None and record.stmt is not None:
-            digest = statement_fingerprint(statement_facts(record.stmt))[1]
-        self.ring.append((record.start, record.end, record.pid, record.node,
-                          digest, record.tier, record.tenant, *record.waits))
+    def fold(self, records) -> None:
+        """Each closed top-level statement becomes one row."""
+        self.ring.extend([
+            (record.start, record.end, record.pid, record.node,
+             record.digest if record.digest is not None or record.stmt is None
+             else statement_fingerprint(statement_facts(record.stmt))[1],
+             record.tier, record.tenant, *record.waits)
+            for record in records])
 
     # ----------------------------------------------------------- reading
 

@@ -46,6 +46,10 @@ PER_ROW_CPU_COST = 2e-6
 #: Rows per cursor fetch round trip of a multi-shard SELECT's task streams.
 STREAM_BATCH_SIZE = 256
 
+#: The registry batch key of a one-task run that begins.
+_RUN = ((0, "executor_statements", "", 1),
+        (1, "executor_statements_in_flight", "", 1))
+
 
 @dataclass
 class ExecutionReport:
@@ -74,7 +78,31 @@ class ExecutionReport:
 class AdaptiveExecutor:
     def __init__(self, ext):
         self.ext = ext
-        self.last_report: ExecutionReport | None = None
+        self._report: ExecutionReport | None = None
+        #: The last run when it was one task: ``(node, connections used,
+        #: reused, elapsed)``, its report made only when asked for.
+        self._one_task = None
+        #: node -> the registry batch keys of a one-task run on it.
+        self._keys: dict = {}
+
+    @property
+    def last_report(self) -> ExecutionReport | None:
+        """What the last statement's run did (tests, EXPLAIN ANALYZE)."""
+        one = self._one_task
+        if one is not None:
+            node, used, reused, elapsed = one
+            self._one_task = None
+            self._report = ExecutionReport(
+                task_count=1, connections_used=used,
+                connections_opened=0 if reused else 1,
+                connections_reused=1 if reused else 0, elapsed=elapsed,
+                per_node_connections={node: used})
+        return self._report
+
+    @last_report.setter
+    def last_report(self, report: ExecutionReport) -> None:
+        self._one_task = None
+        self._report = report
 
     # ------------------------------------------------------------ public
 
@@ -90,21 +118,24 @@ class AdaptiveExecutor:
         else a new one; BEGIN inside a transaction block; run; charge;
         advance the clock. The report, units, counters, gauges and wait
         events are the ones a :class:`ConnectionTimeline` of one task
-        produces, in its order. A lock wait on the worker parks the
-        statement (:class:`~repro.net.network.RemoteBlocked` propagates)."""
+        produces; the counters and gauges go through the registry's batch
+        (:data:`_RUN` and :meth:`_node_keys`). A lock wait on the worker
+        parks the statement (:class:`~repro.net.network.RemoteBlocked`
+        propagates)."""
         ext = self.ext
         counters = ext.stat_counters
+        batch = counters.batch
         pools = SessionPools.for_session(session, ext)
-        report = ExecutionReport(task_count=1)
         clock = ext.cluster.clock
         base = clock.now()
         explicit = session.in_transaction
-        counters.incr("executor_statements")
         units = ext.telemetry.execution_begin()
-        counters.gauge_incr("executor_statements_in_flight")
+        batch[_RUN] = batch.get(_RUN, 0) + 1
         node, group = task.node, task.shard_group
+        keys = self._keys.get(node) or self._node_keys(node)
         free = 0.0  # when the connection is next free, from ``base``
         outcome = FAILED
+        in_flight = False
         try:
             idle = pools.idle_connections(node)
             conn = idle[0] if idle else None
@@ -115,48 +146,44 @@ class AdaptiveExecutor:
             reused = conn is not None
             if not reused:
                 conn, free = open_connection(ext, session, pools, node, True,
-                                             report, units, 0.0)
-            # The in-flight gauge is settled on every way out, so a failing
-            # task (node crash, SQL error) can never leave it stuck.
-            counters.gauge_incr("tasks_in_flight", node=node)
+                                             units, 0.0)
+            # The in-flight gauges are settled on every way out, so a
+            # failing task (node crash, SQL error) can never leave them
+            # stuck.
+            batch[keys[0]] = batch.get(keys[0], 0) + 1
+            in_flight = True
             before, bytes_before = conn.elapsed, conn.bytes_transferred
             begin_bytes = 0
-            try:
-                if explicit:
-                    _enter_txn_block(ext, session, conn, is_write)
-                    # The BEGIN's round trip is not on the task's timeline;
-                    # its bytes are on the task's span.
-                    begin_bytes = conn.bytes_transferred - bytes_before
-                    before, bytes_before = conn.elapsed, conn.bytes_transferred
-                if group is not None:
-                    conn.accessed_groups.add(group)
-                result = conn.execute_parsed(task.stmt, task.params,
-                                             allow_block=True)
-            except WouldBlock:
-                # Lock wait: the statement parks — an executor suspension,
-                # not a task failure. What it did so far is kept, and counts
-                # if the statement goes on to complete; the connection stays
-                # free.
-                outcome = BLOCKED
-                if units is not None:
-                    units.append((BLOCKED_TASK, 0, node, group, is_write, free,
-                                  conn.elapsed - before, 0,
-                                  conn.bytes_transferred - bytes_before))
-                counters.gauge_decr("tasks_in_flight", node=node)
-                counters.incr("tasks_blocked", node=node)
-                raise
-            except Exception:
-                counters.gauge_decr("tasks_in_flight", node=node)
-                counters.incr("tasks_failed", node=node)
-                raise
-        except BaseException:
+            if explicit:
+                _enter_txn_block(ext, session, conn, is_write)
+                # The BEGIN's round trip is not on the task's timeline;
+                # its bytes are on the task's span.
+                begin_bytes = conn.bytes_transferred - bytes_before
+                before, bytes_before = conn.elapsed, conn.bytes_transferred
+            if group is not None:
+                conn.accessed_groups.add(group)
+            result = conn.execute_parsed(task.stmt, task.params,
+                                         allow_block=True)
+        except BaseException as exc:
+            if in_flight:
+                batch[keys[0]] = batch.get(keys[0], 0) - 1
+                # A lock wait parks the statement — an executor suspension,
+                # not a task failure. What it did so far is kept, and
+                # counts if the statement goes on to complete; the
+                # connection stays free.
+                if isinstance(exc, WouldBlock):
+                    outcome = BLOCKED
+                    if units is not None:
+                        units.append((BLOCKED_TASK, 0, node, group, is_write,
+                                      free, conn.elapsed - before, 0,
+                                      conn.bytes_transferred - bytes_before))
+                    counters.incr("tasks_blocked", node=node)
+                elif isinstance(exc, Exception):
+                    counters.incr("tasks_failed", node=node)
             counters.gauge_decr("executor_statements_in_flight")
-            report.elapsed = free
-            close_run(ext, session, pools, TASKS, base, units, report, None,
+            close_run(ext, session, pools, TASKS, base, free, units, (),
                       outcome, explicit)
             raise
-        counters.gauge_decr("tasks_in_flight", node=node)
-        counters.incr("tasks_executed", node=node)
         # Simulated cost: network latency accrued plus a CPU term
         # proportional to rows produced/affected.
         rows = result.rowcount if result.rowcount else len(result.rows)
@@ -168,24 +195,35 @@ class AdaptiveExecutor:
                               begin_bytes))
             units.append((TASK, 0, node, group, is_write, free, cost, rows,
                           conn.bytes_transferred - bytes_before))
-        # Every idle cached connection of the node was in play.
-        report.connections_used = report.per_node_connections[node] = (
-            len(idle) + report.connections_opened)
         if reused:
-            report.connections_reused = 1
-            counters.incr("connections_reused", 1, node=node)
-        report.elapsed = free + cost
-        session.stats["citus_connections"] += report.connections_opened
-        clock.advance(report.elapsed)
-        counters.gauge_decr("executor_statements_in_flight")
-        close_run(ext, session, pools, TASKS, base, units, report, None, OK,
+            done, opened = keys[1], 0
+        else:
+            done, opened = keys[2], 1
+        batch[done] = batch.get(done, 0) + 1
+        elapsed = free + cost
+        session.stats["citus_connections"] += opened
+        clock.advance(elapsed)
+        close_run(ext, session, pools, TASKS, base, elapsed, units, (), OK,
                   explicit)
         session.stats["citus_tasks"] += 1
-        self.last_report = report
+        # Every idle cached connection of the node was in play.
+        self._one_task = (node, len(idle) + opened, reused, elapsed)
         if not explicit and not conn.in_txn_block:
             # Shard-group affinity only matters within a transaction.
             conn.accessed_groups.clear()
         return result
+
+    def _node_keys(self, node: str) -> tuple:
+        """The batch keys of a one-task run on ``node``: its task in
+        flight, and its end on a reused or a new connection (both
+        in-flight gauges back down, its task counted)."""
+        done = ((1, "executor_statements_in_flight", "", -1),
+                (1, "tasks_in_flight", node, -1),
+                (0, "tasks_executed", node, 1))
+        keys = self._keys[node] = (
+            ((1, "tasks_in_flight", node, 1),),
+            done + ((0, "connections_reused", node, 1),), done)
+        return keys
 
     def _execute_many(self, session, tasks, is_write: bool) -> list:
         """Blocking tasks over a :class:`ConnectionTimeline`: affinity-pinned

@@ -25,8 +25,8 @@ the same order, through the two pieces it shares with this class
 from __future__ import annotations
 
 from ...errors import NodeUnavailable
-from ..record import (BATCH, BEGIN, CLOSE, CONNECT, DISPATCH, FAILED, FLUSH,
-                      OK, TASK)
+from ..record import (BATCH, BEGIN, CHANNEL_FIELDS, CHANNELS, CLOSE, CONNECT,
+                      DISPATCH, FAILED, FLUSH, OK, STREAMS, TASK)
 from .placement import SessionPools
 
 #: The ``Net`` wait event a unit of each kind is accounted as (opening a
@@ -40,12 +40,12 @@ _OUTCOME_COUNTERS = {"executed": "tasks_executed", "failed": "tasks_failed",
                      "blocked": "tasks_blocked", "skipped": "tasks_skipped"}
 
 
-def open_connection(ext, session, pools, node: str, force: bool, report,
-                    units, now: float):
+def open_connection(ext, session, pools, node: str, force: bool, units,
+                    now: float):
     """Open a connection to ``node`` at ``now`` on the run's timeline and
-    account for it; ``(connection, set-up seconds)``, or None when the
-    shared pool limit says no — it never does to ``force``, a statement's
-    first connection to a node."""
+    account for it (the caller counts it in its report); ``(connection,
+    set-up seconds)``, or None when the shared pool limit says no — it
+    never does to ``force``, a statement's first connection to a node."""
     if not ext.try_reserve_shared_slot(node, force=force):
         return None
     try:
@@ -54,7 +54,6 @@ def open_connection(ext, session, pools, node: str, force: bool, report,
         ext.release_shared_slot(node)
         raise
     setup = ext.cluster.network.connection_setup_cost()
-    report.connections_opened += 1
     ext.stat_counters.incr("connections_opened", node=node)
     session.wait_events.record("Net", "RemoteConnect", setup, node=node)
     if units is not None:
@@ -69,10 +68,10 @@ def count_flush(counters, node: str, rows: int, nbytes: int) -> None:
     counters.incr("copy_bytes_streamed", nbytes, node=node)
 
 
-def close_run(ext, session, pools, driver: str, base: float, units, report,
-              tasks, outcome: str, explicit: bool) -> None:
+def close_run(ext, session, pools, driver: str, base: float, elapsed: float,
+              units, detail: tuple, outcome: str, explicit: bool) -> None:
     """Close a run's entry in the statement record (``units`` None: nobody
-    keeps one)."""
+    keeps one); ``detail`` is what the record keeps after the units."""
     if units is None:
         return
     # No transaction block, no local xid: the run never reaches the
@@ -82,7 +81,7 @@ def close_run(ext, session, pools, driver: str, base: float, units, report,
                       or session.xid is not None)
     if units and not autocommit and outcome is not FAILED:
         pools.touched = True
-    ext.telemetry.execution_end(driver, session, base, units, report, tasks,
+    ext.telemetry.execution_end(driver, session, base, elapsed, units, detail,
                                 outcome, explicit, autocommit)
 
 
@@ -168,9 +167,10 @@ class ConnectionTimeline:
         # The shared pool limit never starves a statement of its first
         # connection to a node; beyond that it is strict.
         opened = open_connection(self.ext, self.session, self.pools, node,
-                                 not conns, self.report, self.units, now)
+                                 not conns, self.units, now)
         if opened is None:
             return None
+        self.report.connections_opened += 1
         conn, setup = opened
         conns.append(conn)
         self.busy[id(conn)] = now + setup
@@ -260,5 +260,15 @@ class ConnectionTimeline:
         self._close(FAILED)
 
     def _close(self, outcome: str) -> None:
+        units = self.units
+        detail = ()
+        if units is not None:
+            # A stream run keeps its task nodes, a channel run its COPY
+            # numbers.
+            if self.driver is STREAMS:
+                detail = tuple(task.node for task in self.tasks)
+            elif self.driver is CHANNELS:
+                detail = tuple(getattr(self.report, field)
+                               for field in CHANNEL_FIELDS)
         close_run(self.ext, self.session, self.pools, self.driver, self.base,
-                  self.units, self.report, self.tasks, outcome, self.explicit)
+                  self.report.elapsed, units, detail, outcome, self.explicit)

@@ -67,14 +67,16 @@ class TenantStats:
         # fold: numbers only, which the collector untracks.
         self.entries: dict = {}
 
-    def fold(self, record) -> None:
-        tenant = record.tenant
-        if tenant is None:
-            return
-        calls, rows, query, wait = self.entries.get(tenant, (0, 0, 0.0, 0.0))
-        self.entries[tenant] = (calls + 1, rows + (record.rows or 0),
-                                query + (record.end - record.start),
-                                wait + record.wait_seconds)
+    def fold(self, records) -> None:
+        entries = self.entries
+        for record in records:
+            tenant = record.tenant
+            if tenant is None:
+                continue
+            calls, rows, query, wait = entries.get(tenant, (0, 0, 0.0, 0.0))
+            entries[tenant] = (calls + 1, rows + (record.rows or 0),
+                               query + (record.end - record.start),
+                               wait + record.wait_seconds)
 
     def rows(self) -> list[list]:
         """:data:`TENANT_COLUMNS` rows, busiest (most calls) first."""

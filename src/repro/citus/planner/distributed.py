@@ -28,7 +28,7 @@ from contextlib import ExitStack
 from dataclasses import replace
 
 from ...engine.catalog import Column
-from ...engine.compile import evaluate
+from ...engine.compile import evaluate, get_prepared
 from ...engine.datum import (
     BIGINT, BOOL, DATE, FLOAT, TEXT, TIMESTAMP, cast_value,
     refuse_number_against_text,
@@ -63,24 +63,25 @@ def make_planner_hook(ext):
         cache = ext.metadata.cache
         if not cache.tables:
             return None
-        # A statement mentioning no Citus table (every shard statement a
-        # worker with synced metadata receives, for one) is recognised from
-        # its memoized facts without re-walking the AST.
+        # Whether a statement mentions a Citus table (every shard statement
+        # a worker with synced metadata receives does not) is read once
+        # from its facts per metadata state, not re-walked.
         facts = statement_facts(stmt)
-        if facts.local_in is cache:
-            return None
-        if not any(name in cache.tables for name in facts.tables):
-            facts.local_in = cache
-            return None
+        if facts.citus_in is not cache:
+            if facts.local_in is cache:
+                return None
+            if not any(name in cache.tables for name in facts.tables):
+                facts.local_in = cache
+                return None
+            facts.citus_in = cache
         norm = statement_norm(facts)
         if norm is not None and norm[1]:
             _refuse_text_literals(ext.instance.catalog, norm[0], norm[1])
-        plan = search = None
-        cache_hit = False
+        plan = search = entry = None
         try:
-            plan = ext.plan_cache.lookup(stmt, params)
-            cache_hit = plan is not None
-            if cache_hit:
+            hit = ext.plan_cache.lookup(facts, params)
+            if hit is not None:
+                plan, entry = hit
                 search = plan.search
             else:
                 if ext.config.enable_plan_alternatives:
@@ -91,7 +92,7 @@ def make_planner_hook(ext):
                                       search=search)
                 if search is not None:
                     plan.search = search
-                ext.plan_cache.store(stmt, plan)
+                ext.plan_cache.store(facts, plan)
         except UnsupportedDistributedQuery as exc:
             # The search (with every tier's rejection reason) is still
             # reported so citus_plan_alternatives() can explain why the
@@ -100,9 +101,10 @@ def make_planner_hook(ext):
                 search.error = str(exc)
             raise
         finally:
-            # Whatever was decided — tier, plan-cache hit, the search, or
-            # that no plan could be made — is reported once, here.
-            ext.telemetry.planned(ext, session, facts, params, plan, cache_hit,
+            # Whatever was decided — tier, the plan-cache entry that
+            # answered, the search, or that no plan could be made — is
+            # reported once, here.
+            ext.telemetry.planned(ext, session, facts, params, plan, entry,
                                   search)
         return plan
 
@@ -114,11 +116,22 @@ def _refuse_text_literals(catalog, template, literals: dict) -> None:
     which keep the column's rule: a numeric literal ``template`` compares
     with a text column of a table it reads or writes is refused here, on
     the coordinator's tables, as a single node refuses it
-    (:func:`~repro.engine.executor.text_comparisons`)."""
+    (:func:`~repro.engine.executor.text_comparisons`). Which parameters
+    meet a text column is the template's, found once per catalog state."""
+    for op, name, operand_first in get_prepared(
+            template, catalog.epoch,
+            lambda: _text_parameters(catalog, template), ("text",)):
+        if name in literals:
+            refuse_number_against_text(op, literals[name], operand_first)
+
+
+def _text_parameters(catalog, template) -> list:
+    """``(op, parameter name, operand_first)`` per comparison of a text
+    column of a table ``template`` reads or writes with a parameter."""
     where = template.where if isinstance(template, (A.Select, A.Update,
                                                     A.Delete)) else None
     if where is None:
-        return
+        return []
     if isinstance(template, A.Select):
         refs, pending = [], list(template.from_items)
         while pending:
@@ -129,14 +142,15 @@ def _refuse_text_literals(catalog, template, literals: dict) -> None:
                 refs.append((item.name, item.ref_name))
     else:
         refs = [(template.table, template.alias or template.table)]
+    found = []
     for name, alias in refs:
         table = catalog.tables.get(name)
         text = [] if table is None else [
             col.name for col in table.columns if col.type_name == TEXT]
-        for op, operand, operand_first in text_comparisons(where, alias, text):
-            if type(operand) is A.Param and operand.name in literals:
-                refuse_number_against_text(op, literals[operand.name],
-                                           operand_first)
+        found += [(op, operand.name, operand_first) for op, operand,
+                  operand_first in text_comparisons(where, alias, text)
+                  if type(operand) is A.Param]
+    return found
 
 
 def citus_plan_alternatives(ext, session, *rest) -> str:

@@ -40,12 +40,10 @@ cache entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ...engine.expr import BoundParams
 from ...engine.lru import LRUCache
 from ...errors import ReproError
-from ...sql.facts import statement_facts, statement_norm
+from ...sql.facts import statement_facts, statement_fingerprint, statement_norm
 
 
 def make_bound(params, consts: dict) -> BoundParams:
@@ -73,17 +71,28 @@ def normalized(stmt, params):
 
 # ------------------------------------------------------------- entries
 
-@dataclass
 class CachedPlanEntry:
-    # What ``bind(params)`` makes an execution's plan from; None marks a
-    # statement whose plan is made from the statement itself (reference,
-    # local, join-order and row-evaluating INSERT plans), planned every time.
-    shape: object
-    generation: int
-    # PlanSearch recorded when the shape was planned; from the first hit
-    # on, its cached-marked copy, shared read-only by every hit so
-    # alternatives stay observable for hot statements
-    search: object = None
+    """One stored shape and what every hit on it reports the same way."""
+
+    __slots__ = ("shape", "generation", "search", "identity", "plan_event")
+
+    def __init__(self, shape, generation: int, search, identity):
+        # What ``bind(params)`` makes an execution's plan from; None marks
+        # a statement whose plan is made from the statement itself
+        # (reference, local, join-order and row-evaluating INSERT plans),
+        # planned every time.
+        self.shape = shape
+        self.generation = generation
+        # PlanSearch recorded when the shape was planned; from the first
+        # hit on, its cached-marked copy, shared read-only by every hit so
+        # alternatives stay observable for hot statements.
+        self.search = search
+        # The statements' telemetry identity (``statement_fingerprint``),
+        # a function of the fingerprint the entry is stored under.
+        self.identity = identity
+        # The attrs of the plan event a hit traces, as ``(task count,
+        # search, attrs)``.
+        self.plan_event = None
 
 
 class PlanCache:
@@ -93,9 +102,10 @@ class PlanCache:
         self.ext = ext
         self.entries = LRUCache(capacity)
 
-    def lookup(self, stmt, params):
-        """The statement's plan, bound from its stored shape, or None."""
-        norm = statement_norm(statement_facts(stmt))
+    def lookup(self, facts, params):
+        """``(plan, entry)``: the statement's plan, bound from the shape
+        ``entry`` stores; None on a miss."""
+        norm = statement_norm(facts)
         if norm is None:
             return None
         _template, consts, fingerprint = norm
@@ -129,11 +139,14 @@ class PlanCache:
             if not entry.search.cached:
                 entry.search = entry.search.replay_cached()
             plan.search = entry.search
-        counters.incr("plan_cache_hits")
-        return plan
+        if facts.fingerprint is None:
+            facts.fingerprint = entry.identity
+        batch = counters.batch
+        batch[_HIT] = batch.get(_HIT, 0) + 1
+        return plan, entry
 
-    def store(self, stmt, plan) -> None:
-        norm = statement_norm(statement_facts(stmt))
+    def store(self, facts, plan) -> None:
+        norm = statement_norm(facts)
         if norm is None:
             return
         fingerprint = norm[2]
@@ -141,5 +154,9 @@ class PlanCache:
         existing = self.entries.get(fingerprint)
         if existing is not None and existing.generation == generation:
             return
-        self.entries.put(fingerprint,
-                         CachedPlanEntry(plan.shape, generation, plan.search))
+        self.entries.put(fingerprint, CachedPlanEntry(
+            plan.shape, generation, plan.search, statement_fingerprint(facts)))
+
+
+#: The registry batch key of a hit (see ``StatsRegistry.batch``).
+_HIT = ((0, "plan_cache_hits", "", 1),)

@@ -127,7 +127,7 @@ class StatementRecord:
         self.rows: int | None = None  # None: no result (failed, or open)
         self.error: str | None = None
         self.wait_seconds = 0.0
-        self.waits: dict | tuple = ()  # a dict once noted, a tuple closed
+        self.waits: list | tuple = ()  # a list once noted, a tuple closed
         self.events: list | tuple = []  # a tuple once closed
         self.top = -1
         self.traced = traced
@@ -173,6 +173,17 @@ class Ring:
         elif len(items) == self.high_water:
             self.high_water += 1
         items.append(item)
+
+    def extend(self, items: list) -> None:
+        """Append each of ``items`` in turn, counted as :meth:`append`
+        counts them."""
+        store = self.items
+        room = store.maxlen - len(store)
+        if len(items) > room:
+            self.dropped += len(items) - room
+        store.extend(items)
+        if len(store) > self.high_water:
+            self.high_water = len(store)
 
     def clear(self) -> None:
         self.items.clear()

@@ -627,8 +627,13 @@ class ColumnFilter:
         """The values the column may equal under ``params`` — those every
         ``=`` / ``IN`` term the parameters bind allows (NULL equals
         nothing) — or None when no such term constrains it."""
+        equal = self.equal
+        if len(equal) == 1 and len(equal[0]) == 1:  # one ``=`` (a route's)
+            value = _constant_value(equal[0][0], params, self.type_name)
+            return (None if value is NO_VALUE
+                    else [] if value is None else [value])
         allowed = None
-        for term in self.equal:
+        for term in equal:
             read = []
             for constant in term:
                 value = _constant_value(constant, params, self.type_name)

@@ -38,9 +38,8 @@ from ..engine.stats import stats_for
 from ..sql.facts import statement_fingerprint
 from .ash import ActiveSessionHistory
 from .introspection import TenantStats
-from .record import (ABORT, BLOCKED_TASK, CHANNEL_FIELDS, CHANNELS, COMMIT,
-                     EXECUTION, STREAMS, TXN, U_BYTES, U_KIND, Ring,
-                     StatementRecord)
+from .record import (ABORT, BLOCKED_TASK, COMMIT, EXECUTION, TXN, U_BYTES,
+                     U_KIND, Ring, StatementRecord)
 from .sharding import NO_VALUE, partition_key_for
 from .tracing import (Span, StatementStats, build_subtree, build_trace,
                       export_chrome, slow_log_entry)
@@ -58,6 +57,9 @@ TRACE_RING_SIZE = 256
 SCOPES = ("counters", "statements", "tenants", "graph", "ash")
 
 _HOLDER_ATTR = "_citus_telemetry"
+
+#: Planner tier -> the registry batch key of a statement planned at it.
+_PLANNED: dict = {}
 
 
 def telemetry_for(holder, clock) -> "Telemetry":
@@ -169,25 +171,27 @@ class Telemetry:
         pending.clear()
         if len(records) > pending.high_water:
             pending.high_water = len(records)
-        introspection, graphing = self.introspection, self.graphing
-        history, threshold = self.history, self.log_min_duration
-        for record in records:
-            if graphing:
-                self.graph.fold(record)
-            if record.kind == "statement":
-                if introspection:
-                    self.tenants.fold(record)
-                if history:
-                    self.ash.fold(record)
-            if not record.traced:
-                continue
-            if record.kind == "statement":
-                self.statements.fold(record)
-                if 0 <= threshold <= (record.end - record.start) * 1000.0:
-                    self.slow_log.append(slow_log_entry(record))
-                self.traces.append(record)
-            elif record.kind == "operation" and record.events:
-                self.traces.append(record)
+        statements = [record for record in records
+                      if record.kind == "statement"]
+        if self.graphing:
+            self.graph.fold(records)
+        if self.introspection:
+            self.tenants.fold(statements)
+        if self.history:
+            self.ash.fold(statements)
+        statements = [record for record in statements if record.traced]
+        if statements:
+            self.statements.fold(statements)
+        threshold = self.log_min_duration
+        if threshold >= 0:
+            self.slow_log.extend([
+                slow_log_entry(record) for record in statements
+                if threshold <= (record.end - record.start) * 1000.0])
+        # The trace ring keeps traced statements and maintenance cycles.
+        self.traces.extend([
+            record for record in records if record.traced and (
+                record.kind == "statement"
+                or record.kind == "operation" and record.events)])
 
     # ------------------------------------------------- statement lifetime
 
@@ -236,7 +240,7 @@ class Telemetry:
         record = session.record
         session.record = None
         if self.current is record:
-            self._activate(None)
+            self.current = self.traced = None
         if result is not None:
             record.rows = result.rowcount or len(result.rows)
         elif error is not None:
@@ -251,7 +255,7 @@ class Telemetry:
         record.end = now if now > record.max_end else record.max_end
         record.events = tuple(record.events)  # frozen: see .record
         if record.waits:
-            record.waits = tuple(chain.from_iterable(record.waits.items()))
+            record.waits = tuple(record.waits)
         self._emit(record)
 
     def operation(self, name: str):
@@ -339,17 +343,19 @@ class Telemetry:
         record.add(name, cat, start, end, node,
                    tuple(chain.from_iterable(attrs.items())) if attrs else ())
 
-    def planned(self, ext, session, facts, params, plan, cache_hit: bool,
-                search) -> None:
+    def planned(self, ext, session, facts, params, plan, hit, search) -> None:
         """The planner hook's one call: what was decided for the statement
-        ``facts`` are about — the plan (None: unplannable), whether the
-        plan cache answered, and the cascade's search record when one was
-        kept."""
-        registry = self.registry
-        registry.incr("planner_total")
+        ``facts`` are about — the plan (None: unplannable), the plan-cache
+        entry that answered (None: a miss), and the cascade's search record
+        when one was kept. What a hit reports the same way every time (its
+        counters, identity and plan event) is the entry's."""
         tier = plan.tier if plan is not None else None
-        if tier:
-            registry.incr(f"planner_{tier}")
+        key = _PLANNED.get(tier)
+        if key is None:
+            key = _PLANNED[tier] = ((0, "planner_total", "", 1),) + (
+                ((0, f"planner_{tier}", "", 1),) if tier else ())
+        batch = self.registry.batch
+        batch[key] = batch.get(key, 0) + 1
         if search is not None and (plan is not None or search.error is not None):
             if search.fingerprint is None:
                 search.fingerprint = statement_fingerprint(facts)[0]
@@ -377,19 +383,24 @@ class Telemetry:
         if tenant is not None and record.tenant is None:
             record.tenant = tenant
         if record.tier is not None and not record.cached:
-            record.cached = cache_hit
+            record.cached = hit is not None
         if not record.traced:
             return
         if record.fingerprint is None:
             record.fingerprint, record.digest = statement_fingerprint(facts)
         tasks = plan.tasks
-        attrs = ("tier", tier, "cached", cache_hit,
-                 "tasks", len(tasks) if tasks is not None else None)
+        count = len(tasks) if tasks is not None else None
+        # Search attributes ride on the plan event, so the Chrome trace
+        # export shows what the cascade considered for every statement.
         found = plan.search
-        if found is not None:
-            # Search attributes ride on the plan event, so the Chrome trace
-            # export shows what the cascade considered for every statement.
-            attrs += found.event_attrs()
+        memo = hit.plan_event if hit is not None else None
+        if memo is not None and memo[0] == count and memo[1] is found:
+            attrs = memo[2]
+        else:
+            attrs = ("tier", tier, "cached", hit is not None, "tasks", count,
+                     *(found.event_attrs() if found is not None else ()))
+            if hit is not None:
+                hit.plan_event = (count, found, attrs)
         now = self.now()
         record.add("plan", "planner", now, now, session.instance.name, attrs)
 
@@ -398,11 +409,11 @@ class Telemetry:
         neither the co-access graph nor a trace wants them."""
         return [] if self.graphing or self.traced is not None else None
 
-    def execution_end(self, driver: str, session, base: float, units: list,
-                      report, tasks, outcome: str, explicit: bool,
-                      autocommit: bool) -> None:
+    def execution_end(self, driver: str, session, base: float,
+                      elapsed: float, units: list, detail: tuple,
+                      outcome: str, explicit: bool, autocommit: bool) -> None:
         """An executor run ended (``outcome``: OK / FAILED / BLOCKED) after
-        ``report.elapsed`` on its busiest connection. ``autocommit``: its
+        ``elapsed`` on its busiest connection. ``autocommit``: its
         transaction ends with it, not in the commit callbacks."""
         record = self.current
         if record is None:
@@ -416,11 +427,8 @@ class Telemetry:
                 record.parked_wire += unit[U_BYTES]
             else:
                 record.wire += unit[U_BYTES]
-        if driver is STREAMS:
-            fields += [task.node for task in tasks]
-        elif driver is CHANNELS:
-            fields += [getattr(report, field) for field in CHANNEL_FIELDS]
-        record.add(driver, EXECUTION, base, base + report.elapsed, None,
+        fields += detail
+        record.add(driver, EXECUTION, base, base + elapsed, None,
                    tuple(fields))
 
     def txn_end(self, session, committed: bool, twopc: bool = False) -> None:

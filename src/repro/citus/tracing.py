@@ -22,7 +22,7 @@ what is made *from* records afterwards:
 
 from __future__ import annotations
 
-from ..engine.stats import LogHistogram
+from ..engine.stats import bucket_percentile, log_bucket
 from ..sql import ast as A
 from .record import (BATCH, BEGIN, BLOCKED_TASK, CHANNELS, CLOSE, CONNECT, DISPATCH,
                      E_ATTRS, E_CAT, E_END, E_NAME, E_NODE, E_PARENT, E_START,
@@ -254,23 +254,6 @@ def _unit_task_span(base: float, index: int, units: list) -> Span:
 # ---------------------------------------------------- citus_stat_statements
 
 
-class _StatementEntry(LogHistogram):
-    """One ``citus_stat_statements`` row being folded, one object: its
-    latency histogram (count / sum / min / max are the calls and times) and
-    its other columns. The query deparses from ``stmt`` when first viewed."""
-
-    __slots__ = ("query", "stmt", "tenant", "tier", "rows", "bytes",
-                 "cache_hits")
-
-    def __init__(self, stmt, tenant, tier):
-        LogHistogram.__init__(self)
-        self.query = None
-        self.stmt = stmt
-        self.tenant = tenant
-        self.tier = tier
-        self.rows = self.bytes = self.cache_hits = 0
-
-
 class StatementStats:
     """Per-fingerprint aggregation of closed records — the fold behind
     ``citus_stat_statements()``.
@@ -282,45 +265,69 @@ class StatementStats:
     distributed planner are tracked, matching real ``citus_stat_statements``.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "buckets", "queries")
 
     def __init__(self):
-        self.entries: dict[tuple, _StatementEntry] = {}
+        #: key -> (calls, total, min and max seconds, rows, bytes, plan-cache
+        #: hits, tier) and key -> its ``{log_bucket: count}`` histogram:
+        #: numbers the collector untracks, not an object per key.
+        self.entries: dict[tuple, tuple] = {}
+        self.buckets: dict[tuple, dict] = {}
+        #: key -> its first statement, deparsed when first viewed.
+        self.queries: dict = {}
 
-    def fold(self, record: StatementRecord) -> None:
-        if (record.fingerprint is None or record.kind != "statement"
-                or isinstance(record.stmt, _UNTRACKED_STMTS)):
-            return
-        key = (record.fingerprint, record.tenant)
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = self.entries[key] = _StatementEntry(
-                record.stmt, record.tenant, record.tier)
-        entry.rows += record.rows or 0
-        entry.bytes += record.wire_bytes()
-        entry.tier = record.tier or entry.tier
-        if record.cached:
-            entry.cache_hits += 1
-        entry.observe(record.end - record.start)
+    def fold(self, records) -> None:
+        """Closed top-level statement records, in emission order."""
+        entries, buckets_of = self.entries, self.buckets
+        for record in records:
+            if (record.fingerprint is None
+                    or isinstance(record.stmt, _UNTRACKED_STMTS)):
+                continue
+            key = (record.fingerprint, record.tenant)
+            seconds = record.end - record.start
+            bucket = log_bucket(seconds)
+            entry = entries.get(key)
+            if entry is None:
+                self.queries[key] = record.stmt
+                buckets_of[key] = {bucket: 1}
+                entries[key] = (1, seconds, seconds, seconds, record.rows or 0,
+                                record.wire_bytes(), 1 if record.cached else 0,
+                                record.tier)
+                continue
+            buckets = buckets_of[key]
+            buckets[bucket] = buckets.get(bucket, 0) + 1
+            calls, total, low, high, rows, nbytes, hits, tier = entry
+            entries[key] = (
+                calls + 1, total + seconds, min(low, seconds),
+                max(high, seconds), rows + (record.rows or 0),
+                nbytes + record.wire_bytes(),
+                hits + 1 if record.cached else hits, record.tier or tier)
 
     def rows(self) -> list[list]:
         """``citus_stat_statements()`` rows: [query, partition_key, tier,
         calls, total_ms, min_ms, max_ms, p50_ms, p95_ms, p99_ms, rows,
         bytes, plan_cache_hits], ordered by total time descending."""
         out = []
-        for entry in self.entries.values():
-            if entry.query is None:
-                entry.query, entry.stmt = _stmt_sql(entry.stmt), None
-            out.append([entry.query, entry.tenant, entry.tier, entry.count]
+        queries = self.queries
+        for key, (calls, total, low, high, rows, nbytes, hits,
+                  tier) in self.entries.items():
+            query = queries[key]
+            if type(query) is not str:
+                query = queries[key] = _stmt_sql(query)
+            buckets = self.buckets[key]
+            out.append([query, key[1], tier, calls]
                        + [seconds * 1000.0 for seconds in (
-                           entry.sum, entry.min, entry.max, entry.percentile(50),
-                           entry.percentile(95), entry.percentile(99))]
-                       + [entry.rows, entry.bytes, entry.cache_hits])
+                           total, low, high, *(
+                               bucket_percentile(buckets, calls, low, high, p)
+                               for p in (50, 95, 99)))]
+                       + [rows, nbytes, hits])
         out.sort(key=lambda r: r[4], reverse=True)
         return out
 
     def reset(self) -> None:
         self.entries.clear()
+        self.buckets.clear()
+        self.queries.clear()
 
 
 #: ``citus_slow_queries()`` columns.

@@ -35,6 +35,11 @@ _SPAN_ATTR_CAP = 8
 #: Columns of the graph's rows.
 VERTEX_COLUMNS = ("shard", "txns", "writes", "bytes")
 
+#: Registry batch keys (``StatsRegistry.batch``): a one-unit transaction,
+#: and a committed one by (multi-group, cross-node, 2PC, block).
+_ONE = ((0, "txngraph_txns", "", 1),)
+_ENDED: dict = {}
+
 
 def group_label(group) -> str:
     """Render a shard group tuple ``(colocation_id, shard_index)`` as the
@@ -85,11 +90,15 @@ class TxnGraph:
 
     # --------------------------------------------------------------- fold
 
-    def fold(self, record: StatementRecord) -> None:
-        """One closed record, events in the order they happened: the units
-        of each executor run that counts join the session's transaction;
-        a TXN event (or an autocommit statement that never reaches the
-        commit callbacks) ends that transaction."""
+    def fold(self, records) -> None:
+        """Closed records, in emission order, each's events in the order
+        they happened: the units of each executor run that counts join the
+        session's transaction; a TXN event (or an autocommit statement that
+        never reaches the commit callbacks) ends that transaction."""
+        for record in records:
+            self._fold(record)
+
+    def _fold(self, record: StatementRecord) -> None:
         for event in record.events:
             cat = event[E_CAT]
             if cat is TXN:
@@ -112,7 +121,8 @@ class TxnGraph:
                 (kind, _index, _node, group, write, _start, _cost, _rows,
                  nbytes) = event[X_UNITS:X_UNITS + UNIT_WIDTH]
                 if kind > BEGIN:
-                    self.registry.incr("txngraph_txns")
+                    batch = self.registry.batch
+                    batch[_ONE] = batch.get(_ONE, 0) + 1
                     if group is not None:
                         self._touch(group, write, 0 if kind == DISPATCH else nbytes)
                 continue
@@ -173,19 +183,19 @@ class TxnGraph:
             info[0] += writes
             info[1] += nbytes
 
-        cross_node = len(nodes) > 1
-        multi_group = len(groups) > 1
-        registry.incr("txngraph_txns")
-        if multi_group:
-            registry.incr("txngraph_txns_multi_group")
-        if cross_node:
-            registry.incr("txngraph_txns_cross_node")
-        if twopc:
-            registry.incr("txngraph_txns_2pc")
-        if txn.explicit:
-            registry.incr("txngraph_txns_block")
-            if multi_group:
-                registry.incr("txngraph_txns_block_multi_group")
+        kind = (len(groups) > 1, len(nodes) > 1, twopc, txn.explicit)
+        key = _ENDED.get(kind)
+        if key is None:
+            multi_group, cross_node, twopc, block = kind
+            key = _ENDED[kind] = tuple(
+                (0, f"txngraph_txns{name}", "", 1) for name, counted in (
+                    ("", True), ("_multi_group", multi_group),
+                    ("_cross_node", cross_node), ("_2pc", twopc),
+                    ("_block", block),
+                    ("_block_multi_group", block and multi_group))
+                if counted)
+        batch = registry.batch
+        batch[key] = batch.get(key, 0) + 1
 
         for group, (writes, nbytes) in groups.items():
             self._touch(group, writes, nbytes)

@@ -395,6 +395,8 @@ def hash_value(value) -> int:
 
 
 def _hash_bytes(value) -> bytes:
+    if type(value) is int:  # the common key, first
+        return b"i%d" % value
     if value is None:
         return b"\x00"
     if isinstance(value, bool):

@@ -51,7 +51,8 @@ from .functions import (
     _STAR, INLINE_ENV, SET_RETURNING_FUNCTIONS, _identity, get_aggregate,
     is_aggregate,
 )
-from .heap import LENGTH, TUPLE_OVERHEAD, VALUE_WIDTHS, HeapTuple, _value_width
+from .heap import (LENGTH, TUPLE_OVERHEAD, VALUE_WIDTHS, HeapTuple,
+                   _value_width, stored_width)
 from .index import BTreeIndex, GinIndex, index_delete, index_key_fn, row_key_fn
 from .locks import WouldBlock
 from .mvcc import COMMITTED, IN_PROGRESS, PREPARED
@@ -1211,11 +1212,18 @@ def _version_lines(w: "_Writer", shape: WriteShape, cell, kind: str,
                   "older = None"]  # a fresh row id has no chain
     else:
         lines += ["row_id = old.row_id", "older = newest.get(row_id)"]
-    fixed, terms = TUPLE_OVERHEAD, []
+    fixed, terms, stored = TUPLE_OVERHEAD, [], []
     for i, col in enumerate(table.columns):
         c, rule = cell(i), VALUE_WIDTHS.get(exact_type(col.type_name))
         known = kind == "insert" and col.not_null
-        if rule is None:
+        form = stored_form(col.type_name)
+        stored.append(c if form is None else f"s{i}")
+        if form is not None:
+            # A json / array value is serialised once: the record stores
+            # the text its width is measured from.
+            lines.append(f"s{i} = {w.bind(form, 'stored')}({c})")
+            terms.append(f"{w.bind(stored_width, 'width')}({c}, s{i})")
+        elif rule is None:
             terms.append(f"{w.bind(_value_width, 'width')}({c})")
         elif rule == LENGTH:
             terms.append(f"len({c}) + 4" if known
@@ -1245,9 +1253,6 @@ def _version_lines(w: "_Writer", shape: WriteShape, cell, kind: str,
                    if positions is not None else f"{w.bind(key_fn, 'key')}(row)")
             lines.append(f"{insort_}(e{j}, ({w.bind(BTreeIndex.make_key, 'make_key')}"
                          f"({key}), tid))")
-    stored = [cell(i) if stored_form(col.type_name) is None
-              else f"{w.bind(stored_form(col.type_name), 'stored')}({cell(i)})"
-              for i, col in enumerate(table.columns)]
     if stored == [cell(i) for i in range(len(stored))]:
         stored = ["*row"]
     return lines + _record_lines(w, table, kind, "row_id", stored)
@@ -2317,14 +2322,17 @@ class LocalExecutor:
             stream = self._open_scan(table, scan, ctx.params, None,
                                      self.session.snapshot())
             tuples = self._drain(stream, scan, "targets", ctx, scan.where)
-        for tup in tuples:
-            self.session.acquire_row_lock(table.name, tup.row_id)
+        if tuples:
+            self.session.acquire_row_locks(
+                table.name, [tup.row_id for tup in tuples])
         return tuples
 
     def _current_version(self, table: Table, row_id: int):
         """Re-read a locked row's newest version (simplified EvalPlanQual
         under READ COMMITTED); None when the row is gone — deleted by a
-        transaction that committed while this one waited for the lock."""
+        transaction that committed while this one waited for the lock.
+        Callers skip it for a target nobody deleted or replaced (``xmax``
+        None): that is its own newest version."""
         clog = self.instance.xids.clog
         current = table.heap.latest_version(row_id, clog)
         if current is None:
@@ -2356,7 +2364,8 @@ class LocalExecutor:
             # append_rows); its earlier updates are visible through own_xid.
             snapshot = self.session.snapshot()
         for tup in targets:
-            current = self._current_version(table, tup.row_id)
+            current = (tup if tup.xmax is None
+                       else self._current_version(table, tup.row_id))
             if current is None:
                 continue
             ctx.values = tup.values
@@ -2400,7 +2409,8 @@ class LocalExecutor:
         deleted = 0
         try:
             for tup in targets:
-                current = self._current_version(table, tup.row_id)
+                current = (tup if tup.xmax is None
+                           else self._current_version(table, tup.row_id))
                 if current is None:
                     continue
                 if check_referencing is not None:

@@ -59,6 +59,15 @@ def _value_width(value) -> int:
     return 16
 
 
+def stored_width(value, stored) -> int:
+    """:func:`_value_width` of ``value``, given the form a row record
+    stores it in (``wal.stored_form``): a json or array value's is the
+    text it measures."""
+    if isinstance(value, (dict, list)):
+        return len(stored) + 8
+    return _value_width(value)
+
+
 #: What :func:`_value_width` gives every value of each Python type a cast
 #: can fix (``datum.exact_type``), NULL aside: bytes, or ``LENGTH`` for a
 #: ``str`` (its length + 4). A column whose type fixes none (jsonb, arrays,
@@ -185,14 +194,27 @@ class Heap:
         """Remove the versions that are dead to every snapshot
         (:meth:`is_dead`), as PostgreSQL's autovacuum does. Returns the
         TIDs of the reclaimed versions, so the caller can prune the index
-        entries still pointing at them.
+        entries still pointing at them. The commit log is asked about each
+        distinct xid once: nothing commits or aborts while this runs.
         """
         keep: list[HeapTuple] = []
         reclaimed: list[int] = []
         newest: dict[int, HeapTuple] = {}
-        is_dead = self.is_dead
+        statuses: dict[int, str] = {}
         for tup in self.tuples:
-            if is_dead(tup, horizon, clog):
+            xid = tup.xmin
+            status = statuses.get(xid)
+            if status is None:
+                status = statuses[xid] = clog.status(xid)
+            dead = status == ABORTED
+            if not dead:
+                xid = tup.xmax
+                if xid is not None and xid < horizon:
+                    status = statuses.get(xid)
+                    if status is None:
+                        status = statuses[xid] = clog.status(xid)
+                    dead = status == COMMITTED
+            if dead:
                 reclaimed.append(tup.tid)
                 self.live_bytes -= tup.width
                 del self._by_tid[tup.tid]

@@ -399,8 +399,10 @@ class Session:
         """Execute SQL synchronously. Multi-statement scripts return the
         last statement's result. A lock conflict raises LockTimeout."""
         self._check_up()
-        result = QueryResult([], [], command="NONE")
-        for stmt in _parse_cached(sql):
+        stmts = _parse_cached(sql)
+        if not stmts:
+            return QueryResult([], [], command="NONE")
+        for stmt in stmts:
             result = self._dispatch(stmt, params, copy_data)
         return result
 
@@ -637,6 +639,11 @@ class Session:
         xid = self.ensure_xid()
         self.instance.locks.acquire_row(table, row_id, xid)
 
+    def acquire_row_locks(self, table: str, row_ids) -> None:
+        """Lock every row of ``row_ids`` (at least one) in turn; a conflict
+        raises at the first row another transaction holds."""
+        self.instance.locks.acquire_rows(table, row_ids, self.ensure_xid())
+
     def _register_wait(self, block: WouldBlock) -> None:
         xid = self.ensure_xid()
         self.instance.locks.add_wait(xid, block.holders, key=block.key)
@@ -721,7 +728,8 @@ class Session:
         it."""
         if self.state != "active":
             return
-        self._end_stmt_wait()
+        if self._stmt_wait is not None:
+            self._end_stmt_wait()
         now = self.instance.now()
         self.last_query_seconds = now - self.query_start_at
         if self.aborted:

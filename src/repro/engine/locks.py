@@ -101,20 +101,30 @@ class LockManager:
     # -------------------------------------------------------------- rows
 
     def acquire_row(self, table: str, row_id: int, xid: int) -> None:
+        self.acquire_rows(table, (row_id,), xid)
+
+    def acquire_rows(self, table: str, row_ids, xid: int) -> None:
+        """Lock ``row_ids`` of ``table`` for ``xid`` in turn: those before
+        the first one another transaction holds are locked, and that one
+        raises :class:`WouldBlock`."""
         rows = self._row_locks.get(table)
         if rows is None:
             rows = self._row_locks[table] = {}
-        holder = rows.get(row_id)
-        if holder is not None and holder != xid:
-            raise WouldBlock(("row", table, row_id), {holder}, "RowExclusive")
-        rows[row_id] = xid
-        held = self._held_rows.get(xid)
-        if held is None:
-            held = self._held_rows[xid] = {}
-        ids = held.get(table)
-        if ids is None:
-            ids = held[table] = set()
-        ids.add(row_id)
+        ids = None
+        for row_id in row_ids:
+            holder = rows.get(row_id)
+            if holder is not None and holder != xid:
+                raise WouldBlock(("row", table, row_id), {holder},
+                                 "RowExclusive")
+            rows[row_id] = xid
+            if ids is None:
+                held = self._held_rows.get(xid)
+                if held is None:
+                    held = self._held_rows[xid] = {}
+                ids = held.get(table)
+                if ids is None:
+                    ids = held[table] = set()
+            ids.add(row_id)
 
     # ----------------------------------------------------------- waiting
 

@@ -6,8 +6,8 @@ up/down **gauges**, optionally labelled by node name, so the distributed
 machinery can expose its internal decisions — which planner tier fired,
 how many tasks ran, how many connections slow-start opened, how many 2PC
 prepares each worker saw — as structured, queryable numbers.
-:class:`LogHistogram` is the log-bucketed latency histogram the statement
-statistics keep per entry.
+:func:`log_bucket` and :func:`bucket_percentile` are the log-bucketed
+latency histogram the statement statistics keep as plain numbers.
 
 The registry is deliberately engine-level (it knows nothing about Citus):
 any subsystem may attach one to a shared holder object via
@@ -30,70 +30,33 @@ from contextlib import contextmanager
 _UNLABELLED = ""
 
 
-class LogHistogram:
-    """A log-bucketed histogram of non-negative observations (latencies,
-    byte counts).
+#: Histogram buckets grow by 1.5x per step from 1 µs (bucket 0: at or
+#: below it): nine orders of magnitude in a few dozen integer counters.
+_BASE, _LOG_FACTOR = 1e-6, math.log(1.5)
 
-    Buckets grow geometrically from ``base`` by ``factor`` per step, so a
-    fixed, small number of integer counters covers nine orders of
-    magnitude with bounded relative error — the classic HdrHistogram /
-    Prometheus trade-off. Exact ``count``/``sum``/``min``/``max`` are kept
-    alongside so the extremes never suffer bucket rounding; the statement
-    statistics read their calls and times from them.
 
-    ``percentile`` walks the cumulative bucket counts and reports the
-    upper bound of the bucket containing the requested rank, which makes
-    p50 <= p95 <= p99 monotone by construction.
-    ``buckets`` is a dict of ints, which the collector never tracks.
-    """
+def log_bucket(value: float) -> int:
+    """The histogram bucket of ``value`` (``citus_stat_statements`` keeps
+    its histograms as ``{bucket: count}`` dicts of ints)."""
+    if value <= _BASE:
+        return 0
+    return 1 + int(math.log(value / _BASE) / _LOG_FACTOR)
 
-    __slots__ = ("base", "log_factor", "buckets", "count", "sum", "min", "max")
 
-    def __init__(self, base: float = 1e-6, factor: float = 1.5):
-        self.base = base
-        self.log_factor = math.log(factor)
-        self.buckets: dict[int, int] = {}
-        self.count, self.sum = 0, 0.0
-        self.min, self.max = math.inf, 0.0
-
-    def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"histogram observation must be >= 0, got {value}")
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        index = self._index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def _index(self, value: float) -> int:
-        if value <= self.base:
-            return 0
-        return 1 + int(math.log(value / self.base) / self.log_factor)
-
-    def _upper_bound(self, index: int) -> float:
-        return self.base * math.exp(self.log_factor * index)
-
-    def percentile(self, p: float) -> float:
-        """Value at percentile ``p`` (0..100); 0.0 on an empty histogram.
-
-        Clamped to the observed ``min``/``max`` so bucket rounding can
-        never report a value outside the real range.
-        """
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(self.count * p / 100.0))
-        seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= rank:
-                return min(max(self._upper_bound(index), self.min), self.max)
-        return self.max
-
-    def __repr__(self):
-        return f"LogHistogram(count={self.count}, p50={self.percentile(50):.6g}, max={self.max:.6g})"
+def bucket_percentile(buckets: dict, count: int, low: float, high: float,
+                      p: float) -> float:
+    """Value at percentile ``p`` (0..100) of ``count`` observations: the
+    upper bound of the bucket holding that rank (so p50 <= p95 <= p99),
+    clamped to the observed ``[low, high]``; 0.0 with none."""
+    if count == 0:
+        return 0.0
+    rank = max(1, math.ceil(count * p / 100.0))
+    seen = 0
+    for index in sorted(buckets):
+        seen += buckets[index]
+        if seen >= rank:
+            return min(max(_BASE * math.exp(_LOG_FACTOR * index), low), high)
+    return high
 
 
 class StatsSnapshot:
@@ -179,6 +142,11 @@ class StatsRegistry:
         # Deferred writers (see add_pending_source): drained before any
         # read or reset so hot paths may batch counter updates locally.
         self._pending_sources: list = []
+        #: Writes hot paths batch: ``{key: n}``, a key the ``(is_gauge,
+        #: name, node or "", weight)`` writes that happen together, each
+        #: adding ``n * weight`` when drained (an entry that nets to zero
+        #: is still created, as writing one by one would have).
+        self.batch: dict = {}
 
     # ------------------------------------------------------------ writing
 
@@ -235,6 +203,16 @@ class StatsRegistry:
             self._pending_sources = []
             for flush in sources:
                 flush(self)
+        batch = self.batch
+        if batch:
+            tables = (self._counters, self._gauges)
+            for key, n in batch.items():
+                for is_gauge, name, node, weight in key:
+                    per_node = tables[is_gauge].get(name)
+                    if per_node is None:
+                        per_node = tables[is_gauge][name] = Counter()
+                    per_node[node] += n * weight
+            batch.clear()
 
     def reset(self) -> None:
         """Zero the accumulated statistics.

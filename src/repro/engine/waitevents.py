@@ -88,11 +88,11 @@ class WaitEventStack:
         # Wait time accumulated since the owning session last began a
         # top-level statement; feeds per-tenant wait attribution.
         self.statement_seconds = 0.0
-        # Locally batched (class, event, node) -> [count, seconds] totals,
-        # folded into the registry only when it is read (snapshot/reset
-        # drain pending sources). Accounting runs once or twice per
-        # statement, so the hot path writes two list slots instead of two
-        # labelled counters.
+        # Locally batched (class, event, node) -> [count, seconds, ASH
+        # carry] (see record), folded into the registry only when it is
+        # read (snapshot/reset drain pending sources). Accounting runs once
+        # or twice per statement, so the hot path writes two list slots
+        # instead of two labelled counters.
         self._pending: dict = {}
         self._enrolled_reg = None
 
@@ -124,20 +124,14 @@ class WaitEventStack:
         except ValueError:
             return
         now = self.instance.now()
-        elapsed = now - we.start
-        self.statement_seconds += elapsed
         reg = self.instance.wait_registry
         if reg is not None:
             reg.gauge_decr(IN_PROGRESS_GAUGE, node=self.node)
-            self._account(reg, we.wclass, we.event, elapsed, self.node)
+        self.record(we.wclass, we.event, now - we.start)
         telemetry = self.instance.telemetry
-        if telemetry is not None:
-            if telemetry.history and telemetry.current is not None:
-                telemetry.ash.note(telemetry.current,
-                                   (we.wclass, we.event, self.node), elapsed)
-            if telemetry.traced is not None:
-                telemetry.event(f"wait.{we.wclass}.{we.event}", "wait",
-                                we.start, now, node=self.node)
+        if telemetry is not None and telemetry.traced is not None:
+            telemetry.event(f"wait.{we.wclass}.{we.event}", "wait",
+                            we.start, now, node=self.node)
 
     @contextmanager
     def waiting(self, wclass: str, event: str):
@@ -162,35 +156,42 @@ class WaitEventStack:
     def record(self, wclass: str, event: str, seconds: float,
                node: str | None = None) -> None:
         """Account a wait whose duration the caller already knows (cost
-        model deltas: remote round trips, 2PC, WAL flush)."""
+        model deltas: remote round trips, 2PC, WAL flush): one entry per
+        (class, event, node) holds the registry's totals and ASH's carry."""
         self.statement_seconds += seconds
-        node = node or self.node
-        telemetry = self.instance.telemetry
-        if (telemetry is not None and telemetry.history
-                and telemetry.current is not None):
-            telemetry.ash.note(telemetry.current, (wclass, event, node),
+        key = (wclass, event, node or self.node)
+        instance = self.instance
+        telemetry = instance.telemetry
+        record = (telemetry.current if telemetry is not None
+                  and telemetry.history else None)
+        reg = instance.wait_registry
+        if reg is None:
+            if record is not None:
+                ash = telemetry.ash
+                ash.note(record, ash.carry(key), seconds)
+            return
+        entry = self._pending.get(key) if self._enrolled_reg is reg else None
+        if entry is None:
+            entry = self._entry(reg, key, telemetry)
+        entry[0] += 1
+        entry[1] += seconds
+        if record is not None:
+            # (A stack whose entry predates the telemetry has no carry.)
+            telemetry.ash.note(record, entry[2] or telemetry.ash.carry(key),
                                seconds)
-        reg = self.instance.wait_registry
-        if reg is not None:
-            self._account(reg, wclass, event, seconds, node)
 
     # ---------------------------------------------------------- accounting
 
-    def _account(self, reg, wclass: str, event: str, seconds: float,
-                 node: str) -> None:
-        # Batch locally; the registry drains us before any read or reset.
-        # This keeps the per-statement cost to one small-dict update.
-        key = (wclass, event, node)
+    def _entry(self, reg, key: tuple, telemetry) -> list:
+        """The batched ``[count, seconds, ASH carry]`` of ``key``, enrolled
+        with ``reg``: the registry drains us before any read or reset."""
         if self._enrolled_reg is not reg:
             self._flush_pending(self._enrolled_reg)
             reg.add_pending_source(self._flush_pending)
             self._enrolled_reg = reg
-        entry = self._pending.get(key)
-        if entry is None:
-            self._pending[key] = [1, seconds]
-        else:
-            entry[0] += 1
-            entry[1] += seconds
+        carry = telemetry.ash.carry(key) if telemetry is not None else None
+        entry = self._pending[key] = [0, 0.0, carry]
+        return entry
 
     def _flush_pending(self, reg=None) -> None:
         """Fold locally batched totals into the enrolled registry and
@@ -202,7 +203,7 @@ class WaitEventStack:
         if target is None or not pending:
             return
         counters = target._counters
-        for (wclass, event, node), (count, seconds) in pending.items():
+        for (wclass, event, node), (count, seconds, _carry) in pending.items():
             names = _COUNTER_NAMES.get((wclass, event))
             if names is None:
                 key = f"{wclass}.{event}"

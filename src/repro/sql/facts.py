@@ -139,13 +139,14 @@ class StatementFacts:
     instead of once per execution: the table set, the normalisation
     (:func:`statement_norm`) and the telemetry identity
     (:func:`statement_fingerprint`) from the AST alone; and the memos a
-    planner hook keeps — the verdict that the statement mentions none of
-    its tables, the tenant filter, the shard routes of a statement
+    planner hook keeps — the verdict that the statement mentions none or
+    some of its tables, the tenant filter, the shard routes of a statement
     planned every time — each beside the metadata object it is valid for,
     which the hook replaces on every metadata change."""
 
     __slots__ = ("stmt", "tables", "norm", "fingerprint", "local_in",
-                 "tenant_in", "tenant_filter", "routes_in", "routes")
+                 "citus_in", "tenant_in", "tenant_filter", "routes_in",
+                 "routes")
 
     def __init__(self, stmt, tables=None, norm=_UNSET, fingerprint=None):
         self.stmt = stmt
@@ -154,6 +155,7 @@ class StatementFacts:
         self.norm = norm  # filled by statement_norm
         self.fingerprint = fingerprint  # filled by statement_fingerprint
         self.local_in = None  # metadata holding none of ``tables``
+        self.citus_in = None  # metadata holding one of them
         self.tenant_in = None  # metadata ``tenant_filter`` is valid for
         self.tenant_filter = None
         self.routes_in = None  # metadata ``routes`` are valid for

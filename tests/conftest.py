@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 from repro import PostgresInstance, make_cluster
+from repro.engine.stats import bucket_percentile, log_bucket
 
 
 @pytest.fixture
@@ -69,3 +73,11 @@ def counter_total(session, name):
 
 def explain_text(session, sql: str, params=None) -> str:
     return "\n".join(r[0] for r in session.execute("EXPLAIN " + sql, params).rows)
+
+
+def percentile(values, p: float) -> float:
+    """Percentile ``p`` of ``values`` as ``citus_stat_statements`` keeps
+    them: counts per ``log_bucket``, clamped to the exact extremes."""
+    return bucket_percentile(Counter(map(log_bucket, values)), len(values),
+                             min(values, default=math.inf),
+                             max(values, default=0.0), p)

@@ -311,15 +311,6 @@ def parent_one_task(executor, session, task, is_write=False):
     return result
 
 
-def _by_value(task):
-    """The task as plain values: a statement's tasks carry the
-    ``BoundParams`` of its bind, an object per execution."""
-    params = task.params
-    if type(params) is BoundParams:
-        params = (params.positional, params.named)
-    return (task.node, task.stmt, params, task.shard_group)
-
-
 class Twin:
     """One cluster of a pair, its script helpers and what it leaves behind."""
 
@@ -332,17 +323,17 @@ class Twin:
             executor.execute_task = (
                 lambda session, task, is_write=False:
                 execute_task(executor, session, task, is_write))
-        # The report and tasks of every run a statement record keeps: its
-        # EXECUTION event holds the run's values only.
+        # What the executor tells the record of every run it keeps.
         self.runs = []
         telemetry = self.ext.telemetry
         execution_end = telemetry.execution_end
 
-        def kept_execution_end(driver, session, base, units, report, tasks,
+        def kept_execution_end(driver, session, base, elapsed, units, detail,
                                *rest):
             if telemetry.current is not None:
-                self.runs.append((driver, report, tasks))
-            execution_end(driver, session, base, units, report, tasks, *rest)
+                self.runs.append((driver, base, elapsed, units and list(units), detail,
+                                  rest))
+            execution_end(driver, session, base, elapsed, units, detail, *rest)
 
         telemetry.execution_end = kept_execution_end
         self.sessions = {}
@@ -399,9 +390,7 @@ class Twin:
             for record in telemetry.trace_records()
             for event in record.events if event[E_CAT] is EXECUTION
         ]
-        runs = [(driver, dataclasses.asdict(report),
-                 tasks and [_by_value(task) for task in tasks])
-                for driver, report, tasks in self.runs]
+        runs = list(self.runs)
         sessions = {}
         for name, session in self.sessions.items():
             pools = getattr(session, SessionPools.ATTR, None)
@@ -595,7 +584,7 @@ MUTANTS = {
     "reuse not counted": ("if reused:", "if False:"),
     "BEGIN bytes dropped": ("if begin_bytes:", "if False:"),
     "a parked task occupies its connection": (
-        "report.elapsed = free\n", "report.elapsed = free + 1.0\n"),
+        "base, free, units", "base, free + 1.0, units"),
 }
 
 

@@ -89,6 +89,23 @@ class TestRowLocking:
         assert handle.done
         assert s.execute("SELECT v FROM t WHERE k = 1").scalar() == 12
 
+    def test_parked_delete_reruns_over_the_committed_rows(self, pg, s):
+        # The DELETE locks its targets as a set: it parks on row 2 with
+        # row 1 already locked, and re-runs from scratch once row 2's
+        # holder commits, reading the version that holder wrote.
+        s.execute("INSERT INTO t VALUES (3, 30)")
+        other = pg.connect()
+        s.execute("BEGIN")
+        s.execute("UPDATE t SET v = 21 WHERE k = 2")
+        s.execute("DELETE FROM t WHERE k = 3")
+        handle = other.execute_async(
+            "DELETE FROM t WHERE v >= 10 RETURNING k, v")
+        assert not handle.done
+        s.execute("COMMIT")
+        assert handle.done and handle.error is None
+        assert sorted(handle.result.rows) == [[1, 10], [2, 21]]
+        assert s.execute("SELECT count(*) FROM t").scalar() == 0
+
     def test_select_for_update_blocks_writer(self, pg, s):
         other = pg.connect()
         s.execute("BEGIN")

@@ -127,6 +127,53 @@ class TestHeapVacuum:
         removed = heap.vacuum(old_reader, xids.clog)
         assert removed == []  # xmax >= oldest active: keep
 
+    def test_vacuum_asks_the_commit_log_once_per_xid(self):
+        """Aborted inserters, deleters committed below and above the
+        horizon, a prepared deleter and an unknown (crashed) inserter: the
+        reclaimed TIDs, their order and the rebuilt chains are what
+        ``Heap.is_dead`` per version gives, and each distinct xid is asked
+        about once."""
+        xids = XidManager()
+        heap = Heap("t")
+        committed = xids.allocate()
+        rows = [heap.insert([k], committed) for k in range(12)]
+        xids.finish(committed, True)
+        aborted = xids.allocate()
+        for k in range(3):
+            heap.insert([100 + k], aborted)
+        heap.mark_deleted(rows[0].tid, aborted)
+        xids.finish(aborted, False)
+        heap.insert([200], 10_000)  # an xid the log never heard of
+        below = xids.allocate()
+        for tup in rows[1:4]:
+            heap.mark_deleted(tup.tid, below)
+            heap.insert([tup.values[0] + 1], below, row_id=tup.row_id)
+        xids.finish(below, True)
+        prepared = xids.allocate()  # below the horizon, but not committed
+        for tup in rows[6:8]:
+            heap.mark_deleted(tup.tid, prepared)
+        heap.insert([300], prepared)
+        xids.mark_prepared(prepared)
+        reader = xids.allocate()  # the horizon: older deletes are dead
+        above = xids.allocate()
+        for tup in rows[4:6]:
+            heap.mark_deleted(tup.tid, above)
+        xids.finish(above, True)
+        horizon = reader
+        expected = [tup.tid for tup in heap.tuples
+                    if Heap.is_dead(tup, horizon, xids.clog)]
+        survivors = [tup for tup in heap.tuples
+                     if not Heap.is_dead(tup, horizon, xids.clog)]
+        asked = []
+        status = xids.clog.status
+        xids.clog.status = lambda xid: asked.append(xid) or status(xid)
+        assert heap.vacuum(horizon, xids.clog) == expected
+        assert len(expected) == 3 + 1 + 3  # aborted, unknown, deleted below
+        assert sorted(asked) == sorted(set(asked))
+        assert set(asked) == {committed, aborted, 10_000, below, prepared}
+        assert heap.tuples == survivors
+        assert_chains_match_heap(heap, None)
+
     def test_page_accounting(self):
         heap = Heap("t")
         xids = XidManager()
@@ -884,6 +931,37 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire_row("t", 1, xid=10)
         locks.acquire_row("t", 1, xid=10)
+
+    def test_a_row_set_locks_the_prefix_before_a_conflict(self):
+        locks = LockManager()
+        locks.acquire_row("t", 3, xid=10)
+        with pytest.raises(WouldBlock) as block:
+            locks.acquire_rows("t", [1, 2, 3, 4], xid=11)
+        assert block.value.key == ("row", "t", 3)
+        assert block.value.holders == {10}
+        # The rows before the conflict are 11's, the one after is free;
+        # the same as locking them one at a time.
+        one_by_one = LockManager()
+        one_by_one.acquire_row("t", 3, xid=10)
+        with pytest.raises(WouldBlock):
+            for row_id in [1, 2, 3, 4]:
+                one_by_one.acquire_row("t", row_id, xid=11)
+        assert locks._row_locks == one_by_one._row_locks == {
+            "t": {3: 10, 1: 11, 2: 11}}
+        assert locks._held_rows == one_by_one._held_rows
+        locks.acquire_rows("t", [4], xid=12)
+        locks.release_all(10)
+        locks.acquire_rows("t", [1, 2, 3], xid=11)  # its own rows again
+        with pytest.raises(WouldBlock):
+            locks.acquire_rows("t", [3, 4], xid=11)
+        assert locks._row_locks["t"] == {1: 11, 2: 11, 3: 11, 4: 12}
+
+    def test_a_first_row_conflict_holds_nothing(self):
+        locks = LockManager()
+        locks.acquire_row("t", 1, xid=10)
+        with pytest.raises(WouldBlock):
+            locks.acquire_rows("t", [1, 2], xid=11)
+        assert 11 not in locks._held_rows
 
     def test_row_lock_release_allows_next(self):
         locks = LockManager()

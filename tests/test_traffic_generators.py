@@ -3,7 +3,7 @@
 Covers the Zipf tenant sampler (determinism under seed, empirical skew
 against the theoretical distribution), the think-time distributions, and
 ``citus_stat_statements`` percentile behaviour at low sample counts
-(n = 0, 1, 2) — both at the LogHistogram level and through the UDF."""
+(n = 0, 1, 2) — both of the histogram math and through the UDF."""
 
 from __future__ import annotations
 
@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from repro.engine.stats import LogHistogram
 from repro.workloads.traffic import (
     ExponentialThink,
     FixedThink,
     ZipfGenerator,
     make_think,
 )
+
+from .conftest import percentile
 
 
 # ----------------------------------------------------------------- Zipf
@@ -93,22 +94,16 @@ class TestThinkTimes:
 
 class TestPercentileLowN:
     def test_empty_histogram_reports_zero(self):
-        hist = LogHistogram()
-        assert hist.percentile(50) == 0.0
-        assert hist.percentile(99) == 0.0
+        assert percentile([], 50) == 0.0
+        assert percentile([], 99) == 0.0
 
     def test_single_observation_all_percentiles_equal(self):
-        hist = LogHistogram()
-        hist.observe(0.004)
         # With one sample every percentile clamps to the observed value.
         for p in (50, 95, 99):
-            assert hist.percentile(p) == pytest.approx(0.004)
+            assert percentile([0.004], p) == pytest.approx(0.004)
 
     def test_two_observations_split_and_stay_monotone(self):
-        hist = LogHistogram()
-        hist.observe(0.001)
-        hist.observe(0.1)
-        p50, p95, p99 = (hist.percentile(p) for p in (50, 95, 99))
+        p50, p95, p99 = (percentile([0.001, 0.1], p) for p in (50, 95, 99))
         # p50 lands on the low sample's bucket (within the 1.5x bucket
         # factor), the tail clamps to the observed max.
         assert 0.001 <= p50 <= 0.0015
@@ -116,11 +111,8 @@ class TestPercentileLowN:
         assert p50 <= p95 <= p99
 
     def test_percentiles_never_leave_observed_range(self):
-        hist = LogHistogram()
-        for v in (0.002, 0.007):
-            hist.observe(v)
         for p in (1, 50, 95, 99, 100):
-            assert 0.002 <= hist.percentile(p) <= 0.007
+            assert 0.002 <= percentile([0.002, 0.007], p) <= 0.007
 
 
 class TestStatStatementsLowN:

@@ -795,10 +795,11 @@ def test_ledger_aggregates_through_a_cluster_call_no_accumulator(accumulator_cal
 
 
 @pytest.fixture
-def telemetry_work(monkeypatch):
+def telemetry_work(monkeypatch, registry=None):
     """Counts of what telemetry constructs and calls while a statement
     runs: span objects, statement records, histogram observations, fold
-    entry points, ``@contextmanager`` generators entered, registry writes."""
+    entry points, ``@contextmanager`` generators entered, registry writes
+    (those batched in ``registry`` too, when one is given)."""
     counts = Counter()
 
     def count(owner, attr, name):
@@ -807,7 +808,7 @@ def telemetry_work(monkeypatch):
 
     count(tracing.Span, "__init__", "spans")
     count(record_module.StatementRecord, "__init__", "records")
-    count(stats.LogHistogram, "observe", "observes")
+    _count_function(monkeypatch, counts, stats.log_bucket, "observes")
     count(tracing.StatementStats, "fold", "folds")
     count(introspection.TenantStats, "fold", "folds")
     count(txngraph.TxnGraph, "fold", "folds")
@@ -815,7 +816,23 @@ def telemetry_work(monkeypatch):
     count(contextlib._GeneratorContextManager, "__enter__", "generators")
     for write in ("incr", "gauge_incr", "gauge_max"):
         count(stats.StatsRegistry, write, "registry_writes")
+    if registry is not None:
+        monkeypatch.setattr(registry, "batch",
+                            _CountedBatch(counts, registry.batch))
     return counts
+
+
+class _CountedBatch(dict):
+    """A registry's batch (``StatsRegistry.batch``) that counts each write
+    to it as a registry write."""
+
+    def __init__(self, counts, items):
+        super().__init__(items)
+        self.counts = counts
+
+    def __setitem__(self, key, value):
+        self.counts["registry_writes"] += 1
+        super().__setitem__(key, value)
 
 
 def _fast_path_cluster(config=None):
@@ -839,14 +856,16 @@ def test_a_warmed_fast_path_statement_records_once_and_folds_nothing(sql):
     telemetry.drain()
     # Patched only now, so the fixture's wrappers see one statement.
     with pytest.MonkeyPatch.context() as patch:
-        counts = telemetry_work.__wrapped__(patch)
+        counts = telemetry_work.__wrapped__(patch, telemetry.registry)
         session.execute(sql, [4])
         assert counts["records"] == 1
         assert counts["spans"] == 0
         assert counts["observes"] == 0
         assert counts["folds"] == 0
         assert counts["generators"] == 0
-        assert 0 < counts["registry_writes"] <= 11
+        # The run, its task in flight, its end, the plan and the cache
+        # hit: one batched write each.
+        assert 0 < counts["registry_writes"] <= 5
         assert len(telemetry.pending) == 1
         # Reading a surface is what folds it.
         rows = session.execute("SELECT citus_stat_statements()").scalar()
@@ -956,7 +975,7 @@ def test_a_warmed_single_shard_statement_replays_a_route_in_a_straight_line(form
         dist.shards[dist.shard_index_for_value(keys[3])].shardid)
     cached = len(getattr(session, "_citus_pools").by_node[node])
     with pytest.MonkeyPatch.context() as patch:
-        counts = telemetry_work.__wrapped__(patch)
+        counts = telemetry_work.__wrapped__(patch, telemetry.registry)
         work = _route_work(patch)
         result = run(keys[3])
     assert result.rowcount == 1 if form in ("update", "insert") else result.rows
@@ -965,7 +984,7 @@ def test_a_warmed_single_shard_statement_replays_a_route_in_a_straight_line(form
     assert work == {"dist_values": 1, "idle_connections": 1, "usable": cached}
     assert cached >= 1
     assert counts["records"] == 1
-    assert 0 < counts["registry_writes"] <= 11
+    assert 0 < counts["registry_writes"] <= 5
     (record,) = telemetry.pending
     assert record.tenant == keys[3] and record.cached
 
@@ -1390,6 +1409,23 @@ def test_a_copy_into_a_keyed_table_is_written_by_the_generated_writer():
         assert session.copy_rows("events", event_rows(11, ROWS)) == ROWS
     # Two indexes: the primary key's probe key is the key it inserts.
     assert calls == Counter({"make_key": 2 * ROWS}), calls
+
+
+def test_a_json_or_array_cell_is_serialised_once_per_write():
+    """Its stored width and its row record's text come from one
+    ``to_text``: one call per written jsonb / array cell, on COPY, INSERT
+    and UPDATE alike."""
+    session = PostgresInstance("docs").connect()
+    session.execute("CREATE TABLE docs (k int PRIMARY KEY, j jsonb,"
+                    " tags int[], v int)")
+    session.copy_rows("docs", [[0, {"a": 0}, [0], 0]])  # the shape
+    with profiled(datum.to_text) as (calls, _sorts):
+        session.copy_rows("docs", [[k, {"a": k}, [k, k], k]
+                                   for k in range(1, 21)])
+        session.execute("INSERT INTO docs VALUES"
+                        " (100, '{\"b\": 1}', ARRAY[1, 2], 0)")
+        session.execute("UPDATE docs SET v = v + 1 WHERE k <= 10")
+    assert calls == Counter({"to_text": 2 * (20 + 1 + 11)}), calls
 
 
 def test_a_copy_through_a_cluster_casts_no_value_of_its_column_type():
