@@ -36,8 +36,12 @@ sees it only in traced ledger runs.
 (its own ``load`` / ``run_op``, results checked as in the ledger) against a
 plain ``PostgresInstance``, Citus 0+1 and Citus 4+1 (32 shards, telemetry
 defaults) and prints the mean wall time of an op on each and the two ratios
-over plain — Fig. 6's "Citus 0+1 is only slightly slower" bar, functionally.
-For workloads that drive everything through ``self.session`` (``oltp_point``:
+over plain — Fig. 6's "Citus 0+1 is only slightly slower" bar, functionally
+— and the round trips and connections opened per op of the measured phase
+(counted from outside: the network's messages, ``Cluster.connect`` calls).
+Citus 0+1 runs every task in the coordinator's own backend, so any round
+trip or connection there is a failure: the mode exits non-zero. For
+workloads that drive everything through ``self.session`` (``oltp_point``:
 one statement per op).
 
 ``--gc`` does not sample either: it times every collection of the measured
@@ -312,35 +316,64 @@ class _Undistributed:
 
 def print_plain(cls, seed: int, ops: int, root: str) -> int:
     from repro import PostgresInstance, make_cluster
+    from repro.net.cluster import Cluster
 
     def plain():
         instance = PostgresInstance("plain")
-        return _Undistributed(instance.connect("ledger")), instance
+        return _Undistributed(instance.connect("ledger")), instance, None
 
     def citus(workers):
         cluster = make_cluster(workers=workers, shard_count=32)
-        return cluster.coordinator_session("ledger"), cluster.cluster.clock
+        return (cluster.coordinator_session("ledger"), cluster.cluster.clock,
+                cluster.cluster.network)
+
+    opened = collections.Counter()  # Cluster.connect calls, per cluster
+    connect = Cluster.connect
+
+    def counted_connect(self, *args, **kwargs):
+        opened[id(self.network)] += 1
+        return connect(self, *args, **kwargs)
+
+    def wire(network) -> tuple:
+        """(round trips, connections opened) on ``network`` so far."""
+        if network is None:
+            return 0, 0
+        return network.messages_sent, opened[id(network)]
 
     targets = (("plain", plain), ("citus 0+1", lambda: citus(0)),
                ("citus 4+1", lambda: citus(4)))
     print(f"{cls.name}: {ops} ops per target, seed {seed} ({root})")
-    print(f"{'target':<10} {'mean op us':>11} {'x plain':>8} {'failed':>7}")
+    print(f"{'target':<10} {'mean op us':>11} {'x plain':>8} {'failed':>7}"
+          f" {'trips/op':>9} {'conns/op':>9}")
     base = None
     failed = 0
-    for name, build in targets:
-        workload = cls(seed, ops)
-        workload.session, workload.clock = build()  # in place of setup()
-        workload.load()
-        workload.warm_up()
-        workload.measure()
-        workload.finish()
-        mean_us = sum(workload.walls) / len(workload.walls) / 1e3
-        base = base or mean_us
-        print(f"{name:<10} {mean_us:11.1f} {mean_us / base:8.2f}"
-              f" {workload.failed:7d}")
-        for error in workload.errors[:3]:
-            print(f"  FAILED CHECK: {error}")
-        failed += workload.failed
+    Cluster.connect = counted_connect
+    try:
+        for name, build in targets:
+            workload = cls(seed, ops)
+            # In place of setup().
+            workload.session, workload.clock, network = build()
+            workload.load()
+            workload.warm_up()
+            trips, conns = wire(network)
+            workload.measure()
+            trips, conns = (now - then for now, then
+                            in zip(wire(network), (trips, conns)))
+            workload.finish()
+            mean_us = sum(workload.walls) / len(workload.walls) / 1e3
+            base = base or mean_us
+            n = len(workload.walls)
+            print(f"{name:<10} {mean_us:11.1f} {mean_us / base:8.2f}"
+                  f" {workload.failed:7d} {trips / n:9.3f} {conns / n:9.3f}")
+            for error in workload.errors[:3]:
+                print(f"  FAILED CHECK: {error}")
+            failed += workload.failed
+            if name == "citus 0+1" and (trips or conns):
+                print(f"  FAILED CHECK: Citus 0+1 made {trips} round trips and"
+                      f" opened {conns} connections: its tasks are local")
+                failed += 1
+    finally:
+        Cluster.connect = connect
     return failed
 
 

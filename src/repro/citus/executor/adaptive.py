@@ -26,6 +26,14 @@ needs none of it — one connection is its own timeline — and takes
 :meth:`AdaptiveExecutor.execute_task`, which reports the run exactly as the
 timeline would. Parking on a lock belongs to that driver alone, slow start
 to the others.
+
+**Local execution.** A task whose placement is on the session's own node
+(Citus 0+1, or a metadata-synced worker coordinating) takes no connection
+in any of the four drivers: it runs in the session's own backend
+(:class:`~.placement.LocalBackend`), under the session's xid, at its rows'
+CPU cost only — no round trip, no wire bytes, no ``Net`` wait — and is
+reported as the same units on the session's node. Its writes make the
+session a participant of the commit (:mod:`..txn.twopc`).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from ...engine.locks import WouldBlock
 from ..record import (BATCH, BEGIN, BLOCKED, BLOCKED_TASK, CHANNELS, CLOSE,
                       DISPATCH, FAILED, FLUSH, OK, STREAMS, TASK, TASKS)
 from ..txn.deadlock import assign_distributed_txn_ids
-from .placement import SessionPools
+from .placement import LocalBackend, SessionPools
 from .timeline import ConnectionTimeline, close_run, open_connection
 
 #: Simulated CPU seconds a task costs per row it produces or affects.
@@ -80,7 +88,7 @@ class AdaptiveExecutor:
         self.ext = ext
         self._report: ExecutionReport | None = None
         #: The last run when it was one task: ``(node, connections used,
-        #: reused, elapsed)``, its report made only when asked for.
+        #: opened, reused, elapsed)``, its report made only when asked for.
         self._one_task = None
         #: node -> the registry batch keys of a one-task run on it.
         self._keys: dict = {}
@@ -90,13 +98,13 @@ class AdaptiveExecutor:
         """What the last statement's run did (tests, EXPLAIN ANALYZE)."""
         one = self._one_task
         if one is not None:
-            node, used, reused, elapsed = one
+            node, used, opened, reused, elapsed = one
             self._one_task = None
             self._report = ExecutionReport(
                 task_count=1, connections_used=used,
-                connections_opened=0 if reused else 1,
-                connections_reused=1 if reused else 0, elapsed=elapsed,
-                per_node_connections={node: used})
+                connections_opened=opened, connections_reused=reused,
+                elapsed=elapsed,
+                per_node_connections={node: used} if used else {})
         return self._report
 
     @last_report.setter
@@ -121,7 +129,10 @@ class AdaptiveExecutor:
         produces; the counters and gauges go through the registry's batch
         (:data:`_RUN` and :meth:`_node_keys`). A lock wait on the worker
         parks the statement (:class:`~repro.net.network.RemoteBlocked`
-        propagates)."""
+        propagates). A task on the session's own node runs locally
+        (:meth:`_execute_local`)."""
+        if task.node == session.instance.name:
+            return self._execute_local(session, task, is_write)
         ext = self.ext
         counters = ext.stat_counters
         batch = counters.batch
@@ -129,6 +140,7 @@ class AdaptiveExecutor:
         clock = ext.cluster.clock
         base = clock.now()
         explicit = session.in_transaction
+        had_xid = session.xid is not None
         units = ext.telemetry.execution_begin()
         batch[_RUN] = batch.get(_RUN, 0) + 1
         node, group = task.node, task.shard_group
@@ -182,7 +194,7 @@ class AdaptiveExecutor:
                     counters.incr("tasks_failed", node=node)
             counters.gauge_decr("executor_statements_in_flight")
             close_run(ext, session, pools, TASKS, base, free, units, (),
-                      outcome, explicit)
+                      outcome, explicit, had_xid)
             raise
         # Simulated cost: network latency accrued plus a CPU term
         # proportional to rows produced/affected.
@@ -204,13 +216,64 @@ class AdaptiveExecutor:
         session.stats["citus_connections"] += opened
         clock.advance(elapsed)
         close_run(ext, session, pools, TASKS, base, elapsed, units, (), OK,
-                  explicit)
+                  explicit, had_xid)
         session.stats["citus_tasks"] += 1
         # Every idle cached connection of the node was in play.
-        self._one_task = (node, len(idle) + opened, reused, elapsed)
+        self._one_task = (node, len(idle) + opened, opened, 1 - opened,
+                          elapsed)
         if not explicit and not conn.in_txn_block:
             # Shard-group affinity only matters within a transaction.
             conn.accessed_groups.clear()
+        return result
+
+    def _execute_local(self, session, task, is_write: bool):
+        """:meth:`execute_task` of a task on the session's own node: run in
+        the session's own backend, inside a transaction block when the
+        session is in one. The run costs the task's rows' CPU; a lock wait
+        parks the session's own statement (the engine's
+        :class:`~repro.engine.locks.WouldBlock` propagates)."""
+        ext = self.ext
+        counters = ext.stat_counters
+        batch = counters.batch
+        pools = SessionPools.for_session(session, ext)
+        base = ext.cluster.clock.now()
+        explicit = session.in_transaction
+        had_xid = session.xid is not None
+        units = ext.telemetry.execution_begin()
+        node, group = task.node, task.shard_group
+        keys = self._keys.get(node) or self._node_keys(node)
+        batch[_RUN] = batch.get(_RUN, 0) + 1
+        batch[keys[0]] = batch.get(keys[0], 0) + 1
+        try:
+            if explicit:
+                _enter_txn_block(ext, session, pools.local, is_write)
+            result = pools.local.execute_parsed(task.stmt, task.params,
+                                                allow_block=True)
+        except BaseException as exc:
+            batch[keys[0]] = batch.get(keys[0], 0) - 1
+            outcome = FAILED
+            if isinstance(exc, WouldBlock):
+                outcome = BLOCKED
+                if units is not None:
+                    units.append((BLOCKED_TASK, 0, node, group, is_write, 0.0,
+                                  0.0, 0, 0))
+                counters.incr("tasks_blocked", node=node)
+            elif isinstance(exc, Exception):
+                counters.incr("tasks_failed", node=node)
+            counters.gauge_decr("executor_statements_in_flight")
+            close_run(ext, session, pools, TASKS, base, 0.0, units, (),
+                      outcome, explicit, had_xid)
+            raise
+        rows = result.rowcount if result.rowcount else len(result.rows)
+        cost = rows * PER_ROW_CPU_COST
+        if units is not None:
+            units.append((TASK, 0, node, group, is_write, 0.0, cost, rows, 0))
+        batch[keys[2]] = batch.get(keys[2], 0) + 1
+        ext.cluster.clock.advance(cost)
+        close_run(ext, session, pools, TASKS, base, cost, units, (), OK,
+                  explicit, had_xid)
+        session.stats["citus_tasks"] += 1
+        self._one_task = (node, 0, 0, 0, cost)
         return result
 
     def _node_keys(self, node: str) -> tuple:
@@ -243,8 +306,14 @@ class AdaptiveExecutor:
             self._execute_task(session, timeline, conn, tasks[i], results, i,
                                need_txn_block, is_write)
 
+        own = session.instance.name
         try:
             for node, indexes in by_node.items():
+                if node == own:
+                    local = timeline.local()
+                    for i in indexes:
+                        run(local, i)
+                    continue
                 # Tasks pinned by transaction affinity run first, on
                 # their own connections; the rest share the node's
                 # slow-started pool.
@@ -269,6 +338,8 @@ class AdaptiveExecutor:
 
     def _execute_task(self, session, timeline, conn, task, results, i,
                       need_txn_block, is_write) -> None:
+        """One blocking task on ``conn``: a connection, or the session's own
+        backend (its cost is its rows' CPU: the lane's counters stay 0)."""
         node = conn.node_name
         group = task.shard_group
         # The in-flight gauge is settled on every way out, so a failing
@@ -283,7 +354,7 @@ class AdaptiveExecutor:
                 # bytes are on the task's span.
                 begin_bytes = conn.bytes_transferred - bytes_before
                 before, bytes_before = conn.elapsed, conn.bytes_transferred
-            if group is not None:
+            if group is not None and conn.__class__ is not LocalBackend:
                 conn.accessed_groups.add(group)
             result = conn.execute_parsed(task.stmt, task.params)
         except Exception:
@@ -409,7 +480,7 @@ class StreamingExecution:
         stream.opened = True
         if self.need_txn_block:
             _enter_txn_block(self.ext, self.session, conn)
-        if task.shard_group is not None:
+        if task.shard_group is not None and conn.__class__ is not LocalBackend:
             conn.accessed_groups.add(task.shard_group)
         timeline.begin(node)
         before = conn.elapsed
@@ -553,7 +624,7 @@ class CopyChannelExecution:
             conn = self.timeline.acquire(node, shard_group,
                                          self._unopened[node])
             self._unopened[node] -= 1
-            if shard_group is not None:
+            if shard_group is not None and conn.__class__ is not LocalBackend:
                 conn.accessed_groups.add(shard_group)
             channel = {"node": node, "conn": conn, "flushes": 0,
                        "done": False, "failed": False}
@@ -618,9 +689,11 @@ class CopyChannelExecution:
 
 def _enter_txn_block(ext, session, conn, is_write: bool = False) -> None:
     """What ``conn`` does next is part of the session's distributed
-    transaction: open its worker transaction block if it has none."""
-    conn.begin_if_needed()
-    session.remote_txns[id(conn)] = conn
+    transaction: open its worker transaction block if it has none. On the
+    session's own backend the session's transaction is that block."""
+    if conn.__class__ is not LocalBackend:
+        conn.begin_if_needed()
+        session.remote_txns[id(conn)] = conn
     if is_write:
         conn.did_write = True
     # Tag the worker transaction with the distributed txn id up front so

@@ -6,7 +6,9 @@ statement (blocking tasks, streaming SELECT cursors, COPY channels).
 Execution is single-threaded, so parallelism is reconstructed: each piece
 of work is charged to the connection it ran on, a connection is "free" at
 the end of what it has been charged so far, and the statement takes as
-long as its busiest connection.
+long as its busiest connection. Work on the session's own node has a lane
+of its own, the session's backend (:meth:`ConnectionTimeline.local`),
+charged like a connection but never opened, waited on or counted as one.
 
 It is also the one place an executor run is *reported* from. The drivers
 say what happened — a task began or ended on a node (:meth:`begin` /
@@ -69,16 +71,18 @@ def count_flush(counters, node: str, rows: int, nbytes: int) -> None:
 
 
 def close_run(ext, session, pools, driver: str, base: float, elapsed: float,
-              units, detail: tuple, outcome: str, explicit: bool) -> None:
+              units, detail: tuple, outcome: str, explicit: bool,
+              had_xid: bool) -> None:
     """Close a run's entry in the statement record (``units`` None: nobody
-    keeps one); ``detail`` is what the record keeps after the units."""
+    keeps one); ``detail`` is what the record keeps after the units.
+    ``had_xid``: the session held a local xid when the run began."""
     if units is None:
         return
-    # No transaction block, no local xid: the run never reaches the
-    # commit callbacks and its transaction ends with it. Otherwise
-    # they end it, and need to know it touched a shard.
-    autocommit = not (explicit or session.remote_txns
-                      or session.xid is not None)
+    # No transaction block, and no local xid but the one the run's local
+    # tasks took (it commits with the statement): the run's transaction
+    # ends with it. Otherwise the commit callbacks end it, and need to
+    # know it touched a shard.
+    autocommit = not (explicit or had_xid or session.remote_txns)
     if units and not autocommit and outcome is not FAILED:
         pools.touched = True
     ext.telemetry.execution_end(driver, session, base, elapsed, units, detail,
@@ -88,7 +92,7 @@ def close_run(ext, session, pools, driver: str, base: float, elapsed: float,
 class ConnectionTimeline:
     __slots__ = ("ext", "session", "pools", "report", "interval", "conns",
                  "busy", "preexisting", "used", "driver", "tasks", "base",
-                 "explicit", "units", "counters")
+                 "explicit", "had_xid", "units", "counters")
 
     def __init__(self, executor, session, report, driver: str, tasks=None):
         ext = self.ext = executor.ext
@@ -104,6 +108,7 @@ class ConnectionTimeline:
         self.tasks = tasks
         self.base = ext.cluster.clock.now()
         self.explicit = session.in_transaction
+        self.had_xid = session.xid is not None
         counters = self.counters = ext.stat_counters
         counters.incr("executor_statements")
         #: One tuple per unit of connection work (None: nobody wants them).
@@ -137,9 +142,19 @@ class ConnectionTimeline:
             self.used.add(id(conn))
         return conn
 
+    def local(self):
+        """The session's own backend as a lane of the timeline (local
+        execution): no connection to pick, open or count."""
+        local = self.pools.local
+        self.busy.setdefault(id(local), 0.0)
+        return local
+
     def acquire(self, node: str, shard_group, remaining: int):
-        """The connection for the next piece of work on ``node``: the
-        pinned one if there is one, else a :meth:`pick`."""
+        """The lane for the next piece of work on ``node``: the session's
+        own backend on its own node, else the pinned connection if there
+        is one, else a :meth:`pick`."""
+        if node == self.pools.local.node_name:
+            return self.local()
         conn = self.pinned(node, shard_group)
         return conn if conn is not None else self.pick(node, remaining)
 
@@ -193,14 +208,15 @@ class ConnectionTimeline:
 
     def charge(self, conn, cost: float, kind: int, index: int, shard_group,
                is_write: bool, rows: int, nbytes: int) -> None:
-        """One unit of connection work: occupy ``conn`` for ``cost``
-        simulated seconds from the moment it is free, account the wait,
-        and keep the unit for the record."""
+        """One unit of work on a lane: occupy ``conn`` for ``cost``
+        simulated seconds from the moment it is free, account the wait (a
+        connection's: the session's own backend waits on no network), and
+        keep the unit for the record."""
         start = self.busy[id(conn)]
         self.busy[id(conn)] = start + cost
         node = conn.node_name
         wait_event = _WAIT_EVENTS[kind]
-        if wait_event is not None:
+        if wait_event is not None and conn is not self.pools.local:
             self.session.wait_events.record("Net", wait_event, cost, node=node)
         if self.units is not None:
             self.units.append((kind, index, node, shard_group, is_write,
@@ -271,4 +287,5 @@ class ConnectionTimeline:
                 detail = tuple(getattr(self.report, field)
                                for field in CHANNEL_FIELDS)
         close_run(self.ext, self.session, self.pools, self.driver, self.base,
-                  self.report.elapsed, units, detail, outcome, self.explicit)
+                  self.report.elapsed, units, detail, outcome, self.explicit,
+                  self.had_xid)

@@ -54,16 +54,17 @@ class TenantStats:
 
     A fold over closed statement records, keyed on the distribution-column
     value the planner hook extracted from shard-key filters; statements
-    that touch many tenants (or none, e.g. DDL) are not attributed. Wait
-    seconds come from the session's per-statement wait-event accumulator,
-    so a tenant whose queries spend their time blocked on locks shows that
+    that touch many tenants (or none, e.g. DDL) are not attributed. A
+    statement's wait is the whole µs of the waits its record noted — every
+    wait accounted on its behalf, on any node, the sum ASH reads — so a
+    tenant whose queries spend their time blocked on locks shows that
     directly.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self):
-        # tenant -> (calls, rows, query_seconds, wait_seconds), replaced per
+        # tenant -> (calls, rows, query_seconds, wait_us), replaced per
         # fold: numbers only, which the collector untracks.
         self.entries: dict = {}
 
@@ -73,16 +74,16 @@ class TenantStats:
             tenant = record.tenant
             if tenant is None:
                 continue
-            calls, rows, query, wait = entries.get(tenant, (0, 0, 0.0, 0.0))
+            calls, rows, query, wait = entries.get(tenant, (0, 0, 0.0, 0))
             entries[tenant] = (calls + 1, rows + (record.rows or 0),
                                query + (record.end - record.start),
-                               wait + record.wait_seconds)
+                               wait + sum(record.waits[1::2]))
 
     def rows(self) -> list[list]:
         """:data:`TENANT_COLUMNS` rows, busiest (most calls) first."""
         entries = self.entries
         return [[t, calls, entries[t][1], entries[t][2] * 1000.0,
-                 entries[t][3] * 1000.0]
+                 entries[t][3] / 1000.0]
                 for t, calls in rank({t: e[0] for t, e in entries.items()})]
 
     def reset(self) -> None:

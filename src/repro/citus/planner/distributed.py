@@ -161,7 +161,8 @@ def citus_plan_alternatives(ext, session, *rest) -> str:
     plan cache) and that single search — every cascade tier tried, each
     structured rejection, and all costed candidates — is returned.
     Without arguments, the ring buffer of recent searches is returned,
-    newest last."""
+    newest last: each plan's search once, a cached plan's replayed search
+    from its first hit on, counting them (``hits``)."""
     if not ext.config.enable_plan_alternatives:
         return json.dumps({"error": "citus.enable_plan_alternatives is off"})
     if not rest:

@@ -120,6 +120,7 @@ class PlanSearch:
     tiers_tried: list = field(default_factory=list)
     candidates: list = field(default_factory=list)
     cached: bool = False  # replayed from the distributed plan cache
+    hits: int = 0  # plan-cache hits that replayed it
     error: str | None = None  # UnsupportedDistributedQuery text, if raised
     # event_attrs() of a cached search: nothing records into it any more
     _event_attrs: tuple | None = field(default=None, repr=False, compare=False)
@@ -202,8 +203,9 @@ class PlanSearch:
 
     def replay_cached(self) -> "PlanSearch":
         """What cache hits replay: the original search, marked cached — one
-        copy, shared read-only by every hit (and by the plan-search ring,
-        once per hit). The candidate list is shared with the stored search."""
+        copy, shared read-only by every hit (and held once by the
+        plan-search ring, counting the hits). The candidate list is shared
+        with the stored search."""
         return PlanSearch(
             statement=self.statement, fingerprint=self.fingerprint,
             tiers_tried=list(self.tiers_tried), candidates=self.candidates,
@@ -221,6 +223,7 @@ class PlanSearch:
             "best_alternative_cost": self.best_alternative_cost,
             "cost_ratio": self.cost_ratio,
             "cached": self.cached,
+            "hits": self.hits,
             "error": self.error,
         }
 

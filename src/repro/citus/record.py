@@ -108,12 +108,12 @@ class StatementRecord:
     transaction's access summary shown on its commit spans. ``pid`` is the
     session's backend pid, and ``waits`` the waits accounted while the
     record was current, whole µs per (class, event, node), which ASH notes
-    and folds (flat key, µs pairs once closed).
+    and folds and the tenant fold sums (flat key, µs pairs once closed).
     """
 
     __slots__ = ("kind", "name", "stmt", "node", "pid", "start", "end",
                  "max_end", "tier", "fingerprint", "digest", "tenant",
-                 "cached", "rows", "error", "wait_seconds", "waits", "events",
+                 "cached", "rows", "error", "waits", "events",
                  "top", "traced", "wire", "parked_wire", "access")
 
     def __init__(self, kind: str, name: str, stmt, node: str | None,
@@ -126,7 +126,6 @@ class StatementRecord:
         self.cached = False
         self.rows: int | None = None  # None: no result (failed, or open)
         self.error: str | None = None
-        self.wait_seconds = 0.0
         self.waits: list | tuple = ()  # a list once noted, a tuple closed
         self.events: list | tuple = []  # a tuple once closed
         self.top = -1

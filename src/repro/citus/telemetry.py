@@ -93,7 +93,7 @@ class Telemetry:
         self.current = self.traced = None
         # Switches, set by configure().
         self.tracing = self.introspection = self.graphing = False
-        self.history = self.recording = False
+        self.history = self.recording = self.noting = False
         self.log_min_duration = -1.0
         # citus_stat_counters_reset() baseline for the engine-level
         # expression-compilation counter (a process-wide monotonic count).
@@ -116,6 +116,8 @@ class Telemetry:
         self.history = bool(config.enable_ash)
         self.recording = (self.tracing or self.introspection or self.graphing
                           or self.history)
+        # A record notes its waits for ASH and the tenant fold.
+        self.noting = self.history or self.introspection
         instances = (ext.cluster.nodes.values() if ext.cluster is not None
                      else (ext.instance,))
         for instance in instances:
@@ -245,7 +247,6 @@ class Telemetry:
             record.rows = result.rowcount or len(result.rows)
         elif error is not None:
             record.error = type(error).__name__
-        record.wait_seconds = session.wait_events.statement_seconds
         if (record.traced or record.events or record.tenant is not None
                 or self.history):
             self._finish(record)  # else: nothing any fold would read
@@ -357,9 +358,14 @@ class Telemetry:
         batch = self.registry.batch
         batch[key] = batch.get(key, 0) + 1
         if search is not None and (plan is not None or search.error is not None):
-            if search.fingerprint is None:
-                search.fingerprint = statement_fingerprint(facts)[0]
-            self.plan_searches.append(search)
+            # One ring entry per search: a cached plan's replayed search
+            # joins on its first hit and counts the rest.
+            if hit is not None:
+                search.hits += 1
+            if search.hits <= 1:
+                if search.fingerprint is None:
+                    search.fingerprint = statement_fingerprint(facts)[0]
+                self.plan_searches.append(search)
         record = self.current
         if plan is None or not (record is not None or self.introspection
                                 or self.graphing):

@@ -25,8 +25,10 @@ def assign_distributed_txn_ids(ext, session) -> int:
     if dist_id is None:
         dist_id = ext.next_distributed_txn_id()
         session._citus_dist_txn_id = dist_id
-        if session.xid is not None:
-            ext.instance.dist_txn_ids[session.xid] = (ext.instance.name, dist_id)
+    if session.xid is not None:
+        # The coordinating backend's own xid too: local execution waits on
+        # this node's lock graph under it.
+        ext.instance.dist_txn_ids[session.xid] = (ext.instance.name, dist_id)
     pools = getattr(session, SessionPools.ATTR, None)
     if pools is not None:
         for conn in pools.all_connections():

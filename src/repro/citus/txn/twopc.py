@@ -2,13 +2,17 @@
 
 Wired into the engine's transaction callbacks:
 
-- **pre-commit** — if the coordinator transaction touched exactly one
-  worker transaction, send a plain COMMIT (single-node delegation, §3.7.1:
-  the worker "provides the same transactional guarantees as a single
-  PostgreSQL server"). If it touched several, run phase one: PREPARE
-  TRANSACTION on every participant, then write a commit record per
+- **pre-commit** — if the coordinator transaction wrote through exactly one
+  participant, commit there alone: a plain COMMIT to one worker
+  transaction (single-node delegation, §3.7.1: the worker "provides the
+  same transactional guarantees as a single PostgreSQL server"), or
+  nothing to send when the one participant is the session's own backend
+  (local execution wrote its placements; the local commit that follows is
+  the commit). If it wrote through several, run phase one: PREPARE
+  TRANSACTION on every worker participant, then write a commit record per
   prepared transaction into ``pg_dist_transaction`` — the records become
-  durable atomically with the local commit.
+  durable atomically with the local commit, which also commits the
+  session's own writes (the local participant needs no PREPARE).
 - **post-commit** — phase two: COMMIT PREPARED on a best-effort basis;
   failures are left for the recovery daemon.
 - **abort** — ROLLBACK (or ROLLBACK PREPARED) everywhere, best-effort.
@@ -61,8 +65,14 @@ class TransactionCallbacks:
         pools = getattr(session, SessionPools.ATTR, None)
         if pools is None:
             return
+        local = pools.local if pools.local.did_write else None
+        if local is None and not session.remote_txns:
+            return  # no worker transaction, no local write of a shard
+        # Counted once: an autocommit 2PC's commit records commit the
+        # session's transaction from inside this callback.
+        pools.local.did_write = False
         participants = pools.txn_connections()
-        if not participants:
+        if not participants and local is None:
             return
         # Read-only participants commit with a plain COMMIT; only writers
         # need atomic commitment.
@@ -71,21 +81,24 @@ class TransactionCallbacks:
         for conn in readers:
             conn.execute_parsed(COMMIT)
             conn.in_txn_block = False
-        if not writers:
+        if not writers and local is None:
             pools.end_transaction()
             return
         counters = self.ext.stat_counters
-        if len(writers) == 1:
-            # Single worker transaction: delegate, no 2PC needed (§3.7.1).
-            conn = writers[0]
-            self._timed(session, conn, "commit.1pc", "Commit1PC",
-                        lambda: conn.execute_parsed(COMMIT))
-            conn.in_txn_block = False
+        if len(writers) + (local is not None) == 1:
+            # Single participant: delegate, no 2PC needed (§3.7.1). The
+            # session's own writes commit with its local commit.
+            conn = local
+            if writers:
+                conn = writers[0]
+                self._timed(session, conn, "commit.1pc", "Commit1PC",
+                            lambda: conn.execute_parsed(COMMIT))
+                conn.in_txn_block = False
             session.stats["citus_1pc_commits"] += 1
             counters.incr("onepc_commits", node=conn.node_name)
             pools.end_transaction()
             return
-        # Phase one: prepare every writer.
+        # Phase one: prepare every worker writer.
         prepared: list[tuple] = []  # (conn, gid)
         session.stats["citus_2pc_commits"] += 1
         counters.incr("twopc_transactions")

@@ -32,7 +32,7 @@ def execute_copy(session, stmt: A.Copy, copy_data) -> QueryResult:
 
 def copy_into(session, table_name: str, rows, columns=None) -> int:
     """Append rows through the executor's append driver. Returns row count."""
-    count = _append(session, table_name, rows, columns, "COPY")
+    count = append_rows(session, table_name, rows, columns, "COPY")
     session.stats["rows_copied"] += count
     return count
 
@@ -47,10 +47,13 @@ def insert_rows(session, table_name: str, rows, columns=None) -> int:
     a generator — the streaming write plane feeds it one source batch at a
     time.
     """
-    return _append(session, table_name, rows, columns, "INSERT")
+    return append_rows(session, table_name, rows, columns, "INSERT")
 
 
-def _append(session, table_name: str, rows, columns, command: str) -> int:
+def append_rows(session, table_name: str, rows, columns, command: str) -> int:
+    """Append rows to a table in ``session``'s transaction through the
+    table's generated append writer; ``command`` names the statement in
+    errors. Returns the row count."""
     table = session.instance.catalog.get_table(table_name)
     session.acquire_table_lock(table_name, "RowExclusive")
     executor = LocalExecutor(session)

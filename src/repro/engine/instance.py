@@ -462,34 +462,40 @@ class Session:
         if self.instance.hooks.call_planner(self, stmt, params) is not None:
             return None
         try:
-            cursor = LocalExecutor(self).execute_cursor(stmt, params)
-        except WouldBlock as block:
-            # Cursor opens never park: surface the wait exactly like a
-            # synchronous multi-task statement does.
-            self._register_wait(block)
-            victim = self._check_local_deadlock()
-            if victim == self.xid:
-                self._fail_transaction()
-                raise DeadlockDetected("deadlock detected") from None
-            self.locks_cleared_wait()
-            self._fail_transaction()
-            raise LockTimeout(f"could not obtain lock: {block}") from None
+            cursor = self.open_cursor(stmt, params, self._portal_finished)
         except SQLError:
             self._statement_failed(None)
             raise
         self._open_cursors += 1
-        # A lazy scan reads under its snapshot long after this statement
-        # returned — across other sessions' commits, VACUUMs and probes:
-        # the horizon must not pass it until the cursor is done.
-        if cursor.snapshot is not None:
-            self.instance.xids.pinned.append(cursor.snapshot)
-        cursor._on_finish = partial(self._cursor_finished, cursor.snapshot)
         return cursor
 
-    def _cursor_finished(self, snapshot, error=None) -> None:
+    def open_cursor(self, stmt: A.Select, params=None,
+                    then: Callable | None = None):
+        """An :class:`~repro.engine.executor.EngineCursor` over ``stmt`` in
+        this backend's transaction, no hook asked. A lazy scan reads under
+        its snapshot long after it opened — across other sessions'
+        commits, VACUUMs and probes: the horizon must not pass it until
+        the cursor is done (then ``then(error)``). Cursor opens never park:
+        a lock wait fails the transaction, as a synchronous statement's
+        does."""
+        try:
+            cursor = LocalExecutor(self).execute_cursor(stmt, params)
+        except WouldBlock as block:
+            raise self.fail_lock_wait(block) from None
+        if cursor.snapshot is not None:
+            self.instance.xids.pinned.append(cursor.snapshot)
+        cursor._on_finish = partial(self._cursor_finished, cursor.snapshot,
+                                    then)
+        return cursor
+
+    def _cursor_finished(self, snapshot, then, error=None) -> None:
         # By identity; a no-op after a crash (the pins died with it).
         pinned = self.instance.xids.pinned
         pinned[:] = [held for held in pinned if held is not snapshot]
+        if then is not None:
+            then(error)
+
+    def _portal_finished(self, error=None) -> None:
         self._open_cursors = max(0, self._open_cursors - 1)
         if error is not None and self._cursor_error is None:
             self._cursor_error = error
@@ -652,6 +658,20 @@ class Session:
             event = {"table": "relation", "row": "tuple"}.get(kind, kind)
             self._stmt_wait = self.wait_events.begin("Lock", event)
 
+    def fail_lock_wait(self, block: WouldBlock) -> SQLError:
+        """A lock wait this backend's statement will not park on: the wait
+        is registered (the deadlock checks see it), then the transaction
+        fails as a deadlock victim or on lock timeout. Returns the error to
+        raise."""
+        self._register_wait(block)
+        victim = self._check_local_deadlock()
+        if victim == self.xid:
+            self._fail_transaction()
+            return DeadlockDetected("deadlock detected")
+        self.locks_cleared_wait()
+        self._fail_transaction()
+        return LockTimeout(f"could not obtain lock: {block}")
+
     def locks_cleared_wait(self) -> None:
         self._end_stmt_wait()
         if self.xid is not None:
@@ -680,7 +700,6 @@ class Session:
             self.current_stmt = stmt
             self.query_start_at = self.instance.now()
             self.state = "active"
-            self.wait_events.statement_seconds = 0.0
         # A top-level statement opens a record here and the activity window
         # closes it; a dispatch inside one (a worker backend on this
         # process, UDF-internal SQL) nests a span in that record. A plain
@@ -774,15 +793,7 @@ class Session:
                 )
                 self._fail_transaction()
                 raise LockTimeout(f"could not obtain remote lock: {block}") from None
-            victim = self._check_local_deadlock()
-            if victim == self.xid:
-                self._fail_transaction()
-                raise DeadlockDetected("deadlock detected") from None
-            self.locks_cleared_wait()
-            self._fail_transaction()
-            raise LockTimeout(
-                f"could not obtain lock: {block}"
-            ) from None
+            raise self.fail_lock_wait(block) from None
         except SQLError:
             self._statement_failed(None)
             raise

@@ -20,8 +20,8 @@ the simulation's equivalent. Each :class:`~repro.engine.instance.Session`
   stack entry.
 
 Both note each wait on the telemetry's current statement record while
-Active Session History is on (the one way ASH learns of waits:
-``ActiveSessionHistory.note``), and fold cumulative per-(class, event)
+Active Session History or introspection is on (the one way ASH and the
+tenant table learn of waits: ``ActiveSessionHistory.note``), and fold cumulative per-(class, event)
 totals into whatever
 :class:`~repro.engine.stats.StatsRegistry` the owning instance points at
 via ``instance.wait_registry`` (the per-instance registry by default;
@@ -78,16 +78,12 @@ class WaitEvent:
 class WaitEventStack:
     """The wait-event state of one session (or pool)."""
 
-    __slots__ = ("instance", "node", "_stack", "statement_seconds",
-                 "_pending", "_enrolled_reg")
+    __slots__ = ("instance", "node", "_stack", "_pending", "_enrolled_reg")
 
     def __init__(self, instance):
         self.instance = instance
         self.node = instance.name
         self._stack: list[WaitEvent] = []
-        # Wait time accumulated since the owning session last began a
-        # top-level statement; feeds per-tenant wait attribution.
-        self.statement_seconds = 0.0
         # Locally batched (class, event, node) -> [count, seconds, ASH
         # carry] (see record), folded into the registry only when it is
         # read (snapshot/reset drain pending sources). Accounting runs once
@@ -158,12 +154,11 @@ class WaitEventStack:
         """Account a wait whose duration the caller already knows (cost
         model deltas: remote round trips, 2PC, WAL flush): one entry per
         (class, event, node) holds the registry's totals and ASH's carry."""
-        self.statement_seconds += seconds
         key = (wclass, event, node or self.node)
         instance = self.instance
         telemetry = instance.telemetry
         record = (telemetry.current if telemetry is not None
-                  and telemetry.history else None)
+                  and telemetry.noting else None)
         reg = instance.wait_registry
         if reg is None:
             if record is not None:

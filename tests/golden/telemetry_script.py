@@ -17,7 +17,11 @@ output with the checked-in file, which was captured from the commit before
 the telemetry spine (a9fecdc). It uses public surfaces only, so the same
 file runs on both trees. A change that deletes a surface re-records the
 file from the edited script, once the parent tree's output with the deleted
-fields removed equals the new tree's byte for byte.
+fields removed equals the new tree's byte for byte. A change that means to
+move what a surface reports re-records it from the parent and the change
+run on the same host and names every key that moved, with its cause
+(local execution of the coordinator's reference replica, the tenant wait
+and the plan-search ring did, CHANGES.md).
 
 Think time between statements moves the clock outside any statement, so
 ASH's timeline has gaps as well as busy buckets.

@@ -404,8 +404,7 @@ class Twin:
             sessions[name] = (
                 conns, len(session.remote_txns),
                 pools is not None and pools.touched, session.in_transaction,
-                session.aborted, session.state, dict(session.stats),
-                session.wait_events.statement_seconds)
+                session.aborted, session.state, dict(session.stats))
         report = ext.executor.last_report
         self.observed.append({
             "outcome": outcome,

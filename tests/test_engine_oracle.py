@@ -1,9 +1,11 @@
 """Differential slice: a single engine instance is the oracle.
 
 The same data and queries run on a plain ``repro.engine`` instance and on
-clusters of two shard layouts; every planner tier that accepts a query
-must return what the single node returns — equal row multisets, and equal
-sequences where the query orders its result. (ROADMAP item 4a's first
+clusters of three shard layouts — Citus 0+1 (``0x4``: every task runs in
+the coordinating backend itself), one worker and four; every planner tier
+that accepts a query must return what the single node returns — equal row
+multisets, and equal sequences where the query orders its result.
+(ROADMAP item 4a's first
 slice: the ledger's ``analytics_scan`` shapes, ``write_mix``'s
 repartitioning INSERT..SELECT rollup, and the TPC-H and gharchive suites
 ``bench_plan_quality`` plans; then the OLTP statement suite of
@@ -25,7 +27,7 @@ from repro.workloads.traffic import mixes
 
 from .oracle import load, normalized, oracle_session
 
-LAYOUTS = {"1x4": (1, 4), "4x16": (4, 16)}
+LAYOUTS = {"0x4": (0, 4), "1x4": (1, 4), "4x16": (4, 16)}
 
 # (sql, params, column positions the ORDER BY makes a total order over —
 # None when the query does not order, so only the multiset is compared).

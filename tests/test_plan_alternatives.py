@@ -144,6 +144,22 @@ class TestCacheReplay:
         assert [c.as_dict() for c in hit.candidates] == \
             [c.as_dict() for c in miss.candidates]
 
+    def test_a_cached_plan_is_one_entry_counting_its_hits(self, s, citus):
+        """Hits of one statement do not push another statement's plan out
+        of the ring: each plan is there once, its hits counted."""
+        s.execute("SELECT * FROM a WHERE k = 3 AND v > 0")
+        searches = citus.coordinator_ext.telemetry.plan_searches
+        other, held = searches[-1], len(searches)
+        for key in range(200):
+            s.execute("SELECT * FROM a WHERE k = $1", [key])
+        # The point statement's miss, then its replay: one entry each.
+        assert len(searches) == held + 2
+        assert sum(x is other for x in searches) == 1
+        miss, hit = searches[-2], searches[-1]
+        assert (miss.cached, miss.hits, hit.cached, hit.hits) == (
+            False, 0, True, 199)
+        assert plan_alternatives(s)[-1]["hits"] == 199
+
     def test_no_arg_udf_dumps_ring_buffer(self, s):
         s.execute("SELECT * FROM a WHERE k = 3")
         searches = plan_alternatives(s)

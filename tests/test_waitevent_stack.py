@@ -52,7 +52,6 @@ class TestNestedLiveWaits:
         entry = totals[("Lock", "relation", "we_timed")]
         assert entry["count"] == 1
         assert entry["seconds"] == pytest.approx(0.25)
-        assert stack.statement_seconds == pytest.approx(0.25)
 
     def test_finish_is_idempotent(self, pg, stack):
         we = stack.begin("Lock", "tuple")
