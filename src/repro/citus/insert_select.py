@@ -179,6 +179,10 @@ class ReroutingInsertSelectPlan(CitusPlan):
         self.strategy = strategy
         self.dest = dest
         self.detail, self._shown = _REROUTING[strategy]
+        #: A SELECT that reads the destination is read whole before the
+        #: first flush: it must not see the statement's own inserts.
+        self.drain = any(isinstance(node, A.TableRef) and node.name == stmt.table
+                         for node in A.walk(stmt.select))
 
     def execute(self, session, params):
         stmt = self.stmt
@@ -190,6 +194,8 @@ class ReroutingInsertSelectPlan(CitusPlan):
         if width != len(columns):
             raise width_error("INSERT", width, len(columns))
         rows = select_row_stream(self.ext, session, stmt.select, params)
+        if self.drain:
+            rows = iter(list(rows))
         if self.dest is None:
             from ..engine.copy import insert_rows
 

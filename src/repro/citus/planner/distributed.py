@@ -286,8 +286,10 @@ class SubplanPlan(CitusPlan):
     its own and runs once; its rows are landed as a reference intermediate
     result (:func:`~.subplan.land`) on every node the rest of the
     statement reads it on. The rest, reading the intermediates in the
-    levels' place, is planned through the cascade again. Planned every
-    time: neither a subplan's plan nor its rows are kept in the plan cache."""
+    levels' place, is planned through the cascade again. ``levels`` holds
+    each level by its ``id``, or ``SELECT * FROM t`` by ``t``'s name where
+    the rest reads the table whole. Planned every time: neither a
+    subplan's plan nor its rows are kept in the plan cache."""
 
     tier = "subplan"
     detail = "Subplans (run once)"
@@ -295,14 +297,15 @@ class SubplanPlan(CitusPlan):
     def __init__(self, ext, session, select, params, levels):
         super().__init__(ext)
         cache = ext.metadata.cache
-        self.queries = [sql_with_values(level, params) for level in levels]
+        self.queries = [sql_with_values(level, params)
+                        for level in levels.values()]
         intermediates = [reference_intermediate(
             f"citus_subplan_{next(_subplan_counter)}") for _level in levels]
         #: Per level: its plan, the intermediate its rows land in, and its
         #: columns' names there (None: the result's own).
         self.subplans, names = [], {}
-        for level, transient in zip(levels, intermediates):
-            names[id(level)], columns = _reader(transient.name, level)
+        for (key, level), transient in zip(levels.items(), intermediates):
+            names[key], columns = _reader(transient.name, level)
             self.subplans.append((_plan(ext, session, level, params, None),
                                   transient, columns))
         rewritten = read_from(select, names)
@@ -359,12 +362,18 @@ def _reader(table: str, level: A.Select):
 
 
 def _typed_columns(result, names) -> list[Column]:
-    """A subplan result's columns under ``names``, each typed as its first
-    non-NULL value (text when it has none)."""
+    """A subplan result's columns under ``names``, each typed as its
+    non-NULL values: float where ints and floats mix (a set operation's
+    arms, a CASE), text where they have no one type or none."""
     values = zip(*result.rows) if result.rows else [()] * len(result.columns)
-    return [Column(name, _VALUE_TYPES.get(type(next(
-        (v for v in column if v is not None), None)), TEXT))
-        for name, column in zip(names, values)]
+    columns = []
+    for name, column in zip(names, values):
+        kinds = {type(v) for v in column if v is not None}
+        if kinds == {int, float}:
+            kinds = {float}
+        columns.append(Column(name, _VALUE_TYPES.get(
+            kinds.pop() if len(kinds) == 1 else None, TEXT)))
+    return columns
 
 
 class InsertValuesPlan(CitusPlan):

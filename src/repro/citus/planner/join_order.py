@@ -24,10 +24,12 @@ statement's intermediate result; it also lands the rows of every subquery
 level that cannot run per shard, which runs once as a subplan
 (:class:`~.distributed.SubplanPlan`).
 
-Scope (documented limitation, cf. the paper's own "4 of the 22 TPC-H
-queries are unsupported"): exactly two distributed tables per join; a
-correlated subquery that cannot run per shard is unsupported, since a
-subplan does not decorrelate.
+Scope (cf. the paper's own "4 of the 22 TPC-H queries are unsupported",
+as here): exactly two distributed tables per join; a correlated subquery
+that cannot run per shard is unsupported, since a subplan does not
+decorrelate. The arms of a set operation the router declines, and the
+distributed side of an outer join that preserves a side reading none,
+run once as subplans.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ def plan_join_order(ext, session, select, params, analysis, search=None):
                           "repartition joins support exactly two distributed"
                           " tables and no local tables")
         return None
-    if select.set_ops or select.for_update:
+    if select.for_update:
         if search is not None:
             search.reject("join_order", "shape",
-                          "set operations and FOR UPDATE cannot be repartitioned")
+                          "FOR UPDATE cannot be repartitioned")
         return None
     a, b = dist
     candidates = []

@@ -20,7 +20,7 @@ merge strategies exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from ...engine.executor import (
@@ -31,6 +31,7 @@ from ...engine.functions import PARTIAL_REWRITES
 from ...errors import UnsupportedDistributedQuery
 from ...sql import ast as A
 from ...sql.deparse import deparse
+from ..copy_dist import select_star
 from ..sharding import QueryAnalysis
 from ..executor.adaptive import STREAM_BATCH_SIZE
 from ..txn.deadlock import assign_distributed_txn_ids
@@ -89,20 +90,6 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
         unsupported(
             "for_update",
             "SELECT FOR UPDATE on multiple shards is not supported",
-        )
-    if select.set_ops:
-        unsupported(
-            "set_ops",
-            "set operations on distributed tables require a single shard (router)",
-        )
-    preserved = analysis.replicated_preserved_side()
-    if preserved is not None:
-        # Moving a distributed table cannot help: the side stays replicated.
-        unsupported(
-            "replicated_outer_join",
-            "cannot push down an outer join that preserves a side reading no"
-            f" distributed table ({', '.join(sorted(preserved)) or 'no table'}):"
-            " every shard would return its unmatched rows",
         )
     colocation_ids = {o.dist.colocation_id for o in dist}
     if len(colocation_ids) != 1 or not analysis.shards_align():
@@ -713,9 +700,13 @@ class PushdownDML:
 
 def try_pushdown(ext, session, stmt, params, analysis, search=None):
     """The cascade's third tier: plan the statement's multi-shard shape
-    and bind it."""
+    and bind it, once what cannot run per shard has run as subplans."""
     if isinstance(stmt, A.Select):
-        subplans = analysis.subplans()
+        if stmt.set_ops:  # the router declined it
+            stmt, subplans = _arms(stmt)
+        else:
+            subplans = ({id(level): level for level in analysis.subplans()}
+                        or _unpreserved(analysis))
         if subplans:
             return _plan_subplans(ext, session, stmt, params, analysis,
                                   subplans, search)
@@ -730,10 +721,34 @@ def try_pushdown(ext, session, stmt, params, analysis, search=None):
     return shape.bind(params) if shape is not None else None
 
 
+def _arms(select):
+    """A set operation over one subplan per arm: each arm runs once, and
+    the set operation, with its ORDER BY and LIMIT, over their results."""
+    arms = [replace(select, set_ops=[], order_by=[], limit=None, offset=None,
+                    for_update=False), *(arm for _op, arm in select.set_ops)]
+    readers = [A.Select([A.TargetEntry(A.Star())], [A.SubqueryRef(arm, f"arm_{i}")])
+               for i, arm in enumerate(arms, 1)]
+    return replace(readers[0], set_ops=[
+        (op, reader) for (op, _arm), reader in zip(select.set_ops, readers[1:])],
+        order_by=select.order_by, limit=select.limit, offset=select.offset,
+        for_update=select.for_update), {id(arm): arm for arm in arms}
+
+
+def _unpreserved(analysis) -> dict:
+    """The distributed tables on the other side of an outer join that
+    preserves a side reading none, each read whole by name: per shard,
+    every shard would return that side's unmatched rows."""
+    dist = {occ.alias: occ.name for occ in analysis.distributed}
+    return {dist[alias]: select_star(dist[alias])
+            for preserved, other in analysis.outer_joins
+            if not preserved & dist.keys() for alias in other & dist.keys()}
+
+
 def _plan_subplans(ext, session, select, params, analysis, subplans, search):
-    """The plan of a SELECT whose ``subplans`` run once before it, unless
-    one of them reads a column of a level around it."""
-    if any(map(analysis.correlated, subplans)):
+    """The plan of a SELECT whose ``subplans`` (levels by ``id``, or tables
+    read whole by name) run once before it, unless one of them reads a
+    column of a level around it."""
+    if any(map(analysis.correlated, subplans.values())):
         message = ("a correlated subquery that cannot run per shard is not"
                    " supported (a subplan does not decorrelate)")
         if search is not None:

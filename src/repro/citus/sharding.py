@@ -79,17 +79,6 @@ class QueryAnalysis:
     def dist_column_key(self, occ: TableOccurrence) -> str:
         return f"{occ.key}.{occ.dist.dist_column}"
 
-    def replicated_preserved_side(self) -> set | None:
-        """The aliases of an outer join's preserved side that reads no
-        distributed table while the other side does, or None. Run once per
-        shard, such a join returns that side's unmatched rows once per
-        shard, so it cannot be pushed down."""
-        dist = {occ.alias for occ in self.distributed}
-        for preserved, other in self.outer_joins:
-            if not preserved & dist and other & dist:
-                return preserved
-        return None
-
     def subplans(self) -> list[A.Select]:
         """The outermost inner levels that cannot run per shard: each runs
         once, as a subplan, and the statement reads its result (§3.5's

@@ -1712,6 +1712,8 @@ class LocalExecutor:
             raise DataError("FOR UPDATE is not allowed with UNION/INTERSECT/EXCEPT")
         if select.set_ops:
             rows = out if as_rows else Batch(out, count).rows()
+            if select.distinct:  # the first arm's own
+                rows = _apply_set_op("union", rows, [])
             for op, rhs in select.set_ops:
                 rhs_result = self.execute_select(rhs, params, outer=outer,
                                                  cte_env=cte_env)
@@ -1731,7 +1733,7 @@ class LocalExecutor:
                    and not (select.distinct or select.for_update) else None)
             order = self._sort_order(out, as_rows, inputs, count, bound, params,
                                      outer, top)
-        if select.distinct:
+        if select.distinct and not select.set_ops:
             order = self._distinct_order(out, as_rows, inputs, count, order,
                                          bound, params, outer)
         if offset or limit is not None:

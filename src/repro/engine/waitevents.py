@@ -6,12 +6,11 @@ backend is not on-CPU it reports a (class, event) pair — ``Lock:tuple``,
 ``IO:WALSync``, ``Client:ClientRead`` — and tools like
 ``citus_dist_stat_activity`` surface them cluster-wide. This module is
 the simulation's equivalent. Each :class:`~repro.engine.instance.Session`
-(and each connection pool) owns a :class:`WaitEventStack`:
+owns a :class:`WaitEventStack`:
 
 - **live waits** use :meth:`WaitEventStack.begin` /
-  :meth:`WaitEventStack.finish` (or the :meth:`WaitEventStack.waiting`
-  context manager) around a real suspension point — a lock conflict, a
-  pool lease. The top of the stack is what the activity view reports as
+  :meth:`WaitEventStack.finish` around a real suspension point, a lock
+  conflict. The top of the stack is what the activity view reports as
   the session's current wait, and a ``wait_events_in_progress`` gauge
   tracks outstanding waits so tests can assert exception-safety.
 - **reconstructed waits** use :meth:`WaitEventStack.record` for spans
@@ -44,14 +43,12 @@ Net        ``RemoteConnect``, ``RemoteExecute``, ``RemoteDispatch``,
 TwoPC      ``Prepare``, ``CommitPrepared``, ``RollbackPrepared``,
            ``Commit1PC``, ``Rollback``
 IO         ``WALFlush``
-Client     ``PoolLease``
 =========  ==========================================================
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 
 #: Gauge name for outstanding (begun but not finished) live waits.
 IN_PROGRESS_GAUGE = "wait_events_in_progress"
@@ -76,7 +73,7 @@ class WaitEvent:
 
 
 class WaitEventStack:
-    """The wait-event state of one session (or pool)."""
+    """The wait-event state of one session."""
 
     __slots__ = ("instance", "node", "_stack", "_pending", "_enrolled_reg")
 
@@ -128,16 +125,6 @@ class WaitEventStack:
         if telemetry is not None and telemetry.traced is not None:
             telemetry.event(f"wait.{we.wclass}.{we.event}", "wait",
                             we.start, now, node=self.node)
-
-    @contextmanager
-    def waiting(self, wclass: str, event: str):
-        """``with stack.waiting("Client", "PoolLease"): ...`` — the wait is
-        finished on exit even when the body raises."""
-        we = self.begin(wclass, event)
-        try:
-            yield we
-        finally:
-            self.finish(we)
 
     def clear(self) -> None:
         """Drop all live waits without accounting (session death)."""

@@ -10,7 +10,6 @@ bounded set of server sessions, leasing a server session per transaction.
 from __future__ import annotations
 
 from ..engine.stats import stats_for
-from ..engine.waitevents import WaitEventStack
 from ..errors import TooManyConnections
 
 
@@ -24,9 +23,6 @@ class ConnectionPool:
         # cluster as stats_holder folds pool accounting into the shared
         # cluster-wide registry (citus_stat_counters, metrics snapshot).
         self.stats = stats_for(stats_holder if stats_holder is not None else instance)
-        # Client:PoolLease wait events; the context-manager push/pop keeps
-        # the in-progress gauge balanced even when a lease attempt fails.
-        self.wait_events = WaitEventStack(instance)
         self._node = getattr(instance, "name", None)
         self._idle: list = []
         self._lease_count = 0
@@ -59,10 +55,6 @@ class ConnectionPool:
             telemetry.event(name, "pool", node=self._node, **attrs)
 
     def _acquire(self):
-        with self.wait_events.waiting("Client", "PoolLease"):
-            return self._lease_session()
-
-    def _lease_session(self):
         if self._idle:
             session = self._idle.pop()
             self.stats.incr("pool_session_reuses", node=self._node)

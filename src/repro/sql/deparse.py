@@ -247,7 +247,11 @@ def _select(n: A.Select) -> str:
     if n.having is not None:
         parts.append("HAVING " + deparse(n.having))
     for op, rhs in n.set_ops:
-        parts.append(op.upper() + " " + deparse(rhs))
+        arm = deparse(rhs)  # bare, its own clauses would be the whole's
+        if (rhs.order_by or rhs.limit is not None or rhs.offset is not None
+                or rhs.distinct or rhs.set_ops or rhs.ctes):
+            arm = f"({arm})"
+        parts.append(f"{op.upper()} {arm}")
     if n.order_by:
         parts.append("ORDER BY " + ", ".join(_sort_key(k) for k in n.order_by))
     if n.limit is not None:

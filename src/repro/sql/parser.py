@@ -168,6 +168,14 @@ class Parser:
                 if not self.accept_op(","):
                     break
         select = self._parse_select_core()
+        if self.at_word("union", "intersect", "except", "order", "limit",
+                        "offset") and (select.order_by or select.ctes
+                                       or select.limit is not None
+                                       or select.offset is not None):
+            # A parenthesised SELECT keeps its own ORDER BY / LIMIT: the
+            # ones after it (or after a set operation's last arm) are not.
+            select = A.Select([A.TargetEntry(A.Star())],
+                              [A.SubqueryRef(select, "unnamed_subquery")])
         select.ctes = ctes
         while self.at_word("union", "intersect", "except"):
             op = self.next().value
@@ -177,7 +185,17 @@ class Parser:
                 self.accept_word("distinct")
             rhs = self._parse_select_core()
             select.set_ops.append((op, rhs))
-        select = self._parse_select_trailers(select)
+        if self.accept_word("order"):
+            self.expect_word("by")
+            select.order_by = self._parse_sort_list()
+        while self.at_word("limit", "offset"):  # in either order
+            if self.next().value == "offset":
+                select.offset = self.parse_expr()
+            elif not self.accept_word("all"):
+                select.limit = self.parse_expr()
+        if self.accept_word("for"):
+            self.expect_word("update")
+            select.for_update = True
         return select
 
     def _parse_select_core(self) -> A.Select:
@@ -204,23 +222,6 @@ class Parser:
             select.group_by = self._parse_expr_list()
         if self.accept_word("having"):
             select.having = self.parse_expr()
-        # ORDER BY / LIMIT may belong to this core when not inside a set op;
-        # trailers are also parsed by the caller for set-op queries.
-        select = self._parse_select_trailers(select)
-        return select
-
-    def _parse_select_trailers(self, select: A.Select) -> A.Select:
-        if self.accept_word("order"):
-            self.expect_word("by")
-            select.order_by = self._parse_sort_list()
-        if self.accept_word("limit"):
-            if not self.accept_word("all"):
-                select.limit = self.parse_expr()
-        if self.accept_word("offset"):
-            select.offset = self.parse_expr()
-        if self.accept_word("for"):
-            self.expect_word("update")
-            select.for_update = True
         return select
 
     def _parse_target_list(self) -> list:

@@ -230,12 +230,6 @@ def _total_us(session, *args) -> int:
     return sum(row[7] for row in _ash(session, "statements", *args))
 
 
-#: Wait classes the counters see that no statement record does, and why.
-#: A pgbouncer lease is taken before the pooled statement is dispatched,
-#: so before its record opens (in this run every lease is immediate: 0 µs).
-ACCRUED_OUTSIDE_A_RECORD = {("Client", "PoolLease")}
-
-
 class TestTrafficRun:
     def test_waits_are_the_wait_counters(self, ash_run):
         """Over the whole run, ASH's wait time per (class, event) is the
@@ -255,9 +249,6 @@ class TestTrafficRun:
             if wait is not None and "@" not in name:
                 (micros if wait[0] else counted)[wait[1:]] += value
         for key in set(micros) | set(ash):
-            if key in ACCRUED_OUTSIDE_A_RECORD:
-                assert key not in ash
-                continue
             assert abs(ash.get(key, 0) - micros[key]) <= counted[key], key
 
     def test_flamegraph_counts_sum_to_ring_total(self, ash_run):

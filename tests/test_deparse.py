@@ -72,6 +72,24 @@ def test_round_trip_fixpoint(sql):
     assert once == twice
 
 
+#: Set operations whose arms keep clauses of their own: a deparse that
+#: dropped an arm's parentheses would hand them to the whole.
+SET_OPERATIONS = [
+    "SELECT v FROM e WHERE k < 3 UNION ALL SELECT v FROM e ORDER BY v LIMIT 3",
+    "SELECT DISTINCT v FROM e UNION ALL SELECT v FROM e",
+    "SELECT v FROM e UNION ALL SELECT DISTINCT v FROM e",
+    "SELECT v FROM e UNION ALL (SELECT v FROM e ORDER BY v DESC LIMIT 2) LIMIT 4",
+    "(SELECT v FROM e ORDER BY v LIMIT 1) UNION SELECT v FROM e OFFSET 1",
+    "SELECT v FROM e EXCEPT (SELECT v FROM e INTERSECT SELECT k FROM e)",
+]
+
+
+@pytest.mark.parametrize("sql", SET_OPERATIONS)
+def test_set_operation_round_trip(sql):
+    stmt = parse_one(sql)
+    assert parse_one(deparse(stmt)) == stmt
+
+
 class TestQuoteLiteral:
     def test_null(self):
         assert quote_literal(None) == "NULL"

@@ -119,6 +119,11 @@ RUN_ONCE = {
     # them: landed under its output names, they collided.
     "subplan_repeated_output_name": (
         "SELECT * FROM (SELECT count(*), count(*) FROM events) s", None, None),
+    # A column mixing ints and floats was landed as the type of its first
+    # value: 0.5 read back as 0, and the sum was 1,999.
+    "subplan_mixed_numbers": (
+        "SELECT sum(x) FROM (SELECT CASE WHEN k = 1000 THEN 0.5 ELSE 1 END"
+        " AS x FROM events ORDER BY k LIMIT 2000) s", None, None),
 }
 #: Set operations in an inner level, run on every shard: each arm over its
 #: rows. The aliased arms were refused as a non-co-located join.
@@ -139,28 +144,58 @@ SET_OPS = {
         "SELECT count(*) FROM events e JOIN (SELECT k FROM events UNION ALL"
         " SELECT k FROM events WHERE v < 10) s ON e.k = s.k", None, None),
 }
-QUERIES = {**ANALYTICS, **TPCH, **GHARCHIVE, **RUN_ONCE, **SET_OPS}
+#: Top-level set operations the router declines: each arm runs once, and
+#: the set operation, with its ORDER BY and LIMIT, over their results.
+SET_OPS_RUN_ONCE = {
+    "union_order_limit": (
+        "SELECT v FROM events UNION SELECT tenant FROM events"
+        " ORDER BY v DESC LIMIT 5", None, (0,)),
+    "union_all_order_limit": (
+        "SELECT k, v FROM events WHERE k < 30 UNION ALL SELECT k, v FROM events"
+        " WHERE k > 1990 ORDER BY v, k LIMIT 7", None, (1, 0)),
+    "intersect_order_limit": (
+        "SELECT v FROM events INTERSECT SELECT tenant FROM events"
+        " ORDER BY 1 LIMIT 4", None, (0,)),
+    "except_order_limit": (
+        "SELECT v FROM events EXCEPT SELECT tenant FROM events"
+        " ORDER BY v DESC LIMIT 4", None, (0,)),
+    # The first arm's DISTINCT is its own: 50 values, then 2,000 rows.
+    "distinct_arm_union_all": (
+        "SELECT count(*) FROM (SELECT DISTINCT v FROM events UNION ALL"
+        " SELECT v FROM events) s", None, None),
+    "union_all_mixed_numbers": (
+        "SELECT sum(x) FROM (SELECT CASE WHEN k = 1000 THEN 0.5 ELSE 1 END"
+        " AS x FROM events UNION ALL SELECT 2.5) s", None, None),
+}
+QUERIES = {**ANALYTICS, **TPCH, **GHARCHIVE, **RUN_ONCE, **SET_OPS,
+           **SET_OPS_RUN_ONCE}
 #: Statements a cluster answers as the single node does or refuses. Each
-#: was answered wrong on 1x4: 22 / 200 / 2,160 / 2,497 against 80 / 50 /
-#: 2,040 / 3,960, the router ran both arms on the first arm's shard. Two
-#: levels reading ``events`` under one alias shared its columns' keys and
-#: looked co-located; a UNION deduplicated per shard; an arm reading a
-#: reference table ran on every shard; a join paired rows through an
-#: output that is one arm's distribution column and not the other's.
+#: was answered wrong on 1x4: 22 / 2,497 against 80 / 3,960. Two levels
+#: reading ``events`` under one alias shared its columns' keys and looked
+#: co-located; a join paired rows through an output that is one arm's
+#: distribution column and not the other's.
 REFUSED_OR_RIGHT = {
     "same_table_two_levels":
         "SELECT count(*) FROM events WHERE v IN (SELECT v FROM events WHERE k < 3)",
     "same_table_two_levels_aliased":
         "SELECT count(*) FROM events e WHERE v IN"
         " (SELECT v FROM events f WHERE k < 3)",
+    "join_on_mixed_union_output":
+        "SELECT count(*) FROM events e JOIN (SELECT k FROM events UNION ALL"
+        " SELECT v FROM events) s ON e.k = s.k",
+}
+#: Set operations that were refused ("set operations ... require a single
+#: shard") and must now be answered: each arm runs once. Before they were
+#: refused, they were answered wrong on 1x4: a UNION deduplicated per shard
+#: (200 rows against 50), an arm reading a reference table ran on every
+#: shard (2,160 against 2,040), the router ran both arms on the first arm's
+#: shard.
+ANSWERED = {
     "inner_union": "SELECT count(*) FROM (SELECT v FROM events UNION"
                    " SELECT v FROM events) s",
     "inner_union_all_with_reference":
         "SELECT count(*) FROM (SELECT v FROM events UNION ALL"
         " SELECT id FROM tenants) s",
-    "join_on_mixed_union_output":
-        "SELECT count(*) FROM events e JOIN (SELECT k FROM events UNION ALL"
-        " SELECT v FROM events) s ON e.k = s.k",
     "union_all_one_arm_routed":
         "SELECT k FROM events WHERE k = 5 UNION ALL SELECT k FROM events",
 }
@@ -219,13 +254,15 @@ def test_cluster_agrees_with_single_node(oracle, cluster_session, name):
         assert all(misses >= 1 for _hits, misses in hits_and_misses)
 
 
-@pytest.mark.parametrize("name", sorted(REFUSED_OR_RIGHT))
+@pytest.mark.parametrize("name", sorted({**REFUSED_OR_RIGHT, **ANSWERED}))
 def test_refused_or_agrees_with_single_node(oracle, cluster_session, name):
-    sql = REFUSED_OR_RIGHT[name]
+    """Only a statement of REFUSED_OR_RIGHT may be refused instead."""
+    sql = REFUSED_OR_RIGHT.get(name) or ANSWERED[name]
     expected = normalized(oracle.execute(sql).rows)
     try:
         got = normalized(cluster_session.execute(sql).rows)
     except UnsupportedDistributedQuery:
+        assert name in REFUSED_OR_RIGHT
         return
     assert sorted(got, key=repr) == sorted(expected, key=repr)
 
@@ -400,6 +437,43 @@ def test_a_subplan_sees_its_transaction_blocks_writes_and_fresh_rows(
     assert intermediate_tables(cluster_session) == []
 
 
+def test_a_set_operation_leaves_no_intermediate_even_when_it_fails(
+        cluster_session):
+    """The first arm lands; the second divides by zero on the shards, or
+    the LIMIT of the set operation over both does on the coordinator."""
+    cluster_session.execute(SET_OPS_RUN_ONCE["union_order_limit"][0])
+    assert intermediate_tables(cluster_session) == []
+    for sql in ("SELECT v FROM events UNION SELECT 1 / (v - v) FROM events",
+                "SELECT v FROM events UNION ALL SELECT tenant FROM events"
+                " LIMIT 1 / 0"):
+        with pytest.raises(ReproError, match="division by zero"):
+            cluster_session.execute(sql)
+        assert intermediate_tables(cluster_session) == []
+
+
+def test_insert_select_over_a_union_agrees_with_single_node(oracle,
+                                                           cluster_session):
+    """The UNION runs as subplans; its rows are routed into the
+    destination like any pulled INSERT..SELECT."""
+    create = "CREATE TABLE union_sink (v int)"
+    insert = ("INSERT INTO union_sink SELECT v FROM events UNION"
+              " SELECT tenant + 100 FROM events")
+    results = []
+    for session in (oracle, cluster_session):
+        session.execute(create)
+        try:
+            if session is cluster_session:
+                session.execute("SELECT create_distributed_table('union_sink', 'v')")
+            session.execute(insert)
+            results.append(sorted(session.execute("SELECT v FROM union_sink").rows))
+        finally:
+            session.execute("DROP TABLE union_sink")
+    expected, got = results
+    assert len(expected) == 90
+    assert got == expected
+    assert intermediate_tables(cluster_session) == []
+
+
 def test_explain_lists_each_subplan(cluster_session):
     sql = ("SELECT count(*) FROM (SELECT DISTINCT v FROM events) s"
            " WHERE v > (SELECT avg(v) FROM events)")
@@ -427,9 +501,10 @@ def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):
 
 #: A 10-row reference table ``r`` and a 49-row distributed ``d`` whose
 #: ``rid`` matches half of ``r``: an outer join that preserves ``r`` (or the
-#: same ten ids from a subquery or a function) returns 54 rows on one node,
-#: and returned 69 on two workers and four shards, where every shard added
-#: the five unmatched rows again.
+#: same ten ids from a subquery or a function) returns 54 rows on one node.
+#: Pushed down it returned 69 on two workers and four shards, where every
+#: shard added the five unmatched rows again; ``d`` now runs once, as a
+#: subplan, and the join where it is read.
 REPLICATED_PRESERVED = {
     "left": "SELECT r.id, d.k FROM r LEFT JOIN d ON r.id = d.rid",
     "right": "SELECT r.id, d.k FROM d RIGHT JOIN r ON r.id = d.rid",
@@ -463,17 +538,20 @@ def replicated_pair():
 
 
 @pytest.mark.parametrize("name", sorted(REPLICATED_PRESERVED))
-def test_an_outer_join_preserving_a_reference_table_is_refused(replicated_pair,
-                                                               name):
+def test_an_outer_join_preserving_a_reference_table_agrees(replicated_pair,
+                                                           name):
     oracle, cluster = replicated_pair
     sql = REPLICATED_PRESERVED[name]
-    assert len(oracle.execute(sql).rows) == 54
-    with pytest.raises(UnsupportedDistributedQuery, match="unmatched rows"):
-        cluster.execute(sql)
-    search = json.loads(cluster.execute(
-        "SELECT citus_plan_alternatives($1)", [sql]).scalar())
-    assert [c["rejection"]["code"] for c in search["candidates"]
-            if c["tier"] == "pushdown"] == ["replicated_outer_join"]
+    expected = oracle.execute(sql).rows
+    assert len(expected) == 54
+    explained = explain(cluster, sql)
+    assert explained.tier == "subplan"
+    assert explained.subplan["queries"] == ["SELECT * FROM d"]
+    assert sorted(cluster.execute(sql).rows, key=repr) == sorted(expected, key=repr)
+    assert intermediate_tables(cluster) == []
+    with pytest.raises(ReproError, match="division by zero"):
+        cluster.execute(sql.replace("d.k", "d.k / (d.v - d.v)", 1))
+    assert intermediate_tables(cluster) == []
 
 
 @pytest.mark.parametrize("name", sorted(REPLICATED_NULLABLE))

@@ -230,6 +230,32 @@ class TestSetOperations:
             "SELECT x FROM l EXCEPT ALL (SELECT x FROM r) ORDER BY x DESC").rows
         assert rows == [[None], [3], [2], [1]]
 
+    @pytest.fixture
+    def e(self, session):
+        """20 rows, 5 distinct ``v``."""
+        session.execute("CREATE TABLE e (k int, v int)")
+        session.execute("INSERT INTO e SELECT i, i % 5 FROM generate_series(0, 19) AS g (i)")
+        return session
+
+    def test_order_by_and_limit_after_the_last_arm_are_the_wholes(self, e):
+        # 0, 1, 2 from each arm; sorted, the first three are kept.
+        assert e.execute(
+            "SELECT v FROM e WHERE k < 3 UNION ALL SELECT v FROM e WHERE k < 3"
+            " ORDER BY v LIMIT 3").rows == [[0], [0], [1]]
+
+    def test_the_first_arms_distinct_is_its_own(self, e):
+        # 5 distinct values, then all 20 rows.
+        assert len(e.execute(
+            "SELECT DISTINCT v FROM e UNION ALL SELECT v FROM e").rows) == 25
+
+    def test_a_parenthesised_arm_keeps_its_own_order_and_limit(self, e):
+        assert e.execute(
+            "(SELECT v FROM e ORDER BY v DESC LIMIT 2) UNION ALL"
+            " (SELECT v FROM e ORDER BY v LIMIT 1) ORDER BY v").rows == [
+                [0], [4], [4]]
+        assert e.execute("(SELECT v FROM e ORDER BY v LIMIT 2)"
+                         " ORDER BY v DESC").rows == [[0], [0]]
+
     @pytest.mark.parametrize("sql", [
         "(SELECT x FROM l FOR UPDATE) UNION SELECT x FROM r",
         "SELECT x FROM l UNION (SELECT x FROM r) FOR UPDATE"])

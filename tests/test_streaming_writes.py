@@ -20,7 +20,9 @@ Covers the per-shard COPY channel router end to end:
 import pytest
 
 from repro import make_cluster
+from repro.citus.insert_select import plan_insert_select
 from repro.errors import NotNullViolation, UniqueViolation
+from repro.sql import parse_one
 
 from .conftest import counter_total, counters_dict
 from .oracle import oracle_session
@@ -159,6 +161,31 @@ class TestSingleNodeParity:
         assert_shards_hold(citus, "dest", expected)
         # pushdown never moves rows through COPY
         assert (flushes > 0) == (strategy != "pushdown")
+
+    @pytest.mark.parametrize("in_block", [False, True],
+                             ids=["autocommit", "in_block"])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_insert_select_reading_its_destination_sees_none_of_its_rows(
+            self, workers, in_block):
+        """The SELECT reads the rows the statement started with: 4,000
+        become 8,000. Streamed into the flushes, it read rows the statement
+        had already written (9,536 on four shards)."""
+        citus = make_cluster(workers=workers, shard_count=4)
+        s = citus.coordinator_session()
+        s.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        s.execute("SELECT create_distributed_table('t', 'k')")
+        s.copy_rows("t", [[k, k % 7] for k in range(4000)])
+        if in_block:
+            s.execute("BEGIN")
+        s.execute("INSERT INTO t (k, v) SELECT k + 50000, v FROM t")
+        if in_block:
+            s.execute("COMMIT")
+        assert s.execute("SELECT count(*) FROM t").scalar() == 8000
+        # A SELECT over another table still streams into the flushes.
+        make_tables(s)
+        plan = plan_insert_select(citus.coordinator_ext,
+                                  parse_one(STRATEGY_SQL["repartition"]), None)
+        assert plan.strategy == "repartition" and not plan.drain
 
     def test_copy_same_shard_contents(self):
         rows = [[k, k * 3] for k in range(1, 3_001)]

@@ -1,6 +1,5 @@
 """WaitEventStack driven directly (no executor): nested begin/finish,
-exception unwinding through waiting(), clear() gauge balance, and the
-shared wait_class_totals rollup."""
+clear() gauge balance, and the shared wait_class_totals rollup."""
 
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ def _gauge(pg) -> int:
 
 class TestNestedLiveWaits:
     def test_three_deep_nesting_tracks_depth_and_top(self, pg, stack):
-        a = stack.begin("Client", "PoolLease")
+        a = stack.begin("IPC", "RemoteStatement")
         assert (stack.depth, stack.current) == (1, a)
         b = stack.begin("Net", "RemoteExecute")
         c = stack.begin("Lock", "tuple")
@@ -61,21 +60,8 @@ class TestNestedLiveWaits:
         totals = wait_totals(pg.wait_registry)
         assert totals[("Lock", "tuple", pg.name)]["count"] == 1
 
-    def test_waiting_context_unwinds_on_exception(self, pg, stack):
-        with pytest.raises(RuntimeError):
-            with stack.waiting("Client", "PoolLease"):
-                with stack.waiting("Lock", "tuple"):
-                    assert stack.depth == 2
-                    raise RuntimeError("boom")
-        assert stack.depth == 0
-        assert _gauge(pg) == 0
-        # Both unwound waits were still accounted.
-        totals = wait_totals(pg.wait_registry)
-        assert totals[("Client", "PoolLease", pg.name)]["count"] == 1
-        assert totals[("Lock", "tuple", pg.name)]["count"] == 1
-
     def test_clear_leaves_gauge_balanced_without_accounting(self, pg, stack):
-        stack.begin("Client", "PoolLease")
+        stack.begin("IPC", "RemoteStatement")
         stack.begin("Lock", "tuple")
         stack.begin("Lock", "relation")
         assert _gauge(pg) == 3
