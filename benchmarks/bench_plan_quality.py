@@ -37,7 +37,6 @@ symmetry with the other benchmarks and changes nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -47,6 +46,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import make_cluster  # noqa: E402
 from repro.citus.planner.pipeline import TIER_RANK  # noqa: E402
 from repro.workloads import gharchive, tpcc, tpch, ycsb  # noqa: E402
+
+from common import finish, gate_parser  # noqa: E402
 
 #: Chosen cost may grow by at most this factor before the gate fails.
 COST_TOLERANCE = 1.25
@@ -168,15 +169,11 @@ SUITES = (
 # ------------------------------------------------------------ planning
 
 def _plan_record(session, sql: str) -> dict:
-    raw = session.execute(
-        "SELECT citus_plan_alternatives($1)", [sql]
-    ).rows[0][0]
-    search = json.loads(raw)
+    search = json.loads(session.execute(
+        "SELECT citus_plan_alternatives($1)", [sql]).scalar())
     if search.get("error"):
         return {"tier": "unsupported", "error": search["error"]}
-    chosen = next(
-        c for c in search["candidates"] if c["status"] == "chosen"
-    )
+    chosen = next(c for c in search["candidates"] if c["status"] == "chosen")
     return {
         "tier": search["chosen_tier"],
         "detail": chosen["detail"],
@@ -215,17 +212,10 @@ def compare(baseline: dict, current: dict) -> list[str]:
     for key in sorted(set(baseline) & set(current)):
         base, cur = baseline[key], current[key]
         if cur["tier"] != base["tier"]:
-            base_rank = TIER_RANK.get(base["tier"])
-            cur_rank = TIER_RANK.get(cur["tier"])
-            if base_rank is not None and cur_rank is not None \
-                    and cur_rank > base_rank:
-                failures.append(
-                    f"{key}: tier downgraded {base['tier']} -> {cur['tier']}"
-                )
-            else:
-                failures.append(
-                    f"{key}: tier changed {base['tier']} -> {cur['tier']}"
-                )
+            ranks = TIER_RANK.get(base["tier"]), TIER_RANK.get(cur["tier"])
+            moved = ("downgraded" if None not in ranks and ranks[1] > ranks[0]
+                     else "changed")
+            failures.append(f"{key}: tier {moved} {base['tier']} -> {cur['tier']}")
             continue
         base_cost, cur_cost = base.get("cost"), cur.get("cost")
         if base_cost and cur_cost and cur_cost > base_cost * COST_TOLERANCE:
@@ -243,7 +233,7 @@ def compare(baseline: dict, current: dict) -> list[str]:
     return failures
 
 
-def _self_test(built, baseline: dict) -> int:
+def _self_test(built, baseline: dict) -> list[str]:
     """Force a tier downgrade and verify the gate catches it."""
     for _name, cluster, _session, _queries in built:
         cluster.coordinator_ext.config.planner_disabled_tiers = "fast_path"
@@ -253,19 +243,15 @@ def _self_test(built, baseline: dict) -> int:
     for _name, cluster, _session, _queries in built:
         cluster.coordinator_ext.config.planner_disabled_tiers = ""
     if not downgrades:
-        print("SELF-TEST FAIL: disabling fast_path produced no tier-downgrade"
-              " failure — the gate is toothless")
-        return 1
+        return ["self-test: disabling fast_path produced no tier-downgrade"
+                " failure — the gate is toothless"]
     print(f"self-test: gate caught {len(downgrades)} forced downgrade(s), e.g.")
     print(f"  {downgrades[0]}")
-    return 0
+    return []
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="accepted for CI symmetry; sizes are fixed")
-    parser.add_argument("--out", help="write plan records JSON to this path")
+    parser = gate_parser(__doc__)
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         help="baseline JSON to gate against")
     parser.add_argument("--update-baseline", action="store_true",
@@ -277,15 +263,11 @@ def main(argv=None) -> int:
 
     built = build_suites()
     records = collect(built)
-    for key in sorted(records):
-        r = records[key]
-        if r["tier"] == "unsupported":
-            print(f"{key:>28}: unsupported")
-            continue
-        ratio = r["cost_ratio"]
-        print(f"{key:>28}: {r['tier']:<12} cost={r['cost']:>10.0f}"
-              f"  ratio={ratio:.3f}" if ratio is not None else
-              f"{key:>28}: {r['tier']:<12} cost={r['cost']:>10.0f}")
+    for key, r in sorted(records.items()):
+        cost = f" cost={r['cost']:>10.0f}" if "cost" in r else ""
+        ratio = (f"  ratio={r['cost_ratio']:.3f}"
+                 if r.get("cost_ratio") is not None else "")
+        print(f"{key:>28}: {r['tier']:<12}{cost}{ratio}")
 
     if args.update_baseline:
         os.makedirs(os.path.dirname(args.baseline), exist_ok=True)
@@ -293,28 +275,16 @@ def main(argv=None) -> int:
             json.dump(records, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"wrote baseline {args.baseline}")
-        return 0
+        return finish(args, {"records": records, "failures": []}, [])
 
     with open(args.baseline) as f:
         baseline = json.load(f)
     failures = compare(baseline, records)
-
-    if args.out:
-        report = {"records": records, "failures": failures}
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-
-    if failures:
-        print(f"FAIL: {len(failures)} plan-quality regression(s):")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"OK: {len(records)} query plans match the baseline")
-
-    if args.self_test:
-        return _self_test(built, baseline)
-    return 0
+    if not failures:
+        print(f"{len(records)} query plans match the baseline")
+        if args.self_test:
+            failures = _self_test(built, baseline)
+    return finish(args, {"records": records, "failures": failures}, failures)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -39,7 +38,7 @@ from repro.workloads.traffic import (  # noqa: E402
     run_traffic,
 )
 
-from common import write_report  # noqa: E402
+from common import RESULTS_DIR, finish, gate_parser, write_report  # noqa: E402
 
 SESSIONS = 2000  # acceptance floor: ≥ 2,000 concurrent simulated sessions
 SHARD_COUNT = 16
@@ -156,16 +155,14 @@ def summarize(report: dict) -> str:
 
 def run(quick: bool = False) -> dict:
     config = traffic_config(quick)
-    t0 = time.perf_counter()
-    report = one_run(config)
-    first_wall = time.perf_counter() - t0
-    print(f"first run: {first_wall:.1f}s wall for "
-          f"{report['transactions']['transactions']} transactions")
-
-    t0 = time.perf_counter()
-    repeat = one_run(config)
-    second_wall = time.perf_counter() - t0
-    print(f"repeat run: {second_wall:.1f}s wall")
+    reports, walls = [], []
+    for label in ("first", "repeat"):
+        t0 = time.perf_counter()
+        reports.append(one_run(config))
+        walls.append(time.perf_counter() - t0)
+        print(f"{label} run: {walls[-1]:.1f}s wall for "
+              f"{reports[-1]['transactions']['transactions']} transactions")
+    report, repeat = reports
 
     deterministic = (json.dumps(report, sort_keys=True)
                      == json.dumps(repeat, sort_keys=True))
@@ -181,46 +178,27 @@ def run(quick: bool = False) -> dict:
         "report": report,
         # Wall timings are informational only and live OUTSIDE the
         # deterministic report that the byte-for-byte gate compares.
-        "wall_seconds": {"first": round(first_wall, 1),
-                         "second": round(second_wall, 1)},
+        "wall_seconds": {"first": round(walls[0], 1),
+                         "second": round(walls[1], 1)},
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced transaction cap (CI smoke)")
-    parser.add_argument("--out", help="write the JSON gate report to this path")
-    args = parser.parse_args(argv)
-
+    args = gate_parser(__doc__).parse_args(argv)
     result = run(quick=args.quick)
     write_report("bench_traffic", summarize(result["report"]))
-
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as f:
-            json.dump(result, f, indent=2)
-        print(f"wrote {args.out}")
-
-    for gate, ok in result["gates"].items():
-        print(f"gate {gate}: {'OK' if ok else 'FAIL'}")
-    if not result["passed"]:
-        # Drop the collapsed-stack ASH profile (every statement's wait
-        # time, µs per node;class;event;fingerprint) next to the JSON
-        # report so CI can upload it as an artifact: the first question on
-        # an SLO breach is "what was the cluster waiting on", and this file
-        # is the answer in a form flamegraph.pl / speedscope render
-        # directly.
-        fg_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "results", "bench_traffic_flamegraph.txt")
-        os.makedirs(os.path.dirname(fg_path), exist_ok=True)
+    failed = [name for name, ok in result["gates"].items() if not ok]
+    if failed:
+        # The run's collapsed-stack ASH profile (µs of waits per
+        # node;class;event;fingerprint) beside the report, for CI to
+        # upload: what the cluster waited on, as flamegraph.pl or
+        # speedscope render it.
+        fg_path = os.path.join(RESULTS_DIR, "bench_traffic_flamegraph.txt")
+        os.makedirs(RESULTS_DIR, exist_ok=True)
         with open(fg_path, "w") as f:
             f.write(result["report"].get("ash_flamegraph", "") + "\n")
         print(f"wrote ASH flamegraph to {fg_path}")
-        print("FAIL: traffic SLO gate")
-        return 1
-    print("OK: traffic SLOs met, run reproducible from seed")
-    return 0
+    return finish(args, result, [f"traffic gate {name}" for name in failed])
 
 
 if __name__ == "__main__":

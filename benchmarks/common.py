@@ -14,6 +14,8 @@ Every figure's bench does two things:
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
 
 from repro import PostgresInstance, make_cluster
@@ -33,6 +35,31 @@ def make_setup(label: str, shard_count: int = 8, max_connections: int = 2000):
     cluster = make_cluster(workers=workers, shard_count=shard_count,
                            max_connections=max_connections)
     return cluster.coordinator_session(), True
+
+
+def gate_parser(doc: str) -> argparse.ArgumentParser:
+    """The command line every CI gate script shares: ``--quick`` and
+    ``--out``; a script adds its own flags with ``add_argument``."""
+    parser = argparse.ArgumentParser(description=doc)
+    parser.add_argument("--quick", action="store_true",
+                        help="reduced iteration counts (CI smoke)")
+    parser.add_argument("--out", help="write the JSON report to this path")
+    return parser
+
+
+def finish(args, report: dict, failures: list[str]) -> int:
+    """Write a gate's ``report`` as JSON to ``--out``, print each failure
+    as ``FAIL: …`` and return the exit code."""
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w") as f:
+            json.dump(report, f, indent=2, sort_keys=True, default=str)
+        print(f"wrote {args.out}")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if not failures:
+        print("OK: every gate passed")
+    return 1 if failures else 0
 
 
 def write_report(name: str, text: str) -> str:

@@ -176,6 +176,8 @@ class SessionPools:
             conn.accessed_groups.clear()
         self.local.did_write = False
         self.session.remote_txns.clear()
+        # The next transaction gets its own distributed id, a younger one.
+        self.session._citus_dist_txn_id = None
 
     def close_all(self) -> None:
         for conns in self.by_node.values():

@@ -30,7 +30,7 @@ from dataclasses import replace
 from ...engine.catalog import Column
 from ...engine.compile import evaluate, get_prepared
 from ...engine.datum import (
-    BIGINT, BOOL, DATE, FLOAT, TEXT, TIMESTAMP, cast_value,
+    BIGINT, BOOL, DATE, FLOAT, JSONB, TEXT, TIMESTAMP, cast_value,
     refuse_number_against_text,
 )
 from ...engine.executor import (
@@ -302,12 +302,13 @@ class SubplanPlan(CitusPlan):
         intermediates = [reference_intermediate(
             f"citus_subplan_{next(_subplan_counter)}") for _level in levels]
         #: Per level: its plan, the intermediate its rows land in, and its
-        #: columns' names there (None: the result's own).
+        #: columns' names (None: the result's) and declared types there.
         self.subplans, names = [], {}
         for (key, level), transient in zip(levels.items(), intermediates):
             names[key], columns = _reader(transient.name, level)
-            self.subplans.append((_plan(ext, session, level, params, None),
-                                  transient, columns))
+            self.subplans.append((
+                _plan(ext, session, level, params, None), transient, columns,
+                _declared_types(level, ext.instance.catalog)))
         rewritten = read_from(select, names)
         analysis = analyze_statement(rewritten, cache, params,
                                      ext.instance.catalog)
@@ -319,22 +320,22 @@ class SubplanPlan(CitusPlan):
         if not any(level is rewritten for level in analysis.levels):
             nodes.add(ext.instance.name)
         self.nodes = sorted(nodes)
-        for _subplan, transient, _columns in self.subplans:
+        for _subplan, transient, *_columns in self.subplans:
             cache.tables[transient.name] = transient
         try:
             self.plan = _plan(ext, session, rewritten, params, None)
         finally:
-            for _subplan, transient, _columns in self.subplans:
+            for _subplan, transient, *_columns in self.subplans:
                 cache.tables.pop(transient.name, None)
 
     def execute(self, session, params):
         with ExitStack() as landed:
-            for plan, transient, columns in self.subplans:
+            for plan, transient, columns, types in self.subplans:
                 result = plan.execute(session, params)
                 table = transient.shards[0].shard_name
                 landed.enter_context(land(
                     self.ext, transient,
-                    _typed_columns(result, columns or result.columns),
+                    _landed_columns(result, columns or result.columns, types),
                     [(node, None, table) for node in self.nodes],
                     iter(result.rows)))
             return self.plan.execute(session, params)
@@ -361,19 +362,69 @@ def _reader(table: str, level: A.Select):
         from_items=[A.TableRef(table)]), columns
 
 
-def _typed_columns(result, names) -> list[Column]:
-    """A subplan result's columns under ``names``, each typed as its
-    non-NULL values: float where ints and floats mix (a set operation's
-    arms, a CASE), text where they have no one type or none."""
+def _declared_types(level: A.Select, catalog) -> list | None:
+    """Per output column of ``level``, the declared type of the table
+    column it reads bare (``SELECT doc FROM d``, ``SELECT * FROM d``), or
+    None where it computes the column; None for a set operation, whose
+    arms may read other types, and for a ``*`` not over one table."""
+    if level.set_ops:
+        return None
+    tables, items = {}, list(level.from_items)
+    while items:
+        item = items.pop()
+        if isinstance(item, A.JoinExpr):
+            items += [item.left, item.right]
+        elif isinstance(item, A.TableRef):
+            tables[item.ref_name] = catalog.tables.get(item.name)
+    types = []
+    for target in level.targets:
+        expr = target.expr
+        if isinstance(expr, A.Star):
+            only = level.from_items[0] if len(level.from_items) == 1 else None
+            table = tables.get(expr.table or (
+                only.ref_name if isinstance(only, A.TableRef) else None))
+            if table is None:
+                return None
+            types += [column.type_name for column in table.columns]
+        elif isinstance(expr, A.ColumnRef):
+            owners = [table for name, table in tables.items()
+                      if table is not None and expr.table in (None, name)
+                      and table.has_column(expr.name)]
+            types.append(owners[0].column(expr.name).type_name
+                         if len(owners) == 1 else None)
+        else:
+            types.append(None)
+    return types
+
+
+def _landed_columns(result, names, types) -> list[Column]:
+    """A subplan's result's columns under ``names``: each with its
+    declared type (``types``, :func:`_declared_types`), else typed as its
+    values (:func:`_value_type`)."""
     values = zip(*result.rows) if result.rows else [()] * len(result.columns)
-    columns = []
-    for name, column in zip(names, values):
-        kinds = {type(v) for v in column if v is not None}
-        if kinds == {int, float}:
-            kinds = {float}
-        columns.append(Column(name, _VALUE_TYPES.get(
-            kinds.pop() if len(kinds) == 1 else None, TEXT)))
-    return columns
+    if types is None or len(types) != len(names):
+        types = [None] * len(names)
+    return [Column(name, declared or _value_type(column))
+            for name, declared, column in zip(names, types, values)]
+
+
+def _value_type(values) -> str:
+    """The type that holds ``values``, read from the non-NULL ones: an
+    array of one type where they are lists whose elements all have it,
+    jsonb where they hold any other dict or list (which it keeps as they
+    are), float where ints and floats mix (a set operation's arms, a CASE),
+    text where they have no one type or none."""
+    kinds = {type(v) for v in values if v is not None}
+    if kinds == {list}:
+        elements = {type(e) for v in values if v is not None
+                    for e in v if e is not None}
+        if len(elements) == 1 and next(iter(elements)) in _VALUE_TYPES:
+            return _VALUE_TYPES[elements.pop()] + "[]"
+    if kinds & {dict, list}:
+        return JSONB
+    if kinds == {int, float}:
+        kinds = {float}
+    return _VALUE_TYPES.get(kinds.pop() if len(kinds) == 1 else None, TEXT)
 
 
 class InsertValuesPlan(CitusPlan):

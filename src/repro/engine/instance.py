@@ -103,7 +103,7 @@ class PostgresInstance:
         self._parked: list[_ParkedStatement] = []
         self.cancel_requests: set[int] = set()
         # xid -> (coordinator node name, distributed transaction id);
-        # populated by the Citus UDF assign_distributed_transaction_id.
+        # set by Citus while the xid's transaction runs, dropped when it ends.
         self.dist_txn_ids: dict[int, tuple] = {}
         self.rng = random.Random(hash(name) & 0xFFFF)
         self.is_up = True
@@ -558,7 +558,7 @@ class Session:
             self.wait_events.record("IO", "WALFlush",
                                     self.instance.wal_flush_seconds())
             self.instance.xids.finish(xid, committed=True)
-            self.instance.locks.release_all(xid)
+            self._end_xid(xid)
         self._reset_txn_state()
         for callback in self.instance.hooks.post_commit_callbacks:
             callback(self)
@@ -578,7 +578,7 @@ class Session:
             self.wait_events.record("IO", "WALFlush",
                                     self.instance.wal_flush_seconds())
             self.instance.xids.finish(xid, committed=False)
-            self.instance.locks.release_all(xid)
+            self._end_xid(xid)
         self._reset_txn_state()
         for callback in self.instance.hooks.abort_callbacks:
             callback(self)
@@ -587,6 +587,12 @@ class Session:
 
     def _finish_abort(self) -> None:
         self._abort_transaction()
+
+    def _end_xid(self, xid: int) -> None:
+        """Transaction ``xid`` is over on this node: its locks go, and the
+        distributed transaction id it was tagged with."""
+        self.instance.locks.release_all(xid)
+        self.instance.dist_txn_ids.pop(xid, None)
 
     def _reset_txn_state(self) -> None:
         self.xid = None
@@ -621,7 +627,7 @@ class Session:
         self.wait_events.record("IO", "WALFlush",
                                 self.instance.wal_flush_seconds())
         self.instance.xids.resolve_prepared(prepared.xid, committed=True)
-        self.instance.locks.release_all(prepared.xid)
+        self._end_xid(prepared.xid)
         self.instance.pump()
 
     def rollback_prepared(self, gid: str) -> None:
@@ -632,7 +638,7 @@ class Session:
         self.wait_events.record("IO", "WALFlush",
                                 self.instance.wal_flush_seconds())
         self.instance.xids.resolve_prepared(prepared.xid, committed=False)
-        self.instance.locks.release_all(prepared.xid)
+        self._end_xid(prepared.xid)
         self.instance.pump()
 
     # ------------------------------------------------------------- locking

@@ -174,9 +174,8 @@ class Parser:
                                        or select.offset is not None):
             # A parenthesised SELECT keeps its own ORDER BY / LIMIT: the
             # ones after it (or after a set operation's last arm) are not.
-            select = A.Select([A.TargetEntry(A.Star())],
-                              [A.SubqueryRef(select, "unnamed_subquery")])
-        select.ctes = ctes
+            select = _subquery(select)
+        grouped = len(select.set_ops)  # a parenthesised first arm's own
         while self.at_word("union", "intersect", "except"):
             op = self.next().value
             if self.accept_word("all"):
@@ -184,7 +183,22 @@ class Parser:
             else:
                 self.accept_word("distinct")
             rhs = self._parse_select_core()
+            if op.startswith("intersect") and _compound(select):
+                # INTERSECT binds tighter than UNION / EXCEPT: it takes the
+                # arm before it, parsed here, as one nested arm; a
+                # parenthesised set operation before it stays whole.
+                if len(select.set_ops) == grouped:
+                    select, grouped = _subquery(select), 0
+                else:
+                    prev_op, prev = select.set_ops[-1]
+                    if _compound(prev) or prev.order_by or prev.ctes \
+                            or prev.limit is not None or prev.offset is not None:
+                        prev = _subquery(prev)
+                    prev.set_ops.append((op, rhs))
+                    select.set_ops[-1] = (prev_op, prev)
+                    continue
             select.set_ops.append((op, rhs))
+        select.ctes = ctes
         if self.accept_word("order"):
             self.expect_word("by")
             select.order_by = self._parse_sort_list()
@@ -1097,3 +1111,15 @@ def _apply_column_aliases(query: A.Select, names: list[str]) -> None:
     for i, name in enumerate(names):
         if i < len(query.targets) and isinstance(query.targets[i], A.TargetEntry):
             query.targets[i].alias = name
+
+
+def _subquery(select: A.Select) -> A.Select:
+    """``SELECT * FROM (select)``: a parenthesised SELECT kept whole."""
+    return A.Select([A.TargetEntry(A.Star())],
+                    [A.SubqueryRef(select, "unnamed_subquery")])
+
+
+def _compound(select: A.Select) -> bool:
+    """Whether ``select``'s set operation has a UNION or EXCEPT, which an
+    INTERSECT after it must not join."""
+    return any(not op.startswith("intersect") for op, _rhs in select.set_ops)

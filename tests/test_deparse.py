@@ -81,6 +81,11 @@ SET_OPERATIONS = [
     "SELECT v FROM e UNION ALL (SELECT v FROM e ORDER BY v DESC LIMIT 2) LIMIT 4",
     "(SELECT v FROM e ORDER BY v LIMIT 1) UNION SELECT v FROM e OFFSET 1",
     "SELECT v FROM e EXCEPT (SELECT v FROM e INTERSECT SELECT k FROM e)",
+    # INTERSECT binds tighter than UNION / EXCEPT: a nested arm.
+    "SELECT v FROM e UNION SELECT k FROM e INTERSECT SELECT v FROM e",
+    "SELECT v FROM e EXCEPT SELECT k FROM e INTERSECT SELECT v FROM e LIMIT 2",
+    "(SELECT v FROM e UNION SELECT k FROM e) INTERSECT SELECT v FROM e",
+    "SELECT 1 UNION (SELECT 2 EXCEPT SELECT 3) INTERSECT SELECT 2",
 ]
 
 

@@ -197,6 +197,56 @@ class TestDistributedDeadlock:
         rows = dict(s.execute("SELECT k, v FROM t").rows)
         assert rows[k1] == 1 and rows[k2] == 1
 
+    def test_the_transaction_that_started_last_is_the_victim(self, citus, s,
+                                                             keys):
+        # a ran a transaction before b began, then began the one that
+        # deadlocks after b: a's is the younger one.
+        k1, k2 = keys
+        a = citus.coordinator_session("a")
+        b = citus.coordinator_session("b")
+        a.execute("BEGIN")
+        a.execute("UPDATE t SET v = 0 WHERE k = $1", [k1])
+        a.execute("COMMIT")
+        b.execute("BEGIN")
+        b.execute("UPDATE t SET v = 2 WHERE k = $1", [k2])
+        a.execute("BEGIN")
+        a.execute("UPDATE t SET v = 1 WHERE k = $1", [k1])
+        fa = a.execute_async(f"UPDATE t SET v = 1 WHERE k = {k2}")
+        fb = b.execute_async(f"UPDATE t SET v = 2 WHERE k = {k1}")
+        assert len(citus.run_maintenance()["deadlocks_cancelled"]) == 1
+        citus.pump()
+        assert fa.done and isinstance(fa.error, QueryCanceled)
+        a.execute("ROLLBACK")
+        citus.pump()
+        assert fb.done and fb.error is None
+        b.execute("COMMIT")
+
+    def test_each_transaction_gets_its_own_younger_id(self, citus, s, keys):
+        k1, k2 = keys
+        ids = []
+        for v in range(3):
+            s.execute("BEGIN")
+            s.execute("UPDATE t SET v = $1 WHERE k = $2", [v, k1])
+            s.execute("UPDATE t SET v = $1 WHERE k = $2", [v, k2])
+            ids.append(s._citus_dist_txn_id)
+            s.execute("COMMIT")
+        assert ids[0] < ids[1] < ids[2]
+
+    @pytest.mark.parametrize("end", ["COMMIT", "ROLLBACK"])
+    def test_no_node_keeps_the_id_of_an_ended_transaction(self, citus, s,
+                                                          keys, end):
+        k1, k2 = keys
+        s.execute("BEGIN")
+        s.execute("UPDATE t SET v = 1 WHERE k = $1", [k1])
+        s.execute("UPDATE t SET v = 1 WHERE k = $1", [k2])
+        ext = citus.coordinator_ext
+        nodes = [ext.instance] + [citus.cluster.node(name)
+                                  for name in ext.all_node_names()]
+        assert any(node.dist_txn_ids for node in nodes)
+        s.execute(end)
+        assert [node.dist_txn_ids for node in nodes] == [{}] * len(nodes)
+        assert s._citus_dist_txn_id is None
+
     def test_no_false_positives_without_cycle(self, citus, s, keys):
         k1, k2 = keys
         a = citus.coordinator_session("a")

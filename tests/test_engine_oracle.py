@@ -166,6 +166,18 @@ SET_OPS_RUN_ONCE = {
     "union_all_mixed_numbers": (
         "SELECT sum(x) FROM (SELECT CASE WHEN k = 1000 THEN 0.5 ELSE 1 END"
         " AS x FROM events UNION ALL SELECT 2.5) s", None, None),
+    # A set operation's first arm reads a table whole: its int column
+    # does not type the level's column, which also holds 2.5.
+    "union_all_star_mixed_numbers": (
+        "SELECT sum(v) FROM (SELECT * FROM events UNION ALL SELECT 1000 AS k,"
+        " 0 AS tenant, 2.5 AS v, 'x' AS label) s", None, None),
+    # INTERSECT binds tighter: read left to right, both returned no rows.
+    "union_then_intersect": (
+        "SELECT v FROM events WHERE v < 2 UNION SELECT v FROM events"
+        " WHERE v = 3 INTERSECT SELECT v FROM events WHERE v = 4", None, None),
+    "except_then_intersect": (
+        "SELECT v FROM events WHERE v < 3 EXCEPT SELECT v FROM events"
+        " WHERE v = 1 INTERSECT SELECT v FROM events WHERE v = 2", None, None),
 }
 QUERIES = {**ANALYTICS, **TPCH, **GHARCHIVE, **RUN_ONCE, **SET_OPS,
            **SET_OPS_RUN_ONCE}
@@ -563,6 +575,58 @@ def test_an_outer_join_with_a_nullable_reference_table_agrees(replicated_pair,
     expected = oracle.execute(sql).rows
     assert len(expected) == 49
     assert sorted(cluster.execute(sql).rows, key=repr) == sorted(expected, key=repr)
+
+
+# ------------------------------------------- jsonb and array columns landed
+
+#: A subplan's rows land in a table: a column the level reads bare with
+#: its table's declared type, a computed one typed by its values. jsonb
+#: and array values landed as text, and on two workers and four shards the
+#: first three read NULL, '[[[[[' and NULL for every ``r.id``. A jsonb
+#: array of mixed elements must land as it is, not cast to text[].
+TYPED_LEVELS = {
+    "jsonb_column": "SELECT sum((doc->>'a')::int) FROM"
+                    " (SELECT doc FROM d ORDER BY k LIMIT 5) s",
+    "array_column": "SELECT sum(s.tags[1]) FROM"
+                    " (SELECT tags FROM d ORDER BY k LIMIT 5) s",
+    "outer_join_reads_d_whole": "SELECT r.id, sum((d.doc->>'a')::int)"
+                                " FROM r LEFT JOIN d ON d.rid = r.id"
+                                " GROUP BY r.id",
+    "jsonb_array_expression": "SELECT sum(k) FROM (SELECT k, doc->'xs' AS c"
+                              " FROM d ORDER BY k LIMIT 5) s"
+                              " WHERE c = ('[' || k || ', \"a\"]')::jsonb",
+}
+
+
+@pytest.fixture(scope="module", params=["1x4", "4x16"])
+def typed_pair(request):
+    """The oracle and a cluster holding a reference ``r`` and a
+    distributed ``d`` with an int[] and a jsonb column."""
+    workers, shards = LAYOUTS[request.param]
+    sessions = (oracle_session(), make_cluster(
+        workers=workers, shard_count=shards).coordinator_session())
+    for session in sessions:
+        session.execute("CREATE TABLE r (id int PRIMARY KEY)")
+        session.execute("CREATE TABLE d (k int PRIMARY KEY, rid int,"
+                        " tags int[], doc jsonb)")
+        if session is sessions[1]:
+            session.execute("SELECT create_reference_table('r')")
+            session.execute("SELECT create_distributed_table('d', 'k')")
+        session.copy_rows("r", [[i] for i in range(4)])
+        session.copy_rows("d", [[k, k % 3, [k, 7],
+                                 {"a": k, "xs": [k, "a"]}] for k in range(12)])
+    return sessions
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_LEVELS))
+def test_a_subplan_lands_jsonb_and_array_columns_typed(typed_pair, name):
+    oracle, cluster = typed_pair
+    sql = TYPED_LEVELS[name]
+    expected = sorted(oracle.execute(sql).rows, key=repr)
+    assert [row[-1] for row in expected if row[-1] is not None] in (
+        [10], [18, 22, 26])
+    assert explain(cluster, sql).tier == "subplan"
+    assert sorted(cluster.execute(sql).rows, key=repr) == expected
 
 
 BAD_COLUMN_LISTS = {

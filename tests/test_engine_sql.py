@@ -225,6 +225,21 @@ class TestSetOperations:
         # 3 - 2 ones and 2 - 1 NULLs survive, after the paired-off copies
         assert self.run(lr, "EXCEPT ALL") == [3, 2, 1, None]
 
+    def test_intersect_binds_tighter_than_union_and_except(self, session):
+        assert sorted(session.execute(
+            "SELECT 1 UNION SELECT 2 INTERSECT SELECT 2").rows) == [[1], [2]]
+        assert session.execute(
+            "SELECT 1 EXCEPT SELECT 2 INTERSECT SELECT 3").rows == [[1]]
+
+    def test_intersect_binds_tighter_on_a_cluster(self, citus_session):
+        s = citus_session
+        s.execute("CREATE TABLE t (k int PRIMARY KEY, v int)")
+        s.execute("SELECT create_distributed_table('t', 'k')")
+        s.copy_rows("t", [[k, k % 5] for k in range(20)])
+        assert sorted(s.execute(
+            "SELECT v FROM t WHERE v < 2 UNION SELECT v FROM t WHERE v = 3"
+            " INTERSECT SELECT v FROM t WHERE v = 4").rows) == [[0], [1]]
+
     def test_order_by_applies_to_the_combined_result(self, lr):
         rows = lr.execute(
             "SELECT x FROM l EXCEPT ALL (SELECT x FROM r) ORDER BY x DESC").rows

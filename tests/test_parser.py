@@ -97,6 +97,11 @@ class TestSelect:
         stmt = parse_one("SELECT 1 UNION SELECT 2")
         assert stmt.set_ops[0][0] == "union"
 
+    def test_intersect_binds_tighter_than_union(self):
+        stmt = parse_one("SELECT 1 UNION SELECT 2 INTERSECT SELECT 3 EXCEPT SELECT 4")
+        assert [op for op, _arm in stmt.set_ops] == ["union", "except"]
+        assert stmt.set_ops[0][1].set_ops[0][0] == "intersect"
+
     def test_for_update(self):
         assert parse_one("SELECT a FROM t FOR UPDATE").for_update
 
