@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from .copy_dist import copy_targets, distribute_rows
 from .observability import TaskTarget
-from .planner.pushdown import MultiTaskSelectPlan, pushes_down_without_merge
+from .planner.pushdown import (
+    MultiTaskSelectPlan, pushes_down_without_merge, shell_columns,
+)
 from .planner.tasks import CitusPlan, fold_write_results, statement_routes
 from .sharding import analyze_statement
-from ..engine.executor import LocalExecutor, QueryResult, width_error
+from ..engine.executor import QueryResult, width_error
 from ..sql import ast as A
 
 
@@ -69,11 +71,10 @@ def _choose_strategy(ext, stmt: A.Insert, dest, analysis) -> str:
 
 def _dest_key_from_source_key(stmt: A.Insert, dest, analysis) -> bool:
     select = stmt.select
-    shell_columns = stmt.columns
-    if not shell_columns:
+    if not stmt.columns:
         return False
     try:
-        position = shell_columns.index(dest.dist_column)
+        position = stmt.columns.index(dest.dist_column)
     except ValueError:
         return False
     targets = [t for t in select.targets if isinstance(t, A.TargetEntry)]
@@ -107,18 +108,6 @@ def select_row_stream(ext, session, select, params):
             yield from batch
         return
     yield from plan.execute(session, params).rows
-
-
-def _select_width(session, select, params) -> int:
-    """How many values a row of ``select`` has: its targets, or with a
-    ``*`` among them its result's columns over the coordinator's (empty)
-    shell tables."""
-    if not any(isinstance(t, A.Star) or isinstance(getattr(t, "expr", None), A.Star)
-               for t in select.targets):
-        return len(select.targets)
-    probe = select.copy()
-    probe.limit = A.Literal(0)
-    return len(LocalExecutor(session).execute_select(probe, params).columns)
 
 
 class PushdownInsertSelectPlan(CitusPlan):
@@ -187,7 +176,7 @@ class ReroutingInsertSelectPlan(CitusPlan):
     def execute(self, session, params):
         stmt = self.stmt
         shell = self.ext.instance.catalog.get_table(stmt.table)
-        width = _select_width(session, stmt.select, params)
+        width = len(shell_columns(session, stmt.select, params))
         # Without a column list the values fill the first columns
         # (PostgreSQL's rule); the rest take their defaults.
         columns = stmt.columns or shell.column_names()[:width]

@@ -21,7 +21,6 @@ made from the statement itself and planned every time.
 
 from __future__ import annotations
 
-import datetime
 import itertools
 import json
 from contextlib import ExitStack
@@ -30,12 +29,9 @@ from dataclasses import replace
 from ...engine.catalog import Column
 from ...engine.compile import evaluate, get_prepared
 from ...engine.datum import (
-    BIGINT, BOOL, DATE, FLOAT, JSONB, TEXT, TIMESTAMP, cast_value,
-    refuse_number_against_text,
+    ANYELEMENT, TEXT, cast_value, refuse_number_against_text,
 )
-from ...engine.executor import (
-    QueryResult, output_names, text_comparisons, width_error,
-)
+from ...engine.executor import QueryResult, text_comparisons, width_error
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
@@ -48,7 +44,7 @@ from .fast_path import try_fast_path
 from .join_order import plan_join_order
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
 from .plan_cache import normalized
-from .pushdown import try_pushdown
+from .pushdown import shell_columns, try_pushdown
 from .router import try_router
 from .subplan import land, read_from, reference_intermediate
 from .tasks import (
@@ -228,7 +224,7 @@ def _plan(ext, session, stmt, params, search):
             return (_walk(CASCADE[:1], ext, session, stmt, params, None, search)
                     or InsertValuesPlan(ext, stmt, params))
 
-    if isinstance(stmt, A.Select) and stmt.ctes:
+    if any(isinstance(node, A.Select) and node.ctes for node in A.walk(stmt)):
         stmt = _inline_ctes(stmt)
     analysis = analyze_statement(stmt, cache, params, ext.instance.catalog)
 
@@ -252,9 +248,10 @@ def _plan(ext, session, stmt, params, search):
     )
 
 
-def _inline_ctes(select: A.Select) -> A.Select:
-    """``select`` with every CTE read as the subquery it names: a CTE gets
-    the verdicts of a subquery in its place (runs per shard, or once)."""
+def _inline_ctes(stmt):
+    """``stmt`` with every CTE, at any level, read as the subquery it
+    names: a CTE gets the verdicts of a subquery in its place (runs per
+    shard, or once)."""
 
     def inline(node):
         if not (isinstance(node, A.Select) and node.ctes):
@@ -268,28 +265,26 @@ def _inline_ctes(select: A.Select) -> A.Select:
             named[cte.name] = query
         return read_from(replace(node, ctes=[]), named)
 
-    return A.transform(select, inline)
+    return A.transform(stmt, inline)
 
 
 # ---------------------------------------------------------------- plans
 
 
-#: The column type that holds a subplan result's values, by their type.
-_VALUE_TYPES = {bool: BOOL, int: BIGINT, float: FLOAT, datetime.date: DATE,
-                datetime.datetime: TIMESTAMP}
 _subplan_counter = itertools.count(1)
 
 
 class SubplanPlan(CitusPlan):
     """A SELECT some of whose subquery levels cannot run per shard (§3.5's
     recursive planning). Each such level is planned through the cascade on
-    its own and runs once; its rows are landed as a reference intermediate
-    result (:func:`~.subplan.land`) on every node the rest of the
-    statement reads it on. The rest, reading the intermediates in the
-    levels' place, is planned through the cascade again. ``levels`` holds
-    each level by its ``id``, or ``SELECT * FROM t`` by ``t``'s name where
-    the rest reads the table whole. Planned every time: neither a
-    subplan's plan nor its rows are kept in the plan cache."""
+    its own and runs once; its rows are landed as they are, in untyped
+    columns, as a reference intermediate result (:func:`~.subplan.land`)
+    on every node the rest of the statement reads it on. The rest, reading
+    the intermediates in the levels' place, is planned through the cascade
+    again. ``levels`` holds each level by its ``id``, or ``SELECT * FROM
+    t`` by ``t``'s name where the rest reads the table whole. Planned every
+    time: neither a subplan's plan nor its rows are kept in the plan
+    cache."""
 
     tier = "subplan"
     detail = "Subplans (run once)"
@@ -301,14 +296,14 @@ class SubplanPlan(CitusPlan):
                         for level in levels.values()]
         intermediates = [reference_intermediate(
             f"citus_subplan_{next(_subplan_counter)}") for _level in levels]
-        #: Per level: its plan, the intermediate its rows land in, and its
-        #: columns' names (None: the result's) and declared types there.
+        #: Per level: its plan, the intermediate its rows land in, and that
+        #: intermediate's columns.
         self.subplans, names = [], {}
         for (key, level), transient in zip(levels.items(), intermediates):
-            names[key], columns = _reader(transient.name, level)
-            self.subplans.append((
-                _plan(ext, session, level, params, None), transient, columns,
-                _declared_types(level, ext.instance.catalog)))
+            names[key], columns = _reader(
+                transient.name, shell_columns(session, level, params))
+            self.subplans.append((_plan(ext, session, level, params, None),
+                                  transient, columns))
         rewritten = read_from(select, names)
         analysis = analyze_statement(rewritten, cache, params,
                                      ext.instance.catalog)
@@ -320,22 +315,21 @@ class SubplanPlan(CitusPlan):
         if not any(level is rewritten for level in analysis.levels):
             nodes.add(ext.instance.name)
         self.nodes = sorted(nodes)
-        for _subplan, transient, *_columns in self.subplans:
+        for _subplan, transient, _columns in self.subplans:
             cache.tables[transient.name] = transient
         try:
             self.plan = _plan(ext, session, rewritten, params, None)
         finally:
-            for _subplan, transient, *_columns in self.subplans:
+            for _subplan, transient, _columns in self.subplans:
                 cache.tables.pop(transient.name, None)
 
     def execute(self, session, params):
         with ExitStack() as landed:
-            for plan, transient, columns, types in self.subplans:
+            for plan, transient, columns in self.subplans:
                 result = plan.execute(session, params)
                 table = transient.shards[0].shard_name
                 landed.enter_context(land(
-                    self.ext, transient,
-                    _landed_columns(result, columns or result.columns, types),
+                    self.ext, transient, columns,
                     [(node, None, table) for node in self.nodes],
                     iter(result.rows)))
             return self.plan.execute(session, params)
@@ -346,85 +340,16 @@ class SubplanPlan(CitusPlan):
                 "subplan": {"strategy": "subplan", "queries": self.queries}}
 
 
-def _reader(table: str, level: A.Select):
-    """What the rest of a statement reads in place of a subplan ``level``,
-    and the names of the columns of its intermediate ``table``: c1, c2,
-    ..., read back under the level's output names, which may repeat
-    (``SELECT count(*), count(*)``). A level with a ``*`` target is read
-    as the table itself, its columns named as its result names them
-    (None)."""
-    if any(isinstance(target.expr, A.Star) for target in level.targets):
-        return table, None
-    columns = [f"c{i}" for i in range(1, len(level.targets) + 1)]
+def _reader(table: str, names: list[str]):
+    """What the rest of a statement reads in place of a subplan level whose
+    output columns ``names`` lists, and the columns of its intermediate
+    ``table``: c1, c2, ..., untyped, read back under the level's names,
+    which may repeat (``SELECT count(*), count(*)``)."""
+    columns = [Column(f"c{i}", ANYELEMENT) for i in range(1, len(names) + 1)]
     return A.Select(
-        targets=[A.TargetEntry(A.ColumnRef(column), name) for column, name
-                 in zip(columns, output_names(level.targets))],
+        targets=[A.TargetEntry(A.ColumnRef(column.name), name)
+                 for column, name in zip(columns, names)],
         from_items=[A.TableRef(table)]), columns
-
-
-def _declared_types(level: A.Select, catalog) -> list | None:
-    """Per output column of ``level``, the declared type of the table
-    column it reads bare (``SELECT doc FROM d``, ``SELECT * FROM d``), or
-    None where it computes the column; None for a set operation, whose
-    arms may read other types, and for a ``*`` not over one table."""
-    if level.set_ops:
-        return None
-    tables, items = {}, list(level.from_items)
-    while items:
-        item = items.pop()
-        if isinstance(item, A.JoinExpr):
-            items += [item.left, item.right]
-        elif isinstance(item, A.TableRef):
-            tables[item.ref_name] = catalog.tables.get(item.name)
-    types = []
-    for target in level.targets:
-        expr = target.expr
-        if isinstance(expr, A.Star):
-            only = level.from_items[0] if len(level.from_items) == 1 else None
-            table = tables.get(expr.table or (
-                only.ref_name if isinstance(only, A.TableRef) else None))
-            if table is None:
-                return None
-            types += [column.type_name for column in table.columns]
-        elif isinstance(expr, A.ColumnRef):
-            owners = [table for name, table in tables.items()
-                      if table is not None and expr.table in (None, name)
-                      and table.has_column(expr.name)]
-            types.append(owners[0].column(expr.name).type_name
-                         if len(owners) == 1 else None)
-        else:
-            types.append(None)
-    return types
-
-
-def _landed_columns(result, names, types) -> list[Column]:
-    """A subplan's result's columns under ``names``: each with its
-    declared type (``types``, :func:`_declared_types`), else typed as its
-    values (:func:`_value_type`)."""
-    values = zip(*result.rows) if result.rows else [()] * len(result.columns)
-    if types is None or len(types) != len(names):
-        types = [None] * len(names)
-    return [Column(name, declared or _value_type(column))
-            for name, declared, column in zip(names, types, values)]
-
-
-def _value_type(values) -> str:
-    """The type that holds ``values``, read from the non-NULL ones: an
-    array of one type where they are lists whose elements all have it,
-    jsonb where they hold any other dict or list (which it keeps as they
-    are), float where ints and floats mix (a set operation's arms, a CASE),
-    text where they have no one type or none."""
-    kinds = {type(v) for v in values if v is not None}
-    if kinds == {list}:
-        elements = {type(e) for v in values if v is not None
-                    for e in v if e is not None}
-        if len(elements) == 1 and next(iter(elements)) in _VALUE_TYPES:
-            return _VALUE_TYPES[elements.pop()] + "[]"
-    if kinds & {dict, list}:
-        return JSONB
-    if kinds == {int, float}:
-        kinds = {float}
-    return _VALUE_TYPES.get(kinds.pop() if len(kinds) == 1 else None, TEXT)
 
 
 class InsertValuesPlan(CitusPlan):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from ...engine.executor import (
-    QueryResult, has_aggregates, is_aggregate_call, output_names,
-    resolve_group_ref, transform_level,
+    LocalExecutor, QueryResult, has_aggregates, is_aggregate_call,
+    output_names, resolve_group_ref, transform_level,
 )
 from ...engine.functions import PARTIAL_REWRITES
 from ...errors import UnsupportedDistributedQuery
@@ -409,6 +409,17 @@ def merge_key_columns(plan: PushdownSelect, visible_width: int, width: int) -> l
     return columns
 
 
+def shell_columns(session, select: A.Select, params) -> list[str]:
+    """The output column names of ``select`` over Citus tables: its
+    targets', or with a ``*`` among them those of its result run with
+    ``LIMIT 0`` over the coordinator's (empty) shell tables."""
+    if not any(isinstance(t.expr, A.Star) for t in select.targets):
+        return output_names(select.targets)
+    probe = select.copy()
+    probe.limit = A.Literal(0)
+    return LocalExecutor(session).execute_select(probe, params).columns
+
+
 def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> list:
     """The visible output column names of a concat-mode plan: the first
     shard stream's shape (``*`` targets expand only on the workers) with
@@ -417,11 +428,7 @@ def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> li
     if streams:
         first_columns = list(streams[0].columns)
     else:
-        from ...engine.executor import LocalExecutor
-
-        shape = plan.routes.stmt.copy()
-        shape.limit = A.Literal(0)
-        first_columns = LocalExecutor(session).execute_select(shape, params).columns
+        first_columns = shell_columns(session, plan.routes.stmt, params)
     n_appended = plan.n_visible
     visible_width = len(first_columns) - n_appended
     return first_columns[:visible_width] if n_appended else first_columns

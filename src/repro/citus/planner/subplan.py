@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from ...engine.catalog import Column, Table
 from ...sql import ast as A
-from ..copy_dist import move_rows, select_star
+from ..copy_dist import move_rows
 from ..ddl import drop_quietly, shard_ddl
 from ..metadata import REFERENCE, DistributedTable, ShardInterval
 
@@ -61,8 +61,8 @@ def land(ext, transient: DistributedTable, columns, targets, rows):
 def read_from(node, names: dict):
     """A copy of ``node`` in which each table ``names`` maps by name, and
     each subquery level it maps by ``id``, is read from what it maps to: a
-    table name, or a query (a CTE's, or one reading an intermediate's
-    columns back under the level's names)."""
+    table name (for a table), or a query (a CTE's, or one reading an
+    intermediate's columns back under the level's names)."""
     if isinstance(node, (list, tuple)):
         return type(node)(read_from(item, names) for item in node)
     if not isinstance(node, A.Node):
@@ -73,12 +73,7 @@ def read_from(node, names: dict):
                 else A.SubqueryRef(source.copy(), node.ref_name))
     level = getattr(node, "query", None)
     if isinstance(node, (A.SubqueryRef, A.SubqueryExpr)) and id(level) in names:
-        source = names[id(level)]
-        if isinstance(source, str):
-            if isinstance(node, A.SubqueryRef):
-                return A.TableRef(source, alias=node.alias)
-            source = select_star(source)
-        node = replace(node, query=source.copy())
+        node = replace(node, query=names[id(level)].copy())
     return type(node)(**{
         name: read_from(getattr(node, name), names) if may_hold_nodes
         else getattr(node, name)

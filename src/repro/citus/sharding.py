@@ -379,7 +379,8 @@ def _analyze_select(select: A.Select, cache, analysis: QueryAnalysis, params,
 
 def _align_arms(select: A.Select, arms, analysis: QueryAnalysis) -> None:
     """Whether the arms of a set operation can run on each shard, over
-    its rows: each arm reads a distributed table, and a UNION, INTERSECT or
+    its rows: each arm reads a distributed table, all of one colocation
+    group (a shard then holds every arm's share), and a UNION, INTERSECT or
     EXCEPT, which deduplicates per shard, has an output column that is
     every arm's distribution column (equal rows then share a shard). An
     output column that is some arms' distribution column and not all arms'
@@ -395,6 +396,8 @@ def _align_arms(select: A.Select, arms, analysis: QueryAnalysis) -> None:
                         for entry in arm.targets])
     columns = list(zip(*outputs))
     aligned = (all(dist for _arm, dist in arms)
+               and len({o.dist.colocation_id for _arm, dist in arms
+                        for o in dist}) == 1
                and (any(map(all, columns))
                     or all(op == "union all" for op, _rhs in select.set_ops)))
     mixed = {position for position, column in enumerate(columns)

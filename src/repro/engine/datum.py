@@ -44,6 +44,11 @@ DATE = "date"
 TIMESTAMP = "timestamp"
 JSONB = "jsonb"
 UUID = "uuid"
+#: A column of this type keeps each value as it is: no cast touches it
+#: (PostgreSQL's polymorphic pseudo-type). A subplan's intermediate result
+#: holds its level's rows in such columns, as a subquery's rows keep the
+#: values they were made with.
+ANYELEMENT = "anyelement"
 
 _ALIASES = {
     "integer": INT,
@@ -140,7 +145,7 @@ def _cast(value, t: str):
             return str(value)
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise DataError(f"invalid input for type {t}: {value!r}") from exc
-    # Unknown type: pass through untouched (user-defined type).
+    # ANYELEMENT, or an unknown (user-defined) type: pass through untouched.
     return value
 
 

@@ -475,7 +475,7 @@ class BoundSelect:
                       if select.where is not None else None)
         #: The fused loops this SELECT runs (``LocalExecutor._drain``).
         self.loops: dict = {}
-        targets = _expand_stars(select.targets, layout.columns)
+        targets = _expand_stars(select.targets, layout)
         self.columns = output_names(targets)
         self.window_calls: list[A.FuncCall] = []
         if shape.has_windows:
@@ -2594,14 +2594,19 @@ def _group_key(value):
     return value
 
 
-def _expand_stars(targets, rel_columns: list):
+def _expand_stars(targets, layout: RowLayout):
+    """``targets`` with each ``*`` (or ``alias.*``) read as the visible
+    columns it stands for, by slot: a repeated name reads its own column,
+    and a row-locking scan's hidden slots are skipped."""
     expanded = []
     for entry in targets:
         expr = entry.expr if isinstance(entry, A.TargetEntry) else entry
         if isinstance(expr, A.Star):
-            for alias, name in rel_columns:
+            hidden = {slot for slot, _table in layout.sources}
+            slots = (slot for slot in range(layout.width) if slot not in hidden)
+            for (alias, name), slot in zip(layout.columns, slots):
                 if expr.table is None or expr.table == alias:
-                    expanded.append(A.TargetEntry(A.ColumnRef(name, table=alias), name))
+                    expanded.append(A.TargetEntry(SlotRef(slot), name))
         else:
             expanded.append(entry)
     return expanded

@@ -13,6 +13,7 @@ repartitioning INSERT..SELECT rollup, and the TPC-H and gharchive suites
 STOCK LEVEL — compared statement by statement and by final table contents.)
 """
 
+import datetime
 import json
 import random
 from types import SimpleNamespace
@@ -124,6 +125,15 @@ RUN_ONCE = {
     "subplan_mixed_numbers": (
         "SELECT sum(x) FROM (SELECT CASE WHEN k = 1000 THEN 0.5 ELSE 1 END"
         " AS x FROM events ORDER BY k LIMIT 2000) s", None, None),
+    # A CTE below the top level was never inlined: the first raised "no
+    # shard index for distributed table 'events'", the second was refused
+    # as a join of local and distributed tables.
+    "cte_in_from_subquery": (
+        "SELECT count(*) FROM (WITH r AS (SELECT k, v FROM events)"
+        " SELECT k FROM r) s", None, None),
+    "cte_in_scalar_subquery": (
+        "SELECT count(*) FROM events WHERE v > (WITH r AS (SELECT v FROM"
+        " events) SELECT avg(v) FROM r)", None, None),
 }
 #: Set operations in an inner level, run on every shard: each arm over its
 #: rows. The aliased arms were refused as a non-co-located join.
@@ -171,6 +181,11 @@ SET_OPS_RUN_ONCE = {
     "union_all_star_mixed_numbers": (
         "SELECT sum(v) FROM (SELECT * FROM events UNION ALL SELECT 1000 AS k,"
         " 0 AS tenant, 2.5 AS v, 'x' AS label) s", None, None),
+    # The second arm is read as SELECT * over its level, whose four output
+    # names are one: expanded by name, its row read as four 'x'.
+    "union_all_star_repeated_names": (
+        "SELECT * FROM events UNION ALL SELECT 0, 0, 2.5, 'x' ORDER BY 1",
+        None, (0,)),
     # INTERSECT binds tighter: read left to right, both returned no rows.
     "union_then_intersect": (
         "SELECT v FROM events WHERE v < 2 UNION SELECT v FROM events"
@@ -264,6 +279,22 @@ def test_cluster_agrees_with_single_node(oracle, cluster_session, name):
         assert hits_and_misses == [(0, 1), (1, 0), (0, 1)]
     else:  # planned every time (the statements it runs inside may hit)
         assert all(misses >= 1 for _hits, misses in hits_and_misses)
+
+
+@pytest.mark.parametrize("cluster_session", ["1x4"], indirect=True)
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_every_query_as_a_level_run_once_agrees_with_single_node(
+        oracle, cluster_session, name):
+    """``OFFSET 0`` makes a query an inner level that cannot run per shard:
+    it runs once, its rows land as an intermediate, and the statement
+    reading it must return the rows and names the single node returns."""
+    sql, params, _order_columns = QUERIES[name]
+    wrapped = f"SELECT * FROM ({sql} OFFSET 0) wrapped"
+    answer = oracle.execute(wrapped, params)
+    result = cluster_session.execute(wrapped, params)
+    assert result.columns == answer.columns
+    assert sorted(normalized(result.rows), key=repr) == sorted(
+        normalized(answer.rows), key=repr)
 
 
 @pytest.mark.parametrize("name", sorted({**REFUSED_OR_RIGHT, **ANSWERED}))
@@ -579,11 +610,10 @@ def test_an_outer_join_with_a_nullable_reference_table_agrees(replicated_pair,
 
 # ------------------------------------------- jsonb and array columns landed
 
-#: A subplan's rows land in a table: a column the level reads bare with
-#: its table's declared type, a computed one typed by its values. jsonb
-#: and array values landed as text, and on two workers and four shards the
-#: first three read NULL, '[[[[[' and NULL for every ``r.id``. A jsonb
-#: array of mixed elements must land as it is, not cast to text[].
+#: A subplan's rows land as they are, in untyped columns. Typed from
+#: their values, jsonb and array values once landed as text, and on two
+#: workers and four shards the first three read NULL, '[[[[[' and NULL for
+#: every ``r.id``; a jsonb array of mixed elements was cast to text[].
 TYPED_LEVELS = {
     "jsonb_column": "SELECT sum((doc->>'a')::int) FROM"
                     " (SELECT doc FROM d ORDER BY k LIMIT 5) s",
@@ -863,6 +893,37 @@ POSTGRES = {
     "like_escape_filter": (r"SELECT k FROM t WHERE '5%' LIKE k || '\%'", None, [[5]]),
     "like_trailing_escape": (r"SELECT 'a\' LIKE 'a\'", None,
                              "LIKE pattern must not end with escape character"),
+    # ``*`` reads each column of its relation by position: a repeated or
+    # unnamed output name read the last column of that name.
+    "star_repeated_name": ("SELECT * FROM (SELECT 1 AS a, 2 AS a) s", None,
+                           [[1, 2]]),
+    "star_unnamed_columns": ("SELECT * FROM (SELECT 0, 0, 2.5, 'x') s", None,
+                             [[0, 0, 2.5, "x"]]),
+    # A level run once lands its rows as they are, under positions, not
+    # names or guessed types: a ``*`` over a join repeated k and v (the
+    # cluster raised "column 'k' specified more than once"), and a date
+    # and a timestamp in one column were landed as text.
+    "star_over_join_level": (
+        ["INSERT INTO e VALUES (1, 1), (2, 2), (3, 3), (4, 4)",
+         "SELECT count(*) FROM (SELECT * FROM t JOIN e ON t.k = e.k"
+         " ORDER BY t.k LIMIT 3) s"], None, [[3]]),
+    "star_over_join_level_rows": (
+        ["INSERT INTO e VALUES (1, 1), (2, 2), (3, 3), (4, 4)",
+         "SELECT * FROM (SELECT * FROM t JOIN e ON t.k = e.k"
+         " ORDER BY t.k LIMIT 3) s ORDER BY 1"], None,
+        [[1, 10, 1, 1], [2, 20, 2, 2], [3, 30, 3, 3]]),
+    "date_or_timestamp_level": (
+        "SELECT max(x) FROM (SELECT CASE WHEN k < 3 THEN d ELSE ts END AS x"
+        " FROM dt ORDER BY k LIMIT 10) s", None,
+        [[datetime.datetime(2020, 1, 10, 1, 0)]]),
+    # A set operation over tables of two colocation groups runs each arm
+    # once: planned as a join of its arms, it counted 29 and summed 520.0.
+    "union_all_not_colocated_count": (
+        "SELECT count(*) FROM (SELECT * FROM t UNION ALL SELECT * FROM fl) s",
+        None, [[14]]),
+    "union_all_not_colocated_sum": (
+        "SELECT sum(v) FROM (SELECT * FROM t UNION ALL SELECT * FROM fl) s",
+        None, [[467.5]]),
 }
 
 
@@ -870,7 +931,7 @@ POSTGRES = {
 def small_tables():
     """The single node and a (2, 4) cluster, each holding ``t`` (and ``r``,
     range-distributed on the cluster; ``tk``, distributed on its text
-    key)."""
+    key; ``fl``, in a colocation group of its own)."""
     targets = {"single": oracle_session(),
                "cluster": make_cluster(workers=2, shard_count=4).coordinator_session()}
     for name, session in targets.items():
@@ -882,6 +943,8 @@ def small_tables():
         session.execute("CREATE TABLE r (key int PRIMARY KEY, v int)")
         session.execute("CREATE TABLE u (id int PRIMARY KEY, name text)")
         session.execute("CREATE TABLE tk (k text PRIMARY KEY, v int)")
+        session.execute("CREATE TABLE dt (k int PRIMARY KEY, d date, ts timestamp)")
+        session.execute("CREATE TABLE fl (k int PRIMARY KEY, x float)")
         if name == "cluster":
             session.execute("SELECT create_distributed_table('t', 'k')")
             session.execute("SELECT create_distributed_table('e', 'k')")
@@ -891,6 +954,9 @@ def small_tables():
             session.execute("SELECT create_distributed_table('co', 'b')")
             session.execute("SELECT create_distributed_table('u', 'id')")
             session.execute("SELECT create_distributed_table('tk', 'k')")
+            session.execute("SELECT create_distributed_table('dt', 'k')")
+            session.execute("SELECT create_distributed_table('fl', 'k',"
+                            " colocate_with := 'none')")
             session.execute("SELECT create_range_distributed_table('r', 'key',"
                             " ARRAY[ARRAY[0, 99], ARRAY[100, 199], ARRAY[200, 299]])")
         session.copy_rows("t", [[k, 10 * k] for k in range(1, 10)])
@@ -899,6 +965,9 @@ def small_tables():
         session.copy_rows("r", [[key, key] for key in (5, 99, 150, 250)])
         session.copy_rows("u", [[1, "5"], [2, "05"], [3, "7"]])
         session.copy_rows("tk", [["5", 1], ["6", 2], ["x", 3]])
+        session.copy_rows("dt", [[k, f"2020-01-{k:02d}", f"2020-01-{k:02d} 01:00"]
+                                 for k in range(1, 11)])
+        session.copy_rows("fl", [[k, k + 0.5] for k in range(1, 6)])
     return targets
 
 
