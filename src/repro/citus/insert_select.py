@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from .copy_dist import copy_targets, distribute_rows
 from .observability import TaskTarget
-from .planner.pushdown import (
-    MultiTaskSelectPlan, pushes_down_without_merge, shell_columns,
-)
+from .planner.pushdown import pushes_down_without_merge, shell_columns
 from .planner.tasks import CitusPlan, fold_write_results, statement_routes
 from .sharding import analyze_statement
 from ..engine.executor import QueryResult, width_error
@@ -55,7 +53,7 @@ def _choose_strategy(ext, stmt: A.Insert, dest, analysis) -> str:
     dist_sources = analysis.distributed
     if not dist_sources:
         return "coordinator"  # SELECT over reference/local tables
-    if analysis.locals or select.ctes or select.set_ops:
+    if select.ctes or select.set_ops:
         return "coordinator"
     same_colocation = all(
         o.dist.colocation_id == dest.colocation_id for o in dist_sources
@@ -95,19 +93,15 @@ def _dest_key_from_source_key(stmt: A.Insert, dest, analysis) -> bool:
 
 def select_row_stream(ext, session, select, params):
     """The SELECT side of the write pipeline (and of a join's move): a lazy
-    row iterator. A multi-shard pushdown SELECT is pulled through the
-    cursor pipeline batch by batch, so rows flow straight into the copy
-    channels without coordinator materialization; any other plan (router,
-    join-order, reference, local) executes whole and yields its rows."""
+    row iterator. The statement is planned through the session's planner
+    hook as the first row is asked for, then its plan streams its rows
+    (``CitusPlan.rows``: a multi-shard pushdown SELECT batch by batch
+    through the cursor pipeline, any other plan whole)."""
     plan = session.instance.hooks.call_planner(session, select, params)
     if plan is None:
         yield from session._execute_local_dml(select, params).rows
         return
-    if isinstance(plan, MultiTaskSelectPlan):
-        for batch in plan.execute_batches(session, params):
-            yield from batch
-        return
-    yield from plan.execute(session, params).rows
+    yield from plan.rows(session, params)
 
 
 class PushdownInsertSelectPlan(CitusPlan):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import replace
 
 from ...engine.catalog import Column
@@ -44,7 +44,7 @@ from .fast_path import try_fast_path
 from .join_order import plan_join_order
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
 from .plan_cache import normalized
-from .pushdown import shell_columns, try_pushdown
+from .pushdown import run_once, shell_columns, try_pushdown
 from .router import try_router
 from .subplan import land, read_from, reference_intermediate
 from .tasks import (
@@ -275,50 +275,44 @@ _subplan_counter = itertools.count(1)
 
 
 class SubplanPlan(CitusPlan):
-    """A SELECT some of whose subquery levels cannot run per shard (§3.5's
-    recursive planning). Each such level is planned through the cascade on
-    its own and runs once; its rows are landed as they are, in untyped
-    columns, as a reference intermediate result (:func:`~.subplan.land`)
-    on every node the rest of the statement reads it on. The rest, reading
-    the intermediates in the levels' place, is planned through the cascade
-    again. ``levels`` holds each level by its ``id``, or ``SELECT * FROM
-    t`` by ``t``'s name where the rest reads the table whole. Planned every
-    time: neither a subplan's plan nor its rows are kept in the plan
-    cache."""
+    """A SELECT, UPDATE or DELETE some parts of which cannot run per shard
+    (§3.5's recursive planning): its levels (:func:`~.pushdown.run_once`,
+    by ``id``, or ``SELECT * FROM t`` by ``t``'s name). Each is planned
+    through the cascade on its own and runs once, its rows streamed as
+    they are into untyped columns of a reference intermediate
+    (:func:`~.subplan.land`) on every node the rest reads it on. The rest,
+    reading the intermediates in their place, is planned again; what it
+    still runs once joins the levels, so no SubplanPlan nests another.
+    Planned every time: nothing of it is kept in the plan cache."""
 
     tier = "subplan"
     detail = "Subplans (run once)"
 
-    def __init__(self, ext, session, select, params, levels):
+    def __init__(self, ext, session, stmt, params, levels):
         super().__init__(ext)
         cache = ext.metadata.cache
-        self.queries = [sql_with_values(level, params)
-                        for level in levels.values()]
-        intermediates = [reference_intermediate(
-            f"citus_subplan_{next(_subplan_counter)}") for _level in levels]
         #: Per level: its plan, the intermediate its rows land in, and that
         #: intermediate's columns.
-        self.subplans, names = [], {}
-        for (key, level), transient in zip(levels.items(), intermediates):
-            names[key], columns = _reader(
-                transient.name, shell_columns(session, level, params))
-            self.subplans.append((_plan(ext, session, level, params, None),
-                                  transient, columns))
-        rewritten = read_from(select, names)
-        analysis = analyze_statement(rewritten, cache, params,
-                                     ext.instance.catalog)
-        # The rest reads them beside the shards it still reads, and on the
-        # coordinator when its own FROM reads none: it runs there, once its
-        # inner levels that read shards have run as subplans too.
-        nodes = {cache.placement_node(shard.shardid)
-                 for occ in analysis.distributed for shard in occ.dist.shards}
-        if not any(level is rewritten for level in analysis.levels):
-            nodes.add(ext.instance.name)
-        self.nodes = sorted(nodes)
-        for _subplan, transient, _columns in self.subplans:
-            cache.tables[transient.name] = transient
+        self.subplans, self.queries, nodes = [], [], set()
         try:
-            self.plan = _plan(ext, session, rewritten, params, None)
+            while levels:
+                names = {}
+                for key, level in levels.items():
+                    transient = reference_intermediate(
+                        f"citus_subplan_{next(_subplan_counter)}")
+                    names[key], columns = _reader(
+                        transient.name, shell_columns(session, level, params))
+                    self.subplans.append((_plan(ext, session, level, params,
+                                                None), transient, columns))
+                    self.queries.append(sql_with_values(level, params))
+                    cache.tables[transient.name] = transient
+                stmt = read_from(stmt, names)
+                analysis = analyze_statement(stmt, cache, params,
+                                             ext.instance.catalog)
+                nodes |= _reading_nodes(ext, stmt, analysis)
+                levels = run_once(analysis)
+            self.nodes = sorted(nodes)
+            self.plan = _plan(ext, session, stmt, params, None)
         finally:
             for _subplan, transient, _columns in self.subplans:
                 cache.tables.pop(transient.name, None)
@@ -326,18 +320,33 @@ class SubplanPlan(CitusPlan):
     def execute(self, session, params):
         with ExitStack() as landed:
             for plan, transient, columns in self.subplans:
-                result = plan.execute(session, params)
                 table = transient.shards[0].shard_name
+                rows = landed.enter_context(closing(plan.rows(session, params)))
                 landed.enter_context(land(
                     self.ext, transient, columns,
-                    [(node, None, table) for node in self.nodes],
-                    iter(result.rows)))
+                    [(node, None, table) for node in self.nodes], rows))
             return self.plan.execute(session, params)
 
     def explain_info(self):
         info = self.plan.explain_info()
         return {**info, "tier": self.tier, "detail": self.detail,
                 "subplan": {"strategy": "subplan", "queries": self.queries}}
+
+
+def _reading_nodes(ext, stmt, analysis) -> set:
+    """Where the rest of a statement, ``stmt``, reads its intermediates:
+    beside the shards it reads, on every replica of a reference table it
+    writes, and on the coordinator when it runs there (a SELECT whose own
+    FROM reads no shard, a write to a local table)."""
+    cache = ext.metadata.cache
+    nodes = {cache.placement_node(shard.shardid)
+             for occ in analysis.distributed for shard in occ.dist.shards}
+    written = cache.tables.get(getattr(stmt, "table", None))
+    if written is not None and written.is_reference:
+        nodes.update(cache.placements[written.shards[0].shardid])
+    elif written is None and not any(level is stmt for level in analysis.levels):
+        nodes.add(ext.instance.name)
+    return nodes
 
 
 def _reader(table: str, names: list[str]):

@@ -20,16 +20,15 @@ metadata cache as a transient co-located (or reference) table, which makes
 the pushdown machinery (including two-phase aggregation) apply unchanged.
 
 Both moves are uses of :func:`~.subplan.land`, the one step that makes a
-statement's intermediate result; it also lands the rows of every subquery
-level that cannot run per shard, which runs once as a subplan
-(:class:`~.distributed.SubplanPlan`).
+statement's intermediate result; it also lands the rows of what a
+statement runs once (:class:`~.distributed.SubplanPlan`).
 
-Scope (cf. the paper's own "4 of the 22 TPC-H queries are unsupported",
-as here): exactly two distributed tables per join; a correlated subquery
-that cannot run per shard is unsupported, since a subplan does not
-decorrelate. The arms of a set operation the router declines, and the
-distributed side of an outer join that preserves a side reading none,
-run once as subplans.
+Scope (cf. the paper's own "4 of the 22 TPC-H queries are unsupported"):
+exactly two distributed tables per join, no FOR UPDATE. What cannot run
+per shard — inner levels, set-operation arms, an outer join's unmatched
+distributed side, local tables — has run once before this tier sees the
+statement; a correlated level that must run once stays refused, since a
+subplan does not decorrelate.
 """
 
 from __future__ import annotations
@@ -66,11 +65,11 @@ def plan_join_order(ext, session, select, params, analysis, search=None):
                           "only SELECT joins can be repartitioned")
         return None
     dist = analysis.distributed
-    if len(dist) != 2 or analysis.locals:
+    if len(dist) != 2:
         if search is not None:
             search.reject("join_order", "shape",
                           "repartition joins support exactly two distributed"
-                          " tables and no local tables")
+                          " tables")
         return None
     if select.for_update:
         if search is not None:
@@ -91,7 +90,7 @@ def plan_join_order(ext, session, select, params, analysis, search=None):
     # unmatched rows.
     n_nodes = max(len(ext.all_node_names()), 1)
     for anchor, moved in ((a, b), (b, a)):
-        if not any(moved.alias in preserved and anchor.alias in other
+        if not any(moved.key in preserved and anchor.key in other
                    for preserved, other in analysis.outer_joins):
             candidates.append(
                 ("broadcast", anchor, moved, None,

@@ -1,11 +1,12 @@
 """Logical pushdown planner (§3.5).
 
-Plans multi-shard queries whose join tree can be fully pushed down: all
-distributed tables are co-located and joined on their distribution columns
-(checked via the equivalence analysis). An inner level that cannot run per
-shard runs once first, as a subplan (:class:`~.distributed.SubplanPlan`),
-and the statement reading its result comes back through the cascade. Two
-merge strategies exist:
+Plans multi-shard SELECT, UPDATE and DELETE statements whose join tree
+can be fully pushed down: all distributed tables are co-located and joined
+on their distribution columns (checked via the equivalence analysis).
+What cannot run per shard (:func:`run_once`) runs once first, as the
+levels of one :class:`~.distributed.SubplanPlan`, and the rest comes back
+through the cascade. Still refused: a correlated level that must run
+once, and multi-shard FOR UPDATE. Two merge strategies exist:
 
 - **concat** — the GROUP BY contains the distribution column (or there is
   no aggregation): every group lives on one shard, so workers run the
@@ -21,7 +22,6 @@ merge strategies exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 from ...engine.executor import (
     LocalExecutor, QueryResult, has_aggregates, is_aggregate_call,
@@ -81,11 +81,6 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
         raise UnsupportedDistributedQuery(message)
 
     dist = analysis.distributed
-    if analysis.locals:
-        unsupported(
-            "local_tables",
-            "joining local tables with distributed tables is not supported",
-        )
     if select.for_update:
         unsupported(
             "for_update",
@@ -112,13 +107,13 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
 def pushes_down_without_merge(analysis: QueryAnalysis, select: A.Select) -> bool:
     """Whether every shard can run ``select`` whole, the coordinator only
     concatenating: its tables are co-located and joined on their
-    distribution columns, no inner level must run once, no level
-    aggregates across shards and every window stays on one shard."""
+    distribution columns, every window stays on one shard, no level
+    aggregates across shards and nothing must run once (:func:`run_once`)."""
     return (len({o.dist.colocation_id for o in analysis.distributed}) == 1
             and analysis.shards_align()
-            and not analysis.subplans()
             and _windows_stay_on_shards(analysis)
-            and not analysis.aggregates_across_shards(select))
+            and not analysis.aggregates_across_shards(select)
+            and not run_once(analysis))
 
 
 def _windows_stay_on_shards(analysis: QueryAnalysis) -> bool:
@@ -680,17 +675,12 @@ def plan_pushdown_dml(ext, stmt, analysis, search=None):
     """The shape of a multi-shard UPDATE/DELETE (one task per shard its
     WHERE clause does not rule out), or None."""
     dist_occurrences = analysis.distributed
-    if len(dist_occurrences) != 1 or analysis.locals:
+    if len(dist_occurrences) != 1:
         if search is not None:
             search.reject("pushdown", "shape",
                           "multi-shard DML supports exactly one distributed"
-                          " table and no local tables")
+                          " table")
         return None
-    if any(isinstance(n, A.SubqueryExpr) for n in A.walk(stmt)):
-        message = "subqueries in multi-shard UPDATE/DELETE are not supported"
-        if search is not None:
-            search.reject("pushdown", "subquery", message)
-        raise UnsupportedDistributedQuery(message)
     occ = dist_occurrences[0]
     return PushdownDML(ShardRoutes(ext, stmt, occ.dist, occ.alias))
 
@@ -706,17 +696,19 @@ class PushdownDML:
 
 
 def try_pushdown(ext, session, stmt, params, analysis, search=None):
-    """The cascade's third tier: plan the statement's multi-shard shape
-    and bind it, once what cannot run per shard has run as subplans."""
+    """The cascade's third tier: a SELECT, UPDATE or DELETE whose parts
+    that cannot run per shard run once first, as the levels of one
+    :class:`~.distributed.SubplanPlan`; else the statement's multi-shard
+    shape, bound."""
+    if isinstance(stmt, A.Select) and stmt.set_ops:  # the router declined it
+        stmt, levels = _arms(stmt)
+    else:
+        levels = run_once(analysis, search)
+    if levels:
+        from .distributed import SubplanPlan
+
+        return SubplanPlan(ext, session, stmt, params, levels)
     if isinstance(stmt, A.Select):
-        if stmt.set_ops:  # the router declined it
-            stmt, subplans = _arms(stmt)
-        else:
-            subplans = ({id(level): level for level in analysis.subplans()}
-                        or _unpreserved(analysis))
-        if subplans:
-            return _plan_subplans(ext, session, stmt, params, analysis,
-                                  subplans, search)
         shape = plan_pushdown_select(ext, stmt, analysis, search=search)
     elif isinstance(stmt, (A.Update, A.Delete)):
         shape = plan_pushdown_dml(ext, stmt, analysis, search=search)
@@ -741,29 +733,32 @@ def _arms(select):
         for_update=select.for_update), {id(arm): arm for arm in arms}
 
 
-def _unpreserved(analysis) -> dict:
-    """The distributed tables on the other side of an outer join that
-    preserves a side reading none, each read whole by name: per shard,
-    every shard would return that side's unmatched rows."""
-    dist = {occ.alias: occ.name for occ in analysis.distributed}
-    return {dist[alias]: select_star(dist[alias])
-            for preserved, other in analysis.outer_joins
-            if not preserved & dist.keys() for alias in other & dist.keys()}
-
-
-def _plan_subplans(ext, session, select, params, analysis, subplans, search):
-    """The plan of a SELECT whose ``subplans`` (levels by ``id``, or tables
-    read whole by name) run once before it, unless one of them reads a
-    column of a level around it."""
-    if any(map(analysis.correlated, subplans.values())):
+def run_once(analysis, search=None) -> dict:
+    """What of a statement runs once before the rest reads it (§3.5's
+    recursive planning): each inner level that cannot run per shard, by
+    ``id``, and, outside those levels, each table read whole by name as
+    ``SELECT * FROM t``: the distributed side of an outer join that
+    preserves a side reading no shard (every shard would return its
+    unmatched rows), and every local table while the rest reads shards.
+    A correlated level is refused: a subplan does not decorrelate."""
+    levels = analysis.subplans()
+    if any(map(analysis.correlated, levels)):
         message = ("a correlated subquery that cannot run per shard is not"
                    " supported (a subplan does not decorrelate)")
         if search is not None:
             search.reject("pushdown", "correlated_subplan", message)
         raise UnsupportedDistributedQuery(message)
-    from .distributed import SubplanPlan
-
-    return SubplanPlan(ext, session, select, params, subplans)
+    inside = {analysis.ref_keys[id(node)][1] for level in levels
+              for node in A.walk(level) if id(node) in analysis.ref_keys}
+    outside = [occ for occ in analysis.occurrences if occ.key not in inside]
+    dist = {occ.key: occ.name for occ in outside
+            if occ.dist is not None and not occ.dist.is_reference}
+    whole = {key: dist[key] for preserved, other in analysis.outer_joins
+             if not preserved & dist.keys() for key in sorted(other & dist.keys())}
+    if dist.keys() - whole.keys():
+        whole.update((occ.key, occ.name) for occ in outside if occ.dist is None)
+    return {**{id(level): level for level in levels},
+            **{name: select_star(name) for name in whole.values()}}
 
 
 # ---------------------------------------------------------------- plans
@@ -841,48 +836,34 @@ class MultiTaskSelectPlan(CitusPlan):
                 tasks_skipped=report.tasks_skipped,
             )
 
-    # ------------------------------------------------- streaming consumers
-
-    def execute_batches(self, session, params):
-        """Open this SELECT as a generator of visible row batches (each an
-        iterable of rows) for a streaming consumer (the INSERT..SELECT
-        write pipeline)."""
+    def rows(self, session, params):
+        """This SELECT's visible rows, streamed to a consumer that routes
+        them: made a run at a time, and handed on a batch at a time, each
+        batch as soon as it is full, before the merge is asked for (and
+        fetches for) its next run."""
         execution = self.ext.executor.open_task_streams(session, self.tasks)
-        return self._batch_generator(execution, session, self.params)
-
-    def _batch_generator(self, execution, session, params):
-        shape = self.shape
+        shape, params = self.shape, self.params
         merge_start = self.ext.cluster.clock.now()
         rows_out = 0
         try:
             if shape.mode != "concat":
                 # Group-merge: the worker partials stream into the hash
                 # aggregate batch by batch; the (much smaller) aggregated
-                # output stays columns, and its rows are made one at a time
-                # as the consumer takes them.
+                # output stays columns, its rows made as they are taken.
                 merged = run_streaming_group_merge(shape, execution, session,
                                                    params, as_rows=False)
-                rows = zip(*merged.columns)
-                for start in range(0, merged.count, STREAM_BATCH_SIZE):
-                    size = min(STREAM_BATCH_SIZE, merged.count - start)
-                    rows_out += size
-                    yield islice(rows, size)
+                rows_out = merged.count
+                yield from zip(*merged.columns)
                 return
-            # The consumer routes rows: they are made here, a run at a time.
-            runs = (run.rows() for run in stream_concat_runs(
-                shape, execution, session, params))
-            # Re-chunk the runs: a batch leaves as soon as it is full,
-            # before the merge is asked for (and fetches for) its next run.
             batch = []
-            for run in runs:
-                batch.extend(run)
+            for run in stream_concat_runs(shape, execution, session, params):
+                batch.extend(run.rows())
                 while len(batch) >= STREAM_BATCH_SIZE:
                     rows_out += STREAM_BATCH_SIZE
-                    yield batch[:STREAM_BATCH_SIZE]
+                    yield from batch[:STREAM_BATCH_SIZE]
                     del batch[:STREAM_BATCH_SIZE]
-            if batch:
-                rows_out += len(batch)
-                yield batch
+            rows_out += len(batch)
+            yield from batch
         finally:
             self._finish(execution, merge_start, rows_out)
 

@@ -11,6 +11,7 @@ supports".
 
 from __future__ import annotations
 
+from ...sql import ast as A
 from ..sharding import analyze_statement
 from .tasks import ShardRoutes, SingleTaskPlan
 
@@ -48,7 +49,7 @@ def try_router(ext, session, stmt, params, analysis, search=None):
     """The cascade's second tier: a one-task plan if the statement routes
     to a single shard group. A miss records its structured reason into
     ``search`` when given."""
-    reason = _unroutable(analysis)
+    reason = _unroutable(stmt, analysis)
     plan = None
     if reason is None:
         shape = RouterShape(ext, stmt, analysis.distributed[0].dist)
@@ -64,11 +65,15 @@ def try_router(ext, session, stmt, params, analysis, search=None):
     return plan
 
 
-def _unroutable(analysis):
+def _unroutable(stmt, analysis):
     """Why no parameters could route the statement, or None."""
     if analysis.locals:
         return ("local_tables",
                 "local/distributed table mix cannot be routed")
+    written = (analysis.occurrences[0].dist
+               if isinstance(stmt, (A.Update, A.Delete)) else None)
+    if written is not None and written.is_reference:
+        return ("reference_write", "a reference table is written on every replica")
     colocation_ids = {o.dist.colocation_id for o in analysis.distributed}
     if len(colocation_ids) != 1:
         return ("colocation",

@@ -257,6 +257,10 @@ class CitusPlan(CustomScanPlan):
     def __init__(self, ext):
         self.ext = ext
 
+    def rows(self, session, params):
+        """A SELECT plan's rows for a consumer that routes them: whole."""
+        yield from self.execute(session, params).rows
+
     def explain_info(self) -> dict:
         """Structured plan description consumed by
         :func:`repro.citus.observability.describe_plan`. ``tier`` is the

@@ -51,8 +51,8 @@ class QueryAnalysis:
         #: The level a subquery is read by, and whether it is read as an
         #: expression (not as a FROM item), by the subquery's ``id``.
         self.readers: dict[int, tuple[A.Statement, bool]] = {}
-        #: One ``(preserved, other)`` pair of alias sets per side an outer
-        #: join keeps every row of (two for a FULL join).
+        #: One ``(preserved, other)`` pair of table key sets per side an
+        #: outer join keeps every row of (two for a FULL join).
         self.outer_joins: list[tuple[set, set]] = []
         #: FROM item ``id`` -> (the item, its key): see :func:`_ref_key`.
         self.ref_keys: dict[int, tuple] = {}
@@ -265,7 +265,10 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
         scope = _build_scope([target], analysis)
         if stmt.where is not None:
             _collect_equalities(stmt.where, analysis, params, scope)
-            _collect_subquery_tables(stmt.where, cache, analysis, params, scope, stmt)
+        # A subquery in SET or RETURNING reads shards as one in WHERE does.
+        for expr in [stmt.where, *(value for _column, value in getattr(
+                stmt, "assignments", ())), *(t.expr for t in stmt.returning)]:
+            _collect_subquery_tables(expr, cache, analysis, params, scope, stmt)
     _finalize_unqualified_refs(analysis)
     return analysis
 
@@ -431,11 +434,11 @@ def _analyze_from_item(item, cache, analysis, params, scope, select):
             _collect_subquery_tables(item.condition, cache, analysis, params,
                                      scope, select)
         if item.join_type in ("left", "full"):
-            analysis.outer_joins.append((_aliases_under(item.left),
-                                         _aliases_under(item.right)))
+            analysis.outer_joins.append((_keys_under(item.left, analysis),
+                                         _keys_under(item.right, analysis)))
         if item.join_type in ("right", "full"):
-            analysis.outer_joins.append((_aliases_under(item.right),
-                                         _aliases_under(item.left)))
+            analysis.outer_joins.append((_keys_under(item.right, analysis),
+                                         _keys_under(item.left, analysis)))
         for name in item.using:
             left_alias = _leftmost_alias(item.left)
             right_alias = _leftmost_alias(item.right)
@@ -454,9 +457,10 @@ def _output_key(select: A.Select, position: int, scope, analysis) -> str | None:
     return _qualify(entry.expr.key, scope)
 
 
-def _aliases_under(item) -> set:
-    """The aliases of the tables a FROM item reads, inside subqueries too."""
-    return {node.ref_name for node in A.walk(item) if isinstance(node, A.TableRef)}
+def _keys_under(item, analysis) -> set:
+    """The keys of the tables a FROM item reads, inside subqueries too."""
+    return {_ref_key(node, analysis) for node in A.walk(item)
+            if isinstance(node, A.TableRef)}
 
 
 def _leftmost_alias(item):

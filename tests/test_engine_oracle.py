@@ -528,6 +528,21 @@ def test_explain_lists_each_subplan(cluster_session):
     assert "SELECT DISTINCT v FROM events" in text
 
 
+def test_one_subplan_holds_every_level_that_runs_once(oracle, cluster_session):
+    """Read whole, an outer join's unmatched side leaves the level around
+    it reading no shard, so its IN subquery runs once too: both are levels
+    of one subplan, where one used to nest inside the other. An outer join
+    inside a level that runs once reads nothing whole of its own (TPC-H
+    Q13 keeps one subplan)."""
+    sql = ("SELECT count(*) FROM tenants t LEFT JOIN events e"
+           " ON e.tenant = t.id WHERE t.id IN (SELECT f.k FROM flags f)")
+    assert explain(cluster_session, sql).subplan["queries"] == [
+        "SELECT * FROM events", "SELECT f.k FROM flags AS f"]
+    assert cluster_session.execute(sql).rows == oracle.execute(sql).rows
+    assert len(explain(cluster_session, TPCH["Q13"][0]).subplan["queries"]) == 1
+    assert intermediate_tables(cluster_session) == []
+
+
 def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):
     """Both sides preserved and neither joined on its distribution column:
     every strategy left would broadcast a preserved side."""
@@ -538,6 +553,209 @@ def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):
         "SELECT citus_plan_alternatives($1)", [sql]).scalar())
     assert [c["rejection"]["code"] for c in search["candidates"]
             if c["tier"] == "join_order"] == ["outer_join_broadcast"]
+
+
+# --------------------------------------------- one run-once step per statement
+
+#: Statements whose parts that cannot run per shard — an inner level, the
+#: distributed side of an outer join that preserves a side reading none, a
+#: local table — run once, as the levels of one subplan. Each was refused
+#: ("joining local tables with distributed tables is not supported") or
+#: raised CatalogError (an intermediate landed where it was never read) on
+#: 1x4 and 4x16.
+RUN_ONCE_SELECTS = {
+    "outer_join_beside_inner_level":
+        "SELECT t.id, count(e.k) FROM tenants t LEFT JOIN events e"
+        " ON e.tenant = t.id WHERE t.id IN (SELECT tenant FROM events"
+        " ORDER BY k LIMIT 5) GROUP BY t.id",
+    "join_local": "SELECT e.k, l.x FROM events e JOIN loc l ON e.tenant = l.x",
+    "in_local": "SELECT count(*) FROM events WHERE tenant IN (SELECT x FROM loc)",
+    "left_join_preserving_local":
+        "SELECT l.x, count(e.k) FROM loc l LEFT JOIN events e"
+        " ON e.tenant = l.x AND e.v > (SELECT avg(v) FROM events)"
+        " GROUP BY l.x",
+}
+#: UPDATE and DELETE whose subqueries run once (or, over a reference
+#: table, per shard). Each of the first eight was refused ("subqueries in
+#: multi-shard UPDATE/DELETE are not supported", or "cannot plan Update on
+#: distributed tables"). 40 rows tie at v = 49, so the LIMIT orders on k
+#: too.
+RUN_ONCE_WRITES = {
+    "update_in_inner_level":
+        "UPDATE events SET v = v + 1 WHERE tenant IN"
+        " (SELECT tenant FROM events WHERE k < 50)",
+    "update_in_reference":
+        "UPDATE events SET v = v + 1 WHERE tenant IN"
+        " (SELECT id FROM tenants WHERE plan = 'plan1')",
+    "delete_over_average":
+        "DELETE FROM events WHERE v > (SELECT avg(v) FROM events)",
+    "update_in_limit":
+        "UPDATE events SET v = 0 WHERE k IN"
+        " (SELECT k FROM events ORDER BY v DESC, k LIMIT 7)",
+    "delete_in_local": "DELETE FROM events WHERE tenant IN (SELECT x FROM loc)",
+    "update_set_subquery":
+        "UPDATE events SET v = (SELECT max(k) FROM events) WHERE k < 100",
+    # Read per shard, the count was 249 on 2x8, not 2,000.
+    "update_returning_subquery":
+        "UPDATE events SET v = 5 WHERE k < 3"
+        " RETURNING (SELECT count(*) FROM events)",
+    # Landed on the coordinator only, the replicas raised CatalogError.
+    "update_reference_in_inner_level":
+        "UPDATE tenants SET plan = 'hot' WHERE id IN"
+        " (SELECT tenant FROM events WHERE k < 20)",
+    # The router sent each of these to the shard of k = 5 alone: the
+    # subquery in SET or RETURNING read that shard's rows only (v = 1,937
+    # and a count of 122 on 4x16, not 2,000), and the UPDATE of the
+    # reference table wrote only the replica beside that shard (the
+    # coordinator's read no 'hot' row).
+    "update_set_subquery_routed":
+        "UPDATE events SET v = (SELECT max(k) FROM events) WHERE k = 5",
+    "update_returning_subquery_routed":
+        "UPDATE events SET v = 1 WHERE k = 5"
+        " RETURNING (SELECT count(*) FROM events)",
+    "update_reference_routed":
+        "UPDATE tenants SET plan = 'hot' WHERE id IN"
+        " (SELECT tenant FROM events WHERE k = 5)",
+}
+
+
+def load_run_once(session, distributed: bool) -> None:
+    """``events`` and ``tenants`` as :func:`oracle.load` makes them, and a
+    plain table ``loc`` of 1, 2, 3."""
+    session.execute("CREATE TABLE events (k int PRIMARY KEY, tenant int,"
+                    " v int, label text)")
+    session.execute("CREATE TABLE tenants (id int PRIMARY KEY, plan text)")
+    session.execute("CREATE TABLE loc (x int)")
+    if distributed:
+        session.execute("SELECT create_distributed_table('events', 'k')")
+        session.execute("SELECT create_reference_table('tenants')")
+    fill_run_once(session)
+    session.execute("INSERT INTO loc VALUES (1), (2), (3)")
+
+
+def fill_run_once(session) -> None:
+    session.copy_rows("events", [[k, (k * 31) % 40, (k * 7) % 50, f"label-{k % 97}"]
+                                 for k in range(1, 2001)])
+    session.copy_rows("tenants", [[t, f"plan{t % 4}"] for t in range(40)])
+
+
+@pytest.fixture(scope="module", params=sorted(LAYOUTS))
+def run_once_pair(request):
+    """The oracle and a cluster of one layout, each holding ``events``,
+    ``tenants`` and ``loc`` (:func:`load_run_once`)."""
+    workers, shards = LAYOUTS[request.param]
+    sessions = (oracle_session(), make_cluster(
+        workers=workers, shard_count=shards).coordinator_session())
+    for session in sessions:
+        load_run_once(session, session is sessions[1])
+    return sessions
+
+
+def contents(session):
+    return [sorted(map(tuple, session.execute(f"SELECT * FROM {table}").rows))
+            for table in ("events", "tenants", "loc")]
+
+
+@pytest.mark.parametrize("in_block", [False, True],
+                         ids=["autocommit", "in_block"])
+@pytest.mark.parametrize("name", sorted(RUN_ONCE_SELECTS))
+def test_a_statement_with_local_tables_and_inner_levels_agrees(
+        run_once_pair, name, in_block):
+    """Every part that runs once is a level of one subplan; in a block that
+    has uncommitted ``loc`` rows, the levels read them."""
+    sql = RUN_ONCE_SELECTS[name]
+    oracle, cluster = run_once_pair
+    assert explain(cluster, sql).tier == "subplan"
+    results = []
+    for session in run_once_pair:
+        if in_block:
+            session.execute("BEGIN")
+            session.execute("INSERT INTO loc VALUES (4), (5)")
+        try:
+            results.append(sorted(normalized(session.execute(sql).rows), key=repr))
+        finally:
+            if in_block:
+                session.execute("ROLLBACK")
+    expected, got = results
+    assert expected
+    assert got == expected
+    assert intermediate_tables(cluster) == []
+
+
+@pytest.mark.parametrize("in_block", [False, True],
+                         ids=["autocommit", "in_block"])
+@pytest.mark.parametrize("name", sorted(RUN_ONCE_WRITES))
+def test_an_update_or_delete_with_subqueries_agrees(run_once_pair, name,
+                                                    in_block):
+    """Rows, row count and every table's contents as one node has them, in
+    autocommit and inside a block (checked before and after COMMIT); no
+    intermediate is left, after the statement and after one that fails."""
+    sql = RUN_ONCE_WRITES[name]
+    oracle, cluster = run_once_pair
+    results = []
+    try:
+        for session in run_once_pair:
+            if in_block:
+                session.execute("BEGIN")
+            result = session.execute(sql)
+            seen = [contents(session)]
+            if in_block:
+                session.execute("COMMIT")
+                seen.append(contents(session))
+            results.append((sorted(normalized(result.rows), key=repr),
+                            result.rowcount, seen))
+        expected, got = results
+        assert expected[1] > 0
+        assert got == expected
+        assert intermediate_tables(cluster) == []
+        key = "id" if sql.startswith("UPDATE tenants") else "k"
+        failing = sql.replace(" WHERE ", f" WHERE 1 / ({key} - {key}) = 0 AND ", 1)
+        if in_block:
+            cluster.execute("BEGIN")
+        with pytest.raises(ReproError, match="division by zero"):
+            cluster.execute(failing)
+        if in_block:
+            cluster.execute("ROLLBACK")
+        assert intermediate_tables(cluster) == []
+    finally:
+        for session in run_once_pair:
+            session.execute("DELETE FROM events")
+            session.execute("DELETE FROM tenants")
+            fill_run_once(session)
+
+
+def test_insert_select_over_a_local_join_agrees(run_once_pair):
+    """The ``events`` ⋈ ``loc`` join runs as a subplan; its rows are routed
+    into the destination like any pulled INSERT..SELECT."""
+    insert = ("INSERT INTO local_sink SELECT e.k, l.x FROM events e"
+              " JOIN loc l ON e.tenant = l.x")
+    results = []
+    for session in run_once_pair:
+        session.execute("CREATE TABLE local_sink (k int, x int)")
+        try:
+            if session is run_once_pair[1]:
+                session.execute("SELECT create_distributed_table('local_sink', 'x')")
+            count = session.execute(insert).rowcount
+            results.append((count, sorted(map(tuple, session.execute(
+                "SELECT * FROM local_sink").rows))))
+        finally:
+            session.execute("DROP TABLE local_sink")
+    expected, got = results
+    assert expected[0] == 150
+    assert got == expected
+    assert intermediate_tables(run_once_pair[1]) == []
+
+
+def test_a_correlated_run_once_level_is_refused(run_once_pair):
+    """A subquery in an UPDATE or DELETE runs once; one that reads a column
+    of the statement around it cannot, and nothing is written or left."""
+    oracle, cluster = run_once_pair
+    before = contents(cluster)
+    with pytest.raises(UnsupportedDistributedQuery, match="correlated"):
+        cluster.execute("DELETE FROM events e WHERE EXISTS (SELECT 1 FROM"
+                        " events x WHERE x.k = e.k AND x.v > 10)")
+    assert contents(cluster) == before == contents(oracle)
+    assert intermediate_tables(cluster) == []
 
 
 # ------------------------------------------ outer joins on a replicated side

@@ -224,10 +224,16 @@ class TestJoinOrderPlanner:
 
 
 class TestUnsupported:
-    def test_local_distributed_join_rejected(self, s):
+    def test_local_distributed_join_agrees(self, s):
+        # The local table runs once, read whole; the join reads its rows
+        # beside every shard.
         s.execute("CREATE TABLE plain_local (id int PRIMARY KEY)")
-        with pytest.raises(UnsupportedDistributedQuery):
-            s.execute("SELECT * FROM orders o JOIN plain_local p ON o.id = p.id")
+        s.execute("INSERT INTO plain_local VALUES (1), (2)")
+        sql = "SELECT * FROM orders o JOIN plain_local p ON o.id = p.id"
+        assert "Planner: Subplans (run once)" in explain_text(s, sql)
+        expected = [[*row, 1] for row in s.execute("SELECT * FROM orders").rows]
+        assert len(expected) == 8
+        assert sorted(map(list, s.execute(sql).rows)) == sorted(expected)
 
     def test_three_way_non_colocated_rejected(self, s):
         s.execute("CREATE TABLE third (tkey int PRIMARY KEY)")
