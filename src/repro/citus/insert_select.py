@@ -25,27 +25,25 @@ from __future__ import annotations
 
 from .copy_dist import copy_targets, distribute_rows
 from .observability import TaskTarget
-from .planner.pushdown import pushes_down_without_merge, shell_columns
+from .planner.pushdown import pushes_down_without_merge
 from .planner.tasks import CitusPlan, fold_write_results, statement_routes
 from .sharding import analyze_statement
-from ..engine.executor import QueryResult, width_error
+from ..engine.executor import QueryResult, level_names, level_targets, width_error
 from ..sql import ast as A
 
 
 def plan_insert_select(ext, stmt: A.Insert, params):
     cache = ext.metadata.cache
     dest = cache.tables.get(stmt.table)
-    if dest is None:
-        # Local destination fed from distributed source: run the select
-        # distributed, insert locally.
-        return ReroutingInsertSelectPlan(ext, stmt, "coordinator", None)
     analysis = analyze_statement(stmt.select, cache, params, ext.instance.catalog)
-    if dest.is_reference:
-        return ReroutingInsertSelectPlan(ext, stmt, "coordinator", dest)
-    strategy = _choose_strategy(ext, stmt, dest, analysis)
+    # A local destination fed from a distributed source runs the select
+    # distributed and inserts locally.
+    strategy = ("coordinator" if dest is None or dest.is_reference
+                else _choose_strategy(ext, stmt, dest, analysis))
     if strategy == "pushdown":
         return PushdownInsertSelectPlan(ext, stmt, params, dest)
-    return ReroutingInsertSelectPlan(ext, stmt, strategy, dest)
+    return ReroutingInsertSelectPlan(ext, stmt, strategy, dest, len(
+        level_names(stmt.select, analysis.column_names)))
 
 
 def _choose_strategy(ext, stmt: A.Insert, dest, analysis) -> str:
@@ -68,24 +66,14 @@ def _choose_strategy(ext, stmt: A.Insert, dest, analysis) -> str:
 
 
 def _dest_key_from_source_key(stmt: A.Insert, dest, analysis) -> bool:
-    select = stmt.select
-    if not stmt.columns:
+    """Whether the column the destination is distributed by is fed the
+    source's distribution column (a ``*`` counted as its columns)."""
+    if dest.dist_column not in stmt.columns:
         return False
-    try:
-        position = stmt.columns.index(dest.dist_column)
-    except ValueError:
-        return False
-    targets = [t for t in select.targets if isinstance(t, A.TargetEntry)]
-    if position >= len(targets):
-        return False
-    expr = targets[position].expr
-    if not isinstance(expr, A.ColumnRef):
-        return False
-    roots = {
-        analysis.equivalence.find(analysis.dist_column_key(o))
-        for o in analysis.distributed
-    }
-    return analysis.equivalence.find(expr.key) in roots
+    targets = level_targets(stmt.select, analysis.column_names)
+    position = stmt.columns.index(dest.dist_column)
+    return position < len(targets) and analysis.dist_column_test(
+        stmt.select)(targets[position].expr)
 
 
 # --------------------------------------------------- streaming SELECT feed
@@ -156,11 +144,12 @@ class ReroutingInsertSelectPlan(CitusPlan):
 
     tier = "insert_select"
 
-    def __init__(self, ext, stmt, strategy: str, dest):
+    def __init__(self, ext, stmt, strategy: str, dest, width: int):
         super().__init__(ext)
         self.stmt = stmt
         self.strategy = strategy
         self.dest = dest
+        self.width = width  # the SELECT's output columns
         self.detail, self._shown = _REROUTING[strategy]
         #: A SELECT that reads the destination is read whole before the
         #: first flush: it must not see the statement's own inserts.
@@ -170,12 +159,11 @@ class ReroutingInsertSelectPlan(CitusPlan):
     def execute(self, session, params):
         stmt = self.stmt
         shell = self.ext.instance.catalog.get_table(stmt.table)
-        width = len(shell_columns(session, stmt.select, params))
         # Without a column list the values fill the first columns
         # (PostgreSQL's rule); the rest take their defaults.
-        columns = stmt.columns or shell.column_names()[:width]
-        if width != len(columns):
-            raise width_error("INSERT", width, len(columns))
+        columns = stmt.columns or shell.column_names()[:self.width]
+        if self.width != len(columns):
+            raise width_error("INSERT", self.width, len(columns))
         rows = select_row_stream(self.ext, session, stmt.select, params)
         if self.drain:
             rows = iter(list(rows))

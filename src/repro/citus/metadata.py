@@ -92,6 +92,7 @@ class DistributedTable:
     dist_column_type: str | None
     colocation_id: int
     shards: list[ShardInterval] = field(default_factory=list)  # ordered by min_value
+    columns: list | None = None  # an intermediate's; None: the shell's
 
     def __post_init__(self):
         # What routing bisects: the shard list is fixed once the cache

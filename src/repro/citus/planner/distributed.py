@@ -31,7 +31,9 @@ from ...engine.compile import evaluate, get_prepared
 from ...engine.datum import (
     ANYELEMENT, TEXT, cast_value, refuse_number_against_text,
 )
-from ...engine.executor import QueryResult, text_comparisons, width_error
+from ...engine.executor import (
+    QueryResult, level_names, text_comparisons, width_error,
+)
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
@@ -44,7 +46,7 @@ from .fast_path import try_fast_path
 from .join_order import plan_join_order
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
 from .plan_cache import normalized
-from .pushdown import run_once, shell_columns, try_pushdown
+from .pushdown import run_once, try_pushdown
 from .router import try_router
 from .subplan import land, read_from, reference_intermediate
 from .tasks import (
@@ -288,25 +290,22 @@ class SubplanPlan(CitusPlan):
     tier = "subplan"
     detail = "Subplans (run once)"
 
-    def __init__(self, ext, session, stmt, params, levels):
+    def __init__(self, ext, session, stmt, params, levels, analysis):
         super().__init__(ext)
         cache = ext.metadata.cache
-        #: Per level: its plan, the intermediate its rows land in, and that
-        #: intermediate's columns.
+        #: Per level: its plan and the intermediate its rows land in.
         self.subplans, self.queries, nodes = [], [], set()
         try:
             while levels:
-                names = {}
+                readers = {}
                 for key, level in levels.items():
-                    transient = reference_intermediate(
-                        f"citus_subplan_{next(_subplan_counter)}")
-                    names[key], columns = _reader(
-                        transient.name, shell_columns(session, level, params))
+                    transient, readers[key] = _intermediate(
+                        level_names(level, analysis.column_names))
                     self.subplans.append((_plan(ext, session, level, params,
-                                                None), transient, columns))
+                                                None), transient))
                     self.queries.append(sql_with_values(level, params))
                     cache.tables[transient.name] = transient
-                stmt = read_from(stmt, names)
+                stmt = read_from(stmt, readers)
                 analysis = analyze_statement(stmt, cache, params,
                                              ext.instance.catalog)
                 nodes |= _reading_nodes(ext, stmt, analysis)
@@ -314,16 +313,16 @@ class SubplanPlan(CitusPlan):
             self.nodes = sorted(nodes)
             self.plan = _plan(ext, session, stmt, params, None)
         finally:
-            for _subplan, transient, _columns in self.subplans:
+            for _subplan, transient in self.subplans:
                 cache.tables.pop(transient.name, None)
 
     def execute(self, session, params):
         with ExitStack() as landed:
-            for plan, transient, columns in self.subplans:
+            for plan, transient in self.subplans:
                 table = transient.shards[0].shard_name
                 rows = landed.enter_context(closing(plan.rows(session, params)))
                 landed.enter_context(land(
-                    self.ext, transient, columns,
+                    self.ext, transient,
                     [(node, None, table) for node in self.nodes], rows))
             return self.plan.execute(session, params)
 
@@ -349,16 +348,18 @@ def _reading_nodes(ext, stmt, analysis) -> set:
     return nodes
 
 
-def _reader(table: str, names: list[str]):
-    """What the rest of a statement reads in place of a subplan level whose
-    output columns ``names`` lists, and the columns of its intermediate
-    ``table``: c1, c2, ..., untyped, read back under the level's names,
-    which may repeat (``SELECT count(*), count(*)``)."""
-    columns = [Column(f"c{i}", ANYELEMENT) for i in range(1, len(names) + 1)]
-    return A.Select(
+def _intermediate(names: list[str]):
+    """The intermediate of a subplan level whose output columns ``names``
+    lists, its columns c1, c2, ... untyped, and what the rest of the
+    statement reads in the level's place: those columns under the level's
+    names, which may repeat (``SELECT count(*), count(*)``)."""
+    transient = reference_intermediate(
+        f"citus_subplan_{next(_subplan_counter)}",
+        [Column(f"c{i}", ANYELEMENT) for i in range(1, len(names) + 1)])
+    return transient, A.Select(
         targets=[A.TargetEntry(A.ColumnRef(column.name), name)
-                 for column, name in zip(columns, names)],
-        from_items=[A.TableRef(table)]), columns
+                 for column, name in zip(transient.columns, names)],
+        from_items=[A.TableRef(transient.name)])
 
 
 class InsertValuesPlan(CitusPlan):

@@ -16,19 +16,22 @@ that the join becomes co-located:
 The planner estimates both costs and "chooses the order that minimizes the
 network traffic". After the move, the rewritten query is handed to the
 logical pushdown planner — the intermediate table is registered in the
-metadata cache as a transient co-located (or reference) table, which makes
-the pushdown machinery (including two-phase aggregation) apply unchanged.
+metadata cache as a transient co-located (or reference) table carrying the
+moved table's columns, which makes the pushdown machinery (including
+two-phase aggregation, and the naming of a ``*`` with every shard pruned)
+apply unchanged.
 
 Both moves are uses of :func:`~.subplan.land`, the one step that makes a
 statement's intermediate result; it also lands the rows of what a
 statement runs once (:class:`~.distributed.SubplanPlan`).
 
 Scope (cf. the paper's own "4 of the 22 TPC-H queries are unsupported"):
-exactly two distributed tables per join, no FOR UPDATE. What cannot run
-per shard — inner levels, set-operation arms, an outer join's unmatched
-distributed side, local tables — has run once before this tier sees the
-statement; a correlated level that must run once stays refused, since a
-subplan does not decorrelate.
+exactly two distributed tables per join, no FOR UPDATE, no write. What
+cannot run per shard — inner levels, set-operation arms, an outer join's
+unmatched distributed side, local tables, and an UPDATE or DELETE's
+subquery that does not meet the written table's shards — has run once
+before this tier sees the statement; a correlated level that must run
+once stays refused, since a subplan does not decorrelate.
 """
 
 from __future__ import annotations
@@ -161,25 +164,26 @@ class RepartitionPlan(CitusPlan):
         cache = ext.metadata.cache
         anchor = self.anchor.dist
         qid = next(_intermediate_counter)
+        columns = ext.instance.catalog.get_table(self.moved.name).columns
         if self.strategy == "repartition":
             # One intermediate beside each anchor shard, over its interval:
             # the moved rows hashed on the join column.
             name = f"citus_repart_{qid}"
             transient = replace(anchor, name=name, dist_column=self.join_col,
                                 shards=[replace(shard, table_name=name)
-                                        for shard in anchor.shards])
+                                        for shard in anchor.shards],
+                                columns=columns)
             targets = copy_targets(cache, transient)
         else:
             # One reference copy on every node holding an anchor shard.
             name = f"citus_bcast_{qid}"
-            transient = reference_intermediate(name)
+            transient = reference_intermediate(name, columns)
             targets = [(node, None, transient.shards[0].shard_name) for node in
                        sorted({cache.placement_node(s.shardid) for s in anchor.shards})]
-        shell = ext.instance.catalog.get_table(self.moved.name)
         # The moved side streams through the session's own plan, so inside
         # a transaction block it sees the block's writes.
         rows = select_row_stream(ext, session, select_star(self.moved.name), None)
-        with closing(rows), land(ext, transient, shell.columns, targets, rows):
+        with closing(rows), land(ext, transient, targets, rows):
             rewritten = read_from(self.select, {self.moved.name: name})
             analysis = analyze_statement(rewritten, cache, self.params,
                                          ext.instance.catalog)

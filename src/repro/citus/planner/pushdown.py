@@ -2,11 +2,16 @@
 
 Plans multi-shard SELECT, UPDATE and DELETE statements whose join tree
 can be fully pushed down: all distributed tables are co-located and joined
-on their distribution columns (checked via the equivalence analysis).
+on their distribution columns (checked via the equivalence analysis, one
+test for all three: an UPDATE or DELETE is a level whose FROM is the table
+it writes, so a co-located subquery it reads runs on each shard too).
 What cannot run per shard (:func:`run_once`) runs once first, as the
 levels of one :class:`~.distributed.SubplanPlan`, and the rest comes back
 through the cascade. Still refused: a correlated level that must run
-once, and multi-shard FOR UPDATE. Two merge strategies exist:
+once, and multi-shard FOR UPDATE. Everything here is decided from the
+query tree: a level's output columns, a ``*`` among them, are named from
+the tables' columns (:func:`~repro.engine.executor.level_targets`), never
+by running it. Two merge strategies exist:
 
 - **concat** — the GROUP BY contains the distribution column (or there is
   no aggregation): every group lives on one shard, so workers run the
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ...engine.executor import (
-    LocalExecutor, QueryResult, has_aggregates, is_aggregate_call,
+    QueryResult, has_aggregates, is_aggregate_call, level_targets,
     output_names, resolve_group_ref, transform_level,
 )
 from ...engine.functions import PARTIAL_REWRITES
@@ -47,12 +52,11 @@ class PushdownSelect:
     mode: str  # "concat" | "merge"
     master_query: A.Select | None  # merge mode: query over the intermediate
     intermediate_columns: list  # column names of worker result
-    visible_columns: list  # merge mode: output column names
-    hidden_sort_keys: list  # concat mode: (position, ascending, nulls_first)
+    visible_columns: list  # output column names
+    hidden_sort_keys: list  # concat: (worker row position, asc, nulls_first)
     distinct: bool = False
     offset: A.Expr | None = None
     limit: A.Expr | None = None
-    n_visible: int = 0
     # Observability: the anchor table's shard count before pruning, and
     # the clause-level split between worker and coordinator evaluation.
     total_shards: int = 0
@@ -80,18 +84,12 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
             search.reject("pushdown", code, message)
         raise UnsupportedDistributedQuery(message)
 
-    dist = analysis.distributed
     if select.for_update:
         unsupported(
             "for_update",
             "SELECT FOR UPDATE on multiple shards is not supported",
         )
-    colocation_ids = {o.dist.colocation_id for o in dist}
-    if len(colocation_ids) != 1 or not analysis.shards_align():
-        if search is not None:
-            search.reject("pushdown", "non_colocated_join",
-                          "tables are not co-located or not joined on their"
-                          " distribution columns")
+    if not _shards_align(analysis, search):
         return None  # hand over to the join-order planner
     if not _windows_stay_on_shards(analysis):
         unsupported(
@@ -99,9 +97,22 @@ def plan_pushdown_select(ext, select: A.Select, analysis: QueryAnalysis,
             "window functions on distributed tables must be partitioned"
             " by the distribution column",
         )
+    anchor = analysis.distributed[0]
     if pushes_down_without_merge(analysis, select):
-        return _plan_concat(ext, select, dist[0])
-    return _plan_merge(ext, select, dist[0])
+        return _plan_concat(ext, select, anchor, analysis)
+    return _plan_merge(ext, select, anchor, analysis)
+
+
+def _shards_align(analysis: QueryAnalysis, search) -> bool:
+    """A multi-shard SELECT, UPDATE and DELETE's test to run per shard
+    (``shards_align``); a miss is recorded into ``search``."""
+    if analysis.shards_align():
+        return True
+    if search is not None:
+        search.reject("pushdown", "non_colocated_join",
+                      "tables are not co-located or not joined on their"
+                      " distribution columns")
+    return False
 
 
 def pushes_down_without_merge(analysis: QueryAnalysis, select: A.Select) -> bool:
@@ -109,8 +120,7 @@ def pushes_down_without_merge(analysis: QueryAnalysis, select: A.Select) -> bool
     concatenating: its tables are co-located and joined on their
     distribution columns, every window stays on one shard, no level
     aggregates across shards and nothing must run once (:func:`run_once`)."""
-    return (len({o.dist.colocation_id for o in analysis.distributed}) == 1
-            and analysis.shards_align()
+    return (analysis.shards_align()
             and _windows_stay_on_shards(analysis)
             and not analysis.aggregates_across_shards(select)
             and not run_once(analysis))
@@ -125,36 +135,32 @@ def _windows_stay_on_shards(analysis: QueryAnalysis) -> bool:
 # ---------------------------------------------------------------- concat
 
 
-def _plan_concat(ext, select, anchor):
+def _plan_concat(ext, select, anchor, analysis):
     worker = select.copy()
-    # Hidden sort keys are either ("pos", output_index) for an ORDER BY
-    # key that is an output column (by position or by alias), or
-    # ("appended", j) for sort expressions appended to the worker target
-    # list — resolved against the actual result width at execution time,
-    # because * targets expand only on the workers.
+    # The output columns, named at plan time: a ``*`` counts as its columns.
+    targets = level_targets(select, analysis.column_names)
+    visible = output_names(targets)
+    # The coordinator re-sorts the concatenated rows on the output column
+    # an ORDER BY key names by position or by output alias (which wins over
+    # an input column of the same name, and is no expression a worker could
+    # evaluate), or on a hidden column appended to the worker's targets;
+    # ORDER BY (+combined LIMIT) is pushed down. A position past the output
+    # is a constant to the workers (the engine's rule): it orders nothing.
     hidden_sort = []
-    n_appended = 0
-    if worker.order_by:
-        # Append hidden sort columns so the coordinator can re-sort the
-        # concatenated rows, then push ORDER BY (+combined LIMIT) down.
-        for ordinal, key in enumerate(worker.order_by):
-            expr = key.expr
-            if isinstance(expr, A.Literal) and isinstance(expr.value, int):
-                position = expr.value - 1
-            else:
-                position, expr = _resolve_output_alias(select.targets, expr)
-            if position is not None:
-                hidden_sort.append(
-                    (("pos", position), key.ascending, key.nulls_first)
-                )
-            else:
-                worker.targets.append(
-                    A.TargetEntry(expr.copy(), f"worker_sort_{ordinal}")
-                )
-                hidden_sort.append(
-                    (("appended", n_appended), key.ascending, key.nulls_first)
-                )
-                n_appended += 1
+    for ordinal, key in enumerate(worker.order_by):
+        expr, position = key.expr, None
+        if isinstance(expr, A.Literal) and isinstance(expr.value, int):
+            if not 0 < expr.value <= len(visible):
+                continue
+            position = expr.value - 1
+        elif isinstance(expr, A.ColumnRef) and expr.table is None:
+            position = next((index for index, entry in enumerate(targets)
+                             if entry.alias == expr.name), None)
+        if position is None:
+            position = len(visible) + len(worker.targets) - len(select.targets)
+            worker.targets.append(
+                A.TargetEntry(expr.copy(), f"worker_sort_{ordinal}"))
+        hidden_sort.append((position, key.ascending, key.nulls_first))
     limit, offset = select.limit, select.offset
     if worker.limit is not None and worker.offset is not None:
         worker.limit = A.BinaryOp("+", worker.limit, worker.offset)
@@ -170,36 +176,17 @@ def _plan_concat(ext, select, anchor):
         mode="concat",
         master_query=None,
         intermediate_columns=[],
-        visible_columns=[],
+        visible_columns=visible,
         hidden_sort_keys=hidden_sort,
         distinct=select.distinct,
         offset=offset,
         limit=limit,
-        n_visible=n_appended,  # reinterpreted: number of appended columns
         total_shards=len(anchor.dist.shards),
         pushed_down=pushed_down,
         coordinator=coordinator,
         routes=ShardRoutes(ext, worker, anchor.dist, anchor.alias),
         merge_strategy=merge_strategy,
     )
-
-
-def _resolve_output_alias(targets, expr):
-    """``(output position, sort expression)`` for one ORDER BY key. A bare
-    name that is a target's output alias (which wins over an input column
-    of the same name, and is not an expression a worker could evaluate as
-    a target) sorts on that target's position — or, when a ``*`` before it
-    leaves the position unknown until the workers expand it, on the
-    aliased target's own expression. Any other key: ``(None, expr)``."""
-    if not (isinstance(expr, A.ColumnRef) and expr.table is None):
-        return None, expr
-    after_star = False
-    for index, entry in enumerate(targets):
-        if isinstance(getattr(entry, "expr", entry), A.Star):
-            after_star = True
-        elif entry.alias == expr.name:
-            return (None, entry.expr) if after_star else (index, expr)
-    return None, expr
 
 
 def _classify_concat_clauses(select: A.Select) -> tuple[list, list]:
@@ -229,7 +216,7 @@ def _classify_concat_clauses(select: A.Select) -> tuple[list, list]:
 # ----------------------------------------------------------------- merge
 
 
-def _plan_merge(ext, select, anchor):
+def _plan_merge(ext, select, anchor, analysis):
     worker_targets: list[A.TargetEntry] = []
     worker_exprs_seen: dict[str, str] = {}  # deparse(expr) -> worker column
 
@@ -288,11 +275,7 @@ def _plan_merge(ext, select, anchor):
         and group keys into the worker target list."""
         return transform_level(expr.copy(), split_node)
 
-    targets = select.targets
-    if any(isinstance(t.expr, A.Star) for t in targets):
-        raise UnsupportedDistributedQuery(
-            "SELECT * with cross-shard aggregation is not supported"
-        )
+    targets = level_targets(select, analysis.column_names)
     master_targets = [A.TargetEntry(split(t.expr), t.alias) for t in targets]
 
     # Original GROUP BY keys not already covered become hidden worker
@@ -359,7 +342,6 @@ def _plan_merge(ext, select, anchor):
         intermediate_columns=[t.alias for t in worker_targets],
         visible_columns=output_names(targets),
         hidden_sort_keys=[],
-        n_visible=len(targets),
         total_shards=len(anchor.dist.shards),
         pushed_down=pushed_down,
         coordinator=coordinator,
@@ -383,50 +365,19 @@ def _plan_merge(ext, select, anchor):
 # gauge).
 
 
-def merge_key_columns(plan: PushdownSelect, visible_width: int, width: int) -> list:
+def merge_key_columns(plan: PushdownSelect) -> list:
     """The coordinator MergeAppend's key columns, one ``(row position,
-    descending, key function)`` per hidden sort key: positions resolved
-    against the worker result (``width`` columns, the first
-    ``visible_width`` of them visible), the key function a
-    :func:`datum.ordering` key made to compare ascending. A position past
-    the row is NULL in every row, so it orders nothing and is left out."""
+    descending, key function)`` per hidden sort key, the key function a
+    :func:`datum.ordering` key made to compare ascending."""
     from ...engine.datum import Descending, ordering
 
     columns = []
-    for (kind, index), ascending, nulls_first in plan.hidden_sort_keys:
-        position = index if kind == "pos" else visible_width + index
-        if position >= width:
-            continue
+    for position, ascending, nulls_first in plan.hidden_sort_keys:
         descending, key = ordering(ascending, nulls_first)
         columns.append((position, descending,
                         (lambda value, key=key: Descending(key(value)))
                         if descending else key))
     return columns
-
-
-def shell_columns(session, select: A.Select, params) -> list[str]:
-    """The output column names of ``select`` over Citus tables: its
-    targets', or with a ``*`` among them those of its result run with
-    ``LIMIT 0`` over the coordinator's (empty) shell tables."""
-    if not any(isinstance(t.expr, A.Star) for t in select.targets):
-        return output_names(select.targets)
-    probe = select.copy()
-    probe.limit = A.Literal(0)
-    return LocalExecutor(session).execute_select(probe, params).columns
-
-
-def concat_visible_columns(plan: PushdownSelect, streams, session, params) -> list:
-    """The visible output column names of a concat-mode plan: the first
-    shard stream's shape (``*`` targets expand only on the workers) with
-    trailing hidden sort columns trimmed. With every shard pruned, the
-    coordinator's own (empty) shell tables give the same shape."""
-    if streams:
-        first_columns = list(streams[0].columns)
-    else:
-        first_columns = shell_columns(session, plan.routes.stmt, params)
-    n_appended = plan.n_visible
-    visible_width = len(first_columns) - n_appended
-    return first_columns[:visible_width] if n_appended else first_columns
 
 
 def stream_concat_runs(plan: PushdownSelect, execution, session, params):
@@ -449,13 +400,11 @@ def stream_concat_runs(plan: PushdownSelect, execution, session, params):
     offset, limit = limit_offset(
         plan, EvalContext(row=Row(), params=params, session=session))
 
-    width = len(streams[0].columns) if streams else 0
-    visible_width = width - plan.n_visible
+    visible_width = len(plan.visible_columns)
 
     if plan.hidden_sort_keys:
         source = _merge_append_runs(
-            merge_key_columns(plan, visible_width, width), visible_width,
-            streams, execution)
+            merge_key_columns(plan), visible_width, streams, execution)
     else:
         source = _concat_runs(streams, execution, visible_width)
 
@@ -504,12 +453,9 @@ def run_streaming_concat(plan: PushdownSelect, execution, session, params):
     """Materializing wrapper over :func:`stream_concat_runs` — the SELECT
     statement path, which must return a full :class:`QueryResult`: the
     client's rows, made here once."""
-    streams = execution.streams
-    columns = concat_visible_columns(plan, streams, session, params)
-    out_rows = []
-    for run in stream_concat_runs(plan, execution, session, params):
-        out_rows += run.rows()
-    return QueryResult(columns, out_rows)
+    return QueryResult(list(plan.visible_columns), [
+        row for run in stream_concat_runs(plan, execution, session, params)
+        for row in run.rows()])
 
 
 def _concat_runs(streams, execution, visible_width: int):
@@ -672,16 +618,12 @@ def run_streaming_group_merge(plan: PushdownSelect, execution, session, params,
 
 
 def plan_pushdown_dml(ext, stmt, analysis, search=None):
-    """The shape of a multi-shard UPDATE/DELETE (one task per shard its
-    WHERE clause does not rule out), or None."""
-    dist_occurrences = analysis.distributed
-    if len(dist_occurrences) != 1:
-        if search is not None:
-            search.reject("pushdown", "shape",
-                          "multi-shard DML supports exactly one distributed"
-                          " table")
+    """The shape of a multi-shard UPDATE/DELETE (one task per shard of the
+    written table its WHERE clause does not rule out, each inner level
+    reading the co-located shards), or None."""
+    if not _shards_align(analysis, search):
         return None
-    occ = dist_occurrences[0]
+    occ = analysis.occurrences[0]
     return PushdownDML(ShardRoutes(ext, stmt, occ.dist, occ.alias))
 
 
@@ -707,16 +649,9 @@ def try_pushdown(ext, session, stmt, params, analysis, search=None):
     if levels:
         from .distributed import SubplanPlan
 
-        return SubplanPlan(ext, session, stmt, params, levels)
-    if isinstance(stmt, A.Select):
-        shape = plan_pushdown_select(ext, stmt, analysis, search=search)
-    elif isinstance(stmt, (A.Update, A.Delete)):
-        shape = plan_pushdown_dml(ext, stmt, analysis, search=search)
-    else:
-        if search is not None:
-            search.reject("pushdown", "statement_kind",
-                          f"{type(stmt).__name__} has no multi-shard pushdown plan")
-        return None
+        return SubplanPlan(ext, session, stmt, params, levels, analysis)
+    shape = (plan_pushdown_select if isinstance(stmt, A.Select)
+             else plan_pushdown_dml)(ext, stmt, analysis, search=search)
     return shape.bind(params) if shape is not None else None
 
 
@@ -748,8 +683,7 @@ def run_once(analysis, search=None) -> dict:
         if search is not None:
             search.reject("pushdown", "correlated_subplan", message)
         raise UnsupportedDistributedQuery(message)
-    inside = {analysis.ref_keys[id(node)][1] for level in levels
-              for node in A.walk(level) if id(node) in analysis.ref_keys}
+    inside = {key for level in levels for key in analysis.keys_in(level)}
     outside = [occ for occ in analysis.occurrences if occ.key not in inside]
     dist = {occ.key: occ.name for occ in outside
             if occ.dist is not None and not occ.dist.is_reference}

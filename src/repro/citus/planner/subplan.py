@@ -20,26 +20,28 @@ from ..ddl import drop_quietly, shard_ddl
 from ..metadata import REFERENCE, DistributedTable, ShardInterval
 
 
-def reference_intermediate(name: str) -> DistributedTable:
-    """The metadata of an intermediate result every node reads whole."""
+def reference_intermediate(name: str, columns) -> DistributedTable:
+    """The metadata of an intermediate result of ``columns`` every node
+    reads whole."""
     return DistributedTable(name, REFERENCE, None, None, -1,
-                            [ShardInterval(0, name, None, None)])
+                            [ShardInterval(0, name, None, None)], columns)
 
 
 @contextmanager
-def land(ext, transient: DistributedTable, columns, targets, rows):
+def land(ext, transient: DistributedTable, targets, rows):
     """The one step that makes a statement's intermediate result (§3.5):
     ``rows`` — a subplan's, or a join's moved side — are landed as
-    ``transient`` into tables of ``columns`` (copies of their names and
+    ``transient`` into tables of its ``columns`` (copies of their names and
     types, none of their constraints) at ``targets`` (``(node, shard group,
     table)`` per COPY channel), and ``transient`` is registered in the
     metadata cache, so the statement reading it plans as over any Citus
-    table. On exit it is unregistered and its tables dropped, whatever
-    happened; closing ``rows`` is the caller's. The first row is pulled
-    before any table exists, so a read that fails to start leaves nothing
-    to drop."""
+    table: its columns are what the planner reads, never a catalog. On exit
+    it is unregistered and its tables dropped, whatever happened; closing
+    ``rows`` is the caller's. The first row is pulled before any table
+    exists, so a read that fails to start leaves nothing to drop."""
     cache = ext.metadata.cache
-    table = Table(transient.name, [Column(c.name, c.type_name) for c in columns])
+    table = Table(transient.name, [Column(c.name, c.type_name)
+                                   for c in transient.columns])
     created: list[tuple] = []  # (node, table_name)
     try:
         head = list(itertools.islice(rows, 1))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from ..engine.compile import UNBOUND, param_value, split_and
 from ..engine.datum import cast_value, column_constant, hash_value
 from ..engine.executor import (
-    is_aggregating, output_names, resolve_group_ref, window_calls,
+    is_aggregating, level_targets, output_names, resolve_group_ref,
+    window_calls,
 )
 from ..errors import ReproError
 from ..sql import ast as A
@@ -41,13 +42,16 @@ class TableOccurrence:
 class QueryAnalysis:
     """Everything the planner cascade needs to know about a statement."""
 
-    def __init__(self):
+    def __init__(self, cache: MetadataCache, catalog=None):
+        self.cache, self.catalog = cache, catalog
         self.occurrences: list[TableOccurrence] = []
         self.equivalence = UnionFind()
         # Equivalence-class constants: root -> constant value
         self.constants: dict[object, object] = {}
-        #: Every SELECT level whose FROM reads a distributed table.
+        #: Every level whose FROM reads a distributed table.
         self.levels: list[A.Select] = []
+        #: An UPDATE or DELETE as the level it is (:func:`_write_level`).
+        self.write: A.Select | None = None
         #: The level a subquery is read by, and whether it is read as an
         #: expression (not as a FROM item), by the subquery's ``id``.
         self.readers: dict[int, tuple[A.Statement, bool]] = {}
@@ -101,12 +105,18 @@ class QueryAnalysis:
     def _runs_once(self, select: A.Select, levels: set) -> bool:
         """Whether an inner level cannot run per shard: it is an expression
         of a level whose FROM reads no distributed table (every shard would
-        answer that level whole), it or an arm of its set operation
-        aggregates, takes DISTINCT or LIMIT, or windows across shards, or
-        its arms do not align on the shards (:func:`_align_arms`)."""
+        answer that level whole), an UPDATE or DELETE reads it and its
+        tables do not align with the written table's shards (join order
+        plans no write), it or an arm of its set operation aggregates,
+        takes DISTINCT or LIMIT, or windows across shards, or its arms do
+        not align on the shards (:func:`_align_arms`)."""
         reader, in_expr = self.readers[id(select)]
         if in_expr and id(reader) not in levels:
             return True
+        if reader is self.write:
+            keys = self.keys_in(select) | {self.occurrences[0].key}
+            if not self.shards_align([o for o in self.distributed if o.key in keys]):
+                return True
         _level, aligned, _mixed = self.set_op_levels.get(
             id(select), (None, True, ()))
         return not aligned or any(map(self._whole_only, [
@@ -117,11 +127,12 @@ class QueryAnalysis:
         whole: it aggregates, takes DISTINCT or LIMIT, or windows across
         shards."""
         is_dist = self.dist_column_test(select)
-        distinct = select.distinct_on or [t.expr for t in select.targets]
+        distinct = select.distinct_on or [
+            t.expr for t in level_targets(select, self.column_names)]
         return (self.aggregates_across_shards(select)
                 or select.limit is not None or select.offset is not None
-                or (bool(select.distinct or select.distinct_on) and not any(
-                    isinstance(e, A.Star) or is_dist(e) for e in distinct))
+                or (bool(select.distinct or select.distinct_on)
+                    and not any(map(is_dist, distinct)))
                 or not self.windows_on_one_shard(select, is_dist))
 
     def windows_on_one_shard(self, select: A.Select, is_dist=None) -> bool:
@@ -133,6 +144,28 @@ class QueryAnalysis:
             return True
         is_dist = is_dist or self.dist_column_test(select)
         return all(any(map(is_dist, w.over.partition_by)) for w in windows)
+
+    def keys_in(self, node) -> set:
+        """The keys of the FROM items a part of the statement reads, inside
+        its subqueries too."""
+        return {self.ref_keys[id(item)][1] for item in A.walk(node)
+                if id(item) in self.ref_keys}
+
+    def table_columns(self, table: str) -> list:
+        """The columns of a table the statement reads: an intermediate
+        result's as what registered it made them
+        (:func:`~.planner.subplan.land`), any other's from the coordinator's
+        catalog; none for a CTE's name."""
+        dist = self.cache.tables.get(table)
+        if dist is not None and dist.columns is not None:
+            return dist.columns
+        if self.catalog is not None and self.catalog.has_table(table):
+            return self.catalog.get_table(table).columns
+        return []
+
+    def column_names(self, table: str) -> list[str]:
+        """A table's column names, for :func:`level_targets`."""
+        return [c.name for c in self.table_columns(table)]
 
     def correlated(self, select: A.Select) -> bool:
         """Whether a level reads a column of a level around it: one whose
@@ -194,20 +227,24 @@ class QueryAnalysis:
         roots = {self.equivalence.find(self.dist_column_key(o)) for o in dist}
         return len(roots) == 1
 
-    def shards_align(self) -> bool:
+    def shards_align(self, occurrences=None) -> bool:
         """Whether every shard's rows meet only rows of the same shards: the
-        distribution columns are one class, the arms of a set operation
-        that runs on each shard counted as one (they are not equal, so a
-        router does not take one arm's constant for another's)."""
-        if not self.aligned_arms:
-            return self.all_dist_columns_equal()
-        merged = UnionFind()
-        merged.parent = dict(self.equivalence.parent)
-        for first, *others in self.aligned_arms:
-            for key in others:
-                merged.union(first, key)
-        return len({merged.find(self.dist_column_key(o))
-                    for o in self.distributed}) <= 1
+        distributed tables (``occurrences``, by default every one; at least
+        one) are of one colocation group and their distribution columns one
+        class, the arms of a set operation that runs on each shard counted
+        as one (they are not equal, so a router does not take one arm's
+        constant for another's)."""
+        occurrences = self.distributed if occurrences is None else occurrences
+        merged = self.equivalence
+        if self.aligned_arms:
+            merged = UnionFind()
+            merged.parent = dict(self.equivalence.parent)
+            for first, *others in self.aligned_arms:
+                for key in others:
+                    merged.union(first, key)
+        return (len({o.dist.colocation_id for o in occurrences}) == 1
+                and len({merged.find(self.dist_column_key(o))
+                         for o in occurrences}) <= 1)
 
     def common_constant(self):
         """The constant shared by every distribution column, or a sentinel.
@@ -251,26 +288,27 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
     qualification of bare column references — ``WHERE o_orderkey =
     l_orderkey`` binds each side to the table that owns the column.
     """
-    analysis = QueryAnalysis()
-    analysis.catalog = catalog
-    if isinstance(stmt, A.Select):
-        _analyze_select(stmt, cache, analysis, params)
-    elif isinstance(stmt, A.Insert):
+    analysis = QueryAnalysis(cache, catalog)
+    if isinstance(stmt, A.Insert):
         _add_occurrence(A.TableRef(stmt.table), cache, analysis)
         if stmt.select is not None:
             _analyze_select(stmt.select, cache, analysis, params)
     elif isinstance(stmt, (A.Update, A.Delete)):
-        target = A.TableRef(stmt.table, stmt.alias)
-        _add_occurrence(target, cache, analysis)
-        scope = _build_scope([target], analysis)
-        if stmt.where is not None:
-            _collect_equalities(stmt.where, analysis, params, scope)
-        # A subquery in SET or RETURNING reads shards as one in WHERE does.
-        for expr in [stmt.where, *(value for _column, value in getattr(
-                stmt, "assignments", ())), *(t.expr for t in stmt.returning)]:
-            _collect_subquery_tables(expr, cache, analysis, params, scope, stmt)
+        analysis.write = _write_level(stmt)
+        _analyze_select(analysis.write, cache, analysis, params)
+    else:
+        _analyze_select(stmt, cache, analysis, params)
     _finalize_unqualified_refs(analysis)
     return analysis
+
+
+def _write_level(stmt) -> A.Select:
+    """An UPDATE or DELETE as the level it is: its target is its FROM; its
+    WHERE, SET values and RETURNING are its expressions."""
+    return A.Select(
+        targets=[A.TargetEntry(value) for _column, value in getattr(
+            stmt, "assignments", ())] + list(stmt.returning),
+        from_items=[A.TableRef(stmt.table, stmt.alias)], where=stmt.where)
 
 
 def _build_scope(from_items, analysis) -> dict:
@@ -286,24 +324,17 @@ def _add_to_scope(item, scope: dict, analysis) -> None:
     # A function of the module, not a closure that calls itself: that
     # closure would be a reference cycle holding the analysis.
     if isinstance(item, A.TableRef):
-        scope[item.ref_name] = (_ref_key(item, analysis),
-                                _table_columns(item.name, analysis))
+        scope[item.ref_name] = (_ref_key(item, analysis), {
+            c.name: c.type_name for c in analysis.table_columns(item.name)})
     elif isinstance(item, A.SubqueryRef):
-        scope[item.alias] = (_ref_key(item, analysis),
-                             dict.fromkeys(output_names(item.query.targets)))
+        scope[item.alias] = (_ref_key(item, analysis), dict.fromkeys(
+            output_names(level_targets(item.query, analysis.column_names))))
     elif isinstance(item, A.FunctionRef):
         scope[item.alias] = (_ref_key(item, analysis),
                              dict.fromkeys(item.column_names))
     elif isinstance(item, A.JoinExpr):
         _add_to_scope(item.left, scope, analysis)
         _add_to_scope(item.right, scope, analysis)
-
-
-def _table_columns(name, analysis) -> dict:
-    catalog = getattr(analysis, "catalog", None)
-    if catalog is not None and catalog.has_table(name):
-        return {c.name: c.type_name for c in catalog.get_table(name).columns}
-    return {}
 
 
 def _ref_key(item, analysis) -> str:
@@ -393,10 +424,8 @@ def _align_arms(select: A.Select, arms, analysis: QueryAnalysis) -> None:
     outputs = []  # per arm: which of its output columns is its dist column
     for arm, dist in arms:
         roots = {find(analysis.dist_column_key(o)) for o in dist}
-        scope = _build_scope(arm.from_items, analysis)
-        outputs.append([isinstance(entry.expr, A.ColumnRef)
-                        and find(_qualify(entry.expr.key, scope)) in roots
-                        for entry in arm.targets])
+        outputs.append([key is not None and find(key) in roots
+                        for _name, key in _outputs(arm, analysis)])
     columns = list(zip(*outputs))
     aligned = (all(dist for _arm, dist in arms)
                and len({o.dist.colocation_id for _arm, dist in arms
@@ -419,13 +448,10 @@ def _analyze_from_item(item, cache, analysis, params, scope, select):
         # Column refs through the subquery alias join the equivalence web via
         # the subquery's target names: alias.colname ~ target expr when the
         # target is a plain column reference.
-        inner_scope = _build_scope(item.query.from_items, analysis)
-        for position, entry in enumerate(item.query.targets):
-            key = _output_key(item.query, position, inner_scope, analysis)
+        for name, key in _outputs(item.query, analysis):
             if key is not None:
                 analysis.equivalence.union(
-                    f"{_ref_key(item, analysis)}.{entry.alias or entry.expr.name}",
-                    key)
+                    f"{_ref_key(item, analysis)}.{name}", key)
     elif isinstance(item, A.JoinExpr):
         _analyze_from_item(item.left, cache, analysis, params, scope, select)
         _analyze_from_item(item.right, cache, analysis, params, scope, select)
@@ -434,11 +460,11 @@ def _analyze_from_item(item, cache, analysis, params, scope, select):
             _collect_subquery_tables(item.condition, cache, analysis, params,
                                      scope, select)
         if item.join_type in ("left", "full"):
-            analysis.outer_joins.append((_keys_under(item.left, analysis),
-                                         _keys_under(item.right, analysis)))
+            analysis.outer_joins.append((analysis.keys_in(item.left),
+                                         analysis.keys_in(item.right)))
         if item.join_type in ("right", "full"):
-            analysis.outer_joins.append((_keys_under(item.right, analysis),
-                                         _keys_under(item.left, analysis)))
+            analysis.outer_joins.append((analysis.keys_in(item.right),
+                                         analysis.keys_in(item.left)))
         for name in item.using:
             left_alias = _leftmost_alias(item.left)
             right_alias = _leftmost_alias(item.right)
@@ -446,21 +472,19 @@ def _analyze_from_item(item, cache, analysis, params, scope, select):
                 analysis.equivalence.union(f"{left_alias}.{name}", f"{right_alias}.{name}")
 
 
-def _output_key(select: A.Select, position: int, scope, analysis) -> str | None:
-    """The key of the column a level outputs at ``position``, when it
-    outputs a plain column there that a set operation's arms do not mix
-    up (:func:`_align_arms`); else None."""
-    entry = select.targets[position]
+def _outputs(select: A.Select, analysis) -> list[tuple]:
+    """``(name, key)`` per column a level outputs (a ``*`` counted as its
+    columns): the key of the column it passes on, when it outputs a plain
+    column there that a set operation's arms do not mix up
+    (:func:`_align_arms`), else None."""
+    targets = level_targets(select, analysis.column_names)
+    scope = _build_scope(select.from_items, analysis)
     mixed = analysis.set_op_levels.get(id(select), (None, True, ()))[2]
-    if not isinstance(entry.expr, A.ColumnRef) or position in mixed:
-        return None
-    return _qualify(entry.expr.key, scope)
-
-
-def _keys_under(item, analysis) -> set:
-    """The keys of the tables a FROM item reads, inside subqueries too."""
-    return {_ref_key(node, analysis) for node in A.walk(item)
-            if isinstance(node, A.TableRef)}
+    return [(name, _qualify(entry.expr.key, scope)
+             if isinstance(entry.expr, A.ColumnRef) and position not in mixed
+             else None)
+            for position, (name, entry) in enumerate(
+                zip(output_names(targets), targets))]
 
 
 def _leftmost_alias(item):
@@ -526,14 +550,12 @@ def _collect_subquery_tables(expr, cache, analysis, params, scope, reader) -> No
             if (
                 node.kind in ("in", "any")
                 and isinstance(node.operand, A.ColumnRef)
-                and len(node.query.targets) == 1
                 and not node.negated
             ):
-                inner_scope = _build_scope(node.query.from_items, analysis)
-                key = _output_key(node.query, 0, inner_scope, analysis)
-                if key is not None:
+                outputs = _outputs(node.query, analysis)
+                if len(outputs) == 1 and outputs[0][1] is not None:
                     analysis.equivalence.union(
-                        _qualify(node.operand.key, scope or {}), key)
+                        _qualify(node.operand.key, scope or {}), outputs[0][1])
 
 
 # -------------------------------------------------- a column's constant filter

@@ -813,7 +813,7 @@ class DmlShape:
         self.probes_unique = any(
             assigned.intersection(reads)
             for _cols, _key, _index, reads, _positions in write.unique_keys)
-        self.returning = _compile_returning(stmt.returning, table, layout)
+        self.returning = _compile_returning(stmt.returning, layout)
 
 
 class InsertShape:
@@ -830,7 +830,7 @@ class InsertShape:
         self.write = write
         names = table.column_names()
         layout = self.layout = RowLayout.of(table.name, names)
-        self.returning = _compile_returning(stmt.returning, table, layout)
+        self.returning = _compile_returning(stmt.returning, layout)
         self.conflict_layout = None
         self.conflict_updates = []
         if stmt.on_conflict is not None and stmt.on_conflict.action != "nothing":
@@ -2596,15 +2596,13 @@ def _group_key(value):
 
 def _expand_stars(targets, layout: RowLayout):
     """``targets`` with each ``*`` (or ``alias.*``) read as the visible
-    columns it stands for, by slot: a repeated name reads its own column,
-    and a row-locking scan's hidden slots are skipped."""
+    columns it stands for, in FROM order, by slot: a repeated name reads
+    its own column, and a row-locking scan's hidden slots are skipped."""
     expanded = []
     for entry in targets:
         expr = entry.expr if isinstance(entry, A.TargetEntry) else entry
         if isinstance(expr, A.Star):
-            hidden = {slot for slot, _table in layout.sources}
-            slots = (slot for slot in range(layout.width) if slot not in hidden)
-            for (alias, name), slot in zip(layout.columns, slots):
+            for (alias, name), slot in zip(layout.columns, layout.visible):
                 if expr.table is None or expr.table == alias:
                     expanded.append(A.TargetEntry(SlotRef(slot), name))
         else:
@@ -2612,24 +2610,12 @@ def _expand_stars(targets, layout: RowLayout):
     return expanded
 
 
-def _expand_returning(returning, table: Table):
-    expanded = []
-    for entry in returning:
-        expr = entry.expr if isinstance(entry, A.TargetEntry) else entry
-        if isinstance(expr, A.Star):
-            for name in table.column_names():
-                expanded.append(A.TargetEntry(A.ColumnRef(name), name))
-        else:
-            expanded.append(entry)
-    return expanded
-
-
-def _compile_returning(returning, table: Table, layout: RowLayout):
+def _compile_returning(returning, layout: RowLayout):
     """``(output names, compiled targets)`` of a RETURNING list over rows
     of ``layout``; None without one."""
     if not returning:
         return None
-    targets = _expand_returning(returning, table)
+    targets = _expand_stars(returning, layout)
     return (output_names(targets),
             [get_compiled(t.expr, layout) for t in targets])
 
@@ -2653,13 +2639,60 @@ def output_names(targets) -> list[str]:
     return names
 
 
+def level_targets(select: A.Select, table_columns, ctes=None) -> list:
+    """A level's targets with each ``*`` (or ``alias.*``) read, from the
+    query tree alone, as the columns :func:`_expand_stars` finds on the
+    level's row layout, each an ``alias.column`` reference (the column it
+    passes through) named as the column is: by FROM item, a table's columns
+    (``table_columns(name)``, or a CTE's names where the level or one
+    around it defines the name), a subquery's own level's names, a
+    function's column, a join's left side's then its right side's."""
+    targets = select.targets
+    if not any(isinstance(entry.expr, A.Star) for entry in targets):
+        return targets
+    ctes = dict(ctes or {})
+    for cte in select.ctes:
+        ctes[cte.name] = cte.column_names or level_names(
+            cte.query, table_columns, ctes)
+    columns = [column for item in select.from_items
+               for column in _item_columns(item, table_columns, ctes)]
+    return [expanded for entry in targets for expanded in (
+        [A.TargetEntry(A.ColumnRef(name, alias)) for alias, name in columns
+         if entry.expr.table in (None, alias)]
+        if isinstance(entry.expr, A.Star) else [entry])]
+
+
+def level_names(select: A.Select, table_columns, ctes=None) -> list[str]:
+    """A level's output column names, as running it names them
+    (:func:`level_targets`)."""
+    return output_names(level_targets(select, table_columns, ctes))
+
+
+def _item_columns(item, table_columns, ctes: dict) -> list:
+    """``(alias, name)`` per column a FROM item gives a ``*``."""
+    if isinstance(item, A.JoinExpr):
+        return (_item_columns(item.left, table_columns, ctes)
+                + _item_columns(item.right, table_columns, ctes))
+    if isinstance(item, A.TableRef):
+        names = ctes.get(item.name)
+        names = table_columns(item.name) if names is None else names
+    elif isinstance(item, A.SubqueryRef):
+        names = level_names(item.query, table_columns, ctes)
+    else:  # a function
+        names = [item.column_names[0] if item.column_names else item.alias]
+    alias = item.ref_name if isinstance(item, A.TableRef) else item.alias
+    return [(alias, name) for name in names]
+
+
 def _comma_join_plan(layouts, where) -> list:
     """The joins of comma-separated FROM items, ``[(index into what is
     still unjoined, JoinShape), ...]``: each step takes the first item some
     equi-join conjunct of ``where`` connects to what is joined so far, or,
-    failing that, cross-joins the next one."""
+    failing that, cross-joins the next one. The last join's layout lists
+    the items' columns in FROM order, as a ``*`` reads them."""
     conjuncts = split_and(where) if where is not None else []
     left, remaining = layouts[0], list(layouts[1:])
+    unjoined, spans = list(range(1, len(layouts))), [(0, 0, len(left.columns))]
     steps = []
     while remaining:
         chosen, condition = 0, None
@@ -2669,8 +2702,12 @@ def _comma_join_plan(layouts, where) -> list:
                 chosen = i
                 break
         join = JoinShape(left, remaining.pop(chosen), condition)
+        spans.append((unjoined.pop(chosen), len(left.columns),
+                      len(join.layout.columns)))
         steps.append((chosen, join))
         left = join.layout
+    if spans != sorted(spans):
+        join.layout = left.regrouped([span[1:] for span in sorted(spans)])
     return steps
 
 

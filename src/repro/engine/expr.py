@@ -54,7 +54,9 @@ class RowLayout:
     ``slots`` maps both spellings of a reference (``alias.col`` and
     ``col``) to a position; an unqualified name two relations supply is
     in ``ambiguous`` and raises on resolution, as PostgreSQL would.
-    ``columns`` lists the visible ``(alias, name)`` pairs in star order.
+    ``columns`` lists the visible ``(alias, name)`` pairs in star order
+    (FROM order, whatever order the items were joined in), ``visible``
+    the slot of each.
     ``sources`` names the hidden slots — ``(slot, table name)`` — that a
     row-locking scan fills with the heap tuple each base relation's part
     of the row came from (SELECT ... FOR UPDATE reads them).
@@ -65,15 +67,16 @@ class RowLayout:
     once instead of per row.
     """
 
-    __slots__ = ("columns", "slots", "ambiguous", "sources", "width")
+    __slots__ = ("columns", "slots", "ambiguous", "sources", "width", "visible")
 
     def __init__(self, columns, slots, ambiguous=frozenset(), sources=(),
-                 width=None):
+                 width=None, visible=None):
         self.columns = columns
         self.slots = slots
         self.ambiguous = ambiguous
         self.sources = sources
         self.width = len(columns) if width is None else width
+        self.visible = visible or tuple(range(len(columns)))
 
     @classmethod
     def of(cls, alias: str | None, names, source_table: str | None = None):
@@ -115,8 +118,16 @@ class RowLayout:
         sources = self.sources + tuple(
             (slot + shift, table) for slot, table in other.sources)
         return RowLayout(self.columns + other.columns, slots,
-                         self.ambiguous | other.ambiguous | clashing,
-                         sources, shift + other.width)
+                         self.ambiguous | other.ambiguous | clashing, sources,
+                         shift + other.width,
+                         self.visible + tuple(s + shift for s in other.visible))
+
+    def regrouped(self, spans) -> "RowLayout":
+        """This layout with its visible columns listed by ``(start, end)``
+        range of :attr:`columns`, range after range."""
+        order = [i for start, end in spans for i in range(start, end)]
+        return RowLayout([self.columns[i] for i in order], self.slots, self.ambiguous,
+                         self.sources, self.width, tuple(self.visible[i] for i in order))
 
     def resolve(self, ref: A.ColumnRef):
         """The slot ``ref`` names, or None when this layout does not have

@@ -555,6 +555,161 @@ def test_a_full_join_that_could_only_broadcast_is_refused(cluster_session):
             if c["tier"] == "join_order"] == ["outer_join_broadcast"]
 
 
+# ------------------------------------------- a level's names, found statically
+
+#: Levels with a ``*`` whose names were learned by running them with LIMIT
+#: 0 over the coordinator's shell tables: where a level read an
+#: intermediate, which exists there only in the metadata, each of the first
+#: four raised CatalogError on every layout (the first in its second round
+#: of subplans, the rest with every shard pruned). Read by its alias, the
+#: ``*`` subquery of the fifth named no column, so its join planned
+#: ``Join Order (broadcast)``. A ``*`` counted as holding the distribution
+#: column, so the sixth deduplicated per shard (160 rows on 1x4, 640 on
+#: 4x16, not 40); the last was refused ("SELECT * with cross-shard
+#: aggregation is not supported"). (sql, tier)
+STAR_LEVELS = {
+    "star_over_a_subplan_in_a_second_round": (
+        "SELECT count(*) FROM tenants t LEFT JOIN events e ON e.tenant = t.id"
+        " WHERE t.id IN (SELECT * FROM (SELECT f.k FROM flags f JOIN events x"
+        " ON x.k = f.k) s)", "subplan"),
+    "star_over_a_broadcast_pruned": (
+        "SELECT * FROM events e JOIN rollup r ON r.tenant = e.v"
+        " WHERE e.k IN (1) AND e.k IN (2)", "join_order"),
+    "star_over_a_broadcast_flags_pruned": (
+        "SELECT * FROM events e JOIN flags f ON f.n = e.v"
+        " WHERE e.k IN (1) AND e.k IN (2)", "join_order"),
+    "star_over_a_subplan_pruned": (
+        "SELECT * FROM events e JOIN (SELECT max(v) m FROM events) s"
+        " ON s.m = e.v WHERE e.k IN (1) AND e.k IN (2)", "subplan"),
+    "star_subquery_keeps_its_alignment": (
+        "SELECT count(*) FROM (SELECT * FROM events) s JOIN flags f"
+        " ON f.k = s.k", "pushdown"),
+    "distinct_star_of_a_reference_side": (
+        "SELECT count(*) FROM (SELECT DISTINCT t.* FROM events e"
+        " JOIN tenants t ON e.tenant = t.id) s", "subplan"),
+    "star_in_a_merged_aggregate": (
+        "SELECT t.*, count(*) FROM events e JOIN tenants t ON e.tenant = t.id"
+        " GROUP BY t.id, t.plan", "pushdown"),
+    # Joined e, f, t (the WHERE connects f to e first), a ``*`` still reads
+    # e, t, f, the order the planner names and the second reads ``plan`` in.
+    "star_over_comma_items_joined_out_of_order": (
+        "SELECT * FROM events e, tenants t, flags f"
+        " WHERE f.k = e.k AND t.id = f.n", "pushdown"),
+    "star_over_comma_items_joined_out_of_order_as_a_level": (
+        "SELECT s.plan, s.b FROM (SELECT * FROM events e, tenants t, flags f"
+        " WHERE f.k = e.k AND t.id = f.n ORDER BY e.k LIMIT 5) s", "subplan"),
+}
+#: The FROM shapes a ``*`` reads, beside those of QUERIES and STAR_LEVELS:
+#: comma items joined out of FROM order (one of them a join), ``alias.*``
+#: in another order, outer joins, USING, functions, CTEs and nested levels.
+STAR_SHAPES = [
+    "SELECT f.*, t.*, e.* FROM events e, tenants t, flags f"
+    " WHERE f.k = e.k AND t.id = f.n",
+    "SELECT * FROM tenants t, flags f, events e"
+    " WHERE e.tenant = t.id AND f.k = e.k",
+    "SELECT * FROM flags f, tenants t2, events e JOIN tenants t"
+    " ON t.id = e.tenant WHERE e.k = f.k AND t2.id = e.v",
+    "SELECT * FROM tenants t RIGHT JOIN events e ON t.id = e.tenant",
+    "SELECT * FROM events e LEFT JOIN flags f USING (k)",
+    "SELECT * FROM generate_series(1, 3) g, events e WHERE e.k = g",
+    "SELECT * FROM generate_series(1, 3) AS g(x) JOIN events e ON e.k = g.x",
+    "WITH w AS (SELECT k, v FROM events) SELECT * FROM flags f, w"
+    " WHERE f.k = w.k",
+    "WITH w (a, b) AS (SELECT k, v FROM events) SELECT * FROM w",
+    "SELECT * FROM (SELECT * FROM (SELECT t.*, e.k FROM events e, tenants t"
+    " WHERE t.id = e.tenant) s1) s2",
+    "SELECT s.*, tenants.* FROM (SELECT count(*), max(v) FROM events) s,"
+    " tenants",
+]
+
+
+@pytest.mark.parametrize("in_block", [False, True],
+                         ids=["autocommit", "in_block"])
+@pytest.mark.parametrize("name", sorted(STAR_LEVELS))
+def test_a_star_level_is_named_without_running_it(oracle, cluster_session,
+                                                  name, in_block):
+    """Rows and column names as one node has them, in autocommit and in a
+    block; no intermediate is left."""
+    sql, tier = STAR_LEVELS[name]
+    assert explain(cluster_session, sql).tier == tier
+    results = []
+    for session in (oracle, cluster_session):
+        if in_block:
+            session.execute("BEGIN")
+        try:
+            result = session.execute(sql)
+            results.append((result.columns, sorted(normalized(result.rows),
+                                                   key=repr)))
+        finally:
+            if in_block:
+                session.execute("COMMIT")
+    assert results[1] == results[0]
+    assert intermediate_tables(cluster_session) == []
+
+
+def test_level_names_are_what_a_single_node_names(oracle):
+    """The planner's names of a level's columns, found from the statement
+    and the tables' columns alone, are the single node's result columns:
+    every statement of QUERIES, STAR_LEVELS and STAR_SHAPES, each wrapped
+    as a level, and TPC-H."""
+    from repro.engine.executor import level_names
+    from repro.sql import parse
+
+    catalog = oracle.instance.catalog
+    statements = [(sql, params) for sql, params, _order in QUERIES.values()]
+    statements += [(sql, None) for sql, _tier in STAR_LEVELS.values()]
+    statements += [(sql, None) for sql in STAR_SHAPES]
+    statements += [(f"SELECT * FROM ({sql} OFFSET 0) wrapped", params)
+                   for sql, params in statements]
+    statements += [(sql, None) for sql in tpch.QUERIES.values()]
+    for sql, params in statements:
+        names = level_names(parse(sql)[0],
+                            lambda table: catalog.get_table(table).column_names())
+        assert names == oracle.execute(sql, params).columns, sql
+
+
+#: INSERT..SELECTs whose ``*`` feeds ``z``, the column ``d`` is distributed
+#: by (co-located with ``events``): (d's columns, statement, planner, the
+#: ``z`` whose rows are counted). The first feeds it ``tenant``, not ``k``:
+#: run per co-located shard pair, the rows landed on ``k``'s shard (``z =
+#: 7`` counted 1 on 1x4 and 0 on 4x16, not 3). The second feeds it ``f.k``,
+#: seventh in FROM order, which is ``e.k``'s shard, though the join reads f
+#: before t.
+STAR_INSERTS = {
+    "star_feeds_another_column": (
+        "a int, z int, c int, dd text, e int",
+        "INSERT INTO d (a, z, c, dd, e) SELECT *, k FROM events WHERE k <= 100",
+        "Insert..Select (repartition)", 7),
+    "star_over_comma_items_joined_out_of_order": (
+        "a int, tn int, v int, lb text, id int, pl text, z int, b bool, n int",
+        "INSERT INTO d (a, tn, v, lb, id, pl, z, b, n) SELECT * FROM events e,"
+        " tenants t, flags f WHERE f.k = e.k AND t.id = f.n",
+        "Insert..Select (co-located)", 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_INSERTS))
+def test_a_star_feeding_the_distribution_column_lands_on_its_shard(
+        oracle, cluster_session, name):
+    """The rows with one ``z`` are all on ``z``'s shard: a statement routed
+    there counts what one node counts."""
+    columns, sql, planner, z = STAR_INSERTS[name]
+    counts = []
+    for session in (oracle, cluster_session):
+        session.execute(f"CREATE TABLE d ({columns})")
+        try:
+            if session is cluster_session:
+                session.execute("SELECT create_distributed_table('d', 'z',"
+                                " colocate_with := 'events')")
+                assert explain(session, sql).planner == planner
+            session.execute(sql)
+            counts.append(session.execute(
+                f"SELECT count(*) FROM d WHERE z = {z}").scalar())
+        finally:
+            session.execute("DROP TABLE d")
+    assert counts[1] == counts[0] > 0
+
+
 # --------------------------------------------- one run-once step per statement
 
 #: Statements whose parts that cannot run per shard — an inner level, the
@@ -616,6 +771,17 @@ RUN_ONCE_WRITES = {
     "update_reference_routed":
         "UPDATE tenants SET plan = 'hot' WHERE id IN"
         " (SELECT tenant FROM events WHERE k = 5)",
+}
+#: UPDATE and DELETE whose subqueries read co-located shards joined on the
+#: distribution column: each runs per shard, a level of the write. The
+#: first ran its subquery once and landed 1,560 rows beside every shard;
+#: the second was refused as a correlated level that must run once.
+PER_SHARD_WRITES = {
+    "delete_in_same_key":
+        "DELETE FROM events WHERE k IN (SELECT k FROM events WHERE v > 10)",
+    "delete_exists_same_key":
+        "DELETE FROM events e WHERE EXISTS (SELECT 1 FROM events x"
+        " WHERE x.k = e.k AND x.v > 10)",
 }
 
 
@@ -684,13 +850,13 @@ def test_a_statement_with_local_tables_and_inner_levels_agrees(
 
 @pytest.mark.parametrize("in_block", [False, True],
                          ids=["autocommit", "in_block"])
-@pytest.mark.parametrize("name", sorted(RUN_ONCE_WRITES))
+@pytest.mark.parametrize("name", sorted({**RUN_ONCE_WRITES, **PER_SHARD_WRITES}))
 def test_an_update_or_delete_with_subqueries_agrees(run_once_pair, name,
                                                     in_block):
     """Rows, row count and every table's contents as one node has them, in
     autocommit and inside a block (checked before and after COMMIT); no
     intermediate is left, after the statement and after one that fails."""
-    sql = RUN_ONCE_WRITES[name]
+    sql = RUN_ONCE_WRITES.get(name) or PER_SHARD_WRITES[name]
     oracle, cluster = run_once_pair
     results = []
     try:
@@ -746,14 +912,35 @@ def test_insert_select_over_a_local_join_agrees(run_once_pair):
     assert intermediate_tables(run_once_pair[1]) == []
 
 
+@pytest.mark.parametrize("name", sorted(PER_SHARD_WRITES))
+def test_a_write_reads_its_co_located_subquery_per_shard(run_once_pair, name):
+    """Nothing of it runs once, so no row moves; a subquery that does not
+    meet the written table's shards on the distribution column still
+    runs once (join order plans no write)."""
+    oracle, cluster = run_once_pair
+    sql = PER_SHARD_WRITES[name]
+    assert explain(cluster, sql).tier == "pushdown"
+    assert explain(cluster, RUN_ONCE_WRITES["update_in_inner_level"]).tier \
+        == "subplan"
+    ext = cluster.instance.extensions["citus"]
+    cluster.execute("BEGIN")
+    try:
+        with ext.stat_counters.measure() as m:
+            assert cluster.execute(sql).rowcount == 1560
+        assert m.value("repartition_rows_moved") == 0
+    finally:
+        cluster.execute("ROLLBACK")
+
+
 def test_a_correlated_run_once_level_is_refused(run_once_pair):
-    """A subquery in an UPDATE or DELETE runs once; one that reads a column
-    of the statement around it cannot, and nothing is written or left."""
+    """An aggregate over the rows of other shards runs once; one that reads
+    a column of the statement around it cannot, and nothing is written or
+    left."""
     oracle, cluster = run_once_pair
     before = contents(cluster)
     with pytest.raises(UnsupportedDistributedQuery, match="correlated"):
-        cluster.execute("DELETE FROM events e WHERE EXISTS (SELECT 1 FROM"
-                        " events x WHERE x.k = e.k AND x.v > 10)")
+        cluster.execute("DELETE FROM events e WHERE v > (SELECT avg(v) FROM"
+                        " events x WHERE x.tenant = e.tenant)")
     assert contents(cluster) == before == contents(oracle)
     assert intermediate_tables(cluster) == []
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import make_cluster
 from repro.citus.executor import adaptive
+from repro.citus.observability import explain
 from repro.citus.planner.pushdown import PushdownSelect, stream_concat_runs
 from repro.engine.datum import ordering
 from repro.engine.datum import sort_key as value_sort_key
@@ -41,11 +42,9 @@ class _Reversed:
         return self.key == other.key
 
 
-def make_concat_sort_key(plan, visible_width):
+def make_concat_sort_key(plan):
     specs = []
-    for position_spec, ascending, nulls_first in plan.hidden_sort_keys:
-        kind, index = position_spec
-        position = index if kind == "pos" else visible_width + index
+    for position, ascending, nulls_first in plan.hidden_sort_keys:
         nf = nulls_first if nulls_first is not None else not ascending
         specs.append((position, ascending, nf))
 
@@ -63,9 +62,9 @@ def make_concat_sort_key(plan, visible_width):
     return key_fn
 
 
-def _merge_append_rows(plan, streams, execution, visible_width):
-    """PR 16's heap merge, verbatim."""
-    key_fn = make_concat_sort_key(plan, visible_width)
+def _merge_append_rows(plan, streams, execution):
+    """PR 16's heap merge, verbatim (sort keys at worker row positions)."""
+    key_fn = make_concat_sort_key(plan)
     pending = [deque() for _ in streams]
     heap: list = []
     held = 0
@@ -111,11 +110,9 @@ def reference_concat_rows(plan, execution):
     streams = execution.streams
     offset = plan.offset.value if plan.offset is not None else 0
     limit = plan.limit.value if plan.limit is not None else None
-    first_columns = list(streams[0].columns) if streams else []
-    n_appended = plan.n_visible
-    visible_width = len(first_columns) - n_appended
+    visible_width = len(plan.visible_columns)
     if plan.hidden_sort_keys:
-        source = _merge_append_rows(plan, streams, execution, visible_width)
+        source = _merge_append_rows(plan, streams, execution)
     else:
         source = _concat_rows(streams, execution)
     try:
@@ -125,8 +122,7 @@ def reference_concat_rows(plan, execution):
         satisfied = limit is not None and limit <= 0
         if not satisfied:
             for row in source:
-                if n_appended:
-                    row = row[:visible_width]
+                row = row[:visible_width]
                 if seen is not None:
                     key = tuple(_group_key(v) for v in row)
                     if key in seen:
@@ -217,19 +213,22 @@ def run_merge(plan, shards, batch_size, width):
     out = []
     for run in stream_concat_runs(plan, execution, None, None):
         assert run, "runs are never empty"
-        assert len(run.columns) == width - plan.n_visible, "hidden columns stay behind"
+        assert len(run.columns) == len(plan.visible_columns), \
+            "hidden columns stay behind"
         out.extend(run.rows())
         execution.delivered += len(run)
     return out, execution.observed()
 
 
-def make_plan(sort_keys, n_appended=0, distinct=False, offset=None, limit=None):
+def make_plan(sort_keys, visible=1, distinct=False, offset=None, limit=None):
+    """A concat plan of ``visible`` output columns; a sort key past them
+    is a hidden one."""
     return PushdownSelect(
         mode="concat", master_query=None, intermediate_columns=[],
-        visible_columns=[], hidden_sort_keys=sort_keys, distinct=distinct,
+        visible_columns=[f"c{i}" for i in range(visible)],
+        hidden_sort_keys=sort_keys, distinct=distinct,
         offset=None if offset is None else A.Literal(offset),
-        limit=None if limit is None else A.Literal(limit),
-        n_visible=n_appended)
+        limit=None if limit is None else A.Literal(limit))
 
 
 def worker_sorted(rows, sort_keys, first_key_position):
@@ -272,13 +271,12 @@ def merge_cases(draw):
         if draw(st.booleans()):
             column = st.one_of(st.none(), column)
         values.append(column)
-    # The keys are output columns ("pos") or hidden ones appended after a
-    # payload column; with no unique id in the row DISTINCT has work to do.
+    # The keys are output columns or hidden ones appended after a payload
+    # column; with no unique id in the row DISTINCT has work to do.
     appended = draw(st.booleans())
     with_id = draw(st.booleans())
     first_key = 1
-    sort_keys = [(("appended" if appended else "pos", i if appended else i + 1),
-                  ascending, nulls_first)
+    sort_keys = [(i + 1, ascending, nulls_first)
                  for i, (ascending, nulls_first) in enumerate(directions)]
     shards = []
     serial = 0
@@ -290,7 +288,7 @@ def merge_cases(draw):
         shards.append(worker_sorted(rows, sort_keys, first_key))
     plan = make_plan(
         sort_keys if draw(st.integers(0, 7)) else [],  # sometimes no ORDER BY
-        n_appended=n_keys if appended else 0,
+        visible=1 if appended else 1 + n_keys,
         distinct=draw(st.booleans()),
         offset=draw(st.one_of(st.none(), st.integers(0, 8))),
         limit=draw(st.one_of(st.none(), st.integers(0, 25))))
@@ -315,7 +313,7 @@ def test_run_draining_merge_equals_the_heap_merge(case):
 
 # ------------------------------------------------------------ named corners
 
-ASC = [(("pos", 0), True, None)]
+ASC = [(0, True, None)]
 
 
 def both(plan, shards, batch_size, width=1):
@@ -351,7 +349,8 @@ def test_a_tie_across_a_batch_boundary_keeps_task_then_arrival_order():
     # stream 1 starts with key 2: all of stream 0's 2s come first.
     shards = [[[1, "a"], [2, "b"], [2, "c"], [3, "d"]],
               [[2, "e"], [2, "f"], [4, "g"]]]
-    rows, (trace, _, _, _) = both(make_plan(ASC), shards, batch_size=2, width=2)
+    rows, (trace, _, _, _) = both(make_plan(ASC, visible=2), shards,
+                                  batch_size=2, width=2)
     assert [r[1] for r in rows] == ["a", "b", "c", "e", "f", "d", "g"]
     # Stream 1's 2s wait until stream 0's next batch has shown its 2.
     assert trace[:3] == [(0, 0), (1, 0), (0, 2)]
@@ -360,24 +359,31 @@ def test_a_tie_across_a_batch_boundary_keeps_task_then_arrival_order():
 def test_a_null_in_a_later_batch_rekeys_what_is_buffered():
     shards = [[[1], [5], [None]], [[2], [3], [4]], [[0], [None], [None]]]
     for nulls_first in (None, False):
-        rows, _ = both(make_plan([(("pos", 0), True, nulls_first)]),
+        rows, _ = both(make_plan([(0, True, nulls_first)]),
                        shards, batch_size=2)
         assert rows == [[0], [1], [2], [3], [4], [5], [None], [None], [None]]
 
 
 def test_descending_ints_and_strings():
     ints = [[[9], [4], [4]], [[7], [4], [1]], []]
-    rows, _ = both(make_plan([(("pos", 0), False, None)]), ints, batch_size=2)
+    rows, _ = both(make_plan([(0, False, None)]), ints, batch_size=2)
     assert rows == [[9], [7], [4], [4], [4], [1]]
     strs = [[["b"], ["a"]], [["c"], ["a"], [""]]]
-    rows, _ = both(make_plan([(("pos", 0), False, None)]), strs, batch_size=1)
+    rows, _ = both(make_plan([(0, False, None)]), strs, batch_size=1)
     assert rows == [["c"], ["b"], ["a"], ["a"], [""]]
 
 
 def test_a_sort_position_past_the_row_orders_nothing():
-    shards = [[[3], [1]], [[2]]]
-    rows, _ = both(make_plan([(("pos", 5), True, None)]), shards, batch_size=2)
-    assert rows == [[3], [1], [2]]  # task order, as if every key were NULL
+    """``ORDER BY 5`` over one column is a constant to the workers (the
+    engine's rule): the planner makes no merge key of it, so the shard
+    streams come back in task order, as if every key were NULL."""
+    session = make_cluster(workers=1, shard_count=4).coordinator_session()
+    session.execute("CREATE TABLE t (k int PRIMARY KEY)")
+    session.execute("SELECT create_distributed_table('t', 'k')")
+    assert explain(session, "SELECT k FROM t ORDER BY 5").merge_strategy \
+        == "Concat (streaming)"
+    assert explain(session, "SELECT k FROM t ORDER BY 5, 1").merge_strategy \
+        == "MergeAppend (streaming)"
 
 
 def test_no_streams_and_empty_streams():

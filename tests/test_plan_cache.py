@@ -168,6 +168,23 @@ class TestInvalidation:
             s.execute("SELECT v FROM t WHERE k = 1")
         assert m.value("plan_cache_invalidations") == 1
 
+    @pytest.mark.parametrize("where", ["k > 0", "k IN (1) AND k IN (2)"],
+                             ids=["unpruned", "pruned"])
+    def test_a_cached_star_reads_a_new_column(self, s, where):
+        """A multi-shard ``SELECT *`` names its columns at plan time; the
+        ADD COLUMN discards the cached shape, so the next run has the new
+        column, with every shard pruned too."""
+        sql = f"SELECT * FROM t WHERE {where} ORDER BY k LIMIT 2"
+        for _ in range(2):
+            assert s.execute(sql).columns == ["k", "v"]
+        assert explain(s, sql).cached
+        s.execute("ALTER TABLE t ADD COLUMN note text")
+        for _ in range(2):
+            result = s.execute(sql)
+            assert result.columns == ["k", "v", "note"]
+            assert all(len(row) == 3 for row in result.rows)
+        assert explain(s, sql).cached
+
     def test_shard_move_invalidates_and_replans_to_new_node(
         self, citus, s, reg
     ):
