@@ -42,8 +42,12 @@ class TableOccurrence:
 class QueryAnalysis:
     """Everything the planner cascade needs to know about a statement."""
 
-    def __init__(self, cache: MetadataCache, catalog=None):
+    def __init__(self, cache: MetadataCache, catalog=None, apart=frozenset()):
         self.cache, self.catalog = cache, catalog
+        #: Inner levels, by ``id``, whose output columns join no class of
+        #: the levels reading them (they run once: a row of theirs is no
+        #: one shard's), and those whose outputs joined one.
+        self.apart, self.linked = apart, set()
         self.occurrences: list[TableOccurrence] = []
         self.equivalence = UnionFind()
         # Equivalence-class constants: root -> constant value
@@ -281,14 +285,20 @@ _CONST_MARK = "\x00const:"
 
 
 def analyze_statement(stmt, cache: MetadataCache, params=None,
-                      catalog=None) -> QueryAnalysis:
+                      catalog=None, apart=frozenset()) -> QueryAnalysis:
     """Build the QueryAnalysis for a DML statement.
 
     ``catalog`` (the coordinator's shell-table catalog) enables scope-aware
     qualification of bare column references — ``WHERE o_orderkey =
     l_orderkey`` binds each side to the table that owns the column.
+
+    A level that runs once (:meth:`QueryAnalysis.subplans`) joins no class
+    of the levels around it: its LIMIT or aggregate reads every shard, so
+    ``k = 7 AND k IN (SELECT k FROM t LIMIT 3)`` does not make the inner
+    ``k`` 7. Such a level whose outputs were joined is analysed again,
+    ``apart``.
     """
-    analysis = QueryAnalysis(cache, catalog)
+    analysis = QueryAnalysis(cache, catalog, apart)
     if isinstance(stmt, A.Insert):
         _add_occurrence(A.TableRef(stmt.table), cache, analysis)
         if stmt.select is not None:
@@ -299,6 +309,9 @@ def analyze_statement(stmt, cache: MetadataCache, params=None,
     else:
         _analyze_select(stmt, cache, analysis, params)
     _finalize_unqualified_refs(analysis)
+    once = analysis.linked and analysis.linked & set(map(id, analysis.subplans()))
+    if once:
+        return analyze_statement(stmt, cache, params, catalog, apart | once)
     return analysis
 
 
@@ -448,10 +461,9 @@ def _analyze_from_item(item, cache, analysis, params, scope, select):
         # Column refs through the subquery alias join the equivalence web via
         # the subquery's target names: alias.colname ~ target expr when the
         # target is a plain column reference.
-        for name, key in _outputs(item.query, analysis):
-            if key is not None:
-                analysis.equivalence.union(
-                    f"{_ref_key(item, analysis)}.{name}", key)
+        alias = _ref_key(item, analysis)
+        _join_outputs(analysis, item.query, [
+            (f"{alias}.{name}", key) for name, key in _outputs(item.query, analysis)])
     elif isinstance(item, A.JoinExpr):
         _analyze_from_item(item.left, cache, analysis, params, scope, select)
         _analyze_from_item(item.right, cache, analysis, params, scope, select)
@@ -553,9 +565,21 @@ def _collect_subquery_tables(expr, cache, analysis, params, scope, reader) -> No
                 and not node.negated
             ):
                 outputs = _outputs(node.query, analysis)
-                if len(outputs) == 1 and outputs[0][1] is not None:
-                    analysis.equivalence.union(
-                        _qualify(node.operand.key, scope or {}), outputs[0][1])
+                if len(outputs) == 1:
+                    _join_outputs(analysis, node.query, [
+                        (_qualify(node.operand.key, scope or {}), outputs[0][1])])
+
+
+def _join_outputs(analysis, select, pairs) -> None:
+    """Join each ``(outer key, output key)`` pair of an inner level's
+    classes (an output that passes on no column has no key), unless the
+    level is ``apart``."""
+    if id(select) in analysis.apart:
+        return
+    for outer, key in pairs:
+        if key is not None:
+            analysis.linked.add(id(select))
+            analysis.equivalence.union(outer, key)
 
 
 # -------------------------------------------------- a column's constant filter

@@ -2,10 +2,14 @@
 
 A :class:`RemoteConnection` is what the Citus adaptive executor opens to a
 worker node: it wraps a backend (:class:`~repro.engine.instance.Session`)
-on the target instance and charges network round trips and connection
-establishment to per-connection counters. The executor aggregates those
-counters to compute elapsed simulated time for a distributed query
-(max over parallel connections, sum over sequential statements).
+on the target instance and charges its wire use to per-connection
+counters, in one of two ways: an *exchange* (a round trip carrying its
+bytes: a command and its response, a stream's dispatch, a COPY stream's
+first chunk) or a *ride* (bytes on an exchange already open: a result
+set, every batch of a result stream, a pipelined COPY chunk). The
+executor aggregates those counters to compute elapsed simulated time for
+a distributed query (max over parallel connections, sum over sequential
+statements).
 """
 
 from __future__ import annotations
@@ -131,9 +135,9 @@ class Network:
         return self.spec.rtt_ms / 1000.0 + transfer
 
     def note_transfer(self, payload_bytes: int) -> float:
-        """Record extra payload riding an exchange already counted by
-        :meth:`note_round_trip` (a blocking result set following its
-        request): bandwidth cost only, no additional message or RTT."""
+        """Record payload riding an exchange already counted by
+        :meth:`note_round_trip`: bandwidth cost only, no additional
+        message or RTT."""
         self.bytes_sent += payload_bytes
         return payload_bytes / (self.spec.bandwidth_mb_s * 1e6)
 
@@ -162,38 +166,42 @@ class RemoteConnection:
         self.bytes_transferred = 0  # wire bytes either direction
         self.closed = False
 
-    def execute(self, sql: str, params=None, payload_bytes: int = 256):
-        """One blocking request/response exchange of SQL text — a user's
-        (``run_command_on_workers``); everything the coordinator builds
-        itself goes through :meth:`execute_parsed`.
-
-        The request is charged as one round trip up front — it crosses the
-        wire whether or not the worker statement then fails — and the
-        response rows are charged at their actual byte size
-        (``estimate_rows_bytes``), so the blocking plane prices the wire
-        exactly like the streaming cursors do.
-        """
+    def exchange(self, payload: int = 256) -> None:
+        """Charge one round trip carrying ``payload`` bytes: a request and
+        the response its sender waits for. It crosses the wire whether or
+        not the worker then fails, so callers charge it first."""
         if self.closed:
             raise NodeUnavailable(f"connection to {self.node_name} is closed")
         self.round_trips += 1
-        self.bytes_transferred += payload_bytes
-        self.elapsed += self.network.note_round_trip(payload_bytes)
+        self.bytes_transferred += payload
+        self.elapsed += self.network.note_round_trip(payload)
+
+    def ride(self, payload: int) -> None:
+        """Charge ``payload`` bytes riding an exchange already open on this
+        connection — a result set, a stream's batch, a pipelined COPY
+        chunk: bandwidth only, no round trip."""
+        if self.closed:
+            raise NodeUnavailable(f"connection to {self.node_name} is closed")
+        self.bytes_transferred += payload
+        self.elapsed += self.network.note_transfer(payload)
+
+    def execute(self, sql: str, params=None):
+        """One blocking exchange of SQL text — a user's
+        (``run_command_on_workers``); everything the coordinator builds
+        itself goes through :meth:`execute_parsed`. The response rows ride
+        it at their byte size (:meth:`_charge_result`)."""
+        self.exchange()
         return self._charge_result(self.session.execute(sql, params))
 
-    def execute_parsed(self, stmt, params=None, payload_bytes: int = 256,
-                       allow_block: bool = False):
+    def execute_parsed(self, stmt, params=None, allow_block: bool = False):
         """Ship a statement AST to the worker backend, skipping the
         deparse → lexer → parser round-trip: the one payload of every
-        command the coordinator sends. Network cost accounting is identical
-        to :meth:`execute` — the simulation charges for the wire exchange,
-        not for parsing. With ``allow_block`` a lock wait on the worker
-        parks the statement there and raises :class:`RemoteBlocked`; one
-        that completes pays nothing for it."""
-        if self.closed:
-            raise NodeUnavailable(f"connection to {self.node_name} is closed")
-        self.round_trips += 1
-        self.bytes_transferred += payload_bytes
-        self.elapsed += self.network.note_round_trip(payload_bytes)
+        command the coordinator sends. Priced as :meth:`execute` — the
+        simulation charges for the wire exchange, not for parsing. With
+        ``allow_block`` a lock wait on the worker parks the statement there
+        and raises :class:`RemoteBlocked`; one that completes pays nothing
+        for it."""
+        self.exchange()
         try:
             return self._charge_result(
                 self.session.execute_parsed(stmt, params, allow_block))
@@ -201,32 +209,25 @@ class RemoteConnection:
             raise RemoteBlocked(parked.handle, self) from None
 
     def _charge_result(self, result):
-        """Bandwidth-charge a blocking result set at its actual wire size
-        (the response rides the round trip already counted, so only the
-        transfer term is added — no extra message)."""
+        """A blocking result set rides its exchange at its byte size, the
+        price its rows would have as a stream's batches."""
         rows = getattr(result, "rows", None)
         if rows:
-            payload = estimate_rows_bytes(rows)
-            self.bytes_transferred += payload
-            self.elapsed += self.network.note_transfer(payload)
+            self.ride(estimate_rows_bytes(rows))
         return result
 
     def execute_async(self, sql: str, params=None):
-        self.round_trips += 1
-        self.elapsed += self.network.note_round_trip()
+        """Dispatch one statement without waiting for it: its exchange is
+        charged, its result is the handle's."""
+        self.exchange()
         return self.session.execute_async(sql, params)
 
     def execute_cursor(self, stmt, params=None,
                        batch_size: int = 256) -> "RemoteCursor":
-        """Open a worker-side cursor for a SELECT task; batches are then
-        pulled on demand via :meth:`RemoteCursor.fetch_batch`. Only the
-        dispatch round trip is charged here — each batch pays for its own
-        transfer at its actual byte size."""
-        if self.closed:
-            raise NodeUnavailable(f"connection to {self.node_name} is closed")
-        self.round_trips += 1
-        self.bytes_transferred += 256
-        self.elapsed += self.network.note_round_trip()
+        """Dispatch a SELECT task as a result stream: this exchange is the
+        stream's one round trip, and every batch then rides it
+        (:meth:`RemoteCursor.fetch_batch`)."""
+        self.exchange()
         engine_cursor = self.session.execute_parsed_cursor(stmt, params)
         if engine_cursor is None:
             # Not cursor-capable on the worker backend: materialize there
@@ -239,23 +240,16 @@ class RemoteConnection:
 
     def copy_rows(self, table: str, rows, columns=None,
                   pipelined: bool = False) -> int:
-        if self.closed:
-            raise NodeUnavailable(f"connection to {self.node_name} is closed")
-        # Charge the wire cost up front, like execute(): the rows cross the
-        # network whether or not the worker-side copy then fails. The
-        # payload is the rows' actual wire size, same pricing as the
-        # result-set and cursor-batch directions. A ``pipelined`` chunk
-        # rides a COPY stream that is already open on this connection —
-        # the sender does not wait for a per-chunk response, so it costs
-        # bandwidth only, no extra round trip (§3.8 "streams rows to the
-        # shards asynchronously"). ``rows`` is a channel's non-empty batch.
+        """One COPY chunk (a channel's non-empty batch) at its rows' byte
+        size, charged before the worker copies it. A ``pipelined`` chunk
+        rides a COPY stream already open on this connection — the sender
+        waits for no per-chunk response (§3.8 "streams rows to the shards
+        asynchronously"); any other opens one with a round trip."""
         payload = estimate_rows_bytes(rows)
-        self.bytes_transferred += payload
         if pipelined:
-            self.elapsed += self.network.note_transfer(payload)
+            self.ride(payload)
         else:
-            self.round_trips += 1
-            self.elapsed += self.network.note_round_trip(payload_bytes=payload)
+            self.exchange(payload)
         return self.session.copy_rows(table, rows, columns)
 
     def begin_if_needed(self) -> None:
@@ -275,13 +269,18 @@ class RemoteConnection:
 
 
 class RemoteCursor:
-    """A pull-based remote result stream over one connection.
+    """A worker's result stream over one connection.
 
-    Each ``fetch_batch()`` is a round trip charged at the batch's actual
-    byte size (bandwidth-aware). ``close()`` before exhaustion sends a
-    small CLOSE message and drops the worker-side cursor without
-    transferring the remaining rows — the early-termination primitive the
-    streaming coordinator merge relies on.
+    The stream flows on its dispatch: :meth:`RemoteConnection.execute_cursor`
+    is its one round trip, and each ``fetch_batch()`` rides it at the
+    batch's byte size, as a pipelined COPY chunk rides its stream. The end
+    arrives in-band: with a short last batch, or — when no rows or an exact
+    multiple of the batch size leave none short — as a bare end frame.
+    ``close()`` before the end cancels the rest without transferring it —
+    the early-termination primitive of the streaming coordinator merge —
+    for one small round trip (the cancel and the worker's ReadyForQuery)
+    carrying the one batch the credit window had in flight, priced as the
+    last batch received.
     """
 
     def __init__(self, conn: RemoteConnection, engine_cursor: EngineCursor,
@@ -289,9 +288,6 @@ class RemoteCursor:
         self.conn = conn
         self.batch_size = max(1, int(batch_size))
         self._cursor = engine_cursor
-        self.bytes_fetched = 0
-        self.batches_fetched = 0
-        self.rows_fetched = 0
         self.last_payload = 0
         self.exhausted = False
         self.closed = False
@@ -305,32 +301,19 @@ class RemoteCursor:
         and priced as they are, or None once the stream is exhausted."""
         if self.closed or self.exhausted:
             return None
-        if self.conn.closed:
-            raise NodeUnavailable(
-                f"connection to {self.conn.node_name} is closed"
-            )
+        conn = self.conn
+        if conn.closed:
+            raise NodeUnavailable(f"connection to {conn.node_name} is closed")
         batch = self._cursor.fetch(self.batch_size)
         count = batch.count
-        if not count:
-            self.exhausted = True
-            # Observing end-of-stream costs a bare round trip.
-            self.conn.round_trips += 1
-            self.conn.bytes_transferred += _ROW_OVERHEAD
-            self.conn.elapsed += self.conn.network.note_round_trip(_ROW_OVERHEAD)
-            self.last_payload = 0
-            return None
-        payload = estimate_columns_bytes(batch.columns, count)
-        self.conn.round_trips += 1
-        self.conn.bytes_transferred += payload
-        self.conn.elapsed += self.conn.network.note_round_trip(payload)
-        self.last_payload = payload
-        self.bytes_fetched += payload
-        self.batches_fetched += 1
-        self.rows_fetched += count
         if count < self.batch_size:
-            # A short batch signals end-of-stream in-band: no extra round
-            # trip needed to observe exhaustion.
             self.exhausted = True
+        if not count:
+            self.last_payload = 0
+            conn.ride(_ROW_OVERHEAD)  # the end frame
+            return None
+        self.last_payload = payload = estimate_columns_bytes(batch.columns, count)
+        conn.ride(payload)
         return batch
 
     def close(self) -> None:
@@ -338,7 +321,5 @@ class RemoteCursor:
             return
         self.closed = True
         if not self.exhausted and not self.conn.closed:
-            self.conn.round_trips += 1
-            self.conn.bytes_transferred += _ROW_OVERHEAD
-            self.conn.elapsed += self.conn.network.note_round_trip(_ROW_OVERHEAD)
+            self.conn.exchange(_ROW_OVERHEAD + self.last_payload)
         self._cursor.close()

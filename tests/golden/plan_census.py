@@ -4,10 +4,10 @@ statement the differential tests hold, without running any of them.
 Per statement of ``tests/test_engine_oracle.py``'s sets (``QUERIES``, each
 also wrapped as a level that runs once, ``REFUSED_OR_RIGHT``, ``ANSWERED``,
 ``JOIN_ORDER``, ``ORDER_BY_SUBQUERY``, the UPDATE / DELETE and ``*`` level
-sets) and of ``tpch.QUERIES``, on the oracle's 0x4, 1x4 and 4x16 layouts
-(``tests/oracle.py``'s data, and ``loc``, a plain table of 1, 2, 3): the
-tier EXPLAIN reports and its ``Subplan:`` record, or the error planning
-raises. A set a tree does not define is empty, so the same script runs on
+sets, ``ROUTED_RUN_ONCE``) and of ``tpch.QUERIES``, on the oracle's
+0x4, 1x4 and 4x16 layouts (``tests/oracle.py``'s data, and ``loc``, a
+plain table of 1, 2, 3): the tier EXPLAIN reports and its ``Subplan:``
+record, or the error planning raises. A set a tree does not define is empty, so the same script runs on
 any tree::
 
     PYTHONPATH=src python tests/golden/plan_census.py > census.json
@@ -34,7 +34,7 @@ from tests.oracle import load  # noqa: E402
 
 SETS = ("QUERIES", "REFUSED_OR_RIGHT", "ANSWERED", "JOIN_ORDER",
         "ORDER_BY_SUBQUERY", "RUN_ONCE_WRITES", "PER_SHARD_WRITES",
-        "STAR_LEVELS")
+        "STAR_LEVELS", "ROUTED_RUN_ONCE")
 #: An intermediate's name carries a process-wide counter.
 _COUNTED = re.compile(r"(citus_(?:subplan|bcast|repart)_)\d+")
 

@@ -945,6 +945,58 @@ def test_a_correlated_run_once_level_is_refused(run_once_pair):
     assert intermediate_tables(cluster) == []
 
 
+#: A level that runs once joins no class of the statement around it. The
+#: router sent the first two to the shard of k = 7, where the LIMIT read
+#: that shard's rows alone: on 4x16 a shard holds 125 rows, every one among
+#: its first 300, so the SELECT counted 1 and the DELETE deleted a row
+#: where one node, whose first 300 rows by v end before k = 7's v of 49,
+#: counts and deletes none. A level filtered to the same constant itself
+#: still routes. Per statement: its SQL and the tier it plans as.
+ROUTED_RUN_ONCE = {
+    "select_in_limit_routed": (
+        "SELECT count(*) FROM events WHERE k = 7 AND k IN"
+        " (SELECT k FROM events ORDER BY v, k LIMIT 300)", "subplan"),
+    "delete_in_limit_routed": (
+        "DELETE FROM events WHERE k = 7 AND k IN"
+        " (SELECT k FROM events ORDER BY v, k LIMIT 300)", "subplan"),
+    "select_in_limit_on_the_constant": (
+        "SELECT count(*) FROM events WHERE k = 7 AND k IN"
+        " (SELECT k FROM events WHERE k = 7 ORDER BY v LIMIT 300)", "router"),
+}
+
+
+@pytest.mark.parametrize("in_block", [False, True],
+                         ids=["autocommit", "in_block"])
+@pytest.mark.parametrize("name", sorted(ROUTED_RUN_ONCE))
+def test_a_level_that_runs_once_is_not_routed_by_the_outer_constant(
+        run_once_pair, name, in_block):
+    """Rows, row count and every table's contents as one node has them,
+    in autocommit and inside a block (before and after COMMIT)."""
+    sql, tier = ROUTED_RUN_ONCE[name]
+    oracle, cluster = run_once_pair
+    assert explain(cluster, sql).tier == tier
+    results = []
+    try:
+        for session in run_once_pair:
+            if in_block:
+                session.execute("BEGIN")
+            result = session.execute(sql)
+            seen = [contents(session)]
+            if in_block:
+                session.execute("COMMIT")
+                seen.append(contents(session))
+            results.append((result.rows, result.rowcount, seen))
+        expected, got = results
+        assert got == expected
+        assert intermediate_tables(cluster) == []
+    finally:
+        if sql.startswith("DELETE"):
+            for session in run_once_pair:
+                session.execute("DELETE FROM events")
+                session.execute("DELETE FROM tenants")
+                fill_run_once(session)
+
+
 # ------------------------------------------ outer joins on a replicated side
 
 #: A 10-row reference table ``r`` and a 49-row distributed ``d`` whose

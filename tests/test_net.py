@@ -131,6 +131,75 @@ class TestBatchPricing:
         assert estimate_rows_bytes([[1, 2], [3]]) == (2 + 16) + (2 + 8)
 
 
+_STREAM_BATCH = 4
+
+_COLUMN_VALUES = (
+    st.one_of(st.none(), st.integers(-2**63, 2**63 - 1)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "label-17", "é", "日本語"])),
+    st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+    st.one_of(st.none(), st.booleans()),
+    st.integers(-9, 9),
+)
+
+
+class TestStreamPricing:
+    """The same rows cost the same whichever plane returns them: a blocking
+    result set rides its exchange at its byte size, a stream's batches ride
+    its dispatch at theirs. A stream that cannot end on a short batch (no
+    rows, or an exact multiple of the batch size) rides one more frame, the
+    bare end of stream."""
+
+    @pytest.fixture(scope="class")
+    def node(self):
+        cluster = Cluster()
+        cluster.add_node("n1")
+        setup = cluster.node("n1").connect()
+        setup.execute("CREATE TABLE p (i bigint, t text, f float, b bool, s int)")
+        return cluster, setup
+
+    @staticmethod
+    def _cost(conn, run):
+        before = conn.round_trips, conn.bytes_transferred, conn.elapsed
+        rows = run()
+        return (rows, conn.round_trips - before[0],
+                conn.bytes_transferred - before[1], conn.elapsed - before[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.one_of(st.sampled_from([0, 1, _STREAM_BATCH, 3 * _STREAM_BATCH]),
+                           st.integers(0, 3 * _STREAM_BATCH + 1)),
+           data=st.data())
+    def test_property_a_stream_costs_what_the_blocking_plane_costs(
+            self, node, count, data):
+        from repro.sql import parse
+
+        cluster, setup = node
+        rows = [list(data.draw(st.tuples(*_COLUMN_VALUES))) for _ in range(count)]
+        setup.execute("TRUNCATE p")
+        setup.copy_rows("p", rows, ["i", "t", "f", "b", "s"])
+        stmt = parse("SELECT i, t, f, b, s FROM p")[0]
+        conn = cluster.connect("n1")
+
+        def stream():
+            cursor = conn.execute_cursor(stmt, batch_size=_STREAM_BATCH)
+            out = []
+            while (batch := cursor.fetch_batch()) is not None:
+                out += batch.rows()
+            return out
+
+        blocking = self._cost(conn, lambda: conn.execute_parsed(stmt).rows)
+        streamed = self._cost(conn, stream)
+        assert streamed[0] == blocking[0]
+        assert blocking[1] == streamed[1] == 1
+        end_frame = 2 if count % _STREAM_BATCH == 0 else 0
+        assert blocking[2] == 256 + estimate_rows_bytes(blocking[0])
+        assert streamed[2] == blocking[2] + end_frame
+        spec = cluster.network.spec
+        assert streamed[3] == pytest.approx(
+            blocking[3] + end_frame / (spec.bandwidth_mb_s * 1e6), rel=1e-12)
+        assert blocking[3] == pytest.approx(
+            spec.rtt_ms / 1000 + blocking[2] / (spec.bandwidth_mb_s * 1e6), rel=1e-12)
+
+
 class TestClusterLifecycle:
     def test_add_and_connect(self):
         cluster = Cluster()

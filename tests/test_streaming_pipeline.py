@@ -5,8 +5,10 @@ Covers the pull-based data plane end to end:
 
 - engine layer: ``EngineCursor`` semantics and genuine lazy scans (a
   satisfied LIMIT stops the heap scan early);
-- wire layer: ``RemoteCursor`` per-batch byte-size charging and early
-  ``close()``, plus the ``copy_rows`` closed-connection/up-front-charge fix;
+- wire layer: a ``RemoteCursor`` is one round trip, its batches ride it
+  at their byte size, the same price the blocking plane charges for the
+  same rows, and an early ``close()`` is one small trip; plus the
+  ``copy_rows`` closed-connection/up-front-charge fix;
 - executor/merge layer: bounded coordinator buffering (the acceptance
   criterion: ``rows_buffered_peak`` ≤ batch_size × shard_count for a
   multi-shard ORDER BY … LIMIT over ≥ 10k rows), LIMIT early-stop skipping
@@ -315,6 +317,13 @@ class TestEngineCursor:
 # --------------------------------------------------------------- wire layer
 
 
+def _wire_time(conn, nbytes: int, trips: int) -> float:
+    """What ``trips`` round trips carrying ``nbytes`` in all cost: RTT per
+    trip plus the bytes at the network's bandwidth."""
+    spec = conn.network.spec
+    return trips * spec.rtt_ms / 1000.0 + nbytes / (spec.bandwidth_mb_s * 1e6)
+
+
 class TestRemoteCursor:
     def _cluster_conn(self):
         cluster = make_cluster(workers=1, shard_count=2)
@@ -326,23 +335,36 @@ class TestRemoteCursor:
             session.execute(f"INSERT INTO w VALUES ({k}, 'x{k}')")
         return conn
 
-    def test_per_batch_round_trips_and_bytes(self):
-        conn = self._cluster_conn()
+    def test_one_round_trip_per_stream_however_many_batches(self):
+        """The dispatch is the stream's one round trip; every batch rides
+        it at its byte size, and so does the end frame of a stream with no
+        short last batch (30 rows in batches of 10 or 30)."""
+        from repro.net.network import estimate_row_bytes
         from repro.sql import parse
 
-        trips_before = conn.round_trips
-        cursor = conn.execute_cursor(parse("SELECT k, pad FROM w")[0], batch_size=10)
-        assert conn.round_trips == trips_before + 1  # dispatch only
-        b1 = cursor.fetch_batch()
-        assert len(b1) == 10
-        assert conn.round_trips == trips_before + 2
-        assert cursor.last_payload > 0
-        assert cursor.bytes_fetched == cursor.last_payload
-        while cursor.fetch_batch() is not None:
-            pass
-        assert cursor.exhausted
-        assert cursor.rows_fetched == 30
-        assert cursor.batches_fetched == 3
+        conn = self._cluster_conn()
+        rows = conn.execute("SELECT k, pad FROM w").rows
+        for batch_size in (7, 10, 30, 64):
+            trips, nbytes, elapsed = (conn.round_trips, conn.bytes_transferred,
+                                      conn.elapsed)
+            cursor = conn.execute_cursor(parse("SELECT k, pad FROM w")[0],
+                                         batch_size=batch_size)
+            assert conn.round_trips == trips + 1
+            fetched, payloads = [], []
+            while (batch := cursor.fetch_batch()) is not None:
+                fetched += batch.rows()
+                payloads.append(cursor.last_payload)
+            assert cursor.exhausted and fetched == rows
+            assert len(payloads) == -(-30 // batch_size)
+            end_frame = 2 if 30 % batch_size == 0 else 0
+            assert sum(payloads) == sum(map(estimate_row_bytes, rows))
+            assert conn.round_trips == trips + 1
+            assert (conn.bytes_transferred - nbytes
+                    == 256 + sum(payloads) + end_frame)
+            assert conn.elapsed - elapsed == pytest.approx(
+                _wire_time(conn, conn.bytes_transferred - nbytes, 1), rel=1e-12)
+            cursor.close()  # drained: nothing left to cancel
+            assert conn.round_trips == trips + 1
 
     def test_bigger_rows_cost_more(self):
         from repro.net.network import estimate_row_bytes
@@ -351,17 +373,28 @@ class TestRemoteCursor:
         assert estimate_row_bytes([None]) < estimate_row_bytes([12345])
 
     def test_early_close_charges_one_small_trip(self):
+        """A close before the end is one round trip carrying the cancel's
+        frame and the batch the credit window had in flight, priced as the
+        last batch received (none before the first)."""
         conn = self._cluster_conn()
         from repro.sql import parse
 
-        cursor = conn.execute_cursor(parse("SELECT k FROM w")[0], batch_size=5)
-        cursor.fetch_batch()
-        trips = conn.round_trips
-        elapsed = conn.elapsed
-        cursor.close()
-        assert conn.round_trips == trips + 1  # CLOSE message
-        assert conn.elapsed > elapsed
-        assert cursor.fetch_batch() is None
+        for fetched in (0, 1, 3):
+            cursor = conn.execute_cursor(parse("SELECT k FROM w")[0], batch_size=5)
+            for _ in range(fetched):
+                cursor.fetch_batch()
+            in_flight = cursor.last_payload
+            assert in_flight == (5 * (2 + 8) if fetched else 0)
+            trips, nbytes, elapsed = (conn.round_trips, conn.bytes_transferred,
+                                      conn.elapsed)
+            cursor.close()
+            assert conn.round_trips == trips + 1
+            assert conn.bytes_transferred - nbytes == 2 + in_flight
+            assert conn.elapsed - elapsed == pytest.approx(
+                _wire_time(conn, 2 + in_flight, 1), rel=1e-12)
+            assert cursor.fetch_batch() is None
+            cursor.close()
+            assert conn.round_trips == trips + 1
 
     def test_fetch_on_closed_connection_raises(self):
         conn = self._cluster_conn()
