@@ -80,11 +80,11 @@ def _dest_key_from_source_key(stmt: A.Insert, dest, analysis) -> bool:
 
 
 def select_row_stream(ext, session, select, params):
-    """The SELECT side of the write pipeline (and of a join's move): a lazy
-    row iterator. The statement is planned through the session's planner
-    hook as the first row is asked for, then its plan streams its rows
-    (``CitusPlan.rows``: a multi-shard pushdown SELECT batch by batch
-    through the cursor pipeline, any other plan whole)."""
+    """The SELECT side of the write pipeline: a lazy row iterator. The
+    statement is planned through the session's planner hook as the first
+    row is asked for, then its plan streams its rows (``CitusPlan.rows``:
+    a multi-shard pushdown SELECT batch by batch through the cursor
+    pipeline, any other plan whole)."""
     plan = session.instance.hooks.call_planner(session, select, params)
     if plan is None:
         yield from session._execute_local_dml(select, params).rows

@@ -174,8 +174,8 @@ class DistributedExplain:
             lines.append(f"        {self.merge_query}")
         if merge_actual and not self.merge_strategy:
             # The merge of a stage the plan runs inside its own execution
-            # (the SELECT side of a re-routing INSERT..SELECT, a join-order
-            # plan's final pushdown): known only once it ran.
+            # (the SELECT side of a re-routing INSERT..SELECT): known only
+            # once it ran.
             lines.append(f"Execution Merge: {merge_actual['strategy']}"
                          + _merge_actual_suffix(merge_actual))
         cross = analyze.get("cross_shard")
@@ -257,8 +257,8 @@ def citus_explain_analyze(ext, session, sql, *_) -> str:
 def describe_plan(plan, sql: str = "") -> DistributedExplain:
     """What a :class:`~.planner.tasks.CitusPlan` says it is, as a
     DistributedExplain. The plan's tasks are the ones the executor runs;
-    display-only targets (COPY channels, a join that is only known after
-    a move) arrive as :class:`TaskTarget` already."""
+    display-only targets (COPY channels) arrive as :class:`TaskTarget`
+    already."""
     info = plan.explain_info()
     tasks = [
         t if isinstance(t, TaskTarget)

@@ -21,19 +21,12 @@ made from the statement itself and planned every time.
 
 from __future__ import annotations
 
-import itertools
 import json
-from contextlib import ExitStack, closing
 from dataclasses import replace
 
-from ...engine.catalog import Column
 from ...engine.compile import evaluate, get_prepared
-from ...engine.datum import (
-    ANYELEMENT, TEXT, cast_value, refuse_number_against_text,
-)
-from ...engine.executor import (
-    QueryResult, level_names, text_comparisons, width_error,
-)
+from ...engine.datum import TEXT, cast_value, refuse_number_against_text
+from ...engine.executor import QueryResult, text_comparisons, width_error
 from ...engine.expr import EvalContext, Row
 from ...engine.hooks import CustomScanPlan
 from ...errors import NotNullViolation, ReproError, UnsupportedDistributedQuery
@@ -46,12 +39,10 @@ from .fast_path import try_fast_path
 from .join_order import plan_join_order
 from .pipeline import PlannerTier, PlanSearch, record_chosen_plan
 from .plan_cache import normalized
-from .pushdown import run_once, try_pushdown
+from .pushdown import try_pushdown
 from .router import try_router
-from .subplan import land, read_from, reference_intermediate
-from .tasks import (
-    CitusPlan, Task, fold_write_results, sql_with_values, statement_routes,
-)
+from .subplan import read_from
+from .tasks import CitusPlan, Task, fold_write_results, statement_routes
 
 
 def make_planner_hook(ext):
@@ -271,95 +262,6 @@ def _inline_ctes(stmt):
 
 
 # ---------------------------------------------------------------- plans
-
-
-_subplan_counter = itertools.count(1)
-
-
-class SubplanPlan(CitusPlan):
-    """A SELECT, UPDATE or DELETE some parts of which cannot run per shard
-    (§3.5's recursive planning): its levels (:func:`~.pushdown.run_once`,
-    by ``id``, or ``SELECT * FROM t`` by ``t``'s name). Each is planned
-    through the cascade on its own and runs once, its rows streamed as
-    they are into untyped columns of a reference intermediate
-    (:func:`~.subplan.land`) on every node the rest reads it on. The rest,
-    reading the intermediates in their place, is planned again; what it
-    still runs once joins the levels, so no SubplanPlan nests another.
-    Planned every time: nothing of it is kept in the plan cache."""
-
-    tier = "subplan"
-    detail = "Subplans (run once)"
-
-    def __init__(self, ext, session, stmt, params, levels, analysis):
-        super().__init__(ext)
-        cache = ext.metadata.cache
-        #: Per level: its plan and the intermediate its rows land in.
-        self.subplans, self.queries, nodes = [], [], set()
-        try:
-            while levels:
-                readers = {}
-                for key, level in levels.items():
-                    transient, readers[key] = _intermediate(
-                        level_names(level, analysis.column_names))
-                    self.subplans.append((_plan(ext, session, level, params,
-                                                None), transient))
-                    self.queries.append(sql_with_values(level, params))
-                    cache.tables[transient.name] = transient
-                stmt = read_from(stmt, readers)
-                analysis = analyze_statement(stmt, cache, params,
-                                             ext.instance.catalog)
-                nodes |= _reading_nodes(ext, stmt, analysis)
-                levels = run_once(analysis)
-            self.nodes = sorted(nodes)
-            self.plan = _plan(ext, session, stmt, params, None)
-        finally:
-            for _subplan, transient in self.subplans:
-                cache.tables.pop(transient.name, None)
-
-    def execute(self, session, params):
-        with ExitStack() as landed:
-            for plan, transient in self.subplans:
-                table = transient.shards[0].shard_name
-                rows = landed.enter_context(closing(plan.rows(session, params)))
-                landed.enter_context(land(
-                    self.ext, transient,
-                    [(node, None, table) for node in self.nodes], rows))
-            return self.plan.execute(session, params)
-
-    def explain_info(self):
-        info = self.plan.explain_info()
-        return {**info, "tier": self.tier, "detail": self.detail,
-                "subplan": {"strategy": "subplan", "queries": self.queries}}
-
-
-def _reading_nodes(ext, stmt, analysis) -> set:
-    """Where the rest of a statement, ``stmt``, reads its intermediates:
-    beside the shards it reads, on every replica of a reference table it
-    writes, and on the coordinator when it runs there (a SELECT whose own
-    FROM reads no shard, a write to a local table)."""
-    cache = ext.metadata.cache
-    nodes = {cache.placement_node(shard.shardid)
-             for occ in analysis.distributed for shard in occ.dist.shards}
-    written = cache.tables.get(getattr(stmt, "table", None))
-    if written is not None and written.is_reference:
-        nodes.update(cache.placements[written.shards[0].shardid])
-    elif written is None and not any(level is stmt for level in analysis.levels):
-        nodes.add(ext.instance.name)
-    return nodes
-
-
-def _intermediate(names: list[str]):
-    """The intermediate of a subplan level whose output columns ``names``
-    lists, its columns c1, c2, ... untyped, and what the rest of the
-    statement reads in the level's place: those columns under the level's
-    names, which may repeat (``SELECT count(*), count(*)``)."""
-    transient = reference_intermediate(
-        f"citus_subplan_{next(_subplan_counter)}",
-        [Column(f"c{i}", ANYELEMENT) for i in range(1, len(names) + 1)])
-    return transient, A.Select(
-        targets=[A.TargetEntry(A.ColumnRef(column.name), name)
-                 for column, name in zip(transient.columns, names)],
-        from_items=[A.TableRef(transient.name)])
 
 
 class InsertValuesPlan(CitusPlan):

@@ -6,7 +6,7 @@ on their distribution columns (checked via the equivalence analysis, one
 test for all three: an UPDATE or DELETE is a level whose FROM is the table
 it writes, so a co-located subquery it reads runs on each shard too).
 What cannot run per shard (:func:`run_once`) runs once first, as the
-levels of one :class:`~.distributed.SubplanPlan`, and the rest comes back
+levels of one :class:`~.subplan.SubplanPlan`, and the rest comes back
 through the cascade. Still refused: a correlated level that must run
 once, and multi-shard FOR UPDATE. Everything here is decided from the
 query tree: a level's output columns, a ``*`` among them, are named from
@@ -40,6 +40,7 @@ from ..copy_dist import select_star
 from ..sharding import QueryAnalysis
 from ..executor.adaptive import STREAM_BATCH_SIZE
 from ..txn.deadlock import assign_distributed_txn_ids
+from .subplan import SubplanPlan
 from .tasks import CitusPlan, ShardRoutes, fold_write_results, sql_with_values
 
 
@@ -640,15 +641,13 @@ class PushdownDML:
 def try_pushdown(ext, session, stmt, params, analysis, search=None):
     """The cascade's third tier: a SELECT, UPDATE or DELETE whose parts
     that cannot run per shard run once first, as the levels of one
-    :class:`~.distributed.SubplanPlan`; else the statement's multi-shard
+    :class:`~.subplan.SubplanPlan`; else the statement's multi-shard
     shape, bound."""
     if isinstance(stmt, A.Select) and stmt.set_ops:  # the router declined it
         stmt, levels = _arms(stmt)
     else:
         levels = run_once(analysis, search)
     if levels:
-        from .distributed import SubplanPlan
-
         return SubplanPlan(ext, session, stmt, params, levels, analysis)
     shape = (plan_pushdown_select if isinstance(stmt, A.Select)
              else plan_pushdown_dml)(ext, stmt, analysis, search=search)

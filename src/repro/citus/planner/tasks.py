@@ -237,7 +237,7 @@ class CitusPlan(CustomScanPlan):
     #: Display label, when it says more than the tier's.
     detail = None
     #: The tasks the executor runs; None for a plan whose tasks depend on
-    #: what execution finds (row evaluation, a moved intermediate result).
+    #: what execution finds (row evaluation).
     tasks = None
     #: The shape whose ``bind`` made this plan — what the plan cache stores.
     #: None: a plan made from the statement itself, planned every time.

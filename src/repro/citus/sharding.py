@@ -215,6 +215,13 @@ class QueryAnalysis:
 
         return test
 
+    def column_keys(self, select: A.Select, expr) -> set:
+        """The key of each column ``expr`` of level ``select`` reads, bound
+        to its FROM item (a name no one item owns stays bare)."""
+        scope = _build_scope(select.from_items, self)
+        return {_qualify(ref.key, scope) for ref in A.walk(expr)
+                if isinstance(ref, A.ColumnRef)}
+
     def constant_for(self, occ: TableOccurrence):
         root = self.equivalence.find(self.dist_column_key(occ))
         for const_key, value in self.constants.items():

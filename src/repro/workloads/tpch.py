@@ -414,7 +414,7 @@ QUERIES: dict[str, str] = {
 # reports "4 of the 22 queries in TPC-H are not yet supported" by Citus).
 UNSUPPORTED_QUERIES: dict[str, str] = {
     "Q2": "correlated subquery against a non-co-located (reference-joined) min()",
-    "Q9": "partsupp double-join exceeds the two-distributed-table planner scope",
+    "Q9": "no `partsupp` table",
     "Q17": "correlated scalar AVG subquery per part",
     "Q22": "correlated NOT EXISTS with substring bucketing",
 }

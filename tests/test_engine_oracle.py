@@ -22,7 +22,9 @@ import pytest
 
 from repro import make_cluster
 from repro.citus.observability import explain
+from repro.citus.planner.subplan import SubplanPlan
 from repro.errors import ReproError, UnsupportedDistributedQuery
+from repro.sql import parse
 from repro.workloads import gharchive, tpcc, tpch, ycsb
 from repro.workloads.traffic import mixes
 
@@ -368,6 +370,35 @@ JOIN_ORDER = {
     "broadcast_preserves_the_anchor": (
         "SELECT f.k, e.k FROM flags f LEFT JOIN events e ON f.n = e.v",
         "broadcast", "events", False),
+    # Three and four distributed tables: one move per round, each the
+    # cheapest of its round, in one plan (refused while the tier planned
+    # exactly two tables).
+    "three_tables": (
+        "SELECT count(*) FROM events e JOIN flags f ON f.n = e.v"
+        " JOIN rollup r ON r.bucket = e.tenant", "broadcast", "flags", False),
+    "four_tables": (
+        "SELECT count(*), sum(e2.v) FROM events e JOIN flags f ON f.n = e.v"
+        " JOIN rollup r ON r.bucket = e.tenant JOIN events e2 ON e2.k = r.n",
+        "broadcast", "flags", False),
+    # The moved side's own conjunct filters its level (20 of 44 rows move) ...
+    "repartition_filtered_moved_side": (
+        "SELECT count(*) FROM flags f JOIN events e ON f.n = e.k WHERE f.b",
+        "repartition", "flags", False),
+    # ... unless an outer join makes it nullable: applied before the join,
+    # ``f.b IS NULL`` would keep every row (2,000, not 1,920).
+    "broadcast_nullable_side_keeps_its_filter": (
+        "SELECT count(*) FROM events e LEFT JOIN flags f ON f.n = e.v"
+        " WHERE f.b IS NULL", "broadcast", "flags", False),
+    # A conjunct that puts the join column in the anchor's class (here
+    # through the constant) filters the level and stays in the rest: read
+    # as TRUE there, the intermediate would no longer align with ``events``.
+    "repartition_joined_through_a_constant": (
+        "SELECT f.k, e.v FROM flags f, events e WHERE f.n = 1 AND e.k = 1",
+        "repartition", "flags", False),
+    # A level that runs once and a join's move are levels of one plan.
+    "run_once_level_and_join": (
+        "SELECT count(*) FROM flags f JOIN events e ON f.n = e.v"
+        " WHERE e.v < (SELECT avg(v) FROM events)", "subplan", None, False),
 }
 
 
@@ -396,9 +427,9 @@ def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
     the moved copy is gone from every worker afterwards."""
     sql, strategy, moved, ordered = JOIN_ORDER[name]
     explained = explain(cluster_session, sql)
-    assert explained.tier == "join_order"
+    assert explained.tier == ("join_order" if moved else "subplan")
     assert explained.subplan["strategy"] == strategy
-    assert explained.subplan["moved_table"] == moved
+    assert explained.subplan.get("moved_table") == moved
     flip = "UPDATE flags SET n = 1 - n WHERE k = 2"
     results = []
     for session in (oracle, cluster_session):
@@ -420,6 +451,45 @@ def test_join_order_tier_agrees_with_single_node(oracle, cluster_session, name,
     else:
         assert sorted(got, key=repr) == sorted(expected, key=repr)
     assert intermediate_tables(cluster_session) == []
+
+
+def test_a_moved_side_moves_the_rows_and_columns_the_rest_reads(cluster_session):
+    """A moved table's level reads the columns the rest of the statement
+    reads and applies its own WHERE conjuncts, unless an outer join makes
+    it nullable; one that links a column to another stays in the rest."""
+    ext = cluster_session.instance.extensions["citus"]
+    moved_rows = {}
+    for name in ("repartition_filtered_moved_side",
+                 "broadcast_nullable_side_keeps_its_filter"):
+        with ext.stat_counters.measure() as m:
+            cluster_session.execute(JOIN_ORDER[name][0])
+        moved_rows[name] = m.value("repartition_rows_moved")
+    assert moved_rows == {"repartition_filtered_moved_side": 20,
+                          "broadcast_nullable_side_keeps_its_filter": 44}
+    assert explain(cluster_session, JOIN_ORDER[
+        "broadcast_nullable_side_keeps_its_filter"][0]).subplan["queries"] == [
+        "SELECT f.b, f.n FROM flags AS f"]
+    # ``f.n = 1`` links the join column to ``e.k``: it filters the level and
+    # the rest keeps it, so the intermediate aligns and nothing else moves.
+    assert explain(cluster_session, JOIN_ORDER[
+        "repartition_joined_through_a_constant"][0]).subplan["queries"] == [
+        "SELECT f.k, f.n FROM flags AS f WHERE f.n = 1"]
+
+
+def test_a_run_once_level_and_a_join_move_are_levels_of_one_plan(
+        cluster_session):
+    """The rest of a statement that ran a level once is a non-co-located
+    join: its move joins the levels, where a join-order plan used to nest
+    inside the run-once plan."""
+    sql = JOIN_ORDER["run_once_level_and_join"][0]
+    plan = cluster_session.instance.hooks.call_planner(
+        cluster_session, parse(sql)[0], None)
+    assert type(plan) is SubplanPlan
+    assert not isinstance(plan.plan, SubplanPlan)
+    assert plan.queries == ["SELECT avg(v) FROM events",
+                            "SELECT f.n FROM flags AS f"]
+    assert [move["moved_table"] for move in plan.explain_info()[
+        "subplan"]["moves"]] == ["flags"]
 
 
 #: A subquery over the distributed table in ORDER BY: each worker would

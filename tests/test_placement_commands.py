@@ -48,9 +48,9 @@ UNORDERED = {"isolate_tenant"}
 
 def normalized(sql: str) -> str:
     """``sql`` without what process-global counters put in it: 2PC gids
-    and join-order intermediate names."""
+    and the session number in intermediate names."""
     sql = re.sub(r"'(citus_\w+?_\d+_)\d+'", r"'\1N'", sql)
-    return re.sub(r"citus_(repart|bcast)_\d+", r"citus_\1_N", sql)
+    return re.sub(r"citus_subplan_\d+_", "citus_subplan_N_", sql)
 
 
 def _catalog_nodes(catalog) -> set:

@@ -100,10 +100,12 @@ class TestJoinOrderAlternatives:
 
 class TestUnsupportedShapes:
     """Unplannable queries still raise, but the search explains why every
-    tier passed."""
+    tier passed. A join over three or more distributed tables plans now
+    (one move per round), so the statement is a FULL join that preserves
+    both sides on columns that distribute neither: the join-order tier
+    rejects it with ``outer_join_broadcast``, its last refusal."""
 
-    BAD_SQL = ("SELECT count(*) FROM a JOIN d ON a.v = d.d"
-               " JOIN a a2 ON a2.k = d.note")
+    BAD_SQL = "SELECT count(*) FROM a FULL JOIN a a2 ON a.v = a2.v"
 
     def test_statement_still_raises(self, s):
         with pytest.raises(UnsupportedDistributedQuery):
@@ -111,14 +113,14 @@ class TestUnsupportedShapes:
 
     def test_search_records_error_and_rejections(self, s):
         search = plan_alternatives(s, self.BAD_SQL)
-        assert "could not produce a distributed plan" in search["error"]
+        assert "an outer join that preserves both sides" in search["error"]
         assert search["chosen_tier"] is None
         codes = {
             c["tier"]: c["rejection"]["code"]
             for c in search["candidates"] if c["status"] == "rejected"
         }
         assert set(codes) == {"fast_path", "router", "pushdown", "join_order"}
-        assert codes["join_order"] == "shape"
+        assert codes["join_order"] == "outer_join_broadcast"
 
     def test_failed_statement_lands_in_ring_buffer(self, s, citus):
         with pytest.raises(UnsupportedDistributedQuery):

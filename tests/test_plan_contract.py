@@ -63,8 +63,9 @@ EXPECTED = {
 }
 
 #: Plans that know their tasks at planning time: EXPLAIN shows the list the
-#: executor runs. The others show display targets (COPY channels, a join
-#: whose SQL exists only after the move) or nothing (row evaluation).
+#: executor runs. The others show display targets (COPY channels), nothing
+#: (row evaluation), or the tasks that run after a move (a join-order plan:
+#: its own test below).
 RUNS_ITS_OWN_TASKS = ("fast_path", "router", "pushdown_concat", "pushdown_merge",
                       "pushdown_dml", "reference_dml", "insert_select_pushdown")
 
@@ -254,16 +255,17 @@ def test_explain_shows_the_tasks_the_executor_runs(s, name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["join_repartition", "join_broadcast"])
 def test_a_join_order_plan_shows_where_its_final_join_runs(s, name, monkeypatch):
+    """The final join's tasks are planned with the move, so EXPLAIN shows
+    them, SQL and all: they are the last task list the executor runs,
+    after the moved side's read."""
     sql = STATEMENTS[name]
-    targets = explain(s, sql).tasks
-    assert targets and all(t.sql is None for t in targets)
+    shown = [(t.node, t.sql, t.shard_group) for t in explain(s, sql).tasks]
+    assert len(shown) == 8 and all(node and text for node, text, _ in shown)
     recorded = Recorded(monkeypatch)
     run_captured(s, sql)
-    # The moved table's read, then the co-located join: one task per
-    # anchor shard, on the nodes EXPLAIN named.
-    final = recorded.tasks[-1]
-    assert [(t.node, t.shard_group) for t in final] == [
-        (t.node, t.shard_group) for t in targets]
+    assert len(recorded.tasks) == 2
+    assert [(t.node, t.sql_text(), t.shard_group)
+            for t in recorded.tasks[-1]] == shown
 
 
 @pytest.mark.parametrize("name", ["insert_select_repartition",

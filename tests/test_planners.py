@@ -3,6 +3,7 @@ shape, shard pruning, and the unsupported-SQL boundary."""
 
 import pytest
 
+from repro.citus.observability import explain
 from repro.errors import UnsupportedDistributedQuery
 from tests.conftest import explain_text
 
@@ -215,12 +216,24 @@ class TestJoinOrderPlanner:
         for name in citus.cluster.node_names():
             instance = citus.cluster.node(name)
             leftovers = [t for t in instance.catalog.tables
-                         if t.startswith("citus_repart") or t.startswith("citus_bcast")]
+                         if t.startswith("citus_subplan_")]
             assert leftovers == []
-        assert not any(
-            t.startswith("citus_repart") or t.startswith("citus_bcast")
-            for t in citus.coordinator_ext.metadata.cache.tables
-        )
+        assert not any(t.startswith("citus_subplan_")
+                       for t in citus.coordinator_ext.metadata.cache.tables)
+
+    def test_three_way_non_colocated_join_moves_twice(self, s):
+        """Each round moves the cheapest table it may, and the rest goes
+        through the cascade again: two moves in one plan."""
+        s.execute("CREATE TABLE third (tkey int PRIMARY KEY)")
+        s.execute("SELECT create_distributed_table('third', 'tkey', colocate_with := 'none')")
+        s.execute("INSERT INTO third VALUES (10), (20), (30)")
+        sql = ("SELECT count(*) FROM orders o, other x, third t"
+               " WHERE o.id = x.okey AND x.val = t.tkey")
+        explained = explain(s, sql)
+        assert explained.tier == "join_order"
+        assert len(explained.subplan["queries"]) == 2
+        # Every order has id 1: other's okey 1 has val 10, a third row.
+        assert s.execute(sql).scalar() == 8
 
 
 class TestUnsupported:
@@ -234,15 +247,6 @@ class TestUnsupported:
         expected = [[*row, 1] for row in s.execute("SELECT * FROM orders").rows]
         assert len(expected) == 8
         assert sorted(map(list, s.execute(sql).rows)) == sorted(expected)
-
-    def test_three_way_non_colocated_rejected(self, s):
-        s.execute("CREATE TABLE third (tkey int PRIMARY KEY)")
-        s.execute("SELECT create_distributed_table('third', 'tkey', colocate_with := 'none')")
-        with pytest.raises(UnsupportedDistributedQuery):
-            s.execute(
-                "SELECT count(*) FROM orders o, other x, third t"
-                " WHERE o.id = x.okey AND x.val = t.tkey"
-            )
 
     def test_multi_shard_select_for_update_rejected(self, s):
         with pytest.raises(UnsupportedDistributedQuery):

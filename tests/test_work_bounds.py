@@ -607,8 +607,9 @@ def test_a_repartition_join_streams_its_moved_side_through_bounded_channels():
     eight intermediates: the coordinator holds at most
     ``copy_flush_threshold`` rows per intermediate, and the join returns
     what it returned when that side was materialised on the coordinator
-    whole. Its simulated time is pinned (12.18 ms): each shard read is one
-    round trip, its dispatch, that its batches ride."""
+    whole. Its simulated time is pinned (12.10 ms): each shard read is one
+    round trip, its dispatch, that its batches ride, and the move carries
+    the two columns the join reads (``k``, ``n``), not ``pad``."""
     cluster = make_cluster(workers=4, shard_count=8)
     session = cluster.coordinator_session()
     ext = cluster.coordinator_ext
@@ -626,7 +627,7 @@ def test_a_repartition_join_streams_its_moved_side_through_bounded_channels():
         rows = session.execute("SELECT count(*), sum(e.v), sum(m.k) FROM events e"
                                " JOIN moved m ON m.n = e.k").rows
     assert rows == [[JOIN_ROWS, 959289, 199990000]]
-    assert cluster.cluster.clock.now() - start == pytest.approx(0.012180076,
+    assert cluster.cluster.clock.now() - start == pytest.approx(0.012095076,
                                                                 abs=1e-9)
     assert m.value("repartition_rows_moved") == JOIN_ROWS
     peak = ext.stat_counters.gauge("copy_channel_peak_rows")
